@@ -252,20 +252,33 @@ pub struct ThreadScaling {
 
 /// Measures the fuzz workload at 1 thread and at `threads` (0 = available
 /// parallelism) over seeds `0..seeds`, on the given scheduler backend.
+///
+/// # Errors
+///
+/// On a host with fewer than two hardware threads nothing is measured and
+/// the reason is returned instead: two runs sharing one core would record a
+/// "speedup" that is only noise.
 pub fn measure_thread_scaling(
     seeds: u64,
     threads: usize,
     scheduler: SchedulerKind,
-) -> ThreadScaling {
+) -> Result<ThreadScaling, String> {
+    let host_threads = bft_sim_core::sweep::available_threads();
+    if host_threads < 2 {
+        return Err(format!(
+            "not measured: the host offers {host_threads} hardware thread, \
+             so a 1-thread vs N-thread comparison would show noise, not scaling"
+        ));
+    }
     let serial = run_fuzz_stat(seeds, 1, scheduler);
     let parallel = run_fuzz_stat(seeds, threads, scheduler);
     let speedup = parallel.scenarios_per_sec / serial.scenarios_per_sec.max(1e-9);
-    ThreadScaling {
-        host_threads: bft_sim_core::sweep::available_threads(),
+    Ok(ThreadScaling {
+        host_threads,
         serial,
         parallel,
         speedup,
-    }
+    })
 }
 
 /// Measured cost of the `core::obs` instrumentation on the engine's hot
@@ -610,11 +623,13 @@ fn fuzz_stat_json(f: &FuzzStat) -> Json {
 /// `BENCH_baseline.json` document. `fuzz` carries one entry per scheduler
 /// backend measured; an empty slice omits the `"fuzz"` key, and `None`
 /// omits `"thread_scaling"` / `"obs_overhead"` /
-/// `"bandwidth_contention"`.
+/// `"bandwidth_contention"`. A thread-scaling measurement that was refused
+/// (see [`measure_thread_scaling`]) is written as `"thread_scaling": null`
+/// with the reason beside it in `"thread_scaling_note"`.
 pub fn to_json(
     results: &[CaseResult],
     fuzz: &[FuzzStat],
-    scaling: Option<&ThreadScaling>,
+    scaling: Option<Result<&ThreadScaling, &str>>,
     obs: Option<&ObsOverhead>,
     bandwidth: Option<&BandwidthContention>,
 ) -> Json {
@@ -673,6 +688,16 @@ pub fn to_json(
             Json::from("lambda=1000ms, delays N(250,50), 10 decisions"),
         ),
         (
+            "wall_time_note".to_string(),
+            Json::from(
+                "wall_ms, events_per_sec, scenarios_per_sec and the overhead \
+                 percentages are single samples on whatever host ran this; \
+                 they are superseded by the repeated, alternating \
+                 measurements of benchmark/ (see BENCHMARK.json). The \
+                 deterministic counters are the regression signal.",
+            ),
+        ),
+        (
             "alloc_note".to_string(),
             Json::from(
                 "allocation counts come from a process-global counting \
@@ -689,8 +714,8 @@ pub fn to_json(
             Json::Arr(fuzz.iter().map(fuzz_stat_json).collect()),
         ));
     }
-    if let Some(s) = scaling {
-        pairs.push((
+    match scaling {
+        Some(Ok(s)) => pairs.push((
             "thread_scaling".to_string(),
             Json::obj([
                 ("host_threads", Json::from(s.host_threads)),
@@ -698,7 +723,12 @@ pub fn to_json(
                 ("parallel", fuzz_stat_json(&s.parallel)),
                 ("speedup", Json::from(round3(s.speedup))),
             ]),
-        ));
+        )),
+        Some(Err(reason)) => {
+            pairs.push(("thread_scaling".to_string(), Json::Null));
+            pairs.push(("thread_scaling_note".to_string(), Json::from(reason)));
+        }
+        None => {}
     }
     if let Some(o) = obs {
         pairs.push(("obs_overhead".to_string(), obs_overhead_json(o)));
@@ -785,12 +815,20 @@ mod tests {
 
     #[test]
     fn thread_scaling_compares_identical_simulated_work() {
-        let s = measure_thread_scaling(3, 2, SchedulerKind::Heap);
-        assert_eq!(s.serial.threads, 1);
-        assert_eq!(s.parallel.threads, 2);
-        assert_eq!(s.serial.events_processed, s.parallel.events_processed);
-        assert!(s.speedup > 0.0);
-        assert!(s.host_threads >= 1);
+        match measure_thread_scaling(3, 2, SchedulerKind::Heap) {
+            Ok(s) => {
+                assert_eq!(s.serial.threads, 1);
+                assert_eq!(s.parallel.threads, 2);
+                assert_eq!(s.serial.events_processed, s.parallel.events_processed);
+                assert!(s.speedup > 0.0);
+                assert!(s.host_threads >= 2);
+            }
+            // A single-core host must not produce a number at all.
+            Err(reason) => {
+                assert!(bft_sim_core::sweep::available_threads() < 2);
+                assert!(reason.starts_with("not measured"));
+            }
+        }
     }
 
     #[test]
@@ -892,7 +930,7 @@ mod tests {
             },
             speedup: 2.0,
         };
-        let json = to_json(&results, &fuzz, Some(&scaling), None, None);
+        let json = to_json(&results, &fuzz, Some(Ok(&scaling)), None, None);
         let fuzz_arr = json.get("fuzz").and_then(Json::as_arr).unwrap();
         assert_eq!(fuzz_arr.len(), 2);
         assert_eq!(
@@ -923,6 +961,21 @@ mod tests {
             Some(2.0)
         );
         assert!(json.get("alloc_note").is_some());
+        assert!(json.get("wall_time_note").is_some());
+        // A refused measurement is an explicit null with its reason, never a
+        // number and never a silently missing key.
+        let refused = to_json(
+            &results,
+            &[],
+            Some(Err("not measured: 1 thread")),
+            None,
+            None,
+        );
+        assert_eq!(refused.get("thread_scaling"), Some(&Json::Null));
+        assert_eq!(
+            refused.get("thread_scaling_note").and_then(Json::as_str),
+            Some("not measured: 1 thread")
+        );
         // Clean sweeps omit the panic keys entirely; a sweep with panicked
         // units surfaces the count and the first message.
         assert!(fuzz_arr[0].get("panicked").is_none());

@@ -1043,7 +1043,7 @@ pub fn execute(cmd: Command) -> Result<(), CliError> {
             let json = bft_sim_bench::baseline::to_json(
                 &results,
                 &fuzz,
-                Some(&scaling),
+                Some(scaling.as_ref().map_err(String::as_str)),
                 Some(&obs),
                 Some(&bandwidth),
             )
@@ -1084,16 +1084,19 @@ pub fn execute(cmd: Command) -> Result<(), CliError> {
                     f.scheduler, f.runs, f.events_processed, f.wall_ms, f.events_per_sec, f.threads
                 );
             }
-            println!(
-                "scaling [{}]: {:.0} scenarios/s at 1 thread vs {:.0} at {} threads \
-                 ({:.2}x, host has {})",
-                scaling.serial.scheduler,
-                scaling.serial.scenarios_per_sec,
-                scaling.parallel.scenarios_per_sec,
-                scaling.parallel.threads,
-                scaling.speedup,
-                scaling.host_threads
-            );
+            match &scaling {
+                Ok(scaling) => println!(
+                    "scaling [{}]: {:.0} scenarios/s at 1 thread vs {:.0} at {} threads \
+                     ({:.2}x, host has {})",
+                    scaling.serial.scheduler,
+                    scaling.serial.scenarios_per_sec,
+                    scaling.parallel.scenarios_per_sec,
+                    scaling.parallel.threads,
+                    scaling.speedup,
+                    scaling.host_threads
+                ),
+                Err(reason) => println!("scaling: {reason}"),
+            }
             println!(
                 "obs [{} n={}]: disabled {:+.2}% (A/A noise floor), \
                  enabled {:+.2}% vs {:.0} events/s baseline",

@@ -12,6 +12,13 @@
 //! the choice never changes a run's results — only its performance profile.
 //! Timer cancellation is the scheduler's job: the engine keeps a plain
 //! `TimerId -> handle` map and hands cancellations straight to the backend.
+//!
+//! A broadcast occupies one queue entry, not n − 1: every send-time decision
+//! is still taken per destination, but the deliveries that share the payload
+//! are handed to the scheduler as one entry
+//! ([`Scheduler::schedule_fanout`]) that it moves to each recipient's
+//! reserved `(timestamp, seq)` in turn. All-to-all phases therefore keep n²
+//! 16-byte recipients resident instead of n² full events.
 
 use std::mem;
 use std::sync::Arc;
@@ -24,13 +31,14 @@ use crate::buggify::{FaultInjector, WireFault};
 use crate::config::RunConfig;
 use crate::context::{Action, Context};
 use crate::error::SimError;
-use crate::event::{EventKind, Timer};
+use crate::event::{EventKind, Recipient, Timer};
 use crate::fasthash::FastMap;
 use crate::ids::{NodeId, NodeSet, TimerId};
 use crate::message::Message;
 use crate::metrics::{MetricsCollector, RunResult};
 use crate::network::{LinkDecision, NetworkModel};
 use crate::obs::{ObsConfig, ObsRecorder};
+use crate::payload::Payload;
 use crate::protocol::{Protocol, ProtocolFactory, Vacant};
 use crate::scheduler::{EventHandle, Scheduler, SchedulerKind};
 use crate::trace::{Trace, TraceEvent, TraceKind};
@@ -221,6 +229,7 @@ impl SimulationBuilder {
             next_timer_id: 0,
             node_actions: Vec::new(),
             adv_actions: Vec::new(),
+            recipients: Vec::with_capacity(self.cfg.n),
             recorder: if self.record_schedule {
                 Some(DeliverySchedule::new())
             } else {
@@ -275,6 +284,9 @@ pub struct Simulation {
     next_timer_id: u64,
     node_actions: Vec<Action>,
     adv_actions: Vec<AdvAction>,
+    /// Scratch list a broadcast collects its recipients in; recycled like
+    /// `node_actions`, so fan-out itself allocates nothing.
+    recipients: Vec<Recipient>,
     recorder: Option<DeliverySchedule>,
     replay: Option<DeliverySchedule>,
     replay_diverged: bool,
@@ -297,6 +309,14 @@ impl core::fmt::Debug for Simulation {
             .field("queue_len", &self.queue.len())
             .finish_non_exhaustive()
     }
+}
+
+/// What [`Simulation::transmit`] decided for one honest transmission: the
+/// delays, from now, after which the message and a buggify duplicate of it
+/// arrive (`None` = dropped / no duplicate).
+struct Transmission {
+    delivery: Option<crate::time::SimDuration>,
+    duplicate: Option<crate::time::SimDuration>,
 }
 
 impl Simulation {
@@ -420,6 +440,9 @@ impl Simulation {
                     }
                     self.dispatch_node(dst, |node, ctx| node.on_message(&msg, ctx));
                 }
+                EventKind::FanOut(_) => {
+                    unreachable!("schedulers pop a fan-out entry one `Deliver` at a time")
+                }
                 EventKind::NodeTimer { node, timer } => {
                     self.timer_handles.remove(&timer.id);
                     if self.excluded.contains(node) {
@@ -508,23 +531,7 @@ impl Simulation {
                 Action::Broadcast {
                     payload,
                     include_self,
-                } => {
-                    self.metrics.count_broadcast();
-                    for dst in NodeId::all(self.cfg.n) {
-                        if dst == src {
-                            continue;
-                        }
-                        // O(1) per destination: bump the payload refcount
-                        // instead of deep-cloning it n−1 times.
-                        self.route(Message::new(src, dst, self.clock, Arc::clone(&payload)));
-                    }
-                    if include_self {
-                        self.queue.schedule(
-                            self.clock,
-                            EventKind::Deliver(Message::new(src, src, self.clock, payload)),
-                        );
-                    }
-                }
+                } => self.broadcast(src, payload, include_self),
                 Action::SendSelf { payload, delay } => {
                     self.queue.schedule(
                         self.clock + delay,
@@ -611,10 +618,103 @@ impl Simulation {
         msg.src() == msg.dst() && !msg.is_injected()
     }
 
-    /// Sends one honest message through network + adversary (or the replay
-    /// schedule in validator mode) and schedules its delivery.
+    /// Sends one honest point-to-point message and schedules its delivery.
     fn route(&mut self, mut msg: Message) {
-        if !Self::is_self_delivery(&msg) {
+        let wire = self.transmit(&mut msg);
+        let copy = wire.duplicate.map(|extra| (msg.clone(), extra));
+        if let Some(delay) = wire.delivery {
+            self.queue
+                .schedule(self.clock + delay, EventKind::Deliver(msg));
+        }
+        if let Some((copy, extra)) = copy {
+            self.queue
+                .schedule(self.clock + extra, EventKind::Deliver(copy));
+        }
+    }
+
+    /// Sends `payload` from `src` to every other node (and to `src` itself
+    /// when `include_self`), as one queue entry.
+    ///
+    /// Each destination goes through [`transmit`](Self::transmit) in
+    /// destination order, exactly as n − 1 point-to-point sends would, and
+    /// every copy that survives gets the insertion seq it would have got
+    /// from its own `schedule` call: seqs are handed out in routing order
+    /// (a buggify duplicate right after its original, the self-copy last)
+    /// and dropped copies consume none. Only what happens to the copies
+    /// differs. Those still sharing the broadcast's payload allocation and
+    /// source become 16-byte [`Recipient`]s of a single fan-out entry; a copy
+    /// the adversary rewrote is a message of its own and is scheduled as
+    /// such, at its seq from the same block.
+    fn broadcast(&mut self, src: NodeId, payload: Arc<dyn Payload>, include_self: bool) {
+        self.metrics.count_broadcast();
+        let mut recipients = mem::take(&mut self.recipients);
+        let mut rewritten: Vec<(Recipient, Message)> = Vec::new();
+        // At most 2(n − 1) + 1 copies; `RunConfig::validate` keeps n ≤ u32.
+        let mut copies = 0u32;
+        // One message is re-addressed for every destination, so the shared
+        // payload's refcount is not touched per recipient; the adversary
+        // still sees it shared (`payload` holds the other reference), which
+        // is what makes its mutations copy-on-write.
+        let mut msg = Message::new(src, src, self.clock, Arc::clone(&payload));
+        for dst in NodeId::all(self.cfg.n) {
+            if dst == src {
+                continue;
+            }
+            msg.readdress(dst);
+            let wire = self.transmit(&mut msg);
+            let shared = msg.src() == src
+                && msg
+                    .payload_arc()
+                    .is_some_and(|arc| Arc::ptr_eq(arc, &payload));
+            for delay in [wire.delivery, wire.duplicate].into_iter().flatten() {
+                let copy = Recipient {
+                    at: self.clock + delay,
+                    seq_offset: copies,
+                    dst,
+                };
+                copies += 1;
+                if shared {
+                    recipients.push(copy);
+                } else {
+                    rewritten.push((copy, msg.clone()));
+                }
+            }
+            if !shared {
+                msg = Message::new(src, dst, self.clock, Arc::clone(&payload));
+            }
+        }
+        if include_self {
+            recipients.push(Recipient {
+                at: self.clock,
+                seq_offset: copies,
+                dst: src,
+            });
+            copies += 1;
+        }
+
+        let first_seq = self.queue.reserve(u64::from(copies));
+        for (copy, msg) in rewritten {
+            self.queue.schedule_reserved(
+                copy.at,
+                first_seq + u64::from(copy.seq_offset),
+                EventKind::Deliver(msg),
+            );
+        }
+        recipients.sort_unstable_by(|a, b| b.cmp(a));
+        self.queue
+            .schedule_fanout(src, self.clock, payload, first_seq, &recipients);
+        recipients.clear();
+        self.recipients = recipients;
+    }
+
+    /// The send-time half of one honest transmission: metrics and trace
+    /// taps, then the network model and the adversary (or the replay
+    /// schedule in validator mode), wire faults and the schedule recorder.
+    /// Returns when the message — which the adversary may have rewritten in
+    /// place — and a possible buggify duplicate are to be delivered; the
+    /// caller schedules them.
+    fn transmit(&mut self, msg: &mut Message) -> Transmission {
+        if !Self::is_self_delivery(msg) {
             self.metrics.count_honest_message(msg.src());
         }
         if self.cfg.record_messages {
@@ -682,7 +782,7 @@ impl Simulation {
                             &mut self.rng,
                             &mut adv_actions,
                         );
-                        self.adversary.attack(&mut msg, delivery.delay, &mut api)
+                        self.adversary.attack(msg, delivery.delay, &mut api)
                     };
                     self.adv_actions = adv_actions;
                     fate
@@ -694,8 +794,8 @@ impl Simulation {
         // the recorder so targeted drops and reorder delays land in the
         // recorded schedule (keeping schedule-replay repros exact).
         // Duplicates live outside the fate stream: a second copy is
-        // scheduled below and accounted as an adversary message, so the
-        // metrics-sanity invariant `delivered <= sent` keeps holding.
+        // scheduled by the caller and accounted as an adversary message, so
+        // the metrics-sanity invariant `delivered <= sent` keeps holding.
         let mut duplicate = None;
         let fate = match &mut self.faults {
             Some(fi) if self.replay.is_none() => match fi.on_wire(msg.dst()) {
@@ -716,20 +816,19 @@ impl Simulation {
         if let Some(rec) = &mut self.recorder {
             rec.push(fate);
         }
-        let dup_msg = duplicate.map(|extra| (msg.clone(), extra));
-        match fate {
-            Fate::Deliver(delay) => {
-                self.queue
-                    .schedule(self.clock + delay, EventKind::Deliver(msg));
-            }
+        let delivery = match fate {
+            Fate::Deliver(delay) => Some(delay),
             Fate::Drop => {
                 self.metrics.count_dropped_message();
+                None
             }
-        }
-        if let Some((copy, extra)) = dup_msg {
+        };
+        if duplicate.is_some() {
             self.metrics.count_adversary_message();
-            self.queue
-                .schedule(self.clock + extra, EventKind::Deliver(copy));
+        }
+        Transmission {
+            delivery,
+            duplicate,
         }
     }
 

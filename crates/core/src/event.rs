@@ -5,13 +5,16 @@
 //! advances the simulation clock to each popped event's timestamp. Two event
 //! classes exist: **message events** (a node receives a message) and **time
 //! events** (a registered timer fires). Adversary timers are a third,
-//! internal variant.
+//! internal variant, and a broadcast's deliveries travel together as one
+//! [`FanOut`] record instead of one message event per recipient.
 //!
 //! Events with equal timestamps are ordered by a global insertion sequence
 //! number, which makes the execution order total and runs reproducible. The
 //! queue itself lives behind the [`Scheduler`](crate::scheduler::Scheduler)
 //! trait in [`crate::scheduler`]; this module defines the event types the
 //! schedulers carry.
+
+use std::sync::Arc;
 
 use crate::ids::{NodeId, TimerId};
 use crate::message::Message;
@@ -49,6 +52,44 @@ impl Timer {
     }
 }
 
+/// One pending delivery of a broadcast: when, under which reserved insertion
+/// seq (as an offset into the broadcast's block), and to whom. 16 bytes, so
+/// an all-to-all phase keeps n² of *these* rather than n² queue entries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Recipient {
+    /// Absolute delivery time.
+    pub at: SimTime,
+    /// The delivery's seq, relative to the first seq reserved for the
+    /// broadcast.
+    pub seq_offset: u32,
+    /// The destination node.
+    pub dst: NodeId,
+}
+
+/// All still-undelivered copies of one broadcast that share its payload
+/// allocation, held as a single queue entry.
+///
+/// Created and consumed inside the scheduler (see
+/// [`Scheduler::schedule_fanout`](crate::scheduler::Scheduler::schedule_fanout)):
+/// the record sits in the queue at its earliest recipient's
+/// `(at, first_seq + seq_offset)`, each pop splits that recipient off as an
+/// ordinary [`EventKind::Deliver`] and moves the record to the next
+/// recipient's reserved position, so the deliveries surface in exactly the
+/// order separately scheduled entries would.
+#[derive(Debug)]
+pub struct FanOut {
+    pub(crate) src: NodeId,
+    pub(crate) sent_at: SimTime,
+    pub(crate) payload: Arc<dyn Payload>,
+    /// First seq of the block reserved for this broadcast.
+    pub(crate) first_seq: u64,
+    /// Where the scheduler keeps the recipient list (latest first, so the
+    /// undelivered ones are `start..start + remaining` on `page`).
+    pub(crate) page: u32,
+    pub(crate) start: u32,
+    pub(crate) remaining: u32,
+}
+
 /// What happens when an event is popped.
 ///
 /// Only the engine constructs these (the [`Timer`] constructor is
@@ -57,6 +98,10 @@ impl Timer {
 pub enum EventKind {
     /// Deliver a message to its destination node.
     Deliver(Message),
+    /// Deliver a broadcast to each of its recipients in turn. Never popped:
+    /// the scheduler hands the recipients out as [`EventKind::Deliver`]
+    /// events, one per pop.
+    FanOut(FanOut),
     /// Fire a node timer.
     NodeTimer {
         /// The node whose timer fires.

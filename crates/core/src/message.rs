@@ -70,6 +70,12 @@ impl Message {
         }
     }
 
+    /// Points the message at another destination: the engine's broadcast
+    /// loop sends one message to each peer in turn instead of building n − 1.
+    pub(crate) fn readdress(&mut self, dst: NodeId) {
+        self.dst = dst;
+    }
+
     /// The (claimed) sender.
     pub fn src(&self) -> NodeId {
         self.src

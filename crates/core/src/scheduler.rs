@@ -14,7 +14,21 @@
 //! ascending `(timestamp, insertion seq)`, where the insertion sequence
 //! number is assigned by [`Scheduler::schedule`] in call order, starting at
 //! zero. Equal-timestamp events therefore fire in the order they were
-//! scheduled, and the order is total — there are no unordered pairs. Because
+//! scheduled, and the order is total — there are no unordered pairs.
+//!
+//! A caller may also take a block of sequence numbers out of that counter
+//! with [`Scheduler::reserve`] and spend them later, one event each, through
+//! [`Scheduler::schedule_reserved`]. A reserved seq orders exactly as if the
+//! event had been `schedule`d at the moment of the reservation, whenever it
+//! is actually handed over.
+//!
+//! [`Scheduler::schedule_fanout`] relies on this: one resident entry stands
+//! for all of a broadcast's deliveries, each holding a seq of the block
+//! reserved for it. The entry is keyed at its earliest undelivered
+//! recipient; `pop` splits that recipient off as an ordinary `Deliver` event
+//! and re-keys the entry — in place, where the backend's structure allows —
+//! at the next one, so the dispatch order is the one n − 1 separate entries
+//! would have produced. Because
 //! the engine is single-threaded per run and derives all randomness from the
 //! run seed, this makes every run byte-identical under any backend (and, via
 //! [`crate::sweep`], at any thread count). Schedule record/replay
@@ -23,23 +37,29 @@
 //!
 //! A backend must additionally uphold:
 //!
-//! * `schedule` is only called with `at` ≥ the timestamp of the last popped
-//!   event (the engine never schedules into the past);
+//! * `schedule` and `schedule_reserved` are only called with `at` ≥ the
+//!   timestamp of the last popped event (the engine never schedules into the
+//!   past), and a reserved seq is scheduled at most once;
 //! * `cancel` removes (or permanently suppresses) the event so it is *never*
 //!   returned by `pop`; the engine only cancels events that are still
 //!   pending, and only ever timer events;
-//! * [`Scheduler::len`] counts *live* (non-cancelled) entries, so queue-depth
-//!   accounting is backend-independent even when a backend keeps lazy
-//!   tombstones internally.
+//! * [`Scheduler::len`] counts *pending events*: live (non-cancelled)
+//!   entries, a fan-out entry counting once per undelivered recipient. So
+//!   queue-depth accounting is backend-independent, whatever lazy tombstones
+//!   a backend keeps internally and however few entries are resident.
 //!
 //! Backend-specific costs (tombstones, resident peaks) are reported through
 //! [`SchedulerStats`] and surface in `BENCH_baseline.json`; they never feed
 //! back into simulation results.
 
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::sync::Arc;
 
-use crate::event::{EventKind, ScheduledEvent};
+use crate::event::{EventKind, FanOut, Recipient, ScheduledEvent};
 use crate::fasthash::{FastMap, FastSet};
+use crate::ids::NodeId;
+use crate::message::Message;
+use crate::payload::Payload;
 use crate::time::SimTime;
 
 /// An opaque handle to a scheduled event, returned by
@@ -73,7 +93,9 @@ pub struct SchedulerStats {
     /// The backend's name (`"heap"` or `"wheel"` for the built-ins).
     pub scheduler: &'static str,
     /// Peak number of entries resident in the backend at once, *including*
-    /// any cancelled entries still awaiting lazy removal.
+    /// any cancelled entries still awaiting lazy removal. A fan-out entry
+    /// counts once however many recipients it holds, so this is the
+    /// physical footprint, not the logical depth [`Scheduler::len`] reports.
     pub peak_resident: usize,
     /// Cancelled entries that were discarded lazily at pop time. The heap
     /// cancels exclusively this way; the wheel only uses tombstones for
@@ -108,19 +130,50 @@ pub trait Scheduler: core::fmt::Debug {
     /// handle. Assigns the event the next insertion sequence number.
     fn schedule(&mut self, at: SimTime, kind: EventKind) -> EventHandle;
 
+    /// Takes `count` consecutive insertion sequence numbers out of the
+    /// counter and returns the first. Nothing becomes resident; each seq is
+    /// spent by one later [`schedule_reserved`](Scheduler::schedule_reserved)
+    /// call (or never — an unspent seq simply leaves a gap).
+    fn reserve(&mut self, count: u64) -> u64;
+
+    /// Schedules `kind` at absolute time `at` under a sequence number
+    /// obtained from [`reserve`](Scheduler::reserve). Scheduling a seq that
+    /// was never reserved, or the same seq twice, is a caller bug (checked
+    /// in debug builds).
+    fn schedule_reserved(&mut self, at: SimTime, seq: u64, kind: EventKind) -> EventHandle;
+
+    /// Schedules the deliveries of one broadcast — `payload`, sent by `src`
+    /// at `sent_at` — as a single resident entry. `recipients` lists them
+    /// latest first (descending `(at, seq_offset)`), recipient `r` holding
+    /// the reserved seq `first_seq + r.seq_offset`; the list is copied, so
+    /// the caller can reuse its buffer. Each later [`pop`](Scheduler::pop)
+    /// that reaches one of them returns it as an [`EventKind::Deliver`]
+    /// message under that `(at, seq)`. An empty list schedules nothing.
+    fn schedule_fanout(
+        &mut self,
+        src: NodeId,
+        sent_at: SimTime,
+        payload: Arc<dyn Payload>,
+        first_seq: u64,
+        recipients: &[Recipient],
+    );
+
     /// Cancels a pending event so it is never popped. Returns whether the
     /// handle referred to an event this backend can still locate. The engine
     /// only cancels events that are pending and has each handle cancelled at
     /// most once.
     fn cancel(&mut self, handle: EventHandle) -> bool;
 
-    /// Pops the earliest live event in `(timestamp, insertion seq)` order.
+    /// Pops the earliest pending event in `(timestamp, insertion seq)` order.
+    /// A fan-out entry yields its due recipient as a `Deliver` event and
+    /// stays queued while it has others left.
     fn pop(&mut self) -> Option<ScheduledEvent>;
 
-    /// Number of live (non-cancelled) entries.
+    /// Number of pending events: live (non-cancelled) entries, a fan-out
+    /// entry counting once per undelivered recipient.
     fn len(&self) -> usize;
 
-    /// Whether no live entries remain.
+    /// Whether no pending events remain.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -175,14 +228,190 @@ impl core::fmt::Display for SchedulerKind {
     }
 }
 
+/// The insertion-sequence counter both backends share, so plain and reserved
+/// seqs are handed out identically.
+#[derive(Debug, Default)]
+struct SeqCounter {
+    next: u64,
+    /// Reserved seqs not yet scheduled; only the debug-build contract check
+    /// needs them.
+    #[cfg(debug_assertions)]
+    unspent: FastSet<u64>,
+}
+
+impl SeqCounter {
+    fn take(&mut self) -> u64 {
+        let seq = self.next;
+        self.next += 1;
+        seq
+    }
+
+    fn reserve(&mut self, count: u64) -> u64 {
+        let first = self.next;
+        self.next += count;
+        #[cfg(debug_assertions)]
+        self.unspent.extend(first..self.next);
+        first
+    }
+
+    /// Marks a reserved seq as spent.
+    fn spend(&mut self, seq: u64) {
+        #[cfg(debug_assertions)]
+        assert!(
+            self.unspent.remove(&seq),
+            "seq {seq} was never reserved, or is scheduled a second time"
+        );
+        let _ = seq;
+    }
+}
+
+/// How many broadcasts of the size that opened it one page holds.
+const LISTS_PER_PAGE: usize = 16;
+
+/// Recipient lists stored back to back; reused once all of them are spent.
+#[derive(Debug, Default)]
+struct Page {
+    cells: Vec<Recipient>,
+    /// Lists on this page with recipients left.
+    live: u32,
+}
+
+/// The recipient lists of every resident fan-out entry, shared by both
+/// backends.
+///
+/// Lists are appended to the open page and never move; an entry consumes its
+/// list from the end. A page whose lists are all spent is emptied and taken
+/// again when the open one is full. So the number of allocations follows the
+/// number of pages — a sixteenth of the broadcasts in flight at the peak —
+/// not the number of broadcasts.
+#[derive(Debug, Default)]
+struct FanOutStore {
+    pages: Vec<Page>,
+    /// Index of the page new lists are appended to.
+    open: usize,
+    /// Emptied pages other than the open one.
+    idle: Vec<u32>,
+    /// Undelivered recipients beyond the one each entry stands for.
+    backlog: usize,
+}
+
+impl FanOutStore {
+    /// Copies `recipients` (latest first) into the store and returns the
+    /// queue entry that stands for them, keyed at the earliest. `None` for
+    /// an empty list.
+    fn admit(
+        &mut self,
+        src: NodeId,
+        sent_at: SimTime,
+        payload: Arc<dyn Payload>,
+        first_seq: u64,
+        recipients: &[Recipient],
+    ) -> Option<ScheduledEvent> {
+        let due = recipients.last()?;
+        debug_assert!(recipients.windows(2).all(|w| w[0] > w[1]));
+        let fits = |page: &Page| page.cells.capacity() - page.cells.len() >= recipients.len();
+        if !self.pages.get(self.open).is_some_and(fits) {
+            self.turn_page();
+            let cells = &mut self.pages[self.open].cells;
+            if cells.capacity() < recipients.len() {
+                cells.reserve_exact(recipients.len() * LISTS_PER_PAGE);
+            }
+        }
+        let page = &mut self.pages[self.open];
+        let narrow = |i: usize| u32::try_from(i).expect("fan-out pages stay far below 2^32 cells");
+        let record = FanOut {
+            src,
+            sent_at,
+            payload,
+            first_seq,
+            page: narrow(self.open),
+            start: narrow(page.cells.len()),
+            remaining: narrow(recipients.len()),
+        };
+        page.cells.extend_from_slice(recipients);
+        page.live += 1;
+        self.backlog += recipients.len() - 1;
+        Some(ScheduledEvent {
+            at: due.at,
+            seq: first_seq + u64::from(due.seq_offset),
+            kind: EventKind::FanOut(record),
+        })
+    }
+
+    /// Makes an empty page the open one.
+    fn turn_page(&mut self) {
+        if let Some(full) = self.pages.get(self.open) {
+            if full.live == 0 {
+                // Emptied while it was open: nothing left to wait for.
+                return;
+            }
+        }
+        self.open = match self.idle.pop() {
+            Some(page) => page as usize,
+            None => {
+                self.pages.push(Page::default());
+                self.pages.len() - 1
+            }
+        };
+    }
+
+    /// Splits the due recipient of the fan-out entry `entry` off as a
+    /// `Deliver` event carrying the entry's `(at, seq)`, and re-keys the
+    /// entry at the following recipient's reserved position. Returns the
+    /// event and whether the entry has recipients left; the caller restores
+    /// its own ordering for the re-keyed entry, or removes the spent one.
+    fn split_due(&mut self, entry: &mut ScheduledEvent) -> (ScheduledEvent, bool) {
+        let EventKind::FanOut(record) = &mut entry.kind else {
+            unreachable!("only fan-out entries are split");
+        };
+        let page = &mut self.pages[record.page as usize];
+        let undelivered = &page.cells[record.start as usize..][..record.remaining as usize];
+        let (due, next) = match *undelivered {
+            [.., next, due] => (due, Some(next)),
+            [due] => (due, None),
+            [] => unreachable!("a queued fan-out entry has a recipient"),
+        };
+        record.remaining -= 1;
+        let msg = Message::new(
+            record.src,
+            due.dst,
+            record.sent_at,
+            Arc::clone(&record.payload),
+        );
+        let delivery = ScheduledEvent {
+            at: entry.at,
+            seq: entry.seq,
+            kind: EventKind::Deliver(msg),
+        };
+        match next {
+            Some(next) => {
+                self.backlog -= 1;
+                entry.at = next.at;
+                entry.seq = record.first_seq + u64::from(next.seq_offset);
+            }
+            None => {
+                page.live -= 1;
+                if page.live == 0 {
+                    page.cells.clear();
+                    if record.page as usize != self.open {
+                        self.idle.push(record.page);
+                    }
+                }
+            }
+        }
+        (delivery, next.is_some())
+    }
+}
+
 /// The reference backend: a binary min-heap over `(timestamp, seq)` with
 /// lazy tombstone cancellation — `cancel` marks the sequence number and
 /// `pop` silently discards marked entries when they surface.
 #[derive(Debug, Default)]
 pub struct HeapScheduler {
     heap: BinaryHeap<ScheduledEvent>,
-    next_seq: u64,
+    seqs: SeqCounter,
     cancelled: FastSet<u64>,
+    fanouts: FanOutStore,
     peak: usize,
     tombstones_popped: u64,
 }
@@ -192,15 +421,44 @@ impl HeapScheduler {
     pub fn new() -> Self {
         HeapScheduler::default()
     }
+
+    fn push(&mut self, at: SimTime, seq: u64, kind: EventKind) -> EventHandle {
+        self.heap.push(ScheduledEvent { at, seq, kind });
+        self.peak = self.peak.max(self.heap.len());
+        EventHandle(seq)
+    }
 }
 
 impl Scheduler for HeapScheduler {
     fn schedule(&mut self, at: SimTime, kind: EventKind) -> EventHandle {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(ScheduledEvent { at, seq, kind });
-        self.peak = self.peak.max(self.heap.len());
-        EventHandle(seq)
+        let seq = self.seqs.take();
+        self.push(at, seq, kind)
+    }
+
+    fn reserve(&mut self, count: u64) -> u64 {
+        self.seqs.reserve(count)
+    }
+
+    fn schedule_reserved(&mut self, at: SimTime, seq: u64, kind: EventKind) -> EventHandle {
+        self.seqs.spend(seq);
+        self.push(at, seq, kind)
+    }
+
+    fn schedule_fanout(
+        &mut self,
+        src: NodeId,
+        sent_at: SimTime,
+        payload: Arc<dyn Payload>,
+        first_seq: u64,
+        recipients: &[Recipient],
+    ) {
+        let entry = self
+            .fanouts
+            .admit(src, sent_at, payload, first_seq, recipients);
+        if let Some(ScheduledEvent { at, seq, kind }) = entry {
+            self.seqs.spend(seq);
+            self.push(at, seq, kind);
+        }
     }
 
     fn cancel(&mut self, handle: EventHandle) -> bool {
@@ -208,7 +466,18 @@ impl Scheduler for HeapScheduler {
     }
 
     fn pop(&mut self) -> Option<ScheduledEvent> {
-        while let Some(ev) = self.heap.pop() {
+        while let Some(mut top) = self.heap.peek_mut() {
+            if matches!(top.kind, EventKind::FanOut(_)) {
+                // Re-keyed in place: `PeekMut` sifts the entry down from the
+                // root on drop, usually a level or two, where a pop and a
+                // push would each walk the heap's height.
+                let (due, more) = self.fanouts.split_due(&mut top);
+                if !more {
+                    PeekMut::pop(top);
+                }
+                return Some(due);
+            }
+            let ev = PeekMut::pop(top);
             if self.cancelled.remove(&ev.seq) {
                 self.tombstones_popped += 1;
                 continue;
@@ -219,7 +488,7 @@ impl Scheduler for HeapScheduler {
     }
 
     fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
+        self.heap.len() - self.cancelled.len() + self.fanouts.backlog
     }
 
     fn stats(&self) -> SchedulerStats {
@@ -287,10 +556,10 @@ pub struct WheelScheduler {
     current: BinaryHeap<ScheduledEvent>,
     /// Lower bound (µs) on every pending timestamp; slot-aligned advances.
     cursor: u64,
-    next_seq: u64,
-    /// Live entry count (the wheel holds no tombstones, so this is also the
-    /// resident count).
+    seqs: SeqCounter,
+    /// Live entry count (a fan-out entry counts once).
     live: usize,
+    fanouts: FanOutStore,
     peak: usize,
     cancelled_in_place: u64,
     /// `seq -> location`, maintained for timer entries only.
@@ -324,8 +593,9 @@ impl WheelScheduler {
             occupancy: [0; LEVELS],
             current: BinaryHeap::new(),
             cursor: 0,
-            next_seq: 0,
+            seqs: SeqCounter::default(),
             live: 0,
+            fanouts: FanOutStore::default(),
             peak: 0,
             cancelled_in_place: 0,
             index: FastMap::default(),
@@ -348,6 +618,14 @@ impl WheelScheduler {
         let level = ((63 - diff.leading_zeros()) / LEVEL_BITS) as usize;
         let slot = ((a >> (LEVEL_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
         Some((level, slot))
+    }
+
+    /// Admits a new entry under `seq` and accounts for it.
+    fn insert(&mut self, at: SimTime, seq: u64, kind: EventKind) -> EventHandle {
+        self.place(ScheduledEvent { at, seq, kind });
+        self.live += 1;
+        self.peak = self.peak.max(self.live + self.current_tombstones.len());
+        EventHandle(seq)
     }
 
     /// Files one entry into its bucket (or the working buffer), updating the
@@ -455,12 +733,34 @@ impl WheelScheduler {
 
 impl Scheduler for WheelScheduler {
     fn schedule(&mut self, at: SimTime, kind: EventKind) -> EventHandle {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.place(ScheduledEvent { at, seq, kind });
-        self.live += 1;
-        self.peak = self.peak.max(self.live + self.current_tombstones.len());
-        EventHandle(seq)
+        let seq = self.seqs.take();
+        self.insert(at, seq, kind)
+    }
+
+    fn reserve(&mut self, count: u64) -> u64 {
+        self.seqs.reserve(count)
+    }
+
+    fn schedule_reserved(&mut self, at: SimTime, seq: u64, kind: EventKind) -> EventHandle {
+        self.seqs.spend(seq);
+        self.insert(at, seq, kind)
+    }
+
+    fn schedule_fanout(
+        &mut self,
+        src: NodeId,
+        sent_at: SimTime,
+        payload: Arc<dyn Payload>,
+        first_seq: u64,
+        recipients: &[Recipient],
+    ) {
+        let entry = self
+            .fanouts
+            .admit(src, sent_at, payload, first_seq, recipients);
+        if let Some(ScheduledEvent { at, seq, kind }) = entry {
+            self.seqs.spend(seq);
+            self.insert(at, seq, kind);
+        }
     }
 
     fn cancel(&mut self, handle: EventHandle) -> bool {
@@ -501,26 +801,42 @@ impl Scheduler for WheelScheduler {
 
     fn pop(&mut self) -> Option<ScheduledEvent> {
         loop {
-            while let Some(e) = self.current.pop() {
-                if self.current_tombstones.remove(&e.seq) {
-                    self.tombstones_popped += 1;
-                    continue;
+            let Some(mut top) = self.current.peek_mut() else {
+                if self.live == 0 {
+                    return None;
                 }
-                self.live -= 1;
-                if matches!(e.kind, EventKind::NodeTimer { .. }) {
-                    self.index.remove(&e.seq);
+                self.advance();
+                continue;
+            };
+            if matches!(top.kind, EventKind::FanOut(_)) {
+                // The entry stays in the working buffer (re-keyed in place,
+                // `PeekMut` restores the heap on drop) unless it is spent or
+                // its next recipient is due in a later slot.
+                let (due, more) = self.fanouts.split_due(&mut top);
+                if !more {
+                    PeekMut::pop(top);
+                    self.live -= 1;
+                } else if top.at.as_micros() >> SLOT_BITS != self.cursor >> SLOT_BITS {
+                    let entry = PeekMut::pop(top);
+                    self.place(entry);
                 }
-                return Some(e);
+                return Some(due);
             }
-            if self.live == 0 {
-                return None;
+            let e = PeekMut::pop(top);
+            if self.current_tombstones.remove(&e.seq) {
+                self.tombstones_popped += 1;
+                continue;
             }
-            self.advance();
+            self.live -= 1;
+            if matches!(e.kind, EventKind::NodeTimer { .. }) {
+                self.index.remove(&e.seq);
+            }
+            return Some(e);
         }
     }
 
     fn len(&self) -> usize {
-        self.live
+        self.live + self.fanouts.backlog
     }
 
     fn stats(&self) -> SchedulerStats {
@@ -539,7 +855,7 @@ mod tests {
     use super::*;
     use crate::event::Timer;
     use crate::ids::{NodeId, TimerId};
-    use crate::payload::boxed;
+    use crate::payload::{boxed, shared};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -800,10 +1116,34 @@ mod tests {
         }
     }
 
+    /// Schedules a broadcast over seqs `first..first + times.len()` on `q`,
+    /// recipient `i` due at `times[i]` µs.
+    fn fanout(q: &mut dyn Scheduler, first: u64, times: &[u64]) {
+        let mut recipients: Vec<Recipient> = times
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| Recipient {
+                at: SimTime::from_micros(t),
+                seq_offset: i as u32,
+                dst: NodeId::new(i as u32),
+            })
+            .collect();
+        recipients.sort_unstable_by(|a, b| b.cmp(a));
+        q.schedule_fanout(
+            NodeId::new(0),
+            SimTime::ZERO,
+            shared(()),
+            first,
+            &recipients,
+        );
+    }
+
     /// The backbone of the determinism contract: a randomized workload of
-    /// schedules, cancellations and pops — respecting the engine's invariants
+    /// schedules, seq reservations spent later and out of order, broadcast
+    /// fan-outs, cancellations and pops — respecting the engine's invariants
     /// (monotone clock, cancel-only-pending, cancel-only-timers) — must
-    /// produce the identical pop sequence and live length on both backends.
+    /// produce the identical pop sequence, pending count and handle
+    /// behaviour on both backends.
     #[test]
     fn heap_and_wheel_agree_on_randomized_workloads() {
         for seed in 0..8u64 {
@@ -812,23 +1152,28 @@ mod tests {
             let mut wheel = WheelScheduler::new();
             let mut clock = 0u64;
             let mut pending_timers: Vec<EventHandle> = Vec::new();
-            for step in 0..4_000u64 {
-                match rng.gen_range(0..10u32) {
+            let mut unspent: Vec<u64> = Vec::new();
+            let mut popped: Vec<(SimTime, u64)> = Vec::new();
+            // Every (at, seq) handed to the backends and not cancelled: what
+            // the pop sequence must be, once sorted.
+            let mut expected: Vec<(SimTime, u64)> = Vec::new();
+            let delay = |rng: &mut SmallRng| match rng.gen_range(0..4u32) {
+                // Near, medium or far — including zero-delay, which must
+                // still fire after everything already popped.
+                0 => rng.gen_range(0..1_000u64),
+                1 => rng.gen_range(0..500_000u64),
+                2 => rng.gen_range(0..60_000_000u64),
+                _ => rng.gen_range(0..7_200_000_000u64),
+            };
+            for step in 0..6_000u64 {
+                match rng.gen_range(0..16u32) {
                     0..=4 => {
-                        // Schedule a timer at a near, medium or far offset —
-                        // including zero-delay, which must still fire after
-                        // everything already popped.
-                        let delay = match rng.gen_range(0..4u32) {
-                            0 => rng.gen_range(0..1_000u64),
-                            1 => rng.gen_range(0..500_000u64),
-                            2 => rng.gen_range(0..60_000_000u64),
-                            _ => rng.gen_range(0..7_200_000_000u64),
-                        };
-                        let at = SimTime::from_micros(clock + delay);
+                        let at = SimTime::from_micros(clock + delay(&mut rng));
                         let h1 = heap.schedule(at, timer_event(step));
                         let h2 = wheel.schedule(at, timer_event(step));
                         assert_eq!(h1, h2, "seq assignment must match");
                         pending_timers.push(h1);
+                        expected.push((at, h1.seq()));
                     }
                     5 => {
                         // Schedule a non-cancellable (message-like) event.
@@ -836,8 +1181,9 @@ mod tests {
                         let h1 = heap.schedule(at, message_like_event(step));
                         let h2 = wheel.schedule(at, message_like_event(step));
                         assert_eq!(h1, h2);
+                        expected.push((at, h1.seq()));
                     }
-                    6..=7 => {
+                    6..=8 => {
                         let a = heap.pop();
                         let b = wheel.pop();
                         match (&a, &b) {
@@ -846,20 +1192,75 @@ mod tests {
                                 assert_eq!((x.at, x.seq), (y.at, y.seq), "seed {seed}");
                                 clock = x.at.as_micros();
                                 pending_timers.retain(|h| h.seq() != x.seq);
+                                popped.push((x.at, x.seq));
                             }
                             _ => panic!("one backend drained before the other"),
                         }
                     }
-                    _ => {
+                    9..=10 => {
                         if !pending_timers.is_empty() {
                             let i = rng.gen_range(0..pending_timers.len());
                             let h = pending_timers.swap_remove(i);
                             assert!(heap.cancel(h));
                             assert!(wheel.cancel(h), "wheel must locate pending timer");
+                            expected.retain(|&(_, seq)| seq != h.seq());
                         }
+                    }
+                    11 => {
+                        // Reserve a block (possibly empty): nothing becomes
+                        // pending, later plain seqs continue after it.
+                        let count = rng.gen_range(0..6u64);
+                        let first = heap.reserve(count);
+                        assert_eq!(wheel.reserve(count), first, "seed {seed}");
+                        unspent.extend(first..first + count);
+                    }
+                    12..=13 => {
+                        // Spend a reserved seq, in any order and long after
+                        // later seqs were scheduled — half as cancellable
+                        // timers, half as messages. Strictly after the clock:
+                        // an old seq at the current instant would sort before
+                        // the event just popped, which the engine never asks
+                        // for (a broadcast's seqs are all newer than anything
+                        // popped before it was sent).
+                        if !unspent.is_empty() {
+                            let seq = unspent.swap_remove(rng.gen_range(0..unspent.len()));
+                            let at = SimTime::from_micros(clock + 1 + delay(&mut rng));
+                            let as_timer = rng.gen_range(0..2u32) == 0;
+                            let kind = |k: u64| match as_timer {
+                                true => timer_event(k),
+                                false => message_like_event(k),
+                            };
+                            let h1 = heap.schedule_reserved(at, seq, kind(step));
+                            let h2 = wheel.schedule_reserved(at, seq, kind(step));
+                            assert_eq!((h1, h2), (EventHandle::new(seq), EventHandle::new(seq)));
+                            if as_timer {
+                                pending_timers.push(h1);
+                            }
+                            expected.push((at, seq));
+                        }
+                    }
+                    _ => {
+                        // A broadcast: one entry standing for up to twelve
+                        // deliveries, some sharing a timestamp, spread from
+                        // this wheel slot to hours ahead so the entry is
+                        // re-keyed both in place and across buckets.
+                        let times: Vec<u64> = (0..rng.gen_range(0..13u64))
+                            .map(|i| clock + (i % 3) * delay(&mut rng))
+                            .collect();
+                        let first = heap.reserve(times.len() as u64);
+                        assert_eq!(wheel.reserve(times.len() as u64), first);
+                        fanout(&mut heap, first, &times);
+                        fanout(&mut wheel, first, &times);
+                        expected.extend(
+                            times
+                                .iter()
+                                .enumerate()
+                                .map(|(i, &t)| (SimTime::from_micros(t), first + i as u64)),
+                        );
                     }
                 }
                 assert_eq!(heap.len(), wheel.len(), "seed {seed} step {step}");
+                assert_eq!(heap.len(), expected.len() - popped.len(), "seed {seed}");
             }
             // Drain both completely; the tails must match too.
             loop {
@@ -867,13 +1268,120 @@ mod tests {
                 let b = wheel.pop();
                 match (a, b) {
                     (None, None) => break,
-                    (Some(x), Some(y)) => assert_eq!((x.at, x.seq), (y.at, y.seq)),
+                    (Some(x), Some(y)) => {
+                        assert_eq!((x.at, x.seq), (y.at, y.seq));
+                        popped.push((x.at, x.seq));
+                    }
                     _ => panic!("one backend drained before the other"),
                 }
             }
+            // Reserved seqs and record recipients order like any other
+            // event: everything scheduled surfaced exactly once, ascending
+            // in (timestamp, seq).
+            expected.sort_unstable();
+            assert_eq!(popped, expected, "seed {seed}");
             // A fully drained wheel retains no tombstones, whichever path
             // each cancellation took.
             assert_eq!(wheel.stats().pending_tombstones, 0, "seed {seed}");
         }
+    }
+
+    /// What a fan-out entry is for: however many recipients it holds it is
+    /// one resident entry, yet it counts — and pops — as one `Deliver` event
+    /// per recipient.
+    #[test]
+    fn a_fanout_is_one_resident_entry_and_many_pending_events() {
+        for mut q in backends() {
+            let first = q.reserve(4);
+            // Two recipients share a timestamp (seq decides), one is due in
+            // a later wheel slot, one much later.
+            fanout(q.as_mut(), first, &[500, 9_000_000, 500, 20_000]);
+            q.schedule(SimTime::from_micros(600), message_like_event(0));
+            assert_eq!(q.len(), 5);
+            assert_eq!(q.stats().peak_resident, 2);
+            let order: Vec<(u64, u64, Option<u32>)> = core::iter::from_fn(|| q.pop())
+                .map(|e| {
+                    let dst = match &e.kind {
+                        EventKind::Deliver(msg) => Some(msg.dst().index() as u32),
+                        _ => None,
+                    };
+                    (e.at.as_micros(), e.seq, dst)
+                })
+                .collect();
+            assert_eq!(
+                order,
+                vec![
+                    (500, 0, Some(0)),
+                    (500, 2, Some(2)),
+                    (600, 4, None),
+                    (20_000, 3, Some(3)),
+                    (9_000_000, 1, Some(1)),
+                ],
+                "{}",
+                q.stats().scheduler
+            );
+            assert_eq!(q.stats().peak_resident, 2);
+            assert!(q.is_empty());
+        }
+    }
+
+    /// Recipient lists live on shared pages: a page is taken again once all
+    /// of its lists are spent, so a long run of broadcasts needs only as
+    /// many pages as its busiest moment.
+    #[test]
+    fn fanout_pages_are_reused_once_spent() {
+        let mut q = HeapScheduler::new();
+        let mut clock = 0;
+        for wave in 0..50u64 {
+            // 40 broadcasts of 10 recipients in flight at once: 2.5 pages.
+            for _ in 0..40 {
+                let first = q.reserve(10);
+                let times: Vec<u64> = (0..10).map(|i| clock + 1 + i).collect();
+                fanout(&mut q, first, &times);
+            }
+            assert_eq!(q.len(), 400, "wave {wave}");
+            while let Some(e) = q.pop() {
+                clock = e.at.as_micros();
+            }
+        }
+        assert_eq!(q.fanouts.pages.len(), 3);
+        assert!(q.fanouts.pages.iter().all(|p| p.live == 0));
+        assert_eq!(q.fanouts.backlog, 0);
+    }
+
+    #[test]
+    fn reserved_seqs_order_by_reservation_not_by_scheduling_time() {
+        for mut q in backends() {
+            let t = SimTime::from_millis(5);
+            let first = q.reserve(2);
+            assert_eq!(first, 0);
+            let plain = q.schedule(t, timer_event(9));
+            assert_eq!(plain.seq(), 2, "plain seqs continue after the block");
+            assert_eq!(q.len(), 1, "a reservation is not an entry");
+            q.schedule_reserved(t, first + 1, message_like_event(1));
+            q.schedule_reserved(t, first, message_like_event(0));
+            assert_eq!(q.len(), 3);
+            let seqs: Vec<u64> = core::iter::from_fn(|| q.pop()).map(|e| e.seq).collect();
+            assert_eq!(seqs, vec![0, 1, 2], "{}", q.stats().scheduler);
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "never reserved")]
+    fn heap_rejects_a_seq_that_was_never_reserved() {
+        let mut q = HeapScheduler::new();
+        q.schedule(SimTime::ZERO, timer_event(0));
+        q.schedule_reserved(SimTime::ZERO, 0, timer_event(1));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a second time")]
+    fn wheel_rejects_scheduling_a_reserved_seq_twice() {
+        let mut q = WheelScheduler::new();
+        let seq = q.reserve(1);
+        q.schedule_reserved(SimTime::ZERO, seq, timer_event(0));
+        q.schedule_reserved(SimTime::ZERO, seq, timer_event(1));
     }
 }
