@@ -2,12 +2,9 @@
 //!
 //! Runs broadcast-heavy seeded workloads — PBFT and HotStuff+NS at
 //! n ∈ {16, 64, 256, 1024} — and reports, per case: events/second, wall-clock
-//! milliseconds, peak event-queue depth and allocations per broadcast.
-//! Every case runs once per requested scheduler backend (heap and timing
-//! wheel by default), so the two implementations stay perf-comparable in
-//! the same document. The result is written to `BENCH_baseline.json` so
-//! perf changes show up as reviewable diffs, and CI archives the file per
-//! commit.
+//! milliseconds, peak event-queue depth and allocations per broadcast. The
+//! result is written to `BENCH_baseline.json` so perf changes show up as
+//! reviewable diffs, and CI archives the file per commit.
 //!
 //! Simulated behaviour (event counts, queue depth, broadcasts) is
 //! deterministic for a given seed; wall-clock figures vary with the host,
@@ -21,7 +18,6 @@ use bft_sim_core::engine::SimulationBuilder;
 use bft_sim_core::json::Json;
 use bft_sim_core::network::SampledNetwork;
 use bft_sim_core::obs::ObsConfig;
-use bft_sim_core::scheduler::SchedulerKind;
 use bft_sim_core::time::SimDuration;
 use bft_sim_protocols::registry::ProtocolKind;
 
@@ -60,20 +56,14 @@ pub struct CaseResult {
     pub wall_ms: f64,
     /// Events per wall-clock second (host-dependent).
     pub events_per_sec: f64,
-    /// Peak event-queue depth during the run (live events only, so the
-    /// figure is identical under every scheduler backend).
+    /// Peak event-queue depth during the run (live events only).
     pub peak_queue_depth: usize,
-    /// Scheduler backend the case ran under (`"heap"` or `"wheel"`).
-    pub scheduler: &'static str,
-    /// Peak *resident* scheduler entries — live events plus any lazy
-    /// tombstones the backend keeps around. Backend-dependent.
+    /// Peak *resident* scheduler entries — a fan-out entry counting once,
+    /// plus any lazy tombstones still queued.
     pub peak_resident_entries: usize,
-    /// Cancelled entries the scheduler popped and discarded internally
-    /// (heap backend's lazy-deletion cost; always 0 for the wheel).
+    /// Cancelled entries the scheduler popped and discarded internally (the
+    /// cost of lazy deletion).
     pub tombstones_popped: u64,
-    /// Entries removed in place at cancel time (wheel backend's O(1)
-    /// cancellation; always 0 for the heap).
-    pub cancelled_in_place: u64,
     /// Broadcast actions executed — each is exactly one payload allocation
     /// on the zero-clone hot path.
     pub broadcasts: u64,
@@ -86,17 +76,8 @@ pub struct CaseResult {
 }
 
 /// Runs one baseline case: `decisions` consensus decisions under the
-/// paper's default network, λ = 1000 ms, delays N(250, 50), on the given
-/// scheduler backend. The simulated outcome is backend-independent (the
-/// scheduler determinism contract); only wall-clock and the backend's own
-/// bookkeeping differ.
-pub fn run_case(
-    kind: ProtocolKind,
-    n: usize,
-    seed: u64,
-    decisions: u64,
-    scheduler: SchedulerKind,
-) -> CaseResult {
+/// paper's default network, λ = 1000 ms, delays N(250, 50).
+pub fn run_case(kind: ProtocolKind, n: usize, seed: u64, decisions: u64) -> CaseResult {
     let cfg = kind
         .configure(
             RunConfig::new(n)
@@ -108,7 +89,6 @@ pub fn run_case(
     let factory = kind.factory(&cfg, 7);
     let sim = SimulationBuilder::new(cfg)
         .network(SampledNetwork::new(Dist::normal(250.0, 50.0)))
-        .scheduler(scheduler)
         .protocols(factory)
         .build()
         .expect("baseline configuration is valid");
@@ -128,10 +108,8 @@ pub fn run_case(
         wall_ms: wall * 1e3,
         events_per_sec: result.events_processed as f64 / wall.max(1e-9),
         peak_queue_depth: result.queue_high_water,
-        scheduler: result.scheduler.scheduler,
         peak_resident_entries: result.scheduler.peak_resident,
         tombstones_popped: result.scheduler.tombstones_popped,
-        cancelled_in_place: result.scheduler.cancelled_in_place,
         broadcasts: result.broadcasts,
         allocations: counting.then_some(allocs),
         allocs_per_broadcast: (counting && result.broadcasts > 0)
@@ -139,17 +117,12 @@ pub fn run_case(
     }
 }
 
-/// Runs the full matrix with a fixed seed per case, once per scheduler
-/// backend (case-major: both backends of a case appear adjacently, which
-/// keeps the heap-vs-wheel comparison a one-line diff in the JSON).
-pub fn run_all(seed: u64, decisions: u64, schedulers: &[SchedulerKind]) -> Vec<CaseResult> {
-    let mut out = Vec::new();
-    for (kind, n, cap) in cases() {
-        for &scheduler in schedulers {
-            out.push(run_case(kind, n, seed, decisions.min(cap), scheduler));
-        }
-    }
-    out
+/// Runs the full matrix with a fixed seed per case.
+pub fn run_all(seed: u64, decisions: u64) -> Vec<CaseResult> {
+    cases()
+        .into_iter()
+        .map(|(kind, n, cap)| run_case(kind, n, seed, decisions.min(cap)))
+        .collect()
 }
 
 /// Throughput of the `simcheck` fuzzer: scenarios and engine events per
@@ -157,8 +130,6 @@ pub fn run_all(seed: u64, decisions: u64, schedulers: &[SchedulerKind]) -> Vec<C
 /// oracle observer and schedule recording on top of raw simulation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FuzzStat {
-    /// Scheduler backend the sweep ran under (`"heap"` or `"wheel"`).
-    pub scheduler: &'static str,
     /// Scenario seeds swept (`0..seeds`).
     pub seeds: u64,
     /// Worker threads the sweep used (resolved, never 0).
@@ -169,7 +140,7 @@ pub struct FuzzStat {
     /// set).
     pub events_processed: u64,
     /// Timers cancelled while pending across the sweep (deterministic per
-    /// seed set, identical under every scheduler backend).
+    /// seed set).
     pub skipped_cancelled_timers: u64,
     /// Events to crashed/corrupted nodes skipped across the sweep
     /// (deterministic per seed set).
@@ -188,21 +159,20 @@ pub struct FuzzStat {
 }
 
 /// Sweeps fuzz seeds `0..seeds` over PBFT and HotStuff+NS at the default
-/// budget, sharded over `threads` workers (0 = available parallelism) on
-/// the given scheduler backend, and measures throughput. Panics if the
+/// budget, sharded over `threads` workers (0 = available parallelism), and
+/// measures throughput. Panics if the
 /// sweep finds an oracle violation: honest protocols fuzzed within their
 /// fault model must stay correct, so a violation here is a real regression,
 /// not a perf artifact. Scenarios that *panic* mid-run are surfaced in the
 /// stat ([`FuzzStat::panicked`] / [`FuzzStat::first_panic`]) instead of
 /// aborting the bench — a crash in one seed must not silently vanish from
 /// (or take down) a long baseline aggregation.
-pub fn run_fuzz_stat(seeds: u64, threads: usize, scheduler: SchedulerKind) -> FuzzStat {
+pub fn run_fuzz_stat(seeds: u64, threads: usize) -> FuzzStat {
     use bft_sim_simcheck::{fuzz_many, FuzzOptions};
     let threads = bft_sim_core::sweep::resolve_threads(threads);
     let opts = FuzzOptions {
         protocols: vec![ProtocolKind::Pbft, ProtocolKind::HotStuffNs],
         threads,
-        scheduler,
         ..FuzzOptions::default()
     };
     let start = Instant::now();
@@ -218,7 +188,6 @@ pub fn run_fuzz_stat(seeds: u64, threads: usize, scheduler: SchedulerKind) -> Fu
             .collect::<Vec<_>>()
     );
     FuzzStat {
-        scheduler: scheduler.name(),
         seeds,
         threads,
         runs: report.runs,
@@ -251,18 +220,14 @@ pub struct ThreadScaling {
 }
 
 /// Measures the fuzz workload at 1 thread and at `threads` (0 = available
-/// parallelism) over seeds `0..seeds`, on the given scheduler backend.
+/// parallelism) over seeds `0..seeds`.
 ///
 /// # Errors
 ///
 /// On a host with fewer than two hardware threads nothing is measured and
 /// the reason is returned instead: two runs sharing one core would record a
 /// "speedup" that is only noise.
-pub fn measure_thread_scaling(
-    seeds: u64,
-    threads: usize,
-    scheduler: SchedulerKind,
-) -> Result<ThreadScaling, String> {
+pub fn measure_thread_scaling(seeds: u64, threads: usize) -> Result<ThreadScaling, String> {
     let host_threads = bft_sim_core::sweep::available_threads();
     if host_threads < 2 {
         return Err(format!(
@@ -270,8 +235,8 @@ pub fn measure_thread_scaling(
              so a 1-thread vs N-thread comparison would show noise, not scaling"
         ));
     }
-    let serial = run_fuzz_stat(seeds, 1, scheduler);
-    let parallel = run_fuzz_stat(seeds, threads, scheduler);
+    let serial = run_fuzz_stat(seeds, 1);
+    let parallel = run_fuzz_stat(seeds, threads);
     let speedup = parallel.scenarios_per_sec / serial.scenarios_per_sec.max(1e-9);
     Ok(ThreadScaling {
         host_threads,
@@ -579,7 +544,6 @@ fn obs_overhead_json(o: &ObsOverhead) -> Json {
 
 fn fuzz_stat_json(f: &FuzzStat) -> Json {
     let mut pairs = vec![
-        ("scheduler".to_string(), Json::from(f.scheduler)),
         ("seeds".to_string(), Json::from(f.seeds)),
         ("threads".to_string(), Json::from(f.threads)),
         ("runs".to_string(), Json::from(f.runs)),
@@ -617,18 +581,16 @@ fn fuzz_stat_json(f: &FuzzStat) -> Json {
     Json::Obj(pairs)
 }
 
-/// Serialises case results (and, when measured, the per-backend fuzz
-/// throughput stats, the thread-scaling comparison, the observability
-/// overhead measurement and the bandwidth-contention comparison) as the
-/// `BENCH_baseline.json` document. `fuzz` carries one entry per scheduler
-/// backend measured; an empty slice omits the `"fuzz"` key, and `None`
-/// omits `"thread_scaling"` / `"obs_overhead"` /
-/// `"bandwidth_contention"`. A thread-scaling measurement that was refused
+/// Serialises case results (and, when measured, the fuzz throughput stat,
+/// the thread-scaling comparison, the observability overhead measurement
+/// and the bandwidth-contention comparison) as the `BENCH_baseline.json`
+/// document. `None` omits `"fuzz"` / `"thread_scaling"` / `"obs_overhead"`
+/// / `"bandwidth_contention"`. A thread-scaling measurement that was refused
 /// (see [`measure_thread_scaling`]) is written as `"thread_scaling": null`
 /// with the reason beside it in `"thread_scaling_note"`.
 pub fn to_json(
     results: &[CaseResult],
-    fuzz: &[FuzzStat],
+    fuzz: Option<&FuzzStat>,
     scaling: Option<Result<&ThreadScaling, &str>>,
     obs: Option<&ObsOverhead>,
     bandwidth: Option<&BandwidthContention>,
@@ -654,7 +616,6 @@ pub fn to_json(
                     "peak_queue_depth".to_string(),
                     Json::from(r.peak_queue_depth),
                 ),
-                ("scheduler".to_string(), Json::from(r.scheduler)),
                 (
                     "peak_resident_entries".to_string(),
                     Json::from(r.peak_resident_entries),
@@ -662,10 +623,6 @@ pub fn to_json(
                 (
                     "tombstones_popped".to_string(),
                     Json::from(r.tombstones_popped),
-                ),
-                (
-                    "cancelled_in_place".to_string(),
-                    Json::from(r.cancelled_in_place),
                 ),
                 ("broadcasts".to_string(), Json::from(r.broadcasts)),
             ];
@@ -708,11 +665,8 @@ pub fn to_json(
         ),
         ("cases".to_string(), Json::Arr(cases)),
     ];
-    if !fuzz.is_empty() {
-        pairs.push((
-            "fuzz".to_string(),
-            Json::Arr(fuzz.iter().map(fuzz_stat_json).collect()),
-        ));
+    if let Some(f) = fuzz {
+        pairs.push(("fuzz".to_string(), fuzz_stat_json(f)));
     }
     match scaling {
         Some(Ok(s)) => pairs.push((
@@ -752,8 +706,8 @@ mod tests {
 
     #[test]
     fn baseline_case_is_deterministic_in_simulation() {
-        let a = run_case(ProtocolKind::Pbft, 16, 42, 3, SchedulerKind::Heap);
-        let b = run_case(ProtocolKind::Pbft, 16, 42, 3, SchedulerKind::Heap);
+        let a = run_case(ProtocolKind::Pbft, 16, 42, 3);
+        let b = run_case(ProtocolKind::Pbft, 16, 42, 3);
         assert_eq!(a.events_processed, b.events_processed);
         assert_eq!(a.peak_queue_depth, b.peak_queue_depth);
         assert_eq!(a.broadcasts, b.broadcasts);
@@ -762,60 +716,23 @@ mod tests {
     }
 
     #[test]
-    fn backends_simulate_identical_work() {
-        let heap = run_case(ProtocolKind::Pbft, 16, 42, 3, SchedulerKind::Heap);
-        let wheel = run_case(ProtocolKind::Pbft, 16, 42, 3, SchedulerKind::Wheel);
-        assert_eq!(heap.scheduler, "heap");
-        assert_eq!(wheel.scheduler, "wheel");
-        assert_eq!(heap.events_processed, wheel.events_processed);
-        assert_eq!(heap.peak_queue_depth, wheel.peak_queue_depth);
-        assert_eq!(heap.broadcasts, wheel.broadcasts);
-        assert_eq!(heap.decisions, wheel.decisions);
-        // The wheel cancels in place; it never pops a tombstone.
-        assert_eq!(wheel.tombstones_popped, 0);
-        assert_eq!(heap.cancelled_in_place, 0);
-    }
-
-    #[test]
-    fn run_all_is_case_major_over_backends() {
-        let both = [SchedulerKind::Heap, SchedulerKind::Wheel];
-        let results = run_all(1, 1, &both);
-        assert_eq!(results.len(), cases().len() * 2);
-        for pair in results.chunks(2) {
-            assert_eq!(pair[0].protocol, pair[1].protocol);
-            assert_eq!(pair[0].n, pair[1].n);
-            assert_eq!(pair[0].scheduler, "heap");
-            assert_eq!(pair[1].scheduler, "wheel");
-            assert_eq!(pair[0].events_processed, pair[1].events_processed);
-        }
-    }
-
-    #[test]
     fn fuzz_stat_measures_a_clean_sweep() {
-        let stat = run_fuzz_stat(3, 1, SchedulerKind::Heap);
+        let stat = run_fuzz_stat(3, 1);
         assert_eq!(stat.runs, 3);
         assert_eq!(stat.threads, 1);
-        assert_eq!(stat.scheduler, "heap");
         assert!(stat.events_processed > 0);
-        let a = run_fuzz_stat(3, 2, SchedulerKind::Heap);
+        let a = run_fuzz_stat(3, 2);
         assert_eq!(
             a.events_processed, stat.events_processed,
             "simulated work must be deterministic at any thread count"
         );
         assert_eq!(a.skipped_cancelled_timers, stat.skipped_cancelled_timers);
         assert_eq!(a.skipped_excluded_nodes, stat.skipped_excluded_nodes);
-        let w = run_fuzz_stat(3, 2, SchedulerKind::Wheel);
-        assert_eq!(
-            w.events_processed, stat.events_processed,
-            "simulated work must be identical under every backend"
-        );
-        assert_eq!(w.skipped_cancelled_timers, stat.skipped_cancelled_timers);
-        assert_eq!(w.skipped_excluded_nodes, stat.skipped_excluded_nodes);
     }
 
     #[test]
     fn thread_scaling_compares_identical_simulated_work() {
-        match measure_thread_scaling(3, 2, SchedulerKind::Heap) {
+        match measure_thread_scaling(3, 2) {
             Ok(s) => {
                 assert_eq!(s.serial.threads, 1);
                 assert_eq!(s.parallel.threads, 2);
@@ -840,7 +757,7 @@ mod tests {
         assert!(o.baseline_events_per_sec > 0.0);
         assert!(o.disabled_events_per_sec > 0.0);
         assert!(o.enabled_events_per_sec > 0.0);
-        let json = to_json(&[], &[], None, Some(&o), None);
+        let json = to_json(&[], None, None, Some(&o), None);
         let obs = json.get("obs_overhead").expect("obs_overhead entry");
         for key in [
             "protocol",
@@ -874,7 +791,7 @@ mod tests {
         // Deterministic: the entry is simulated work, not wall clock.
         let again = run_bandwidth_contention(ProtocolKind::Pbft, 7, 42, 2, 2_000);
         assert_eq!(b, again);
-        let json = to_json(&[], &[], None, None, Some(&b));
+        let json = to_json(&[], None, None, None, Some(&b));
         let entry = json
             .get("bandwidth_contention")
             .expect("bandwidth_contention entry");
@@ -898,9 +815,8 @@ mod tests {
 
     #[test]
     fn baseline_json_has_the_expected_shape() {
-        let results = vec![run_case(ProtocolKind::Pbft, 16, 1, 1, SchedulerKind::Heap)];
-        let heap_fuzz = FuzzStat {
-            scheduler: "heap",
+        let results = vec![run_case(ProtocolKind::Pbft, 16, 1, 1)];
+        let fuzz = FuzzStat {
             seeds: 2,
             threads: 1,
             runs: 2,
@@ -913,43 +829,28 @@ mod tests {
             panicked: 0,
             first_panic: None,
         };
-        let wheel_fuzz = FuzzStat {
-            scheduler: "wheel",
-            wall_ms: 0.8,
-            ..heap_fuzz.clone()
-        };
-        let fuzz = vec![heap_fuzz.clone(), wheel_fuzz];
         let scaling = ThreadScaling {
             host_threads: 4,
-            serial: heap_fuzz.clone(),
+            serial: fuzz.clone(),
             parallel: FuzzStat {
                 threads: 4,
                 wall_ms: 0.5,
                 scenarios_per_sec: 4000.0,
-                ..heap_fuzz
+                ..fuzz.clone()
             },
             speedup: 2.0,
         };
-        let json = to_json(&results, &fuzz, Some(Ok(&scaling)), None, None);
-        let fuzz_arr = json.get("fuzz").and_then(Json::as_arr).unwrap();
-        assert_eq!(fuzz_arr.len(), 2);
+        let json = to_json(&results, Some(&fuzz), Some(Ok(&scaling)), None, None);
+        let fuzz_json = json.get("fuzz").expect("fuzz entry");
+        assert_eq!(fuzz_json.get("runs").and_then(Json::as_u64), Some(2));
         assert_eq!(
-            fuzz_arr[0].get("scheduler").and_then(Json::as_str),
-            Some("heap")
-        );
-        assert_eq!(
-            fuzz_arr[1].get("scheduler").and_then(Json::as_str),
-            Some("wheel")
-        );
-        assert_eq!(fuzz_arr[0].get("runs").and_then(Json::as_u64), Some(2));
-        assert_eq!(
-            fuzz_arr[0]
+            fuzz_json
                 .get("skipped_cancelled_timers")
                 .and_then(Json::as_u64),
             Some(7)
         );
         assert_eq!(
-            fuzz_arr[0]
+            fuzz_json
                 .get("skipped_excluded_nodes")
                 .and_then(Json::as_u64),
             Some(3)
@@ -966,7 +867,7 @@ mod tests {
         // number and never a silently missing key.
         let refused = to_json(
             &results,
-            &[],
+            None,
             Some(Err("not measured: 1 thread")),
             None,
             None,
@@ -978,12 +879,12 @@ mod tests {
         );
         // Clean sweeps omit the panic keys entirely; a sweep with panicked
         // units surfaces the count and the first message.
-        assert!(fuzz_arr[0].get("panicked").is_none());
-        assert!(fuzz_arr[0].get("first_panic").is_none());
+        assert!(fuzz_json.get("panicked").is_none());
+        assert!(fuzz_json.get("first_panic").is_none());
         let crashed = FuzzStat {
             panicked: 2,
             first_panic: Some("index out of bounds".into()),
-            ..fuzz[0].clone()
+            ..fuzz.clone()
         };
         let crashed_json = fuzz_stat_json(&crashed);
         assert_eq!(crashed_json.get("panicked").and_then(Json::as_u64), Some(2));
@@ -991,7 +892,7 @@ mod tests {
             crashed_json.get("first_panic").and_then(Json::as_str),
             Some("index out of bounds")
         );
-        let bare = to_json(&results, &[], None, None, None);
+        let bare = to_json(&results, None, None, None, None);
         assert!(bare.get("fuzz").is_none());
         assert!(bare.get("thread_scaling").is_none());
         assert!(bare.get("obs_overhead").is_none());
@@ -1007,18 +908,12 @@ mod tests {
             "wall_ms",
             "events_per_sec",
             "peak_queue_depth",
-            "scheduler",
             "peak_resident_entries",
             "tombstones_popped",
-            "cancelled_in_place",
             "broadcasts",
         ] {
             assert!(cases[0].get(key).is_some(), "missing {key}");
         }
-        assert_eq!(
-            cases[0].get("scheduler").and_then(Json::as_str),
-            Some("heap")
-        );
         // Parses back as valid JSON.
         assert!(Json::parse(&json.dump_pretty()).is_ok());
     }

@@ -11,7 +11,6 @@
 
 use bft_sim_bench::alloc_counter::CountingAllocator;
 use bft_sim_bench::baseline::run_case;
-use bft_sim_core::scheduler::SchedulerKind;
 use bft_sim_protocols::registry::ProtocolKind;
 
 #[global_allocator]
@@ -20,27 +19,25 @@ static ALLOC: CountingAllocator = CountingAllocator;
 #[test]
 fn pbft_n64_keeps_its_depth_and_loses_the_n_squared_residency() {
     let n = 64;
-    for kind in SchedulerKind::ALL {
-        let case = run_case(ProtocolKind::Pbft, n, 1, 10, kind);
-        // Simulated quantities: exactly what per-recipient scheduling gave.
-        assert_eq!(case.events_processed, 80_332, "{kind}");
-        assert_eq!(case.peak_queue_depth, 5_119, "{kind}");
-        // Resident entries: broadcasts in flight plus timers and lazy
-        // tombstones — 5 311 (heap) when every recipient was an entry.
+    let case = run_case(ProtocolKind::Pbft, n, 1, 10);
+    // Simulated quantities: exactly what per-recipient scheduling gave.
+    assert_eq!(case.events_processed, 80_332);
+    assert_eq!(case.peak_queue_depth, 5_119);
+    // Resident entries: broadcasts in flight plus timers and lazy
+    // tombstones — 5 311 when every recipient was an entry.
+    assert!(
+        case.peak_resident_entries <= 16 * n,
+        "{} resident entries, an n² term is back",
+        case.peak_resident_entries
+    );
+    // One payload allocation per broadcast plus a little run-wide
+    // state (1.080 before the change). Release builds only: debug builds
+    // also allocate for the scheduler's reserved-seq contract check.
+    if !cfg!(debug_assertions) {
+        let per_broadcast = case.allocs_per_broadcast.expect("allocator is counting");
         assert!(
-            case.peak_resident_entries <= 16 * n,
-            "{kind}: {} resident entries, an n² term is back",
-            case.peak_resident_entries
+            per_broadcast <= 1.1,
+            "{per_broadcast} allocations per broadcast"
         );
-        // One payload allocation per broadcast plus a little run-wide
-        // state (1.080 before the change). Release builds only: debug builds
-        // also allocate for the scheduler's reserved-seq contract check.
-        if kind == SchedulerKind::Heap && !cfg!(debug_assertions) {
-            let per_broadcast = case.allocs_per_broadcast.expect("allocator is counting");
-            assert!(
-                per_broadcast <= 1.1,
-                "{per_broadcast} allocations per broadcast"
-            );
-        }
     }
 }

@@ -20,7 +20,6 @@ use bft_sim_core::campaign::{
     UnitOutcome, UnitRecord,
 };
 use bft_sim_core::json::Json;
-use bft_sim_core::scheduler::SchedulerKind;
 use bft_sim_core::sweep::sweep;
 use bft_sim_simcheck::{run_unit, DelaySpec, ScenarioSpec, UnitRun};
 use bft_simulator::prelude::ProtocolKind;
@@ -52,9 +51,6 @@ pub struct CampaignRunSpec {
     /// Worker threads per batch (0 = available parallelism). The report is
     /// byte-identical at any thread count.
     pub threads: usize,
-    /// Event-scheduler backend for every unit. Reports are byte-identical
-    /// under either backend.
-    pub scheduler: SchedulerKind,
     /// Directory repro files for violated units are written to.
     pub out_dir: String,
     /// Print the final report as JSON instead of a text summary.
@@ -75,7 +71,6 @@ impl Default for CampaignRunSpec {
             resume: false,
             shard: (0, 1),
             threads: 0,
-            scheduler: SchedulerKind::default(),
             out_dir: ".".into(),
             json: false,
             report: None,
@@ -316,7 +311,7 @@ pub fn exec_campaign_run(spec: &CampaignRunSpec) -> Result<Option<Json>, CliErro
         let runs = sweep(batch.len(), spec.threads, |j| {
             let unit = manifest.unit(batch[j]);
             let scenario = unit_scenario(&manifest, &unit)?;
-            run_unit(&scenario, spec.scheduler).map_err(CliError::runtime)
+            run_unit(&scenario, Default::default()).map_err(CliError::runtime)
         });
         for (j, outcome) in runs.into_iter().enumerate() {
             let run = match outcome {

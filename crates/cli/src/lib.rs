@@ -43,7 +43,6 @@ pub use campaign::{
 use bft_sim_core::buggify::FaultPreset;
 use bft_sim_core::dist::Dist;
 use bft_sim_core::json::Json;
-use bft_sim_core::scheduler::SchedulerKind;
 use bft_simulator::experiments::{figures, loc, AttackSpec, Scenario};
 use bft_simulator::prelude::ProtocolKind;
 
@@ -67,10 +66,6 @@ pub enum Command {
         /// workloads always run serially so allocation deltas stay
         /// attributable.
         threads: usize,
-        /// Scheduler backend to measure; `None` measures every backend
-        /// (the default, so the heap-vs-wheel comparison lands in one
-        /// document).
-        scheduler: Option<SchedulerKind>,
     },
     /// Sweep deterministic fuzz scenarios, oracle-check every run, shrink
     /// violations to repro files.
@@ -191,10 +186,6 @@ pub struct FuzzSpec {
     /// Worker threads for the sweep (0 = available parallelism). The report
     /// is byte-identical at any thread count.
     pub threads: usize,
-    /// Event-scheduler backend for every run (`heap` or `wheel`). The
-    /// report is byte-identical under either — the scheduler determinism
-    /// contract — so the flag only changes sweep throughput.
-    pub scheduler: SchedulerKind,
     /// Instrument every run (`--obs`): the report gains an `observability`
     /// block, repros and failures carry their last trace events. Everything
     /// else in the report is byte-identical with it on or off.
@@ -234,7 +225,6 @@ impl Default for FuzzSpec {
             out_dir: ".".into(),
             json: false,
             threads: 0,
-            scheduler: SchedulerKind::default(),
             observability: false,
             n_override: None,
             fault_preset: FaultPreset::Calm,
@@ -259,9 +249,6 @@ pub struct TraceSpec {
     pub last_k: usize,
     /// Emit JSON instead of tables.
     pub json: bool,
-    /// Event-scheduler backend. The observability block is byte-identical
-    /// under either backend.
-    pub scheduler: SchedulerKind,
 }
 
 impl Default for TraceSpec {
@@ -271,7 +258,6 @@ impl Default for TraceSpec {
             seed: None,
             last_k: bft_sim_core::obs::DEFAULT_LAST_K,
             json: false,
-            scheduler: SchedulerKind::default(),
         }
     }
 }
@@ -404,6 +390,14 @@ pub fn parse_attack(s: &str) -> Result<AttackSpec, CliError> {
     }
 }
 
+/// Rejects whatever follows a command's last operand.
+fn end_of_args<'a>(mut rest: impl Iterator<Item = &'a String>) -> Result<(), CliError> {
+    match rest.next() {
+        Some(extra) => Err(CliError::usage(format!("unexpected argument '{extra}'"))),
+        None => Ok(()),
+    }
+}
+
 /// Parses argv (without the program name).
 pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut it = args.iter();
@@ -411,7 +405,10 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         return Ok(Command::Help);
     };
     match cmd.as_str() {
-        "list" => Ok(Command::List),
+        "list" => {
+            end_of_args(it)?;
+            Ok(Command::List)
+        }
         "help" | "--help" | "-h" => Ok(Command::Help),
         "fig" => {
             let n = it
@@ -423,6 +420,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             if !(2..=9).contains(&n) {
                 return Err(CliError::usage(format!("no figure {n} (valid: 2..=9)")));
             }
+            end_of_args(it)?;
             Ok(Command::Fig(n))
         }
         "table" => {
@@ -435,12 +433,12 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             if !(1..=2).contains(&n) {
                 return Err(CliError::usage(format!("no table {n} (valid: 1, 2)")));
             }
+            end_of_args(it)?;
             Ok(Command::Table(n))
         }
         "bench-baseline" => {
             let mut out = "BENCH_baseline.json".to_string();
             let mut threads = 0usize;
-            let mut scheduler = None;
             while let Some(flag) = it.next() {
                 match flag.as_str() {
                     "--out" => {
@@ -456,27 +454,10 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                             .parse()
                             .map_err(|_| CliError::usage("bad --threads"))?;
                     }
-                    "--scheduler" => {
-                        let s = it
-                            .next()
-                            .ok_or_else(|| CliError::usage("--scheduler needs a value"))?;
-                        scheduler = match s.as_str() {
-                            "both" => None,
-                            other => Some(SchedulerKind::parse(other).ok_or_else(|| {
-                                CliError::usage(format!(
-                                    "bad --scheduler '{other}' (use heap, wheel or both)"
-                                ))
-                            })?),
-                        };
-                    }
                     other => return Err(CliError::usage(format!("unknown flag '{other}'"))),
                 }
             }
-            Ok(Command::BenchBaseline {
-                out,
-                threads,
-                scheduler,
-            })
+            Ok(Command::BenchBaseline { out, threads })
         }
         "run" | "compare" => {
             let spec = parse_run_spec(&args[1..])?;
@@ -493,9 +474,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 .next()
                 .cloned()
                 .ok_or_else(|| CliError::usage("repro needs a file path"))?;
-            if let Some(extra) = it.next() {
-                return Err(CliError::usage(format!("unexpected argument '{extra}'")));
-            }
+            end_of_args(it)?;
             Ok(Command::Repro { path })
         }
         "campaign" => parse_campaign(&args[1..]),
@@ -538,12 +517,6 @@ fn parse_campaign(args: &[String]) -> Result<Command, CliError> {
                         spec.threads = value("--threads")?
                             .parse()
                             .map_err(|_| CliError::usage("bad --threads"))?
-                    }
-                    "--scheduler" => {
-                        let s = value("--scheduler")?;
-                        spec.scheduler = SchedulerKind::parse(&s).ok_or_else(|| {
-                            CliError::usage(format!("bad --scheduler '{s}' (use heap or wheel)"))
-                        })?
                     }
                     "--out" => spec.out_dir = value("--out")?,
                     "--json" => spec.json = true,
@@ -658,12 +631,6 @@ fn parse_fuzz_spec(args: &[String]) -> Result<FuzzSpec, CliError> {
                 spec.threads = value("--threads")?
                     .parse()
                     .map_err(|_| CliError::usage("bad --threads".to_string()))?
-            }
-            "--scheduler" => {
-                let s = value("--scheduler")?;
-                spec.scheduler = SchedulerKind::parse(&s).ok_or_else(|| {
-                    CliError::usage(format!("bad --scheduler '{s}' (use heap or wheel)"))
-                })?
             }
             "--preset" => {
                 let s = value("--preset")?;
@@ -785,12 +752,6 @@ fn parse_trace_spec(args: &[String]) -> Result<TraceSpec, CliError> {
                     .map_err(|_| CliError::usage("bad --last-k".to_string()))?
             }
             "--json" => spec.json = true,
-            "--scheduler" => {
-                let s = value("--scheduler")?;
-                spec.scheduler = SchedulerKind::parse(&s).ok_or_else(|| {
-                    CliError::usage(format!("bad --scheduler '{s}' (use heap or wheel)"))
-                })?
-            }
             flag if flag.starts_with("--") => {
                 return Err(CliError::usage(format!("unknown flag '{flag}'")))
             }
@@ -875,6 +836,21 @@ fn parse_run_spec(args: &[String]) -> Result<RunSpec, CliError> {
             "--json" => spec.json = true,
             other => return Err(CliError::usage(format!("unknown flag '{other}'"))),
         }
+    }
+    // With f = 0 a node's own vote is a quorum and a slot completes inside
+    // the handler that proposed it, so the protocols recurse without bound;
+    // the engine rejects a λ that is not positive, and a delay that is not
+    // finite has no meaning. Checked here, flags and --config alike.
+    if spec.nodes < 4 {
+        return Err(CliError::usage("--nodes must be at least 4 (n = 3f + 1)"));
+    }
+    if !(spec.lambda_ms.is_finite() && spec.lambda_ms > 0.0) {
+        return Err(CliError::usage("--lambda must be positive and finite"));
+    }
+    if !(spec.delay_mu.is_finite() && spec.delay_sigma.is_finite()) {
+        return Err(CliError::usage(
+            "--delay-mu and --delay-sigma must be finite",
+        ));
     }
     Ok(spec)
 }
@@ -1010,22 +986,10 @@ pub fn execute(cmd: Command) -> Result<(), CliError> {
             }
             emit(&reports, spec.json);
         }
-        Command::BenchBaseline {
-            out,
-            threads,
-            scheduler,
-        } => {
-            let backends: Vec<SchedulerKind> = match scheduler {
-                Some(kind) => vec![kind],
-                None => SchedulerKind::ALL.to_vec(),
-            };
-            let results = bft_sim_bench::baseline::run_all(1, 10, &backends);
-            let fuzz: Vec<_> = backends
-                .iter()
-                .map(|&kind| bft_sim_bench::baseline::run_fuzz_stat(32, threads, kind))
-                .collect();
-            let scaling =
-                bft_sim_bench::baseline::measure_thread_scaling(256, threads, backends[0]);
+        Command::BenchBaseline { out, threads } => {
+            let results = bft_sim_bench::baseline::run_all(1, 10);
+            let fuzz = bft_sim_bench::baseline::run_fuzz_stat(32, threads);
+            let scaling = bft_sim_bench::baseline::measure_thread_scaling(256, threads);
             let obs = bft_sim_bench::baseline::run_obs_overhead(
                 bft_sim_protocols::registry::ProtocolKind::Pbft,
                 16,
@@ -1042,7 +1006,7 @@ pub fn execute(cmd: Command) -> Result<(), CliError> {
             );
             let json = bft_sim_bench::baseline::to_json(
                 &results,
-                &fuzz,
+                Some(&fuzz),
                 Some(scaling.as_ref().map_err(String::as_str)),
                 Some(&obs),
                 Some(&bandwidth),
@@ -1051,10 +1015,9 @@ pub fn execute(cmd: Command) -> Result<(), CliError> {
             std::fs::write(&out, &json)
                 .map_err(|e| CliError::runtime(format!("cannot write {out}: {e}")))?;
             println!(
-                "{:<14} {:>4} {:>6} {:>10} {:>12} {:>12} {:>12} {:>18}",
+                "{:<14} {:>4} {:>10} {:>12} {:>12} {:>12} {:>18}",
                 "protocol",
                 "n",
-                "sched",
                 "wall (ms)",
                 "events",
                 "events/s",
@@ -1063,10 +1026,9 @@ pub fn execute(cmd: Command) -> Result<(), CliError> {
             );
             for r in &results {
                 println!(
-                    "{:<14} {:>4} {:>6} {:>10.1} {:>12} {:>12.0} {:>12} {:>18}",
+                    "{:<14} {:>4} {:>10.1} {:>12} {:>12.0} {:>12} {:>18}",
                     r.protocol,
                     r.n,
-                    r.scheduler,
                     r.wall_ms,
                     r.events_processed,
                     r.events_per_sec,
@@ -1077,18 +1039,14 @@ pub fn execute(cmd: Command) -> Result<(), CliError> {
                 );
             }
             println!();
-            for f in &fuzz {
-                println!(
-                    "fuzz [{}]: {} scenarios, {} events, {:.1} ms \
-                     ({:.0} events/s, {} threads)",
-                    f.scheduler, f.runs, f.events_processed, f.wall_ms, f.events_per_sec, f.threads
-                );
-            }
+            println!(
+                "fuzz: {} scenarios, {} events, {:.1} ms ({:.0} events/s, {} threads)",
+                fuzz.runs, fuzz.events_processed, fuzz.wall_ms, fuzz.events_per_sec, fuzz.threads
+            );
             match &scaling {
                 Ok(scaling) => println!(
-                    "scaling [{}]: {:.0} scenarios/s at 1 thread vs {:.0} at {} threads \
+                    "scaling: {:.0} scenarios/s at 1 thread vs {:.0} at {} threads \
                      ({:.2}x, host has {})",
-                    scaling.serial.scheduler,
                     scaling.serial.scenarios_per_sec,
                     scaling.parallel.scenarios_per_sec,
                     scaling.parallel.threads,
@@ -1140,9 +1098,7 @@ pub fn execute(cmd: Command) -> Result<(), CliError> {
 /// Serialises a fuzz report as the `bft-sim fuzz --json` document.
 /// `repro_paths` pairs with `report.outcomes` (one written repro file per
 /// violating scenario). Deterministic: byte-identical for the same report,
-/// which is itself byte-identical at any thread count and under either
-/// scheduler backend — which is also why the document deliberately carries
-/// no scheduler field.
+/// which is itself byte-identical at any thread count.
 pub fn fuzz_report_json(
     spec: &FuzzSpec,
     report: &bft_sim_simcheck::FuzzReport,
@@ -1248,12 +1204,11 @@ fn run_fuzz(spec: &FuzzSpec) -> Result<(), CliError> {
         max_actions: spec.max_actions,
         inject_bug: spec.inject_bug,
         threads: spec.threads,
-        scheduler: spec.scheduler,
         observability: spec.observability,
         n_override: spec.n_override,
         net_override,
         fault_preset: spec.fault_preset,
-        latent_bug: false,
+        ..bft_sim_simcheck::FuzzOptions::default()
     };
     let start = std::time::Instant::now();
     let report = if spec.coverage {
@@ -1383,11 +1338,7 @@ fn run_trace(spec: &TraceSpec) -> Result<(), CliError> {
         scenario.seed = seed;
     }
     let run = scenario
-        .run_observed(
-            RunMode::Generate,
-            spec.scheduler,
-            Some(scenario.obs_config(spec.last_k)),
-        )
+        .run_observed(RunMode::Generate, Some(scenario.obs_config(spec.last_k)))
         .map_err(CliError::runtime)?;
     let obs = run
         .result
@@ -1397,8 +1348,7 @@ fn run_trace(spec: &TraceSpec) -> Result<(), CliError> {
 
     if spec.json {
         // Scenario + observability only: both derive purely from simulated
-        // quantities, so this document is byte-identical under every
-        // scheduler backend and thread count.
+        // quantities, so this document is byte-identical from run to run.
         let doc = Json::obj([
             ("scenario", scenario.to_json()),
             ("events_processed", Json::from(run.result.events_processed)),
@@ -1630,28 +1580,21 @@ USAGE:
     bft-sim fig N    regenerate figure N (2..=9) with small defaults
     bft-sim table N  regenerate table N (1 or 2)
     bft-sim bench-baseline [--out FILE.json] [--threads N]
-                     [--scheduler heap|wheel|both]
                      run the perf-baseline workloads (PBFT / HotStuff+NS at
                      n = 16, 64, 256, 1024) and write BENCH_baseline.json;
-                     --threads
-                     (0 = all cores) applies to the fuzz-throughput and
-                     thread-scaling entries, while the per-case workloads
-                     stay serial so allocation counts remain attributable;
-                     --scheduler both (the default) measures every event-
-                     queue backend so the heap-vs-wheel comparison lands in
-                     one document
+                     --threads (0 = all cores) applies to the fuzz-throughput
+                     and thread-scaling entries, while the per-case workloads
+                     stay serial so allocation counts remain attributable
     bft-sim fuzz     [--seeds A..B|N] [--protocols all|p1,p2,...]
                      [--intensity PERMILLE] [--max-actions K] [--inject-bug]
-                     [--out DIR] [--json] [--obs] [--threads N]
-                     [--scheduler heap|wheel] [--n NODES]
+                     [--out DIR] [--json] [--obs] [--threads N] [--n NODES]
                      [--preset calm|moderate|chaos] [--net-preset SPEC]
                      [--coverage [--blind] [--corpus-dir DIR]]
                      sweep deterministic fuzz scenarios across N worker
                      threads (0 = all cores; output is byte-identical at any
-                     thread count and under either scheduler backend),
-                     oracle-check every run, shrink violations to repro
-                     files; exits non-zero when any oracle fires or any run
-                     panics; --obs instruments every run: the report gains
+                     thread count), oracle-check every run, shrink violations
+                     to repro files; exits non-zero when any oracle fires or
+                     any run panics; --obs instruments every run: the report gains
                      an observability block and repros/failures carry their
                      last trace events, with everything else byte-identical;
                      --n forces every scenario to NODES nodes (≥ 4) for
@@ -1672,7 +1615,7 @@ USAGE:
                      full_mesh | ring | ring_gradient | clustered, e.g.
                      ring_gradient:bw=200000:churn=5,2,500,4000
     bft-sim campaign run MANIFEST.json [--checkpoint FILE] [--resume]
-                     [--shard I/M] [--threads N] [--scheduler heap|wheel]
+                     [--shard I/M] [--threads N]
                      [--out DIR] [--json] [--report FILE] [--max-units K]
                      run a bft-sim-campaign-v1 parameter grid (protocol ×
                      n × delay × net × attack × seed), checkpointing
@@ -1685,14 +1628,13 @@ USAGE:
                      after K units (at a batch boundary); the final report
                      is byte-identical whether the campaign ran straight
                      through, was killed and resumed, or was sharded and
-                     merged — at any --threads and under either scheduler
+                     merged — at any --threads
     bft-sim campaign merge MANIFEST.json CKPT... [--json] [--report FILE]
                      merge every shard's checkpoint into the final report
     bft-sim repro FILE.json
                      replay a bft-sim-repro-v1 file and confirm its oracle
                      still fires
     bft-sim trace SCENARIO [--seed S] [--last-k K] [--json]
-                     [--scheduler heap|wheel]
                      run one scenario (a protocol short name, or a scenario
                      JSON file as embedded in repro files) with full
                      observability and print per-node latency/decision
@@ -1730,6 +1672,54 @@ mod tests {
         assert!(parse_args(&args(&["fig", "12"])).is_err());
         assert!(parse_args(&args(&["bogus"])).is_err());
         assert_eq!(parse_args(&[]).unwrap(), Command::Help);
+    }
+
+    #[test]
+    fn trailing_arguments_are_usage_errors() {
+        for (argv, extra) in [
+            (&["fig", "2", "extra"][..], "extra"),
+            (&["table", "1", "junk"][..], "junk"),
+            (&["list", "junk"][..], "junk"),
+        ] {
+            let err = parse_args(&args(argv)).unwrap_err();
+            assert_eq!(err.code, 2, "{argv:?}");
+            assert_eq!(err.message, format!("unexpected argument '{extra}'"));
+        }
+    }
+
+    #[test]
+    fn the_scheduler_flag_is_gone() {
+        for argv in [
+            &["fuzz", "--scheduler", "heap"][..],
+            &["trace", "pbft", "--scheduler", "heap"][..],
+            &["campaign", "run", "m.json", "--scheduler", "heap"][..],
+            &["bench-baseline", "--scheduler", "both"][..],
+        ] {
+            let err = parse_args(&args(argv)).unwrap_err();
+            assert_eq!(err.code, 2, "{argv:?}");
+            assert_eq!(err.message, "unknown flag '--scheduler'", "{argv:?}");
+        }
+    }
+
+    #[test]
+    fn degenerate_run_parameters_are_usage_errors() {
+        for (flag, value) in [
+            ("--nodes", "0"),
+            ("--nodes", "3"),
+            ("--lambda", "0"),
+            ("--lambda", "-1"),
+            ("--lambda", "nan"),
+            ("--lambda", "inf"),
+            ("--delay-mu", "nan"),
+            ("--delay-sigma", "inf"),
+        ] {
+            for cmd in ["run", "compare"] {
+                let err = parse_args(&args(&[cmd, flag, value])).unwrap_err();
+                assert_eq!(err.code, 2, "{cmd} {flag} {value}");
+                assert!(err.message.contains(flag), "{cmd} {flag} {value}: {err}");
+            }
+        }
+        assert!(parse_args(&args(&["run", "--nodes", "4", "--lambda", "0.5"])).is_ok());
     }
 
     #[test]
@@ -1821,8 +1811,6 @@ mod tests {
             "--json",
             "--threads",
             "4",
-            "--scheduler",
-            "wheel",
             "--preset",
             "chaos",
             "--coverage",
@@ -1844,7 +1832,6 @@ mod tests {
         assert_eq!(spec.out_dir, "repros");
         assert!(spec.json);
         assert_eq!(spec.threads, 4);
-        assert_eq!(spec.scheduler, SchedulerKind::Wheel);
         assert_eq!(spec.fault_preset, FaultPreset::Chaos);
         assert!(spec.coverage);
         assert!(spec.blind);
@@ -1870,11 +1857,8 @@ mod tests {
             parse_args(&args(&["fuzz"])).unwrap(),
             Command::Fuzz(FuzzSpec::default())
         );
-        assert_eq!(FuzzSpec::default().scheduler, SchedulerKind::Heap);
         assert!(!FuzzSpec::default().observability);
         assert!(parse_args(&args(&["fuzz", "--threads", "x"])).is_err());
-        assert!(parse_args(&args(&["fuzz", "--scheduler", "both"])).is_err());
-        assert!(parse_args(&args(&["fuzz", "--scheduler", "splay"])).is_err());
         let Command::Fuzz(spec) = parse_args(&args(&["fuzz", "--obs"])).unwrap() else {
             panic!("expected fuzz");
         };
@@ -1923,15 +1907,7 @@ mod tests {
     #[test]
     fn parses_trace_flags() {
         let cmd = parse_args(&args(&[
-            "trace",
-            "pbft",
-            "--seed",
-            "11",
-            "--last-k",
-            "16",
-            "--json",
-            "--scheduler",
-            "wheel",
+            "trace", "pbft", "--seed", "11", "--last-k", "16", "--json",
         ]))
         .unwrap();
         let Command::Trace(spec) = cmd else {
@@ -1941,7 +1917,6 @@ mod tests {
         assert_eq!(spec.seed, Some(11));
         assert_eq!(spec.last_k, 16);
         assert!(spec.json);
-        assert_eq!(spec.scheduler, SchedulerKind::Wheel);
 
         let err = parse_args(&args(&["trace"])).unwrap_err();
         assert_eq!(err.code, 2);
@@ -1983,7 +1958,6 @@ mod tests {
             Command::BenchBaseline {
                 out: "BENCH_baseline.json".into(),
                 threads: 0,
-                scheduler: None
             }
         );
         assert_eq!(
@@ -1992,27 +1966,15 @@ mod tests {
                 "--out",
                 "b.json",
                 "--threads",
-                "2",
-                "--scheduler",
-                "wheel"
+                "2"
             ]))
             .unwrap(),
             Command::BenchBaseline {
                 out: "b.json".into(),
                 threads: 2,
-                scheduler: Some(SchedulerKind::Wheel)
-            }
-        );
-        assert_eq!(
-            parse_args(&args(&["bench-baseline", "--scheduler", "both"])).unwrap(),
-            Command::BenchBaseline {
-                out: "BENCH_baseline.json".into(),
-                threads: 0,
-                scheduler: None
             }
         );
         assert!(parse_args(&args(&["bench-baseline", "--threads"])).is_err());
-        assert!(parse_args(&args(&["bench-baseline", "--scheduler", "splay"])).is_err());
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! End-to-end determinism contract of `bft-sim campaign`: the final report
 //! must be byte-identical whether the campaign runs straight through, is
 //! killed and resumed, or is sharded across processes and merged — at any
-//! thread count and under either scheduler backend. `--max-units` is the
-//! deterministic stand-in for a kill: it stops at a batch boundary exactly
-//! like SIGKILL-between-checkpoints does, minus the flakiness.
+//! thread count. `--max-units` is the deterministic stand-in for a kill: it
+//! stops at a batch boundary exactly like SIGKILL-between-checkpoints does,
+//! minus the flakiness.
 
 use bft_sim_cli::{exec_campaign_merge, exec_campaign_run, CampaignMergeSpec, CampaignRunSpec};
 use bft_sim_core::json::Json;
-use bft_sim_core::scheduler::SchedulerKind;
 
 /// A fresh scratch directory per test so parallel tests never share files.
 fn scratch(test: &str) -> std::path::PathBuf {
@@ -48,7 +47,7 @@ fn run_spec(manifest: &str, dir: &std::path::Path, checkpoint: &str) -> Campaign
 }
 
 #[test]
-fn reports_are_byte_identical_across_resume_shard_and_scheduler() {
+fn reports_are_byte_identical_across_resume_and_shard() {
     let dir = scratch("identity");
     let manifest = write_manifest(&dir);
 
@@ -114,16 +113,6 @@ fn reports_are_byte_identical_across_resume_shard_and_scheduler() {
     .unwrap()
     .dump_pretty();
     assert_eq!(merged, straight, "shard+merge must not change a byte");
-
-    // The wheel scheduler backend.
-    let wheel = exec_campaign_run(&CampaignRunSpec {
-        scheduler: SchedulerKind::Wheel,
-        ..run_spec(&manifest, &dir, "wheel.ck.json")
-    })
-    .unwrap()
-    .expect("an uninterrupted run must produce the report")
-    .dump_pretty();
-    assert_eq!(wheel, straight, "the scheduler backend must not leak");
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

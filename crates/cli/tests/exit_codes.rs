@@ -51,11 +51,45 @@ fn usage_errors_exit_two() {
         &["trace"],
         &["trace", "raft"],
         &["trace", "pbft", "--last-k", "x"],
-        &["fuzz", "--scheduler", "splay"],
         &["fig", "99"],
+        // There is one event queue and no flag to pick it.
+        &["fuzz", "--scheduler", "heap"],
+        &["trace", "pbft", "--scheduler", "heap"],
+        &["campaign", "run", "m.json", "--scheduler", "heap"],
+        &["bench-baseline", "--scheduler", "both"],
+        // Trailing arguments.
+        &["fig", "2", "extra"],
+        &["table", "1", "junk"],
+        &["list", "junk"],
+        // Degenerate scenario parameters: f = 0 made the protocols recurse
+        // until the stack overflowed (134), n = 0 and a non-positive λ
+        // panicked (101).
+        &["run", "--protocol", "pbft", "--nodes", "0"],
+        &["run", "--protocol", "pbft", "--nodes", "1"],
+        &["run", "--protocol", "pbft", "--nodes", "3"],
+        &["run", "--protocol", "hotstuff-ns", "--nodes", "1"],
+        &["run", "--protocol", "tendermint", "--nodes", "1"],
+        &["compare", "--nodes", "3"],
+        &["run", "--protocol", "pbft", "--lambda", "0"],
+        &["run", "--protocol", "pbft", "--lambda", "-1"],
+        &["run", "--protocol", "pbft", "--lambda", "nan"],
+        &["run", "--protocol", "pbft", "--delay-mu", "nan"],
     ];
     for args in cases {
-        assert_code(args, 2);
+        let out = bft_sim(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "bft-sim {args:?}\nstderr: {stderr}"
+        );
+        // One line naming the problem, then the usage text — no panic.
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(first.starts_with("error: "), "bft-sim {args:?}: {first}");
+        assert!(
+            !stderr.contains("panicked at"),
+            "bft-sim {args:?}: {stderr}"
+        );
     }
 }
 

@@ -18,12 +18,10 @@ fn sweep_json(spec: &FuzzSpec, threads: usize) -> String {
         max_actions: spec.max_actions,
         inject_bug: false,
         threads,
-        scheduler: spec.scheduler,
         observability: spec.observability,
         n_override: spec.n_override,
-        net_override: None,
         fault_preset: spec.fault_preset,
-        latent_bug: false,
+        ..FuzzOptions::default()
     };
     // Mirror `bft-sim fuzz`'s dispatch: `--coverage` runs the corpus search
     // with `--seeds A..B` meaning master seed A and budget B − A.

@@ -771,7 +771,7 @@ fn summary_json(s: &Summary) -> Json {
 /// per-cell [`Summary`]s) or from the order-independent histogram
 /// aggregates, so the report is byte-identical however the units were
 /// executed: straight through, killed-and-resumed, or sharded-and-merged,
-/// at any thread count, under either scheduler backend.
+/// at any thread count.
 ///
 /// # Errors
 ///

@@ -6,12 +6,10 @@
 //! order, dispatches them, applies the resulting actions, and stops once the
 //! target number of decisions completed (or the time cap is hit).
 //!
-//! The event queue itself is pluggable: [`SimulationBuilder::scheduler`]
-//! selects a [`SchedulerKind`] backend, and every backend honours the same
-//! `(timestamp, insertion seq)` total order (see [`crate::scheduler`]), so
-//! the choice never changes a run's results — only its performance profile.
+//! The event queue sits behind the [`Scheduler`] trait and dispatches in one
+//! `(timestamp, insertion seq)` total order (see [`crate::scheduler`]).
 //! Timer cancellation is the scheduler's job: the engine keeps a plain
-//! `TimerId -> handle` map and hands cancellations straight to the backend.
+//! `TimerId -> handle` map and hands cancellations straight to the queue.
 //!
 //! A broadcast occupies one queue entry, not n − 1: every send-time decision
 //! is still taken per destination, but the deliveries that share the payload
@@ -40,7 +38,7 @@ use crate::network::{LinkDecision, NetworkModel};
 use crate::obs::{ObsConfig, ObsRecorder};
 use crate::payload::Payload;
 use crate::protocol::{Protocol, ProtocolFactory, Vacant};
-use crate::scheduler::{EventHandle, Scheduler, SchedulerKind};
+use crate::scheduler::{EventHandle, HeapScheduler, Scheduler, SchedulerKind};
 use crate::trace::{Trace, TraceEvent, TraceKind};
 use crate::validator::DeliverySchedule;
 use crate::value::Value;
@@ -97,7 +95,6 @@ pub struct SimulationBuilder {
     record_schedule: bool,
     replay: Option<DeliverySchedule>,
     observer: Option<Box<dyn StepObserver>>,
-    scheduler: SchedulerKind,
     obs: Option<ObsConfig>,
     faults: Option<FaultInjector>,
 }
@@ -113,18 +110,14 @@ impl SimulationBuilder {
             record_schedule: false,
             replay: None,
             observer: None,
-            scheduler: SchedulerKind::default(),
             obs: None,
             faults: None,
         }
     }
 
-    /// Selects the event-scheduler backend (defaults to the reference binary
-    /// heap). Both built-in backends honour the same `(timestamp, insertion
-    /// seq)` total order, so results are byte-identical either way; see
-    /// [`crate::scheduler`] for the contract.
-    pub fn scheduler(mut self, kind: SchedulerKind) -> Self {
-        self.scheduler = kind;
+    /// Single backend; kept for benchmark/'s tracer, remove with its replay
+    /// follow-up (ROADMAP item 2).
+    pub fn scheduler(self, _kind: SchedulerKind) -> Self {
         self
     }
 
@@ -212,7 +205,7 @@ impl SimulationBuilder {
         let seed = self.cfg.seed;
         Ok(Simulation {
             rng: SmallRng::seed_from_u64(seed),
-            queue: self.scheduler.build(),
+            queue: Box::new(HeapScheduler::new()),
             clock: crate::time::SimTime::ZERO,
             nodes,
             network,
@@ -400,8 +393,8 @@ impl Simulation {
             // observer) once they survive the skip check below; deliveries to
             // excluded nodes go to the separate `skipped_excluded_nodes`
             // counter so they cannot inflate events/sec. Cancelled timers
-            // never surface here at all — the scheduler removes or suppresses
-            // them — and are counted at cancellation time instead.
+            // never surface here at all — the scheduler suppresses them —
+            // and are counted at cancellation time instead.
             match ev.kind {
                 EventKind::Deliver(msg) => {
                     let dst = msg.dst();
@@ -555,8 +548,8 @@ impl Simulation {
                 Action::CancelTimer(id) => {
                     // Only pending timers have a handle; cancelling a timer
                     // that already fired (or never existed) is a no-op. The
-                    // count is taken here — not at pop time — so it is
-                    // identical under every scheduler backend.
+                    // count is taken here, not when the tombstone is popped:
+                    // a run can end with tombstones still queued.
                     if let Some(handle) = self.timer_handles.remove(&id) {
                         self.queue.cancel(handle);
                         self.metrics.count_cancelled_timer();
@@ -957,25 +950,20 @@ mod tests {
 
     #[test]
     fn stale_cancellations_leave_no_tombstones() {
-        for kind in SchedulerKind::ALL {
-            let mut sim = SimulationBuilder::new(RunConfig::new(4).with_seed(1))
-                .network(constant_net())
-                .scheduler(kind)
-                .protocols(|_id: NodeId| -> Box<dyn Protocol> { Box::<TimerChurn>::default() })
-                .build()
-                .unwrap();
-            sim.drive();
-            // Stale cancels (the timer already fired) never reach the
-            // scheduler: the handle left the map at pop time, so neither
-            // backend accumulates tombstones.
-            let stats = sim.queue.stats();
-            assert_eq!(stats.pending_tombstones, 0, "{kind}");
-            assert_eq!(stats.tombstones_popped, 0, "{kind}");
-            assert_eq!(stats.cancelled_in_place, 0, "{kind}");
-            // The handle map only tracks timers still in the queue, so the
-            // bookkeeping is bounded by in-flight timers.
-            assert!(sim.timer_handles.len() <= sim.queue.len(), "{kind}");
-        }
+        let mut sim = SimulationBuilder::new(RunConfig::new(4).with_seed(1))
+            .network(constant_net())
+            .protocols(|_id: NodeId| -> Box<dyn Protocol> { Box::<TimerChurn>::default() })
+            .build()
+            .unwrap();
+        sim.drive();
+        // Stale cancels (the timer already fired) never reach the scheduler:
+        // the handle left the map at pop time, so no tombstones accumulate.
+        let stats = sim.queue.stats();
+        assert_eq!(stats.pending_tombstones, 0);
+        assert_eq!(stats.tombstones_popped, 0);
+        // The handle map only tracks timers still in the queue, so the
+        // bookkeeping is bounded by in-flight timers.
+        assert!(sim.timer_handles.len() <= sim.queue.len());
     }
 
     /// Cancelling a pending timer must still suppress its firing.
@@ -1005,36 +993,20 @@ mod tests {
 
     #[test]
     fn cancelled_pending_timer_does_not_fire() {
-        for kind in SchedulerKind::ALL {
-            let result = SimulationBuilder::new(RunConfig::new(4).with_seed(3))
-                .network(constant_net())
-                .scheduler(kind)
-                .protocols(|_id: NodeId| -> Box<dyn Protocol> {
-                    Box::<CancelBeforeFire>::default()
-                })
-                .build()
-                .unwrap()
-                .run();
-            assert_eq!(result.decisions_completed(), 1, "{kind}");
-            // Each node's Long timer is cancelled while pending; the count is
-            // taken at cancel time, so it is identical on both backends. Only
-            // the 4 Short + 4 Probe pops are dispatched.
-            assert_eq!(result.skipped_cancelled_timers, 4, "{kind}");
-            assert_eq!(result.skipped_excluded_nodes, 0, "{kind}");
-            assert_eq!(result.events_processed, 8, "{kind}");
-            // How the backend disposed of the cancelled timers differs: the
-            // heap pops tombstones lazily, the wheel removes them in place.
-            match kind {
-                SchedulerKind::Heap => {
-                    assert_eq!(result.scheduler.tombstones_popped, 4);
-                    assert_eq!(result.scheduler.cancelled_in_place, 0);
-                }
-                SchedulerKind::Wheel => {
-                    assert_eq!(result.scheduler.tombstones_popped, 0);
-                    assert_eq!(result.scheduler.cancelled_in_place, 4);
-                }
-            }
-        }
+        let result = SimulationBuilder::new(RunConfig::new(4).with_seed(3))
+            .network(constant_net())
+            .protocols(|_id: NodeId| -> Box<dyn Protocol> { Box::<CancelBeforeFire>::default() })
+            .build()
+            .unwrap()
+            .run();
+        assert_eq!(result.decisions_completed(), 1);
+        // Each node's Long timer is cancelled while pending and counted at
+        // cancel time. Only the 4 Short + 4 Probe pops are dispatched.
+        assert_eq!(result.skipped_cancelled_timers, 4);
+        assert_eq!(result.skipped_excluded_nodes, 0);
+        assert_eq!(result.events_processed, 8);
+        // The cancelled timers surfaced before the Probes and were discarded.
+        assert_eq!(result.scheduler.tombstones_popped, 4);
     }
 
     /// Every node broadcasts at 10 ms and decides at 30 ms; the adversary
@@ -1072,25 +1044,27 @@ mod tests {
         }
     }
 
+    fn crash_one_builder(seed: u64) -> SimulationBuilder {
+        SimulationBuilder::new(RunConfig::new(4).with_seed(seed))
+            .network(constant_net())
+            .adversary(CrashOneEarly)
+            .protocols(|_id: NodeId| -> Box<dyn Protocol> { Box::<TalkThenDecide>::default() })
+    }
+
+    fn crash_one_run(seed: u64) -> RunResult {
+        crash_one_builder(seed).build().unwrap().run()
+    }
+
     #[test]
     fn events_to_excluded_nodes_are_skipped_not_processed() {
-        for kind in SchedulerKind::ALL {
-            let result = SimulationBuilder::new(RunConfig::new(4).with_seed(7))
-                .network(constant_net())
-                .scheduler(kind)
-                .adversary(CrashOneEarly)
-                .protocols(|_id: NodeId| -> Box<dyn Protocol> { Box::<TalkThenDecide>::default() })
-                .build()
-                .unwrap()
-                .run();
-            assert_eq!(result.decisions_completed(), 1, "{kind}");
-            // Skipped: node 3's Short pop + its 3 incoming Probe deliveries.
-            assert_eq!(result.skipped_excluded_nodes, 4, "{kind}");
-            assert_eq!(result.skipped_cancelled_timers, 0, "{kind}");
-            // Processed: adversary timer + 3 Short pops + 6 live deliveries
-            // + 3 Long pops.
-            assert_eq!(result.events_processed, 13, "{kind}");
-        }
+        let result = crash_one_run(7);
+        assert_eq!(result.decisions_completed(), 1);
+        // Skipped: node 3's Short pop + its 3 incoming Probe deliveries.
+        assert_eq!(result.skipped_excluded_nodes, 4);
+        assert_eq!(result.skipped_cancelled_timers, 0);
+        // Processed: adversary timer + 3 Short pops + 6 live deliveries
+        // + 3 Long pops.
+        assert_eq!(result.events_processed, 13);
     }
 
     /// One broadcast round per node, with self-inclusion and a send-to-self,
@@ -1131,53 +1105,20 @@ mod tests {
         assert_eq!(result.delivered_per_node.iter().sum::<u64>(), wire);
     }
 
-    fn run_with(kind: SchedulerKind, seed: u64) -> RunResult {
-        SimulationBuilder::new(RunConfig::new(4).with_seed(seed))
-            .network(constant_net())
-            .scheduler(kind)
-            .adversary(CrashOneEarly)
-            .protocols(|_id: NodeId| -> Box<dyn Protocol> { Box::<TalkThenDecide>::default() })
+    /// Observability must not perturb the run: metrics are identical with it
+    /// on or off, and the ring handle still works after the engine is
+    /// consumed.
+    #[test]
+    fn observability_is_inert() {
+        use crate::obs::ObsConfig;
+        let cfg = ObsConfig::new(64);
+        let ring = cfg.ring();
+        let with_obs = crash_one_builder(7)
+            .observability(cfg)
             .build()
             .unwrap()
-            .run()
-    }
-
-    /// The determinism contract end to end: apart from the backend's own
-    /// diagnostics, a run is identical under either scheduler.
-    #[test]
-    fn scheduler_backend_does_not_change_the_run() {
-        for seed in [1, 7, 42] {
-            let heap = run_with(SchedulerKind::Heap, seed);
-            let mut wheel = run_with(SchedulerKind::Wheel, seed);
-            assert_ne!(heap.scheduler.scheduler, wheel.scheduler.scheduler);
-            wheel.scheduler = heap.scheduler.clone();
-            assert_eq!(heap, wheel, "seed {seed}");
-        }
-    }
-
-    /// Observability must not perturb the run: metrics are identical with it
-    /// on or off, the snapshot is byte-identical across backends, and the
-    /// ring handle still works after the engine is consumed.
-    #[test]
-    fn observability_is_inert_and_backend_independent() {
-        use crate::obs::ObsConfig;
-        let run_obs = |kind: SchedulerKind| {
-            let cfg = ObsConfig::new(64);
-            let ring = cfg.ring();
-            let result = SimulationBuilder::new(RunConfig::new(4).with_seed(7))
-                .network(constant_net())
-                .scheduler(kind)
-                .adversary(CrashOneEarly)
-                .observability(cfg)
-                .protocols(|_id: NodeId| -> Box<dyn Protocol> { Box::<TalkThenDecide>::default() })
-                .build()
-                .unwrap()
-                .run();
-            (result, ring)
-        };
-
-        let plain = run_with(SchedulerKind::Heap, 7);
-        let (with_obs, ring) = run_obs(SchedulerKind::Heap);
+            .run();
+        let plain = crash_one_run(7);
         let obs = with_obs.observability.clone().expect("snapshot attached");
 
         // Same run apart from the attached snapshot.
@@ -1210,43 +1151,5 @@ mod tests {
             .recent_events
             .iter()
             .any(|e| matches!(e.kind, TraceKind::Crashed)));
-
-        // Byte-identical across scheduler backends.
-        let (wheel, _) = run_obs(SchedulerKind::Wheel);
-        let wheel_obs = wheel.observability.expect("snapshot attached");
-        assert_eq!(wheel_obs, obs);
-        assert_eq!(
-            wheel_obs.to_json().dump_pretty(),
-            obs.to_json().dump_pretty()
-        );
-    }
-
-    /// A schedule recorded under one backend must replay under the other:
-    /// record/replay only sees message fates, which the backend cannot
-    /// influence.
-    #[test]
-    fn schedule_recorded_on_heap_replays_on_wheel() {
-        let build = |kind: SchedulerKind| {
-            SimulationBuilder::new(RunConfig::new(4).with_seed(11))
-                .network(constant_net())
-                .scheduler(kind)
-                .protocols(|_id: NodeId| -> Box<dyn Protocol> { Box::<TalkThenDecide>::default() })
-        };
-        let (recorded, schedule) = build(SchedulerKind::Heap)
-            .record_schedule(true)
-            .build()
-            .unwrap()
-            .run_recorded();
-        let mut replayed = build(SchedulerKind::Wheel)
-            .replay_schedule(schedule)
-            .build()
-            .unwrap()
-            .run();
-        assert!(
-            replayed.safety_violation.is_none(),
-            "replay must not diverge"
-        );
-        replayed.scheduler = recorded.scheduler.clone();
-        assert_eq!(recorded, replayed);
     }
 }

@@ -11,8 +11,8 @@
 //! Events with equal timestamps are ordered by a global insertion sequence
 //! number, which makes the execution order total and runs reproducible. The
 //! queue itself lives behind the [`Scheduler`](crate::scheduler::Scheduler)
-//! trait in [`crate::scheduler`]; this module defines the event types the
-//! schedulers carry.
+//! trait in [`crate::scheduler`]; this module defines the event types it
+//! carries.
 
 use std::sync::Arc;
 
@@ -93,7 +93,7 @@ pub struct FanOut {
 /// What happens when an event is popped.
 ///
 /// Only the engine constructs these (the [`Timer`] constructor is
-/// crate-private); scheduler backends treat them as opaque cargo.
+/// crate-private); the scheduler treats them as opaque cargo.
 #[derive(Debug)]
 pub enum EventKind {
     /// Deliver a message to its destination node.
@@ -118,8 +118,8 @@ pub enum EventKind {
 
 /// An event stamped with its dispatch time and insertion sequence number.
 ///
-/// The pair `(at, seq)` is the *total* dispatch order every
-/// [`Scheduler`](crate::scheduler::Scheduler) backend must honour; the
+/// The pair `(at, seq)` is the *total* dispatch order a
+/// [`Scheduler`](crate::scheduler::Scheduler) must honour; the
 /// comparison impls below encode it (reversed, because `BinaryHeap` is a
 /// max-heap).
 #[derive(Debug)]

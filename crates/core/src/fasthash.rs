@@ -1,6 +1,6 @@
 //! A fast, deterministic hasher for engine-internal maps.
 //!
-//! The engine and schedulers key several hot maps by small integers (timer
+//! The engine and scheduler key several hot maps by small integers (timer
 //! ids, event sequence numbers, packed `(src, dst)` pairs). The standard
 //! `RandomState`/SipHash combination is both slower than necessary for
 //! integer keys and randomly seeded per map, so switching to this

@@ -84,8 +84,8 @@ impl MetricsCollector {
         self.events_processed += 1;
     }
 
-    /// Counts a pending timer that was cancelled (taken at cancel time, so
-    /// the count is identical under every scheduler backend).
+    /// Counts a pending timer that was cancelled (taken at cancel time, not
+    /// when the queue discards the entry).
     pub fn count_cancelled_timer(&mut self) {
         self.skipped_cancelled_timers += 1;
     }
@@ -227,9 +227,8 @@ pub struct RunResult {
     /// instead, so events/sec throughput figures reflect dispatched work only.
     pub events_processed: u64,
     /// Timers cancelled while still pending. Counted at cancel time — the
-    /// scheduler then removes (wheel) or suppresses (heap) the entry, so the
-    /// timer never dispatches and the count is identical under every backend.
-    /// How the backend disposed of the entry shows up in
+    /// scheduler then suppresses the entry, so the timer never dispatches.
+    /// When the queue discarded the entry shows up in
     /// [`scheduler`](RunResult::scheduler).
     pub skipped_cancelled_timers: u64,
     /// Events popped from the queue but *not* dispatched because they were
@@ -251,20 +250,18 @@ pub struct RunResult {
     /// Recorded trace (decisions, views, corruptions; messages if enabled).
     pub trace: Trace,
     /// Maximum number of *live* events in the queue at once (memory proxy for
-    /// Fig. 2). Live-entry accounting makes this identical under every
-    /// scheduler backend; resident peaks including tombstones are in
+    /// Fig. 2): the logical depth, one per pending event. The physical peak
+    /// — resident entries including tombstones — is in
     /// [`scheduler`](RunResult::scheduler).
     pub queue_high_water: usize,
-    /// Diagnostics from the scheduler backend that ran the event queue. This
-    /// is the only backend-dependent field of a run result: every other field
-    /// is byte-identical under any [`SchedulerKind`](crate::scheduler::SchedulerKind).
+    /// Diagnostics from the event queue: what it cost physically, never a
+    /// simulated quantity.
     pub scheduler: SchedulerStats,
     /// Run-level observability snapshot (histograms, flow matrix, view
     /// timings, recent events); `None` unless the run was built with
     /// [`SimulationBuilder::observability`](crate::engine::SimulationBuilder::observability).
-    /// Derives exclusively from simulated quantities, so — like every field
-    /// except [`scheduler`](RunResult::scheduler) — it is byte-identical
-    /// across scheduler backends and sweep thread counts.
+    /// Derives exclusively from simulated quantities, so it is byte-identical
+    /// across sweep thread counts.
     pub observability: Option<Observability>,
 }
 

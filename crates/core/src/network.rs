@@ -86,7 +86,7 @@ impl LinkDecision {
 /// Implementations may be stateful (e.g. a partition schedule or per-link
 /// busy clocks) and may use the run RNG; they must be deterministic given
 /// the RNG stream and derive *only* from simulated quantities, so runs stay
-/// byte-identical across scheduler backends and thread counts.
+/// byte-identical across thread counts.
 pub trait NetworkModel: Send {
     /// The fate of a message of `wire_bytes` bytes sent from `src` to `dst`
     /// at time `now`.

@@ -20,7 +20,7 @@
 //! Everything recorded here derives exclusively from simulated quantities
 //! (virtual clock, node ids, payload types), so the resulting
 //! [`Observability`] snapshot — and its JSON — is byte-identical across
-//! scheduler backends and sweep thread counts.
+//! sweep thread counts.
 //!
 //! Histograms use fixed log-2 buckets over microseconds: bucket 0 holds the
 //! value 0, bucket *i* (for `i >= 1`) holds values in `[2^(i-1), 2^i)`. The
@@ -769,8 +769,8 @@ impl Observability {
     /// and by how many nodes, per-node delivery and decision counts — each
     /// produce a new one. `recent_events` and `last_k` are excluded: the
     /// ring is an execution option, not behavior. Everything hashed is a
-    /// simulated quantity, so the fingerprint is identical across scheduler
-    /// backends and `--threads` settings by construction.
+    /// simulated quantity, so the fingerprint is identical across
+    /// `--threads` settings by construction.
     pub fn fingerprint(&self) -> u64 {
         use core::hash::Hasher;
         /// Floor-log₂ bucket (0 for 0, else `floor(log2(v)) + 1`).

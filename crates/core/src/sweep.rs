@@ -4,11 +4,8 @@
 //! machinery behind every figure — consist of many *independent* seeded
 //! runs: each run is a pure function of its seed *and nothing else* — PR 1/
 //! PR 2 guarantee bit-identical [`RunResult`](crate::metrics::RunResult)s
-//! per seed, and the scheduler determinism contract
-//! ([`crate::scheduler`]) extends that to every queue backend — so a sweep
-//! can be sharded across cores without any cross-run coordination, and its
-//! output is identical at any thread count under any
-//! [`SchedulerKind`](crate::scheduler::SchedulerKind).
+//! per seed — so a sweep can be sharded across cores without any cross-run
+//! coordination, and its output is identical at any thread count.
 //!
 //! [`sweep`] does exactly that with `std::thread` + channels only (the
 //! repository is offline and dependency-free by design): a shared atomic

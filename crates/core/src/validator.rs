@@ -13,11 +13,9 @@
 //!    runs (e.g. the event-level engine and the packet-level baseline in
 //!    `bft-sim-baseline`) agreed on *which node decided what value*.
 //!
-//! Both mechanisms are independent of the scheduler backend: a schedule only
-//! records message *fates*, and every [`SchedulerKind`](crate::scheduler::SchedulerKind)
-//! dispatches events in the same `(timestamp, insertion seq)` total order, so
-//! a schedule recorded under one backend replays bit-identically under
-//! another (see [`crate::scheduler`] for the contract).
+//! A schedule only records message *fates*; replay rests on the event queue
+//! dispatching in one `(timestamp, insertion seq)` total order (see
+//! [`crate::scheduler`] for the contract).
 
 use crate::adversary::Fate;
 use crate::error::SimError;

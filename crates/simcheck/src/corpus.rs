@@ -18,11 +18,11 @@
 //!    magnitudes, decision targets, wider partition windows) — steering
 //!    the budget toward behaviors blind sampling has zero density on.
 //!
-//! The loop is deterministic at any `--threads` and under both scheduler
-//! backends: scenario construction consumes a single master RNG
-//! sequentially between batches, the batch itself runs through
-//! [`bft_sim_core::sweep::sweep`] (which reassembles results in submission
-//! order), and all corpus/statistics folding happens sequentially.
+//! The loop is deterministic at any `--threads`: scenario construction
+//! consumes a single master RNG sequentially between batches, the batch
+//! itself runs through [`bft_sim_core::sweep::sweep`] (which reassembles
+//! results in submission order), and all corpus/statistics folding happens
+//! sequentially.
 
 use std::collections::VecDeque;
 use std::hash::Hasher;
@@ -495,8 +495,7 @@ enum CovResult {
 /// the corpus, not from a user-supplied seed list).
 ///
 /// Deterministic: same `master_seed`, `budget`, `corpus_mode`, and options
-/// ⇒ byte-identical report at any thread count, under both scheduler
-/// backends.
+/// ⇒ byte-identical report at any thread count.
 ///
 /// # Errors
 ///
@@ -521,8 +520,7 @@ pub fn fuzz_coverage(
 ///
 /// Determinism is unchanged: the search is a pure function of
 /// (`master_seed`, `budget`, `corpus_mode`, `opts`, the loaded file
-/// bytes), still byte-identical at any thread count and under both
-/// scheduler backends.
+/// bytes), still byte-identical at any thread count.
 ///
 /// # Errors
 ///
@@ -620,7 +618,7 @@ pub fn fuzz_coverage_in_dir(
                 let cfg = spec.obs_config(DEFAULT_LAST_K);
                 let ring = cfg.ring();
                 let run = match catch_unwind(AssertUnwindSafe(|| {
-                    spec.run_observed(RunMode::Generate, opts.scheduler, Some(cfg))
+                    spec.run_observed(RunMode::Generate, Some(cfg))
                 })) {
                     Ok(run) => run.map_err(|e| format!("run {run_index}: {e}"))?,
                     Err(payload) => {
@@ -753,7 +751,6 @@ pub fn fuzz_coverage_in_dir(
 mod tests {
     use super::*;
     use bft_sim_core::buggify::FaultPreset;
-    use bft_sim_core::scheduler::SchedulerKind;
     use bft_sim_protocols::registry::ProtocolKind;
 
     fn chaos_opts() -> FuzzOptions {
@@ -767,20 +764,12 @@ mod tests {
     #[test]
     fn fingerprints_separate_structure_not_noise() {
         let base = ScenarioSpec::baseline(ProtocolKind::Pbft);
-        let a = base
-            .run_observed(
-                RunMode::Generate,
-                SchedulerKind::default(),
-                Some(base.obs_config(DEFAULT_LAST_K)),
-            )
-            .unwrap();
-        let b = base
-            .run_observed(
-                RunMode::Generate,
-                SchedulerKind::default(),
-                Some(base.obs_config(DEFAULT_LAST_K)),
-            )
-            .unwrap();
+        let observed = |spec: &ScenarioSpec| {
+            spec.run_observed(RunMode::Generate, Some(spec.obs_config(DEFAULT_LAST_K)))
+                .unwrap()
+        };
+        let a = observed(&base);
+        let b = observed(&base);
         assert_eq!(
             run_fingerprint(&a),
             run_fingerprint(&b),
@@ -790,13 +779,7 @@ mod tests {
             target_decisions: 3,
             ..base.clone()
         };
-        let c = other
-            .run_observed(
-                RunMode::Generate,
-                SchedulerKind::default(),
-                Some(other.obs_config(DEFAULT_LAST_K)),
-            )
-            .unwrap();
+        let c = observed(&other);
         assert_ne!(
             run_fingerprint(&a),
             run_fingerprint(&c),
@@ -805,15 +788,13 @@ mod tests {
     }
 
     #[test]
-    fn coverage_search_is_deterministic_across_threads_and_backends() {
+    fn coverage_search_is_deterministic_across_threads() {
         let serial = FuzzOptions {
             threads: 1,
-            scheduler: SchedulerKind::Heap,
             ..chaos_opts()
         };
         let parallel = FuzzOptions {
             threads: 4,
-            scheduler: SchedulerKind::Wheel,
             ..serial.clone()
         };
         let a = fuzz_coverage(11, 96, true, &serial).unwrap();

@@ -31,9 +31,8 @@ pub struct FuzzOptions {
     /// report is byte-identical for every value (results are reassembled in
     /// seed order).
     pub threads: usize,
-    /// Event-scheduler backend for every run of the sweep. The scheduler
-    /// determinism contract makes the report byte-identical under every
-    /// backend too; only throughput differs.
+    /// Single backend; kept for benchmark/'s tracer, remove with its replay
+    /// follow-up (ROADMAP item 2).
     pub scheduler: SchedulerKind,
     /// Instrument every run (see [`bft_sim_core::obs`]). Everything recorded
     /// derives from simulated quantities, so switching this on changes
@@ -116,7 +115,7 @@ pub struct FuzzFailure {
 /// Observability aggregated across every completed run of a sweep: merged
 /// histograms, per-phase message totals, and the total number of view
 /// entries. Like everything else in the report, byte-identical at any
-/// thread count and under every scheduler backend.
+/// thread count.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FuzzObservability {
     /// Wire-message delivery latencies, merged across all nodes and runs.
@@ -171,9 +170,8 @@ pub struct FuzzReport {
     /// Total engine events dispatched across the sweep (the throughput
     /// numerator).
     pub events_processed: u64,
-    /// Total timers cancelled while pending across the sweep. Counted at
-    /// cancel time in the engine, so the total is identical under every
-    /// scheduler backend.
+    /// Total timers cancelled while pending across the sweep, counted at
+    /// cancel time in the engine.
     pub skipped_cancelled_timers: u64,
     /// Total events popped but skipped because the destination node was
     /// crashed or corrupted, across the sweep.
@@ -267,7 +265,7 @@ pub fn fuzz_many(
                 let cfg = spec.obs_config(DEFAULT_LAST_K);
                 let ring = cfg.ring();
                 match catch_unwind(AssertUnwindSafe(|| {
-                    spec.run_observed(RunMode::Generate, opts.scheduler, Some(cfg))
+                    spec.run_observed(RunMode::Generate, Some(cfg))
                 })) {
                     Ok(run) => run.map_err(|e| format!("seed {seed}: {e}"))?,
                     Err(payload) => {
@@ -278,7 +276,7 @@ pub fn fuzz_many(
                     }
                 }
             } else {
-                spec.run_with(RunMode::Generate, opts.scheduler)
+                spec.run(RunMode::Generate)
                     .map_err(|e| format!("seed {seed}: {e}"))?
             };
             let observability = run.result.observability.clone().map(Box::new);
@@ -358,8 +356,7 @@ pub fn fuzz_many(
 /// The outcome of one campaign work unit: a single scenario executed with
 /// observability on, oracle-checked, panic-isolated and — on violation —
 /// shrunk to a [`Repro`]. This is the per-unit execution path behind
-/// `bft-sim campaign`; everything in it derives from simulated quantities,
-/// so a unit's outcome is byte-identical under every scheduler backend.
+/// `bft-sim campaign`; everything in it derives from simulated quantities.
 #[derive(Debug)]
 pub struct UnitRun {
     /// Engine events dispatched (0 when the run panicked).
@@ -388,10 +385,13 @@ pub struct UnitRun {
 ///
 /// Returns a message only when the scenario cannot be *built* — a malformed
 /// spec is a campaign-level configuration error, not a unit outcome.
-pub fn run_unit(spec: &ScenarioSpec, scheduler: SchedulerKind) -> Result<UnitRun, String> {
+///
+/// The `SchedulerKind` argument: single backend; kept for benchmark/'s tracer,
+/// remove with its replay follow-up (ROADMAP item 2).
+pub fn run_unit(spec: &ScenarioSpec, _scheduler: SchedulerKind) -> Result<UnitRun, String> {
     let cfg = spec.obs_config(DEFAULT_LAST_K);
     let run = match catch_unwind(AssertUnwindSafe(|| {
-        spec.run_observed(RunMode::Generate, scheduler, Some(cfg))
+        spec.run_observed(RunMode::Generate, Some(cfg))
     })) {
         Ok(run) => run?,
         Err(payload) => {
@@ -447,7 +447,7 @@ mod tests {
         assert_eq!(a.decisions, spec.target_decisions);
         assert!(a.latency_micros.is_some());
         assert!(a.observability.is_some());
-        let b = run_unit(&spec, SchedulerKind::Wheel).unwrap();
+        let b = run_unit(&spec, SchedulerKind::Heap).unwrap();
         assert_eq!(a.events_processed, b.events_processed);
         assert_eq!(a.decisions, b.decisions);
         assert_eq!(a.latency_micros, b.latency_micros);
@@ -601,35 +601,6 @@ mod tests {
             obs.to_json().dump_pretty(),
             c.observability.unwrap().to_json().dump_pretty()
         );
-    }
-
-    #[test]
-    fn scheduler_backend_does_not_change_the_report() {
-        let heap = FuzzOptions {
-            protocols: vec![ProtocolKind::Pbft, ProtocolKind::Tendermint],
-            scheduler: SchedulerKind::Heap,
-            ..FuzzOptions::default()
-        };
-        let wheel = FuzzOptions {
-            scheduler: SchedulerKind::Wheel,
-            ..heap.clone()
-        };
-        let a = fuzz_many(0..8, &heap).unwrap();
-        let b = fuzz_many(0..8, &wheel).unwrap();
-        assert_eq!(a.runs, b.runs);
-        assert_eq!(a.events_processed, b.events_processed);
-        assert_eq!(a.skipped_cancelled_timers, b.skipped_cancelled_timers);
-        assert_eq!(a.skipped_excluded_nodes, b.skipped_excluded_nodes);
-        assert_eq!(a.outcomes.len(), b.outcomes.len());
-        for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-            assert_eq!(x.scenario_seed, y.scenario_seed);
-            assert_eq!(x.violations, y.violations);
-            assert_eq!(
-                x.repro.to_json().dump_pretty(),
-                y.repro.to_json().dump_pretty()
-            );
-        }
-        assert_eq!(a.failures, b.failures);
     }
 }
 

@@ -775,24 +775,19 @@ impl ScenarioSpec {
         Ok(None)
     }
 
-    /// Runs the scenario in `mode` under the default scheduler backend and
-    /// checks it against the standard oracle suite. Same spec + same mode ⇒
-    /// bit-identical [`CheckedRun`].
+    /// Runs the scenario in `mode` and checks it against the standard oracle
+    /// suite. Same spec + same mode ⇒ bit-identical [`CheckedRun`].
     ///
     /// # Errors
     ///
     /// Returns a message when the configuration is rejected by the engine or
     /// the spec needs the `testbug` feature and it is not compiled in.
     pub fn run(&self, mode: RunMode<'_>) -> Result<CheckedRun, String> {
-        self.run_with(mode, SchedulerKind::default())
+        self.run_observed(mode, None)
     }
 
-    /// [`run`](ScenarioSpec::run) with an explicit scheduler backend. The
-    /// backend is an *execution* option, not part of the scenario (it is
-    /// deliberately absent from the spec JSON): the scheduler determinism
-    /// contract guarantees a bit-identical [`CheckedRun`] — results,
-    /// schedule, actions and violations — under every backend, which is why
-    /// reproducers stay valid no matter which backend found them.
+    /// [`run`](ScenarioSpec::run). Single backend; kept for benchmark/'s
+    /// tracer, remove with its replay follow-up (ROADMAP item 2).
     ///
     /// # Errors
     ///
@@ -800,9 +795,9 @@ impl ScenarioSpec {
     pub fn run_with(
         &self,
         mode: RunMode<'_>,
-        scheduler: SchedulerKind,
+        _scheduler: SchedulerKind,
     ) -> Result<CheckedRun, String> {
-        self.run_observed(mode, scheduler, None)
+        self.run(mode)
     }
 
     /// The observability configuration matching this scenario: a ring of
@@ -812,11 +807,10 @@ impl ScenarioSpec {
         ObsConfig::new(last_k).with_classifier(self.protocol.phase_classifier())
     }
 
-    /// [`run_with`](ScenarioSpec::run_with) with optional observability.
-    /// Like the scheduler backend, instrumentation is an *execution* option,
-    /// not part of the scenario: everything it records derives from
-    /// simulated quantities, so the run itself — and the `observability`
-    /// block — is bit-identical with it on or off, under every backend.
+    /// [`run`](ScenarioSpec::run) with optional observability.
+    /// Instrumentation is an *execution* option, not part of the scenario:
+    /// everything it records derives from simulated quantities, so the run
+    /// itself is bit-identical with it on or off.
     ///
     /// # Errors
     ///
@@ -824,7 +818,6 @@ impl ScenarioSpec {
     pub fn run_observed(
         &self,
         mode: RunMode<'_>,
-        scheduler: SchedulerKind,
         obs: Option<ObsConfig>,
     ) -> Result<CheckedRun, String> {
         let kind = self.protocol;
@@ -866,7 +859,6 @@ impl ScenarioSpec {
                 let mut builder = SimulationBuilder::new(cfg)
                     .network(network)
                     .observer(observer)
-                    .scheduler(scheduler)
                     .replay_schedule(replay)
                     .protocols(factory);
                 if let Some(obs) = obs {
@@ -908,7 +900,6 @@ impl ScenarioSpec {
                 let mut builder = SimulationBuilder::new(cfg)
                     .network(network)
                     .observer(observer)
-                    .scheduler(scheduler)
                     .adversary(stack)
                     .protocols(factory);
                 if let Some(obs) = obs {
@@ -1255,43 +1246,6 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_backend_does_not_change_a_checked_run() {
-        let spec = ScenarioSpec::generate(
-            5,
-            &ProtocolKind::extended(),
-            500,
-            48,
-            false,
-            FaultPreset::Calm,
-        );
-        let heap = spec
-            .run_with(RunMode::Generate, SchedulerKind::Heap)
-            .unwrap();
-        let mut wheel = spec
-            .run_with(RunMode::Generate, SchedulerKind::Wheel)
-            .unwrap();
-        // The backend's own diagnostics are the only permitted difference.
-        wheel.result.scheduler = heap.result.scheduler.clone();
-        assert_eq!(heap.result, wheel.result);
-        assert_eq!(heap.schedule, wheel.schedule);
-        assert_eq!(heap.actions, wheel.actions);
-        assert_eq!(heap.violations, wheel.violations);
-    }
-
-    #[test]
-    fn schedule_recorded_on_heap_replays_on_wheel() {
-        let spec = ScenarioSpec::baseline(ProtocolKind::HotStuffNs);
-        let original = spec
-            .run_with(RunMode::Generate, SchedulerKind::Heap)
-            .unwrap();
-        let replayed = spec
-            .run_with(RunMode::Replay(&original.schedule), SchedulerKind::Wheel)
-            .unwrap();
-        assert!(replayed.violations.is_empty(), "{:?}", replayed.violations);
-        assert_eq!(replayed.result.decided, original.result.decided);
-    }
-
-    #[test]
     fn observability_does_not_perturb_the_run() {
         let spec = ScenarioSpec::generate(
             9,
@@ -1303,11 +1257,7 @@ mod tests {
         );
         let plain = spec.run(RunMode::Generate).unwrap();
         let observed = spec
-            .run_observed(
-                RunMode::Generate,
-                SchedulerKind::default(),
-                Some(spec.obs_config(32)),
-            )
+            .run_observed(RunMode::Generate, Some(spec.obs_config(32)))
             .unwrap();
         let mut stripped = observed.result.clone();
         stripped.observability = None;
@@ -1327,43 +1277,10 @@ mod tests {
     }
 
     #[test]
-    fn observed_runs_agree_across_scheduler_backends() {
-        let spec = ScenarioSpec::generate(
-            5,
-            &ProtocolKind::extended(),
-            500,
-            48,
-            false,
-            FaultPreset::Calm,
-        );
-        let heap = spec
-            .run_observed(
-                RunMode::Generate,
-                SchedulerKind::Heap,
-                Some(spec.obs_config(32)),
-            )
-            .unwrap();
-        let mut wheel = spec
-            .run_observed(
-                RunMode::Generate,
-                SchedulerKind::Wheel,
-                Some(spec.obs_config(32)),
-            )
-            .unwrap();
-        wheel.result.scheduler = heap.result.scheduler.clone();
-        assert_eq!(heap.result, wheel.result);
-        let (a, b) = (
-            heap.result.observability.as_ref().unwrap(),
-            wheel.result.observability.as_ref().unwrap(),
-        );
-        assert_eq!(a.to_json().dump_pretty(), b.to_json().dump_pretty());
-    }
-
-    #[test]
-    fn large_n_runs_agree_across_backends_and_sweep_threads() {
-        // The determinism contract must survive the n = 256 regime, where the
-        // scheduler queues are three orders of magnitude deeper and the flow
-        // matrices switch to the sparse representation.
+    fn large_n_runs_agree_across_sweep_threads() {
+        // Determinism must survive the n = 256 regime, where the event queue
+        // is three orders of magnitude deeper and the flow matrices switch
+        // to the sparse representation.
         let spec = ScenarioSpec {
             n: 256,
             target_decisions: 2,
@@ -1373,46 +1290,24 @@ mod tests {
             },
             ..ScenarioSpec::baseline(ProtocolKind::HotStuffNs)
         };
-        let heap = spec
-            .run_observed(
-                RunMode::Generate,
-                SchedulerKind::Heap,
-                Some(spec.obs_config(32)),
-            )
+        let serial = spec
+            .run_observed(RunMode::Generate, Some(spec.obs_config(32)))
             .unwrap();
-        let mut wheel = spec
-            .run_observed(
-                RunMode::Generate,
-                SchedulerKind::Wheel,
-                Some(spec.obs_config(32)),
-            )
-            .unwrap();
-        wheel.result.scheduler = heap.result.scheduler.clone();
-        assert_eq!(heap.result, wheel.result);
-        assert_eq!(heap.schedule, wheel.schedule);
-        assert_eq!(heap.violations, wheel.violations);
-        let heap_obs = heap.result.observability.as_ref().unwrap();
-        let wheel_obs = wheel.result.observability.as_ref().unwrap();
-        let heap_json = heap_obs.to_json().dump_pretty();
-        assert_eq!(heap_json, wheel_obs.to_json().dump_pretty());
+        let obs = serial.result.observability.as_ref().unwrap();
         assert!(
-            heap_json.contains("\"cells\""),
+            obs.to_json().dump_pretty().contains("\"cells\""),
             "n = 256 flows must serialise in the sparse form"
         );
         // The thread axis composes with scale: sweeping the same large spec
-        // in parallel yields runs bit-identical to the serial heap run
-        // (modulo the instrumentation block the sweep runs don't enable).
-        let mut plain = heap.result.clone();
+        // in parallel yields runs bit-identical to the serial run (modulo
+        // the instrumentation block the sweep runs don't enable).
+        let mut plain = serial.result.clone();
         plain.observability = None;
-        let swept = bft_sim_core::sweep::sweep(4, 4, |_| {
-            spec.run_with(RunMode::Generate, SchedulerKind::Wheel)
-                .unwrap()
-        });
+        let swept = bft_sim_core::sweep::sweep(4, 4, |_| spec.run(RunMode::Generate).unwrap());
         for slot in swept {
-            let mut run = slot.expect("no sweep panic");
-            run.result.scheduler = heap.result.scheduler.clone();
+            let run = slot.expect("no sweep panic");
             assert_eq!(plain, run.result);
-            assert_eq!(heap.schedule, run.schedule);
+            assert_eq!(serial.schedule, run.schedule);
         }
     }
 
@@ -1469,27 +1364,25 @@ mod tests {
     }
 
     #[test]
-    fn faulted_runs_are_deterministic_across_backends() {
+    fn faulted_runs_are_deterministic() {
         let spec = chaos_spec();
         assert!(!spec.is_benign(), "an armed catalog ends the liveness debt");
-        let heap = spec
-            .run_with(RunMode::Generate, SchedulerKind::Heap)
-            .unwrap();
+        let first = spec.run(RunMode::Generate).unwrap();
         assert!(
-            heap.fault_stats.total() > 0,
+            first.fault_stats.total() > 0,
             "chaos must fire on a full PBFT run: {:?}",
-            heap.fault_stats
+            first.fault_stats
         );
-        assert_eq!(heap.fault_stats.total() as usize, heap.fault_actions.len());
-        assert!(heap.violations.is_empty(), "{:?}", heap.violations);
-        let mut wheel = spec
-            .run_with(RunMode::Generate, SchedulerKind::Wheel)
-            .unwrap();
-        wheel.result.scheduler = heap.result.scheduler.clone();
-        assert_eq!(heap.result, wheel.result);
-        assert_eq!(heap.fault_actions, wheel.fault_actions);
-        assert_eq!(heap.fault_stats, wheel.fault_stats);
-        assert_eq!(heap.violations, wheel.violations);
+        assert_eq!(
+            first.fault_stats.total() as usize,
+            first.fault_actions.len()
+        );
+        assert!(first.violations.is_empty(), "{:?}", first.violations);
+        let second = spec.run(RunMode::Generate).unwrap();
+        assert_eq!(first.result, second.result);
+        assert_eq!(first.fault_actions, second.fault_actions);
+        assert_eq!(first.fault_stats, second.fault_stats);
+        assert_eq!(first.violations, second.violations);
     }
 
     #[test]
@@ -1688,15 +1581,11 @@ mod tests {
             ..legacy.clone()
         };
         let obs = |spec: &ScenarioSpec| {
-            spec.run_observed(
-                RunMode::Generate,
-                SchedulerKind::default(),
-                Some(spec.obs_config(8)),
-            )
-            .unwrap()
-            .result
-            .observability
-            .unwrap()
+            spec.run_observed(RunMode::Generate, Some(spec.obs_config(8)))
+                .unwrap()
+                .result
+                .observability
+                .unwrap()
         };
         let fast = obs(&legacy);
         let slow = obs(&contended);
@@ -1728,34 +1617,23 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_and_churn_runs_agree_across_backends_and_threads() {
+    fn bandwidth_and_churn_runs_agree_across_threads() {
         // The full stack — ring-gradient topology, narrow links, churn —
-        // must stay byte-identical across scheduler backends and sweep
-        // thread counts (the determinism acceptance criterion).
+        // must stay byte-identical across sweep thread counts (the
+        // determinism acceptance criterion).
         let spec = ScenarioSpec {
             net: Some(rich_net()),
             ..ScenarioSpec::baseline(ProtocolKind::Pbft)
         };
-        let heap = spec
-            .run_with(RunMode::Generate, SchedulerKind::Heap)
-            .unwrap();
-        let mut wheel = spec
-            .run_with(RunMode::Generate, SchedulerKind::Wheel)
-            .unwrap();
-        wheel.result.scheduler = heap.result.scheduler.clone();
-        assert_eq!(heap.result, wheel.result);
-        assert_eq!(heap.schedule, wheel.schedule);
-        assert_eq!(heap.violations, wheel.violations);
+        let serial = spec.run(RunMode::Generate).unwrap();
         for threads in [1, 4] {
             let swept = bft_sim_core::sweep::sweep(threads, threads, |_| {
-                spec.run_with(RunMode::Generate, SchedulerKind::Wheel)
-                    .unwrap()
+                spec.run(RunMode::Generate).unwrap()
             });
             for slot in swept {
-                let mut run = slot.expect("no sweep panic");
-                run.result.scheduler = heap.result.scheduler.clone();
-                assert_eq!(heap.result, run.result, "threads={threads}");
-                assert_eq!(heap.schedule, run.schedule, "threads={threads}");
+                let run = slot.expect("no sweep panic");
+                assert_eq!(serial.result, run.result, "threads={threads}");
+                assert_eq!(serial.schedule, run.schedule, "threads={threads}");
             }
         }
     }

@@ -299,7 +299,6 @@ mod tests {
 mod testbug_tests {
     use super::*;
     use crate::scenario::{PartitionSpec, RunMode, ScenarioSpec};
-    use bft_sim_core::scheduler::SchedulerKind;
     use bft_sim_protocols::registry::ProtocolKind;
 
     #[test]
@@ -366,22 +365,9 @@ mod testbug_tests {
             "injected payloads cannot replay through a schedule"
         );
 
-        // The minimised repro reproduces under both scheduler backends.
+        // The minimised repro reproduces.
         let v = repro.check().unwrap();
         assert_eq!(v.oracle, "agreement");
-        for scheduler in [SchedulerKind::Heap, SchedulerKind::Wheel] {
-            let run = repro
-                .spec
-                .run_with(
-                    RunMode::Scripted {
-                        actions: &repro.actions,
-                        faults: &repro.fault_actions,
-                    },
-                    scheduler,
-                )
-                .unwrap();
-            assert!(run.violates("agreement"), "{scheduler:?}");
-        }
 
         // And it survives the disk round trip with its fault script intact.
         let text = repro.to_json().dump_pretty();

@@ -92,9 +92,8 @@ pub struct Scenario {
     /// Decision target; `None` uses the paper's per-protocol convention
     /// (10 for the pipelined protocols, 1 otherwise).
     pub decisions: Option<u64>,
-    /// Event-scheduler backend for every repetition. Results are
-    /// byte-identical under every backend (the scheduler determinism
-    /// contract); the knob only changes the simulator's own speed.
+    /// Single backend; kept for benchmark/'s tracer, remove with its replay
+    /// follow-up (ROADMAP item 2).
     pub scheduler: SchedulerKind,
 }
 
@@ -145,12 +144,6 @@ impl Scenario {
         self
     }
 
-    /// Selects the event-scheduler backend.
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
     /// The decision target in effect.
     pub fn target_decisions(&self) -> u64 {
         self.decisions
@@ -172,7 +165,6 @@ impl Scenario {
         let n = cfg.n;
         SimulationBuilder::new(cfg)
             .network(SampledNetwork::new(self.delay))
-            .scheduler(self.scheduler)
             .adversary(BoxedAdversary(self.attack.build(n)))
             .protocols(factory)
             .build()

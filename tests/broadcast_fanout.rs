@@ -236,8 +236,7 @@ fn recorded_schedule_replays_byte_identically() {
 // Fan-out record edge cases.
 //
 // A broadcast is one queue entry whose recipients surface one by one. Each
-// scenario below runs under both scheduler backends and is compared, event
-// for event, with what the engine produced when every recipient still was a
+// scenario below is compared, event for event, with what the engine produced when every recipient still was a
 // queue entry of its own: the expected digests were computed at commit
 // 732fd06, the last one with per-recipient scheduling.
 // ---------------------------------------------------------------------------
@@ -331,27 +330,22 @@ fn fnv1a(text: &str) -> u64 {
     })
 }
 
-/// Runs the scenario under every backend and checks its transcript against
-/// the digest taken from per-recipient scheduling. Returns the (backend-
-/// independent) result and schedule for scenario-specific assertions.
+/// Runs the scenario and checks its transcript against the digest taken
+/// from per-recipient scheduling. Returns the result and schedule for
+/// scenario-specific assertions.
 fn check_against_parent(
     expected: u64,
-    scenario: impl Fn() -> SimulationBuilder,
+    scenario: SimulationBuilder,
 ) -> (RunResult, DeliverySchedule) {
-    let mut last = None;
-    for kind in SchedulerKind::ALL {
-        let (result, schedule) = scenario().scheduler(kind).build().unwrap().run_recorded();
-        let text = transcript(&result, &schedule);
-        assert_eq!(
-            fnv1a(&text),
-            expected,
-            "{kind}: transcript differs from per-recipient scheduling \
-             (digest {:#018x}):\n{text}",
-            fnv1a(&text)
-        );
-        last = Some((result, schedule));
-    }
-    last.expect("there is at least one backend")
+    let (result, schedule) = scenario.build().unwrap().run_recorded();
+    let text = transcript(&result, &schedule);
+    assert_eq!(
+        fnv1a(&text),
+        expected,
+        "transcript differs from per-recipient scheduling (digest {:#018x}):\n{text}",
+        fnv1a(&text)
+    );
+    (result, schedule)
 }
 
 /// `(time µs, src, dst)` of every delivery, in dispatch order.
@@ -383,10 +377,11 @@ fn recipients_sharing_one_timestamp_surface_in_send_order() {
         echo: true,
         decide_at_ms: 50.0,
     };
-    let (result, _) = check_against_parent(0xe330_62be_8bd9_d0b4, || {
+    let (result, _) = check_against_parent(
+        0xe330_62be_8bd9_d0b4,
         gossip(RunConfig::new(n).with_seed(1), script)
-            .network(ConstantNetwork::new(SimDuration::from_millis(10.0)))
-    });
+            .network(ConstantNetwork::new(SimDuration::from_millis(10.0))),
+    );
     let mut opening = Vec::new();
     for src in 0..n as u32 {
         for _round in 0..2 {
@@ -446,11 +441,10 @@ fn drop_delay_scenario(mutate: bool) -> SimulationBuilder {
 #[test]
 fn dropped_delayed_and_rewritten_copies_keep_their_places() {
     let clones_before = BALLOT_CLONES.get();
-    let (result, schedule) =
-        check_against_parent(0x82b0_633e_1199_f30a, || drop_delay_scenario(true));
-    // One rewritten copy = one deep clone per run (two backends), and only
-    // node 3 saw the forged round.
-    assert_eq!(BALLOT_CLONES.get() - clones_before, 2);
+    let (result, schedule) = check_against_parent(0x82b0_633e_1199_f30a, drop_delay_scenario(true));
+    // One rewritten copy = one deep clone, and only node 3 saw the forged
+    // round.
+    assert_eq!(BALLOT_CLONES.get() - clones_before, 1);
     let seen = result.trace.custom("got");
     assert_eq!(seen.len(), 15, "5 senders x (4 peers - 1 dropped)");
     for (_, node, detail) in seen {
@@ -475,11 +469,12 @@ fn buggify_duplicates_inside_a_broadcast_take_the_next_seq() {
         index,
         kind: FaultKind::DuplicateDelivery { extra_micros },
     };
-    let (result, _) = check_against_parent(0x58c5_afab_b5c6_edfa, || {
+    let (result, _) = check_against_parent(
+        0x58c5_afab_b5c6_edfa,
         gossip(RunConfig::new(4).with_seed(2), script)
             .network(ConstantNetwork::new(SimDuration::from_millis(10.0)))
-            .faults(FaultInjector::scripted(&[dup(1, 3_000), dup(6, 400_000)]))
-    });
+            .faults(FaultInjector::scripted(&[dup(1, 3_000), dup(6, 400_000)])),
+    );
     // Wire visit 1 is 0 -> 2, visit 6 is 2 -> 0 (three sends per node).
     let got = deliveries(&result);
     assert_eq!(got[0], (3_000, 0, 2));
@@ -511,11 +506,12 @@ fn recipients_excluded_after_the_send_are_skipped_one_by_one() {
         echo: false,
         decide_at_ms: 30.0,
     };
-    let (result, _) = check_against_parent(0x379e_0818_e4d5_452c, || {
+    let (result, _) = check_against_parent(
+        0x379e_0818_e4d5_452c,
         gossip(RunConfig::new(n).with_f(2).with_seed(3), script)
             .network(ConstantNetwork::new(SimDuration::from_millis(10.0)))
-            .adversary(ExcludeMidFlight)
-    });
+            .adversary(ExcludeMidFlight),
+    );
     // Each excluded node misses two broadcasts from each of its five peers
     // (its own self-copies arrived at 0 ms, before the crash) and its timer.
     assert_eq!(result.skipped_excluded_nodes, 2 * (2 * 5 + 1));
@@ -535,10 +531,11 @@ fn the_self_copy_comes_last_among_equal_timestamps() {
         echo: false,
         decide_at_ms: 1.0,
     };
-    let (result, _) = check_against_parent(0xd603_965a_3658_6e7d, || {
+    let (result, _) = check_against_parent(
+        0xd603_965a_3658_6e7d,
         gossip(RunConfig::new(n).with_seed(5), script)
-            .network(ConstantNetwork::new(SimDuration::ZERO))
-    });
+            .network(ConstantNetwork::new(SimDuration::ZERO)),
+    );
     let mut expected = Vec::new();
     for src in 0..n as u32 {
         for _round in 0..2 {
@@ -582,7 +579,7 @@ fn the_time_cap_cuts_a_record_short() {
             .with_seed(6)
             .with_time_cap(SimDuration::from_millis(35.0))
     };
-    let (result, _) = check_against_parent(0xd72f_6cdf_a115_4560, || staggered(cfg(), 1000.0));
+    let (result, _) = check_against_parent(0xd72f_6cdf_a115_4560, staggered(cfg(), 1000.0));
     assert!(result.timed_out);
     // Recipients 0, 1 and 2 (10, 20, 30 ms) of every record were served.
     assert_eq!(deliveries(&result).last().map(|d| d.0), Some(30_000));
@@ -591,9 +588,10 @@ fn the_time_cap_cuts_a_record_short() {
 
 #[test]
 fn the_decision_target_is_reached_mid_record() {
-    let (result, _) = check_against_parent(0x057c_3ed9_15c0_f754, || {
-        staggered(RunConfig::new(6).with_seed(6), 25.0)
-    });
+    let (result, _) = check_against_parent(
+        0x057c_3ed9_15c0_f754,
+        staggered(RunConfig::new(6).with_seed(6), 25.0),
+    );
     assert!(!result.timed_out);
     assert_eq!(result.decisions_completed(), 1);
     assert_eq!(deliveries(&result).last().map(|d| d.0), Some(20_000));
@@ -615,12 +613,13 @@ fn a_schedule_recorded_by_per_recipient_scheduling_replays() {
     const DIGEST: u64 = 0x5f5e_ee8b_970a_df66;
     let recorded = DeliverySchedule::from_json(&Json::parse(PARENT_SCHEDULE).unwrap()).unwrap();
     // Recording it again yields the very same schedule …
-    let (_, schedule) = check_against_parent(DIGEST, || drop_delay_scenario(false));
+    let (_, schedule) = check_against_parent(DIGEST, drop_delay_scenario(false));
     assert_eq!(schedule, recorded);
     // … and replaying the old recording yields the very same run: validator
     // mode skips the adversary and takes every fate from the schedule.
-    let (replayed, _) = check_against_parent(DIGEST, || {
-        drop_delay_scenario(false).replay_schedule(recorded.clone())
-    });
+    let (replayed, _) = check_against_parent(
+        DIGEST,
+        drop_delay_scenario(false).replay_schedule(recorded.clone()),
+    );
     assert!(replayed.safety_violation.is_none(), "replay diverged");
 }

@@ -16,7 +16,6 @@
 use bft_sim_core::buggify::FaultPreset;
 use bft_sim_core::json::Json;
 use bft_sim_core::obs::DEFAULT_LAST_K;
-use bft_sim_core::scheduler::SchedulerKind;
 use bft_sim_protocols::registry::ProtocolKind;
 use bft_sim_simcheck::{run_fingerprint, RunMode, ScenarioSpec};
 
@@ -25,8 +24,7 @@ fn golden_path() -> std::path::PathBuf {
 }
 
 /// The pinned corpus: each protocol's baseline scenario under both the calm
-/// and the chaos preset (fault seed 5), fingerprinted under the default
-/// scheduler. Keys are `"<protocol>/<preset>"`.
+/// and the chaos preset (fault seed 5). Keys are `"<protocol>/<preset>"`.
 fn compute_corpus() -> Vec<(String, u64)> {
     let mut corpus = Vec::new();
     for kind in ProtocolKind::extended() {
@@ -37,11 +35,7 @@ fn compute_corpus() -> Vec<(String, u64)> {
                 ..ScenarioSpec::baseline(kind)
             };
             let run = spec
-                .run_observed(
-                    RunMode::Generate,
-                    SchedulerKind::default(),
-                    Some(spec.obs_config(DEFAULT_LAST_K)),
-                )
+                .run_observed(RunMode::Generate, Some(spec.obs_config(DEFAULT_LAST_K)))
                 .expect("baseline run");
             corpus.push((
                 format!("{}/{}", kind.name(), preset.name()),
