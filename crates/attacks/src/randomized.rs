@@ -324,8 +324,10 @@ fn action_from_json(json: &Json) -> Result<FuzzAction, String> {
             extra_micros: field(body, "extra_micros")?,
         }
     } else if let Some(body) = kind.get("Replay") {
+        let dst = field(body, "dst")?;
+        let dst = u32::try_from(dst).map_err(|_| format!("\"dst\" {dst} exceeds the u32 range"))?;
         FuzzActionKind::Replay {
-            dst: NodeId::new(field(body, "dst")? as u32),
+            dst: NodeId::new(dst),
             delay_micros: field(body, "delay_micros")?,
         }
     } else {
@@ -437,5 +439,15 @@ mod tests {
             actions_from_json(&Json::parse("[{\"msg_index\": 1, \"kind\": \"Explode\"}]").unwrap())
                 .unwrap_err();
         assert!(err.contains("unknown kind"), "{err}");
+        // A node id above u32 is a corrupt file, not node `id mod 2^32`.
+        let err = actions_from_json(
+            &Json::parse(
+                "[{\"msg_index\": 1, \"kind\": {\"Replay\": {\"dst\": 4294967297, \"delay_micros\": 5}}}]",
+            )
+            .unwrap(),
+        )
+        .unwrap_err();
+        assert!(err.contains("entry #0"), "{err}");
+        assert!(err.contains("exceeds the u32 range"), "{err}");
     }
 }

@@ -106,6 +106,28 @@ fn repro_file_errors_exit_four() {
     std::fs::write(&wrong_shape, "{\"format\": \"bogus-v0\"}").expect("write wrong-shape repro");
     assert_code(&["repro", wrong_shape.to_str().unwrap()], 4);
 
+    // A scripted replay to a node the n = 4 scenario does not have used to
+    // index past the engine's per-node counters (exit 101); a destination
+    // above u32 used to be truncated to node 1 and replayed.
+    for dst in ["99", "4294967297"] {
+        let hostile = dir.join(format!("replay-dst-{dst}.json"));
+        let text = format!(
+            r#"{{"format": "bft-sim-repro-v1", "oracle": "termination", "detail": "x",
+              "scenario": {{"protocol": "pbft", "n": 4, "seed": 0, "genesis_seed": 7,
+                "lambda_micros": 1000000, "delay": {{"Constant": {{"micros": 100000}}}},
+                "adversary_seed": 0, "intensity_permille": 0, "max_actions": 0,
+                "target_decisions": 2, "time_cap_secs": 900, "inject_bug": false}},
+              "actions": [{{"msg_index": 0,
+                "kind": {{"Replay": {{"dst": {dst}, "delay_micros": 1000}}}}}}]}}"#
+        );
+        std::fs::write(&hostile, text).expect("write hostile repro");
+        let out = bft_sim(&["repro", hostile.to_str().unwrap()]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(4), "dst {dst}: {stderr}");
+        assert!(stderr.contains("entry #0"), "dst {dst}: {stderr}");
+        assert!(stderr.contains("\"dst\""), "dst {dst}: {stderr}");
+    }
+
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -6,6 +6,11 @@
 //! order, dispatches them, applies the resulting actions, and stops once the
 //! target number of decisions completed (or the time cap is hit).
 //!
+//! What the engine does not know is who listens. It states each fact of a run
+//! (sent, dispatched, delivered, decided, view, custom, excluded, link
+//! queued, fate) once, to [`crate::spine`]; which of counters, trace, obs,
+//! step observer and schedule recorder hear it is that module's business.
+//!
 //! The event queue sits behind the [`Scheduler`] trait and dispatches in one
 //! `(timestamp, insertion seq)` total order (see [`crate::scheduler`]).
 //! Timer cancellation is the scheduler's job: the engine keeps a plain
@@ -33,13 +38,13 @@ use crate::event::{EventKind, Recipient, Timer};
 use crate::fasthash::FastMap;
 use crate::ids::{NodeId, NodeSet, TimerId};
 use crate::message::Message;
-use crate::metrics::{MetricsCollector, RunResult};
+use crate::metrics::RunResult;
 use crate::network::{LinkDecision, NetworkModel};
-use crate::obs::{ObsConfig, ObsRecorder};
+use crate::obs::ObsConfig;
 use crate::payload::Payload;
 use crate::protocol::{Protocol, ProtocolFactory, Vacant};
 use crate::scheduler::{EventHandle, HeapScheduler, Scheduler, SchedulerKind};
-use crate::trace::{Trace, TraceEvent, TraceKind};
+use crate::spine::Sinks;
 use crate::validator::DeliverySchedule;
 use crate::value::Value;
 
@@ -92,7 +97,6 @@ pub struct SimulationBuilder {
     network: Option<Box<dyn NetworkModel>>,
     adversary: Box<dyn Adversary>,
     factory: Option<Box<dyn ProtocolFactory>>,
-    record_schedule: bool,
     replay: Option<DeliverySchedule>,
     observer: Option<Box<dyn StepObserver>>,
     obs: Option<ObsConfig>,
@@ -107,7 +111,6 @@ impl SimulationBuilder {
             network: None,
             adversary: Box::new(NullAdversary::new()),
             factory: None,
-            record_schedule: false,
             replay: None,
             observer: None,
             obs: None,
@@ -140,12 +143,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Records the per-message delivery schedule for later validator replay.
-    pub fn record_schedule(mut self, on: bool) -> Self {
-        self.record_schedule = on;
-        self
-    }
-
     /// Replays a previously recorded delivery schedule instead of sampling
     /// the network and consulting the adversary (validator mode, §III-A6).
     pub fn replay_schedule(mut self, schedule: DeliverySchedule) -> Self {
@@ -165,9 +162,8 @@ impl SimulationBuilder {
     /// Enables run-level observability: per-node latency/decision histograms,
     /// a per-phase message-flow matrix, per-view timings, and a ring buffer
     /// of recent trace events (see [`crate::obs`]). The resulting snapshot is
-    /// attached to [`RunResult::observability`]. When this method is *not*
-    /// called, every instrumentation hook is a single `Option` check — the
-    /// hot path allocates and computes nothing.
+    /// attached to [`RunResult::observability`]. Without it no event is built
+    /// for the ring and no histogram is touched.
     pub fn observability(mut self, cfg: ObsConfig) -> Self {
         self.obs = Some(cfg);
         self
@@ -202,19 +198,14 @@ impl SimulationBuilder {
         let nodes: Vec<Box<dyn Protocol>> = NodeId::all(self.cfg.n)
             .map(|id| factory.create(id))
             .collect();
-        let seed = self.cfg.seed;
         Ok(Simulation {
-            rng: SmallRng::seed_from_u64(seed),
+            rng: SmallRng::seed_from_u64(self.cfg.seed),
             queue: Box::new(HeapScheduler::new()),
             clock: crate::time::SimTime::ZERO,
             nodes,
             network,
             adversary: self.adversary,
-            metrics: MetricsCollector::with_expected_decisions(
-                self.cfg.n,
-                self.cfg.target_decisions,
-            ),
-            trace: Trace::new(),
+            sinks: Sinks::new(&self.cfg, self.observer, self.obs)?,
             timer_handles: FastMap::default(),
             crashed: NodeSet::with_capacity(self.cfg.n),
             corrupted: NodeSet::with_capacity(self.cfg.n),
@@ -223,20 +214,9 @@ impl SimulationBuilder {
             node_actions: Vec::new(),
             adv_actions: Vec::new(),
             recipients: Vec::with_capacity(self.cfg.n),
-            recorder: if self.record_schedule {
-                Some(DeliverySchedule::new())
-            } else {
-                None
-            },
             replay: self.replay,
             replay_diverged: false,
-            observer: self.observer,
-            obs: match self.obs {
-                Some(cfg) => Some(ObsRecorder::new(self.cfg.n, cfg)?),
-                None => None,
-            },
             faults: self.faults,
-            completed: 0,
             queue_high_water: 0,
             cfg: self.cfg,
         })
@@ -262,8 +242,8 @@ pub struct Simulation {
     nodes: Vec<Box<dyn Protocol>>,
     network: Box<dyn NetworkModel>,
     adversary: Box<dyn Adversary>,
-    metrics: MetricsCollector,
-    trace: Trace,
+    /// Everything that listens to the run (see [`crate::spine`]).
+    sinks: Sinks,
     /// Scheduler handle of every timer currently pending in the queue;
     /// entries leave the map when the timer fires or is cancelled, so the
     /// map stays bounded by in-flight timers and cancelling an already-fired
@@ -280,17 +260,11 @@ pub struct Simulation {
     /// Scratch list a broadcast collects its recipients in; recycled like
     /// `node_actions`, so fan-out itself allocates nothing.
     recipients: Vec<Recipient>,
-    recorder: Option<DeliverySchedule>,
     replay: Option<DeliverySchedule>,
     replay_diverged: bool,
-    observer: Option<Box<dyn StepObserver>>,
-    /// Run-level instrumentation (histograms, flow matrix, event ring); None
-    /// keeps every hook down to one discriminant check.
-    obs: Option<ObsRecorder>,
     /// Buggify fault injector (see [`crate::buggify`]); None keeps every
     /// injection site down to one discriminant check.
     faults: Option<FaultInjector>,
-    completed: u64,
     queue_high_water: usize,
 }
 
@@ -321,18 +295,15 @@ impl Simulation {
     /// with [`RunResult::timed_out`] set.
     pub fn run(mut self) -> RunResult {
         let timed_out = self.drive();
-        self.finish(timed_out)
+        self.finish(timed_out).0
     }
 
     /// Runs the simulation and also returns the recorded delivery schedule
-    /// for validator replay (implies [`SimulationBuilder::record_schedule`]).
+    /// for validator replay.
     pub fn run_recorded(mut self) -> (RunResult, DeliverySchedule) {
-        if self.recorder.is_none() {
-            self.recorder = Some(DeliverySchedule::new());
-        }
+        self.sinks.record_schedule();
         let timed_out = self.drive();
-        let schedule = self.recorder.take().unwrap_or_default();
-        (self.finish(timed_out), schedule)
+        self.finish(timed_out)
     }
 
     /// Runs all events to the stop condition, returning whether the run
@@ -340,9 +311,12 @@ impl Simulation {
     /// can inspect engine internals after the event loop completes.
     fn drive(&mut self) -> bool {
         // Adversary goes first so attacks like fail-stop-from-start take
-        // effect before any node initialises.
-        self.run_adversary(|adv, api| adv.init(api));
-        self.apply_adv_actions();
+        // effect before any node initialises. In validator mode it never
+        // starts: the replayed schedule already embodies the attack.
+        if self.replay.is_none() {
+            self.run_adversary(|adv, api| adv.init(api));
+            self.apply_adv_actions();
+        }
 
         for id in NodeId::all(self.cfg.n) {
             if self.excluded.contains(id) {
@@ -354,31 +328,6 @@ impl Simulation {
             }
         }
 
-        self.run_loop()
-    }
-
-    /// Consumes the driven simulation into its metrics.
-    fn finish(self, timed_out: bool) -> RunResult {
-        let end_time = self.clock;
-        let stats = self.queue.stats();
-        let observability = self.obs.map(ObsRecorder::finish);
-        let mut result = self.metrics.into_result(
-            end_time,
-            timed_out,
-            self.trace,
-            self.queue_high_water,
-            stats,
-            observability,
-        );
-        if self.replay_diverged {
-            result.safety_violation = result
-                .safety_violation
-                .or_else(|| Some("replay diverged from recorded schedule".to_string()));
-        }
-        result
-    }
-
-    fn run_loop(&mut self) -> bool {
         while !self.stop_reached() {
             self.queue_high_water = self.queue_high_water.max(self.queue.len());
             let Some(ev) = self.queue.pop() else {
@@ -389,48 +338,20 @@ impl Simulation {
                 return true;
             }
             self.clock = ev.at;
-            // Events are only counted as processed (and reported to the
-            // observer) once they survive the skip check below; deliveries to
-            // excluded nodes go to the separate `skipped_excluded_nodes`
-            // counter so they cannot inflate events/sec. Cancelled timers
-            // never surface here at all — the scheduler suppresses them —
-            // and are counted at cancellation time instead.
+            // Only events that survive the skip check below are `dispatched`;
+            // deliveries to excluded nodes go to `skipped_excluded_nodes` so
+            // they cannot inflate events/sec. Cancelled timers never surface
+            // here — the scheduler suppresses them — and are counted at
+            // cancellation time instead.
             match ev.kind {
                 EventKind::Deliver(msg) => {
                     let dst = msg.dst();
                     if self.excluded.contains(dst) {
-                        self.metrics.count_skipped_excluded();
+                        self.sinks.metrics.count_skipped_excluded();
                         continue;
                     }
-                    self.count_processed_event();
-                    // Self-deliveries never touch the wire; keep them out of
-                    // the message accounting (see `RunResult`).
-                    if !Self::is_self_delivery(&msg) {
-                        self.metrics.count_delivery(dst);
-                    }
-                    if self.cfg.record_messages {
-                        self.trace.record(
-                            self.clock,
-                            dst,
-                            TraceKind::Delivered {
-                                src: msg.src(),
-                                payload_type: msg.payload().payload_type().into(),
-                            },
-                        );
-                    }
-                    if let Some(obs) = &mut self.obs {
-                        if !Self::is_self_delivery(&msg) {
-                            obs.on_delivered(self.clock, &msg);
-                        }
-                        obs.push_event(TraceEvent {
-                            time: self.clock,
-                            node: dst,
-                            kind: TraceKind::Delivered {
-                                src: msg.src(),
-                                payload_type: msg.payload().payload_type().into(),
-                            },
-                        });
-                    }
+                    self.sinks.dispatched(self.clock);
+                    self.sinks.delivered(self.clock, &msg);
                     self.dispatch_node(dst, |node, ctx| node.on_message(&msg, ctx));
                 }
                 EventKind::FanOut(_) => {
@@ -439,14 +360,14 @@ impl Simulation {
                 EventKind::NodeTimer { node, timer } => {
                     self.timer_handles.remove(&timer.id);
                     if self.excluded.contains(node) {
-                        self.metrics.count_skipped_excluded();
+                        self.sinks.metrics.count_skipped_excluded();
                         continue;
                     }
-                    self.count_processed_event();
+                    self.sinks.dispatched(self.clock);
                     self.dispatch_node(node, |n, ctx| n.on_timer(&timer, ctx));
                 }
                 EventKind::AdversaryTimer { tag } => {
-                    self.count_processed_event();
+                    self.sinks.dispatched(self.clock);
                     self.run_adversary(|adv, api| adv.on_timer(tag, api));
                     self.apply_adv_actions();
                 }
@@ -455,17 +376,23 @@ impl Simulation {
         false
     }
 
-    fn stop_reached(&self) -> bool {
-        self.completed >= self.cfg.target_decisions
+    /// Consumes the driven simulation into its metrics and the schedule it
+    /// recorded (empty unless recording was on).
+    fn finish(self, timed_out: bool) -> (RunResult, DeliverySchedule) {
+        let stats = self.queue.stats();
+        let (mut result, schedule) =
+            self.sinks
+                .finish(self.clock, timed_out, self.queue_high_water, stats);
+        if self.replay_diverged {
+            result.safety_violation = result
+                .safety_violation
+                .or_else(|| Some("replay diverged from recorded schedule".to_string()));
+        }
+        (result, schedule)
     }
 
-    /// Counts a dispatched event and mirrors it to the observer, keeping the
-    /// two in lockstep (the metrics-sanity oracle cross-checks them).
-    fn count_processed_event(&mut self) {
-        self.metrics.count_event();
-        if let Some(obs) = &mut self.observer {
-            obs.on_event(self.clock);
-        }
+    fn stop_reached(&self) -> bool {
+        self.sinks.metrics.completed() >= self.cfg.target_decisions
     }
 
     /// Checks a node's protocol instance out of its slot, runs `f` with a
@@ -510,7 +437,6 @@ impl Simulation {
             }
         }
         self.apply_node_actions(id, &mut actions);
-        actions.clear();
         self.node_actions = actions;
         self.apply_adv_actions();
     }
@@ -552,63 +478,18 @@ impl Simulation {
                     // a run can end with tombstones still queued.
                     if let Some(handle) = self.timer_handles.remove(&id) {
                         self.queue.cancel(handle);
-                        self.metrics.count_cancelled_timer();
+                        self.sinks.metrics.count_cancelled_timer();
                     }
                 }
                 Action::Decide(value) => {
-                    let slot = self.metrics.record_decision(src, self.clock, value);
-                    if let Some(obs) = &mut self.observer {
-                        obs.on_decision(self.clock, src, slot, value);
-                    }
-                    if let Some(obs) = &mut self.obs {
-                        obs.on_decided(self.clock, src);
-                        obs.push_event(TraceEvent {
-                            time: self.clock,
-                            node: src,
-                            kind: TraceKind::Decided { slot, value },
-                        });
-                    }
-                    self.trace
-                        .record(self.clock, src, TraceKind::Decided { slot, value });
-                    self.metrics.check_safety(src, &self.excluded);
-                    self.completed = self.metrics.update_completions(self.clock, &self.excluded);
+                    self.sinks.decided(self.clock, src, value, &self.excluded);
                 }
-                Action::EnterView(view) => {
-                    if let Some(obs) = &mut self.obs {
-                        obs.on_view(self.clock, view);
-                        obs.push_event(TraceEvent {
-                            time: self.clock,
-                            node: src,
-                            kind: TraceKind::View { view },
-                        });
-                    }
-                    self.trace.record(self.clock, src, TraceKind::View { view });
-                }
+                Action::EnterView(view) => self.sinks.view(self.clock, src, view),
                 Action::Custom { label, detail } => {
-                    if let Some(obs) = &self.obs {
-                        obs.push_event(TraceEvent {
-                            time: self.clock,
-                            node: src,
-                            kind: TraceKind::Custom {
-                                label: label.clone(),
-                                detail: detail.clone(),
-                            },
-                        });
-                    }
-                    self.trace
-                        .record(self.clock, src, TraceKind::Custom { label, detail });
+                    self.sinks.custom(self.clock, src, label, detail);
                 }
             }
         }
-    }
-
-    /// A message a node addressed to itself (`SendSelf`, the self-copy of
-    /// `Broadcast { include_self: true }`, or a literal `send` to self).
-    /// These never touch the wire, so — following the paper, which counts
-    /// wire messages only — they are excluded from both the sent and the
-    /// delivered counters. Adversary-injected messages always count.
-    fn is_self_delivery(msg: &Message) -> bool {
-        msg.src() == msg.dst() && !msg.is_injected()
     }
 
     /// Sends one honest point-to-point message and schedules its delivery.
@@ -639,7 +520,7 @@ impl Simulation {
     /// the adversary rewrote is a message of its own and is scheduled as
     /// such, at its seq from the same block.
     fn broadcast(&mut self, src: NodeId, payload: Arc<dyn Payload>, include_self: bool) {
-        self.metrics.count_broadcast();
+        self.sinks.metrics.count_broadcast();
         let mut recipients = mem::take(&mut self.recipients);
         let mut rewritten: Vec<(Recipient, Message)> = Vec::new();
         // At most 2(n − 1) + 1 copies; `RunConfig::validate` keeps n ≤ u32.
@@ -707,29 +588,7 @@ impl Simulation {
     /// place — and a possible buggify duplicate are to be delivered; the
     /// caller schedules them.
     fn transmit(&mut self, msg: &mut Message) -> Transmission {
-        if !Self::is_self_delivery(msg) {
-            self.metrics.count_honest_message(msg.src());
-        }
-        if self.cfg.record_messages {
-            self.trace.record(
-                self.clock,
-                msg.src(),
-                TraceKind::Sent {
-                    dst: msg.dst(),
-                    payload_type: msg.payload().payload_type().into(),
-                },
-            );
-        }
-        if let Some(obs) = &self.obs {
-            obs.push_event(TraceEvent {
-                time: self.clock,
-                node: msg.src(),
-                kind: TraceKind::Sent {
-                    dst: msg.dst(),
-                    payload_type: msg.payload().payload_type().into(),
-                },
-            });
-        }
+        self.sinks.sent(self.clock, msg);
 
         let fate = if let Some(replay) = &mut self.replay {
             match replay.next_fate() {
@@ -753,32 +612,9 @@ impl Simulation {
                 // recorded below, so schedule replay stays exact.
                 LinkDecision::Drop => Fate::Drop,
                 LinkDecision::Deliver(delivery) => {
-                    if delivery.queued > crate::time::SimDuration::ZERO {
-                        if let Some(obs) = &mut self.obs {
-                            obs.on_link_queued(
-                                msg.src(),
-                                msg.dst(),
-                                delivery.queued,
-                                delivery.depth,
-                            );
-                        }
-                    }
-                    let mut adv_actions = mem::take(&mut self.adv_actions);
-                    let fate = {
-                        let mut api = AdversaryApi::new(
-                            self.clock,
-                            self.cfg.n,
-                            self.cfg.f,
-                            self.cfg.lambda,
-                            &self.corrupted,
-                            &self.crashed,
-                            &mut self.rng,
-                            &mut adv_actions,
-                        );
-                        self.adversary.attack(msg, delivery.delay, &mut api)
-                    };
-                    self.adv_actions = adv_actions;
-                    fate
+                    self.sinks
+                        .link_queued(msg.src(), msg.dst(), delivery.queued, delivery.depth);
+                    self.run_adversary(|adv, api| adv.attack(msg, delivery.delay, api))
                 }
             }
         };
@@ -806,18 +642,16 @@ impl Simulation {
             _ => fate,
         };
 
-        if let Some(rec) = &mut self.recorder {
-            rec.push(fate);
-        }
+        self.sinks.fate(fate);
         let delivery = match fate {
             Fate::Deliver(delay) => Some(delay),
             Fate::Drop => {
-                self.metrics.count_dropped_message();
+                self.sinks.metrics.count_dropped_message();
                 None
             }
         };
         if duplicate.is_some() {
-            self.metrics.count_adversary_message();
+            self.sinks.metrics.count_adversary_message();
         }
         Transmission {
             delivery,
@@ -825,15 +659,14 @@ impl Simulation {
         }
     }
 
-    fn run_adversary<F>(&mut self, f: F)
-    where
-        F: FnOnce(&mut Box<dyn Adversary>, &mut AdversaryApi<'_>),
-    {
-        if self.replay.is_some() {
-            return; // validator mode: the schedule already embodies the attack
-        }
+    /// Runs `f` on the adversary with a fresh [`AdversaryApi`]; what it asks
+    /// for is buffered until [`apply_adv_actions`](Self::apply_adv_actions).
+    fn run_adversary<R>(
+        &mut self,
+        f: impl FnOnce(&mut Box<dyn Adversary>, &mut AdversaryApi<'_>) -> R,
+    ) -> R {
         let mut adv_actions = mem::take(&mut self.adv_actions);
-        {
+        let result = {
             let mut api = AdversaryApi::new(
                 self.clock,
                 self.cfg.n,
@@ -844,9 +677,10 @@ impl Simulation {
                 &mut self.rng,
                 &mut adv_actions,
             );
-            f(&mut self.adversary, &mut api);
-        }
+            f(&mut self.adversary, &mut api)
+        };
         self.adv_actions = adv_actions;
+        result
     }
 
     fn apply_adv_actions(&mut self) {
@@ -859,40 +693,23 @@ impl Simulation {
                     delay,
                     payload,
                 } => {
-                    self.metrics.count_adversary_message();
+                    self.sinks.metrics.count_adversary_message();
                     self.queue.schedule(
                         self.clock + delay,
                         EventKind::Deliver(Message::injected(src, dst, self.clock, payload)),
                     );
                 }
-                AdvAction::Corrupt(node) => {
-                    if self.corrupted.insert(node) {
+                AdvAction::Corrupt(node) | AdvAction::Crash(node) => {
+                    let corrupt = matches!(action, AdvAction::Corrupt(_));
+                    let set = if corrupt {
+                        &mut self.corrupted
+                    } else {
+                        &mut self.crashed
+                    };
+                    if set.insert(node) {
                         self.excluded.insert(node);
-                        self.trace.record(self.clock, node, TraceKind::Corrupted);
-                        if let Some(obs) = &self.obs {
-                            obs.push_event(TraceEvent {
-                                time: self.clock,
-                                node,
-                                kind: TraceKind::Corrupted,
-                            });
-                        }
-                        self.completed =
-                            self.metrics.update_completions(self.clock, &self.excluded);
-                    }
-                }
-                AdvAction::Crash(node) => {
-                    if self.crashed.insert(node) {
-                        self.excluded.insert(node);
-                        self.trace.record(self.clock, node, TraceKind::Crashed);
-                        if let Some(obs) = &self.obs {
-                            obs.push_event(TraceEvent {
-                                time: self.clock,
-                                node,
-                                kind: TraceKind::Crashed,
-                            });
-                        }
-                        self.completed =
-                            self.metrics.update_completions(self.clock, &self.excluded);
+                        self.sinks
+                            .excluded(self.clock, node, corrupt, &self.excluded);
                     }
                 }
                 AdvAction::SetTimer { tag, delay } => {
@@ -910,6 +727,7 @@ mod tests {
     use super::*;
     use crate::network::ConstantNetwork;
     use crate::time::SimDuration;
+    use crate::trace::TraceKind;
     use crate::value::Value;
 
     #[derive(Debug, Clone, PartialEq)]

@@ -74,6 +74,7 @@ pub mod payload;
 pub mod protocol;
 pub mod scheduler;
 pub mod smallstr;
+mod spine;
 pub mod sweep;
 pub mod time;
 pub mod trace;

@@ -8,47 +8,23 @@ use crate::time::{SimDuration, SimTime};
 use crate::trace::Trace;
 use crate::value::Value;
 
-/// Live decision/message bookkeeping inside the engine.
+/// Live decision/message bookkeeping inside the engine: the [`RunResult`]
+/// under construction, its end-of-run fields still at their defaults.
 #[derive(Debug)]
-pub(crate) struct MetricsCollector {
-    /// Per-node decided `(time, value)` sequences, in slot order.
-    decided: Vec<Vec<(SimTime, Value)>>,
-    /// Completion time of slot `k` (all live honest nodes decided `k`).
-    completions: Vec<SimTime>,
-    honest_messages: u64,
-    adversary_messages: u64,
-    dropped_messages: u64,
-    events_processed: u64,
-    skipped_cancelled_timers: u64,
-    skipped_excluded_nodes: u64,
-    broadcasts: u64,
-    /// Messages sent per node (signing work proxy).
-    sent_per_node: Vec<u64>,
-    /// Messages delivered per node (verification work proxy).
-    delivered_per_node: Vec<u64>,
-    safety_violation: Option<String>,
-}
+pub(crate) struct MetricsCollector(RunResult);
 
 impl MetricsCollector {
-    /// Creates a collector with no decision-count hint (tests only; the
-    /// engine always knows its target and calls
-    /// [`with_expected_decisions`](Self::with_expected_decisions)).
-    #[cfg(test)]
-    pub fn new(n: usize) -> Self {
-        MetricsCollector::with_expected_decisions(n, 0)
-    }
-
-    /// Like `new`, but pre-sizes the per-node decision
-    /// sequences and the completion log for `expected` slots, so runs with
-    /// a known `target_decisions` never grow them mid-simulation. The
-    /// expectation is a capacity hint only — runs may decide more or fewer
-    /// slots.
+    /// Pre-sizes the per-node decision sequences and the completion log for
+    /// `expected` slots, so runs with a known `target_decisions` never grow
+    /// them mid-simulation. The expectation is a capacity hint only — runs
+    /// may decide more or fewer slots.
     pub fn with_expected_decisions(n: usize, expected: u64) -> Self {
         // Decision targets are small (tens); cap the hint so a pathological
         // config cannot pre-reserve unbounded memory.
         let cap = expected.min(1024) as usize;
-        MetricsCollector {
-            decided: (0..n).map(|_| Vec::with_capacity(cap)).collect(),
+        MetricsCollector(RunResult {
+            end_time: SimTime::ZERO,
+            timed_out: false,
             completions: Vec::with_capacity(cap),
             honest_messages: 0,
             adversary_messages: 0,
@@ -60,49 +36,54 @@ impl MetricsCollector {
             sent_per_node: vec![0; n],
             delivered_per_node: vec![0; n],
             safety_violation: None,
-        }
+            decided: (0..n).map(|_| Vec::with_capacity(cap)).collect(),
+            trace: Trace::new(),
+            queue_high_water: 0,
+            scheduler: SchedulerStats::default(),
+            observability: None,
+        })
     }
 
     pub fn count_honest_message(&mut self, src: NodeId) {
-        self.honest_messages += 1;
-        self.sent_per_node[src.index()] += 1;
+        self.0.honest_messages += 1;
+        self.0.sent_per_node[src.index()] += 1;
     }
 
     pub fn count_delivery(&mut self, dst: NodeId) {
-        self.delivered_per_node[dst.index()] += 1;
+        self.0.delivered_per_node[dst.index()] += 1;
     }
 
     pub fn count_adversary_message(&mut self) {
-        self.adversary_messages += 1;
+        self.0.adversary_messages += 1;
     }
 
     pub fn count_dropped_message(&mut self) {
-        self.dropped_messages += 1;
+        self.0.dropped_messages += 1;
     }
 
     pub fn count_event(&mut self) {
-        self.events_processed += 1;
+        self.0.events_processed += 1;
     }
 
     /// Counts a pending timer that was cancelled (taken at cancel time, not
     /// when the queue discards the entry).
     pub fn count_cancelled_timer(&mut self) {
-        self.skipped_cancelled_timers += 1;
+        self.0.skipped_cancelled_timers += 1;
     }
 
     /// Counts an event popped but not dispatched because its destination
     /// node is crashed or corrupted.
     pub fn count_skipped_excluded(&mut self) {
-        self.skipped_excluded_nodes += 1;
+        self.0.skipped_excluded_nodes += 1;
     }
 
     pub fn count_broadcast(&mut self) {
-        self.broadcasts += 1;
+        self.0.broadcasts += 1;
     }
 
     /// Records a decision; returns the slot index it filled.
     pub fn record_decision(&mut self, node: NodeId, time: SimTime, value: Value) -> u64 {
-        let seq = &mut self.decided[node.index()];
+        let seq = &mut self.0.decided[node.index()];
         seq.push((time, value));
         (seq.len() - 1) as u64
     }
@@ -110,20 +91,20 @@ impl MetricsCollector {
     /// Cross-checks `node`'s newest decision against every other honest
     /// node's decision for the same slot; records the first violation.
     pub fn check_safety(&mut self, node: NodeId, excluded: &NodeSet) {
-        if self.safety_violation.is_some() {
+        if self.0.safety_violation.is_some() {
             return;
         }
-        let seq = &self.decided[node.index()];
+        let seq = &self.0.decided[node.index()];
         let slot = seq.len() - 1;
         let (_, value) = seq[slot];
-        for (other_idx, other_seq) in self.decided.iter().enumerate() {
+        for (other_idx, other_seq) in self.0.decided.iter().enumerate() {
             let other = NodeId::new(other_idx as u32);
             if other == node || excluded.contains(other) {
                 continue;
             }
             if let Some(&(_, other_value)) = other_seq.get(slot) {
                 if other_value != value {
-                    self.safety_violation = Some(format!(
+                    self.0.safety_violation = Some(format!(
                         "slot {slot}: {node} decided {value} but {other} decided {other_value}"
                     ));
                     return;
@@ -137,10 +118,10 @@ impl MetricsCollector {
     /// after crash/corruption changes.
     pub fn update_completions(&mut self, now: SimTime, excluded: &NodeSet) -> u64 {
         loop {
-            let k = self.completions.len();
+            let k = self.0.completions.len();
             let mut all = true;
             let mut any_live = false;
-            for (idx, seq) in self.decided.iter().enumerate() {
+            for (idx, seq) in self.0.decided.iter().enumerate() {
                 if excluded.contains(NodeId::new(idx as u32)) {
                     continue;
                 }
@@ -151,11 +132,16 @@ impl MetricsCollector {
                 }
             }
             if all && any_live {
-                self.completions.push(now);
+                self.0.completions.push(now);
             } else {
-                return self.completions.len() as u64;
+                return self.completed();
             }
         }
+    }
+
+    /// Number of slots every live honest node has decided.
+    pub fn completed(&self) -> u64 {
+        self.0.completions.len() as u64
     }
 
     pub fn into_result(
@@ -170,22 +156,11 @@ impl MetricsCollector {
         RunResult {
             end_time,
             timed_out,
-            completions: self.completions,
-            honest_messages: self.honest_messages,
-            adversary_messages: self.adversary_messages,
-            dropped_messages: self.dropped_messages,
-            events_processed: self.events_processed,
-            skipped_cancelled_timers: self.skipped_cancelled_timers,
-            skipped_excluded_nodes: self.skipped_excluded_nodes,
-            broadcasts: self.broadcasts,
-            sent_per_node: self.sent_per_node,
-            delivered_per_node: self.delivered_per_node,
-            safety_violation: self.safety_violation,
-            decided: self.decided,
             trace,
             queue_high_water,
             scheduler,
             observability,
+            ..self.0
         }
     }
 }
@@ -374,7 +349,7 @@ mod tests {
 
     #[test]
     fn completions_require_all_live_honest_nodes() {
-        let mut m = MetricsCollector::new(3);
+        let mut m = MetricsCollector::with_expected_decisions(3, 0);
         let excluded = NodeSet::new();
         m.record_decision(NodeId::new(0), SimTime::from_millis(10), Value::ONE);
         assert_eq!(m.update_completions(SimTime::from_millis(10), &excluded), 0);
@@ -386,7 +361,7 @@ mod tests {
 
     #[test]
     fn excluded_nodes_do_not_block_completion() {
-        let mut m = MetricsCollector::new(3);
+        let mut m = MetricsCollector::with_expected_decisions(3, 0);
         let excluded: NodeSet = [NodeId::new(2)].into_iter().collect();
         m.record_decision(NodeId::new(0), SimTime::from_millis(10), Value::ONE);
         m.record_decision(NodeId::new(1), SimTime::from_millis(11), Value::ONE);
@@ -395,29 +370,29 @@ mod tests {
 
     #[test]
     fn safety_checker_flags_conflicts() {
-        let mut m = MetricsCollector::new(2);
+        let mut m = MetricsCollector::with_expected_decisions(2, 0);
         let excluded = NodeSet::new();
         m.record_decision(NodeId::new(0), SimTime::from_millis(1), Value::ZERO);
         m.check_safety(NodeId::new(0), &excluded);
-        assert!(m.safety_violation.is_none());
+        assert!(m.0.safety_violation.is_none());
         m.record_decision(NodeId::new(1), SimTime::from_millis(2), Value::ONE);
         m.check_safety(NodeId::new(1), &excluded);
-        assert!(m.safety_violation.is_some());
+        assert!(m.0.safety_violation.is_some());
     }
 
     #[test]
     fn safety_checker_ignores_excluded_nodes() {
-        let mut m = MetricsCollector::new(2);
+        let mut m = MetricsCollector::with_expected_decisions(2, 0);
         let excluded: NodeSet = [NodeId::new(0)].into_iter().collect();
         m.record_decision(NodeId::new(0), SimTime::from_millis(1), Value::ZERO);
         m.record_decision(NodeId::new(1), SimTime::from_millis(2), Value::ONE);
         m.check_safety(NodeId::new(1), &excluded);
-        assert!(m.safety_violation.is_none());
+        assert!(m.0.safety_violation.is_none());
     }
 
     #[test]
     fn latency_metrics() {
-        let mut m = MetricsCollector::new(1);
+        let mut m = MetricsCollector::with_expected_decisions(1, 0);
         let excluded = NodeSet::new();
         for k in 0..10u64 {
             m.record_decision(
@@ -447,7 +422,7 @@ mod tests {
 
     #[test]
     fn avg_latency_rounds_instead_of_truncating() {
-        let mut m = MetricsCollector::new(1);
+        let mut m = MetricsCollector::with_expected_decisions(1, 0);
         let excluded = NodeSet::new();
         // Three completions; the last at 1000 µs. 1000 / 3 = 333.33…, which
         // integer division used to truncate to 333 µs; rounding keeps 333 but

@@ -36,7 +36,7 @@ use crate::json::Json;
 use crate::message::Message;
 use crate::payload::Payload;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::TraceEvent;
+use crate::trace::{TraceEvent, TraceKind};
 
 /// Maps message payloads to protocol phases.
 ///
@@ -957,8 +957,9 @@ impl ObsRecorder {
         })
     }
 
-    pub(crate) fn push_event(&self, event: TraceEvent) {
-        self.ring.push(event);
+    /// Appends to the event ring; same shape as `Trace::record`.
+    pub(crate) fn push_event(&self, time: SimTime, node: NodeId, kind: TraceKind) {
+        self.ring.push(TraceEvent { time, node, kind });
     }
 
     /// A wire message was delivered to `dst` at `now`.
@@ -1082,7 +1083,6 @@ impl ObsRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceKind;
     use crate::value::Value;
 
     #[test]
@@ -1506,14 +1506,14 @@ mod tests {
         let mut rec = ObsRecorder::new(1, ObsConfig::new(2)).unwrap();
         rec.on_decided(SimTime::from_micros(7), NodeId::new(0));
         rec.on_view(SimTime::from_micros(3), 1);
-        rec.push_event(TraceEvent {
-            time: SimTime::from_micros(7),
-            node: NodeId::new(0),
-            kind: TraceKind::Decided {
+        rec.push_event(
+            SimTime::from_micros(7),
+            NodeId::new(0),
+            TraceKind::Decided {
                 slot: 0,
                 value: Value::new(9),
             },
-        });
+        );
         let obs = rec.finish();
         let json = obs.to_json().dump_pretty();
         for key in [

@@ -1,0 +1,204 @@
+//! The event spine: the one place that knows which sink hears which fact.
+//!
+//! The engine states each fact of a run once, through one method of
+//! [`Sinks`]; the method fans it out to counters, step observer, obs
+//! histograms, event ring, trace and schedule recorder in a fixed order
+//! (the fact → sinks table is DESIGN.md §5). Counters a single sink hears
+//! (broadcasts, skips, drops, adversary messages) have no entry: the engine
+//! bumps them on [`Sinks::metrics`] directly.
+
+use crate::adversary::Fate;
+use crate::config::RunConfig;
+use crate::engine::StepObserver;
+use crate::error::SimError;
+use crate::ids::{NodeId, NodeSet};
+use crate::message::Message;
+use crate::metrics::{MetricsCollector, RunResult};
+use crate::obs::{ObsConfig, ObsRecorder};
+use crate::scheduler::SchedulerStats;
+use crate::smallstr::SmallStr;
+use crate::time::{SimDuration, SimTime};
+use crate::trace::{Trace, TraceKind};
+use crate::validator::DeliverySchedule;
+use crate::value::Value;
+use std::borrow::Cow;
+
+/// Every consumer of run facts, owned in one place.
+pub(crate) struct Sinks {
+    pub metrics: MetricsCollector,
+    trace: Trace,
+    record_messages: bool,
+    obs: Option<ObsRecorder>,
+    observer: Option<Box<dyn StepObserver>>,
+    recorder: Option<DeliverySchedule>,
+}
+
+/// A message a node addressed to itself never touches the wire, so it is
+/// kept out of the sent and delivered counters (see [`RunResult`]'s message
+/// accounting). Adversary-injected messages always count.
+fn is_self_delivery(msg: &Message) -> bool {
+    msg.src() == msg.dst() && !msg.is_injected()
+}
+
+impl Sinks {
+    pub fn new(
+        cfg: &RunConfig,
+        observer: Option<Box<dyn StepObserver>>,
+        obs: Option<ObsConfig>,
+    ) -> Result<Self, SimError> {
+        Ok(Sinks {
+            metrics: MetricsCollector::with_expected_decisions(cfg.n, cfg.target_decisions),
+            trace: Trace::new(),
+            record_messages: cfg.record_messages,
+            obs: obs.map(|o| ObsRecorder::new(cfg.n, o)).transpose()?,
+            observer,
+            recorder: None,
+        })
+    }
+
+    /// Turns the schedule recorder on (see [`Sinks::fate`]).
+    pub fn record_schedule(&mut self) {
+        self.recorder = Some(DeliverySchedule::new());
+    }
+
+    /// Stores one event in the ring (when obs is on) and in the trace (when
+    /// `traced`); `kind` runs at most once, and not at all when neither is.
+    #[inline]
+    fn log(&mut self, traced: bool, time: SimTime, node: NodeId, kind: impl FnOnce() -> TraceKind) {
+        if !traced && self.obs.is_none() {
+            return;
+        }
+        let kind = kind();
+        match &self.obs {
+            Some(obs) if traced => obs.push_event(time, node, kind.clone()),
+            Some(obs) => return obs.push_event(time, node, kind),
+            None => {}
+        }
+        self.trace.record(time, node, kind);
+    }
+
+    /// An honest node put `msg` on its way, before the network decides.
+    #[inline]
+    pub fn sent(&mut self, now: SimTime, msg: &Message) {
+        if !is_self_delivery(msg) {
+            self.metrics.count_honest_message(msg.src());
+        }
+        self.log(self.record_messages, now, msg.src(), || TraceKind::Sent {
+            dst: msg.dst(),
+            payload_type: msg.payload().payload_type().into(),
+        });
+    }
+
+    /// An event survived the skip checks and is about to be dispatched.
+    /// Counter and observer move in lockstep (the metrics-sanity oracle
+    /// cross-checks them).
+    #[inline]
+    pub fn dispatched(&mut self, now: SimTime) {
+        self.metrics.count_event();
+        if let Some(observer) = &mut self.observer {
+            observer.on_event(now);
+        }
+    }
+
+    /// `msg` reached its (live) destination.
+    #[inline]
+    pub fn delivered(&mut self, now: SimTime, msg: &Message) {
+        if !is_self_delivery(msg) {
+            self.metrics.count_delivery(msg.dst());
+            if let Some(obs) = &mut self.obs {
+                obs.on_delivered(now, msg);
+            }
+        }
+        self.log(self.record_messages, now, msg.dst(), || {
+            TraceKind::Delivered {
+                src: msg.src(),
+                payload_type: msg.payload().payload_type().into(),
+            }
+        });
+    }
+
+    /// `node` decided `value` for its next slot.
+    pub fn decided(&mut self, now: SimTime, node: NodeId, value: Value, excluded: &NodeSet) {
+        let slot = self.metrics.record_decision(node, now, value);
+        if let Some(observer) = &mut self.observer {
+            observer.on_decision(now, node, slot, value);
+        }
+        if let Some(obs) = &mut self.obs {
+            obs.on_decided(now, node);
+        }
+        self.log(true, now, node, || TraceKind::Decided { slot, value });
+        self.metrics.check_safety(node, excluded);
+        self.metrics.update_completions(now, excluded);
+    }
+
+    /// `node` entered `view`.
+    pub fn view(&mut self, now: SimTime, node: NodeId, view: u64) {
+        if let Some(obs) = &mut self.obs {
+            obs.on_view(now, view);
+        }
+        self.log(true, now, node, || TraceKind::View { view });
+    }
+
+    /// `node` reported a protocol-defined event.
+    pub fn custom(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        label: Cow<'static, str>,
+        detail: SmallStr,
+    ) {
+        self.log(true, now, node, || TraceKind::Custom { label, detail });
+    }
+
+    /// The adversary corrupted (or else crashed) `node`, which `excluded`
+    /// already contains, so slots may complete over the nodes that are left.
+    pub fn excluded(&mut self, now: SimTime, node: NodeId, corrupted: bool, excluded: &NodeSet) {
+        self.log(true, now, node, || {
+            if corrupted {
+                TraceKind::Corrupted
+            } else {
+                TraceKind::Crashed
+            }
+        });
+        self.metrics.update_completions(now, excluded);
+    }
+
+    /// The network model queued a message on link `src → dst`.
+    #[inline]
+    pub fn link_queued(&mut self, src: NodeId, dst: NodeId, queued: SimDuration, depth: u32) {
+        if queued > SimDuration::ZERO {
+            if let Some(obs) = &mut self.obs {
+                obs.on_link_queued(src, dst, queued, depth);
+            }
+        }
+    }
+
+    /// The final fate of one honest transmission (after adversary and wire
+    /// faults), for validator replay.
+    #[inline]
+    pub fn fate(&mut self, fate: Fate) {
+        if let Some(recorder) = &mut self.recorder {
+            recorder.push(fate);
+        }
+    }
+
+    /// Consumes the sinks into the run's result and recorded schedule
+    /// (empty unless [`record_schedule`](Self::record_schedule) was called).
+    pub fn finish(
+        self,
+        end_time: SimTime,
+        timed_out: bool,
+        queue_high_water: usize,
+        scheduler: SchedulerStats,
+    ) -> (RunResult, DeliverySchedule) {
+        let result = self.metrics.into_result(
+            end_time,
+            timed_out,
+            self.trace,
+            queue_high_water,
+            scheduler,
+            self.obs.map(ObsRecorder::finish),
+        );
+        (result, self.recorder.unwrap_or_default())
+    }
+}

@@ -143,7 +143,6 @@ fn record_and_replay_reproduce_decisions() {
     let (original, schedule) = SimulationBuilder::new(RunConfig::new(4).with_seed(5))
         .network(SampledNetwork::new(Dist::normal(250.0, 50.0)))
         .protocols(quorum_factory)
-        .record_schedule(true)
         .build()
         .unwrap()
         .run_recorded();
@@ -351,5 +350,147 @@ fn injected_messages_reach_nodes() {
     assert_eq!(result.decisions_completed(), 1);
     for seq in &result.decided {
         assert_eq!(seq[0].1, Value::new(7));
+    }
+}
+
+/// The spine contract: whichever sinks are on, each hears every fact exactly
+/// once, so the trace, the obs ring, the step observer, the counters and the
+/// obs histograms must all tell the same story about one run. A fact tapped
+/// twice, or a sink skipped, breaks one of the equalities below.
+#[test]
+fn every_sink_hears_each_fact_exactly_once() {
+    use bft_sim_core::oracle::OracleObserver;
+    use bft_sim_protocols::registry::ProtocolKind;
+
+    /// Talks to itself in all three ways (none of which touches the wire)
+    /// and reports a view and a custom event, then decides on a quorum.
+    #[derive(Debug, Default)]
+    struct Chatter {
+        heard: usize,
+    }
+    impl Protocol for Chatter {
+        fn init(&mut self, ctx: &mut Context<'_>) {
+            ctx.enter_view(1);
+            ctx.report("hello", "view=1");
+            ctx.broadcast_all(QMsg::Vote(1));
+            ctx.send_self(QMsg::Propose(1));
+            let me = ctx.id();
+            ctx.send(me, QMsg::Propose(2));
+        }
+        fn on_message(&mut self, msg: &Message, ctx: &mut Context<'_>) {
+            if msg.downcast_ref::<QMsg>() == Some(&QMsg::Vote(1)) {
+                self.heard += 1;
+                if self.heard == ctx.n() - ctx.f() {
+                    ctx.decide(Value::new(1));
+                }
+            }
+        }
+        fn on_timer(&mut self, _t: &Timer, _ctx: &mut Context<'_>) {}
+    }
+
+    /// Fail-stops the last node a little into the run, so deliveries already
+    /// queued for it are skipped rather than dispatched.
+    struct CrashLastSoon;
+    impl Adversary for CrashLastSoon {
+        fn init(&mut self, api: &mut AdversaryApi<'_>) {
+            api.set_timer(0, SimDuration::from_millis(120.0));
+        }
+        fn on_timer(&mut self, _tag: u64, api: &mut AdversaryApi<'_>) {
+            api.crash(NodeId::new(api.n() as u32 - 1));
+        }
+    }
+
+    let n = 7;
+    let base = RunConfig::new(n)
+        .with_seed(5)
+        .with_lambda_ms(1000.0)
+        .with_time_cap(SimDuration::from_secs(300.0))
+        .with_message_recording(true);
+    let pbft = ProtocolKind::Pbft.configure(base.clone());
+    let hotstuff = ProtocolKind::HotStuffNs.configure(base.clone());
+    let runs: [(&str, RunConfig, Box<dyn ProtocolFactory>); 3] = [
+        ("pbft", pbft.clone(), ProtocolKind::Pbft.factory(&pbft, 23)),
+        (
+            "hotstuff-ns",
+            hotstuff.clone(),
+            ProtocolKind::HotStuffNs.factory(&hotstuff, 23),
+        ),
+        (
+            "chatter",
+            base,
+            Box::new(|_id: NodeId| -> Box<dyn Protocol> { Box::<Chatter>::default() }),
+        ),
+    ];
+    for (name, cfg, factory) in runs {
+        let obs = ObsConfig::new(1 << 20);
+        let ring = obs.ring();
+        let observer = OracleObserver::new();
+        let faults = FaultInjector::generate(9, FaultPreset::Moderate.config(), n);
+        let result = SimulationBuilder::new(cfg)
+            .network(SampledNetwork::new(Dist::normal(100.0, 20.0)))
+            .adversary(CrashLastSoon)
+            .protocols(factory)
+            .observability(obs)
+            .observer(observer.clone())
+            .faults(faults)
+            .build()
+            .unwrap()
+            .run();
+        let seen = observer.snapshot();
+        let events = result.trace.events();
+        assert!(result.decisions_completed() > 0, "{name}: nothing decided");
+        assert!(
+            events.iter().any(|e| e.kind == TraceKind::Crashed),
+            "{name}: the crash was not traced"
+        );
+
+        // Ring and trace store the same events, element for element.
+        assert!(events.len() < ring.capacity(), "{name}: ring too small");
+        assert_eq!(ring.snapshot(), events, "{name}: ring != trace");
+
+        // Observer, trace and result agree on every decision.
+        let traced: Vec<_> = result.trace.decisions().collect();
+        assert_eq!(seen.decisions, traced, "{name}: observer != trace");
+        let mut flattened: Vec<_> = result
+            .decided
+            .iter()
+            .enumerate()
+            .flat_map(|(node, seq)| {
+                seq.iter().enumerate().map(move |(slot, &(time, value))| {
+                    (time, NodeId::new(node as u32), slot as u64, value)
+                })
+            })
+            .collect();
+        let mut sorted = traced.clone();
+        flattened.sort_unstable();
+        sorted.sort_unstable();
+        assert_eq!(flattened, sorted, "{name}: result.decided != trace");
+
+        // Counters count what the trace shows, wire messages only.
+        let wire = |kind: fn(&TraceEvent) -> Option<NodeId>| {
+            events
+                .iter()
+                .filter(|e| kind(e).is_some_and(|peer| peer != e.node))
+                .count() as u64
+        };
+        let sent = wire(|e| match e.kind {
+            TraceKind::Sent { dst, .. } => Some(dst),
+            _ => None,
+        });
+        let delivered = wire(|e| match e.kind {
+            TraceKind::Delivered { src, .. } => Some(src),
+            _ => None,
+        });
+        assert_eq!(result.honest_messages, sent, "{name}: sent");
+        assert_eq!(result.sent_per_node.iter().sum::<u64>(), sent, "{name}");
+        let delivered_total: u64 = result.delivered_per_node.iter().sum();
+        assert_eq!(delivered_total, delivered, "{name}: delivered");
+
+        // The observer saw every dispatched event; obs saw every delivery.
+        assert_eq!(result.events_processed, seen.events, "{name}: events");
+        let snapshot = result.observability.as_ref().expect("obs was on");
+        let latencies: u64 = snapshot.delivery_latency.iter().map(|h| h.count()).sum();
+        assert_eq!(latencies, delivered_total, "{name}: obs deliveries");
+        assert_eq!(snapshot.recent_events, events, "{name}: snapshot ring");
     }
 }

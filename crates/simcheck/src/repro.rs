@@ -7,7 +7,7 @@
 //! a committed repro file into `tests/` turns a fuzzer catch into a
 //! permanent regression test.
 
-use bft_sim_attacks::{actions_from_json, actions_to_json, FuzzAction};
+use bft_sim_attacks::{actions_from_json, actions_to_json, FuzzAction, FuzzActionKind};
 use bft_sim_core::buggify::{fault_actions_from_json, fault_actions_to_json, FaultAction};
 use bft_sim_core::json::Json;
 use bft_sim_core::oracle::OracleViolation;
@@ -133,6 +133,19 @@ impl Repro {
             Some(a) => actions_from_json(a)?,
             None => Vec::new(),
         };
+        // A replay injects a delivery: a destination the scenario does not
+        // have would index past the engine's per-node tables.
+        for (i, action) in actions.iter().enumerate() {
+            if let FuzzActionKind::Replay { dst, .. } = action.kind {
+                if dst.index() >= spec.n {
+                    return Err(format!(
+                        "actions: entry #{i}: replay \"dst\" {} is not a node of the n = {} scenario",
+                        dst.as_u32(),
+                        spec.n
+                    ));
+                }
+            }
+        }
         let fault_actions = match json.get("fault_actions") {
             Some(a) => fault_actions_from_json(a)?,
             None => Vec::new(),
@@ -164,7 +177,6 @@ impl Repro {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bft_sim_attacks::FuzzActionKind;
     use bft_sim_core::ids::NodeId;
     use bft_sim_protocols::registry::ProtocolKind;
 
@@ -329,6 +341,18 @@ mod tests {
         }
         let err = Repro::from_json(&doc).unwrap_err();
         assert!(err.contains("v999"), "{err}");
+    }
+
+    #[test]
+    fn replay_to_a_node_outside_the_scenario_is_rejected() {
+        // sample() is an n = 4 scenario replaying to node 2; node 4 does not
+        // exist, and injecting to it would index past the per-node tables.
+        let text = sample().to_json().dump_pretty();
+        assert!(text.contains("\"dst\": 2"), "{text}");
+        let hostile = text.replace("\"dst\": 2", "\"dst\": 4");
+        let err = Repro::from_json(&Json::parse(&hostile).unwrap()).unwrap_err();
+        assert!(err.contains("entry #1"), "{err}");
+        assert!(err.contains("n = 4"), "{err}");
     }
 
     #[test]

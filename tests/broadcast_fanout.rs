@@ -209,7 +209,7 @@ fn recorded_schedule_replays_byte_identically() {
             .network(ConstantNetwork::new(SimDuration::from_millis(25.0)))
             .protocols(Factory);
         match schedule {
-            None => builder.record_schedule(true),
+            None => builder,
             Some(s) => builder.replay_schedule(s),
         }
         .build()

@@ -48,7 +48,6 @@ fn seed_sweep_reproduces_results_and_schedules_bit_for_bit() {
         SimulationBuilder::new(cfg)
             .network(SampledNetwork::new(Dist::normal(250.0, 50.0)))
             .protocols(factory)
-            .record_schedule(true)
             .build()
             .unwrap()
             .run_recorded()
@@ -98,7 +97,6 @@ fn recorded_schedules_replay_to_identical_decisions() {
         let (original, schedule) = SimulationBuilder::new(cfg.clone())
             .network(SampledNetwork::new(Dist::normal(250.0, 50.0)))
             .protocols(factory)
-            .record_schedule(true)
             .build()
             .unwrap()
             .run_recorded();
@@ -134,7 +132,6 @@ fn replay_detects_tampered_results() {
     let (mut original, schedule) = SimulationBuilder::new(cfg.clone())
         .network(ConstantNetwork::new(SimDuration::from_millis(100.0)))
         .protocols(factory)
-        .record_schedule(true)
         .build()
         .unwrap()
         .run_recorded();

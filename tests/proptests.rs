@@ -338,7 +338,6 @@ fn schedule_records_one_fate_per_transmission() {
         let (result, schedule) = SimulationBuilder::new(cfg)
             .network(SampledNetwork::new(Dist::normal(100.0, 25.0)))
             .protocols(factory)
-            .record_schedule(true)
             .build()
             .unwrap()
             .run_recorded();
