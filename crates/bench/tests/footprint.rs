@@ -1,10 +1,13 @@
-//! Footprint regression gate for the one-entry-per-broadcast event queue, on
-//! deterministic counters only (wall time is evidence, never a gate).
+//! Footprint regression gate for the one-entry-per-broadcast event queue and
+//! for shared certificates, on deterministic counters only (wall time is
+//! evidence, never a gate).
 //!
 //! PBFT's all-to-all phases used to keep n² delivery events resident. The
 //! *logical* queue depth and the event count are simulated quantities and
 //! must not move; what is physically resident must stay linear in n, and the
-//! fan-out must not start allocating per broadcast.
+//! fan-out must not start allocating per broadcast. HotStuff's certificates
+//! carry a signer bitmap that spills to the heap above 128 signers; every
+//! replica that stores or forwards one must share it, not copy it.
 //!
 //! One test function on purpose: the allocation counter is process-global,
 //! so nothing else may run in this binary while a case is measured.
@@ -17,6 +20,11 @@ use bft_sim_protocols::registry::ProtocolKind;
 static ALLOC: CountingAllocator = CountingAllocator;
 
 #[test]
+fn footprints() {
+    pbft_n64_keeps_its_depth_and_loses_the_n_squared_residency();
+    hotstuff_n256_shares_its_certificates();
+}
+
 fn pbft_n64_keeps_its_depth_and_loses_the_n_squared_residency() {
     let n = 64;
     let case = run_case(ProtocolKind::Pbft, n, 1, 10);
@@ -37,6 +45,22 @@ fn pbft_n64_keeps_its_depth_and_loses_the_n_squared_residency() {
         let per_broadcast = case.allocs_per_broadcast.expect("allocator is counting");
         assert!(
             per_broadcast <= 1.1,
+            "{per_broadcast} allocations per broadcast"
+        );
+    }
+}
+
+fn hotstuff_n256_shares_its_certificates() {
+    let case = run_case(ProtocolKind::HotStuffNs, 256, 1, 3);
+    assert_eq!(case.events_processed, 2_817);
+    assert_eq!(case.peak_queue_depth, 597);
+    // A certificate's bitmap is allocated where it is formed and widened or
+    // un-shared a few times, never once per receiving replica (439.7 when
+    // each clone copied it). Release builds only, as above.
+    if !cfg!(debug_assertions) {
+        let per_broadcast = case.allocs_per_broadcast.expect("allocator is counting");
+        assert!(
+            per_broadcast <= 16.0,
             "{per_broadcast} allocations per broadcast"
         );
     }

@@ -781,6 +781,9 @@ fn parse_protocol_list(s: &str) -> Result<Vec<ProtocolKind>, CliError> {
         .collect()
 }
 
+/// Most repetitions `run`/`compare` accept.
+const MAX_REPS: usize = 1_000_000;
+
 fn parse_run_spec(args: &[String]) -> Result<RunSpec, CliError> {
     let mut spec = RunSpec::default();
     let mut it = args.iter();
@@ -840,9 +843,23 @@ fn parse_run_spec(args: &[String]) -> Result<RunSpec, CliError> {
     // With f = 0 a node's own vote is a quorum and a slot completes inside
     // the handler that proposed it, so the protocols recurse without bound;
     // the engine rejects a λ that is not positive, and a delay that is not
-    // finite has no meaning. Checked here, flags and --config alike.
+    // finite has no meaning. Node ids are 32-bit, a negative σ is not a
+    // spread, and the results of all repetitions are held at once, so zero
+    // repetitions report nothing and a count beyond MAX_REPS is a typo.
+    // Checked here, flags and --config alike.
     if spec.nodes < 4 {
         return Err(CliError::usage("--nodes must be at least 4 (n = 3f + 1)"));
+    }
+    if spec.nodes > u32::MAX as usize {
+        return Err(CliError::usage(format!(
+            "--nodes must be at most {}",
+            u32::MAX
+        )));
+    }
+    if !(1..=MAX_REPS).contains(&spec.reps) {
+        return Err(CliError::usage(format!(
+            "--reps must be between 1 and {MAX_REPS}"
+        )));
     }
     if !(spec.lambda_ms.is_finite() && spec.lambda_ms > 0.0) {
         return Err(CliError::usage("--lambda must be positive and finite"));
@@ -851,6 +868,9 @@ fn parse_run_spec(args: &[String]) -> Result<RunSpec, CliError> {
         return Err(CliError::usage(
             "--delay-mu and --delay-sigma must be finite",
         ));
+    }
+    if spec.delay_sigma < 0.0 {
+        return Err(CliError::usage("--delay-sigma must not be negative"));
     }
     Ok(spec)
 }
@@ -1712,6 +1732,11 @@ mod tests {
             ("--lambda", "inf"),
             ("--delay-mu", "nan"),
             ("--delay-sigma", "inf"),
+            ("--delay-sigma", "-1"),
+            ("--nodes", "4294967297"),
+            ("--reps", "0"),
+            ("--reps", "1000001"),
+            ("--reps", "18446744073709551615"),
         ] {
             for cmd in ["run", "compare"] {
                 let err = parse_args(&args(&[cmd, flag, value])).unwrap_err();

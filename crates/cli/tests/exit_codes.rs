@@ -74,6 +74,21 @@ fn usage_errors_exit_two() {
         &["run", "--protocol", "pbft", "--lambda", "-1"],
         &["run", "--protocol", "pbft", "--lambda", "nan"],
         &["run", "--protocol", "pbft", "--delay-mu", "nan"],
+        &["run", "--protocol", "pbft", "--delay-sigma", "-1"],
+        // Zero repetitions printed a row of zeros and exited 0; a count no
+        // vector can hold and an n beyond the 32-bit node ids panicked (101).
+        &["run", "--protocol", "pbft", "--reps", "0"],
+        &["compare", "--reps", "0"],
+        &[
+            "run",
+            "--protocol",
+            "pbft",
+            "--reps",
+            "18446744073709551615",
+        ],
+        &["compare", "--reps", "18446744073709551615"],
+        &["run", "--protocol", "pbft", "--nodes", "4294967297"],
+        &["compare", "--nodes", "4294967297"],
     ];
     for args in cases {
         let out = bft_sim(args);

@@ -885,6 +885,65 @@ mod tests {
         assert_eq!(result.events_processed, 13);
     }
 
+    /// Node 0 decides 1 at 10 ms; every other node decides 2 at 30 ms.
+    #[derive(Debug, Default)]
+    struct SplitDecision;
+
+    impl Protocol for SplitDecision {
+        fn init(&mut self, ctx: &mut Context<'_>) {
+            if ctx.id() == NodeId::new(0) {
+                ctx.set_timer(SimDuration::from_millis(10.0), Tick::Short);
+            } else {
+                ctx.set_timer(SimDuration::from_millis(30.0), Tick::Long);
+            }
+        }
+        fn on_message(&mut self, _m: &Message, _ctx: &mut Context<'_>) {}
+        fn on_timer(&mut self, t: &Timer, ctx: &mut Context<'_>) {
+            match t.downcast_ref::<Tick>() {
+                Some(Tick::Short) => ctx.decide(Value::new(1)),
+                _ => ctx.decide(Value::new(2)),
+            }
+        }
+    }
+
+    #[derive(Debug)]
+    struct CorruptFirstDecider;
+
+    impl Adversary for CorruptFirstDecider {
+        fn init(&mut self, api: &mut AdversaryApi<'_>) {
+            api.set_timer(0, SimDuration::from_millis(20.0));
+        }
+        fn on_timer(&mut self, _tag: u64, api: &mut AdversaryApi<'_>) {
+            assert!(api.corrupt(NodeId::new(0)));
+        }
+    }
+
+    /// The safety check holds live nodes to one value per slot, whoever
+    /// decided first: a first decider corrupted before the others decide
+    /// differently is no violation, a live one is — named with the text the
+    /// all-nodes scan has always produced.
+    #[test]
+    fn a_corrupted_first_decider_does_not_fix_the_slots_value() {
+        let split = |corrupt: bool| {
+            let builder = SimulationBuilder::new(RunConfig::new(4).with_seed(9))
+                .network(constant_net())
+                .protocols(|_id: NodeId| -> Box<dyn Protocol> { Box::new(SplitDecision) });
+            let builder = if corrupt {
+                builder.adversary(CorruptFirstDecider)
+            } else {
+                builder
+            };
+            builder.build().unwrap().run()
+        };
+        let corrupted = split(true);
+        assert_eq!(corrupted.safety_violation, None);
+        assert_eq!(corrupted.decisions_completed(), 1);
+        assert_eq!(
+            split(false).safety_violation.as_deref(),
+            Some("slot 0: n1 decided v0x2 but n0 decided v0x1")
+        );
+    }
+
     /// One broadcast round per node, with self-inclusion and a send-to-self,
     /// to pin down the wire-messages-only accounting convention.
     #[derive(Debug)]

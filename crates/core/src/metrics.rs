@@ -11,7 +11,17 @@ use crate::value::Value;
 /// Live decision/message bookkeeping inside the engine: the [`RunResult`]
 /// under construction, its end-of-run fields still at their defaults.
 #[derive(Debug)]
-pub(crate) struct MetricsCollector(RunResult);
+pub(crate) struct MetricsCollector {
+    result: RunResult,
+    /// `agreed[s]` is the value slot `s` is agreed on; one entry per slot
+    /// any node has decided. Invariant, while no violation is latched: every
+    /// live (non-excluded) node that decided slot `s` decided `agreed[s]`.
+    /// It lets [`record_decision`](Self::record_decision) check safety with
+    /// one comparison, and it survives exclusions because the engine's
+    /// excluded set only ever grows: a node that leaves the live set can
+    /// only drop out of the quantifier, never join it.
+    agreed: Vec<Value>,
+}
 
 impl MetricsCollector {
     /// Pre-sizes the per-node decision sequences and the completion log for
@@ -22,7 +32,7 @@ impl MetricsCollector {
         // Decision targets are small (tens); cap the hint so a pathological
         // config cannot pre-reserve unbounded memory.
         let cap = expected.min(1024) as usize;
-        MetricsCollector(RunResult {
+        let result = RunResult {
             end_time: SimTime::ZERO,
             timed_out: false,
             completions: Vec::with_capacity(cap),
@@ -41,76 +51,106 @@ impl MetricsCollector {
             queue_high_water: 0,
             scheduler: SchedulerStats::default(),
             observability: None,
-        })
+        };
+        MetricsCollector {
+            result,
+            agreed: Vec::with_capacity(cap),
+        }
     }
 
     pub fn count_honest_message(&mut self, src: NodeId) {
-        self.0.honest_messages += 1;
-        self.0.sent_per_node[src.index()] += 1;
+        self.result.honest_messages += 1;
+        self.result.sent_per_node[src.index()] += 1;
     }
 
     pub fn count_delivery(&mut self, dst: NodeId) {
-        self.0.delivered_per_node[dst.index()] += 1;
+        self.result.delivered_per_node[dst.index()] += 1;
     }
 
     pub fn count_adversary_message(&mut self) {
-        self.0.adversary_messages += 1;
+        self.result.adversary_messages += 1;
     }
 
     pub fn count_dropped_message(&mut self) {
-        self.0.dropped_messages += 1;
+        self.result.dropped_messages += 1;
     }
 
     pub fn count_event(&mut self) {
-        self.0.events_processed += 1;
+        self.result.events_processed += 1;
     }
 
     /// Counts a pending timer that was cancelled (taken at cancel time, not
     /// when the queue discards the entry).
     pub fn count_cancelled_timer(&mut self) {
-        self.0.skipped_cancelled_timers += 1;
+        self.result.skipped_cancelled_timers += 1;
     }
 
     /// Counts an event popped but not dispatched because its destination
     /// node is crashed or corrupted.
     pub fn count_skipped_excluded(&mut self) {
-        self.0.skipped_excluded_nodes += 1;
+        self.result.skipped_excluded_nodes += 1;
     }
 
     pub fn count_broadcast(&mut self) {
-        self.0.broadcasts += 1;
+        self.result.broadcasts += 1;
     }
 
-    /// Records a decision; returns the slot index it filled.
-    pub fn record_decision(&mut self, node: NodeId, time: SimTime, value: Value) -> u64 {
-        let seq = &mut self.0.decided[node.index()];
+    /// Records `node`'s decision for its next slot and cross-checks it against
+    /// every other live node's decision for that slot, latching the first
+    /// violation; returns the slot index it filled.
+    ///
+    /// The check is one comparison with the slot's agreed value (see
+    /// [`agreed`](Self::agreed)). Only a value that differs from it runs the
+    /// scan over all nodes, and a scan that finds no live dissenter — every
+    /// node that decided otherwise is excluded by now — makes `value` the
+    /// slot's agreed value.
+    pub fn record_decision(
+        &mut self,
+        node: NodeId,
+        time: SimTime,
+        value: Value,
+        excluded: &NodeSet,
+    ) -> u64 {
+        let seq = &mut self.result.decided[node.index()];
         seq.push((time, value));
-        (seq.len() - 1) as u64
+        let slot = seq.len() - 1;
+        if self.result.safety_violation.is_none() {
+            debug_assert!(slot <= self.agreed.len(), "a slot was skipped");
+            match self.agreed.get(slot) {
+                None => self.agreed.push(value),
+                Some(&agreed) if agreed == value => {}
+                Some(_) => match self.find_conflict(node, slot, value, excluded) {
+                    None => self.agreed[slot] = value,
+                    conflict => self.result.safety_violation = conflict,
+                },
+            }
+        }
+        slot as u64
     }
 
-    /// Cross-checks `node`'s newest decision against every other honest
-    /// node's decision for the same slot; records the first violation.
-    pub fn check_safety(&mut self, node: NodeId, excluded: &NodeSet) {
-        if self.0.safety_violation.is_some() {
-            return;
-        }
-        let seq = &self.0.decided[node.index()];
-        let slot = seq.len() - 1;
-        let (_, value) = seq[slot];
-        for (other_idx, other_seq) in self.0.decided.iter().enumerate() {
+    /// Scans every other live node's decision for `slot` and describes the
+    /// first (lowest-index) one that is not `value`.
+    fn find_conflict(
+        &self,
+        node: NodeId,
+        slot: usize,
+        value: Value,
+        excluded: &NodeSet,
+    ) -> Option<String> {
+        for (other_idx, other_seq) in self.result.decided.iter().enumerate() {
             let other = NodeId::new(other_idx as u32);
             if other == node || excluded.contains(other) {
                 continue;
             }
             if let Some(&(_, other_value)) = other_seq.get(slot) {
                 if other_value != value {
-                    self.0.safety_violation = Some(format!(
+                    return Some(format!(
                         "slot {slot}: {node} decided {value} but {other} decided {other_value}"
                     ));
-                    return;
                 }
             }
         }
+        None
     }
 
     /// Re-derives completion times given the current live-honest set; returns
@@ -118,10 +158,10 @@ impl MetricsCollector {
     /// after crash/corruption changes.
     pub fn update_completions(&mut self, now: SimTime, excluded: &NodeSet) -> u64 {
         loop {
-            let k = self.0.completions.len();
+            let k = self.result.completions.len();
             let mut all = true;
             let mut any_live = false;
-            for (idx, seq) in self.0.decided.iter().enumerate() {
+            for (idx, seq) in self.result.decided.iter().enumerate() {
                 if excluded.contains(NodeId::new(idx as u32)) {
                     continue;
                 }
@@ -132,7 +172,7 @@ impl MetricsCollector {
                 }
             }
             if all && any_live {
-                self.0.completions.push(now);
+                self.result.completions.push(now);
             } else {
                 return self.completed();
             }
@@ -141,7 +181,7 @@ impl MetricsCollector {
 
     /// Number of slots every live honest node has decided.
     pub fn completed(&self) -> u64 {
-        self.0.completions.len() as u64
+        self.result.completions.len() as u64
     }
 
     pub fn into_result(
@@ -160,7 +200,7 @@ impl MetricsCollector {
             queue_high_water,
             scheduler,
             observability,
-            ..self.0
+            ..self.result
         }
     }
 }
@@ -347,15 +387,24 @@ impl core::fmt::Display for Summary {
 mod tests {
     use super::*;
 
+    fn decide(m: &mut MetricsCollector, node: u32, at_ms: u64, value: Value, excluded: &NodeSet) {
+        m.record_decision(
+            NodeId::new(node),
+            SimTime::from_millis(at_ms),
+            value,
+            excluded,
+        );
+    }
+
     #[test]
     fn completions_require_all_live_honest_nodes() {
         let mut m = MetricsCollector::with_expected_decisions(3, 0);
         let excluded = NodeSet::new();
-        m.record_decision(NodeId::new(0), SimTime::from_millis(10), Value::ONE);
+        decide(&mut m, 0, 10, Value::ONE, &excluded);
         assert_eq!(m.update_completions(SimTime::from_millis(10), &excluded), 0);
-        m.record_decision(NodeId::new(1), SimTime::from_millis(12), Value::ONE);
+        decide(&mut m, 1, 12, Value::ONE, &excluded);
         assert_eq!(m.update_completions(SimTime::from_millis(12), &excluded), 0);
-        m.record_decision(NodeId::new(2), SimTime::from_millis(15), Value::ONE);
+        decide(&mut m, 2, 15, Value::ONE, &excluded);
         assert_eq!(m.update_completions(SimTime::from_millis(15), &excluded), 1);
     }
 
@@ -363,8 +412,8 @@ mod tests {
     fn excluded_nodes_do_not_block_completion() {
         let mut m = MetricsCollector::with_expected_decisions(3, 0);
         let excluded: NodeSet = [NodeId::new(2)].into_iter().collect();
-        m.record_decision(NodeId::new(0), SimTime::from_millis(10), Value::ONE);
-        m.record_decision(NodeId::new(1), SimTime::from_millis(11), Value::ONE);
+        decide(&mut m, 0, 10, Value::ONE, &excluded);
+        decide(&mut m, 1, 11, Value::ONE, &excluded);
         assert_eq!(m.update_completions(SimTime::from_millis(11), &excluded), 1);
     }
 
@@ -372,22 +421,168 @@ mod tests {
     fn safety_checker_flags_conflicts() {
         let mut m = MetricsCollector::with_expected_decisions(2, 0);
         let excluded = NodeSet::new();
-        m.record_decision(NodeId::new(0), SimTime::from_millis(1), Value::ZERO);
-        m.check_safety(NodeId::new(0), &excluded);
-        assert!(m.0.safety_violation.is_none());
-        m.record_decision(NodeId::new(1), SimTime::from_millis(2), Value::ONE);
-        m.check_safety(NodeId::new(1), &excluded);
-        assert!(m.0.safety_violation.is_some());
+        decide(&mut m, 0, 1, Value::ZERO, &excluded);
+        assert!(m.result.safety_violation.is_none());
+        decide(&mut m, 1, 2, Value::ONE, &excluded);
+        assert!(m.result.safety_violation.is_some());
     }
 
     #[test]
     fn safety_checker_ignores_excluded_nodes() {
         let mut m = MetricsCollector::with_expected_decisions(2, 0);
         let excluded: NodeSet = [NodeId::new(0)].into_iter().collect();
-        m.record_decision(NodeId::new(0), SimTime::from_millis(1), Value::ZERO);
-        m.record_decision(NodeId::new(1), SimTime::from_millis(2), Value::ONE);
-        m.check_safety(NodeId::new(1), &excluded);
-        assert!(m.0.safety_violation.is_none());
+        decide(&mut m, 0, 1, Value::ZERO, &excluded);
+        decide(&mut m, 1, 2, Value::ONE, &excluded);
+        assert!(m.result.safety_violation.is_none());
+    }
+
+    /// The safety check as it was before the agreed-value fast path — every
+    /// node scanned after every decision — kept as the reference model.
+    struct FullScan {
+        decided: Vec<Vec<Value>>,
+        violation: Option<String>,
+    }
+
+    impl FullScan {
+        fn record_decision(&mut self, node: NodeId, value: Value, excluded: &NodeSet) {
+            self.decided[node.index()].push(value);
+            if self.violation.is_some() {
+                return;
+            }
+            let slot = self.decided[node.index()].len() - 1;
+            for (other_idx, other_seq) in self.decided.iter().enumerate() {
+                let other = NodeId::new(other_idx as u32);
+                if other == node || excluded.contains(other) {
+                    continue;
+                }
+                if let Some(&other_value) = other_seq.get(slot) {
+                    if other_value != value {
+                        self.violation = Some(format!(
+                            "slot {slot}: {node} decided {value} but {other} decided {other_value}"
+                        ));
+                        return;
+                    }
+                }
+            }
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Decide(u32, u64),
+        Exclude(u32),
+    }
+
+    /// Feeds `ops` to the collector and to [`FullScan`], asserting the same
+    /// `safety_violation` after every step; returns the final one.
+    fn run_both(n: usize, ops: &[Op]) -> Option<String> {
+        let mut fast = MetricsCollector::with_expected_decisions(n, 0);
+        let mut slow = FullScan {
+            decided: vec![Vec::new(); n],
+            violation: None,
+        };
+        let mut excluded = NodeSet::new();
+        for (step, &op) in ops.iter().enumerate() {
+            match op {
+                Op::Decide(node, value) => {
+                    let (node, value) = (NodeId::new(node), Value::new(value));
+                    fast.record_decision(node, SimTime::ZERO, value, &excluded);
+                    slow.record_decision(node, value, &excluded);
+                }
+                Op::Exclude(node) => {
+                    excluded.insert(NodeId::new(node));
+                }
+            }
+            assert_eq!(
+                fast.result.safety_violation, slow.violation,
+                "n={n} step {step} of {ops:?}"
+            );
+        }
+        slow.violation
+    }
+
+    #[test]
+    fn agreed_value_check_matches_the_full_scan_on_scripted_cases() {
+        use Op::{Decide, Exclude};
+        // A live dissenter: the lowest-index one is named.
+        assert_eq!(
+            run_both(4, &[Decide(2, 7), Decide(1, 7), Decide(3, 9)]).as_deref(),
+            Some("slot 0: n3 decided v0x9 but n1 decided v0x7")
+        );
+        // The first decider is excluded before a second value appears: the
+        // slot's agreed value moves to it, and a later dissenter is judged
+        // against the new value.
+        assert_eq!(
+            run_both(4, &[Decide(0, 1), Exclude(0), Decide(1, 2), Decide(2, 2)]),
+            None
+        );
+        assert_eq!(
+            run_both(4, &[Decide(0, 1), Exclude(0), Decide(1, 2), Decide(2, 1)]).as_deref(),
+            Some("slot 0: n2 decided v0x1 but n1 decided v0x2")
+        );
+        // Excluded before deciding: its decision still has to match the
+        // live nodes', exactly as the scan always judged it.
+        assert_eq!(
+            run_both(4, &[Exclude(3), Decide(3, 5), Decide(0, 6), Decide(1, 6)]),
+            None
+        );
+        assert_eq!(
+            run_both(4, &[Decide(0, 6), Exclude(3), Decide(3, 5)]).as_deref(),
+            Some("slot 0: n3 decided v0x5 but n0 decided v0x6")
+        );
+        // A latched violation is never overwritten, whatever follows.
+        assert_eq!(
+            run_both(
+                4,
+                &[
+                    Decide(0, 1),
+                    Decide(1, 2),
+                    Exclude(0),
+                    Decide(2, 3),
+                    Decide(0, 4),
+                    Decide(1, 5),
+                ]
+            )
+            .as_deref(),
+            Some("slot 0: n1 decided v0x2 but n0 decided v0x1")
+        );
+    }
+
+    #[test]
+    fn agreed_value_check_matches_the_full_scan_on_random_streams() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        for n in [4usize, 7, 64] {
+            let (mut clean, mut violated) = (0, 0);
+            for seed in 0..300u64 {
+                let mut rng = SmallRng::seed_from_u64(seed ^ (n as u64) << 32);
+                // Per-stream rates, so some streams are all-honest, some
+                // exclude heavily and some conflict on most slots.
+                let conflict_pct = [0u32, 1, 5, 30][rng.gen_range(0..4usize)];
+                let exclude_pct = [0u32, 3, 15][rng.gen_range(0..3usize)];
+                let mut next_slot = vec![0u64; n];
+                let ops: Vec<Op> = (0..20 * n)
+                    .map(|_| {
+                        let node = rng.gen_range(0..n);
+                        if rng.gen_range(0..100u32) < exclude_pct {
+                            return Op::Exclude(node as u32);
+                        }
+                        let slot = next_slot[node];
+                        next_slot[node] += 1;
+                        if rng.gen_range(0..100u32) < conflict_pct {
+                            Op::Decide(node as u32, rng.gen_range(0..3u64))
+                        } else {
+                            Op::Decide(node as u32, 100 + slot)
+                        }
+                    })
+                    .collect();
+                match run_both(n, &ops) {
+                    None => clean += 1,
+                    Some(_) => violated += 1,
+                }
+            }
+            assert!(clean >= 30 && violated >= 30, "n={n}: {clean} / {violated}");
+        }
     }
 
     #[test]
@@ -399,6 +594,7 @@ mod tests {
                 NodeId::new(0),
                 SimTime::from_millis((k + 1) * 100),
                 Value::ONE,
+                &excluded,
             );
             m.update_completions(SimTime::from_millis((k + 1) * 100), &excluded);
         }
@@ -433,6 +629,7 @@ mod tests {
                 NodeId::new(0),
                 SimTime::ZERO + SimDuration::from_micros(at),
                 Value::ONE,
+                &excluded,
             );
             m.update_completions(SimTime::ZERO + SimDuration::from_micros(at), &excluded);
         }

@@ -119,7 +119,7 @@ impl Sinks {
 
     /// `node` decided `value` for its next slot.
     pub fn decided(&mut self, now: SimTime, node: NodeId, value: Value, excluded: &NodeSet) {
-        let slot = self.metrics.record_decision(node, now, value);
+        let slot = self.metrics.record_decision(node, now, value, excluded);
         if let Some(observer) = &mut self.observer {
             observer.on_decision(now, node, slot, value);
         }
@@ -127,7 +127,6 @@ impl Sinks {
             obs.on_decided(now, node);
         }
         self.log(true, now, node, || TraceKind::Decided { slot, value });
-        self.metrics.check_safety(node, excluded);
         self.metrics.update_completions(now, excluded);
     }
 

@@ -5,6 +5,7 @@
 //! produces a [`QuorumCert`] once the threshold is met.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use bft_sim_core::ids::NodeId;
 
@@ -19,20 +20,26 @@ const INLINE_WORDS: usize = 2;
 ///
 /// Canonical by construction: a set whose members all fit in the inline
 /// words is *always* `Inline` (the heap variant only ever appears once a
-/// node id ≥ 128 is inserted, and sets never shrink), so the derived
-/// `PartialEq`/`Hash` impls remain semantic equality.
+/// node id ≥ 128 is inserted, and sets never shrink), and a spilled set's
+/// width is a function of its largest member alone (see
+/// [`SignerSet::spilled_with`]), so the derived `PartialEq`/`Hash` impls
+/// remain semantic equality.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum Repr {
     Inline([u64; INLINE_WORDS]),
-    Heap(Vec<u64>),
+    /// Shared between every clone of the set and immutable while shared:
+    /// [`SignerSet::insert`] writes in place only as the sole owner and
+    /// otherwise copies first.
+    Heap(Arc<[u64]>),
 }
 
 /// A compact set of node ids, stored as a bitmap.
 ///
 /// Votes in runs up to n = 128 — including every certificate the bundled
-/// protocols form at the paper's scales — stay in two inline words, so
-/// cloning a `SignerSet` into a [`QuorumCert`] costs no allocation; larger
-/// ids spill to a heap vector transparently.
+/// protocols form at the paper's scales — stay in two inline words; larger
+/// ids spill to heap words that clones share. Either way cloning a
+/// `SignerSet` into a [`QuorumCert`], and a certificate into a message or a
+/// replica's state, costs no allocation.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SignerSet {
     repr: Repr,
@@ -61,28 +68,32 @@ impl SignerSet {
 
     /// Inserts a node; returns `true` if it was not already present.
     pub fn insert(&mut self, node: NodeId) -> bool {
-        let (word, bit) = (node.index() / 64, node.index() % 64);
-        if let Repr::Inline(words) = &self.repr {
-            if word >= INLINE_WORDS {
-                self.repr = Repr::Heap(words.to_vec());
-            }
+        if self.contains(node) {
+            return false;
         }
-        let mask = 1u64 << bit;
-        match &mut self.repr {
-            Repr::Inline(words) => {
-                let newly = words[word] & mask == 0;
-                words[word] |= mask;
-                newly
-            }
-            Repr::Heap(words) => {
-                if word >= words.len() {
-                    words.resize(word + 1, 0);
-                }
-                let newly = words[word] & mask == 0;
-                words[word] |= mask;
-                newly
-            }
+        let (word, mask) = (node.index() / 64, 1u64 << (node.index() % 64));
+        let in_place = match &mut self.repr {
+            Repr::Inline(words) => words.get_mut(word),
+            Repr::Heap(words) => Arc::get_mut(words).and_then(|words| words.get_mut(word)),
+        };
+        match in_place {
+            Some(w) => *w |= mask,
+            None => self.repr = Repr::Heap(self.spilled_with(word, mask)),
         }
+        true
+    }
+
+    /// A fresh heap copy of the words with `mask` set in `word`: the step
+    /// that spills an inline set, widens a heap one, or gives a sharer its
+    /// own storage. The width is the word count of the largest member
+    /// rounded up to a power of two, so a set is allocated once or twice on
+    /// its way to n signers, not once per 64 ids.
+    fn spilled_with(&self, word: usize, mask: u64) -> Arc<[u64]> {
+        let old = self.words();
+        let width = old.len().max((word + 1).next_power_of_two());
+        (0..width)
+            .map(|i| old.get(i).copied().unwrap_or(0) | if i == word { mask } else { 0 })
+            .collect()
     }
 
     /// Whether the set contains `node`.
@@ -268,6 +279,69 @@ mod tests {
         // Equality is order-independent across the spill.
         let reordered: SignerSet = [NodeId::new(0), NodeId::new(128)].into_iter().collect();
         assert_eq!(spilled, reordered);
+    }
+
+    fn heap_words(s: &SignerSet) -> &Arc<[u64]> {
+        match &s.repr {
+            Repr::Heap(words) => words,
+            Repr::Inline(_) => panic!("set is still inline"),
+        }
+    }
+
+    #[test]
+    fn clones_of_a_spilled_set_share_storage_until_one_is_written() {
+        let mut a: SignerSet = (0..300).map(NodeId::new).collect();
+        let b = a.clone();
+        assert!(Arc::ptr_eq(heap_words(&a), heap_words(&b)));
+
+        // A duplicate insert changes nothing, so it must not copy either.
+        assert!(!a.insert(NodeId::new(299)));
+        assert!(Arc::ptr_eq(heap_words(&a), heap_words(&b)));
+
+        // The writer copies; the other sharer keeps the old members.
+        assert!(a.insert(NodeId::new(301)));
+        assert!(!Arc::ptr_eq(heap_words(&a), heap_words(&b)));
+        assert_eq!((a.len(), b.len()), (301, 300));
+        assert!(a.contains(NodeId::new(301)) && !b.contains(NodeId::new(301)));
+
+        // Sole owner again: further inserts write in place.
+        let before = Arc::as_ptr(heap_words(&a));
+        assert!(a.insert(NodeId::new(302)));
+        assert_eq!(Arc::as_ptr(heap_words(&a)), before);
+    }
+
+    #[test]
+    fn equality_and_hash_ignore_insertion_order_across_the_spill() {
+        use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+        let hash = |s: &SignerSet| BuildHasherDefault::<DefaultHasher>::default().hash_one(s);
+        // 128 signers fill the inline words exactly; the 129th spills.
+        for n in [128u32, 129, 1000] {
+            let ascending: SignerSet = (0..n).map(NodeId::new).collect();
+            let descending: SignerSet = (0..n).rev().map(NodeId::new).collect();
+            assert_eq!(ascending, descending, "n={n}");
+            assert_eq!(hash(&ascending), hash(&descending), "n={n}");
+            assert_eq!(ascending.len(), n as usize);
+            assert_eq!(matches!(ascending.repr, Repr::Inline(_)), n <= 128);
+            let mut one_more = ascending.clone();
+            assert!(one_more.insert(NodeId::new(n)));
+            assert_ne!(ascending, one_more, "n={n}");
+        }
+    }
+
+    #[test]
+    fn a_late_vote_leaves_the_formed_certificate_unchanged() {
+        let mut t = VoteTracker::new(200);
+        let d = digest();
+        let qc = (0..200)
+            .find_map(|i| t.add(0, d, sign(NodeId::new(i), d)))
+            .expect("quorum");
+        assert!(Arc::ptr_eq(
+            heap_words(&qc.signers),
+            heap_words(&t.votes[&(0, d)])
+        ));
+        assert!(t.add(0, d, sign(NodeId::new(200), d)).is_none());
+        assert_eq!((qc.weight(), t.count(0, d)), (200, 201));
+        assert!(!qc.signers.contains(NodeId::new(200)));
     }
 
     #[test]
