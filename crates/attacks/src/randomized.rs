@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex};
 
 use bft_sim_core::adversary::{Adversary, AdversaryApi, Fate};
 use bft_sim_core::ids::NodeId;
-use bft_sim_core::json::Json;
+use bft_sim_core::json::{self, Fields, Json};
 use bft_sim_core::message::Message;
 use bft_sim_core::time::SimDuration;
 use rand::rngs::SmallRng;
@@ -296,43 +296,31 @@ pub fn actions_to_json(actions: &[FuzzAction]) -> Json {
 ///
 /// # Errors
 ///
-/// Returns a description of the first malformed entry, naming its index.
+/// Malformed per [`bft_sim_core::json`]'s artifact parsing policy; the
+/// message names the offending entry's index.
 pub fn actions_from_json(json: &Json) -> Result<Vec<FuzzAction>, String> {
-    let entries = json.as_arr().ok_or("actions: expected an array")?;
-    entries
-        .iter()
-        .enumerate()
-        .map(|(i, e)| action_from_json(e).map_err(|err| format!("actions: entry #{i}: {err}")))
-        .collect()
+    json::list(action_from_json)(json).map_err(|e| format!("actions: {e}"))
 }
 
 fn action_from_json(json: &Json) -> Result<FuzzAction, String> {
-    let msg_index = json
-        .get("msg_index")
-        .and_then(Json::as_u64)
-        .ok_or("bad \"msg_index\"")?;
-    let kind = json.get("kind").ok_or("missing \"kind\"")?;
-    let field = |body: &Json, name: &str| -> Result<u64, String> {
-        body.get(name)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("bad \"{name}\""))
-    };
-    let kind = if kind.as_str() == Some("Drop") {
-        FuzzActionKind::Drop
-    } else if let Some(body) = kind.get("Delay") {
-        FuzzActionKind::Delay {
-            extra_micros: field(body, "extra_micros")?,
+    let mut f = Fields::of(json, "action")?;
+    let msg_index = f.req("msg_index", json::int)?;
+    let kind = f.req("kind", |kind| match json::variant(kind, "kind")? {
+        ("Drop", None) => Ok(FuzzActionKind::Drop),
+        ("Delay", Some(mut f)) => {
+            let extra_micros = f.req("extra_micros", json::int)?;
+            f.finish()?;
+            Ok(FuzzActionKind::Delay { extra_micros })
         }
-    } else if let Some(body) = kind.get("Replay") {
-        let dst = field(body, "dst")?;
-        let dst = u32::try_from(dst).map_err(|_| format!("\"dst\" {dst} exceeds the u32 range"))?;
-        FuzzActionKind::Replay {
-            dst: NodeId::new(dst),
-            delay_micros: field(body, "delay_micros")?,
+        ("Replay", Some(mut f)) => {
+            let dst = NodeId::new(f.req("dst", json::int)?);
+            let delay_micros = f.req("delay_micros", json::int)?;
+            f.finish()?;
+            Ok(FuzzActionKind::Replay { dst, delay_micros })
         }
-    } else {
-        return Err(format!("unknown kind {kind}"));
-    };
+        (tag, _) => Err(format!("unknown kind \"{tag}\"")),
+    })?;
+    f.finish()?;
     Ok(FuzzAction { msg_index, kind })
 }
 

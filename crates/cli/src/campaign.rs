@@ -19,9 +19,9 @@ use bft_sim_core::campaign::{
     final_report, merge_checkpoints, mix_seed, shard_units, Checkpoint, Manifest, Unit,
     UnitOutcome, UnitRecord,
 };
-use bft_sim_core::json::Json;
+use bft_sim_core::json::{self, Json};
 use bft_sim_core::sweep::sweep;
-use bft_sim_simcheck::{run_unit, DelaySpec, ScenarioSpec, UnitRun};
+use bft_sim_simcheck::{check_node_count, run_unit, DelaySpec, ScenarioSpec, UnitRun};
 use bft_simulator::prelude::ProtocolKind;
 
 use crate::{parse_net_preset, CliError};
@@ -97,34 +97,29 @@ pub struct CampaignMergeSpec {
 /// must be meaningful to this binary (protocol names, delay presets, net
 /// presets) — checked up front so a typo fails before any unit runs.
 pub fn load_manifest(path: &str) -> Result<Manifest, CliError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError::repro(format!("cannot read {path}: {e}")))?;
-    let json =
-        Json::parse(&text).map_err(|e| CliError::repro(format!("bad manifest {path}: {e}")))?;
-    let manifest = Manifest::from_json(&json)
-        .map_err(|e| CliError::repro(format!("bad manifest {path}: {e}")))?;
-    for protocol in &manifest.protocols {
-        if ProtocolKind::parse(protocol).is_none() {
-            return Err(CliError::repro(format!(
-                "bad manifest {path}: unknown protocol \"{protocol}\""
-            )));
+    let checked = |json: &Json| {
+        let manifest = Manifest::from_json(json)?;
+        for &n in &manifest.nodes {
+            check_node_count(n).map_err(|e| format!("manifest: bad \"nodes\": {e}"))?;
         }
-    }
-    for delay in &manifest.delays {
-        if !matches!(delay.as_str(), "constant" | "uniform" | "normal") {
-            return Err(CliError::repro(format!(
-                "bad manifest {path}: unknown delay \"{delay}\" \
-                 (use constant, uniform or normal)"
-            )));
+        for protocol in &manifest.protocols {
+            if ProtocolKind::parse(protocol).is_none() {
+                return Err(format!("unknown protocol \"{protocol}\""));
+            }
         }
-    }
-    for net in &manifest.nets {
-        if net != "none" {
-            parse_net_preset(net)
-                .map_err(|e| CliError::repro(format!("bad manifest {path}: net \"{net}\": {e}")))?;
+        for delay in &manifest.delays {
+            if !matches!(delay.as_str(), "constant" | "uniform" | "normal") {
+                return Err(format!(
+                    "unknown delay \"{delay}\" (use constant, uniform or normal)"
+                ));
+            }
         }
-    }
-    Ok(manifest)
+        for net in manifest.nets.iter().filter(|net| *net != "none") {
+            parse_net_preset(net).map_err(|e| format!("net \"{net}\": {e}"))?;
+        }
+        Ok(manifest)
+    };
+    json::load(path, "manifest", checked).map_err(CliError::repro)
 }
 
 /// Maps one expanded work unit to the scenario it runs. Every derived seed

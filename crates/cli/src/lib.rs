@@ -42,7 +42,8 @@ pub use campaign::{
 
 use bft_sim_core::buggify::FaultPreset;
 use bft_sim_core::dist::Dist;
-use bft_sim_core::json::Json;
+use bft_sim_core::json::{self, Fields, Json};
+use bft_sim_simcheck::check_node_count;
 use bft_simulator::experiments::{figures, loc, AttackSpec, Scenario};
 use bft_simulator::prelude::ProtocolKind;
 
@@ -118,33 +119,28 @@ pub struct RunSpec {
 
 impl RunSpec {
     /// Parses a spec from a JSON config object; absent fields keep their
-    /// defaults, unknown fields are rejected (mirroring strict derive-style
-    /// deserialisation so typos in config files surface as errors).
+    /// [`RunSpec::default`] values.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed or unknown field.
+    /// Malformed per [`bft_sim_core::json`]'s artifact parsing policy (so a
+    /// typo in a config file surfaces as an unknown field).
     pub fn from_json(json: &Json) -> Result<RunSpec, String> {
-        let Json::Obj(pairs) = json else {
-            return Err("config: expected a JSON object".into());
+        let mut f = Fields::of(json, "config")?;
+        let base = RunSpec::default();
+        let spec = RunSpec {
+            protocol: f.opt_or("protocol", base.protocol, json::string)?,
+            nodes: f.opt_or("nodes", base.nodes, json::int)?,
+            lambda_ms: f.opt_or("lambda_ms", base.lambda_ms, json::float)?,
+            delay_mu: f.opt_or("delay_mu", base.delay_mu, json::float)?,
+            delay_sigma: f.opt_or("delay_sigma", base.delay_sigma, json::float)?,
+            reps: f.opt_or("reps", base.reps, json::int)?,
+            seed: f.opt_or("seed", base.seed, json::int)?,
+            attack: f.opt_or("attack", base.attack, json::string)?,
+            json: f.opt_or("json", base.json, json::boolean)?,
+            cost: f.opt_or("cost", base.cost, json::string)?,
         };
-        let mut spec = RunSpec::default();
-        for (key, value) in pairs {
-            let bad = || format!("config: bad value for \"{key}\"");
-            match key.as_str() {
-                "protocol" => spec.protocol = value.as_str().ok_or_else(bad)?.to_string(),
-                "nodes" => spec.nodes = value.as_u64().ok_or_else(bad)? as usize,
-                "lambda_ms" => spec.lambda_ms = value.as_f64().ok_or_else(bad)?,
-                "delay_mu" => spec.delay_mu = value.as_f64().ok_or_else(bad)?,
-                "delay_sigma" => spec.delay_sigma = value.as_f64().ok_or_else(bad)?,
-                "reps" => spec.reps = value.as_u64().ok_or_else(bad)? as usize,
-                "seed" => spec.seed = value.as_u64().ok_or_else(bad)?,
-                "attack" => spec.attack = value.as_str().ok_or_else(bad)?.to_string(),
-                "json" => spec.json = value.as_bool().ok_or_else(bad)?,
-                "cost" => spec.cost = value.as_str().ok_or_else(bad)?.to_string(),
-                other => return Err(format!("config: unknown field \"{other}\"")),
-            }
-        }
+        f.finish()?;
         Ok(spec)
     }
 
@@ -622,9 +618,7 @@ fn parse_fuzz_spec(args: &[String]) -> Result<FuzzSpec, CliError> {
                 let n: usize = value("--n")?
                     .parse()
                     .map_err(|_| CliError::usage("bad --n (node count)"))?;
-                if n < 4 {
-                    return Err(CliError::usage("--n must be at least 4 (n = 3f + 1)"));
-                }
+                check_node_count(n).map_err(|e| CliError::usage(format!("--n: {e}")))?;
                 spec.n_override = Some(n);
             }
             "--threads" => {
@@ -795,13 +789,8 @@ fn parse_run_spec(args: &[String]) -> Result<RunSpec, CliError> {
         };
         match flag.as_str() {
             "--config" => {
-                let path = value("--config")?;
-                let text = std::fs::read_to_string(&path)
-                    .map_err(|e| CliError::usage(format!("cannot read {path}: {e}")))?;
-                let parsed = Json::parse(&text)
-                    .map_err(|e| CliError::usage(format!("bad config {path}: {e}")))?;
-                spec = RunSpec::from_json(&parsed)
-                    .map_err(|e| CliError::usage(format!("bad config {path}: {e}")))?;
+                spec = json::load(value("--config")?, "config", RunSpec::from_json)
+                    .map_err(CliError::usage)?;
             }
             "--protocol" => spec.protocol = value("--protocol")?,
             "--nodes" => {
@@ -840,22 +829,12 @@ fn parse_run_spec(args: &[String]) -> Result<RunSpec, CliError> {
             other => return Err(CliError::usage(format!("unknown flag '{other}'"))),
         }
     }
-    // With f = 0 a node's own vote is a quorum and a slot completes inside
-    // the handler that proposed it, so the protocols recurse without bound;
-    // the engine rejects a λ that is not positive, and a delay that is not
-    // finite has no meaning. Node ids are 32-bit, a negative σ is not a
-    // spread, and the results of all repetitions are held at once, so zero
-    // repetitions report nothing and a count beyond MAX_REPS is a typo.
-    // Checked here, flags and --config alike.
-    if spec.nodes < 4 {
-        return Err(CliError::usage("--nodes must be at least 4 (n = 3f + 1)"));
-    }
-    if spec.nodes > u32::MAX as usize {
-        return Err(CliError::usage(format!(
-            "--nodes must be at most {}",
-            u32::MAX
-        )));
-    }
+    // The engine rejects a λ that is not positive, and a delay that is not
+    // finite has no meaning. A negative σ is not a spread, and the results
+    // of all repetitions are held at once, so zero repetitions report
+    // nothing and a count beyond MAX_REPS is a typo. Checked here, flags and
+    // --config alike.
+    check_node_count(spec.nodes).map_err(|e| CliError::usage(format!("--nodes: {e}")))?;
     if !(1..=MAX_REPS).contains(&spec.reps) {
         return Err(CliError::usage(format!(
             "--reps must be between 1 and {MAX_REPS}"
@@ -1323,11 +1302,8 @@ fn run_fuzz(spec: &FuzzSpec) -> Result<(), CliError> {
 
 /// Replays a repro file and reports whether its oracle still fires.
 fn run_repro(path: &str) -> Result<(), CliError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError::repro(format!("cannot read {path}: {e}")))?;
-    let json = Json::parse(&text).map_err(|e| CliError::repro(format!("bad repro {path}: {e}")))?;
-    let repro = bft_sim_simcheck::Repro::from_json(&json)
-        .map_err(|e| CliError::repro(format!("bad repro {path}: {e}")))?;
+    let repro =
+        json::load(path, "repro", bft_sim_simcheck::Repro::from_json).map_err(CliError::repro)?;
     let violation = repro
         .check()
         .map_err(|e| CliError::repro(format!("{path}: {e}")))?;
@@ -1340,12 +1316,7 @@ fn run_trace(spec: &TraceSpec) -> Result<(), CliError> {
     use bft_sim_simcheck::{RunMode, ScenarioSpec};
 
     let mut scenario = if std::path::Path::new(&spec.scenario).is_file() {
-        let text = std::fs::read_to_string(&spec.scenario)
-            .map_err(|e| CliError::runtime(format!("cannot read {}: {e}", spec.scenario)))?;
-        let json = Json::parse(&text)
-            .map_err(|e| CliError::usage(format!("bad scenario {}: {e}", spec.scenario)))?;
-        ScenarioSpec::from_json(&json)
-            .map_err(|e| CliError::usage(format!("bad scenario {}: {e}", spec.scenario)))?
+        json::load(&spec.scenario, "scenario", ScenarioSpec::from_json).map_err(CliError::usage)?
     } else if let Some(kind) = ProtocolKind::parse(&spec.scenario) {
         ScenarioSpec::baseline(kind)
     } else {

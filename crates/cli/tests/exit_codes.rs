@@ -146,6 +146,162 @@ fn repro_file_errors_exit_four() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Malformed artifacts exit with their loader's code — 2 for a scenario
+/// file or `--config`, 4 for a repro, manifest or checkpoint — and say which
+/// field is wrong. Each of these once ended in a signal (134: f = 0
+/// recursion, unbounded parser recursion), a panic (101) or a run with a
+/// value the file did not contain (a rounded float, a truncated id, the last
+/// of two repeated keys).
+#[test]
+fn hostile_artifacts_exit_with_their_loaders_code() {
+    let dir = scratch("hostile");
+    let file = |name: &str, text: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).expect("write artifact");
+        path.to_str().unwrap().to_string()
+    };
+    let manifest = |nodes: &str, tail: &str| {
+        format!(
+            r#"{{"format": "bft-sim-campaign-v1", "protocols": ["pbft"], "nodes": {nodes},
+              "delays": ["constant"], "nets": ["none"], "attacks": [0],
+              "seeds": {{"lo": 0, "hi": 2}}, "checkpoint_every": 2, "max_actions": 8{tail}}}"#
+        )
+    };
+    let repro = |extra: &str| {
+        format!(
+            r#"{{"format": "bft-sim-repro-v1", "oracle": "termination", "detail": "x",
+              "scenario": {{"protocol": "pbft", "n": 4}}{extra}}}"#
+        )
+    };
+    let good_manifest = file("good-manifest.json", &manifest("[4]", ""));
+    let checkpoint = file(
+        "wide-shard.json",
+        r#"{"format": "bft-sim-campaign-checkpoint-v1", "manifest_hash": "0",
+          "shard": {"index": 4294967296, "count": 4294967297}, "completed": 0, "records": [],
+          "aggregates": {"delivery_latency": {"count": 0, "sum_micros": 0, "buckets": []},
+                         "decision_interval": {"count": 0, "sum_micros": 0, "buckets": []}}}"#,
+    );
+    let cases: Vec<(Vec<String>, i32, &str)> = vec![
+        (
+            vec![
+                "trace".into(),
+                file("n1.json", r#"{"protocol":"pbft","n":1}"#),
+            ],
+            2,
+            "n = 3f + 1",
+        ),
+        (
+            vec![
+                "trace".into(),
+                file("n0.json", r#"{"protocol":"pbft","n":0}"#),
+            ],
+            2,
+            "n = 3f + 1",
+        ),
+        (
+            vec![
+                "trace".into(),
+                file("n4.6.json", r#"{"protocol":"pbft","n":4.6}"#),
+            ],
+            2,
+            "bad \"n\": expected an unsigned integer",
+        ),
+        (
+            vec![
+                "trace".into(),
+                file("cap.json", r#"{"protocol":"pbft","time_cap_secs":1e30}"#),
+            ],
+            2,
+            "bad \"time_cap_secs\"",
+        ),
+        (
+            vec![
+                "trace".into(),
+                file(
+                    "twice.json",
+                    r#"{"protocol":"pbft","n":4,"seed":1,"seed":2,"n":7}"#,
+                ),
+            ],
+            2,
+            "duplicate field \"seed\"",
+        ),
+        (
+            vec![
+                "run".into(),
+                "--config".into(),
+                file("config.json", r#"{"nodes": 16.5}"#),
+            ],
+            2,
+            "bad \"nodes\"",
+        ),
+        (
+            vec![
+                "campaign".into(),
+                "run".into(),
+                file("nodes1.json", &manifest("[1]", "")),
+            ],
+            4,
+            "n = 3f + 1",
+        ),
+        (
+            vec![
+                "campaign".into(),
+                "run".into(),
+                file("nodes4.4.json", &manifest("[4.4]", r#", "max_actions": 9"#)),
+            ],
+            4,
+            "duplicate field \"max_actions\"",
+        ),
+        (
+            vec![
+                "campaign".into(),
+                "run".into(),
+                file("nodes4.4-once.json", &manifest("[4.4]", "")),
+            ],
+            4,
+            "bad \"nodes\": entry #0: expected an unsigned integer",
+        ),
+        (
+            vec!["campaign".into(), "merge".into(), good_manifest, checkpoint],
+            4,
+            "bad \"shard.index\": 4294967296 exceeds the u32 range",
+        ),
+        (
+            vec!["repro".into(), file("deep.json", &"[".repeat(200_000))],
+            4,
+            "nesting deeper than 128",
+        ),
+        (
+            vec![
+                "repro".into(),
+                file(
+                    "wide-dst.json",
+                    &repro(
+                        r#", "fault_actions": [{"index": 0,
+                            "kind": {"TargetedDrop": {"dst": 4294967298}}}]"#,
+                    ),
+                ),
+            ],
+            4,
+            "bad \"dst\": 4294967298 exceeds the u32 range",
+        ),
+    ];
+    for (args, code, needle) in cases {
+        let args: Vec<&str> = args.iter().map(String::as_str).collect();
+        let out = bft_sim(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "bft-sim {args:?}\n{stderr}");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(first.starts_with("error: "), "bft-sim {args:?}: {first}");
+        assert!(first.contains(needle), "bft-sim {args:?}: {first}");
+        assert!(
+            !stderr.contains("panicked at"),
+            "bft-sim {args:?}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A fuzz sweep that finds violations must exit 3 — distinct from both the
 /// repro-file class (4) and a panic (101). Needs the seeded bug, so this
 /// case only runs under `--features testbug`.

@@ -25,7 +25,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::fasthash::FastMap;
 use crate::ids::NodeId;
-use crate::json::Json;
+use crate::json::{self, Fields, Json};
 use crate::time::SimDuration;
 
 /// Where in the engine a fault applies. Each site keeps its own 0-based
@@ -592,52 +592,41 @@ pub fn fault_actions_to_json(actions: &[FaultAction]) -> Json {
 ///
 /// # Errors
 ///
-/// Returns a description of the first malformed entry, naming its index.
+/// Malformed per [`crate::json`]'s artifact parsing policy; the message
+/// names the offending entry's index.
 pub fn fault_actions_from_json(json: &Json) -> Result<Vec<FaultAction>, String> {
-    let entries = json.as_arr().ok_or("fault_actions: expected an array")?;
-    entries
-        .iter()
-        .enumerate()
-        .map(|(i, e)| {
-            fault_action_from_json(e).map_err(|err| format!("fault_actions: entry #{i}: {err}"))
-        })
-        .collect()
+    json::list(fault_action_from_json)(json).map_err(|e| format!("fault_actions: {e}"))
 }
 
 fn fault_action_from_json(json: &Json) -> Result<FaultAction, String> {
-    let index = json
-        .get("index")
-        .and_then(Json::as_u64)
-        .ok_or("bad \"index\"")?;
-    let kind = json.get("kind").ok_or("missing \"kind\"")?;
-    let field = |body: &Json, name: &str| -> Result<u64, String> {
-        body.get(name)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("bad \"{name}\""))
-    };
-    let kind = if let Some(body) = kind.get("TimerSkew") {
-        FaultKind::TimerSkew {
-            factor_permille: field(body, "factor_permille")?,
-        }
-    } else if let Some(body) = kind.get("DuplicateDelivery") {
-        FaultKind::DuplicateDelivery {
-            extra_micros: field(body, "extra_micros")?,
-        }
-    } else if let Some(body) = kind.get("ReorderDelay") {
-        FaultKind::ReorderDelay {
-            extra_micros: field(body, "extra_micros")?,
-        }
-    } else if let Some(body) = kind.get("TargetedDrop") {
-        FaultKind::TargetedDrop {
-            dst: NodeId::new(field(body, "dst")? as u32),
-        }
-    } else if let Some(body) = kind.get("TornWrite") {
-        FaultKind::TornWrite {
-            keep: field(body, "keep")?,
-        }
-    } else {
-        return Err(format!("unknown kind {kind}"));
-    };
+    let mut f = Fields::of(json, "fault action")?;
+    let index = f.req("index", json::int)?;
+    let kind = f.req("kind", |kind| {
+        let (tag, body) = json::variant(kind, "kind")?;
+        let unknown = || format!("unknown kind \"{tag}\"");
+        let mut f = body.ok_or_else(unknown)?;
+        let kind = match tag {
+            "TimerSkew" => FaultKind::TimerSkew {
+                factor_permille: f.req("factor_permille", json::int)?,
+            },
+            "DuplicateDelivery" => FaultKind::DuplicateDelivery {
+                extra_micros: f.req("extra_micros", json::int)?,
+            },
+            "ReorderDelay" => FaultKind::ReorderDelay {
+                extra_micros: f.req("extra_micros", json::int)?,
+            },
+            "TargetedDrop" => FaultKind::TargetedDrop {
+                dst: NodeId::new(f.req("dst", json::int)?),
+            },
+            "TornWrite" => FaultKind::TornWrite {
+                keep: f.req("keep", json::int)?,
+            },
+            _ => return Err(unknown()),
+        };
+        f.finish()?;
+        Ok(kind)
+    })?;
+    f.finish()?;
     Ok(FaultAction { index, kind })
 }
 

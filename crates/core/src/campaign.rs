@@ -30,7 +30,7 @@ use std::hash::Hasher;
 use std::path::Path;
 
 use crate::fasthash::FastHasher;
-use crate::json::Json;
+use crate::json::{self, Fields, Json};
 use crate::metrics::Summary;
 use crate::obs::Histogram;
 
@@ -236,72 +236,31 @@ impl Manifest {
         ])
     }
 
-    /// Parses and validates a manifest document. Strict: unknown fields are
-    /// rejected, every field is required.
+    /// Parses and validates a manifest document; every field is required.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the malformed field.
+    /// Malformed per [`crate::json`]'s artifact parsing policy, a foreign
+    /// `format` tag, or a grid [`validate`](Manifest::validate) rejects.
     pub fn from_json(json: &Json) -> Result<Manifest, String> {
-        let fields = expect_obj(json, "manifest")?;
-        let mut format = None;
-        let mut protocols = None;
-        let mut nodes = None;
-        let mut delays = None;
-        let mut nets = None;
-        let mut attacks = None;
-        let mut seeds = None;
-        let mut checkpoint_every = None;
-        let mut max_actions = None;
-        for (key, value) in fields {
-            match key.as_str() {
-                "format" => format = Some(expect_str(value, "manifest format")?),
-                "protocols" => protocols = Some(string_list(value, "protocols")?),
-                "nodes" => {
-                    let list = uint_list(value, "nodes")?;
-                    nodes = Some(list.into_iter().map(|n| n as usize).collect::<Vec<_>>());
-                }
-                "delays" => delays = Some(string_list(value, "delays")?),
-                "nets" => nets = Some(string_list(value, "nets")?),
-                "attacks" => attacks = Some(uint_list(value, "attacks")?),
-                "seeds" => {
-                    let pair = expect_obj(value, "manifest seeds")?;
-                    let mut lo = None;
-                    let mut hi = None;
-                    for (k, v) in pair {
-                        match k.as_str() {
-                            "lo" => lo = Some(expect_u64(v, "seeds.lo")?),
-                            "hi" => hi = Some(expect_u64(v, "seeds.hi")?),
-                            other => return Err(format!("manifest seeds: unknown field {other}")),
-                        }
-                    }
-                    seeds = Some((
-                        lo.ok_or("manifest seeds: missing lo")?,
-                        hi.ok_or("manifest seeds: missing hi")?,
-                    ));
-                }
-                "checkpoint_every" => {
-                    checkpoint_every = Some(expect_u64(value, "checkpoint_every")? as usize)
-                }
-                "max_actions" => max_actions = Some(expect_u64(value, "max_actions")?),
-                other => return Err(format!("manifest: unknown field {other}")),
-            }
+        let mut f = Fields::of(json, "manifest")?;
+        let format = f.req("format", json::string)?;
+        if format != MANIFEST_FORMAT {
+            return Err(format!("manifest: unsupported format \"{format}\""));
         }
-        match format {
-            Some(f) if f == MANIFEST_FORMAT => {}
-            Some(f) => return Err(format!("manifest: unsupported format \"{f}\"")),
-            None => return Err("manifest: missing field format".into()),
-        }
+        let mut seeds = f.sub("seeds")?;
         let manifest = Manifest {
-            protocols: protocols.ok_or("manifest: missing field protocols")?,
-            nodes: nodes.ok_or("manifest: missing field nodes")?,
-            delays: delays.ok_or("manifest: missing field delays")?,
-            nets: nets.ok_or("manifest: missing field nets")?,
-            attacks: attacks.ok_or("manifest: missing field attacks")?,
-            seeds: seeds.ok_or("manifest: missing field seeds")?,
-            checkpoint_every: checkpoint_every.ok_or("manifest: missing field checkpoint_every")?,
-            max_actions: max_actions.ok_or("manifest: missing field max_actions")?,
+            protocols: f.req("protocols", json::list(json::string))?,
+            nodes: f.req("nodes", json::list(json::int))?,
+            delays: f.req("delays", json::list(json::string))?,
+            nets: f.req("nets", json::list(json::string))?,
+            attacks: f.req("attacks", json::list(json::int))?,
+            seeds: (seeds.req("lo", json::int)?, seeds.req("hi", json::int)?),
+            checkpoint_every: f.req("checkpoint_every", json::int)?,
+            max_actions: f.req("max_actions", json::int)?,
         };
+        seeds.finish()?;
+        f.finish()?;
         manifest.validate()?;
         Ok(manifest)
     }
@@ -405,45 +364,27 @@ impl UnitRecord {
         Json::Obj(pairs)
     }
 
-    /// Parses a record. Strict: unknown fields rejected, and the
-    /// outcome-specific fields (`violations`, `repro`, `panic`) must match
-    /// the declared outcome.
+    /// Parses a record. The outcome-specific fields (`violations`, `repro`,
+    /// `panic`) must match the declared outcome.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the malformed field.
+    /// Malformed per [`crate::json`]'s artifact parsing policy, or the
+    /// outcome and its fields disagree.
     pub fn from_json(json: &Json) -> Result<UnitRecord, String> {
-        let fields = expect_obj(json, "unit record")?;
-        let mut index = None;
-        let mut outcome = None;
-        let mut events = None;
-        let mut decisions = None;
-        let mut honest_messages = None;
-        let mut latency_micros = None;
-        let mut violations: Option<Vec<String>> = None;
-        let mut repro = None;
-        let mut panic = None;
-        for (key, value) in fields {
-            match key.as_str() {
-                "index" => index = Some(expect_u64(value, "record index")? as usize),
-                "outcome" => outcome = Some(expect_str(value, "record outcome")?),
-                "events" => events = Some(expect_u64(value, "record events")?),
-                "decisions" => decisions = Some(expect_u64(value, "record decisions")?),
-                "honest_messages" => {
-                    honest_messages = Some(expect_u64(value, "record honest_messages")?)
-                }
-                "latency_micros" => {
-                    latency_micros = Some(expect_u64(value, "record latency_micros")?)
-                }
-                "violations" => violations = Some(string_list(value, "record violations")?),
-                "repro" => repro = Some(expect_str(value, "record repro")?),
-                "panic" => panic = Some(expect_str(value, "record panic")?),
-                other => return Err(format!("unit record: unknown field {other}")),
-            }
-        }
-        let index = index.ok_or("unit record: missing field index")?;
-        let outcome = match outcome.as_deref() {
-            Some("clean") => {
+        let mut f = Fields::of(json, "unit record")?;
+        let index: usize = f.req("index", json::int)?;
+        let outcome = f.req("outcome", json::string)?;
+        let events = f.req("events", json::int)?;
+        let decisions = f.req("decisions", json::int)?;
+        let honest_messages = f.req("honest_messages", json::int)?;
+        let latency_micros = f.opt("latency_micros", json::int)?;
+        let violations = f.opt("violations", json::list(json::string))?;
+        let repro = f.opt("repro", json::string)?;
+        let panic = f.opt("panic", json::string)?;
+        f.finish()?;
+        let outcome = match outcome.as_str() {
+            "clean" => {
                 if violations.is_some() || repro.is_some() || panic.is_some() {
                     return Err(format!(
                         "unit record {index}: clean outcome carries violation/panic fields"
@@ -451,7 +392,7 @@ impl UnitRecord {
                 }
                 UnitOutcome::Clean
             }
-            Some("violated") => {
+            "violated" => {
                 let violations = violations.ok_or_else(|| {
                     format!("unit record {index}: violated outcome without violations")
                 })?;
@@ -467,7 +408,7 @@ impl UnitRecord {
                 }
                 UnitOutcome::Violated { violations, repro }
             }
-            Some("panicked") => {
+            "panicked" => {
                 if violations.is_some() || repro.is_some() {
                     return Err(format!(
                         "unit record {index}: panicked outcome carries violation fields"
@@ -479,15 +420,14 @@ impl UnitRecord {
                     })?,
                 }
             }
-            Some(other) => return Err(format!("unit record {index}: unknown outcome \"{other}\"")),
-            None => return Err(format!("unit record {index}: missing field outcome")),
+            other => return Err(format!("unit record {index}: unknown outcome \"{other}\"")),
         };
         Ok(UnitRecord {
             index,
             outcome,
-            events: events.ok_or("unit record: missing field events")?,
-            decisions: decisions.ok_or("unit record: missing field decisions")?,
-            honest_messages: honest_messages.ok_or("unit record: missing field honest_messages")?,
+            events,
+            decisions,
+            honest_messages,
             latency_micros,
         })
     }
@@ -550,90 +490,34 @@ impl Checkpoint {
         ])
     }
 
-    /// Parses a checkpoint document. Strict: unknown fields rejected, the
-    /// `completed` count must match the record list, records must be sorted
-    /// by strictly ascending index, and the embedded histograms must pass
-    /// [`Histogram::from_json`] consistency validation.
+    /// Parses a checkpoint document. The `completed` count must match the
+    /// record list, records must be sorted by strictly ascending index, and
+    /// the embedded histograms must pass [`Histogram::from_json`]
+    /// consistency validation.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the malformed field.
+    /// Malformed per [`crate::json`]'s artifact parsing policy, a foreign
+    /// `format` tag, or one of the consistency checks above fails.
     pub fn from_json(json: &Json) -> Result<Checkpoint, String> {
-        let fields = expect_obj(json, "checkpoint")?;
-        let mut format = None;
-        let mut manifest_hash = None;
-        let mut shard = None;
-        let mut completed = None;
-        let mut records: Option<Vec<UnitRecord>> = None;
-        let mut aggregates = None;
-        for (key, value) in fields {
-            match key.as_str() {
-                "format" => format = Some(expect_str(value, "checkpoint format")?),
-                "manifest_hash" => {
-                    manifest_hash = Some(expect_str(value, "checkpoint manifest_hash")?)
-                }
-                "shard" => {
-                    let pair = expect_obj(value, "checkpoint shard")?;
-                    let mut index = None;
-                    let mut count = None;
-                    for (k, v) in pair {
-                        match k.as_str() {
-                            "index" => index = Some(expect_u64(v, "shard.index")? as u32),
-                            "count" => count = Some(expect_u64(v, "shard.count")? as u32),
-                            other => {
-                                return Err(format!("checkpoint shard: unknown field {other}"))
-                            }
-                        }
-                    }
-                    shard = Some((
-                        index.ok_or("checkpoint shard: missing index")?,
-                        count.ok_or("checkpoint shard: missing count")?,
-                    ));
-                }
-                "completed" => completed = Some(expect_u64(value, "checkpoint completed")?),
-                "records" => {
-                    let arr = value
-                        .as_arr()
-                        .ok_or("checkpoint: records is not an array")?;
-                    records = Some(
-                        arr.iter()
-                            .map(UnitRecord::from_json)
-                            .collect::<Result<Vec<_>, _>>()?,
-                    );
-                }
-                "aggregates" => {
-                    let pair = expect_obj(value, "checkpoint aggregates")?;
-                    let mut delivery = None;
-                    let mut interval = None;
-                    for (k, v) in pair {
-                        match k.as_str() {
-                            "delivery_latency" => {
-                                delivery = Some(Histogram::from_json(v).map_err(|e| e.to_string())?)
-                            }
-                            "decision_interval" => {
-                                interval = Some(Histogram::from_json(v).map_err(|e| e.to_string())?)
-                            }
-                            other => {
-                                return Err(format!("checkpoint aggregates: unknown field {other}"))
-                            }
-                        }
-                    }
-                    aggregates = Some((
-                        delivery.ok_or("checkpoint aggregates: missing delivery_latency")?,
-                        interval.ok_or("checkpoint aggregates: missing decision_interval")?,
-                    ));
-                }
-                other => return Err(format!("checkpoint: unknown field {other}")),
-            }
+        let histogram = |json: &Json| Histogram::from_json(json).map_err(|e| e.to_string());
+        let mut f = Fields::of(json, "checkpoint")?;
+        let format = f.req("format", json::string)?;
+        if format != CHECKPOINT_FORMAT {
+            return Err(format!("checkpoint: unsupported format \"{format}\""));
         }
-        match format {
-            Some(f) if f == CHECKPOINT_FORMAT => {}
-            Some(f) => return Err(format!("checkpoint: unsupported format \"{f}\"")),
-            None => return Err("checkpoint: missing field format".into()),
-        }
-        let records = records.ok_or("checkpoint: missing field records")?;
-        let completed = completed.ok_or("checkpoint: missing field completed")?;
-        if completed != records.len() as u64 {
+        let manifest_hash = f.req("manifest_hash", json::string)?;
+        let mut pair = f.sub("shard")?;
+        let shard: (u32, u32) = (pair.req("index", json::int)?, pair.req("count", json::int)?);
+        pair.finish()?;
+        let completed: usize = f.req("completed", json::int)?;
+        let records = f.req("records", json::list(UnitRecord::from_json))?;
+        let mut aggregates = f.sub("aggregates")?;
+        let delivery_latency = aggregates.req("delivery_latency", histogram)?;
+        let decision_interval = aggregates.req("decision_interval", histogram)?;
+        aggregates.finish()?;
+        f.finish()?;
+        if completed != records.len() {
             return Err(format!(
                 "checkpoint: completed says {completed} but {} records are present",
                 records.len()
@@ -647,14 +531,11 @@ impl Checkpoint {
                 ));
             }
         }
-        let (delivery_latency, decision_interval) =
-            aggregates.ok_or("checkpoint: missing field aggregates")?;
-        let shard = shard.ok_or("checkpoint: missing field shard")?;
         if shard.1 == 0 || shard.0 >= shard.1 {
             return Err(format!("checkpoint: invalid shard {}/{}", shard.0, shard.1));
         }
         Ok(Checkpoint {
-            manifest_hash: manifest_hash.ok_or("checkpoint: missing field manifest_hash")?,
+            manifest_hash,
             shard,
             records,
             delivery_latency,
@@ -687,11 +568,7 @@ impl Checkpoint {
     ///
     /// Returns a message on I/O or parse failure.
     pub fn load(path: &Path) -> Result<Checkpoint, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let json =
-            Json::parse(&text).map_err(|e| format!("bad checkpoint {}: {e}", path.display()))?;
-        Self::from_json(&json)
+        json::load(path, "checkpoint", Self::from_json)
     }
 }
 
@@ -905,40 +782,6 @@ pub fn final_report(manifest: &Manifest, checkpoint: &Checkpoint) -> Result<Json
         ]),
     ));
     Ok(Json::Obj(pairs))
-}
-
-fn expect_obj<'a>(json: &'a Json, what: &str) -> Result<&'a [(String, Json)], String> {
-    match json {
-        Json::Obj(fields) => Ok(fields),
-        _ => Err(format!("{what}: expected an object")),
-    }
-}
-
-fn expect_str(json: &Json, what: &str) -> Result<String, String> {
-    json.as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("{what}: expected a string"))
-}
-
-fn expect_u64(json: &Json, what: &str) -> Result<u64, String> {
-    json.as_u64()
-        .ok_or_else(|| format!("{what}: expected an unsigned integer"))
-}
-
-fn string_list(json: &Json, what: &str) -> Result<Vec<String>, String> {
-    json.as_arr()
-        .ok_or_else(|| format!("{what}: expected an array"))?
-        .iter()
-        .map(|v| expect_str(v, what))
-        .collect()
-}
-
-fn uint_list(json: &Json, what: &str) -> Result<Vec<u64>, String> {
-    json.as_arr()
-        .ok_or_else(|| format!("{what}: expected an array"))?
-        .iter()
-        .map(|v| expect_u64(v, what))
-        .collect()
 }
 
 #[cfg(test)]

@@ -1,12 +1,14 @@
-//! A fast, deterministic hasher for engine-internal maps.
+//! A fast, deterministic hasher for simulator-internal maps.
 //!
 //! The engine and scheduler key several hot maps by small integers (timer
-//! ids, event sequence numbers, packed `(src, dst)` pairs). The standard
-//! `RandomState`/SipHash combination is both slower than necessary for
-//! integer keys and randomly seeded per map, so switching to this
+//! ids, event sequence numbers, packed `(src, dst)` pairs), and the vote
+//! tracker and the protocols key theirs by views and 64-bit digests. The
+//! standard `RandomState`/SipHash combination is both slower than necessary
+//! for integer keys and randomly seeded per map, so switching to this
 //! multiplicative hasher removes per-lookup overhead *and* makes iteration
 //! order a pure function of the inserted keys — one less source of
-//! accidental nondeterminism.
+//! accidental nondeterminism, and no process-to-process difference in what
+//! a lookup costs.
 //!
 //! Not DoS-resistant by design: every key hashed here is simulator-internal
 //! and never attacker-controlled.

@@ -8,8 +8,34 @@
 //! Objects preserve insertion order so output is deterministic; the pretty
 //! printer matches `serde_json`'s two-space style, which keeps the committed
 //! golden traces diffable.
+//!
+//! # Artifact parsing policy
+//!
+//! Every artifact parser in the workspace (scenario, repro, manifest,
+//! checkpoint, corpus, trace, delivery schedule, `--config`) reads its
+//! objects through [`Fields`], its tagged enums through [`variant`] and its
+//! file through [`load`], so what happens to a malformed field is decided
+//! here, once:
+//!
+//! 1. a value that should be an object and is not, or an object that repeats
+//!    a key, is an error;
+//! 2. a key the parser never asked for is an error (`unknown field`), raised
+//!    by [`Fields::finish`];
+//! 3. a required key that is absent is an error (`missing`); an optional one
+//!    takes the default its parser documents;
+//! 4. an integer must be integral, non-negative and in range of the type it
+//!    is stored in ([`int`] — nothing is rounded or truncated), a float must
+//!    be finite ([`float`]);
+//! 5. every message starts with the object's name and quotes the key —
+//!    `scenario: bad "n": …`, `manifest: missing "seeds.lo"` — and a nested
+//!    parser's message is wrapped by its parent's, so the full path is read
+//!    left to right.
+//!
+//! [`Json::get`] and the `as_*` accessors are lenient (floats round, absent
+//! is `None`); they are for tests and report readers, not for parsers.
 
 use core::fmt;
+use std::path::Path;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,11 +128,14 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable description of the first syntax error.
+    /// Returns a human-readable description of the first syntax error;
+    /// nesting deeper than 128 levels is one (the parser recurses, so an
+    /// unbounded `[[[[…` would overflow the stack).
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -227,6 +256,236 @@ impl From<String> for Json {
     }
 }
 
+/// A strict cursor over one JSON object: take each field the format has with
+/// [`req`](Fields::req) / [`opt`](Fields::opt) / [`opt_or`](Fields::opt_or),
+/// then call [`finish`](Fields::finish). Implements the module's artifact
+/// parsing policy; each field is read by a function such as [`int`],
+/// [`string`], [`list`] or a nested type's own `from_json`.
+#[derive(Debug)]
+pub struct Fields<'a> {
+    what: String,
+    /// Dotted path of the inline sub-objects entered so far (`"seeds."`),
+    /// shown inside the quotes in front of the key.
+    prefix: String,
+    pairs: &'a [(String, Json)],
+    asked: Vec<bool>,
+}
+
+impl<'a> Fields<'a> {
+    /// Opens `json`, which messages will call `what`.
+    ///
+    /// # Errors
+    ///
+    /// `json` is not an object, or repeats a key.
+    pub fn of(json: &'a Json, what: impl Into<String>) -> Result<Fields<'a>, String> {
+        Fields::open(json, what.into(), String::new())
+    }
+
+    fn open(json: &'a Json, what: String, prefix: String) -> Result<Fields<'a>, String> {
+        let Json::Obj(pairs) = json else {
+            let at = prefix.trim_end_matches('.');
+            return Err(match at {
+                "" => format!("{what}: expected an object"),
+                _ => format!("{what}: bad \"{at}\": expected an object"),
+            });
+        };
+        for (i, (key, _)) in pairs.iter().enumerate() {
+            if pairs[..i].iter().any(|(earlier, _)| earlier == key) {
+                return Err(format!("{what}: duplicate field \"{prefix}{key}\""));
+            }
+        }
+        Ok(Fields {
+            what,
+            prefix,
+            pairs,
+            asked: vec![false; pairs.len()],
+        })
+    }
+
+    fn take(&mut self, key: &str) -> Option<&'a Json> {
+        let i = self.pairs.iter().position(|(k, _)| k == key)?;
+        self.asked[i] = true;
+        Some(&self.pairs[i].1)
+    }
+
+    /// The field `key` read by `read`, or `None` when it is absent.
+    ///
+    /// # Errors
+    ///
+    /// `read` rejected the value; its message is wrapped with the path.
+    pub fn opt<T>(
+        &mut self,
+        key: &str,
+        read: impl FnOnce(&Json) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        let value = self.take(key).map(read).transpose();
+        value.map_err(|e| format!("{}: bad \"{}{key}\": {e}", self.what, self.prefix))
+    }
+
+    /// The field `key` read by `read`.
+    ///
+    /// # Errors
+    ///
+    /// The field is absent, or `read` rejected it.
+    pub fn req<T>(
+        &mut self,
+        key: &str,
+        read: impl FnOnce(&Json) -> Result<T, String>,
+    ) -> Result<T, String> {
+        self.opt(key, read)?
+            .ok_or_else(|| format!("{}: missing \"{}{key}\"", self.what, self.prefix))
+    }
+
+    /// The field `key` read by `read`, or `default` when it is absent.
+    ///
+    /// # Errors
+    ///
+    /// `read` rejected the value.
+    pub fn opt_or<T>(
+        &mut self,
+        key: &str,
+        default: T,
+        read: impl FnOnce(&Json) -> Result<T, String>,
+    ) -> Result<T, String> {
+        Ok(self.opt(key, read)?.unwrap_or(default))
+    }
+
+    /// A cursor over the inline object at `key` — one that belongs to this
+    /// format rather than to a type with its own `from_json`. Its fields
+    /// are reported under this object's name as `"key.field"`. An absent
+    /// `key` yields an empty cursor, so the sub-object is required exactly
+    /// when one of its fields is.
+    ///
+    /// # Errors
+    ///
+    /// The value at `key` is not an object, or repeats a key.
+    pub fn sub(&mut self, key: &str) -> Result<Fields<'a>, String> {
+        static ABSENT: Json = Json::Obj(Vec::new());
+        let prefix = format!("{}{key}.", self.prefix);
+        Fields::open(self.take(key).unwrap_or(&ABSENT), self.what.clone(), prefix)
+    }
+
+    /// Closes the object.
+    ///
+    /// # Errors
+    ///
+    /// It holds a key that was never asked for.
+    pub fn finish(self) -> Result<(), String> {
+        match self.asked.iter().position(|asked| !asked) {
+            Some(i) => Err(format!(
+                "{}: unknown field \"{}{}\"",
+                self.what, self.prefix, self.pairs[i].0
+            )),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Reads an unsigned integer of whichever type the caller stores it in
+/// (`u64`, `u32`, `usize`): integral, non-negative and in that type's range.
+///
+/// # Errors
+///
+/// Anything else — nothing is rounded, saturated or truncated.
+pub fn int<T: TryFrom<u64>>(json: &Json) -> Result<T, String> {
+    let value = match *json {
+        Json::UInt(v) => v,
+        // 2⁶⁴ as an f64; every integral f64 below it converts exactly.
+        Json::Num(n) if n.fract() == 0.0 && (0.0..18_446_744_073_709_551_616.0).contains(&n) => {
+            n as u64
+        }
+        _ => return Err("expected an unsigned integer".into()),
+    };
+    T::try_from(value).map_err(|_| {
+        let target = core::any::type_name::<T>();
+        format!("{value} exceeds the {target} range")
+    })
+}
+
+/// Reads a finite number.
+///
+/// # Errors
+///
+/// Not a number, or an overflowed literal such as `1e999`.
+pub fn float(json: &Json) -> Result<f64, String> {
+    json.as_f64()
+        .filter(|n| n.is_finite())
+        .ok_or_else(|| "expected a finite number".into())
+}
+
+/// Reads `true` or `false`.
+///
+/// # Errors
+///
+/// Not a boolean.
+pub fn boolean(json: &Json) -> Result<bool, String> {
+    json.as_bool()
+        .ok_or_else(|| "expected true or false".into())
+}
+
+/// Reads a string.
+///
+/// # Errors
+///
+/// Not a string.
+pub fn string(json: &Json) -> Result<String, String> {
+    json.as_str()
+        .map(str::to_string)
+        .ok_or_else(|| "expected a string".into())
+}
+
+/// A reader for an array whose entries are each read by `read`; an entry's
+/// error names its index (`entry #3: …`).
+pub fn list<T>(
+    read: impl Fn(&Json) -> Result<T, String>,
+) -> impl Fn(&Json) -> Result<Vec<T>, String> {
+    move |json| {
+        let items = json.as_arr().ok_or("expected an array")?;
+        let entry = |(i, item)| read(item).map_err(|e| format!("entry #{i}: {e}"));
+        items.iter().enumerate().map(entry).collect()
+    }
+}
+
+/// Splits an externally tagged enum value: the bare string `"Tag"` is a unit
+/// variant (no body), the single-key object `{"Tag": {…}}` a variant whose
+/// body comes back as a cursor named `what Tag`. The caller matches on the
+/// pair and rejects the tags it does not know.
+///
+/// # Errors
+///
+/// Neither shape, more than one key, or a body that is not an object.
+pub fn variant<'a>(json: &'a Json, what: &str) -> Result<(&'a str, Option<Fields<'a>>), String> {
+    match json {
+        Json::Str(tag) => Ok((tag, None)),
+        Json::Obj(pairs) => match pairs.as_slice() {
+            [(tag, body)] => Ok((tag, Some(Fields::of(body, format!("{what} {tag}"))?))),
+            _ => Err(format!(
+                "{what}: expected exactly one variant key, found {}",
+                pairs.len()
+            )),
+        },
+        _ => Err(format!("{what}: expected \"Tag\" or {{\"Tag\": {{…}}}}")),
+    }
+}
+
+/// Reads the file at `path`, parses it and hands the document to `from_json`.
+/// `what` names the artifact in the messages (`bad manifest m.json: …`).
+///
+/// # Errors
+///
+/// The file cannot be read, is not JSON, or `from_json` rejects it.
+pub fn load<T>(
+    path: impl AsRef<Path>,
+    what: &str,
+    from_json: impl FnOnce(&Json) -> Result<T, String>,
+) -> Result<T, String> {
+    let path = path.as_ref();
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let bad = |e: String| format!("bad {what} {}: {e}", path.display());
+    from_json(&Json::parse(&text).map_err(bad)?).map_err(bad)
+}
+
 fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     if let Some(width) = indent {
         out.push('\n');
@@ -263,9 +522,14 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting `Json::parse` accepts — far beyond any
+/// artifact this workspace writes.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -294,8 +558,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -564,6 +842,81 @@ mod tests {
         assert!(Json::parse("tru").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse(r#"{"a" 1}"#).is_err());
+    }
+
+    #[test]
+    fn fields_states_the_policy_once() {
+        let doc = Json::parse(r#"{"n": 7, "pair": {"lo": 1}, "tags": ["a", 2]}"#).unwrap();
+        let mut f = Fields::of(&doc, "doc").unwrap();
+        assert_eq!(f.req("n", int::<u32>), Ok(7));
+        assert_eq!(f.opt("absent", int::<u64>), Ok(None));
+        assert_eq!(f.opt_or("absent", 9usize, int), Ok(9));
+        let mut pair = f.sub("pair").unwrap();
+        assert_eq!(pair.req("lo", int::<u64>), Ok(1));
+        let err = pair.req("hi", int::<u64>).unwrap_err();
+        assert_eq!(err, "doc: missing \"pair.hi\"");
+        pair.finish().unwrap();
+        let err = f.req("tags", list(string)).unwrap_err();
+        assert_eq!(err, "doc: bad \"tags\": entry #1: expected a string");
+        f.finish().unwrap();
+
+        let mut f = Fields::of(&doc, "doc").unwrap();
+        f.req("n", int::<u64>).unwrap();
+        assert_eq!(f.finish().unwrap_err(), "doc: unknown field \"pair\"");
+        let twice = Json::parse(r#"{"n": 1, "n": 2}"#).unwrap();
+        let err = Fields::of(&twice, "doc").unwrap_err();
+        assert_eq!(err, "doc: duplicate field \"n\"");
+        assert!(Fields::of(&Json::from(1u64), "doc").is_err());
+        // An absent inline object is required exactly when a field of it is.
+        let empty = Json::obj([]);
+        let mut f = Fields::of(&empty, "doc").unwrap();
+        assert!(f.sub("pair").unwrap().finish().is_ok());
+    }
+
+    #[test]
+    fn integers_are_never_rounded_saturated_or_truncated() {
+        let num = |text: &str| Json::parse(text).unwrap();
+        assert_eq!(int::<u64>(&num("18446744073709551615")), Ok(u64::MAX));
+        assert_eq!(int::<u64>(&num("1e3")), Ok(1000));
+        assert_eq!(int::<u32>(&num("4294967295")), Ok(u32::MAX));
+        let err = int::<u32>(&num("4294967296")).unwrap_err();
+        assert_eq!(err, "4294967296 exceeds the u32 range");
+        for bad in ["4.6", "-1", "1e30", "18446744073709551616", "\"4\"", "null"] {
+            assert!(int::<u64>(&num(bad)).is_err(), "{bad}");
+        }
+        assert_eq!(float(&num("2.5")), Ok(2.5));
+        assert_eq!(float(&num("7")), Ok(7.0));
+        assert!(float(&num("1e999")).is_err(), "an overflowed literal");
+    }
+
+    #[test]
+    fn variant_splits_both_shapes() {
+        let unit = Json::from("Drop");
+        assert!(matches!(variant(&unit, "fate"), Ok(("Drop", None))));
+        let tagged = Json::parse(r#"{"Deliver": {"delay_micros": 5}}"#).unwrap();
+        let (tag, body) = variant(&tagged, "fate").unwrap();
+        let mut body = body.unwrap();
+        assert_eq!(
+            (tag, body.req("delay_micros", int::<u64>)),
+            ("Deliver", Ok(5))
+        );
+        let err = body.req("x", int::<u64>).unwrap_err();
+        assert_eq!(err, "fate Deliver: missing \"x\"");
+        for bad in [r#"{"A": {}, "B": {}}"#, "{}", "7", r#"{"A": 7}"#] {
+            assert!(
+                variant(&Json::parse(bad).unwrap(), "fate").is_err(),
+                "{bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = |n: usize| format!("{}1{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err, "nesting deeper than 128 at byte 128");
+        assert!(Json::parse(&"{\"a\":".repeat(200_000)).is_err());
     }
 
     #[test]

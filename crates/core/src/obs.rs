@@ -32,7 +32,7 @@ use std::sync::{Arc, Mutex};
 use crate::error::SimError;
 use crate::fasthash::FastMap;
 use crate::ids::NodeId;
-use crate::json::Json;
+use crate::json::{self, Fields, Json};
 use crate::message::Message;
 use crate::payload::Payload;
 use crate::time::{SimDuration, SimTime};
@@ -266,7 +266,7 @@ impl Histogram {
     /// validating internal consistency. Rejected as
     /// [`SimError::InvalidConfig`]:
     ///
-    /// * unknown or missing fields, or non-integer values,
+    /// * anything [`crate::json`]'s artifact parsing policy rejects,
     /// * bucket entries that are not `[index, count]` pairs with
     ///   `index < HISTOGRAM_BUCKETS`, strictly ascending indices, and
     ///   `count > 0`,
@@ -277,72 +277,40 @@ impl Histogram {
     ///   `min > max`, with min/max outside the lowest/highest populated
     ///   bucket, or with `sum_micros` outside `[count*min, count*max]`.
     pub fn from_json(json: &Json) -> Result<Histogram, SimError> {
-        let bad = |msg: String| SimError::InvalidConfig(format!("histogram: {msg}"));
-        let obj = match json {
-            Json::Obj(fields) => fields,
-            _ => return Err(bad("expected an object".into())),
+        Self::read(json).map_err(SimError::InvalidConfig)
+    }
+
+    fn read(json: &Json) -> Result<Histogram, String> {
+        let bad = |msg: String| format!("histogram: {msg}");
+        let pair = |entry: &Json| match entry.as_arr() {
+            Some([index, count]) => Ok((json::int::<usize>(index)?, json::int::<u64>(count)?)),
+            _ => Err("not an [index, count] pair".to_string()),
         };
-        let mut count = None;
-        let mut sum_micros = None;
-        let mut min_micros = None;
-        let mut max_micros = None;
-        let mut bucket_arr = None;
-        for (key, value) in obj {
-            match key.as_str() {
-                "count" | "sum_micros" | "min_micros" | "max_micros" => {
-                    let v = value
-                        .as_u64()
-                        .ok_or_else(|| bad(format!("field {key} is not an unsigned integer")))?;
-                    let slot = match key.as_str() {
-                        "count" => &mut count,
-                        "sum_micros" => &mut sum_micros,
-                        "min_micros" => &mut min_micros,
-                        _ => &mut max_micros,
-                    };
-                    if slot.replace(v).is_some() {
-                        return Err(bad(format!("duplicate field {key}")));
-                    }
-                }
-                "buckets" => {
-                    let arr = value
-                        .as_arr()
-                        .ok_or_else(|| bad("buckets is not an array".into()))?;
-                    if bucket_arr.replace(arr).is_some() {
-                        return Err(bad("duplicate field buckets".into()));
-                    }
-                }
-                other => return Err(bad(format!("unknown field {other}"))),
-            }
-        }
-        let count = count.ok_or_else(|| bad("missing field count".into()))?;
-        let sum_micros = sum_micros.ok_or_else(|| bad("missing field sum_micros".into()))?;
-        let bucket_arr = bucket_arr.ok_or_else(|| bad("missing field buckets".into()))?;
+        let mut f = Fields::of(json, "histogram")?;
+        let count: u64 = f.req("count", json::int)?;
+        let sum_micros: u64 = f.req("sum_micros", json::int)?;
+        let min_micros: Option<u64> = f.opt("min_micros", json::int)?;
+        let max_micros: Option<u64> = f.opt("max_micros", json::int)?;
+        let entries = f.req("buckets", json::list(pair))?;
+        f.finish()?;
 
         let mut buckets = [0u64; HISTOGRAM_BUCKETS];
         let mut bucket_total = 0u64;
         let mut last_index: Option<usize> = None;
-        for entry in bucket_arr {
-            let pair = entry
-                .as_arr()
-                .filter(|p| p.len() == 2)
-                .ok_or_else(|| bad("bucket entry is not an [index, count] pair".into()))?;
-            let index = pair[0]
-                .as_u64()
-                .filter(|&i| i < HISTOGRAM_BUCKETS as u64)
-                .ok_or_else(|| {
-                    bad(format!(
-                        "bucket index out of range (max {})",
-                        HISTOGRAM_BUCKETS - 1
-                    ))
-                })? as usize;
+        for (index, c) in entries {
+            if index >= HISTOGRAM_BUCKETS {
+                return Err(bad(format!(
+                    "bucket index {index} out of range (max {})",
+                    HISTOGRAM_BUCKETS - 1
+                )));
+            }
             if last_index.is_some_and(|prev| index <= prev) {
                 return Err(bad("bucket indices must be strictly ascending".into()));
             }
             last_index = Some(index);
-            let c = pair[1]
-                .as_u64()
-                .filter(|&c| c > 0)
-                .ok_or_else(|| bad("bucket count must be a positive integer".into()))?;
+            if c == 0 {
+                return Err(bad("bucket count must be a positive integer".into()));
+            }
             buckets[index] = c;
             bucket_total = bucket_total
                 .checked_add(c)
@@ -366,8 +334,8 @@ impl Histogram {
             return Ok(Histogram::new());
         }
 
-        let min_micros = min_micros.ok_or_else(|| bad("missing field min_micros".into()))?;
-        let max_micros = max_micros.ok_or_else(|| bad("missing field max_micros".into()))?;
+        let min_micros = min_micros.ok_or_else(|| bad("missing \"min_micros\"".into()))?;
+        let max_micros = max_micros.ok_or_else(|| bad("missing \"max_micros\"".into()))?;
         if min_micros > max_micros {
             return Err(bad(format!(
                 "min_micros {min_micros} exceeds max_micros {max_micros}"

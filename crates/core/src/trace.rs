@@ -8,7 +8,7 @@
 use std::borrow::Cow;
 
 use crate::ids::NodeId;
-use crate::json::Json;
+use crate::json::{self, Fields, Json};
 use crate::smallstr::SmallStr;
 use crate::time::SimTime;
 use crate::value::Value;
@@ -147,16 +147,11 @@ impl Trace {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first structural mismatch.
+    /// Malformed per [`crate::json`]'s artifact parsing policy.
     pub fn from_json(json: &Json) -> Result<Trace, String> {
-        let events = json
-            .get("events")
-            .and_then(Json::as_arr)
-            .ok_or("trace: missing \"events\" array")?;
-        let events = events
-            .iter()
-            .map(TraceEvent::from_json)
-            .collect::<Result<Vec<_>, String>>()?;
+        let mut f = Fields::of(json, "trace")?;
+        let events = f.req("events", json::list(TraceEvent::from_json))?;
+        f.finish()?;
         Ok(Trace { events })
     }
 }
@@ -176,29 +171,18 @@ impl TraceEvent {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first structural mismatch. Node ids
-    /// outside the `u32` range are rejected rather than silently truncated.
+    /// Malformed per [`crate::json`]'s artifact parsing policy; node ids
+    /// outside the `u32` range are rejected, not truncated.
     pub fn from_json(json: &Json) -> Result<TraceEvent, String> {
-        let time = json
-            .get("time")
-            .and_then(Json::as_u64)
-            .ok_or("trace event: bad \"time\"")?;
-        let node = json
-            .get("node")
-            .and_then(Json::as_u64)
-            .ok_or("trace event: bad \"node\"")?;
-        Ok(TraceEvent {
-            time: SimTime::from_micros(time),
-            node: NodeId::new(node_id_in_range(node, "node")?),
-            kind: TraceKind::from_json(json.get("kind").ok_or("trace event: missing \"kind\"")?)?,
-        })
+        let mut f = Fields::of(json, "trace event")?;
+        let event = TraceEvent {
+            time: SimTime::from_micros(f.req("time", json::int)?),
+            node: NodeId::new(f.req("node", json::int)?),
+            kind: f.req("kind", TraceKind::from_json)?,
+        };
+        f.finish()?;
+        Ok(event)
     }
-}
-
-/// Node ids are `u32`; a larger value in the JSON is a corrupt or foreign
-/// file, not something to truncate with `as`.
-fn node_id_in_range(raw: u64, what: &str) -> Result<u32, String> {
-    u32::try_from(raw).map_err(|_| format!("trace event: \"{what}\" {raw} exceeds the u32 range"))
 }
 
 impl TraceKind {
@@ -241,51 +225,38 @@ impl TraceKind {
     }
 
     fn from_json(json: &Json) -> Result<TraceKind, String> {
-        if let Some(unit) = json.as_str() {
-            return match unit {
-                "Corrupted" => Ok(TraceKind::Corrupted),
-                "Crashed" => Ok(TraceKind::Crashed),
-                other => Err(format!("trace kind: unknown variant \"{other}\"")),
-            };
-        }
-        let Json::Obj(pairs) = json else {
-            return Err("trace kind: expected string or single-key object".into());
-        };
-        let [(tag, body)] = pairs.as_slice() else {
-            return Err("trace kind: expected exactly one variant key".into());
-        };
-        let field = |name: &str| -> Result<u64, String> {
-            body.get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("trace kind {tag}: bad \"{name}\""))
-        };
-        let text = |name: &str| -> Result<String, String> {
-            body.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("trace kind {tag}: bad \"{name}\""))
-        };
-        match tag.as_str() {
-            "Decided" => Ok(TraceKind::Decided {
-                slot: field("slot")?,
-                value: Value::new(field("value")?),
-            }),
-            "View" => Ok(TraceKind::View {
-                view: field("view")?,
-            }),
-            "Sent" => Ok(TraceKind::Sent {
-                dst: NodeId::new(node_id_in_range(field("dst")?, "dst")?),
-                payload_type: Cow::Owned(text("payload_type")?),
-            }),
-            "Delivered" => Ok(TraceKind::Delivered {
-                src: NodeId::new(node_id_in_range(field("src")?, "src")?),
-                payload_type: Cow::Owned(text("payload_type")?),
-            }),
-            "Custom" => Ok(TraceKind::Custom {
-                label: Cow::Owned(text("label")?),
-                detail: SmallStr::from(text("detail")?),
-            }),
-            other => Err(format!("trace kind: unknown variant \"{other}\"")),
+        let unknown = |tag: &str| Err(format!("trace kind: unknown variant \"{tag}\""));
+        let text = |json: &Json| json::string(json).map(Cow::Owned);
+        match json::variant(json, "trace kind")? {
+            ("Corrupted", None) => Ok(TraceKind::Corrupted),
+            ("Crashed", None) => Ok(TraceKind::Crashed),
+            (tag, Some(mut f)) => {
+                let kind = match tag {
+                    "Decided" => TraceKind::Decided {
+                        slot: f.req("slot", json::int)?,
+                        value: Value::new(f.req("value", json::int)?),
+                    },
+                    "View" => TraceKind::View {
+                        view: f.req("view", json::int)?,
+                    },
+                    "Sent" => TraceKind::Sent {
+                        dst: NodeId::new(f.req("dst", json::int)?),
+                        payload_type: f.req("payload_type", text)?,
+                    },
+                    "Delivered" => TraceKind::Delivered {
+                        src: NodeId::new(f.req("src", json::int)?),
+                        payload_type: f.req("payload_type", text)?,
+                    },
+                    "Custom" => TraceKind::Custom {
+                        label: f.req("label", text)?,
+                        detail: SmallStr::from(f.req("detail", json::string)?),
+                    },
+                    other => return unknown(other),
+                };
+                f.finish()?;
+                Ok(kind)
+            }
+            (tag, None) => unknown(tag),
         }
     }
 }

@@ -19,7 +19,7 @@
 
 use crate::adversary::Fate;
 use crate::error::SimError;
-use crate::json::Json;
+use crate::json::{self, Fields, Json};
 use crate::metrics::RunResult;
 use crate::time::SimDuration;
 
@@ -112,72 +112,30 @@ impl DeliverySchedule {
     /// Parses a schedule from the JSON produced by
     /// [`DeliverySchedule::to_json`]. The cursor starts rewound.
     ///
-    /// Parsing is strict: a corrupted schedule replayed as ground truth would
-    /// silently validate the wrong run, so any entry that is not *exactly*
-    /// the string `"Drop"` or a single-key `{"Deliver": {"delay_micros": n}}`
-    /// object — including entries with trailing or duplicate fields — is
-    /// rejected.
+    /// A corrupted schedule replayed as ground truth would silently validate
+    /// the wrong run, so an entry must be *exactly* the string `"Drop"` or a
+    /// single-key `{"Deliver": {"delay_micros": n}}` object.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first structural mismatch, naming the
-    /// offending fate's index.
+    /// Malformed per [`crate::json`]'s artifact parsing policy; the message
+    /// names the offending fate's index.
     pub fn from_json(json: &Json) -> Result<DeliverySchedule, String> {
-        let Json::Obj(top) = json else {
-            return Err("schedule: expected a top-level object".into());
-        };
-        let [(key, fates)] = top.as_slice() else {
-            return Err(format!(
-                "schedule: expected exactly the \"fates\" key, found {} keys",
-                top.len()
-            ));
-        };
-        if key != "fates" {
-            return Err(format!("schedule: unknown key \"{key}\""));
-        }
-        let fates = fates
-            .as_arr()
-            .ok_or("schedule: \"fates\" is not an array")?;
-        let fates = fates
-            .iter()
-            .enumerate()
-            .map(|(i, f)| Self::fate_from_json(f).map_err(|e| format!("schedule: fate #{i}: {e}")))
-            .collect::<Result<Vec<_>, String>>()?;
+        let mut f = Fields::of(json, "schedule")?;
+        let fates = f.req("fates", json::list(Self::fate_from_json))?;
+        f.finish()?;
         Ok(DeliverySchedule { fates, cursor: 0 })
     }
 
     fn fate_from_json(json: &Json) -> Result<RecordedFate, String> {
-        match json {
-            Json::Str(s) if s == "Drop" => Ok(RecordedFate::Drop),
-            Json::Str(s) => Err(format!("unknown fate \"{s}\"")),
-            Json::Obj(pairs) => {
-                let [(tag, body)] = pairs.as_slice() else {
-                    return Err(format!(
-                        "expected exactly one variant key, found {}",
-                        pairs.len()
-                    ));
-                };
-                if tag != "Deliver" {
-                    return Err(format!("unknown fate variant \"{tag}\""));
-                }
-                let Json::Obj(fields) = body else {
-                    return Err("\"Deliver\" body is not an object".into());
-                };
-                let [(field, delay)] = fields.as_slice() else {
-                    return Err(format!(
-                        "\"Deliver\" must hold exactly \"delay_micros\", found {} fields",
-                        fields.len()
-                    ));
-                };
-                if field != "delay_micros" {
-                    return Err(format!("\"Deliver\" has unknown field \"{field}\""));
-                }
-                let delay_micros = delay
-                    .as_u64()
-                    .ok_or("\"delay_micros\" is not an unsigned integer")?;
+        match json::variant(json, "fate")? {
+            ("Drop", None) => Ok(RecordedFate::Drop),
+            ("Deliver", Some(mut f)) => {
+                let delay_micros = f.req("delay_micros", json::int)?;
+                f.finish()?;
                 Ok(RecordedFate::Deliver { delay_micros })
             }
-            _ => Err("expected \"Drop\" or a {\"Deliver\": …} object".into()),
+            (tag, _) => Err(format!("unknown fate variant \"{tag}\"")),
         }
     }
 }
@@ -354,13 +312,13 @@ mod tests {
     #[test]
     fn schedule_json_rejects_corruption() {
         // Top-level shape.
-        assert_rejected("[]", "top-level object");
-        assert_rejected("{\"fates\": [], \"extra\": 1}", "exactly the \"fates\"");
-        assert_rejected("{\"schedule\": []}", "unknown key");
-        assert_rejected("{\"fates\": 3}", "not an array");
+        assert_rejected("[]", "expected an object");
+        assert_rejected("{\"fates\": [], \"extra\": 1}", "unknown field \"extra\"");
+        assert_rejected("{\"schedule\": []}", "missing \"fates\"");
+        assert_rejected("{\"fates\": 3}", "expected an array");
         // Fate entries, each error naming the entry index.
-        assert_rejected("{\"fates\": [\"Drop\", \"Dropp\"]}", "fate #1");
-        assert_rejected("{\"fates\": [42]}", "fate #0");
+        assert_rejected("{\"fates\": [\"Drop\", \"Dropp\"]}", "entry #1");
+        assert_rejected("{\"fates\": [42]}", "entry #0");
         assert_rejected(
             "{\"fates\": [{\"Deliver\": {\"delay_micros\": 1}, \"Drop\": null}]}",
             "exactly one variant",
@@ -369,23 +327,30 @@ mod tests {
             "{\"fates\": [{\"Forward\": {\"delay_micros\": 1}}]}",
             "unknown fate variant",
         );
-        assert_rejected("{\"fates\": [{\"Deliver\": 7}]}", "not an object");
+        assert_rejected("{\"fates\": [{\"Deliver\": 7}]}", "expected an object");
+        // A unit variant spelled as an object, and the reverse.
+        assert_rejected("{\"fates\": [{\"Drop\": {}}]}", "unknown fate variant");
+        assert_rejected("{\"fates\": [\"Deliver\"]}", "unknown fate variant");
         // Trailing and duplicate fields inside the Deliver body.
         assert_rejected(
             "{\"fates\": [{\"Deliver\": {\"delay_micros\": 1, \"trailing\": 2}}]}",
-            "exactly \"delay_micros\"",
+            "unknown field \"trailing\"",
         );
         assert_rejected(
             "{\"fates\": [{\"Deliver\": {\"delay_micros\": 1, \"delay_micros\": 2}}]}",
-            "exactly \"delay_micros\"",
+            "duplicate field \"delay_micros\"",
         );
         assert_rejected(
             "{\"fates\": [{\"Deliver\": {\"delay\": 1}}]}",
-            "unknown field",
+            "missing \"delay_micros\"",
         );
         assert_rejected(
             "{\"fates\": [\"Drop\", {\"Deliver\": {\"delay_micros\": \"soon\"}}]}",
-            "fate #1",
+            "entry #1",
+        );
+        assert_rejected(
+            "{\"fates\": [{\"Deliver\": {\"delay_micros\": 1.5}}]}",
+            "expected an unsigned integer",
         );
     }
 

@@ -4,9 +4,9 @@
 //! certificate. [`VoteTracker`] deduplicates signers per candidate and
 //! produces a [`QuorumCert`] once the threshold is met.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
+use bft_sim_core::fasthash::FastMap;
 use bft_sim_core::ids::NodeId;
 
 use crate::hash::Digest;
@@ -180,8 +180,8 @@ impl QuorumCert {
 #[derive(Debug, Clone)]
 pub struct VoteTracker {
     threshold: usize,
-    votes: HashMap<(u64, Digest), SignerSet>,
-    formed: HashMap<(u64, Digest), bool>,
+    votes: FastMap<(u64, Digest), SignerSet>,
+    formed: FastMap<(u64, Digest), bool>,
 }
 
 impl VoteTracker {
@@ -192,8 +192,8 @@ impl VoteTracker {
         // rehash allocations.
         VoteTracker {
             threshold,
-            votes: HashMap::with_capacity(16),
-            formed: HashMap::with_capacity(16),
+            votes: FastMap::with_capacity_and_hasher(16, Default::default()),
+            formed: FastMap::with_capacity_and_hasher(16, Default::default()),
         }
     }
 

@@ -21,10 +21,9 @@
 //! Decisions require `n − f` matching commits; a decided node broadcasts a
 //! notify certificate so laggards finish immediately.
 
-use std::collections::HashMap;
-
 use bft_sim_core::context::Context;
 use bft_sim_core::event::Timer;
+use bft_sim_core::fasthash::FastMap;
 use bft_sim_core::ids::NodeId;
 use bft_sim_core::message::Message;
 use bft_sim_core::protocol::Protocol;
@@ -150,12 +149,12 @@ pub enum AddMsg {
 /// Per-iteration message bookkeeping.
 #[derive(Debug, Default)]
 struct IterState {
-    statuses: HashMap<NodeId, (Digest, u64)>,
-    prepares: HashMap<Digest, SignerSet>,
+    statuses: FastMap<NodeId, (Digest, u64)>,
+    prepares: FastMap<Digest, SignerSet>,
     reveals: Vec<VrfOutput>,
     /// Proposals received, keyed by proposer.
-    proposals: HashMap<NodeId, Digest>,
-    commits: HashMap<Digest, SignerSet>,
+    proposals: FastMap<NodeId, Digest>,
+    commits: FastMap<Digest, SignerSet>,
 }
 
 /// Timer payload marking a global round boundary.
@@ -173,7 +172,7 @@ pub struct AddBa {
     locked: Digest,
     grade: u64,
     global_round: u64,
-    iters: HashMap<u64, IterState>,
+    iters: FastMap<u64, IterState>,
     decided: bool,
 }
 
@@ -192,7 +191,7 @@ impl AddBa {
             locked: input,
             grade: 0,
             global_round: 0,
-            iters: HashMap::new(),
+            iters: FastMap::default(),
             decided: false,
         }
     }

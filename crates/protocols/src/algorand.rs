@@ -21,10 +21,9 @@
 //! exchange lets partitioned groups re-merge as soon as the network heals
 //! (Fig. 6): quorums simply could not form while the partition was up.
 
-use std::collections::HashMap;
-
 use bft_sim_core::context::Context;
 use bft_sim_core::event::Timer;
+use bft_sim_core::fasthash::FastMap;
 use bft_sim_core::ids::NodeId;
 use bft_sim_core::message::Message;
 use bft_sim_core::protocol::Protocol;
@@ -88,9 +87,9 @@ enum AlgoStep {
 #[derive(Debug, Default)]
 struct PeriodState {
     proposals: Vec<(VrfOutput, Digest)>,
-    soft: HashMap<Digest, SignerSet>,
-    cert: HashMap<Digest, SignerSet>,
-    next: HashMap<Digest, SignerSet>,
+    soft: FastMap<Digest, SignerSet>,
+    cert: FastMap<Digest, SignerSet>,
+    next: FastMap<Digest, SignerSet>,
     soft_voted: bool,
     cert_voted: bool,
     next_voted_value: Option<Digest>,
@@ -105,7 +104,7 @@ pub struct Algorand {
     locked: Option<Digest>,
     /// This node's input value.
     input: Digest,
-    periods: HashMap<u64, PeriodState>,
+    periods: FastMap<u64, PeriodState>,
     decided: bool,
 }
 
@@ -117,7 +116,7 @@ impl Algorand {
             period: 0,
             locked: None,
             input: Digest::of_words(&[0x414c474f5f494e, params.genesis_seed, id.as_u32() as u64]),
-            periods: HashMap::new(),
+            periods: FastMap::default(),
             decided: false,
         }
     }

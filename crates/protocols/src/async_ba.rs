@@ -20,10 +20,9 @@
 //! after deciding so laggards can finish (they decide at most one round
 //! later).
 
-use std::collections::HashMap;
-
 use bft_sim_core::context::Context;
 use bft_sim_core::event::Timer;
+use bft_sim_core::fasthash::FastMap;
 use bft_sim_core::ids::NodeId;
 use bft_sim_core::message::Message;
 use bft_sim_core::protocol::Protocol;
@@ -62,8 +61,8 @@ pub enum BaMsg {
 /// Per-round tally of who voted what.
 #[derive(Debug, Default)]
 struct RoundTally {
-    phase1: HashMap<NodeId, bool>,
-    phase2: HashMap<NodeId, P2Vote>,
+    phase1: FastMap<NodeId, bool>,
+    phase2: FastMap<NodeId, P2Vote>,
     phase1_done: bool,
     phase2_done: bool,
 }
@@ -77,7 +76,7 @@ pub struct AsyncBa {
     /// Current estimate.
     est: bool,
     decided: bool,
-    tallies: HashMap<u64, RoundTally>,
+    tallies: FastMap<u64, RoundTally>,
 }
 
 impl AsyncBa {
@@ -88,7 +87,7 @@ impl AsyncBa {
             round: 1,
             est: input,
             decided: false,
-            tallies: HashMap::new(),
+            tallies: FastMap::default(),
         }
     }
 

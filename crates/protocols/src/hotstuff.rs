@@ -16,10 +16,9 @@
 //! delay (Figs. 5 and 9), and after a partition the accumulated doubling
 //! overshoots by minutes (Fig. 6).
 
-use std::collections::{HashMap, HashSet};
-
 use bft_sim_core::context::Context;
 use bft_sim_core::event::Timer;
+use bft_sim_core::fasthash::{FastMap, FastSet};
 use bft_sim_core::ids::{NodeId, TimerId};
 use bft_sim_core::message::Message;
 use bft_sim_core::protocol::Protocol;
@@ -136,7 +135,7 @@ fn genesis_qc() -> QuorumCert {
 pub struct HotStuffNs {
     params: ProtocolParams,
     view: u64,
-    blocks: HashMap<Digest, BlockInfo>,
+    blocks: FastMap<Digest, BlockInfo>,
     high_qc: QuorumCert,
     locked_view: u64,
     locked_digest: Digest,
@@ -149,10 +148,10 @@ pub struct HotStuffNs {
     /// Set when we are leader but lack our high QC's block (so its height
     /// is unknown); the proposal fires once the block arrives.
     want_propose: Option<u64>,
-    proposed_views: HashSet<u64>,
+    proposed_views: FastSet<u64>,
     /// Committed tips whose ancestor chain is still incomplete locally.
     pending_decides: Vec<Digest>,
-    fetch_in_flight: HashSet<Digest>,
+    fetch_in_flight: FastSet<Digest>,
     /// Reusable buffer for [`Self::try_decide_chain`]'s commit walk; kept on
     /// the replica so the per-view decide path allocates nothing.
     decide_scratch: Vec<(u64, Digest)>,
@@ -169,7 +168,7 @@ impl HotStuffNs {
         // Reserve the per-node maps up front: replicas insert one block per
         // view and a few tracked views, so pre-sizing at construction keeps
         // the steady-state hot path free of rehash allocations.
-        let mut blocks = HashMap::with_capacity(64);
+        let mut blocks = FastMap::with_capacity_and_hasher(64, Default::default());
         blocks.insert(
             genesis_digest(),
             BlockInfo {
@@ -192,9 +191,9 @@ impl HotStuffNs {
             votes: VoteTracker::new(params.quorum()),
             pending_sync: Vec::new(),
             want_propose: None,
-            proposed_views: HashSet::new(),
+            proposed_views: FastSet::default(),
             pending_decides: Vec::new(),
-            fetch_in_flight: HashSet::new(),
+            fetch_in_flight: FastSet::default(),
             decide_scratch: Vec::with_capacity(8),
             timer: None,
             last_committed_view: 0,

@@ -13,10 +13,9 @@
 //! network delivers within a bound — LibraBFT guarantees a termination bound
 //! after GST, where HotStuff+NS does not.
 
-use std::collections::{HashMap, HashSet};
-
 use bft_sim_core::context::Context;
 use bft_sim_core::event::Timer;
+use bft_sim_core::fasthash::{FastMap, FastSet};
 use bft_sim_core::ids::{NodeId, TimerId};
 use bft_sim_core::message::Message;
 use bft_sim_core::protocol::Protocol;
@@ -91,7 +90,7 @@ fn genesis_qc() -> QuorumCert {
 pub struct LibraBft {
     params: ProtocolParams,
     round: u64,
-    blocks: HashMap<Digest, BlockInfo>,
+    blocks: FastMap<Digest, BlockInfo>,
     high_qc: QuorumCert,
     locked_round: u64,
     locked_digest: Digest,
@@ -100,15 +99,15 @@ pub struct LibraBft {
     votes: VoteTracker,
     timeout_votes: VoteTracker,
     /// Rounds this node already broadcast a timeout vote for.
-    timeout_voted: HashSet<u64>,
-    pending: HashMap<u64, Vec<(NodeId, ProposalBlock, QuorumCert)>>,
+    timeout_voted: FastSet<u64>,
+    pending: FastMap<u64, Vec<(NodeId, ProposalBlock, QuorumCert)>>,
     /// Proposals whose justify block is not yet local (vote gating).
     pending_sync: Vec<(NodeId, ProposalBlock, QuorumCert)>,
     /// Round we want to propose in once the high-QC block arrives.
     want_propose: Option<u64>,
-    proposed_rounds: HashSet<u64>,
+    proposed_rounds: FastSet<u64>,
     pending_decides: Vec<Digest>,
-    fetch_in_flight: HashSet<Digest>,
+    fetch_in_flight: FastSet<Digest>,
     timer: Option<TimerId>,
     /// Round of the newest committed block; the pacemaker interval grows
     /// with the distance between the current round and this.
@@ -118,7 +117,7 @@ pub struct LibraBft {
 impl LibraBft {
     /// Creates a replica.
     pub fn new(params: ProtocolParams) -> Self {
-        let mut blocks = HashMap::new();
+        let mut blocks = FastMap::default();
         blocks.insert(
             genesis_digest(),
             BlockInfo {
@@ -140,13 +139,13 @@ impl LibraBft {
             decided_height: 0,
             votes: VoteTracker::new(params.quorum()),
             timeout_votes: VoteTracker::new(params.quorum()),
-            timeout_voted: HashSet::new(),
-            pending: HashMap::new(),
+            timeout_voted: FastSet::default(),
+            pending: FastMap::default(),
             pending_sync: Vec::new(),
             want_propose: None,
-            proposed_rounds: HashSet::new(),
+            proposed_rounds: FastSet::default(),
             pending_decides: Vec::new(),
-            fetch_in_flight: HashSet::new(),
+            fetch_in_flight: FastSet::default(),
             timer: None,
             last_committed_round: 0,
         }

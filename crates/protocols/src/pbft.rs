@@ -13,10 +13,9 @@
 //! Responsiveness: in the happy path no timer ever fires, so latency tracks
 //! actual network delay, not λ (Fig. 4 of the paper).
 
-use std::collections::HashMap;
-
 use bft_sim_core::context::Context;
 use bft_sim_core::event::Timer;
+use bft_sim_core::fasthash::FastMap;
 use bft_sim_core::ids::{NodeId, TimerId};
 use bft_sim_core::message::Message;
 use bft_sim_core::protocol::Protocol;
@@ -135,13 +134,13 @@ pub struct Pbft {
     /// slots: `2f + 1` commits form a transferable *commit certificate*
     /// (PBFT's state-transfer argument), so a replica that fell out of the
     /// deciding view — or is a slot behind — still decides from it.
-    commit_certs: HashMap<(u64, u64, Digest), bft_sim_crypto::quorum::SignerSet>,
+    commit_certs: FastMap<(u64, u64, Digest), bft_sim_crypto::quorum::SignerSet>,
     view_changes: VoteTracker,
     /// Best prepared certificate seen in view-change messages, per target
     /// view — what a new leader re-proposes.
-    vc_best_prepared: HashMap<u64, PreparedCert>,
+    vc_best_prepared: FastMap<u64, PreparedCert>,
     /// Target views this node already voted view-change for.
-    vc_voted: HashMap<u64, bool>,
+    vc_voted: FastMap<u64, bool>,
     timer: Option<TimerId>,
     /// Consecutive view changes without progress; timeout is `λ · 2^exp`.
     timeout_exp: u32,
@@ -160,10 +159,10 @@ impl Pbft {
             sent_commit: false,
             prepared_cert: None,
             prepares: VoteTracker::new(q),
-            commit_certs: HashMap::new(),
+            commit_certs: FastMap::default(),
             view_changes: VoteTracker::new(q),
-            vc_best_prepared: HashMap::new(),
-            vc_voted: HashMap::new(),
+            vc_best_prepared: FastMap::default(),
+            vc_voted: FastMap::default(),
             timer: None,
             timeout_exp: 0,
         }

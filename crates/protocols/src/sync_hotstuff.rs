@@ -14,10 +14,9 @@
 //! attacker can hold evidence back for longer than 2Δ, conflicting commits
 //! become possible — and the engine's safety checker reports them.
 
-use std::collections::HashMap;
-
 use bft_sim_core::context::Context;
 use bft_sim_core::event::Timer;
+use bft_sim_core::fasthash::FastMap;
 use bft_sim_core::ids::NodeId;
 use bft_sim_core::message::Message;
 use bft_sim_core::protocol::Protocol;
@@ -76,16 +75,16 @@ pub struct SyncHotStuff {
     /// Next height to decide.
     height: u64,
     /// First proposal digest seen per `(view, height)`.
-    proposals: HashMap<(u64, u64), Digest>,
+    proposals: FastMap<(u64, u64), Digest>,
     /// Votes per `(view, height, digest)`.
-    votes: HashMap<(u64, u64, Digest), SignerSet>,
+    votes: FastMap<(u64, u64, Digest), SignerSet>,
     /// Heights this node voted in (per view), to vote at most once.
-    voted: HashMap<(u64, u64), bool>,
+    voted: FastMap<(u64, u64), bool>,
     /// Whether the leader of `view` was caught equivocating.
-    equivocated: HashMap<u64, bool>,
+    equivocated: FastMap<u64, bool>,
     /// Blame votes per view.
-    blames: HashMap<u64, SignerSet>,
-    blamed: HashMap<u64, bool>,
+    blames: FastMap<u64, SignerSet>,
+    blamed: FastMap<u64, bool>,
 }
 
 impl SyncHotStuff {
@@ -95,12 +94,12 @@ impl SyncHotStuff {
             params,
             view: 1,
             height: 1,
-            proposals: HashMap::new(),
-            votes: HashMap::new(),
-            voted: HashMap::new(),
-            equivocated: HashMap::new(),
-            blames: HashMap::new(),
-            blamed: HashMap::new(),
+            proposals: FastMap::default(),
+            votes: FastMap::default(),
+            voted: FastMap::default(),
+            equivocated: FastMap::default(),
+            blames: FastMap::default(),
+            blamed: FastMap::default(),
         }
     }
 

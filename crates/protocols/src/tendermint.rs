@@ -12,10 +12,9 @@
 //! higher round skips ahead — Tendermint's gossip-style round catch-up,
 //! which gives it LibraBFT-like resilience to timeout mis-estimation.
 
-use std::collections::HashMap;
-
 use bft_sim_core::context::Context;
 use bft_sim_core::event::Timer;
+use bft_sim_core::fasthash::FastMap;
 use bft_sim_core::ids::NodeId;
 use bft_sim_core::message::Message;
 use bft_sim_core::protocol::Protocol;
@@ -83,9 +82,9 @@ enum TmTimeout {
 #[derive(Debug, Default)]
 struct RoundTally {
     proposal: Option<(Digest, u64)>,
-    prevotes: HashMap<Digest, SignerSet>,
+    prevotes: FastMap<Digest, SignerSet>,
     prevote_total: SignerSet,
-    precommits: HashMap<Digest, SignerSet>,
+    precommits: FastMap<Digest, SignerSet>,
     precommit_total: SignerSet,
     prevoted: bool,
     precommitted: bool,
@@ -102,9 +101,9 @@ pub struct Tendermint {
     locked: Option<(Digest, u64)>,
     /// Latest polka value/round (candidate for re-proposals).
     valid: Option<(Digest, u64)>,
-    tallies: HashMap<(u64, u64), RoundTally>,
+    tallies: FastMap<(u64, u64), RoundTally>,
     /// Distinct senders seen per (height, round) for the f+1 skip rule.
-    round_presence: HashMap<(u64, u64), SignerSet>,
+    round_presence: FastMap<(u64, u64), SignerSet>,
     decided_height: u64,
 }
 
@@ -117,8 +116,8 @@ impl Tendermint {
             round: 0,
             locked: None,
             valid: None,
-            tallies: HashMap::new(),
-            round_presence: HashMap::new(),
+            tallies: FastMap::default(),
+            round_presence: FastMap::default(),
             decided_height: 0,
         }
     }

@@ -33,7 +33,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use bft_sim_core::fasthash::{FastHasher, FastSet};
-use bft_sim_core::json::Json;
+use bft_sim_core::json::{self, Json};
 use bft_sim_core::obs::DEFAULT_LAST_K;
 use bft_sim_core::sweep::{panic_message, sweep};
 use bft_sim_core::trace::TraceEvent;
@@ -68,23 +68,11 @@ pub const CORPUS_FILE: &str = "corpus.json";
 /// valid JSON, is not an array, or holds a malformed scenario.
 pub fn load_corpus(dir: &Path) -> Result<Vec<ScenarioSpec>, String> {
     let path = dir.join(CORPUS_FILE);
-    let text = match std::fs::read_to_string(&path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(format!("corpus: cannot read {}: {e}", path.display())),
-    };
-    let json = Json::parse(&text).map_err(|e| format!("corpus: {}: {e}", path.display()))?;
-    let Json::Arr(items) = json else {
-        return Err(format!(
-            "corpus: {} must hold a JSON array of scenarios",
-            path.display()
-        ));
-    };
-    items
-        .iter()
-        .map(ScenarioSpec::from_json)
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| format!("corpus: {}: {e}", path.display()))
+    if !path.exists() {
+        return Ok(Vec::new());
+    }
+    json::load(&path, "corpus", json::list(ScenarioSpec::from_json))
+        .map_err(|e| format!("corpus: {e}"))
 }
 
 /// Persists a corpus to `dir/`[`CORPUS_FILE`] (creating `dir` if needed),

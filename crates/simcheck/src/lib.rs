@@ -45,6 +45,7 @@ pub use fuzz::{
 };
 pub use repro::{Repro, FORMAT};
 pub use scenario::{
-    CheckedRun, ChurnSpec, DelaySpec, NetSpec, PartitionSpec, RunMode, ScenarioSpec, TopologyKind,
+    check_node_count, CheckedRun, ChurnSpec, DelaySpec, NetSpec, PartitionSpec, RunMode,
+    ScenarioSpec, TopologyKind,
 };
 pub use shrink::{bisect_prefix, shrink};

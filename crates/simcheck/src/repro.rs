@@ -9,7 +9,7 @@
 
 use bft_sim_attacks::{actions_from_json, actions_to_json, FuzzAction, FuzzActionKind};
 use bft_sim_core::buggify::{fault_actions_from_json, fault_actions_to_json, FaultAction};
-use bft_sim_core::json::Json;
+use bft_sim_core::json::{self, Fields, Json};
 use bft_sim_core::oracle::OracleViolation;
 use bft_sim_core::trace::TraceEvent;
 use bft_sim_core::validator::DeliverySchedule;
@@ -103,74 +103,45 @@ impl Repro {
         Json::Obj(pairs)
     }
 
-    /// Parses the format produced by [`Repro::to_json`].
+    /// Parses the format produced by [`Repro::to_json`]; the blocks it omits
+    /// when empty (`actions`, `fault_actions`, `schedule`, `last_events`)
+    /// may be absent.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed field; a missing or
-    /// mismatched `"format"` tag is rejected up front.
+    /// Malformed per [`bft_sim_core::json`]'s artifact parsing policy, a
+    /// foreign `"format"` tag, or a replay action addressed to a node the
+    /// scenario does not have.
     pub fn from_json(json: &Json) -> Result<Repro, String> {
-        let format = json
-            .get("format")
-            .and_then(Json::as_str)
-            .ok_or("repro: missing \"format\" tag")?;
+        let mut f = Fields::of(json, "repro")?;
+        let format = f.req("format", json::string)?;
         if format != FORMAT {
             return Err(format!("repro: format \"{format}\" is not \"{FORMAT}\""));
         }
-        let oracle = json
-            .get("oracle")
-            .and_then(Json::as_str)
-            .ok_or("repro: missing \"oracle\"")?
-            .to_string();
-        let detail = json
-            .get("detail")
-            .and_then(Json::as_str)
-            .ok_or("repro: missing \"detail\"")?
-            .to_string();
-        let spec =
-            ScenarioSpec::from_json(json.get("scenario").ok_or("repro: missing \"scenario\"")?)?;
-        let actions = match json.get("actions") {
-            Some(a) => actions_from_json(a)?,
-            None => Vec::new(),
+        let repro = Repro {
+            oracle: f.req("oracle", json::string)?,
+            detail: f.req("detail", json::string)?,
+            spec: f.req("scenario", ScenarioSpec::from_json)?,
+            actions: f.opt_or("actions", Vec::new(), actions_from_json)?,
+            fault_actions: f.opt_or("fault_actions", Vec::new(), fault_actions_from_json)?,
+            schedule: f.opt("schedule", DeliverySchedule::from_json)?,
+            last_events: f.opt_or("last_events", Vec::new(), json::list(TraceEvent::from_json))?,
         };
+        f.finish()?;
         // A replay injects a delivery: a destination the scenario does not
         // have would index past the engine's per-node tables.
-        for (i, action) in actions.iter().enumerate() {
+        for (i, action) in repro.actions.iter().enumerate() {
             if let FuzzActionKind::Replay { dst, .. } = action.kind {
-                if dst.index() >= spec.n {
+                if dst.index() >= repro.spec.n {
                     return Err(format!(
                         "actions: entry #{i}: replay \"dst\" {} is not a node of the n = {} scenario",
                         dst.as_u32(),
-                        spec.n
+                        repro.spec.n
                     ));
                 }
             }
         }
-        let fault_actions = match json.get("fault_actions") {
-            Some(a) => fault_actions_from_json(a)?,
-            None => Vec::new(),
-        };
-        let schedule = match json.get("schedule") {
-            Some(s) => Some(DeliverySchedule::from_json(s)?),
-            None => None,
-        };
-        let last_events = match json.get("last_events") {
-            Some(Json::Arr(items)) => items
-                .iter()
-                .map(TraceEvent::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-            Some(_) => return Err("repro: \"last_events\" must be an array".into()),
-            None => Vec::new(),
-        };
-        Ok(Repro {
-            spec,
-            actions,
-            fault_actions,
-            schedule,
-            oracle,
-            detail,
-            last_events,
-        })
+        Ok(repro)
     }
 }
 

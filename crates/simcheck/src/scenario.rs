@@ -20,7 +20,7 @@ use bft_sim_core::buggify::{FaultAction, FaultInjector, FaultLog, FaultPreset, F
 use bft_sim_core::config::RunConfig;
 use bft_sim_core::dist::Dist;
 use bft_sim_core::engine::SimulationBuilder;
-use bft_sim_core::json::Json;
+use bft_sim_core::json::{self, Fields, Json};
 use bft_sim_core::message::Message;
 use bft_sim_core::metrics::RunResult;
 use bft_sim_core::network::{NetworkModel, SampledNetwork};
@@ -126,30 +126,27 @@ impl DelaySpec {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed field.
+    /// Malformed per [`bft_sim_core::json`]'s artifact parsing policy.
     pub fn from_json(json: &Json) -> Result<DelaySpec, String> {
-        let field = |body: &Json, name: &str| -> Result<u64, String> {
-            body.get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("delay: bad \"{name}\""))
+        let (tag, body) = json::variant(json, "delay")?;
+        let unknown = || format!("delay: unknown variant \"{tag}\"");
+        let mut f = body.ok_or_else(unknown)?;
+        let delay = match tag {
+            "Constant" => DelaySpec::Constant {
+                micros: f.req("micros", json::int)?,
+            },
+            "Uniform" => DelaySpec::Uniform {
+                lo_micros: f.req("lo_micros", json::int)?,
+                hi_micros: f.req("hi_micros", json::int)?,
+            },
+            "Normal" => DelaySpec::Normal {
+                mean_micros: f.req("mean_micros", json::int)?,
+                std_micros: f.req("std_micros", json::int)?,
+            },
+            _ => return Err(unknown()),
         };
-        if let Some(body) = json.get("Constant") {
-            Ok(DelaySpec::Constant {
-                micros: field(body, "micros")?,
-            })
-        } else if let Some(body) = json.get("Uniform") {
-            Ok(DelaySpec::Uniform {
-                lo_micros: field(body, "lo_micros")?,
-                hi_micros: field(body, "hi_micros")?,
-            })
-        } else if let Some(body) = json.get("Normal") {
-            Ok(DelaySpec::Normal {
-                mean_micros: field(body, "mean_micros")?,
-                std_micros: field(body, "std_micros")?,
-            })
-        } else {
-            Err(format!("delay: unknown variant {json}"))
-        }
+        f.finish()?;
+        Ok(delay)
     }
 }
 
@@ -178,22 +175,16 @@ impl PartitionSpec {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed field.
+    /// Malformed per [`bft_sim_core::json`]'s artifact parsing policy.
     pub fn from_json(json: &Json) -> Result<PartitionSpec, String> {
-        Ok(PartitionSpec {
-            start_ms: json
-                .get("start_ms")
-                .and_then(Json::as_u64)
-                .ok_or("partition: bad \"start_ms\"")?,
-            end_ms: json
-                .get("end_ms")
-                .and_then(Json::as_u64)
-                .ok_or("partition: bad \"end_ms\"")?,
-            drop: json
-                .get("drop")
-                .and_then(Json::as_bool)
-                .ok_or("partition: bad \"drop\"")?,
-        })
+        let mut f = Fields::of(json, "partition")?;
+        let spec = PartitionSpec {
+            start_ms: f.req("start_ms", json::int)?,
+            end_ms: f.req("end_ms", json::int)?,
+            drop: f.req("drop", json::boolean)?,
+        };
+        f.finish()?;
+        Ok(spec)
     }
 }
 
@@ -267,19 +258,17 @@ impl ChurnSpec {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed field.
+    /// Malformed per [`bft_sim_core::json`]'s artifact parsing policy.
     pub fn from_json(json: &Json) -> Result<ChurnSpec, String> {
-        let field = |name: &str| -> Result<u64, String> {
-            json.get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("churn: bad \"{name}\""))
+        let mut f = Fields::of(json, "churn")?;
+        let spec = ChurnSpec {
+            seed: f.req("seed", json::int)?,
+            crashes: f.req("crashes", json::int)?,
+            min_down_ms: f.req("min_down_ms", json::int)?,
+            max_down_ms: f.req("max_down_ms", json::int)?,
         };
-        Ok(ChurnSpec {
-            seed: field("seed")?,
-            crashes: field("crashes")?,
-            min_down_ms: field("min_down_ms")?,
-            max_down_ms: field("max_down_ms")?,
-        })
+        f.finish()?;
+        Ok(spec)
     }
 }
 
@@ -328,42 +317,25 @@ impl NetSpec {
         Json::Obj(pairs)
     }
 
-    /// Parses the format produced by [`NetSpec::to_json`]. Unknown fields
-    /// are rejected; `"topology"` is required.
+    /// Parses the format produced by [`NetSpec::to_json`]: `"topology"` is
+    /// required, the options `to_json` omits when unset may be absent.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed or unknown field.
+    /// Malformed per [`bft_sim_core::json`]'s artifact parsing policy, or an
+    /// unknown topology name.
     pub fn from_json(json: &Json) -> Result<NetSpec, String> {
-        let Json::Obj(pairs) = json else {
-            return Err("net: expected a JSON object".into());
+        let mut f = Fields::of(json, "net")?;
+        let spec = NetSpec {
+            topology: f.req("topology", |v| {
+                let name = json::string(v)?;
+                TopologyKind::parse(&name).ok_or_else(|| format!("unknown topology \"{name}\""))
+            })?,
+            bandwidth: f.opt("bandwidth", json::int)?,
+            topology_seed: f.opt_or("topology_seed", 0, json::int)?,
+            churn: f.opt("churn", ChurnSpec::from_json)?,
         };
-        let mut spec = NetSpec::full_mesh(None);
-        let mut saw_topology = false;
-        for (key, value) in pairs {
-            match key.as_str() {
-                "topology" => {
-                    let name = value.as_str().ok_or("net: bad value for \"topology\"")?;
-                    spec.topology = TopologyKind::parse(name)
-                        .ok_or_else(|| format!("net: unknown topology \"{name}\""))?;
-                    saw_topology = true;
-                }
-                "bandwidth" => {
-                    spec.bandwidth =
-                        Some(value.as_u64().ok_or("net: bad value for \"bandwidth\"")?);
-                }
-                "topology_seed" => {
-                    spec.topology_seed = value
-                        .as_u64()
-                        .ok_or("net: bad value for \"topology_seed\"")?;
-                }
-                "churn" => spec.churn = Some(ChurnSpec::from_json(value)?),
-                other => return Err(format!("net: unknown field \"{other}\"")),
-            }
-        }
-        if !saw_topology {
-            return Err("net: missing \"topology\"".into());
-        }
+        f.finish()?;
         Ok(spec)
     }
 }
@@ -988,80 +960,71 @@ impl ScenarioSpec {
         Json::Obj(pairs)
     }
 
-    /// Parses the format produced by [`ScenarioSpec::to_json`]. Unknown
-    /// fields are rejected; absent fields keep [`ScenarioSpec::baseline`]
-    /// defaults; `"protocol"` is required.
+    /// Parses the format produced by [`ScenarioSpec::to_json`]. `"protocol"`
+    /// is required; every other field may be absent and then keeps its
+    /// [`ScenarioSpec::baseline`] value, so a hand-written scenario file
+    /// states only what it changes.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed or unknown field.
+    /// Malformed per [`bft_sim_core::json`]'s artifact parsing policy, an
+    /// unknown protocol or fault preset, or an `n` that
+    /// [`check_node_count`] rejects.
     pub fn from_json(json: &Json) -> Result<ScenarioSpec, String> {
-        let Json::Obj(pairs) = json else {
-            return Err("scenario: expected a JSON object".into());
+        let mut f = Fields::of(json, "scenario")?;
+        let protocol = f.req("protocol", |v| {
+            let name = json::string(v)?;
+            ProtocolKind::parse(&name).ok_or_else(|| format!("unknown protocol \"{name}\""))
+        })?;
+        let base = ScenarioSpec::baseline(protocol);
+        let mut faults = f.sub("faults")?;
+        let spec = ScenarioSpec {
+            protocol,
+            n: f.opt_or("n", base.n, |v| json::int(v).and_then(check_node_count))?,
+            seed: f.opt_or("seed", base.seed, json::int)?,
+            genesis_seed: f.opt_or("genesis_seed", base.genesis_seed, json::int)?,
+            lambda_micros: f.opt_or("lambda_micros", base.lambda_micros, json::int)?,
+            delay: f.opt_or("delay", base.delay, DelaySpec::from_json)?,
+            net: f.opt("net", NetSpec::from_json)?,
+            partition: f.opt("partition", PartitionSpec::from_json)?,
+            adversary_seed: f.opt_or("adversary_seed", base.adversary_seed, json::int)?,
+            intensity_permille: f.opt_or(
+                "intensity_permille",
+                base.intensity_permille,
+                json::int,
+            )?,
+            max_actions: f.opt_or("max_actions", base.max_actions, json::int)?,
+            target_decisions: f.opt_or("target_decisions", base.target_decisions, json::int)?,
+            time_cap_secs: f.opt_or("time_cap_secs", base.time_cap_secs, json::int)?,
+            inject_bug: f.opt_or("inject_bug", base.inject_bug, json::boolean)?,
+            bug_delay_micros: f.opt_or("bug_delay_micros", base.bug_delay_micros, json::int)?,
+            fault_preset: faults.opt_or("preset", base.fault_preset, |v| {
+                FaultPreset::parse(&json::string(v)?)
+            })?,
+            fault_seed: faults.opt_or("seed", base.fault_seed, json::int)?,
         };
-        let mut spec = ScenarioSpec::baseline(ProtocolKind::Pbft);
-        let mut saw_protocol = false;
-        let mut saw_target = false;
-        for (key, value) in pairs {
-            let bad = || format!("scenario: bad value for \"{key}\"");
-            match key.as_str() {
-                "protocol" => {
-                    let name = value.as_str().ok_or_else(bad)?;
-                    spec.protocol = ProtocolKind::parse(name)
-                        .ok_or_else(|| format!("scenario: unknown protocol \"{name}\""))?;
-                    saw_protocol = true;
-                }
-                "n" => spec.n = value.as_u64().ok_or_else(bad)? as usize,
-                "seed" => spec.seed = value.as_u64().ok_or_else(bad)?,
-                "genesis_seed" => spec.genesis_seed = value.as_u64().ok_or_else(bad)?,
-                "lambda_micros" => spec.lambda_micros = value.as_u64().ok_or_else(bad)?,
-                "delay" => spec.delay = DelaySpec::from_json(value)?,
-                "net" => spec.net = Some(NetSpec::from_json(value)?),
-                "partition" => spec.partition = Some(PartitionSpec::from_json(value)?),
-                "adversary_seed" => spec.adversary_seed = value.as_u64().ok_or_else(bad)?,
-                "intensity_permille" => spec.intensity_permille = value.as_u64().ok_or_else(bad)?,
-                "max_actions" => spec.max_actions = value.as_u64().ok_or_else(bad)?,
-                "target_decisions" => {
-                    spec.target_decisions = value.as_u64().ok_or_else(bad)?;
-                    saw_target = true;
-                }
-                "time_cap_secs" => spec.time_cap_secs = value.as_u64().ok_or_else(bad)?,
-                "inject_bug" => spec.inject_bug = value.as_bool().ok_or_else(bad)?,
-                "bug_delay_micros" => spec.bug_delay_micros = value.as_u64().ok_or_else(bad)?,
-                "faults" => {
-                    let Json::Obj(fields) = value else {
-                        return Err("scenario: \"faults\" must be an object".into());
-                    };
-                    for (fkey, fvalue) in fields {
-                        match fkey.as_str() {
-                            "preset" => {
-                                let name = fvalue
-                                    .as_str()
-                                    .ok_or("scenario: bad value for \"faults.preset\"")?;
-                                spec.fault_preset = FaultPreset::parse(name)
-                                    .map_err(|e| format!("scenario: {e}"))?;
-                            }
-                            "seed" => {
-                                spec.fault_seed = fvalue
-                                    .as_u64()
-                                    .ok_or("scenario: bad value for \"faults.seed\"")?;
-                            }
-                            other => {
-                                return Err(format!("scenario: unknown field \"faults.{other}\""))
-                            }
-                        }
-                    }
-                }
-                other => return Err(format!("scenario: unknown field \"{other}\"")),
-            }
-        }
-        if !saw_protocol {
-            return Err("scenario: missing \"protocol\"".into());
-        }
-        if !saw_target {
-            spec.target_decisions = spec.protocol.measured_decisions();
-        }
+        faults.finish()?;
+        f.finish()?;
         Ok(spec)
+    }
+}
+
+/// The node counts a scenario may have: n = 3f + 1 needs f ≥ 1 (with f = 0 a
+/// node's own vote is a quorum, a slot completes inside the handler that
+/// proposed it and the protocols recurse without bound), and node ids are
+/// 32-bit. The one statement of the rule: CLI flags, scenario files and
+/// campaign manifests all come through here, and get `n` back.
+///
+/// # Errors
+///
+/// `n` is below 4 or above `u32::MAX`.
+pub fn check_node_count(n: usize) -> Result<usize, String> {
+    if n < 4 {
+        Err(format!("{n} nodes is below the minimum of 4 (n = 3f + 1)"))
+    } else if n > u32::MAX as usize {
+        Err(format!("{n} nodes is above the maximum of {}", u32::MAX))
+    } else {
+        Ok(n)
     }
 }
 
