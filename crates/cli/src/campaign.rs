@@ -80,7 +80,7 @@ impl Default for CampaignRunSpec {
 }
 
 /// Parameters of a `bft-sim campaign merge` invocation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CampaignMergeSpec {
     /// Path of the manifest the shard checkpoints were produced from.
     pub manifest: String,

@@ -16,6 +16,10 @@
 //! bft-sim list
 //! ```
 //!
+//! Every command's operands and flags are rows of one table (`COMMANDS`)
+//! read by one loop (`drive`), and `usage()` prints its synopses from the same
+//! rows; DESIGN.md §17 states the grammar and where a new flag goes.
+//!
 //! ## Exit codes
 //!
 //! The binary maps every failure class to a distinct exit code, so scripts
@@ -46,6 +50,7 @@ use bft_sim_core::json::{self, Fields, Json};
 use bft_sim_simcheck::check_node_count;
 use bft_simulator::experiments::{figures, loc, AttackSpec, Scenario};
 use bft_simulator::prelude::ProtocolKind;
+use std::ops::RangeInclusive;
 
 /// A parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,11 +67,6 @@ pub enum Command {
     BenchBaseline {
         /// Output path for the baseline document.
         out: String,
-        /// Worker threads for the fuzz-throughput and thread-scaling
-        /// measurements (0 = available parallelism). The per-case baseline
-        /// workloads always run serially so allocation deltas stay
-        /// attributable.
-        threads: usize,
     },
     /// Sweep deterministic fuzz scenarios, oracle-check every run, shrink
     /// violations to repro files.
@@ -258,44 +258,19 @@ impl Default for TraceSpec {
     }
 }
 
-fn default_protocol() -> String {
-    "pbft".into()
-}
-fn default_nodes() -> usize {
-    16
-}
-fn default_lambda() -> f64 {
-    1000.0
-}
-fn default_mu() -> f64 {
-    250.0
-}
-fn default_sigma() -> f64 {
-    50.0
-}
-fn default_reps() -> usize {
-    10
-}
-fn default_attack() -> String {
-    "none".into()
-}
-fn default_cost() -> String {
-    "none".into()
-}
-
 impl Default for RunSpec {
     fn default() -> Self {
         RunSpec {
-            protocol: default_protocol(),
-            nodes: default_nodes(),
-            lambda_ms: default_lambda(),
-            delay_mu: default_mu(),
-            delay_sigma: default_sigma(),
-            reps: default_reps(),
+            protocol: "pbft".into(),
+            nodes: 16,
+            lambda_ms: 1000.0,
+            delay_mu: 250.0,
+            delay_sigma: 50.0,
+            reps: 10,
             seed: 0,
-            attack: default_attack(),
+            attack: "none".into(),
             json: false,
-            cost: default_cost(),
+            cost: "none".into(),
         }
     }
 }
@@ -386,96 +361,468 @@ pub fn parse_attack(s: &str) -> Result<AttackSpec, CliError> {
     }
 }
 
-/// Rejects whatever follows a command's last operand.
-fn end_of_args<'a>(mut rest: impl Iterator<Item = &'a String>) -> Result<(), CliError> {
-    match rest.next() {
-        Some(extra) => Err(CliError::usage(format!("unexpected argument '{extra}'"))),
-        None => Ok(()),
+/// Everything an argv can fill in, whichever command it names. A command's
+/// `finish` checks its own part and wraps it in a [`Command`].
+#[derive(Default)]
+struct Spec {
+    run: RunSpec,
+    fuzz: FuzzSpec,
+    trace: TraceSpec,
+    campaign_run: CampaignRunSpec,
+    campaign_merge: CampaignMergeSpec,
+    fig_or_table: u8,
+    repro_path: String,
+    baseline_out: Option<String>,
+}
+
+/// One thing an argv may hold; a command's rows, in order, are its synopsis.
+/// A `name` that starts with `--` is a flag, and `value` the placeholder for
+/// the token that follows it (`None` makes the flag a switch, whose `set`
+/// sees `""`). Any other `name` is an operand's placeholder: operands are
+/// required, and one ending in `...` (the last) takes every further one too.
+struct Arg {
+    name: &'static str,
+    value: Option<&'static str>,
+    set: Setter,
+}
+
+impl Arg {
+    fn is_flag(&self) -> bool {
+        self.name.starts_with("--")
     }
+}
+
+/// Parses a flag's value or an operand into its place in the [`Spec`].
+type Setter = fn(&mut Spec, &str) -> Result<(), CliError>;
+
+/// One command: what its argv may hold, what `usage()` says about it, and
+/// the checks that turn a filled [`Spec`] into a [`Command`].
+struct Cmd {
+    path: &'static [&'static str],
+    args: &'static [Arg],
+    about: &'static str,
+    /// Cross-flag and range checks, `--config` and flags alike.
+    finish: fn(Spec) -> Result<Command, CliError>,
+}
+
+const fn arg(name: &'static str, value: Option<&'static str>, set: Setter) -> Arg {
+    Arg { name, value, set }
+}
+
+/// Stores a parsed value: what lets a table row be one expression.
+fn set<T>(slot: &mut T, value: Result<T, CliError>) -> Result<(), CliError> {
+    *slot = value?;
+    Ok(())
+}
+
+/// The numeric reader behind every `bad --X`.
+fn num<T: std::str::FromStr>(flag: &str, text: &str) -> Result<T, CliError> {
+    text.parse()
+        .map_err(|_| CliError::usage(format!("bad {flag}")))
+}
+
+/// `check_node_count`, reported under the flag that carried the count.
+fn node_count(flag: &str, n: usize) -> Result<usize, CliError> {
+    check_node_count(n).map_err(|e| CliError::usage(format!("{flag}: {e}")))
+}
+
+/// The operand of `fig` / `table`: a number within `valid`.
+fn numbered(what: &str, valid: RangeInclusive<u8>, text: &str) -> Result<u8, CliError> {
+    let n = text.parse();
+    let n = n.map_err(|_| CliError::usage(format!("bad {what}: {text}")))?;
+    if !valid.contains(&n) {
+        return Err(CliError::usage(format!("no {what} {n} (valid: {valid:?})")));
+    }
+    Ok(n)
+}
+
+/// `--intensity` as `num` names it and as its range check repeats it.
+const INTENSITY: &str = "--intensity (permille, 0..=1000)";
+
+/// The flag whose file is the base the other flags override.
+const CONFIG: &str = "--config";
+
+const RUN_ARGS: &[Arg] = &[
+    arg(CONFIG, Some("FILE.json"), |s, v| {
+        let loaded = json::load(v, "config", RunSpec::from_json);
+        set(&mut s.run, loaded.map_err(CliError::usage))
+    }),
+    arg("--protocol", Some("NAME"), |s, v| {
+        set(&mut s.run.protocol, Ok(v.into()))
+    }),
+    arg("--nodes", Some("N"), |s, v| {
+        set(&mut s.run.nodes, num("--nodes", v))
+    }),
+    arg("--lambda", Some("MS"), |s, v| {
+        set(&mut s.run.lambda_ms, num("--lambda", v))
+    }),
+    arg("--delay-mu", Some("MS"), |s, v| {
+        set(&mut s.run.delay_mu, num("--delay-mu", v))
+    }),
+    arg("--delay-sigma", Some("MS"), |s, v| {
+        set(&mut s.run.delay_sigma, num("--delay-sigma", v))
+    }),
+    arg("--reps", Some("K"), |s, v| {
+        set(&mut s.run.reps, num("--reps", v))
+    }),
+    arg("--seed", Some("S"), |s, v| {
+        set(&mut s.run.seed, num("--seed", v))
+    }),
+    arg("--attack", Some("SPEC"), |s, v| {
+        set(&mut s.run.attack, Ok(v.into()))
+    }),
+    arg("--cost", Some("none|ed25519|rsa2048|mac"), |s, v| {
+        set(&mut s.run.cost, Ok(v.into()))
+    }),
+    arg("--json", None, |s, _| set(&mut s.run.json, Ok(true))),
+];
+
+const FUZZ_ARGS: &[Arg] = &[
+    arg("--seeds", Some("A..B|N"), |s, v| {
+        set(&mut s.fuzz.seeds, parse_seed_range(v))
+    }),
+    arg("--protocols", Some("all|p1,p2,..."), |s, v| {
+        set(&mut s.fuzz.protocols, Ok(v.into()))
+    }),
+    arg("--intensity", Some("PERMILLE"), |s, v| {
+        set(&mut s.fuzz.intensity_permille, num(INTENSITY, v))
+    }),
+    arg("--max-actions", Some("K"), |s, v| {
+        set(&mut s.fuzz.max_actions, num("--max-actions", v))
+    }),
+    arg("--inject-bug", None, |s, _| {
+        set(&mut s.fuzz.inject_bug, Ok(true))
+    }),
+    arg("--out", Some("DIR"), |s, v| {
+        set(&mut s.fuzz.out_dir, Ok(v.into()))
+    }),
+    arg("--json", None, |s, _| set(&mut s.fuzz.json, Ok(true))),
+    arg("--obs", None, |s, _| {
+        set(&mut s.fuzz.observability, Ok(true))
+    }),
+    arg("--threads", Some("N"), |s, v| {
+        set(&mut s.fuzz.threads, num("--threads", v))
+    }),
+    arg("--n", Some("NODES"), |s, v| {
+        let n = num("--n (node count)", v).and_then(|n| node_count("--n", n));
+        set(&mut s.fuzz.n_override, n.map(Some))
+    }),
+    arg("--preset", Some("calm|moderate|chaos"), |s, v| {
+        let preset = FaultPreset::parse(v).map_err(|_| {
+            CliError::usage(format!("bad --preset '{v}' (use calm, moderate, or chaos)"))
+        });
+        set(&mut s.fuzz.fault_preset, preset)
+    }),
+    // A malformed spec is rejected here; `run_fuzz` parses it again to use it.
+    arg("--net-preset", Some("SPEC"), |s, v| {
+        let checked = parse_net_preset(v).map(|_| Some(v.into()));
+        set(&mut s.fuzz.net_preset, checked)
+    }),
+    arg("--coverage", None, |s, _| {
+        set(&mut s.fuzz.coverage, Ok(true))
+    }),
+    arg("--blind", None, |s, _| set(&mut s.fuzz.blind, Ok(true))),
+    arg("--corpus-dir", Some("DIR"), |s, v| {
+        set(&mut s.fuzz.corpus_dir, Ok(Some(v.into())))
+    }),
+];
+
+const TRACE_ARGS: &[Arg] = &[
+    arg("SCENARIO", None, |s, v| {
+        set(&mut s.trace.scenario, Ok(v.into()))
+    }),
+    arg("--seed", Some("S"), |s, v| {
+        set(&mut s.trace.seed, num("--seed", v).map(Some))
+    }),
+    arg("--last-k", Some("K"), |s, v| {
+        set(&mut s.trace.last_k, num("--last-k", v))
+    }),
+    arg("--json", None, |s, _| set(&mut s.trace.json, Ok(true))),
+];
+
+const CAMPAIGN_RUN_ARGS: &[Arg] = &[
+    arg("MANIFEST.json", None, |s, v| {
+        set(&mut s.campaign_run.manifest, Ok(v.into()))
+    }),
+    arg("--checkpoint", Some("FILE"), |s, v| {
+        set(&mut s.campaign_run.checkpoint, Ok(Some(v.into())))
+    }),
+    arg("--resume", None, |s, _| {
+        set(&mut s.campaign_run.resume, Ok(true))
+    }),
+    arg("--shard", Some("I/M"), |s, v| {
+        set(&mut s.campaign_run.shard, parse_shard(v))
+    }),
+    arg("--threads", Some("N"), |s, v| {
+        set(&mut s.campaign_run.threads, num("--threads", v))
+    }),
+    arg("--out", Some("DIR"), |s, v| {
+        set(&mut s.campaign_run.out_dir, Ok(v.into()))
+    }),
+    arg("--json", None, |s, _| {
+        set(&mut s.campaign_run.json, Ok(true))
+    }),
+    arg("--report", Some("FILE"), |s, v| {
+        set(&mut s.campaign_run.report, Ok(Some(v.into())))
+    }),
+    arg("--max-units", Some("K"), |s, v| {
+        set(
+            &mut s.campaign_run.max_units,
+            num("--max-units", v).map(Some),
+        )
+    }),
+];
+
+const CAMPAIGN_MERGE_ARGS: &[Arg] = &[
+    arg("MANIFEST.json", None, |s, v| {
+        set(&mut s.campaign_merge.manifest, Ok(v.into()))
+    }),
+    arg("CKPT...", None, |s, v| {
+        s.campaign_merge.checkpoints.push(v.into());
+        Ok(())
+    }),
+    arg("--json", None, |s, _| {
+        set(&mut s.campaign_merge.json, Ok(true))
+    }),
+    arg("--report", Some("FILE"), |s, v| {
+        set(&mut s.campaign_merge.report, Ok(Some(v.into())))
+    }),
+];
+
+/// Every command `bft-sim` has, in the order `usage()` lists them. A new
+/// flag is a row in its command's slice: that parses it, documents it and
+/// puts it under the hostile-argv test.
+static COMMANDS: &[Cmd] = &[
+    Cmd {
+        path: &["run"],
+        args: RUN_ARGS,
+        about: "run one protocol's scenario --reps times and print its metrics; the \
+                --config file is the base, every other flag overrides it in any order",
+        finish: |s| check_run(s.run).map(Command::Run),
+    },
+    Cmd {
+        path: &["compare"],
+        args: RUN_ARGS,
+        about: "the same scenario under all eight protocols (--protocol is ignored)",
+        finish: |s| check_run(s.run).map(Command::Compare),
+    },
+    Cmd {
+        path: &["fig"],
+        args: &[arg("N", None, |s, v| {
+            set(&mut s.fig_or_table, numbered("figure", 2..=9, v))
+        })],
+        about: "regenerate figure N (2..=9) with small defaults",
+        finish: |s| Ok(Command::Fig(s.fig_or_table)),
+    },
+    Cmd {
+        path: &["table"],
+        args: &[arg("N", None, |s, v| {
+            set(&mut s.fig_or_table, numbered("table", 1..=2, v))
+        })],
+        about: "regenerate table N (1 or 2)",
+        finish: |s| Ok(Command::Table(s.fig_or_table)),
+    },
+    Cmd {
+        path: &["bench-baseline"],
+        args: &[arg("--out", Some("FILE.json"), |s, v| {
+            set(&mut s.baseline_out, Ok(Some(v.into())))
+        })],
+        about: "run the perf-baseline workloads (PBFT / HotStuff+NS at n = 16, 64, 256, \
+                1024, one at a time so allocation counts stay attributable) and write \
+                their deterministic counters; wall time is measured by benchmark/",
+        finish: |s| {
+            let out = s
+                .baseline_out
+                .unwrap_or_else(|| "BENCH_baseline.json".into());
+            Ok(Command::BenchBaseline { out })
+        },
+    },
+    Cmd {
+        path: &["fuzz"],
+        args: FUZZ_ARGS,
+        about: "sweep deterministic fuzz scenarios across N worker threads (0 = all cores; \
+                output is byte-identical at any thread count), oracle-check every run, \
+                shrink violations to repro files; exits non-zero when any oracle fires or \
+                any run panics; --obs instruments every run: the report gains an \
+                observability block and repros/failures carry their last trace events, \
+                with everything else byte-identical; --n forces every scenario to NODES \
+                nodes (≥ 4) for large-n smoke sweeps; --preset arms the buggify fault \
+                catalog (timer skew, duplicates, reorders, targeted drops, torn writes) in \
+                every scenario; --coverage runs the corpus-driven coverage search instead \
+                of the per-seed sweep (--seeds A..B = master seed A, budget B−A; the \
+                report gains a coverage block), --blind (with --coverage) keeps its \
+                accounting but disables the corpus loop (the comparison baseline), and \
+                --corpus-dir (with --coverage) persists the corpus in DIR/corpus.json \
+                across invocations (loaded before the search, written back after — the CI \
+                cache knob); --net-preset pins every scenario's link-level network block \
+                to one shape: TOPOLOGY[:bw=BYTES_PER_SEC][:seed=S] \
+                [:churn=SEED,CRASHES,MIN_MS,MAX_MS] with topologies full_mesh | ring | \
+                ring_gradient | clustered, e.g. ring_gradient:bw=200000:churn=5,2,500,4000",
+        finish: |s| check_fuzz(s.fuzz).map(Command::Fuzz),
+    },
+    Cmd {
+        path: &["campaign", "run"],
+        args: CAMPAIGN_RUN_ARGS,
+        about: "run a bft-sim-campaign-v1 parameter grid (protocol × n × delay × net × \
+                attack × seed), checkpointing atomically every checkpoint_every units so a \
+                kill at any instant loses at most one batch; --resume continues from the \
+                checkpoint (verifying the manifest hash; a missing checkpoint starts \
+                fresh); --shard I/M runs every M-th unit starting at I, for fan-out across \
+                processes or machines; --max-units pauses after K units (at a batch \
+                boundary); the final report is byte-identical whether the campaign ran \
+                straight through, was killed and resumed, or was sharded and merged — at \
+                any --threads",
+        finish: |s| Ok(Command::CampaignRun(s.campaign_run)),
+    },
+    Cmd {
+        path: &["campaign", "merge"],
+        args: CAMPAIGN_MERGE_ARGS,
+        about: "merge every shard's checkpoint into the final report",
+        finish: |s| Ok(Command::CampaignMerge(s.campaign_merge)),
+    },
+    Cmd {
+        path: &["repro"],
+        args: &[arg("FILE.json", None, |s, v| {
+            set(&mut s.repro_path, Ok(v.into()))
+        })],
+        about: "replay a bft-sim-repro-v1 file and confirm its oracle still fires",
+        finish: |s| Ok(Command::Repro { path: s.repro_path }),
+    },
+    Cmd {
+        path: &["trace"],
+        args: TRACE_ARGS,
+        about: "run one scenario (a protocol short name, or a scenario JSON file as \
+                embedded in repro files) with full observability and print per-node \
+                latency/decision histograms, per-link queueing stats (hottest bottleneck \
+                links first, for scenarios with a bandwidth-capped net block), the \
+                per-phase message-flow matrix, view timings and the last-K trace events",
+        finish: |s| Ok(Command::Trace(s.trace)),
+    },
+    Cmd {
+        path: &["list"],
+        args: &[],
+        about: "list protocols",
+        finish: |_| Ok(Command::List),
+    },
+];
+
+fn is_help(arg: &str) -> bool {
+    matches!(arg, "--help" | "-h")
 }
 
 /// Parses argv (without the program name).
 pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
-    let mut it = args.iter();
-    let Some(cmd) = it.next() else {
-        return Ok(Command::Help);
+    let (first, rest) = match args.split_first() {
+        Some((first, rest)) if first != "help" && !is_help(first) => (first, rest),
+        _ => return Ok(Command::Help),
     };
-    match cmd.as_str() {
-        "list" => {
-            end_of_args(it)?;
-            Ok(Command::List)
+    let named = |cmd: &&Cmd| cmd.path.iter().eq(args.iter().take(cmd.path.len()));
+    match (COMMANDS.iter().find(named), first.as_str(), rest.first()) {
+        (Some(cmd), ..) => drive(cmd, &args[cmd.path.len()..]),
+        (None, "campaign", None) => {
+            Err(CliError::usage("campaign needs a subcommand: run or merge"))
         }
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "fig" => {
-            let n = it
-                .next()
-                .ok_or_else(|| CliError::usage("fig needs a number 2..=9"))?;
-            let n: u8 = n
-                .parse()
-                .map_err(|_| CliError::usage(format!("bad figure: {n}")))?;
-            if !(2..=9).contains(&n) {
-                return Err(CliError::usage(format!("no figure {n} (valid: 2..=9)")));
-            }
-            end_of_args(it)?;
-            Ok(Command::Fig(n))
-        }
-        "table" => {
-            let n = it
-                .next()
-                .ok_or_else(|| CliError::usage("table needs 1 or 2"))?;
-            let n: u8 = n
-                .parse()
-                .map_err(|_| CliError::usage(format!("bad table: {n}")))?;
-            if !(1..=2).contains(&n) {
-                return Err(CliError::usage(format!("no table {n} (valid: 1, 2)")));
-            }
-            end_of_args(it)?;
-            Ok(Command::Table(n))
-        }
-        "bench-baseline" => {
-            let mut out = "BENCH_baseline.json".to_string();
-            let mut threads = 0usize;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--out" => {
-                        out = it
-                            .next()
-                            .cloned()
-                            .ok_or_else(|| CliError::usage("--out needs a value"))?;
-                    }
-                    "--threads" => {
-                        threads = it
-                            .next()
-                            .ok_or_else(|| CliError::usage("--threads needs a value"))?
-                            .parse()
-                            .map_err(|_| CliError::usage("bad --threads"))?;
-                    }
-                    other => return Err(CliError::usage(format!("unknown flag '{other}'"))),
-                }
-            }
-            Ok(Command::BenchBaseline { out, threads })
-        }
-        "run" | "compare" => {
-            let spec = parse_run_spec(&args[1..])?;
-            if cmd == "run" {
-                Ok(Command::Run(spec))
-            } else {
-                Ok(Command::Compare(spec))
-            }
-        }
-        "fuzz" => Ok(Command::Fuzz(parse_fuzz_spec(&args[1..])?)),
-        "trace" => Ok(Command::Trace(parse_trace_spec(&args[1..])?)),
-        "repro" => {
-            let path = it
-                .next()
-                .cloned()
-                .ok_or_else(|| CliError::usage("repro needs a file path"))?;
-            end_of_args(it)?;
-            Ok(Command::Repro { path })
-        }
-        "campaign" => parse_campaign(&args[1..]),
-        other => Err(CliError::usage(format!("unknown command '{other}'"))),
+        (None, "campaign", Some(sub)) if is_help(sub) => Ok(Command::Help),
+        (None, "campaign", Some(sub)) => Err(CliError::usage(format!(
+            "unknown campaign subcommand '{sub}' (use run or merge)"
+        ))),
+        (None, other, _) => Err(CliError::usage(format!("unknown command '{other}'"))),
     }
+}
+
+/// The one loop over argv. A `--token` must be a flag of `cmd` and, unless a
+/// switch, takes the next token as its value whatever that looks like;
+/// `--help` / `-h` anywhere else asks for the usage text; any other token
+/// fills the next operand slot. Values are applied once the whole argv has
+/// been read, the `--config` file first, so that flags override it wherever
+/// it stands; `cmd.finish` then checks the result.
+fn drive(cmd: &Cmd, args: &[String]) -> Result<Command, CliError> {
+    let mut config = None;
+    let mut settings: Vec<(Setter, &str)> = Vec::new();
+    let mut operands = cmd.args.iter().filter(|row| !row.is_flag());
+    let repeated = cmd.args.iter().find(|row| row.name.ends_with("..."));
+    let mut it = args.iter().map(String::as_str);
+    while let Some(arg) = it.next() {
+        if is_help(arg) {
+            return Ok(Command::Help);
+        }
+        let (row, value) = if arg.starts_with("--") {
+            let named = cmd.args.iter().find(|row| row.name == arg);
+            let flag = named.ok_or_else(|| CliError::usage(format!("unknown flag '{arg}'")))?;
+            let value = match flag.value {
+                Some(_) => {
+                    let next = it.next();
+                    next.ok_or_else(|| CliError::usage(format!("{arg} needs a value")))?
+                }
+                None => "",
+            };
+            (flag, value)
+        } else {
+            let slot = operands.next().or(repeated);
+            let unexpected = || CliError::usage(format!("unexpected argument '{arg}'"));
+            (slot.ok_or_else(unexpected)?, arg)
+        };
+        if arg != CONFIG {
+            settings.push((row.set, value));
+        } else if config.replace((row.set, value)).is_some() {
+            return Err(CliError::usage("--config given twice"));
+        }
+    }
+    if let Some(absent) = operands.next() {
+        let name = cmd.path.join(" ");
+        return Err(CliError::usage(format!("{name} needs {}", absent.name)));
+    }
+    let mut spec = Spec::default();
+    for (set, value) in config.into_iter().chain(settings) {
+        set(&mut spec, value)?;
+    }
+    (cmd.finish)(spec)
+}
+
+/// Most repetitions `run`/`compare` accept.
+const MAX_REPS: usize = 1_000_000;
+
+/// The engine rejects a λ that is not positive, and a delay that is not
+/// finite has no meaning. A negative σ is not a spread, and the results of
+/// all repetitions are held at once, so zero repetitions report nothing and
+/// a count beyond `MAX_REPS` is a typo.
+fn check_run(spec: RunSpec) -> Result<RunSpec, CliError> {
+    node_count("--nodes", spec.nodes)?;
+    if !(1..=MAX_REPS).contains(&spec.reps) {
+        return Err(CliError::usage(format!(
+            "--reps must be between 1 and {MAX_REPS}"
+        )));
+    }
+    if !(spec.lambda_ms.is_finite() && spec.lambda_ms > 0.0) {
+        return Err(CliError::usage("--lambda must be positive and finite"));
+    }
+    if !(spec.delay_mu.is_finite() && spec.delay_sigma.is_finite()) {
+        return Err(CliError::usage(
+            "--delay-mu and --delay-sigma must be finite",
+        ));
+    }
+    if spec.delay_sigma < 0.0 {
+        return Err(CliError::usage("--delay-sigma must not be negative"));
+    }
+    Ok(spec)
+}
+
+/// `FuzzBudget` would clamp an intensity above 1000‰ while the scenario and
+/// repro files recorded the unclamped figure; the coverage-only flags mean
+/// nothing to the per-seed sweep.
+fn check_fuzz(spec: FuzzSpec) -> Result<FuzzSpec, CliError> {
+    if spec.intensity_permille > 1000 {
+        return Err(CliError::usage(format!("bad {INTENSITY}")));
+    }
+    if spec.blind && !spec.coverage {
+        return Err(CliError::usage("--blind only applies to --coverage runs"));
+    }
+    if spec.corpus_dir.is_some() && !spec.coverage {
+        return Err(CliError::usage(
+            "--corpus-dir only applies to --coverage runs",
+        ));
+    }
+    Ok(spec)
 }
 
 /// Parses `--shard` syntax: `I/M` with `I < M`.
@@ -489,87 +836,6 @@ fn parse_shard(s: &str) -> Result<(u32, u32), CliError> {
         )));
     }
     Ok(shard)
-}
-
-fn parse_campaign(args: &[String]) -> Result<Command, CliError> {
-    let mut it = args.iter();
-    let sub = it
-        .next()
-        .ok_or_else(|| CliError::usage("campaign needs a subcommand: run or merge"))?;
-    match sub.as_str() {
-        "run" => {
-            let mut spec = CampaignRunSpec::default();
-            while let Some(arg) = it.next() {
-                let mut value = |name: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| CliError::usage(format!("{name} needs a value")))
-                };
-                match arg.as_str() {
-                    "--checkpoint" => spec.checkpoint = Some(value("--checkpoint")?),
-                    "--resume" => spec.resume = true,
-                    "--shard" => spec.shard = parse_shard(&value("--shard")?)?,
-                    "--threads" => {
-                        spec.threads = value("--threads")?
-                            .parse()
-                            .map_err(|_| CliError::usage("bad --threads"))?
-                    }
-                    "--out" => spec.out_dir = value("--out")?,
-                    "--json" => spec.json = true,
-                    "--report" => spec.report = Some(value("--report")?),
-                    "--max-units" => {
-                        spec.max_units = Some(
-                            value("--max-units")?
-                                .parse()
-                                .map_err(|_| CliError::usage("bad --max-units"))?,
-                        )
-                    }
-                    flag if flag.starts_with("--") => {
-                        return Err(CliError::usage(format!("unknown flag '{flag}'")))
-                    }
-                    manifest if spec.manifest.is_empty() => spec.manifest = manifest.to_string(),
-                    extra => return Err(CliError::usage(format!("unexpected argument '{extra}'"))),
-                }
-            }
-            if spec.manifest.is_empty() {
-                return Err(CliError::usage("campaign run needs a manifest file"));
-            }
-            Ok(Command::CampaignRun(spec))
-        }
-        "merge" => {
-            let mut spec = CampaignMergeSpec {
-                manifest: String::new(),
-                checkpoints: Vec::new(),
-                json: false,
-                report: None,
-            };
-            while let Some(arg) = it.next() {
-                let mut value = |name: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| CliError::usage(format!("{name} needs a value")))
-                };
-                match arg.as_str() {
-                    "--json" => spec.json = true,
-                    "--report" => spec.report = Some(value("--report")?),
-                    flag if flag.starts_with("--") => {
-                        return Err(CliError::usage(format!("unknown flag '{flag}'")))
-                    }
-                    manifest if spec.manifest.is_empty() => spec.manifest = manifest.to_string(),
-                    checkpoint => spec.checkpoints.push(checkpoint.to_string()),
-                }
-            }
-            if spec.manifest.is_empty() || spec.checkpoints.is_empty() {
-                return Err(CliError::usage(
-                    "campaign merge needs a manifest and at least one checkpoint file",
-                ));
-            }
-            Ok(Command::CampaignMerge(spec))
-        }
-        other => Err(CliError::usage(format!(
-            "unknown campaign subcommand '{other}' (use run or merge)"
-        ))),
-    }
 }
 
 /// Parses `--seeds` syntax: `A..B` (half-open) or a bare count `N` (= `0..N`).
@@ -586,72 +852,6 @@ fn parse_seed_range(s: &str) -> Result<(u64, u64), CliError> {
         return Err(CliError::usage(format!("empty seed range '{s}'")));
     }
     Ok((lo, hi))
-}
-
-fn parse_fuzz_spec(args: &[String]) -> Result<FuzzSpec, CliError> {
-    let mut spec = FuzzSpec::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| CliError::usage(format!("{name} needs a value")))
-        };
-        match flag.as_str() {
-            "--seeds" => spec.seeds = parse_seed_range(&value("--seeds")?)?,
-            "--protocols" => spec.protocols = value("--protocols")?,
-            "--intensity" => {
-                spec.intensity_permille = value("--intensity")?
-                    .parse()
-                    .map_err(|_| CliError::usage("bad --intensity (permille, 0..=1000)"))?
-            }
-            "--max-actions" => {
-                spec.max_actions = value("--max-actions")?
-                    .parse()
-                    .map_err(|_| CliError::usage("bad --max-actions"))?
-            }
-            "--inject-bug" => spec.inject_bug = true,
-            "--out" => spec.out_dir = value("--out")?,
-            "--json" => spec.json = true,
-            "--obs" => spec.observability = true,
-            "--n" => {
-                let n: usize = value("--n")?
-                    .parse()
-                    .map_err(|_| CliError::usage("bad --n (node count)"))?;
-                check_node_count(n).map_err(|e| CliError::usage(format!("--n: {e}")))?;
-                spec.n_override = Some(n);
-            }
-            "--threads" => {
-                spec.threads = value("--threads")?
-                    .parse()
-                    .map_err(|_| CliError::usage("bad --threads".to_string()))?
-            }
-            "--preset" => {
-                let s = value("--preset")?;
-                spec.fault_preset = FaultPreset::parse(&s).map_err(|_| {
-                    CliError::usage(format!("bad --preset '{s}' (use calm, moderate, or chaos)"))
-                })?
-            }
-            "--coverage" => spec.coverage = true,
-            "--blind" => spec.blind = true,
-            "--corpus-dir" => spec.corpus_dir = Some(value("--corpus-dir")?),
-            "--net-preset" => {
-                let s = value("--net-preset")?;
-                parse_net_preset(&s)?; // reject malformed specs at parse time
-                spec.net_preset = Some(s);
-            }
-            other => return Err(CliError::usage(format!("unknown flag '{other}'"))),
-        }
-    }
-    if spec.blind && !spec.coverage {
-        return Err(CliError::usage("--blind only applies to --coverage runs"));
-    }
-    if spec.corpus_dir.is_some() && !spec.coverage {
-        return Err(CliError::usage(
-            "--corpus-dir only applies to --coverage runs",
-        ));
-    }
-    Ok(spec)
 }
 
 /// Parses a `--net-preset` spec:
@@ -723,44 +923,6 @@ pub(crate) fn parse_net_preset(s: &str) -> Result<bft_sim_simcheck::NetSpec, Cli
     Ok(net)
 }
 
-fn parse_trace_spec(args: &[String]) -> Result<TraceSpec, CliError> {
-    let mut spec = TraceSpec::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| CliError::usage(format!("{name} needs a value")))
-        };
-        match arg.as_str() {
-            "--seed" => {
-                spec.seed = Some(
-                    value("--seed")?
-                        .parse()
-                        .map_err(|_| CliError::usage("bad --seed".to_string()))?,
-                )
-            }
-            "--last-k" => {
-                spec.last_k = value("--last-k")?
-                    .parse()
-                    .map_err(|_| CliError::usage("bad --last-k".to_string()))?
-            }
-            "--json" => spec.json = true,
-            flag if flag.starts_with("--") => {
-                return Err(CliError::usage(format!("unknown flag '{flag}'")))
-            }
-            scenario if spec.scenario.is_empty() => spec.scenario = scenario.to_string(),
-            extra => return Err(CliError::usage(format!("unexpected argument '{extra}'"))),
-        }
-    }
-    if spec.scenario.is_empty() {
-        return Err(CliError::usage(
-            "trace needs a scenario: a protocol name or a scenario JSON file".to_string(),
-        ));
-    }
-    Ok(spec)
-}
-
 /// Resolves `all` or a comma-separated protocol list.
 fn parse_protocol_list(s: &str) -> Result<Vec<ProtocolKind>, CliError> {
     if s == "all" {
@@ -773,85 +935,6 @@ fn parse_protocol_list(s: &str) -> Result<Vec<ProtocolKind>, CliError> {
                 .ok_or_else(|| CliError::usage(format!("unknown protocol '{name}'")))
         })
         .collect()
-}
-
-/// Most repetitions `run`/`compare` accept.
-const MAX_REPS: usize = 1_000_000;
-
-fn parse_run_spec(args: &[String]) -> Result<RunSpec, CliError> {
-    let mut spec = RunSpec::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| CliError::usage(format!("{name} needs a value")))
-        };
-        match flag.as_str() {
-            "--config" => {
-                spec = json::load(value("--config")?, "config", RunSpec::from_json)
-                    .map_err(CliError::usage)?;
-            }
-            "--protocol" => spec.protocol = value("--protocol")?,
-            "--nodes" => {
-                spec.nodes = value("--nodes")?
-                    .parse()
-                    .map_err(|_| CliError::usage("bad --nodes"))?
-            }
-            "--lambda" => {
-                spec.lambda_ms = value("--lambda")?
-                    .parse()
-                    .map_err(|_| CliError::usage("bad --lambda"))?
-            }
-            "--delay-mu" => {
-                spec.delay_mu = value("--delay-mu")?
-                    .parse()
-                    .map_err(|_| CliError::usage("bad --delay-mu"))?
-            }
-            "--delay-sigma" => {
-                spec.delay_sigma = value("--delay-sigma")?
-                    .parse()
-                    .map_err(|_| CliError::usage("bad --delay-sigma"))?
-            }
-            "--reps" => {
-                spec.reps = value("--reps")?
-                    .parse()
-                    .map_err(|_| CliError::usage("bad --reps"))?
-            }
-            "--seed" => {
-                spec.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| CliError::usage("bad --seed"))?
-            }
-            "--attack" => spec.attack = value("--attack")?,
-            "--cost" => spec.cost = value("--cost")?,
-            "--json" => spec.json = true,
-            other => return Err(CliError::usage(format!("unknown flag '{other}'"))),
-        }
-    }
-    // The engine rejects a λ that is not positive, and a delay that is not
-    // finite has no meaning. A negative σ is not a spread, and the results
-    // of all repetitions are held at once, so zero repetitions report
-    // nothing and a count beyond MAX_REPS is a typo. Checked here, flags and
-    // --config alike.
-    check_node_count(spec.nodes).map_err(|e| CliError::usage(format!("--nodes: {e}")))?;
-    if !(1..=MAX_REPS).contains(&spec.reps) {
-        return Err(CliError::usage(format!(
-            "--reps must be between 1 and {MAX_REPS}"
-        )));
-    }
-    if !(spec.lambda_ms.is_finite() && spec.lambda_ms > 0.0) {
-        return Err(CliError::usage("--lambda must be positive and finite"));
-    }
-    if !(spec.delay_mu.is_finite() && spec.delay_sigma.is_finite()) {
-        return Err(CliError::usage(
-            "--delay-mu and --delay-sigma must be finite",
-        ));
-    }
-    if spec.delay_sigma < 0.0 {
-        return Err(CliError::usage("--delay-sigma must not be negative"));
-    }
-    Ok(spec)
 }
 
 /// One protocol's aggregated results, as printed / serialised by `run` and
@@ -985,84 +1068,30 @@ pub fn execute(cmd: Command) -> Result<(), CliError> {
             }
             emit(&reports, spec.json);
         }
-        Command::BenchBaseline { out, threads } => {
-            let results = bft_sim_bench::baseline::run_all(1, 10);
-            let fuzz = bft_sim_bench::baseline::run_fuzz_stat(32, threads);
-            let scaling = bft_sim_bench::baseline::measure_thread_scaling(256, threads);
-            let obs = bft_sim_bench::baseline::run_obs_overhead(
-                bft_sim_protocols::registry::ProtocolKind::Pbft,
-                16,
-                1,
-                50,
-                5,
-            );
-            let bandwidth = bft_sim_bench::baseline::run_bandwidth_contention(
-                bft_sim_protocols::registry::ProtocolKind::Pbft,
-                16,
-                1,
-                10,
-                2_000,
-            );
-            let json = bft_sim_bench::baseline::to_json(
-                &results,
-                Some(&fuzz),
-                Some(scaling.as_ref().map_err(String::as_str)),
-                Some(&obs),
-                Some(&bandwidth),
-            )
-            .dump_pretty();
+        Command::BenchBaseline { out } => {
+            use bft_sim_bench::baseline;
+            let results = baseline::run_all(1, 10);
+            let bandwidth =
+                baseline::run_bandwidth_contention(ProtocolKind::Pbft, 16, 1, 10, 2_000);
+            let json = baseline::to_json(&results, &bandwidth).dump_pretty();
             std::fs::write(&out, &json)
                 .map_err(|e| CliError::runtime(format!("cannot write {out}: {e}")))?;
             println!(
-                "{:<14} {:>4} {:>10} {:>12} {:>12} {:>12} {:>18}",
-                "protocol",
-                "n",
-                "wall (ms)",
-                "events",
-                "events/s",
-                "peak queue",
-                "allocs/broadcast"
+                "{:<14} {:>4} {:>12} {:>12} {:>18}",
+                "protocol", "n", "events", "peak queue", "allocs/broadcast"
             );
             for r in &results {
                 println!(
-                    "{:<14} {:>4} {:>10.1} {:>12} {:>12.0} {:>12} {:>18}",
+                    "{:<14} {:>4} {:>12} {:>12} {:>18}",
                     r.protocol,
                     r.n,
-                    r.wall_ms,
                     r.events_processed,
-                    r.events_per_sec,
                     r.peak_queue_depth,
                     r.allocs_per_broadcast
                         .map(|a| format!("{a:.3}"))
                         .unwrap_or_else(|| "- (no counter)".into()),
                 );
             }
-            println!();
-            println!(
-                "fuzz: {} scenarios, {} events, {:.1} ms ({:.0} events/s, {} threads)",
-                fuzz.runs, fuzz.events_processed, fuzz.wall_ms, fuzz.events_per_sec, fuzz.threads
-            );
-            match &scaling {
-                Ok(scaling) => println!(
-                    "scaling: {:.0} scenarios/s at 1 thread vs {:.0} at {} threads \
-                     ({:.2}x, host has {})",
-                    scaling.serial.scenarios_per_sec,
-                    scaling.parallel.scenarios_per_sec,
-                    scaling.parallel.threads,
-                    scaling.speedup,
-                    scaling.host_threads
-                ),
-                Err(reason) => println!("scaling: {reason}"),
-            }
-            println!(
-                "obs [{} n={}]: disabled {:+.2}% (A/A noise floor), \
-                 enabled {:+.2}% vs {:.0} events/s baseline",
-                obs.protocol,
-                obs.n,
-                obs.disabled_overhead_percent,
-                obs.enabled_overhead_percent,
-                obs.baseline_events_per_sec
-            );
             println!("wrote {out}");
         }
         Command::Fuzz(spec) => run_fuzz(&spec)?,
@@ -1559,81 +1588,48 @@ fn print_points(points: &[figures::Point]) {
     }
 }
 
-/// The usage string.
-pub fn usage() -> &'static str {
-    "bft-sim — discrete-event simulator for BFT protocols
+/// A line break in the usage text: the prose and the continuation lines of a
+/// synopsis start at column 21.
+const BREAK: &str = "\n                     ";
+
+/// Appends `words` to `out` separated by spaces, breaking before a word that
+/// would pass column 78.
+fn wrap(out: &mut String, words: impl Iterator<Item = impl AsRef<str>>) {
+    for word in words {
+        let line = out.rsplit('\n').next().unwrap_or_default();
+        let full = line.chars().count() + 1 + word.as_ref().chars().count() > 78;
+        // Nothing separates a line's first word from its indent.
+        if !line.trim().is_empty() {
+            out.push_str(if full { BREAK } else { " " });
+        }
+        out.push_str(word.as_ref());
+    }
+}
+
+/// One command's part of the usage text: the synopsis its table row
+/// generates, then its prose.
+fn section(cmd: &Cmd) -> String {
+    let mut out = format!("    bft-sim {}", cmd.path.join(" "));
+    let synopsis = cmd.args.iter().map(|row| match row.value {
+        Some(value) => format!("[{} {value}]", row.name),
+        None if row.is_flag() => format!("[{}]", row.name),
+        None => row.name.to_string(),
+    });
+    wrap(&mut out, synopsis);
+    out.push_str(BREAK);
+    wrap(&mut out, cmd.about.split_whitespace());
+    out
+}
+
+/// The usage text: a generated section per row of the command table.
+pub fn usage() -> String {
+    let sections: Vec<String> = COMMANDS.iter().map(section).collect();
+    format!(
+        "bft-sim — discrete-event simulator for BFT protocols
 
 USAGE:
-    bft-sim run      --protocol NAME [--nodes N] [--lambda MS] [--delay-mu MS]
-                     [--delay-sigma MS] [--reps K] [--seed S] [--attack SPEC]
-                     [--cost none|ed25519|rsa2048|mac] [--json] [--config FILE.json]
-    bft-sim compare  [same flags; runs all eight protocols]
-    bft-sim fig N    regenerate figure N (2..=9) with small defaults
-    bft-sim table N  regenerate table N (1 or 2)
-    bft-sim bench-baseline [--out FILE.json] [--threads N]
-                     run the perf-baseline workloads (PBFT / HotStuff+NS at
-                     n = 16, 64, 256, 1024) and write BENCH_baseline.json;
-                     --threads (0 = all cores) applies to the fuzz-throughput
-                     and thread-scaling entries, while the per-case workloads
-                     stay serial so allocation counts remain attributable
-    bft-sim fuzz     [--seeds A..B|N] [--protocols all|p1,p2,...]
-                     [--intensity PERMILLE] [--max-actions K] [--inject-bug]
-                     [--out DIR] [--json] [--obs] [--threads N] [--n NODES]
-                     [--preset calm|moderate|chaos] [--net-preset SPEC]
-                     [--coverage [--blind] [--corpus-dir DIR]]
-                     sweep deterministic fuzz scenarios across N worker
-                     threads (0 = all cores; output is byte-identical at any
-                     thread count), oracle-check every run, shrink violations
-                     to repro files; exits non-zero when any oracle fires or
-                     any run panics; --obs instruments every run: the report gains
-                     an observability block and repros/failures carry their
-                     last trace events, with everything else byte-identical;
-                     --n forces every scenario to NODES nodes (≥ 4) for
-                     large-n smoke sweeps; --preset arms the buggify fault
-                     catalog (timer skew, duplicates, reorders, targeted
-                     drops, torn writes) in every scenario; --coverage runs
-                     the corpus-driven coverage search instead of the
-                     per-seed sweep (--seeds A..B = master seed A, budget
-                     B−A; the report gains a coverage block), --blind
-                     keeps its accounting but disables the corpus loop (the
-                     comparison baseline), and --corpus-dir persists the
-                     corpus in DIR/corpus.json across invocations (loaded
-                     before the search, written back after — the CI cache
-                     knob); --net-preset pins every scenario's link-level
-                     network block to one shape:
-                     TOPOLOGY[:bw=BYTES_PER_SEC][:seed=S]
-                     [:churn=SEED,CRASHES,MIN_MS,MAX_MS] with topologies
-                     full_mesh | ring | ring_gradient | clustered, e.g.
-                     ring_gradient:bw=200000:churn=5,2,500,4000
-    bft-sim campaign run MANIFEST.json [--checkpoint FILE] [--resume]
-                     [--shard I/M] [--threads N]
-                     [--out DIR] [--json] [--report FILE] [--max-units K]
-                     run a bft-sim-campaign-v1 parameter grid (protocol ×
-                     n × delay × net × attack × seed), checkpointing
-                     atomically every checkpoint_every units so a kill at
-                     any instant loses at most one batch; --resume
-                     continues from the checkpoint (verifying the manifest
-                     hash; a missing checkpoint starts fresh); --shard I/M
-                     runs every M-th unit starting at I, for fan-out
-                     across processes or machines; --max-units pauses
-                     after K units (at a batch boundary); the final report
-                     is byte-identical whether the campaign ran straight
-                     through, was killed and resumed, or was sharded and
-                     merged — at any --threads
-    bft-sim campaign merge MANIFEST.json CKPT... [--json] [--report FILE]
-                     merge every shard's checkpoint into the final report
-    bft-sim repro FILE.json
-                     replay a bft-sim-repro-v1 file and confirm its oracle
-                     still fires
-    bft-sim trace SCENARIO [--seed S] [--last-k K] [--json]
-                     run one scenario (a protocol short name, or a scenario
-                     JSON file as embedded in repro files) with full
-                     observability and print per-node latency/decision
-                     histograms, per-link queueing stats (hottest bottleneck
-                     links first, for scenarios with a bandwidth-capped net
-                     block), the per-phase message-flow matrix, view timings
-                     and the last-K trace events
-    bft-sim list     list protocols
+{}
+    bft-sim help     print this text (as --help or -h does anywhere)
 
 ATTACK SPECS:
     none | failstop:K | partition:START_MS:END_MS | add-static:K | add-adaptive
@@ -1641,7 +1637,9 @@ ATTACK SPECS:
 EXIT CODES:
     0 success   1 runtime failure   2 usage/parse error
     3 fuzz/campaign found violations or panicked runs
-    4 artifact error (repro, manifest, or checkpoint file)   101 panic"
+    4 artifact error (repro, manifest, or checkpoint file)   101 panic",
+        sections.join("\n")
+    )
 }
 
 #[cfg(test)]
@@ -1953,24 +1951,156 @@ mod tests {
             parse_args(&args(&["bench-baseline"])).unwrap(),
             Command::BenchBaseline {
                 out: "BENCH_baseline.json".into(),
-                threads: 0,
             }
         );
         assert_eq!(
-            parse_args(&args(&[
-                "bench-baseline",
-                "--out",
-                "b.json",
-                "--threads",
-                "2"
-            ]))
-            .unwrap(),
+            parse_args(&args(&["bench-baseline", "--out", "b.json"])).unwrap(),
             Command::BenchBaseline {
                 out: "b.json".into(),
-                threads: 2,
             }
         );
-        assert!(parse_args(&args(&["bench-baseline", "--threads"])).is_err());
+        // The thread-scaling sweep is gone and its knob with it.
+        let err = parse_args(&args(&["bench-baseline", "--threads", "2"])).unwrap_err();
+        assert_eq!(
+            (err.code, err.message.as_str()),
+            (2, "unknown flag '--threads'")
+        );
+    }
+
+    /// `cmd`'s path and a stand-in for each operand, then `tail`.
+    fn argv_for(cmd: &Cmd, tail: &[&str]) -> Vec<String> {
+        let operands = cmd.args.iter().filter(|row| !row.is_flag());
+        let head = cmd.path.iter().copied().chain(operands.map(|_| "1"));
+        head.chain(tail.iter().copied()).map(String::from).collect()
+    }
+
+    /// Walks the table itself, so a new flag is covered the day it is added.
+    #[test]
+    fn every_row_of_the_table_refuses_hostile_argv() {
+        // Placeholders that promise a number; `MS` alone reads a float.
+        const NUMERIC: [&str; 6] = ["N", "MS", "K", "S", "PERMILLE", "NODES"];
+        let mut numeric_rows = 0;
+        for cmd in COMMANDS {
+            let refused = |tail: &[&str]| {
+                let argv = argv_for(cmd, tail);
+                let err = parse_args(&argv).expect_err(&format!("{argv:?} must be refused"));
+                assert_eq!(err.code, 2, "{argv:?}: {err}");
+                err.message
+            };
+            assert_eq!(
+                refused(&["--no-such-flag"]),
+                "unknown flag '--no-such-flag'"
+            );
+            assert_eq!(parse_args(&argv_for(cmd, &["--help"])), Ok(Command::Help));
+            assert_eq!(parse_args(&argv_for(cmd, &["-h"])), Ok(Command::Help));
+            let mut operands = cmd.args.iter().filter(|row| !row.is_flag());
+            if !operands.clone().any(|row| row.name.ends_with("...")) {
+                assert_eq!(refused(&["stray"]), "unexpected argument 'stray'");
+            }
+            if let Some(first) = operands.next() {
+                let bare: Vec<String> = cmd.path.iter().map(|s| s.to_string()).collect();
+                let err = parse_args(&bare).unwrap_err();
+                let expected = format!("{} needs {}", cmd.path.join(" "), first.name);
+                assert_eq!((err.code, err.message), (2, expected));
+            }
+            for row in cmd.args.iter().filter(|row| row.value.is_some()) {
+                assert_eq!(refused(&[row.name]), format!("{} needs a value", row.name));
+                if !NUMERIC.contains(&row.value.unwrap()) {
+                    continue;
+                }
+                numeric_rows += 1;
+                let hostile: &[&str] = match row.value {
+                    Some("MS") => &["x", ""],
+                    _ => &["x", "", "-1"],
+                };
+                for value in hostile {
+                    let message = refused(&[row.name, value]);
+                    assert!(
+                        message.contains(row.name),
+                        "{} {value:?}: {message}",
+                        row.name
+                    );
+                }
+            }
+        }
+        assert_eq!(numeric_rows, 20, "run and compare share their six");
+    }
+
+    /// A flag cannot exist without being documented, or be documented
+    /// without existing.
+    #[test]
+    fn usage_is_generated_from_the_table() {
+        let text = usage();
+        for cmd in COMMANDS {
+            let part = section(cmd);
+            assert!(text.contains(&part), "usage() lacks {:?}", cmd.path);
+            for row in cmd.args {
+                let shown = match row.value {
+                    Some(value) => format!("[{} {value}]", row.name),
+                    None if row.is_flag() => format!("[{}]", row.name),
+                    None => row.name.to_string(),
+                };
+                assert!(part.contains(&shown), "{:?} lacks {shown}", cmd.path);
+            }
+            for word in part.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+                if word.starts_with("--") {
+                    let known = cmd.args.iter().any(|row| row.name == word);
+                    assert!(known, "{:?} documents {word}, which it lacks", cmd.path);
+                }
+            }
+            assert!(
+                part.lines().all(|line| line.chars().count() <= 84),
+                "{part}"
+            );
+        }
+        let flags: usize = COMMANDS
+            .iter()
+            .map(|cmd| cmd.args.iter().filter(|row| row.is_flag()).count())
+            .sum();
+        assert_eq!(flags, 40 + RUN_ARGS.len(), "`compare` shares `run`'s rows");
+    }
+
+    #[test]
+    fn the_config_file_is_the_base_wherever_it_stands() {
+        let path = std::env::temp_dir().join("bft_sim_cli_test_config_order.json");
+        std::fs::write(&path, r#"{"nodes": 4, "reps": 2}"#).unwrap();
+        let path = path.to_str().unwrap();
+        let flags = ["--protocol", "hotstuff-ns", "--reps", "3", "--json"];
+        let left = [&["run", "--config", path][..], &flags].concat();
+        let right = [&["run"][..], &flags, &["--config", path]].concat();
+        let expected = Command::Run(RunSpec {
+            protocol: "hotstuff-ns".into(),
+            nodes: 4,
+            reps: 3,
+            json: true,
+            ..RunSpec::default()
+        });
+        assert_eq!(parse_args(&args(&left)).unwrap(), expected);
+        assert_eq!(parse_args(&args(&right)).unwrap(), expected);
+        // One base: a second file is refused, and a file's values still meet
+        // the range checks.
+        let twice = ["run", "--config", path, "--config", path];
+        let err = parse_args(&args(&twice)).unwrap_err();
+        assert_eq!(
+            (err.code, err.message.as_str()),
+            (2, "--config given twice")
+        );
+        std::fs::write(path, r#"{"reps": 0}"#).unwrap();
+        let err = parse_args(&args(&["run", "--config", path])).unwrap_err();
+        assert_eq!(err.message, "--reps must be between 1 and 1000000");
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn documented_ranges_are_enforced() {
+        let err = parse_args(&args(&["fuzz", "--intensity", "1001"])).unwrap_err();
+        assert_eq!(err.code, 2);
+        assert_eq!(err.message, "bad --intensity (permille, 0..=1000)");
+        assert!(parse_args(&args(&["fuzz", "--intensity", "1000"])).is_ok());
+        assert_eq!(
+            parse_args(&args(&["campaign", "--help"])),
+            Ok(Command::Help)
+        );
     }
 
     #[test]

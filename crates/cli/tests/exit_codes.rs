@@ -57,6 +57,11 @@ fn usage_errors_exit_two() {
         &["trace", "pbft", "--scheduler", "heap"],
         &["campaign", "run", "m.json", "--scheduler", "heap"],
         &["bench-baseline", "--scheduler", "both"],
+        // The wall-clock sweeps are gone from `bench-baseline`, their knob too.
+        &["bench-baseline", "--threads", "2"],
+        // A documented range is enforced: `FuzzBudget` used to clamp this
+        // silently while the repro files recorded 1001.
+        &["fuzz", "--seeds", "2", "--intensity", "1001"],
         // Trailing arguments.
         &["fig", "2", "extra"],
         &["table", "1", "junk"],
@@ -106,6 +111,45 @@ fn usage_errors_exit_two() {
             "bft-sim {args:?}: {stderr}"
         );
     }
+}
+
+/// `--help` / `-h` after any command or subcommand is the usage text on
+/// stdout and exit 0, not an unknown flag.
+#[test]
+fn help_after_a_command_exits_zero() {
+    for args in [
+        &["fuzz", "--help"][..],
+        &["campaign", "--help"],
+        &["campaign", "run", "-h"],
+        &["trace", "pbft", "--help"],
+    ] {
+        let out = bft_sim(args);
+        assert_eq!(out.status.code(), Some(0), "bft-sim {args:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("USAGE:"), "bft-sim {args:?}: {stdout}");
+        assert!(out.stderr.is_empty(), "bft-sim {args:?}");
+    }
+}
+
+/// The `--config` file is the base and flags override it wherever they
+/// stand: flags to the left of `--config` used to be discarded silently
+/// (this argv ran PBFT, 2 reps, table output).
+#[test]
+fn flags_override_the_config_file_in_either_order() {
+    let dir = scratch("config-order");
+    let config = dir.join("c.json");
+    std::fs::write(&config, r#"{"nodes": 4, "reps": 2}"#).expect("write config");
+    let config = config.to_str().unwrap();
+    let flags = ["--protocol", "hotstuff-ns", "--reps", "3", "--json"];
+    let left = bft_sim(&[&["run"][..], &flags, &["--config", config]].concat());
+    let right = bft_sim(&[&["run", "--config", config][..], &flags].concat());
+    assert_eq!(left.status.code(), Some(0));
+    assert_eq!(left.stdout, right.stdout);
+    let report = String::from_utf8_lossy(&left.stdout);
+    assert!(report.contains(r#""protocol": "hotstuff-ns""#), "{report}");
+    assert!(report.contains(r#""reps": 3"#), "{report}");
+    assert_code(&["run", "--config", config, "--config", config], 2);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Deterministic parallel sweep engine.
 //!
-//! Experiment sweeps — `bft-sim fuzz`, `bench-baseline`, the repetition
+//! Experiment sweeps — `bft-sim fuzz`, `campaign run`, the repetition
 //! machinery behind every figure — consist of many *independent* seeded
 //! runs: each run is a pure function of its seed *and nothing else* — PR 1/
 //! PR 2 guarantee bit-identical [`RunResult`](crate::metrics::RunResult)s
