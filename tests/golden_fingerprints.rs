@@ -10,6 +10,15 @@
 //! explores and invalidate stored coverage baselines. This test makes such
 //! changes loud: they require re-blessing the corpus.
 //!
+//! The two chained protocols (HotStuff+NS, LibraBFT) carry six more rows
+//! each at n = 16, on the paths the quiet baseline never reaches — view thrash under an
+//! underestimated λ (Fig. 5), a 0–20 s partition in hold and in drop mode,
+//! both half/half (Fig. 6) and 12/4 (the minority fetches the blocks it
+//! missed), and f fail-stopped nodes (Fig. 7). Those
+//! rows pin, beside the fingerprint, an FNV-1a of the full trace JSON with
+//! per-message recording on (`"<key>#trace"`), so any change to the order or
+//! content of what a replica sends, reports or decides is loud.
+//!
 //! To regenerate after an *intentional* behaviour change:
 //! `BFT_SIM_BLESS=1 cargo test --test golden_fingerprints`.
 
@@ -17,7 +26,8 @@ use bft_sim_core::buggify::FaultPreset;
 use bft_sim_core::json::Json;
 use bft_sim_core::obs::DEFAULT_LAST_K;
 use bft_sim_protocols::registry::ProtocolKind;
-use bft_sim_simcheck::{run_fingerprint, RunMode, ScenarioSpec};
+use bft_sim_simcheck::{run_fingerprint, CheckedRun, RunMode, ScenarioSpec};
+use bft_simulator::prelude::*;
 
 fn golden_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/fingerprints.json")
@@ -43,7 +53,110 @@ fn compute_corpus() -> Vec<(String, u64)> {
             ));
         }
     }
+    corpus.extend(chained_rows());
     corpus
+}
+
+/// One chained-protocol run at n = 16 with per-message recording and
+/// observability on: its fingerprint under `key`, the FNV-1a of its trace
+/// JSON under `"<key>#trace"`.
+fn chained_row(
+    key: String,
+    kind: ProtocolKind,
+    lambda_ms: f64,
+    delay: Dist,
+    attack: impl Adversary + 'static,
+) -> [(String, u64); 2] {
+    let cfg = kind
+        .configure(
+            RunConfig::new(16)
+                .with_seed(3)
+                .with_lambda_ms(lambda_ms)
+                .with_time_cap(SimDuration::from_secs(900.0)),
+        )
+        .with_message_recording(true);
+    let factory = kind.factory(&cfg, 7);
+    let result = SimulationBuilder::new(cfg)
+        .network(SampledNetwork::new(delay))
+        .adversary(attack)
+        .observability(ObsConfig::new(DEFAULT_LAST_K).with_classifier(kind.phase_classifier()))
+        .protocols(factory)
+        .build()
+        .expect("valid config")
+        .run();
+    assert!(result.is_clean(), "{key}: {:?}", result.safety_violation);
+    let obs = result.observability.as_ref().expect("observability is on");
+    if key.contains("minority") {
+        // These rows exist to cover SyncReq / SyncResp; make sure they do.
+        assert!(obs.phase_total("sync") > 0, "{key}: no block sync");
+    }
+    let trace = fnv1a(result.trace.to_json().dump().as_bytes());
+    let run = CheckedRun {
+        result,
+        schedule: Default::default(),
+        actions: Vec::new(),
+        fault_actions: Vec::new(),
+        fault_stats: Default::default(),
+        violations: Vec::new(),
+    };
+    [
+        (format!("{key}#trace"), trace),
+        (key, run_fingerprint(&run)),
+    ]
+}
+
+fn chained_rows() -> Vec<(String, u64)> {
+    let mut rows = Vec::new();
+    for kind in [ProtocolKind::HotStuffNs, ProtocolKind::LibraBft] {
+        let key = |row: &str| format!("{}/{row}", kind.name());
+        let paper = Dist::normal(250.0, 50.0);
+        // Half/half: neither side has a quorum (Fig. 6). 12/4: the majority
+        // commits on, and the minority must fetch what it missed.
+        let split = |majority: usize, cross| {
+            PartitionAttack::new(PartitionPlan::new(
+                (0..16).map(|i| (i >= majority) as u32).collect(),
+                SimTime::ZERO,
+                SimTime::from_millis(20_000),
+                cross,
+            ))
+        };
+        rows.extend(chained_row(
+            key("thrash"),
+            kind,
+            150.0,
+            paper,
+            NullAdversary,
+        ));
+        for (name, majority) in [("partition", 8), ("minority", 12)] {
+            for (mode, cross) in [
+                ("hold", CrossTraffic::HoldUntilResolve),
+                ("drop", CrossTraffic::Drop),
+            ] {
+                let attack = split(majority, cross);
+                rows.extend(chained_row(
+                    key(&format!("{name}-{mode}")),
+                    kind,
+                    1000.0,
+                    paper,
+                    attack,
+                ));
+            }
+        }
+        rows.extend(chained_row(
+            key("failstop"),
+            kind,
+            1000.0,
+            Dist::normal(1000.0, 300.0),
+            FailStop::last_k(16, kind.default_f(16)),
+        ));
+    }
+    rows
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 fn corpus_json(corpus: &[(String, u64)]) -> Json {
