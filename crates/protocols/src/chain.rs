@@ -1,0 +1,393 @@
+//! The chained-HotStuff core (Yin et al., PODC '19) behind
+//! [`crate::hotstuff`] and [`crate::librabft`].
+//!
+//! One block per view, each embedding a quorum certificate (QC) for an
+//! earlier block; a block commits once it heads a *three-chain* of direct
+//! parents with consecutive views. [`Chain`] is one replica's state for that
+//! — block store, highest QC, lock, commit height, and the bookkeeping for
+//! blocks it hears of before it has them — with the rules written once. What
+//! moves a replica from view to view (the pacemaker) is not here: it is all
+//! the two protocol files contain, and all the paper measures between them.
+//! The only message the core sends is the request for a missing block; the
+//! caller says at construction how its wire enum spells it.
+
+use bft_sim_core::context::Context;
+use bft_sim_core::fasthash::{FastMap, FastSet};
+use bft_sim_core::ids::NodeId;
+use bft_sim_core::payload::Payload;
+use bft_sim_core::value::Value;
+use bft_sim_crypto::hash::Digest;
+use bft_sim_crypto::quorum::{QuorumCert, VoteTracker};
+use bft_sim_crypto::signature::{sign, Signature};
+
+use crate::common::vote_digest;
+
+/// Block metadata kept in every node's store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockInfo {
+    /// View the block was proposed in.
+    pub view: u64,
+    /// Digest of the parent block.
+    pub parent: Digest,
+    /// View of the embedded (justify) QC.
+    pub justify_view: u64,
+    /// Block certified by the embedded QC (normally the parent).
+    pub justify_digest: Digest,
+    /// Chain height (genesis = 0).
+    pub height: u64,
+}
+
+/// The on-wire block representation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProposalBlock {
+    /// Block digest (identity).
+    pub digest: Digest,
+    /// Proposing view.
+    pub view: u64,
+    /// Parent digest.
+    pub parent: Digest,
+    /// Height.
+    pub height: u64,
+}
+
+/// The genesis digest all chains grow from.
+pub fn genesis_digest() -> Digest {
+    Digest::of_bytes(b"hotstuff-genesis")
+}
+
+/// A proposal parked until the block its justify certifies is local.
+pub(crate) type Parked = (NodeId, ProposalBlock, QuorumCert);
+
+/// One replica's block tree; `M` is the caller's wire enum.
+#[derive(Debug)]
+pub(crate) struct Chain<M> {
+    quorum: usize,
+    /// Domain tags: the caller's block digests and block-vote signatures are
+    /// its own, as they were before the core was shared.
+    block_tag: u64,
+    vote_phase: u8,
+    sync_req: fn(Digest) -> M,
+    blocks: FastMap<Digest, BlockInfo>,
+    high_qc: QuorumCert,
+    locked_view: u64,
+    locked_digest: Digest,
+    last_voted_view: u64,
+    votes: VoteTracker,
+    decided_height: u64,
+    /// View of the newest committed block (the pacemakers' timers back off
+    /// with the distance from it).
+    last_committed_view: u64,
+    /// Proposals whose justify block we have not received yet; voting on
+    /// them before knowing the justify chain would bypass the lock rule.
+    parked: Vec<Parked>,
+    /// View we lead but cannot propose in until our high QC's block arrives.
+    want_propose: Option<u64>,
+    proposed_views: FastSet<u64>,
+    /// Committed tips whose ancestor chain is still incomplete locally.
+    pending_decides: Vec<Digest>,
+    fetch_in_flight: FastSet<Digest>,
+    /// [`Self::try_decide_chain`]'s buffer, kept so the walk allocates nothing.
+    decide_scratch: Vec<(u64, Digest)>,
+}
+
+impl<M: Payload + Clone + 'static> Chain<M> {
+    /// A chain holding only genesis; `sync_req` builds the caller's request
+    /// for the block with the given digest.
+    pub fn new(quorum: usize, block_tag: u64, vote_phase: u8, sync_req: fn(Digest) -> M) -> Self {
+        // One insert per view: pre-sized so the steady state never rehashes.
+        let mut blocks = FastMap::with_capacity_and_hasher(64, Default::default());
+        blocks.insert(
+            genesis_digest(),
+            BlockInfo {
+                view: 0,
+                parent: genesis_digest(),
+                justify_view: 0,
+                justify_digest: genesis_digest(),
+                height: 0,
+            },
+        );
+        Chain {
+            quorum,
+            block_tag,
+            vote_phase,
+            sync_req,
+            blocks,
+            high_qc: QuorumCert {
+                view: 0,
+                digest: genesis_digest(),
+                signers: Default::default(),
+            },
+            locked_view: 0,
+            locked_digest: genesis_digest(),
+            last_voted_view: 0,
+            votes: VoteTracker::new(quorum),
+            decided_height: 0,
+            last_committed_view: 0,
+            parked: Vec::new(),
+            want_propose: None,
+            proposed_views: FastSet::default(),
+            pending_decides: Vec::new(),
+            fetch_in_flight: FastSet::default(),
+            decide_scratch: Vec::with_capacity(8),
+        }
+    }
+
+    /// The highest QC seen so far.
+    pub fn high_qc(&self) -> &QuorumCert {
+        &self.high_qc
+    }
+
+    /// View of the newest committed block.
+    pub fn last_committed_view(&self) -> u64 {
+        self.last_committed_view
+    }
+
+    /// The stored block with this digest (what a block request asks for).
+    pub fn block(&self, digest: Digest) -> Option<BlockInfo> {
+        self.blocks.get(&digest).copied()
+    }
+
+    fn qc_valid(&self, qc: &QuorumCert) -> bool {
+        qc.view == 0 && qc.digest == genesis_digest() || qc.weight() >= self.quorum
+    }
+
+    /// Requests a missing block, once per view.
+    fn fetch(&mut self, digest: Digest, from: Option<NodeId>, ctx: &mut Context<'_>) {
+        if let (true, Some(from)) = (self.fetch_in_flight.insert(digest), from) {
+            ctx.send(from, (self.sync_req)(digest));
+        }
+    }
+
+    /// The block to propose in `view` on top of our high QC's block, at most
+    /// once per view. A parent we certified (or were handed a QC for) but
+    /// never received is fetched from one of its voters first — guessing its
+    /// height would fork the height sequence — and
+    /// [`Self::wants_to_propose`] says when to ask again.
+    pub fn next_block(&mut self, view: u64, ctx: &mut Context<'_>) -> Option<ProposalBlock> {
+        let parent = self.high_qc.digest;
+        let Some(parent_info) = self.blocks.get(&parent) else {
+            self.want_propose = Some(view);
+            let voter = self.high_qc.signers.iter().find(|&v| v != ctx.id());
+            self.fetch(parent, voter, ctx);
+            return None;
+        };
+        if !self.proposed_views.insert(view) {
+            return None;
+        }
+        self.want_propose = None;
+        let height = parent_info.height + 1;
+        Some(ProposalBlock {
+            digest: Digest::of_words(&[self.block_tag, view, parent.as_u64(), height]),
+            view,
+            parent,
+            height,
+        })
+    }
+
+    /// Whether a proposal for `view` is waiting on a fetched block.
+    pub fn wants_to_propose(&self, view: u64) -> bool {
+        self.want_propose == Some(view)
+    }
+
+    /// Stores a proposed block if its justify is a valid QC for a block we
+    /// hold. When that block is missing the proposal is parked and the block
+    /// requested from `src`: the lock update reads its justify pointer, and
+    /// voting blind would bypass the lock rule that makes commits safe.
+    pub fn admit(
+        &mut self,
+        src: NodeId,
+        block: ProposalBlock,
+        justify: &QuorumCert,
+        ctx: &mut Context<'_>,
+    ) -> bool {
+        if !self.qc_valid(justify) {
+            return false;
+        }
+        if justify.view > 0 && !self.blocks.contains_key(&justify.digest) {
+            self.fetch(justify.digest, Some(src), ctx);
+            self.parked.push((src, block, justify.clone()));
+            return false;
+        }
+        self.store_block(block, justify.view, justify.digest);
+        true
+    }
+
+    fn store_block(&mut self, block: ProposalBlock, justify_view: u64, justify_digest: Digest) {
+        self.blocks.entry(block.digest).or_insert(BlockInfo {
+            view: block.view,
+            parent: block.parent,
+            justify_view,
+            justify_digest,
+            height: block.height,
+        });
+    }
+
+    /// Applies a QC to `high_qc`, lock and commit height; `false` if invalid.
+    /// What a valid one does to the view is the pacemaker's business.
+    pub fn absorb_qc(&mut self, qc: &QuorumCert, src: NodeId, ctx: &mut Context<'_>) -> bool {
+        if !self.qc_valid(qc) {
+            return false;
+        }
+        if qc.view > self.high_qc.view {
+            self.high_qc = qc.clone();
+        }
+        self.apply_chain_rules(qc.digest, src, ctx);
+        true
+    }
+
+    /// Lock and commit rules over the chain ending at the certified block
+    /// `b''` (`tip`). Following chained HotStuff exactly: the lock update
+    /// is **unconditional** — `lockedQC ← b''.justify` whenever it is newer
+    /// (requiring a direct chain here would under-lock and break safety) —
+    /// while DECIDE requires the full direct three-chain with consecutive
+    /// views `b ← b' ← b''`.
+    fn apply_chain_rules(&mut self, tip: Digest, src: NodeId, ctx: &mut Context<'_>) {
+        let Some(b2) = self.block(tip) else {
+            return;
+        };
+        // Lock on b2's justify — the block it certifies is b1, whose view
+        // is recorded in b2's justify pointer (b1 itself need not be local).
+        if b2.justify_view > self.locked_view {
+            self.locked_view = b2.justify_view;
+            self.locked_digest = b2.justify_digest;
+        }
+        let Some(b1) = self.block(b2.justify_digest) else {
+            return;
+        };
+        let Some(b0) = self.block(b1.justify_digest) else {
+            return;
+        };
+        if b2.parent == b2.justify_digest
+            && b1.parent == b1.justify_digest
+            && b2.view == b1.view + 1
+            && b1.view == b0.view + 1
+        {
+            // Direct, consecutive three-chain: commit b0 and its ancestors.
+            self.try_decide_chain(b1.parent, src, ctx);
+        }
+    }
+
+    /// Decides every undecided ancestor of `tip` (inclusive), fetching
+    /// missing blocks from `src` when the local store has gaps.
+    fn try_decide_chain(&mut self, tip: Digest, src: NodeId, ctx: &mut Context<'_>) {
+        // Once per view on every node: a fresh Vec here would dominate the
+        // steady-state allocation count.
+        let mut path = std::mem::take(&mut self.decide_scratch);
+        debug_assert!(path.is_empty());
+        let mut cursor = tip;
+        let mut complete = true;
+        loop {
+            let Some(info) = self.block(cursor) else {
+                // Gap: ask the peer that showed us this chain, retry later.
+                self.fetch(cursor, (src != ctx.id()).then_some(src), ctx);
+                if !self.pending_decides.contains(&tip) {
+                    self.pending_decides.push(tip);
+                }
+                complete = false;
+                break;
+            };
+            if info.height <= self.decided_height {
+                break;
+            }
+            path.push((info.height, cursor));
+            cursor = info.parent;
+        }
+        if complete {
+            path.sort_by_key(|&(h, _)| h);
+            for &(height, digest) in &path {
+                // Heights must be contiguous: a stale pending tip may replay
+                // already-decided heights, which the check above filtered.
+                debug_assert_eq!(height, self.decided_height + 1);
+                self.decided_height = height;
+                if let Some(info) = self.blocks.get(&digest) {
+                    self.last_committed_view = self.last_committed_view.max(info.view);
+                }
+                ctx.report_fmt("commit", format_args!("height={height}"));
+                ctx.decide(Value::new(digest.as_u64()));
+            }
+        }
+        path.clear();
+        self.decide_scratch = path;
+    }
+
+    /// Re-walks the committed tips that were waiting on missing ancestors.
+    pub fn retry_pending_decides(&mut self, src: NodeId, ctx: &mut Context<'_>) {
+        let tips = std::mem::take(&mut self.pending_decides);
+        for tip in tips {
+            self.try_decide_chain(tip, src, ctx);
+        }
+    }
+
+    /// Our vote for `block`, if the voting rule allows one — at most once per
+    /// view, for a proposal that extends the locked block (safety) or whose
+    /// justify is newer than our lock (liveness).
+    pub fn vote(
+        &mut self,
+        block: &ProposalBlock,
+        justify: &QuorumCert,
+        ctx: &Context<'_>,
+    ) -> Option<Signature> {
+        let ok = block.view > self.last_voted_view
+            && (self.extends_locked(block.digest) || justify.view > self.locked_view);
+        ok.then(|| {
+            self.last_voted_view = block.view;
+            let signed = vote_digest(self.vote_phase, block.view, 0, block.digest);
+            sign(ctx.id(), signed)
+        })
+    }
+
+    /// Counts a block vote; the quorum-completing one yields the QC, keyed to
+    /// the block it certifies rather than to the signed vote digest.
+    pub fn add_vote(&mut self, view: u64, digest: Digest, sig: Signature) -> Option<QuorumCert> {
+        let signed = vote_digest(self.vote_phase, view, 0, digest);
+        let qc = self.votes.add(view, signed, sig)?;
+        Some(QuorumCert {
+            view,
+            digest,
+            signers: qc.signers,
+        })
+    }
+
+    fn extends_locked(&self, mut digest: Digest) -> bool {
+        // Walk parents until we hit the locked block, genesis, or a gap.
+        for _ in 0..1024 {
+            if digest == self.locked_digest {
+                return true;
+            }
+            match self.blocks.get(&digest) {
+                Some(info) if info.height == 0 => return self.locked_digest == genesis_digest(),
+                Some(info) => digest = info.parent,
+                None => return false,
+            }
+        }
+        false
+    }
+
+    /// On entering `view`: votes two views back are dropped, and unanswered
+    /// fetches may be re-sent (the previous target may simply not have had
+    /// the block yet).
+    pub fn enter_view(&mut self, view: u64) {
+        self.votes.prune_below(view.saturating_sub(2));
+        self.fetch_in_flight.clear();
+    }
+
+    /// The parked proposals, for the caller's handler to judge again.
+    pub fn take_parked(&mut self) -> Vec<Parked> {
+        std::mem::take(&mut self.parked)
+    }
+
+    /// Stores a fetched block, resumes the commits waiting on it and returns
+    /// the parked proposals, which may now be judged.
+    pub fn on_sync_resp(
+        &mut self,
+        digest: Digest,
+        info: BlockInfo,
+        src: NodeId,
+        ctx: &mut Context<'_>,
+    ) -> Vec<Parked> {
+        self.fetch_in_flight.remove(&digest);
+        self.blocks.entry(digest).or_insert(info);
+        self.retry_pending_decides(src, ctx);
+        self.take_parked()
+    }
+}

@@ -23,6 +23,7 @@
 pub mod add;
 pub mod algorand;
 pub mod async_ba;
+pub mod chain;
 pub mod common;
 pub mod hotstuff;
 pub mod librabft;

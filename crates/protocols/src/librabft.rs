@@ -2,16 +2,18 @@
 //! pacemaker.
 //!
 //! The consensus core is the same chained, pipelined HotStuff used by
-//! [`crate::hotstuff`] — the difference, and the reason LibraBFT behaves so
-//! much better when the network misbehaves (Figs. 5 and 6 of the paper), is
-//! the round-synchronisation mechanism: when a node's round timer expires it
-//! **broadcasts a timeout vote**; `2f + 1` timeout votes form a *timeout
-//! certificate* (TC) that moves every node that observes it into the next
-//! round together, resetting its timer interval to λ. `f + 1` timeout votes
-//! for a higher round make a lagging node join the timeout (Bracha-style
-//! amplification). This bounds how far apart honest nodes can drift once the
-//! network delivers within a bound — LibraBFT guarantees a termination bound
-//! after GST, where HotStuff+NS does not.
+//! [`crate::hotstuff`], stated once in [`crate::chain`] — the difference, and
+//! the reason LibraBFT behaves so much better when the network misbehaves
+//! (Figs. 5 and 6 of the paper), is the round-synchronisation mechanism this
+//! file holds: when a node's round timer expires it **broadcasts a timeout
+//! vote**; `2f + 1` timeout votes form a *timeout certificate* (TC) that
+//! moves every node that observes it into the next round together, resetting
+//! its timer interval to λ. `f + 1` timeout votes for a higher round make a
+//! lagging node join the timeout (Bracha-style amplification). Any QC for the
+//! current round or later moves the node past it, and proposals from rounds
+//! ahead are buffered, not dropped. This bounds how far apart honest nodes
+//! can drift once the network delivers within a bound — LibraBFT guarantees
+//! a termination bound after GST, where HotStuff+NS does not.
 
 use bft_sim_core::context::Context;
 use bft_sim_core::event::Timer;
@@ -19,14 +21,14 @@ use bft_sim_core::fasthash::{FastMap, FastSet};
 use bft_sim_core::ids::{NodeId, TimerId};
 use bft_sim_core::message::Message;
 use bft_sim_core::protocol::Protocol;
-use bft_sim_core::value::Value;
 use bft_sim_crypto::hash::Digest;
 use bft_sim_crypto::quorum::{QuorumCert, VoteTracker};
 use bft_sim_crypto::signature::{sign, Signature};
 
+use crate::chain::{BlockInfo, Chain, Parked, ProposalBlock};
 use crate::common::{round_robin_leader, vote_digest, ProtocolParams};
-use crate::hotstuff::{genesis_digest, BlockInfo, ProposalBlock};
 
+const BLOCK_TAG: u64 = 0x4c425f424c4f434b; // "LB_BLOCK"
 const PHASE_LIBRA_VOTE: u8 = 20;
 const PHASE_LIBRA_TIMEOUT: u8 = 21;
 
@@ -77,91 +79,38 @@ struct RoundTimeout {
     round: u64,
 }
 
-fn genesis_qc() -> QuorumCert {
-    QuorumCert {
-        view: 0,
-        digest: genesis_digest(),
-        signers: Default::default(),
-    }
-}
-
 /// One LibraBFT replica.
 #[derive(Debug)]
 pub struct LibraBft {
     params: ProtocolParams,
     round: u64,
-    blocks: FastMap<Digest, BlockInfo>,
-    high_qc: QuorumCert,
-    locked_round: u64,
-    locked_digest: Digest,
-    last_voted_round: u64,
-    decided_height: u64,
-    votes: VoteTracker,
+    chain: Chain<LibraMsg>,
     timeout_votes: VoteTracker,
     /// Rounds this node already broadcast a timeout vote for.
     timeout_voted: FastSet<u64>,
-    pending: FastMap<u64, Vec<(NodeId, ProposalBlock, QuorumCert)>>,
-    /// Proposals whose justify block is not yet local (vote gating).
-    pending_sync: Vec<(NodeId, ProposalBlock, QuorumCert)>,
-    /// Round we want to propose in once the high-QC block arrives.
-    want_propose: Option<u64>,
-    proposed_rounds: FastSet<u64>,
-    pending_decides: Vec<Digest>,
-    fetch_in_flight: FastSet<Digest>,
+    /// Proposals from rounds ahead of ours, by round.
+    pending: FastMap<u64, Vec<Parked>>,
     timer: Option<TimerId>,
-    /// Round of the newest committed block; the pacemaker interval grows
-    /// with the distance between the current round and this.
-    last_committed_round: u64,
 }
 
 impl LibraBft {
     /// Creates a replica.
     pub fn new(params: ProtocolParams) -> Self {
-        let mut blocks = FastMap::default();
-        blocks.insert(
-            genesis_digest(),
-            BlockInfo {
-                view: 0,
-                parent: genesis_digest(),
-                justify_view: 0,
-                justify_digest: genesis_digest(),
-                height: 0,
-            },
-        );
         LibraBft {
             params,
             round: 1,
-            blocks,
-            high_qc: genesis_qc(),
-            locked_round: 0,
-            locked_digest: genesis_digest(),
-            last_voted_round: 0,
-            decided_height: 0,
-            votes: VoteTracker::new(params.quorum()),
+            chain: Chain::new(params.quorum(), BLOCK_TAG, PHASE_LIBRA_VOTE, |digest| {
+                LibraMsg::SyncReq { digest }
+            }),
             timeout_votes: VoteTracker::new(params.quorum()),
             timeout_voted: FastSet::default(),
             pending: FastMap::default(),
-            pending_sync: Vec::new(),
-            want_propose: None,
-            proposed_rounds: FastSet::default(),
-            pending_decides: Vec::new(),
-            fetch_in_flight: FastSet::default(),
             timer: None,
-            last_committed_round: 0,
         }
-    }
-
-    /// Current round (exposed for tests).
-    pub fn round(&self) -> u64 {
-        self.round
     }
 
     fn leader(&self, round: u64) -> NodeId {
         round_robin_leader(round, self.params.n)
-    }
-
-    fn qc_valid(&self, qc: &QuorumCert) -> bool {
-        qc.view == 0 && qc.digest == genesis_digest() || qc.weight() >= self.params.quorum()
     }
 
     fn restart_timer(&mut self, ctx: &mut Context<'_>) {
@@ -173,7 +122,7 @@ impl LibraBft {
         // small (interval a few λ); a stretch without commits grows it.
         let behind = self
             .round
-            .saturating_sub(self.last_committed_round)
+            .saturating_sub(self.chain.last_committed_view())
             .saturating_sub(1)
             .min(16) as u32;
         let interval = ctx.lambda().saturating_shl(behind);
@@ -187,17 +136,15 @@ impl LibraBft {
     fn enter_round(&mut self, round: u64, ctx: &mut Context<'_>) {
         debug_assert!(round > self.round);
         self.round = round;
-        self.votes.prune_below(round.saturating_sub(2));
         self.timeout_votes.prune_below(round.saturating_sub(2));
-        self.fetch_in_flight.clear();
+        self.chain.enter_view(round);
         ctx.enter_view(round);
         self.restart_timer(ctx);
         if self.leader(round) == ctx.id() {
             self.propose(ctx);
         }
         self.drain_pending(ctx);
-        let waiting = std::mem::take(&mut self.pending_sync);
-        for (src, block, justify) in waiting {
+        for (src, block, justify) in self.chain.take_parked() {
             self.handle_proposal(src, block, justify, ctx);
         }
     }
@@ -219,34 +166,14 @@ impl LibraBft {
     }
 
     fn propose(&mut self, ctx: &mut Context<'_>) {
-        let parent = self.high_qc.digest;
-        let Some(parent_info) = self.blocks.get(&parent) else {
-            // Fetch the certified-but-unseen block before proposing on it.
-            self.want_propose = Some(self.round);
-            if self.fetch_in_flight.insert(parent) {
-                if let Some(voter) = self.high_qc.signers.iter().find(|&v| v != ctx.id()) {
-                    ctx.send(voter, LibraMsg::SyncReq { digest: parent });
-                }
-            }
+        let Some(block) = self.chain.next_block(self.round, ctx) else {
             return;
-        };
-        if !self.proposed_rounds.insert(self.round) {
-            return;
-        }
-        self.want_propose = None;
-        let height = parent_info.height + 1;
-        let digest = Digest::of_words(&[0x4c425f424c4f434b, self.round, parent.as_u64(), height]);
-        let block = ProposalBlock {
-            digest,
-            view: self.round,
-            parent,
-            height,
         };
         ctx.report_fmt(
             "propose",
-            format_args!("round={} height={height}", self.round),
+            format_args!("round={} height={}", block.view, block.height),
         );
-        let justify = self.high_qc.clone();
+        let justify = self.chain.high_qc().clone();
         ctx.broadcast(LibraMsg::Proposal {
             block,
             justify: justify.clone(),
@@ -255,84 +182,11 @@ impl LibraBft {
         self.handle_proposal(me, block, justify, ctx);
     }
 
-    fn store_block(&mut self, block: ProposalBlock, justify_view: u64, justify_digest: Digest) {
-        self.blocks.entry(block.digest).or_insert(BlockInfo {
-            view: block.view,
-            parent: block.parent,
-            justify_view,
-            justify_digest,
-            height: block.height,
-        });
-    }
-
+    /// A valid QC for this round or later moves us past it — the catch-up
+    /// from observed certificates that HotStuff+NS lacks.
     fn process_qc(&mut self, qc: &QuorumCert, src: NodeId, ctx: &mut Context<'_>) {
-        if !self.qc_valid(qc) {
-            return;
-        }
-        if qc.view > self.high_qc.view {
-            self.high_qc = qc.clone();
-        }
-        self.apply_chain_rules(qc.digest, src, ctx);
-        if qc.view >= self.round {
+        if self.chain.absorb_qc(qc, src, ctx) && qc.view >= self.round {
             self.enter_round(qc.view + 1, ctx);
-        }
-    }
-
-    /// Same chained-HotStuff rules as [`crate::hotstuff`]: the lock update
-    /// is unconditional (`lockedQC ← b''.justify` when newer); DECIDE needs
-    /// the direct three-chain with consecutive rounds.
-    fn apply_chain_rules(&mut self, tip: Digest, src: NodeId, ctx: &mut Context<'_>) {
-        let Some(b2) = self.blocks.get(&tip).copied() else {
-            return;
-        };
-        // Lock from b2's justify pointer (the certified block b1 need not
-        // be local for the lock itself).
-        if b2.justify_view > self.locked_round {
-            self.locked_round = b2.justify_view;
-            self.locked_digest = b2.justify_digest;
-        }
-        let Some(b1) = self.blocks.get(&b2.justify_digest).copied() else {
-            return;
-        };
-        let Some(b0) = self.blocks.get(&b1.justify_digest).copied() else {
-            return;
-        };
-        if b2.parent == b2.justify_digest
-            && b1.parent == b1.justify_digest
-            && b2.view == b1.view + 1
-            && b1.view == b0.view + 1
-        {
-            self.try_decide_chain(b1.parent, src, ctx);
-        }
-    }
-
-    fn try_decide_chain(&mut self, tip: Digest, src: NodeId, ctx: &mut Context<'_>) {
-        let mut path = Vec::new();
-        let mut cursor = tip;
-        loop {
-            let Some(info) = self.blocks.get(&cursor).copied() else {
-                if self.fetch_in_flight.insert(cursor) && src != ctx.id() {
-                    ctx.send(src, LibraMsg::SyncReq { digest: cursor });
-                }
-                if !self.pending_decides.contains(&tip) {
-                    self.pending_decides.push(tip);
-                }
-                return;
-            };
-            if info.height <= self.decided_height {
-                break;
-            }
-            path.push((info.height, cursor));
-            cursor = info.parent;
-        }
-        path.sort_by_key(|&(h, _)| h);
-        for (height, digest) in path {
-            self.decided_height = height;
-            if let Some(info) = self.blocks.get(&digest) {
-                self.last_committed_round = self.last_committed_round.max(info.view);
-            }
-            ctx.report_fmt("commit", format_args!("height={height}"));
-            ctx.decide(Value::new(digest.as_u64()));
         }
     }
 
@@ -343,24 +197,9 @@ impl LibraBft {
         justify: QuorumCert,
         ctx: &mut Context<'_>,
     ) {
-        if !self.qc_valid(&justify) || src != self.leader(block.view) {
+        if src != self.leader(block.view) || !self.chain.admit(src, block, &justify, ctx) {
             return;
         }
-        // Vote gating: the justify's block must be local so the lock rule
-        // can be applied before voting.
-        if justify.view > 0 && !self.blocks.contains_key(&justify.digest) {
-            if self.fetch_in_flight.insert(justify.digest) {
-                ctx.send(
-                    src,
-                    LibraMsg::SyncReq {
-                        digest: justify.digest,
-                    },
-                );
-            }
-            self.pending_sync.push((src, block, justify));
-            return;
-        }
-        self.store_block(block, justify.view, justify.digest);
         // Process the justify first: in the happy path it certifies round
         // r−1 and advances us into the proposal's round r.
         self.process_qc(&justify, src, ctx);
@@ -374,52 +213,28 @@ impl LibraBft {
             return;
         }
 
-        if block.view == self.round
-            && block.view > self.last_voted_round
-            && (self.extends_locked(block.digest) || justify.view > self.locked_round)
-        {
-            self.last_voted_round = block.view;
-            let vd = vote_digest(PHASE_LIBRA_VOTE, block.view, 0, block.digest);
-            let sig = sign(ctx.id(), vd);
-            let next_leader = self.leader(block.view + 1);
-            if next_leader == ctx.id() {
-                self.handle_vote(block.view, block.digest, sig, ctx);
-            } else {
-                ctx.send(
-                    next_leader,
-                    LibraMsg::Vote {
-                        round: block.view,
-                        digest: block.digest,
-                        sig,
-                    },
-                );
+        if block.view == self.round {
+            if let Some(sig) = self.chain.vote(&block, &justify, ctx) {
+                let next_leader = self.leader(block.view + 1);
+                if next_leader == ctx.id() {
+                    self.handle_vote(block.view, block.digest, sig, ctx);
+                } else {
+                    ctx.send(
+                        next_leader,
+                        LibraMsg::Vote {
+                            round: block.view,
+                            digest: block.digest,
+                            sig,
+                        },
+                    );
+                }
             }
         }
-        self.retry_pending_decides(src, ctx);
-    }
-
-    fn extends_locked(&self, mut digest: Digest) -> bool {
-        for _ in 0..1024 {
-            if digest == self.locked_digest {
-                return true;
-            }
-            match self.blocks.get(&digest) {
-                Some(info) if info.height == 0 => return self.locked_digest == genesis_digest(),
-                Some(info) => digest = info.parent,
-                None => return false,
-            }
-        }
-        false
+        self.chain.retry_pending_decides(src, ctx);
     }
 
     fn handle_vote(&mut self, round: u64, digest: Digest, sig: Signature, ctx: &mut Context<'_>) {
-        let vd = vote_digest(PHASE_LIBRA_VOTE, round, 0, digest);
-        if let Some(qc) = self.votes.add(round, vd, sig) {
-            let qc = QuorumCert {
-                view: round,
-                digest,
-                signers: qc.signers,
-            };
+        if let Some(qc) = self.chain.add_vote(round, digest, sig) {
             ctx.report_fmt("qc", format_args!("round={round}"));
             let me = ctx.id();
             self.process_qc(&qc, me, ctx);
@@ -440,7 +255,7 @@ impl LibraBft {
         let sig = sign(ctx.id(), vd);
         ctx.broadcast(LibraMsg::TimeoutVote {
             round,
-            high_qc: self.high_qc.clone(),
+            high_qc: self.chain.high_qc().clone(),
             sig,
         });
         self.handle_timeout_vote(round, None, sig, ctx);
@@ -474,13 +289,6 @@ impl LibraBft {
             self.enter_round(round + 1, ctx);
         }
     }
-
-    fn retry_pending_decides(&mut self, src: NodeId, ctx: &mut Context<'_>) {
-        let tips = std::mem::take(&mut self.pending_decides);
-        for tip in tips {
-            self.try_decide_chain(tip, src, ctx);
-        }
-    }
 }
 
 impl Protocol for LibraBft {
@@ -511,19 +319,15 @@ impl Protocol for LibraBft {
                 self.handle_timeout_vote(round, Some(&high_qc), sig, ctx);
             }
             LibraMsg::SyncReq { digest } => {
-                if let Some(info) = self.blocks.get(&digest).copied() {
+                if let Some(info) = self.chain.block(digest) {
                     ctx.send(msg.src(), LibraMsg::SyncResp { digest, info });
                 }
             }
             LibraMsg::SyncResp { digest, info } => {
-                self.fetch_in_flight.remove(&digest);
-                self.blocks.entry(digest).or_insert(info);
-                self.retry_pending_decides(msg.src(), ctx);
-                let waiting = std::mem::take(&mut self.pending_sync);
-                for (src, block, justify) in waiting {
+                for (src, block, justify) in self.chain.on_sync_resp(digest, info, msg.src(), ctx) {
                     self.handle_proposal(src, block, justify, ctx);
                 }
-                if self.want_propose == Some(self.round) {
+                if self.chain.wants_to_propose(self.round) {
                     self.propose(ctx);
                 }
             }
