@@ -8,7 +8,7 @@
 
 use bft_sim_core::adversary::{Adversary, AdversaryApi, Fate};
 use bft_sim_core::message::Message;
-use bft_sim_core::time::SimDuration;
+use bft_sim_core::time::{SimDuration, SimTime};
 use bft_sim_net::partition::{CrossTraffic, PartitionPlan};
 
 /// Drops or delays cross-subnet traffic during the partition window.
@@ -39,6 +39,39 @@ impl PartitionAttack {
     /// Creates the attack from a partition plan.
     pub fn new(plan: PartitionPlan) -> Self {
         PartitionAttack { plan }
+    }
+
+    /// The half/half split between `start_ms` and `end_ms`, as a scenario
+    /// file, a repro or `--attack partition:S:E` spells it: `drop` discards
+    /// cross traffic, otherwise it is held until the partition resolves.
+    ///
+    /// # Errors
+    ///
+    /// The window is inverted ([`PartitionAttack::check_window`]).
+    pub fn halves(n: usize, start_ms: u64, end_ms: u64, drop: bool) -> Result<Self, String> {
+        Self::check_window(start_ms, end_ms)?;
+        let cross = if drop {
+            CrossTraffic::Drop
+        } else {
+            CrossTraffic::HoldUntilResolve
+        };
+        let (start, end) = (SimTime::from_millis(start_ms), SimTime::from_millis(end_ms));
+        Ok(Self::new(PartitionPlan::halves(n, start, end, cross)))
+    }
+
+    /// The one statement of the rule for a window read from outside the
+    /// program: a partition cannot resolve before it starts.
+    ///
+    /// # Errors
+    ///
+    /// `end_ms < start_ms`.
+    pub fn check_window(start_ms: u64, end_ms: u64) -> Result<(), String> {
+        if end_ms < start_ms {
+            return Err(format!(
+                "partition resolves at {end_ms} ms, before it starts at {start_ms} ms"
+            ));
+        }
+        Ok(())
     }
 
     /// The underlying plan.
@@ -77,7 +110,6 @@ mod tests {
     use bft_sim_core::engine::SimulationBuilder;
     use bft_sim_core::ids::NodeId;
     use bft_sim_core::network::ConstantNetwork;
-    use bft_sim_core::time::SimTime;
     use bft_sim_protocols::registry::ProtocolKind;
 
     fn partition_run(
@@ -138,6 +170,14 @@ mod tests {
         );
         assert!(r.is_clean());
         assert_eq!(r.dropped_messages, 0, "hold mode never drops");
+    }
+
+    #[test]
+    fn an_inverted_window_is_an_error_not_a_panic() {
+        let err = PartitionAttack::halves(4, 10, 5, true).unwrap_err();
+        assert!(err.contains("before it starts"), "{err}");
+        let attack = PartitionAttack::halves(4, 5, 5, false).unwrap();
+        assert!(!attack.plan().is_active(SimTime::from_millis(5)));
     }
 
     #[test]

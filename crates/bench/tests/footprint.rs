@@ -22,7 +22,11 @@ static ALLOC: CountingAllocator = CountingAllocator;
 #[test]
 fn footprints() {
     pbft_n64_keeps_its_depth_and_loses_the_n_squared_residency();
-    hotstuff_n256_shares_its_certificates();
+    chained_n256_shares_its_certificates(ProtocolKind::HotStuffNs);
+    // Same chain core, same happy path: the same events, and the same
+    // allocation-free decide walk (LibraBFT's own copy of it allocated a
+    // `Vec` per node per decision and regrew its block map).
+    chained_n256_shares_its_certificates(ProtocolKind::LibraBft);
 }
 
 fn pbft_n64_keeps_its_depth_and_loses_the_n_squared_residency() {
@@ -50,8 +54,8 @@ fn pbft_n64_keeps_its_depth_and_loses_the_n_squared_residency() {
     }
 }
 
-fn hotstuff_n256_shares_its_certificates() {
-    let case = run_case(ProtocolKind::HotStuffNs, 256, 1, 3);
+fn chained_n256_shares_its_certificates(kind: ProtocolKind) {
+    let case = run_case(kind, 256, 1, 3);
     assert_eq!(case.events_processed, 2_817);
     assert_eq!(case.peak_queue_depth, 597);
     // A certificate's bitmap is allocated where it is formed and widened or
@@ -61,7 +65,7 @@ fn hotstuff_n256_shares_its_certificates() {
         let per_broadcast = case.allocs_per_broadcast.expect("allocator is counting");
         assert!(
             per_broadcast <= 16.0,
-            "{per_broadcast} allocations per broadcast"
+            "{kind}: {per_broadcast} allocations per broadcast"
         );
     }
 }

@@ -49,7 +49,7 @@ use bft_sim_core::dist::Dist;
 use bft_sim_core::json::{self, Fields, Json};
 use bft_sim_simcheck::check_node_count;
 use bft_simulator::experiments::{figures, loc, AttackSpec, Scenario};
-use bft_simulator::prelude::ProtocolKind;
+use bft_simulator::prelude::{PartitionAttack, ProtocolKind};
 use std::ops::RangeInclusive;
 
 /// A parsed CLI invocation.
@@ -344,6 +344,7 @@ pub fn parse_attack(s: &str) -> Result<AttackSpec, CliError> {
             let end_ms = end
                 .parse()
                 .map_err(|_| CliError::usage(format!("bad partition end: {end}")))?;
+            PartitionAttack::check_window(start_ms, end_ms).map_err(CliError::usage)?;
             Ok(AttackSpec::Partition {
                 start_ms,
                 end_ms,
@@ -1763,6 +1764,7 @@ mod tests {
             AttackSpec::AddAdaptive
         );
         assert!(parse_attack("meteor").is_err());
+        assert!(parse_attack("partition:10:5").is_err(), "inverted window");
     }
 
     #[test]

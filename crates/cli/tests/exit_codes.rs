@@ -94,6 +94,9 @@ fn usage_errors_exit_two() {
         &["compare", "--reps", "18446744073709551615"],
         &["run", "--protocol", "pbft", "--nodes", "4294967297"],
         &["compare", "--nodes", "4294967297"],
+        // A partition that resolves before it starts died in
+        // `PartitionPlan::new`'s assert (101).
+        &["run", "--protocol", "pbft", "--attack", "partition:10:5"],
     ];
     for args in cases {
         let out = bft_sim(args);
@@ -271,6 +274,17 @@ fn hostile_artifacts_exit_with_their_loaders_code() {
         ),
         (
             vec![
+                "trace".into(),
+                file(
+                    "inverted.json",
+                    r#"{"protocol":"pbft","partition":{"start_ms":10,"end_ms":5,"drop":true}}"#,
+                ),
+            ],
+            2,
+            "bad \"partition\": partition resolves at 5 ms, before it starts at 10 ms",
+        ),
+        (
+            vec![
                 "run".into(),
                 "--config".into(),
                 file("config.json", r#"{"nodes": 16.5}"#),
@@ -328,6 +342,19 @@ fn hostile_artifacts_exit_with_their_loaders_code() {
             ],
             4,
             "bad \"dst\": 4294967298 exceeds the u32 range",
+        ),
+        (
+            vec![
+                "repro".into(),
+                file(
+                    "inverted-repro.json",
+                    r#"{"format": "bft-sim-repro-v1", "oracle": "termination", "detail": "x",
+                      "scenario": {"protocol": "pbft", "n": 4,
+                        "partition": {"start_ms": 10, "end_ms": 5, "drop": false}}}"#,
+                ),
+            ],
+            4,
+            "partition resolves at 5 ms, before it starts at 10 ms",
         ),
     ];
     for (args, code, needle) in cases {

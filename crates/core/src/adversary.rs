@@ -235,6 +235,32 @@ pub trait Adversary: Send {
     }
 }
 
+/// Boxed adversaries forward to their inner adversary, so one chosen at
+/// runtime (`Box<dyn Adversary>`) satisfies `SimulationBuilder::adversary`
+/// like any concrete one.
+impl Adversary for Box<dyn Adversary> {
+    fn init(&mut self, api: &mut AdversaryApi<'_>) {
+        (**self).init(api);
+    }
+
+    fn attack(
+        &mut self,
+        msg: &mut Message,
+        proposed: SimDuration,
+        api: &mut AdversaryApi<'_>,
+    ) -> Fate {
+        (**self).attack(msg, proposed, api)
+    }
+
+    fn on_timer(&mut self, tag: u64, api: &mut AdversaryApi<'_>) {
+        (**self).on_timer(tag, api);
+    }
+
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+}
+
 /// The benign adversary: delivers everything untouched.
 #[derive(Debug, Clone, Default)]
 pub struct NullAdversary;

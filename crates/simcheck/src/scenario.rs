@@ -29,10 +29,9 @@ use bft_sim_core::oracle::{
     OracleInput, OracleObserver, OracleSuite, OracleViolation, OutageWindow,
 };
 use bft_sim_core::scheduler::SchedulerKind;
-use bft_sim_core::time::{SimDuration, SimTime};
+use bft_sim_core::time::SimDuration;
 use bft_sim_core::validator::DeliverySchedule;
 use bft_sim_net::churn::{ChurnPlan, ChurnedNetwork};
-use bft_sim_net::partition::{CrossTraffic, PartitionPlan};
 use bft_sim_net::topology::{BandwidthNetwork, LinkTopology};
 use bft_sim_protocols::registry::ProtocolKind;
 use rand::rngs::SmallRng;
@@ -175,7 +174,8 @@ impl PartitionSpec {
     ///
     /// # Errors
     ///
-    /// Malformed per [`bft_sim_core::json`]'s artifact parsing policy.
+    /// Malformed per [`bft_sim_core::json`]'s artifact parsing policy, or a
+    /// window [`PartitionAttack::check_window`] rejects.
     pub fn from_json(json: &Json) -> Result<PartitionSpec, String> {
         let mut f = Fields::of(json, "partition")?;
         let spec = PartitionSpec {
@@ -184,6 +184,7 @@ impl PartitionSpec {
             drop: f.req("drop", json::boolean)?,
         };
         f.finish()?;
+        PartitionAttack::check_window(spec.start_ms, spec.end_ms)?;
         Ok(spec)
     }
 }
@@ -713,19 +714,10 @@ impl ScenarioSpec {
         }
     }
 
-    fn partition_attack(&self) -> Option<PartitionAttack> {
-        self.partition.map(|p| {
-            PartitionAttack::new(PartitionPlan::halves(
-                self.n,
-                SimTime::from_millis(p.start_ms),
-                SimTime::from_millis(p.end_ms),
-                if p.drop {
-                    CrossTraffic::Drop
-                } else {
-                    CrossTraffic::HoldUntilResolve
-                },
-            ))
-        })
+    fn partition_attack(&self) -> Result<Option<PartitionAttack>, String> {
+        self.partition
+            .map(|p| PartitionAttack::halves(self.n, p.start_ms, p.end_ms, p.drop))
+            .transpose()
     }
 
     #[cfg(feature = "testbug")]
@@ -865,7 +857,7 @@ impl ScenarioSpec {
                 let log = fuzz.log_handle();
                 let fault_log: Option<FaultLog> = injector.as_ref().map(FaultInjector::log_handle);
                 let stack = Stack {
-                    partition: self.partition_attack(),
+                    partition: self.partition_attack()?,
                     fuzz,
                     extra: self.extra_adversary()?,
                 };

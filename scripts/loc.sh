@@ -18,7 +18,7 @@ if [[ "${1:-}" == "--diff" ]]; then
         find crates/*/src src -name '*.rs'
         git ls-tree -r --name-only "$rev" -- crates src | grep -E '^(crates/[^/]+/)?src/.*\.rs$'
     } | LC_ALL=C sort -u | while read -r file; do
-        old=$(git show "$rev:$file" 2>/dev/null | count)
+        old=$(git show "$rev:$file" 2>/dev/null | count || true) # absent at $rev: 0
         new=$([[ -f "$file" ]] && count < "$file" || echo 0)
         echo "$old $new $file"
     done | awk '{ total += $2 - $1 }

@@ -16,8 +16,7 @@ use bft_sim_core::engine::SimulationBuilder;
 use bft_sim_core::metrics::{RunResult, Summary};
 use bft_sim_core::network::SampledNetwork;
 use bft_sim_core::scheduler::SchedulerKind;
-use bft_sim_core::time::{SimDuration, SimTime};
-use bft_sim_net::partition::{CrossTraffic, PartitionPlan};
+use bft_sim_core::time::SimDuration;
 use bft_sim_protocols::registry::ProtocolKind;
 
 use bft_sim_attacks::{AddAdaptiveRushingAttack, AddStaticAttack, FailStop, PartitionAttack};
@@ -55,16 +54,10 @@ impl AttackSpec {
                 start_ms,
                 end_ms,
                 drop,
-            } => Box::new(PartitionAttack::new(PartitionPlan::halves(
-                n,
-                SimTime::from_millis(start_ms),
-                SimTime::from_millis(end_ms),
-                if drop {
-                    CrossTraffic::Drop
-                } else {
-                    CrossTraffic::HoldUntilResolve
-                },
-            ))),
+            } => Box::new(
+                PartitionAttack::halves(n, start_ms, end_ms, drop)
+                    .unwrap_or_else(|e| panic!("attack spec: {e}")),
+            ),
             AttackSpec::AddStatic(k) => Box::new(AddStaticAttack::new(k)),
             AttackSpec::AddAdaptive => Box::new(AddAdaptiveRushingAttack::new()),
         }
@@ -165,7 +158,7 @@ impl Scenario {
         let n = cfg.n;
         SimulationBuilder::new(cfg)
             .network(SampledNetwork::new(self.delay))
-            .adversary(BoxedAdversary(self.attack.build(n)))
+            .adversary(self.attack.build(n))
             .protocols(factory)
             .build()
             .expect("scenario configuration is valid")
@@ -235,33 +228,6 @@ impl Scenario {
                 .map(|r| self.messages_per_decision(r))
                 .collect::<Vec<_>>(),
         )
-    }
-}
-
-/// Adapter: the engine builder takes a concrete `A: Adversary`; this wraps
-/// the trait object produced by [`AttackSpec::build`].
-struct BoxedAdversary(Box<dyn Adversary>);
-
-impl Adversary for BoxedAdversary {
-    fn init(&mut self, api: &mut bft_sim_core::adversary::AdversaryApi<'_>) {
-        self.0.init(api);
-    }
-
-    fn attack(
-        &mut self,
-        msg: &mut bft_sim_core::message::Message,
-        proposed: SimDuration,
-        api: &mut bft_sim_core::adversary::AdversaryApi<'_>,
-    ) -> bft_sim_core::adversary::Fate {
-        self.0.attack(msg, proposed, api)
-    }
-
-    fn on_timer(&mut self, tag: u64, api: &mut bft_sim_core::adversary::AdversaryApi<'_>) {
-        self.0.on_timer(tag, api);
-    }
-
-    fn name(&self) -> &'static str {
-        self.0.name()
     }
 }
 

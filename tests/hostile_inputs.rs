@@ -611,6 +611,33 @@ fn the_policy_in_five_lines() {
     assert!(err.contains("bad \"time_cap_secs\""), "{err}");
     let err = scenario("{\"protocol\":\"pbft\",\"n\":4,\"seed\":1,\"seed\":2,\"n\":7}");
     assert!(err.contains("duplicate field \"seed\""), "{err}");
+    // An inverted partition window used to reach `PartitionPlan::new`'s
+    // assert; a scenario file, a repro and a spec built in code all meet the
+    // one rule instead.
+    let inverted = "{\"start_ms\": 10, \"end_ms\": 5, \"drop\": true}";
+    let err = scenario(&format!(
+        "{{\"protocol\": \"pbft\", \"partition\": {inverted}}}"
+    ));
+    assert!(
+        err.contains("bad \"partition\": partition resolves at 5 ms, before it starts at 10 ms"),
+        "{err}"
+    );
+    let mut doc = rich_repro().to_json();
+    *doc.get_mut("scenario")
+        .and_then(|scenario| scenario.get_mut("partition"))
+        .unwrap() = Json::parse(inverted).unwrap();
+    let err = Repro::from_json(&doc).unwrap_err();
+    assert!(err.contains("before it starts"), "{err}");
+    let built = ScenarioSpec {
+        partition: Some(PartitionSpec {
+            start_ms: 10,
+            end_ms: 5,
+            drop: false,
+        }),
+        ..ScenarioSpec::baseline(ProtocolKind::Pbft)
+    };
+    let err = built.run(RunMode::Generate).unwrap_err();
+    assert!(err.contains("before it starts"), "{err}");
     let err = Json::parse(&"[".repeat(200_000)).unwrap_err();
     assert!(err.contains("nesting deeper than 128 at byte 128"), "{err}");
     assert!(Json::parse(&format!("{}1{}", "[".repeat(128), "]".repeat(128))).is_ok());
