@@ -9,7 +9,8 @@
 //! moves a replica from view to view (the pacemaker) is not here: it is all
 //! the two protocol files contain, and all the paper measures between them.
 //! The only message the core sends is the request for a missing block; the
-//! caller says at construction how its wire enum spells it.
+//! caller says at construction how its wire enum spells it, and gives the
+//! two domain tags that keep its block digests and vote signatures its own.
 
 use bft_sim_core::context::Context;
 use bft_sim_core::fasthash::{FastMap, FastSet};
@@ -62,8 +63,7 @@ pub(crate) type Parked = (NodeId, ProposalBlock, QuorumCert);
 #[derive(Debug)]
 pub(crate) struct Chain<M> {
     quorum: usize,
-    /// Domain tags: the caller's block digests and block-vote signatures are
-    /// its own, as they were before the core was shared.
+    /// Domain tags of the caller's block digests and block-vote signatures.
     block_tag: u64,
     vote_phase: u8,
     sync_req: fn(Digest) -> M,
@@ -153,7 +153,10 @@ impl<M: Payload + Clone + 'static> Chain<M> {
 
     /// Requests a missing block, once per view.
     fn fetch(&mut self, digest: Digest, from: Option<NodeId>, ctx: &mut Context<'_>) {
-        if let (true, Some(from)) = (self.fetch_in_flight.insert(digest), from) {
+        if !self.fetch_in_flight.insert(digest) {
+            return;
+        }
+        if let Some(from) = from {
             ctx.send(from, (self.sync_req)(digest));
         }
     }
@@ -327,13 +330,14 @@ impl<M: Payload + Clone + 'static> Chain<M> {
         justify: &QuorumCert,
         ctx: &Context<'_>,
     ) -> Option<Signature> {
-        let ok = block.view > self.last_voted_view
-            && (self.extends_locked(block.digest) || justify.view > self.locked_view);
-        ok.then(|| {
-            self.last_voted_view = block.view;
-            let signed = vote_digest(self.vote_phase, block.view, 0, block.digest);
-            sign(ctx.id(), signed)
-        })
+        if block.view <= self.last_voted_view
+            || !(self.extends_locked(block.digest) || justify.view > self.locked_view)
+        {
+            return None;
+        }
+        self.last_voted_view = block.view;
+        let signed = vote_digest(self.vote_phase, block.view, 0, block.digest);
+        Some(sign(ctx.id(), signed))
     }
 
     /// Counts a block vote; the quorum-completing one yields the QC, keyed to

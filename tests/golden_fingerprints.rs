@@ -11,13 +11,13 @@
 //! changes loud: they require re-blessing the corpus.
 //!
 //! The two chained protocols (HotStuff+NS, LibraBFT) carry six more rows
-//! each at n = 16, on the paths the quiet baseline never reaches — view thrash under an
-//! underestimated λ (Fig. 5), a 0–20 s partition in hold and in drop mode,
-//! both half/half (Fig. 6) and 12/4 (the minority fetches the blocks it
-//! missed), and f fail-stopped nodes (Fig. 7). Those
-//! rows pin, beside the fingerprint, an FNV-1a of the full trace JSON with
-//! per-message recording on (`"<key>#trace"`), so any change to the order or
-//! content of what a replica sends, reports or decides is loud.
+//! each at n = 16, on the paths the quiet baseline never reaches: view
+//! thrash under an underestimated λ (Fig. 5), a 0–20 s partition in hold and
+//! in drop mode, both half/half (Fig. 6) and 12/4 (the minority fetches the
+//! blocks it missed), and f fail-stopped nodes (Fig. 7). Those rows pin,
+//! beside the fingerprint, an FNV-1a of the full trace JSON with per-message
+//! recording on (`"<key>#trace"`), so any change to the order or content of
+//! what a replica sends, reports or decides is loud.
 //!
 //! To regenerate after an *intentional* behaviour change:
 //! `BFT_SIM_BLESS=1 cargo test --test golden_fingerprints`.
