@@ -1,7 +1,7 @@
 //! The `bft-sim campaign` subcommand: resumable, shardable parameter-grid
 //! sweeps driven by a `bft-sim-campaign-v1` manifest.
 //!
-//! The grid mechanics — manifest expansion, checkpointing, sharding,
+//! The grid mechanics — manifest expansion, the journal, sharding,
 //! merging, report derivation — live in [`bft_sim_core::campaign`]. This
 //! module owns what only the CLI layer knows: how a grid axis value maps to
 //! a concrete [`ScenarioSpec`] (protocol names, delay presets, the
@@ -16,8 +16,8 @@
 use std::path::{Path, PathBuf};
 
 use bft_sim_core::campaign::{
-    final_report, merge_checkpoints, mix_seed, shard_units, Checkpoint, Manifest, Unit,
-    UnitOutcome, UnitRecord,
+    final_report, merge_checkpoints, mix_seed, shard_units, Batch, Checkpoint, Journal,
+    JournalHeader, JournalWriter, Manifest, Unit, UnitOutcome, UnitRecord,
 };
 use bft_sim_core::json::{self, Json};
 use bft_sim_core::sweep::sweep;
@@ -27,7 +27,7 @@ use bft_simulator::prelude::ProtocolKind;
 use crate::{parse_net_preset, CliError};
 
 /// Per-node delivery-latency and decision-interval histograms harvested from
-/// a unit's observability block, ready to merge into the checkpoint
+/// a unit's observability block, ready to merge into its batch's
 /// aggregates. `None` when the unit panicked before producing them.
 type UnitHistograms = Option<(
     Vec<bft_sim_core::obs::Histogram>,
@@ -39,12 +39,13 @@ type UnitHistograms = Option<(
 pub struct CampaignRunSpec {
     /// Path of the `bft-sim-campaign-v1` manifest file.
     pub manifest: String,
-    /// Checkpoint file path; `None` derives one next to the manifest
+    /// Journal file path; `None` derives one next to the manifest
     /// (shard-qualified when sharded).
     pub checkpoint: Option<String>,
-    /// Continue from an existing checkpoint instead of refusing to
-    /// overwrite it. A missing checkpoint file resumes from nothing — a
-    /// fresh start — so retry loops need no existence probe.
+    /// Continue from an existing journal instead of refusing to overwrite
+    /// it. A missing file, or one whose header line a kill cut short,
+    /// resumes from nothing — a fresh start — so retry loops need no
+    /// existence probe.
     pub resume: bool,
     /// Shard assignment `(index, count)`; `(0, 1)` runs the whole grid.
     pub shard: (u32, u32),
@@ -77,6 +78,15 @@ impl Default for CampaignRunSpec {
             max_units: None,
         }
     }
+}
+
+/// Parameters of a `bft-sim campaign status` invocation.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct CampaignStatusSpec {
+    /// The journal file to replay.
+    pub journal: String,
+    /// Print the status as a JSON object instead of one line of text.
+    pub json: bool,
 }
 
 /// Parameters of a `bft-sim campaign merge` invocation.
@@ -225,27 +235,72 @@ fn record_of(
     ))
 }
 
-/// Runs (or resumes) a campaign. Returns the final report when this
-/// invocation completed an unsharded grid, `None` when it stopped early
-/// (`--max-units`) or finished one shard of a sharded run (whose report
-/// comes from `campaign merge`).
+/// Resume's checks: the journal at `path` belongs to this grid and shard
+/// (`header`), and holds this shard's (`assigned`) first units in order.
+fn check_resumable(
+    journal: &Journal,
+    header: &JournalHeader,
+    assigned: &[usize],
+    path: &Path,
+) -> Result<(), CliError> {
+    let (hash, ck, path) = (&header.manifest_hash, &journal.checkpoint, path.display());
+    if ck.manifest_hash != *hash {
+        return Err(CliError::repro(format!(
+            "checkpoint {path} was produced from manifest {} but this manifest \
+             hashes to {hash}; was the grid edited mid-campaign?",
+            ck.manifest_hash
+        )));
+    }
+    if ck.shard != header.shard {
+        return Err(CliError::repro(format!(
+            "checkpoint {path} belongs to shard {}/{}, not {}/{}",
+            ck.shard.0, ck.shard.1, header.shard.0, header.shard.1
+        )));
+    }
+    if journal.assigned != header.assigned {
+        return Err(CliError::repro(format!(
+            "checkpoint {path} says its shard has {} units, but this shard has {}",
+            journal.assigned, header.assigned
+        )));
+    }
+    for (position, record) in ck.records.iter().enumerate() {
+        if assigned.get(position) != Some(&record.index) {
+            return Err(CliError::repro(format!(
+                "checkpoint {path} records unit {} at position {position}, but this \
+                 shard's unit there is {:?}",
+                record.index,
+                assigned.get(position)
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// Runs (or resumes) a campaign, appending one journal line per completed
+/// batch. Returns the final report when this invocation completed an
+/// unsharded grid, `None` when it stopped early (`--max-units`) or finished
+/// one shard of a sharded run (whose report comes from `campaign merge`).
 ///
 /// # Errors
 ///
-/// Artifact errors (malformed manifest/checkpoint, a checkpoint from an
-/// edited grid) exit 4; refusing to clobber a checkpoint without
-/// `--resume` and I/O failures exit 1.
+/// Artifact errors (malformed manifest/journal, a journal from an edited
+/// grid) exit 4; refusing to clobber a journal without `--resume` and I/O
+/// failures exit 1.
 pub fn exec_campaign_run(spec: &CampaignRunSpec) -> Result<Option<Json>, CliError> {
     let manifest = load_manifest(&spec.manifest)?;
-    let hash = manifest.hash();
     let assigned = shard_units(&manifest, spec.shard).map_err(CliError::usage)?;
+    let header = JournalHeader {
+        manifest_hash: manifest.hash(),
+        shard: spec.shard,
+        assigned: assigned.len(),
+    };
     let checkpoint_path = PathBuf::from(
         spec.checkpoint
             .clone()
             .unwrap_or_else(|| default_checkpoint_path(&spec.manifest, spec.shard)),
     );
 
-    let mut checkpoint = if checkpoint_path.exists() {
+    let replayed = if checkpoint_path.exists() {
         if !spec.resume {
             return Err(CliError::runtime(format!(
                 "checkpoint {} already exists; pass --resume to continue it \
@@ -253,44 +308,25 @@ pub fn exec_campaign_run(spec: &CampaignRunSpec) -> Result<Option<Json>, CliErro
                 checkpoint_path.display()
             )));
         }
-        let ck = Checkpoint::load(&checkpoint_path).map_err(CliError::repro)?;
-        if ck.manifest_hash != hash {
-            return Err(CliError::repro(format!(
-                "checkpoint {} was produced from manifest {} but this manifest \
-                 hashes to {hash}; was the grid edited mid-campaign?",
-                checkpoint_path.display(),
-                ck.manifest_hash
-            )));
-        }
-        if ck.shard != spec.shard {
-            return Err(CliError::repro(format!(
-                "checkpoint {} belongs to shard {}/{}, not {}/{}",
-                checkpoint_path.display(),
-                ck.shard.0,
-                ck.shard.1,
-                spec.shard.0,
-                spec.shard.1
-            )));
-        }
-        for (position, record) in ck.records.iter().enumerate() {
-            if assigned.get(position) != Some(&record.index) {
-                return Err(CliError::repro(format!(
-                    "checkpoint {} records unit {} at position {position}, but this \
-                     shard's unit there is {:?}",
-                    checkpoint_path.display(),
-                    record.index,
-                    assigned.get(position)
-                )));
-            }
-        }
-        ck
+        Journal::load(&checkpoint_path).map_err(CliError::repro)?
     } else {
-        Checkpoint::new(hash.clone(), spec.shard)
+        None
     };
+    let (mut checkpoint, writer) = match replayed {
+        Some(journal) => {
+            check_resumable(&journal, &header, &assigned, &checkpoint_path)?;
+            let writer = JournalWriter::reopen(&checkpoint_path, journal.len);
+            (journal.checkpoint, writer)
+        }
+        None => (
+            Checkpoint::new(header.manifest_hash.clone(), header.shard),
+            JournalWriter::create(&checkpoint_path, &header),
+        ),
+    };
+    let mut writer = writer.map_err(CliError::runtime)?;
 
-    let already_done = checkpoint.records.len();
     let mut completed_now = 0usize;
-    let mut cursor = already_done;
+    let mut cursor = checkpoint.records.len();
     while cursor < assigned.len() {
         if spec.max_units.is_some_and(|cap| completed_now >= cap) {
             eprintln!(
@@ -301,13 +337,16 @@ pub fn exec_campaign_run(spec: &CampaignRunSpec) -> Result<Option<Json>, CliErro
             );
             return Ok(None);
         }
-        let batch_end = (cursor + manifest.checkpoint_every).min(assigned.len());
-        let batch = &assigned[cursor..batch_end];
-        let runs = sweep(batch.len(), spec.threads, |j| {
-            let unit = manifest.unit(batch[j]);
+        let batch_end = cursor
+            .saturating_add(manifest.checkpoint_every)
+            .min(assigned.len());
+        let units = &assigned[cursor..batch_end];
+        let runs = sweep(units.len(), spec.threads, |j| {
+            let unit = manifest.unit(units[j]);
             let scenario = unit_scenario(&manifest, &unit)?;
             run_unit(&scenario, Default::default()).map_err(CliError::runtime)
         });
+        let mut batch = Batch::default();
         for (j, outcome) in runs.into_iter().enumerate() {
             let run = match outcome {
                 Ok(run) => run?,
@@ -325,20 +364,19 @@ pub fn exec_campaign_run(spec: &CampaignRunSpec) -> Result<Option<Json>, CliErro
                     panic: Some(panic.message),
                 },
             };
-            let (record, histograms) = record_of(batch[j], run, &spec.out_dir)?;
+            let (record, histograms) = record_of(units[j], run, &spec.out_dir)?;
             if let Some((delivery, interval)) = histograms {
                 for h in &delivery {
-                    checkpoint.delivery_latency.merge(h);
+                    batch.delivery_latency.merge(h);
                 }
                 for h in &interval {
-                    checkpoint.decision_interval.merge(h);
+                    batch.decision_interval.merge(h);
                 }
             }
-            checkpoint.records.push(record);
+            batch.records.push(record);
         }
-        checkpoint
-            .save_atomic(&checkpoint_path)
-            .map_err(CliError::runtime)?;
+        writer.append(&batch).map_err(CliError::runtime)?;
+        checkpoint.apply(batch).map_err(CliError::runtime)?;
         completed_now += batch_end - cursor;
         cursor = batch_end;
         eprintln!(
@@ -378,6 +416,73 @@ pub fn exec_campaign_merge(spec: &CampaignMergeSpec) -> Result<Json, CliError> {
         .collect::<Result<Vec<_>, _>>()?;
     let merged = merge_checkpoints(&manifest, &parts).map_err(CliError::repro)?;
     final_report(&manifest, &merged).map_err(CliError::repro)
+}
+
+/// Replays a journal and says how far its campaign is: units done out of
+/// those assigned, how they ended, the journal lines replayed and whether a
+/// torn tail was dropped. A function of the file's bytes alone — a journal
+/// holds no wall-clock field to report.
+///
+/// # Errors
+///
+/// An unreadable or malformed journal is an artifact error (exit 4); one
+/// with no complete header line has recorded nothing, which is a status.
+pub fn exec_campaign_status(path: &str) -> Result<Json, CliError> {
+    let bytes =
+        std::fs::read(path).map_err(|e| CliError::repro(format!("cannot read {path}: {e}")))?;
+    let journal =
+        Journal::replay(&bytes).map_err(|e| CliError::repro(format!("bad journal {path}: {e}")))?;
+    let journal = journal.as_ref();
+    let records = journal.map_or(&[][..], |j| &j.checkpoint.records);
+    let mut tally = [0usize; 3];
+    for record in records {
+        tally[match record.outcome {
+            UnitOutcome::Clean => 0,
+            UnitOutcome::Violated { .. } => 1,
+            UnitOutcome::Panicked { .. } => 2,
+        }] += 1;
+    }
+    Ok(Json::obj([
+        ("done", Json::from(records.len())),
+        (
+            "assigned",
+            journal.map_or(Json::Null, |j| Json::from(j.assigned)),
+        ),
+        ("clean", Json::from(tally[0])),
+        ("violated", Json::from(tally[1])),
+        ("panicked", Json::from(tally[2])),
+        ("lines", Json::from(journal.map_or(0, |j| j.lines))),
+        (
+            "torn_tail",
+            Json::from(journal.map_or(!bytes.is_empty(), |j| j.torn_tail)),
+        ),
+    ]))
+}
+
+/// Prints a status ([`exec_campaign_status`]) as JSON or as one line.
+pub fn emit_status(status: &Json, json: bool) {
+    if json {
+        println!("{}", status.dump_pretty());
+        return;
+    }
+    let torn = match status.get("torn_tail").and_then(Json::as_bool) {
+        Some(true) => ", torn tail dropped",
+        _ => "",
+    };
+    let Some(assigned) = status.get("assigned").and_then(Json::as_u64) else {
+        println!("campaign: no complete header line, nothing recorded{torn}");
+        return;
+    };
+    let count = |key: &str| status.get(key).and_then(Json::as_u64).unwrap_or_default();
+    println!(
+        "campaign: {}/{assigned} units done — {} clean, {} violated, {} panicked \
+         ({} journal lines{torn})",
+        count("done"),
+        count("clean"),
+        count("violated"),
+        count("panicked"),
+        count("lines")
+    );
 }
 
 /// Prints a final report (JSON or text summary), optionally writes it to a

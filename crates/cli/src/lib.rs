@@ -40,8 +40,8 @@
 pub mod campaign;
 
 pub use campaign::{
-    default_checkpoint_path, emit_report, exec_campaign_merge, exec_campaign_run, load_manifest,
-    CampaignMergeSpec, CampaignRunSpec,
+    default_checkpoint_path, emit_report, emit_status, exec_campaign_merge, exec_campaign_run,
+    exec_campaign_status, load_manifest, CampaignMergeSpec, CampaignRunSpec, CampaignStatusSpec,
 };
 
 use bft_sim_core::buggify::FaultPreset;
@@ -83,6 +83,8 @@ pub enum Command {
     CampaignRun(CampaignRunSpec),
     /// Merge shard checkpoints into a campaign's final report.
     CampaignMerge(CampaignMergeSpec),
+    /// Replay a campaign journal and print how far it is.
+    CampaignStatus(CampaignStatusSpec),
     /// List available protocols.
     List,
     /// Print usage.
@@ -371,6 +373,7 @@ struct Spec {
     trace: TraceSpec,
     campaign_run: CampaignRunSpec,
     campaign_merge: CampaignMergeSpec,
+    campaign_status: CampaignStatusSpec,
     fig_or_table: u8,
     repro_path: String,
     baseline_out: Option<String>,
@@ -665,21 +668,37 @@ static COMMANDS: &[Cmd] = &[
         path: &["campaign", "run"],
         args: CAMPAIGN_RUN_ARGS,
         about: "run a bft-sim-campaign-v1 parameter grid (protocol × n × delay × net × \
-                attack × seed), checkpointing atomically every checkpoint_every units so a \
-                kill at any instant loses at most one batch; --resume continues from the \
-                checkpoint (verifying the manifest hash; a missing checkpoint starts \
-                fresh); --shard I/M runs every M-th unit starting at I, for fan-out across \
-                processes or machines; --max-units pauses after K units (at a batch \
-                boundary); the final report is byte-identical whether the campaign ran \
-                straight through, was killed and resumed, or was sharded and merged — at \
-                any --threads",
+                attack × seed), appending one line to the checkpoint journal every \
+                checkpoint_every units so a kill at any instant loses at most one batch; \
+                --resume continues from the journal (verifying the manifest hash, dropping \
+                a line the kill cut short; a missing checkpoint starts fresh); --shard I/M \
+                runs every M-th unit starting at I, for fan-out across processes or \
+                machines; --max-units pauses after K units (at a batch boundary); the final \
+                report is byte-identical whether the campaign ran straight through, was \
+                killed and resumed, or was sharded and merged — at any --threads",
         finish: |s| Ok(Command::CampaignRun(s.campaign_run)),
     },
     Cmd {
         path: &["campaign", "merge"],
         args: CAMPAIGN_MERGE_ARGS,
-        about: "merge every shard's checkpoint into the final report",
+        about: "merge every shard's checkpoint journal into the final report",
         finish: |s| Ok(Command::CampaignMerge(s.campaign_merge)),
+    },
+    Cmd {
+        path: &["campaign", "status"],
+        args: &[
+            arg("JOURNAL", None, |s, v| {
+                set(&mut s.campaign_status.journal, Ok(v.into()))
+            }),
+            arg("--json", None, |s, _| {
+                set(&mut s.campaign_status.json, Ok(true))
+            }),
+        ],
+        about: "replay a campaign's journal (a run's checkpoint file — finished, still \
+                running or killed) and print units done out of those assigned, how many \
+                ended clean, violated or panicked, the journal lines replayed and whether \
+                a torn tail was dropped; --json prints the same as an object",
+        finish: |s| Ok(Command::CampaignStatus(s.campaign_status)),
     },
     Cmd {
         path: &["repro"],
@@ -720,12 +739,12 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let named = |cmd: &&Cmd| cmd.path.iter().eq(args.iter().take(cmd.path.len()));
     match (COMMANDS.iter().find(named), first.as_str(), rest.first()) {
         (Some(cmd), ..) => drive(cmd, &args[cmd.path.len()..]),
-        (None, "campaign", None) => {
-            Err(CliError::usage("campaign needs a subcommand: run or merge"))
-        }
+        (None, "campaign", None) => Err(CliError::usage(
+            "campaign needs a subcommand: run, merge or status",
+        )),
         (None, "campaign", Some(sub)) if is_help(sub) => Ok(Command::Help),
         (None, "campaign", Some(sub)) => Err(CliError::usage(format!(
-            "unknown campaign subcommand '{sub}' (use run or merge)"
+            "unknown campaign subcommand '{sub}' (use run, merge or status)"
         ))),
         (None, other, _) => Err(CliError::usage(format!("unknown command '{other}'"))),
     }
@@ -1106,6 +1125,9 @@ pub fn execute(cmd: Command) -> Result<(), CliError> {
         Command::CampaignMerge(spec) => {
             let report = exec_campaign_merge(&spec)?;
             emit_report(&report, spec.json, spec.report.as_deref())?;
+        }
+        Command::CampaignStatus(spec) => {
+            emit_status(&exec_campaign_status(&spec.journal)?, spec.json);
         }
         Command::Fig(which) => run_figure(which),
         Command::Table(which) => match which {
@@ -2059,7 +2081,7 @@ mod tests {
             .iter()
             .map(|cmd| cmd.args.iter().filter(|row| row.is_flag()).count())
             .sum();
-        assert_eq!(flags, 40 + RUN_ARGS.len(), "`compare` shares `run`'s rows");
+        assert_eq!(flags, 41 + RUN_ARGS.len(), "`compare` shares `run`'s rows");
     }
 
     #[test]

@@ -3,9 +3,13 @@
 //! killed and resumed, or is sharded across processes and merged — at any
 //! thread count. `--max-units` is the deterministic stand-in for a kill: it
 //! stops at a batch boundary exactly like SIGKILL-between-checkpoints does,
-//! minus the flakiness.
+//! minus the flakiness. A kill *inside* a journal write is a truncated file,
+//! and the last test here truncates at every byte.
 
-use bft_sim_cli::{exec_campaign_merge, exec_campaign_run, CampaignMergeSpec, CampaignRunSpec};
+use bft_sim_cli::{
+    exec_campaign_merge, exec_campaign_run, exec_campaign_status, CampaignMergeSpec,
+    CampaignRunSpec,
+};
 use bft_sim_core::json::Json;
 
 /// A fresh scratch directory per test so parallel tests never share files.
@@ -158,6 +162,65 @@ fn run_refuses_to_clobber_a_checkpoint_without_resume() {
         err.message.contains("--resume"),
         "unexpected message: {err}"
     );
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The journal makes a kill mid-write the normal recovery path: wherever the
+/// file ends — inside the header, inside a batch line, on a line boundary —
+/// `--resume` drops the torn tail, re-runs from the last complete line and
+/// arrives at the same bytes, journal and report alike.
+#[test]
+fn a_kill_at_any_byte_resumes_to_the_same_journal_and_report() {
+    let dir = scratch("anywhere");
+    let manifest = write_manifest(&dir);
+    let straight = CampaignRunSpec {
+        threads: 1,
+        ..run_spec(&manifest, &dir, "ref.ck.json")
+    };
+    let report = exec_campaign_run(&straight)
+        .unwrap()
+        .expect("an uninterrupted run must produce the report")
+        .dump_pretty();
+    let journal = std::fs::read(straight.checkpoint.as_ref().unwrap()).unwrap();
+    let newlines = journal.iter().enumerate().filter(|(_, &b)| b == b'\n');
+    let line_starts: Vec<usize> = std::iter::once(0)
+        .chain(newlines.map(|(at, _)| at + 1))
+        .collect();
+    assert_eq!(line_starts.len(), 1 + 11 + 1, "header, 11 batches, the end");
+
+    let killed = CampaignRunSpec {
+        resume: true,
+        threads: 1,
+        ..run_spec(&manifest, &dir, "killed.ck.json")
+    };
+    let path = killed.checkpoint.as_ref().unwrap();
+    let last_three = line_starts[line_starts.len() - 4]..=journal.len();
+    for offset in (0..line_starts[1]).chain(last_three) {
+        std::fs::write(path, &journal[..offset]).unwrap();
+        let status = exec_campaign_status(path).unwrap();
+        assert_eq!(
+            status.get("torn_tail").and_then(Json::as_bool),
+            Some(!line_starts.contains(&offset)),
+            "cut at byte {offset}: {status}"
+        );
+        let resumed = exec_campaign_run(&killed).unwrap();
+        let resumed = resumed.expect("the resumed run must finish");
+        assert_eq!(resumed.dump_pretty(), report, "cut at byte {offset}");
+        let rewritten = std::fs::read(path).unwrap();
+        assert!(
+            rewritten == journal,
+            "cut at byte {offset}: journal differs"
+        );
+    }
+
+    // A journal that lost a whole line still replays (its indexes ascend);
+    // that its units are no longer this shard's first is resume's to refuse.
+    let gap = [&journal[..line_starts[3]], &journal[line_starts[4]..]].concat();
+    std::fs::write(path, gap).unwrap();
+    let err = exec_campaign_run(&killed).unwrap_err();
+    assert_eq!(err.code, 4, "a gap is an artifact error: {err}");
+    assert!(err.message.contains("unit 9 at position 6"), "{err}");
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

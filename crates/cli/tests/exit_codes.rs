@@ -221,12 +221,13 @@ fn hostile_artifacts_exit_with_their_loaders_code() {
         )
     };
     let good_manifest = file("good-manifest.json", &manifest("[4]", ""));
-    let checkpoint = file(
+    let journal = file(
         "wide-shard.json",
-        r#"{"format": "bft-sim-campaign-checkpoint-v1", "manifest_hash": "0",
-          "shard": {"index": 4294967296, "count": 4294967297}, "completed": 0, "records": [],
-          "aggregates": {"delivery_latency": {"count": 0, "sum_micros": 0, "buckets": []},
-                         "decision_interval": {"count": 0, "sum_micros": 0, "buckets": []}}}"#,
+        concat!(
+            r#"{"format": "bft-sim-campaign-journal-v1", "manifest_hash": "0", "#,
+            r#""shard": {"index": 4294967296, "count": 4294967297}, "assigned": 0}"#,
+            "\n"
+        ),
     );
     let cases: Vec<(Vec<String>, i32, &str)> = vec![
         (
@@ -320,9 +321,9 @@ fn hostile_artifacts_exit_with_their_loaders_code() {
             "bad \"nodes\": entry #0: expected an unsigned integer",
         ),
         (
-            vec!["campaign".into(), "merge".into(), good_manifest, checkpoint],
+            vec!["campaign".into(), "merge".into(), good_manifest, journal],
             4,
-            "bad \"shard.index\": 4294967296 exceeds the u32 range",
+            "line 1: journal header: bad \"shard.index\": 4294967296 exceeds the u32 range",
         ),
         (
             vec!["repro".into(), file("deep.json", &"[".repeat(200_000))],
@@ -370,6 +371,63 @@ fn hostile_artifacts_exit_with_their_loaders_code() {
             "bft-sim {args:?}: {stderr}"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `cursor + checkpoint_every` was added unchecked: the largest interval a
+/// manifest can state, resumed from a journal that already holds a unit,
+/// wrapped to a batch ending before it started (a slice panic, 101). The
+/// resumed run must finish, and `status` must see both of its batches.
+#[test]
+fn the_largest_checkpoint_interval_resumes() {
+    use bft_sim_core::campaign::{Batch, JournalHeader, JournalWriter, UnitOutcome, UnitRecord};
+
+    let dir = scratch("interval");
+    let manifest = dir.join("m.json");
+    std::fs::write(
+        &manifest,
+        r#"{"format": "bft-sim-campaign-v1", "protocols": ["pbft"], "nodes": [4],
+          "delays": ["constant"], "nets": ["none"], "attacks": [0],
+          "seeds": {"lo": 0, "hi": 3}, "checkpoint_every": 18446744073709551615,
+          "max_actions": 8}"#,
+    )
+    .expect("write manifest");
+    let manifest = manifest.to_str().unwrap();
+    let journal = dir.join("ck.json");
+    let header = JournalHeader {
+        manifest_hash: bft_sim_cli::load_manifest(manifest).unwrap().hash(),
+        shard: (0, 1),
+        assigned: 3,
+    };
+    let first = UnitRecord {
+        index: 0,
+        outcome: UnitOutcome::Clean,
+        events: 24,
+        decisions: 1,
+        honest_messages: 33,
+        latency_micros: Some(300_000),
+    };
+    let mut writer = JournalWriter::create(&journal, &header).unwrap();
+    let batch = Batch {
+        records: vec![first],
+        ..Batch::default()
+    };
+    writer.append(&batch).unwrap();
+    let journal = journal.to_str().unwrap();
+    let out = dir.join("repros");
+    let run = ["campaign", "run", manifest, "--checkpoint", journal];
+    let resume = ["--resume", "--out", out.to_str().unwrap()];
+    assert_code(&[run.as_slice(), &resume].concat(), 0);
+
+    let status = bft_sim(&["campaign", "status", journal, "--json"]);
+    assert_eq!(status.status.code(), Some(0));
+    let status: String = String::from_utf8_lossy(&status.stdout)
+        .split_whitespace()
+        .collect();
+    assert_eq!(
+        status,
+        r#"{"done":3,"assigned":3,"clean":3,"violated":0,"panicked":0,"lines":2,"torn_tail":false}"#
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,4 +1,4 @@
-//! Resumable parameter-grid campaigns: the manifest / checkpoint / report
+//! Resumable parameter-grid campaigns: the manifest / journal / report
 //! formats and the deterministic expansion, sharding and merge semantics
 //! behind `bft-sim campaign`.
 //!
@@ -10,13 +10,18 @@
 //! entries are validated strings, interpreted by the executor in the CLI
 //! crate, so `core` keeps its single-dependency footprint.
 //!
-//! A **checkpoint** (`bft-sim-campaign-checkpoint-v1`) records per-unit
-//! outcomes ([`UnitRecord`]) plus streaming aggregates (bucket-wise-merged
-//! [`Histogram`]s), and is written atomically — to a temporary sibling file,
-//! then renamed — every K completed units, so a SIGKILL at any moment leaves
-//! either the old or the new checkpoint on disk, never a torn one. Resume
-//! verifies the manifest hash ([`Manifest::hash`]) and continues from the
-//! first incomplete unit.
+//! A **journal** (`bft-sim-campaign-journal-v1`, JSON Lines) is a campaign's
+//! durable progress: a [`JournalHeader`] line, then one compact line per
+//! completed [`Batch`] of `checkpoint_every` units — that batch's
+//! [`UnitRecord`]s and what they alone added to the streaming aggregates
+//! (bucket-wise-merged [`Histogram`]s). [`JournalWriter::append`] writes a
+//! line with one `write_all`, so a batch costs its own bytes however many
+//! units came before it. [`Journal::replay`] folds the lines back into the
+//! in-memory [`Checkpoint`]; whatever follows the last newline is a torn
+//! tail — a write a kill cut short — and is dropped, so a SIGKILL at any
+//! moment loses at most the batch in flight. A complete line that does not
+//! parse is an error naming its line number. Resume verifies the manifest
+//! hash ([`Manifest::hash`]) and continues from the first incomplete unit.
 //!
 //! Because every aggregate either derives from per-unit records (tallies,
 //! per-cell [`Summary`]s, recomputed in unit order) or merges with
@@ -26,8 +31,10 @@
 //! `--shard i/m` across processes and merged with [`merge_checkpoints`].
 
 use std::collections::BTreeMap;
+use std::fs::{File, OpenOptions};
 use std::hash::Hasher;
-use std::path::Path;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 
 use crate::fasthash::FastHasher;
 use crate::json::{self, Fields, Json};
@@ -37,8 +44,8 @@ use crate::obs::Histogram;
 /// Format tag of a campaign manifest document.
 pub const MANIFEST_FORMAT: &str = "bft-sim-campaign-v1";
 
-/// Format tag of a campaign checkpoint document.
-pub const CHECKPOINT_FORMAT: &str = "bft-sim-campaign-checkpoint-v1";
+/// Format tag on the header line of a campaign journal.
+pub const JOURNAL_FORMAT: &str = "bft-sim-campaign-journal-v1";
 
 /// Format tag of a campaign final report document.
 pub const REPORT_FORMAT: &str = "bft-sim-campaign-report-v1";
@@ -62,8 +69,8 @@ pub struct Manifest {
     pub attacks: Vec<u64>,
     /// Scenario seed range, half-open: seeds `lo..hi`.
     pub seeds: (u64, u64),
-    /// Checkpoint interval: the checkpoint file is rewritten atomically
-    /// after every batch of this many completed units.
+    /// Checkpoint interval: units per batch, and so per journal line and
+    /// per flush.
     pub checkpoint_every: usize,
     /// Per-run cap on adversary actions for units with a nonzero attack.
     pub max_actions: u64,
@@ -306,7 +313,7 @@ pub enum UnitOutcome {
     },
 }
 
-/// One completed work unit's durable record, as stored in a checkpoint.
+/// One completed work unit's durable record, as stored in a journal line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnitRecord {
     /// The unit's index in the manifest's deterministic order.
@@ -433,9 +440,117 @@ impl UnitRecord {
     }
 }
 
-/// A campaign's durable progress: per-unit records plus streaming
-/// observability aggregates, bound to a manifest by its hash and to a shard
-/// assignment.
+/// A journal's first line: the grid and shard the batches below belong to.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JournalHeader {
+    /// [`Manifest::hash`] of the grid.
+    pub manifest_hash: String,
+    /// Shard assignment `(index, count)`; `(0, 1)` for unsharded runs.
+    pub shard: (u32, u32),
+    /// How many units this shard runs in all — what progress is out of.
+    pub assigned: usize,
+}
+
+impl JournalHeader {
+    /// Serialise the header line.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("format", Json::from(JOURNAL_FORMAT)),
+            ("manifest_hash", Json::from(self.manifest_hash.as_str())),
+            (
+                "shard",
+                Json::obj([
+                    ("index", Json::from(self.shard.0)),
+                    ("count", Json::from(self.shard.1)),
+                ]),
+            ),
+            ("assigned", Json::from(self.assigned)),
+        ])
+    }
+
+    /// Parses a header line.
+    ///
+    /// # Errors
+    ///
+    /// Malformed per [`crate::json`]'s artifact parsing policy, a foreign
+    /// `format` tag, or a shard index not below its count.
+    pub fn from_json(json: &Json) -> Result<JournalHeader, String> {
+        let mut f = Fields::of(json, "journal header")?;
+        let format = f.req("format", json::string)?;
+        if format != JOURNAL_FORMAT {
+            return Err(format!("journal header: unsupported format \"{format}\""));
+        }
+        let manifest_hash = f.req("manifest_hash", json::string)?;
+        let mut pair = f.sub("shard")?;
+        let shard: (u32, u32) = (pair.req("index", json::int)?, pair.req("count", json::int)?);
+        pair.finish()?;
+        let assigned = f.req("assigned", json::int)?;
+        f.finish()?;
+        if shard.1 == 0 || shard.0 >= shard.1 {
+            return Err(format!(
+                "journal header: invalid shard {}/{}",
+                shard.0, shard.1
+            ));
+        }
+        Ok(JournalHeader {
+            manifest_hash,
+            shard,
+            assigned,
+        })
+    }
+}
+
+/// One journal line after the header: the units a batch completed and what
+/// they alone added to the aggregates.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Batch {
+    /// The batch's units, by ascending index.
+    pub records: Vec<UnitRecord>,
+    /// Wire-message delivery latencies of these units only.
+    pub delivery_latency: Histogram,
+    /// Decision intervals of these units only.
+    pub decision_interval: Histogram,
+}
+
+impl Batch {
+    /// Serialise the batch line.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            (
+                "records",
+                Json::Arr(self.records.iter().map(UnitRecord::to_json).collect()),
+            ),
+            ("delivery_latency", self.delivery_latency.to_json()),
+            ("decision_interval", self.decision_interval.to_json()),
+        ])
+    }
+
+    /// Parses a batch line. The histograms must pass
+    /// [`Histogram::from_json`] consistency validation.
+    ///
+    /// # Errors
+    ///
+    /// Malformed per [`crate::json`]'s artifact parsing policy, or a batch
+    /// of no units (a run never completes one).
+    pub fn from_json(json: &Json) -> Result<Batch, String> {
+        let histogram = |json: &Json| Histogram::from_json(json).map_err(|e| e.to_string());
+        let mut f = Fields::of(json, "journal batch")?;
+        let batch = Batch {
+            records: f.req("records", json::list(UnitRecord::from_json))?,
+            delivery_latency: f.req("delivery_latency", histogram)?,
+            decision_interval: f.req("decision_interval", histogram)?,
+        };
+        f.finish()?;
+        if batch.records.is_empty() {
+            return Err("journal batch: \"records\" is empty".into());
+        }
+        Ok(batch)
+    }
+}
+
+/// A campaign's progress in memory — what replaying a journal yields:
+/// per-unit records plus streaming observability aggregates, bound to a
+/// manifest by its hash and to a shard assignment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     /// [`Manifest::hash`] of the grid this checkpoint belongs to.
@@ -451,6 +566,15 @@ pub struct Checkpoint {
     pub decision_interval: Histogram,
 }
 
+/// [`Histogram::merge`] adds bucket counts unchecked, and a histogram's
+/// `count` is the sum of its buckets: where the counts fit, every bucket does.
+fn fold(into: &mut Histogram, delta: &Histogram) -> Result<(), String> {
+    let total = into.count().checked_add(delta.count());
+    total.ok_or("histogram counts overflow u64")?;
+    into.merge(delta);
+    Ok(())
+}
+
 impl Checkpoint {
     /// An empty checkpoint for the given manifest hash and shard.
     pub fn new(manifest_hash: String, shard: (u32, u32)) -> Self {
@@ -463,90 +587,31 @@ impl Checkpoint {
         }
     }
 
-    /// Serialise the checkpoint.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("format", Json::from(CHECKPOINT_FORMAT)),
-            ("manifest_hash", Json::from(self.manifest_hash.as_str())),
-            (
-                "shard",
-                Json::obj([
-                    ("index", Json::from(self.shard.0)),
-                    ("count", Json::from(self.shard.1)),
-                ]),
-            ),
-            ("completed", Json::from(self.records.len())),
-            (
-                "records",
-                Json::Arr(self.records.iter().map(UnitRecord::to_json).collect()),
-            ),
-            (
-                "aggregates",
-                Json::obj([
-                    ("delivery_latency", self.delivery_latency.to_json()),
-                    ("decision_interval", self.decision_interval.to_json()),
-                ]),
-            ),
-        ])
-    }
-
-    /// Parses a checkpoint document. The `completed` count must match the
-    /// record list, records must be sorted by strictly ascending index, and
-    /// the embedded histograms must pass [`Histogram::from_json`]
-    /// consistency validation.
+    /// Folds one completed batch in: records extended, histograms merged.
     ///
     /// # Errors
     ///
-    /// Malformed per [`crate::json`]'s artifact parsing policy, a foreign
-    /// `format` tag, or one of the consistency checks above fails.
-    pub fn from_json(json: &Json) -> Result<Checkpoint, String> {
-        let histogram = |json: &Json| Histogram::from_json(json).map_err(|e| e.to_string());
-        let mut f = Fields::of(json, "checkpoint")?;
-        let format = f.req("format", json::string)?;
-        if format != CHECKPOINT_FORMAT {
-            return Err(format!("checkpoint: unsupported format \"{format}\""));
-        }
-        let manifest_hash = f.req("manifest_hash", json::string)?;
-        let mut pair = f.sub("shard")?;
-        let shard: (u32, u32) = (pair.req("index", json::int)?, pair.req("count", json::int)?);
-        pair.finish()?;
-        let completed: usize = f.req("completed", json::int)?;
-        let records = f.req("records", json::list(UnitRecord::from_json))?;
-        let mut aggregates = f.sub("aggregates")?;
-        let delivery_latency = aggregates.req("delivery_latency", histogram)?;
-        let decision_interval = aggregates.req("decision_interval", histogram)?;
-        aggregates.finish()?;
-        f.finish()?;
-        if completed != records.len() {
-            return Err(format!(
-                "checkpoint: completed says {completed} but {} records are present",
-                records.len()
-            ));
-        }
-        for pair in records.windows(2) {
-            if pair[1].index <= pair[0].index {
-                return Err(format!(
-                    "checkpoint: records out of order at index {}",
-                    pair[1].index
-                ));
+    /// A unit index at or below the one before it (within the batch or
+    /// across batches), or histogram counts that overflow — either is a
+    /// corrupt journal, never a batch the run loop built.
+    pub fn apply(&mut self, batch: Batch) -> Result<(), String> {
+        let mut last = self.records.last().map(|r| r.index);
+        for record in &batch.records {
+            if last.is_some_and(|last| record.index <= last) {
+                return Err(format!("records out of order at index {}", record.index));
             }
+            last = Some(record.index);
         }
-        if shard.1 == 0 || shard.0 >= shard.1 {
-            return Err(format!("checkpoint: invalid shard {}/{}", shard.0, shard.1));
-        }
-        Ok(Checkpoint {
-            manifest_hash,
-            shard,
-            records,
-            delivery_latency,
-            decision_interval,
-        })
+        fold(&mut self.delivery_latency, &batch.delivery_latency)?;
+        fold(&mut self.decision_interval, &batch.decision_interval)?;
+        self.records.extend(batch.records);
+        Ok(())
     }
 
-    /// Writes the checkpoint atomically: the JSON goes to a `.tmp` sibling
-    /// in the same directory, then replaces `path` with a rename. A crash
-    /// at any instant leaves either the previous checkpoint or this one on
-    /// disk — never a torn file.
+    /// Writes the checkpoint as a whole journal in one go — header, then
+    /// everything as a single batch line — to a `.tmp` sibling that then
+    /// replaces `path` with a rename. The header's `assigned` is the number
+    /// of records held. For tests and tools; a campaign run appends.
     ///
     /// # Errors
     ///
@@ -554,21 +619,166 @@ impl Checkpoint {
     pub fn save_atomic(&self, path: &Path) -> Result<(), String> {
         let mut tmp = path.as_os_str().to_os_string();
         tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, self.to_json().dump_pretty())
-            .map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
+        let tmp = PathBuf::from(tmp);
+        let header = JournalHeader {
+            manifest_hash: self.manifest_hash.clone(),
+            shard: self.shard,
+            assigned: self.records.len(),
+        };
+        let mut writer = JournalWriter::create(&tmp, &header)?;
+        if !self.records.is_empty() {
+            writer.append(&Batch {
+                records: self.records.clone(),
+                delivery_latency: self.delivery_latency.clone(),
+                decision_interval: self.decision_interval.clone(),
+            })?;
+        }
         std::fs::rename(&tmp, path)
-            .map_err(|e| format!("cannot rename {} to {}: {e}", tmp.display(), path.display()))?;
-        Ok(())
+            .map_err(|e| format!("cannot rename {} to {}: {e}", tmp.display(), path.display()))
     }
 
-    /// Loads and parses a checkpoint file.
+    /// Replays the journal at `path` ([`Journal::load`]).
     ///
     /// # Errors
     ///
-    /// Returns a message on I/O or parse failure.
+    /// Returns a message on I/O failure, a malformed line, or a file with
+    /// no complete header line.
     pub fn load(path: &Path) -> Result<Checkpoint, String> {
-        json::load(path, "checkpoint", Self::from_json)
+        let journal = Journal::load(path)?;
+        let headless = || format!("bad journal {}: no complete header line", path.display());
+        journal.map(|j| j.checkpoint).ok_or_else(headless)
+    }
+}
+
+/// What replaying a journal found.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Journal {
+    /// The header's `assigned`.
+    pub assigned: usize,
+    /// The state after the last complete line.
+    pub checkpoint: Checkpoint,
+    /// Complete batch lines replayed.
+    pub lines: usize,
+    /// Bytes up to and including the last newline: where appending resumes.
+    pub len: u64,
+    /// Whether bytes followed the last newline (and were dropped).
+    pub torn_tail: bool,
+}
+
+impl Journal {
+    /// Replays journal bytes. What follows the last newline is a torn tail
+    /// and is ignored; `None` means not even the header line is complete, so
+    /// nothing was recorded.
+    ///
+    /// # Errors
+    ///
+    /// A complete line that is not what its position calls for — `line N: …`
+    /// — or more units recorded than the header assigned.
+    pub fn replay(bytes: &[u8]) -> Result<Option<Journal>, String> {
+        let Some(end) = bytes.iter().rposition(|&b| b == b'\n') else {
+            return Ok(None);
+        };
+        let at = |line: usize| move |e: String| format!("line {line}: {e}");
+        let mut lines = bytes[..end].split(|&b| b == b'\n').map(|line| {
+            let text = std::str::from_utf8(line).map_err(|_| "not UTF-8".to_string());
+            text.and_then(Json::parse)
+        });
+        let header = lines.next().expect("split yields at least one piece");
+        let header = header
+            .and_then(|json| JournalHeader::from_json(&json))
+            .map_err(at(1))?;
+        let mut checkpoint = Checkpoint::new(header.manifest_hash, header.shard);
+        let mut replayed = 0;
+        for line in lines {
+            replayed += 1;
+            line.and_then(|json| Batch::from_json(&json))
+                .and_then(|batch| checkpoint.apply(batch))
+                .map_err(at(replayed + 1))?;
+        }
+        if checkpoint.records.len() > header.assigned {
+            return Err(format!(
+                "{} units recorded, but the header assigned {}",
+                checkpoint.records.len(),
+                header.assigned
+            ));
+        }
+        Ok(Some(Journal {
+            assigned: header.assigned,
+            checkpoint,
+            lines: replayed,
+            len: end as u64 + 1,
+            torn_tail: end + 1 < bytes.len(),
+        }))
+    }
+
+    /// Reads and replays the journal file at `path`.
+    ///
+    /// # Errors
+    ///
+    /// The file cannot be read, or [`replay`](Journal::replay) rejects it.
+    pub fn load(path: &Path) -> Result<Option<Journal>, String> {
+        let bytes =
+            std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        Journal::replay(&bytes).map_err(|e| format!("bad journal {}: {e}", path.display()))
+    }
+}
+
+/// A journal file held open for appending. Nothing is `fsync`ed: a line
+/// handed to the OS survives the process being killed, not the machine
+/// losing power.
+#[derive(Debug)]
+pub struct JournalWriter {
+    file: File,
+    path: PathBuf,
+}
+
+impl JournalWriter {
+    /// Starts a journal at `path`, replacing whatever is there, with its
+    /// header line.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message on I/O failure.
+    pub fn create(path: &Path, header: &JournalHeader) -> Result<JournalWriter, String> {
+        let file =
+            File::create(path).map_err(|e| format!("cannot create {}: {e}", path.display()))?;
+        let path = path.to_path_buf();
+        let mut writer = JournalWriter { file, path };
+        writer.write_line(&header.to_json())?;
+        Ok(writer)
+    }
+
+    /// Reopens a replayed journal to append after its first `keep` bytes
+    /// ([`Journal::len`]), cutting a torn tail off first.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message on I/O failure.
+    pub fn reopen(path: &Path, keep: u64) -> Result<JournalWriter, String> {
+        let file = OpenOptions::new().append(true).open(path);
+        let file = file
+            .and_then(|file| file.set_len(keep).map(|()| file))
+            .map_err(|e| format!("cannot reopen {}: {e}", path.display()))?;
+        let path = path.to_path_buf();
+        Ok(JournalWriter { file, path })
+    }
+
+    /// Appends one completed batch as one line, in one write.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message on I/O failure.
+    pub fn append(&mut self, batch: &Batch) -> Result<(), String> {
+        self.write_line(&batch.to_json())
+    }
+
+    fn write_line(&mut self, line: &Json) -> Result<(), String> {
+        let mut text = line.dump();
+        text.push('\n');
+        let written = self.file.write_all(text.as_bytes());
+        written
+            .and_then(|()| self.file.flush())
+            .map_err(|e| format!("cannot write {}: {e}", self.path.display()))
     }
 }
 
@@ -611,8 +821,8 @@ pub fn merge_checkpoints(manifest: &Manifest, parts: &[Checkpoint]) -> Result<Ch
             ));
         }
         merged.records.extend(part.records.iter().cloned());
-        merged.delivery_latency.merge(&part.delivery_latency);
-        merged.decision_interval.merge(&part.decision_interval);
+        fold(&mut merged.delivery_latency, &part.delivery_latency)?;
+        fold(&mut merged.decision_interval, &part.decision_interval)?;
     }
     merged.records.sort_by_key(|r| r.index);
     for pair in merged.records.windows(2) {
@@ -930,34 +1140,194 @@ mod tests {
         assert!(UnitRecord::from_json(&mismatched).is_err());
     }
 
-    #[test]
-    fn checkpoint_round_trips_and_saves_atomically() {
-        let m = small_manifest();
-        let mut ck = Checkpoint::new(m.hash(), (0, 1));
-        ck.records.push(record(0, Some(500)));
-        ck.records.push(record(1, None));
-        ck.delivery_latency.record(SimDuration::from_micros(123));
-        ck.decision_interval.record(SimDuration::from_micros(456));
-        let back = Checkpoint::from_json(&ck.to_json()).unwrap();
-        assert_eq!(back, ck);
-
-        // Records must be strictly ascending.
-        let mut reordered = ck.clone();
-        reordered.records.swap(0, 1);
-        assert!(Checkpoint::from_json(&reordered.to_json())
-            .unwrap_err()
-            .contains("out of order"));
-
-        let dir =
-            std::env::temp_dir().join(format!("bft-sim-campaign-core-{}", std::process::id()));
+    /// A fresh scratch directory per test so parallel tests never share files.
+    fn scratch(test: &str) -> PathBuf {
+        let name = format!("bft-sim-journal-{test}-{}", std::process::id());
+        let dir = std::env::temp_dir().join(name);
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// `size` clean units starting at `first`, with something in both
+    /// histograms.
+    fn batch(first: usize, size: usize) -> Batch {
+        let mut batch = Batch::default();
+        for index in first..first + size {
+            batch.records.push(record(index, Some(500 + index as u64)));
+            let micros = SimDuration::from_micros(100 + index as u64);
+            batch.delivery_latency.record(micros);
+            batch.decision_interval.record(micros);
+        }
+        batch
+    }
+
+    fn header(assigned: usize) -> JournalHeader {
+        JournalHeader {
+            manifest_hash: small_manifest().hash(),
+            shard: (0, 1),
+            assigned,
+        }
+    }
+
+    #[test]
+    fn journal_replays_to_the_state_its_batches_built() {
+        let dir = scratch("replay");
         let path = dir.join("ck.json");
+        let header = header(48);
+        let mut expected = Checkpoint::new(header.manifest_hash.clone(), header.shard);
+        let mut writer = JournalWriter::create(&path, &header).unwrap();
+        for first in [0, 4, 8] {
+            writer.append(&batch(first, 4)).unwrap();
+            expected.apply(batch(first, 4)).unwrap();
+        }
+        let bytes = std::fs::read(&path).unwrap();
+        let journal = Journal::load(&path).unwrap().unwrap();
+        assert_eq!(journal.checkpoint, expected);
+        assert_eq!((journal.assigned, journal.lines), (48, 3));
+        assert_eq!(
+            (journal.len, journal.torn_tail),
+            (bytes.len() as u64, false)
+        );
+        assert_eq!(Checkpoint::load(&path).unwrap(), expected);
+
+        // A torn tail is dropped on load and cut off before the next append:
+        // the file ends up byte-identical to the untorn one.
+        let last_line = bytes[..bytes.len() - 1]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .unwrap()
+            + 1;
+        std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
+        let torn = Journal::load(&path).unwrap().unwrap();
+        assert_eq!((torn.lines, torn.torn_tail), (2, true));
+        assert_eq!(torn.len, last_line as u64);
+        assert_eq!(torn.checkpoint.records.len(), 8);
+        let mut writer = JournalWriter::reopen(&path, torn.len).unwrap();
+        writer.append(&batch(8, 4)).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+
+        // No complete header line: nothing was recorded.
+        assert_eq!(Journal::replay(b""), Ok(None));
+        assert_eq!(Journal::replay(&bytes[..20]), Ok(None));
+        assert!(Checkpoint::load(&dir.join("absent")).is_err());
+        std::fs::write(&path, &bytes[..20]).unwrap();
+        let err = Checkpoint::load(&path).unwrap_err();
+        assert!(err.contains("no complete header line"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_complete_line_that_does_not_parse_names_its_line_number() {
+        let line = |json: Json| json.dump() + "\n";
+        let good = [
+            line(header(12).to_json()),
+            line(batch(0, 4).to_json()),
+            line(batch(4, 4).to_json()),
+        ];
+        let replay = |lines: &[&str]| Journal::replay(lines.concat().as_bytes());
+        assert!(replay(&[&good[0], &good[1], &good[2]]).is_ok());
+        let err = |lines: &[&str]| replay(lines).unwrap_err();
+
+        let cut = &good[2][..good[2].len() - 9];
+        assert!(err(&[&good[0], &good[1], cut, "\n"]).starts_with("line 3: "));
+        assert!(err(&[&good[0], "\n", &good[1]]).starts_with("line 2: "));
+        assert!(err(&[&good[1], &good[2]]).starts_with("line 1: journal header: "));
+        let twice = err(&[&good[0], &good[0]]);
+        assert!(twice.starts_with("line 2: journal batch: "), "{twice}");
+        // Non-ascending across lines: swapped, and repeated.
+        for lines in [
+            [&good[0], &good[2], &good[1]],
+            [&good[0], &good[1], &good[1]],
+        ] {
+            let lines = lines.map(String::as_str);
+            assert_eq!(err(&lines), "line 3: records out of order at index 0");
+        }
+        let empty = line(Batch::default().to_json());
+        let message = err(&[&good[0], &empty]);
+        assert_eq!(message, "line 2: journal batch: \"records\" is empty");
+        let utf8 = replay(&[&good[0], "\u{fffd}"]).unwrap().unwrap();
+        assert!(utf8.torn_tail, "bytes after the last newline never parse");
+        let mut bytes = good[0].clone().into_bytes();
+        bytes.extend([0xff, b'\n']);
+        assert_eq!(Journal::replay(&bytes).unwrap_err(), "line 2: not UTF-8");
+        // More units than the header assigned; counts that overflow.
+        let small = line(header(7).to_json());
+        let over = err(&[&small, &good[1], &good[2]]);
+        assert_eq!(over, "8 units recorded, but the header assigned 7");
+        let huge = format!(
+            "{{\"count\":{0},\"sum_micros\":{0},\"min_micros\":1,\"max_micros\":1,\
+             \"buckets\":[[1,{0}]]}}",
+            u64::MAX
+        );
+        let heavy = |index: usize| {
+            let record = record(index, None).to_json().dump();
+            format!(
+                "{{\"records\":[{record}],\"delivery_latency\":{huge},\
+                 \"decision_interval\":{huge}}}\n"
+            )
+        };
+        let overflow = err(&[&good[0], &heavy(0), &heavy(1)]);
+        assert_eq!(overflow, "line 3: histogram counts overflow u64");
+    }
+
+    #[test]
+    fn hostile_strings_stay_on_one_journal_line() {
+        let dir = scratch("strings");
+        let path = dir.join("ck.json");
+        let nasty = "line one\nline \"two\"\r\n\\ \u{1}\u{2028}";
+        let mut ck = Checkpoint::new(small_manifest().hash(), (0, 1));
+        ck.records.push(UnitRecord {
+            outcome: UnitOutcome::Panicked {
+                message: nasty.into(),
+            },
+            ..record(0, None)
+        });
+        ck.records.push(UnitRecord {
+            outcome: UnitOutcome::Violated {
+                violations: vec![format!("[agreement] {nasty}")],
+                repro: Some(format!("out/{nasty}.json")),
+            },
+            ..record(1, None)
+        });
         ck.save_atomic(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.matches('\n').count(), 2, "header and one batch line");
+        assert!(text.ends_with('\n'));
         assert_eq!(Checkpoint::load(&path).unwrap(), ck);
-        // Overwriting goes through the same temp-and-rename path.
-        ck.records.push(record(2, Some(900)));
-        ck.save_atomic(&path).unwrap();
-        assert_eq!(Checkpoint::load(&path).unwrap().records.len(), 3);
+        // An empty checkpoint is a header alone, and overwriting goes
+        // through the same temp-and-rename path.
+        let empty = Checkpoint::new(ck.manifest_hash.clone(), (1, 3));
+        empty.save_atomic(&path).unwrap();
+        assert_eq!(Journal::load(&path).unwrap().unwrap().lines, 0);
+        assert_eq!(Checkpoint::load(&path).unwrap(), empty);
+        assert!(!dir.join("ck.json.tmp").exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The regression counter behind the journal: what a batch costs to
+    /// record does not depend on how many units were recorded before it.
+    #[test]
+    fn bytes_per_batch_do_not_grow_with_units_recorded() {
+        let dir = scratch("bytes");
+        let path = dir.join("ck.json");
+        let (units, every) = (4608, 16);
+        let mut writer = JournalWriter::create(&path, &header(units)).unwrap();
+        let size = || std::fs::metadata(&path).unwrap().len();
+        let mut grew = Vec::new();
+        for first in (0..units).step_by(every) {
+            let before = size();
+            writer.append(&batch(first, every)).unwrap();
+            grew.push(size() - before);
+        }
+        // From the second batch to the last a record's index gains two
+        // digits, its events and latency one each; a histogram's sum, min and
+        // max may gain one each too. Nothing else may differ.
+        let (second, last) = (grew[1], grew[grew.len() - 1]);
+        let digits = 4 * every as u64 + 6;
+        assert!(last.abs_diff(second) <= digits, "{second} → {last}");
+        assert!(size() < 2_000_000, "{} bytes for {units} units", size());
+        assert_eq!(Checkpoint::load(&path).unwrap().records.len(), units);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,6 +1,6 @@
 //! Hostile inputs, one table: every JSON artifact the simulator reads
-//! (scenario, repro, manifest, checkpoint, corpus, golden trace, delivery
-//! schedule, `--config`) either loads to exactly what the file says or is
+//! (scenario, repro, manifest, the two kinds of journal line, corpus, golden
+//! trace, delivery schedule, `--config`) either loads to exactly what the file says or is
 //! refused with a message — never a panic, never a silently adjusted value.
 //!
 //! Each row starts from a document its type's own `to_json` produced. The
@@ -9,14 +9,18 @@
 //! an unknown sibling, and each mutant must be rejected — or, for a key the
 //! format documents as optional, must load to the documented default. A
 //! fixed-seed byte-mutation loop over the serialised text closes each row.
-//! The policy under test is stated once, in `bft_sim_core::json`.
+//! The policy under test is stated once, in `bft_sim_core::json`. A campaign
+//! journal is lines, not one document: beside its two rows it gets a test of
+//! its own for what can happen to whole lines.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use bft_sim_attacks::{FuzzAction, FuzzActionKind};
 use bft_sim_cli::RunSpec;
 use bft_sim_core::buggify::{FaultAction, FaultKind, FaultPreset};
-use bft_sim_core::campaign::{Checkpoint, Manifest, UnitOutcome, UnitRecord};
+use bft_sim_core::campaign::{
+    Batch, Journal, JournalHeader, JournalWriter, Manifest, UnitOutcome, UnitRecord,
+};
 use bft_sim_core::json::{self, Json};
 use bft_sim_core::smallstr::SmallStr;
 use bft_sim_core::trace::{TraceEvent, TraceKind};
@@ -217,10 +221,21 @@ fn check_row(row: &Row) {
     assert!(mutants > 0, "{name}: the walk found no keys");
 
     // Byte mutations of the text: anything may come back except a panic.
-    let text = row.doc.dump_pretty().into_bytes();
+    byte_mutants(name, row.doc.dump_pretty().as_bytes(), &|bytes| {
+        let mutant = String::from_utf8_lossy(bytes);
+        Json::parse(&mutant)
+            .and_then(|json| (row.parse)(&json))
+            .ok();
+    });
+}
+
+/// 2 000 fixed-seed mutants of `text`, each with one to three bytes
+/// overwritten, deleted, inserted or a short span repeated; `load` must
+/// return from every one.
+fn byte_mutants(name: &str, text: &[u8], load: &dyn Fn(&[u8])) {
     let mut rng = SmallRng::seed_from_u64(0x4057_11E5);
     for round in 0..2_000 {
-        let mut bytes = text.clone();
+        let mut bytes = text.to_vec();
         for _ in 0..rng.gen_range(1..4u32) {
             let at = rng.gen_range(0..bytes.len() as u64) as usize;
             match rng.gen_range(0..4u32) {
@@ -239,13 +254,11 @@ fn check_row(row: &Row) {
                 break;
             }
         }
-        let mutant = String::from_utf8_lossy(&bytes).into_owned();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            Json::parse(&mutant).and_then(|json| (row.parse)(&json))
-        }));
+        let outcome = catch_unwind(AssertUnwindSafe(|| load(&bytes)));
+        let shown = String::from_utf8_lossy(&bytes);
         assert!(
             outcome.is_ok(),
-            "{name}: byte mutant #{round} panicked: {mutant}"
+            "{name}: byte mutant #{round} panicked: {shown}"
         );
     }
 }
@@ -439,48 +452,63 @@ fn manifest() -> Manifest {
     }
 }
 
-fn checkpoint() -> Checkpoint {
-    let mut checkpoint = Checkpoint::new(manifest().hash(), (1, 3));
-    let record = |index, outcome, latency_micros| UnitRecord {
-        index,
-        outcome,
-        events: 500 + index as u64,
-        decisions: 2,
-        honest_messages: 96,
-        latency_micros,
-    };
-    checkpoint.records = vec![
-        record(1, UnitOutcome::Clean, Some(300_000)),
-        record(
-            4,
-            UnitOutcome::Violated {
-                violations: vec!["[termination] run stopped".into()],
-                repro: Some("out/repro-unit4-termination.json".into()),
-            },
-            None,
-        ),
+fn journal_header() -> JournalHeader {
+    JournalHeader {
+        manifest_hash: manifest().hash(),
+        shard: (1, 3),
+        assigned: 32,
+    }
+}
+
+/// The `batch`-th line of shard 1/3's journal: three units, one of each
+/// outcome, and both histograms populated.
+fn journal_batch(batch: usize) -> Batch {
+    let record = |position, outcome, latency_micros| {
+        let index = 1 + 3 * (3 * batch + position);
         UnitRecord {
-            events: 0,
-            decisions: 0,
-            honest_messages: 0,
-            ..record(
-                7,
-                UnitOutcome::Panicked {
-                    message: "index out of bounds".into(),
+            index,
+            outcome,
+            events: 500 + index as u64,
+            decisions: 2,
+            honest_messages: 96,
+            latency_micros,
+        }
+    };
+    let mut batch = Batch {
+        records: vec![
+            record(0, UnitOutcome::Clean, Some(300_000)),
+            record(
+                1,
+                UnitOutcome::Violated {
+                    violations: vec!["[termination] run stopped".into()],
+                    repro: Some("out/repro-unit4-termination.json".into()),
                 },
                 None,
-            )
-        },
-    ];
+            ),
+            UnitRecord {
+                events: 0,
+                decisions: 0,
+                honest_messages: 0,
+                ..record(
+                    2,
+                    UnitOutcome::Panicked {
+                        message: "index out of bounds".into(),
+                    },
+                    None,
+                )
+            },
+        ],
+        ..Batch::default()
+    };
     for micros in [4u64, 5, 900, 250_000] {
-        checkpoint
+        batch
             .delivery_latency
             .record(SimDuration::from_micros(micros));
-        checkpoint
+        batch
             .decision_interval
             .record(SimDuration::from_micros(micros * 3));
     }
-    checkpoint
+    batch
 }
 
 fn golden_trace() -> Json {
@@ -532,9 +560,16 @@ fn rows() -> Vec<Row> {
             floats: &[],
         },
         Row {
-            name: "checkpoint",
-            doc: checkpoint().to_json(),
-            parse: |json| Checkpoint::from_json(json).map(|checkpoint| checkpoint.to_json()),
+            name: "journal header",
+            doc: journal_header().to_json(),
+            parse: |json| JournalHeader::from_json(json).map(|header| header.to_json()),
+            optional: Vec::new(),
+            floats: &[],
+        },
+        Row {
+            name: "journal batch",
+            doc: journal_batch(0).to_json(),
+            parse: |json| Batch::from_json(json).map(|batch| batch.to_json()),
             optional: vec![
                 ("records.latency_micros".into(), None),
                 ("records.repro".into(), None),
@@ -594,6 +629,54 @@ fn every_artifact_parser_refuses_what_it_cannot_load_exactly() {
     }
 }
 
+/// What can happen to a journal's lines, through the writer's own bytes: a
+/// line duplicated or swapped with its neighbour is refused with its line
+/// number, a deleted header too; a deleted batch line leaves a shorter
+/// journal for resume's position check (`campaign_resume.rs`) to refuse; and
+/// no byte mutant of the file panics the replay.
+#[test]
+fn a_journal_survives_what_happens_to_its_lines() {
+    let path = std::env::temp_dir().join(format!("bft-sim-hostile-{}.ck", std::process::id()));
+    let mut writer = JournalWriter::create(&path, &journal_header()).unwrap();
+    for batch in 0..3 {
+        writer.append(&journal_batch(batch)).unwrap();
+    }
+    let text = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let intact = Journal::replay(&text).unwrap().expect("a header line");
+    assert_eq!((intact.lines, intact.checkpoint.records.len()), (3, 9));
+    assert_eq!((intact.assigned, intact.torn_tail), (32, false));
+
+    let lines: Vec<&[u8]> = text.split_inclusive(|&b| b == b'\n').collect();
+    let replay = |lines: &[&[u8]]| {
+        let bytes = lines.concat();
+        catch_unwind(|| Journal::replay(&bytes)).expect("replay panicked")
+    };
+    for at in 0..lines.len() {
+        let mut deleted = lines.clone();
+        deleted.remove(at);
+        match (at, replay(&deleted)) {
+            (0, Err(e)) => assert!(e.starts_with("line 1: journal header: "), "{e}"),
+            (0, Ok(journal)) => panic!("accepted a batch as a header: {journal:?}"),
+            (_, loaded) => assert_eq!(loaded.unwrap().unwrap().checkpoint.records.len(), 6),
+        }
+        let mut doubled = lines.clone();
+        doubled.insert(at, lines[at]);
+        let err = replay(&doubled).unwrap_err();
+        assert!(err.starts_with(&format!("line {}: ", at + 2)), "{err}");
+        if at + 1 < lines.len() {
+            let mut swapped = lines.clone();
+            swapped.swap(at, at + 1);
+            let err = replay(&swapped).unwrap_err();
+            let refused_at = if at == 0 { 1 } else { at + 2 };
+            assert!(err.starts_with(&format!("line {refused_at}: ")), "{err}");
+        }
+    }
+    byte_mutants("journal", &text, &|bytes| {
+        Journal::replay(bytes).ok();
+    });
+}
+
 /// The motivating cases, at the parser: each names its field.
 #[test]
 fn the_policy_in_five_lines() {
@@ -642,9 +725,9 @@ fn the_policy_in_five_lines() {
     assert!(err.contains("nesting deeper than 128 at byte 128"), "{err}");
     assert!(Json::parse(&format!("{}1{}", "[".repeat(128), "]".repeat(128))).is_ok());
 
-    let mut doc = checkpoint().to_json();
+    let mut doc = journal_header().to_json();
     *doc.get_mut("shard").unwrap().get_mut("index").unwrap() = Json::from(4_294_967_296u64);
-    let err = Checkpoint::from_json(&doc).unwrap_err();
+    let err = JournalHeader::from_json(&doc).unwrap_err();
     assert!(
         err.contains("bad \"shard.index\": 4294967296 exceeds the u32 range"),
         "{err}"
