@@ -17,7 +17,10 @@
 //! blocks it missed), and f fail-stopped nodes (Fig. 7). Those rows pin,
 //! beside the fingerprint, an FNV-1a of the full trace JSON with per-message
 //! recording on (`"<key>#trace"`), so any change to the order or content of
-//! what a replica sends, reports or decides is loud.
+//! what a replica sends, reports or decides is loud. Every protocol also
+//! carries a `"<protocol>/golden#trace"` row: the same FNV-1a at
+//! `tests/golden_traces.rs`'s pinned configuration, the byte pin its
+//! committed files are not.
 //!
 //! To regenerate after an *intentional* behaviour change:
 //! `BFT_SIM_BLESS=1 cargo test --test golden_fingerprints`.
@@ -54,7 +57,39 @@ fn compute_corpus() -> Vec<(String, u64)> {
         }
     }
     corpus.extend(chained_rows());
+    corpus.extend(golden_trace_rows());
     corpus
+}
+
+/// Byte pins for `tests/golden_traces.rs`'s configuration (n = 7, seed 5,
+/// genesis 23), with per-message recording on so every payload type is in
+/// the trace: the FNV-1a of each protocol's trace JSON under
+/// `"<protocol>/golden#trace"`. The committed golden files only pin the
+/// decided values; these pin every event.
+fn golden_trace_rows() -> Vec<(String, u64)> {
+    ProtocolKind::extended()
+        .into_iter()
+        .map(|kind| {
+            let cfg = kind
+                .configure(
+                    RunConfig::new(7)
+                        .with_seed(5)
+                        .with_lambda_ms(1000.0)
+                        .with_time_cap(SimDuration::from_secs(900.0)),
+                )
+                .with_message_recording(true);
+            let factory = kind.factory(&cfg, 23);
+            let result = SimulationBuilder::new(cfg)
+                .network(SampledNetwork::new(Dist::normal(250.0, 50.0)))
+                .protocols(factory)
+                .build()
+                .expect("valid config")
+                .run();
+            assert!(result.is_clean(), "{kind}: {:?}", result.safety_violation);
+            let trace = fnv1a(result.trace.to_json().dump().as_bytes());
+            (format!("{}/golden#trace", kind.name()), trace)
+        })
+        .collect()
 }
 
 /// One chained-protocol run at n = 16 with per-message recording and
