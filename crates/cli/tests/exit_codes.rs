@@ -284,6 +284,30 @@ fn hostile_artifacts_exit_with_their_loaders_code() {
             2,
             "bad \"partition\": partition resolves at 5 ms, before it starts at 10 ms",
         ),
+        // λ = 0 reached the engine and failed as a run error (exit 1).
+        (
+            vec![
+                "trace".into(),
+                file(
+                    "lambda0.json",
+                    r#"{"protocol":"pbft","n":4,"lambda_micros":0}"#,
+                ),
+            ],
+            2,
+            "bad \"lambda_micros\": must be positive",
+        ),
+        (
+            vec![
+                "repro".into(),
+                file(
+                    "lambda0-repro.json",
+                    r#"{"format": "bft-sim-repro-v1", "oracle": "termination", "detail": "x",
+                      "scenario": {"protocol": "pbft", "n": 4, "lambda_micros": 0}}"#,
+                ),
+            ],
+            4,
+            "bad \"lambda_micros\": must be positive",
+        ),
         (
             vec![
                 "run".into(),
@@ -372,6 +396,33 @@ fn hostile_artifacts_exit_with_their_loaders_code() {
         );
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `SimTime::from_millis` multiplied unchecked: a partition ending one
+/// millisecond past the last representable instant wrapped to a window that
+/// had already closed, and the run saw no partition at all. Later than
+/// representable is "never", as the last representable instant is.
+#[test]
+fn a_partition_past_the_end_of_time_never_resolves() {
+    let run = |end: &str| {
+        let attack = format!("partition:0:{end}");
+        let out = bft_sim(&[
+            "run",
+            "--protocol",
+            "pbft",
+            "--nodes",
+            "4",
+            "--attack",
+            &attack,
+            "--json",
+        ]);
+        assert_eq!(out.status.code(), Some(0), "end {end}");
+        String::from_utf8(out.stdout).expect("utf-8 report")
+    };
+    let wrapped = run("18446744073709552");
+    let last = run("18446744073709551");
+    assert_eq!(wrapped, last);
+    assert!(last.contains(r#""timeout_rate": 1"#), "{last}");
 }
 
 /// `cursor + checkpoint_every` was added unchecked: the largest interval a

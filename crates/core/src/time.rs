@@ -46,9 +46,10 @@ impl SimTime {
         SimTime(micros)
     }
 
-    /// Creates an instant from integral milliseconds.
+    /// Creates an instant from integral milliseconds, saturating at
+    /// [`SimTime::MAX`]: an instant later than representable is "never".
     pub const fn from_millis(millis: u64) -> Self {
-        SimTime(millis * 1_000)
+        SimTime(millis.saturating_mul(1_000))
     }
 
     /// Returns the instant as raw microseconds.
@@ -220,6 +221,14 @@ mod tests {
         let b = SimTime::from_millis(2);
         assert_eq!(a - b, SimDuration::ZERO);
         assert_eq!(b - a, SimDuration::from_millis(1.0));
+    }
+
+    #[test]
+    fn from_millis_saturates_at_the_edge() {
+        let last = u64::MAX / 1_000;
+        assert_eq!(SimTime::from_millis(last).as_micros(), last * 1_000);
+        assert_eq!(SimTime::from_millis(last + 1), SimTime::MAX);
+        assert_eq!(SimTime::from_millis(u64::MAX), SimTime::MAX);
     }
 
     #[test]

@@ -960,8 +960,8 @@ impl ScenarioSpec {
     /// # Errors
     ///
     /// Malformed per [`bft_sim_core::json`]'s artifact parsing policy, an
-    /// unknown protocol or fault preset, or an `n` that
-    /// [`check_node_count`] rejects.
+    /// unknown protocol or fault preset, an `n` that [`check_node_count`]
+    /// rejects, or a zero `lambda_micros`.
     pub fn from_json(json: &Json) -> Result<ScenarioSpec, String> {
         let mut f = Fields::of(json, "scenario")?;
         let protocol = f.req("protocol", |v| {
@@ -975,7 +975,12 @@ impl ScenarioSpec {
             n: f.opt_or("n", base.n, |v| json::int(v).and_then(check_node_count))?,
             seed: f.opt_or("seed", base.seed, json::int)?,
             genesis_seed: f.opt_or("genesis_seed", base.genesis_seed, json::int)?,
-            lambda_micros: f.opt_or("lambda_micros", base.lambda_micros, json::int)?,
+            lambda_micros: f.opt_or("lambda_micros", base.lambda_micros, |v| {
+                match json::int(v)? {
+                    0 => Err("must be positive".to_string()),
+                    lambda => Ok(lambda),
+                }
+            })?,
             delay: f.opt_or("delay", base.delay, DelaySpec::from_json)?,
             net: f.opt("net", NetSpec::from_json)?,
             partition: f.opt("partition", PartitionSpec::from_json)?,
