@@ -1,6 +1,8 @@
 //! Allocation bisection probe: runs one protocol config under a
 //! size-histogram allocator so steady-state allocation sources can be
-//! identified by their exact size class.
+//! identified by their exact size class. It also prints the process's peak
+//! resident set (`VmHWM`, Linux only) and what the run's trace holds, which
+//! are the rows of EXPERIMENTS.md's scaling table.
 //!
 //! ```text
 //! cargo run --release -p bft-sim-bench --example alloc_probe -- hotstuff-ns 64 20
@@ -81,6 +83,13 @@ fn main() {
         result.events_processed,
         result.broadcasts,
     );
+    println!(
+        "  peak_rss_kb={} peak_queue={} trace_events={} trace_bytes={}",
+        peak_rss_kb().map_or("n/a".to_string(), |kb| kb.to_string()),
+        result.queue_high_water,
+        result.trace.len(),
+        result.trace.heap_bytes(),
+    );
     for (sz, c) in SIZES.iter().enumerate() {
         let c = c.load(Ordering::Relaxed);
         if c > 0 {
@@ -88,4 +97,11 @@ fn main() {
             println!("  size {sz:>5}{tail}: {c}");
         }
     }
+}
+
+/// The `VmHWM` line of `/proc/self/status`, in kB.
+fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
 }

@@ -3,10 +3,10 @@
 //! Runs broadcast-heavy seeded workloads — PBFT and HotStuff+NS at
 //! n ∈ {16, 64, 256, 1024} — and reports, per case, the counters a seed
 //! determines: events processed, peak event-queue depth, resident scheduler
-//! entries, broadcasts and allocations per broadcast, plus one
-//! bandwidth-contention comparison. The result is written to
-//! `BENCH_baseline.json` so perf changes show up as reviewable diffs; CI
-//! regenerates it and fails when a counter moves.
+//! entries, broadcasts, the trace's event count and stored bytes, and
+//! allocations per broadcast, plus one bandwidth-contention comparison. The
+//! result is written to `BENCH_baseline.json` so perf changes show up as
+//! reviewable diffs; CI regenerates it and fails when a counter moves.
 //!
 //! Nothing here reads a clock. Wall time, events per second, thread scaling
 //! and observability overhead are measured by `benchmark/` (see
@@ -64,6 +64,13 @@ pub struct CaseResult {
     /// Broadcast actions executed — each is exactly one payload allocation
     /// on the zero-clone hot path.
     pub broadcasts: u64,
+    /// Events the run's trace holds.
+    pub trace_events: usize,
+    /// Bytes the run's trace holds ([`Trace::heap_bytes`], from lengths, so
+    /// deterministic).
+    ///
+    /// [`Trace::heap_bytes`]: bft_sim_core::trace::Trace::heap_bytes
+    pub trace_bytes: usize,
     /// Global allocations during the run, when the counting allocator is
     /// installed (see [`crate::alloc_counter`]); `None` otherwise.
     pub allocations: Option<u64>,
@@ -104,6 +111,8 @@ pub fn run_case(kind: ProtocolKind, n: usize, seed: u64, decisions: u64) -> Case
         peak_resident_entries: result.scheduler.peak_resident,
         tombstones_popped: result.scheduler.tombstones_popped,
         broadcasts: result.broadcasts,
+        trace_events: result.trace.len(),
+        trace_bytes: result.trace.heap_bytes(),
         allocations: counting.then_some(allocs),
         allocs_per_broadcast: (counting && result.broadcasts > 0)
             .then(|| allocs as f64 / result.broadcasts as f64),
@@ -289,6 +298,8 @@ pub fn to_json(results: &[CaseResult], bandwidth: &BandwidthContention) -> Json 
                     Json::from(r.tombstones_popped),
                 ),
                 ("broadcasts".to_string(), Json::from(r.broadcasts)),
+                ("trace_events".to_string(), Json::from(r.trace_events)),
+                ("trace_bytes".to_string(), Json::from(r.trace_bytes)),
             ];
             if let Some(a) = r.allocations {
                 pairs.push(("allocations".to_string(), Json::from(a)));
@@ -403,7 +414,7 @@ mod tests {
         // installed; nothing host-dependent is among the rest.
         let keys: Vec<&str> = case.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(
-            keys[..9],
+            keys[..11],
             [
                 "protocol",
                 "n",
@@ -414,9 +425,11 @@ mod tests {
                 "peak_resident_entries",
                 "tombstones_popped",
                 "broadcasts",
+                "trace_events",
+                "trace_bytes",
             ]
         );
-        assert!(keys[9..]
+        assert!(keys[11..]
             .iter()
             .all(|k| ["allocations", "allocs_per_broadcast"].contains(k)));
         // Parses back as valid JSON.

@@ -1,6 +1,6 @@
-//! Footprint regression gate for the one-entry-per-broadcast event queue and
-//! for shared certificates, on deterministic counters only (wall time is
-//! evidence, never a gate).
+//! Footprint regression gate for the one-entry-per-broadcast event queue,
+//! for shared certificates and for the trace's record layout, on
+//! deterministic counters only (wall time is evidence, never a gate).
 //!
 //! PBFT's all-to-all phases used to keep n² delivery events resident. The
 //! *logical* queue depth and the event count are simulated quantities and
@@ -58,6 +58,13 @@ fn chained_n256_shares_its_certificates(kind: ProtocolKind) {
     let case = run_case(kind, 256, 1, 3);
     assert_eq!(case.events_processed, 2_817);
     assert_eq!(case.peak_queue_depth, 597);
+    // A trace event is a 24-byte record plus its share of the name, value
+    // and detail tables (72 bytes when every event was the widest variant).
+    let per_event = case.trace_bytes as f64 / case.trace_events as f64;
+    assert!(
+        per_event <= 32.0,
+        "{kind}: {per_event} trace bytes per event"
+    );
     // A certificate's bitmap is allocated where it is formed and widened or
     // un-shared a few times, never once per receiving replica (439.7 when
     // each clone copied it). Release builds only, as above.

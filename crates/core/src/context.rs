@@ -201,9 +201,11 @@ impl<'a> Context<'a> {
     /// hook used for cross-validation against ground-truth traces.
     ///
     /// Labels are almost always `&'static str` and details short — both are
-    /// stored without allocating in that case. For formatted details prefer
-    /// [`report_fmt`](Context::report_fmt), which skips the intermediate
-    /// `String` entirely.
+    /// stored without allocating in that case. Labels name a fixed set: a
+    /// trace holds at most 4 096 distinct labels and payload types, and a
+    /// detail under 16 MiB (the run panics past either). For formatted
+    /// details prefer [`report_fmt`](Context::report_fmt), which skips the
+    /// intermediate `String` entirely.
     pub fn report(&mut self, label: impl Into<Cow<'static, str>>, detail: impl Into<SmallStr>) {
         self.actions.push(Action::Custom {
             label: label.into(),

@@ -28,7 +28,7 @@ use crate::engine::StepObserver;
 use crate::ids::NodeId;
 use crate::metrics::RunResult;
 use crate::time::SimTime;
-use crate::trace::{Trace, TraceKind};
+use crate::trace::Trace;
 use crate::value::Value;
 
 /// One oracle's verdict on one run.
@@ -226,17 +226,10 @@ impl<'a> OracleInput<'a> {
     }
 
     fn from_trace_inner(trace: &Trace, expect: Expectations) -> OracleInput<'a> {
-        let decisions = trace.decisions().collect();
-        let excluded = trace
-            .events()
-            .iter()
-            .filter(|e| matches!(e.kind, TraceKind::Corrupted | TraceKind::Crashed))
-            .map(|e| e.node)
-            .collect();
         OracleInput {
             result: None,
-            decisions,
-            excluded,
+            decisions: trace.decisions().collect(),
+            excluded: trace.excluded_nodes().collect(),
             observed: None,
             expect,
         }

@@ -61,20 +61,21 @@ impl Sinks {
         self.recorder = Some(DeliverySchedule::new());
     }
 
-    /// Stores one event in the ring (when obs is on) and in the trace (when
-    /// `traced`); `kind` runs at most once, and not at all when neither is.
+    /// Stores one event in the trace (when `traced`), which encodes it, and
+    /// in the ring (when obs is on), which takes it; `kind` runs at most
+    /// once, and not at all when neither wants it.
     #[inline]
     fn log(&mut self, traced: bool, time: SimTime, node: NodeId, kind: impl FnOnce() -> TraceKind) {
         if !traced && self.obs.is_none() {
             return;
         }
         let kind = kind();
-        match &self.obs {
-            Some(obs) if traced => obs.push_event(time, node, kind.clone()),
-            Some(obs) => return obs.push_event(time, node, kind),
-            None => {}
+        if traced {
+            self.trace.record(time, node, &kind);
         }
-        self.trace.record(time, node, kind);
+        if let Some(obs) = &self.obs {
+            obs.push_event(time, node, kind);
+        }
     }
 
     /// An honest node put `msg` on its way, before the network decides.

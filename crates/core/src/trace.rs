@@ -4,8 +4,17 @@
 //! corruptions, optionally every message) into a [`Trace`]. Traces power the
 //! validator module, the per-node view visualisation of Fig. 9, and data
 //! logging in general.
+//!
+//! A trace is stored as one 24-byte record per event — time, node, a `u32`
+//! holding the kind tag and a table id, and one payload word — beside three
+//! per-trace tables: the distinct label and payload-type names, the decided
+//! values, and one text arena holding every `Custom` detail. [`TraceEvent`]
+//! is the value type callers see, decoded on access; the accessors a checker
+//! calls once per run ([`Trace::decisions`], [`Trace::view_timeline`],
+//! [`Trace::custom`]) read the records without building one.
 
 use std::borrow::Cow;
+use std::fmt;
 
 use crate::ids::NodeId;
 use crate::json::{self, Fields, Json};
@@ -72,10 +81,102 @@ pub enum TraceKind {
     },
 }
 
+// Kind tags, in the low `TAG_BITS` of a record's `tag`.
+const DECIDED: u32 = 0;
+const VIEW: u32 = 1;
+const SENT: u32 = 2;
+const DELIVERED: u32 = 3;
+const CORRUPTED: u32 = 4;
+const CRASHED: u32 = 5;
+const CUSTOM: u32 = 6;
+const TAG_BITS: u32 = 3;
+const TAG_MASK: u32 = (1 << TAG_BITS) - 1;
+/// The largest table id that fits above the tag.
+const MAX_ID: usize = (u32::MAX >> TAG_BITS) as usize;
+/// Distinct label and payload-type names one trace may hold. Labels come
+/// from a fixed set in code, so a live run holds a handful; the cap bounds
+/// the linear scan that finds them.
+const MAX_NAMES: usize = 4096;
+/// A `Custom` record's word is `offset << LEN_BITS | len` into the arena.
+const LEN_BITS: u32 = 24;
+const MAX_DETAIL_LEN: usize = (1 << LEN_BITS) - 1;
+const MAX_ARENA: u64 = (1 << (64 - LEN_BITS)) - 1;
+/// What the first record and the first detail reserve: a run records far
+/// more, so starting at Vec's minimum would only add early regrowths.
+const FIRST_RECORDS: usize = 64;
+const FIRST_DETAILS: usize = 1024;
+/// A decided value is looked up among the most recently interned ones only;
+/// a miss appends it again. Honest nodes decide a slot's value close
+/// together in time, so the window hits, and no input makes it quadratic.
+const VALUE_WINDOW: usize = 16;
+
+/// One stored event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Record {
+    time: u64,
+    node: u32,
+    /// Kind tag in the low [`TAG_BITS`]; above it, the index into the names
+    /// (`Sent`, `Delivered`, `Custom`) or values (`Decided`) table.
+    tag: u32,
+    /// Slot (`Decided`), view (`View`), peer node (`Sent`, `Delivered`), or
+    /// the detail's place in the arena (`Custom`).
+    word: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<Record>() <= 24);
+
+impl Record {
+    fn kind(&self) -> u32 {
+        self.tag & TAG_MASK
+    }
+
+    fn id(&self) -> usize {
+        (self.tag >> TAG_BITS) as usize
+    }
+
+    fn time(&self) -> SimTime {
+        SimTime::from_micros(self.time)
+    }
+
+    fn node(&self) -> NodeId {
+        NodeId::new(self.node)
+    }
+}
+
+/// Packs a kind tag and a table id into a record's `tag`.
+fn tag_word(tag: u32, id: usize) -> Result<u32, String> {
+    if id > MAX_ID {
+        return Err(format!("trace table id {id} exceeds the limit of {MAX_ID}"));
+    }
+    Ok(tag | (id as u32) << TAG_BITS)
+}
+
+/// Packs a detail's place in the arena into a `Custom` record's word.
+fn detail_word(offset: usize, len: usize) -> Result<u64, String> {
+    if len > MAX_DETAIL_LEN {
+        return Err(format!(
+            "a detail of {len} bytes exceeds the limit of {MAX_DETAIL_LEN}"
+        ));
+    }
+    if offset as u64 + len as u64 > MAX_ARENA {
+        return Err(format!("trace details exceed {MAX_ARENA} bytes"));
+    }
+    Ok((offset as u64) << LEN_BITS | len as u64)
+}
+
 /// A time-ordered sequence of [`TraceEvent`]s.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// The tables are a pure function of the events pushed, in order, so two
+/// traces holding the same events compare equal field by field.
+#[derive(Clone, Default, PartialEq)]
 pub struct Trace {
-    events: Vec<TraceEvent>,
+    records: Vec<Record>,
+    /// Label and payload-type names, each once, in order of first use.
+    names: Vec<Cow<'static, str>>,
+    /// Decided values (see [`VALUE_WINDOW`]).
+    values: Vec<Value>,
+    /// Every `Custom` detail, concatenated.
+    details: String,
 }
 
 impl Trace {
@@ -84,62 +185,210 @@ impl Trace {
         Trace::default()
     }
 
-    pub(crate) fn record(&mut self, time: SimTime, node: NodeId, kind: TraceKind) {
-        self.events.push(TraceEvent { time, node, kind });
+    /// Records one event of a live run.
+    ///
+    /// # Panics
+    ///
+    /// The event exceeds a packing limit: more than [`MAX_NAMES`] distinct
+    /// labels and payload types, a detail above [`MAX_DETAIL_LEN`] bytes, or
+    /// tables past what a `u32` record can index.
+    pub(crate) fn record(&mut self, time: SimTime, node: NodeId, kind: &TraceKind) {
+        if let Err(e) = self.push(time, node, kind) {
+            panic!("trace cannot record an event at {time} on {node}: {e}");
+        }
     }
 
-    /// All recorded events, in recording (= time) order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
+    fn push(&mut self, time: SimTime, node: NodeId, kind: &TraceKind) -> Result<(), String> {
+        let (tag, word) = match kind {
+            TraceKind::Decided { slot, value } => {
+                (tag_word(DECIDED, self.value_id(*value))?, *slot)
+            }
+            TraceKind::View { view } => (VIEW, *view),
+            TraceKind::Sent { dst, payload_type } => (
+                tag_word(SENT, self.name_id(payload_type)?)?,
+                dst.as_u32().into(),
+            ),
+            TraceKind::Delivered { src, payload_type } => (
+                tag_word(DELIVERED, self.name_id(payload_type)?)?,
+                src.as_u32().into(),
+            ),
+            TraceKind::Corrupted => (CORRUPTED, 0),
+            TraceKind::Crashed => (CRASHED, 0),
+            TraceKind::Custom { label, detail } => {
+                let word = detail_word(self.details.len(), detail.len())?;
+                let tag = tag_word(CUSTOM, self.name_id(label)?)?;
+                if self.details.capacity() == 0 {
+                    self.details.reserve(FIRST_DETAILS);
+                }
+                self.details.push_str(detail);
+                (tag, word)
+            }
+        };
+        if self.records.capacity() == 0 {
+            self.records.reserve(FIRST_RECORDS);
+        }
+        self.records.push(Record {
+            time: time.as_micros(),
+            node: node.as_u32(),
+            tag,
+            word,
+        });
+        Ok(())
+    }
+
+    /// The names-table index of `name`, interning it on first use. Live
+    /// names are `&'static str`, so a hit is usually one pointer compare.
+    // The `Cow` is what gets stored: a borrowed name stays borrowed.
+    #[allow(clippy::ptr_arg)]
+    fn name_id(&mut self, name: &Cow<'static, str>) -> Result<usize, String> {
+        let text: &str = name;
+        let found = self.names.iter().position(|known| {
+            let known: &str = known;
+            std::ptr::eq(known, text) || known == text
+        });
+        if let Some(id) = found {
+            return Ok(id);
+        }
+        if self.names.len() == MAX_NAMES {
+            return Err(format!(
+                "more than {MAX_NAMES} distinct labels and payload types"
+            ));
+        }
+        self.names.push(name.clone());
+        Ok(self.names.len() - 1)
+    }
+
+    fn value_id(&mut self, value: Value) -> usize {
+        let recent = self.values.len().saturating_sub(VALUE_WINDOW);
+        match self.values[recent..].iter().rposition(|&v| v == value) {
+            Some(i) => recent + i,
+            None => {
+                self.values.push(value);
+                self.values.len() - 1
+            }
+        }
+    }
+
+    fn detail(&self, word: u64) -> &str {
+        let offset = (word >> LEN_BITS) as usize;
+        let len = (word & MAX_DETAIL_LEN as u64) as usize;
+        &self.details[offset..offset + len]
+    }
+
+    fn decode(&self, r: &Record) -> TraceEvent {
+        let kind = match r.kind() {
+            DECIDED => TraceKind::Decided {
+                slot: r.word,
+                value: self.values[r.id()],
+            },
+            VIEW => TraceKind::View { view: r.word },
+            SENT => TraceKind::Sent {
+                dst: NodeId::new(r.word as u32),
+                payload_type: self.names[r.id()].clone(),
+            },
+            DELIVERED => TraceKind::Delivered {
+                src: NodeId::new(r.word as u32),
+                payload_type: self.names[r.id()].clone(),
+            },
+            CORRUPTED => TraceKind::Corrupted,
+            CRASHED => TraceKind::Crashed,
+            _ => TraceKind::Custom {
+                label: self.names[r.id()].clone(),
+                detail: SmallStr::from(self.detail(r.word)),
+            },
+        };
+        TraceEvent {
+            time: r.time(),
+            node: r.node(),
+            kind,
+        }
+    }
+
+    /// All recorded events, in recording (= time) order, decoded one by one.
+    pub fn events(&self) -> impl ExactSizeIterator<Item = TraceEvent> + DoubleEndedIterator + '_ {
+        self.records.iter().map(|r| self.decode(r))
     }
 
     /// Number of recorded events.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.records.len()
     }
 
     /// Whether the trace is empty.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.records.is_empty()
+    }
+
+    /// Bytes the trace holds on the heap, counted from lengths rather than
+    /// capacities so the figure is a deterministic function of the events:
+    /// the records, the three tables and the text of owned names.
+    pub fn heap_bytes(&self) -> usize {
+        let owned: usize = self
+            .names
+            .iter()
+            .map(|name| match name {
+                Cow::Owned(text) => text.len(),
+                Cow::Borrowed(_) => 0,
+            })
+            .sum();
+        std::mem::size_of_val(&self.records[..])
+            + std::mem::size_of_val(&self.names[..])
+            + owned
+            + std::mem::size_of_val(&self.values[..])
+            + self.details.len()
     }
 
     /// Iterates over decision events as `(time, node, slot, value)`.
     pub fn decisions(&self) -> impl Iterator<Item = (SimTime, NodeId, u64, Value)> + '_ {
-        self.events.iter().filter_map(|e| match e.kind {
-            TraceKind::Decided { slot, value } => Some((e.time, e.node, slot, value)),
-            _ => None,
-        })
+        self.indexed_decisions().map(|(_, decision)| decision)
+    }
+
+    /// [`Trace::decisions`], each with its event's index in the trace.
+    pub(crate) fn indexed_decisions(
+        &self,
+    ) -> impl Iterator<Item = (usize, (SimTime, NodeId, u64, Value))> + '_ {
+        self.records
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.kind() == DECIDED)
+            .map(|(i, r)| (i, (r.time(), r.node(), r.word, self.values[r.id()])))
+    }
+
+    /// The nodes of every `Corrupted` and `Crashed` event, in order.
+    pub(crate) fn excluded_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.records
+            .iter()
+            .filter(|r| matches!(r.kind(), CORRUPTED | CRASHED))
+            .map(Record::node)
     }
 
     /// Per-node view timeline: for node `node`, the list of `(time, view)`
     /// transitions — the data series behind Fig. 9.
     pub fn view_timeline(&self, node: NodeId) -> Vec<(SimTime, u64)> {
-        self.events
+        self.records
             .iter()
-            .filter_map(|e| match e.kind {
-                TraceKind::View { view } if e.node == node => Some((e.time, view)),
-                _ => None,
-            })
+            .filter(|r| r.kind() == VIEW && r.node == node.as_u32())
+            .map(|r| (r.time(), r.word))
             .collect()
     }
 
     /// Events with a given custom label, as `(time, node, detail)`.
     pub fn custom(&self, label: &str) -> Vec<(SimTime, NodeId, &str)> {
-        self.events
+        let Some(id) = self.names.iter().position(|name| name == label) else {
+            return Vec::new();
+        };
+        let tag = tag_word(CUSTOM, id).expect("a stored name's id fits");
+        self.records
             .iter()
-            .filter_map(|e| match &e.kind {
-                TraceKind::Custom { label: l, detail } if l == label => {
-                    Some((e.time, e.node, detail.as_str()))
-                }
-                _ => None,
-            })
+            .filter(|r| r.tag == tag)
+            .map(|r| (r.time(), r.node(), self.detail(r.word)))
             .collect()
     }
 
     /// Converts the trace to JSON (the format of the committed golden traces:
     /// externally-tagged event kinds, times/nodes as bare numbers).
     pub fn to_json(&self) -> Json {
-        let events = self.events.iter().map(TraceEvent::to_json).collect();
+        let events = self.events().map(|e| e.to_json()).collect();
         Json::obj([("events", Json::Arr(events))])
     }
 
@@ -147,12 +396,26 @@ impl Trace {
     ///
     /// # Errors
     ///
-    /// Malformed per [`crate::json`]'s artifact parsing policy.
+    /// Malformed per [`crate::json`]'s artifact parsing policy, or an event
+    /// past a packing limit: more than 4 096 distinct labels and payload
+    /// types, a detail of 16 MiB or more, or tables a record cannot index.
     pub fn from_json(json: &Json) -> Result<Trace, String> {
         let mut f = Fields::of(json, "trace")?;
         let events = f.req("events", json::list(TraceEvent::from_json))?;
         f.finish()?;
-        Ok(Trace { events })
+        let mut trace = Trace::new();
+        for (i, e) in events.iter().enumerate() {
+            trace
+                .push(e.time, e.node, &e.kind)
+                .map_err(|err| format!("trace: bad \"events\": entry #{i}: {err}"))?;
+        }
+        Ok(trace)
+    }
+}
+
+impl fmt::Debug for Trace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.events()).finish()
     }
 }
 
@@ -271,12 +534,12 @@ mod tests {
         t.record(
             SimTime::from_millis(1),
             NodeId::new(0),
-            TraceKind::View { view: 1 },
+            &TraceKind::View { view: 1 },
         );
         t.record(
             SimTime::from_millis(2),
             NodeId::new(1),
-            TraceKind::Decided {
+            &TraceKind::Decided {
                 slot: 0,
                 value: Value::ONE,
             },
@@ -284,7 +547,7 @@ mod tests {
         t.record(
             SimTime::from_millis(3),
             NodeId::new(0),
-            TraceKind::View { view: 2 },
+            &TraceKind::View { view: 2 },
         );
         assert_eq!(t.len(), 3);
         assert_eq!(t.decisions().count(), 1);
@@ -301,7 +564,7 @@ mod tests {
         t.record(
             SimTime::from_millis(1),
             NodeId::new(0),
-            TraceKind::Decided {
+            &TraceKind::Decided {
                 slot: 2,
                 value: Value::new(9),
             },
@@ -309,12 +572,12 @@ mod tests {
         t.record(
             SimTime::from_millis(2),
             NodeId::new(1),
-            TraceKind::View { view: 3 },
+            &TraceKind::View { view: 3 },
         );
         t.record(
             SimTime::from_millis(3),
             NodeId::new(0),
-            TraceKind::Sent {
+            &TraceKind::Sent {
                 dst: NodeId::new(1),
                 payload_type: "demo::Vote".into(),
             },
@@ -322,7 +585,7 @@ mod tests {
         t.record(
             SimTime::from_millis(4),
             NodeId::new(1),
-            TraceKind::Delivered {
+            &TraceKind::Delivered {
                 src: NodeId::new(0),
                 payload_type: "demo::Vote".into(),
             },
@@ -330,13 +593,13 @@ mod tests {
         t.record(
             SimTime::from_millis(5),
             NodeId::new(2),
-            TraceKind::Corrupted,
+            &TraceKind::Corrupted,
         );
-        t.record(SimTime::from_millis(6), NodeId::new(3), TraceKind::Crashed);
+        t.record(SimTime::from_millis(6), NodeId::new(3), &TraceKind::Crashed);
         t.record(
             SimTime::from_millis(7),
             NodeId::new(0),
-            TraceKind::Custom {
+            &TraceKind::Custom {
                 label: "pre-prepare".into(),
                 detail: "view=0".into(),
             },
@@ -368,7 +631,7 @@ mod tests {
         t.record(
             SimTime::from_micros(u64::MAX),
             NodeId::new(u32::MAX),
-            TraceKind::Decided {
+            &TraceKind::Decided {
                 slot: u64::MAX,
                 value: Value::new(u64::MAX),
             },
@@ -376,13 +639,13 @@ mod tests {
         t.record(
             SimTime::ZERO,
             NodeId::new(0),
-            TraceKind::View { view: u64::MAX },
+            &TraceKind::View { view: u64::MAX },
         );
         for (i, s) in nasty_strings.iter().enumerate() {
             t.record(
                 SimTime::from_micros(i as u64),
                 NodeId::new(i as u32),
-                TraceKind::Sent {
+                &TraceKind::Sent {
                     dst: NodeId::new(u32::MAX - i as u32),
                     payload_type: Cow::Owned(s.clone()),
                 },
@@ -390,7 +653,7 @@ mod tests {
             t.record(
                 SimTime::from_micros(i as u64),
                 NodeId::new(i as u32),
-                TraceKind::Delivered {
+                &TraceKind::Delivered {
                     src: NodeId::new(i as u32),
                     payload_type: Cow::Owned(s.clone()),
                 },
@@ -398,7 +661,7 @@ mod tests {
             t.record(
                 SimTime::from_micros(i as u64),
                 NodeId::new(i as u32),
-                TraceKind::Custom {
+                &TraceKind::Custom {
                     label: s.clone().into(),
                     detail: nasty_strings[(i + 1) % nasty_strings.len()].clone().into(),
                 },
@@ -407,9 +670,9 @@ mod tests {
         t.record(
             SimTime::from_millis(1),
             NodeId::new(1),
-            TraceKind::Corrupted,
+            &TraceKind::Corrupted,
         );
-        t.record(SimTime::from_millis(2), NodeId::new(2), TraceKind::Crashed);
+        t.record(SimTime::from_millis(2), NodeId::new(2), &TraceKind::Crashed);
 
         let json = t.to_json();
         assert_eq!(Trace::from_json(&json).unwrap(), t);
@@ -495,7 +758,7 @@ mod tests {
             ),
         ];
         for (time, node, kind) in script {
-            t.record(time, NodeId::new(node), kind);
+            t.record(time, NodeId::new(node), &kind);
         }
 
         assert_eq!(
@@ -536,12 +799,172 @@ mod tests {
         t.record(
             SimTime::ZERO,
             NodeId::new(0),
-            TraceKind::Custom {
+            &TraceKind::Custom {
                 label: "pre-prepare".into(),
                 detail: "view=0".into(),
             },
         );
         assert_eq!(t.custom("pre-prepare").len(), 1);
         assert!(t.custom("commit").is_empty());
+    }
+
+    #[test]
+    fn accessors_read_the_records_the_events_decode_to() {
+        let mut t = Trace::new();
+        let script = [
+            (1, 0, TraceKind::Crashed),
+            (2, 1, TraceKind::View { view: 4 }),
+            (3, 2, TraceKind::Corrupted),
+            (
+                4,
+                1,
+                TraceKind::Custom {
+                    label: "commit".into(),
+                    detail: "height=0".into(),
+                },
+            ),
+            (
+                5,
+                3,
+                TraceKind::Custom {
+                    label: "commit".into(),
+                    detail: "".into(),
+                },
+            ),
+        ];
+        for (ms, node, kind) in &script {
+            t.record(SimTime::from_millis(*ms), NodeId::new(*node), kind);
+        }
+        let nodes: Vec<_> = t.excluded_nodes().collect();
+        assert_eq!(nodes, [NodeId::new(0), NodeId::new(2)]);
+        assert_eq!(
+            t.custom("commit"),
+            [
+                (SimTime::from_millis(4), NodeId::new(1), "height=0"),
+                (SimTime::from_millis(5), NodeId::new(3), ""),
+            ]
+        );
+        let decoded: Vec<_> = t.events().map(|e| (e.node.as_u32(), e.kind)).collect();
+        let scripted: Vec<_> = script.into_iter().map(|(_, n, k)| (n, k)).collect();
+        assert_eq!(decoded, scripted);
+    }
+
+    #[test]
+    fn decided_values_are_interned_within_a_window() {
+        let mut t = Trace::new();
+        // Each slot's value decided by four nodes in a row: one entry each.
+        for slot in 0..40u64 {
+            for node in 0..4 {
+                let value = Value::new(1_000 + slot);
+                t.record(
+                    SimTime::ZERO,
+                    NodeId::new(node),
+                    &TraceKind::Decided { slot, value },
+                );
+            }
+        }
+        assert_eq!(t.values.len(), 40);
+        // A value last seen more than a window ago is appended again, and
+        // still decodes to itself.
+        let old = Value::new(1_000);
+        t.record(
+            SimTime::ZERO,
+            NodeId::new(0),
+            &TraceKind::Decided {
+                slot: 0,
+                value: old,
+            },
+        );
+        assert_eq!(t.values.len(), 41);
+        assert_eq!(t.decisions().last().map(|d| d.3), Some(old));
+        assert_eq!(t.decisions().count(), 161);
+    }
+
+    #[test]
+    fn heap_bytes_counts_lengths_not_capacities() {
+        let mut t = Trace::new();
+        assert_eq!(t.heap_bytes(), 0);
+        t.record(SimTime::ZERO, NodeId::new(0), &TraceKind::View { view: 1 });
+        assert_eq!(t.heap_bytes(), 24);
+        t.record(
+            SimTime::ZERO,
+            NodeId::new(0),
+            &TraceKind::Custom {
+                label: "commit".into(),
+                detail: "view=1".into(),
+            },
+        );
+        // Two records, one borrowed name, six detail bytes.
+        let name = std::mem::size_of::<Cow<'static, str>>();
+        assert_eq!(t.heap_bytes(), 2 * 24 + name + 6);
+        // Parsed names are owned, and their text counts.
+        let parsed = Trace::from_json(&t.to_json()).unwrap();
+        assert_eq!(parsed, t);
+        assert_eq!(parsed.heap_bytes(), t.heap_bytes() + "commit".len());
+    }
+
+    #[test]
+    fn packing_limits_are_errors_at_their_edges() {
+        assert!(tag_word(CUSTOM, MAX_ID).is_ok());
+        let err = tag_word(CUSTOM, MAX_ID + 1).unwrap_err();
+        assert!(err.contains("exceeds the limit"), "{err}");
+        assert!(detail_word(0, MAX_DETAIL_LEN).is_ok());
+        let err = detail_word(0, MAX_DETAIL_LEN + 1).unwrap_err();
+        assert!(err.contains("exceeds the limit"), "{err}");
+        let end = MAX_ARENA as usize;
+        assert_eq!(
+            detail_word(end - 1, 1),
+            Ok(((MAX_ARENA - 1) << LEN_BITS) | 1)
+        );
+        assert_eq!(detail_word(end, 0), Ok(MAX_ARENA << LEN_BITS));
+        let err = detail_word(end, 1).unwrap_err();
+        assert!(err.contains("details exceed"), "{err}");
+    }
+
+    #[test]
+    fn from_json_refuses_what_a_record_cannot_hold() {
+        let event = |kind: Json| {
+            Json::obj([
+                ("time", Json::from(0u64)),
+                ("node", Json::from(0u32)),
+                ("kind", kind),
+            ])
+        };
+        let sent = |payload_type: String| {
+            event(Json::obj([(
+                "Sent",
+                Json::obj([
+                    ("dst", Json::from(1u32)),
+                    ("payload_type", Json::from(payload_type)),
+                ]),
+            )]))
+        };
+        let trace = |events: Vec<Json>| Json::obj([("events", Json::Arr(events))]);
+
+        let names: Vec<Json> = (0..=MAX_NAMES).map(|i| sent(format!("t{i}"))).collect();
+        let err = Trace::from_json(&trace(names[..MAX_NAMES].to_vec()))
+            .and_then(|_| Trace::from_json(&trace(names)))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            format!(
+                "trace: bad \"events\": entry #{MAX_NAMES}: \
+                 more than {MAX_NAMES} distinct labels and payload types"
+            )
+        );
+
+        let long = event(Json::obj([(
+            "Custom",
+            Json::obj([
+                ("label", Json::from("x")),
+                ("detail", Json::from("d".repeat(MAX_DETAIL_LEN + 1))),
+            ]),
+        )]));
+        let err = Trace::from_json(&trace(vec![sent("t".into()), long])).unwrap_err();
+        assert!(
+            err.starts_with("trace: bad \"events\": entry #1: "),
+            "{err}"
+        );
+        assert!(err.contains("exceeds the limit"), "{err}");
     }
 }

@@ -195,11 +195,7 @@ impl Validator {
         result: &RunResult,
         golden: &crate::trace::Trace,
     ) -> Result<(), SimError> {
-        for (event_idx, event) in golden.events().iter().enumerate() {
-            let crate::trace::TraceKind::Decided { slot, value } = event.kind else {
-                continue;
-            };
-            let node = event.node;
+        for (event_idx, (_, node, slot, value)) in golden.indexed_decisions() {
             let got = result
                 .decided
                 .get(node.index())
@@ -425,12 +421,12 @@ mod tests {
         golden.record(
             SimTime::from_millis(1),
             NodeId::new(0),
-            TraceKind::View { view: 1 },
+            &TraceKind::View { view: 1 },
         );
         golden.record(
             SimTime::from_millis(2),
             NodeId::new(0),
-            TraceKind::Decided {
+            &TraceKind::Decided {
                 slot: 0,
                 value: Value::new(7),
             },
@@ -438,7 +434,7 @@ mod tests {
         golden.record(
             SimTime::from_millis(3),
             NodeId::new(1),
-            TraceKind::Decided {
+            &TraceKind::Decided {
                 slot: 0,
                 value: Value::new(7),
             },

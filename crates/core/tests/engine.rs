@@ -437,7 +437,7 @@ fn every_sink_hears_each_fact_exactly_once() {
             .unwrap()
             .run();
         let seen = observer.snapshot();
-        let events = result.trace.events();
+        let events: Vec<TraceEvent> = result.trace.events().collect();
         assert!(result.decisions_completed() > 0, "{name}: nothing decided");
         assert!(
             events.iter().any(|e| e.kind == TraceKind::Crashed),

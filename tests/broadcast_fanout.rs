@@ -353,8 +353,7 @@ fn deliveries(result: &RunResult) -> Vec<(u64, u32, u32)> {
     result
         .trace
         .events()
-        .iter()
-        .filter_map(|e| match &e.kind {
+        .filter_map(|e| match e.kind {
             TraceKind::Delivered { src, .. } => Some((
                 e.time.as_micros(),
                 src.index() as u32,

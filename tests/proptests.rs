@@ -196,7 +196,7 @@ fn trace_times_are_monotone() {
             .build()
             .unwrap()
             .run();
-        let times: Vec<_> = r.trace.events().iter().map(|e| e.time).collect();
+        let times: Vec<_> = r.trace.events().map(|e| e.time).collect();
         assert!(
             times.windows(2).all(|w| w[0] <= w[1]),
             "case {case}: seed {seed} mu {mu} produced a non-monotone trace"
