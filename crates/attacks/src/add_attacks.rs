@@ -52,19 +52,12 @@ impl Adversary for AddStaticAttack {
 /// budget `f` is exhausted (so v2 terminates only after ~`f` iterations),
 /// whereas ADD+ v3 commits from its prepare certificates and sails through.
 #[derive(Debug, Clone, Default)]
-pub struct AddAdaptiveRushingAttack {
-    corruptions: usize,
-}
+pub struct AddAdaptiveRushingAttack;
 
 impl AddAdaptiveRushingAttack {
     /// Creates the attack.
     pub fn new() -> Self {
-        AddAdaptiveRushingAttack::default()
-    }
-
-    /// How many leaders were corrupted so far.
-    pub fn corruptions(&self) -> usize {
-        self.corruptions
+        AddAdaptiveRushingAttack
     }
 }
 
@@ -83,7 +76,6 @@ impl Adversary for AddAdaptiveRushingAttack {
             // The elected leader just revealed itself: corrupt it now (if
             // the budget allows) and suppress the proposal.
             if api.corrupt(msg.src()) {
-                self.corruptions += 1;
                 return Fate::Drop;
             }
         }

@@ -17,14 +17,12 @@ use bft_sim_protocols::pbft::PbftMsg;
 
 /// Makes the view-0 PBFT leader equivocate on its first proposal.
 #[derive(Debug, Clone, Default)]
-pub struct EquivocationAttack {
-    fired: bool,
-}
+pub struct EquivocationAttack;
 
 impl EquivocationAttack {
     /// Creates the attack.
     pub fn new() -> Self {
-        EquivocationAttack::default()
+        EquivocationAttack
     }
 }
 
@@ -66,7 +64,6 @@ impl Adversary for EquivocationAttack {
     ) -> Fate {
         // Silence everything the corrupted leader actually tries to send.
         if api.is_corrupted(msg.src()) {
-            self.fired = true;
             return Fate::Drop;
         }
         Fate::Deliver(proposed)

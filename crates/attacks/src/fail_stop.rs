@@ -2,14 +2,13 @@
 //!
 //! The paper simulates fail-stop nodes by "starting the system with n − f
 //! honest nodes, with the total number set to n". Our global adversary
-//! achieves the same effect — and more — by crashing a chosen set of nodes,
-//! either before the run starts or at a scheduled time.
+//! achieves the same effect by crashing a chosen set of nodes before the run
+//! starts.
 
 use bft_sim_core::adversary::{Adversary, AdversaryApi};
 use bft_sim_core::ids::NodeId;
-use bft_sim_core::time::SimDuration;
 
-/// Crashes a fixed set of nodes, optionally at a delayed point in time.
+/// Crashes a fixed set of nodes at simulation start.
 ///
 /// # Examples
 ///
@@ -23,58 +22,31 @@ use bft_sim_core::time::SimDuration;
 #[derive(Debug, Clone)]
 pub struct FailStop {
     targets: Vec<NodeId>,
-    at: Option<SimDuration>,
 }
 
 impl FailStop {
-    /// Crashes exactly `targets` at simulation start.
-    pub fn new(targets: Vec<NodeId>) -> Self {
-        FailStop { targets, at: None }
-    }
-
     /// Crashes the *last* `k` of `n` nodes at start — leaves the low ids
     /// (which round-robin protocols use as early leaders) alive, so the
     /// measured slowdown isolates the quorum-thinning effect (Fig. 7).
     pub fn last_k(n: usize, k: usize) -> Self {
         let k = k.min(n);
-        FailStop::new(((n - k)..n).map(|i| NodeId::new(i as u32)).collect())
-    }
-
-    /// Crashes the *first* `k` nodes at start — kills the first `k`
-    /// round-robin leaders, the static attack on ADD+ v1 (Fig. 8, left).
-    pub fn first_k(k: usize) -> Self {
-        FailStop::new((0..k).map(|i| NodeId::new(i as u32)).collect())
-    }
-
-    /// Delays the crash until `at` after simulation start.
-    pub fn at(mut self, at: SimDuration) -> Self {
-        self.at = Some(at);
-        self
+        FailStop {
+            targets: ((n - k)..n).map(|i| NodeId::new(i as u32)).collect(),
+        }
     }
 
     /// The nodes this attack crashes.
     pub fn targets(&self) -> &[NodeId] {
         &self.targets
     }
-
-    fn crash_all(&self, api: &mut AdversaryApi<'_>) {
-        for &node in &self.targets {
-            // Budget-checked: silently stops crashing if f is exhausted.
-            let _ = api.crash(node);
-        }
-    }
 }
 
 impl Adversary for FailStop {
     fn init(&mut self, api: &mut AdversaryApi<'_>) {
-        match self.at {
-            None => self.crash_all(api),
-            Some(at) => api.set_timer(0, at),
+        for &node in &self.targets {
+            // Budget-checked: silently stops crashing if f is exhausted.
+            let _ = api.crash(node);
         }
-    }
-
-    fn on_timer(&mut self, _tag: u64, api: &mut AdversaryApi<'_>) {
-        self.crash_all(api);
     }
 
     fn name(&self) -> &'static str {
@@ -87,11 +59,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn constructors_pick_the_right_targets() {
-        assert_eq!(
-            FailStop::first_k(2).targets(),
-            &[NodeId::new(0), NodeId::new(1)]
-        );
+    fn last_k_picks_the_right_targets() {
         assert_eq!(
             FailStop::last_k(4, 2).targets(),
             &[NodeId::new(2), NodeId::new(3)]

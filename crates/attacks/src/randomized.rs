@@ -61,29 +61,18 @@ pub struct FuzzAction {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FuzzBudget {
     /// Probability of dropping an intercepted message.
-    pub drop_prob: f64,
+    pub(crate) drop_prob: f64,
     /// Probability of delaying an intercepted message.
-    pub delay_prob: f64,
+    pub(crate) delay_prob: f64,
     /// Probability of replaying an intercepted payload to a random node.
-    pub replay_prob: f64,
+    pub(crate) replay_prob: f64,
     /// Upper bound (exclusive is fine at 0) on the sampled extra delay.
-    pub max_extra_delay_micros: u64,
+    pub(crate) max_extra_delay_micros: u64,
     /// Hard cap on actions per run; `0` disables the adversary entirely.
-    pub max_actions: u64,
+    pub(crate) max_actions: u64,
 }
 
 impl FuzzBudget {
-    /// A benign budget: the adversary touches nothing.
-    pub fn benign() -> Self {
-        FuzzBudget {
-            drop_prob: 0.0,
-            delay_prob: 0.0,
-            replay_prob: 0.0,
-            max_extra_delay_micros: 0,
-            max_actions: 0,
-        }
-    }
-
     /// A budget scaled by `intensity` in `[0, 1]`: at `1.0` roughly 6% of
     /// messages are dropped, 10% delayed (by up to four λ at λ = 1 s) and 4%
     /// replayed, capped at `max_actions`.
@@ -377,7 +366,10 @@ mod tests {
 
     #[test]
     fn benign_budget_touches_nothing() {
-        let (r, actions) = run_with(RandomizedAdversary::generate(9, FuzzBudget::benign()), 5);
+        let (r, actions) = run_with(
+            RandomizedAdversary::generate(9, FuzzBudget::with_intensity(1.0, 0)),
+            5,
+        );
         assert!(actions.is_empty());
         assert!(r.is_clean(), "{:?}", r.safety_violation);
         assert_eq!(r.dropped_messages, 0);

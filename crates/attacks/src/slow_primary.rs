@@ -28,11 +28,6 @@ impl SlowPrimary {
     pub fn new(target: NodeId, extra: SimDuration) -> Self {
         SlowPrimary { target, extra }
     }
-
-    /// The targeted node.
-    pub fn target(&self) -> NodeId {
-        self.target
-    }
 }
 
 impl Adversary for SlowPrimary {

@@ -30,7 +30,7 @@ pub struct SyncViolationAttack {
     /// Extra delay added to cross-half messages. Anything larger than the
     /// victims' 2Δ commit window breaks synchrony; `None` mounts only the
     /// equivocation (which the protocol survives).
-    pub cross_delay: Option<SimDuration>,
+    cross_delay: Option<SimDuration>,
 }
 
 impl SyncViolationAttack {
@@ -39,12 +39,6 @@ impl SyncViolationAttack {
         SyncViolationAttack {
             cross_delay: Some(cross_delay),
         }
-    }
-
-    /// Equivocation only, delivery within synchrony: the protocol detects
-    /// the conflict before any commit window closes.
-    pub fn equivocation_only() -> Self {
-        SyncViolationAttack { cross_delay: None }
     }
 
     fn half_of(node: NodeId, n: usize) -> bool {
@@ -153,7 +147,7 @@ mod tests {
         // conflicting evidence reaches both halves inside their 2Δ windows,
         // nobody commits the poisoned view, and the blame quorum replaces
         // the leader.
-        let r = run(SyncViolationAttack::equivocation_only());
+        let r = run(SyncViolationAttack { cross_delay: None });
         assert!(r.safety_violation.is_none(), "{:?}", r.safety_violation);
         assert!(!r.timed_out, "the view change must restore liveness");
         assert_eq!(r.decisions_completed(), 1);

@@ -16,34 +16,34 @@ pub struct BaselineConfig {
     /// Fault budget (for quorum sizes of the hosted protocol).
     pub f: usize,
     /// RNG seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Protocol timeout parameter λ.
-    pub lambda: SimDuration,
+    pub(crate) lambda: SimDuration,
     /// Decisions to run for.
-    pub target_decisions: u64,
+    pub(crate) target_decisions: u64,
     /// Simulated-time cap.
-    pub time_cap: SimDuration,
+    pub(crate) time_cap: SimDuration,
     /// End-to-end message-delay distribution (ms); matched to the
     /// event-level simulator so both produce comparable protocol behaviour.
-    pub delay: Dist,
+    pub(crate) delay: Dist,
     /// Bytes of an application-level protocol message on the wire.
-    pub message_bytes: usize,
+    pub(crate) message_bytes: usize,
     /// Link MTU: messages fragment into `ceil(message_bytes / mtu)` packets.
-    pub mtu: usize,
+    pub(crate) mtu: usize,
     /// Modelled per-message signature-verification time (µs of simulated
     /// CPU, serialising each node's packet processing).
-    pub crypto_us: u64,
+    pub(crate) crypto_us: u64,
     /// Modelled memory budget in bytes; exceeding it aborts the run with
     /// [`BaselineError::OutOfMemory`](crate::sim::BaselineError::OutOfMemory),
     /// reproducing BFTSim's behaviour beyond 32 nodes.
-    pub memory_budget: u64,
+    pub(crate) memory_budget: u64,
     /// Modelled per-connection buffer bytes (each of the `n²` ordered node
     /// pairs holds one).
-    pub per_connection_buffer: u64,
+    pub(crate) per_connection_buffer: u64,
     /// Number of declarative (P2-style) rules interpreted per event. BFTSim
     /// expresses protocol logic in the P2 language, whose interpreter
     /// evaluates its rule table on every event; this models that cost.
-    pub p2_rules: usize,
+    pub(crate) p2_rules: usize,
 }
 
 impl BaselineConfig {
@@ -89,12 +89,12 @@ impl BaselineConfig {
     }
 
     /// Packets per protocol message under the configured MTU.
-    pub fn packets_per_message(&self) -> usize {
+    pub(crate) fn packets_per_message(&self) -> usize {
         self.message_bytes.div_ceil(self.mtu).max(1)
     }
 
     /// The modelled steady-state memory footprint for `n` nodes.
-    pub fn modeled_base_bytes(&self) -> u64 {
+    pub(crate) fn modeled_base_bytes(&self) -> u64 {
         (self.n as u64) * (self.n as u64) * self.per_connection_buffer
     }
 }

@@ -34,11 +34,8 @@
 //! assert_eq!(result.decisions_completed(), 1);
 //! ```
 
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
-pub mod config;
-pub mod sim;
+pub(crate) mod config;
+pub(crate) mod sim;
 
 pub use config::BaselineConfig;
 pub use sim::{BaselineError, BaselineResult, BaselineSim};

@@ -51,8 +51,6 @@ impl std::error::Error for BaselineError {}
 /// Result of a completed baseline run.
 #[derive(Debug)]
 pub struct BaselineResult {
-    /// Simulated end time.
-    pub end_time: SimTime,
     /// Whether the time cap was hit before the decision target.
     pub timed_out: bool,
     /// Events processed (packet hops + reassemblies + CPU + timers).
@@ -61,8 +59,6 @@ pub struct BaselineResult {
     pub packets_sent: u64,
     /// Protocol messages transmitted.
     pub messages_sent: u64,
-    /// Peak modelled memory footprint in bytes.
-    pub peak_modeled_bytes: u64,
     /// Per-node decided `(time, value)` sequences (for cross-validation
     /// against the event-level engine).
     pub decided: Vec<Vec<(SimTime, Value)>>,
@@ -155,7 +151,6 @@ pub struct BaselineSim {
     packets: u64,
     messages: u64,
     live_packet_bytes: u64,
-    peak_bytes: u64,
 }
 
 impl core::fmt::Debug for BaselineSim {
@@ -186,7 +181,7 @@ impl BaselineSim {
         }
         let nodes: Vec<Box<dyn Protocol>> =
             NodeId::all(cfg.n).map(|id| factory.create(id)).collect();
-        let dispatcher = Dispatcher::new(cfg.n, cfg.f, cfg.lambda, cfg.seed ^ 0xBA5E);
+        let dispatcher = Dispatcher::new(cfg.n, cfg.f, cfg.lambda);
         Ok(BaselineSim {
             rng: SmallRng::seed_from_u64(cfg.seed),
             dispatcher,
@@ -203,7 +198,6 @@ impl BaselineSim {
             packets: 0,
             messages: 0,
             live_packet_bytes: 0,
-            peak_bytes: cfg.modeled_base_bytes(),
             cfg,
         })
     }
@@ -221,7 +215,6 @@ impl BaselineSim {
             self.live_packet_bytes = self.live_packet_bytes.saturating_sub((-delta) as u64);
         }
         let total = self.cfg.modeled_base_bytes() + self.live_packet_bytes;
-        self.peak_bytes = self.peak_bytes.max(total);
         if total > self.cfg.memory_budget {
             return Err(BaselineError::OutOfMemory {
                 required: total,
@@ -427,12 +420,10 @@ impl BaselineSim {
         }
 
         Ok(BaselineResult {
-            end_time: self.clock,
             timed_out,
             events_processed: self.events,
             packets_sent: self.packets,
             messages_sent: self.messages,
-            peak_modeled_bytes: self.peak_bytes,
             decided: self.decided,
         })
     }

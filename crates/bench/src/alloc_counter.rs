@@ -62,6 +62,6 @@ pub fn allocations() -> u64 {
 }
 
 /// Whether the counting allocator is installed and counting.
-pub fn is_counting() -> bool {
+pub(crate) fn is_counting() -> bool {
     allocations() > 0
 }

@@ -30,7 +30,7 @@ use crate::alloc_counter;
 /// thousand times the events of one at n = 16, so the caps keep the full
 /// matrix runnable in CI while still exercising both protocols end to end
 /// at n = 1024.
-pub fn cases() -> Vec<(ProtocolKind, usize, u64)> {
+pub(crate) fn cases() -> Vec<(ProtocolKind, usize, u64)> {
     let mut out = Vec::new();
     for kind in [ProtocolKind::Pbft, ProtocolKind::HotStuffNs] {
         for (n, cap) in [(16usize, u64::MAX), (64, u64::MAX), (256, 3), (1024, 2)] {
@@ -48,9 +48,9 @@ pub struct CaseResult {
     /// System size.
     pub n: usize,
     /// RNG seed the case ran with.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Decisions reached (the workload target).
-    pub decisions: u64,
+    pub(crate) decisions: u64,
     /// Events the engine processed.
     pub events_processed: u64,
     /// Peak event-queue depth during the run (live events only).
@@ -60,10 +60,10 @@ pub struct CaseResult {
     pub peak_resident_entries: usize,
     /// Cancelled entries the scheduler popped and discarded internally (the
     /// cost of lazy deletion).
-    pub tombstones_popped: u64,
+    pub(crate) tombstones_popped: u64,
     /// Broadcast actions executed — each is exactly one payload allocation
     /// on the zero-clone hot path.
-    pub broadcasts: u64,
+    pub(crate) broadcasts: u64,
     /// Events the run's trace holds.
     pub trace_events: usize,
     /// Bytes the run's trace holds ([`Trace::heap_bytes`], from lengths, so
@@ -73,7 +73,7 @@ pub struct CaseResult {
     pub trace_bytes: usize,
     /// Global allocations during the run, when the counting allocator is
     /// installed (see [`crate::alloc_counter`]); `None` otherwise.
-    pub allocations: Option<u64>,
+    pub(crate) allocations: Option<u64>,
     /// `allocations / broadcasts` — the regression tripwire for the
     /// zero-clone hot path. `None` without the counting allocator.
     pub allocs_per_broadcast: Option<f64>,
@@ -139,30 +139,30 @@ pub fn run_all(seed: u64, decisions: u64) -> Vec<CaseResult> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct BandwidthContention {
     /// Protocol short name.
-    pub protocol: &'static str,
+    pub(crate) protocol: &'static str,
     /// System size.
-    pub n: usize,
+    pub(crate) n: usize,
     /// RNG seed both arms ran with.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Decisions reached per arm (the workload target).
-    pub decisions: u64,
+    pub(crate) decisions: u64,
     /// Per-link capacity of the contended arm (bytes per second).
-    pub bandwidth_bytes_per_sec: u64,
+    pub(crate) bandwidth_bytes_per_sec: u64,
     /// Events processed by the unlimited arm.
-    pub unlimited_events: u64,
+    pub(crate) unlimited_events: u64,
     /// Count-weighted mean delivery latency of the unlimited arm (µs).
-    pub unlimited_mean_delivery_micros: f64,
+    pub(crate) unlimited_mean_delivery_micros: f64,
     /// Events processed by the contended arm.
-    pub contended_events: u64,
+    pub(crate) contended_events: u64,
     /// Count-weighted mean delivery latency of the contended arm (µs).
-    pub contended_mean_delivery_micros: f64,
+    pub(crate) contended_mean_delivery_micros: f64,
     /// Messages that waited for a busy link in the contended arm.
-    pub contended_queue_waits: u64,
+    pub(crate) contended_queue_waits: u64,
     /// Mean time those messages waited (µs).
-    pub contended_mean_wait_micros: f64,
+    pub(crate) contended_mean_wait_micros: f64,
     /// `contended_mean_delivery / unlimited_mean_delivery` — how much the
     /// narrow links stretch end-to-end latency.
-    pub latency_amplification: f64,
+    pub(crate) latency_amplification: f64,
 }
 
 /// One arm of the bandwidth-contention workload. Returns

@@ -10,9 +10,6 @@
 //! allocation counter behind its allocations-per-broadcast metric
 //! ([`alloc_counter`]).
 
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
 pub mod alloc_counter;
 pub mod baseline;
 

@@ -84,9 +84,9 @@ impl Default for CampaignRunSpec {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CampaignStatusSpec {
     /// The journal file to replay.
-    pub journal: String,
+    pub(crate) journal: String,
     /// Print the status as a JSON object instead of one line of text.
-    pub json: bool,
+    pub(crate) json: bool,
 }
 
 /// Parameters of a `bft-sim campaign merge` invocation.
@@ -171,7 +171,7 @@ fn unit_scenario(manifest: &Manifest, unit: &Unit<'_>) -> Result<ScenarioSpec, C
 /// The default checkpoint path for a manifest: the manifest path with its
 /// `.json` suffix swapped for `.checkpoint.json`, shard-qualified when the
 /// run is sharded so concurrent shards never race on one file.
-pub fn default_checkpoint_path(manifest_path: &str, shard: (u32, u32)) -> String {
+pub(crate) fn default_checkpoint_path(manifest_path: &str, shard: (u32, u32)) -> String {
     let base = manifest_path.strip_suffix(".json").unwrap_or(manifest_path);
     if shard.1 > 1 {
         format!("{base}.shard{}of{}.checkpoint.json", shard.0, shard.1)
@@ -460,7 +460,7 @@ pub fn exec_campaign_status(path: &str) -> Result<Json, CliError> {
 }
 
 /// Prints a status ([`exec_campaign_status`]) as JSON or as one line.
-pub fn emit_status(status: &Json, json: bool) {
+pub(crate) fn emit_status(status: &Json, json: bool) {
     if json {
         println!("{}", status.dump_pretty());
         return;
@@ -487,7 +487,11 @@ pub fn emit_status(status: &Json, json: bool) {
 
 /// Prints a final report (JSON or text summary), optionally writes it to a
 /// file, and maps violated/panicked units to the violation exit code.
-pub fn emit_report(report: &Json, json: bool, report_path: Option<&str>) -> Result<(), CliError> {
+pub(crate) fn emit_report(
+    report: &Json,
+    json: bool,
+    report_path: Option<&str>,
+) -> Result<(), CliError> {
     let text = report.dump_pretty();
     if let Some(path) = report_path {
         std::fs::write(path, &text)

@@ -34,14 +34,12 @@
 //! | 4    | artifact error — an unreadable or malformed repro, manifest, or checkpoint file, or a repro that no longer reproduces |
 //! | 101  | the process itself panicked (Rust's default panic exit) |
 
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
 pub mod campaign;
 
+pub(crate) use campaign::{emit_report, emit_status, CampaignStatusSpec};
 pub use campaign::{
-    default_checkpoint_path, emit_report, emit_status, exec_campaign_merge, exec_campaign_run,
-    exec_campaign_status, load_manifest, CampaignMergeSpec, CampaignRunSpec, CampaignStatusSpec,
+    exec_campaign_merge, exec_campaign_run, exec_campaign_status, load_manifest, CampaignMergeSpec,
+    CampaignRunSpec,
 };
 
 use bft_sim_core::buggify::FaultPreset;
@@ -96,27 +94,27 @@ pub enum Command {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSpec {
     /// Protocol short name (ignored by `compare`).
-    pub protocol: String,
+    pub(crate) protocol: String,
     /// Number of nodes.
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Timeout parameter λ in ms.
-    pub lambda_ms: f64,
+    pub(crate) lambda_ms: f64,
     /// Mean network delay (ms).
-    pub delay_mu: f64,
+    pub(crate) delay_mu: f64,
     /// Network delay standard deviation (ms).
-    pub delay_sigma: f64,
+    pub(crate) delay_sigma: f64,
     /// Repetitions.
-    pub reps: usize,
+    pub(crate) reps: usize,
     /// Base RNG seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Attack: `none`, `failstop:K`, `partition:START_MS:END_MS`,
     /// `add-static:K`, `add-adaptive`.
-    pub attack: String,
+    pub(crate) attack: String,
     /// Emit JSON instead of a table.
-    pub json: bool,
+    pub(crate) json: bool,
     /// Computation-cost model for throughput estimation:
     /// `none`, `ed25519`, `rsa2048` or `mac`.
-    pub cost: String,
+    pub(crate) cost: String,
 }
 
 impl RunSpec {
@@ -240,13 +238,13 @@ impl Default for FuzzSpec {
 pub struct TraceSpec {
     /// A protocol short name (baseline scenario) or a path to a
     /// `ScenarioSpec` JSON file (as embedded in repro files).
-    pub scenario: String,
+    pub(crate) scenario: String,
     /// Overrides the scenario's run seed.
-    pub seed: Option<u64>,
+    pub(crate) seed: Option<u64>,
     /// Ring capacity for the recent-event dump.
-    pub last_k: usize,
+    pub(crate) last_k: usize,
     /// Emit JSON instead of tables.
-    pub json: bool,
+    pub(crate) json: bool,
 }
 
 impl Default for TraceSpec {
@@ -289,7 +287,7 @@ pub struct CliError {
 
 impl CliError {
     /// A usage or parse error — bad flags, malformed config file. Exit 2.
-    pub fn usage(message: impl Into<String>) -> CliError {
+    pub(crate) fn usage(message: impl Into<String>) -> CliError {
         CliError {
             message: message.into(),
             code: 2,
@@ -297,7 +295,7 @@ impl CliError {
     }
 
     /// A runtime failure — simulation error, I/O error. Exit 1.
-    pub fn runtime(message: impl Into<String>) -> CliError {
+    pub(crate) fn runtime(message: impl Into<String>) -> CliError {
         CliError {
             message: message.into(),
             code: 1,
@@ -305,7 +303,7 @@ impl CliError {
     }
 
     /// A fuzz sweep that found oracle violations or panicked runs. Exit 3.
-    pub fn violation(message: impl Into<String>) -> CliError {
+    pub(crate) fn violation(message: impl Into<String>) -> CliError {
         CliError {
             message: message.into(),
             code: 3,
@@ -314,7 +312,7 @@ impl CliError {
 
     /// An artifact error — an unreadable or malformed repro, manifest, or
     /// checkpoint file, or a repro that no longer reproduces. Exit 4.
-    pub fn repro(message: impl Into<String>) -> CliError {
+    pub(crate) fn repro(message: impl Into<String>) -> CliError {
         CliError {
             message: message.into(),
             code: 4,
@@ -331,7 +329,7 @@ impl core::fmt::Display for CliError {
 impl std::error::Error for CliError {}
 
 /// Parses the attack flag syntax.
-pub fn parse_attack(s: &str) -> Result<AttackSpec, CliError> {
+pub(crate) fn parse_attack(s: &str) -> Result<AttackSpec, CliError> {
     let parts: Vec<&str> = s.split(':').collect();
     match parts.as_slice() {
         ["none"] => Ok(AttackSpec::None),
@@ -960,30 +958,30 @@ fn parse_protocol_list(s: &str) -> Result<Vec<ProtocolKind>, CliError> {
 /// One protocol's aggregated results, as printed / serialised by `run` and
 /// `compare`.
 #[derive(Debug)]
-pub struct Report {
+pub(crate) struct Report {
     /// Protocol short name.
-    pub protocol: String,
+    pub(crate) protocol: String,
     /// Mean latency (s).
-    pub latency_mean_s: f64,
+    pub(crate) latency_mean_s: f64,
     /// Latency standard deviation (s).
-    pub latency_sd_s: f64,
+    pub(crate) latency_sd_s: f64,
     /// Mean messages per decision.
-    pub messages_mean: f64,
+    pub(crate) messages_mean: f64,
     /// Message standard deviation.
-    pub messages_sd: f64,
+    pub(crate) messages_sd: f64,
     /// Fraction of repetitions that timed out.
-    pub timeout_rate: f64,
+    pub(crate) timeout_rate: f64,
     /// Repetitions run.
-    pub reps: usize,
+    pub(crate) reps: usize,
     /// Estimated sustainable decisions/second under the chosen cost model
     /// (`None` when `--cost none`; omitted from JSON output in that case).
-    pub est_max_decisions_per_sec: Option<f64>,
+    pub(crate) est_max_decisions_per_sec: Option<f64>,
 }
 
 impl Report {
     /// Serialises the report as a JSON object. `est_max_decisions_per_sec`
     /// is omitted when absent.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let mut pairs = vec![
             ("protocol".to_string(), Json::from(self.protocol.as_str())),
             (
@@ -1009,7 +1007,7 @@ impl Report {
 ///
 /// Returns [`CliError`] for unknown attacks or if any repetition reports a
 /// safety violation.
-pub fn run_one(kind: ProtocolKind, spec: &RunSpec) -> Result<Report, CliError> {
+pub(crate) fn run_one(kind: ProtocolKind, spec: &RunSpec) -> Result<Report, CliError> {
     use bft_simulator::experiments::cost::CostModel;
     let cost_model = match spec.cost.as_str() {
         "none" => None,

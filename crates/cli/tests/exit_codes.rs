@@ -97,6 +97,7 @@ fn usage_errors_exit_two() {
         // A partition that resolves before it starts died in
         // `PartitionPlan::new`'s assert (101).
         &["run", "--protocol", "pbft", "--attack", "partition:10:5"],
+        &["run", "--protocol", "pbft", "--cost", "bogus"],
     ];
     for args in cases {
         let out = bft_sim(args);
@@ -153,6 +154,36 @@ fn flags_override_the_config_file_in_either_order() {
     assert!(report.contains(r#""reps": 3"#), "{report}");
     assert_code(&["run", "--config", config, "--config", config], 2);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `run --cost` reaches `experiments::cost`: a cost model adds a positive
+/// throughput estimate to the JSON report, `none` leaves the field out.
+#[test]
+fn run_cost_estimates_throughput() {
+    let report = |cost: &str| {
+        let out = bft_sim(&[
+            "run",
+            "--protocol",
+            "pbft",
+            "--nodes",
+            "4",
+            "--reps",
+            "1",
+            "--cost",
+            cost,
+            "--json",
+        ]);
+        assert_eq!(out.status.code(), Some(0), "--cost {cost}");
+        let json = bft_sim_core::json::Json::parse(&String::from_utf8_lossy(&out.stdout))
+            .expect("report is valid JSON");
+        json.as_arr().expect("one report per protocol")[0].clone()
+    };
+    let estimate = report("ed25519")
+        .get("est_max_decisions_per_sec")
+        .and_then(|t| t.as_f64())
+        .expect("--cost ed25519 reports an estimate");
+    assert!(estimate > 0.0, "{estimate}");
+    assert!(report("none").get("est_max_decisions_per_sec").is_none());
 }
 
 #[test]

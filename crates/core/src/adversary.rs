@@ -10,8 +10,6 @@
 
 use std::sync::Arc;
 
-use rand::rngs::SmallRng;
-
 use crate::ids::{NodeId, NodeSet};
 use crate::message::Message;
 use crate::payload::Payload;
@@ -53,24 +51,19 @@ pub struct AdversaryApi<'a> {
     now: SimTime,
     n: usize,
     f: usize,
-    lambda: SimDuration,
     corrupted: &'a NodeSet,
     crashed: &'a NodeSet,
     budget_left: usize,
-    rng: &'a mut SmallRng,
     actions: &'a mut Vec<AdvAction>,
 }
 
 impl<'a> AdversaryApi<'a> {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         now: SimTime,
         n: usize,
         f: usize,
-        lambda: SimDuration,
         corrupted: &'a NodeSet,
         crashed: &'a NodeSet,
-        rng: &'a mut SmallRng,
         actions: &'a mut Vec<AdvAction>,
     ) -> Self {
         let budget_left = f.saturating_sub(corrupted.len());
@@ -78,11 +71,9 @@ impl<'a> AdversaryApi<'a> {
             now,
             n,
             f,
-            lambda,
             corrupted,
             crashed,
             budget_left,
-            rng,
             actions,
         }
     }
@@ -102,35 +93,9 @@ impl<'a> AdversaryApi<'a> {
         self.f
     }
 
-    /// The protocols' configured timeout parameter λ — an adversary that
-    /// knows the victim's configuration can time its attack.
-    pub fn lambda(&self) -> SimDuration {
-        self.lambda
-    }
-
-    /// Nodes corrupted so far (iteration is in ascending node order).
-    pub fn corrupted(&self) -> &NodeSet {
-        self.corrupted
-    }
-
     /// Whether `node` is currently corrupted.
     pub fn is_corrupted(&self, node: NodeId) -> bool {
         self.corrupted.contains(node)
-    }
-
-    /// Nodes crashed (fail-stopped) so far (ascending iteration order).
-    pub fn crashed(&self) -> &NodeSet {
-        self.crashed
-    }
-
-    /// How many more nodes may still be corrupted.
-    pub fn remaining_budget(&self) -> usize {
-        self.budget_left
-    }
-
-    /// The run RNG (the adversary's randomness is part of the seeded run).
-    pub fn rng(&mut self) -> &mut SmallRng {
-        self.rng
     }
 
     /// Adaptively corrupts `node`, counting against the fault budget.
@@ -281,25 +246,14 @@ impl Adversary for NullAdversary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn corruption_budget_is_enforced() {
         let corrupted = NodeSet::new();
         let crashed = NodeSet::new();
-        let mut rng = SmallRng::seed_from_u64(0);
         let mut actions = Vec::new();
-        let mut api = AdversaryApi::new(
-            SimTime::ZERO,
-            4,
-            1,
-            SimDuration::from_millis(1000.0),
-            &corrupted,
-            &crashed,
-            &mut rng,
-            &mut actions,
-        );
-        assert_eq!(api.remaining_budget(), 1);
+        let mut api = AdversaryApi::new(SimTime::ZERO, 4, 1, &corrupted, &crashed, &mut actions);
+        assert_eq!(api.budget_left, 1);
         assert!(api.corrupt(NodeId::new(0)));
         assert!(!api.corrupt(NodeId::new(1)), "budget exhausted");
         assert_eq!(actions.len(), 1);
@@ -309,19 +263,9 @@ mod tests {
     fn recorrupting_is_free() {
         let corrupted: NodeSet = [NodeId::new(2)].into_iter().collect();
         let crashed = NodeSet::new();
-        let mut rng = SmallRng::seed_from_u64(0);
         let mut actions = Vec::new();
-        let mut api = AdversaryApi::new(
-            SimTime::ZERO,
-            4,
-            1,
-            SimDuration::ZERO,
-            &corrupted,
-            &crashed,
-            &mut rng,
-            &mut actions,
-        );
-        assert_eq!(api.remaining_budget(), 0);
+        let mut api = AdversaryApi::new(SimTime::ZERO, 4, 1, &corrupted, &crashed, &mut actions);
+        assert_eq!(api.budget_left, 0);
         assert!(api.corrupt(NodeId::new(2)), "already corrupted: no-op ok");
         assert!(actions.is_empty());
     }
@@ -330,18 +274,8 @@ mod tests {
     fn crash_shares_the_budget() {
         let corrupted = NodeSet::new();
         let crashed = NodeSet::new();
-        let mut rng = SmallRng::seed_from_u64(0);
         let mut actions = Vec::new();
-        let mut api = AdversaryApi::new(
-            SimTime::ZERO,
-            7,
-            2,
-            SimDuration::ZERO,
-            &corrupted,
-            &crashed,
-            &mut rng,
-            &mut actions,
-        );
+        let mut api = AdversaryApi::new(SimTime::ZERO, 7, 2, &corrupted, &crashed, &mut actions);
         assert!(api.crash(NodeId::new(0)));
         assert!(api.corrupt(NodeId::new(1)));
         assert!(!api.crash(NodeId::new(2)));
@@ -351,18 +285,8 @@ mod tests {
     fn null_adversary_delivers() {
         let corrupted = NodeSet::new();
         let crashed = NodeSet::new();
-        let mut rng = SmallRng::seed_from_u64(0);
         let mut actions = Vec::new();
-        let mut api = AdversaryApi::new(
-            SimTime::ZERO,
-            4,
-            1,
-            SimDuration::ZERO,
-            &corrupted,
-            &crashed,
-            &mut rng,
-            &mut actions,
-        );
+        let mut api = AdversaryApi::new(SimTime::ZERO, 4, 1, &corrupted, &crashed, &mut actions);
         let mut adv = NullAdversary::new();
         let mut msg = Message::new(
             NodeId::new(0),

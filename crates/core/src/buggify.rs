@@ -138,32 +138,32 @@ impl FaultStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultConfig {
     /// Permille chance an armed timer is skewed.
-    pub timer_skew_permille: u32,
+    pub(crate) timer_skew_permille: u32,
     /// Minimum skew factor, permille.
-    pub skew_min_permille: u64,
+    pub(crate) skew_min_permille: u64,
     /// Maximum skew factor, permille (exclusive).
-    pub skew_max_permille: u64,
+    pub(crate) skew_max_permille: u64,
     /// Permille chance a wire message is duplicated.
-    pub duplicate_permille: u32,
+    pub(crate) duplicate_permille: u32,
     /// Maximum duplicate delay, microseconds (exclusive).
-    pub duplicate_max_micros: u64,
+    pub(crate) duplicate_max_micros: u64,
     /// Permille chance a reorder burst starts at a wire message.
-    pub reorder_permille: u32,
+    pub(crate) reorder_permille: u32,
     /// Messages per reorder burst (the trigger included).
-    pub reorder_burst: u32,
+    pub(crate) reorder_burst: u32,
     /// Maximum extra reorder delay, microseconds (exclusive).
-    pub reorder_max_micros: u64,
+    pub(crate) reorder_max_micros: u64,
     /// Permille chance a victim-bound wire message is dropped.
-    pub drop_permille: u32,
+    pub(crate) drop_permille: u32,
     /// Permille chance a dispatch's action batch is torn.
-    pub torn_permille: u32,
+    pub(crate) torn_permille: u32,
     /// Hard cap on applied faults per run; 0 disables the catalog.
-    pub max_faults: u64,
+    pub(crate) max_faults: u64,
 }
 
 impl FaultConfig {
     /// The all-zero config: no site ever fires.
-    pub fn calm() -> Self {
+    pub(crate) fn calm() -> Self {
         FaultConfig {
             timer_skew_permille: 0,
             skew_min_permille: 0,
@@ -194,10 +194,6 @@ pub enum FaultPreset {
 }
 
 impl FaultPreset {
-    /// Every preset, calm first.
-    pub const ALL: [FaultPreset; 3] =
-        [FaultPreset::Calm, FaultPreset::Moderate, FaultPreset::Chaos];
-
     /// The stable name used in CLI flags and repro files.
     pub fn name(self) -> &'static str {
         match self {
@@ -269,7 +265,7 @@ impl FaultPreset {
 
 /// What the injector did to one wire transmission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireFault {
+pub(crate) enum WireFault {
     /// Untouched.
     None,
     /// Drop the message.
@@ -420,7 +416,7 @@ impl FaultInjector {
     /// Visits the wire site for a message addressed to `dst` and returns
     /// the fault to apply, if any. Called by the engine on every routed
     /// transmission, in send order.
-    pub fn on_wire(&mut self, dst: NodeId) -> WireFault {
+    pub(crate) fn on_wire(&mut self, dst: NodeId) -> WireFault {
         let index = self.wire_index;
         self.wire_index += 1;
         let kind = match &mut self.mode {
@@ -488,7 +484,7 @@ impl FaultInjector {
 
     /// Visits the timer site for an armed delay and returns the (possibly
     /// skewed) delay to use. Called on every `SetTimer`, in arming order.
-    pub fn on_timer(&mut self, delay: SimDuration) -> SimDuration {
+    pub(crate) fn on_timer(&mut self, delay: SimDuration) -> SimDuration {
         let index = self.timer_index;
         self.timer_index += 1;
         let kind = match &mut self.mode {
@@ -517,7 +513,7 @@ impl FaultInjector {
     /// Visits the dispatch site for a node that buffered `len` actions and
     /// returns how many to keep, if the batch is torn. Called after every
     /// protocol handler, in dispatch order.
-    pub fn on_dispatch(&mut self, len: usize) -> Option<usize> {
+    pub(crate) fn on_dispatch(&mut self, len: usize) -> Option<usize> {
         let index = self.dispatch_index;
         self.dispatch_index += 1;
         let kind = match &mut self.mode {
@@ -766,7 +762,7 @@ mod tests {
 
     #[test]
     fn preset_names_round_trip() {
-        for p in FaultPreset::ALL {
+        for p in [FaultPreset::Calm, FaultPreset::Moderate, FaultPreset::Chaos] {
             assert_eq!(FaultPreset::parse(p.name()), Ok(p));
         }
         assert!(FaultPreset::parse("mayhem").is_err());

@@ -42,13 +42,13 @@ use crate::metrics::Summary;
 use crate::obs::Histogram;
 
 /// Format tag of a campaign manifest document.
-pub const MANIFEST_FORMAT: &str = "bft-sim-campaign-v1";
+pub(crate) const MANIFEST_FORMAT: &str = "bft-sim-campaign-v1";
 
 /// Format tag on the header line of a campaign journal.
-pub const JOURNAL_FORMAT: &str = "bft-sim-campaign-journal-v1";
+pub(crate) const JOURNAL_FORMAT: &str = "bft-sim-campaign-journal-v1";
 
 /// Format tag of a campaign final report document.
-pub const REPORT_FORMAT: &str = "bft-sim-campaign-report-v1";
+pub(crate) const REPORT_FORMAT: &str = "bft-sim-campaign-report-v1";
 
 /// A campaign parameter grid. Axis entries the executor interprets
 /// (protocol names, delay names, net presets) are kept as validated strings
@@ -81,9 +81,9 @@ pub struct Manifest {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Unit<'a> {
     /// Position in the campaign's deterministic unit order.
-    pub index: usize,
+    pub(crate) index: usize,
     /// The grid cell this unit belongs to (`index / seeds-per-cell`).
-    pub cell: usize,
+    pub(crate) cell: usize,
     /// Protocol name.
     pub protocol: &'a str,
     /// Node count.
@@ -148,12 +148,12 @@ impl Manifest {
     }
 
     /// Number of seeds per grid cell.
-    pub fn seeds_per_cell(&self) -> usize {
+    pub(crate) fn seeds_per_cell(&self) -> usize {
         (self.seeds.1 - self.seeds.0) as usize
     }
 
     /// Number of grid cells (parameter combinations excluding the seed).
-    pub fn total_cells(&self) -> usize {
+    pub(crate) fn total_cells(&self) -> usize {
         self.protocols.len()
             * self.nodes.len()
             * self.delays.len()
@@ -332,7 +332,7 @@ pub struct UnitRecord {
 
 impl UnitRecord {
     /// Serialise the record.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let mut pairs = vec![
             ("index".to_string(), Json::from(self.index)),
             (
@@ -378,7 +378,7 @@ impl UnitRecord {
     ///
     /// Malformed per [`crate::json`]'s artifact parsing policy, or the
     /// outcome and its fields disagree.
-    pub fn from_json(json: &Json) -> Result<UnitRecord, String> {
+    pub(crate) fn from_json(json: &Json) -> Result<UnitRecord, String> {
         let mut f = Fields::of(json, "unit record")?;
         let index: usize = f.req("index", json::int)?;
         let outcome = f.req("outcome", json::string)?;
@@ -526,7 +526,7 @@ impl Batch {
     }
 
     /// Parses a batch line. The histograms must pass
-    /// [`Histogram::from_json`] consistency validation.
+    /// `Histogram::from_json` consistency validation.
     ///
     /// # Errors
     ///

@@ -113,7 +113,7 @@ impl RunConfig {
     /// Returns [`SimError::InvalidConfig`] if `n` is zero or not
     /// representable as a `u32` node id, `f >= n`, no decisions are
     /// requested, or λ is zero.
-    pub fn validate(&self) -> Result<(), SimError> {
+    pub(crate) fn validate(&self) -> Result<(), SimError> {
         if self.n == 0 {
             return Err(SimError::invalid_config("n must be positive"));
         }

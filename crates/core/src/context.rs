@@ -5,8 +5,6 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use rand::rngs::SmallRng;
-
 use crate::ids::{NodeId, TimerId};
 use crate::payload::{Payload, PayloadCell};
 use crate::smallstr::SmallStr;
@@ -59,20 +57,17 @@ pub struct Context<'a> {
     n: usize,
     f: usize,
     lambda: SimDuration,
-    rng: &'a mut SmallRng,
     actions: &'a mut Vec<Action>,
     next_timer_id: &'a mut u64,
 }
 
 impl<'a> Context<'a> {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         node: NodeId,
         now: SimTime,
         n: usize,
         f: usize,
         lambda: SimDuration,
-        rng: &'a mut SmallRng,
         actions: &'a mut Vec<Action>,
         next_timer_id: &'a mut u64,
     ) -> Self {
@@ -82,7 +77,6 @@ impl<'a> Context<'a> {
             n,
             f,
             lambda,
-            rng,
             actions,
             next_timer_id,
         }
@@ -114,16 +108,10 @@ impl<'a> Context<'a> {
         self.lambda
     }
 
-    /// The run's deterministic RNG. All protocol randomness must come from
-    /// here to keep runs reproducible.
-    pub fn rng(&mut self) -> &mut SmallRng {
-        self.rng
-    }
-
     /// Sends `payload` to `dst` through the network module. The message is
     /// assigned a delay by the network model and passes through the attacker
     /// module before delivery. Small payloads (see
-    /// [`fits_inline`](crate::payload::fits_inline)) travel inline — no
+    /// `fits_inline`) travel inline — no
     /// allocation per send.
     pub fn send<P: Payload + Clone + 'static>(&mut self, dst: NodeId, payload: P) {
         self.actions.push(Action::Send {
@@ -221,7 +209,7 @@ impl<'a> Context<'a> {
     /// ```
     ///
     /// Equivalent to `report(label, format!(…))` but allocation-free for
-    /// details of up to [`SmallStr::INLINE_CAP`] bytes.
+    /// details of up to `SmallStr::INLINE_CAP` bytes.
     pub fn report_fmt(&mut self, label: &'static str, args: core::fmt::Arguments<'_>) {
         self.actions.push(Action::Custom {
             label: Cow::Borrowed(label),
@@ -233,13 +221,11 @@ impl<'a> Context<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[derive(Debug, Clone, PartialEq)]
     struct P(u8);
 
     fn with_ctx<R>(f: impl FnOnce(&mut Context<'_>) -> R) -> (R, Vec<Action>) {
-        let mut rng = SmallRng::seed_from_u64(0);
         let mut actions = Vec::new();
         let mut next_timer = 0;
         let mut ctx = Context::new(
@@ -248,7 +234,6 @@ mod tests {
             16,
             5,
             SimDuration::from_millis(1000.0),
-            &mut rng,
             &mut actions,
             &mut next_timer,
         );

@@ -8,7 +8,7 @@
 //!
 //! What the engine does not know is who listens. It states each fact of a run
 //! (sent, dispatched, delivered, decided, view, custom, excluded, link
-//! queued, fate) once, to [`crate::spine`]; which of counters, trace, obs,
+//! queued, fate) once, to `crate::spine`; which of counters, trace, obs,
 //! step observer and schedule recorder hear it is that module's business.
 //!
 //! The event queue sits behind the [`Scheduler`] trait and dispatches in one
@@ -410,7 +410,6 @@ impl Simulation {
                 self.cfg.n,
                 self.cfg.f,
                 self.cfg.lambda,
-                &mut self.rng,
                 &mut actions,
                 &mut self.next_timer_id,
             );
@@ -671,10 +670,8 @@ impl Simulation {
                 self.clock,
                 self.cfg.n,
                 self.cfg.f,
-                self.cfg.lambda,
                 &self.corrupted,
                 &self.crashed,
-                &mut self.rng,
                 &mut adv_actions,
             );
             f(&mut self.adversary, &mut api)

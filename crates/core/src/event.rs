@@ -28,7 +28,7 @@ use crate::time::SimTime;
 #[derive(Debug)]
 pub struct Timer {
     /// Unique id, used for cancellation.
-    pub id: TimerId,
+    pub(crate) id: TimerId,
     /// The protocol-defined payload attached at registration.
     payload: PayloadCell,
 }
@@ -39,11 +39,6 @@ impl Timer {
             id,
             payload: payload.into(),
         }
-    }
-
-    /// Borrows the type-erased payload.
-    pub fn payload(&self) -> &dyn Payload {
-        self.payload.as_dyn()
     }
 
     /// Attempts to view the payload as concrete type `T`.
@@ -58,12 +53,12 @@ impl Timer {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Recipient {
     /// Absolute delivery time.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// The delivery's seq, relative to the first seq reserved for the
     /// broadcast.
-    pub seq_offset: u32,
+    pub(crate) seq_offset: u32,
     /// The destination node.
-    pub dst: NodeId,
+    pub(crate) dst: NodeId,
 }
 
 /// All still-undelivered copies of one broadcast that share its payload
@@ -125,11 +120,11 @@ pub enum EventKind {
 #[derive(Debug)]
 pub struct ScheduledEvent {
     /// Absolute dispatch time.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// Insertion sequence number — the equal-timestamp tie-breaker.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// What to do at `at`.
-    pub kind: EventKind,
+    pub(crate) kind: EventKind,
 }
 
 impl PartialEq for ScheduledEvent {

@@ -9,9 +9,6 @@
 
 use std::borrow::Cow;
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-
 use crate::context::{Action, Context};
 use crate::event::Timer;
 use crate::ids::{NodeId, TimerId};
@@ -94,7 +91,6 @@ pub enum Effect {
 /// `broadcast_all`), so executors only deal in unicasts.
 #[derive(Debug)]
 pub struct Dispatcher {
-    rng: SmallRng,
     next_timer_id: u64,
     n: usize,
     f: usize,
@@ -103,10 +99,9 @@ pub struct Dispatcher {
 
 impl Dispatcher {
     /// Creates a dispatcher for a system of `n` nodes with fault budget `f`
-    /// and timeout parameter `lambda`, seeded deterministically.
-    pub fn new(n: usize, f: usize, lambda: SimDuration, seed: u64) -> Self {
+    /// and timeout parameter `lambda`.
+    pub fn new(n: usize, f: usize, lambda: SimDuration) -> Self {
         Dispatcher {
-            rng: SmallRng::seed_from_u64(seed),
             next_timer_id: 0,
             n,
             f,
@@ -128,7 +123,6 @@ impl Dispatcher {
                 self.n,
                 self.f,
                 self.lambda,
-                &mut self.rng,
                 &mut actions,
                 &mut self.next_timer_id,
             );
@@ -180,7 +174,7 @@ mod tests {
 
     #[test]
     fn broadcast_expands_to_unicasts() {
-        let mut d = Dispatcher::new(4, 1, SimDuration::from_millis(1000.0), 1);
+        let mut d = Dispatcher::new(4, 1, SimDuration::from_millis(1000.0));
         let effects = d.call(NodeId::new(1), SimTime::ZERO, |ctx| {
             ctx.broadcast(42u8);
             ctx.decide(Value::ONE);
@@ -195,7 +189,7 @@ mod tests {
 
     #[test]
     fn timer_ids_are_unique_across_calls() {
-        let mut d = Dispatcher::new(2, 0, SimDuration::from_millis(10.0), 1);
+        let mut d = Dispatcher::new(2, 0, SimDuration::from_millis(10.0));
         let mut ids = Vec::new();
         for _ in 0..3 {
             let effects = d.call(NodeId::new(0), SimTime::ZERO, |ctx| {

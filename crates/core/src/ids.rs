@@ -67,13 +67,6 @@ impl From<u32> for NodeId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TimerId(pub(crate) u64);
 
-impl TimerId {
-    /// Returns the raw id value.
-    pub const fn as_u64(self) -> u64 {
-        self.0
-    }
-}
-
 impl fmt::Display for TimerId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "t{}", self.0)
@@ -89,20 +82,20 @@ impl fmt::Display for TimerId {
 /// delivery hot path at n = 1000+. Iteration is always in ascending id
 /// order, so anything that walks the set is deterministic by construction.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct NodeSet {
+pub(crate) struct NodeSet {
     words: Vec<u64>,
     len: usize,
 }
 
 impl NodeSet {
     /// Creates an empty set.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         NodeSet::default()
     }
 
     /// Creates an empty set with capacity for ids `0..n` (no growth on
     /// insert below `n`).
-    pub fn with_capacity(n: usize) -> Self {
+    pub(crate) fn with_capacity(n: usize) -> Self {
         NodeSet {
             words: vec![0; n.div_ceil(64)],
             len: 0,
@@ -110,7 +103,7 @@ impl NodeSet {
     }
 
     /// Inserts a node; returns `true` if it was not already present.
-    pub fn insert(&mut self, node: NodeId) -> bool {
+    pub(crate) fn insert(&mut self, node: NodeId) -> bool {
         let (word, bit) = (node.index() / 64, node.index() % 64);
         if word >= self.words.len() {
             self.words.resize(word + 1, 0);
@@ -122,48 +115,15 @@ impl NodeSet {
         newly
     }
 
-    /// Removes a node; returns `true` if it was present.
-    pub fn remove(&mut self, node: NodeId) -> bool {
-        let (word, bit) = (node.index() / 64, node.index() % 64);
-        let Some(w) = self.words.get_mut(word) else {
-            return false;
-        };
-        let mask = 1u64 << bit;
-        let was = *w & mask != 0;
-        *w &= !mask;
-        self.len -= was as usize;
-        was
-    }
-
     /// Whether the set contains `node`.
-    pub fn contains(&self, node: NodeId) -> bool {
+    pub(crate) fn contains(&self, node: NodeId) -> bool {
         let (word, bit) = (node.index() / 64, node.index() % 64);
         self.words.get(word).is_some_and(|w| w & (1 << bit) != 0)
     }
 
     /// Number of nodes in the set.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Removes every node.
-    pub fn clear(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = 0);
-        self.len = 0;
-    }
-
-    /// Iterates over the member node ids in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            (0..64)
-                .filter(move |b| w & (1 << b) != 0)
-                .map(move |b| NodeId::new((wi * 64 + b) as u32))
-        })
     }
 }
 
@@ -206,43 +166,23 @@ mod tests {
     }
 
     #[test]
-    fn node_set_insert_remove_contains() {
+    fn node_set_insert_contains() {
         let mut s = NodeSet::with_capacity(1024);
-        assert!(s.is_empty());
+        assert_eq!(s.len(), 0);
         assert!(s.insert(NodeId::new(3)));
         assert!(!s.insert(NodeId::new(3)), "duplicate rejected");
         assert!(s.insert(NodeId::new(1000)), "large ids supported");
         assert_eq!(s.len(), 2);
         assert!(s.contains(NodeId::new(3)));
         assert!(!s.contains(NodeId::new(4)));
-        assert!(s.remove(NodeId::new(3)));
-        assert!(!s.remove(NodeId::new(3)), "double remove is a no-op");
-        assert_eq!(s.len(), 1);
-        s.clear();
-        assert!(s.is_empty());
-        assert!(!s.contains(NodeId::new(1000)));
-    }
-
-    #[test]
-    fn node_set_iterates_in_ascending_order() {
-        let s: NodeSet = [
-            NodeId::new(200),
-            NodeId::new(5),
-            NodeId::new(63),
-            NodeId::new(64),
-        ]
-        .into_iter()
-        .collect();
-        let ids: Vec<u32> = s.iter().map(NodeId::as_u32).collect();
-        assert_eq!(ids, vec![5, 63, 64, 200]);
     }
 
     #[test]
     fn node_set_grows_beyond_initial_capacity() {
         let mut s = NodeSet::new();
-        assert!(!s.remove(NodeId::new(9)), "remove on empty set");
+        assert!(!s.contains(NodeId::new(9)), "contains on empty set");
         assert!(s.insert(NodeId::new(130)));
         assert!(s.contains(NodeId::new(130)));
-        assert_eq!(s.iter().count(), 1);
+        assert_eq!(s.len(), 1);
     }
 }

@@ -49,9 +49,6 @@
 //! assert!(result.safety_violation.is_none());
 //! ```
 
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
 pub mod adversary;
 pub mod buggify;
 pub mod campaign;

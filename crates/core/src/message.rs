@@ -35,8 +35,8 @@ impl Message {
     /// [`Context::send`](crate::context::Context::send) instead.
     ///
     /// Accepts a [`PayloadCell`], a `Box<dyn Payload>` (e.g. from
-    /// [`boxed`](crate::payload::boxed)) or an `Arc<dyn Payload>` (e.g. from
-    /// [`shared`](crate::payload::shared)); boxes convert without copying.
+    /// [`boxed`](crate::payload::boxed)) or an `Arc<dyn Payload>`; boxes
+    /// convert without copying.
     pub fn new(
         src: NodeId,
         dst: NodeId,
@@ -55,7 +55,7 @@ impl Message {
     /// Creates an adversary-injected message. The `src` field is the node the
     /// adversary *impersonates*; honest receivers cannot tell the difference
     /// (the paper's attacker "inserts new messages").
-    pub fn injected(
+    pub(crate) fn injected(
         src: NodeId,
         dst: NodeId,
         sent_at: SimTime,
@@ -99,14 +99,14 @@ impl Message {
     }
 
     /// Borrows the type-erased payload.
-    pub fn payload(&self) -> &dyn Payload {
+    pub(crate) fn payload(&self) -> &dyn Payload {
         self.payload.as_dyn()
     }
 
     /// The payload's wire size in bytes (see
     /// [`Payload::wire_size`](crate::payload::Payload::wire_size)); what the
     /// network model charges against link bandwidth.
-    pub fn wire_size(&self) -> u64 {
+    pub(crate) fn wire_size(&self) -> u64 {
         self.payload.wire_size() as u64
     }
 
@@ -153,17 +153,6 @@ impl Message {
         self.payload.as_dyn().as_any().downcast_ref::<T>()?;
         self.payload.as_dyn_mut().as_any_mut().downcast_mut::<T>()
     }
-
-    /// Replaces the payload wholesale (attacker capability).
-    pub fn replace_payload(&mut self, payload: impl Into<PayloadCell>) {
-        self.payload = payload.into();
-    }
-
-    /// Rewrites the claimed source (attacker capability: forgery in systems
-    /// without authenticated channels).
-    pub fn forge_src(&mut self, src: NodeId) {
-        self.src = src;
-    }
 }
 
 impl fmt::Display for Message {
@@ -182,7 +171,7 @@ impl fmt::Display for Message {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::payload::{boxed, shared};
+    use crate::payload::boxed;
 
     #[derive(Debug, Clone, PartialEq)]
     struct P(u8);
@@ -208,10 +197,6 @@ mod tests {
         let mut m = Message::new(NodeId::new(0), NodeId::new(1), SimTime::ZERO, boxed(P(1)));
         m.downcast_mut::<P>().unwrap().0 = 7;
         assert_eq!(m.downcast_ref::<P>(), Some(&P(7)));
-        m.replace_payload(boxed(P(42)));
-        assert_eq!(m.downcast_ref::<P>(), Some(&P(42)));
-        m.forge_src(NodeId::new(3));
-        assert_eq!(m.src(), NodeId::new(3));
     }
 
     #[test]
@@ -222,7 +207,12 @@ mod tests {
 
     #[test]
     fn clone_shares_payload_allocation() {
-        let m = Message::new(NodeId::new(0), NodeId::new(1), SimTime::ZERO, shared(P(5)));
+        let m = Message::new(
+            NodeId::new(0),
+            NodeId::new(1),
+            SimTime::ZERO,
+            Arc::new(P(5)) as Arc<dyn Payload>,
+        );
         let c = m.clone();
         assert!(Arc::ptr_eq(
             m.payload_arc().unwrap(),
@@ -232,7 +222,12 @@ mod tests {
 
     #[test]
     fn downcast_mut_is_copy_on_write() {
-        let m = Message::new(NodeId::new(0), NodeId::new(1), SimTime::ZERO, shared(P(5)));
+        let m = Message::new(
+            NodeId::new(0),
+            NodeId::new(1),
+            SimTime::ZERO,
+            Arc::new(P(5)) as Arc<dyn Payload>,
+        );
         let mut tampered = m.clone();
         tampered.downcast_mut::<P>().unwrap().0 = 99;
         // The original delivery is unaffected and no longer aliased.
@@ -246,7 +241,12 @@ mod tests {
 
     #[test]
     fn failed_downcast_mut_does_not_unshare() {
-        let m = Message::new(NodeId::new(0), NodeId::new(1), SimTime::ZERO, shared(P(5)));
+        let m = Message::new(
+            NodeId::new(0),
+            NodeId::new(1),
+            SimTime::ZERO,
+            Arc::new(P(5)) as Arc<dyn Payload>,
+        );
         let mut c = m.clone();
         assert!(c.downcast_mut::<String>().is_none());
         assert!(Arc::ptr_eq(
@@ -257,7 +257,12 @@ mod tests {
 
     #[test]
     fn unique_downcast_mut_mutates_in_place() {
-        let mut m = Message::new(NodeId::new(0), NodeId::new(1), SimTime::ZERO, shared(P(1)));
+        let mut m = Message::new(
+            NodeId::new(0),
+            NodeId::new(1),
+            SimTime::ZERO,
+            Arc::new(P(1)) as Arc<dyn Payload>,
+        );
         let before = Arc::as_ptr(m.payload_arc().unwrap());
         m.downcast_mut::<P>().unwrap().0 = 2;
         assert_eq!(Arc::as_ptr(m.payload_arc().unwrap()), before);

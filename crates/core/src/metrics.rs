@@ -28,7 +28,7 @@ impl MetricsCollector {
     /// `expected` slots, so runs with a known `target_decisions` never grow
     /// them mid-simulation. The expectation is a capacity hint only — runs
     /// may decide more or fewer slots.
-    pub fn with_expected_decisions(n: usize, expected: u64) -> Self {
+    pub(crate) fn with_expected_decisions(n: usize, expected: u64) -> Self {
         // Decision targets are small (tens); cap the hint so a pathological
         // config cannot pre-reserve unbounded memory.
         let cap = expected.min(1024) as usize;
@@ -58,40 +58,40 @@ impl MetricsCollector {
         }
     }
 
-    pub fn count_honest_message(&mut self, src: NodeId) {
+    pub(crate) fn count_honest_message(&mut self, src: NodeId) {
         self.result.honest_messages += 1;
         self.result.sent_per_node[src.index()] += 1;
     }
 
-    pub fn count_delivery(&mut self, dst: NodeId) {
+    pub(crate) fn count_delivery(&mut self, dst: NodeId) {
         self.result.delivered_per_node[dst.index()] += 1;
     }
 
-    pub fn count_adversary_message(&mut self) {
+    pub(crate) fn count_adversary_message(&mut self) {
         self.result.adversary_messages += 1;
     }
 
-    pub fn count_dropped_message(&mut self) {
+    pub(crate) fn count_dropped_message(&mut self) {
         self.result.dropped_messages += 1;
     }
 
-    pub fn count_event(&mut self) {
+    pub(crate) fn count_event(&mut self) {
         self.result.events_processed += 1;
     }
 
     /// Counts a pending timer that was cancelled (taken at cancel time, not
     /// when the queue discards the entry).
-    pub fn count_cancelled_timer(&mut self) {
+    pub(crate) fn count_cancelled_timer(&mut self) {
         self.result.skipped_cancelled_timers += 1;
     }
 
     /// Counts an event popped but not dispatched because its destination
     /// node is crashed or corrupted.
-    pub fn count_skipped_excluded(&mut self) {
+    pub(crate) fn count_skipped_excluded(&mut self) {
         self.result.skipped_excluded_nodes += 1;
     }
 
-    pub fn count_broadcast(&mut self) {
+    pub(crate) fn count_broadcast(&mut self) {
         self.result.broadcasts += 1;
     }
 
@@ -104,7 +104,7 @@ impl MetricsCollector {
     /// scan over all nodes, and a scan that finds no live dissenter — every
     /// node that decided otherwise is excluded by now — makes `value` the
     /// slot's agreed value.
-    pub fn record_decision(
+    pub(crate) fn record_decision(
         &mut self,
         node: NodeId,
         time: SimTime,
@@ -156,7 +156,7 @@ impl MetricsCollector {
     /// Re-derives completion times given the current live-honest set; returns
     /// the number of fully completed slots. Called after every decision and
     /// after crash/corruption changes.
-    pub fn update_completions(&mut self, now: SimTime, excluded: &NodeSet) -> u64 {
+    pub(crate) fn update_completions(&mut self, now: SimTime, excluded: &NodeSet) -> u64 {
         loop {
             let k = self.result.completions.len();
             let mut all = true;
@@ -180,11 +180,11 @@ impl MetricsCollector {
     }
 
     /// Number of slots every live honest node has decided.
-    pub fn completed(&self) -> u64 {
+    pub(crate) fn completed(&self) -> u64 {
         self.result.completions.len() as u64
     }
 
-    pub fn into_result(
+    pub(crate) fn into_result(
         self,
         end_time: SimTime,
         timed_out: bool,
@@ -286,12 +286,6 @@ impl RunResult {
         self.completions.len() as u64
     }
 
-    /// Total suppressed events: cancelled timers plus deliveries/timers to
-    /// excluded nodes.
-    pub fn events_skipped(&self) -> u64 {
-        self.skipped_cancelled_timers + self.skipped_excluded_nodes
-    }
-
     /// Time usage until the first consensus completed (the paper's latency
     /// metric for non-pipelined protocols). `None` if no consensus completed.
     pub fn latency(&self) -> Option<SimDuration> {
@@ -348,7 +342,7 @@ pub struct Summary {
     /// Smallest sample.
     pub min: f64,
     /// Largest sample.
-    pub max: f64,
+    pub(crate) max: f64,
 }
 
 impl Summary {

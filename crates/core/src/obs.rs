@@ -93,7 +93,7 @@ impl PhaseClassifier {
     /// [`phases`](PhaseClassifier::phases) or `None` (unclassified). An
     /// out-of-table index from the classify function is treated as
     /// unclassified rather than trusted.
-    pub fn classify(&self, payload: &dyn Payload) -> Option<u8> {
+    pub(crate) fn classify(&self, payload: &dyn Payload) -> Option<u8> {
         (self.classify)(payload).filter(|&i| (i as usize) < self.phases.len())
     }
 }
@@ -107,13 +107,13 @@ pub const UNCLASSIFIED_PHASE: &str = "unclassified";
 /// a *single* dense phase matrix would be 8 MiB, and protocols track several
 /// phases. The JSON emitted for dense flows is unchanged, so reports for
 /// runs at or below this size are byte-identical to earlier versions.
-pub const DENSE_FLOW_MAX_NODES: usize = 64;
+pub(crate) const DENSE_FLOW_MAX_NODES: usize = 64;
 
 /// Number of log-2 buckets in a [`Histogram`].
 ///
 /// Bucket 0 holds the value 0; bucket 40 holds everything at or above
 /// `2^39` microseconds (~6.4 simulated days), which saturates the range.
-pub const HISTOGRAM_BUCKETS: usize = 41;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 41;
 
 /// Default ring-buffer capacity for recent trace events.
 pub const DEFAULT_LAST_K: usize = 64;
@@ -139,7 +139,7 @@ impl Default for Histogram {
 
 impl Histogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Histogram {
             buckets: [0; HISTOGRAM_BUCKETS],
             count: 0,
@@ -150,20 +150,11 @@ impl Histogram {
     }
 
     /// The bucket index a microsecond value falls into.
-    pub fn bucket_index(micros: u64) -> usize {
+    pub(crate) fn bucket_index(micros: u64) -> usize {
         if micros == 0 {
             0
         } else {
             ((64 - micros.leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
-        }
-    }
-
-    /// Inclusive lower bound of bucket `i` in microseconds.
-    pub fn bucket_lo(i: usize) -> u64 {
-        match i {
-            0 => 0,
-            1 => 1,
-            _ => 1u64 << (i - 1),
         }
     }
 
@@ -213,11 +204,6 @@ impl Histogram {
         } else {
             self.sum_micros as f64 / self.count as f64
         }
-    }
-
-    /// The raw bucket counts.
-    pub fn buckets(&self) -> &[u64; HISTOGRAM_BUCKETS] {
-        &self.buckets
     }
 
     /// Fold another histogram into this one.
@@ -276,7 +262,7 @@ impl Histogram {
     /// * a populated histogram missing `min_micros`/`max_micros`, with
     ///   `min > max`, with min/max outside the lowest/highest populated
     ///   bucket, or with `sum_micros` outside `[count*min, count*max]`.
-    pub fn from_json(json: &Json) -> Result<Histogram, SimError> {
+    pub(crate) fn from_json(json: &Json) -> Result<Histogram, SimError> {
         Self::read(json).map_err(SimError::InvalidConfig)
     }
 
@@ -394,7 +380,7 @@ struct RingInner {
 
 impl ObsRing {
     /// A ring that retains the most recent `capacity` events.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         ObsRing {
             inner: Arc::new(Mutex::new(RingInner {
                 capacity,
@@ -404,7 +390,7 @@ impl ObsRing {
     }
 
     /// Append an event, evicting the oldest when full.
-    pub fn push(&self, event: TraceEvent) {
+    pub(crate) fn push(&self, event: TraceEvent) {
         let mut inner = self.inner.lock().expect("obs ring poisoned");
         if inner.capacity == 0 {
             return;
@@ -523,13 +509,13 @@ impl LinkQueueStat {
 /// One nonzero cell of a message-flow matrix: `count` wire messages from
 /// `src` delivered to `dst`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlowCell {
+pub(crate) struct FlowCell {
     /// Source node index.
-    pub src: u32,
+    pub(crate) src: u32,
     /// Destination node index.
-    pub dst: u32,
+    pub(crate) dst: u32,
     /// Deliveries observed on this edge.
-    pub count: u64,
+    pub(crate) count: u64,
 }
 
 /// How a [`PhaseFlow`] stores its counts.
@@ -549,7 +535,7 @@ enum FlowRepr {
 /// An n×n message-flow matrix for one protocol phase.
 ///
 /// The storage is dense (row-major `Vec`) for runs of up to
-/// [`DENSE_FLOW_MAX_NODES`] nodes and sparse (sorted nonzero cells) above
+/// `DENSE_FLOW_MAX_NODES` nodes and sparse (sorted nonzero cells) above
 /// that; the accessors hide the difference. The JSON form of a dense flow is
 /// unchanged from when `PhaseFlow` exposed the matrix directly, so reports
 /// for small runs stay byte-identical.
@@ -564,19 +550,9 @@ pub struct PhaseFlow {
 }
 
 impl PhaseFlow {
-    /// The matrix dimension (number of nodes in the run).
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
     /// Total deliveries recorded in this phase (the sum over all cells).
     pub fn total(&self) -> u64 {
         self.total
-    }
-
-    /// Whether the flow is stored as a dense matrix.
-    pub fn is_dense(&self) -> bool {
-        matches!(self.repr, FlowRepr::Dense(_))
     }
 
     /// Deliveries from `src` to `dst`; 0 when out of range.
@@ -596,38 +572,11 @@ impl PhaseFlow {
         }
     }
 
-    /// The nonzero cells, ascending by `(src, dst)` regardless of storage.
-    pub fn cells(&self) -> Vec<FlowCell> {
-        match &self.repr {
-            FlowRepr::Dense(matrix) => matrix
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c > 0)
-                .map(|(i, &count)| FlowCell {
-                    src: (i / self.nodes) as u32,
-                    dst: (i % self.nodes) as u32,
-                    count,
-                })
-                .collect(),
-            FlowRepr::Sparse(cells) => cells.clone(),
-        }
-    }
-
     /// Number of nonzero cells, without materialising them.
     pub fn nonzero_cells(&self) -> usize {
         match &self.repr {
             FlowRepr::Dense(matrix) => matrix.iter().filter(|&&c| c > 0).count(),
             FlowRepr::Sparse(cells) => cells.len(),
-        }
-    }
-
-    /// The row-major matrix when stored densely; `None` for sparse flows
-    /// (materialising an n×n matrix at large n is exactly what the sparse
-    /// form exists to avoid).
-    pub fn dense(&self) -> Option<&[u64]> {
-        match &self.repr {
-            FlowRepr::Dense(matrix) => Some(matrix),
-            FlowRepr::Sparse(_) => None,
         }
     }
 
@@ -670,7 +619,7 @@ pub struct Observability {
     /// Number of nodes in the run (matrix dimension).
     pub nodes: usize,
     /// Ring-buffer capacity the run was configured with.
-    pub last_k: usize,
+    pub(crate) last_k: usize,
     /// Per-node wire-message delivery-latency histograms (indexed by node id).
     pub delivery_latency: Vec<Histogram>,
     /// Per-node decision-interval histograms (indexed by node id).
@@ -724,67 +673,6 @@ impl Observability {
                 Json::Arr(self.recent_events.iter().map(|e| e.to_json()).collect()),
             ),
         ])
-    }
-
-    /// A compact behavior fingerprint of the run, hashed with the
-    /// deterministic [`FastHasher`](crate::fasthash::FastHasher).
-    ///
-    /// The fingerprint is a *shape* signature, deliberately quantized:
-    /// continuous quantities (latency sums, view-entry instants) enter only
-    /// through their floor-log₂ bucket, so two runs that differ merely in
-    /// sampled delays collapse to the same key, while structural differences
-    /// — per-phase message totals and edge counts, which views were entered
-    /// and by how many nodes, per-node delivery and decision counts — each
-    /// produce a new one. `recent_events` and `last_k` are excluded: the
-    /// ring is an execution option, not behavior. Everything hashed is a
-    /// simulated quantity, so the fingerprint is identical across
-    /// `--threads` settings by construction.
-    pub fn fingerprint(&self) -> u64 {
-        use core::hash::Hasher;
-        /// Floor-log₂ bucket (0 for 0, else `floor(log2(v)) + 1`).
-        fn bucket(v: u64) -> u64 {
-            64 - v.leading_zeros() as u64
-        }
-        let mut h = crate::fasthash::FastHasher::default();
-        h.write_u64(self.nodes as u64);
-        // Per-phase flow signature.
-        h.write_u64(self.flows.len() as u64);
-        for f in &self.flows {
-            h.write(f.phase.as_bytes());
-            h.write_u64(bucket(f.total()));
-            h.write_u64(f.nonzero_cells() as u64);
-        }
-        // View-timeline shape.
-        h.write_u64(self.views.len() as u64);
-        for v in &self.views {
-            h.write_u64(v.view);
-            h.write_u64(v.entries);
-            h.write_u64(bucket(v.first_entry.as_micros()));
-            h.write_u64(bucket(
-                v.last_entry.saturating_since(v.first_entry).as_micros(),
-            ));
-        }
-        // Per-node delivery and decision shape.
-        for hist in &self.delivery_latency {
-            h.write_u64(bucket(hist.count()));
-            h.write_u64(bucket(hist.mean_micros() as u64));
-        }
-        for hist in &self.decision_interval {
-            h.write_u64(hist.count());
-            h.write_u64(bucket(hist.mean_micros() as u64));
-        }
-        // Link-contention shape: which links queued, how deep, how long.
-        // Delay-only runs contribute a constant (0, empty) here, so their
-        // fingerprints are unchanged relative to each other.
-        h.write_u64(bucket(self.link_queue_delay.count()));
-        h.write_u64(self.link_queues.len() as u64);
-        for l in &self.link_queues {
-            h.write_u64((l.src as u64) << 32 | l.dst as u64);
-            h.write_u64(bucket(l.queued.count()));
-            h.write_u64(bucket(l.queued.mean_micros() as u64));
-            h.write_u64(l.peak_depth as u64);
-        }
-        h.finish()
     }
 
     /// Total wire messages recorded in the flow matrices for `phase`.
@@ -1066,19 +954,6 @@ mod tests {
     }
 
     #[test]
-    fn bucket_bounds_cover_the_line() {
-        // Every value's bucket has lo <= value, and the next bucket's lo is
-        // strictly above it (except the saturating last bucket).
-        for v in [0u64, 1, 2, 3, 7, 8, 1_000_000, u64::MAX] {
-            let i = Histogram::bucket_index(v);
-            assert!(Histogram::bucket_lo(i) <= v, "lo({i}) > {v}");
-            if i + 1 < HISTOGRAM_BUCKETS {
-                assert!(Histogram::bucket_lo(i + 1) > v, "lo({}) <= {v}", i + 1);
-            }
-        }
-    }
-
-    #[test]
     fn histogram_records_and_summarises() {
         let mut h = Histogram::new();
         assert!(h.is_empty());
@@ -1091,9 +966,9 @@ mod tests {
         assert_eq!(h.min_micros(), 0);
         assert_eq!(h.max_micros(), 1000);
         assert_eq!(h.mean_micros(), 252.5);
-        assert_eq!(h.buckets()[0], 1);
-        assert_eq!(h.buckets()[Histogram::bucket_index(5)], 2);
-        assert_eq!(h.buckets()[Histogram::bucket_index(1000)], 1);
+        assert_eq!(h.buckets[0], 1);
+        assert_eq!(h.buckets[Histogram::bucket_index(5)], 2);
+        assert_eq!(h.buckets[Histogram::bucket_index(1000)], 1);
     }
 
     #[test]
@@ -1104,10 +979,10 @@ mod tests {
         // The zero duration occupies the dedicated first bucket and the
         // saturating maximum the last — never a panic, never an off-by-one
         // into a neighbouring bucket.
-        assert_eq!(h.buckets()[0], 1);
-        assert_eq!(h.buckets()[HISTOGRAM_BUCKETS - 1], 1);
+        assert_eq!(h.buckets[0], 1);
+        assert_eq!(h.buckets[HISTOGRAM_BUCKETS - 1], 1);
         assert_eq!(
-            h.buckets().iter().sum::<u64>(),
+            h.buckets.iter().sum::<u64>(),
             2,
             "no other bucket was touched"
         );
@@ -1153,9 +1028,9 @@ mod tests {
         assert_eq!(a.sum_micros(), sa.saturating_add(sb));
         assert_eq!(a.min_micros(), 0);
         assert_eq!(a.max_micros(), SimDuration::MAX.as_micros());
-        assert_eq!(a.buckets().iter().sum::<u64>(), ca + cb);
-        assert_eq!(a.buckets()[0], 1);
-        assert_eq!(a.buckets()[HISTOGRAM_BUCKETS - 1], 1);
+        assert_eq!(a.buckets.iter().sum::<u64>(), ca + cb);
+        assert_eq!(a.buckets[0], 1);
+        assert_eq!(a.buckets[HISTOGRAM_BUCKETS - 1], 1);
     }
 
     #[test]
@@ -1354,13 +1229,13 @@ mod tests {
             NodeId::new(0),
             NodeId::new(1),
             SimTime::from_micros(10),
-            crate::payload::shared(7u32),
+            Arc::new(7u32) as Arc<dyn Payload>,
         );
         let other = Message::new(
             NodeId::new(1),
             NodeId::new(0),
             SimTime::from_micros(10),
-            crate::payload::shared("hello"),
+            Arc::new("hello") as Arc<dyn Payload>,
         );
         rec.on_delivered(SimTime::from_micros(30), &vote);
         rec.on_delivered(SimTime::from_micros(30), &vote);
@@ -1369,21 +1244,13 @@ mod tests {
         // Sorted by phase label.
         assert_eq!(obs.flows.len(), 2);
         assert_eq!(obs.flows[0].phase, UNCLASSIFIED_PHASE);
-        assert!(obs.flows[0].is_dense());
-        assert_eq!(obs.flows[0].dense().unwrap(), &[0, 0, 1, 0]);
+        assert!(matches!(&obs.flows[0].repr, FlowRepr::Dense(m) if m[..] == [0, 0, 1, 0]));
         assert_eq!(obs.flows[1].phase, "vote");
-        assert_eq!(obs.flows[1].dense().unwrap(), &[0, 2, 0, 0]);
+        assert!(matches!(&obs.flows[1].repr, FlowRepr::Dense(m) if m[..] == [0, 2, 0, 0]));
         assert_eq!(obs.flows[1].get(0, 1), 2);
         assert_eq!(obs.flows[1].get(1, 0), 0);
         assert_eq!(obs.flows[1].total(), 2);
-        assert_eq!(
-            obs.flows[1].cells(),
-            vec![FlowCell {
-                src: 0,
-                dst: 1,
-                count: 2
-            }]
-        );
+        assert_eq!(obs.flows[1].nonzero_cells(), 1);
         assert_eq!(obs.phase_total("vote"), 2);
         // Latency = now - sent_at, recorded against the destination.
         assert_eq!(obs.delivery_latency[1].count(), 2);
@@ -1404,16 +1271,17 @@ mod tests {
                 NodeId::new(src),
                 NodeId::new(dst),
                 SimTime::from_micros(10),
-                crate::payload::shared(7u32),
+                Arc::new(7u32) as Arc<dyn Payload>,
             );
             rec.on_delivered(SimTime::from_micros(30), &m);
         }
         let obs = rec.finish();
         assert_eq!(obs.flows.len(), 1, "only the vote phase saw traffic");
         let flow = &obs.flows[0];
-        assert!(!flow.is_dense());
-        assert!(flow.dense().is_none());
-        assert_eq!(flow.nodes(), n);
+        let FlowRepr::Sparse(cells) = &flow.repr else {
+            panic!("flow above the threshold is dense")
+        };
+        assert_eq!(flow.nodes, n);
         assert_eq!(flow.total(), edges.len() as u64);
         assert_eq!(flow.get(0, 1), 3);
         assert_eq!(flow.get(64, 3), 2);
@@ -1421,10 +1289,9 @@ mod tests {
         assert_eq!(flow.get(1, 0), 0);
         assert_eq!(flow.get(n, 0), 0, "out of range reads 0");
         // Cells come out sorted by (src, dst) no matter the arrival order.
-        let cells = flow.cells();
         let mut sorted = cells.clone();
         sorted.sort_unstable_by_key(|c| (c.src, c.dst));
-        assert_eq!(cells, sorted);
+        assert_eq!(*cells, sorted);
         assert_eq!(cells.len(), 3);
         // JSON uses the sparse "cells" form, not an n×n matrix.
         let json = flow.to_json(n).dump_pretty();
@@ -1452,7 +1319,7 @@ mod tests {
             NodeId::new(0),
             NodeId::new(1),
             SimTime::from_micros(10),
-            crate::payload::shared(7u32),
+            Arc::new(7u32) as Arc<dyn Payload>,
         );
         rec.on_delivered(SimTime::from_micros(30), &m);
         let obs = rec.finish();
@@ -1518,59 +1385,5 @@ mod tests {
         assert_eq!(obs.link_queues[0].peak_depth, 2);
         assert_eq!((obs.link_queues[1].src, obs.link_queues[1].dst), (2, 1));
         assert_eq!(obs.link_queues[1].peak_depth, 1);
-        // Contention is part of the behavior fingerprint.
-        let quiet = ObsRecorder::new(3, ObsConfig::new(4)).unwrap().finish();
-        assert_ne!(obs.fingerprint(), quiet.fingerprint());
-    }
-
-    /// Builds a small snapshot with one delivery, one decision and one view.
-    fn fingerprint_fixture(latency_micros: u64, view: u64) -> Observability {
-        let mut rec = ObsRecorder::new(2, ObsConfig::new(4)).unwrap();
-        let m = Message::new(
-            NodeId::new(0),
-            NodeId::new(1),
-            SimTime::from_micros(10),
-            crate::payload::shared(7u32),
-        );
-        rec.on_delivered(SimTime::from_micros(10 + latency_micros), &m);
-        rec.on_decided(SimTime::from_micros(500), NodeId::new(1));
-        rec.on_view(SimTime::from_micros(40), view);
-        rec.finish()
-    }
-
-    #[test]
-    fn fingerprint_is_deterministic_and_ignores_the_ring() {
-        let a = fingerprint_fixture(100, 1);
-        let mut b = fingerprint_fixture(100, 1);
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        // The event ring and its capacity are execution options, not
-        // behavior; the fingerprint must not see them.
-        b.last_k = 99;
-        b.recent_events.push(TraceEvent {
-            time: SimTime::from_micros(1),
-            node: NodeId::new(0),
-            kind: TraceKind::Crashed,
-        });
-        assert_eq!(a.fingerprint(), b.fingerprint());
-    }
-
-    #[test]
-    fn fingerprint_quantizes_timing_but_sees_structure() {
-        let base = fingerprint_fixture(100, 1);
-        // Same log2 latency bucket -> same key.
-        assert_eq!(
-            base.fingerprint(),
-            fingerprint_fixture(101, 1).fingerprint()
-        );
-        // A different view timeline is structural -> new key.
-        assert_ne!(
-            base.fingerprint(),
-            fingerprint_fixture(100, 2).fingerprint()
-        );
-        // A wildly different latency crosses buckets -> new key.
-        assert_ne!(
-            base.fingerprint(),
-            fingerprint_fixture(100_000, 1).fingerprint()
-        );
     }
 }

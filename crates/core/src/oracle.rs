@@ -60,7 +60,7 @@ pub enum ValueDomain {
 
 impl ValueDomain {
     /// Whether `value` is a member of the domain.
-    pub fn contains(self, value: Value) -> bool {
+    pub(crate) fn contains(self, value: Value) -> bool {
         match self {
             ValueDomain::Any => true,
             ValueDomain::Binary => value.as_u64() <= 1,
@@ -111,27 +111,15 @@ pub struct Expectations {
     pub outages: Vec<OutageWindow>,
 }
 
-impl Expectations {
-    /// Permissive defaults: any value, one decision, termination not owed.
-    pub fn lenient() -> Self {
-        Expectations {
-            target_decisions: 1,
-            value_domain: ValueDomain::Any,
-            must_terminate: false,
-            outages: Vec::new(),
-        }
-    }
-}
-
 /// Per-step facts gathered while a run executes, via [`OracleObserver`].
 #[derive(Debug, Clone)]
 pub struct ObservedRun {
     /// Events the observer saw (must equal `RunResult::events_processed`).
     pub events: u64,
     /// Times the clock moved backwards between events (must be zero).
-    pub clock_regressions: u64,
+    pub(crate) clock_regressions: u64,
     /// The clock value at the last observed event.
-    pub last_clock: SimTime,
+    pub(crate) last_clock: SimTime,
     /// Every decision in the order the engine applied it.
     pub decisions: Vec<(SimTime, NodeId, u64, Value)>,
 }
@@ -196,15 +184,15 @@ impl StepObserver for OracleObserver {
 pub struct OracleInput<'a> {
     /// The finished run, when the check targets a live simulation. `None`
     /// for trace-only checks (e.g. committed golden traces).
-    pub result: Option<&'a RunResult>,
+    pub(crate) result: Option<&'a RunResult>,
     /// All decisions, in recording order, as `(time, node, slot, value)`.
-    pub decisions: Vec<(SimTime, NodeId, u64, Value)>,
+    pub(crate) decisions: Vec<(SimTime, NodeId, u64, Value)>,
     /// Nodes the adversary corrupted or crashed (exempt from correctness).
-    pub excluded: HashSet<NodeId>,
+    pub(crate) excluded: HashSet<NodeId>,
     /// Per-step observations, when an [`OracleObserver`] was installed.
-    pub observed: Option<ObservedRun>,
+    pub(crate) observed: Option<ObservedRun>,
     /// What this scenario entitles the oracles to assume.
-    pub expect: Expectations,
+    pub(crate) expect: Expectations,
 }
 
 impl<'a> OracleInput<'a> {
@@ -258,7 +246,7 @@ pub trait Oracle: Send + Sync {
 
 /// Agreement: no two correct nodes decide different values for one slot.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct AgreementOracle;
+pub(crate) struct AgreementOracle;
 
 impl Oracle for AgreementOracle {
     fn name(&self) -> &'static str {
@@ -289,7 +277,7 @@ impl Oracle for AgreementOracle {
 
 /// Validity: decided values lie in the protocol's declared domain.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ValidityOracle;
+pub(crate) struct ValidityOracle;
 
 impl Oracle for ValidityOracle {
     fn name(&self) -> &'static str {
@@ -316,7 +304,7 @@ impl Oracle for ValidityOracle {
 /// exactly once, in order, and the final [`RunResult`] still contains every
 /// decision that was observed being made.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NoRevocationOracle;
+pub(crate) struct NoRevocationOracle;
 
 impl Oracle for NoRevocationOracle {
     fn name(&self) -> &'static str {
@@ -388,7 +376,7 @@ impl Oracle for NoRevocationOracle {
 /// downtime keep the full obligation: a shortfall on them is a real
 /// violation even in a churn scenario.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct TerminationOracle;
+pub(crate) struct TerminationOracle;
 
 impl Oracle for TerminationOracle {
     fn name(&self) -> &'static str {
@@ -478,7 +466,7 @@ impl Oracle for TerminationOracle {
 /// honest sends, decision times never exceed the end time, and (when
 /// observed) the clock is monotone and the event counts agree.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct MetricsSanityOracle;
+pub(crate) struct MetricsSanityOracle;
 
 impl Oracle for MetricsSanityOracle {
     fn name(&self) -> &'static str {
@@ -577,7 +565,7 @@ impl OracleSuite {
     }
 
     /// The oracles' names, in check order.
-    pub fn names(&self) -> Vec<&'static str> {
+    pub(crate) fn names(&self) -> Vec<&'static str> {
         self.oracles.iter().map(|o| o.name()).collect()
     }
 
@@ -594,6 +582,16 @@ impl OracleSuite {
 mod tests {
     use super::*;
 
+    /// Permissive expectations: any value, one decision, termination not owed.
+    fn lenient() -> Expectations {
+        Expectations {
+            target_decisions: 1,
+            value_domain: ValueDomain::Any,
+            must_terminate: false,
+            outages: Vec::new(),
+        }
+    }
+
     fn decision(ms: u64, node: u32, slot: u64, value: u64) -> (SimTime, NodeId, u64, Value) {
         (
             SimTime::from_millis(ms),
@@ -609,7 +607,7 @@ mod tests {
             decisions,
             excluded: HashSet::new(),
             observed: None,
-            expect: Expectations::lenient(),
+            expect: lenient(),
         }
     }
 
@@ -726,7 +724,7 @@ mod tests {
         // t=2ms on the other nodes; node 2 is offline over [1ms, 5s)).
         // Global completions stall at 1/2 and the run times out.
         let result = timed_out_result(&[2, 2, 1], 1, 900_000);
-        let mut owed = OracleInput::from_result(&result, None, Expectations::lenient());
+        let mut owed = OracleInput::from_result(&result, None, lenient());
         owed.expect.must_terminate = true;
         owed.expect.target_decisions = 2;
 

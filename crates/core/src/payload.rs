@@ -98,21 +98,16 @@ pub fn boxed<P: Payload + 'static>(payload: P) -> Box<dyn Payload> {
     Box::new(payload)
 }
 
-/// Wraps a concrete payload in a shared trait object, ready for broadcast.
-pub fn shared<P: Payload + 'static>(payload: P) -> Arc<dyn Payload> {
-    Arc::new(payload)
-}
-
 /// Number of `u64` words in the inline payload buffer.
 const INLINE_WORDS: usize = 12;
 
 /// Maximum payload size (bytes) stored inline by [`PayloadCell`] — sized so
 /// every built-in protocol's wire enum fits (enums are as large as their
 /// largest variant; HotStuff's `Proposal` is the current high-water mark).
-pub const INLINE_PAYLOAD_BYTES: usize = INLINE_WORDS * 8;
+pub(crate) const INLINE_PAYLOAD_BYTES: usize = INLINE_WORDS * 8;
 
 /// Whether values of type `T` are stored inline by [`PayloadCell::of`].
-pub const fn fits_inline<T>() -> bool {
+pub(crate) const fn fits_inline<T>() -> bool {
     core::mem::size_of::<T>() <= INLINE_PAYLOAD_BYTES && core::mem::align_of::<T>() <= 8
 }
 
@@ -168,7 +163,7 @@ impl<T: Payload + Clone + 'static> VtFor<T> {
 /// A payload stored inline in a fixed buffer — no heap allocation for the
 /// value, no refcount. Cloning deep-copies into a fresh buffer (still no
 /// allocation unless the payload itself owns heap data).
-pub struct InlinePayload {
+pub(crate) struct InlinePayload {
     vt: &'static InlineVt,
     buf: InlineBuf,
 }
@@ -187,19 +182,19 @@ impl InlinePayload {
     }
 
     /// Borrows the payload as a trait object.
-    pub fn as_dyn(&self) -> &dyn Payload {
+    pub(crate) fn as_dyn(&self) -> &dyn Payload {
         // SAFETY: `buf` holds the `T` the vtable was monomorphised for.
         unsafe { (self.vt.as_dyn)(&self.buf) }
     }
 
     /// Mutably borrows the payload as a trait object.
-    pub fn as_dyn_mut(&mut self) -> &mut dyn Payload {
+    pub(crate) fn as_dyn_mut(&mut self) -> &mut dyn Payload {
         // SAFETY: as above; the cell owns the value exclusively.
         unsafe { (self.vt.as_dyn_mut)(&mut self.buf) }
     }
 
     /// Deep-clones the payload into a fresh shared allocation.
-    pub fn clone_arc(&self) -> Arc<dyn Payload> {
+    pub(crate) fn clone_arc(&self) -> Arc<dyn Payload> {
         // SAFETY: as above.
         unsafe { (self.vt.clone_arc)(&self.buf) }
     }
@@ -270,7 +265,7 @@ impl Clone for CellRepr {
 impl PayloadCell {
     /// Wraps a concrete payload, choosing inline storage when it fits (see
     /// [`fits_inline`]) and a shared allocation otherwise.
-    pub fn of<P: Payload + Clone + 'static>(payload: P) -> Self {
+    pub(crate) fn of<P: Payload + Clone + 'static>(payload: P) -> Self {
         if fits_inline::<P>() {
             PayloadCell {
                 repr: CellRepr::Inline(InlinePayload::new(payload)),
@@ -283,7 +278,7 @@ impl PayloadCell {
     }
 
     /// Borrows the payload as a trait object.
-    pub fn as_dyn(&self) -> &dyn Payload {
+    pub(crate) fn as_dyn(&self) -> &dyn Payload {
         match &self.repr {
             CellRepr::Inline(p) => p.as_dyn(),
             CellRepr::Shared(p) => p.as_ref(),
@@ -293,7 +288,7 @@ impl PayloadCell {
     /// Mutably borrows the payload. Inline payloads are uniquely owned and
     /// mutate in place; shared payloads are copy-on-write (deep-cloned first
     /// if other handles alias the allocation).
-    pub fn as_dyn_mut(&mut self) -> &mut dyn Payload {
+    pub(crate) fn as_dyn_mut(&mut self) -> &mut dyn Payload {
         match &mut self.repr {
             CellRepr::Inline(p) => p.as_dyn_mut(),
             CellRepr::Shared(p) => {
@@ -307,7 +302,7 @@ impl PayloadCell {
 
     /// The shared handle, if the payload is `Arc`-backed. Inline payloads
     /// return `None`; promote them with [`PayloadCell::clone_arc`].
-    pub fn arc(&self) -> Option<&Arc<dyn Payload>> {
+    pub(crate) fn arc(&self) -> Option<&Arc<dyn Payload>> {
         match &self.repr {
             CellRepr::Inline(_) => None,
             CellRepr::Shared(p) => Some(p),
@@ -316,21 +311,16 @@ impl PayloadCell {
 
     /// A shared handle to the payload: a refcount bump for `Arc`-backed
     /// payloads, a deep clone into a fresh allocation for inline ones.
-    pub fn clone_arc(&self) -> Arc<dyn Payload> {
+    pub(crate) fn clone_arc(&self) -> Arc<dyn Payload> {
         match &self.repr {
             CellRepr::Inline(p) => p.clone_arc(),
             CellRepr::Shared(p) => Arc::clone(p),
         }
     }
 
-    /// Whether the payload is stored inline (no allocation, no refcount).
-    pub fn is_inline(&self) -> bool {
-        matches!(self.repr, CellRepr::Inline(_))
-    }
-
     /// The payload's wire size in bytes (see [`Payload::wire_size`]).
     /// Dispatches through the trait object — no allocation, no copy.
-    pub fn wire_size(&self) -> usize {
+    pub(crate) fn wire_size(&self) -> usize {
         self.as_dyn().wire_size()
     }
 }
@@ -355,6 +345,11 @@ impl From<Box<dyn Payload>> for PayloadCell {
 mod tests {
     use super::*;
 
+    /// Whether the payload is stored inline (no allocation, no refcount).
+    fn inline(c: &PayloadCell) -> bool {
+        matches!(c.repr, CellRepr::Inline(_))
+    }
+
     #[derive(Debug, Clone, PartialEq)]
     struct Dummy(u32);
 
@@ -374,7 +369,7 @@ mod tests {
 
     #[test]
     fn shared_clone_arc_is_deep() {
-        let a = shared(Dummy(3));
+        let a = Arc::new(Dummy(3)) as Arc<dyn Payload>;
         let b = a.as_ref().clone_arc();
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!(b.as_ref().as_any().downcast_ref::<Dummy>(), Some(&Dummy(3)));
@@ -382,7 +377,7 @@ mod tests {
 
     #[test]
     fn arc_refcount_clone_is_shallow() {
-        let a = shared(Dummy(4));
+        let a = Arc::new(Dummy(4)) as Arc<dyn Payload>;
         let b = Arc::clone(&a);
         assert!(Arc::ptr_eq(&a, &b));
     }
@@ -405,10 +400,10 @@ mod tests {
         #[derive(Debug, Clone, PartialEq)]
         struct Big([u64; INLINE_WORDS + 1]);
         let small = PayloadCell::of(Dummy(7));
-        assert!(small.is_inline());
+        assert!(inline(&small));
         assert_eq!(small.wire_size(), core::mem::size_of::<Dummy>());
         let big = PayloadCell::of(Big([0; INLINE_WORDS + 1]));
-        assert!(!big.is_inline());
+        assert!(!inline(&big));
         assert_eq!(big.wire_size(), core::mem::size_of::<Big>());
         // The trait-object path agrees with the cell accessor.
         assert_eq!(small.as_dyn().wire_size(), small.wire_size());
@@ -421,14 +416,14 @@ mod tests {
         assert!(fits_inline::<Dummy>());
         assert!(!fits_inline::<Big>());
         let small = PayloadCell::of(Dummy(7));
-        assert!(small.is_inline());
+        assert!(inline(&small));
         assert!(small.arc().is_none());
         assert_eq!(
             small.as_dyn().as_any().downcast_ref::<Dummy>(),
             Some(&Dummy(7))
         );
         let big = PayloadCell::of(Big([3; INLINE_WORDS + 1]));
-        assert!(!big.is_inline());
+        assert!(!inline(&big));
         assert!(big.arc().is_some());
         assert!(big.as_dyn().as_any().downcast_ref::<Big>().is_some());
     }
@@ -441,7 +436,7 @@ mod tests {
         struct Owned(Vec<u64>);
         assert!(fits_inline::<Owned>());
         let a = PayloadCell::of(Owned(vec![1, 2, 3]));
-        assert!(a.is_inline());
+        assert!(inline(&a));
         let mut b = a.clone();
         b.as_dyn_mut()
             .as_any_mut()
@@ -475,7 +470,7 @@ mod tests {
 
     #[test]
     fn shared_cell_mutation_is_copy_on_write() {
-        let arc: Arc<dyn Payload> = shared(Dummy(1));
+        let arc: Arc<dyn Payload> = Arc::new(Dummy(1));
         let mut cell = PayloadCell::from(Arc::clone(&arc));
         cell.as_dyn_mut()
             .as_any_mut()
@@ -500,7 +495,7 @@ mod tests {
             from_box.as_dyn().as_any().downcast_ref::<Dummy>(),
             Some(&Dummy(3))
         );
-        let a = shared(Dummy(4));
+        let a = Arc::new(Dummy(4)) as Arc<dyn Payload>;
         let from_arc = PayloadCell::from(Arc::clone(&a));
         assert!(Arc::ptr_eq(from_arc.arc().unwrap(), &a));
     }

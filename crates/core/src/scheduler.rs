@@ -2,7 +2,7 @@
 //!
 //! The controller (§III-A of the paper) is, at its core, a simulation clock
 //! driven by a priority queue of timestamped events. This module is that
-//! queue: [`HeapScheduler`], a binary min-heap, behind the [`Scheduler`]
+//! queue: `HeapScheduler`, a binary min-heap, behind the [`Scheduler`]
 //! trait. The trait hides the algorithm from the engine (which only ever
 //! holds a `Box<dyn Scheduler>`), and lets a test drive the queue directly.
 //!
@@ -67,19 +67,6 @@ use crate::time::SimTime;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventHandle(u64);
 
-impl EventHandle {
-    /// Creates a handle from an insertion sequence number (for backend
-    /// implementations).
-    pub const fn new(seq: u64) -> Self {
-        EventHandle(seq)
-    }
-
-    /// The insertion sequence number this handle refers to.
-    pub const fn seq(self) -> u64 {
-        self.0
-    }
-}
-
 /// Counters the queue reports about its own internals.
 ///
 /// These are *diagnostics*, not simulation outputs, which is why the fuzz
@@ -94,7 +81,7 @@ pub struct SchedulerStats {
     /// Cancelled entries that were discarded lazily at pop time.
     pub tombstones_popped: u64,
     /// Cancelled entries still resident when the snapshot was taken.
-    pub pending_tombstones: usize,
+    pub(crate) pending_tombstones: usize,
 }
 
 /// The event-queue abstraction the engine drives.
@@ -162,7 +149,7 @@ pub trait Scheduler: core::fmt::Debug {
 /// replay follow-up (ROADMAP item 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SchedulerKind {
-    /// The binary heap with lazy tombstone cancellation ([`HeapScheduler`]).
+    /// The binary heap with lazy tombstone cancellation (`HeapScheduler`).
     #[default]
     Heap,
 }
@@ -366,7 +353,7 @@ impl FanOutStore {
 /// lazy tombstone cancellation — `cancel` marks the sequence number and
 /// `pop` silently discards marked entries when they surface.
 #[derive(Debug, Default)]
-pub struct HeapScheduler {
+pub(crate) struct HeapScheduler {
     heap: BinaryHeap<ScheduledEvent>,
     seqs: SeqCounter,
     cancelled: FastSet<u64>,
@@ -377,7 +364,7 @@ pub struct HeapScheduler {
 
 impl HeapScheduler {
     /// Creates an empty heap scheduler.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         HeapScheduler::default()
     }
 
@@ -464,7 +451,7 @@ mod tests {
     use super::*;
     use crate::event::Timer;
     use crate::ids::{NodeId, TimerId};
-    use crate::payload::{boxed, shared};
+    use crate::payload::{boxed, Payload};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -530,7 +517,7 @@ mod tests {
             let seq = self.model.reserve(1);
             self.model.pending.push((at, seq, None));
             let handle = self.heap.schedule(at, kind);
-            assert_eq!(handle, EventHandle::new(seq), "plain seqs count up");
+            assert_eq!(handle, EventHandle(seq), "plain seqs count up");
             self.agree();
             handle
         }
@@ -546,7 +533,7 @@ mod tests {
             let at = SimTime::from_micros(at);
             self.model.pending.push((at, seq, None));
             let handle = self.heap.schedule_reserved(at, seq, kind);
-            assert_eq!(handle, EventHandle::new(seq));
+            assert_eq!(handle, EventHandle(seq));
             self.agree();
             handle
         }
@@ -573,7 +560,7 @@ mod tests {
             self.heap.schedule_fanout(
                 NodeId::new(0),
                 SimTime::ZERO,
-                shared(()),
+                Arc::new(()) as Arc<dyn Payload>,
                 first,
                 &recipients,
             );
@@ -581,7 +568,7 @@ mod tests {
         }
 
         fn cancel(&mut self, handle: EventHandle) {
-            self.model.cancel(handle.seq());
+            self.model.cancel(handle.0);
             assert!(self.heap.cancel(handle));
             self.agree();
         }
@@ -667,7 +654,7 @@ mod tests {
                 };
                 handles.push(q.schedule(at, timer_event(node)));
             }
-            for h in handles.iter().filter(|h| h.seq() % 3 == 0) {
+            for h in handles.iter().filter(|h| h.0 % 3 == 0) {
                 q.cancel(*h);
             }
             // Serve a quarter of the round — the near, hour and year timers
@@ -723,7 +710,7 @@ mod tests {
                             assert!(Some((at, seq)) > last, "seed {seed}: pops ascend");
                             last = Some((at, seq));
                             clock = at.as_micros();
-                            pending_timers.retain(|h| h.seq() != seq);
+                            pending_timers.retain(|h| h.0 != seq);
                         }
                     }
                     9..=10 => {
@@ -826,7 +813,7 @@ mod tests {
         let first = q.reserve(2);
         assert_eq!(first, 0);
         let plain = q.schedule(5_000, timer_event(9));
-        assert_eq!(plain.seq(), 2, "plain seqs continue after the block");
+        assert_eq!(plain.0, 2, "plain seqs continue after the block");
         assert_eq!(q.heap.len(), 1, "a reservation is not an entry");
         q.schedule_reserved(5_000, first + 1, message_like_event(1));
         q.schedule_reserved(5_000, first, message_like_event(0));

@@ -3,7 +3,7 @@
 //! Protocol implementations report short annotations like `"view=3"` on
 //! every commit, proposal and timeout. Storing those as `String` put one
 //! heap allocation on the critical path of every such event; [`SmallStr`]
-//! keeps strings of up to [`SmallStr::INLINE_CAP`] bytes inline and only
+//! keeps strings of up to `SmallStr::INLINE_CAP` bytes inline and only
 //! spills longer ones to the heap.
 //!
 //! The representation is *canonical*: a value is stored inline if and only
@@ -31,10 +31,10 @@ pub struct SmallStr {
 
 impl SmallStr {
     /// Maximum byte length stored without a heap allocation.
-    pub const INLINE_CAP: usize = 30;
+    pub(crate) const INLINE_CAP: usize = 30;
 
     /// Creates an empty string (inline, no allocation).
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         SmallStr {
             repr: Repr::Inline {
                 len: 0,
@@ -44,7 +44,7 @@ impl SmallStr {
     }
 
     /// The text as a `&str`.
-    pub fn as_str(&self) -> &str {
+    pub(crate) fn as_str(&self) -> &str {
         match &self.repr {
             Repr::Inline { len, buf } => core::str::from_utf8(&buf[..*len as usize])
                 .expect("SmallStr buffers only ever hold whole &str copies"),
@@ -53,26 +53,16 @@ impl SmallStr {
     }
 
     /// Byte length of the text.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match &self.repr {
             Repr::Inline { len, .. } => *len as usize,
             Repr::Heap(s) => s.len(),
         }
     }
 
-    /// Whether the text is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether the text is stored inline (i.e. cost no allocation).
-    pub fn is_inline(&self) -> bool {
-        matches!(self.repr, Repr::Inline { .. })
-    }
-
     /// Formats `args` directly into a fresh `SmallStr` — the zero-alloc
     /// path behind [`Context::report_fmt`](crate::context::Context::report_fmt).
-    pub fn format(args: fmt::Arguments<'_>) -> Self {
+    pub(crate) fn format(args: fmt::Arguments<'_>) -> Self {
         use fmt::Write as _;
         let mut s = SmallStr::new();
         s.write_fmt(args).expect("SmallStr never errors on write");
@@ -203,21 +193,26 @@ impl fmt::Display for SmallStr {
 mod tests {
     use super::*;
 
+    /// Whether the text is stored inline (i.e. cost no allocation).
+    fn inline(s: &SmallStr) -> bool {
+        matches!(s.repr, Repr::Inline { .. })
+    }
+
     #[test]
     fn short_strings_stay_inline() {
         let s = SmallStr::from("view=3");
-        assert!(s.is_inline());
+        assert!(inline(&s));
         assert_eq!(s.as_str(), "view=3");
         assert_eq!(s.len(), 6);
         let exactly = "x".repeat(SmallStr::INLINE_CAP);
-        assert!(SmallStr::from(exactly.as_str()).is_inline());
+        assert!(inline(&SmallStr::from(exactly.as_str())));
     }
 
     #[test]
     fn long_strings_spill_to_heap() {
         let long = "y".repeat(SmallStr::INLINE_CAP + 1);
         let s = SmallStr::from(long.as_str());
-        assert!(!s.is_inline());
+        assert!(!inline(&s));
         assert_eq!(s.as_str(), long);
         assert_eq!(String::from(s), long);
     }
@@ -227,7 +222,7 @@ mod tests {
         let a = SmallStr::from("short");
         let b = SmallStr::from("short".to_string());
         let c = SmallStr::format(format_args!("sho{}", "rt"));
-        assert!(a.is_inline() && b.is_inline() && c.is_inline());
+        assert!(inline(&a) && inline(&b) && inline(&c));
         assert_eq!(a, b);
         assert_eq!(a, c);
         use std::collections::hash_map::DefaultHasher;
@@ -247,7 +242,7 @@ mod tests {
             write!(s, "{i:0>4}").unwrap();
         }
         assert_eq!(s.as_str(), "0000000100020003000400050006000700080009");
-        assert!(!s.is_inline());
+        assert!(!inline(&s));
         // Equal to a directly-built heap string.
         assert_eq!(s, SmallStr::from(s.as_str().to_string()));
     }

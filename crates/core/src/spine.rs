@@ -25,7 +25,7 @@ use std::borrow::Cow;
 
 /// Every consumer of run facts, owned in one place.
 pub(crate) struct Sinks {
-    pub metrics: MetricsCollector,
+    pub(crate) metrics: MetricsCollector,
     trace: Trace,
     record_messages: bool,
     obs: Option<ObsRecorder>,
@@ -41,7 +41,7 @@ fn is_self_delivery(msg: &Message) -> bool {
 }
 
 impl Sinks {
-    pub fn new(
+    pub(crate) fn new(
         cfg: &RunConfig,
         observer: Option<Box<dyn StepObserver>>,
         obs: Option<ObsConfig>,
@@ -57,7 +57,7 @@ impl Sinks {
     }
 
     /// Turns the schedule recorder on (see [`Sinks::fate`]).
-    pub fn record_schedule(&mut self) {
+    pub(crate) fn record_schedule(&mut self) {
         self.recorder = Some(DeliverySchedule::new());
     }
 
@@ -80,7 +80,7 @@ impl Sinks {
 
     /// An honest node put `msg` on its way, before the network decides.
     #[inline]
-    pub fn sent(&mut self, now: SimTime, msg: &Message) {
+    pub(crate) fn sent(&mut self, now: SimTime, msg: &Message) {
         if !is_self_delivery(msg) {
             self.metrics.count_honest_message(msg.src());
         }
@@ -94,7 +94,7 @@ impl Sinks {
     /// Counter and observer move in lockstep (the metrics-sanity oracle
     /// cross-checks them).
     #[inline]
-    pub fn dispatched(&mut self, now: SimTime) {
+    pub(crate) fn dispatched(&mut self, now: SimTime) {
         self.metrics.count_event();
         if let Some(observer) = &mut self.observer {
             observer.on_event(now);
@@ -103,7 +103,7 @@ impl Sinks {
 
     /// `msg` reached its (live) destination.
     #[inline]
-    pub fn delivered(&mut self, now: SimTime, msg: &Message) {
+    pub(crate) fn delivered(&mut self, now: SimTime, msg: &Message) {
         if !is_self_delivery(msg) {
             self.metrics.count_delivery(msg.dst());
             if let Some(obs) = &mut self.obs {
@@ -119,7 +119,7 @@ impl Sinks {
     }
 
     /// `node` decided `value` for its next slot.
-    pub fn decided(&mut self, now: SimTime, node: NodeId, value: Value, excluded: &NodeSet) {
+    pub(crate) fn decided(&mut self, now: SimTime, node: NodeId, value: Value, excluded: &NodeSet) {
         let slot = self.metrics.record_decision(node, now, value, excluded);
         if let Some(observer) = &mut self.observer {
             observer.on_decision(now, node, slot, value);
@@ -132,7 +132,7 @@ impl Sinks {
     }
 
     /// `node` entered `view`.
-    pub fn view(&mut self, now: SimTime, node: NodeId, view: u64) {
+    pub(crate) fn view(&mut self, now: SimTime, node: NodeId, view: u64) {
         if let Some(obs) = &mut self.obs {
             obs.on_view(now, view);
         }
@@ -140,7 +140,7 @@ impl Sinks {
     }
 
     /// `node` reported a protocol-defined event.
-    pub fn custom(
+    pub(crate) fn custom(
         &mut self,
         now: SimTime,
         node: NodeId,
@@ -152,7 +152,13 @@ impl Sinks {
 
     /// The adversary corrupted (or else crashed) `node`, which `excluded`
     /// already contains, so slots may complete over the nodes that are left.
-    pub fn excluded(&mut self, now: SimTime, node: NodeId, corrupted: bool, excluded: &NodeSet) {
+    pub(crate) fn excluded(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        corrupted: bool,
+        excluded: &NodeSet,
+    ) {
         self.log(true, now, node, || {
             if corrupted {
                 TraceKind::Corrupted
@@ -165,7 +171,13 @@ impl Sinks {
 
     /// The network model queued a message on link `src → dst`.
     #[inline]
-    pub fn link_queued(&mut self, src: NodeId, dst: NodeId, queued: SimDuration, depth: u32) {
+    pub(crate) fn link_queued(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        queued: SimDuration,
+        depth: u32,
+    ) {
         if queued > SimDuration::ZERO {
             if let Some(obs) = &mut self.obs {
                 obs.on_link_queued(src, dst, queued, depth);
@@ -176,7 +188,7 @@ impl Sinks {
     /// The final fate of one honest transmission (after adversary and wire
     /// faults), for validator replay.
     #[inline]
-    pub fn fate(&mut self, fate: Fate) {
+    pub(crate) fn fate(&mut self, fate: Fate) {
         if let Some(recorder) = &mut self.recorder {
             recorder.push(fate);
         }
@@ -184,7 +196,7 @@ impl Sinks {
 
     /// Consumes the sinks into the run's result and recorded schedule
     /// (empty unless [`record_schedule`](Self::record_schedule) was called).
-    pub fn finish(
+    pub(crate) fn finish(
         self,
         end_time: SimTime,
         timed_out: bool,

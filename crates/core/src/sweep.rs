@@ -32,7 +32,7 @@ use std::sync::mpsc;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepPanic {
     /// Index of the job that panicked.
-    pub job: usize,
+    pub(crate) job: usize,
     /// The panic payload, when it was a string (the overwhelmingly common
     /// case); a placeholder otherwise.
     pub message: String,
@@ -47,7 +47,7 @@ impl core::fmt::Display for SweepPanic {
 impl std::error::Error for SweepPanic {}
 
 /// The host's available parallelism (1 if it cannot be determined).
-pub fn available_threads() -> usize {
+pub(crate) fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1)
@@ -55,7 +55,7 @@ pub fn available_threads() -> usize {
 
 /// Resolves a user-supplied thread count: `0` means "use all cores"
 /// ([`available_threads`]); anything else is taken literally.
-pub fn resolve_threads(requested: usize) -> usize {
+pub(crate) fn resolve_threads(requested: usize) -> usize {
     if requested == 0 {
         available_threads()
     } else {
@@ -65,7 +65,7 @@ pub fn resolve_threads(requested: usize) -> usize {
 
 /// Runs `jobs` independent jobs on `min(threads, jobs)` worker threads and
 /// returns their results **in job order** — element `i` is `run(i)`'s
-/// outcome. `threads == 0` means [`available_threads`]. Each job runs under
+/// outcome. `threads == 0` means `available_threads`. Each job runs under
 /// [`catch_unwind`], so a panicking job yields `Err(SweepPanic)` in its
 /// slot while every other job still completes.
 ///

@@ -38,16 +38,14 @@ pub struct SimDuration(u64);
 impl SimTime {
     /// The start of the simulation.
     pub const ZERO: SimTime = SimTime(0);
-    /// The largest representable instant; used as an "infinitely far" sentinel.
-    pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Creates an instant from raw microseconds.
     pub const fn from_micros(micros: u64) -> Self {
         SimTime(micros)
     }
 
-    /// Creates an instant from integral milliseconds, saturating at
-    /// [`SimTime::MAX`]: an instant later than representable is "never".
+    /// Creates an instant from integral milliseconds, saturating at the
+    /// largest representable instant: one later than that is "never".
     pub const fn from_millis(millis: u64) -> Self {
         SimTime(millis.saturating_mul(1_000))
     }
@@ -73,7 +71,7 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Adds a duration, saturating at [`SimTime::MAX`].
+    /// Adds a duration, saturating at the largest representable instant.
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
     }
@@ -227,8 +225,8 @@ mod tests {
     fn from_millis_saturates_at_the_edge() {
         let last = u64::MAX / 1_000;
         assert_eq!(SimTime::from_millis(last).as_micros(), last * 1_000);
-        assert_eq!(SimTime::from_millis(last + 1), SimTime::MAX);
-        assert_eq!(SimTime::from_millis(u64::MAX), SimTime::MAX);
+        assert_eq!(SimTime::from_millis(last + 1), SimTime(u64::MAX));
+        assert_eq!(SimTime::from_millis(u64::MAX), SimTime(u64::MAX));
     }
 
     #[test]

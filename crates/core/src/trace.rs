@@ -181,7 +181,7 @@ pub struct Trace {
 
 impl Trace {
     /// Creates an empty trace.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Trace::default()
     }
 

@@ -9,7 +9,7 @@
 //!    schedule through a fresh simulation must reproduce the same decisions;
 //!    [`Validator::check_replay`] asserts this. This is the analogue of the
 //!    paper replaying BFTsim's event sequence.
-//! 2. **Decision comparison** — [`Validator::compare_decisions`] checks two
+//! 2. **Decision comparison** — `Validator::compare_decisions` checks two
 //!    runs (e.g. the event-level engine and the packet-level baseline in
 //!    `bft-sim-baseline`) agreed on *which node decided what value*.
 //!
@@ -39,7 +39,7 @@ enum RecordedFate {
 
 impl DeliverySchedule {
     /// Creates an empty schedule.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         DeliverySchedule::default()
     }
 
@@ -154,7 +154,7 @@ impl Validator {
     ///
     /// Returns [`SimError::ValidationMismatch`] describing the first
     /// difference found.
-    pub fn compare_decisions(a: &RunResult, b: &RunResult) -> Result<(), SimError> {
+    pub(crate) fn compare_decisions(a: &RunResult, b: &RunResult) -> Result<(), SimError> {
         if a.decided.len() != b.decided.len() {
             return Err(SimError::ValidationMismatch(format!(
                 "node counts differ: {} vs {}",

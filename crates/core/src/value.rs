@@ -44,11 +44,6 @@ impl Value {
     pub const fn as_u64(self) -> u64 {
         self.0
     }
-
-    /// Interprets the value as a bit (`!= 0`).
-    pub const fn as_bit(self) -> bool {
-        self.0 != 0
-    }
 }
 
 impl fmt::Display for Value {
@@ -69,8 +64,6 @@ mod tests {
 
     #[test]
     fn binary_values() {
-        assert!(!Value::ZERO.as_bit());
-        assert!(Value::ONE.as_bit());
         assert_eq!(Value::from_bit(true), Value::ONE);
         assert_eq!(Value::from_bit(false), Value::ZERO);
     }

@@ -58,19 +58,9 @@ impl Digest {
         Digest(mix(h))
     }
 
-    /// Combines two digests (e.g. chaining a block onto its parent).
-    pub fn combine(self, other: Digest) -> Digest {
-        Digest::of_words(&[self.0, other.0])
-    }
-
     /// The raw digest value.
     pub const fn as_u64(self) -> u64 {
         self.0
-    }
-
-    /// Constructs a digest from a raw value (e.g. deserialised state).
-    pub const fn from_u64(v: u64) -> Digest {
-        Digest(v)
     }
 }
 
@@ -101,13 +91,6 @@ mod tests {
         assert_ne!(Digest::of_bytes(b""), Digest::of_bytes(b"\0"));
         assert_ne!(Digest::of_words(&[1, 2]), Digest::of_words(&[2, 1]));
         assert_ne!(Digest::of_words(&[0]), Digest::of_words(&[0, 0]));
-    }
-
-    #[test]
-    fn combine_is_order_sensitive() {
-        let a = Digest::of_bytes(b"a");
-        let b = Digest::of_bytes(b"b");
-        assert_ne!(a.combine(b), b.combine(a));
     }
 
     #[test]

@@ -21,15 +21,10 @@
 //! assert!(qc.is_some());
 //! ```
 
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
 pub mod hash;
 pub mod quorum;
 pub mod signature;
 pub mod vrf;
 
 pub use hash::Digest;
-pub use quorum::{QuorumCert, SignerSet, VoteTracker};
-pub use signature::{sign, Signature};
-pub use vrf::{elect_leader, evaluate, VrfOutput};
+pub use signature::sign;

@@ -149,11 +149,6 @@ impl QuorumCert {
     pub fn weight(&self) -> usize {
         self.signers.len()
     }
-
-    /// Checks the certificate carries at least `threshold` signers.
-    pub fn is_valid(&self, threshold: usize) -> bool {
-        self.weight() >= threshold
-    }
 }
 
 /// Collects signed votes per `(view, digest)` candidate and forms a
@@ -195,11 +190,6 @@ impl VoteTracker {
             votes: FastMap::with_capacity_and_hasher(16, Default::default()),
             formed: FastMap::with_capacity_and_hasher(16, Default::default()),
         }
-    }
-
-    /// The quorum threshold.
-    pub fn threshold(&self) -> usize {
-        self.threshold
     }
 
     /// Adds a vote. Invalid signatures and duplicate signers are ignored.
@@ -359,7 +349,7 @@ mod tests {
         assert!(t.add(0, d, sign(NodeId::new(0), d)).is_none());
         assert!(t.add(0, d, sign(NodeId::new(1), d)).is_none());
         let qc = t.add(0, d, sign(NodeId::new(2), d)).expect("quorum");
-        assert!(qc.is_valid(3));
+        assert!(qc.weight() >= 3);
         assert_eq!(qc.weight(), 3);
         // A fourth vote must not re-form the certificate.
         assert!(t.add(0, d, sign(NodeId::new(3), d)).is_none());

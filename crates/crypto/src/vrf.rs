@@ -81,16 +81,6 @@ pub fn evaluate(seed: u64, node: NodeId, input: u64) -> VrfOutput {
     }
 }
 
-/// Returns the node with the lowest verified VRF value among `outputs`
-/// (ties broken by node id), or `None` if no output verifies.
-pub fn elect_leader(seed: u64, outputs: &[VrfOutput]) -> Option<NodeId> {
-    outputs
-        .iter()
-        .filter(|o| o.verify(seed))
-        .min_by_key(|o| (o.value, o.node))
-        .map(|o| o.node)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,29 +107,6 @@ mod tests {
         let mut out = evaluate(1, NodeId::new(0), 5);
         out.value ^= 1;
         assert!(!out.verify(1));
-    }
-
-    #[test]
-    fn leader_election_picks_minimum() {
-        let outs: Vec<VrfOutput> = (0..8).map(|i| evaluate(9, NodeId::new(i), 3)).collect();
-        let winner = elect_leader(9, &outs).unwrap();
-        let min = outs.iter().min_by_key(|o| o.value()).unwrap().node();
-        assert_eq!(winner, min);
-    }
-
-    #[test]
-    fn election_ignores_invalid_proofs() {
-        let mut outs: Vec<VrfOutput> = (0..4).map(|i| evaluate(9, NodeId::new(i), 0)).collect();
-        let honest_winner = elect_leader(9, &outs).unwrap();
-        // An attacker claims value 0 without a valid proof.
-        let cheat_idx = outs.iter().position(|o| o.node() != honest_winner).unwrap();
-        outs[cheat_idx].value = 0;
-        assert_eq!(elect_leader(9, &outs), Some(honest_winner));
-    }
-
-    #[test]
-    fn election_of_nothing_is_none() {
-        assert_eq!(elect_leader(1, &[]), None);
     }
 
     #[test]

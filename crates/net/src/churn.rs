@@ -2,16 +2,13 @@
 //!
 //! A [`ChurnPlan`] lists [`DownWindow`]s — intervals during which a node is
 //! offline. [`ChurnedNetwork`] layers the plan over any inner
-//! [`NetworkModel`] the same way
-//! [`PartitionedNetwork`](crate::partition::PartitionedNetwork) layers a
-//! [`PartitionPlan`](crate::partition::PartitionPlan): while either endpoint
-//! of a link is down, messages on it are dropped at the network layer. The
-//! node itself keeps executing (its timers still fire), which models a
-//! process whose NIC or VM is gone but whose protocol state survives — on
-//! recovery it rejoins with whatever it knew, the classic crash-recovery
-//! churn of the BFT literature.
+//! [`NetworkModel`]: while either endpoint of a link is down, messages on it
+//! are dropped at the network layer. The node itself keeps executing (its
+//! timers still fire), which models a process whose NIC or VM is gone but
+//! whose protocol state survives — on recovery it rejoins with whatever it
+//! knew, the classic crash-recovery churn of the BFT literature.
 //!
-//! Plans are either explicit ([`ChurnPlan::new`]) or generated from a seed
+//! Plans are either explicit (`ChurnPlan::new`) or generated from a seed
 //! ([`ChurnPlan::staggered`]), so fuzzing can explore churn schedules
 //! deterministically.
 
@@ -49,7 +46,7 @@ pub struct ChurnPlan {
 impl ChurnPlan {
     /// Creates a plan from explicit windows. Rejects windows that end before
     /// they start with [`SimError::InvalidConfig`].
-    pub fn new(windows: Vec<DownWindow>) -> Result<Self, SimError> {
+    pub(crate) fn new(windows: Vec<DownWindow>) -> Result<Self, SimError> {
         for w in &windows {
             if w.end < w.start {
                 return Err(SimError::InvalidConfig(format!(
@@ -105,7 +102,7 @@ impl ChurnPlan {
     }
 
     /// Whether `node` is offline at `now` under any window.
-    pub fn is_down(&self, node: NodeId, now: SimTime) -> bool {
+    pub(crate) fn is_down(&self, node: NodeId, now: SimTime) -> bool {
         self.windows.iter().any(|w| w.covers(node, now))
     }
 
@@ -127,11 +124,6 @@ impl<N: NetworkModel> ChurnedNetwork<N> {
     /// Wraps `inner` with the given plan.
     pub fn new(inner: N, plan: ChurnPlan) -> Self {
         ChurnedNetwork { inner, plan }
-    }
-
-    /// The churn plan.
-    pub fn plan(&self) -> &ChurnPlan {
-        &self.plan
     }
 }
 

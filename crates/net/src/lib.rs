@@ -15,16 +15,8 @@
 //! assert_eq!(net.bound().as_millis_f64(), 2000.0);
 //! ```
 
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
 pub mod churn;
 pub mod models;
 pub mod partition;
 pub mod scenarios;
 pub mod topology;
-
-pub use churn::{ChurnPlan, ChurnedNetwork, DownWindow};
-pub use models::{BoundedNetwork, GstNetwork, LinkMatrixNetwork};
-pub use partition::{CrossTraffic, PartitionPlan, PartitionedNetwork};
-pub use topology::{BandwidthNetwork, LinkProfile, LinkTopology};

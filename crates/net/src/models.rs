@@ -52,11 +52,6 @@ impl BoundedNetwork {
         }
     }
 
-    /// The delay distribution.
-    pub fn dist(&self) -> Dist {
-        self.dist
-    }
-
     /// The hard delay bound.
     pub fn bound(&self) -> SimDuration {
         self.bound
@@ -160,7 +155,7 @@ impl LinkMatrixNetwork {
     /// # Panics
     ///
     /// Panics if `src` or `dst` is out of range.
-    pub fn set_link(&mut self, src: NodeId, dst: NodeId, dist: Dist) -> &mut Self {
+    pub(crate) fn set_link(&mut self, src: NodeId, dst: NodeId, dist: Dist) -> &mut Self {
         assert!(
             src.index() < self.n && dst.index() < self.n,
             "link out of range"
@@ -174,11 +169,6 @@ impl LinkMatrixNetwork {
         self.set_link(a, b, dist);
         self.set_link(b, a, dist);
         self
-    }
-
-    /// The distribution currently assigned to `src → dst`.
-    pub fn link(&self, src: NodeId, dst: NodeId) -> Dist {
-        self.links[src.index() * self.n + dst.index()]
     }
 }
 
@@ -271,14 +261,9 @@ mod tests {
     fn link_matrix_bidi_override() {
         let mut net = LinkMatrixNetwork::uniform(2, Dist::constant(1.0));
         net.set_bidi(NodeId::new(0), NodeId::new(1), Dist::constant(7.0));
-        assert_eq!(
-            net.link(NodeId::new(0), NodeId::new(1)),
-            Dist::constant(7.0)
-        );
-        assert_eq!(
-            net.link(NodeId::new(1), NodeId::new(0)),
-            Dist::constant(7.0)
-        );
+        // Row-major: 0 → 1 is index 1, 1 → 0 is index 2.
+        assert_eq!(net.links[1], Dist::constant(7.0));
+        assert_eq!(net.links[2], Dist::constant(7.0));
     }
 
     #[test]

@@ -5,16 +5,11 @@
 //! either dropped or held back until the partition resolves (the two
 //! packet-filter behaviours described for the partition attack in §III-C).
 //!
-//! The plan is used in two places: [`PartitionedNetwork`] models a partition
-//! as a *network condition* (this module), and
-//! `bft_sim_attacks::PartitionAttack` models it as an *adversarial filter*
-//! sitting in the attacker module. Both produce the same delivery behaviour;
-//! the attack variant exists because the paper implements partitions there.
+//! `bft_sim_attacks::PartitionAttack` applies the plan as an *adversarial
+//! filter* in the attacker module, where the paper implements partitions.
 
 use bft_sim_core::ids::NodeId;
-use bft_sim_core::network::{LinkDecision, NetworkModel};
-use bft_sim_core::time::{SimDuration, SimTime};
-use rand::rngs::SmallRng;
+use bft_sim_core::time::SimTime;
 
 /// What happens to messages that cross subnet boundaries while the
 /// partition is active.
@@ -64,24 +59,6 @@ impl PartitionPlan {
         Self::new(groups, start, end, cross)
     }
 
-    /// Splits `n` nodes into `k` round-robin subnets.
-    pub fn round_robin(
-        n: usize,
-        k: u32,
-        start: SimTime,
-        end: SimTime,
-        cross: CrossTraffic,
-    ) -> Self {
-        assert!(k > 0, "need at least one subnet");
-        let groups = (0..n).map(|i| (i as u32) % k).collect();
-        Self::new(groups, start, end, cross)
-    }
-
-    /// When the partition starts.
-    pub fn start(&self) -> SimTime {
-        self.start
-    }
-
     /// When the partition resolves.
     pub fn end(&self) -> SimTime {
         self.end
@@ -94,7 +71,7 @@ impl PartitionPlan {
 
     /// The subnet of `node` (nodes beyond the plan length fall into
     /// subnet 0).
-    pub fn group_of(&self, node: NodeId) -> u32 {
+    pub(crate) fn group_of(&self, node: NodeId) -> u32 {
         self.groups.get(node.index()).copied().unwrap_or(0)
     }
 
@@ -110,75 +87,9 @@ impl PartitionPlan {
     }
 }
 
-/// Wraps an inner network model with a [`PartitionPlan`].
-///
-/// Cross-partition messages are dropped (modelled as a near-infinite delay
-/// pushed past the run's practical horizon is *not* used — the engine's drop
-/// accounting stays accurate by using `HoldUntilResolve` semantics instead;
-/// for true drops use the attack variant, which can return
-/// [`Fate::Drop`](bft_sim_core::adversary::Fate::Drop)). With
-/// [`CrossTraffic::HoldUntilResolve`] messages are delivered after the
-/// partition heals plus a fresh inner delay. With [`CrossTraffic::Drop`]
-/// they are delayed to [`SimTime::MAX`], which in practice never delivers
-/// within the run's time cap.
-#[derive(Debug, Clone)]
-pub struct PartitionedNetwork<N> {
-    inner: N,
-    plan: PartitionPlan,
-}
-
-impl<N: NetworkModel> PartitionedNetwork<N> {
-    /// Wraps `inner` with the given plan.
-    pub fn new(inner: N, plan: PartitionPlan) -> Self {
-        PartitionedNetwork { inner, plan }
-    }
-
-    /// The partition plan.
-    pub fn plan(&self) -> &PartitionPlan {
-        &self.plan
-    }
-}
-
-impl<N: NetworkModel> NetworkModel for PartitionedNetwork<N> {
-    fn decide(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        now: SimTime,
-        wire_bytes: u64,
-        rng: &mut SmallRng,
-    ) -> LinkDecision {
-        // Always consult the inner model first, so the RNG stream is
-        // independent of the partition window (determinism across plans).
-        let base = self.inner.decide(src, dst, now, wire_bytes, rng);
-        if !self.plan.severs(src, dst, now) {
-            return base;
-        }
-        match self.plan.cross_traffic() {
-            // Delivered at SimDuration::MAX, which in practice never lands
-            // within the run's time cap — keeps the engine's drop accounting
-            // identical to the historical delay-only behaviour.
-            CrossTraffic::Drop => LinkDecision::deliver(SimDuration::MAX),
-            CrossTraffic::HoldUntilResolve => match base {
-                LinkDecision::Deliver(mut d) => {
-                    d.delay = (self.plan.end() - now) + d.delay;
-                    LinkDecision::Deliver(d)
-                }
-                LinkDecision::Drop => LinkDecision::Drop,
-            },
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "partitioned"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bft_sim_core::network::ConstantNetwork;
-    use rand::SeedableRng;
 
     fn plan(cross: CrossTraffic) -> PartitionPlan {
         PartitionPlan::halves(
@@ -207,67 +118,6 @@ mod tests {
         assert!(p.severs(a, c, during));
         assert!(!p.severs(a, c, SimTime::from_millis(50)), "before start");
         assert!(!p.severs(a, c, SimTime::from_millis(500)), "at resolve");
-    }
-
-    #[test]
-    fn hold_until_resolve_delays_past_heal() {
-        let net = ConstantNetwork::new(SimDuration::from_millis(10.0));
-        let mut pn = PartitionedNetwork::new(net, plan(CrossTraffic::HoldUntilResolve));
-        let mut rng = SmallRng::seed_from_u64(0);
-        let d = pn
-            .decide(
-                NodeId::new(0),
-                NodeId::new(2),
-                SimTime::from_millis(200),
-                64,
-                &mut rng,
-            )
-            .delay()
-            .unwrap();
-        // Held for 300 ms (until 500 ms) plus the 10 ms base delay.
-        assert_eq!(d.as_millis_f64(), 310.0);
-        let d_same = pn
-            .decide(
-                NodeId::new(0),
-                NodeId::new(1),
-                SimTime::from_millis(200),
-                64,
-                &mut rng,
-            )
-            .delay()
-            .unwrap();
-        assert_eq!(d_same.as_millis_f64(), 10.0);
-    }
-
-    #[test]
-    fn drop_pushes_past_any_horizon() {
-        let net = ConstantNetwork::new(SimDuration::from_millis(10.0));
-        let mut pn = PartitionedNetwork::new(net, plan(CrossTraffic::Drop));
-        let mut rng = SmallRng::seed_from_u64(0);
-        let d = pn
-            .decide(
-                NodeId::new(0),
-                NodeId::new(3),
-                SimTime::from_millis(200),
-                64,
-                &mut rng,
-            )
-            .delay()
-            .unwrap();
-        assert_eq!(d, SimDuration::MAX);
-    }
-
-    #[test]
-    fn round_robin_groups() {
-        let p = PartitionPlan::round_robin(
-            5,
-            3,
-            SimTime::ZERO,
-            SimTime::from_millis(1),
-            CrossTraffic::Drop,
-        );
-        let groups: Vec<u32> = (0..5).map(|i| p.group_of(NodeId::new(i))).collect();
-        assert_eq!(groups, vec![0, 1, 2, 0, 1]);
     }
 
     #[test]

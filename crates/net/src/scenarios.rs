@@ -1,9 +1,6 @@
 //! Ready-made network environments used by the paper's evaluation (§IV).
 
 use bft_sim_core::dist::Dist;
-use bft_sim_core::network::SampledNetwork;
-
-use crate::models::BoundedNetwork;
 
 /// The four network environments of Fig. 3, from "fast and stable" to "slow
 /// and unstable": `N(250, 50)`, `N(500, 100)`, `N(1000, 300)`,
@@ -17,17 +14,6 @@ pub fn fig3_environments() -> [Dist; 4] {
     ]
 }
 
-/// The paper's default network, `N(250, 50)` (used in Figs. 2, 4, 5, 9).
-pub fn default_network() -> SampledNetwork {
-    SampledNetwork::new(Dist::normal(250.0, 50.0))
-}
-
-/// A bounded variant of the default network suitable for synchronous
-/// protocols: `N(250, 50)` clamped to the given bound (ms).
-pub fn bounded_default(bound_ms: f64) -> BoundedNetwork {
-    BoundedNetwork::new(Dist::normal(250.0, 50.0), bound_ms)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -37,10 +23,5 @@ mod tests {
         let envs = fig3_environments();
         let means: Vec<f64> = envs.iter().map(|d| d.mean()).collect();
         assert_eq!(means, vec![250.0, 500.0, 1000.0, 1000.0]);
-    }
-
-    #[test]
-    fn default_network_matches_paper() {
-        assert_eq!(default_network().dist(), Dist::normal(250.0, 50.0));
     }
 }

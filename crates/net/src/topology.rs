@@ -28,26 +28,17 @@ use rand::{Rng, SeedableRng};
 pub struct LinkProfile {
     /// Whether the link exists at all; messages over a disconnected link are
     /// dropped at the network layer.
-    pub connected: bool,
+    pub(crate) connected: bool,
     /// Propagation-latency distribution (milliseconds).
-    pub latency: Dist,
+    pub(crate) latency: Dist,
     /// Capacity in bytes per second; `None` models an unlimited link with
     /// zero serialization delay.
-    pub bandwidth: Option<u64>,
+    pub(crate) bandwidth: Option<u64>,
 }
 
 impl LinkProfile {
-    /// A connected link with the given latency and unlimited bandwidth.
-    pub fn unlimited(latency: Dist) -> Self {
-        LinkProfile {
-            connected: true,
-            latency,
-            bandwidth: None,
-        }
-    }
-
     /// A disconnected link; its latency is never sampled for delivery.
-    pub fn disconnected() -> Self {
+    pub(crate) fn disconnected() -> Self {
         LinkProfile {
             connected: false,
             latency: Dist::constant(0.0),
@@ -89,7 +80,7 @@ fn dist_params_finite(d: &Dist) -> bool {
 /// Construct via the shape generators ([`full_mesh`](Self::full_mesh),
 /// [`ring`](Self::ring), [`ring_gradient`](Self::ring_gradient),
 /// [`clustered`](Self::clustered)) or from an explicit matrix with
-/// [`from_links`](Self::from_links). All constructors validate and return
+/// `from_links`. All constructors validate and return
 /// [`SimError::InvalidConfig`] on degenerate input.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkTopology {
@@ -99,7 +90,7 @@ pub struct LinkTopology {
 
 impl LinkTopology {
     /// Builds a topology from an explicit row-major matrix.
-    pub fn from_links(n: usize, links: Vec<LinkProfile>) -> Result<Self, SimError> {
+    pub(crate) fn from_links(n: usize, links: Vec<LinkProfile>) -> Result<Self, SimError> {
         if n == 0 {
             return Err(SimError::InvalidConfig(
                 "topology needs at least one node".into(),
@@ -213,28 +204,14 @@ impl LinkTopology {
         Self::from_links(n, links)
     }
 
-    /// Number of nodes.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// The profile of the directed link `src → dst`; out-of-range nodes are
     /// treated as disconnected.
-    pub fn link(&self, src: NodeId, dst: NodeId) -> LinkProfile {
+    pub(crate) fn link(&self, src: NodeId, dst: NodeId) -> LinkProfile {
         if src.index() < self.n && dst.index() < self.n {
             self.links[src.index() * self.n + dst.index()]
         } else {
             LinkProfile::disconnected()
         }
-    }
-
-    /// Number of connected directed links (excluding self-links).
-    pub fn connected_links(&self) -> usize {
-        self.links
-            .iter()
-            .enumerate()
-            .filter(|(i, l)| l.connected && i / self.n != i % self.n)
-            .count()
     }
 }
 
@@ -285,11 +262,6 @@ impl BandwidthNetwork {
             topo.n * topo.n
         ];
         BandwidthNetwork { topo, state }
-    }
-
-    /// The underlying topology.
-    pub fn topology(&self) -> &LinkTopology {
-        &self.topo
     }
 
     /// Serialization time for `wire_bytes` on a link of `bandwidth`
@@ -354,6 +326,15 @@ impl NetworkModel for BandwidthNetwork {
 mod tests {
     use super::*;
 
+    /// A connected 1 ms link with unlimited bandwidth.
+    fn unit_link() -> LinkProfile {
+        LinkProfile {
+            connected: true,
+            latency: Dist::constant(1.0),
+            bandwidth: None,
+        }
+    }
+
     fn rng() -> SmallRng {
         SmallRng::seed_from_u64(42)
     }
@@ -398,7 +379,7 @@ mod tests {
     #[test]
     fn rejects_short_matrix() {
         // An "empty row" shows up as a length mismatch.
-        let links = vec![LinkProfile::unlimited(Dist::constant(1.0)); 2];
+        let links = vec![unit_link(); 2];
         assert!(invalid(LinkTopology::from_links(2, links)));
         assert!(invalid(LinkTopology::from_links(2, Vec::new())));
     }
@@ -426,10 +407,10 @@ mod tests {
             );
             assert!(a.link(next, NodeId::new(i)).connected, "and symmetrically");
         }
-        assert!(
-            a.connected_links() < 10 * 9,
-            "some long-range links are pruned"
-        );
+        let connected = (a.links.iter().enumerate())
+            .filter(|(i, l)| l.connected && i / 10 != i % 10)
+            .count();
+        assert!(connected < 10 * 9, "some long-range links are pruned");
         let c = LinkTopology::ring_gradient(10, 5.0, None, 8).unwrap();
         assert_ne!(a, c, "different seed, different shape");
     }
@@ -518,7 +499,7 @@ mod tests {
 
     #[test]
     fn disconnected_links_drop() {
-        let mut links = vec![LinkProfile::unlimited(Dist::constant(1.0)); 4];
+        let mut links = vec![unit_link(); 4];
         links[1] = LinkProfile::disconnected(); // 0 -> 1
         let topo = LinkTopology::from_links(2, links).unwrap();
         let mut net = BandwidthNetwork::new(topo);

@@ -36,7 +36,7 @@ use crate::common::{round_robin_leader, ProtocolParams};
 
 /// Which ADD+ variant a node runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AddVariant {
+pub(crate) enum AddVariant {
     /// Round-robin leaders (baseline).
     V1,
     /// VRF leader election.
@@ -47,7 +47,7 @@ pub enum AddVariant {
 
 impl AddVariant {
     /// Rounds per iteration.
-    pub fn rounds(self) -> u64 {
+    pub(crate) fn rounds(self) -> u64 {
         match self {
             AddVariant::V1 => 3,
             AddVariant::V2 => 4,
@@ -56,7 +56,7 @@ impl AddVariant {
     }
 
     /// The phase layout of this variant, indexed by round-within-iteration.
-    pub fn phase(self, round_in_iter: u64) -> AddPhase {
+    pub(crate) fn phase(self, round_in_iter: u64) -> AddPhase {
         match (self, round_in_iter) {
             (_, 0) => AddPhase::Status,
             (AddVariant::V1, 1) => AddPhase::Propose,
@@ -73,7 +73,7 @@ impl AddVariant {
     }
 
     /// Display name matching the paper's Table I.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             AddVariant::V1 => "add-v1",
             AddVariant::V2 => "add-v2",
@@ -84,7 +84,7 @@ impl AddVariant {
 
 /// A phase within an iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AddPhase {
+pub(crate) enum AddPhase {
     /// Broadcast the locked value and its grade.
     Status,
     /// Broadcast the candidate value (v3 only).
@@ -165,7 +165,7 @@ struct Boundary {
 
 /// One ADD+ node (any variant).
 #[derive(Debug)]
-pub struct AddBa {
+pub(crate) struct AddBa {
     params: ProtocolParams,
     variant: AddVariant,
     /// Currently locked value (starts as the node's input with grade 0).
@@ -179,7 +179,7 @@ pub struct AddBa {
 impl AddBa {
     /// Creates a node of the given variant; its input is derived from its
     /// id, so nodes start with (generally) distinct values.
-    pub fn new(params: ProtocolParams, variant: AddVariant, id: NodeId) -> Self {
+    pub(crate) fn new(params: ProtocolParams, variant: AddVariant, id: NodeId) -> Self {
         let input = Digest::of_words(&[
             0x4144445f494e, // "ADD_IN"
             params.genesis_seed,
@@ -194,11 +194,6 @@ impl AddBa {
             iters: FastMap::default(),
             decided: false,
         }
-    }
-
-    /// The variant this node runs.
-    pub fn variant(&self) -> AddVariant {
-        self.variant
     }
 
     fn iteration(&self) -> u64 {
@@ -448,19 +443,19 @@ impl Protocol for AddBa {
 }
 
 /// Factory for a given ADD+ variant.
-pub fn factory(
+pub(crate) fn factory(
     params: ProtocolParams,
     variant: AddVariant,
 ) -> impl Fn(NodeId) -> Box<dyn Protocol> {
     move |id| Box::new(AddBa::new(params, variant, id)) as Box<dyn Protocol>
 }
 /// ADD+ phase labels, indexed by [`phase_of`]'s return value.
-pub const PHASES: &[&str] = &["status", "prepare", "reveal", "propose", "commit", "notify"];
+pub(crate) const PHASES: &[&str] = &["status", "prepare", "reveal", "propose", "commit", "notify"];
 
 /// Classifies a payload into the ADD index of [`PHASES`] for the observability
 /// message-flow matrix (see [`bft_sim_core::obs`]). Shared by every
 /// [`AddVariant`], which all speak the same [`AddMsg`] wire format.
-pub fn phase_of(payload: &dyn bft_sim_core::payload::Payload) -> Option<u8> {
+pub(crate) fn phase_of(payload: &dyn bft_sim_core::payload::Payload) -> Option<u8> {
     payload.as_any().downcast_ref::<AddMsg>().map(|m| match m {
         AddMsg::Status { .. } => 0,
         AddMsg::Prepare { .. } => 1,

@@ -1,8 +1,6 @@
 //! The ADD+ synchronous BA family (three variants, §III-B1 of the paper).
 
 pub mod machine;
-pub mod v1;
-pub mod v2;
-pub mod v3;
-
-pub use machine::{AddBa, AddMsg, AddPhase, AddVariant};
+pub(crate) mod v1;
+pub(crate) mod v2;
+pub(crate) mod v3;

@@ -6,23 +6,13 @@
 //! `f` iterations — the linear-in-`f` latency of Fig. 8 (left). See
 //! [`crate::add::machine`] for the shared round machine.
 
-use bft_sim_core::ids::NodeId;
-use bft_sim_core::protocol::Protocol;
-
-use crate::common::ProtocolParams;
-
-use super::machine::{factory as machine_factory, AddVariant};
-
-/// Factory producing ADD+ v1 nodes.
-pub fn factory(params: ProtocolParams) -> impl Fn(NodeId) -> Box<dyn Protocol> {
-    machine_factory(params, AddVariant::V1)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::add::machine::{factory, AddVariant};
+    use crate::common::ProtocolParams;
     use bft_sim_core::config::RunConfig;
     use bft_sim_core::engine::SimulationBuilder;
+    use bft_sim_core::ids::NodeId;
     use bft_sim_core::network::ConstantNetwork;
     use bft_sim_core::time::SimDuration;
 
@@ -36,7 +26,7 @@ mod tests {
         let params = ProtocolParams::new(cfg.n, cfg.f, 21);
         let r = SimulationBuilder::new(cfg)
             .network(ConstantNetwork::new(SimDuration::from_millis(100.0)))
-            .protocols(factory(params))
+            .protocols(factory(params, AddVariant::V1))
             .build()
             .unwrap()
             .run();
@@ -58,7 +48,7 @@ mod tests {
             let params = ProtocolParams::new(cfg.n, cfg.f, 21);
             SimulationBuilder::new(cfg)
                 .network(ConstantNetwork::new(SimDuration::from_millis(100.0)))
-                .protocols(factory(params))
+                .protocols(factory(params, AddVariant::V1))
                 .build()
                 .unwrap()
                 .run()
@@ -90,7 +80,7 @@ mod tests {
         let r = SimulationBuilder::new(cfg)
             .network(ConstantNetwork::new(SimDuration::from_millis(100.0)))
             .adversary(CrashFirstLeader)
-            .protocols(factory(params))
+            .protocols(factory(params, AddVariant::V1))
             .build()
             .unwrap()
             .run();

@@ -9,23 +9,13 @@
 //! each winner until its budget is spent (Fig. 8, right); that is fixed by
 //! [v3](crate::add::v3).
 
-use bft_sim_core::ids::NodeId;
-use bft_sim_core::protocol::Protocol;
-
-use crate::common::ProtocolParams;
-
-use super::machine::{factory as machine_factory, AddVariant};
-
-/// Factory producing ADD+ v2 nodes.
-pub fn factory(params: ProtocolParams) -> impl Fn(NodeId) -> Box<dyn Protocol> {
-    machine_factory(params, AddVariant::V2)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::add::machine::{factory, AddVariant};
+    use crate::common::ProtocolParams;
     use bft_sim_core::config::RunConfig;
     use bft_sim_core::engine::SimulationBuilder;
+    use bft_sim_core::ids::NodeId;
     use bft_sim_core::network::ConstantNetwork;
     use bft_sim_core::time::SimDuration;
 
@@ -43,7 +33,7 @@ mod tests {
         SimulationBuilder::new(cfg)
             .network(ConstantNetwork::new(SimDuration::from_millis(100.0)))
             .adversary(adversary)
-            .protocols(factory(params))
+            .protocols(factory(params, AddVariant::V2))
             .build()
             .unwrap()
             .run()

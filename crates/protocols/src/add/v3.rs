@@ -8,21 +8,10 @@
 //! election, silencing the winner changes nothing — expected-constant
 //! iterations even under the rushing adaptive attacker (Fig. 8, right).
 
-use bft_sim_core::ids::NodeId;
-use bft_sim_core::protocol::Protocol;
-
-use crate::common::ProtocolParams;
-
-use super::machine::{factory as machine_factory, AddVariant};
-
-/// Factory producing ADD+ v3 nodes.
-pub fn factory(params: ProtocolParams) -> impl Fn(NodeId) -> Box<dyn Protocol> {
-    machine_factory(params, AddVariant::V3)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::add::machine::{factory, AddVariant};
+    use crate::common::ProtocolParams;
     use bft_sim_core::config::RunConfig;
     use bft_sim_core::engine::SimulationBuilder;
     use bft_sim_core::network::ConstantNetwork;
@@ -38,7 +27,7 @@ mod tests {
         let params = ProtocolParams::new(cfg.n, cfg.f, 21);
         let r = SimulationBuilder::new(cfg)
             .network(ConstantNetwork::new(SimDuration::from_millis(100.0)))
-            .protocols(factory(params))
+            .protocols(factory(params, AddVariant::V3))
             .build()
             .unwrap()
             .run();
@@ -79,7 +68,7 @@ mod tests {
         let r = SimulationBuilder::new(cfg)
             .network(ConstantNetwork::new(SimDuration::from_millis(100.0)))
             .adversary(DropAllProposals)
-            .protocols(factory(params))
+            .protocols(factory(params, AddVariant::V3))
             .build()
             .unwrap()
             .run();

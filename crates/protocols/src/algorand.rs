@@ -41,7 +41,7 @@ fn bot() -> Digest {
 
 /// Algorand wire messages.
 #[derive(Debug, Clone, PartialEq)]
-pub enum AlgoMsg {
+pub(crate) enum AlgoMsg {
     /// Period-start value proposal with VRF credential.
     Proposal {
         /// Period number (from 1).
@@ -97,7 +97,7 @@ struct PeriodState {
 
 /// One Algorand node.
 #[derive(Debug)]
-pub struct Algorand {
+pub(crate) struct Algorand {
     params: ProtocolParams,
     period: u64,
     /// Value locked by a next-vote certificate from an earlier period.
@@ -110,7 +110,7 @@ pub struct Algorand {
 
 impl Algorand {
     /// Creates a node; its input value is derived from its id.
-    pub fn new(params: ProtocolParams, id: NodeId) -> Self {
+    pub(crate) fn new(params: ProtocolParams, id: NodeId) -> Self {
         Algorand {
             params,
             period: 0,
@@ -119,11 +119,6 @@ impl Algorand {
             periods: FastMap::default(),
             decided: false,
         }
-    }
-
-    /// Current period (exposed for tests).
-    pub fn period(&self) -> u64 {
-        self.period
     }
 
     fn quorum(&self) -> usize {
@@ -332,15 +327,15 @@ impl Protocol for Algorand {
 }
 
 /// Factory producing Algorand nodes.
-pub fn factory(params: ProtocolParams) -> impl Fn(NodeId) -> Box<dyn Protocol> {
+pub(crate) fn factory(params: ProtocolParams) -> impl Fn(NodeId) -> Box<dyn Protocol> {
     move |id| Box::new(Algorand::new(params, id)) as Box<dyn Protocol>
 }
 /// Algorand's phase labels, indexed by [`phase_of`]'s return value.
-pub const PHASES: &[&str] = &["proposal", "soft", "cert", "next"];
+pub(crate) const PHASES: &[&str] = &["proposal", "soft", "cert", "next"];
 
 /// Classifies a payload into Algorand's index of [`PHASES`] for the observability
 /// message-flow matrix (see [`bft_sim_core::obs`]).
-pub fn phase_of(payload: &dyn bft_sim_core::payload::Payload) -> Option<u8> {
+pub(crate) fn phase_of(payload: &dyn bft_sim_core::payload::Payload) -> Option<u8> {
     payload.as_any().downcast_ref::<AlgoMsg>().map(|m| match m {
         AlgoMsg::Proposal { .. } => 0,
         AlgoMsg::Soft { .. } => 1,

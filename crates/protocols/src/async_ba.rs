@@ -32,7 +32,7 @@ use crate::common::{common_coin, ProtocolParams};
 
 /// Phase-2 vote values: a bit or ⊥.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum P2Vote {
+pub(crate) enum P2Vote {
     /// A concrete bit.
     Bit(bool),
     /// No supermajority was observed in phase 1.
@@ -41,7 +41,7 @@ pub enum P2Vote {
 
 /// Async BA wire messages.
 #[derive(Debug, Clone, PartialEq)]
-pub enum BaMsg {
+pub(crate) enum BaMsg {
     /// Phase-1 vote: the sender's current estimate for `round`.
     Phase1 {
         /// Round number (from 1).
@@ -69,7 +69,7 @@ struct RoundTally {
 
 /// One async-BA node.
 #[derive(Debug)]
-pub struct AsyncBa {
+pub(crate) struct AsyncBa {
     params: ProtocolParams,
     /// Current round (starts at 1).
     round: u64,
@@ -81,7 +81,7 @@ pub struct AsyncBa {
 
 impl AsyncBa {
     /// Creates a node whose initial estimate is `input`.
-    pub fn new(params: ProtocolParams, input: bool) -> Self {
+    pub(crate) fn new(params: ProtocolParams, input: bool) -> Self {
         AsyncBa {
             params,
             round: 1,
@@ -93,7 +93,7 @@ impl AsyncBa {
 
     /// Derives a deterministic mixed input for `node` — roughly half the
     /// nodes start with each bit, which exercises the coin rounds.
-    pub fn default_input(params: ProtocolParams, node: NodeId) -> bool {
+    pub(crate) fn default_input(params: ProtocolParams, node: NodeId) -> bool {
         bft_sim_crypto::hash::Digest::of_words(&[
             0x42415f494e505554, // "BA_INPUT"
             params.genesis_seed,
@@ -102,11 +102,6 @@ impl AsyncBa {
         .as_u64()
             & 1
             == 1
-    }
-
-    /// Current round (exposed for tests).
-    pub fn round(&self) -> u64 {
-        self.round
     }
 
     fn start_phase1(&mut self, ctx: &mut Context<'_>) {
@@ -234,27 +229,18 @@ impl Protocol for AsyncBa {
 }
 
 /// Factory with mixed default inputs.
-pub fn factory(params: ProtocolParams) -> impl Fn(NodeId) -> Box<dyn Protocol> {
+pub(crate) fn factory(params: ProtocolParams) -> impl Fn(NodeId) -> Box<dyn Protocol> {
     move |id| {
         Box::new(AsyncBa::new(params, AsyncBa::default_input(params, id))) as Box<dyn Protocol>
     }
 }
 
-/// Factory where every node starts with the same `input` bit (decides in the
-/// first round; useful for tests).
-pub fn unanimous_factory(
-    params: ProtocolParams,
-    input: bool,
-) -> impl Fn(NodeId) -> Box<dyn Protocol> {
-    move |_id| Box::new(AsyncBa::new(params, input)) as Box<dyn Protocol>
-}
-
 /// Async-BA's phase labels, indexed by [`phase_of`]'s return value.
-pub const PHASES: &[&str] = &["phase1", "phase2"];
+pub(crate) const PHASES: &[&str] = &["phase1", "phase2"];
 
 /// Classifies a payload into an index of [`PHASES`] for the observability
 /// message-flow matrix (see [`bft_sim_core::obs`]).
-pub fn phase_of(payload: &dyn bft_sim_core::payload::Payload) -> Option<u8> {
+pub(crate) fn phase_of(payload: &dyn bft_sim_core::payload::Payload) -> Option<u8> {
     payload.as_any().downcast_ref::<BaMsg>().map(|m| match m {
         BaMsg::Phase1 { .. } => 0,
         BaMsg::Phase2 { .. } => 1,
@@ -282,7 +268,7 @@ mod tests {
         let params = ProtocolParams::new(c.n, c.f, 9);
         let r = SimulationBuilder::new(c)
             .network(ConstantNetwork::new(SimDuration::from_millis(100.0)))
-            .protocols(unanimous_factory(params, true))
+            .protocols(move |_id| Box::new(AsyncBa::new(params, true)) as Box<dyn Protocol>)
             .build()
             .unwrap()
             .run();

@@ -25,34 +25,34 @@ use crate::common::vote_digest;
 
 /// Block metadata kept in every node's store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockInfo {
+pub(crate) struct BlockInfo {
     /// View the block was proposed in.
-    pub view: u64,
+    pub(crate) view: u64,
     /// Digest of the parent block.
-    pub parent: Digest,
+    pub(crate) parent: Digest,
     /// View of the embedded (justify) QC.
-    pub justify_view: u64,
+    pub(crate) justify_view: u64,
     /// Block certified by the embedded QC (normally the parent).
-    pub justify_digest: Digest,
+    pub(crate) justify_digest: Digest,
     /// Chain height (genesis = 0).
-    pub height: u64,
+    pub(crate) height: u64,
 }
 
 /// The on-wire block representation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProposalBlock {
+pub(crate) struct ProposalBlock {
     /// Block digest (identity).
-    pub digest: Digest,
+    pub(crate) digest: Digest,
     /// Proposing view.
-    pub view: u64,
+    pub(crate) view: u64,
     /// Parent digest.
-    pub parent: Digest,
+    pub(crate) parent: Digest,
     /// Height.
-    pub height: u64,
+    pub(crate) height: u64,
 }
 
 /// The genesis digest all chains grow from.
-pub fn genesis_digest() -> Digest {
+pub(crate) fn genesis_digest() -> Digest {
     Digest::of_bytes(b"hotstuff-genesis")
 }
 
@@ -93,7 +93,12 @@ pub(crate) struct Chain<M> {
 impl<M: Payload + Clone + 'static> Chain<M> {
     /// A chain holding only genesis; `sync_req` builds the caller's request
     /// for the block with the given digest.
-    pub fn new(quorum: usize, block_tag: u64, vote_phase: u8, sync_req: fn(Digest) -> M) -> Self {
+    pub(crate) fn new(
+        quorum: usize,
+        block_tag: u64,
+        vote_phase: u8,
+        sync_req: fn(Digest) -> M,
+    ) -> Self {
         // One insert per view: pre-sized so the steady state never rehashes.
         let mut blocks = FastMap::with_capacity_and_hasher(64, Default::default());
         blocks.insert(
@@ -133,17 +138,17 @@ impl<M: Payload + Clone + 'static> Chain<M> {
     }
 
     /// The highest QC seen so far.
-    pub fn high_qc(&self) -> &QuorumCert {
+    pub(crate) fn high_qc(&self) -> &QuorumCert {
         &self.high_qc
     }
 
     /// View of the newest committed block.
-    pub fn last_committed_view(&self) -> u64 {
+    pub(crate) fn last_committed_view(&self) -> u64 {
         self.last_committed_view
     }
 
     /// The stored block with this digest (what a block request asks for).
-    pub fn block(&self, digest: Digest) -> Option<BlockInfo> {
+    pub(crate) fn block(&self, digest: Digest) -> Option<BlockInfo> {
         self.blocks.get(&digest).copied()
     }
 
@@ -166,7 +171,7 @@ impl<M: Payload + Clone + 'static> Chain<M> {
     /// never received is fetched from one of its voters first — guessing its
     /// height would fork the height sequence — and
     /// [`Self::wants_to_propose`] says when to ask again.
-    pub fn next_block(&mut self, view: u64, ctx: &mut Context<'_>) -> Option<ProposalBlock> {
+    pub(crate) fn next_block(&mut self, view: u64, ctx: &mut Context<'_>) -> Option<ProposalBlock> {
         let parent = self.high_qc.digest;
         let Some(parent_info) = self.blocks.get(&parent) else {
             self.want_propose = Some(view);
@@ -188,7 +193,7 @@ impl<M: Payload + Clone + 'static> Chain<M> {
     }
 
     /// Whether a proposal for `view` is waiting on a fetched block.
-    pub fn wants_to_propose(&self, view: u64) -> bool {
+    pub(crate) fn wants_to_propose(&self, view: u64) -> bool {
         self.want_propose == Some(view)
     }
 
@@ -196,7 +201,7 @@ impl<M: Payload + Clone + 'static> Chain<M> {
     /// hold. When that block is missing the proposal is parked and the block
     /// requested from `src`: the lock update reads its justify pointer, and
     /// voting blind would bypass the lock rule that makes commits safe.
-    pub fn admit(
+    pub(crate) fn admit(
         &mut self,
         src: NodeId,
         block: ProposalBlock,
@@ -227,7 +232,12 @@ impl<M: Payload + Clone + 'static> Chain<M> {
 
     /// Applies a QC to `high_qc`, lock and commit height; `false` if invalid.
     /// What a valid one does to the view is the pacemaker's business.
-    pub fn absorb_qc(&mut self, qc: &QuorumCert, src: NodeId, ctx: &mut Context<'_>) -> bool {
+    pub(crate) fn absorb_qc(
+        &mut self,
+        qc: &QuorumCert,
+        src: NodeId,
+        ctx: &mut Context<'_>,
+    ) -> bool {
         if !self.qc_valid(qc) {
             return false;
         }
@@ -314,7 +324,7 @@ impl<M: Payload + Clone + 'static> Chain<M> {
     }
 
     /// Re-walks the committed tips that were waiting on missing ancestors.
-    pub fn retry_pending_decides(&mut self, src: NodeId, ctx: &mut Context<'_>) {
+    pub(crate) fn retry_pending_decides(&mut self, src: NodeId, ctx: &mut Context<'_>) {
         let tips = std::mem::take(&mut self.pending_decides);
         for tip in tips {
             self.try_decide_chain(tip, src, ctx);
@@ -324,7 +334,7 @@ impl<M: Payload + Clone + 'static> Chain<M> {
     /// Our vote for `block`, if the voting rule allows one — at most once per
     /// view, for a proposal that extends the locked block (safety) or whose
     /// justify is newer than our lock (liveness).
-    pub fn vote(
+    pub(crate) fn vote(
         &mut self,
         block: &ProposalBlock,
         justify: &QuorumCert,
@@ -342,7 +352,12 @@ impl<M: Payload + Clone + 'static> Chain<M> {
 
     /// Counts a block vote; the quorum-completing one yields the QC, keyed to
     /// the block it certifies rather than to the signed vote digest.
-    pub fn add_vote(&mut self, view: u64, digest: Digest, sig: Signature) -> Option<QuorumCert> {
+    pub(crate) fn add_vote(
+        &mut self,
+        view: u64,
+        digest: Digest,
+        sig: Signature,
+    ) -> Option<QuorumCert> {
         let signed = vote_digest(self.vote_phase, view, 0, digest);
         let qc = self.votes.add(view, signed, sig)?;
         Some(QuorumCert {
@@ -370,19 +385,19 @@ impl<M: Payload + Clone + 'static> Chain<M> {
     /// On entering `view`: votes two views back are dropped, and unanswered
     /// fetches may be re-sent (the previous target may simply not have had
     /// the block yet).
-    pub fn enter_view(&mut self, view: u64) {
+    pub(crate) fn enter_view(&mut self, view: u64) {
         self.votes.prune_below(view.saturating_sub(2));
         self.fetch_in_flight.clear();
     }
 
     /// The parked proposals, for the caller's handler to judge again.
-    pub fn take_parked(&mut self) -> Vec<Parked> {
+    pub(crate) fn take_parked(&mut self) -> Vec<Parked> {
         std::mem::take(&mut self.parked)
     }
 
     /// Stores a fetched block, resumes the commits waiting on it and returns
     /// the parked proposals, which may now be judged.
-    pub fn on_sync_resp(
+    pub(crate) fn on_sync_resp(
         &mut self,
         digest: Digest,
         info: BlockInfo,

@@ -14,11 +14,11 @@ use bft_sim_crypto::hash::Digest;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProtocolParams {
     /// Total number of nodes.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Fault budget.
-    pub f: usize,
+    pub(crate) f: usize,
     /// Shared randomness seed (VRF key material / common coin).
-    pub genesis_seed: u64,
+    pub(crate) genesis_seed: u64,
 }
 
 impl ProtocolParams {
@@ -29,23 +29,23 @@ impl ProtocolParams {
 
     /// The Byzantine quorum `2f + 1` used by partially-synchronous
     /// protocols (with `n = 3f + 1` this equals `n - f`).
-    pub fn quorum(&self) -> usize {
+    pub(crate) fn quorum(&self) -> usize {
         2 * self.f + 1
     }
 
     /// The honest supermajority `n - f` used by synchronous protocols.
-    pub fn honest_quorum(&self) -> usize {
+    pub(crate) fn honest_quorum(&self) -> usize {
         self.n - self.f
     }
 
     /// `f + 1`: at least one honest node in any such set.
-    pub fn one_honest(&self) -> usize {
+    pub(crate) fn one_honest(&self) -> usize {
         self.f + 1
     }
 }
 
 /// Round-robin leader for a view: `view mod n`.
-pub fn round_robin_leader(view: u64, n: usize) -> NodeId {
+pub(crate) fn round_robin_leader(view: u64, n: usize) -> NodeId {
     NodeId::new((view % n as u64) as u32)
 }
 
@@ -54,7 +54,7 @@ pub fn round_robin_leader(view: u64, n: usize) -> NodeId {
 /// The simulator does not model application payloads; a proposal is fully
 /// identified by its digest, and distinct `(view, slot)` pairs yield
 /// distinct digests so that equivocation and view changes are observable.
-pub fn proposal_digest(view: u64, slot: u64) -> Digest {
+pub(crate) fn proposal_digest(view: u64, slot: u64) -> Digest {
     Digest::of_words(&[0x50524f50_4f53414c, view, slot]) // "PROPOSAL"
 }
 
@@ -66,7 +66,7 @@ pub fn vote_digest(phase: u8, view: u64, slot: u64, digest: Digest) -> Digest {
 
 /// A deterministic common coin for round `r`, keyed by the genesis seed —
 /// models a perfect shared-coin setup (e.g. threshold signatures over `r`).
-pub fn common_coin(genesis_seed: u64, round: u64) -> bool {
+pub(crate) fn common_coin(genesis_seed: u64, round: u64) -> bool {
     Digest::of_words(&[0x434f494e, genesis_seed, round]).as_u64() & 1 == 1 // "COIN"
 }
 

@@ -36,7 +36,7 @@ const PHASE_HS_VOTE: u8 = 10;
 
 /// HotStuff wire messages.
 #[derive(Debug, Clone, PartialEq)]
-pub enum HsMsg {
+pub(crate) enum HsMsg {
     /// A leader's block proposal for its view, with the justifying QC.
     Proposal {
         /// The proposed block.
@@ -93,7 +93,7 @@ enum Entry {
 
 /// One HotStuff+NS replica.
 #[derive(Debug)]
-pub struct HotStuffNs {
+pub(crate) struct HotStuffNs {
     params: ProtocolParams,
     view: u64,
     chain: Chain<HsMsg>,
@@ -102,7 +102,7 @@ pub struct HotStuffNs {
 
 impl HotStuffNs {
     /// Creates a replica.
-    pub fn new(params: ProtocolParams) -> Self {
+    pub(crate) fn new(params: ProtocolParams) -> Self {
         HotStuffNs {
             params,
             view: 1,
@@ -120,7 +120,7 @@ impl HotStuffNs {
     /// re-overlaps with the rest — the synchronizer's only synchronisation
     /// mechanism; keying to distance-from-commit (not the absolute view
     /// number) restarts the doubling for every SMR consensus instance.
-    pub fn view_duration(lambda: SimDuration, view: u64, last_committed_view: u64) -> SimDuration {
+    fn view_duration(lambda: SimDuration, view: u64, last_committed_view: u64) -> SimDuration {
         let distance = view.saturating_sub(last_committed_view);
         lambda.saturating_shl(distance.saturating_sub(1).min(20) as u32)
     }
@@ -329,15 +329,15 @@ impl Protocol for HotStuffNs {
 }
 
 /// Factory producing HotStuff+NS replicas.
-pub fn factory(params: ProtocolParams) -> impl Fn(NodeId) -> Box<dyn Protocol> {
+pub(crate) fn factory(params: ProtocolParams) -> impl Fn(NodeId) -> Box<dyn Protocol> {
     move |_id| Box::new(HotStuffNs::new(params)) as Box<dyn Protocol>
 }
 /// HotStuff's phase labels, indexed by [`phase_of`]'s return value.
-pub const PHASES: &[&str] = &["proposal", "vote", "new-view", "sync"];
+pub(crate) const PHASES: &[&str] = &["proposal", "vote", "new-view", "sync"];
 
 /// Classifies a payload into HotStuff's index of [`PHASES`] for the observability
 /// message-flow matrix (see [`bft_sim_core::obs`]).
-pub fn phase_of(payload: &dyn bft_sim_core::payload::Payload) -> Option<u8> {
+pub(crate) fn phase_of(payload: &dyn bft_sim_core::payload::Payload) -> Option<u8> {
     payload.as_any().downcast_ref::<HsMsg>().map(|m| match m {
         HsMsg::Proposal { .. } => 0,
         HsMsg::Vote { .. } => 1,

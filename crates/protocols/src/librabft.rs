@@ -34,7 +34,7 @@ const PHASE_LIBRA_TIMEOUT: u8 = 21;
 
 /// LibraBFT wire messages.
 #[derive(Debug, Clone, PartialEq)]
-pub enum LibraMsg {
+pub(crate) enum LibraMsg {
     /// Leader proposal with its justifying QC.
     Proposal {
         /// The proposed block.
@@ -81,7 +81,7 @@ struct RoundTimeout {
 
 /// One LibraBFT replica.
 #[derive(Debug)]
-pub struct LibraBft {
+pub(crate) struct LibraBft {
     params: ProtocolParams,
     round: u64,
     chain: Chain<LibraMsg>,
@@ -95,7 +95,7 @@ pub struct LibraBft {
 
 impl LibraBft {
     /// Creates a replica.
-    pub fn new(params: ProtocolParams) -> Self {
+    pub(crate) fn new(params: ProtocolParams) -> Self {
         LibraBft {
             params,
             round: 1,
@@ -355,15 +355,15 @@ impl Protocol for LibraBft {
 }
 
 /// Factory producing LibraBFT replicas.
-pub fn factory(params: ProtocolParams) -> impl Fn(NodeId) -> Box<dyn Protocol> {
+pub(crate) fn factory(params: ProtocolParams) -> impl Fn(NodeId) -> Box<dyn Protocol> {
     move |_id| Box::new(LibraBft::new(params)) as Box<dyn Protocol>
 }
 /// LibraBFT's phase labels, indexed by [`phase_of`]'s return value.
-pub const PHASES: &[&str] = &["proposal", "vote", "timeout", "sync"];
+pub(crate) const PHASES: &[&str] = &["proposal", "vote", "timeout", "sync"];
 
 /// Classifies a payload into LibraBFT's index of [`PHASES`] for the observability
 /// message-flow matrix (see [`bft_sim_core::obs`]).
-pub fn phase_of(payload: &dyn bft_sim_core::payload::Payload) -> Option<u8> {
+pub(crate) fn phase_of(payload: &dyn bft_sim_core::payload::Payload) -> Option<u8> {
     payload
         .as_any()
         .downcast_ref::<LibraMsg>()

@@ -27,24 +27,24 @@ use bft_sim_crypto::signature::{sign, Signature};
 use crate::common::{proposal_digest, round_robin_leader, vote_digest, ProtocolParams};
 
 /// Phase tag mixed into prepare-vote digests (see [`crate::common::vote_digest`]).
-pub const PHASE_PREPARE: u8 = 1;
+pub(crate) const PHASE_PREPARE: u8 = 1;
 /// Phase tag mixed into commit-vote digests. Public so correctness tooling
 /// (e.g. the fuzzer's seeded-bug adversary) can forge syntactically valid
 /// votes and prove the oracles catch them.
 pub const PHASE_COMMIT: u8 = 2;
 /// Phase tag mixed into view-change-vote digests.
-pub const PHASE_VIEW_CHANGE: u8 = 3;
+pub(crate) const PHASE_VIEW_CHANGE: u8 = 3;
 
 /// A prepared certificate carried inside view-change messages: the highest
 /// `(view, slot, digest)` this node gathered `2f + 1` prepares for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PreparedCert {
     /// View the certificate was formed in.
-    pub view: u64,
+    pub(crate) view: u64,
     /// Slot it concerns.
-    pub slot: u64,
+    pub(crate) slot: u64,
     /// The prepared proposal digest.
-    pub digest: Digest,
+    pub(crate) digest: Digest,
 }
 
 /// PBFT wire messages.
@@ -119,7 +119,7 @@ struct RetransmitVc {
 
 /// One PBFT replica.
 #[derive(Debug)]
-pub struct Pbft {
+pub(crate) struct Pbft {
     params: ProtocolParams,
     view: u64,
     slot: u64,
@@ -148,7 +148,7 @@ pub struct Pbft {
 
 impl Pbft {
     /// Creates a replica.
-    pub fn new(params: ProtocolParams) -> Self {
+    pub(crate) fn new(params: ProtocolParams) -> Self {
         let q = params.quorum();
         Pbft {
             params,
@@ -166,11 +166,6 @@ impl Pbft {
             timer: None,
             timeout_exp: 0,
         }
-    }
-
-    /// The current view (exposed for tests and traces).
-    pub fn view(&self) -> u64 {
-        self.view
     }
 
     fn leader(&self, view: u64) -> NodeId {
@@ -482,7 +477,7 @@ pub fn factory(params: ProtocolParams) -> impl Fn(NodeId) -> Box<dyn Protocol> {
     move |_id| Box::new(Pbft::new(params)) as Box<dyn Protocol>
 }
 /// PBFT's phase labels, indexed by [`phase_of`]'s return value.
-pub const PHASES: &[&str] = &[
+pub(crate) const PHASES: &[&str] = &[
     "pre-prepare",
     "prepare",
     "commit",
@@ -492,7 +487,7 @@ pub const PHASES: &[&str] = &[
 
 /// Classifies a payload into PBFT's index of [`PHASES`] for the observability
 /// message-flow matrix (see [`bft_sim_core::obs`]).
-pub fn phase_of(payload: &dyn bft_sim_core::payload::Payload) -> Option<u8> {
+pub(crate) fn phase_of(payload: &dyn bft_sim_core::payload::Payload) -> Option<u8> {
     payload.as_any().downcast_ref::<PbftMsg>().map(|m| match m {
         PbftMsg::PrePrepare { .. } => 0,
         PbftMsg::Prepare { .. } => 1,

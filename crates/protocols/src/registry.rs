@@ -170,7 +170,7 @@ impl ProtocolKind {
     /// for binary BA, non-zero block digests for everything else (the zero
     /// digest never occurs for the genesis seeds in use, so a decided zero
     /// means a default/forged value slipped through).
-    pub fn value_domain(self) -> ValueDomain {
+    pub(crate) fn value_domain(self) -> ValueDomain {
         match self {
             ProtocolKind::AsyncBa => ValueDomain::Binary,
             _ => ValueDomain::NonZero,

@@ -69,7 +69,7 @@ enum ShsTimer {
 
 /// One Sync HotStuff replica.
 #[derive(Debug)]
-pub struct SyncHotStuff {
+pub(crate) struct SyncHotStuff {
     params: ProtocolParams,
     view: u64,
     /// Next height to decide.
@@ -89,7 +89,7 @@ pub struct SyncHotStuff {
 
 impl SyncHotStuff {
     /// Creates a replica.
-    pub fn new(params: ProtocolParams) -> Self {
+    pub(crate) fn new(params: ProtocolParams) -> Self {
         SyncHotStuff {
             params,
             view: 1,
@@ -101,11 +101,6 @@ impl SyncHotStuff {
             blames: FastMap::default(),
             blamed: FastMap::default(),
         }
-    }
-
-    /// Current view (exposed for tests).
-    pub fn view(&self) -> u64 {
-        self.view
     }
 
     fn leader(&self, view: u64) -> NodeId {
@@ -351,15 +346,15 @@ impl Protocol for SyncHotStuff {
 }
 
 /// Factory producing Sync HotStuff replicas.
-pub fn factory(params: ProtocolParams) -> impl Fn(NodeId) -> Box<dyn Protocol> {
+pub(crate) fn factory(params: ProtocolParams) -> impl Fn(NodeId) -> Box<dyn Protocol> {
     move |_id| Box::new(SyncHotStuff::new(params)) as Box<dyn Protocol>
 }
 /// Sync HotStuff's phase labels, indexed by [`phase_of`]'s return value.
-pub const PHASES: &[&str] = &["propose", "vote", "blame"];
+pub(crate) const PHASES: &[&str] = &["propose", "vote", "blame"];
 
 /// Classifies a payload into Sync HotStuff's phase label for the
 /// observability message-flow matrix (see [`bft_sim_core::obs`]).
-pub fn phase_of(payload: &dyn bft_sim_core::payload::Payload) -> Option<u8> {
+pub(crate) fn phase_of(payload: &dyn bft_sim_core::payload::Payload) -> Option<u8> {
     payload.as_any().downcast_ref::<ShsMsg>().map(|m| match m {
         ShsMsg::Propose { .. } => 0,
         ShsMsg::Vote { .. } => 1,

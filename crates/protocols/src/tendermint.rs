@@ -32,7 +32,7 @@ fn nil() -> Digest {
 
 /// Tendermint wire messages.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TmMsg {
+pub(crate) enum TmMsg {
     /// The round proposer's value announcement.
     Proposal {
         /// Height.
@@ -93,7 +93,7 @@ struct RoundTally {
 
 /// One Tendermint node.
 #[derive(Debug)]
-pub struct Tendermint {
+pub(crate) struct Tendermint {
     params: ProtocolParams,
     height: u64,
     round: u64,
@@ -109,7 +109,7 @@ pub struct Tendermint {
 
 impl Tendermint {
     /// Creates a node.
-    pub fn new(params: ProtocolParams) -> Self {
+    pub(crate) fn new(params: ProtocolParams) -> Self {
         Tendermint {
             params,
             height: 1,
@@ -120,16 +120,6 @@ impl Tendermint {
             round_presence: FastMap::default(),
             decided_height: 0,
         }
-    }
-
-    /// Current height (exposed for tests).
-    pub fn height(&self) -> u64 {
-        self.height
-    }
-
-    /// Current round (exposed for tests).
-    pub fn round(&self) -> u64 {
-        self.round
     }
 
     fn proposer(&self, height: u64, round: u64) -> NodeId {
@@ -468,16 +458,16 @@ impl Protocol for Tendermint {
 }
 
 /// Factory producing Tendermint nodes.
-pub fn factory(params: ProtocolParams) -> impl Fn(NodeId) -> Box<dyn Protocol> {
+pub(crate) fn factory(params: ProtocolParams) -> impl Fn(NodeId) -> Box<dyn Protocol> {
     move |_id| Box::new(Tendermint::new(params)) as Box<dyn Protocol>
 }
 
 /// Tendermint's phase labels, indexed by [`phase_of`]'s return value.
-pub const PHASES: &[&str] = &["proposal", "prevote", "precommit"];
+pub(crate) const PHASES: &[&str] = &["proposal", "prevote", "precommit"];
 
 /// Classifies a payload into an index of [`PHASES`] for the observability
 /// message-flow matrix (see [`bft_sim_core::obs`]).
-pub fn phase_of(payload: &dyn bft_sim_core::payload::Payload) -> Option<u8> {
+pub(crate) fn phase_of(payload: &dyn bft_sim_core::payload::Payload) -> Option<u8> {
     payload.as_any().downcast_ref::<TmMsg>().map(|m| match m {
         TmMsg::Proposal { .. } => 0,
         TmMsg::Prevote { .. } => 1,

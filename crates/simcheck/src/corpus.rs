@@ -54,7 +54,7 @@ const BATCH: usize = 32;
 const CORPUS_CAP: usize = 256;
 
 /// File name the persisted corpus lives under inside a `--corpus-dir`.
-pub const CORPUS_FILE: &str = "corpus.json";
+pub(crate) const CORPUS_FILE: &str = "corpus.json";
 
 /// Loads a persisted corpus from `dir/`[`CORPUS_FILE`].
 ///
@@ -66,7 +66,7 @@ pub const CORPUS_FILE: &str = "corpus.json";
 ///
 /// Returns a message when the file exists but cannot be read, is not
 /// valid JSON, is not an array, or holds a malformed scenario.
-pub fn load_corpus(dir: &Path) -> Result<Vec<ScenarioSpec>, String> {
+pub(crate) fn load_corpus(dir: &Path) -> Result<Vec<ScenarioSpec>, String> {
     let path = dir.join(CORPUS_FILE);
     if !path.exists() {
         return Ok(Vec::new());
@@ -82,7 +82,7 @@ pub fn load_corpus(dir: &Path) -> Result<Vec<ScenarioSpec>, String> {
 ///
 /// Returns a message when the directory cannot be created or the file
 /// cannot be written.
-pub fn save_corpus<'a>(
+pub(crate) fn save_corpus<'a>(
     dir: &Path,
     corpus: impl IntoIterator<Item = &'a ScenarioSpec>,
 ) -> Result<(), String> {
@@ -214,7 +214,7 @@ pub struct CoverageStats {
     /// under the same accounting (the comparison baseline).
     pub corpus_mode: bool,
     /// The run budget the search was given.
-    pub budget: u64,
+    pub(crate) budget: u64,
     /// Runs actually executed (equals `budget` unless it was zero).
     pub runs: u64,
     /// Distinct behavior fingerprints observed.
@@ -478,7 +478,7 @@ enum CovResult {
 /// observability signature — but the report's `observability` aggregate is
 /// only populated when [`FuzzOptions::observability`] asks for it, matching
 /// [`fuzz_many`](crate::fuzz::fuzz_many)'s contract. Violating runs shrink
-/// to repros exactly as in a blind sweep. [`FuzzOutcome::scenario_seed`]
+/// to repros exactly as in a blind sweep. `FuzzOutcome::scenario_seed`
 /// holds the 1-based run index (scenarios here come from the master RNG and
 /// the corpus, not from a user-supplied seed list).
 ///
@@ -499,12 +499,12 @@ pub fn fuzz_coverage(
 }
 
 /// [`fuzz_coverage`] with corpus persistence: when `corpus_dir` is given,
-/// the corpus is seeded from `dir/`[`CORPUS_FILE`] before the search (a
+/// the corpus is seeded from `CORPUS_FILE` in `dir` before the search (a
 /// cold directory starts empty) and written back after it, so successive
 /// invocations — e.g. CI jobs restoring the directory from a cache —
 /// resume the search from the previous frontier instead of re-deriving it
 /// from scratch. Loaded entries act as mutation parents from run one;
-/// their count is reported in [`CoverageStats::loaded_corpus`].
+/// their count is reported in `CoverageStats::loaded_corpus`.
 ///
 /// Determinism is unchanged: the search is a pure function of
 /// (`master_seed`, `budget`, `corpus_mode`, `opts`, the loaded file
@@ -630,7 +630,6 @@ pub fn fuzz_coverage_in_dir(
                     repro.last_events = observability.recent_events.clone();
                     Some(Box::new(FuzzOutcome {
                         scenario_seed: run_index,
-                        spec: spec.clone(),
                         violations: run.violations.iter().map(|v| v.to_string()).collect(),
                         repro,
                     }))

@@ -40,7 +40,7 @@ pub struct FuzzOptions {
     /// last-event dumps attached to failures: runs, schedules, violations
     /// and repros stay bit-identical. A run that panics with observability
     /// on additionally salvages its event ring into
-    /// [`FuzzFailure::last_events`].
+    /// `FuzzFailure::last_events`.
     pub observability: bool,
     /// Forces every generated scenario to this node count instead of the
     /// generator's small-biased scales — the large-n smoke knob (`--n`).
@@ -90,8 +90,6 @@ impl Default for FuzzOptions {
 pub struct FuzzOutcome {
     /// The scenario seed that produced the violation.
     pub scenario_seed: u64,
-    /// The original (un-shrunk) scenario.
-    pub spec: ScenarioSpec,
     /// Human-readable `[oracle] detail` lines, as found on the original run.
     pub violations: Vec<String>,
     /// The minimised reproducer.
@@ -119,13 +117,13 @@ pub struct FuzzFailure {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FuzzObservability {
     /// Wire-message delivery latencies, merged across all nodes and runs.
-    pub delivery_latency: Histogram,
+    pub(crate) delivery_latency: Histogram,
     /// Per-node decision intervals, merged across all nodes and runs.
-    pub decision_interval: Histogram,
+    pub(crate) decision_interval: Histogram,
     /// Total wire messages per protocol phase, across the sweep.
-    pub phase_totals: BTreeMap<String, u64>,
+    pub(crate) phase_totals: BTreeMap<String, u64>,
     /// Total `EnterView` reports across the sweep.
-    pub view_entries: u64,
+    pub(crate) view_entries: u64,
 }
 
 impl FuzzObservability {
@@ -227,7 +225,7 @@ enum SeedResult {
 /// deterministic: the same seeds and options always produce the same report,
 /// byte for byte, at any thread count. A panicking run is isolated
 /// (`catch_unwind` inside the sweep engine) and reported as a
-/// [`FuzzFailure`] instead of aborting the sweep.
+/// `FuzzFailure` instead of aborting the sweep.
 ///
 /// # Errors
 ///
@@ -289,7 +287,6 @@ pub fn fuzz_many(
                 }
                 Some(Box::new(FuzzOutcome {
                     scenario_seed: seed,
-                    spec,
                     violations: run.violations.iter().map(|v| v.to_string()).collect(),
                     repro,
                 }))

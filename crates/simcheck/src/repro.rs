@@ -17,7 +17,7 @@ use bft_sim_core::validator::DeliverySchedule;
 use crate::scenario::{RunMode, ScenarioSpec};
 
 /// The format tag every repro file carries.
-pub const FORMAT: &str = "bft-sim-repro-v1";
+pub(crate) const FORMAT: &str = "bft-sim-repro-v1";
 
 /// A minimal, replayable description of one oracle violation.
 #[derive(Debug, Clone, PartialEq)]

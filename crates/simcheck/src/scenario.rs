@@ -64,7 +64,7 @@ pub enum DelaySpec {
 
 impl DelaySpec {
     /// The engine-facing distribution (milliseconds, as [`Dist`] expects).
-    pub fn to_dist(self) -> Dist {
+    pub(crate) fn to_dist(self) -> Dist {
         let ms = |micros: u64| micros as f64 / 1000.0;
         match self {
             DelaySpec::Constant { micros } => Dist::constant(ms(micros)),
@@ -81,7 +81,7 @@ impl DelaySpec {
 
     /// The distribution mean in microseconds; ring topologies use it as the
     /// per-hop latency and the clustered shape scales its WAN links from it.
-    pub fn mean_micros(self) -> u64 {
+    pub(crate) fn mean_micros(self) -> u64 {
         match self {
             DelaySpec::Constant { micros } => micros,
             DelaySpec::Uniform {
@@ -93,7 +93,7 @@ impl DelaySpec {
     }
 
     /// Externally tagged JSON, mirroring the schedule-fate format.
-    pub fn to_json(self) -> Json {
+    pub(crate) fn to_json(self) -> Json {
         match self {
             DelaySpec::Constant { micros } => {
                 Json::obj([("Constant", Json::obj([("micros", Json::from(micros))]))])
@@ -126,7 +126,7 @@ impl DelaySpec {
     /// # Errors
     ///
     /// Malformed per [`bft_sim_core::json`]'s artifact parsing policy.
-    pub fn from_json(json: &Json) -> Result<DelaySpec, String> {
+    pub(crate) fn from_json(json: &Json) -> Result<DelaySpec, String> {
         let (tag, body) = json::variant(json, "delay")?;
         let unknown = || format!("delay: unknown variant \"{tag}\"");
         let mut f = body.ok_or_else(unknown)?;
@@ -162,7 +162,7 @@ pub struct PartitionSpec {
 
 impl PartitionSpec {
     /// The spec as a JSON object.
-    pub fn to_json(self) -> Json {
+    pub(crate) fn to_json(self) -> Json {
         Json::obj([
             ("start_ms", Json::from(self.start_ms)),
             ("end_ms", Json::from(self.end_ms)),
@@ -176,7 +176,7 @@ impl PartitionSpec {
     ///
     /// Malformed per [`bft_sim_core::json`]'s artifact parsing policy, or a
     /// window [`PartitionAttack::check_window`] rejects.
-    pub fn from_json(json: &Json) -> Result<PartitionSpec, String> {
+    pub(crate) fn from_json(json: &Json) -> Result<PartitionSpec, String> {
         let mut f = Fields::of(json, "partition")?;
         let spec = PartitionSpec {
             start_ms: f.req("start_ms", json::int)?,
@@ -208,7 +208,7 @@ pub enum TopologyKind {
 
 impl TopologyKind {
     /// The spec-facing name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             TopologyKind::FullMesh => "full_mesh",
             TopologyKind::Ring => "ring",
@@ -217,7 +217,7 @@ impl TopologyKind {
         }
     }
 
-    /// Parses [`name`](TopologyKind::name).
+    /// Parses what `TopologyKind::name` prints.
     pub fn parse(name: &str) -> Option<TopologyKind> {
         match name {
             "full_mesh" => Some(TopologyKind::FullMesh),
@@ -246,7 +246,7 @@ pub struct ChurnSpec {
 
 impl ChurnSpec {
     /// The spec as a JSON object.
-    pub fn to_json(self) -> Json {
+    pub(crate) fn to_json(self) -> Json {
         Json::obj([
             ("seed", Json::from(self.seed)),
             ("crashes", Json::from(self.crashes)),
@@ -260,7 +260,7 @@ impl ChurnSpec {
     /// # Errors
     ///
     /// Malformed per [`bft_sim_core::json`]'s artifact parsing policy.
-    pub fn from_json(json: &Json) -> Result<ChurnSpec, String> {
+    pub(crate) fn from_json(json: &Json) -> Result<ChurnSpec, String> {
         let mut f = Fields::of(json, "churn")?;
         let spec = ChurnSpec {
             seed: f.req("seed", json::int)?,
@@ -291,20 +291,9 @@ pub struct NetSpec {
 }
 
 impl NetSpec {
-    /// A full-mesh block with the given bandwidth cap and no churn — the
-    /// bandwidth-contention building block.
-    pub fn full_mesh(bandwidth: Option<u64>) -> NetSpec {
-        NetSpec {
-            topology: TopologyKind::FullMesh,
-            bandwidth,
-            topology_seed: 0,
-            churn: None,
-        }
-    }
-
     /// The spec as a JSON object; unset options are omitted so the block
     /// stays minimal.
-    pub fn to_json(self) -> Json {
+    pub(crate) fn to_json(self) -> Json {
         let mut pairs = vec![("topology".to_string(), Json::from(self.topology.name()))];
         if let Some(bw) = self.bandwidth {
             pairs.push(("bandwidth".to_string(), Json::from(bw)));
@@ -325,7 +314,7 @@ impl NetSpec {
     ///
     /// Malformed per [`bft_sim_core::json`]'s artifact parsing policy, or an
     /// unknown topology name.
-    pub fn from_json(json: &Json) -> Result<NetSpec, String> {
+    pub(crate) fn from_json(json: &Json) -> Result<NetSpec, String> {
         let mut f = Fields::of(json, "net")?;
         let spec = NetSpec {
             topology: f.req("topology", |v| {
@@ -403,16 +392,6 @@ pub enum RunMode<'a> {
     Replay(&'a DeliverySchedule),
 }
 
-impl<'a> RunMode<'a> {
-    /// Scripted mode with adversary actions only (no fault-catalog faults).
-    pub fn scripted(actions: &'a [FuzzAction]) -> RunMode<'a> {
-        RunMode::Scripted {
-            actions,
-            faults: &[],
-        }
-    }
-}
-
 /// A finished, oracle-checked run.
 #[derive(Debug)]
 pub struct CheckedRun {
@@ -433,7 +412,7 @@ pub struct CheckedRun {
 
 impl CheckedRun {
     /// Whether the named oracle fired on this run.
-    pub fn violates(&self, oracle: &str) -> bool {
+    pub(crate) fn violates(&self, oracle: &str) -> bool {
         self.violations.iter().any(|v| v.oracle == oracle)
     }
 }
@@ -590,7 +569,7 @@ impl ScenarioSpec {
     /// Whether a [`RunMode::Generate`] run of this spec stays entirely
     /// inside the protocol's fault and network model, so the termination
     /// oracle is owed a decision.
-    pub fn is_benign(&self) -> bool {
+    pub(crate) fn is_benign(&self) -> bool {
         self.net.is_none()
             && self.partition.is_none()
             && self.max_actions == 0
@@ -607,7 +586,7 @@ impl ScenarioSpec {
     /// churn-aware reading). Restricted topologies and bandwidth caps stay
     /// exempt — multi-hop latency and queueing can stall progress without
     /// any protocol bug.
-    pub fn churn_only(&self) -> bool {
+    pub(crate) fn churn_only(&self) -> bool {
         matches!(
             self.net,
             Some(net) if net.churn.is_some()
@@ -628,7 +607,7 @@ impl ScenarioSpec {
     ///
     /// Returns a message when the churn block is degenerate (same conditions
     /// as [`ChurnPlan::staggered`]).
-    pub fn outage_windows(&self) -> Result<Vec<OutageWindow>, String> {
+    pub(crate) fn outage_windows(&self) -> Result<Vec<OutageWindow>, String> {
         let Some(c) = self.net.and_then(|n| n.churn) else {
             return Ok(Vec::new());
         };
@@ -1073,6 +1052,16 @@ impl Adversary for Stack {
 mod tests {
     use super::*;
 
+    /// A full-mesh block with the given bandwidth cap and no churn.
+    fn full_mesh(bandwidth: Option<u64>) -> NetSpec {
+        NetSpec {
+            topology: TopologyKind::FullMesh,
+            bandwidth,
+            topology_seed: 0,
+            churn: None,
+        }
+    }
+
     #[test]
     fn baseline_pbft_run_is_clean() {
         let spec = ScenarioSpec::baseline(ProtocolKind::Pbft);
@@ -1185,7 +1174,12 @@ mod tests {
         };
         let generated = spec.run(RunMode::Generate).unwrap();
         assert!(!generated.actions.is_empty(), "budget must act on PBFT");
-        let scripted = spec.run(RunMode::scripted(&generated.actions)).unwrap();
+        let scripted = spec
+            .run(RunMode::Scripted {
+                actions: &generated.actions,
+                faults: &[],
+            })
+            .unwrap();
         assert_eq!(scripted.result, generated.result);
         assert_eq!(scripted.actions, generated.actions);
     }
@@ -1455,7 +1449,7 @@ mod tests {
 
         // Minimal block: unset options are omitted.
         let minimal = ScenarioSpec {
-            net: Some(NetSpec::full_mesh(None)),
+            net: Some(full_mesh(None)),
             ..ScenarioSpec::baseline(ProtocolKind::Pbft)
         };
         let text = minimal.to_json().dump_pretty();
@@ -1487,7 +1481,7 @@ mod tests {
     #[test]
     fn degenerate_net_blocks_are_rejected_at_run_time() {
         let spec = ScenarioSpec {
-            net: Some(NetSpec::full_mesh(Some(0))),
+            net: Some(full_mesh(Some(0))),
             ..ScenarioSpec::baseline(ProtocolKind::Pbft)
         };
         let err = spec.run(RunMode::Generate).unwrap_err();
@@ -1501,7 +1495,7 @@ mod tests {
                     min_down_ms: 5_000,
                     max_down_ms: 5_000,
                 }),
-                ..NetSpec::full_mesh(None)
+                ..full_mesh(None)
             }),
             ..ScenarioSpec::baseline(ProtocolKind::Pbft)
         };
@@ -1522,7 +1516,7 @@ mod tests {
             ..ScenarioSpec::baseline(ProtocolKind::Pbft)
         };
         let meshed = ScenarioSpec {
-            net: Some(NetSpec::full_mesh(None)),
+            net: Some(full_mesh(None)),
             ..legacy.clone()
         };
         let a = legacy.run(RunMode::Generate).unwrap();
@@ -1537,7 +1531,7 @@ mod tests {
         // links queues messages and measurably shifts delivery latencies.
         let legacy = ScenarioSpec::baseline(ProtocolKind::Pbft);
         let contended = ScenarioSpec {
-            net: Some(NetSpec::full_mesh(Some(2_000))),
+            net: Some(full_mesh(Some(2_000))),
             ..legacy.clone()
         };
         let obs = |spec: &ScenarioSpec| {

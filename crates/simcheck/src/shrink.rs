@@ -41,7 +41,7 @@ fn still_fails(
 /// Minimises a failing scenario to a [`Repro`]. `failing` must be the
 /// outcome of `spec.run(RunMode::Generate)`; the first violation's oracle is
 /// what every probe must preserve.
-pub fn shrink(spec: &ScenarioSpec, failing: &CheckedRun) -> Repro {
+pub(crate) fn shrink(spec: &ScenarioSpec, failing: &CheckedRun) -> Repro {
     let oracle = failing
         .violations
         .first()
@@ -228,7 +228,7 @@ fn ddmin<T: Clone>(mut items: Vec<T>, mut keeps_failing: impl FnMut(&[T]) -> boo
 /// assuming (as ddmin does) rough monotonicity: if no prefix — including the
 /// full schedule — fails, returns `None`. The returned prefix is re-verified
 /// by construction (the search only narrows onto probed-failing lengths).
-pub fn bisect_prefix(
+pub(crate) fn bisect_prefix(
     schedule: &DeliverySchedule,
     mut fails: impl FnMut(&DeliverySchedule) -> bool,
 ) -> Option<DeliverySchedule> {
@@ -316,7 +316,12 @@ mod testbug_tests {
         let victim = crate::testbug::QuorumForgeAdversary::victim(spec.n);
 
         // Without faults the late forge must be inert.
-        let clean = spec.run(RunMode::scripted(&[])).unwrap();
+        let clean = spec
+            .run(RunMode::Scripted {
+                actions: &[],
+                faults: &[],
+            })
+            .unwrap();
         assert!(
             !clean.violates("agreement"),
             "late forge fired without faults: {:?}",

@@ -19,13 +19,13 @@ use bft_sim_protocols::pbft::{PbftMsg, PHASE_COMMIT};
 /// The digest the forged certificate commits. Any constant works as long as
 /// it is non-zero (so the validity oracle isn't the one to fire first) and
 /// never collides with a genesis-derived proposal digest.
-pub const BOGUS_WORD: u64 = 0xBAD_C0DE;
+pub(crate) const BOGUS_WORD: u64 = 0xBAD_C0DE;
 
 /// Forges a 2f+1-strong PBFT commit certificate for a bogus digest and
 /// injects it into node `n - 1` at a configurable delay (~1 ms by default).
 /// See the module docs.
 #[derive(Debug, Clone, Copy)]
-pub struct QuorumForgeAdversary {
+pub(crate) struct QuorumForgeAdversary {
     delay_micros: u64,
 }
 
@@ -37,7 +37,7 @@ impl Default for QuorumForgeAdversary {
 
 impl QuorumForgeAdversary {
     /// Creates the adversary with the classic ~1 ms rush.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_delay_micros(1_000)
     }
 
@@ -46,17 +46,17 @@ impl QuorumForgeAdversary {
     /// not yet decided slot 0 legitimately — PBFT's `slot` guard discards
     /// stale commits — which makes the violation dependent on whatever
     /// stalls the victim (e.g. targeted fault-catalog drops).
-    pub fn with_delay_micros(delay_micros: u64) -> Self {
+    pub(crate) fn with_delay_micros(delay_micros: u64) -> Self {
         QuorumForgeAdversary { delay_micros }
     }
 
     /// The digest the victim is tricked into deciding.
-    pub fn bogus_digest() -> Digest {
+    pub(crate) fn bogus_digest() -> Digest {
         Digest::of_words(&[BOGUS_WORD])
     }
 
     /// The node that receives the forged certificate.
-    pub fn victim(n: usize) -> NodeId {
+    pub(crate) fn victim(n: usize) -> NodeId {
         NodeId::new(n as u32 - 1)
     }
 }

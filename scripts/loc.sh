@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# ROADMAP item 6's metric: lines before the first `#[cfg(test)]` of every
-# Rust file under crates/*/src and src, one row per file and a total.
+# ROADMAP item 6's metric: lines before the first column-0 `#[cfg(test)]`
+# (the unit-test module) of every Rust file under crates/*/src and src, one
+# row per file and a total. An indented `#[cfg(test)]` (a test-only item
+# inside an `impl`) does not end the count.
 # With `--diff <rev>`: one row `old -> new (±d)` per file whose count differs
 # from `git show <rev>:<file>` (a file absent on either side counts 0), and
 # the total delta.
@@ -10,7 +12,7 @@ cd "$(dirname "$0")/.."
 
 # Non-test lines of the Rust source on stdin. Reads to the end: leaving at
 # the marker would SIGPIPE `git show`, which `pipefail` turns into an exit.
-count() { awk '/^[[:space:]]*#\[cfg\(test\)\]/ { seen = 1 } !seen { n++ } END { print n + 0 }'; }
+count() { awk '/^#\[cfg\(test\)\]/ { seen = 1 } !seen { n++ } END { print n + 0 }'; }
 
 if [[ "${1:-}" == "--diff" ]]; then
     rev="${2:?usage: scripts/loc.sh [--diff <rev>]}"

@@ -16,9 +16,9 @@ use bft_sim_core::metrics::RunResult;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Cost of producing one signature (µs).
-    pub sign_us: f64,
+    pub(crate) sign_us: f64,
     /// Cost of verifying one signature (µs).
-    pub verify_us: f64,
+    pub(crate) verify_us: f64,
 }
 
 impl CostModel {
@@ -95,16 +95,16 @@ impl CostModel {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostEstimate {
     /// Estimated CPU microseconds per node.
-    pub per_node_us: Vec<f64>,
+    pub(crate) per_node_us: Vec<f64>,
     /// The node doing the most cryptographic work (usually the leader).
-    pub busiest_node: NodeId,
+    pub(crate) busiest_node: NodeId,
     /// Its CPU time (µs).
-    pub busiest_node_us: f64,
+    pub(crate) busiest_node_us: f64,
     /// Fraction of wall-clock the busiest node spent on crypto (> 1 means
     /// the modelled hardware could not keep up with the simulated rate).
-    pub cpu_utilisation: f64,
+    pub(crate) cpu_utilisation: f64,
     /// Decisions per simulated second actually observed.
-    pub decisions_per_sec: f64,
+    pub(crate) decisions_per_sec: f64,
     /// Estimated sustainable decisions per second before the busiest node
     /// saturates.
     pub max_decisions_per_sec: f64,

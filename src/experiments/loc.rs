@@ -7,7 +7,7 @@
 
 /// Counts implementation lines in a module source: non-blank, non-comment
 /// lines, stopping at the unit-test section.
-pub fn implementation_loc(source: &str) -> usize {
+pub(crate) fn implementation_loc(source: &str) -> usize {
     source
         .lines()
         .take_while(|line| !line.trim_start().starts_with("#[cfg(test)]"))

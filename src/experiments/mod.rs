@@ -77,14 +77,14 @@ pub struct Scenario {
     /// Message-delay distribution (ms).
     pub delay: Dist,
     /// The attack, if any.
-    pub attack: AttackSpec,
+    pub(crate) attack: AttackSpec,
     /// Simulated-time cap (s); timed-out runs report the cap as latency.
     pub time_cap_s: f64,
     /// Shared-randomness seed for VRFs / common coins.
     pub genesis_seed: u64,
     /// Decision target; `None` uses the paper's per-protocol convention
     /// (10 for the pipelined protocols, 1 otherwise).
-    pub decisions: Option<u64>,
+    pub(crate) decisions: Option<u64>,
     /// Single backend; kept for benchmark/'s tracer, remove with its replay
     /// follow-up (ROADMAP item 2).
     pub scheduler: SchedulerKind,
@@ -177,7 +177,12 @@ impl Scenario {
     /// the deterministic sweep engine (work-stealing, seed-order
     /// reassembly); a panic in any repetition is re-raised here, since the
     /// experiment scenarios are all expected to run clean.
-    pub fn run_many_threads(&self, reps: usize, base_seed: u64, threads: usize) -> Vec<RunResult> {
+    pub(crate) fn run_many_threads(
+        &self,
+        reps: usize,
+        base_seed: u64,
+        threads: usize,
+    ) -> Vec<RunResult> {
         bft_sim_core::sweep::sweep(reps, threads, |i| self.run(base_seed + i as u64))
             .into_iter()
             .map(|r| match r {
@@ -204,7 +209,7 @@ impl Scenario {
     }
 
     /// The message-usage metric: honest messages per decision.
-    pub fn messages_per_decision(&self, result: &RunResult) -> f64 {
+    pub(crate) fn messages_per_decision(&self, result: &RunResult) -> f64 {
         result
             .messages_per_decision()
             .unwrap_or(result.honest_messages as f64)

@@ -41,9 +41,6 @@
 //! | `bft-sim-baseline` | packet-level BFTSim stand-in for Fig. 2 |
 //! | `bft-sim-simcheck` | deterministic fuzzing harness, correctness oracles, failing-case shrinking |
 
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
 pub use bft_sim_attacks as attacks;
 pub use bft_sim_baseline as baseline;
 pub use bft_sim_core as sim_core;
@@ -65,7 +62,7 @@ pub mod prelude {
     pub use bft_sim_core::prelude::*;
     pub use bft_sim_net::churn::{ChurnPlan, ChurnedNetwork, DownWindow};
     pub use bft_sim_net::models::{BoundedNetwork, GstNetwork, LinkMatrixNetwork};
-    pub use bft_sim_net::partition::{CrossTraffic, PartitionPlan, PartitionedNetwork};
+    pub use bft_sim_net::partition::{CrossTraffic, PartitionPlan};
     pub use bft_sim_net::topology::{BandwidthNetwork, LinkProfile, LinkTopology};
     pub use bft_sim_protocols::registry::{NetworkAssumption, ProtocolKind};
     pub use bft_sim_protocols::ProtocolParams;
