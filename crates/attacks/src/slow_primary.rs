@@ -56,6 +56,7 @@ mod tests {
     use bft_sim_core::config::RunConfig;
     use bft_sim_core::engine::SimulationBuilder;
     use bft_sim_core::network::ConstantNetwork;
+    use bft_sim_core::trace::TraceLevel;
     use bft_sim_protocols::registry::ProtocolKind;
 
     fn run_pbft<A: Adversary + 'static>(adv: A) -> bft_sim_core::metrics::RunResult {
@@ -63,7 +64,8 @@ mod tests {
             RunConfig::new(4)
                 .with_seed(2)
                 .with_lambda_ms(1000.0)
-                .with_time_cap(SimDuration::from_secs(60.0)),
+                .with_time_cap(SimDuration::from_secs(60.0))
+                .with_trace(TraceLevel::Events),
         );
         let factory = ProtocolKind::Pbft.factory(&cfg, 9);
         SimulationBuilder::new(cfg)

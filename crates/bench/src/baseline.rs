@@ -20,6 +20,7 @@ use bft_sim_core::json::Json;
 use bft_sim_core::network::SampledNetwork;
 use bft_sim_core::obs::ObsConfig;
 use bft_sim_core::time::SimDuration;
+use bft_sim_core::trace::TraceLevel;
 use bft_sim_protocols::registry::ProtocolKind;
 
 use crate::alloc_counter;
@@ -80,14 +81,22 @@ pub struct CaseResult {
 }
 
 /// Runs one baseline case: `decisions` consensus decisions under the
-/// paper's default network, λ = 1000 ms, delays N(250, 50).
-pub fn run_case(kind: ProtocolKind, n: usize, seed: u64, decisions: u64) -> CaseResult {
+/// paper's default network, λ = 1000 ms, delays N(250, 50), the trace kept
+/// at `trace`.
+pub fn run_case(
+    kind: ProtocolKind,
+    n: usize,
+    seed: u64,
+    decisions: u64,
+    trace: TraceLevel,
+) -> CaseResult {
     let cfg = kind
         .configure(
             RunConfig::new(n)
                 .with_seed(seed)
                 .with_lambda_ms(1000.0)
-                .with_time_cap(SimDuration::from_secs(3600.0)),
+                .with_time_cap(SimDuration::from_secs(3600.0))
+                .with_trace(trace),
         )
         .with_target_decisions(decisions);
     let factory = kind.factory(&cfg, 7);
@@ -119,11 +128,12 @@ pub fn run_case(kind: ProtocolKind, n: usize, seed: u64, decisions: u64) -> Case
     }
 }
 
-/// Runs the full matrix with a fixed seed per case.
+/// Runs the full matrix with a fixed seed per case, at the default trace
+/// level, as a sweep or benchmark run keeps it.
 pub fn run_all(seed: u64, decisions: u64) -> Vec<CaseResult> {
     cases()
         .into_iter()
-        .map(|(kind, n, cap)| run_case(kind, n, seed, decisions.min(cap)))
+        .map(|(kind, n, cap)| run_case(kind, n, seed, decisions.min(cap), TraceLevel::Decisions))
         .collect()
 }
 
@@ -339,8 +349,8 @@ mod tests {
 
     #[test]
     fn baseline_case_is_deterministic_in_simulation() {
-        let a = run_case(ProtocolKind::Pbft, 16, 42, 3);
-        let b = run_case(ProtocolKind::Pbft, 16, 42, 3);
+        let a = run_case(ProtocolKind::Pbft, 16, 42, 3, TraceLevel::Decisions);
+        let b = run_case(ProtocolKind::Pbft, 16, 42, 3, TraceLevel::Decisions);
         assert_eq!(a.events_processed, b.events_processed);
         assert_eq!(a.peak_queue_depth, b.peak_queue_depth);
         assert_eq!(a.broadcasts, b.broadcasts);
@@ -387,7 +397,13 @@ mod tests {
 
     #[test]
     fn baseline_json_has_the_expected_shape() {
-        let results = vec![run_case(ProtocolKind::Pbft, 16, 1, 1)];
+        let results = vec![run_case(
+            ProtocolKind::Pbft,
+            16,
+            1,
+            1,
+            TraceLevel::Decisions,
+        )];
         let bandwidth = run_bandwidth_contention(ProtocolKind::Pbft, 7, 42, 2, 2_000);
         let json = to_json(&results, &bandwidth);
         let Json::Obj(pairs) = &json else {

@@ -1,6 +1,7 @@
 //! Footprint regression gate for the one-entry-per-broadcast event queue,
-//! for shared certificates and for the trace's record layout, on
-//! deterministic counters only (wall time is evidence, never a gate).
+//! for shared certificates, for the trace's record layout and for its
+//! retention, on deterministic counters only (wall time is evidence, never a
+//! gate).
 //!
 //! PBFT's all-to-all phases used to keep n² delivery events resident. The
 //! *logical* queue depth and the event count are simulated quantities and
@@ -14,6 +15,11 @@
 
 use bft_sim_bench::alloc_counter::CountingAllocator;
 use bft_sim_bench::baseline::run_case;
+use bft_sim_core::config::RunConfig;
+use bft_sim_core::dist::Dist;
+use bft_sim_core::engine::SimulationBuilder;
+use bft_sim_core::network::SampledNetwork;
+use bft_sim_core::trace::TraceLevel;
 use bft_sim_protocols::registry::ProtocolKind;
 
 #[global_allocator]
@@ -27,11 +33,12 @@ fn footprints() {
     // allocation-free decide walk (LibraBFT's own copy of it allocated a
     // `Vec` per node per decision and regrew its block map).
     chained_n256_shares_its_certificates(ProtocolKind::LibraBft);
+    default_trace_keeps_one_record_per_decision();
 }
 
 fn pbft_n64_keeps_its_depth_and_loses_the_n_squared_residency() {
     let n = 64;
-    let case = run_case(ProtocolKind::Pbft, n, 1, 10);
+    let case = run_case(ProtocolKind::Pbft, n, 1, 10, TraceLevel::Decisions);
     // Simulated quantities: exactly what per-recipient scheduling gave.
     assert_eq!(case.events_processed, 80_332);
     assert_eq!(case.peak_queue_depth, 5_119);
@@ -55,7 +62,8 @@ fn pbft_n64_keeps_its_depth_and_loses_the_n_squared_residency() {
 }
 
 fn chained_n256_shares_its_certificates(kind: ProtocolKind) {
-    let case = run_case(kind, 256, 1, 3);
+    // Kept at `Events`, so the names and detail tables are in use.
+    let case = run_case(kind, 256, 1, 3, TraceLevel::Events);
     assert_eq!(case.events_processed, 2_817);
     assert_eq!(case.peak_queue_depth, 597);
     // A trace event is a 24-byte record plus its share of the name, value
@@ -75,4 +83,23 @@ fn chained_n256_shares_its_certificates(kind: ProtocolKind) {
             "{kind}: {per_broadcast} allocations per broadcast"
         );
     }
+}
+
+/// A run that asks for nothing more keeps one record per decision: no view,
+/// no protocol report, no message.
+fn default_trace_keeps_one_record_per_decision() {
+    let kind = ProtocolKind::HotStuffNs;
+    let cfg = kind
+        .configure(RunConfig::new(256).with_seed(1))
+        .with_target_decisions(3);
+    let factory = kind.factory(&cfg, 7);
+    let result = SimulationBuilder::new(cfg)
+        .network(SampledNetwork::new(Dist::normal(250.0, 50.0)))
+        .protocols(factory)
+        .build()
+        .expect("valid configuration")
+        .run();
+    let decided: usize = result.decided.iter().map(Vec::len).sum();
+    assert!(decided >= 3 * 256);
+    assert_eq!(result.trace.len(), decided);
 }

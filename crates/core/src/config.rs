@@ -2,6 +2,7 @@
 
 use crate::error::SimError;
 use crate::time::SimDuration;
+use crate::trace::TraceLevel;
 
 /// Configuration of a single simulation run — the Rust analogue of the
 /// paper's user-supplied configuration file (§III-A1).
@@ -41,8 +42,11 @@ pub struct RunConfig {
     /// liveness timeout rather than looping forever. Defaults to 1 hour of
     /// simulated time.
     pub time_cap: SimDuration,
-    /// Record per-message trace events (expensive; off by default).
-    pub record_messages: bool,
+    /// What the run's trace keeps. Defaults to [`TraceLevel::Decisions`],
+    /// all the oracles and the validator read; Fig. 9 and the protocol
+    /// tests ask for [`TraceLevel::Events`]. The obs ring sees every event
+    /// whatever this says.
+    pub trace: TraceLevel,
 }
 
 impl RunConfig {
@@ -60,7 +64,7 @@ impl RunConfig {
             lambda: SimDuration::from_millis(1000.0),
             target_decisions: 1,
             time_cap: SimDuration::from_secs(3600.0),
-            record_messages: false,
+            trace: TraceLevel::Decisions,
         }
     }
 
@@ -100,9 +104,9 @@ impl RunConfig {
         self
     }
 
-    /// Enables per-message trace recording.
-    pub fn with_message_recording(mut self, on: bool) -> Self {
-        self.record_messages = on;
+    /// Sets what the run's trace keeps.
+    pub fn with_trace(mut self, level: TraceLevel) -> Self {
+        self.trace = level;
         self
     }
 
@@ -152,6 +156,7 @@ mod tests {
         assert_eq!(cfg.f, 5);
         assert_eq!(cfg.target_decisions, 1);
         assert_eq!(cfg.lambda, SimDuration::from_millis(1000.0));
+        assert_eq!(cfg.trace, TraceLevel::Decisions);
         assert!(cfg.validate().is_ok());
     }
 
@@ -198,11 +203,11 @@ mod tests {
             .with_lambda_ms(150.0)
             .with_target_decisions(10)
             .with_time_cap(SimDuration::from_secs(100.0))
-            .with_message_recording(true);
+            .with_trace(TraceLevel::Messages);
         assert_eq!(cfg.f, 3);
         assert_eq!(cfg.seed, 9);
         assert_eq!(cfg.lambda.as_millis_f64(), 150.0);
         assert_eq!(cfg.target_decisions, 10);
-        assert!(cfg.record_messages);
+        assert_eq!(cfg.trace, TraceLevel::Messages);
     }
 }

@@ -100,7 +100,7 @@ pub mod prelude {
     pub use crate::protocol::{Protocol, ProtocolFactory};
     pub use crate::scheduler::{Scheduler, SchedulerKind, SchedulerStats};
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::trace::{Trace, TraceEvent, TraceKind};
+    pub use crate::trace::{Trace, TraceEvent, TraceKind, TraceLevel};
     pub use crate::validator::{DeliverySchedule, Validator};
     pub use crate::value::Value;
 }

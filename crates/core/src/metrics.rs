@@ -47,7 +47,7 @@ impl MetricsCollector {
             delivered_per_node: vec![0; n],
             safety_violation: None,
             decided: (0..n).map(|_| Vec::with_capacity(cap)).collect(),
-            trace: Trace::new(),
+            trace: Trace::default(),
             queue_high_water: 0,
             scheduler: SchedulerStats::default(),
             observability: None,
@@ -262,7 +262,9 @@ pub struct RunResult {
     pub safety_violation: Option<String>,
     /// Per-node decided `(time, value)` sequences.
     pub decided: Vec<Vec<(SimTime, Value)>>,
-    /// Recorded trace (decisions, views, corruptions; messages if enabled).
+    /// Recorded trace: decisions, crashes and corruptions; views and
+    /// protocol reports, then messages too, as
+    /// [`RunConfig::trace`](crate::config::RunConfig::trace) asks.
     pub trace: Trace,
     /// Maximum number of *live* events in the queue at once (memory proxy for
     /// Fig. 2): the logical depth, one per pending event. The physical peak
@@ -595,7 +597,7 @@ mod tests {
         let r = m.into_result(
             SimTime::from_millis(1000),
             false,
-            Trace::new(),
+            Trace::default(),
             0,
             SchedulerStats::default(),
             None,
@@ -630,7 +632,7 @@ mod tests {
         let r = m.into_result(
             SimTime::ZERO + SimDuration::from_micros(1001),
             false,
-            Trace::new(),
+            Trace::default(),
             0,
             SchedulerStats::default(),
             None,

@@ -702,7 +702,7 @@ mod tests {
             delivered_per_node: vec![0; n],
             safety_violation: None,
             decided,
-            trace: crate::trace::Trace::new(),
+            trace: crate::trace::Trace::default(),
             queue_high_water: 0,
             scheduler: crate::scheduler::SchedulerStats::default(),
             observability: None,

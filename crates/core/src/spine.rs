@@ -18,7 +18,7 @@ use crate::obs::{ObsConfig, ObsRecorder};
 use crate::scheduler::SchedulerStats;
 use crate::smallstr::SmallStr;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{Trace, TraceKind};
+use crate::trace::{Trace, TraceKind, TraceLevel};
 use crate::validator::DeliverySchedule;
 use crate::value::Value;
 use std::borrow::Cow;
@@ -27,7 +27,6 @@ use std::borrow::Cow;
 pub(crate) struct Sinks {
     pub(crate) metrics: MetricsCollector,
     trace: Trace,
-    record_messages: bool,
     obs: Option<ObsRecorder>,
     observer: Option<Box<dyn StepObserver>>,
     recorder: Option<DeliverySchedule>,
@@ -48,8 +47,7 @@ impl Sinks {
     ) -> Result<Self, SimError> {
         Ok(Sinks {
             metrics: MetricsCollector::with_expected_decisions(cfg.n, cfg.target_decisions),
-            trace: Trace::new(),
-            record_messages: cfg.record_messages,
+            trace: Trace::at(cfg.trace),
             obs: obs.map(|o| ObsRecorder::new(cfg.n, o)).transpose()?,
             observer,
             recorder: None,
@@ -61,11 +59,18 @@ impl Sinks {
         self.recorder = Some(DeliverySchedule::new());
     }
 
-    /// Stores one event in the trace (when `traced`), which encodes it, and
-    /// in the ring (when obs is on), which takes it; `kind` runs at most
-    /// once, and not at all when neither wants it.
+    /// Stores one event in the trace (when the run keeps `level`), which
+    /// encodes it, and in the ring (when obs is on), which takes it; `kind`
+    /// runs at most once, and not at all when neither wants it.
     #[inline]
-    fn log(&mut self, traced: bool, time: SimTime, node: NodeId, kind: impl FnOnce() -> TraceKind) {
+    fn log(
+        &mut self,
+        level: TraceLevel,
+        time: SimTime,
+        node: NodeId,
+        kind: impl FnOnce() -> TraceKind,
+    ) {
+        let traced = self.trace.keeps(level);
         if !traced && self.obs.is_none() {
             return;
         }
@@ -84,7 +89,7 @@ impl Sinks {
         if !is_self_delivery(msg) {
             self.metrics.count_honest_message(msg.src());
         }
-        self.log(self.record_messages, now, msg.src(), || TraceKind::Sent {
+        self.log(TraceLevel::Messages, now, msg.src(), || TraceKind::Sent {
             dst: msg.dst(),
             payload_type: msg.payload().payload_type().into(),
         });
@@ -110,7 +115,7 @@ impl Sinks {
                 obs.on_delivered(now, msg);
             }
         }
-        self.log(self.record_messages, now, msg.dst(), || {
+        self.log(TraceLevel::Messages, now, msg.dst(), || {
             TraceKind::Delivered {
                 src: msg.src(),
                 payload_type: msg.payload().payload_type().into(),
@@ -127,7 +132,10 @@ impl Sinks {
         if let Some(obs) = &mut self.obs {
             obs.on_decided(now, node);
         }
-        self.log(true, now, node, || TraceKind::Decided { slot, value });
+        self.log(TraceLevel::Decisions, now, node, || TraceKind::Decided {
+            slot,
+            value,
+        });
         self.metrics.update_completions(now, excluded);
     }
 
@@ -136,7 +144,7 @@ impl Sinks {
         if let Some(obs) = &mut self.obs {
             obs.on_view(now, view);
         }
-        self.log(true, now, node, || TraceKind::View { view });
+        self.log(TraceLevel::Events, now, node, || TraceKind::View { view });
     }
 
     /// `node` reported a protocol-defined event.
@@ -147,7 +155,10 @@ impl Sinks {
         label: Cow<'static, str>,
         detail: SmallStr,
     ) {
-        self.log(true, now, node, || TraceKind::Custom { label, detail });
+        self.log(TraceLevel::Events, now, node, || TraceKind::Custom {
+            label,
+            detail,
+        });
     }
 
     /// The adversary corrupted (or else crashed) `node`, which `excluded`
@@ -159,7 +170,7 @@ impl Sinks {
         corrupted: bool,
         excluded: &NodeSet,
     ) {
-        self.log(true, now, node, || {
+        self.log(TraceLevel::Decisions, now, node, || {
             if corrupted {
                 TraceKind::Corrupted
             } else {

@@ -1,9 +1,10 @@
 //! Execution traces.
 //!
-//! The controller records structured events (decisions, view changes,
-//! corruptions, optionally every message) into a [`Trace`]. Traces power the
-//! validator module, the per-node view visualisation of Fig. 9, and data
-//! logging in general.
+//! The controller records structured events into a [`Trace`]: decisions and
+//! exclusions always, view changes and protocol reports or every message
+//! when the run's [`TraceLevel`] asks for them. Traces power the validator
+//! module, the per-node view visualisation of Fig. 9, and data logging in
+//! general.
 //!
 //! A trace is stored as one 24-byte record per event — time, node, a `u32`
 //! holding the kind tag and a table id, and one payload word — beside three
@@ -21,6 +22,21 @@ use crate::json::{self, Fields, Json};
 use crate::smallstr::SmallStr;
 use crate::time::SimTime;
 use crate::value::Value;
+
+/// How much of a run its [`Trace`] keeps (`RunConfig::trace`). Each level
+/// keeps what the one below it keeps; the obs ring hears every event at
+/// every level.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum TraceLevel {
+    /// `Decided`, `Crashed` and `Corrupted`: everything the oracles and
+    /// `Validator::check_against_trace` read. The default.
+    Decisions,
+    /// Adds `View` and `Custom`, which [`Trace::view_timeline`] and
+    /// [`Trace::custom`] read.
+    Events,
+    /// Adds `Sent` and `Delivered`: every event.
+    Messages,
+}
 
 /// One recorded event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,7 +64,7 @@ pub enum TraceKind {
         /// The new view number.
         view: u64,
     },
-    /// A node sent a message (recorded only with message recording on).
+    /// A node sent a message (kept at [`TraceLevel::Messages`]).
     Sent {
         /// Destination node.
         dst: NodeId,
@@ -56,7 +72,7 @@ pub enum TraceKind {
         /// the hot path allocates nothing — and owned when parsed from JSON.
         payload_type: Cow<'static, str>,
     },
-    /// A node received a message (recorded only with message recording on).
+    /// A node received a message (kept at [`TraceLevel::Messages`]).
     Delivered {
         /// Claimed source node.
         src: NodeId,
@@ -167,9 +183,13 @@ fn detail_word(offset: usize, len: usize) -> Result<u64, String> {
 /// A time-ordered sequence of [`TraceEvent`]s.
 ///
 /// The tables are a pure function of the events pushed, in order, so two
-/// traces holding the same events compare equal field by field.
-#[derive(Clone, Default, PartialEq)]
+/// traces holding the same events at the same level compare equal field by
+/// field.
+#[derive(Clone, PartialEq)]
 pub struct Trace {
+    /// What the run kept. Held in memory only: the JSON form does not carry
+    /// it, and a parsed trace counts as [`TraceLevel::Messages`].
+    level: TraceLevel,
     records: Vec<Record>,
     /// Label and payload-type names, each once, in order of first use.
     names: Vec<Cow<'static, str>>,
@@ -179,10 +199,29 @@ pub struct Trace {
     details: String,
 }
 
+impl Default for Trace {
+    /// An empty trace that holds whatever is pushed into it.
+    fn default() -> Self {
+        Trace::at(TraceLevel::Messages)
+    }
+}
+
 impl Trace {
-    /// Creates an empty trace.
-    pub(crate) fn new() -> Self {
-        Trace::default()
+    /// Creates an empty trace for a run that keeps `level`.
+    pub(crate) fn at(level: TraceLevel) -> Self {
+        Trace {
+            level,
+            records: Vec::new(),
+            names: Vec::new(),
+            values: Vec::new(),
+            details: String::new(),
+        }
+    }
+
+    /// Whether events of `level` are kept.
+    #[inline]
+    pub(crate) fn keeps(&self, level: TraceLevel) -> bool {
+        level <= self.level
     }
 
     /// Records one event of a live run.
@@ -363,8 +402,14 @@ impl Trace {
     }
 
     /// Per-node view timeline: for node `node`, the list of `(time, view)`
-    /// transitions — the data series behind Fig. 9.
+    /// transitions — the data series behind Fig. 9. Needs a trace kept at
+    /// [`TraceLevel::Events`] or above (checked in debug builds).
     pub fn view_timeline(&self, node: NodeId) -> Vec<(SimTime, u64)> {
+        debug_assert!(
+            self.keeps(TraceLevel::Events),
+            "view_timeline on a trace kept at {:?}, which holds no View events",
+            self.level
+        );
         self.records
             .iter()
             .filter(|r| r.kind() == VIEW && r.node == node.as_u32())
@@ -372,8 +417,15 @@ impl Trace {
             .collect()
     }
 
-    /// Events with a given custom label, as `(time, node, detail)`.
+    /// Events with a given custom label, as `(time, node, detail)`. Needs a
+    /// trace kept at [`TraceLevel::Events`] or above (checked in debug
+    /// builds).
     pub fn custom(&self, label: &str) -> Vec<(SimTime, NodeId, &str)> {
+        debug_assert!(
+            self.keeps(TraceLevel::Events),
+            "custom on a trace kept at {:?}, which holds no Custom events",
+            self.level
+        );
         let Some(id) = self.names.iter().position(|name| name == label) else {
             return Vec::new();
         };
@@ -392,7 +444,9 @@ impl Trace {
         Json::obj([("events", Json::Arr(events))])
     }
 
-    /// Parses a trace from the JSON produced by [`Trace::to_json`].
+    /// Parses a trace from the JSON produced by [`Trace::to_json`]. The JSON
+    /// does not say what level it was kept at, so the trace counts as
+    /// [`TraceLevel::Messages`].
     ///
     /// # Errors
     ///
@@ -403,7 +457,7 @@ impl Trace {
         let mut f = Fields::of(json, "trace")?;
         let events = f.req("events", json::list(TraceEvent::from_json))?;
         f.finish()?;
-        let mut trace = Trace::new();
+        let mut trace = Trace::default();
         for (i, e) in events.iter().enumerate() {
             trace
                 .push(e.time, e.node, &e.kind)
@@ -530,7 +584,7 @@ mod tests {
 
     #[test]
     fn records_and_filters() {
-        let mut t = Trace::new();
+        let mut t = Trace::default();
         t.record(
             SimTime::from_millis(1),
             NodeId::new(0),
@@ -560,7 +614,7 @@ mod tests {
 
     #[test]
     fn json_round_trip_covers_every_kind() {
-        let mut t = Trace::new();
+        let mut t = Trace::default();
         t.record(
             SimTime::from_millis(1),
             NodeId::new(0),
@@ -627,7 +681,7 @@ mod tests {
             "émoji 😀 and \u{10FFFF}".to_string(),
             "ends in backslash\\".to_string(),
         ];
-        let mut t = Trace::new();
+        let mut t = Trace::default();
         t.record(
             SimTime::from_micros(u64::MAX),
             NodeId::new(u32::MAX),
@@ -716,7 +770,7 @@ mod tests {
     fn accessors_untangle_interleaved_multi_node_traces() {
         // Three nodes advancing views and deciding out of lock-step; the
         // accessors must filter by node and preserve per-node order.
-        let mut t = Trace::new();
+        let mut t = Trace::default();
         let ev = |ms: u64, node: u32, kind: TraceKind| (SimTime::from_millis(ms), node, kind);
         let script = vec![
             ev(1, 0, TraceKind::View { view: 1 }),
@@ -794,8 +848,26 @@ mod tests {
     }
 
     #[test]
+    fn each_level_keeps_the_ones_below_it() {
+        let events = Trace::at(TraceLevel::Events);
+        assert!(events.keeps(TraceLevel::Decisions) && events.keeps(TraceLevel::Events));
+        assert!(!events.keeps(TraceLevel::Messages));
+        assert!(!Trace::at(TraceLevel::Decisions).keeps(TraceLevel::Events));
+        // Built by hand or parsed, a trace holds whatever it is given.
+        let parsed = Trace::from_json(&Trace::default().to_json()).unwrap();
+        assert!(parsed.keeps(TraceLevel::Messages));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "holds no Custom events")]
+    fn reading_reports_from_a_decisions_trace_is_caught() {
+        let _ = Trace::at(TraceLevel::Decisions).custom("view-change");
+    }
+
+    #[test]
     fn custom_events_by_label() {
-        let mut t = Trace::new();
+        let mut t = Trace::default();
         t.record(
             SimTime::ZERO,
             NodeId::new(0),
@@ -810,7 +882,7 @@ mod tests {
 
     #[test]
     fn accessors_read_the_records_the_events_decode_to() {
-        let mut t = Trace::new();
+        let mut t = Trace::default();
         let script = [
             (1, 0, TraceKind::Crashed),
             (2, 1, TraceKind::View { view: 4 }),
@@ -851,7 +923,7 @@ mod tests {
 
     #[test]
     fn decided_values_are_interned_within_a_window() {
-        let mut t = Trace::new();
+        let mut t = Trace::default();
         // Each slot's value decided by four nodes in a row: one entry each.
         for slot in 0..40u64 {
             for node in 0..4 {
@@ -882,7 +954,7 @@ mod tests {
 
     #[test]
     fn heap_bytes_counts_lengths_not_capacities() {
-        let mut t = Trace::new();
+        let mut t = Trace::default();
         assert_eq!(t.heap_bytes(), 0);
         t.record(SimTime::ZERO, NodeId::new(0), &TraceKind::View { view: 1 });
         assert_eq!(t.heap_bytes(), 24);

@@ -382,7 +382,7 @@ mod tests {
             delivered_per_node: vec![0; n],
             safety_violation: None,
             decided,
-            trace: Trace::new(),
+            trace: Trace::default(),
             queue_high_water: 0,
             scheduler: crate::scheduler::SchedulerStats::default(),
             observability: None,
@@ -417,7 +417,7 @@ mod tests {
 
     #[test]
     fn check_against_trace_names_node_and_event_index() {
-        let mut golden = Trace::new();
+        let mut golden = Trace::default();
         golden.record(
             SimTime::from_millis(1),
             NodeId::new(0),

@@ -301,7 +301,10 @@ fn view_trace_is_recorded() {
             ctx.decide(Value::ONE);
         }
     }
-    let result = SimulationBuilder::new(RunConfig::new(2).with_seed(0))
+    let cfg = RunConfig::new(2)
+        .with_seed(0)
+        .with_trace(TraceLevel::Events);
+    let result = SimulationBuilder::new(cfg)
         .network(ConstantNetwork::new(SimDuration::from_millis(1.0)))
         .protocols(|_id: NodeId| -> Box<dyn Protocol> { Box::new(Viewer) })
         .build()
@@ -405,7 +408,7 @@ fn every_sink_hears_each_fact_exactly_once() {
         .with_seed(5)
         .with_lambda_ms(1000.0)
         .with_time_cap(SimDuration::from_secs(300.0))
-        .with_message_recording(true);
+        .with_trace(TraceLevel::Messages);
     let pbft = ProtocolKind::Pbft.configure(base.clone());
     let hotstuff = ProtocolKind::HotStuffNs.configure(base.clone());
     let runs: [(&str, RunConfig, Box<dyn ProtocolFactory>); 3] = [

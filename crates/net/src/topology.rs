@@ -309,7 +309,7 @@ impl NetworkModel for BandwidthNetwork {
         } else {
             state.busy_until
         };
-        state.busy_until = start.saturating_add(ser);
+        state.busy_until = start + ser;
         LinkDecision::Deliver(Delivery {
             delay: queued + ser + prop,
             queued,

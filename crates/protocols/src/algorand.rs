@@ -351,6 +351,7 @@ mod tests {
     use bft_sim_core::engine::SimulationBuilder;
     use bft_sim_core::network::ConstantNetwork;
     use bft_sim_core::time::SimDuration;
+    use bft_sim_core::trace::TraceLevel;
 
     fn run(n: usize, delay_ms: f64, lambda_ms: f64) -> bft_sim_core::metrics::RunResult {
         let cfg = RunConfig::new(n)
@@ -446,7 +447,8 @@ mod tests {
         let cfg = RunConfig::new(4)
             .with_seed(5)
             .with_lambda_ms(500.0)
-            .with_time_cap(SimDuration::from_secs(600.0));
+            .with_time_cap(SimDuration::from_secs(600.0))
+            .with_trace(TraceLevel::Events);
         let params = ProtocolParams::new(cfg.n, cfg.f, 13);
         let r = SimulationBuilder::new(cfg)
             .network(ConstantNetwork::new(SimDuration::from_millis(50.0)))

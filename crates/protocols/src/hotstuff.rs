@@ -352,6 +352,7 @@ mod tests {
     use bft_sim_core::config::RunConfig;
     use bft_sim_core::engine::SimulationBuilder;
     use bft_sim_core::network::ConstantNetwork;
+    use bft_sim_core::trace::TraceLevel;
 
     fn run(
         n: usize,
@@ -364,7 +365,8 @@ mod tests {
             .with_seed(7)
             .with_lambda_ms(lambda_ms)
             .with_target_decisions(decisions)
-            .with_time_cap(SimDuration::from_secs(cap_s));
+            .with_time_cap(SimDuration::from_secs(cap_s))
+            .with_trace(TraceLevel::Events);
         let params = ProtocolParams::new(cfg.n, cfg.f, 42);
         SimulationBuilder::new(cfg)
             .network(ConstantNetwork::new(SimDuration::from_millis(delay_ms)))

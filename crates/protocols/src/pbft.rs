@@ -504,6 +504,7 @@ mod tests {
     use bft_sim_core::engine::SimulationBuilder;
     use bft_sim_core::network::ConstantNetwork;
     use bft_sim_core::time::SimDuration;
+    use bft_sim_core::trace::TraceLevel;
 
     fn run(
         n: usize,
@@ -515,7 +516,8 @@ mod tests {
             .with_seed(1)
             .with_lambda_ms(lambda_ms)
             .with_target_decisions(decisions)
-            .with_time_cap(SimDuration::from_secs(600.0));
+            .with_time_cap(SimDuration::from_secs(600.0))
+            .with_trace(TraceLevel::Events);
         let params = ProtocolParams::new(cfg.n, cfg.f, 42);
         SimulationBuilder::new(cfg)
             .network(ConstantNetwork::new(SimDuration::from_millis(delay_ms)))
@@ -577,7 +579,8 @@ mod tests {
         let cfg = RunConfig::new(4)
             .with_seed(1)
             .with_lambda_ms(500.0)
-            .with_time_cap(SimDuration::from_secs(60.0));
+            .with_time_cap(SimDuration::from_secs(60.0))
+            .with_trace(TraceLevel::Events);
         let params = ProtocolParams::new(cfg.n, cfg.f, 42);
         let r = SimulationBuilder::new(cfg)
             .network(ConstantNetwork::new(SimDuration::from_millis(50.0)))

@@ -369,6 +369,7 @@ mod tests {
     use bft_sim_core::engine::SimulationBuilder;
     use bft_sim_core::network::ConstantNetwork;
     use bft_sim_core::time::SimDuration;
+    use bft_sim_core::trace::TraceLevel;
 
     fn run(
         n: usize,
@@ -430,7 +431,8 @@ mod tests {
             .with_seed(8)
             .with_f(2)
             .with_lambda_ms(500.0)
-            .with_time_cap(SimDuration::from_secs(120.0));
+            .with_time_cap(SimDuration::from_secs(120.0))
+            .with_trace(TraceLevel::Events);
         let params = ProtocolParams::new(cfg.n, cfg.f, 3);
         let r = SimulationBuilder::new(cfg)
             .network(ConstantNetwork::new(SimDuration::from_millis(50.0)))
@@ -479,7 +481,8 @@ mod tests {
             .with_seed(8)
             .with_f(2)
             .with_lambda_ms(500.0)
-            .with_time_cap(SimDuration::from_secs(120.0));
+            .with_time_cap(SimDuration::from_secs(120.0))
+            .with_trace(TraceLevel::Events);
         let params = ProtocolParams::new(cfg.n, cfg.f, 3);
         let r = SimulationBuilder::new(cfg)
             .network(ConstantNetwork::new(SimDuration::from_millis(50.0)))

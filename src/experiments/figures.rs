@@ -11,6 +11,7 @@ use bft_sim_baseline::{BaselineConfig, BaselineSim};
 use bft_sim_core::dist::Dist;
 use bft_sim_core::ids::NodeId;
 use bft_sim_core::metrics::Summary;
+use bft_sim_core::trace::TraceLevel;
 use bft_sim_protocols::registry::ProtocolKind;
 use bft_sim_protocols::ProtocolParams;
 
@@ -294,9 +295,12 @@ pub fn fig8(n: usize, reps: usize, base_seed: u64) -> Vec<Point> {
 /// view-synchronisation visualisation. Returns `(node, [(t_secs, view)])`
 /// per node for a single seeded run.
 pub fn fig9(n: usize, seed: u64) -> Vec<(NodeId, Vec<(f64, u64)>)> {
-    let scenario = Scenario::new(ProtocolKind::HotStuffNs, n)
-        .with_lambda(150.0)
-        .with_time_cap_s(900.0);
+    let scenario = Scenario {
+        trace: TraceLevel::Events,
+        ..Scenario::new(ProtocolKind::HotStuffNs, n)
+            .with_lambda(150.0)
+            .with_time_cap_s(900.0)
+    };
     let result = scenario.run(seed);
     NodeId::all(n)
         .map(|id| {

@@ -17,6 +17,7 @@ use bft_sim_core::metrics::{RunResult, Summary};
 use bft_sim_core::network::SampledNetwork;
 use bft_sim_core::scheduler::SchedulerKind;
 use bft_sim_core::time::SimDuration;
+use bft_sim_core::trace::TraceLevel;
 use bft_sim_protocols::registry::ProtocolKind;
 
 use bft_sim_attacks::{AddAdaptiveRushingAttack, AddStaticAttack, FailStop, PartitionAttack};
@@ -85,6 +86,8 @@ pub struct Scenario {
     /// Decision target; `None` uses the paper's per-protocol convention
     /// (10 for the pipelined protocols, 1 otherwise).
     pub(crate) decisions: Option<u64>,
+    /// What each run's trace keeps; `Decisions` except for Fig. 9.
+    pub(crate) trace: TraceLevel,
     /// Single backend; kept for benchmark/'s tracer, remove with its replay
     /// follow-up (ROADMAP item 2).
     pub scheduler: SchedulerKind,
@@ -103,6 +106,7 @@ impl Scenario {
             time_cap_s: 600.0,
             genesis_seed: 7,
             decisions: None,
+            trace: TraceLevel::Decisions,
             scheduler: SchedulerKind::default(),
         }
     }
@@ -151,7 +155,8 @@ impl Scenario {
                 RunConfig::new(self.n)
                     .with_seed(seed)
                     .with_lambda_ms(self.lambda_ms)
-                    .with_time_cap(SimDuration::from_secs(self.time_cap_s)),
+                    .with_time_cap(SimDuration::from_secs(self.time_cap_s))
+                    .with_trace(self.trace),
             )
             .with_target_decisions(self.target_decisions());
         let factory = self.kind.factory(&cfg, self.genesis_seed);

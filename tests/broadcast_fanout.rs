@@ -295,7 +295,7 @@ impl Protocol for Gossip {
 }
 
 fn gossip(cfg: RunConfig, script: Script) -> SimulationBuilder {
-    SimulationBuilder::new(cfg.with_message_recording(true)).protocols(
+    SimulationBuilder::new(cfg.with_trace(TraceLevel::Messages)).protocols(
         move |_id: NodeId| -> Box<dyn Protocol> {
             Box::new(Gossip {
                 script,

@@ -15,12 +15,13 @@
 //! thrash under an underestimated λ (Fig. 5), a 0–20 s partition in hold and
 //! in drop mode, both half/half (Fig. 6) and 12/4 (the minority fetches the
 //! blocks it missed), and f fail-stopped nodes (Fig. 7). Those rows pin,
-//! beside the fingerprint, an FNV-1a of the full trace JSON with per-message
-//! recording on (`"<key>#trace"`), so any change to the order or content of
-//! what a replica sends, reports or decides is loud. Every protocol also
-//! carries a `"<protocol>/golden#trace"` row: the same FNV-1a at
-//! `tests/golden_traces.rs`'s pinned configuration, the byte pin its
-//! committed files are not.
+//! beside the fingerprint, an FNV-1a of the full trace JSON kept at
+//! `TraceLevel::Messages` (`"<key>#trace"`), so any change to the order or
+//! content of what a replica sends, reports or decides is loud. Every
+//! protocol also carries a `"<protocol>/golden#trace"` row: the same FNV-1a
+//! at `tests/golden_traces.rs`'s pinned configuration, the byte pin its
+//! committed files are not; that run is repeated at the two lower trace
+//! levels, which must change nothing but the trace.
 //!
 //! To regenerate after an *intentional* behaviour change:
 //! `BFT_SIM_BLESS=1 cargo test --test golden_fingerprints`.
@@ -62,37 +63,96 @@ fn compute_corpus() -> Vec<(String, u64)> {
 }
 
 /// Byte pins for `tests/golden_traces.rs`'s configuration (n = 7, seed 5,
-/// genesis 23), with per-message recording on so every payload type is in
+/// genesis 23), kept at `TraceLevel::Messages` so every payload type is in
 /// the trace: the FNV-1a of each protocol's trace JSON under
 /// `"<protocol>/golden#trace"`. The committed golden files only pin the
 /// decided values; these pin every event.
+///
+/// The same run at the two lower levels must be the same run: retention
+/// changes what the trace keeps and nothing else.
 fn golden_trace_rows() -> Vec<(String, u64)> {
     ProtocolKind::extended()
         .into_iter()
         .map(|kind| {
-            let cfg = kind
-                .configure(
-                    RunConfig::new(7)
-                        .with_seed(5)
-                        .with_lambda_ms(1000.0)
-                        .with_time_cap(SimDuration::from_secs(900.0)),
-                )
-                .with_message_recording(true);
-            let factory = kind.factory(&cfg, 23);
-            let result = SimulationBuilder::new(cfg)
-                .network(SampledNetwork::new(Dist::normal(250.0, 50.0)))
-                .protocols(factory)
-                .build()
-                .expect("valid config")
-                .run();
-            assert!(result.is_clean(), "{kind}: {:?}", result.safety_violation);
-            let trace = fnv1a(result.trace.to_json().dump().as_bytes());
+            let cfg = kind.configure(
+                RunConfig::new(7)
+                    .with_seed(5)
+                    .with_lambda_ms(1000.0)
+                    .with_time_cap(SimDuration::from_secs(900.0)),
+            );
+            let [decisions, events, messages] = [
+                TraceLevel::Decisions,
+                TraceLevel::Events,
+                TraceLevel::Messages,
+            ]
+            .map(|level| {
+                let cfg = cfg.clone().with_trace(level);
+                let factory = kind.factory(&cfg, 23);
+                SimulationBuilder::new(cfg)
+                    .network(SampledNetwork::new(Dist::normal(250.0, 50.0)))
+                    .observability(
+                        ObsConfig::new(DEFAULT_LAST_K).with_classifier(kind.phase_classifier()),
+                    )
+                    .protocols(factory)
+                    .build()
+                    .expect("valid config")
+                    .run()
+            });
+            assert!(
+                messages.is_clean(),
+                "{kind}: {:?}",
+                messages.safety_violation
+            );
+            for (level, kept) in [
+                (TraceLevel::Decisions, &decisions),
+                (TraceLevel::Events, &events),
+            ] {
+                assert_retention_is_inert(kind, level, kept, &messages, &cfg);
+            }
+            let trace = fnv1a(messages.trace.to_json().dump().as_bytes());
             (format!("{}/golden#trace", kind.name()), trace)
         })
         .collect()
 }
 
-/// One chained-protocol run at n = 16 with per-message recording and
+/// `kept`, recorded at `level`, against `full`, the same run recorded at
+/// `TraceLevel::Messages`: every field but the trace equal, the same
+/// decisions and exclusions in the trace, the same oracle verdicts.
+fn assert_retention_is_inert(
+    kind: ProtocolKind,
+    level: TraceLevel,
+    kept: &RunResult,
+    full: &RunResult,
+    cfg: &RunConfig,
+) {
+    let untraced = |r: &RunResult| RunResult {
+        trace: Trace::default(),
+        ..r.clone()
+    };
+    assert_eq!(untraced(kept), untraced(full), "{kind} at {level:?}");
+    assert!(
+        kept.trace.decisions().eq(full.trace.decisions()),
+        "{kind} at {level:?}: decisions"
+    );
+    let excluded = |r: &RunResult| -> Vec<NodeId> {
+        r.trace
+            .events()
+            .filter(|e| matches!(e.kind, TraceKind::Crashed | TraceKind::Corrupted))
+            .map(|e| e.node)
+            .collect()
+    };
+    assert_eq!(excluded(kept), excluded(full), "{kind} at {level:?}");
+    let verdicts = |r: &RunResult| {
+        OracleSuite::standard().check(&OracleInput::from_result(
+            r,
+            None,
+            kind.expectations(cfg, true),
+        ))
+    };
+    assert_eq!(verdicts(kept), verdicts(full), "{kind} at {level:?}");
+}
+
+/// One chained-protocol run at n = 16 with every event traced and
 /// observability on: its fingerprint under `key`, the FNV-1a of its trace
 /// JSON under `"<key>#trace"`.
 fn chained_row(
@@ -109,7 +169,7 @@ fn chained_row(
                 .with_lambda_ms(lambda_ms)
                 .with_time_cap(SimDuration::from_secs(900.0)),
         )
-        .with_message_recording(true);
+        .with_trace(TraceLevel::Messages);
     let factory = kind.factory(&cfg, 7);
     let result = SimulationBuilder::new(cfg)
         .network(SampledNetwork::new(delay))

@@ -11,10 +11,12 @@
 //! times and node order, from engine changes that kept every decision. The
 //! byte pins for this configuration are the `"<protocol>/golden#trace"` rows
 //! of `tests/golden/fingerprints.json` (`tests/golden_fingerprints.rs`),
-//! taken with per-message recording on.
+//! taken at `TraceLevel::Messages`.
 //!
 //! To regenerate after an *intentional* behaviour change:
-//! `BFT_SIM_BLESS=1 cargo test --test golden_traces`.
+//! `BFT_SIM_BLESS=1 cargo test --test golden_traces`. The pinned run keeps
+//! `TraceLevel::Events`, as the committed files do (their `View` and
+//! `Custom` events would be dropped at the default level).
 
 use bft_sim_core::json::Json;
 use bft_simulator::prelude::*;
@@ -30,7 +32,8 @@ fn run_pinned(kind: ProtocolKind) -> RunResult {
         RunConfig::new(7)
             .with_seed(5)
             .with_lambda_ms(1000.0)
-            .with_time_cap(SimDuration::from_secs(900.0)),
+            .with_time_cap(SimDuration::from_secs(900.0))
+            .with_trace(TraceLevel::Events),
     );
     let factory = kind.factory(&cfg, 23);
     SimulationBuilder::new(cfg)

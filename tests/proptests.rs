@@ -157,13 +157,13 @@ fn bandwidth_link_is_fifo() {
         let mut last_arrival = SimTime::ZERO;
         for send in 0..64 {
             // Non-decreasing send times with random gaps and sizes.
-            now = now.saturating_add(SimDuration::from_micros(gen.gen_range(0..200_000)));
+            now += SimDuration::from_micros(gen.gen_range(0..200_000));
             let bytes = gen.gen_range(1..50_000);
             let d = net
                 .decide(NodeId::new(0), NodeId::new(1), now, bytes, &mut rng)
                 .delivery()
                 .unwrap();
-            let arrival = now.saturating_add(d.delay);
+            let arrival = now + d.delay;
             assert!(
                 arrival >= last_arrival,
                 "case {case}: send {send} (bw {bw} B/s, prop {prop_ms} ms, seed \
