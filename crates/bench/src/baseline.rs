@@ -57,10 +57,10 @@ pub struct CaseResult {
     /// Peak event-queue depth during the run (live events only).
     pub peak_queue_depth: usize,
     /// Peak *resident* scheduler entries — a fan-out entry counting once,
-    /// plus any lazy tombstones still queued.
+    /// plus any stale keys of cancelled events still queued.
     pub peak_resident_entries: usize,
-    /// Cancelled entries the scheduler popped and discarded internally (the
-    /// cost of lazy deletion).
+    /// Stale keys of cancelled events the scheduler popped and discarded
+    /// internally.
     pub(crate) tombstones_popped: u64,
     /// Broadcast actions executed — each is exactly one payload allocation
     /// on the zero-clone hot path.

@@ -42,8 +42,8 @@ fn pbft_n64_keeps_its_depth_and_loses_the_n_squared_residency() {
     // Simulated quantities: exactly what per-recipient scheduling gave.
     assert_eq!(case.events_processed, 80_332);
     assert_eq!(case.peak_queue_depth, 5_119);
-    // Resident entries: broadcasts in flight plus timers and lazy
-    // tombstones — 5 311 when every recipient was an entry.
+    // Resident entries: broadcasts in flight plus timers and stale keys of
+    // cancelled ones — 5 311 when every recipient was an entry.
     assert!(
         case.peak_resident_entries <= 16 * n,
         "{} resident entries, an n² term is back",

@@ -473,8 +473,8 @@ impl Simulation {
                 Action::CancelTimer(id) => {
                     // Only pending timers have a handle; cancelling a timer
                     // that already fired (or never existed) is a no-op. The
-                    // count is taken here, not when the tombstone is popped:
-                    // a run can end with tombstones still queued.
+                    // count is taken here, not when the stale key is popped:
+                    // a run can end with stale keys still queued.
                     if let Some(handle) = self.timer_handles.remove(&id) {
                         self.queue.cancel(handle);
                         self.sinks.metrics.count_cancelled_timer();
@@ -740,8 +740,8 @@ mod tests {
     }
 
     /// Each round fires a timer, cancels the *already fired* id, and arms the
-    /// next one. Before the armed-gating fix every stale cancellation left a
-    /// tombstone in `cancelled` forever.
+    /// next one. The engine drops a fired timer's handle, so such a cancel
+    /// never reaches the queue (which would refuse it anyway).
     #[derive(Debug, Default)]
     struct TimerChurn {
         rounds: u64,

@@ -114,9 +114,7 @@ pub enum EventKind {
 /// An event stamped with its dispatch time and insertion sequence number.
 ///
 /// The pair `(at, seq)` is the *total* dispatch order a
-/// [`Scheduler`](crate::scheduler::Scheduler) must honour; the
-/// comparison impls below encode it (reversed, because `BinaryHeap` is a
-/// max-heap).
+/// [`Scheduler`](crate::scheduler::Scheduler) must honour.
 #[derive(Debug)]
 pub struct ScheduledEvent {
     /// Absolute dispatch time.
@@ -127,44 +125,10 @@ pub struct ScheduledEvent {
     pub(crate) kind: EventKind,
 }
 
-impl PartialEq for ScheduledEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl Eq for ScheduledEvent {}
-
-impl PartialOrd for ScheduledEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for ScheduledEvent {
-    fn cmp(&self, other: &Self) -> core::cmp::Ordering {
-        // BinaryHeap is a max-heap; reverse to pop the earliest (time, seq).
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::payload::boxed;
-
-    #[test]
-    fn scheduled_events_order_by_time_then_seq_reversed() {
-        let ev = |at, seq| ScheduledEvent {
-            at: SimTime::from_micros(at),
-            seq,
-            kind: EventKind::AdversaryTimer { tag: 0 },
-        };
-        // Reversed for the max-heap: the earlier event compares greater.
-        assert!(ev(10, 0) > ev(20, 0));
-        assert!(ev(10, 0) > ev(10, 1));
-        assert_eq!(ev(10, 3), ev(10, 3));
-    }
 
     #[test]
     fn timer_payload_downcast() {

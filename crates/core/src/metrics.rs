@@ -268,7 +268,7 @@ pub struct RunResult {
     pub trace: Trace,
     /// Maximum number of *live* events in the queue at once (memory proxy for
     /// Fig. 2): the logical depth, one per pending event. The physical peak
-    /// — resident entries including tombstones — is in
+    /// — resident entries including stale keys — is in
     /// [`scheduler`](RunResult::scheduler).
     pub queue_high_water: usize,
     /// Diagnostics from the event queue: what it cost physically, never a

@@ -36,23 +36,35 @@
 //! * `schedule` and `schedule_reserved` are only called with `at` ≥ the
 //!   timestamp of the last popped event (the engine never schedules into the
 //!   past), and a reserved seq is scheduled at most once;
-//! * `cancel` suppresses the event so it is *never* returned by `pop`; the
-//!   engine only cancels events that are still pending, and only ever timer
-//!   events. Cancellation is lazy: the seq is marked, and the entry is
-//!   discarded when it surfaces at the root;
+//! * `cancel` suppresses a pending event so it is *never* returned by `pop`;
+//!   the engine only cancels events that are still pending, and only ever
+//!   timer events. A handle that is no longer pending (popped or already
+//!   cancelled) is refused: `cancel` returns `false` and changes nothing;
 //! * [`Scheduler::len`] is the *logical* depth: pending (non-cancelled)
 //!   events, a fan-out entry counting once per undelivered recipient —
-//!   whatever tombstones are still resident and however few entries stand
-//!   for them.
+//!   however many stale keys are still resident and however few entries
+//!   stand for them.
 //!
-//! What the queue costs physically (tombstones, resident peak) is reported
+//! # Layout
+//!
+//! The heap holds 24-byte keys `(at, seq, slot)`; the events themselves sit
+//! in a slab of slots, each occupied slot recording the seq it holds. A pop
+//! takes the key at the root and moves its event out of the slot, so sifts
+//! move keys, never events. A cancel vacates the slot at once — the timer's
+//! payload is dropped then — and leaves the key behind: a key whose slot is
+//! vacant, or holds another seq by now, is *stale* and is discarded when it
+//! surfaces at the root.
+//!
+//! What the queue costs physically (stale keys, resident peak) is reported
 //! through [`SchedulerStats`] and surfaces in `BENCH_baseline.json`; it never
 //! feeds back into simulation results.
 
+use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::sync::Arc;
 
 use crate::event::{EventKind, FanOut, Recipient, ScheduledEvent};
+#[cfg(debug_assertions)]
 use crate::fasthash::FastSet;
 use crate::ids::NodeId;
 use crate::message::Message;
@@ -62,10 +74,13 @@ use crate::time::SimTime;
 /// An opaque handle to a scheduled event, returned by
 /// [`Scheduler::schedule`] and redeemed by [`Scheduler::cancel`].
 ///
-/// Handles wrap the event's insertion sequence number, which is unique for
-/// the lifetime of a scheduler.
+/// Handles hold the event's insertion sequence number, which is unique for
+/// the lifetime of a scheduler, and the slab slot it was put in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventHandle(u64);
+pub struct EventHandle {
+    seq: u64,
+    slot: u32,
+}
 
 /// Counters the queue reports about its own internals.
 ///
@@ -73,14 +88,15 @@ pub struct EventHandle(u64);
 /// report JSON deliberately omits them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
-    /// Peak number of entries resident in the queue at once, *including*
-    /// any cancelled entries still awaiting lazy removal. A fan-out entry
-    /// counts once however many recipients it holds, so this is the
-    /// physical footprint, not the logical depth [`Scheduler::len`] reports.
+    /// Peak number of keys in the heap at once, *including* stale keys of
+    /// cancelled events that have not surfaced yet. A fan-out entry counts
+    /// once however many recipients it holds, so this is the physical
+    /// footprint, not the logical depth [`Scheduler::len`] reports.
     pub peak_resident: usize,
-    /// Cancelled entries that were discarded lazily at pop time.
+    /// Stale keys — of events cancelled while pending — discarded when they
+    /// surfaced at the root.
     pub tombstones_popped: u64,
-    /// Cancelled entries still resident when the snapshot was taken.
+    /// Stale keys still in the heap when the snapshot was taken.
     pub(crate) pending_tombstones: usize,
 }
 
@@ -121,9 +137,9 @@ pub trait Scheduler: core::fmt::Debug {
         recipients: &[Recipient],
     );
 
-    /// Cancels a pending event so it is never popped. Returns whether the
-    /// handle was not already cancelled. The engine only cancels events that
-    /// are pending and has each handle cancelled at most once.
+    /// Cancels a pending event so it is never popped, dropping it at once.
+    /// Returns whether the event was pending; for a handle whose event was
+    /// already popped or cancelled it returns `false` and changes nothing.
     fn cancel(&mut self, handle: EventHandle) -> bool;
 
     /// Pops the earliest pending event in `(timestamp, insertion seq)` order.
@@ -149,7 +165,7 @@ pub trait Scheduler: core::fmt::Debug {
 /// replay follow-up (ROADMAP item 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SchedulerKind {
-    /// The binary heap with lazy tombstone cancellation (`HeapScheduler`).
+    /// The binary heap of keys over an event slab (`HeapScheduler`).
     #[default]
     Heap,
 }
@@ -301,15 +317,13 @@ impl FanOutStore {
         };
     }
 
-    /// Splits the due recipient of the fan-out entry `entry` off as a
-    /// `Deliver` event carrying the entry's `(at, seq)`, and re-keys the
-    /// entry at the following recipient's reserved position. Returns the
-    /// event and whether the entry has recipients left; the caller restores
-    /// its own ordering for the re-keyed entry, or removes the spent one.
-    fn split_due(&mut self, entry: &mut ScheduledEvent) -> (ScheduledEvent, bool) {
-        let EventKind::FanOut(record) = &mut entry.kind else {
-            unreachable!("only fan-out entries are split");
-        };
+    /// Splits the due recipient of the fan-out entry `record`, keyed at
+    /// `key`, off as a `Deliver` event carrying the key's `(at, seq)`, and
+    /// re-keys `key` at the following recipient's reserved position. Returns
+    /// the event and whether the entry has recipients left; the caller
+    /// restores its own ordering for the re-keyed entry, or removes the
+    /// spent one.
+    fn split_due(&mut self, key: &mut Key, record: &mut FanOut) -> (ScheduledEvent, bool) {
         let page = &mut self.pages[record.page as usize];
         let undelivered = &page.cells[record.start as usize..][..record.remaining as usize];
         let (due, next) = match *undelivered {
@@ -325,15 +339,15 @@ impl FanOutStore {
             Arc::clone(&record.payload),
         );
         let delivery = ScheduledEvent {
-            at: entry.at,
-            seq: entry.seq,
+            at: key.at,
+            seq: key.seq,
             kind: EventKind::Deliver(msg),
         };
         match next {
             Some(next) => {
                 self.backlog -= 1;
-                entry.at = next.at;
-                entry.seq = record.first_seq + u64::from(next.seq_offset);
+                key.at = next.at;
+                key.seq = record.first_seq + u64::from(next.seq_offset);
             }
             None => {
                 page.live -= 1;
@@ -349,14 +363,81 @@ impl FanOutStore {
     }
 }
 
-/// The event queue: a binary min-heap over `(timestamp, seq)` with
-/// lazy tombstone cancellation — `cancel` marks the sequence number and
-/// `pop` silently discards marked entries when they surface.
+/// A heap entry: when the event in `slot` is due, and under which seq.
+/// Ordered by `(at, seq)`: seqs are unique, so `slot` never decides.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
+    at: SimTime,
+    seq: u64,
+    slot: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Key>() <= 24);
+
+#[derive(Debug)]
+enum Slot {
+    /// Holds the pending event with insertion seq `seq`.
+    Occupied { seq: u64, kind: EventKind },
+    /// Free; `next` is the next free slot.
+    Vacant { next: Option<u32> },
+}
+
+/// Where the pending events live, each in a slot a [`Key`] points at.
+/// Vacant slots form an intrusive free list, most recently freed first.
+#[derive(Debug, Default)]
+struct Slab {
+    slots: Vec<Slot>,
+    free: Option<u32>,
+    occupied: usize,
+}
+
+impl Slab {
+    fn insert(&mut self, seq: u64, kind: EventKind) -> u32 {
+        self.occupied += 1;
+        let tenant = Slot::Occupied { seq, kind };
+        match self.free {
+            Some(slot) => {
+                let old = std::mem::replace(&mut self.slots[slot as usize], tenant);
+                let Slot::Vacant { next } = old else {
+                    unreachable!("the free list holds vacant slots only");
+                };
+                self.free = next;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 events pending");
+                self.slots.push(tenant);
+                slot
+            }
+        }
+    }
+
+    /// Whether `slot` holds the event with insertion seq `seq`.
+    fn holds(&self, slot: u32, seq: u64) -> bool {
+        matches!(self.slots.get(slot as usize), Some(Slot::Occupied { seq: s, .. }) if *s == seq)
+    }
+
+    /// Takes the event out of the occupied `slot` and frees the slot.
+    fn vacate(&mut self, slot: u32) -> EventKind {
+        let vacant = Slot::Vacant { next: self.free };
+        let Slot::Occupied { kind, .. } = std::mem::replace(&mut self.slots[slot as usize], vacant)
+        else {
+            unreachable!("only an occupied slot is vacated");
+        };
+        self.free = Some(slot);
+        self.occupied -= 1;
+        kind
+    }
+}
+
+/// The event queue: a binary min-heap of [`Key`]s over `(timestamp, seq)`
+/// and the [`Slab`] that holds the events. `cancel` frees the event's slot;
+/// `pop` discards the stale key left behind when it surfaces.
 #[derive(Debug, Default)]
 pub(crate) struct HeapScheduler {
-    heap: BinaryHeap<ScheduledEvent>,
+    heap: BinaryHeap<Reverse<Key>>,
+    slab: Slab,
     seqs: SeqCounter,
-    cancelled: FastSet<u64>,
     fanouts: FanOutStore,
     peak: usize,
     tombstones_popped: u64,
@@ -369,9 +450,10 @@ impl HeapScheduler {
     }
 
     fn push(&mut self, at: SimTime, seq: u64, kind: EventKind) -> EventHandle {
-        self.heap.push(ScheduledEvent { at, seq, kind });
+        let slot = self.slab.insert(seq, kind);
+        self.heap.push(Reverse(Key { at, seq, slot }));
         self.peak = self.peak.max(self.heap.len());
-        EventHandle(seq)
+        EventHandle { seq, slot }
     }
 }
 
@@ -408,40 +490,55 @@ impl Scheduler for HeapScheduler {
     }
 
     fn cancel(&mut self, handle: EventHandle) -> bool {
-        self.cancelled.insert(handle.0)
+        if !self.slab.holds(handle.slot, handle.seq) {
+            return false;
+        }
+        self.slab.vacate(handle.slot);
+        true
     }
 
     fn pop(&mut self) -> Option<ScheduledEvent> {
         while let Some(mut top) = self.heap.peek_mut() {
-            if matches!(top.kind, EventKind::FanOut(_)) {
-                // Re-keyed in place: `PeekMut` sifts the entry down from the
+            let (seq, kind) = match self.slab.slots.get_mut(top.0.slot as usize) {
+                Some(Slot::Occupied { seq, kind }) if *seq == top.0.seq => (seq, kind),
+                // Stale: cancelled, and the slot may have a new tenant.
+                _ => {
+                    PeekMut::pop(top);
+                    self.tombstones_popped += 1;
+                    continue;
+                }
+            };
+            if let EventKind::FanOut(record) = kind {
+                // Re-keyed in place: `PeekMut` sifts the key down from the
                 // root on drop, usually a level or two, where a pop and a
                 // push would each walk the heap's height.
-                let (due, more) = self.fanouts.split_due(&mut top);
-                if !more {
-                    PeekMut::pop(top);
+                let (due, more) = self.fanouts.split_due(&mut top.0, record);
+                if more {
+                    *seq = top.0.seq;
+                } else {
+                    self.slab.vacate(PeekMut::pop(top).0.slot);
                 }
                 return Some(due);
             }
-            let ev = PeekMut::pop(top);
-            if self.cancelled.remove(&ev.seq) {
-                self.tombstones_popped += 1;
-                continue;
-            }
-            return Some(ev);
+            let Reverse(key) = PeekMut::pop(top);
+            return Some(ScheduledEvent {
+                at: key.at,
+                seq: key.seq,
+                kind: self.slab.vacate(key.slot),
+            });
         }
         None
     }
 
     fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len() + self.fanouts.backlog
+        self.slab.occupied + self.fanouts.backlog
     }
 
     fn stats(&self) -> SchedulerStats {
         SchedulerStats {
             peak_resident: self.peak,
             tombstones_popped: self.tombstones_popped,
-            pending_tombstones: self.cancelled.len(),
+            pending_tombstones: self.heap.len() - self.slab.occupied,
         }
     }
 }
@@ -450,8 +547,9 @@ impl Scheduler for HeapScheduler {
 mod tests {
     use super::*;
     use crate::event::Timer;
+    use crate::fasthash::FastMap;
     use crate::ids::{NodeId, TimerId};
-    use crate::payload::{boxed, Payload};
+    use crate::payload::{boxed, Payload, PayloadCell};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -478,6 +576,9 @@ mod tests {
     struct Model {
         next_seq: u64,
         pending: Vec<Pending>,
+        /// Undelivered recipients per broadcast, by the broadcast's first
+        /// seq (recipient `dst` holds that seq + `dst`).
+        broadcasts: FastMap<u64, usize>,
     }
 
     impl Model {
@@ -493,12 +594,29 @@ mod tests {
 
         fn pop(&mut self) -> Option<Pending> {
             let min = (0..self.pending.len()).min_by_key(|&i| self.pending[i])?;
-            Some(self.pending.swap_remove(min))
+            let popped = self.pending.swap_remove(min);
+            if let (_, seq, Some(dst)) = popped {
+                let first = seq - u64::from(dst);
+                let left = self.broadcasts.get_mut(&first).expect("a broadcast");
+                *left -= 1;
+                if *left == 0 {
+                    self.broadcasts.remove(&first);
+                }
+            }
+            Some(popped)
+        }
+
+        /// Events that must occupy a slot: one per plain event, one per
+        /// broadcast with recipients left.
+        fn resident(&self) -> usize {
+            let plain = self.pending.iter().filter(|e| e.2.is_none()).count();
+            plain + self.broadcasts.len()
         }
     }
 
     /// Drives a [`HeapScheduler`] and the [`Model`] with the same operations
-    /// and checks, after every one, that they agree on `len()` — and on the
+    /// and checks, after every one, that they agree on `len()` and on the
+    /// occupied slots — so a cancel frees its slot at once — and on the
     /// `(at, seq, dst)` of everything popped.
     #[derive(Default)]
     struct Checked {
@@ -510,6 +628,7 @@ mod tests {
         fn agree(&self) {
             assert_eq!(self.heap.len(), self.model.pending.len());
             assert_eq!(self.heap.is_empty(), self.model.pending.is_empty());
+            assert_eq!(self.heap.slab.occupied, self.model.resident());
         }
 
         fn schedule(&mut self, at: u64, kind: EventKind) -> EventHandle {
@@ -517,7 +636,7 @@ mod tests {
             let seq = self.model.reserve(1);
             self.model.pending.push((at, seq, None));
             let handle = self.heap.schedule(at, kind);
-            assert_eq!(handle, EventHandle(seq), "plain seqs count up");
+            assert_eq!(handle.seq, seq, "plain seqs count up");
             self.agree();
             handle
         }
@@ -533,7 +652,7 @@ mod tests {
             let at = SimTime::from_micros(at);
             self.model.pending.push((at, seq, None));
             let handle = self.heap.schedule_reserved(at, seq, kind);
-            assert_eq!(handle, EventHandle(seq));
+            assert_eq!(handle.seq, seq);
             self.agree();
             handle
         }
@@ -557,6 +676,9 @@ mod tests {
                     .iter()
                     .map(|r| (r.at, first + u64::from(r.seq_offset), Some(r.seq_offset))),
             );
+            if !times.is_empty() {
+                self.model.broadcasts.insert(first, times.len());
+            }
             self.heap.schedule_fanout(
                 NodeId::new(0),
                 SimTime::ZERO,
@@ -568,7 +690,7 @@ mod tests {
         }
 
         fn cancel(&mut self, handle: EventHandle) {
-            self.model.cancel(handle.0);
+            self.model.cancel(handle.seq);
             assert!(self.heap.cancel(handle));
             self.agree();
         }
@@ -631,6 +753,79 @@ mod tests {
         assert_eq!(stats.peak_resident, 2);
     }
 
+    /// The engine never does this, but a caller that cancels a popped or an
+    /// already cancelled event must not corrupt the queue.
+    #[test]
+    fn cancelling_an_event_that_is_not_pending_changes_nothing() {
+        let mut q = SchedulerKind::Heap.build();
+        let popped = q.schedule(SimTime::from_micros(10), timer_event(0));
+        let cancelled = q.schedule(SimTime::from_micros(20), timer_event(1));
+        q.schedule(SimTime::from_micros(30), timer_event(2));
+        assert_eq!(q.pop().map(|e| e.seq), Some(0));
+        assert!(q.cancel(cancelled));
+        let (len, stats) = (q.len(), q.stats());
+        assert!(!q.cancel(popped), "already popped");
+        assert!(!q.cancel(cancelled), "already cancelled");
+        assert_eq!(q.len(), len);
+        assert_eq!(q.stats(), stats);
+        assert_eq!(q.pop().map(|e| e.seq), Some(2));
+        assert!(q.pop().is_none());
+        assert_eq!(q.len(), 0);
+    }
+
+    /// A cancelled event's slot is taken by the next event scheduled, while
+    /// the cancelled event's key is still in the heap: the key is stale
+    /// whether the new tenant is due before it or after it, and a handle to
+    /// the old tenant cannot reach the new one.
+    #[test]
+    fn a_freed_slot_is_reused_around_its_stale_key() {
+        let mut q = Checked::default();
+        let cancelled = q.schedule(50, timer_event(0));
+        q.schedule(100, timer_event(1));
+        q.cancel(cancelled);
+        let earlier = q.schedule(10, timer_event(2));
+        assert_eq!(earlier.slot, cancelled.slot);
+        assert!(!q.heap.cancel(cancelled), "a stale handle");
+        assert_eq!(q.pop(), Some((SimTime::from_micros(10), 2, None)));
+        // Freed again by that pop.
+        let later = q.schedule(80, timer_event(3));
+        assert_eq!(later.slot, cancelled.slot);
+        // A broadcast due on both sides of the stale key at 50.
+        q.fanout(&[40, 60]);
+        assert_eq!(
+            q.drain(),
+            vec![
+                (40, 4, Some(0)),
+                (60, 5, Some(1)),
+                (80, 3, None),
+                (100, 1, None)
+            ]
+        );
+        assert_eq!(q.heap.stats().tombstones_popped, 1);
+        assert_eq!(q.heap.stats().pending_tombstones, 0);
+    }
+
+    /// A cancel drops the timer's payload then and there, not when the
+    /// stale key surfaces.
+    #[test]
+    fn a_cancelled_timer_payload_is_dropped_at_cancel_time() {
+        let probe = Arc::new(0u8);
+        let mut q = Checked::default();
+        let h = q.schedule(
+            10,
+            EventKind::NodeTimer {
+                node: NodeId::new(0),
+                timer: Timer::new(TimerId(0), PayloadCell::of(Arc::clone(&probe))),
+            },
+        );
+        q.schedule(20, timer_event(1));
+        assert_eq!(Arc::strong_count(&probe), 2);
+        q.cancel(h);
+        assert_eq!(Arc::strong_count(&probe), 1);
+        assert_eq!(q.heap.stats().pending_tombstones, 1);
+        q.drain();
+    }
+
     /// A full large-run round of timers — one per node, spread from the next
     /// microsecond to the far edges of the 64-bit horizon (hours, years,
     /// `u64::MAX` µs), with exact ties and a third of them cancelled — over
@@ -654,7 +849,7 @@ mod tests {
                 };
                 handles.push(q.schedule(at, timer_event(node)));
             }
-            for h in handles.iter().filter(|h| h.0 % 3 == 0) {
+            for h in handles.iter().filter(|h| h.seq % 3 == 0) {
                 q.cancel(*h);
             }
             // Serve a quarter of the round — the near, hour and year timers
@@ -710,7 +905,7 @@ mod tests {
                             assert!(Some((at, seq)) > last, "seed {seed}: pops ascend");
                             last = Some((at, seq));
                             clock = at.as_micros();
-                            pending_timers.retain(|h| h.0 != seq);
+                            pending_timers.retain(|h| h.seq != seq);
                         }
                     }
                     9..=10 => {
@@ -813,7 +1008,7 @@ mod tests {
         let first = q.reserve(2);
         assert_eq!(first, 0);
         let plain = q.schedule(5_000, timer_event(9));
-        assert_eq!(plain.0, 2, "plain seqs continue after the block");
+        assert_eq!(plain.seq, 2, "plain seqs continue after the block");
         assert_eq!(q.heap.len(), 1, "a reservation is not an entry");
         q.schedule_reserved(5_000, first + 1, message_like_event(1));
         q.schedule_reserved(5_000, first, message_like_event(0));
