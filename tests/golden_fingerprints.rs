@@ -23,6 +23,12 @@
 //! committed files are not; that run is repeated at the two lower trace
 //! levels, which must change nothing but the trace.
 //!
+//! Two kinds of row pin what a run shows of its last events. Every protocol
+//! has a `"<protocol>/trace-json"` row: the FNV-1a of the document
+//! `bft-sim trace <protocol> --json --last-k 64` prints for its baseline
+//! scenario. `"panic/last-events#k<k>"` is the FNV-1a of the JSON of the last
+//! 64 events of a PBFT run whose node 0 panics at its k-th delivery.
+//!
 //! To regenerate after an *intentional* behaviour change:
 //! `BFT_SIM_BLESS=1 cargo test --test golden_fingerprints`.
 
@@ -59,7 +65,99 @@ fn compute_corpus() -> Vec<(String, u64)> {
     }
     corpus.extend(chained_rows());
     corpus.extend(golden_trace_rows());
+    corpus.extend(trace_json_rows());
+    corpus.extend(panic_rows());
     corpus
+}
+
+/// The `bft-sim trace <protocol> --json --last-k 64` document of every
+/// protocol's baseline scenario, as the CLI builds it.
+fn trace_json_rows() -> Vec<(String, u64)> {
+    ProtocolKind::extended()
+        .into_iter()
+        .map(|kind| {
+            let spec = ScenarioSpec::baseline(kind);
+            let run = spec
+                .run_observed(RunMode::Generate, Some(spec.obs_config(DEFAULT_LAST_K)))
+                .expect("baseline run");
+            let obs = run
+                .result
+                .observability
+                .as_ref()
+                .expect("observability is on");
+            let doc = Json::obj([
+                ("scenario", spec.to_json()),
+                ("events_processed", Json::from(run.result.events_processed)),
+                (
+                    "decisions_completed",
+                    Json::from(run.result.decisions_completed()),
+                ),
+                ("observability", obs.to_json()),
+            ]);
+            let key = format!("{}/trace-json", kind.name());
+            (key, fnv1a(doc.dump_pretty().as_bytes()))
+        })
+        .collect()
+}
+
+/// A protocol that is `inner` until its `k`-th delivery, where it panics.
+#[derive(Debug)]
+struct PanicAt {
+    inner: Box<dyn Protocol>,
+    left: u32,
+}
+
+impl Protocol for PanicAt {
+    fn init(&mut self, ctx: &mut Context<'_>) {
+        self.inner.init(ctx);
+    }
+    fn on_message(&mut self, msg: &Message, ctx: &mut Context<'_>) {
+        self.left -= 1;
+        assert!(self.left > 0, "panic at the pinned delivery");
+        self.inner.on_message(msg, ctx);
+    }
+    fn on_timer(&mut self, timer: &Timer, ctx: &mut Context<'_>) {
+        self.inner.on_timer(timer, ctx);
+    }
+}
+
+/// The last 64 events of a PBFT run (n = 4, seed 5) whose node 0 panics at
+/// its k-th delivery: early, while fewer than 64 events exist, and late.
+fn panic_rows() -> Vec<(String, u64)> {
+    [2, 15]
+        .into_iter()
+        .map(|k| {
+            let kind = ProtocolKind::Pbft;
+            let cfg = kind
+                .configure(RunConfig::new(4).with_seed(5).with_lambda_ms(1000.0))
+                .with_target_decisions(3);
+            let inner = kind.factory(&cfg, 23);
+            let factory = move |id: NodeId| -> Box<dyn Protocol> {
+                let left = if id == NodeId::new(0) { k } else { u32::MAX };
+                Box::new(PanicAt {
+                    inner: inner.create(id),
+                    left,
+                })
+            };
+            let obs = ObsConfig::new(DEFAULT_LAST_K).with_classifier(kind.phase_classifier());
+            let ring = obs.ring();
+            let sim = SimulationBuilder::new(cfg)
+                .network(SampledNetwork::new(Dist::normal(250.0, 50.0)))
+                .observability(obs)
+                .protocols(factory)
+                .build()
+                .expect("valid config");
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()));
+            assert!(panicked.is_err(), "k = {k}: the run did not panic");
+            let events = ring.snapshot();
+            assert!(!events.is_empty(), "k = {k}");
+            let json = Json::Arr(events.iter().map(TraceEvent::to_json).collect());
+            (
+                format!("panic/last-events#k{k}"),
+                fnv1a(json.dump().as_bytes()),
+            )
+        })
+        .collect()
 }
 
 /// Byte pins for `tests/golden_traces.rs`'s configuration (n = 7, seed 5,
