@@ -199,7 +199,7 @@ fn bandwidth_arm(
         .expect("full-mesh workload topology is valid");
     let sim = SimulationBuilder::new(cfg)
         .network(BandwidthNetwork::new(topo))
-        .observability(ObsConfig::new(16))
+        .observability(ObsConfig::default())
         .protocols(factory)
         .build()
         .expect("bandwidth workload configuration is valid");

@@ -241,7 +241,7 @@ pub struct TraceSpec {
     pub(crate) scenario: String,
     /// Overrides the scenario's run seed.
     pub(crate) seed: Option<u64>,
-    /// Ring capacity for the recent-event dump.
+    /// How many of the run's last events the dump shows.
     pub(crate) last_k: usize,
     /// Emit JSON instead of tables.
     pub(crate) json: bool,
@@ -1363,6 +1363,7 @@ fn run_repro(path: &str) -> Result<(), CliError> {
 
 /// Runs one scenario with full observability and prints its instrumentation.
 fn run_trace(spec: &TraceSpec) -> Result<(), CliError> {
+    use bft_sim_core::trace::{TraceEvent, TraceLevel};
     use bft_sim_simcheck::{RunMode, ScenarioSpec};
 
     let mut scenario = if std::path::Path::new(&spec.scenario).is_file() {
@@ -1379,13 +1380,18 @@ fn run_trace(spec: &TraceSpec) -> Result<(), CliError> {
         scenario.seed = seed;
     }
     let run = scenario
-        .run_observed(RunMode::Generate, Some(scenario.obs_config(spec.last_k)))
+        .run_observed(RunMode::Generate, TraceLevel::Messages)
         .map_err(CliError::runtime)?;
     let obs = run
         .result
         .observability
         .as_ref()
         .expect("trace always runs with observability on");
+    let trace = &run.result.trace;
+    let recent: Vec<TraceEvent> = trace
+        .events()
+        .skip(trace.len().saturating_sub(spec.last_k))
+        .collect();
 
     if spec.json {
         // Scenario + observability only: both derive purely from simulated
@@ -1397,7 +1403,7 @@ fn run_trace(spec: &TraceSpec) -> Result<(), CliError> {
                 "decisions_completed",
                 Json::from(run.result.decisions_completed()),
             ),
-            ("observability", obs.to_json()),
+            ("observability", obs.to_json(spec.last_k, &recent)),
         ]);
         println!("{}", doc.dump_pretty());
         return Ok(());
@@ -1520,8 +1526,8 @@ fn run_trace(spec: &TraceSpec) -> Result<(), CliError> {
         }
     }
     println!();
-    println!("last {} events:", obs.recent_events.len());
-    for e in &obs.recent_events {
+    println!("last {} events:", recent.len());
+    for e in &recent {
         println!(
             "  t={:<10} n{:<3} {:?}",
             e.time.as_micros(),

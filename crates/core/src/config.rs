@@ -44,8 +44,8 @@ pub struct RunConfig {
     pub time_cap: SimDuration,
     /// What the run's trace keeps. Defaults to [`TraceLevel::Decisions`],
     /// all the oracles and the validator read; Fig. 9 and the protocol
-    /// tests ask for [`TraceLevel::Events`]. The obs ring sees every event
-    /// whatever this says.
+    /// tests ask for [`TraceLevel::Events`], and a failed run is run again at
+    /// [`TraceLevel::Messages`] for its last events.
     pub trace: TraceLevel,
 }
 

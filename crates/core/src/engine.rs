@@ -24,6 +24,7 @@
 //! 16-byte recipients resident instead of n² full events.
 
 use std::mem;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
@@ -45,6 +46,7 @@ use crate::payload::Payload;
 use crate::protocol::{Protocol, ProtocolFactory, Vacant};
 use crate::scheduler::{EventHandle, HeapScheduler, Scheduler, SchedulerKind};
 use crate::spine::Sinks;
+use crate::trace::Trace;
 use crate::validator::DeliverySchedule;
 use crate::value::Value;
 
@@ -160,10 +162,9 @@ impl SimulationBuilder {
     }
 
     /// Enables run-level observability: per-node latency/decision histograms,
-    /// a per-phase message-flow matrix, per-view timings, and a ring buffer
-    /// of recent trace events (see [`crate::obs`]). The resulting snapshot is
-    /// attached to [`RunResult::observability`]. Without it no event is built
-    /// for the ring and no histogram is touched.
+    /// a per-phase message-flow matrix, per-view and per-link timings (see
+    /// [`crate::obs`]). The resulting snapshot is attached to
+    /// [`RunResult::observability`]. Without it no histogram is touched.
     pub fn observability(mut self, cfg: ObsConfig) -> Self {
         self.obs = Some(cfg);
         self
@@ -304,6 +305,27 @@ impl Simulation {
         self.sinks.record_schedule();
         let timed_out = self.drive();
         self.finish(timed_out)
+    }
+
+    /// [`run`](Simulation::run), but a panic raised while the run is driven
+    /// (by a protocol, the adversary, the network model or an observer) is
+    /// caught: the run then hands back, instead of its result, the trace
+    /// recorded up to the panic.
+    ///
+    /// A run is a pure function of its configuration, so one that panicked
+    /// panics at the same event when run again. Running it again at
+    /// [`TraceLevel::Messages`](crate::trace::TraceLevel::Messages) through
+    /// this method is how its last events are recovered; nothing is recorded
+    /// for that purpose while a run succeeds.
+    ///
+    /// # Errors
+    ///
+    /// The trace up to the panic, when the run panicked.
+    pub fn run_caught(mut self) -> Result<RunResult, Trace> {
+        match catch_unwind(AssertUnwindSafe(|| self.drive())) {
+            Ok(timed_out) => Ok(self.finish(timed_out).0),
+            Err(_) => Err(self.sinks.into_trace()),
+        }
     }
 
     /// Runs all events to the stop condition, returning whether the run
@@ -723,8 +745,9 @@ impl Simulation {
 mod tests {
     use super::*;
     use crate::network::ConstantNetwork;
+    use crate::obs::DEFAULT_LAST_K;
     use crate::time::SimDuration;
-    use crate::trace::TraceKind;
+    use crate::trace::{TraceEvent, TraceKind, TraceLevel};
     use crate::value::Value;
 
     #[derive(Debug, Clone, PartialEq)]
@@ -859,15 +882,18 @@ mod tests {
         }
     }
 
-    fn crash_one_builder(seed: u64) -> SimulationBuilder {
-        SimulationBuilder::new(RunConfig::new(4).with_seed(seed))
+    fn crash_one_builder(cfg: RunConfig) -> SimulationBuilder {
+        SimulationBuilder::new(cfg)
             .network(constant_net())
             .adversary(CrashOneEarly)
             .protocols(|_id: NodeId| -> Box<dyn Protocol> { Box::<TalkThenDecide>::default() })
     }
 
     fn crash_one_run(seed: u64) -> RunResult {
-        crash_one_builder(seed).build().unwrap().run()
+        crash_one_builder(RunConfig::new(4).with_seed(seed))
+            .build()
+            .unwrap()
+            .run()
     }
 
     #[test]
@@ -979,19 +1005,24 @@ mod tests {
         assert_eq!(result.delivered_per_node.iter().sum::<u64>(), wire);
     }
 
+    /// The last `k` events of a trace, oldest first.
+    fn tail(trace: &Trace, k: usize) -> Vec<TraceEvent> {
+        trace.events().skip(trace.len().saturating_sub(k)).collect()
+    }
+
     /// Observability must not perturb the run: metrics are identical with it
-    /// on or off, and the ring handle still works after the engine is
-    /// consumed.
+    /// on or off, and a second run of the seed rebuilds the last events this
+    /// run's own `Messages`-level trace ends with.
     #[test]
     fn observability_is_inert() {
-        use crate::obs::ObsConfig;
-        let cfg = ObsConfig::new(64);
-        let ring = cfg.ring();
-        let with_obs = crash_one_builder(7)
-            .observability(cfg)
-            .build()
-            .unwrap()
-            .run();
+        let cfg = RunConfig::new(4).with_seed(7);
+        let observed = |cfg: RunConfig| {
+            crash_one_builder(cfg)
+                .observability(ObsConfig::default())
+                .build()
+                .unwrap()
+        };
+        let with_obs = observed(cfg.clone()).run();
         let plain = crash_one_run(7);
         let obs = with_obs.observability.clone().expect("snapshot attached");
 
@@ -1018,12 +1049,72 @@ mod tests {
         // One decision per live node.
         let decisions: u64 = obs.decision_interval.iter().map(|h| h.count()).sum();
         assert_eq!(decisions, 3);
-        // The ring retains events and is readable via the pre-run handle.
-        assert!(!obs.recent_events.is_empty());
-        assert_eq!(ring.snapshot(), obs.recent_events);
-        assert!(obs
-            .recent_events
-            .iter()
-            .any(|e| matches!(e.kind, TraceKind::Crashed)));
+        // Keeping every event changes nothing but the trace, and a re-run
+        // through `run_caught` ends with the same events.
+        let messages = cfg.with_trace(TraceLevel::Messages);
+        let own = observed(messages.clone()).run();
+        let rerun = observed(messages).run_caught().expect("no panic");
+        assert_eq!(
+            RunResult {
+                trace: Trace::default(),
+                ..own.clone()
+            },
+            RunResult {
+                trace: Trace::default(),
+                ..with_obs
+            }
+        );
+        let last = tail(&rerun.trace, DEFAULT_LAST_K);
+        assert_eq!(last, tail(&own.trace, DEFAULT_LAST_K));
+        assert!(last.iter().any(|e| matches!(e.kind, TraceKind::Crashed)));
+    }
+
+    /// `TalkThenDecide`, except that a delivery panics once `left` reaches 0.
+    #[derive(Debug)]
+    struct PanicAt {
+        left: u32,
+    }
+
+    impl Protocol for PanicAt {
+        fn init(&mut self, ctx: &mut Context<'_>) {
+            TalkThenDecide.init(ctx);
+        }
+        fn on_message(&mut self, _m: &Message, _ctx: &mut Context<'_>) {
+            self.left -= 1;
+            assert!(self.left > 0, "panic on a delivery");
+        }
+        fn on_timer(&mut self, t: &Timer, ctx: &mut Context<'_>) {
+            TalkThenDecide.on_timer(t, ctx);
+        }
+    }
+
+    #[test]
+    fn run_caught_hands_back_the_trace_up_to_a_panic() {
+        let cfg = RunConfig::new(4)
+            .with_seed(7)
+            .with_trace(TraceLevel::Messages);
+        let run = |panics: bool| {
+            SimulationBuilder::new(cfg.clone())
+                .network(constant_net())
+                .protocols(move |id: NodeId| -> Box<dyn Protocol> {
+                    let armed = panics && id == NodeId::new(1);
+                    Box::new(PanicAt {
+                        left: if armed { 2 } else { u32::MAX },
+                    })
+                })
+                .build()
+                .unwrap()
+                .run_caught()
+        };
+        let full = run(false).expect("no panic").trace;
+        let Err(cut) = run(true) else {
+            panic!("node 1's second delivery panics")
+        };
+        // The trace ends with that delivery, and up to it is the same run.
+        let last = cut.events().last().expect("events before the panic");
+        assert_eq!(last.node, NodeId::new(1));
+        assert!(matches!(last.kind, TraceKind::Delivered { .. }));
+        assert!(cut.len() < full.len());
+        assert!(full.events().take(cut.len()).eq(cut.events()));
     }
 }

@@ -92,7 +92,7 @@ pub mod prelude {
     pub use crate::message::Message;
     pub use crate::metrics::{RunResult, Summary};
     pub use crate::network::{Delivery, LinkDecision, NetworkModel};
-    pub use crate::obs::{Histogram, ObsConfig, ObsRing, Observability, PhaseClassifier};
+    pub use crate::obs::{Histogram, ObsConfig, Observability, PhaseClassifier};
     pub use crate::oracle::{
         Expectations, Oracle, OracleInput, OracleObserver, OracleSuite, OracleViolation,
         OutageWindow, ValueDomain,

@@ -13,9 +13,15 @@
 //!   comes from a protocol-supplied [`PhaseClassifier`],
 //! * **per-view timing breakdowns** (first/last entry time and entry count
 //!   for every view number any node entered), and
-//! * a bounded **ring buffer of recent [`TraceEvent`]s** whose handle
-//!   ([`ObsRing`]) survives a panic of the simulation, so fuzz harnesses can
-//!   embed the last-K events of a crashing run in their failure reports.
+//! * **per-link queueing** histograms for links that saw contention.
+//!
+//! The recorder keeps no events. A run is a pure function of its seed, so
+//! the last events of a run that failed are rebuilt by running it again with
+//! its trace kept at
+//! [`TraceLevel::Messages`](crate::trace::TraceLevel::Messages) and taking
+//! the tail. A run that panics hands back its trace up to the panic through
+//! [`Simulation::run_caught`](crate::engine::Simulation::run_caught).
+//! [`DEFAULT_LAST_K`] is how many of them failure reports show.
 //!
 //! Everything recorded here derives exclusively from simulated quantities
 //! (virtual clock, node ids, payload types), so the resulting
@@ -26,9 +32,6 @@
 //! value 0, bucket *i* (for `i >= 1`) holds values in `[2^(i-1), 2^i)`. The
 //! bucket array is a fixed-size inline array, so recording never allocates.
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
-
 use crate::error::SimError;
 use crate::fasthash::FastMap;
 use crate::ids::NodeId;
@@ -36,7 +39,7 @@ use crate::json::{self, Fields, Json};
 use crate::message::Message;
 use crate::payload::Payload;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{TraceEvent, TraceKind};
+use crate::trace::TraceEvent;
 
 /// Maps message payloads to protocol phases.
 ///
@@ -115,7 +118,8 @@ pub(crate) const DENSE_FLOW_MAX_NODES: usize = 64;
 /// `2^39` microseconds (~6.4 simulated days), which saturates the range.
 pub(crate) const HISTOGRAM_BUCKETS: usize = 41;
 
-/// Default ring-buffer capacity for recent trace events.
+/// How many of a failed run's last trace events its report shows, and what
+/// `bft-sim trace --last-k` defaults to.
 pub const DEFAULT_LAST_K: usize = 64;
 
 /// A fixed-bucket log-2 histogram over microsecond durations.
@@ -361,93 +365,25 @@ impl Histogram {
     }
 }
 
-/// A clonable handle to a bounded ring buffer of recent [`TraceEvent`]s.
-///
-/// The buffer lives behind an `Arc<Mutex<..>>`, so a handle taken *before* a
-/// simulation runs still sees the recorded events after the simulation
-/// panics — fuzz harnesses rely on this to dump the last-K events of a
-/// crashing run.
-#[derive(Debug, Clone)]
-pub struct ObsRing {
-    inner: Arc<Mutex<RingInner>>,
-}
-
-#[derive(Debug)]
-struct RingInner {
-    capacity: usize,
-    events: VecDeque<TraceEvent>,
-}
-
-impl ObsRing {
-    /// A ring that retains the most recent `capacity` events.
-    pub(crate) fn new(capacity: usize) -> Self {
-        ObsRing {
-            inner: Arc::new(Mutex::new(RingInner {
-                capacity,
-                events: VecDeque::with_capacity(capacity.min(1024)),
-            })),
-        }
-    }
-
-    /// Append an event, evicting the oldest when full.
-    pub(crate) fn push(&self, event: TraceEvent) {
-        let mut inner = self.inner.lock().expect("obs ring poisoned");
-        if inner.capacity == 0 {
-            return;
-        }
-        if inner.events.len() == inner.capacity {
-            inner.events.pop_front();
-        }
-        inner.events.push_back(event);
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.inner.lock().expect("obs ring poisoned").capacity
-    }
-
-    /// Copy out the retained events, oldest first.
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
-        let inner = self.inner.lock().expect("obs ring poisoned");
-        inner.events.iter().cloned().collect()
-    }
-}
-
 /// Configuration for run-level observability, passed to
 /// [`SimulationBuilder::observability`](crate::engine::SimulationBuilder::observability).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ObsConfig {
     classifier: Option<PhaseClassifier>,
-    ring: ObsRing,
-    last_k: usize,
 }
 
 impl ObsConfig {
-    /// Observability retaining the `last_k` most recent trace events.
-    pub fn new(last_k: usize) -> Self {
-        ObsConfig {
-            classifier: None,
-            ring: ObsRing::new(last_k),
-            last_k,
-        }
+    /// [`ObsConfig::default`]. The argument is ignored: kept for
+    /// benchmark/'s tracer, which passes an event count from when the
+    /// recorder kept events.
+    pub fn new(_last_k: usize) -> Self {
+        ObsConfig::default()
     }
 
     /// Attach a protocol-phase classifier for the message-flow matrix.
     pub fn with_classifier(mut self, classifier: PhaseClassifier) -> Self {
         self.classifier = Some(classifier);
         self
-    }
-
-    /// A handle to the event ring. Clone it *before* running the simulation
-    /// to read the last-K events even if the run panics.
-    pub fn ring(&self) -> ObsRing {
-        self.ring.clone()
-    }
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        ObsConfig::new(DEFAULT_LAST_K)
     }
 }
 
@@ -618,8 +554,6 @@ impl PhaseFlow {
 pub struct Observability {
     /// Number of nodes in the run (matrix dimension).
     pub nodes: usize,
-    /// Ring-buffer capacity the run was configured with.
-    pub(crate) last_k: usize,
     /// Per-node wire-message delivery-latency histograms (indexed by node id).
     pub delivery_latency: Vec<Histogram>,
     /// Per-node decision-interval histograms (indexed by node id).
@@ -634,19 +568,20 @@ pub struct Observability {
     /// Per-link queueing stats, sorted by `(src, dst)`; only links that
     /// actually queued appear.
     pub link_queues: Vec<LinkQueueStat>,
-    /// The last-K trace events of the run, oldest first.
-    pub recent_events: Vec<TraceEvent>,
 }
 
 impl Observability {
-    /// Serialise the snapshot via `core::json`.
+    /// Serialise the snapshot via `core::json`, with the run's last events
+    /// beside it: `recent_events`, the tail of at most `last_k` events of the
+    /// run's trace, oldest first (the snapshot itself keeps no events; see
+    /// the module docs).
     ///
     /// Key order and number formatting are fixed, so two runs that recorded
     /// the same data produce byte-identical JSON.
-    pub fn to_json(&self) -> Json {
+    pub fn to_json(&self, last_k: usize, recent_events: &[TraceEvent]) -> Json {
         Json::obj([
             ("nodes", Json::UInt(self.nodes as u64)),
-            ("last_k", Json::UInt(self.last_k as u64)),
+            ("last_k", Json::UInt(last_k as u64)),
             (
                 "delivery_latency",
                 Json::Arr(self.delivery_latency.iter().map(|h| h.to_json()).collect()),
@@ -670,7 +605,7 @@ impl Observability {
             ),
             (
                 "recent_events",
-                Json::Arr(self.recent_events.iter().map(|e| e.to_json()).collect()),
+                Json::Arr(recent_events.iter().map(|e| e.to_json()).collect()),
             ),
         ])
     }
@@ -746,7 +681,6 @@ impl FlowAccum {
 #[derive(Debug)]
 pub(crate) struct ObsRecorder {
     n: usize,
-    last_k: usize,
     classifier: Option<PhaseClassifier>,
     delivery: Vec<Histogram>,
     decision: Vec<Histogram>,
@@ -764,7 +698,6 @@ pub(crate) struct ObsRecorder {
     /// `(src << 32 | dst)` → (queue histogram, peak depth); populated only
     /// by links that actually queued, so delay-only runs keep it empty.
     link_queues: FastMap<u64, (Histogram, u32)>,
-    ring: ObsRing,
 }
 
 impl ObsRecorder {
@@ -799,7 +732,6 @@ impl ObsRecorder {
         };
         Ok(ObsRecorder {
             n,
-            last_k: cfg.last_k,
             classifier: cfg.classifier,
             delivery: vec![Histogram::new(); n],
             decision: vec![Histogram::new(); n],
@@ -809,13 +741,7 @@ impl ObsRecorder {
             views: Vec::new(),
             link_queue_delay: Histogram::new(),
             link_queues: FastMap::default(),
-            ring: cfg.ring,
         })
-    }
-
-    /// Appends to the event ring; same shape as `Trace::record`.
-    pub(crate) fn push_event(&self, time: SimTime, node: NodeId, kind: TraceKind) {
-        self.ring.push(TraceEvent { time, node, kind });
     }
 
     /// A wire message was delivered to `dst` at `now`.
@@ -924,14 +850,12 @@ impl ObsRecorder {
         link_queues.sort_unstable_by_key(|l| (l.src, l.dst));
         Observability {
             nodes: self.n,
-            last_k: self.last_k,
             delivery_latency: self.delivery,
             decision_interval: self.decision,
             flows,
             views: self.views,
             link_queue_delay: self.link_queue_delay,
             link_queues,
-            recent_events: self.ring.snapshot(),
         }
     }
 }
@@ -939,7 +863,9 @@ impl ObsRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceKind;
     use crate::value::Value;
+    use std::sync::Arc;
 
     #[test]
     fn bucket_index_is_log2_with_zero_bucket() {
@@ -1159,33 +1085,8 @@ mod tests {
     }
 
     #[test]
-    fn ring_evicts_oldest_and_survives_capacity_zero() {
-        let ring = ObsRing::new(2);
-        let handle = ring.clone();
-        for i in 0..4u64 {
-            ring.push(TraceEvent {
-                time: SimTime::from_micros(i),
-                node: NodeId::new(0),
-                kind: TraceKind::View { view: i },
-            });
-        }
-        let events = handle.snapshot();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].kind, TraceKind::View { view: 2 });
-        assert_eq!(events[1].kind, TraceKind::View { view: 3 });
-
-        let none = ObsRing::new(0);
-        none.push(TraceEvent {
-            time: SimTime::ZERO,
-            node: NodeId::new(0),
-            kind: TraceKind::Crashed,
-        });
-        assert!(none.snapshot().is_empty());
-    }
-
-    #[test]
     fn recorder_decision_intervals_measure_gaps_per_node() {
-        let mut rec = ObsRecorder::new(2, ObsConfig::new(8)).unwrap();
+        let mut rec = ObsRecorder::new(2, ObsConfig::default()).unwrap();
         rec.on_decided(SimTime::from_micros(100), NodeId::new(0));
         rec.on_decided(SimTime::from_micros(250), NodeId::new(0));
         rec.on_decided(SimTime::from_micros(400), NodeId::new(1));
@@ -1201,7 +1102,7 @@ mod tests {
 
     #[test]
     fn recorder_view_timings_fold_entries() {
-        let mut rec = ObsRecorder::new(1, ObsConfig::new(8)).unwrap();
+        let mut rec = ObsRecorder::new(1, ObsConfig::default()).unwrap();
         rec.on_view(SimTime::from_micros(50), 3);
         rec.on_view(SimTime::from_micros(10), 3);
         rec.on_view(SimTime::from_micros(99), 3);
@@ -1224,7 +1125,7 @@ mod tests {
     #[test]
     fn recorder_flows_classify_and_fall_back() {
         let mut rec =
-            ObsRecorder::new(2, ObsConfig::new(8).with_classifier(TEST_CLASSIFIER)).unwrap();
+            ObsRecorder::new(2, ObsConfig::default().with_classifier(TEST_CLASSIFIER)).unwrap();
         let vote = Message::new(
             NodeId::new(0),
             NodeId::new(1),
@@ -1263,7 +1164,7 @@ mod tests {
     fn large_runs_use_sparse_flows_with_identical_semantics() {
         let n = DENSE_FLOW_MAX_NODES + 1;
         let mut rec =
-            ObsRecorder::new(n, ObsConfig::new(8).with_classifier(TEST_CLASSIFIER)).unwrap();
+            ObsRecorder::new(n, ObsConfig::default().with_classifier(TEST_CLASSIFIER)).unwrap();
         // Deliver votes on a few scattered edges, out of sorted order.
         let edges = [(64u32, 3u32), (0, 1), (64, 3), (7, 64), (0, 1), (0, 1)];
         for &(src, dst) in &edges {
@@ -1301,9 +1202,9 @@ mod tests {
 
     #[test]
     fn dense_threshold_is_exact() {
-        let at = ObsRecorder::new(DENSE_FLOW_MAX_NODES, ObsConfig::new(2)).unwrap();
+        let at = ObsRecorder::new(DENSE_FLOW_MAX_NODES, ObsConfig::default()).unwrap();
         assert!(matches!(at.flows[0], FlowAccum::Dense(_)));
-        let above = ObsRecorder::new(DENSE_FLOW_MAX_NODES + 1, ObsConfig::new(2)).unwrap();
+        let above = ObsRecorder::new(DENSE_FLOW_MAX_NODES + 1, ObsConfig::default()).unwrap();
         assert!(matches!(above.flows[0], FlowAccum::Sparse(_)));
     }
 
@@ -1314,7 +1215,7 @@ mod tests {
         }
         const BOGUS: PhaseClassifier = PhaseClassifier::new(TEST_PHASES, bogus);
         assert_eq!(BOGUS.classify(&7u32), None);
-        let mut rec = ObsRecorder::new(2, ObsConfig::new(8).with_classifier(BOGUS)).unwrap();
+        let mut rec = ObsRecorder::new(2, ObsConfig::default().with_classifier(BOGUS)).unwrap();
         let m = Message::new(
             NodeId::new(0),
             NodeId::new(1),
@@ -1331,26 +1232,26 @@ mod tests {
     fn recorder_rejects_unrepresentable_node_counts() {
         // Only checkable on 64-bit targets, where usize can exceed u32.
         if usize::BITS > 32 {
-            let err = ObsRecorder::new(u32::MAX as usize + 1, ObsConfig::new(2));
+            let err = ObsRecorder::new(u32::MAX as usize + 1, ObsConfig::default());
             assert!(matches!(err, Err(SimError::InvalidConfig(_))));
         }
     }
 
     #[test]
     fn observability_json_shape_is_stable() {
-        let mut rec = ObsRecorder::new(1, ObsConfig::new(2)).unwrap();
+        let mut rec = ObsRecorder::new(1, ObsConfig::default()).unwrap();
         rec.on_decided(SimTime::from_micros(7), NodeId::new(0));
         rec.on_view(SimTime::from_micros(3), 1);
-        rec.push_event(
-            SimTime::from_micros(7),
-            NodeId::new(0),
-            TraceKind::Decided {
+        let obs = rec.finish();
+        let decided = TraceEvent {
+            time: SimTime::from_micros(7),
+            node: NodeId::new(0),
+            kind: TraceKind::Decided {
                 slot: 0,
                 value: Value::new(9),
             },
-        );
-        let obs = rec.finish();
-        let json = obs.to_json().dump_pretty();
+        };
+        let json = obs.to_json(2, std::slice::from_ref(&decided)).dump_pretty();
         for key in [
             "\"nodes\"",
             "\"last_k\"",
@@ -1365,12 +1266,12 @@ mod tests {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         // Identical snapshots serialise identically.
-        assert_eq!(json, obs.clone().to_json().dump_pretty());
+        assert_eq!(json, obs.clone().to_json(2, &[decided]).dump_pretty());
     }
 
     #[test]
     fn recorder_link_queues_fold_per_link_and_globally() {
-        let mut rec = ObsRecorder::new(3, ObsConfig::new(4)).unwrap();
+        let mut rec = ObsRecorder::new(3, ObsConfig::default()).unwrap();
         let (a, b, c) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
         rec.on_link_queued(a, b, SimDuration::from_micros(100), 1);
         rec.on_link_queued(a, b, SimDuration::from_micros(300), 2);

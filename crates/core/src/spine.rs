@@ -2,7 +2,7 @@
 //!
 //! The engine states each fact of a run once, through one method of
 //! [`Sinks`]; the method fans it out to counters, step observer, obs
-//! histograms, event ring, trace and schedule recorder in a fixed order
+//! histograms, trace and schedule recorder in a fixed order
 //! (the fact → sinks table is DESIGN.md §5). Counters a single sink hears
 //! (broadcasts, skips, drops, adversary messages) have no entry: the engine
 //! bumps them on [`Sinks::metrics`] directly.
@@ -59,9 +59,8 @@ impl Sinks {
         self.recorder = Some(DeliverySchedule::new());
     }
 
-    /// Stores one event in the trace (when the run keeps `level`), which
-    /// encodes it, and in the ring (when obs is on), which takes it; `kind`
-    /// runs at most once, and not at all when neither wants it.
+    /// Stores one event in the trace when the run keeps `level`; `kind` is
+    /// built only then.
     #[inline]
     fn log(
         &mut self,
@@ -70,16 +69,8 @@ impl Sinks {
         node: NodeId,
         kind: impl FnOnce() -> TraceKind,
     ) {
-        let traced = self.trace.keeps(level);
-        if !traced && self.obs.is_none() {
-            return;
-        }
-        let kind = kind();
-        if traced {
-            self.trace.record(time, node, &kind);
-        }
-        if let Some(obs) = &self.obs {
-            obs.push_event(time, node, kind);
+        if self.trace.keeps(level) {
+            self.trace.record(time, node, &kind());
         }
     }
 
@@ -124,6 +115,7 @@ impl Sinks {
     }
 
     /// `node` decided `value` for its next slot.
+    #[inline]
     pub(crate) fn decided(&mut self, now: SimTime, node: NodeId, value: Value, excluded: &NodeSet) {
         let slot = self.metrics.record_decision(node, now, value, excluded);
         if let Some(observer) = &mut self.observer {
@@ -140,6 +132,7 @@ impl Sinks {
     }
 
     /// `node` entered `view`.
+    #[inline]
     pub(crate) fn view(&mut self, now: SimTime, node: NodeId, view: u64) {
         if let Some(obs) = &mut self.obs {
             obs.on_view(now, view);
@@ -148,6 +141,7 @@ impl Sinks {
     }
 
     /// `node` reported a protocol-defined event.
+    #[inline]
     pub(crate) fn custom(
         &mut self,
         now: SimTime,
@@ -163,6 +157,7 @@ impl Sinks {
 
     /// The adversary corrupted (or else crashed) `node`, which `excluded`
     /// already contains, so slots may complete over the nodes that are left.
+    #[inline]
     pub(crate) fn excluded(
         &mut self,
         now: SimTime,
@@ -203,6 +198,11 @@ impl Sinks {
         if let Some(recorder) = &mut self.recorder {
             recorder.push(fate);
         }
+    }
+
+    /// The trace recorded so far, for a run that stops short of a result.
+    pub(crate) fn into_trace(self) -> Trace {
+        self.trace
     }
 
     /// Consumes the sinks into the run's result and recorded schedule

@@ -130,9 +130,9 @@ where
 
 /// Extracts a human-readable message from a panic payload (as returned by
 /// `std::panic::catch_unwind`). Public so harnesses that catch panics
-/// themselves — e.g. the fuzzer's observability-enabled runs, which must
-/// salvage the event ring of a crashing simulation — report messages in the
-/// same format as [`sweep`] does.
+/// themselves — e.g. the fuzzer's observability-enabled runs, which attach
+/// the last events of a crashing simulation — report messages in the same
+/// format as [`sweep`] does.
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()

@@ -24,8 +24,7 @@ use crate::time::SimTime;
 use crate::value::Value;
 
 /// How much of a run its [`Trace`] keeps (`RunConfig::trace`). Each level
-/// keeps what the one below it keeps; the obs ring hears every event at
-/// every level.
+/// keeps what the one below it keeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TraceLevel {
     /// `Decided`, `Crashed` and `Corrupted`: everything the oracles and
@@ -475,7 +474,8 @@ impl fmt::Debug for Trace {
 
 impl TraceEvent {
     /// Converts the event to JSON (the per-event format of
-    /// [`Trace::to_json`]; also used by observability ring-buffer dumps).
+    /// [`Trace::to_json`]; also used by the last-event dumps of failure
+    /// reports and `bft-sim trace`).
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("time", Json::from(self.time.as_micros())),

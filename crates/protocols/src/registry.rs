@@ -373,7 +373,7 @@ mod tests {
             let r = SimulationBuilder::new(cfg)
                 .network(ConstantNetwork::new(SimDuration::from_millis(100.0)))
                 .protocols(factory)
-                .observability(ObsConfig::new(32).with_classifier(kind.phase_classifier()))
+                .observability(ObsConfig::default().with_classifier(kind.phase_classifier()))
                 .build()
                 .unwrap()
                 .run();
@@ -404,7 +404,7 @@ mod tests {
             SimulationBuilder::new(cfg)
                 .network(ConstantNetwork::new(SimDuration::from_millis(100.0)))
                 .protocols(factory)
-                .observability(ObsConfig::new(32).with_classifier(kind.phase_classifier()))
+                .observability(ObsConfig::default().with_classifier(kind.phase_classifier()))
                 .build()
                 .unwrap()
                 .run()

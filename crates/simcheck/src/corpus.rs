@@ -34,9 +34,8 @@ use rand::{Rng, SeedableRng};
 
 use bft_sim_core::fasthash::{FastHasher, FastSet};
 use bft_sim_core::json::{self, Json};
-use bft_sim_core::obs::DEFAULT_LAST_K;
 use bft_sim_core::sweep::{panic_message, sweep};
-use bft_sim_core::trace::TraceEvent;
+use bft_sim_core::trace::{TraceEvent, TraceLevel};
 
 use crate::fuzz::{FuzzFailure, FuzzObservability, FuzzOptions, FuzzOutcome, FuzzReport};
 use crate::scenario::{CheckedRun, DelaySpec, PartitionSpec, RunMode, ScenarioSpec};
@@ -603,16 +602,14 @@ pub fn fuzz_coverage_in_dir(
             |i| -> Result<CovResult, String> {
                 let spec = &batch[i].0;
                 let run_index = stats.runs + 1 + i as u64;
-                let cfg = spec.obs_config(DEFAULT_LAST_K);
-                let ring = cfg.ring();
-                let run = match catch_unwind(AssertUnwindSafe(|| {
-                    spec.run_observed(RunMode::Generate, Some(cfg))
+                let mut run = match catch_unwind(AssertUnwindSafe(|| {
+                    spec.run_observed(RunMode::Generate, TraceLevel::Decisions)
                 })) {
                     Ok(run) => run.map_err(|e| format!("run {run_index}: {e}"))?,
                     Err(payload) => {
                         return Ok(CovResult::Panicked {
                             message: panic_message(payload.as_ref()),
-                            last_events: ring.snapshot(),
+                            last_events: spec.last_events(),
                         })
                     }
                 };
@@ -620,14 +617,14 @@ pub fn fuzz_coverage_in_dir(
                 let observability = Box::new(
                     run.result
                         .observability
-                        .clone()
+                        .take()
                         .expect("coverage runs are always instrumented"),
                 );
                 let outcome = if run.violations.is_empty() {
                     None
                 } else {
                     let mut repro = shrink(spec, &run);
-                    repro.last_events = observability.recent_events.clone();
+                    repro.last_events = spec.last_events();
                     Some(Box::new(FuzzOutcome {
                         scenario_seed: run_index,
                         violations: run.violations.iter().map(|v| v.to_string()).collect(),
@@ -752,7 +749,7 @@ mod tests {
     fn fingerprints_separate_structure_not_noise() {
         let base = ScenarioSpec::baseline(ProtocolKind::Pbft);
         let observed = |spec: &ScenarioSpec| {
-            spec.run_observed(RunMode::Generate, Some(spec.obs_config(DEFAULT_LAST_K)))
+            spec.run_observed(RunMode::Generate, TraceLevel::Decisions)
                 .unwrap()
         };
         let a = observed(&base);

@@ -6,10 +6,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use bft_sim_core::buggify::FaultPreset;
 use bft_sim_core::json::Json;
-use bft_sim_core::obs::{Histogram, Observability, DEFAULT_LAST_K};
+use bft_sim_core::obs::{Histogram, Observability};
 use bft_sim_core::scheduler::SchedulerKind;
 use bft_sim_core::sweep::{panic_message, sweep};
-use bft_sim_core::trace::TraceEvent;
+use bft_sim_core::trace::{TraceEvent, TraceLevel};
 use bft_sim_protocols::registry::ProtocolKind;
 
 use crate::repro::Repro;
@@ -38,9 +38,10 @@ pub struct FuzzOptions {
     /// derives from simulated quantities, so switching this on changes
     /// *nothing* outside the report's `observability` block and the
     /// last-event dumps attached to failures: runs, schedules, violations
-    /// and repros stay bit-identical. A run that panics with observability
-    /// on additionally salvages its event ring into
-    /// `FuzzFailure::last_events`.
+    /// and repros stay bit-identical. A run that panics or violates an
+    /// oracle with observability on additionally carries its last events,
+    /// rebuilt by running its seed again, in `FuzzFailure::last_events` or
+    /// `Repro::last_events`.
     pub observability: bool,
     /// Forces every generated scenario to this node count instead of the
     /// generator's small-biased scales — the large-n smoke knob (`--n`).
@@ -104,9 +105,8 @@ pub struct FuzzFailure {
     pub scenario_seed: u64,
     /// The panic message.
     pub message: String,
-    /// The last trace events before the panic, salvaged from the
-    /// observability ring. Empty unless [`FuzzOptions::observability`] was
-    /// on for the sweep.
+    /// The last trace events before the panic, from running the seed again.
+    /// Empty unless [`FuzzOptions::observability`] was on for the sweep.
     pub last_events: Vec<TraceEvent>,
 }
 
@@ -212,7 +212,7 @@ enum SeedResult {
         observability: Option<Box<Observability>>,
     },
     /// The run panicked with observability on; the job caught the panic
-    /// itself so it could salvage the event ring.
+    /// itself so it could attach the run's last events.
     Panicked {
         message: String,
         last_events: Vec<TraceEvent>,
@@ -256,20 +256,17 @@ pub fn fuzz_many(
             if opts.net_override.is_some() {
                 spec.net = opts.net_override;
             }
-            let run = if opts.observability {
+            let mut run = if opts.observability {
                 // Catch the panic here (inside the sweep's own isolation)
-                // so the pre-cloned ring handle can salvage the last events
-                // of the crashing run.
-                let cfg = spec.obs_config(DEFAULT_LAST_K);
-                let ring = cfg.ring();
+                // so the failure can carry the crashing run's last events.
                 match catch_unwind(AssertUnwindSafe(|| {
-                    spec.run_observed(RunMode::Generate, Some(cfg))
+                    spec.run_observed(RunMode::Generate, TraceLevel::Decisions)
                 })) {
                     Ok(run) => run.map_err(|e| format!("seed {seed}: {e}"))?,
                     Err(payload) => {
                         return Ok(SeedResult::Panicked {
                             message: panic_message(payload.as_ref()),
-                            last_events: ring.snapshot(),
+                            last_events: spec.last_events(),
                         })
                     }
                 }
@@ -277,13 +274,13 @@ pub fn fuzz_many(
                 spec.run(RunMode::Generate)
                     .map_err(|e| format!("seed {seed}: {e}"))?
             };
-            let observability = run.result.observability.clone().map(Box::new);
+            let observability = run.result.observability.take().map(Box::new);
             let outcome = if run.violations.is_empty() {
                 None
             } else {
                 let mut repro = shrink(&spec, &run);
-                if let Some(obs) = &observability {
-                    repro.last_events = obs.recent_events.clone();
+                if opts.observability {
+                    repro.last_events = spec.last_events();
                 }
                 Some(Box::new(FuzzOutcome {
                     scenario_seed: seed,
@@ -386,9 +383,8 @@ pub struct UnitRun {
 /// The `SchedulerKind` argument: single backend; kept for benchmark/'s tracer,
 /// remove with its replay follow-up (ROADMAP item 2).
 pub fn run_unit(spec: &ScenarioSpec, _scheduler: SchedulerKind) -> Result<UnitRun, String> {
-    let cfg = spec.obs_config(DEFAULT_LAST_K);
-    let run = match catch_unwind(AssertUnwindSafe(|| {
-        spec.run_observed(RunMode::Generate, Some(cfg))
+    let mut run = match catch_unwind(AssertUnwindSafe(|| {
+        spec.run_observed(RunMode::Generate, TraceLevel::Decisions)
     })) {
         Ok(run) => run?,
         Err(payload) => {
@@ -404,14 +400,12 @@ pub fn run_unit(spec: &ScenarioSpec, _scheduler: SchedulerKind) -> Result<UnitRu
             })
         }
     };
-    let observability = run.result.observability.clone().map(Box::new);
+    let observability = run.result.observability.take().map(Box::new);
     let (violations, repro) = if run.violations.is_empty() {
         (Vec::new(), None)
     } else {
         let mut repro = shrink(spec, &run);
-        if let Some(obs) = &observability {
-            repro.last_events = obs.recent_events.clone();
-        }
+        repro.last_events = spec.last_events();
         (
             run.violations.iter().map(|v| v.to_string()).collect(),
             Some(repro),

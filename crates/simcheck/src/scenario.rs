@@ -19,17 +19,18 @@ use bft_sim_core::adversary::{Adversary, AdversaryApi, Fate};
 use bft_sim_core::buggify::{FaultAction, FaultInjector, FaultLog, FaultPreset, FaultStats};
 use bft_sim_core::config::RunConfig;
 use bft_sim_core::dist::Dist;
-use bft_sim_core::engine::SimulationBuilder;
+use bft_sim_core::engine::{Simulation, SimulationBuilder};
 use bft_sim_core::json::{self, Fields, Json};
 use bft_sim_core::message::Message;
 use bft_sim_core::metrics::RunResult;
 use bft_sim_core::network::{NetworkModel, SampledNetwork};
-use bft_sim_core::obs::ObsConfig;
+use bft_sim_core::obs::{ObsConfig, DEFAULT_LAST_K};
 use bft_sim_core::oracle::{
-    OracleInput, OracleObserver, OracleSuite, OracleViolation, OutageWindow,
+    Expectations, OracleInput, OracleObserver, OracleSuite, OracleViolation, OutageWindow,
 };
 use bft_sim_core::scheduler::SchedulerKind;
 use bft_sim_core::time::SimDuration;
+use bft_sim_core::trace::{TraceEvent, TraceLevel};
 use bft_sim_core::validator::DeliverySchedule;
 use bft_sim_net::churn::{ChurnPlan, ChurnedNetwork};
 use bft_sim_net::topology::{BandwidthNetwork, LinkTopology};
@@ -410,6 +411,17 @@ pub struct CheckedRun {
     pub violations: Vec<OracleViolation>,
 }
 
+/// A spec's simulation, built but not yet run, with what checking its run
+/// needs.
+struct Built {
+    sim: Simulation,
+    expect: Expectations,
+    probe: OracleObserver,
+    /// The adversary actions applied so far (none in replay mode).
+    actions: Box<dyn Fn() -> Vec<FuzzAction>>,
+    fault_log: Option<FaultLog>,
+}
+
 impl CheckedRun {
     /// Whether the named oracle fired on this run.
     pub(crate) fn violates(&self, oracle: &str) -> bool {
@@ -726,7 +738,7 @@ impl ScenarioSpec {
     /// Returns a message when the configuration is rejected by the engine or
     /// the spec needs the `testbug` feature and it is not compiled in.
     pub fn run(&self, mode: RunMode<'_>) -> Result<CheckedRun, String> {
-        self.run_observed(mode, None)
+        self.execute(mode, false, TraceLevel::Decisions)
     }
 
     /// [`run`](ScenarioSpec::run). Single backend; kept for benchmark/'s
@@ -743,28 +755,76 @@ impl ScenarioSpec {
         self.run(mode)
     }
 
-    /// The observability configuration matching this scenario: a ring of
-    /// `last_k` recent events and the protocol's own phase classifier, so
-    /// the flow matrix is labelled with this protocol's phases.
-    pub fn obs_config(&self, last_k: usize) -> ObsConfig {
-        ObsConfig::new(last_k).with_classifier(self.protocol.phase_classifier())
-    }
-
-    /// [`run`](ScenarioSpec::run) with optional observability.
-    /// Instrumentation is an *execution* option, not part of the scenario:
-    /// everything it records derives from simulated quantities, so the run
-    /// itself is bit-identical with it on or off.
+    /// [`run`](ScenarioSpec::run) with observability on, labelled with the
+    /// protocol's own phases, and the trace kept at `trace`. Both are
+    /// *execution* options, not part of the scenario: everything they record
+    /// derives from simulated quantities, so the run itself is bit-identical
+    /// with them on or off.
     ///
     /// # Errors
     ///
     /// Same as [`run`](ScenarioSpec::run).
-    pub fn run_observed(
+    pub fn run_observed(&self, mode: RunMode<'_>, trace: TraceLevel) -> Result<CheckedRun, String> {
+        self.execute(mode, true, trace)
+    }
+
+    /// The last [`DEFAULT_LAST_K`] events of this spec's
+    /// [`RunMode::Generate`] run with observability on, oldest first. No run
+    /// keeps them: the spec is run again with every event traced and the
+    /// tail of that trace is taken, up to the panic when the run panics.
+    pub(crate) fn last_events(&self) -> Vec<TraceEvent> {
+        let built = self
+            .build(RunMode::Generate, true, TraceLevel::Messages)
+            .expect("a spec that ran once builds again");
+        let trace = match built.sim.run_caught() {
+            Ok(result) => result.trace,
+            Err(trace) => trace,
+        };
+        let skip = trace.len().saturating_sub(DEFAULT_LAST_K);
+        trace.events().skip(skip).collect()
+    }
+
+    fn execute(
         &self,
         mode: RunMode<'_>,
-        obs: Option<ObsConfig>,
+        observed: bool,
+        trace: TraceLevel,
     ) -> Result<CheckedRun, String> {
+        let Built {
+            sim,
+            expect,
+            probe,
+            actions,
+            fault_log,
+        } = self.build(mode, observed, trace)?;
+        let (result, schedule) = match mode {
+            RunMode::Replay(schedule) => (sim.run(), schedule.clone()),
+            RunMode::Generate | RunMode::Scripted { .. } => sim.run_recorded(),
+        };
+        let actions = actions();
+        let violations = OracleSuite::standard().check(&OracleInput::from_result(
+            &result,
+            Some(probe.snapshot()),
+            expect,
+        ));
+        let (fault_actions, fault_stats) = match fault_log {
+            Some(log) => (log.snapshot(), log.stats()),
+            None => (Vec::new(), FaultStats::default()),
+        };
+        Ok(CheckedRun {
+            result,
+            schedule,
+            actions,
+            fault_actions,
+            fault_stats,
+            violations,
+        })
+    }
+
+    /// The engine run of this spec in `mode`, built but not yet run.
+    fn build(&self, mode: RunMode<'_>, observed: bool, trace: TraceLevel) -> Result<Built, String> {
         let kind = self.protocol;
-        let cfg = self.config();
+        let cfg = self.config().with_trace(trace);
         let benign = match mode {
             RunMode::Generate => self.is_benign(),
             RunMode::Scripted { actions, faults } => {
@@ -794,23 +854,24 @@ impl ScenarioSpec {
         let observer = OracleObserver::new();
         let probe = observer.clone();
         let network = self.network()?;
+        let mut builder = SimulationBuilder::new(cfg)
+            .network(network)
+            .observer(observer)
+            .protocols(factory);
+        if observed {
+            builder = builder
+                .observability(ObsConfig::default().with_classifier(kind.phase_classifier()));
+        }
 
-        let (result, schedule, actions, fault_log) = match mode {
+        let (sim, actions, fault_log) = match mode {
             RunMode::Replay(schedule) => {
                 let mut replay = schedule.clone();
                 replay.rewind();
-                let mut builder = SimulationBuilder::new(cfg)
-                    .network(network)
-                    .observer(observer)
-                    .replay_schedule(replay)
-                    .protocols(factory);
-                if let Some(obs) = obs {
-                    builder = builder.observability(obs);
-                }
                 let sim = builder
+                    .replay_schedule(replay)
                     .build()
                     .map_err(|e| format!("replay build failed: {e}"))?;
-                (sim.run(), schedule.clone(), Vec::new(), None)
+                (sim, Box::new(Vec::new) as Box<_>, None)
             }
             RunMode::Generate | RunMode::Scripted { .. } => {
                 let fuzz = match mode {
@@ -840,39 +901,20 @@ impl ScenarioSpec {
                     fuzz,
                     extra: self.extra_adversary()?,
                 };
-                let mut builder = SimulationBuilder::new(cfg)
-                    .network(network)
-                    .observer(observer)
-                    .adversary(stack)
-                    .protocols(factory);
-                if let Some(obs) = obs {
-                    builder = builder.observability(obs);
-                }
+                builder = builder.adversary(stack);
                 if let Some(injector) = injector {
                     builder = builder.faults(injector);
                 }
                 let sim = builder.build().map_err(|e| format!("build failed: {e}"))?;
-                let (result, schedule) = sim.run_recorded();
-                (result, schedule, log.snapshot(), fault_log)
+                (sim, Box::new(move || log.snapshot()) as Box<_>, fault_log)
             }
         };
-
-        let violations = OracleSuite::standard().check(&OracleInput::from_result(
-            &result,
-            Some(probe.snapshot()),
+        Ok(Built {
+            sim,
             expect,
-        ));
-        let (fault_actions, fault_stats) = match fault_log {
-            Some(log) => (log.snapshot(), log.stats()),
-            None => (Vec::new(), FaultStats::default()),
-        };
-        Ok(CheckedRun {
-            result,
-            schedule,
+            probe,
             actions,
-            fault_actions,
-            fault_stats,
-            violations,
+            fault_log,
         })
     }
 
@@ -1211,7 +1253,7 @@ mod tests {
         );
         let plain = spec.run(RunMode::Generate).unwrap();
         let observed = spec
-            .run_observed(RunMode::Generate, Some(spec.obs_config(32)))
+            .run_observed(RunMode::Generate, TraceLevel::Decisions)
             .unwrap();
         let mut stripped = observed.result.clone();
         stripped.observability = None;
@@ -1226,8 +1268,15 @@ mod tests {
             0,
             "the scenario's classifier must label its own protocol's traffic"
         );
-        assert!(!obs.recent_events.is_empty());
-        assert!(obs.recent_events.len() <= 32);
+
+        // The rebuilt last events are the tail of the run's full trace.
+        let traced = spec
+            .run_observed(RunMode::Generate, TraceLevel::Messages)
+            .unwrap();
+        let trace = &traced.result.trace;
+        assert!(trace.len() > DEFAULT_LAST_K);
+        let tail: Vec<TraceEvent> = trace.events().skip(trace.len() - DEFAULT_LAST_K).collect();
+        assert_eq!(spec.last_events(), tail);
     }
 
     #[test]
@@ -1245,11 +1294,11 @@ mod tests {
             ..ScenarioSpec::baseline(ProtocolKind::HotStuffNs)
         };
         let serial = spec
-            .run_observed(RunMode::Generate, Some(spec.obs_config(32)))
+            .run_observed(RunMode::Generate, TraceLevel::Decisions)
             .unwrap();
         let obs = serial.result.observability.as_ref().unwrap();
         assert!(
-            obs.to_json().dump_pretty().contains("\"cells\""),
+            obs.to_json(0, &[]).dump_pretty().contains("\"cells\""),
             "n = 256 flows must serialise in the sparse form"
         );
         // The thread axis composes with scale: sweeping the same large spec
@@ -1535,7 +1584,7 @@ mod tests {
             ..legacy.clone()
         };
         let obs = |spec: &ScenarioSpec| {
-            spec.run_observed(RunMode::Generate, Some(spec.obs_config(8)))
+            spec.run_observed(RunMode::Generate, TraceLevel::Decisions)
                 .unwrap()
                 .result
                 .observability

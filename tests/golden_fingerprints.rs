@@ -55,7 +55,7 @@ fn compute_corpus() -> Vec<(String, u64)> {
                 ..ScenarioSpec::baseline(kind)
             };
             let run = spec
-                .run_observed(RunMode::Generate, Some(spec.obs_config(DEFAULT_LAST_K)))
+                .run_observed(RunMode::Generate, TraceLevel::Decisions)
                 .expect("baseline run");
             corpus.push((
                 format!("{}/{}", kind.name(), preset.name()),
@@ -71,15 +71,21 @@ fn compute_corpus() -> Vec<(String, u64)> {
 }
 
 /// The `bft-sim trace <protocol> --json --last-k 64` document of every
-/// protocol's baseline scenario, as the CLI builds it.
+/// protocol's baseline scenario, as the CLI builds it: one run with every
+/// event traced, whose last 64 events go beside the observability snapshot.
 fn trace_json_rows() -> Vec<(String, u64)> {
     ProtocolKind::extended()
         .into_iter()
         .map(|kind| {
             let spec = ScenarioSpec::baseline(kind);
             let run = spec
-                .run_observed(RunMode::Generate, Some(spec.obs_config(DEFAULT_LAST_K)))
+                .run_observed(RunMode::Generate, TraceLevel::Messages)
                 .expect("baseline run");
+            let trace = &run.result.trace;
+            let recent: Vec<TraceEvent> = trace
+                .events()
+                .skip(trace.len().saturating_sub(DEFAULT_LAST_K))
+                .collect();
             let obs = run
                 .result
                 .observability
@@ -92,7 +98,7 @@ fn trace_json_rows() -> Vec<(String, u64)> {
                     "decisions_completed",
                     Json::from(run.result.decisions_completed()),
                 ),
-                ("observability", obs.to_json()),
+                ("observability", obs.to_json(DEFAULT_LAST_K, &recent)),
             ]);
             let key = format!("{}/trace-json", kind.name());
             (key, fnv1a(doc.dump_pretty().as_bytes()))
@@ -123,6 +129,7 @@ impl Protocol for PanicAt {
 
 /// The last 64 events of a PBFT run (n = 4, seed 5) whose node 0 panics at
 /// its k-th delivery: early, while fewer than 64 events exist, and late.
+/// They come from the trace [`Simulation::run_caught`] hands back.
 fn panic_rows() -> Vec<(String, u64)> {
     [2, 15]
         .into_iter()
@@ -130,7 +137,8 @@ fn panic_rows() -> Vec<(String, u64)> {
             let kind = ProtocolKind::Pbft;
             let cfg = kind
                 .configure(RunConfig::new(4).with_seed(5).with_lambda_ms(1000.0))
-                .with_target_decisions(3);
+                .with_target_decisions(3)
+                .with_trace(TraceLevel::Messages);
             let inner = kind.factory(&cfg, 23);
             let factory = move |id: NodeId| -> Box<dyn Protocol> {
                 let left = if id == NodeId::new(0) { k } else { u32::MAX };
@@ -139,19 +147,17 @@ fn panic_rows() -> Vec<(String, u64)> {
                     left,
                 })
             };
-            let obs = ObsConfig::new(DEFAULT_LAST_K).with_classifier(kind.phase_classifier());
-            let ring = obs.ring();
             let sim = SimulationBuilder::new(cfg)
                 .network(SampledNetwork::new(Dist::normal(250.0, 50.0)))
-                .observability(obs)
+                .observability(ObsConfig::default().with_classifier(kind.phase_classifier()))
                 .protocols(factory)
                 .build()
                 .expect("valid config");
-            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()));
-            assert!(panicked.is_err(), "k = {k}: the run did not panic");
-            let events = ring.snapshot();
-            assert!(!events.is_empty(), "k = {k}");
-            let json = Json::Arr(events.iter().map(TraceEvent::to_json).collect());
+            let Err(trace) = sim.run_caught() else {
+                panic!("k = {k}: the run did not panic")
+            };
+            let skip = trace.len().saturating_sub(DEFAULT_LAST_K);
+            let json = Json::Arr(trace.events().skip(skip).map(|e| e.to_json()).collect());
             (
                 format!("panic/last-events#k{k}"),
                 fnv1a(json.dump().as_bytes()),
@@ -188,9 +194,7 @@ fn golden_trace_rows() -> Vec<(String, u64)> {
                 let factory = kind.factory(&cfg, 23);
                 SimulationBuilder::new(cfg)
                     .network(SampledNetwork::new(Dist::normal(250.0, 50.0)))
-                    .observability(
-                        ObsConfig::new(DEFAULT_LAST_K).with_classifier(kind.phase_classifier()),
-                    )
+                    .observability(ObsConfig::default().with_classifier(kind.phase_classifier()))
                     .protocols(factory)
                     .build()
                     .expect("valid config")
@@ -272,7 +276,7 @@ fn chained_row(
     let result = SimulationBuilder::new(cfg)
         .network(SampledNetwork::new(delay))
         .adversary(attack)
-        .observability(ObsConfig::new(DEFAULT_LAST_K).with_classifier(kind.phase_classifier()))
+        .observability(ObsConfig::default().with_classifier(kind.phase_classifier()))
         .protocols(factory)
         .build()
         .expect("valid config")
