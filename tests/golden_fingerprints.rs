@@ -67,6 +67,7 @@ fn compute_corpus() -> Vec<(String, u64)> {
     corpus.extend(golden_trace_rows());
     corpus.extend(trace_json_rows());
     corpus.extend(panic_rows());
+    corpus.extend(cross_validation_rows());
     corpus
 }
 
@@ -254,9 +255,7 @@ fn assert_retention_is_inert(
     assert_eq!(verdicts(kept), verdicts(full), "{kind} at {level:?}");
 }
 
-/// One chained-protocol run at n = 16 with every event traced and
-/// observability on: its fingerprint under `key`, the FNV-1a of its trace
-/// JSON under `"<key>#trace"`.
+/// One chained-protocol run at n = 16 (seed 3, genesis 7).
 fn chained_row(
     key: String,
     kind: ProtocolKind,
@@ -264,17 +263,30 @@ fn chained_row(
     delay: Dist,
     attack: impl Adversary + 'static,
 ) -> [(String, u64); 2] {
-    let cfg = kind
-        .configure(
-            RunConfig::new(16)
-                .with_seed(3)
-                .with_lambda_ms(lambda_ms)
-                .with_time_cap(SimDuration::from_secs(900.0)),
-        )
-        .with_trace(TraceLevel::Messages);
-    let factory = kind.factory(&cfg, 7);
+    let cfg = kind.configure(
+        RunConfig::new(16)
+            .with_seed(3)
+            .with_lambda_ms(lambda_ms)
+            .with_time_cap(SimDuration::from_secs(900.0)),
+    );
+    pinned_row(key, kind, cfg, 7, SampledNetwork::new(delay), attack)
+}
+
+/// One run of `cfg` with every event traced and observability on: its
+/// fingerprint under `key`, the FNV-1a of its trace JSON under
+/// `"<key>#trace"`.
+fn pinned_row(
+    key: String,
+    kind: ProtocolKind,
+    cfg: RunConfig,
+    genesis_seed: u64,
+    network: impl NetworkModel + 'static,
+    attack: impl Adversary + 'static,
+) -> [(String, u64); 2] {
+    let cfg = cfg.with_trace(TraceLevel::Messages);
+    let factory = kind.factory(&cfg, genesis_seed);
     let result = SimulationBuilder::new(cfg)
-        .network(SampledNetwork::new(delay))
+        .network(network)
         .adversary(attack)
         .observability(ObsConfig::default().with_classifier(kind.phase_classifier()))
         .protocols(factory)
@@ -348,6 +360,27 @@ fn chained_rows() -> Vec<(String, u64)> {
         ));
     }
     rows
+}
+
+/// The PBFT configuration the engine was cross-validated on against a
+/// second, packet-level executor: n = 7, a constant 100 ms delay (below λ,
+/// so no view change), seed 5, 3 decisions, genesis 11.
+fn cross_validation_cfg() -> RunConfig {
+    RunConfig::new(7)
+        .with_seed(5)
+        .with_target_decisions(3)
+        .with_time_cap(SimDuration::from_secs(120.0))
+}
+
+fn cross_validation_rows() -> [(String, u64); 2] {
+    pinned_row(
+        "pbft/cross-validation".into(),
+        ProtocolKind::Pbft,
+        cross_validation_cfg(),
+        11,
+        ConstantNetwork::new(SimDuration::from_millis(100.0)),
+        NullAdversary,
+    )
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -424,4 +457,34 @@ fn golden_corpus_separates_calm_from_chaos() {
         separated > 0,
         "chaos fingerprints collide with calm on every protocol"
     );
+}
+
+#[test]
+fn cross_validation_row_decides_what_the_packet_level_baseline_decides() {
+    use bft_simulator::baseline::{BaselineConfig, BaselineSim};
+    use bft_simulator::protocols::pbft;
+
+    let cfg = cross_validation_cfg();
+    let params = ProtocolParams::new(cfg.n, cfg.f, 11);
+    let core = SimulationBuilder::new(cfg)
+        .network(ConstantNetwork::new(SimDuration::from_millis(100.0)))
+        .protocols(pbft::factory(params))
+        .build()
+        .unwrap()
+        .run();
+    assert!(core.is_clean());
+    let base_cfg = BaselineConfig::new(7)
+        .with_seed(5)
+        .with_delay(Dist::constant(100.0))
+        .with_target_decisions(3);
+    let base = BaselineSim::new(base_cfg, pbft::factory(params))
+        .unwrap()
+        .run()
+        .unwrap();
+    assert!(!base.timed_out);
+    for (node, (a, b)) in core.decided.iter().zip(&base.decided).enumerate() {
+        let av: Vec<_> = a.iter().map(|&(_, v)| v).collect();
+        let bv: Vec<_> = b.iter().take(av.len()).map(|&(_, v)| v).collect();
+        assert_eq!(av, bv, "node {node} decided differently across simulators");
+    }
 }
