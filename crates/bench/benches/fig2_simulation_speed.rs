@@ -1,12 +1,9 @@
-//! Fig. 2: simulation time for PBFT, event-level engine vs the
-//! packet-level (BFTSim-style) baseline, λ = 1000 ms, N(250, 50).
-//!
-//! The paper's claims to reproduce: the baseline fails (out of memory)
-//! beyond 32 nodes, while the event-level engine scales to 512; and at 32
-//! nodes the event-level engine is orders of magnitude faster.
+//! Fig. 2: wall time to simulate PBFT, λ = 1000 ms, N(250, 50), printed
+//! beside the paper's numbers (its simulator 38 ms at 32 nodes and 512
+//! nodes at most; BFTSim 19.4 s at 32 nodes, out of memory beyond).
 
 use bft_sim_bench::{banner, fmt_summary};
-use bft_simulator::experiments::figures::fig2;
+use bft_simulator::experiments::figures::{fig2, fig2_paper_column};
 
 fn main() {
     banner(
@@ -20,40 +17,14 @@ fn main() {
     let sizes = [4, 8, 16, 32, 64, 128, 256, 512];
     let rows = fig2(&sizes, reps, 0xF162);
 
-    println!(
-        "{:<6} {:>24} {:>12} {:>28} {:>12}",
-        "n", "ours (wall)", "events", "baseline (wall)", "events"
-    );
-    let mut ratio_at_32 = None;
+    println!("{:<6} {:>24} {:>12}   paper", "n", "ours (wall)", "events");
     for row in &rows {
-        let baseline = match (&row.baseline_wall_ms, row.baseline_oom) {
-            (Some(s), _) => fmt_summary(s, "ms"),
-            (None, true) => "OUT OF MEMORY".to_string(),
-            (None, false) => "-".to_string(),
-        };
         println!(
-            "{:<6} {:>24} {:>12} {:>28} {:>12}",
+            "{:<6} {:>24} {:>12}   {}",
             row.n,
-            fmt_summary(&row.core_wall_ms, "ms"),
-            row.core_events,
-            baseline,
-            row.baseline_events
-                .map(|e| e.to_string())
-                .unwrap_or_default()
+            fmt_summary(&row.wall_ms, "ms"),
+            row.events,
+            fig2_paper_column(row.n)
         );
-        if row.n == 32 {
-            if let Some(b) = &row.baseline_wall_ms {
-                // Ratio of minima: robust against scheduler noise.
-                ratio_at_32 = Some(b.min / row.core_wall_ms.min.max(1e-6));
-            }
-        }
     }
-    if let Some(r) = ratio_at_32 {
-        println!();
-        println!("speedup at 32 nodes: {r:.0}x (paper: >500x, 38 ms vs 19.4 s)");
-    }
-    println!(
-        "baseline OOM boundary: first failing n = {:?} (paper: >32)",
-        rows.iter().find(|r| r.baseline_oom).map(|r| r.n)
-    );
 }

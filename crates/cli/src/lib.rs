@@ -1573,13 +1573,11 @@ fn run_figure(which: u8) {
         2 => {
             for row in figures::fig2(&[4, 8, 16, 32, 64], 1, seed) {
                 println!(
-                    "n={:<4} ours {:8.2} ms   baseline {}",
+                    "n={:<4} ours {:8.2} ms {:>8} events   paper {}",
                     row.n,
-                    row.core_wall_ms.mean,
-                    match (&row.baseline_wall_ms, row.baseline_oom) {
-                        (Some(s), _) => format!("{:10.2} ms", s.mean),
-                        _ => "OUT OF MEMORY".into(),
-                    }
+                    row.wall_ms.mean,
+                    row.events,
+                    figures::fig2_paper_column(row.n)
                 );
             }
         }

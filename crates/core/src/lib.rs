@@ -58,7 +58,6 @@ pub mod dist;
 pub mod engine;
 pub mod error;
 pub mod event;
-pub mod exec;
 pub mod fasthash;
 pub mod ids;
 pub mod json;

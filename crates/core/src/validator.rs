@@ -1,6 +1,6 @@
 //! The validator module (§III-A6).
 //!
-//! Cross-validates simulation results against a ground truth. Two mechanisms
+//! Cross-validates simulation results against a ground truth. Three checks
 //! are provided:
 //!
 //! 1. **Schedule replay** — a run can record its per-message
@@ -10,8 +10,10 @@
 //!    [`Validator::check_replay`] asserts this. This is the analogue of the
 //!    paper replaying BFTsim's event sequence.
 //! 2. **Decision comparison** — `Validator::compare_decisions` checks two
-//!    runs (e.g. the event-level engine and the packet-level baseline in
-//!    `bft-sim-baseline`) agreed on *which node decided what value*.
+//!    runs agreed on *which node decided what value*; the replay check is
+//!    built on it.
+//! 3. **Trace comparison** — [`Validator::check_against_trace`] checks a run
+//!    decided exactly what a committed trace records (the golden traces).
 //!
 //! A schedule only records message *fates*; replay rests on the event queue
 //! dispatching in one `(timestamp, insertion seq)` total order (see
@@ -147,8 +149,7 @@ pub struct Validator;
 impl Validator {
     /// Checks that two runs decided identically: same number of slots per
     /// node, same values per `(node, slot)`. Decision *times* are not
-    /// compared (a packet-level and an event-level simulator legitimately
-    /// differ in timing).
+    /// compared.
     ///
     /// # Errors
     ///

@@ -30,4 +30,3 @@ pub mod sync_hotstuff;
 pub(crate) mod tendermint;
 
 pub use common::ProtocolParams;
-pub use registry::ProtocolKind;

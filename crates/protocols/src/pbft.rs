@@ -473,7 +473,7 @@ impl Protocol for Pbft {
 }
 
 /// Factory producing PBFT replicas for the engine.
-pub fn factory(params: ProtocolParams) -> impl Fn(NodeId) -> Box<dyn Protocol> {
+pub(crate) fn factory(params: ProtocolParams) -> impl Fn(NodeId) -> Box<dyn Protocol> {
     move |_id| Box::new(Pbft::new(params)) as Box<dyn Protocol>
 }
 /// PBFT's phase labels, indexed by [`phase_of`]'s return value.

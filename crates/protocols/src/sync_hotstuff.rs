@@ -1,6 +1,6 @@
 //! Sync HotStuff (Abraham et al., S&P 2020) — simplified steady state, an
 //! *extension* beyond the paper's Table I. The paper cites Momose's
-//! force-locking attack on Sync HotStuff [27] as exactly the kind of
+//! force-locking attack on Sync HotStuff \[27\] as exactly the kind of
 //! "sophisticated attack strategy" BFTSim cannot model; this module (with
 //! `bft_sim_attacks::sync_violation`) lets the simulator *demonstrate* a
 //! safety break when the protocol's synchrony assumption is violated.

@@ -16,7 +16,7 @@
 //!   adversary action list, node count, then delivery-schedule bisection;
 //! - `repro` — the `bft-sim-repro-v1` JSON format written by
 //!   `bft-sim fuzz` and replayed by `bft-sim repro`;
-//! - [`testbug`] (feature `testbug`) — an intentionally buggy adversary that
+//! - `testbug` (feature `testbug`) — an intentionally buggy adversary that
 //!   forges a PBFT commit quorum, proving the oracles catch real safety
 //!   violations.
 //!

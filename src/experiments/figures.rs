@@ -7,13 +7,11 @@
 
 use std::time::Instant;
 
-use bft_sim_baseline::{BaselineConfig, BaselineSim};
 use bft_sim_core::dist::Dist;
 use bft_sim_core::ids::NodeId;
 use bft_sim_core::metrics::Summary;
 use bft_sim_core::trace::TraceLevel;
 use bft_sim_protocols::registry::ProtocolKind;
-use bft_sim_protocols::ProtocolParams;
 
 use super::{AttackSpec, Scenario};
 
@@ -54,82 +52,67 @@ fn measure(scenario: &Scenario, reps: usize, base_seed: u64, x: impl Into<String
 
 // ---------------------------------------------------------------- Fig. 2
 
-/// One row of the Fig. 2 speed/scale comparison.
+// Fig. 2 as the paper prints it: PBFT, λ = 1000 ms, delays N(250, 50), the
+// authors' JavaScript simulator on their 2019 machine against BFTSim
+// (P2 over ns-2). Both printed times are at 32 nodes.
+/// The paper's simulator at 32 nodes (ms).
+const PAPER_SIM_MS_AT_32: f64 = 38.0;
+/// BFTSim at 32 nodes (ms).
+const PAPER_BFTSIM_MS_AT_32: f64 = 19_400.0;
+/// BFTSim's largest size: it runs out of memory beyond.
+const PAPER_BFTSIM_MAX_N: usize = 32;
+/// The largest size the paper's simulator runs.
+const PAPER_SIM_MAX_N: usize = 512;
+
+/// One row of Fig. 2: the event engine's wall time at one size.
 #[derive(Debug, Clone)]
 pub struct Fig2Row {
     /// System size.
     pub n: usize,
-    /// Event-level simulator wall-clock (ms, mean ± sd).
-    pub core_wall_ms: Summary,
-    /// Events the event-level simulator processed.
-    pub core_events: u64,
-    /// Packet-level baseline wall-clock (ms), `None` if it failed.
-    pub baseline_wall_ms: Option<Summary>,
-    /// Events the baseline processed, if it ran.
-    pub baseline_events: Option<u64>,
-    /// `true` when the baseline refused the size (modelled out-of-memory),
-    /// as BFTSim does beyond 32 nodes.
-    pub baseline_oom: bool,
+    /// Wall-clock per run (ms, mean ± sd).
+    pub wall_ms: Summary,
+    /// Events the run processed.
+    pub events: u64,
 }
 
-/// Fig. 2: simulation time for PBFT, ours vs the packet-level baseline,
-/// λ = 1000 ms, delays N(250, 50). `baseline_cap` skips baseline sizes
-/// above it (they would only report OOM anyway — which is recorded).
+/// Fig. 2: wall time to simulate PBFT to one decision, λ = 1000 ms, delays
+/// N(250, 50): an untimed warm-up run, then `reps` timed runs per size.
+/// [`fig2_paper_column`] is the paper's side of the figure.
 pub fn fig2(sizes: &[usize], reps: usize, base_seed: u64) -> Vec<Fig2Row> {
     let mut rows = Vec::new();
     for &n in sizes {
         let scenario = Scenario::new(ProtocolKind::Pbft, n);
-        let mut core_walls = Vec::new();
-        let mut core_events = 0;
+        let mut walls = Vec::new();
+        let mut events = 0;
         let _ = scenario.run(base_seed); // warm-up, untimed
         for rep in 0..reps.max(1) {
             let start = Instant::now();
             let result = scenario.run(base_seed + rep as u64);
-            core_walls.push(start.elapsed().as_secs_f64() * 1000.0);
-            assert!(result.is_clean(), "fig2 core run failed at n={n}");
-            core_events = result.events_processed;
+            walls.push(start.elapsed().as_secs_f64() * 1000.0);
+            assert!(result.is_clean(), "fig2 run failed at n={n}");
+            events = result.events_processed;
         }
-
-        let base_cfg = BaselineConfig::new(n).with_seed(base_seed);
-        let params = ProtocolParams::new(base_cfg.n, base_cfg.f, 7);
-        let (baseline_wall_ms, baseline_events, baseline_oom) =
-            match BaselineSim::new(base_cfg.clone(), bft_sim_protocols::pbft::factory(params)) {
-                Err(_) => (None, None, true),
-                Ok(_) => {
-                    let mut walls = Vec::new();
-                    let mut events = 0;
-                    let mut oom = false;
-                    for rep in 0..reps.max(1) {
-                        let cfg = BaselineConfig::new(n).with_seed(base_seed + rep as u64);
-                        let sim = BaselineSim::new(cfg, bft_sim_protocols::pbft::factory(params))
-                            .expect("size accepted above");
-                        let start = Instant::now();
-                        match sim.run() {
-                            Ok(res) => {
-                                walls.push(start.elapsed().as_secs_f64() * 1000.0);
-                                events = res.events_processed;
-                            }
-                            Err(_) => oom = true,
-                        }
-                    }
-                    if walls.is_empty() {
-                        (None, None, true)
-                    } else {
-                        (Some(Summary::of(&walls)), Some(events), oom)
-                    }
-                }
-            };
-
         rows.push(Fig2Row {
             n,
-            core_wall_ms: Summary::of(&core_walls),
-            core_events,
-            baseline_wall_ms,
-            baseline_events,
-            baseline_oom,
+            wall_ms: Summary::of(&walls),
+            events,
         });
     }
     rows
+}
+
+/// What the paper's Fig. 2 prints at size `n`, to show beside a measured
+/// [`Fig2Row`]: both simulators' times at 32 nodes, BFTSim's
+/// out-of-memory above 32, `-` where the paper prints nothing.
+pub fn fig2_paper_column(n: usize) -> String {
+    match n {
+        32 => format!(
+            "{PAPER_SIM_MS_AT_32} ms; BFTSim {} s",
+            PAPER_BFTSIM_MS_AT_32 / 1000.0
+        ),
+        n if n > PAPER_BFTSIM_MAX_N && n <= PAPER_SIM_MAX_N => "BFTSim out of memory".into(),
+        _ => "-".into(),
+    }
 }
 
 // ---------------------------------------------------------------- Fig. 3
@@ -323,9 +306,11 @@ mod tests {
     fn fig2_row_shape() {
         let rows = fig2(&[4], 1, 11);
         assert_eq!(rows.len(), 1);
-        assert!(!rows[0].baseline_oom);
-        assert!(rows[0].core_events > 0);
-        assert!(rows[0].baseline_events.unwrap() > rows[0].core_events);
+        assert_eq!(rows[0].n, 4);
+        assert!(rows[0].events > 0);
+        assert_eq!(fig2_paper_column(32), "38 ms; BFTSim 19.4 s");
+        assert_eq!(fig2_paper_column(64), "BFTSim out of memory");
+        assert_eq!(fig2_paper_column(4), "-");
     }
 
     #[test]

@@ -38,11 +38,9 @@
 //! | `bft-sim-crypto` | simulated hashing, signatures, VRFs, quorum certificates |
 //! | `bft-sim-protocols` | the eight BFT protocols of Table I |
 //! | `bft-sim-attacks` | fail-stop, partition, ADD+ static & rushing-adaptive attacks |
-//! | `bft-sim-baseline` | packet-level BFTSim stand-in for Fig. 2 |
 //! | `bft-sim-simcheck` | deterministic fuzzing harness, correctness oracles, failing-case shrinking |
 
 pub use bft_sim_attacks as attacks;
-pub use bft_sim_baseline as baseline;
 pub use bft_sim_core as sim_core;
 pub use bft_sim_crypto as crypto;
 pub use bft_sim_net as net;
@@ -57,7 +55,6 @@ pub mod prelude {
         AddAdaptiveRushingAttack, AddStaticAttack, EquivocationAttack, FailStop, PartitionAttack,
         SlowPrimary, SyncViolationAttack,
     };
-    pub use bft_sim_baseline::{BaselineConfig, BaselineError, BaselineResult, BaselineSim};
     pub use bft_sim_core::network::{ConstantNetwork, SampledNetwork};
     pub use bft_sim_core::prelude::*;
     pub use bft_sim_net::churn::{ChurnPlan, ChurnedNetwork, DownWindow};

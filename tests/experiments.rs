@@ -18,20 +18,22 @@ fn mean(points: &[figures::Point], proto: ProtocolKind, x: &str) -> f64 {
 }
 
 #[test]
-fn fig2_event_simulator_is_faster_and_scales_beyond_baseline() {
+fn fig2_every_size_runs_clean_and_events_grow_with_n() {
+    // Deterministic facts only: `fig2` asserts every run is clean, and wall
+    // time belongs to the release-built `fig2_simulation_speed` bench.
     let rows = figures::fig2(&[8, 32, 64], 1, 0x2222);
-    let at = |n: usize| rows.iter().find(|r| r.n == n).unwrap();
-
-    // The baseline runs out of (modelled) memory above 32 nodes; ours
-    // simulates 64 fine.
-    assert!(!at(32).baseline_oom, "baseline must handle 32 nodes");
-    assert!(at(64).baseline_oom, "baseline must OOM above 32 nodes");
-    assert!(at(64).core_events > 0, "ours must simulate 64 nodes");
-
-    // And the event-level simulator is at least an order of magnitude
-    // faster where both run (the full bench shows >500x at 32 nodes).
-    let ratio = at(32).baseline_wall_ms.as_ref().unwrap().min / at(32).core_wall_ms.min.max(1e-9);
-    assert!(ratio > 10.0, "speedup only {ratio:.1}x");
+    let sizes: Vec<usize> = rows.iter().map(|r| r.n).collect();
+    assert_eq!(sizes, [8, 32, 64]);
+    for w in rows.windows(2) {
+        assert!(
+            w[0].events < w[1].events,
+            "events must grow with n: {} at n = {}, {} at n = {}",
+            w[0].events,
+            w[0].n,
+            w[1].events,
+            w[1].n
+        );
+    }
 }
 
 #[test]
@@ -57,6 +59,27 @@ fn fig3_hotstuff_wins_latency_and_messages_on_the_default_network() {
         .0;
     assert_eq!(best_latency, ProtocolKind::HotStuffNs, "latency winner");
     assert_eq!(best_messages, ProtocolKind::HotStuffNs, "message winner");
+}
+
+#[test]
+#[ignore = "divergence: PBFT churns through view changes and HotStuff+NS has a heavy tail at N(1000,1000) (EXPERIMENTS.md divergence 1)"]
+fn fig3_pbft_edges_out_hotstuff_ns_at_the_widest_delays() {
+    // The paper: HotStuff+NS has the lowest latency everywhere except at
+    // N(1000,1000), where PBFT is slightly faster.
+    let latency = |kind| {
+        let s = Scenario::new(kind, 16).with_delay(Dist::normal(1000.0, 1000.0));
+        s.latency_summary(&s.run_many(5, 0x3333)).mean
+    };
+    let [pbft, hotstuff, libra] = [
+        ProtocolKind::Pbft,
+        ProtocolKind::HotStuffNs,
+        ProtocolKind::LibraBft,
+    ]
+    .map(latency);
+    assert!(
+        pbft <= hotstuff && hotstuff <= libra,
+        "PBFT {pbft:.2} s, HotStuff+NS {hotstuff:.2} s, LibraBFT {libra:.2} s"
+    );
 }
 
 #[test]
@@ -105,6 +128,15 @@ fn fig5_hotstuff_ns_destabilises_when_lambda_is_underestimated() {
         libra_low < 1.15 * libra_ok,
         "LibraBFT must stay flat: {libra_low:.2} vs {libra_ok:.2}"
     );
+}
+
+#[test]
+#[ignore = "divergence: HotStuff+NS's mean grows ~1.4x, not the paper's 5.3x (EXPERIMENTS.md divergence 2)"]
+fn fig5_hotstuff_ns_mean_at_least_triples_when_lambda_is_underestimated() {
+    let points = figures::fig5(16, 10, 0x5555, &[150.0, 1000.0]);
+    let low = mean(&points, ProtocolKind::HotStuffNs, "λ=150");
+    let ok = mean(&points, ProtocolKind::HotStuffNs, "λ=1000");
+    assert!(low >= 3.0 * ok, "HotStuff+NS: {low:.2} s vs {ok:.2} s");
 }
 
 #[test]

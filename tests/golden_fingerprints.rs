@@ -29,6 +29,11 @@
 //! scenario. `"panic/last-events#k<k>"` is the FNV-1a of the JSON of the last
 //! 64 events of a PBFT run whose node 0 panics at its k-th delivery.
 //!
+//! `"pbft/cross-validation"` and its `#trace` row pin the PBFT run once used
+//! to cross-validate the engine against a packet-level simulator (n = 7,
+//! constant 100 ms delay, seed 5, 3 decisions); the trace pin covers every
+//! node's decided values.
+//!
 //! To regenerate after an *intentional* behaviour change:
 //! `BFT_SIM_BLESS=1 cargo test --test golden_fingerprints`.
 
@@ -362,21 +367,17 @@ fn chained_rows() -> Vec<(String, u64)> {
     rows
 }
 
-/// The PBFT configuration the engine was cross-validated on against a
-/// second, packet-level executor: n = 7, a constant 100 ms delay (below λ,
-/// so no view change), seed 5, 3 decisions, genesis 11.
-fn cross_validation_cfg() -> RunConfig {
-    RunConfig::new(7)
+/// PBFT on a constant 100 ms delay (below λ, so no view change): n = 7,
+/// seed 5, 3 decisions, genesis 11.
+fn cross_validation_rows() -> [(String, u64); 2] {
+    let cfg = RunConfig::new(7)
         .with_seed(5)
         .with_target_decisions(3)
-        .with_time_cap(SimDuration::from_secs(120.0))
-}
-
-fn cross_validation_rows() -> [(String, u64); 2] {
+        .with_time_cap(SimDuration::from_secs(120.0));
     pinned_row(
         "pbft/cross-validation".into(),
         ProtocolKind::Pbft,
-        cross_validation_cfg(),
+        cfg,
         11,
         ConstantNetwork::new(SimDuration::from_millis(100.0)),
         NullAdversary,
@@ -457,34 +458,4 @@ fn golden_corpus_separates_calm_from_chaos() {
         separated > 0,
         "chaos fingerprints collide with calm on every protocol"
     );
-}
-
-#[test]
-fn cross_validation_row_decides_what_the_packet_level_baseline_decides() {
-    use bft_simulator::baseline::{BaselineConfig, BaselineSim};
-    use bft_simulator::protocols::pbft;
-
-    let cfg = cross_validation_cfg();
-    let params = ProtocolParams::new(cfg.n, cfg.f, 11);
-    let core = SimulationBuilder::new(cfg)
-        .network(ConstantNetwork::new(SimDuration::from_millis(100.0)))
-        .protocols(pbft::factory(params))
-        .build()
-        .unwrap()
-        .run();
-    assert!(core.is_clean());
-    let base_cfg = BaselineConfig::new(7)
-        .with_seed(5)
-        .with_delay(Dist::constant(100.0))
-        .with_target_decisions(3);
-    let base = BaselineSim::new(base_cfg, pbft::factory(params))
-        .unwrap()
-        .run()
-        .unwrap();
-    assert!(!base.timed_out);
-    for (node, (a, b)) in core.decided.iter().zip(&base.decided).enumerate() {
-        let av: Vec<_> = a.iter().map(|&(_, v)| v).collect();
-        let bv: Vec<_> = b.iter().take(av.len()).map(|&(_, v)| v).collect();
-        assert_eq!(av, bv, "node {node} decided differently across simulators");
-    }
 }

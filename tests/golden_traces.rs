@@ -2,8 +2,8 @@
 //! configuration is committed under `tests/golden/`; a fresh simulation of
 //! the same configuration must decide exactly what it records. This guards
 //! against silent behavioural regressions in the engine or the protocols —
-//! the repository's stand-in for the paper's cross-validation against
-//! BFTSim traces (§III-D).
+//! the repository's analogue of the paper's validation against BFTSim
+//! traces (§III-D).
 //!
 //! The committed files are *not* byte pins: `Validator::check_against_trace`
 //! compares decided values only, and a fresh run reproduces just three of
