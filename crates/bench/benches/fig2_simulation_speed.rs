@@ -1,6 +1,6 @@
 //! Fig. 2: wall time to simulate PBFT, λ = 1000 ms, N(250, 50), printed
-//! beside the paper's numbers (its simulator 38 ms at 32 nodes and 512
-//! nodes at most; BFTSim 19.4 s at 32 nodes, out of memory beyond).
+//! beside what the paper prints for its simulator and BFTSim
+//! (`figures::fig2_paper_column`).
 
 use bft_sim_bench::{banner, fmt_summary};
 use bft_simulator::experiments::figures::{fig2, fig2_paper_column};
