@@ -613,7 +613,7 @@ static COMMANDS: &[Cmd] = &[
         args: &[arg("N", None, |s, v| {
             set(&mut s.fig_or_table, numbered("figure", 2..=9, v))
         })],
-        about: "regenerate figure N (2..=9) with small defaults",
+        about: "regenerate figure N (2..=9) at the paper's settings",
         finish: |s| Ok(Command::Fig(s.fig_or_table)),
     },
     Cmd {
@@ -621,7 +621,7 @@ static COMMANDS: &[Cmd] = &[
         args: &[arg("N", None, |s, v| {
             set(&mut s.fig_or_table, numbered("table", 1..=2, v))
         })],
-        about: "regenerate table N (1 or 2)",
+        about: "regenerate table N (1 or 2) beside the paper's counts",
         finish: |s| Ok(Command::Table(s.fig_or_table)),
     },
     Cmd {
@@ -1128,18 +1128,7 @@ pub fn execute(cmd: Command) -> Result<(), CliError> {
             emit_status(&exec_campaign_status(&spec.journal)?, spec.json);
         }
         Command::Fig(which) => run_figure(which),
-        Command::Table(which) => match which {
-            1 => {
-                for row in loc::table1() {
-                    println!("{:<14} {:<24} {:>6}", row.name, row.network, row.loc);
-                }
-            }
-            _ => {
-                for row in loc::table2() {
-                    println!("{:<20} {:<22} {:>6}", row.name, row.capability, row.loc);
-                }
-            }
-        },
+        Command::Table(which) => run_table(which),
     }
     Ok(())
 }
@@ -1566,48 +1555,182 @@ fn emit(reports: &[Report], json: bool) {
     }
 }
 
+/// `bft-sim fig N`: figure N at the paper's settings (`figures::N`,
+/// `figures::REPS` and the per-figure grids and seeds), with the paper's
+/// findings printed beside ours.
 fn run_figure(which: u8) {
-    // Small interactive defaults; the bench harnesses run the full sweeps.
-    let (n, reps, seed) = (16, 10, 0xC11);
-    match which {
+    use figures::{N, REPS};
+    let (seed, resolve_s) = (figures::seed(which), figures::FIG6_RESOLVE_S);
+    let (title, setting, points) = match which {
         2 => {
-            for row in figures::fig2(&[4, 8, 16, 32, 64], 1, seed) {
-                println!(
-                    "n={:<4} ours {:8.2} ms {:>8} events   paper {}",
-                    row.n,
-                    row.wall_ms.mean,
-                    row.events,
-                    figures::fig2_paper_column(row.n)
-                );
+            println!("\n=== Fig. 2 — simulation speed & scale ===");
+            println!("PBFT, lambda = 1000 ms, delays N(250, 50); wall-clock per run\n");
+            println!("{:<6} {:>24} {:>12}   paper", "n", "ours (wall)", "events");
+            for row in figures::fig2(&figures::FIG2_SIZES, figures::FIG2_REPS, seed) {
+                let wall = fmt_summary(&row.wall_ms, "ms");
+                let paper = figures::fig2_paper_column(row.n);
+                println!("{:<6} {wall:>24} {:>12}   {paper}", row.n, row.events);
+            }
+            return;
+        }
+        3 => (
+            "performance across different delays",
+            format!("all 8 protocols, n = {N}, lambda = 1000 ms"),
+            figures::fig3(N, REPS, seed),
+        ),
+        4 => (
+            "latency with an overestimated timeout",
+            format!("n = {N}, delays N(250, 50)"),
+            figures::fig4(N, REPS, seed, &figures::FIG4_LAMBDAS),
+        ),
+        5 => (
+            "latency with an underestimated timeout",
+            format!("partially synchronous protocols, n = {N}, N(250, 50)"),
+            figures::fig5(N, REPS, seed, &figures::FIG5_LAMBDAS),
+        ),
+        6 => (
+            "time usage under a network partition attack",
+            format!("halved network, resolves at {resolve_s} s; n = {N}, lambda = 1000 ms"),
+            figures::fig6(N, REPS, seed, resolve_s),
+        ),
+        7 => (
+            "time usage vs number of fail-stop nodes",
+            format!("n = {N}, lambda = 1000 ms, delays N(1000, 300)"),
+            figures::fig7(N, REPS, seed, &figures::FIG7_CRASHES),
+        ),
+        8 => (
+            "static (left) and rushing-adaptive (right) attacks on ADD+",
+            format!("n = {N}, f = (n-1)/2, lambda = 1000 ms"),
+            figures::fig8(N, REPS, seed),
+        ),
+        _ => return print_fig9(),
+    };
+    println!("\n=== Fig. {which} — {title} ===\n{setting}, {REPS} repetitions\n");
+    print_latency_table(&points);
+    let lat = |protocol: &str, x: &str| latency(&points, protocol, x);
+    match which {
+        3 => {
+            let [hs, pbft] = ["hotstuff-ns", "pbft"].map(|p| lat(p, "N(250,50)"));
+            println!("\nHotStuff+NS vs PBFT under N(250,50):   {hs:.2}s vs {pbft:.2}s");
+            let [hs, pbft] = ["hotstuff-ns", "pbft"].map(|p| lat(p, "N(1000,1000)"));
+            println!("HotStuff+NS vs PBFT under N(1000,1000): {hs:.2}s vs {pbft:.2}s");
+        }
+        4 => {
+            let expected = ["timer-paced: expected ~3x", "responsive: expected ~1x"];
+            println!();
+            for kind in ProtocolKind::all() {
+                let name = kind.name();
+                let growth = lat(name, "λ=3000") / lat(name, "λ=1000").max(1e-9);
+                let expected = expected[usize::from(kind.responsive())];
+                println!("{name:<12} latency growth 1000->3000 ms: {growth:5.2}x ({expected})");
             }
         }
-        3 => print_points(&figures::fig3(n, reps, seed)),
-        4 => print_points(&figures::fig4(n, reps, seed, &[1000.0, 2000.0, 3000.0])),
-        5 => print_points(&figures::fig5(n, reps, seed, &[150.0, 500.0, 1000.0])),
-        6 => print_points(&figures::fig6(n, reps, seed, 20.0)),
-        7 => print_points(&figures::fig7(n, reps, seed, &[0, 2, 4])),
-        8 => print_points(&figures::fig8(n, reps, seed)),
-        _ => {
-            for (node, timeline) in figures::fig9(n, seed) {
-                let s: Vec<String> = timeline
-                    .iter()
-                    .map(|(t, v)| format!("{t:.1}s->v{v}"))
-                    .collect();
-                println!("{node}: {}", s.join(" "));
+        5 => {
+            let [low, ok] = ["λ=150", "λ=1000"].map(|x| lat("hotstuff-ns", x));
+            println!("\nHotStuff+NS at λ=150 vs λ=1000: {low:.1}s vs {ok:.1}s (paper: 5.3x degradation, up to ~80 s worst case)");
+            let [low, ok] = ["λ=150", "λ=1000"].map(|x| lat("librabft", x));
+            println!("LibraBFT    at λ=150 vs λ=1000: {low:.1}s vs {ok:.1}s (paper: flat)");
+        }
+        6 => {
+            println!();
+            for p in &points {
+                let (name, extra) = (p.protocol.name(), p.latency.mean - resolve_s);
+                println!("{name:<12} terminates {extra:7.1} s after the partition resolves");
             }
         }
+        8 => {
+            let [s1, s2, s3] = ["add-v1", "add-v2", "add-v3"].map(|v| lat(v, "static"));
+            let [a1, a2, a3] = ["add-v1", "add-v2", "add-v3"].map(|v| lat(v, "adaptive"));
+            println!("\nstatic:   v1 {s1:.1}s  v2 {s2:.1}s  v3 {s3:.1}s   (paper: v1 grows ~f iterations, v2/v3 flat)");
+            println!("adaptive: v1 {a1:.1}s  v2 {a2:.1}s  v3 {a3:.1}s   (paper: v2 grows ~f iterations, v3 flat)");
+        }
+        _ => {} // Fig. 7 is its table
     }
 }
 
-fn print_points(points: &[figures::Point]) {
+/// Fig. 9: each node's view timeline, then how many distinct views the
+/// nodes hold at each second of simulated time.
+fn print_fig9() {
+    use std::collections::HashSet;
+    let (n, seed) = (figures::N, figures::FIG9_SEED);
+    println!("\n=== Fig. 9 — per-node views during HotStuff+NS execution ===");
+    println!("n = {n}, lambda = 150 ms, delays N(250, 50), seed {seed}\n");
+    let timelines = figures::fig9(n, seed);
+    let last_entries = timelines.iter().flat_map(|(_, t)| t.last());
+    let end = last_entries.fold(0.0f64, |end, &(t, _)| end.max(t));
+    println!("run spanned {end:.1} s of simulated time\n");
+    for (node, timeline) in &timelines {
+        let entries = timeline.iter().map(|(t, v)| format!("{t:.1}s->v{v}"));
+        println!("{node}: {}", entries.collect::<Vec<_>>().join(" "));
+    }
+    println!("\nview divergence per second (1 = synchronized):");
+    let mut strip = String::new();
+    for sec in 0..end.ceil() as u64 + 1 {
+        // The view a node holds at `sec`: its timeline is in time order.
+        let now = sec as f64;
+        let held = |t: &[(f64, u64)]| t.iter().rev().find(|e| e.0 <= now).map_or(0, |e| e.1);
+        let views: HashSet<u64> = timelines.iter().map(|(_, t)| held(t)).collect();
+        strip.push(char::from_digit(views.len().min(9) as u32, 10).unwrap_or('9'));
+        if sec % 80 == 79 {
+            strip.push('\n');
+        }
+    }
+    println!("{strip}");
+}
+
+/// `bft-sim table N`: our implementation line counts, then the paper's.
+fn run_table(which: u8) {
+    let detail = "implementation LoC (non-blank, non-comment, excluding unit tests)";
+    if which == 1 {
+        println!("\n=== Table I — implemented BFT protocols ===\n{detail}\n");
+        println!("{:<14} {:<24} {:>6}", "protocol", "network model", "LoC");
+        for row in loc::table1() {
+            println!("{:<14} {:<24} {:>6}", row.name, row.network, row.loc);
+        }
+        println!("\npaper (JavaScript): ADD+ 304/307/376, Algorand 387, async BA 265,");
+        println!("                    PBFT 606, HotStuff+NS 502, LibraBFT 568");
+    } else {
+        println!("\n=== Table II — implemented attacks ===\n{detail}\n");
+        println!(
+            "{:<20} {:<22} {:>6}",
+            "attack", "attacker capability", "LoC"
+        );
+        for row in loc::table2() {
+            println!("{:<20} {:<22} {:>6}", row.name, row.capability, row.loc);
+        }
+        println!("\npaper (JavaScript): partition 86, ADD+ static 86, ADD+ adaptive 117");
+    }
+}
+
+/// Mean latency of `protocol` at `x`, NaN when the figure has no such point.
+fn latency(points: &[figures::Point], protocol: &str, x: &str) -> f64 {
+    let point = points
+        .iter()
+        .find(|p| p.protocol.name() == protocol && p.x == x);
+    point.map_or(f64::NAN, |p| p.latency.mean)
+}
+
+/// Mean ± sd with a unit, `-` for an empty summary.
+fn fmt_summary(s: &bft_sim_core::metrics::Summary, unit: &str) -> String {
+    if s.count == 0 {
+        return "-".to_string();
+    }
+    format!("{:9.3} ± {:7.3} {unit}", s.mean, s.std_dev)
+}
+
+/// Figure points as one latency / messages / timeout-share row each.
+fn print_latency_table(points: &[figures::Point]) {
+    println!(
+        "{:<12} {:<16} {:>24} {:>24} {:>9}",
+        "protocol", "x", "latency (s)", "msgs/decision", "timeouts"
+    );
     for p in points {
         println!(
-            "{:<14} {:<16} lat {:8.3} ± {:7.3} s   msgs {:10.1}   timeouts {:3.0}%",
+            "{:<12} {:<16} {:>24} {:>24} {:>8.0}%",
             p.protocol.name(),
             p.x,
-            p.latency.mean,
-            p.latency.std_dev,
-            p.messages.mean,
+            fmt_summary(&p.latency, "s"),
+            fmt_summary(&p.messages, ""),
             p.timeout_rate * 100.0
         );
     }
@@ -1673,6 +1796,13 @@ mod tests {
 
     fn args(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| x.to_string()).collect()
+    }
+
+    #[test]
+    fn fmt_summary_handles_empty_summaries() {
+        use bft_sim_core::metrics::Summary;
+        assert_eq!(fmt_summary(&Summary::default(), "s"), "-");
+        assert!(fmt_summary(&Summary::of(&[1.0, 2.0]), "s").contains("1.500"));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Generators for every figure of the paper's evaluation (§IV).
 //!
-//! Each function reproduces the data series of one figure; the benchmark
-//! harnesses in `bft-sim-bench` print them as tables, and miniature
-//! versions are asserted in the integration tests. Repetition counts are
-//! parameters so tests can run small and benches can run the paper's 100.
+//! Each function reproduces the data series of one figure. `bft-sim fig N`
+//! runs them at the paper's settings, the constants below, and prints them;
+//! `tests/experiments.rs` asserts miniature versions. Sizes, grids and
+//! repetition counts are parameters so the tests can run small.
 
 use std::time::Instant;
 
@@ -14,6 +14,32 @@ use bft_sim_core::trace::TraceLevel;
 use bft_sim_protocols::registry::ProtocolKind;
 
 use super::{AttackSpec, Scenario};
+
+// The paper's settings: what `bft-sim fig N` runs.
+/// System size of Figs. 3–9.
+pub const N: usize = 16;
+/// Repetitions per point of Figs. 3–8.
+pub const REPS: usize = 100;
+/// Fig. 2's system sizes: to the largest the paper's simulator ran.
+pub const FIG2_SIZES: [usize; 8] = [4, 8, 16, 32, 64, 128, 256, 512];
+/// Fig. 2's timed runs per size.
+pub const FIG2_REPS: usize = 10;
+/// Fig. 4's λ values (ms), from the network's delay upward.
+pub const FIG4_LAMBDAS: [f64; 5] = [1000.0, 1500.0, 2000.0, 2500.0, 3000.0];
+/// Fig. 5's λ values (ms), from below the network's delay upward.
+pub const FIG5_LAMBDAS: [f64; 5] = [150.0, 250.0, 500.0, 1000.0, 2000.0];
+/// When Fig. 6's partition resolves (s).
+pub const FIG6_RESOLVE_S: f64 = 20.0;
+/// Fig. 7's fail-stop counts.
+pub const FIG7_CRASHES: [usize; 6] = [0, 1, 2, 3, 4, 5];
+/// Fig. 9's run: a seed whose views diverge, as the paper's one execution
+/// shows the pathology rather than a typical run.
+pub const FIG9_SEED: u64 = 167;
+
+/// The base seed of Fig. `fig` (2..=8).
+pub const fn seed(fig: u8) -> u64 {
+    0xF160 + fig as u64
+}
 
 /// A `(protocol, x, latency, messages)` data point shared by most figures.
 #[derive(Debug, Clone)]
@@ -76,21 +102,20 @@ pub struct Fig2Row {
 }
 
 /// Fig. 2: wall time to simulate PBFT to one decision, λ = 1000 ms, delays
-/// N(250, 50): an untimed warm-up run, then `reps` timed runs per size.
+/// N(250, 50): an untimed warm-up run at `base_seed`, whose event count is
+/// the row's, then `reps` timed runs per size.
 /// [`fig2_paper_column`] is the paper's side of the figure.
 pub fn fig2(sizes: &[usize], reps: usize, base_seed: u64) -> Vec<Fig2Row> {
     let mut rows = Vec::new();
     for &n in sizes {
         let scenario = Scenario::new(ProtocolKind::Pbft, n);
         let mut walls = Vec::new();
-        let mut events = 0;
-        let _ = scenario.run(base_seed); // warm-up, untimed
+        let events = scenario.run(base_seed).events_processed;
         for rep in 0..reps.max(1) {
             let start = Instant::now();
             let result = scenario.run(base_seed + rep as u64);
             walls.push(start.elapsed().as_secs_f64() * 1000.0);
             assert!(result.is_clean(), "fig2 run failed at n={n}");
-            events = result.events_processed;
         }
         rows.push(Fig2Row {
             n,
@@ -146,12 +171,8 @@ pub fn fig4(n: usize, reps: usize, base_seed: u64, lambdas: &[f64]) -> Vec<Point
     for kind in ProtocolKind::all() {
         for &lambda in lambdas {
             let scenario = Scenario::new(kind, n).with_lambda(lambda);
-            points.push(measure(
-                &scenario,
-                reps,
-                base_seed,
-                format!("λ={lambda:.0}"),
-            ));
+            let label = format!("λ={lambda:.0}");
+            points.push(measure(&scenario, reps, base_seed, label));
         }
     }
     points
@@ -175,12 +196,8 @@ pub fn fig5(n: usize, reps: usize, base_seed: u64, lambdas: &[f64]) -> Vec<Point
                 // HotStuff+NS can wander for minutes here (that is the
                 // finding); give it room before calling a timeout.
                 .with_time_cap_s(900.0);
-            points.push(measure(
-                &scenario,
-                reps,
-                base_seed,
-                format!("λ={lambda:.0}"),
-            ));
+            let label = format!("λ={lambda:.0}");
+            points.push(measure(&scenario, reps, base_seed, label));
         }
     }
     points
@@ -308,6 +325,8 @@ mod tests {
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].n, 4);
         assert!(rows[0].events > 0);
+        // The count is the warm-up run's, whatever the number of timed runs.
+        assert_eq!(fig2(&[16], 1, 11)[0].events, fig2(&[16], 3, 11)[0].events);
         assert_eq!(fig2_paper_column(32), "38 ms; BFTSim 19.4 s");
         assert_eq!(fig2_paper_column(64), "BFTSim out of memory");
         assert_eq!(fig2_paper_column(4), "-");

@@ -1,9 +1,9 @@
 //! The paper's evaluation (§IV), reproducible: scenario runner, attack
 //! specifications, repetition machinery and per-figure generators.
 //!
-//! Every table and figure of the paper has a generator in [`figures`]; the
-//! benchmark harnesses in `bft-sim-bench` print them, and miniature versions
-//! run inside the integration test-suite.
+//! Every table and figure of the paper has a generator in [`figures`] or
+//! [`loc`]; `bft-sim fig N` and `bft-sim table N` print them at the paper's
+//! settings, and miniature versions run inside the integration test-suite.
 
 pub mod cost;
 pub mod figures;

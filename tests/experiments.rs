@@ -1,7 +1,7 @@
 //! Miniature versions of every figure and table in the paper's evaluation,
-//! asserting the qualitative claims end-to-end. The full-size sweeps live
-//! in the `bft-sim-bench` harnesses; these run with few repetitions so the
-//! whole evaluation is exercised by `cargo test`.
+//! asserting the qualitative claims end-to-end. The full-size sweeps are
+//! `bft-sim fig N` and `bft-sim table N`; these run with few repetitions so
+//! the whole evaluation is exercised by `cargo test`.
 
 use bft_simulator::experiments::figures;
 use bft_simulator::experiments::loc;
@@ -20,7 +20,7 @@ fn mean(points: &[figures::Point], proto: ProtocolKind, x: &str) -> f64 {
 #[test]
 fn fig2_every_size_runs_clean_and_events_grow_with_n() {
     // Deterministic facts only: `fig2` asserts every run is clean, and wall
-    // time belongs to the release-built `fig2_simulation_speed` bench.
+    // time belongs to the release-built `bft-sim fig 2`.
     let rows = figures::fig2(&[8, 32, 64], 1, 0x2222);
     let sizes: Vec<usize> = rows.iter().map(|r| r.n).collect();
     assert_eq!(sizes, [8, 32, 64]);
@@ -161,6 +161,45 @@ fn fig6_partition_recovery_is_fast_except_for_hotstuff_ns() {
                 "{} should recover within seconds, got {extra:.1}",
                 p.protocol
             );
+        }
+    }
+}
+
+#[test]
+fn ablation_retransmission_not_timer_arithmetic_drives_partition_recovery() {
+    // DESIGN.md §8: HotStuff+NS only has its local, exponentially grown view
+    // timers to re-converge after a partition, so it pays a large penalty
+    // however long the split lasted. The three pacemakers that re-send their
+    // synchronisation votes recover within seconds at either length.
+    for resolve_s in [5.0, 40.0] {
+        for kind in [
+            ProtocolKind::HotStuffNs,
+            ProtocolKind::LibraBft,
+            ProtocolKind::Pbft,
+            ProtocolKind::Tendermint,
+        ] {
+            let scenario = Scenario::new(kind, 16)
+                .with_attack(AttackSpec::Partition {
+                    start_ms: 0,
+                    end_ms: (resolve_s * 1000.0) as u64,
+                    drop: true,
+                })
+                .with_decisions(1)
+                .with_time_cap_s(1800.0);
+            let results = scenario.run_many(1, 0xAB1A);
+            assert!(results[0].safety_violation.is_none(), "{kind}");
+            let overhead = scenario.latency_summary(&results).mean - resolve_s;
+            if kind == ProtocolKind::HotStuffNs {
+                assert!(
+                    overhead > 30.0,
+                    "{kind} after a {resolve_s} s split: {overhead:.1} s"
+                );
+            } else {
+                assert!(
+                    overhead < 10.0,
+                    "{kind} after a {resolve_s} s split: {overhead:.1} s"
+                );
+            }
         }
     }
 }
