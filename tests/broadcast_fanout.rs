@@ -622,3 +622,66 @@ fn a_schedule_recorded_by_per_recipient_scheduling_replays() {
     );
     assert!(replayed.safety_violation.is_none(), "replay diverged");
 }
+
+/// Delays node 0's copies past what 32 bits of microseconds hold: to node 1
+/// by 2³² − 1 µs, to nodes 2 and 4 by 2³² µs, to node 3 by two hours. Node
+/// 1's copy for node 2 is delayed by 2³² µs as well, so two broadcasts tie
+/// there.
+struct BeyondU32;
+
+const U32_MICROS: u64 = 1 << 32;
+const TWO_HOURS_MICROS: u64 = 2 * 3_600_000_000;
+
+impl Adversary for BeyondU32 {
+    fn attack(
+        &mut self,
+        msg: &mut Message,
+        proposed: SimDuration,
+        _api: &mut AdversaryApi<'_>,
+    ) -> Fate {
+        let micros = match (msg.src().index(), msg.dst().index()) {
+            (0, 1) => U32_MICROS - 1,
+            (0, 2) | (0, 4) | (1, 2) => U32_MICROS,
+            (0, 3) => TWO_HOURS_MICROS,
+            _ => return Fate::Deliver(proposed),
+        };
+        Fate::Deliver(SimDuration::from_micros(micros))
+    }
+}
+
+/// The digest was taken while every recipient still carried an absolute
+/// delivery time, before copies delayed by 2³² µs or more left the fan-out
+/// record for a queue entry of their own.
+#[test]
+fn copies_delayed_past_u32_micros_keep_their_places() {
+    let script = Script {
+        opening: 1,
+        to_self: true,
+        echo: false,
+        decide_at_ms: 3.0 * 3_600_000.0,
+    };
+    let cfg = RunConfig::new(5)
+        .with_seed(7)
+        .with_time_cap(SimDuration::from_secs(4.0 * 3_600.0));
+    let (result, _) = check_against_parent(
+        0xb997_9f94_2dc5_ce6e,
+        gossip(cfg, script)
+            .network(ConstantNetwork::new(SimDuration::from_millis(10.0)))
+            .adversary(BeyondU32),
+    );
+    let late: Vec<_> = deliveries(&result)
+        .into_iter()
+        .filter(|&(t, ..)| t >= U32_MICROS - 1)
+        .collect();
+    assert_eq!(
+        late,
+        vec![
+            (U32_MICROS - 1, 0, 1),
+            (U32_MICROS, 0, 2),
+            (U32_MICROS, 0, 4),
+            (U32_MICROS, 1, 2),
+            (TWO_HOURS_MICROS, 0, 3),
+        ]
+    );
+    assert!(!result.timed_out);
+}
