@@ -21,7 +21,8 @@
 //! are handed to the scheduler as one entry
 //! ([`Scheduler::schedule_fanout`]) that it moves to each recipient's
 //! reserved `(timestamp, seq)` in turn. All-to-all phases therefore keep n²
-//! 16-byte recipients resident instead of n² full events.
+//! 12-byte recipients resident instead of n² full events (a copy delayed by
+//! 2³² µs or more is scheduled as an event of its own).
 
 use std::mem;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -537,13 +538,14 @@ impl Simulation {
     /// (a buggify duplicate right after its original, the self-copy last)
     /// and dropped copies consume none. Only what happens to the copies
     /// differs. Those still sharing the broadcast's payload allocation and
-    /// source become 16-byte [`Recipient`]s of a single fan-out entry; a copy
-    /// the adversary rewrote is a message of its own and is scheduled as
-    /// such, at its seq from the same block.
+    /// source become 12-byte [`Recipient`]s of a single fan-out entry; a copy
+    /// the adversary rewrote, or one delayed by 2³² µs or more (which a
+    /// `Recipient`'s offset cannot hold), is a message of its own and is
+    /// scheduled as such, at its seq from the same block.
     fn broadcast(&mut self, src: NodeId, payload: Arc<dyn Payload>, include_self: bool) {
         self.sinks.metrics.count_broadcast();
         let mut recipients = mem::take(&mut self.recipients);
-        let mut rewritten: Vec<(Recipient, Message)> = Vec::new();
+        let mut rewritten: Vec<(crate::time::SimTime, u32, Message)> = Vec::new();
         // At most 2(n − 1) + 1 copies; `RunConfig::validate` keeps n ≤ u32.
         let mut copies = 0u32;
         // One message is re-addressed for every destination, so the shared
@@ -562,16 +564,15 @@ impl Simulation {
                     .payload_arc()
                     .is_some_and(|arc| Arc::ptr_eq(arc, &payload));
             for delay in [wire.delivery, wire.duplicate].into_iter().flatten() {
-                let copy = Recipient {
-                    at: self.clock + delay,
-                    seq_offset: copies,
-                    dst,
-                };
+                let seq_offset = copies;
                 copies += 1;
-                if shared {
-                    recipients.push(copy);
-                } else {
-                    rewritten.push((copy, msg.clone()));
+                match u32::try_from(delay.as_micros()) {
+                    Ok(after) if shared => recipients.push(Recipient {
+                        after,
+                        seq_offset,
+                        dst,
+                    }),
+                    _ => rewritten.push((self.clock + delay, seq_offset, msg.clone())),
                 }
             }
             if !shared {
@@ -580,7 +581,7 @@ impl Simulation {
         }
         if include_self {
             recipients.push(Recipient {
-                at: self.clock,
+                after: 0,
                 seq_offset: copies,
                 dst: src,
             });
@@ -588,10 +589,10 @@ impl Simulation {
         }
 
         let first_seq = self.queue.reserve(u64::from(copies));
-        for (copy, msg) in rewritten {
+        for (at, seq_offset, msg) in rewritten {
             self.queue.schedule_reserved(
-                copy.at,
-                first_seq + u64::from(copy.seq_offset),
+                at,
+                first_seq + u64::from(seq_offset),
                 EventKind::Deliver(msg),
             );
         }

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use crate::ids::{NodeId, TimerId};
 use crate::message::Message;
 use crate::payload::{Payload, PayloadCell};
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 
 /// A timer registered by a node, waiting in the queue.
 ///
@@ -47,18 +47,27 @@ impl Timer {
     }
 }
 
-/// One pending delivery of a broadcast: when, under which reserved insertion
-/// seq (as an offset into the broadcast's block), and to whom. 16 bytes, so
-/// an all-to-all phase keeps n² of *these* rather than n² queue entries.
+/// One pending delivery of a broadcast: when (as an offset from the send),
+/// under which reserved insertion seq (as an offset into the broadcast's
+/// block), and to whom. 12 bytes, so an all-to-all phase keeps n² of *these*
+/// rather than n² queue entries. A copy delayed by 2³² µs (≈ 71.6 min) or
+/// more has no `Recipient`: the engine schedules it as an event of its own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Recipient {
-    /// Absolute delivery time.
-    pub(crate) at: SimTime,
+    /// Microseconds after the broadcast's [`FanOut::sent_at`].
+    pub(crate) after: u32,
     /// The delivery's seq, relative to the first seq reserved for the
     /// broadcast.
     pub(crate) seq_offset: u32,
     /// The destination node.
     pub(crate) dst: NodeId,
+}
+
+impl Recipient {
+    /// Absolute delivery time of a copy sent at `sent_at`.
+    pub(crate) fn at(self, sent_at: SimTime) -> SimTime {
+        sent_at + SimDuration::from_micros(u64::from(self.after))
+    }
 }
 
 /// All still-undelivered copies of one broadcast that share its payload
@@ -67,10 +76,10 @@ pub struct Recipient {
 /// Created and consumed inside the scheduler (see
 /// [`Scheduler::schedule_fanout`](crate::scheduler::Scheduler::schedule_fanout)):
 /// the record sits in the queue at its earliest recipient's
-/// `(at, first_seq + seq_offset)`, each pop splits that recipient off as an
-/// ordinary [`EventKind::Deliver`] and moves the record to the next
-/// recipient's reserved position, so the deliveries surface in exactly the
-/// order separately scheduled entries would.
+/// `(sent_at + after, first_seq + seq_offset)`, each pop splits that
+/// recipient off as an ordinary [`EventKind::Deliver`] and moves the record
+/// to the next recipient's reserved position, so the deliveries surface in
+/// exactly the order separately scheduled entries would.
 #[derive(Debug)]
 pub struct FanOut {
     pub(crate) src: NodeId,

@@ -294,7 +294,7 @@ impl FanOutStore {
         page.live += 1;
         self.backlog += recipients.len() - 1;
         Some(ScheduledEvent {
-            at: due.at,
+            at: due.at(sent_at),
             seq: first_seq + u64::from(due.seq_offset),
             kind: EventKind::FanOut(record),
         })
@@ -346,7 +346,7 @@ impl FanOutStore {
         match next {
             Some(next) => {
                 self.backlog -= 1;
-                key.at = next.at;
+                key.at = next.at(record.sent_at);
                 key.seq = record.first_seq + u64::from(next.seq_offset);
             }
             None => {
@@ -373,6 +373,7 @@ struct Key {
 }
 
 const _: () = assert!(std::mem::size_of::<Key>() <= 24);
+const _: () = assert!(std::mem::size_of::<Recipient>() == 12);
 
 #[derive(Debug)]
 enum Slot {
@@ -657,31 +658,35 @@ mod tests {
             handle
         }
 
-        /// A broadcast over a freshly reserved block, recipient `i` due at
-        /// `times[i]` µs.
-        fn fanout(&mut self, times: &[u64]) {
+        /// A broadcast sent at `sent_at` µs over a freshly reserved block,
+        /// recipient `i` due at `times[i]` µs.
+        fn fanout(&mut self, sent_at: u64, times: &[u64]) {
             let first = self.reserve(times.len() as u64);
+            let sent_at = SimTime::from_micros(sent_at);
             let mut recipients: Vec<Recipient> = times
                 .iter()
                 .enumerate()
                 .map(|(i, &t)| Recipient {
-                    at: SimTime::from_micros(t),
+                    after: u32::try_from(t - sent_at.as_micros())
+                        .expect("the engine keeps only copies due within 2^32 µs in a fan-out"),
                     seq_offset: i as u32,
                     dst: NodeId::new(i as u32),
                 })
                 .collect();
             recipients.sort_unstable_by(|a, b| b.cmp(a));
-            self.model.pending.extend(
-                recipients
-                    .iter()
-                    .map(|r| (r.at, first + u64::from(r.seq_offset), Some(r.seq_offset))),
-            );
+            self.model.pending.extend(recipients.iter().map(|r| {
+                (
+                    r.at(sent_at),
+                    first + u64::from(r.seq_offset),
+                    Some(r.seq_offset),
+                )
+            }));
             if !times.is_empty() {
                 self.model.broadcasts.insert(first, times.len());
             }
             self.heap.schedule_fanout(
                 NodeId::new(0),
-                SimTime::ZERO,
+                sent_at,
                 Arc::new(()) as Arc<dyn Payload>,
                 first,
                 &recipients,
@@ -791,7 +796,7 @@ mod tests {
         let later = q.schedule(80, timer_event(3));
         assert_eq!(later.slot, cancelled.slot);
         // A broadcast due on both sides of the stale key at 50.
-        q.fanout(&[40, 60]);
+        q.fanout(10, &[40, 60]);
         assert_eq!(
             q.drain(),
             vec![
@@ -943,11 +948,13 @@ mod tests {
                     _ => {
                         // A broadcast: one entry standing for up to twelve
                         // deliveries, a third of them sharing the current
-                        // instant, the rest spread up to hours ahead.
+                        // instant, the rest spread up to an hour ahead —
+                        // short of 2^32 µs, beyond which the engine schedules
+                        // a copy on its own (`schedule_reserved` above).
                         let times: Vec<u64> = (0..rng.gen_range(0..13u64))
-                            .map(|i| clock + (i % 3) * delay(&mut rng))
+                            .map(|i| clock + (i % 3) * delay(&mut rng).min((1 << 31) - 1))
                             .collect();
-                        q.fanout(&times);
+                        q.fanout(clock, &times);
                     }
                 }
             }
@@ -964,7 +971,7 @@ mod tests {
         let mut q = Checked::default();
         // Two recipients share a timestamp (seq decides), one is due much
         // later than the plain event scheduled after the broadcast.
-        q.fanout(&[500, 9_000_000, 500, 20_000]);
+        q.fanout(0, &[500, 9_000_000, 500, 20_000]);
         q.schedule(600, message_like_event(0));
         assert_eq!(q.heap.len(), 5);
         assert_eq!(q.heap.stats().peak_resident, 2);
@@ -992,7 +999,7 @@ mod tests {
             // 40 broadcasts of 10 recipients in flight at once: 2.5 pages.
             for _ in 0..40 {
                 let times: Vec<u64> = (0..10).map(|i| clock + 1 + i).collect();
-                q.fanout(&times);
+                q.fanout(clock, &times);
             }
             assert_eq!(q.heap.len(), 400, "wave {wave}");
             clock = q.drain().last().expect("400 deliveries").0;

@@ -9,8 +9,10 @@
 //!
 //! HotStuff's paper leaves the PaceMaker abstract; following the paper under
 //! reproduction, we pair it with the **naive view-doubling synchronizer** of
-//! Naor et al.: a local view timer that *doubles on every expiry and is never
-//! reset*, with no view-synchronisation messages beyond the `new-view`
+//! Naor et al.: a local view timer of λ · 2^(d − 1), where d is the number of
+//! views since the last commit and the factor is capped at 2²⁰, so each view
+//! without a commit lasts twice the one before and a commit restarts at λ.
+//! There are no view-synchronisation messages beyond the `new-view`
 //! interest sent to the next leader. This is what produces the pathologies
 //! the paper measures: views drift apart when λ underestimates the real
 //! delay (Figs. 5 and 9), and after a partition the accumulated doubling
@@ -296,8 +298,9 @@ impl Protocol for HotStuffNs {
         if t.view != self.view {
             return;
         }
-        // The naive synchronizer: views double in duration by view number;
-        // on expiry move on and tell the new leader our highest QC. There
+        // The naive synchronizer: views double in duration with their
+        // distance from the last commit (`view_duration`, factor capped at
+        // 2^20); on expiry move on and tell the new leader our highest QC. There
         // is no other synchronisation — which is why views drift apart
         // under mis-estimated λ (Fig. 9).
         ctx.report_fmt(
