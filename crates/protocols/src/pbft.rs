@@ -158,7 +158,9 @@ impl Pbft {
             sent_prepare: false,
             sent_commit: false,
             prepared_cert: None,
-            prepares: VoteTracker::new(q),
+            // Every replica prepares every slot: allocated at build, not
+            // at the first vote inside the run.
+            prepares: VoteTracker::presized(q),
             commit_certs: FastMap::default(),
             view_changes: VoteTracker::new(q),
             vc_best_prepared: FastMap::default(),
