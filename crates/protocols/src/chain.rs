@@ -59,6 +59,77 @@ pub(crate) fn genesis_digest() -> Digest {
 /// A proposal parked until the block its justify certifies is local.
 pub(crate) type Parked = (NodeId, ProposalBlock, QuorumCert);
 
+/// One replica's blocks: the committed prefix by height, the rest by digest.
+///
+/// A committed block is a `(digest, view)` pair at its height: its parent is
+/// the entry below it, and so is its justify, since every block
+/// [`Chain::next_block`] builds extends the block its justify QC certifies
+/// (and a QC's view is its block's view). [`Self::commit`] moves only a block
+/// that this rebuild returns exactly; any other stays in `live`, so every
+/// lookup answers what a plain map of the inserts would.
+#[derive(Debug)]
+struct BlockStore {
+    live: FastMap<Digest, BlockInfo>,
+    /// `committed[h]` is the committed block at height `h`; genesis is `[0]`.
+    committed: Vec<(Digest, u64)>,
+}
+
+impl BlockStore {
+    fn new() -> Self {
+        // Pre-sized so short runs allocate nothing inside the run: a few
+        // blocks are uncommitted at a time, and one commits per view.
+        let mut committed = Vec::with_capacity(64);
+        committed.push((genesis_digest(), 0));
+        BlockStore {
+            live: FastMap::with_capacity_and_hasher(4, Default::default()),
+            committed,
+        }
+    }
+
+    /// The prefix's block at `height` if its view is `view` (genesis for 0).
+    fn rebuild(&self, height: usize, view: u64) -> BlockInfo {
+        let (parent, parent_view) = self.committed[height.saturating_sub(1)];
+        BlockInfo {
+            view,
+            parent,
+            justify_view: parent_view,
+            justify_digest: parent,
+            height: height as u64,
+        }
+    }
+
+    fn get(&self, digest: Digest) -> Option<BlockInfo> {
+        if let Some(&info) = self.live.get(&digest) {
+            return Some(info);
+        }
+        let height = self.committed.iter().rposition(|&(d, _)| d == digest)?;
+        Some(self.rebuild(height, self.committed[height].1))
+    }
+
+    /// Stores `info` unless `digest` is stored already. A digest hashes its
+    /// height, so a committed one is found at `info.height` without a scan.
+    fn insert(&mut self, digest: Digest, info: BlockInfo) {
+        let at_height = usize::try_from(info.height)
+            .ok()
+            .and_then(|h| self.committed.get(h));
+        if at_height.map(|&(d, _)| d) != Some(digest) {
+            self.live.entry(digest).or_insert(info);
+        }
+    }
+
+    /// Moves a just-decided block onto the prefix if the prefix rebuilds it
+    /// exactly (which also means it extends the prefix's top).
+    fn commit(&mut self, digest: Digest) {
+        let Some(&info) = self.live.get(&digest) else {
+            return;
+        };
+        if info == self.rebuild(self.committed.len(), info.view) {
+            self.live.remove(&digest);
+            self.committed.push((digest, info.view));
+        }
+    }
+}
+
 /// One replica's block tree; `M` is the caller's wire enum.
 #[derive(Debug)]
 pub(crate) struct Chain<M> {
@@ -67,7 +138,7 @@ pub(crate) struct Chain<M> {
     block_tag: u64,
     vote_phase: u8,
     sync_req: fn(Digest) -> M,
-    blocks: FastMap<Digest, BlockInfo>,
+    blocks: BlockStore,
     high_qc: QuorumCert,
     locked_view: u64,
     locked_digest: Digest,
@@ -99,24 +170,12 @@ impl<M: Payload + Clone + 'static> Chain<M> {
         vote_phase: u8,
         sync_req: fn(Digest) -> M,
     ) -> Self {
-        // One insert per view: pre-sized so the steady state never rehashes.
-        let mut blocks = FastMap::with_capacity_and_hasher(64, Default::default());
-        blocks.insert(
-            genesis_digest(),
-            BlockInfo {
-                view: 0,
-                parent: genesis_digest(),
-                justify_view: 0,
-                justify_digest: genesis_digest(),
-                height: 0,
-            },
-        );
         Chain {
             quorum,
             block_tag,
             vote_phase,
             sync_req,
-            blocks,
+            blocks: BlockStore::new(),
             high_qc: QuorumCert {
                 view: 0,
                 digest: genesis_digest(),
@@ -149,7 +208,7 @@ impl<M: Payload + Clone + 'static> Chain<M> {
 
     /// The stored block with this digest (what a block request asks for).
     pub(crate) fn block(&self, digest: Digest) -> Option<BlockInfo> {
-        self.blocks.get(&digest).copied()
+        self.blocks.get(digest)
     }
 
     fn qc_valid(&self, qc: &QuorumCert) -> bool {
@@ -173,7 +232,7 @@ impl<M: Payload + Clone + 'static> Chain<M> {
     /// [`Self::wants_to_propose`] says when to ask again.
     pub(crate) fn next_block(&mut self, view: u64, ctx: &mut Context<'_>) -> Option<ProposalBlock> {
         let parent = self.high_qc.digest;
-        let Some(parent_info) = self.blocks.get(&parent) else {
+        let Some(parent_info) = self.blocks.get(parent) else {
             self.want_propose = Some(view);
             let voter = self.high_qc.signers.iter().find(|&v| v != ctx.id());
             self.fetch(parent, voter, ctx);
@@ -211,7 +270,7 @@ impl<M: Payload + Clone + 'static> Chain<M> {
         if !self.qc_valid(justify) {
             return false;
         }
-        if justify.view > 0 && !self.blocks.contains_key(&justify.digest) {
+        if justify.view > 0 && self.blocks.get(justify.digest).is_none() {
             self.fetch(justify.digest, Some(src), ctx);
             self.parked.push((src, block, justify.clone()));
             return false;
@@ -221,13 +280,16 @@ impl<M: Payload + Clone + 'static> Chain<M> {
     }
 
     fn store_block(&mut self, block: ProposalBlock, justify_view: u64, justify_digest: Digest) {
-        self.blocks.entry(block.digest).or_insert(BlockInfo {
-            view: block.view,
-            parent: block.parent,
-            justify_view,
-            justify_digest,
-            height: block.height,
-        });
+        self.blocks.insert(
+            block.digest,
+            BlockInfo {
+                view: block.view,
+                parent: block.parent,
+                justify_view,
+                justify_digest,
+                height: block.height,
+            },
+        );
     }
 
     /// Applies a QC to `high_qc`, lock and commit height; `false` if invalid.
@@ -312,9 +374,10 @@ impl<M: Payload + Clone + 'static> Chain<M> {
                 // already-decided heights, which the check above filtered.
                 debug_assert_eq!(height, self.decided_height + 1);
                 self.decided_height = height;
-                if let Some(info) = self.blocks.get(&digest) {
+                if let Some(info) = self.blocks.get(digest) {
                     self.last_committed_view = self.last_committed_view.max(info.view);
                 }
+                self.blocks.commit(digest);
                 ctx.report_fmt("commit", format_args!("height={height}"));
                 ctx.decide(Value::new(digest.as_u64()));
             }
@@ -373,7 +436,7 @@ impl<M: Payload + Clone + 'static> Chain<M> {
             if digest == self.locked_digest {
                 return true;
             }
-            match self.blocks.get(&digest) {
+            match self.blocks.get(digest) {
                 Some(info) if info.height == 0 => return self.locked_digest == genesis_digest(),
                 Some(info) => digest = info.parent,
                 None => return false,
@@ -405,8 +468,136 @@ impl<M: Payload + Clone + 'static> Chain<M> {
         ctx: &mut Context<'_>,
     ) -> Vec<Parked> {
         self.fetch_in_flight.remove(&digest);
-        self.blocks.entry(digest).or_insert(info);
+        self.blocks.insert(digest, info);
         self.retry_pending_decides(src, ctx);
         self.take_parked()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    fn block_on(parent: Digest, parent_info: BlockInfo, view: u64) -> BlockInfo {
+        BlockInfo {
+            view,
+            parent,
+            justify_view: parent_info.view,
+            justify_digest: parent,
+            height: parent_info.height + 1,
+        }
+    }
+
+    /// Drives the store and a plain map through the same inserts, commits
+    /// and lookups: forks, re-inserts of stored digests, unknown digests,
+    /// commits of blocks that do not extend the prefix, and one block whose
+    /// justify skips its parent. Every lookup must agree.
+    #[test]
+    fn block_store_answers_every_lookup_as_a_plain_map_would() {
+        let mut moved = 0;
+        for seed in 0..64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut store = BlockStore::new();
+            let genesis = store.get(genesis_digest()).expect("genesis");
+            let mut plain = FastMap::default();
+            plain.insert(genesis_digest(), genesis);
+            let mut known = vec![genesis_digest()];
+            // The decided chain, as `Chain::try_decide_chain` walks it.
+            let mut decided = vec![genesis_digest()];
+            // The first proposal from this step on certifies its grandparent.
+            let mut odd_from = Some(rng.gen_range(300..400u64));
+            for step in 0..400u64 {
+                let fresh = Digest::of_words(&[seed, step]);
+                match rng.gen_range(0..10u32) {
+                    // Propose on the newest block, on a recent one (a fork) or
+                    // on the decided top (reviving its branch).
+                    0..=3 => {
+                        let parent = match rng.gen_range(0..10u32) {
+                            0 => *decided.last().expect("genesis"),
+                            1..=2 => known[known.len() - 1 - rng.gen_range(0..known.len().min(4))],
+                            _ => *known.last().expect("genesis"),
+                        };
+                        let mut info = block_on(parent, plain[&parent], step + 1);
+                        if odd_from.is_some_and(|from| step >= from) {
+                            odd_from = None;
+                            info.justify_digest = plain[&parent].parent;
+                            info.justify_view = plain[&info.justify_digest].view;
+                        }
+                        store.insert(fresh, info);
+                        plain.entry(fresh).or_insert(info);
+                        known.push(fresh);
+                    }
+                    // Re-insert a stored digest at its height with other fields.
+                    4 => {
+                        let digest = known[rng.gen_range(0..known.len())];
+                        let info = BlockInfo {
+                            view: step + 1000,
+                            justify_view: step,
+                            ..plain[&digest]
+                        };
+                        store.insert(digest, info);
+                        plain.entry(digest).or_insert(info);
+                    }
+                    // Decide the next height towards the newest block.
+                    5..=6 => {
+                        let top = *decided.last().expect("genesis");
+                        let mut digest = *known.last().expect("genesis");
+                        while plain[&digest].height > decided.len() as u64 {
+                            digest = plain[&digest].parent;
+                        }
+                        if plain[&digest].height == decided.len() as u64
+                            && plain[&digest].parent == top
+                        {
+                            decided.push(digest);
+                            store.commit(digest);
+                        }
+                    }
+                    // A commit the decide walk never makes: any stored block.
+                    7 => store.commit(known[rng.gen_range(0..known.len())]),
+                    _ => {
+                        let digest = if rng.gen_bool(0.2) {
+                            fresh
+                        } else {
+                            known[rng.gen_range(0..known.len())]
+                        };
+                        assert_eq!(
+                            store.get(digest),
+                            plain.get(&digest).copied(),
+                            "seed {seed} step {step}"
+                        );
+                    }
+                }
+            }
+            for digest in known {
+                assert_eq!(
+                    store.get(digest),
+                    plain.get(&digest).copied(),
+                    "seed {seed}"
+                );
+            }
+            moved += store.committed.len() - 1;
+        }
+        assert!(moved > 2000, "only {moved} blocks reached the prefix");
+    }
+
+    #[test]
+    fn a_straight_chain_leaves_nothing_in_the_map() {
+        let mut store = BlockStore::new();
+        let mut tip = genesis_digest();
+        let mut blocks = vec![];
+        for view in 1..=200 {
+            let info = block_on(tip, store.get(tip).expect("tip"), view);
+            tip = Digest::of_words(&[view]);
+            store.insert(tip, info);
+            store.commit(tip);
+            blocks.push((tip, info));
+        }
+        assert!(store.live.is_empty());
+        assert_eq!(store.committed.len(), 201);
+        for (digest, info) in blocks {
+            assert_eq!(store.get(digest), Some(info));
+        }
     }
 }
