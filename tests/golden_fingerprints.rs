@@ -34,6 +34,13 @@
 //! constant 100 ms delay, seed 5, 3 decisions); the trace pin covers every
 //! node's decided values.
 //!
+//! `"figures/fig2"` … `"figures/fig9"` pin the figure path: the FNV-1a of
+//! one miniature of each figure at the paper's grids and seeds, n = 16 and
+//! two repetitions for Figs. 3–8, over every point's protocol, x label and
+//! the `f64` bits of its latency and message summaries and timeout rate.
+//! Fig. 2's row covers its events column only (the wall column is host
+//! time); Fig. 9's covers the view timelines.
+//!
 //! To regenerate after an *intentional* behaviour change:
 //! `BFT_SIM_BLESS=1 cargo test --test golden_fingerprints`.
 
@@ -73,7 +80,77 @@ fn compute_corpus() -> Vec<(String, u64)> {
     corpus.extend(trace_json_rows());
     corpus.extend(panic_rows());
     corpus.extend(cross_validation_rows());
+    corpus.extend(figure_rows());
     corpus
+}
+
+/// Miniature figures at the paper's grids and seeds: n = 16, two
+/// repetitions per point of Figs. 3–8.
+fn figure_rows() -> Vec<(String, u64)> {
+    use bft_simulator::experiments::figures::{self, seed, Point, N};
+    let points = |points: Vec<Point>| {
+        let mut text = String::new();
+        for p in &points {
+            let (l, m) = (&p.latency, &p.messages);
+            text += &format!(
+                "{} {} {} {:x} {:x} {:x} {} {:x} {:x} {:x} {:x}\n",
+                p.protocol.name(),
+                p.x,
+                l.count,
+                l.mean.to_bits(),
+                l.std_dev.to_bits(),
+                l.min.to_bits(),
+                m.count,
+                m.mean.to_bits(),
+                m.std_dev.to_bits(),
+                m.min.to_bits(),
+                p.timeout_rate.to_bits(),
+            );
+        }
+        fnv1a(text.as_bytes())
+    };
+    let reps = 2;
+    let events: Vec<String> = figures::fig2(&[4, 8, 16, 32], 1, seed(2))
+        .iter()
+        .map(|row| format!("{} {}", row.n, row.events))
+        .collect();
+    let views: Vec<String> = figures::fig9(N, figures::FIG9_SEED)
+        .iter()
+        .map(|(node, timeline)| {
+            let entries = timeline
+                .iter()
+                .map(|(t, v)| format!("{:x}:{v}", t.to_bits()));
+            format!("{node} {}", entries.collect::<Vec<_>>().join(" "))
+        })
+        .collect();
+    vec![
+        ("figures/fig2".into(), fnv1a(events.join("\n").as_bytes())),
+        (
+            "figures/fig3".into(),
+            points(figures::fig3(N, reps, seed(3))),
+        ),
+        (
+            "figures/fig4".into(),
+            points(figures::fig4(N, reps, seed(4), &figures::FIG4_LAMBDAS)),
+        ),
+        (
+            "figures/fig5".into(),
+            points(figures::fig5(N, reps, seed(5), &figures::FIG5_LAMBDAS)),
+        ),
+        (
+            "figures/fig6".into(),
+            points(figures::fig6(N, reps, seed(6), figures::FIG6_RESOLVE_S)),
+        ),
+        (
+            "figures/fig7".into(),
+            points(figures::fig7(N, reps, seed(7), &figures::FIG7_CRASHES)),
+        ),
+        (
+            "figures/fig8".into(),
+            points(figures::fig8(N, reps, seed(8))),
+        ),
+        ("figures/fig9".into(), fnv1a(views.join("\n").as_bytes())),
+    ]
 }
 
 /// The `bft-sim trace <protocol> --json --last-k 64` document of every
