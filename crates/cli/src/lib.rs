@@ -43,10 +43,9 @@ pub use campaign::{
 };
 
 use bft_sim_core::buggify::FaultPreset;
-use bft_sim_core::dist::Dist;
 use bft_sim_core::json::{self, Fields, Json};
-use bft_sim_simcheck::check_node_count;
-use bft_simulator::experiments::{figures, loc, AttackSpec, Scenario};
+use bft_sim_simcheck::{check_node_count, AttackSpec, DelaySpec, PartitionSpec, ScenarioSpec};
+use bft_simulator::experiments::{self, figures, loc};
 use bft_simulator::prelude::{PartitionAttack, ProtocolKind};
 use std::ops::RangeInclusive;
 
@@ -328,34 +327,40 @@ impl core::fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-/// Parses the attack flag syntax.
-pub(crate) fn parse_attack(s: &str) -> Result<AttackSpec, CliError> {
+/// Parses the attack flag syntax into a scenario's `attack` and `partition`
+/// fields.
+pub(crate) fn parse_attack(
+    s: &str,
+) -> Result<(Option<AttackSpec>, Option<PartitionSpec>), CliError> {
+    fn parse<T: std::str::FromStr>(what: &str, text: &str) -> Result<T, CliError> {
+        text.parse()
+            .map_err(|_| CliError::usage(format!("bad {what}: {text}")))
+    }
     let parts: Vec<&str> = s.split(':').collect();
+    let attack = |attack| Ok((Some(attack), None));
     match parts.as_slice() {
-        ["none"] => Ok(AttackSpec::None),
-        ["failstop", k] => k
-            .parse()
-            .map(AttackSpec::FailStopLast)
-            .map_err(|_| CliError::usage(format!("bad failstop count: {k}"))),
+        ["none"] => Ok((None, None)),
+        ["failstop", k] => attack(AttackSpec::FailStopLast {
+            k: parse("failstop count", k)?,
+        }),
         ["partition", start, end] => {
-            let start_ms = start
-                .parse()
-                .map_err(|_| CliError::usage(format!("bad partition start: {start}")))?;
-            let end_ms = end
-                .parse()
-                .map_err(|_| CliError::usage(format!("bad partition end: {end}")))?;
+            let start_ms = parse("partition start", start)?;
+            let end_ms = parse("partition end", end)?;
             PartitionAttack::check_window(start_ms, end_ms).map_err(CliError::usage)?;
-            Ok(AttackSpec::Partition {
-                start_ms,
-                end_ms,
-                drop: false,
-            })
+            let drop = false;
+            Ok((
+                None,
+                Some(PartitionSpec {
+                    start_ms,
+                    end_ms,
+                    drop,
+                }),
+            ))
         }
-        ["add-static", k] => k
-            .parse()
-            .map(AttackSpec::AddStatic)
-            .map_err(|_| CliError::usage(format!("bad add-static count: {k}"))),
-        ["add-adaptive"] => Ok(AttackSpec::AddAdaptive),
+        ["add-static", k] => attack(AttackSpec::AddStatic {
+            k: parse("add-static count", k)?,
+        }),
+        ["add-adaptive"] => attack(AttackSpec::AddAdaptive),
         _ => Err(CliError::usage(format!(
             "unknown attack '{s}' (try none, failstop:K, partition:S:E, add-static:K, add-adaptive)"
         ))),
@@ -800,10 +805,9 @@ fn drive(cmd: &Cmd, args: &[String]) -> Result<Command, CliError> {
 /// Most repetitions `run`/`compare` accept.
 const MAX_REPS: usize = 1_000_000;
 
-/// The engine rejects a λ that is not positive, and a delay that is not
-/// finite has no meaning. A negative σ is not a spread, and the results of
-/// all repetitions are held at once, so zero repetitions report nothing and
-/// a count beyond `MAX_REPS` is a typo.
+/// λ, μ and σ must be what a [`ScenarioSpec`] can hold ([`timing`]). The
+/// results of all repetitions are held at once, so zero repetitions report
+/// nothing and a count beyond `MAX_REPS` is a typo.
 fn check_run(spec: RunSpec) -> Result<RunSpec, CliError> {
     node_count("--nodes", spec.nodes)?;
     if !(1..=MAX_REPS).contains(&spec.reps) {
@@ -811,18 +815,30 @@ fn check_run(spec: RunSpec) -> Result<RunSpec, CliError> {
             "--reps must be between 1 and {MAX_REPS}"
         )));
     }
-    if !(spec.lambda_ms.is_finite() && spec.lambda_ms > 0.0) {
-        return Err(CliError::usage("--lambda must be positive and finite"));
-    }
-    if !(spec.delay_mu.is_finite() && spec.delay_sigma.is_finite()) {
-        return Err(CliError::usage(
-            "--delay-mu and --delay-sigma must be finite",
-        ));
-    }
-    if spec.delay_sigma < 0.0 {
-        return Err(CliError::usage("--delay-sigma must not be negative"));
-    }
+    timing(&spec)?;
     Ok(spec)
+}
+
+/// λ and the delays in the whole microseconds a [`ScenarioSpec`] holds,
+/// exactly: it turns them back into the same `f64` milliseconds. The engine
+/// rejects a λ that is not positive.
+fn timing(spec: &RunSpec) -> Result<(u64, DelaySpec), CliError> {
+    let micros = |flag: &str, ms: f64| {
+        let micros = (ms * 1000.0).round();
+        // Below 2^64 the cast is exact.
+        let exact = ms >= 0.0 && micros < 2f64.powi(64) && micros / 1000.0 == ms;
+        let usage = format!("{flag} must be a whole number of microseconds, 0 to 2^64");
+        exact.then_some(micros as u64).ok_or(CliError::usage(usage))
+    };
+    let lambda = micros("--lambda", spec.lambda_ms)?;
+    if lambda == 0 {
+        return Err(CliError::usage("--lambda must be positive"));
+    }
+    let delay = DelaySpec::Normal {
+        mean_micros: micros("--delay-mu", spec.delay_mu)?,
+        std_micros: micros("--delay-sigma", spec.delay_sigma)?,
+    };
+    Ok((lambda, delay))
 }
 
 /// `FuzzBudget` would clamp an intensity above 1000‰ while the scenario and
@@ -955,59 +971,34 @@ fn parse_protocol_list(s: &str) -> Result<Vec<ProtocolKind>, CliError> {
         .collect()
 }
 
-/// One protocol's aggregated results, as printed / serialised by `run` and
-/// `compare`.
-#[derive(Debug)]
-pub(crate) struct Report {
-    /// Protocol short name.
-    pub(crate) protocol: String,
-    /// Mean latency (s).
-    pub(crate) latency_mean_s: f64,
-    /// Latency standard deviation (s).
-    pub(crate) latency_sd_s: f64,
-    /// Mean messages per decision.
-    pub(crate) messages_mean: f64,
-    /// Message standard deviation.
-    pub(crate) messages_sd: f64,
-    /// Fraction of repetitions that timed out.
-    pub(crate) timeout_rate: f64,
-    /// Repetitions run.
-    pub(crate) reps: usize,
-    /// Estimated sustainable decisions/second under the chosen cost model
-    /// (`None` when `--cost none`; omitted from JSON output in that case).
-    pub(crate) est_max_decisions_per_sec: Option<f64>,
-}
-
-impl Report {
-    /// Serialises the report as a JSON object. `est_max_decisions_per_sec`
-    /// is omitted when absent.
-    pub(crate) fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("protocol".to_string(), Json::from(self.protocol.as_str())),
-            (
-                "latency_mean_s".to_string(),
-                Json::from(self.latency_mean_s),
-            ),
-            ("latency_sd_s".to_string(), Json::from(self.latency_sd_s)),
-            ("messages_mean".to_string(), Json::from(self.messages_mean)),
-            ("messages_sd".to_string(), Json::from(self.messages_sd)),
-            ("timeout_rate".to_string(), Json::from(self.timeout_rate)),
-            ("reps".to_string(), Json::from(self.reps)),
-        ];
-        if let Some(t) = self.est_max_decisions_per_sec {
-            pairs.push(("est_max_decisions_per_sec".to_string(), Json::from(t)));
-        }
-        Json::Obj(pairs)
+/// The scenario `run` and `compare` execute for `kind`: the paper's
+/// defaults with the spec's size, timing and attack, which must be within
+/// `kind`'s fault budget ([`AttackSpec::check_budget`]).
+fn scenario(kind: ProtocolKind, spec: &RunSpec) -> Result<ScenarioSpec, CliError> {
+    let (attack, partition) = parse_attack(&spec.attack)?;
+    if let Some(attack) = attack {
+        attack
+            .check_budget(kind, spec.nodes)
+            .map_err(|e| CliError::usage(format!("--attack {}: {e}", spec.attack)))?;
     }
+    let (lambda_micros, delay) = timing(spec)?;
+    Ok(ScenarioSpec {
+        lambda_micros,
+        delay,
+        attack,
+        partition,
+        ..experiments::paper_spec(kind, spec.nodes)
+    })
 }
 
-/// Runs one protocol per the spec and returns its report.
+/// Runs `scenario` per the spec's repetitions: its point and, under the
+/// spec's cost model, the estimated sustainable decisions per second.
 ///
 /// # Errors
 ///
-/// Returns [`CliError`] for unknown attacks or if any repetition reports a
-/// safety violation.
-pub(crate) fn run_one(kind: ProtocolKind, spec: &RunSpec) -> Result<Report, CliError> {
+/// Returns [`CliError`] for an unknown cost model or if any repetition
+/// reports a safety violation.
+fn run_one(scenario: &ScenarioSpec, spec: &RunSpec) -> Result<Report, CliError> {
     use bft_simulator::experiments::cost::CostModel;
     let cost_model = match spec.cost.as_str() {
         "none" => None,
@@ -1016,36 +1007,15 @@ pub(crate) fn run_one(kind: ProtocolKind, spec: &RunSpec) -> Result<Report, CliE
         "mac" => Some(CostModel::mac()),
         other => return Err(CliError::usage(format!("unknown cost model '{other}'"))),
     };
-    let attack = parse_attack(&spec.attack)?;
-    let scenario = Scenario::new(kind, spec.nodes)
-        .with_lambda(spec.lambda_ms)
-        .with_delay(Dist::normal(spec.delay_mu, spec.delay_sigma))
-        .with_attack(attack);
-    let results = scenario.run_many(spec.reps, spec.seed);
-    for r in &results {
-        if let Some(v) = &r.safety_violation {
-            return Err(CliError::runtime(format!("safety violation: {v}")));
-        }
-    }
-    let lat = scenario.latency_summary(&results);
-    let msg = scenario.message_summary(&results);
-    let timeouts = results.iter().filter(|r| r.timed_out).count();
-    let est_max_decisions_per_sec = cost_model.and_then(|model| {
-        results
-            .first()
-            .map(|r| model.estimate(r).max_decisions_per_sec)
-    });
-    Ok(Report {
-        protocol: kind.name().to_string(),
-        latency_mean_s: lat.mean,
-        latency_sd_s: lat.std_dev,
-        messages_mean: msg.mean,
-        messages_sd: msg.std_dev,
-        timeout_rate: timeouts as f64 / spec.reps.max(1) as f64,
-        reps: spec.reps,
-        est_max_decisions_per_sec,
-    })
+    let results = experiments::repeat(scenario, spec.reps, spec.seed).map_err(CliError::runtime)?;
+    let point = figures::Point::of(scenario, &results, "").map_err(CliError::runtime)?;
+    // The estimate reads the first repetition.
+    let estimate = cost_model.map(|model| model.estimate(&results[0]).max_decisions_per_sec);
+    Ok((point, estimate))
 }
+
+/// One protocol's row of `run` / `compare`: [`run_one`]'s result.
+type Report = (figures::Point, Option<f64>);
 
 /// Executes a parsed command, writing human or JSON output to stdout.
 ///
@@ -1076,13 +1046,14 @@ pub fn execute(cmd: Command) -> Result<(), CliError> {
         Command::Run(spec) => {
             let kind = ProtocolKind::parse(&spec.protocol)
                 .ok_or_else(|| CliError::usage(format!("unknown protocol '{}'", spec.protocol)))?;
-            let report = run_one(kind, &spec)?;
+            let report = run_one(&scenario(kind, &spec)?, &spec)?;
             emit(&[report], spec.json);
         }
         Command::Compare(spec) => {
+            let scenarios = ProtocolKind::all().map(|kind| scenario(kind, &spec));
             let mut reports = Vec::new();
-            for kind in ProtocolKind::all() {
-                reports.push(run_one(kind, &spec)?);
+            for scenario in scenarios.into_iter().collect::<Result<Vec<_>, _>>()? {
+                reports.push(run_one(&scenario, &spec)?);
             }
             emit(&reports, spec.json);
         }
@@ -1527,29 +1498,40 @@ fn run_trace(spec: &TraceSpec) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Prints the rows as a table or as JSON, where an absent estimate is
+/// omitted.
 fn emit(reports: &[Report], json: bool) {
     if json {
-        let arr = Json::Arr(reports.iter().map(Report::to_json).collect());
-        println!("{}", arr.dump_pretty());
+        let rows = reports.iter().map(|(p, estimate)| {
+            let mut pairs = vec![
+                ("protocol", Json::from(p.protocol.name())),
+                ("latency_mean_s", Json::from(p.latency.mean)),
+                ("latency_sd_s", Json::from(p.latency.std_dev)),
+                ("messages_mean", Json::from(p.messages.mean)),
+                ("messages_sd", Json::from(p.messages.std_dev)),
+                ("timeout_rate", Json::from(p.timeout_rate)),
+                ("reps", Json::from(p.latency.count)),
+            ];
+            pairs.extend(estimate.map(|t| ("est_max_decisions_per_sec", Json::from(t))));
+            Json::obj(pairs)
+        });
+        println!("{}", Json::Arr(rows.collect()).dump_pretty());
         return;
     }
     println!(
         "{:<14} {:>10} {:>10} {:>12} {:>12} {:>9} {:>14}",
         "protocol", "lat (s)", "±sd", "msgs/dec", "±sd", "timeouts", "est. dec/s"
     );
-    for r in reports {
-        let throughput = r
-            .est_max_decisions_per_sec
-            .map(|t| format!("{t:.1}"))
-            .unwrap_or_else(|| "-".into());
+    for (p, estimate) in reports {
+        let throughput = estimate.map_or_else(|| "-".into(), |t| format!("{t:.1}"));
         println!(
             "{:<14} {:>10.3} {:>10.3} {:>12.1} {:>12.1} {:>8.0}% {:>14}",
-            r.protocol,
-            r.latency_mean_s,
-            r.latency_sd_s,
-            r.messages_mean,
-            r.messages_sd,
-            r.timeout_rate * 100.0,
+            p.protocol.name(),
+            p.latency.mean,
+            p.latency.std_dev,
+            p.messages.mean,
+            p.messages.std_dev,
+            p.timeout_rate * 100.0,
             throughput
         );
     }
@@ -1634,7 +1616,7 @@ fn run_figure(which: u8) {
         6 => {
             println!();
             for p in &points {
-                let (name, extra) = (p.protocol.name(), p.latency.mean - resolve_s);
+                let (name, extra) = (p.protocol.name(), p.latency.mean - resolve_s as f64);
                 println!("{name:<12} terminates {extra:7.1} s after the partition resolves");
             }
         }
@@ -1898,27 +1880,71 @@ mod tests {
         assert!(spec.json);
         assert_eq!(
             parse_attack(&spec.attack).unwrap(),
-            AttackSpec::FailStopLast(2)
+            (Some(AttackSpec::FailStopLast { k: 2 }), None)
         );
     }
 
     #[test]
     fn parses_attacks() {
-        assert_eq!(parse_attack("none").unwrap(), AttackSpec::None);
+        assert_eq!(parse_attack("none").unwrap(), (None, None));
+        let partition = PartitionSpec {
+            start_ms: 100,
+            end_ms: 2000,
+            drop: false,
+        };
         assert_eq!(
             parse_attack("partition:100:2000").unwrap(),
-            AttackSpec::Partition {
-                start_ms: 100,
-                end_ms: 2000,
-                drop: false
-            }
+            (None, Some(partition))
         );
         assert_eq!(
             parse_attack("add-adaptive").unwrap(),
-            AttackSpec::AddAdaptive
+            (Some(AttackSpec::AddAdaptive), None)
         );
         assert!(parse_attack("meteor").is_err());
         assert!(parse_attack("partition:10:5").is_err(), "inverted window");
+    }
+
+    #[test]
+    fn attacks_beyond_the_fault_budget_are_usage_errors() {
+        let spec = |attack: &str| RunSpec {
+            attack: attack.into(),
+            ..RunSpec::default()
+        };
+        for attack in ["failstop:6", "failstop:99", "add-static:6"] {
+            let err = scenario(ProtocolKind::Pbft, &spec(attack)).unwrap_err();
+            assert_eq!(err.code, 2, "{attack}");
+            assert!(err.message.contains("pbft's fault budget f = 5"), "{err}");
+        }
+        // ADD+ tolerates ⌊(n−1)/2⌋ = 7 at n = 16. `compare` fails whole,
+        // naming the first protocol whose budget is exceeded.
+        assert!(scenario(ProtocolKind::AddV1, &spec("failstop:7")).is_ok());
+        let err = execute(Command::Compare(spec("failstop:6"))).unwrap_err();
+        assert_eq!(err.code, 2);
+        assert!(err.message.contains("algorand's fault budget"), "{err}");
+    }
+
+    #[test]
+    fn timings_must_be_whole_microseconds() {
+        let spec = |lambda_ms, delay_mu| RunSpec {
+            lambda_ms,
+            delay_mu,
+            ..RunSpec::default()
+        };
+        let (lambda, delay) = timing(&spec(0.5, 1.1)).unwrap();
+        assert_eq!(lambda, 500);
+        assert_eq!(delay.to_dist(), bft_sim_core::dist::Dist::normal(1.1, 50.0));
+        for (lambda, mu) in [
+            (0.0001, 250.0),
+            (1000.0, -5.0),
+            (1000.0, 0.0005),
+            (1e17, 250.0),
+        ] {
+            assert_eq!(
+                timing(&spec(lambda, mu)).unwrap_err().code,
+                2,
+                "{lambda} {mu}"
+            );
+        }
     }
 
     #[test]
@@ -1928,10 +1954,10 @@ mod tests {
             reps: 2,
             ..RunSpec::default()
         };
-        let report = run_one(ProtocolKind::Pbft, &spec).unwrap();
-        assert_eq!(report.protocol, "pbft");
-        assert!(report.latency_mean_s > 0.0);
-        assert_eq!(report.timeout_rate, 0.0);
+        let (point, _) = run_one(&scenario(ProtocolKind::Pbft, &spec).unwrap(), &spec).unwrap();
+        assert_eq!(point.protocol, ProtocolKind::Pbft);
+        assert!(point.latency.mean > 0.0);
+        assert_eq!(point.timeout_rate, 0.0);
     }
 
     #[test]

@@ -97,6 +97,41 @@ fn usage_errors_exit_two() {
         // A partition that resolves before it starts died in
         // `PartitionPlan::new`'s assert (101).
         &["run", "--protocol", "pbft", "--attack", "partition:10:5"],
+        // An attack count above the fault budget (f = 5 at n = 16) was
+        // rewritten: `failstop:6` crashed nodes 10-14, `failstop:99` the
+        // first leaders, and `add-static:6` ran as `add-static:5`.
+        &[
+            "run",
+            "--protocol",
+            "pbft",
+            "--nodes",
+            "16",
+            "--attack",
+            "failstop:6",
+        ],
+        &[
+            "run",
+            "--protocol",
+            "pbft",
+            "--nodes",
+            "16",
+            "--attack",
+            "failstop:99",
+        ],
+        &[
+            "run",
+            "--protocol",
+            "pbft",
+            "--nodes",
+            "16",
+            "--attack",
+            "add-static:6",
+        ],
+        &["compare", "--nodes", "16", "--attack", "failstop:6"],
+        // λ, μ and σ are held in whole microseconds; a negative mean was
+        // accepted.
+        &["run", "--protocol", "pbft", "--delay-mu", "-5"],
+        &["run", "--protocol", "pbft", "--lambda", "0.0001"],
         &["run", "--protocol", "pbft", "--cost", "bogus"],
     ];
     for args in cases {
@@ -268,6 +303,17 @@ fn hostile_artifacts_exit_with_their_loaders_code() {
             ],
             2,
             "n = 3f + 1",
+        ),
+        (
+            vec![
+                "trace".into(),
+                file(
+                    "budget.json",
+                    r#"{"protocol":"pbft","n":16,"attack":{"AddStatic":{"k":6}}}"#,
+                ),
+            ],
+            2,
+            "pbft's fault budget f = 5 at n = 16",
         ),
         (
             vec![
@@ -538,5 +584,37 @@ fn oracle_violations_exit_three() {
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr)
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A figure run is a file: Fig. 7's PBFT crash = 5 cell, written by
+/// `ScenarioSpec::to_json`, opens with `bft-sim trace`.
+#[test]
+fn a_figure_run_traces_from_its_file() {
+    use bft_simulator::experiments::{figures, paper_spec};
+    use bft_simulator::prelude::*;
+
+    let spec = ScenarioSpec {
+        seed: figures::seed(7),
+        delay: DelaySpec::Normal {
+            mean_micros: 1_000_000,
+            std_micros: 300_000,
+        },
+        attack: Some(AttackSpec::FailStopLast { k: 5 }),
+        time_cap_secs: 900,
+        ..paper_spec(ProtocolKind::Pbft, figures::N)
+    };
+    let dir = scratch("figure-run");
+    let path = dir.join("fig7-pbft-crash5.json");
+    std::fs::write(&path, spec.to_json().dump_pretty()).expect("write spec");
+    let out = bft_sim(&["trace", path.to_str().unwrap(), "--json"]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let doc = String::from_utf8_lossy(&out.stdout);
+    assert!(doc.contains(r#""FailStopLast""#), "{doc}");
     std::fs::remove_dir_all(&dir).ok();
 }

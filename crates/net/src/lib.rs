@@ -18,5 +18,4 @@
 pub mod churn;
 pub mod models;
 pub mod partition;
-pub mod scenarios;
 pub mod topology;

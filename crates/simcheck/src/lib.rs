@@ -36,6 +36,6 @@ pub use corpus::{fuzz_coverage, fuzz_coverage_in_dir, run_fingerprint};
 pub use fuzz::{fuzz_many, run_unit, FuzzOptions, FuzzReport, UnitRun};
 pub use repro::Repro;
 pub use scenario::{
-    check_node_count, CheckedRun, ChurnSpec, DelaySpec, NetSpec, PartitionSpec, RunMode,
-    ScenarioSpec, TopologyKind,
+    check_node_count, AttackSpec, CheckedRun, ChurnSpec, DelaySpec, NetSpec, PartitionSpec,
+    RunMode, ScenarioSpec, TopologyKind,
 };

@@ -1,11 +1,10 @@
-//! Randomized-but-deterministic fuzz scenarios.
-//!
-//! A [`ScenarioSpec`] pins *everything* a run depends on — protocol, scale,
-//! seeds, delay distribution, partition window, adversary budget — as plain
-//! integers, so the spec itself is the reproducer: serialising it to JSON and
-//! running it again yields the bit-identical run. Scenarios are drawn from a
-//! seeded RNG by [`ScenarioSpec::generate`] and executed (and oracle-checked)
-//! by [`ScenarioSpec::run`] in one of three modes:
+//! The one run description. A [`ScenarioSpec`] pins *everything* a run
+//! depends on — protocol, scale, seeds, delay distribution, partition
+//! window, the paper's attacks, adversary budget — as plain integers, so the
+//! spec itself is the reproducer. Figures, `run` and `compare` execute it
+//! unchecked ([`ScenarioSpec::simulate`]); fuzz scenarios are drawn by
+//! [`ScenarioSpec::generate`] and executed (and oracle-checked) by
+//! [`ScenarioSpec::run`] in one of three modes:
 //!
 //! - [`RunMode::Generate`] — the adversary rolls fresh actions within its
 //!   budget and logs them;
@@ -14,7 +13,10 @@
 //! - [`RunMode::Replay`] — a recorded [`DeliverySchedule`] is replayed with
 //!   the adversary bypassed entirely (the engine's validator path).
 
-use bft_sim_attacks::{FuzzAction, FuzzBudget, PartitionAttack, RandomizedAdversary};
+use bft_sim_attacks::{
+    AddAdaptiveRushingAttack, AddStaticAttack, FailStop, FuzzAction, FuzzBudget, PartitionAttack,
+    RandomizedAdversary,
+};
 use bft_sim_core::adversary::{Adversary, AdversaryApi, Fate};
 use bft_sim_core::buggify::{FaultAction, FaultInjector, FaultLog, FaultPreset, FaultStats};
 use bft_sim_core::config::RunConfig;
@@ -65,7 +67,7 @@ pub enum DelaySpec {
 
 impl DelaySpec {
     /// The engine-facing distribution (milliseconds, as [`Dist`] expects).
-    pub(crate) fn to_dist(self) -> Dist {
+    pub fn to_dist(self) -> Dist {
         let ms = |micros: u64| micros as f64 / 1000.0;
         match self {
             DelaySpec::Constant { micros } => Dist::constant(ms(micros)),
@@ -187,6 +189,73 @@ impl PartitionSpec {
         f.finish()?;
         PartitionAttack::check_window(spec.start_ms, spec.end_ms)?;
         Ok(spec)
+    }
+}
+
+/// The paper's attacks besides the partition (§III-C).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AttackSpec {
+    /// Fail-stop the last `k` nodes at start (Fig. 7).
+    FailStopLast {
+        /// Nodes crashed.
+        k: usize,
+    },
+    /// Fail-stop the first `k` round-robin leaders (Fig. 8, left).
+    AddStatic {
+        /// Leaders crashed.
+        k: usize,
+    },
+    /// Rushing adaptive leader corruption (Fig. 8, right).
+    AddAdaptive,
+}
+
+impl AttackSpec {
+    /// # Errors
+    ///
+    /// `k` exceeds `protocol`'s fault budget at `n`: the engine would stop
+    /// there, having crashed the wrong nodes.
+    pub fn check_budget(self, protocol: ProtocolKind, n: usize) -> Result<(), String> {
+        let f = protocol.default_f(n);
+        match self {
+            AttackSpec::FailStopLast { k } | AttackSpec::AddStatic { k } if k > f => Err(format!(
+                "an attack on {k} nodes exceeds {protocol}'s fault budget f = {f} at n = {n}"
+            )),
+            _ => Ok(()),
+        }
+    }
+
+    fn build(self, n: usize) -> Box<dyn Adversary> {
+        match self {
+            AttackSpec::FailStopLast { k } => Box::new(FailStop::last_k(n, k)),
+            AttackSpec::AddStatic { k } => Box::new(AddStaticAttack::new(k)),
+            AttackSpec::AddAdaptive => Box::new(AddAdaptiveRushingAttack::new()),
+        }
+    }
+
+    /// Externally tagged JSON, like [`DelaySpec`]'s.
+    pub(crate) fn to_json(self) -> Json {
+        let with_k =
+            |tag: &'static str, k: usize| Json::obj([(tag, Json::obj([("k", Json::from(k))]))]);
+        match self {
+            AttackSpec::FailStopLast { k } => with_k("FailStopLast", k),
+            AttackSpec::AddStatic { k } => with_k("AddStatic", k),
+            AttackSpec::AddAdaptive => Json::from("AddAdaptive"),
+        }
+    }
+
+    /// Parses the format produced by [`AttackSpec::to_json`].
+    pub(crate) fn from_json(json: &Json) -> Result<AttackSpec, String> {
+        let with_k = |mut f: Fields<'_>| -> Result<usize, String> {
+            let k = f.req("k", json::int)?;
+            f.finish()?;
+            Ok(k)
+        };
+        match json::variant(json, "attack")? {
+            ("FailStopLast", Some(f)) => Ok(AttackSpec::FailStopLast { k: with_k(f)? }),
+            ("AddStatic", Some(f)) => Ok(AttackSpec::AddStatic { k: with_k(f)? }),
+            ("AddAdaptive", None) => Ok(AttackSpec::AddAdaptive),
+            (tag, _) => Err(format!("attack: unknown variant \"{tag}\"")),
+        }
     }
 }
 
@@ -351,6 +420,8 @@ pub struct ScenarioSpec {
     pub net: Option<NetSpec>,
     /// Optional half/half partition window.
     pub partition: Option<PartitionSpec>,
+    /// Optional fail-stop or ADD+ attack; the generator never draws one.
+    pub attack: Option<AttackSpec>,
     /// Seed for the randomized adversary's own RNG (independent of `seed`).
     pub adversary_seed: u64,
     /// Adversary intensity in permille (0 = benign, 1000 = full budget).
@@ -445,6 +516,7 @@ impl ScenarioSpec {
             delay: DelaySpec::Constant { micros: 100_000 },
             net: None,
             partition: None,
+            attack: None,
             adversary_seed: 0,
             intensity_permille: 0,
             max_actions: 0,
@@ -559,6 +631,7 @@ impl ScenarioSpec {
             delay,
             net,
             partition,
+            attack: None,
             adversary_seed,
             intensity_permille,
             max_actions: if benign { 0 } else { max_actions },
@@ -584,6 +657,7 @@ impl ScenarioSpec {
     pub(crate) fn is_benign(&self) -> bool {
         self.net.is_none()
             && self.partition.is_none()
+            && self.attack.is_none()
             && self.max_actions == 0
             && !self.inject_bug
             && self.fault_preset == FaultPreset::Calm
@@ -599,15 +673,15 @@ impl ScenarioSpec {
     /// exempt — multi-hop latency and queueing can stall progress without
     /// any protocol bug.
     pub(crate) fn churn_only(&self) -> bool {
-        matches!(
-            self.net,
-            Some(net) if net.churn.is_some()
-                && net.topology == TopologyKind::FullMesh
-                && net.bandwidth.is_none()
-        ) && self.partition.is_none()
-            && self.max_actions == 0
-            && !self.inject_bug
-            && self.fault_preset == FaultPreset::Calm
+        let unrestricted = |net: NetSpec| {
+            net.churn.is_some() && net.topology == TopologyKind::FullMesh && net.bandwidth.is_none()
+        };
+        self.net.is_some_and(unrestricted)
+            && ScenarioSpec {
+                net: None,
+                ..self.clone()
+            }
+            .is_benign()
     }
 
     /// The scheduled churn windows of this spec as oracle-facing
@@ -705,12 +779,6 @@ impl ScenarioSpec {
         }
     }
 
-    fn partition_attack(&self) -> Result<Option<PartitionAttack>, String> {
-        self.partition
-            .map(|p| PartitionAttack::halves(self.n, p.start_ms, p.end_ms, p.drop))
-            .transpose()
-    }
-
     #[cfg(feature = "testbug")]
     fn extra_adversary(&self) -> Result<Option<Box<dyn Adversary>>, String> {
         Ok(self.inject_bug.then(|| {
@@ -774,7 +842,7 @@ impl ScenarioSpec {
     /// tail of that trace is taken, up to the panic when the run panics.
     pub(crate) fn last_events(&self) -> Vec<TraceEvent> {
         let built = self
-            .build(RunMode::Generate, true, TraceLevel::Messages)
+            .build(RunMode::Generate, true, true, TraceLevel::Messages)
             .expect("a spec that ran once builds again");
         let trace = match built.sim.run_caught() {
             Ok(result) => result.trace,
@@ -796,7 +864,7 @@ impl ScenarioSpec {
             probe,
             actions,
             fault_log,
-        } = self.build(mode, observed, trace)?;
+        } = self.build(mode, true, observed, trace)?;
         let (result, schedule) = match mode {
             RunMode::Replay(schedule) => (sim.run(), schedule.clone()),
             RunMode::Generate | RunMode::Scripted { .. } => sim.run_recorded(),
@@ -821,18 +889,41 @@ impl ScenarioSpec {
         })
     }
 
-    /// The engine run of this spec in `mode`, built but not yet run.
-    fn build(&self, mode: RunMode<'_>, observed: bool, trace: TraceLevel) -> Result<Built, String> {
+    /// The [`RunMode::Generate`] run, unchecked: no oracle observer (a third
+    /// more memory at n = 1024), schedule recorder or oracle suite. Same
+    /// [`RunResult`] as [`run`](ScenarioSpec::run).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`run`](ScenarioSpec::run).
+    pub fn simulate(&self, trace: TraceLevel) -> Result<RunResult, String> {
+        Ok(self
+            .build(RunMode::Generate, false, false, trace)?
+            .sim
+            .run())
+    }
+
+    /// The engine run of this spec in `mode`, built but not yet run; the
+    /// oracle observer is attached only when `checked`.
+    fn build(
+        &self,
+        mode: RunMode<'_>,
+        checked: bool,
+        observed: bool,
+        trace: TraceLevel,
+    ) -> Result<Built, String> {
         let kind = self.protocol;
         let cfg = self.config().with_trace(trace);
         let benign = match mode {
             RunMode::Generate => self.is_benign(),
+            // A script replaces the budget and the preset.
             RunMode::Scripted { actions, faults } => {
-                actions.is_empty()
-                    && faults.is_empty()
-                    && self.net.is_none()
-                    && self.partition.is_none()
-                    && !self.inject_bug
+                let unscripted = ScenarioSpec {
+                    max_actions: 0,
+                    fault_preset: FaultPreset::Calm,
+                    ..self.clone()
+                };
+                actions.is_empty() && faults.is_empty() && unscripted.is_benign()
             }
             // A replayed schedule may embody drops; liveness is never owed.
             RunMode::Replay(_) => false,
@@ -851,13 +942,14 @@ impl ScenarioSpec {
             expect.outages = self.outage_windows()?;
         }
         let factory = kind.factory(&cfg, self.genesis_seed);
-        let observer = OracleObserver::new();
-        let probe = observer.clone();
+        let probe = OracleObserver::new();
         let network = self.network()?;
         let mut builder = SimulationBuilder::new(cfg)
             .network(network)
-            .observer(observer)
             .protocols(factory);
+        if checked {
+            builder = builder.observer(probe.clone());
+        }
         if observed {
             builder = builder
                 .observability(ObsConfig::default().with_classifier(kind.phase_classifier()));
@@ -896,12 +988,16 @@ impl ScenarioSpec {
                 };
                 let log = fuzz.log_handle();
                 let fault_log: Option<FaultLog> = injector.as_ref().map(FaultInjector::log_handle);
-                let stack = Stack {
-                    partition: self.partition_attack()?,
+                let partition = self.partition.map(|p| {
+                    let attack = PartitionAttack::halves(self.n, p.start_ms, p.end_ms, p.drop)?;
+                    Ok::<_, String>(Box::new(attack) as Box<dyn Adversary>)
+                });
+                let layers = partition.transpose()?.into_iter();
+                builder = builder.adversary(Stack {
+                    layers: layers.chain(self.attack.map(|a| a.build(self.n))).collect(),
                     fuzz,
                     extra: self.extra_adversary()?,
-                };
-                builder = builder.adversary(stack);
+                });
                 if let Some(injector) = injector {
                     builder = builder.faults(injector);
                 }
@@ -935,6 +1031,9 @@ impl ScenarioSpec {
         }
         if let Some(p) = self.partition {
             pairs.push(("partition".to_string(), p.to_json()));
+        }
+        if let Some(a) = self.attack {
+            pairs.push(("attack".to_string(), a.to_json()));
         }
         pairs.extend([
             (
@@ -982,7 +1081,8 @@ impl ScenarioSpec {
     ///
     /// Malformed per [`bft_sim_core::json`]'s artifact parsing policy, an
     /// unknown protocol or fault preset, an `n` that [`check_node_count`]
-    /// rejects, or a zero `lambda_micros`.
+    /// rejects, a zero `lambda_micros`, or an attack beyond the fault budget
+    /// ([`AttackSpec::check_budget`]).
     pub fn from_json(json: &Json) -> Result<ScenarioSpec, String> {
         let mut f = Fields::of(json, "scenario")?;
         let protocol = f.req("protocol", |v| {
@@ -1005,6 +1105,7 @@ impl ScenarioSpec {
             delay: f.opt_or("delay", base.delay, DelaySpec::from_json)?,
             net: f.opt("net", NetSpec::from_json)?,
             partition: f.opt("partition", PartitionSpec::from_json)?,
+            attack: f.opt("attack", AttackSpec::from_json)?,
             adversary_seed: f.opt_or("adversary_seed", base.adversary_seed, json::int)?,
             intensity_permille: f.opt_or(
                 "intensity_permille",
@@ -1023,6 +1124,9 @@ impl ScenarioSpec {
         };
         faults.finish()?;
         f.finish()?;
+        if let Some(attack) = spec.attack {
+            attack.check_budget(protocol, spec.n)?;
+        }
         Ok(spec)
     }
 }
@@ -1046,42 +1150,41 @@ pub fn check_node_count(n: usize) -> Result<usize, String> {
     }
 }
 
-/// The composed scenario adversary: partition rules first (a dropped message
-/// never reaches the fuzzer, mirroring a real network split), then the
-/// randomized fuzzer, with an optional extra adversary (the seeded bug)
-/// riding along for init/timers.
+/// The composed scenario adversary: the partition rules, then the paper's
+/// attack (a message one layer drops never reaches the next, mirroring a
+/// real network split), then the randomized fuzzer, with an optional extra
+/// adversary (the seeded bug) riding along for init/timers.
 struct Stack {
-    partition: Option<PartitionAttack>,
+    layers: Vec<Box<dyn Adversary>>,
     fuzz: RandomizedAdversary,
     extra: Option<Box<dyn Adversary>>,
 }
 
 impl Adversary for Stack {
     fn init(&mut self, api: &mut AdversaryApi<'_>) {
-        if let Some(extra) = &mut self.extra {
-            extra.init(api);
+        for adv in self.layers.iter_mut().chain(&mut self.extra) {
+            adv.init(api);
         }
     }
 
     fn attack(
         &mut self,
         msg: &mut Message,
-        proposed: SimDuration,
+        mut proposed: SimDuration,
         api: &mut AdversaryApi<'_>,
     ) -> Fate {
-        let proposed = match &mut self.partition {
-            Some(p) => match p.attack(msg, proposed, api) {
+        for layer in &mut self.layers {
+            match layer.attack(msg, proposed, api) {
                 Fate::Drop => return Fate::Drop,
-                Fate::Deliver(d) => d,
-            },
-            None => proposed,
-        };
+                Fate::Deliver(d) => proposed = d,
+            }
+        }
         self.fuzz.attack(msg, proposed, api)
     }
 
     fn on_timer(&mut self, tag: u64, api: &mut AdversaryApi<'_>) {
-        if let Some(extra) = &mut self.extra {
-            extra.on_timer(tag, api);
+        for adv in self.layers.iter_mut().chain(&mut self.extra) {
+            adv.on_timer(tag, api);
         }
     }
 
@@ -1354,6 +1457,37 @@ mod tests {
         let err =
             ScenarioSpec::from_json(&Json::parse("{\"protocol\": \"raft\"}").unwrap()).unwrap_err();
         assert!(err.contains("unknown protocol"), "{err}");
+    }
+
+    #[test]
+    fn attack_json_round_trips_and_ends_the_liveness_debt() {
+        for attack in [
+            AttackSpec::FailStopLast { k: 1 },
+            AttackSpec::AddStatic { k: 1 },
+            AttackSpec::AddAdaptive,
+        ] {
+            let spec = ScenarioSpec {
+                attack: Some(attack),
+                ..ScenarioSpec::baseline(ProtocolKind::AddV1)
+            };
+            assert!(!spec.is_benign() && !spec.churn_only());
+            let text = spec.to_json().dump_pretty();
+            let back = ScenarioSpec::from_json(&Json::parse(&text).unwrap()).unwrap();
+            assert_eq!(back, spec, "{text}");
+            let checked = spec.run(RunMode::Generate).unwrap();
+            assert!(checked.violations.is_empty(), "{:?}", checked.violations);
+            assert_eq!(
+                checked.result,
+                spec.simulate(TraceLevel::Decisions).unwrap()
+            );
+        }
+        let legacy = ScenarioSpec::baseline(ProtocolKind::Pbft).to_json();
+        assert!(!legacy.dump_pretty().contains("attack"));
+        let err = ScenarioSpec::from_json(
+            &Json::parse("{\"protocol\": \"pbft\", \"attack\": \"Meteor\"}").unwrap(),
+        )
+        .unwrap_err();
+        assert!(err.contains("unknown variant \"Meteor\""), "{err}");
     }
 
     /// A baseline spec with the chaos catalog armed: no adversary budget, no

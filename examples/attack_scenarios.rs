@@ -3,19 +3,32 @@
 //! fail-stop attack against ADD+ v1/v2, and the rushing adaptive attack
 //! against ADD+ v2/v3.
 //!
+//! Each run is a `ScenarioSpec`; `spec.to_json()` writes it as a file that
+//! `bft-sim trace` opens.
+//!
 //! ```text
 //! cargo run --release --example attack_scenarios
 //! ```
 
-use bft_simulator::experiments::{AttackSpec, Scenario};
+use bft_simulator::experiments::{latency_secs, paper_spec};
 use bft_simulator::prelude::*;
 
-fn show(title: &str, kind: ProtocolKind, attack: AttackSpec) {
-    let scenario = Scenario::new(kind, 16)
-        .with_attack(attack)
-        .with_decisions(1)
-        .with_time_cap_s(900.0);
-    let result = scenario.run(7);
+/// The paper's default run of `kind` at n = 16, seed 7, with a 900 s cap.
+fn spec(kind: ProtocolKind) -> ScenarioSpec {
+    ScenarioSpec {
+        seed: 7,
+        time_cap_secs: 900,
+        ..paper_spec(kind, 16)
+    }
+}
+
+/// Runs `spec` to its first decision and prints the time it took.
+fn show(title: &str, spec: ScenarioSpec) {
+    let spec = ScenarioSpec {
+        target_decisions: 1,
+        ..spec
+    };
+    let result = spec.simulate(TraceLevel::Decisions).expect("spec builds");
     assert!(
         result.safety_violation.is_none(),
         "{:?}",
@@ -24,66 +37,70 @@ fn show(title: &str, kind: ProtocolKind, attack: AttackSpec) {
     let outcome = if result.timed_out {
         "TIMED OUT".to_string()
     } else {
-        format!("{:.1} s", scenario.latency_secs(&result))
+        format!("{:.1} s", latency_secs(&spec, &result))
     };
     println!("{title:<55} {outcome:>10}");
 }
 
 fn main() {
     println!("--- network partition, halves, resolves at t = 20 s ---");
-    let partition = AttackSpec::Partition {
-        start_ms: 0,
-        end_ms: 20_000,
-        drop: true,
+    let partitioned = |kind| ScenarioSpec {
+        partition: Some(PartitionSpec {
+            start_ms: 0,
+            end_ms: 20_000,
+            drop: true,
+        }),
+        ..spec(kind)
     };
     show(
         "librabft under partition (TC resync)",
-        ProtocolKind::LibraBft,
-        partition,
+        partitioned(ProtocolKind::LibraBft),
     );
     show(
         "hotstuff-ns under partition (naive synchronizer)",
-        ProtocolKind::HotStuffNs,
-        partition,
+        partitioned(ProtocolKind::HotStuffNs),
     );
     println!();
 
     println!("--- static fail-stop of the first f leaders (Fig. 8 left) ---");
+    let attacked = |kind, attack| ScenarioSpec {
+        attack: Some(attack),
+        ..spec(kind)
+    };
     show(
         "add-v1 static attack (public leader schedule)",
-        ProtocolKind::AddV1,
-        AttackSpec::AddStatic(7),
+        attacked(ProtocolKind::AddV1, AttackSpec::AddStatic { k: 7 }),
     );
     show(
         "add-v2 static attack (VRF leaders, immune)",
-        ProtocolKind::AddV2,
-        AttackSpec::AddStatic(7),
+        attacked(ProtocolKind::AddV2, AttackSpec::AddStatic { k: 7 }),
     );
     println!();
 
     println!("--- rushing adaptive leader corruption (Fig. 8 right) ---");
     show(
         "add-v2 adaptive attack (leader revealed, corrupted)",
-        ProtocolKind::AddV2,
-        AttackSpec::AddAdaptive,
+        attacked(ProtocolKind::AddV2, AttackSpec::AddAdaptive),
     );
     show(
         "add-v3 adaptive attack (prepare round, immune)",
-        ProtocolKind::AddV3,
-        AttackSpec::AddAdaptive,
+        attacked(ProtocolKind::AddV3, AttackSpec::AddAdaptive),
     );
     println!();
 
     println!("--- fail-stop sweep against librabft (Fig. 7 flavour) ---");
-    for k in [0usize, 2, 4] {
-        let scenario = Scenario::new(ProtocolKind::LibraBft, 16)
-            .with_delay(Dist::normal(1000.0, 300.0))
-            .with_attack(AttackSpec::FailStopLast(k))
-            .with_time_cap_s(900.0);
-        let result = scenario.run(7);
+    for k in [0, 2, 4] {
+        let spec = ScenarioSpec {
+            delay: DelaySpec::Normal {
+                mean_micros: 1_000_000,
+                std_micros: 300_000,
+            },
+            ..attacked(ProtocolKind::LibraBft, AttackSpec::FailStopLast { k })
+        };
+        let result = spec.simulate(TraceLevel::Decisions).expect("spec builds");
         println!(
             "librabft with {k} crashed nodes: {:.2} s per decision",
-            scenario.latency_secs(&result)
+            latency_secs(&spec, &result)
         );
     }
 }

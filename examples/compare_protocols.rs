@@ -5,34 +5,35 @@
 //! cargo run --release --example compare_protocols
 //! ```
 
-use bft_simulator::experiments::Scenario;
+use bft_simulator::experiments::figures::Point;
+use bft_simulator::experiments::{paper_spec, repeat};
 use bft_simulator::prelude::*;
 
 fn main() {
     let reps = 10;
+    let normal = |mean_ms: u64, std_ms: u64| DelaySpec::Normal {
+        mean_micros: mean_ms * 1000,
+        std_micros: std_ms * 1000,
+    };
     let environments = [
-        ("fast & stable   N(250,50)", Dist::normal(250.0, 50.0)),
-        ("slow & unstable N(1000,1000)", Dist::normal(1000.0, 1000.0)),
+        ("fast & stable   N(250,50)", normal(250, 50)),
+        ("slow & unstable N(1000,1000)", normal(1000, 1000)),
     ];
 
-    for (label, dist) in environments {
+    for (label, delay) in environments {
         println!("== {label}, lambda = 1000 ms, {reps} repetitions ==");
         println!(
             "{:<14} {:>12} {:>12} {:>14}",
             "protocol", "latency (s)", "±sd", "msgs/decision"
         );
         for kind in ProtocolKind::all() {
-            let scenario = Scenario::new(kind, 16).with_delay(dist);
-            let results = scenario.run_many(reps, 1000);
-            for r in &results {
-                assert!(
-                    r.safety_violation.is_none(),
-                    "{kind}: {:?}",
-                    r.safety_violation
-                );
-            }
-            let lat = scenario.latency_summary(&results);
-            let msg = scenario.message_summary(&results);
+            let spec = ScenarioSpec {
+                delay,
+                ..paper_spec(kind, 16)
+            };
+            let results = repeat(&spec, reps, 1000).expect("spec builds");
+            let point = Point::of(&spec, &results, "").expect("every repetition is safe");
+            let (lat, msg) = (point.latency, point.messages);
             println!(
                 "{:<14} {:>12.3} {:>12.3} {:>14.1}",
                 kind.name(),

@@ -113,12 +113,23 @@ pub struct CostEstimate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::Scenario;
+    use crate::experiments::paper_spec;
+    use bft_sim_core::trace::TraceLevel;
     use bft_sim_protocols::registry::ProtocolKind;
+    use bft_sim_simcheck::ScenarioSpec;
+
+    /// The paper's default run of `kind` at `n` nodes, seed 4.
+    fn run(kind: ProtocolKind, n: usize) -> RunResult {
+        let spec = ScenarioSpec {
+            seed: 4,
+            ..paper_spec(kind, n)
+        };
+        spec.simulate(TraceLevel::Decisions).unwrap()
+    }
 
     #[test]
     fn leaders_do_more_work_than_followers_in_pbft() {
-        let result = Scenario::new(ProtocolKind::Pbft, 7).run(4);
+        let result = run(ProtocolKind::Pbft, 7);
         let est = CostModel::ed25519().estimate(&result);
         assert_eq!(est.per_node_us.len(), 7);
         assert!(est.busiest_node_us > 0.0);
@@ -128,8 +139,8 @@ mod tests {
 
     #[test]
     fn linear_hotstuff_is_cheaper_per_node_than_quadratic_pbft() {
-        let pbft = Scenario::new(ProtocolKind::Pbft, 16).run(4);
-        let hs = Scenario::new(ProtocolKind::HotStuffNs, 16).run(4);
+        let pbft = run(ProtocolKind::Pbft, 16);
+        let hs = run(ProtocolKind::HotStuffNs, 16);
         let model = CostModel::ed25519();
         let pbft_follower_avg: f64 = model.estimate(&pbft).per_node_us.iter().sum::<f64>()
             / 16.0
@@ -145,7 +156,7 @@ mod tests {
 
     #[test]
     fn cost_models_order_sensibly() {
-        let result = Scenario::new(ProtocolKind::Pbft, 4).run(4);
+        let result = run(ProtocolKind::Pbft, 4);
         let mac = CostModel::mac().estimate(&result);
         let ed = CostModel::ed25519().estimate(&result);
         assert!(mac.busiest_node_us < ed.busiest_node_us);

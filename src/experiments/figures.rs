@@ -7,13 +7,13 @@
 
 use std::time::Instant;
 
-use bft_sim_core::dist::Dist;
 use bft_sim_core::ids::NodeId;
-use bft_sim_core::metrics::Summary;
+use bft_sim_core::metrics::{RunResult, Summary};
 use bft_sim_core::trace::TraceLevel;
 use bft_sim_protocols::registry::ProtocolKind;
+use bft_sim_simcheck::{AttackSpec, DelaySpec, PartitionSpec, ScenarioSpec};
 
-use super::{AttackSpec, Scenario};
+use super::{latency_secs, messages_per_decision, paper_spec, repeat};
 
 // The paper's settings: what `bft-sim fig N` runs.
 /// System size of Figs. 3–9.
@@ -24,12 +24,14 @@ pub const REPS: usize = 100;
 pub const FIG2_SIZES: [usize; 8] = [4, 8, 16, 32, 64, 128, 256, 512];
 /// Fig. 2's timed runs per size.
 pub const FIG2_REPS: usize = 10;
+/// Fig. 3's four N(μ, σ) delays (ms), from fast and stable to slow and unstable.
+const FIG3_DELAYS_MS: [(u64, u64); 4] = [(250, 50), (500, 100), (1000, 300), (1000, 1000)];
 /// Fig. 4's λ values (ms), from the network's delay upward.
-pub const FIG4_LAMBDAS: [f64; 5] = [1000.0, 1500.0, 2000.0, 2500.0, 3000.0];
+pub const FIG4_LAMBDAS: [u64; 5] = [1000, 1500, 2000, 2500, 3000];
 /// Fig. 5's λ values (ms), from below the network's delay upward.
-pub const FIG5_LAMBDAS: [f64; 5] = [150.0, 250.0, 500.0, 1000.0, 2000.0];
+pub const FIG5_LAMBDAS: [u64; 5] = [150, 250, 500, 1000, 2000];
 /// When Fig. 6's partition resolves (s).
-pub const FIG6_RESOLVE_S: f64 = 20.0;
+pub const FIG6_RESOLVE_S: u64 = 20;
 /// Fig. 7's fail-stop counts.
 pub const FIG7_CRASHES: [usize; 6] = [0, 1, 2, 3, 4, 5];
 /// Fig. 9's run: a seed whose views diverge, as the paper's one execution
@@ -56,24 +58,40 @@ pub struct Point {
     pub timeout_rate: f64,
 }
 
-fn measure(scenario: &Scenario, reps: usize, base_seed: u64, x: impl Into<String>) -> Point {
-    let results = scenario.run_many(reps, base_seed);
-    let timeouts = results.iter().filter(|r| r.timed_out).count();
-    for r in &results {
-        assert!(
-            r.safety_violation.is_none(),
-            "{}: safety violated: {:?}",
-            scenario.kind,
-            r.safety_violation
-        );
+impl Point {
+    /// The point that `results`, repetitions of `spec`, make, labelled `x`.
+    ///
+    /// # Errors
+    ///
+    /// A repetition violates safety.
+    pub fn of(
+        spec: &ScenarioSpec,
+        results: &[RunResult],
+        x: impl Into<String>,
+    ) -> Result<Point, String> {
+        if let Some(v) = results.iter().find_map(|r| r.safety_violation.as_ref()) {
+            return Err(format!("safety violation: {v}"));
+        }
+        let summary = |metric: &dyn Fn(&RunResult) -> f64| {
+            Summary::of(&results.iter().map(metric).collect::<Vec<_>>())
+        };
+        let timeouts = results.iter().filter(|r| r.timed_out).count();
+        Ok(Point {
+            protocol: spec.protocol,
+            x: x.into(),
+            latency: summary(&|r| latency_secs(spec, r)),
+            messages: summary(&messages_per_decision),
+            timeout_rate: timeouts as f64 / results.len().max(1) as f64,
+        })
     }
-    Point {
-        protocol: scenario.kind,
-        x: x.into(),
-        latency: scenario.latency_summary(&results),
-        messages: scenario.message_summary(&results),
-        timeout_rate: timeouts as f64 / reps.max(1) as f64,
-    }
+}
+
+/// A figure's point: `spec` [`repeat`]ed `reps` times from `base_seed`,
+/// labelled `x`. The figures' runs all build and are all safe.
+fn point(spec: &ScenarioSpec, reps: usize, base_seed: u64, x: impl Into<String>) -> Point {
+    let results = repeat(spec, reps, base_seed);
+    let point = results.and_then(|results| Point::of(spec, &results, x));
+    point.unwrap_or_else(|e| panic!("{}: {e}", spec.protocol))
 }
 
 // ---------------------------------------------------------------- Fig. 2
@@ -108,12 +126,19 @@ pub struct Fig2Row {
 pub fn fig2(sizes: &[usize], reps: usize, base_seed: u64) -> Vec<Fig2Row> {
     let mut rows = Vec::new();
     for &n in sizes {
-        let scenario = Scenario::new(ProtocolKind::Pbft, n);
+        let run = |seed| {
+            let spec = ScenarioSpec {
+                seed,
+                ..paper_spec(ProtocolKind::Pbft, n)
+            };
+            spec.simulate(TraceLevel::Decisions)
+                .expect("Fig. 2's runs build")
+        };
         let mut walls = Vec::new();
-        let events = scenario.run(base_seed).events_processed;
+        let events = run(base_seed).events_processed;
         for rep in 0..reps.max(1) {
             let start = Instant::now();
-            let result = scenario.run(base_seed + rep as u64);
+            let result = run(base_seed + rep as u64);
             walls.push(start.elapsed().as_secs_f64() * 1000.0);
             assert!(result.is_clean(), "fig2 run failed at n={n}");
         }
@@ -146,16 +171,17 @@ pub fn fig2_paper_column(n: usize) -> String {
 /// (λ = 1000 ms). Returns one [`Point`] per (protocol, environment); the
 /// latency field is Fig. 3a, the messages field Fig. 3b.
 pub fn fig3(n: usize, reps: usize, base_seed: u64) -> Vec<Point> {
-    let envs = bft_sim_net::scenarios::fig3_environments();
     let mut points = Vec::new();
     for kind in ProtocolKind::all() {
-        for env in envs {
-            let label = match env {
-                Dist::Normal { mu, sigma } => format!("N({mu:.0},{sigma:.0})"),
-                other => format!("{other:?}"),
+        for (mu, sigma) in FIG3_DELAYS_MS {
+            let spec = ScenarioSpec {
+                delay: DelaySpec::Normal {
+                    mean_micros: mu * 1000,
+                    std_micros: sigma * 1000,
+                },
+                ..paper_spec(kind, n)
             };
-            let scenario = Scenario::new(kind, n).with_delay(env);
-            points.push(measure(&scenario, reps, base_seed, label));
+            points.push(point(&spec, reps, base_seed, format!("N({mu},{sigma})")));
         }
     }
     points
@@ -166,13 +192,15 @@ pub fn fig3(n: usize, reps: usize, base_seed: u64) -> Vec<Point> {
 /// Fig. 4: latency when the timeout is overestimated — λ swept upward with
 /// the network fixed at N(250, 50). Responsive protocols stay flat; the
 /// synchronous ones scale with λ.
-pub fn fig4(n: usize, reps: usize, base_seed: u64, lambdas: &[f64]) -> Vec<Point> {
+pub fn fig4(n: usize, reps: usize, base_seed: u64, lambdas: &[u64]) -> Vec<Point> {
     let mut points = Vec::new();
     for kind in ProtocolKind::all() {
         for &lambda in lambdas {
-            let scenario = Scenario::new(kind, n).with_lambda(lambda);
-            let label = format!("λ={lambda:.0}");
-            points.push(measure(&scenario, reps, base_seed, label));
+            let spec = ScenarioSpec {
+                lambda_micros: lambda * 1000,
+                ..paper_spec(kind, n)
+            };
+            points.push(point(&spec, reps, base_seed, format!("λ={lambda}")));
         }
     }
     points
@@ -182,7 +210,7 @@ pub fn fig4(n: usize, reps: usize, base_seed: u64, lambdas: &[f64]) -> Vec<Point
 
 /// Fig. 5: latency when the timeout is underestimated — partially
 /// synchronous protocols only, λ swept below the actual delay, N(250, 50).
-pub fn fig5(n: usize, reps: usize, base_seed: u64, lambdas: &[f64]) -> Vec<Point> {
+pub fn fig5(n: usize, reps: usize, base_seed: u64, lambdas: &[u64]) -> Vec<Point> {
     let kinds = [
         ProtocolKind::Pbft,
         ProtocolKind::HotStuffNs,
@@ -191,13 +219,14 @@ pub fn fig5(n: usize, reps: usize, base_seed: u64, lambdas: &[f64]) -> Vec<Point
     let mut points = Vec::new();
     for kind in kinds {
         for &lambda in lambdas {
-            let scenario = Scenario::new(kind, n)
-                .with_lambda(lambda)
+            let spec = ScenarioSpec {
+                lambda_micros: lambda * 1000,
                 // HotStuff+NS can wander for minutes here (that is the
                 // finding); give it room before calling a timeout.
-                .with_time_cap_s(900.0);
-            let label = format!("λ={lambda:.0}");
-            points.push(measure(&scenario, reps, base_seed, label));
+                time_cap_secs: 900,
+                ..paper_spec(kind, n)
+            };
+            points.push(point(&spec, reps, base_seed, format!("λ={lambda}")));
         }
     }
     points
@@ -208,7 +237,7 @@ pub fn fig5(n: usize, reps: usize, base_seed: u64, lambdas: &[f64]) -> Vec<Point
 /// Fig. 6: time usage under a network partition that resolves at
 /// `resolve_s` seconds. Includes Algorand (the partition-resilient
 /// synchronous protocol), async BA, and the partially synchronous trio.
-pub fn fig6(n: usize, reps: usize, base_seed: u64, resolve_s: f64) -> Vec<Point> {
+pub fn fig6(n: usize, reps: usize, base_seed: u64, resolve_s: u64) -> Vec<Point> {
     let kinds = [
         ProtocolKind::Algorand,
         ProtocolKind::AsyncBa,
@@ -222,19 +251,21 @@ pub fn fig6(n: usize, reps: usize, base_seed: u64, resolve_s: f64) -> Vec<Point>
             // The attacker *drops* cross-partition traffic (§III-C), except
             // against async BA, whose asynchronous model promises eventual
             // delivery — there the attacker delays instead (also §III-C).
-            let attack = AttackSpec::Partition {
+            let partition = PartitionSpec {
                 start_ms: 0,
-                end_ms: (resolve_s * 1000.0) as u64,
+                end_ms: resolve_s * 1000,
                 drop: kind != ProtocolKind::AsyncBa,
             };
             // Fig. 6 reports *termination* time (when the first consensus
             // completes), so the pipelined protocols are measured to one
             // decision here rather than their usual ten-decision average.
-            let scenario = Scenario::new(kind, n)
-                .with_attack(attack)
-                .with_decisions(1)
-                .with_time_cap_s(900.0);
-            measure(&scenario, reps, base_seed, format!("resolve@{resolve_s}s"))
+            let spec = ScenarioSpec {
+                partition: Some(partition),
+                target_decisions: 1,
+                time_cap_secs: 900,
+                ..paper_spec(kind, n)
+            };
+            point(&spec, reps, base_seed, format!("resolve@{resolve_s}s"))
         })
         .collect()
 }
@@ -250,11 +281,16 @@ pub fn fig7(n: usize, reps: usize, base_seed: u64, failstop_counts: &[usize]) ->
             if k > kind.default_f(n) {
                 continue; // beyond the protocol's fault budget
             }
-            let scenario = Scenario::new(kind, n)
-                .with_delay(Dist::normal(1000.0, 300.0))
-                .with_attack(AttackSpec::FailStopLast(k))
-                .with_time_cap_s(900.0);
-            points.push(measure(&scenario, reps, base_seed, format!("crash={k}")));
+            let spec = ScenarioSpec {
+                delay: DelaySpec::Normal {
+                    mean_micros: 1_000_000,
+                    std_micros: 300_000,
+                },
+                attack: Some(AttackSpec::FailStopLast { k }),
+                time_cap_secs: 900,
+                ..paper_spec(kind, n)
+            };
+            points.push(point(&spec, reps, base_seed, format!("crash={k}")));
         }
     }
     points
@@ -275,14 +311,16 @@ pub fn fig8(n: usize, reps: usize, base_seed: u64) -> Vec<Point> {
     for kind in variants {
         let f = kind.default_f(n);
         for (label, attack) in [
-            ("none", AttackSpec::None),
-            ("static", AttackSpec::AddStatic(f)),
-            ("adaptive", AttackSpec::AddAdaptive),
+            ("none", None),
+            ("static", Some(AttackSpec::AddStatic { k: f })),
+            ("adaptive", Some(AttackSpec::AddAdaptive)),
         ] {
-            let scenario = Scenario::new(kind, n)
-                .with_attack(attack)
-                .with_time_cap_s(900.0);
-            points.push(measure(&scenario, reps, base_seed, label));
+            let spec = ScenarioSpec {
+                attack,
+                time_cap_secs: 900,
+                ..paper_spec(kind, n)
+            };
+            points.push(point(&spec, reps, base_seed, label));
         }
     }
     points
@@ -295,13 +333,15 @@ pub fn fig8(n: usize, reps: usize, base_seed: u64) -> Vec<Point> {
 /// view-synchronisation visualisation. Returns `(node, [(t_secs, view)])`
 /// per node for a single seeded run.
 pub fn fig9(n: usize, seed: u64) -> Vec<(NodeId, Vec<(f64, u64)>)> {
-    let scenario = Scenario {
-        trace: TraceLevel::Events,
-        ..Scenario::new(ProtocolKind::HotStuffNs, n)
-            .with_lambda(150.0)
-            .with_time_cap_s(900.0)
+    let spec = ScenarioSpec {
+        seed,
+        lambda_micros: 150_000,
+        time_cap_secs: 900,
+        ..paper_spec(ProtocolKind::HotStuffNs, n)
     };
-    let result = scenario.run(seed);
+    let result = spec
+        .simulate(TraceLevel::Events)
+        .expect("Fig. 9's run builds");
     NodeId::all(n)
         .map(|id| {
             let timeline = result

@@ -1,6 +1,9 @@
-//! The paper's evaluation (§IV), reproducible: scenario runner, attack
-//! specifications, repetition machinery and per-figure generators.
+//! The paper's evaluation (§IV), reproducible: the paper's default run, the
+//! repetition machinery, the two reported metrics and per-figure generators.
 //!
+//! A run is a [`ScenarioSpec`]: every figure point, `bft-sim run` and
+//! `bft-sim compare` build one and [`repeat`] it over seeds, so any of them
+//! can be written to a file and opened with `bft-sim trace <spec.json>`.
 //! Every table and figure of the paper has a generator in [`figures`] or
 //! [`loc`]; `bft-sim fig N` and `bft-sim table N` print them at the paper's
 //! settings, and miniature versions run inside the integration test-suite.
@@ -9,64 +12,74 @@ pub mod cost;
 pub mod figures;
 pub mod loc;
 
-use bft_sim_core::adversary::{Adversary, NullAdversary};
-use bft_sim_core::config::RunConfig;
 use bft_sim_core::dist::Dist;
-use bft_sim_core::engine::SimulationBuilder;
-use bft_sim_core::metrics::{RunResult, Summary};
-use bft_sim_core::network::SampledNetwork;
+use bft_sim_core::metrics::RunResult;
 use bft_sim_core::scheduler::SchedulerKind;
-use bft_sim_core::time::SimDuration;
 use bft_sim_core::trace::TraceLevel;
 use bft_sim_protocols::registry::ProtocolKind;
+use bft_sim_simcheck::{DelaySpec, ScenarioSpec};
 
-use bft_sim_attacks::{AddAdaptiveRushingAttack, AddStaticAttack, FailStop, PartitionAttack};
-
-/// A declarative attack choice, buildable per repetition.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AttackSpec {
-    /// No attack.
-    None,
-    /// Fail-stop the last `k` nodes at start (Fig. 7).
-    FailStopLast(usize),
-    /// Split the network in half between the two times (Fig. 6). With
-    /// `drop` the attacker discards cross traffic; otherwise it holds it
-    /// back until the partition resolves (both modes appear in §III-C).
-    Partition {
-        /// Partition start (ms).
-        start_ms: u64,
-        /// Partition resolution (ms).
-        end_ms: u64,
-        /// Drop cross traffic instead of delaying it.
-        drop: bool,
-    },
-    /// Fail-stop the first `k` round-robin leaders (Fig. 8, left).
-    AddStatic(usize),
-    /// Rushing adaptive leader corruption (Fig. 8, right).
-    AddAdaptive,
-}
-
-impl AttackSpec {
-    fn build(self, n: usize) -> Box<dyn Adversary> {
-        match self {
-            AttackSpec::None => Box::new(NullAdversary::new()),
-            AttackSpec::FailStopLast(k) => Box::new(FailStop::last_k(n, k)),
-            AttackSpec::Partition {
-                start_ms,
-                end_ms,
-                drop,
-            } => Box::new(
-                PartitionAttack::halves(n, start_ms, end_ms, drop)
-                    .unwrap_or_else(|e| panic!("attack spec: {e}")),
-            ),
-            AttackSpec::AddStatic(k) => Box::new(AddStaticAttack::new(k)),
-            AttackSpec::AddAdaptive => Box::new(AddAdaptiveRushingAttack::new()),
-        }
+/// The paper's defaults for `kind` at `n` nodes: λ = 1000 ms, delays
+/// N(250, 50), no attack, a 600 s cap, genesis seed 7, and the protocol's
+/// measured decisions (10 for the pipelined protocols, 1 otherwise).
+pub fn paper_spec(kind: ProtocolKind, n: usize) -> ScenarioSpec {
+    ScenarioSpec {
+        n,
+        delay: DelaySpec::Normal {
+            mean_micros: 250_000,
+            std_micros: 50_000,
+        },
+        time_cap_secs: 600,
+        ..ScenarioSpec::baseline(kind)
     }
 }
 
-/// One experiment scenario: a protocol under a network condition, a timeout
-/// configuration λ, and optionally an attack.
+/// Runs `spec` at seeds `base_seed`, `base_seed + 1`, … (`reps` of them;
+/// the paper uses 100) on all cores, in seed order as if run serially. A
+/// panic in any repetition is re-raised here.
+///
+/// # Errors
+///
+/// The spec does not build ([`ScenarioSpec::simulate`]).
+pub fn repeat(spec: &ScenarioSpec, reps: usize, base_seed: u64) -> Result<Vec<RunResult>, String> {
+    bft_sim_core::sweep::sweep(reps, 0, |i| {
+        let seed = base_seed.wrapping_add(i as u64);
+        ScenarioSpec {
+            seed,
+            ..spec.clone()
+        }
+        .simulate(TraceLevel::Decisions)
+    })
+    .into_iter()
+    .map(|r| r.unwrap_or_else(|p| panic!("{p}")))
+    .collect()
+}
+
+/// The latency metric the paper reports for `spec`'s protocol, in seconds:
+/// average per decision over the spec's decisions for the pipelined
+/// protocols, time to the single decision otherwise. Timed-out runs report
+/// the full (capped) run time.
+pub fn latency_secs(spec: &ScenarioSpec, result: &RunResult) -> f64 {
+    let measured = if spec.protocol.pipelined() {
+        result.avg_latency_per_decision(spec.target_decisions as usize)
+    } else {
+        result.latency()
+    };
+    measured
+        .map(|d| d.as_secs_f64())
+        .unwrap_or_else(|| result.end_time.as_secs_f64())
+}
+
+/// The message-usage metric: honest messages per decision.
+pub fn messages_per_decision(result: &RunResult) -> f64 {
+    result
+        .messages_per_decision()
+        .unwrap_or(result.honest_messages as f64)
+}
+
+/// [`paper_spec`] as `benchmark/`, frozen until ROADMAP item 1, reads it;
+/// nothing else may. [`run`](Scenario::run) goes through
+/// [`ScenarioSpec::simulate`], the path the figures take.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// The protocol under test.
@@ -77,210 +90,97 @@ pub struct Scenario {
     pub lambda_ms: f64,
     /// Message-delay distribution (ms).
     pub delay: Dist,
-    /// The attack, if any.
-    pub(crate) attack: AttackSpec,
-    /// Simulated-time cap (s); timed-out runs report the cap as latency.
+    /// Simulated-time cap (s).
     pub time_cap_s: f64,
     /// Shared-randomness seed for VRFs / common coins.
     pub genesis_seed: u64,
-    /// Decision target; `None` uses the paper's per-protocol convention
-    /// (10 for the pipelined protocols, 1 otherwise).
-    pub(crate) decisions: Option<u64>,
-    /// What each run's trace keeps; `Decisions` except for Fig. 9.
-    pub(crate) trace: TraceLevel,
-    /// Single backend; kept for benchmark/'s tracer, remove with its replay
-    /// follow-up (ROADMAP item 2).
+    /// Single backend; read by `benchmark/`'s tracer.
     pub scheduler: SchedulerKind,
+    spec: ScenarioSpec,
 }
 
 impl Scenario {
-    /// A scenario with the paper's defaults: λ = 1000 ms, delays
-    /// N(250, 50), no attack, 600 s cap.
+    /// [`paper_spec`]`(kind, n)`.
     pub fn new(kind: ProtocolKind, n: usize) -> Self {
+        let spec = paper_spec(kind, n);
         Scenario {
             kind,
             n,
-            lambda_ms: 1000.0,
-            delay: Dist::normal(250.0, 50.0),
-            attack: AttackSpec::None,
-            time_cap_s: 600.0,
-            genesis_seed: 7,
-            decisions: None,
-            trace: TraceLevel::Decisions,
+            lambda_ms: spec.lambda_micros as f64 / 1000.0,
+            delay: spec.delay.to_dist(),
+            time_cap_s: spec.time_cap_secs as f64,
+            genesis_seed: spec.genesis_seed,
             scheduler: SchedulerKind::default(),
+            spec,
         }
-    }
-
-    /// Sets λ (ms).
-    pub fn with_lambda(mut self, lambda_ms: f64) -> Self {
-        self.lambda_ms = lambda_ms;
-        self
-    }
-
-    /// Sets the delay distribution.
-    pub fn with_delay(mut self, delay: Dist) -> Self {
-        self.delay = delay;
-        self
-    }
-
-    /// Sets the attack.
-    pub fn with_attack(mut self, attack: AttackSpec) -> Self {
-        self.attack = attack;
-        self
-    }
-
-    /// Sets the simulated-time cap in seconds.
-    pub fn with_time_cap_s(mut self, cap: f64) -> Self {
-        self.time_cap_s = cap;
-        self
     }
 
     /// Overrides the decision target.
     pub fn with_decisions(mut self, k: u64) -> Self {
-        self.decisions = Some(k);
+        self.spec.target_decisions = k;
         self
     }
 
     /// The decision target in effect.
     pub fn target_decisions(&self) -> u64 {
-        self.decisions
-            .unwrap_or_else(|| self.kind.measured_decisions())
+        self.spec.target_decisions
     }
 
-    /// Runs the scenario once with the given seed.
+    /// Runs the spec once with the given seed.
     pub fn run(&self, seed: u64) -> RunResult {
-        let cfg = self
-            .kind
-            .configure(
-                RunConfig::new(self.n)
-                    .with_seed(seed)
-                    .with_lambda_ms(self.lambda_ms)
-                    .with_time_cap(SimDuration::from_secs(self.time_cap_s))
-                    .with_trace(self.trace),
-            )
-            .with_target_decisions(self.target_decisions());
-        let factory = self.kind.factory(&cfg, self.genesis_seed);
-        let n = cfg.n;
-        SimulationBuilder::new(cfg)
-            .network(SampledNetwork::new(self.delay))
-            .adversary(self.attack.build(n))
-            .protocols(factory)
-            .build()
-            .expect("scenario configuration is valid")
-            .run()
-    }
-
-    /// Runs `reps` seeded repetitions in parallel (the paper uses 100),
-    /// using all available cores. Results come back in seed order, so the
-    /// output is identical to running serially.
-    pub fn run_many(&self, reps: usize, base_seed: u64) -> Vec<RunResult> {
-        self.run_many_threads(reps, base_seed, 0)
-    }
-
-    /// Like [`run_many`](Scenario::run_many) with an explicit worker-thread
-    /// count (0 = available parallelism). Repetitions are sharded through
-    /// the deterministic sweep engine (work-stealing, seed-order
-    /// reassembly); a panic in any repetition is re-raised here, since the
-    /// experiment scenarios are all expected to run clean.
-    pub(crate) fn run_many_threads(
-        &self,
-        reps: usize,
-        base_seed: u64,
-        threads: usize,
-    ) -> Vec<RunResult> {
-        bft_sim_core::sweep::sweep(reps, threads, |i| self.run(base_seed + i as u64))
-            .into_iter()
-            .map(|r| match r {
-                Ok(result) => result,
-                Err(p) => panic!("{p}"),
-            })
-            .collect()
-    }
-
-    /// The latency metric the paper reports for this protocol, in seconds:
-    /// average per decision over ten decisions for the pipelined protocols,
-    /// time to the single decision otherwise. Timed-out runs report the
-    /// full (capped) run time.
-    pub fn latency_secs(&self, result: &RunResult) -> f64 {
-        let k = self.target_decisions() as usize;
-        let measured = if self.kind.pipelined() {
-            result.avg_latency_per_decision(k)
-        } else {
-            result.latency()
-        };
-        measured
-            .map(|d| d.as_secs_f64())
-            .unwrap_or_else(|| result.end_time.as_secs_f64())
-    }
-
-    /// The message-usage metric: honest messages per decision.
-    pub(crate) fn messages_per_decision(&self, result: &RunResult) -> f64 {
-        result
-            .messages_per_decision()
-            .unwrap_or(result.honest_messages as f64)
-    }
-
-    /// Latency summary (mean ± sd seconds) over repetitions.
-    pub fn latency_summary(&self, results: &[RunResult]) -> Summary {
-        Summary::of(
-            &results
-                .iter()
-                .map(|r| self.latency_secs(r))
-                .collect::<Vec<_>>(),
-        )
-    }
-
-    /// Message-usage summary over repetitions.
-    pub fn message_summary(&self, results: &[RunResult]) -> Summary {
-        Summary::of(
-            &results
-                .iter()
-                .map(|r| self.messages_per_decision(r))
-                .collect::<Vec<_>>(),
-        )
+        ScenarioSpec { seed, ..self.spec }
+            .simulate(TraceLevel::Decisions)
+            .expect("the paper's default run builds")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bft_sim_simcheck::{AttackSpec, PartitionSpec};
+
+    /// [`figures::Point::of`] `reps` repetitions of `spec` from `base_seed`.
+    fn measure(spec: &ScenarioSpec, reps: usize, base_seed: u64) -> figures::Point {
+        let results = repeat(spec, reps, base_seed).unwrap();
+        figures::Point::of(spec, &results, "").unwrap()
+    }
 
     #[test]
     fn scenario_runs_and_summarises() {
-        let s = Scenario::new(ProtocolKind::Pbft, 4);
-        let results = s.run_many(4, 100);
-        assert_eq!(results.len(), 4);
-        for r in &results {
-            assert!(r.is_clean());
-        }
-        let lat = s.latency_summary(&results);
-        assert!(lat.mean > 0.0 && lat.count == 4);
-        let msg = s.message_summary(&results);
-        assert!(msg.mean > 0.0);
+        let point = measure(&paper_spec(ProtocolKind::Pbft, 4), 4, 100);
+        assert!(point.latency.mean > 0.0 && point.latency.count == 4);
+        assert!(point.messages.mean > 0.0);
+        assert_eq!(point.timeout_rate, 0.0);
     }
 
     #[test]
     fn repetitions_are_deterministic_in_aggregate() {
-        let s = Scenario::new(ProtocolKind::AsyncBa, 4);
-        let a = s.latency_summary(&s.run_many(3, 5));
-        let b = s.latency_summary(&s.run_many(3, 5));
-        assert_eq!(a, b);
+        let spec = paper_spec(ProtocolKind::AsyncBa, 4);
+        let (a, b) = (measure(&spec, 3, 5), measure(&spec, 3, 5));
+        assert_eq!(a.latency, b.latency);
+        assert_eq!(a.messages, b.messages);
     }
 
     #[test]
     fn attack_specs_build() {
-        for spec in [
-            AttackSpec::None,
-            AttackSpec::FailStopLast(1),
-            AttackSpec::Partition {
-                start_ms: 0,
-                end_ms: 10,
-                drop: true,
-            },
-            AttackSpec::AddStatic(1),
-            AttackSpec::AddAdaptive,
+        let partition = PartitionSpec {
+            start_ms: 0,
+            end_ms: 10,
+            drop: true,
+        };
+        for (attack, partition) in [
+            (None, None),
+            (Some(AttackSpec::FailStopLast { k: 1 }), None),
+            (None, Some(partition)),
+            (Some(AttackSpec::AddStatic { k: 1 }), None),
+            (Some(AttackSpec::AddAdaptive), None),
         ] {
-            let _ = spec.build(4);
+            let spec = ScenarioSpec {
+                attack,
+                partition,
+                ..paper_spec(ProtocolKind::AddV1, 4)
+            };
+            assert!(spec.simulate(TraceLevel::Decisions).is_ok(), "{spec:?}");
         }
     }
 }

@@ -63,6 +63,5 @@ pub mod prelude {
     pub use bft_sim_net::topology::{BandwidthNetwork, LinkProfile, LinkTopology};
     pub use bft_sim_protocols::registry::{NetworkAssumption, ProtocolKind};
     pub use bft_sim_protocols::ProtocolParams;
-
-    pub use crate::experiments::{AttackSpec, Scenario};
+    pub use bft_sim_simcheck::{AttackSpec, DelaySpec, PartitionSpec, ScenarioSpec};
 }

@@ -160,7 +160,7 @@ fn decisions_are_identical_across_honest_nodes() {
 
 #[test]
 fn fault_budget_of_crashes_is_tolerated_by_every_protocol() {
-    use bft_simulator::experiments::{AttackSpec, Scenario};
+    use bft_simulator::experiments::paper_spec;
     for kind in ProtocolKind::extended() {
         // Crash the full tolerated budget for the protocol's f.
         let f = kind.default_f(16);
@@ -170,10 +170,13 @@ fn fault_budget_of_crashes_is_tolerated_by_every_protocol() {
             NetworkAssumption::Synchronous => f.min(5),
             _ => f,
         };
-        let scenario = Scenario::new(kind, 16)
-            .with_attack(AttackSpec::FailStopLast(crashes))
-            .with_time_cap_s(900.0);
-        let r = scenario.run(9);
+        let spec = ScenarioSpec {
+            seed: 9,
+            attack: Some(AttackSpec::FailStopLast { k: crashes }),
+            time_cap_secs: 900,
+            ..paper_spec(kind, 16)
+        };
+        let r = spec.simulate(TraceLevel::Decisions).unwrap();
         assert!(
             r.safety_violation.is_none() && !r.timed_out,
             "{kind} with {crashes} crashes: violation={:?} timed_out={}",

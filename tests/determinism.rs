@@ -152,11 +152,19 @@ fn replay_detects_tampered_results() {
 
 #[test]
 fn repetition_parallelism_does_not_change_results() {
-    use bft_simulator::experiments::Scenario;
-    // run_many fans out over threads; aggregates must match a serial loop.
-    let scenario = Scenario::new(ProtocolKind::Pbft, 7);
-    let parallel = scenario.run_many(8, 100);
-    let serial: Vec<RunResult> = (0..8).map(|i| scenario.run(100 + i as u64)).collect();
+    use bft_simulator::experiments::{paper_spec, repeat};
+    // `repeat` fans out over threads; results must match a serial loop.
+    let spec = paper_spec(ProtocolKind::Pbft, 7);
+    let parallel = repeat(&spec, 8, 100).unwrap();
+    let serial: Vec<RunResult> = (0..8)
+        .map(|i| {
+            let spec = ScenarioSpec {
+                seed: 100 + i,
+                ..spec.clone()
+            };
+            spec.simulate(TraceLevel::Decisions).unwrap()
+        })
+        .collect();
     for (p, s) in parallel.iter().zip(&serial) {
         assert_eq!(p.end_time, s.end_time);
         assert_eq!(p.honest_messages, s.honest_messages);

@@ -3,10 +3,18 @@
 //! `bft-sim fig N` and `bft-sim table N`; these run with few repetitions so
 //! the whole evaluation is exercised by `cargo test`.
 
-use bft_simulator::experiments::figures;
-use bft_simulator::experiments::loc;
-use bft_simulator::experiments::{AttackSpec, Scenario};
+use bft_simulator::experiments::figures::{self, Point};
+use bft_simulator::experiments::{loc, paper_spec, repeat};
 use bft_simulator::prelude::*;
+use bft_simulator::sim_core::json::Json;
+use bft_simulator::simcheck::RunMode;
+
+/// The point `reps` repetitions of `spec` from `base_seed` make; every
+/// repetition must be safe.
+fn measure(spec: &ScenarioSpec, reps: usize, base_seed: u64) -> Point {
+    let results = repeat(spec, reps, base_seed).unwrap();
+    Point::of(spec, &results, "").unwrap()
+}
 
 fn mean(points: &[figures::Point], proto: ProtocolKind, x: &str) -> f64 {
     points
@@ -42,10 +50,9 @@ fn fig3_hotstuff_wins_latency_and_messages_on_the_default_network() {
     let mut latencies = Vec::new();
     let mut messages = Vec::new();
     for kind in ProtocolKind::all() {
-        let s = Scenario::new(kind, 16);
-        let results = s.run_many(reps, 0x3333);
-        latencies.push((kind, s.latency_summary(&results).mean));
-        messages.push((kind, s.message_summary(&results).mean));
+        let point = measure(&paper_spec(kind, 16), reps, 0x3333);
+        latencies.push((kind, point.latency.mean));
+        messages.push((kind, point.messages.mean));
     }
     let best_latency = latencies
         .iter()
@@ -67,8 +74,14 @@ fn fig3_pbft_edges_out_hotstuff_ns_at_the_widest_delays() {
     // The paper: HotStuff+NS has the lowest latency everywhere except at
     // N(1000,1000), where PBFT is slightly faster.
     let latency = |kind| {
-        let s = Scenario::new(kind, 16).with_delay(Dist::normal(1000.0, 1000.0));
-        s.latency_summary(&s.run_many(5, 0x3333)).mean
+        let spec = ScenarioSpec {
+            delay: DelaySpec::Normal {
+                mean_micros: 1_000_000,
+                std_micros: 1_000_000,
+            },
+            ..paper_spec(kind, 16)
+        };
+        measure(&spec, 5, 0x3333).latency.mean
     };
     let [pbft, hotstuff, libra] = [
         ProtocolKind::Pbft,
@@ -84,7 +97,7 @@ fn fig3_pbft_edges_out_hotstuff_ns_at_the_widest_delays() {
 
 #[test]
 fn fig4_only_synchronous_protocols_pay_for_an_overestimated_timeout() {
-    let points = figures::fig4(16, 2, 0x4444, &[1000.0, 3000.0]);
+    let points = figures::fig4(16, 2, 0x4444, &[1000, 3000]);
     for kind in ProtocolKind::all() {
         let low = mean(&points, kind, "λ=1000");
         let high = mean(&points, kind, "λ=3000");
@@ -107,7 +120,7 @@ fn fig4_only_synchronous_protocols_pay_for_an_overestimated_timeout() {
 fn fig5_hotstuff_ns_destabilises_when_lambda_is_underestimated() {
     // Aggregate several seeds: HotStuff+NS at λ=150 must be measurably
     // slower and *much* noisier than at λ=1000, while LibraBFT stays flat.
-    let points = figures::fig5(16, 10, 0x5555, &[150.0, 1000.0]);
+    let points = figures::fig5(16, 10, 0x5555, &[150, 1000]);
     let hs_low = mean(&points, ProtocolKind::HotStuffNs, "λ=150");
     let hs_ok = mean(&points, ProtocolKind::HotStuffNs, "λ=1000");
     assert!(
@@ -133,7 +146,7 @@ fn fig5_hotstuff_ns_destabilises_when_lambda_is_underestimated() {
 #[test]
 #[ignore = "divergence: HotStuff+NS's mean grows ~1.4x, not the paper's 5.3x (EXPERIMENTS.md divergence 2)"]
 fn fig5_hotstuff_ns_mean_at_least_triples_when_lambda_is_underestimated() {
-    let points = figures::fig5(16, 10, 0x5555, &[150.0, 1000.0]);
+    let points = figures::fig5(16, 10, 0x5555, &[150, 1000]);
     let low = mean(&points, ProtocolKind::HotStuffNs, "λ=150");
     let ok = mean(&points, ProtocolKind::HotStuffNs, "λ=1000");
     assert!(low >= 3.0 * ok, "HotStuff+NS: {low:.2} s vs {ok:.2} s");
@@ -142,7 +155,7 @@ fn fig5_hotstuff_ns_mean_at_least_triples_when_lambda_is_underestimated() {
 #[test]
 fn fig6_partition_recovery_is_fast_except_for_hotstuff_ns() {
     let resolve = 20.0;
-    let points = figures::fig6(16, 1, 0x6666, resolve);
+    let points = figures::fig6(16, 1, 0x6666, 20);
     for p in &points {
         let extra = p.latency.mean - resolve;
         assert!(
@@ -171,24 +184,26 @@ fn ablation_retransmission_not_timer_arithmetic_drives_partition_recovery() {
     // timers to re-converge after a partition, so it pays a large penalty
     // however long the split lasted. The three pacemakers that re-send their
     // synchronisation votes recover within seconds at either length.
-    for resolve_s in [5.0, 40.0] {
+    for resolve_s in [5, 40] {
         for kind in [
             ProtocolKind::HotStuffNs,
             ProtocolKind::LibraBft,
             ProtocolKind::Pbft,
             ProtocolKind::Tendermint,
         ] {
-            let scenario = Scenario::new(kind, 16)
-                .with_attack(AttackSpec::Partition {
+            let spec = ScenarioSpec {
+                partition: Some(PartitionSpec {
                     start_ms: 0,
-                    end_ms: (resolve_s * 1000.0) as u64,
+                    end_ms: resolve_s * 1000,
                     drop: true,
-                })
-                .with_decisions(1)
-                .with_time_cap_s(1800.0);
-            let results = scenario.run_many(1, 0xAB1A);
-            assert!(results[0].safety_violation.is_none(), "{kind}");
-            let overhead = scenario.latency_summary(&results).mean - resolve_s;
+                }),
+                target_decisions: 1,
+                time_cap_secs: 1800,
+                ..paper_spec(kind, 16)
+            };
+            // `measure` refuses an unsafe run.
+            let point = measure(&spec, 1, 0xAB1A);
+            let overhead = point.latency.mean - resolve_s as f64;
             if kind == ProtocolKind::HotStuffNs {
                 assert!(
                     overhead > 30.0,
@@ -290,16 +305,76 @@ fn intro_claim_partition_attack_denies_service_while_active() {
     // The liveness half of the motivation: during an unresolved partition
     // no partially-synchronous protocol can decide.
     for kind in [ProtocolKind::Pbft, ProtocolKind::LibraBft] {
-        let scenario = Scenario::new(kind, 16)
-            .with_attack(AttackSpec::Partition {
+        let spec = ScenarioSpec {
+            seed: 3,
+            partition: Some(PartitionSpec {
                 start_ms: 0,
                 end_ms: 3_600_000, // never resolves within the cap
                 drop: true,
-            })
-            .with_decisions(1)
-            .with_time_cap_s(120.0);
-        let r = scenario.run(3);
+            }),
+            target_decisions: 1,
+            time_cap_secs: 120,
+            ..paper_spec(kind, 16)
+        };
+        let r = spec.simulate(TraceLevel::Decisions).unwrap();
         assert!(r.timed_out, "{kind} decided through a partition?");
         assert!(r.safety_violation.is_none());
+    }
+}
+
+/// A figure run is a file: Fig. 7's PBFT crash = 5 cell and the first capped
+/// HotStuff+NS run of Fig. 3's N(1000,1000) cell survive `to_json` /
+/// `from_json` unchanged, and the checked run of each agrees with the
+/// unchecked one the figure measures.
+#[test]
+fn figure_runs_round_trip_as_scenario_files() {
+    let crash5 = ScenarioSpec {
+        delay: DelaySpec::Normal {
+            mean_micros: 1_000_000,
+            std_micros: 300_000,
+        },
+        attack: Some(AttackSpec::FailStopLast { k: 5 }),
+        time_cap_secs: 900,
+        ..paper_spec(ProtocolKind::Pbft, figures::N)
+    };
+    // The spec is the figure's cell: same point from the same seeds.
+    let cell = &figures::fig7(figures::N, 2, figures::seed(7), &[5])[..];
+    let cell = cell
+        .iter()
+        .find(|p| p.protocol == ProtocolKind::Pbft)
+        .unwrap();
+    let ours = measure(&crash5, 2, figures::seed(7));
+    assert_eq!((ours.latency, ours.messages), (cell.latency, cell.messages));
+
+    let widest = ScenarioSpec {
+        delay: DelaySpec::Normal {
+            mean_micros: 1_000_000,
+            std_micros: 1_000_000,
+        },
+        ..paper_spec(ProtocolKind::HotStuffNs, figures::N)
+    };
+    let capped = (0..figures::REPS as u64)
+        .map(|i| ScenarioSpec {
+            seed: figures::seed(3) + i,
+            ..widest.clone()
+        })
+        .find(|spec| spec.simulate(TraceLevel::Decisions).unwrap().timed_out)
+        .expect("Fig. 3's N(1000,1000) cell has a capped HotStuff+NS run");
+
+    for spec in [
+        ScenarioSpec {
+            seed: figures::seed(7),
+            ..crash5
+        },
+        capped,
+    ] {
+        let text = spec.to_json().dump_pretty();
+        let back = ScenarioSpec::from_json(&Json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back, spec, "{text}");
+        let unchecked = spec.simulate(TraceLevel::Decisions).unwrap();
+        let checked = spec.run(RunMode::Generate).unwrap().result;
+        assert_eq!(checked.end_time, unchecked.end_time, "{text}");
+        assert_eq!(checked.decided, unchecked.decided, "{text}");
+        assert_eq!(checked.honest_messages, unchecked.honest_messages, "{text}");
     }
 }

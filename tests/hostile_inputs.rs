@@ -26,7 +26,7 @@ use bft_sim_core::smallstr::SmallStr;
 use bft_sim_core::trace::{TraceEvent, TraceKind};
 use bft_sim_core::validator::DeliverySchedule;
 use bft_sim_simcheck::{
-    ChurnSpec, NetSpec, PartitionSpec, Repro, RunMode, ScenarioSpec, TopologyKind,
+    AttackSpec, ChurnSpec, NetSpec, PartitionSpec, Repro, RunMode, ScenarioSpec, TopologyKind,
 };
 use bft_simulator::prelude::*;
 use rand::rngs::SmallRng;
@@ -288,6 +288,7 @@ fn rich_scenario() -> ScenarioSpec {
             end_ms: 2_000,
             drop: true,
         }),
+        attack: Some(AttackSpec::FailStopLast { k: 1 }),
         intensity_permille: 500,
         max_actions: 48,
         bug_delay_micros: 2_000,
@@ -314,6 +315,7 @@ fn scenario_optionals(prefix: &str, spec: &ScenarioSpec) -> Vec<(String, Option<
         "net.topology_seed",
         "net.churn",
         "partition",
+        "attack",
         "bug_delay_micros",
         "faults",
     ] {
@@ -721,6 +723,11 @@ fn the_policy_in_five_lines() {
     };
     let err = built.run(RunMode::Generate).unwrap_err();
     assert!(err.contains("before it starts"), "{err}");
+    // An attack beyond the fault budget used to be cut short by the engine,
+    // after crashing the wrong nodes.
+    let err =
+        scenario("{\"protocol\": \"pbft\", \"n\": 16, \"attack\": {\"FailStopLast\": {\"k\": 6}}}");
+    assert!(err.contains("pbft's fault budget f = 5 at n = 16"), "{err}");
     let err = Json::parse(&"[".repeat(200_000)).unwrap_err();
     assert!(err.contains("nesting deeper than 128 at byte 128"), "{err}");
     assert!(Json::parse(&format!("{}1{}", "[".repeat(128), "]".repeat(128))).is_ok());
