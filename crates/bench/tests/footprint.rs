@@ -1,7 +1,7 @@
 //! Footprint regression gate for the one-entry-per-broadcast event queue,
 //! for shared certificates, for the trace's record layout and for its
-//! retention, on deterministic counters only (wall time is evidence, never a
-//! gate).
+//! retention and holding each decision once, on deterministic counters only
+//! (wall time is evidence, never a gate).
 //!
 //! PBFT's all-to-all phases used to keep n² delivery events resident. The
 //! *logical* queue depth and the event count are simulated quantities and
@@ -13,7 +13,7 @@
 //! One test function on purpose: the allocation counter is process-global,
 //! so nothing else may run in this binary while a case is measured.
 
-use bft_sim_bench::alloc_counter::CountingAllocator;
+use bft_sim_bench::alloc_counter::{self, CountingAllocator};
 use bft_sim_bench::baseline::run_case;
 use bft_sim_core::config::RunConfig;
 use bft_sim_core::dist::Dist;
@@ -33,7 +33,7 @@ fn footprints() {
     // allocation-free decide walk (LibraBFT's own copy of it allocated a
     // `Vec` per node per decision and regrew its block map).
     chained_n256_shares_its_certificates(ProtocolKind::LibraBft);
-    default_trace_keeps_one_record_per_decision();
+    each_decision_is_held_once_in_the_trace();
 }
 
 fn pbft_n64_keeps_its_depth_and_loses_the_n_squared_residency() {
@@ -86,20 +86,36 @@ fn chained_n256_shares_its_certificates(kind: ProtocolKind) {
 }
 
 /// A run that asks for nothing more keeps one record per decision: no view,
-/// no protocol report, no message.
-fn default_trace_keeps_one_record_per_decision() {
-    let kind = ProtocolKind::HotStuffNs;
+/// no protocol report, no message. That record is the decision's only copy
+/// while the run goes: the collector keeps a count per node and an agreed
+/// value per slot, and `RunResult::decided` is regrouped from the trace after
+/// the replicas and the queue are freed. A second per-node decision log kept
+/// during the run (16 bytes per replica per decision) shows in the peak of
+/// live heap bytes; release builds only, like the allocation counts above.
+fn each_decision_is_held_once_in_the_trace() {
+    let (kind, n, decisions) = (ProtocolKind::HotStuffNs, 256, 100);
     let cfg = kind
-        .configure(RunConfig::new(256).with_seed(1))
-        .with_target_decisions(3);
+        .configure(RunConfig::new(n).with_seed(1))
+        .with_target_decisions(decisions);
     let factory = kind.factory(&cfg, 7);
+    let before = alloc_counter::reset_peak_live_bytes();
     let result = SimulationBuilder::new(cfg)
         .network(SampledNetwork::new(Dist::normal(250.0, 50.0)))
         .protocols(factory)
         .build()
         .expect("valid configuration")
         .run();
-    let decided: usize = result.decided.iter().map(Vec::len).sum();
-    assert!(decided >= 3 * 256);
+    let peak = alloc_counter::peak_live_bytes() - before;
+    let decided: usize = result.decided.iter().map(<[_]>::len).sum();
+    assert!(decided >= decisions as usize * n);
     assert_eq!(result.trace.len(), decided);
+    if !cfg!(debug_assertions) {
+        // 96.4 while each replica also kept its own decision log, 80.2
+        // since; the bound sits halfway.
+        let per_decision = peak as f64 / decided as f64;
+        assert!(
+            per_decision <= 88.3,
+            "{kind}: {per_decision} peak live bytes per replica per decision"
+        );
+    }
 }

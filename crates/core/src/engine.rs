@@ -400,18 +400,28 @@ impl Simulation {
     }
 
     /// Consumes the driven simulation into its metrics and the schedule it
-    /// recorded (empty unless recording was on).
+    /// recorded (empty unless recording was on). The replicas, the queue and
+    /// everything else but the sinks are freed before the sinks build the
+    /// result, so the decisions it regroups from the trace never add to the
+    /// run's peak.
     fn finish(self, timed_out: bool) -> (RunResult, DeliverySchedule) {
+        let (end_time, high_water, diverged) =
+            (self.clock, self.queue_high_water, self.replay_diverged);
         let stats = self.queue.stats();
-        let (mut result, schedule) =
-            self.sinks
-                .finish(self.clock, timed_out, self.queue_high_water, stats);
-        if self.replay_diverged {
+        let (mut result, schedule) = self
+            .into_sinks()
+            .finish(end_time, timed_out, high_water, stats);
+        if diverged {
             result.safety_violation = result
                 .safety_violation
                 .or_else(|| Some("replay diverged from recorded schedule".to_string()));
         }
         (result, schedule)
+    }
+
+    /// The sinks, the rest of the simulation dropped.
+    fn into_sinks(self) -> Sinks {
+        self.sinks
     }
 
     fn stop_reached(&self) -> bool {

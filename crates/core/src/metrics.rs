@@ -1,6 +1,8 @@
 //! Performance metrics: time usage and message usage (§II-C), decision
 //! tracking and the safety checker.
 
+use std::ops::{Index, IndexMut, Range};
+
 use crate::ids::{NodeId, NodeSet};
 use crate::obs::Observability;
 use crate::scheduler::SchedulerStats;
@@ -10,9 +12,17 @@ use crate::value::Value;
 
 /// Live decision/message bookkeeping inside the engine: the [`RunResult`]
 /// under construction, its end-of-run fields still at their defaults.
+///
+/// The decisions themselves live in the run's trace, which records every
+/// `Decided` event at every [`TraceLevel`](crate::trace::TraceLevel); the
+/// collector keeps only how many each node decided and each slot's agreed
+/// value, and [`into_result`](Self::into_result) regroups the trace into
+/// [`RunResult::decided`].
 #[derive(Debug)]
 pub(crate) struct MetricsCollector {
     result: RunResult,
+    /// `counts[i]` is how many slots node `i` has decided.
+    counts: Vec<u64>,
     /// `agreed[s]` is the value slot `s` is agreed on; one entry per slot
     /// any node has decided. Invariant, while no violation is latched: every
     /// live (non-excluded) node that decided slot `s` decided `agreed[s]`.
@@ -24,10 +34,10 @@ pub(crate) struct MetricsCollector {
 }
 
 impl MetricsCollector {
-    /// Pre-sizes the per-node decision sequences and the completion log for
-    /// `expected` slots, so runs with a known `target_decisions` never grow
-    /// them mid-simulation. The expectation is a capacity hint only — runs
-    /// may decide more or fewer slots.
+    /// Pre-sizes the completion log and the agreed values for `expected`
+    /// slots, so runs with a known `target_decisions` never grow them
+    /// mid-simulation. The expectation is a capacity hint only — runs may
+    /// decide more or fewer slots.
     pub(crate) fn with_expected_decisions(n: usize, expected: u64) -> Self {
         // Decision targets are small (tens); cap the hint so a pathological
         // config cannot pre-reserve unbounded memory.
@@ -46,7 +56,7 @@ impl MetricsCollector {
             sent_per_node: vec![0; n],
             delivered_per_node: vec![0; n],
             safety_violation: None,
-            decided: (0..n).map(|_| Vec::with_capacity(cap)).collect(),
+            decided: Decisions::default(),
             trace: Trace::default(),
             queue_high_water: 0,
             scheduler: SchedulerStats::default(),
@@ -54,10 +64,10 @@ impl MetricsCollector {
         };
         MetricsCollector {
             result,
+            counts: vec![0; n],
             agreed: Vec::with_capacity(cap),
         }
     }
-
     pub(crate) fn count_honest_message(&mut self, src: NodeId) {
         self.result.honest_messages += 1;
         self.result.sent_per_node[src.index()] += 1;
@@ -95,62 +105,39 @@ impl MetricsCollector {
         self.result.broadcasts += 1;
     }
 
-    /// Records `node`'s decision for its next slot and cross-checks it against
+    /// Counts `node`'s decision for its next slot and cross-checks it against
     /// every other live node's decision for that slot, latching the first
-    /// violation; returns the slot index it filled.
+    /// violation; returns the slot index it filled. `trace` holds every
+    /// decision made before this one; the caller records this one after.
     ///
     /// The check is one comparison with the slot's agreed value (see
     /// [`agreed`](Self::agreed)). Only a value that differs from it runs the
-    /// scan over all nodes, and a scan that finds no live dissenter — every
+    /// scan over the trace, and a scan that finds no live dissenter — every
     /// node that decided otherwise is excluded by now — makes `value` the
     /// slot's agreed value.
     pub(crate) fn record_decision(
         &mut self,
         node: NodeId,
-        time: SimTime,
         value: Value,
         excluded: &NodeSet,
+        trace: &Trace,
     ) -> u64 {
-        let seq = &mut self.result.decided[node.index()];
-        seq.push((time, value));
-        let slot = seq.len() - 1;
+        let count = &mut self.counts[node.index()];
+        let slot = *count;
+        *count += 1;
         if self.result.safety_violation.is_none() {
-            debug_assert!(slot <= self.agreed.len(), "a slot was skipped");
-            match self.agreed.get(slot) {
+            let at = slot as usize;
+            debug_assert!(at <= self.agreed.len(), "a slot was skipped");
+            match self.agreed.get(at) {
                 None => self.agreed.push(value),
                 Some(&agreed) if agreed == value => {}
-                Some(_) => match self.find_conflict(node, slot, value, excluded) {
-                    None => self.agreed[slot] = value,
+                Some(_) => match find_conflict(trace, node, slot, value, excluded) {
+                    None => self.agreed[at] = value,
                     conflict => self.result.safety_violation = conflict,
                 },
             }
         }
-        slot as u64
-    }
-
-    /// Scans every other live node's decision for `slot` and describes the
-    /// first (lowest-index) one that is not `value`.
-    fn find_conflict(
-        &self,
-        node: NodeId,
-        slot: usize,
-        value: Value,
-        excluded: &NodeSet,
-    ) -> Option<String> {
-        for (other_idx, other_seq) in self.result.decided.iter().enumerate() {
-            let other = NodeId::new(other_idx as u32);
-            if other == node || excluded.contains(other) {
-                continue;
-            }
-            if let Some(&(_, other_value)) = other_seq.get(slot) {
-                if other_value != value {
-                    return Some(format!(
-                        "slot {slot}: {node} decided {value} but {other} decided {other_value}"
-                    ));
-                }
-            }
-        }
-        None
+        slot
     }
 
     /// Re-derives completion times given the current live-honest set; returns
@@ -161,12 +148,12 @@ impl MetricsCollector {
             let k = self.result.completions.len();
             let mut all = true;
             let mut any_live = false;
-            for (idx, seq) in self.result.decided.iter().enumerate() {
+            for (idx, &count) in self.counts.iter().enumerate() {
                 if excluded.contains(NodeId::new(idx as u32)) {
                     continue;
                 }
                 any_live = true;
-                if seq.len() <= k {
+                if count <= k as u64 {
                     all = false;
                     break;
                 }
@@ -184,6 +171,9 @@ impl MetricsCollector {
         self.result.completions.len() as u64
     }
 
+    /// Completes the result; `trace` is the run's, which holds every
+    /// decision the collector counted, and is regrouped by node into
+    /// [`RunResult::decided`] here.
     pub(crate) fn into_result(
         self,
         end_time: SimTime,
@@ -196,12 +186,156 @@ impl MetricsCollector {
         RunResult {
             end_time,
             timed_out,
+            decided: Decisions::regroup(&trace, &self.counts),
             trace,
             queue_high_water,
             scheduler,
             observability,
             ..self.result
         }
+    }
+}
+
+/// Describes the lowest-index live node other than `node` whose decision
+/// for `slot` in `trace` is not `value`.
+fn find_conflict(
+    trace: &Trace,
+    node: NodeId,
+    slot: u64,
+    value: Value,
+    excluded: &NodeSet,
+) -> Option<String> {
+    trace
+        .decisions()
+        .filter(|&(_, other, s, v)| {
+            s == slot && v != value && other != node && !excluded.contains(other)
+        })
+        .min_by_key(|&(_, other, _, _)| other)
+        .map(|(_, other, _, other_value)| {
+            format!("slot {slot}: {node} decided {value} but {other} decided {other_value}")
+        })
+}
+
+/// Every node's decided `(time, value)` sequence: `decided[i]` is node
+/// `i`'s, slot by slot, and is empty for a node that decided nothing.
+///
+/// The sequences sit back to back in one allocation, beside each node's end
+/// offset, filled once at the end of a run from its trace (DESIGN.md §5,
+/// "Decisions & safety"). Indexing, [`get`], [`iter`] and
+/// `for seq in &decided` hand out slices.
+///
+/// [`get`]: Decisions::get
+/// [`iter`]: Decisions::iter
+#[derive(Clone, Default, PartialEq)]
+pub struct Decisions {
+    /// Node `i`'s sequence ends at `entries[ends[i]]` and starts where node
+    /// `i − 1`'s ends (node 0's at 0).
+    ends: Vec<usize>,
+    entries: Vec<(SimTime, Value)>,
+}
+
+impl Decisions {
+    /// Regroups `trace`'s `Decided` records by node. `counts[i]` is how many
+    /// slots node `i` decided; its decision for slot `s` goes to place `s`.
+    pub(crate) fn regroup(trace: &Trace, counts: &[u64]) -> Decisions {
+        let mut ends = Vec::with_capacity(counts.len());
+        let mut total = 0;
+        for &count in counts {
+            total += count as usize;
+            ends.push(total);
+        }
+        let mut decided = Decisions {
+            ends,
+            entries: vec![(SimTime::ZERO, Value::ZERO); total],
+        };
+        debug_assert_eq!(
+            trace.decisions().count(),
+            total,
+            "trace and counts disagree"
+        );
+        for (time, node, slot, value) in trace.decisions() {
+            decided[node.index()][slot as usize] = (time, value);
+        }
+        decided
+    }
+
+    /// Number of nodes.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether there are no nodes.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Node `node`'s decisions, or `None` when there is no such node.
+    pub fn get(&self, node: usize) -> Option<&[(SimTime, Value)]> {
+        (node < self.len()).then(|| &self[node])
+    }
+
+    /// Every node's decisions, in node order.
+    pub fn iter(&self) -> PerNode<'_> {
+        PerNode {
+            entries: &self.entries,
+            ends: self.ends.iter(),
+            start: 0,
+        }
+    }
+
+    fn range(&self, node: usize) -> Range<usize> {
+        let start = node.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        start..self.ends[node]
+    }
+}
+
+impl Index<usize> for Decisions {
+    type Output = [(SimTime, Value)];
+
+    fn index(&self, node: usize) -> &Self::Output {
+        &self.entries[self.range(node)]
+    }
+}
+
+impl IndexMut<usize> for Decisions {
+    fn index_mut(&mut self, node: usize) -> &mut Self::Output {
+        let range = self.range(node);
+        &mut self.entries[range]
+    }
+}
+
+impl<'a> IntoIterator for &'a Decisions {
+    type Item = &'a [(SimTime, Value)];
+    type IntoIter = PerNode<'a>;
+
+    fn into_iter(self) -> PerNode<'a> {
+        self.iter()
+    }
+}
+
+impl core::fmt::Debug for Decisions {
+    /// As a list of per-node lists, the way `Vec<Vec<_>>` prints.
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Iterator over each node's decisions, from [`Decisions::iter`].
+#[derive(Debug, Clone)]
+pub struct PerNode<'a> {
+    entries: &'a [(SimTime, Value)],
+    ends: std::slice::Iter<'a, usize>,
+    start: usize,
+}
+
+impl<'a> Iterator for PerNode<'a> {
+    type Item = &'a [(SimTime, Value)];
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let &end = self.ends.next()?;
+        let seq = &self.entries[self.start..end];
+        self.start = end;
+        Some(seq)
     }
 }
 
@@ -260,8 +394,9 @@ pub struct RunResult {
     pub delivered_per_node: Vec<u64>,
     /// `Some(description)` if honest nodes decided conflicting values.
     pub safety_violation: Option<String>,
-    /// Per-node decided `(time, value)` sequences.
-    pub decided: Vec<Vec<(SimTime, Value)>>,
+    /// Per-node decided `(time, value)` sequences, regrouped from the
+    /// trace once the run is over.
+    pub decided: Decisions,
     /// Recorded trace: decisions, crashes and corruptions; views and
     /// protocol reports, then messages too, as
     /// [`RunConfig::trace`](crate::config::RunConfig::trace) asks.
@@ -382,58 +517,124 @@ impl core::fmt::Display for Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceKind;
 
-    fn decide(m: &mut MetricsCollector, node: u32, at_ms: u64, value: Value, excluded: &NodeSet) {
-        m.record_decision(
-            NodeId::new(node),
-            SimTime::from_millis(at_ms),
-            value,
-            excluded,
-        );
+    /// Unit tests build results by hand, one node's sequence at a time.
+    impl FromIterator<Vec<(SimTime, Value)>> for Decisions {
+        fn from_iter<I: IntoIterator<Item = Vec<(SimTime, Value)>>>(nodes: I) -> Self {
+            let mut decided = Decisions::default();
+            for seq in nodes {
+                decided.entries.extend(seq);
+                decided.ends.push(decided.entries.len());
+            }
+            decided
+        }
+    }
+
+    /// A collector with the trace fed alongside, as the spine feeds them:
+    /// the decision is counted and checked first, then recorded, then the
+    /// completions are brought up to date.
+    struct Fed {
+        m: MetricsCollector,
+        trace: Trace,
+    }
+
+    impl Fed {
+        fn new(n: usize) -> Self {
+            Fed {
+                m: MetricsCollector::with_expected_decisions(n, 0),
+                trace: Trace::default(),
+            }
+        }
+
+        /// Returns the slots completed so far.
+        fn decide(&mut self, node: u32, at: SimTime, value: Value, excluded: &NodeSet) -> u64 {
+            let node = NodeId::new(node);
+            let slot = self.m.record_decision(node, value, excluded, &self.trace);
+            self.trace
+                .record(at, node, &TraceKind::Decided { slot, value });
+            self.m.update_completions(at, excluded)
+        }
+
+        fn decide_ms(&mut self, node: u32, at_ms: u64, value: Value, excluded: &NodeSet) -> u64 {
+            self.decide(node, SimTime::from_millis(at_ms), value, excluded)
+        }
+
+        fn violation(&self) -> Option<&str> {
+            self.m.result.safety_violation.as_deref()
+        }
+
+        fn finish(self, end_time: SimTime) -> RunResult {
+            self.m.into_result(
+                end_time,
+                false,
+                self.trace,
+                0,
+                SchedulerStats::default(),
+                None,
+            )
+        }
+    }
+
+    /// The trace's decisions regrouped by node, in trace order, which is
+    /// what [`RunResult::decided`] must hold.
+    fn regrouped(trace: &Trace, n: usize) -> Vec<Vec<(SimTime, Value)>> {
+        let mut per_node = vec![Vec::new(); n];
+        for (time, node, slot, value) in trace.decisions() {
+            assert_eq!(slot as usize, per_node[node.index()].len());
+            per_node[node.index()].push((time, value));
+        }
+        per_node
     }
 
     #[test]
     fn completions_require_all_live_honest_nodes() {
-        let mut m = MetricsCollector::with_expected_decisions(3, 0);
+        let mut f = Fed::new(3);
         let excluded = NodeSet::new();
-        decide(&mut m, 0, 10, Value::ONE, &excluded);
-        assert_eq!(m.update_completions(SimTime::from_millis(10), &excluded), 0);
-        decide(&mut m, 1, 12, Value::ONE, &excluded);
-        assert_eq!(m.update_completions(SimTime::from_millis(12), &excluded), 0);
-        decide(&mut m, 2, 15, Value::ONE, &excluded);
-        assert_eq!(m.update_completions(SimTime::from_millis(15), &excluded), 1);
+        assert_eq!(f.decide_ms(0, 10, Value::ONE, &excluded), 0);
+        assert_eq!(f.decide_ms(1, 12, Value::ONE, &excluded), 0);
+        assert_eq!(f.decide_ms(2, 15, Value::ONE, &excluded), 1);
     }
 
     #[test]
     fn excluded_nodes_do_not_block_completion() {
-        let mut m = MetricsCollector::with_expected_decisions(3, 0);
+        let mut f = Fed::new(3);
         let excluded: NodeSet = [NodeId::new(2)].into_iter().collect();
-        decide(&mut m, 0, 10, Value::ONE, &excluded);
-        decide(&mut m, 1, 11, Value::ONE, &excluded);
-        assert_eq!(m.update_completions(SimTime::from_millis(11), &excluded), 1);
+        f.decide_ms(0, 10, Value::ONE, &excluded);
+        assert_eq!(f.decide_ms(1, 11, Value::ONE, &excluded), 1);
+        // The excluded node decided nothing: its slice is empty.
+        let decided = f.finish(SimTime::from_millis(11)).decided;
+        assert_eq!(decided.len(), 3);
+        assert!(decided[2].is_empty());
+        assert_eq!(
+            decided.get(1),
+            Some(&[(SimTime::from_millis(11), Value::ONE)][..])
+        );
+        assert_eq!(decided.get(3), None);
     }
 
     #[test]
     fn safety_checker_flags_conflicts() {
-        let mut m = MetricsCollector::with_expected_decisions(2, 0);
+        let mut f = Fed::new(2);
         let excluded = NodeSet::new();
-        decide(&mut m, 0, 1, Value::ZERO, &excluded);
-        assert!(m.result.safety_violation.is_none());
-        decide(&mut m, 1, 2, Value::ONE, &excluded);
-        assert!(m.result.safety_violation.is_some());
+        f.decide_ms(0, 1, Value::ZERO, &excluded);
+        assert!(f.violation().is_none());
+        f.decide_ms(1, 2, Value::ONE, &excluded);
+        assert!(f.violation().is_some());
     }
 
     #[test]
     fn safety_checker_ignores_excluded_nodes() {
-        let mut m = MetricsCollector::with_expected_decisions(2, 0);
+        let mut f = Fed::new(2);
         let excluded: NodeSet = [NodeId::new(0)].into_iter().collect();
-        decide(&mut m, 0, 1, Value::ZERO, &excluded);
-        decide(&mut m, 1, 2, Value::ONE, &excluded);
-        assert!(m.result.safety_violation.is_none());
+        f.decide_ms(0, 1, Value::ZERO, &excluded);
+        f.decide_ms(1, 2, Value::ONE, &excluded);
+        assert!(f.violation().is_none());
     }
 
     /// The safety check as it was before the agreed-value fast path — every
-    /// node scanned after every decision — kept as the reference model.
+    /// node's own decision log scanned after every decision — kept as the
+    /// reference model.
     struct FullScan {
         decided: Vec<Vec<Value>>,
         violation: Option<String>,
@@ -469,10 +670,12 @@ mod tests {
         Exclude(u32),
     }
 
-    /// Feeds `ops` to the collector and to [`FullScan`], asserting the same
-    /// `safety_violation` after every step; returns the final one.
+    /// Feeds `ops` to the collector (with its trace) and to [`FullScan`],
+    /// asserting the same `safety_violation` after every step, then that the
+    /// materialised decisions are the trace's regrouped by node and the
+    /// reference's values; returns the final violation.
     fn run_both(n: usize, ops: &[Op]) -> Option<String> {
-        let mut fast = MetricsCollector::with_expected_decisions(n, 0);
+        let mut fast = Fed::new(n);
         let mut slow = FullScan {
             decided: vec![Vec::new(); n],
             violation: None,
@@ -481,19 +684,30 @@ mod tests {
         for (step, &op) in ops.iter().enumerate() {
             match op {
                 Op::Decide(node, value) => {
-                    let (node, value) = (NodeId::new(node), Value::new(value));
-                    fast.record_decision(node, SimTime::ZERO, value, &excluded);
-                    slow.record_decision(node, value, &excluded);
+                    let value = Value::new(value);
+                    let at = SimTime::from_micros(step as u64);
+                    fast.decide(node, at, value, &excluded);
+                    slow.record_decision(NodeId::new(node), value, &excluded);
                 }
                 Op::Exclude(node) => {
                     excluded.insert(NodeId::new(node));
                 }
             }
             assert_eq!(
-                fast.result.safety_violation, slow.violation,
+                fast.violation(),
+                slow.violation.as_deref(),
                 "n={n} step {step} of {ops:?}"
             );
         }
+        let expected = regrouped(&fast.trace, n);
+        let decided = fast.finish(SimTime::ZERO).decided;
+        let materialised: Vec<Vec<(SimTime, Value)>> = decided.iter().map(<[_]>::to_vec).collect();
+        assert_eq!(materialised, expected, "n={n}: {ops:?}");
+        let values: Vec<Vec<Value>> = decided
+            .iter()
+            .map(|seq| seq.iter().map(|&(_, v)| v).collect())
+            .collect();
+        assert_eq!(values, slow.decided, "n={n}: {ops:?}");
         slow.violation
     }
 
@@ -504,6 +718,22 @@ mod tests {
         assert_eq!(
             run_both(4, &[Decide(2, 7), Decide(1, 7), Decide(3, 9)]).as_deref(),
             Some("slot 0: n3 decided v0x9 but n1 decided v0x7")
+        );
+        // The lowest-index live dissenter decided after a higher-index one:
+        // the scan names n1, not n3, which comes first in the trace.
+        assert_eq!(
+            run_both(
+                4,
+                &[
+                    Decide(0, 1),
+                    Exclude(0),
+                    Decide(3, 2),
+                    Decide(1, 2),
+                    Decide(2, 1)
+                ]
+            )
+            .as_deref(),
+            Some("slot 0: n2 decided v0x1 but n1 decided v0x2")
         );
         // The first decider is excluded before a second value appears: the
         // slot's agreed value moves to it, and a later dissenter is judged
@@ -582,26 +812,40 @@ mod tests {
     }
 
     #[test]
+    fn decisions_index_mutate_and_print_like_nested_vecs() {
+        let seqs = vec![
+            vec![(SimTime::from_millis(1), Value::ONE)],
+            vec![],
+            vec![
+                (SimTime::from_millis(2), Value::ONE),
+                (SimTime::from_millis(3), Value::new(9)),
+            ],
+        ];
+        let mut f = Fed::new(3);
+        let excluded = NodeSet::new();
+        for (node, seq) in seqs.iter().enumerate() {
+            for &(at, value) in seq {
+                f.decide(node as u32, at, value, &excluded);
+            }
+        }
+        let mut decided = f.finish(SimTime::ZERO).decided;
+        assert_eq!(format!("{decided:?}"), format!("{seqs:?}"));
+        assert_eq!((&decided).into_iter().count(), 3);
+        decided[2][1].1 = Value::new(0xBAD);
+        assert_eq!(decided[2][1].1, Value::new(0xBAD));
+        assert_eq!(decided[0], seqs[0][..], "a neighbour's slice is untouched");
+        assert_eq!(Decisions::default().len(), 0);
+        assert!(Decisions::default().is_empty());
+    }
+
+    #[test]
     fn latency_metrics() {
-        let mut m = MetricsCollector::with_expected_decisions(1, 0);
+        let mut f = Fed::new(1);
         let excluded = NodeSet::new();
         for k in 0..10u64 {
-            m.record_decision(
-                NodeId::new(0),
-                SimTime::from_millis((k + 1) * 100),
-                Value::ONE,
-                &excluded,
-            );
-            m.update_completions(SimTime::from_millis((k + 1) * 100), &excluded);
+            f.decide_ms(0, (k + 1) * 100, Value::ONE, &excluded);
         }
-        let r = m.into_result(
-            SimTime::from_millis(1000),
-            false,
-            Trace::default(),
-            0,
-            SchedulerStats::default(),
-            None,
-        );
+        let r = f.finish(SimTime::from_millis(1000));
         assert_eq!(r.decisions_completed(), 10);
         assert_eq!(r.latency().unwrap().as_millis_f64(), 100.0);
         assert_eq!(
@@ -614,29 +858,15 @@ mod tests {
 
     #[test]
     fn avg_latency_rounds_instead_of_truncating() {
-        let mut m = MetricsCollector::with_expected_decisions(1, 0);
+        let mut f = Fed::new(1);
         let excluded = NodeSet::new();
         // Three completions; the last at 1000 µs. 1000 / 3 = 333.33…, which
         // integer division used to truncate to 333 µs; rounding keeps 333 but
         // a total of 1001 µs must give 334, not 333.
-        for (slot, at) in [(0u64, 1u64), (1, 2), (2, 1001)] {
-            let _ = slot;
-            m.record_decision(
-                NodeId::new(0),
-                SimTime::ZERO + SimDuration::from_micros(at),
-                Value::ONE,
-                &excluded,
-            );
-            m.update_completions(SimTime::ZERO + SimDuration::from_micros(at), &excluded);
+        for at in [1u64, 2, 1001] {
+            f.decide(0, SimTime::from_micros(at), Value::ONE, &excluded);
         }
-        let r = m.into_result(
-            SimTime::ZERO + SimDuration::from_micros(1001),
-            false,
-            Trace::default(),
-            0,
-            SchedulerStats::default(),
-            None,
-        );
+        let r = f.finish(SimTime::ZERO + SimDuration::from_micros(1001));
         assert_eq!(r.avg_latency_per_decision(3).unwrap().as_micros(), 334);
     }
 

@@ -347,13 +347,25 @@ impl Oracle for NoRevocationOracle {
             }
             // And the engine-reported observations must agree with the trace.
             if let Some(obs) = &input.observed {
-                if obs.decisions != input.decisions {
+                let (seen, traced) = (&obs.decisions, &input.decisions);
+                if seen != traced {
+                    let at = seen
+                        .iter()
+                        .zip(traced)
+                        .position(|(a, b)| a != b)
+                        .unwrap_or(seen.len().min(traced.len()));
+                    let describe = |d: Option<&(SimTime, NodeId, u64, Value)>| match d {
+                        Some(&(time, node, slot, value)) => {
+                            format!("({node}, slot {slot}, {value}) at {time}")
+                        }
+                        None => "nothing".to_string(),
+                    };
                     return Err(OracleViolation {
                         oracle: self.name(),
                         detail: format!(
-                            "observer saw {} decisions but the trace records {}",
-                            obs.decisions.len(),
-                            input.decisions.len()
+                            "decision #{at}: the observer saw {} but the trace records {}",
+                            describe(seen.get(at)),
+                            describe(traced.get(at))
                         ),
                     });
                 }
@@ -660,6 +672,78 @@ mod tests {
         assert!(v.detail.contains("expected slot 1"), "{}", v.detail);
     }
 
+    /// A run's result whose trace holds `traced` (decisions of nodes below
+    /// `n`), with `decided` regrouped from it as the engine does.
+    fn run_backed(traced: &[(SimTime, NodeId, u64, Value)], n: usize) -> RunResult {
+        let mut result = timed_out_result(&[], 0, 0);
+        let mut counts = vec![0; n];
+        for &(time, node, slot, value) in traced {
+            let kind = crate::trace::TraceKind::Decided { slot, value };
+            result.trace.record(time, node, &kind);
+            counts[node.index()] += 1;
+        }
+        result.decided = crate::metrics::Decisions::regroup(&result.trace, &counts);
+        result
+    }
+
+    #[test]
+    fn no_revocation_compares_the_result_with_the_trace() {
+        let check =
+            |r: &RunResult| NoRevocationOracle.check(&OracleInput::from_result(r, None, lenient()));
+        let mut result = run_backed(&[decision(1, 0, 0, 7), decision(2, 1, 0, 7)], 2);
+        assert!(check(&result).is_ok());
+
+        result.decided[1][0].1 = Value::new(8);
+        assert_eq!(
+            check(&result).unwrap_err().detail,
+            "n1 slot 0: decided v0x7 during the run but the final result records Some(Value(8))"
+        );
+
+        result.decided = [result.decided[0].to_vec(), Vec::new()]
+            .into_iter()
+            .collect();
+        let v = check(&result).unwrap_err();
+        assert!(v.detail.ends_with("records None"), "{}", v.detail);
+    }
+
+    #[test]
+    fn no_revocation_names_the_first_decision_the_observer_saw_differently() {
+        let traced = [
+            decision(1, 0, 0, 7),
+            decision(2, 1, 0, 7),
+            decision(3, 0, 1, 8),
+        ];
+        let result = run_backed(&traced, 2);
+        let check = |seen: Vec<(SimTime, NodeId, u64, Value)>| {
+            let observed = ObservedRun {
+                decisions: seen,
+                ..ObservedRun::default()
+            };
+            NoRevocationOracle.check(&OracleInput::from_result(
+                &result,
+                Some(observed),
+                lenient(),
+            ))
+        };
+        assert!(check(traced.to_vec()).is_ok());
+
+        // As many decisions on both sides, one value apart.
+        let mut other_value = traced.to_vec();
+        other_value[1].3 = Value::new(5);
+        assert_eq!(
+            check(other_value).unwrap_err().detail,
+            "decision #1: the observer saw (n1, slot 0, v0x5) at 2.000ms but the trace \
+             records (n1, slot 0, v0x7) at 2.000ms"
+        );
+
+        // One side is a prefix of the other.
+        assert_eq!(
+            check(traced[..2].to_vec()).unwrap_err().detail,
+            "decision #2: the observer saw nothing but the trace records \
+             (n0, slot 1, v0x8) at 3.000ms"
+        );
+    }
+
     #[test]
     fn termination_only_fires_when_owed() {
         let empty = input(Vec::new());
@@ -680,7 +764,7 @@ mod tests {
     /// A minimal timed-out [`RunResult`] whose per-node decision counts are
     /// given; only the fields the termination oracle reads are meaningful.
     fn timed_out_result(per_node_decisions: &[u64], completed: u64, end_ms: u64) -> RunResult {
-        let decided: Vec<Vec<(SimTime, Value)>> = per_node_decisions
+        let decided: crate::metrics::Decisions = per_node_decisions
             .iter()
             .map(|&k| (0..k).map(|_| (SimTime::ZERO, Value::new(7))).collect())
             .collect();

@@ -117,7 +117,9 @@ impl Sinks {
     /// `node` decided `value` for its next slot.
     #[inline]
     pub(crate) fn decided(&mut self, now: SimTime, node: NodeId, value: Value, excluded: &NodeSet) {
-        let slot = self.metrics.record_decision(node, now, value, excluded);
+        let slot = self
+            .metrics
+            .record_decision(node, value, excluded, &self.trace);
         if let Some(observer) = &mut self.observer {
             observer.on_decision(now, node, slot, value);
         }

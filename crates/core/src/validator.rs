@@ -366,7 +366,7 @@ mod tests {
                     .map(|&v| (SimTime::ZERO, Value::new(v)))
                     .collect()
             })
-            .collect::<Vec<Vec<_>>>();
+            .collect::<crate::metrics::Decisions>();
         let n = decided.len();
         RunResult {
             end_time: SimTime::ZERO,
