@@ -1,9 +1,10 @@
 //! A counting wrapper around the system allocator.
 //!
-//! The perf baseline reports *allocations per broadcast* to catch
-//! regressions on the zero-clone message hot path: a broadcast performs one
-//! payload allocation (the `Arc`) regardless of fan-out, so a jump in this
-//! ratio means per-destination clones crept back in.
+//! The footprint gate (`crates/bench/tests/footprint.rs`) bounds
+//! *allocations per broadcast* to catch regressions on the zero-clone message
+//! hot path: a broadcast performs one payload allocation (the `Arc`)
+//! regardless of fan-out, so a jump in this ratio means per-destination
+//! clones crept back in.
 //!
 //! The wrapper only counts when installed, which binaries opt into:
 //!
@@ -12,8 +13,9 @@
 //! static ALLOC: bft_sim_bench::alloc_counter::CountingAllocator = CountingAllocator;
 //! ```
 //!
-//! The `bft-sim` binary installs it; library unit tests do not, and
-//! [`allocations`] simply stays at zero there.
+//! The footprint test and the `benchmark/` binaries install it; the `bft-sim`
+//! binary and library unit tests do not, and [`allocations`] simply stays at
+//! zero there.
 //!
 //! Beside the count it keeps the bytes live on the heap and their peak
 //! ([`peak_live_bytes`], re-armed by [`reset_peak_live_bytes`]), which is
@@ -22,10 +24,9 @@
 //!
 //! The counters are **process-global**, not per-thread: a delta between two
 //! [`allocations`] reads attributes every allocation on every thread to the
-//! interval. Allocation-measuring baseline cases therefore run on the serial
-//! path only (`BENCH_baseline.json` records this in `alloc_note`), while
-//! multi-threaded sweeps — which would pollute the deltas — report no
-//! allocation figures. (Per-thread tallies would need thread-local state
+//! interval. Allocation-measuring cases therefore run one at a time in one
+//! test function, while multi-threaded sweeps — which would pollute the
+//! deltas — report no allocation figures. (Per-thread tallies would need thread-local state
 //! inside the allocator, which risks recursion during TLS initialisation.)
 
 use std::alloc::{GlobalAlloc, Layout, System};

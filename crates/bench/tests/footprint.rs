@@ -1,34 +1,44 @@
-//! Footprint regression gate for the one-entry-per-broadcast event queue,
-//! for shared certificates, for the trace's record layout and for its
-//! retention and holding each decision once, on deterministic counters only
-//! (wall time is evidence, never a gate).
+//! The counter gate: every deterministic counter of the perf workloads,
+//! pinned exactly, and the footprint bounds of the one-entry-per-broadcast
+//! event queue, of shared certificates, of the trace's record layout and
+//! retention, and of holding each decision once (wall time is evidence,
+//! never a gate).
 //!
-//! PBFT's all-to-all phases used to keep n² delivery events resident. The
-//! *logical* queue depth and the event count are simulated quantities and
-//! must not move; what is physically resident must stay linear in n, and the
-//! fan-out must not start allocating per broadcast. HotStuff's certificates
-//! carry a signer bitmap that spills to the heap above 128 signers; every
-//! replica that stores or forwards one must share it, not copy it.
+//! [`CASES`] pins, exactly, what `baseline::run_case` counts for PBFT and
+//! HotStuff+NS at n = 16 / 64 / 256 / 1024: a change that moves one is a
+//! reviewable edit of that table. PBFT's all-to-all phases used to keep n²
+//! delivery events resident; the *logical* queue depth and the event count
+//! are simulated quantities, while what is physically resident must stay
+//! linear in n and the fan-out must not start allocating per broadcast.
+//! HotStuff's certificates carry a signer bitmap that spills to the heap
+//! above 128 signers; every replica that stores or forwards one must share
+//! it, not copy it.
 //!
 //! One test function on purpose: the allocation counter is process-global,
 //! so nothing else may run in this binary while a case is measured.
 
 use bft_sim_bench::alloc_counter::{self, CountingAllocator};
-use bft_sim_bench::baseline::run_case;
+use bft_sim_bench::baseline::{run_case, CaseResult};
 use bft_sim_core::config::RunConfig;
 use bft_sim_core::dist::Dist;
 use bft_sim_core::engine::SimulationBuilder;
 use bft_sim_core::network::SampledNetwork;
 use bft_sim_core::trace::TraceLevel;
-use bft_sim_protocols::registry::ProtocolKind;
+use bft_sim_protocols::registry::ProtocolKind::{self, HotStuffNs, Pbft};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
 #[test]
 fn footprints() {
-    pbft_n64_keeps_its_depth_and_loses_the_n_squared_residency();
-    chained_n256_shares_its_certificates(ProtocolKind::HotStuffNs);
+    for case in &CASES {
+        // PBFT n = 1024 dispatches 3.9 M events, too many for a debug build.
+        let events = case.counters[1];
+        if !(cfg!(debug_assertions) && events > 1_000_000) {
+            case.check();
+        }
+    }
+    chained_n256_shares_its_certificates(HotStuffNs);
     // Same chain core, same happy path: the same events, and the same
     // allocation-free decide walk (LibraBFT's own copy of it allocated a
     // `Vec` per node per decision and regrew its block map).
@@ -36,29 +46,133 @@ fn footprints() {
     each_decision_is_held_once_in_the_trace();
 }
 
-fn pbft_n64_keeps_its_depth_and_loses_the_n_squared_residency() {
-    let n = 64;
-    let case = run_case(ProtocolKind::Pbft, n, 1, 10, TraceLevel::Decisions);
-    // Simulated quantities: exactly what per-recipient scheduling gave.
-    assert_eq!(case.events_processed, 80_332);
-    assert_eq!(case.peak_queue_depth, 5_119);
-    // Resident entries: broadcasts in flight plus timers and stale keys of
-    // cancelled ones — 5 311 when every recipient was an entry.
-    assert!(
-        case.peak_resident_entries <= 16 * n,
-        "{} resident entries, an n² term is back",
-        case.peak_resident_entries
-    );
-    // One payload allocation per broadcast plus a little run-wide
-    // state (1.080 before the change). Release builds only: debug builds
-    // also allocate for the scheduler's reserved-seq contract check.
-    if !cfg!(debug_assertions) {
-        let per_broadcast = case.allocs_per_broadcast.expect("allocator is counting");
-        assert!(
-            per_broadcast <= 1.1,
-            "{per_broadcast} allocations per broadcast"
-        );
+/// What [`Case::counters`] holds, in order.
+const FIELDS: [&str; 8] = [
+    "decisions",
+    "events_processed",
+    "peak_queue_depth",
+    "peak_resident_entries",
+    "tombstones_popped",
+    "broadcasts",
+    "trace_events",
+    "trace_bytes",
+];
+
+/// One workload: `run_case` at seed 1 and the default trace level, as a
+/// sweep or benchmark run keeps it, with a decision target that keeps the
+/// matrix quick (a decision at n = 1024 dispatches roughly a thousand times
+/// the events of one at n = 16).
+struct Case {
+    kind: ProtocolKind,
+    n: usize,
+    /// [`FIELDS`], exactly; the first, decisions reached, is the target.
+    counters: [u64; 8],
+    /// Most allocations per broadcast, checked in release builds only:
+    /// debug builds also allocate for the scheduler's reserved-seq contract
+    /// check.
+    max_allocs_per_broadcast: Option<f64>,
+}
+
+const CASES: [Case; 8] = [
+    case(Pbft, 16, [10, 4_905, 314, 98, 432, 332, 160, 3_920], None),
+    // 5 311 resident entries when every recipient was an entry. One payload
+    // allocation per broadcast plus a little run-wide state (1.080 before
+    // the fan-out entry).
+    case(
+        Pbft,
+        64,
+        [10, 80_332, 5_119, 382, 1_728, 1_292, 640, 15_440],
+        Some(1.1),
+    ),
+    // 83 441 resident entries when every recipient was an entry; 1.02 × the
+    // 2.215 allocations per broadcast measured when this bound was set.
+    case(
+        Pbft,
+        256,
+        [3, 377_117, 83_441, 1_541, 1_536, 1_541, 768, 18_456],
+        Some(2.259),
+    ),
+    case(
+        Pbft,
+        1_024,
+        [2, 3_891_396, 1_362_315, 6_173, 3_072, 4_100, 2_048, 49_168],
+        None,
+    ),
+    case(HotStuffNs, 16, [10, 376, 37, 190, 48, 13, 160, 3_920], None),
+    case(
+        HotStuffNs,
+        64,
+        [10, 1_579, 149, 763, 192, 13, 640, 15_440],
+        None,
+    ),
+    // Above the 128-signer spill: 439.7 and 1 655.6 allocations per
+    // broadcast at n = 256 and 1024 when each clone copied the bitmap.
+    case(
+        HotStuffNs,
+        256,
+        [3, 2_817, 597, 1_526, 512, 6, 768, 18_456],
+        Some(16.0),
+    ),
+    case(
+        HotStuffNs,
+        1_024,
+        [2, 9_296, 2_389, 5_070, 2_048, 5, 2_048, 49_168],
+        Some(16.0),
+    ),
+];
+
+const fn case(
+    kind: ProtocolKind,
+    n: usize,
+    counters: [u64; 8],
+    max_allocs_per_broadcast: Option<f64>,
+) -> Case {
+    Case {
+        kind,
+        n,
+        counters,
+        max_allocs_per_broadcast,
     }
+}
+
+impl Case {
+    fn check(&self) {
+        let (kind, n) = (self.kind, self.n);
+        let run = run_case(kind, n, 1, self.counters[0], TraceLevel::Decisions);
+        // Resident entries: broadcasts in flight plus timers and stale keys
+        // of cancelled ones.
+        assert!(
+            run.peak_resident_entries <= 16 * n,
+            "{kind} n={n}: {} resident entries, an n² term is back",
+            run.peak_resident_entries
+        );
+        if let Some(bound) = self.max_allocs_per_broadcast {
+            if !cfg!(debug_assertions) {
+                let per_broadcast = run.allocs_per_broadcast.expect("allocator is counting");
+                assert!(
+                    per_broadcast <= bound,
+                    "{kind} n={n}: {per_broadcast} allocations per broadcast"
+                );
+            }
+        }
+        for ((field, got), expected) in FIELDS.iter().zip(counters(&run)).zip(self.counters) {
+            assert_eq!(got, expected, "{kind} n={n}: {field}");
+        }
+    }
+}
+
+/// `run`'s [`FIELDS`].
+fn counters(run: &CaseResult) -> [u64; 8] {
+    [
+        run.decisions,
+        run.events_processed,
+        run.peak_queue_depth as u64,
+        run.peak_resident_entries as u64,
+        run.tombstones_popped,
+        run.broadcasts,
+        run.trace_events as u64,
+        run.trace_bytes as u64,
+    ]
 }
 
 fn chained_n256_shares_its_certificates(kind: ProtocolKind) {
@@ -84,7 +198,6 @@ fn chained_n256_shares_its_certificates(kind: ProtocolKind) {
         );
     }
 }
-
 /// A run that asks for nothing more keeps one record per decision: no view,
 /// no protocol report, no message. That record is the decision's only copy
 /// while the run goes: the collector keeps a count per node and an agreed
@@ -93,7 +206,7 @@ fn chained_n256_shares_its_certificates(kind: ProtocolKind) {
 /// during the run (16 bytes per replica per decision) shows in the peak of
 /// live heap bytes; release builds only, like the allocation counts above.
 fn each_decision_is_held_once_in_the_trace() {
-    let (kind, n, decisions) = (ProtocolKind::HotStuffNs, 256, 100);
+    let (kind, n, decisions) = (HotStuffNs, 256, 100);
     let cfg = kind
         .configure(RunConfig::new(n).with_seed(1))
         .with_target_decisions(decisions);

@@ -60,11 +60,6 @@ pub enum Command {
     Fig(u8),
     /// Regenerate one of the paper's tables.
     Table(u8),
-    /// Run the perf-baseline workloads and write `BENCH_baseline.json`.
-    BenchBaseline {
-        /// Output path for the baseline document.
-        out: String,
-    },
     /// Sweep deterministic fuzz scenarios, oracle-check every run, shrink
     /// violations to repro files.
     Fuzz(FuzzSpec),
@@ -379,7 +374,6 @@ struct Spec {
     campaign_status: CampaignStatusSpec,
     fig_or_table: u8,
     repro_path: String,
-    baseline_out: Option<String>,
 }
 
 /// One thing an argv may hold; a command's rows, in order, are its synopsis.
@@ -508,7 +502,7 @@ const FUZZ_ARGS: &[Arg] = &[
         set(&mut s.fuzz.observability, Ok(true))
     }),
     arg("--threads", Some("N"), |s, v| {
-        set(&mut s.fuzz.threads, num("--threads", v))
+        set(&mut s.fuzz.threads, threads(v))
     }),
     arg("--n", Some("NODES"), |s, v| {
         let n = num("--n (node count)", v).and_then(|n| node_count("--n", n));
@@ -561,7 +555,7 @@ const CAMPAIGN_RUN_ARGS: &[Arg] = &[
         set(&mut s.campaign_run.shard, parse_shard(v))
     }),
     arg("--threads", Some("N"), |s, v| {
-        set(&mut s.campaign_run.threads, num("--threads", v))
+        set(&mut s.campaign_run.threads, threads(v))
     }),
     arg("--out", Some("DIR"), |s, v| {
         set(&mut s.campaign_run.out_dir, Ok(v.into()))
@@ -630,32 +624,17 @@ static COMMANDS: &[Cmd] = &[
         finish: |s| Ok(Command::Table(s.fig_or_table)),
     },
     Cmd {
-        path: &["bench-baseline"],
-        args: &[arg("--out", Some("FILE.json"), |s, v| {
-            set(&mut s.baseline_out, Ok(Some(v.into())))
-        })],
-        about: "run the perf-baseline workloads (PBFT / HotStuff+NS at n = 16, 64, 256, \
-                1024, one at a time so allocation counts stay attributable) and write \
-                their deterministic counters; wall time is measured by benchmark/",
-        finish: |s| {
-            let out = s
-                .baseline_out
-                .unwrap_or_else(|| "BENCH_baseline.json".into());
-            Ok(Command::BenchBaseline { out })
-        },
-    },
-    Cmd {
         path: &["fuzz"],
         args: FUZZ_ARGS,
-        about: "sweep deterministic fuzz scenarios across N worker threads (0 = all cores; \
-                output is byte-identical at any thread count), oracle-check every run, \
-                shrink violations to repro files; exits non-zero when any oracle fires or \
-                any run panics; --obs instruments every run: the report gains an \
-                observability block and repros/failures carry their last trace events, \
-                with everything else byte-identical; --n forces every scenario to NODES \
-                nodes (≥ 4) for large-n smoke sweeps; --preset arms the buggify fault \
-                catalog (timer skew, duplicates, reorders, targeted drops, torn writes) in \
-                every scenario; --coverage runs the corpus-driven coverage search instead \
+        about: "sweep deterministic fuzz scenarios across N worker threads (0 = all cores, \
+                at most 256; output is byte-identical at any thread count) over at most \
+                1000000 runs, oracle-check every run, shrink violations to repro files; \
+                exits non-zero when any oracle fires or any run panics; --obs instruments \
+                every run: the report gains an observability block and repros/failures \
+                carry their last trace events, with everything else byte-identical; --n \
+                forces every scenario to NODES nodes (≥ 4) for large-n smoke sweeps; \
+                --preset arms the buggify fault catalog (timer skew, duplicates, reorders, \
+                targeted drops, torn writes) in every scenario; --coverage runs the corpus-driven coverage search instead \
                 of the per-seed sweep (--seeds A..B = master seed A, budget B−A; the \
                 report gains a coverage block), --blind (with --coverage) keeps its \
                 accounting but disables the corpus loop (the comparison baseline), and \
@@ -678,7 +657,8 @@ static COMMANDS: &[Cmd] = &[
                 runs every M-th unit starting at I, for fan-out across processes or \
                 machines; --max-units pauses after K units (at a batch boundary); the final \
                 report is byte-identical whether the campaign ran straight through, was \
-                killed and resumed, or was sharded and merged — at any --threads",
+                killed and resumed, or was sharded and merged — at any --threads (0 = \
+                all cores, at most 256)",
         finish: |s| Ok(Command::CampaignRun(s.campaign_run)),
     },
     Cmd {
@@ -802,8 +782,24 @@ fn drive(cmd: &Cmd, args: &[String]) -> Result<Command, CliError> {
     (cmd.finish)(spec)
 }
 
-/// Most repetitions `run`/`compare` accept.
+/// Most repetitions `run`/`compare` accept, and most runs a `fuzz --seeds`
+/// range spans: every run's result is held until the report is written.
 const MAX_REPS: usize = 1_000_000;
+
+/// Most worker threads `fuzz` and `campaign run` start. Their reports are
+/// byte-identical at any thread count, so the bound changes no output.
+const MAX_THREADS: usize = 256;
+
+/// `--threads`: 0 (all cores) to [`MAX_THREADS`].
+fn threads(text: &str) -> Result<usize, CliError> {
+    let n = num("--threads", text)?;
+    if n > MAX_THREADS {
+        return Err(CliError::usage(format!(
+            "--threads must be at most {MAX_THREADS}"
+        )));
+    }
+    Ok(n)
+}
 
 /// λ, μ and σ must be what a [`ScenarioSpec`] can hold ([`timing`]). The
 /// results of all repetitions are held at once, so zero repetitions report
@@ -872,7 +868,8 @@ fn parse_shard(s: &str) -> Result<(u32, u32), CliError> {
     Ok(shard)
 }
 
-/// Parses `--seeds` syntax: `A..B` (half-open) or a bare count `N` (= `0..N`).
+/// Parses `--seeds` syntax: `A..B` (half-open) or a bare count `N` (= `0..N`),
+/// spanning at most [`MAX_REPS`] seeds.
 fn parse_seed_range(s: &str) -> Result<(u64, u64), CliError> {
     let bad = || CliError::usage(format!("bad --seeds '{s}' (use A..B or a count N)"));
     let (lo, hi) = match s.split_once("..") {
@@ -884,6 +881,11 @@ fn parse_seed_range(s: &str) -> Result<(u64, u64), CliError> {
     };
     if hi <= lo {
         return Err(CliError::usage(format!("empty seed range '{s}'")));
+    }
+    if hi - lo > MAX_REPS as u64 {
+        return Err(CliError::usage(format!(
+            "--seeds '{s}' spans more than {MAX_REPS} runs"
+        )));
     }
     Ok((lo, hi))
 }
@@ -1056,32 +1058,6 @@ pub fn execute(cmd: Command) -> Result<(), CliError> {
                 reports.push(run_one(&scenario, &spec)?);
             }
             emit(&reports, spec.json);
-        }
-        Command::BenchBaseline { out } => {
-            use bft_sim_bench::baseline;
-            let results = baseline::run_all(1, 10);
-            let bandwidth =
-                baseline::run_bandwidth_contention(ProtocolKind::Pbft, 16, 1, 10, 2_000);
-            let json = baseline::to_json(&results, &bandwidth).dump_pretty();
-            std::fs::write(&out, &json)
-                .map_err(|e| CliError::runtime(format!("cannot write {out}: {e}")))?;
-            println!(
-                "{:<14} {:>4} {:>12} {:>12} {:>18}",
-                "protocol", "n", "events", "peak queue", "allocs/broadcast"
-            );
-            for r in &results {
-                println!(
-                    "{:<14} {:>4} {:>12} {:>12} {:>18}",
-                    r.protocol,
-                    r.n,
-                    r.events_processed,
-                    r.peak_queue_depth,
-                    r.allocs_per_broadcast
-                        .map(|a| format!("{a:.3}"))
-                        .unwrap_or_else(|| "- (no counter)".into()),
-                );
-            }
-            println!("wrote {out}");
         }
         Command::Fuzz(spec) => run_fuzz(&spec)?,
         Command::Repro { path } => run_repro(&path)?,
@@ -1819,7 +1795,6 @@ mod tests {
             &["fuzz", "--scheduler", "heap"][..],
             &["trace", "pbft", "--scheduler", "heap"][..],
             &["campaign", "run", "m.json", "--scheduler", "heap"][..],
-            &["bench-baseline", "--scheduler", "both"][..],
         ] {
             let err = parse_args(&args(argv)).unwrap_err();
             assert_eq!(err.code, 2, "{argv:?}");
@@ -2127,28 +2102,6 @@ mod tests {
         assert_eq!(CliError::repro("x").code, 4);
     }
 
-    #[test]
-    fn parses_bench_baseline_flags() {
-        assert_eq!(
-            parse_args(&args(&["bench-baseline"])).unwrap(),
-            Command::BenchBaseline {
-                out: "BENCH_baseline.json".into(),
-            }
-        );
-        assert_eq!(
-            parse_args(&args(&["bench-baseline", "--out", "b.json"])).unwrap(),
-            Command::BenchBaseline {
-                out: "b.json".into(),
-            }
-        );
-        // The thread-scaling sweep is gone and its knob with it.
-        let err = parse_args(&args(&["bench-baseline", "--threads", "2"])).unwrap_err();
-        assert_eq!(
-            (err.code, err.message.as_str()),
-            (2, "unknown flag '--threads'")
-        );
-    }
-
     /// `cmd`'s path and a stand-in for each operand, then `tail`.
     fn argv_for(cmd: &Cmd, tail: &[&str]) -> Vec<String> {
         let operands = cmd.args.iter().filter(|row| !row.is_flag());
@@ -2239,7 +2192,7 @@ mod tests {
             .iter()
             .map(|cmd| cmd.args.iter().filter(|row| row.is_flag()).count())
             .sum();
-        assert_eq!(flags, 41 + RUN_ARGS.len(), "`compare` shares `run`'s rows");
+        assert_eq!(flags, 40 + RUN_ARGS.len(), "`compare` shares `run`'s rows");
     }
 
     #[test]
@@ -2279,6 +2232,49 @@ mod tests {
         assert_eq!(err.code, 2);
         assert_eq!(err.message, "bad --intensity (permille, 0..=1000)");
         assert!(parse_args(&args(&["fuzz", "--intensity", "1000"])).is_ok());
+        // A range is collected and a slot held per run, and a thread started
+        // per worker: neither may be unbounded. Parsing starts nothing.
+        for (argv, message) in [
+            (
+                &["fuzz", "--seeds", "0..18446744073709551615"][..],
+                "--seeds '0..18446744073709551615' spans more than 1000000 runs",
+            ),
+            (
+                &["fuzz", "--coverage", "--seeds", "7..1000008"],
+                "--seeds '7..1000008' spans more than 1000000 runs",
+            ),
+            (
+                &["fuzz", "--threads", "257"],
+                "--threads must be at most 256",
+            ),
+            (
+                &[
+                    "campaign",
+                    "run",
+                    "m.json",
+                    "--threads",
+                    "18446744073709551615",
+                ],
+                "--threads must be at most 256",
+            ),
+        ] {
+            let err = parse_args(&args(argv)).unwrap_err();
+            assert_eq!((err.code, err.message.as_str()), (2, message), "{argv:?}");
+        }
+        let Command::Fuzz(spec) = parse_args(&args(&[
+            "fuzz",
+            "--coverage",
+            "--seeds",
+            "7..1000007",
+            "--threads",
+            "256",
+        ]))
+        .unwrap() else {
+            panic!("expected fuzz");
+        };
+        assert_eq!((spec.seeds, spec.threads), ((7, 1_000_007), 256));
+        let cmd = parse_args(&args(&["campaign", "run", "m.json", "--threads", "256"]));
+        assert!(matches!(cmd, Ok(Command::CampaignRun(spec)) if spec.threads == 256));
         assert_eq!(
             parse_args(&args(&["campaign", "--help"])),
             Ok(Command::Help)
@@ -2292,6 +2288,8 @@ mod tests {
         assert!(parse_seed_range("9..9").is_err());
         assert!(parse_seed_range("5..2").is_err());
         assert!(parse_seed_range("x..y").is_err());
+        assert_eq!(parse_seed_range("1000000").unwrap(), (0, 1_000_000));
+        assert!(parse_seed_range("1000001").is_err());
     }
 
     #[test]

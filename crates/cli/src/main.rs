@@ -1,12 +1,5 @@
 //! The `bft-sim` binary: thin wrapper over the library in `lib.rs`.
 
-use bft_sim_bench::alloc_counter::CountingAllocator;
-
-// Counting allocator so `bft-sim bench-baseline` can report allocations
-// per broadcast; a relaxed atomic increment per allocation otherwise.
-#[global_allocator]
-static ALLOC: CountingAllocator = CountingAllocator;
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = match bft_sim_cli::parse_args(&args) {

@@ -56,12 +56,20 @@ fn usage_errors_exit_two() {
         &["fuzz", "--scheduler", "heap"],
         &["trace", "pbft", "--scheduler", "heap"],
         &["campaign", "run", "m.json", "--scheduler", "heap"],
-        &["bench-baseline", "--scheduler", "both"],
-        // The wall-clock sweeps are gone from `bench-baseline`, their knob too.
-        &["bench-baseline", "--threads", "2"],
+        // `crates/bench/tests/footprint.rs` pins the counters this wrote.
+        &["bench-baseline"],
         // A documented range is enforced: `FuzzBudget` used to clamp this
         // silently while the repro files recorded 1001.
         &["fuzz", "--seeds", "2", "--intensity", "1001"],
+        // An unbounded seed range died of `capacity overflow` (101) once
+        // collected; a thread count is started as given. Both are refused
+        // before anything is allocated or spawned.
+        &["fuzz", "--seeds", "0..18446744073709551615"],
+        &["fuzz", "--seeds", "18446744073709551615"],
+        &["fuzz", "--coverage", "--seeds", "0..1000001"],
+        &["fuzz", "--threads", "257"],
+        &["fuzz", "--threads", "18446744073709551615"],
+        &["campaign", "run", "m.json", "--threads", "257"],
         // Trailing arguments.
         &["fig", "2", "extra"],
         &["table", "1", "junk"],

@@ -3,7 +3,7 @@
 //! The build environment is offline, so instead of `serde`/`serde_json` the
 //! simulator carries this small self-contained module. It covers everything
 //! the repository serialises: golden traces, delivery schedules, CLI config
-//! files, CLI reports and the perf baseline (`BENCH_baseline.json`).
+//! files, scenario and repro files, campaign journals and CLI reports.
 //!
 //! Objects preserve insertion order so output is deterministic; the pretty
 //! printer matches `serde_json`'s two-space style, which keeps the committed

@@ -56,8 +56,8 @@
 //! surfaces at the root.
 //!
 //! What the queue costs physically (stale keys, resident peak) is reported
-//! through [`SchedulerStats`] and surfaces in `BENCH_baseline.json`; it never
-//! feeds back into simulation results.
+//! through [`SchedulerStats`], which `crates/bench/tests/footprint.rs` pins;
+//! it never feeds back into simulation results.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};

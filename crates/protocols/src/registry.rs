@@ -31,7 +31,8 @@ impl core::fmt::Display for NetworkAssumption {
     }
 }
 
-/// One of the eight implemented BFT protocols.
+/// One of the ten implemented BFT protocols: the paper's eight
+/// ([`ProtocolKind::all`]) and two extensions ([`ProtocolKind::extended`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProtocolKind {
     /// ADD+ BA v1 (round-robin leaders).

@@ -185,3 +185,67 @@ fn fault_budget_of_crashes_is_tolerated_by_every_protocol() {
         );
     }
 }
+
+/// PBFT at n = 16, seed 1, 10 decisions, λ = 1000 ms, with every send and
+/// delivery traced and observability on.
+fn pbft_n16(network: impl NetworkModel + 'static) -> RunResult {
+    let kind = ProtocolKind::Pbft;
+    let cfg = kind
+        .configure(
+            RunConfig::new(16)
+                .with_seed(1)
+                .with_lambda_ms(1000.0)
+                .with_time_cap(SimDuration::from_secs(3600.0))
+                .with_trace(TraceLevel::Messages),
+        )
+        .with_target_decisions(10);
+    let factory = kind.factory(&cfg, 7);
+    let result = SimulationBuilder::new(cfg)
+        .network(network)
+        .observability(ObsConfig::default())
+        .protocols(factory)
+        .build()
+        .unwrap()
+        .run();
+    assert_clean(kind, &result, "at n = 16");
+    result
+}
+
+/// A full mesh of n = 16 with delays N(250, 50) and `bandwidth` bytes per
+/// second per link.
+fn mesh(bandwidth: Option<u64>) -> BandwidthNetwork {
+    let topology = LinkTopology::full_mesh(16, Dist::normal(250.0, 50.0), bandwidth);
+    BandwidthNetwork::new(topology.unwrap())
+}
+
+/// Count-weighted mean delivery latency (µs) over every node.
+fn mean_delivery_micros(r: &RunResult) -> f64 {
+    let obs = r.observability.as_ref().unwrap();
+    let (sum, count) = obs
+        .delivery_latency
+        .iter()
+        .fold((0, 0), |(s, c), h| (s + h.sum_micros(), c + h.count()));
+    sum as f64 / count as f64
+}
+
+#[test]
+fn unlimited_links_are_the_sampled_network_and_narrow_links_queue() {
+    // (a) Unlimited bandwidth on a full mesh draws the same delays in the
+    // same order: the whole result is equal, so the fingerprint, every
+    // send and delivery in the trace, and the observability block too.
+    let unlimited = pbft_n16(mesh(None));
+    let sampled = pbft_n16(SampledNetwork::new(Dist::normal(250.0, 50.0)));
+    assert_eq!(unlimited, sampled);
+
+    // (b) At 2 000 B/s a PBFT broadcast waits for the link: the same events,
+    // but 165 messages queue and end-to-end delivery stretches by 11.6 %.
+    let contended = pbft_n16(mesh(Some(2_000)));
+    assert_eq!(contended.events_processed, 4_905);
+    assert_eq!(unlimited.events_processed, 4_905);
+    let waits = &contended.observability.as_ref().unwrap().link_queue_delay;
+    assert_eq!(waits.count(), 165);
+    assert_eq!(waits.mean_micros(), 28_000.0);
+    let round3 = |x: f64| (x * 1e3).round() / 1e3;
+    assert_eq!(round3(mean_delivery_micros(&contended)), 278_110.793);
+    assert_eq!(round3(mean_delivery_micros(&unlimited)), 249_254.524);
+}
