@@ -44,6 +44,7 @@ pub use campaign::{
 
 use bft_sim_core::buggify::FaultPreset;
 use bft_sim_core::json::{self, Fields, Json};
+use bft_sim_core::metrics::Cell;
 use bft_sim_simcheck::{check_node_count, AttackSpec, DelaySpec, PartitionSpec, ScenarioSpec};
 use bft_simulator::experiments::{self, figures, loc};
 use bft_simulator::prelude::{PartitionAttack, ProtocolKind};
@@ -1475,17 +1476,21 @@ fn run_trace(spec: &TraceSpec) -> Result<(), CliError> {
 }
 
 /// Prints the rows as a table or as JSON, where an absent estimate is
-/// omitted.
+/// omitted and a quartile that reads a capped run is `null`.
 fn emit(reports: &[Report], json: bool) {
     if json {
         let rows = reports.iter().map(|(p, estimate)| {
+            let quartile = |q: Option<f64>| q.map_or(Json::Null, Json::from);
             let mut pairs = vec![
                 ("protocol", Json::from(p.protocol.name())),
                 ("latency_mean_s", Json::from(p.latency.mean)),
                 ("latency_sd_s", Json::from(p.latency.std_dev)),
+                ("latency_median_s", quartile(p.latency.median)),
+                ("latency_q1_s", quartile(p.latency.q1)),
+                ("latency_q3_s", quartile(p.latency.q3)),
                 ("messages_mean", Json::from(p.messages.mean)),
                 ("messages_sd", Json::from(p.messages.std_dev)),
-                ("timeout_rate", Json::from(p.timeout_rate)),
+                ("timeout_rate", Json::from(p.capped_share())),
                 ("reps", Json::from(p.latency.count)),
             ];
             pairs.extend(estimate.map(|t| ("est_max_decisions_per_sec", Json::from(t))));
@@ -1494,22 +1499,12 @@ fn emit(reports: &[Report], json: bool) {
         println!("{}", Json::Arr(rows.collect()).dump_pretty());
         return;
     }
-    println!(
-        "{:<14} {:>10} {:>10} {:>12} {:>12} {:>9} {:>14}",
-        "protocol", "lat (s)", "±sd", "msgs/dec", "±sd", "timeouts", "est. dec/s"
-    );
+    let header = point_row(None);
+    println!("{:<14} {header} {:>14}", "protocol", "est. dec/s");
     for (p, estimate) in reports {
         let throughput = estimate.map_or_else(|| "-".into(), |t| format!("{t:.1}"));
-        println!(
-            "{:<14} {:>10.3} {:>10.3} {:>12.1} {:>12.1} {:>8.0}% {:>14}",
-            p.protocol.name(),
-            p.latency.mean,
-            p.latency.std_dev,
-            p.messages.mean,
-            p.messages.std_dev,
-            p.timeout_rate * 100.0,
-            throughput
-        );
+        let (name, row) = (p.protocol.name(), point_row(Some(p)));
+        println!("{name:<14} {row} {throughput:>14}");
     }
 }
 
@@ -1523,11 +1518,12 @@ fn run_figure(which: u8) {
         2 => {
             println!("\n=== Fig. 2 — simulation speed & scale ===");
             println!("PBFT, lambda = 1000 ms, delays N(250, 50); wall-clock per run\n");
-            println!("{:<6} {:>24} {:>12}   paper", "n", "ours (wall)", "events");
+            let header = format!("{:>24} {:>26}", "ours (wall)", "median [q1, q3]");
+            println!("{:<6} {header} {:>12}   paper", "n", "events");
             for row in figures::fig2(&figures::FIG2_SIZES, figures::FIG2_REPS, seed) {
-                let wall = fmt_summary(&row.wall_ms, "ms");
-                let paper = figures::fig2_paper_column(row.n);
-                println!("{:<6} {wall:>24} {:>12}   {paper}", row.n, row.events);
+                let [wall, quartiles] = fmt_cell(&row.wall_ms, "ms");
+                let (n, events, paper) = (row.n, row.events, figures::fig2_paper_column(row.n));
+                println!("{n:<6} {wall:>24} {quartiles:>26} {events:>12}   {paper}");
             }
             return;
         }
@@ -1564,14 +1560,23 @@ fn run_figure(which: u8) {
         _ => return print_fig9(),
     };
     println!("\n=== Fig. {which} — {title} ===\n{setting}, {REPS} repetitions\n");
-    print_latency_table(&points);
-    let lat = |protocol: &str, x: &str| latency(&points, protocol, x);
+    println!("{:<12} {:<16} {}", "protocol", "x", point_row(None));
+    for p in &points {
+        let row = point_row(Some(p));
+        println!("{:<12} {:<16} {row}", p.protocol.name(), p.x);
+    }
+    let at = |name: &str, x: &str| {
+        let is = |p: &&figures::Point| p.protocol.name() == name && p.x == x;
+        points.iter().find(is).expect("the figure has the point")
+    };
+    let lat = |name: &str, x: &str| at(name, x).latency.mean;
     match which {
         3 => {
-            let [hs, pbft] = ["hotstuff-ns", "pbft"].map(|p| lat(p, "N(250,50)"));
-            println!("\nHotStuff+NS vs PBFT under N(250,50):   {hs:.2}s vs {pbft:.2}s");
-            let [hs, pbft] = ["hotstuff-ns", "pbft"].map(|p| lat(p, "N(1000,1000)"));
-            println!("HotStuff+NS vs PBFT under N(1000,1000): {hs:.2}s vs {pbft:.2}s");
+            println!();
+            for x in ["N(250,50)", "N(1000,1000)"] {
+                let line = versus(at("hotstuff-ns", x), at("pbft", x));
+                println!("HotStuff+NS vs PBFT under {x}: {line}");
+            }
         }
         4 => {
             let expected = ["timer-paced: expected ~3x", "responsive: expected ~1x"];
@@ -1584,10 +1589,10 @@ fn run_figure(which: u8) {
             }
         }
         5 => {
-            let [low, ok] = ["λ=150", "λ=1000"].map(|x| lat("hotstuff-ns", x));
-            println!("\nHotStuff+NS at λ=150 vs λ=1000: {low:.1}s vs {ok:.1}s (paper: 5.3x degradation, up to ~80 s worst case)");
-            let [low, ok] = ["λ=150", "λ=1000"].map(|x| lat("librabft", x));
-            println!("LibraBFT    at λ=150 vs λ=1000: {low:.1}s vs {ok:.1}s (paper: flat)");
+            let line = versus(at("hotstuff-ns", "λ=150"), at("hotstuff-ns", "λ=1000"));
+            println!("\nHotStuff+NS at λ=150 vs λ=1000: {line} (paper: 5.3x degradation, up to ~80 s worst case)");
+            let line = versus(at("librabft", "λ=150"), at("librabft", "λ=1000"));
+            println!("LibraBFT    at λ=150 vs λ=1000: {line} (paper: flat)");
         }
         6 => {
             println!();
@@ -1660,38 +1665,37 @@ fn run_table(which: u8) {
     }
 }
 
-/// Mean latency of `protocol` at `x`, NaN when the figure has no such point.
-fn latency(points: &[figures::Point], protocol: &str, x: &str) -> f64 {
-    let point = points
-        .iter()
-        .find(|p| p.protocol.name() == protocol && p.x == x);
-    point.map_or(f64::NAN, |p| p.latency.mean)
+/// Two points' latency for a paper-comparison line: the mean beside the
+/// median [q1, q3] and the capped share, which show whether a tail carries it.
+fn versus(a: &figures::Point, b: &figures::Point) -> String {
+    let [a, b] = [a, b].map(|p| {
+        let (mean, [_, median]) = (p.latency.mean, fmt_cell(&p.latency, ""));
+        let capped = 100.0 * p.capped_share();
+        format!("mean {mean:.2} s, median {median} s, capped {capped:.0}%")
+    });
+    format!("{a} vs {b}")
 }
 
-/// Mean ± sd with a unit, `-` for an empty summary.
-fn fmt_summary(s: &bft_sim_core::metrics::Summary, unit: &str) -> String {
-    if s.count == 0 {
-        return "-".to_string();
-    }
-    format!("{:9.3} ± {:7.3} {unit}", s.mean, s.std_dev)
+/// The statistic columns of every `run`, `compare` and figure table, the
+/// header's for `None`: latency mean ± sd and median [q1, q3], messages per
+/// decision, and the share of capped runs.
+fn point_row(point: Option<&figures::Point>) -> String {
+    let Some(p) = point else {
+        let latency = format!("{:>24} {:>26}", "latency (s)", "median [q1, q3]");
+        return format!("{latency} {:>24} {:>9}", "msgs/decision", "timeouts");
+    };
+    let [latency, quartiles] = fmt_cell(&p.latency, "s");
+    let ([messages, _], capped) = (fmt_cell(&p.messages, ""), 100.0 * p.capped_share());
+    format!("{latency:>24} {quartiles:>26} {messages:>24} {capped:>8.0}%")
 }
 
-/// Figure points as one latency / messages / timeout-share row each.
-fn print_latency_table(points: &[figures::Point]) {
-    println!(
-        "{:<12} {:<16} {:>24} {:>24} {:>9}",
-        "protocol", "x", "latency (s)", "msgs/decision", "timeouts"
-    );
-    for p in points {
-        println!(
-            "{:<12} {:<16} {:>24} {:>24} {:>8.0}%",
-            p.protocol.name(),
-            p.x,
-            fmt_summary(&p.latency, "s"),
-            fmt_summary(&p.messages, ""),
-            p.timeout_rate * 100.0
-        );
-    }
+/// A cell's `mean ± sd unit` and `median [q1, q3]`; a quartile that reads a
+/// capped run prints as `capped`.
+fn fmt_cell(cell: &Cell, unit: &str) -> [String; 2] {
+    let q = |q: Option<f64>| q.map_or_else(|| "capped".into(), |q| format!("{q:.3}"));
+    let mean = format!("{:9.3} ± {:7.3} {unit}", cell.mean, cell.std_dev);
+    let quartiles = format!("{} [{}, {}]", q(cell.median), q(cell.q1), q(cell.q3));
+    [mean, quartiles]
 }
 
 /// A line break in the usage text: the prose and the continuation lines of a
@@ -1757,10 +1761,11 @@ mod tests {
     }
 
     #[test]
-    fn fmt_summary_handles_empty_summaries() {
-        use bft_sim_core::metrics::Summary;
-        assert_eq!(fmt_summary(&Summary::default(), "s"), "-");
-        assert!(fmt_summary(&Summary::of(&[1.0, 2.0]), "s").contains("1.500"));
+    fn cells_print_capped_quartiles_as_capped() {
+        let cell = Cell::of([(1.0, false), (2.0, false), (9.0, true), (4.0, false)]);
+        let [mean, quartiles] = fmt_cell(&cell, "s");
+        assert_eq!(mean, "    4.000 ±   3.559 s");
+        assert_eq!(quartiles, "3.000 [1.250, capped]");
     }
 
     #[test]
@@ -1932,7 +1937,7 @@ mod tests {
         let (point, _) = run_one(&scenario(ProtocolKind::Pbft, &spec).unwrap(), &spec).unwrap();
         assert_eq!(point.protocol, ProtocolKind::Pbft);
         assert!(point.latency.mean > 0.0);
-        assert_eq!(point.timeout_rate, 0.0);
+        assert_eq!(point.capped_share(), 0.0);
     }
 
     #[test]

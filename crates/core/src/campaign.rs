@@ -24,7 +24,7 @@
 //! hash ([`Manifest::hash`]) and continues from the first incomplete unit.
 //!
 //! Because every aggregate either derives from per-unit records (tallies,
-//! per-cell [`Summary`]s, recomputed in unit order) or merges with
+//! per-cell [`Cell`]s, recomputed in unit order) or merges with
 //! commutative-and-associative `u64` arithmetic (histograms), the **final
 //! report** ([`final_report`]) is byte-identical whether the campaign ran
 //! straight through, was killed and resumed, or was sharded with
@@ -38,7 +38,7 @@ use std::path::{Path, PathBuf};
 
 use crate::fasthash::FastHasher;
 use crate::json::{self, Fields, Json};
-use crate::metrics::Summary;
+use crate::metrics::Cell;
 use crate::obs::Histogram;
 
 /// Format tag of a campaign manifest document.
@@ -843,7 +843,8 @@ pub fn merge_checkpoints(manifest: &Manifest, parts: &[Checkpoint]) -> Result<Ch
     Ok(merged)
 }
 
-fn summary_json(s: &Summary) -> Json {
+fn summary_json(samples: &[f64]) -> Json {
+    let s = Cell::of(samples.iter().map(|&x| (x, false)));
     Json::obj([
         ("count", Json::from(s.count)),
         ("mean", Json::from(s.mean)),
@@ -855,7 +856,7 @@ fn summary_json(s: &Summary) -> Json {
 
 /// Builds the campaign's final report from a complete checkpoint. Every
 /// figure derives from the per-unit records in unit order (tallies, the
-/// per-cell [`Summary`]s) or from the order-independent histogram
+/// per-cell [`Cell`]s) or from the order-independent histogram
 /// aggregates, so the report is byte-identical however the units were
 /// executed: straight through, killed-and-resumed, or sharded-and-merged,
 /// at any thread count.
@@ -953,9 +954,9 @@ pub fn final_report(manifest: &Manifest, checkpoint: &Checkpoint) -> Result<Json
                 ("clean", Json::from(cell_clean)),
                 ("violated", Json::from(cell_violated)),
                 ("panicked", Json::from(cell_panicked)),
-                ("latency_micros", summary_json(&Summary::of(&latencies))),
-                ("events", summary_json(&Summary::of(&events))),
-                ("honest_messages", summary_json(&Summary::of(&messages))),
+                ("latency_micros", summary_json(&latencies)),
+                ("events", summary_json(&events)),
+                ("honest_messages", summary_json(&messages)),
             ])
         })
         .collect();

@@ -89,7 +89,7 @@ pub mod prelude {
     pub use crate::event::Timer;
     pub use crate::ids::{NodeId, TimerId};
     pub use crate::message::Message;
-    pub use crate::metrics::{RunResult, Summary};
+    pub use crate::metrics::{Cell, RunResult};
     pub use crate::network::{Delivery, LinkDecision, NetworkModel};
     pub use crate::obs::{Histogram, ObsConfig, Observability, PhaseClassifier};
     pub use crate::oracle::{

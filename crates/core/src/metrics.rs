@@ -444,14 +444,20 @@ impl RunResult {
         Some(SimDuration::from_micros(mean.round() as u64))
     }
 
-    /// Honest messages per completed decision. `None` if nothing completed.
-    pub fn messages_per_decision(&self) -> Option<f64> {
-        let k = self.decisions_completed();
-        if k == 0 {
-            None
-        } else {
-            Some(self.honest_messages as f64 / k as f64)
+    /// A figure cell's latency sample (s) at the run's decision target `k`:
+    /// [`avg_latency_per_decision`](Self::avg_latency_per_decision)`(k)`, or,
+    /// short of `k` decisions, `end_time / k` censored: a lower bound.
+    pub fn latency_sample(&self, k: u64) -> (f64, bool) {
+        match self.avg_latency_per_decision(k as usize) {
+            Some(mean) => (mean.as_secs_f64(), false),
+            None => (self.end_time.as_secs_f64() / k as f64, true),
         }
+    }
+
+    /// Honest messages per completed decision; all of them if nothing
+    /// completed.
+    pub fn messages_per_decision(&self) -> f64 {
+        self.honest_messages as f64 / self.decisions_completed().max(1) as f64
     }
 
     /// Convenience: `true` when the run completed its target without safety
@@ -461,17 +467,22 @@ impl RunResult {
     }
 }
 
-/// Aggregate statistics over repeated runs (the paper reports mean and
-/// standard deviation over 100 repetitions).
+/// One figure cell: the aggregate of repeated runs' `(value, censored)`
+/// samples, a censored value being the lower bound of a run the time cap
+/// cut short ([`RunResult::latency_sample`]).
 ///
-/// Std-dev convention: [`std_dev`](Summary::std_dev) is the **sample**
-/// standard deviation (Bessel-corrected, n−1 divisor) — the conventional
-/// estimator for "mean ± std over repetitions" reporting. A single sample
-/// has a std-dev of 0.
+/// Mean, sd, min and max read every value in sample order. The quartiles
+/// follow Python's `statistics.quantiles(values, n=4)` (the exclusive
+/// method) with every censored sample ranked above every complete one: a
+/// complete run's value is at most cap/k, a censored run's at least cap/k.
+/// A quartile whose interpolation gives weight to a censored sample is
+/// `None`, since only its lower bound is known.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Summary {
-    /// Number of samples aggregated.
+pub struct Cell {
+    /// Number of samples.
     pub count: usize,
+    /// Number of censored samples.
+    pub capped: usize,
     /// Sample mean.
     pub mean: f64,
     /// Sample (n−1) standard deviation; 0 when `count < 2`.
@@ -479,38 +490,49 @@ pub struct Summary {
     /// Smallest sample.
     pub min: f64,
     /// Largest sample.
-    pub(crate) max: f64,
+    pub max: f64,
+    /// Lower quartile; `None` when it reads a censored sample.
+    pub q1: Option<f64>,
+    /// Median; `None` when it reads a censored sample.
+    pub median: Option<f64>,
+    /// Upper quartile; `None` when it reads a censored sample.
+    pub q3: Option<f64>,
 }
 
-impl Summary {
-    /// Summarises a slice of samples. Returns the default (all zeros) for an
-    /// empty slice.
-    pub fn of(samples: &[f64]) -> Summary {
-        if samples.is_empty() {
-            return Summary::default();
-        }
+impl Cell {
+    /// Aggregates the samples; the default when there are none.
+    pub fn of(samples: impl IntoIterator<Item = (f64, bool)>) -> Cell {
+        let samples: Vec<(f64, bool)> = samples.into_iter().collect();
         let count = samples.len();
-        let mean = samples.iter().sum::<f64>() / count as f64;
-        let var = if count < 2 {
-            0.0
-        } else {
-            samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (count - 1) as f64
-        };
-        let min = samples.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = samples.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        Summary {
-            count,
-            mean,
-            std_dev: var.sqrt(),
-            min,
-            max,
+        if count == 0 {
+            return Cell::default();
         }
-    }
-}
-
-impl core::fmt::Display for Summary {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "{:.1} ± {:.1}", self.mean, self.std_dev)
+        let values = || samples.iter().map(|s| s.0);
+        let mean = values().sum::<f64>() / count as f64;
+        let squares = values().map(|x| (x - mean).powi(2)).sum::<f64>();
+        let mut ranked = samples.clone();
+        ranked.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.total_cmp(&b.0)));
+        let exact = |r: usize| (!ranked[r].1).then_some(ranked[r].0);
+        let quartile = |i: usize| {
+            if count == 1 {
+                return exact(0);
+            }
+            let j = (i * (count + 1) / 4).clamp(1, count - 1);
+            let delta = (i * (count + 1)) as f64 - (j * 4) as f64;
+            let upper = if delta == 0.0 { 0.0 } else { exact(j)? };
+            Some((exact(j - 1)? * (4.0 - delta) + upper * delta) / 4.0)
+        };
+        Cell {
+            count,
+            capped: ranked.iter().filter(|s| s.1).count(),
+            mean,
+            std_dev: (squares / (count - 1).max(1) as f64).sqrt(),
+            min: values().fold(f64::INFINITY, f64::min),
+            max: values().fold(f64::NEG_INFINITY, f64::max),
+            q1: quartile(1),
+            median: quartile(2),
+            q3: quartile(3),
+        }
     }
 }
 
@@ -870,25 +892,71 @@ mod tests {
         assert_eq!(r.avg_latency_per_decision(3).unwrap().as_micros(), 334);
     }
 
-    #[test]
-    fn summary_statistics() {
-        let s = Summary::of(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(s.count, 4);
-        assert_eq!(s.mean, 2.5);
-        // Sample (n−1) std-dev: sqrt(5/3) ≈ 1.2910.
-        assert!((s.std_dev - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 4.0);
-        assert_eq!(Summary::of(&[]), Summary::default());
+    /// Complete samples.
+    fn complete(values: &[f64]) -> Cell {
+        Cell::of(values.iter().map(|&x| (x, false)))
     }
 
     #[test]
-    fn summary_of_single_sample_has_zero_std_dev() {
-        let s = Summary::of(&[42.0]);
-        assert_eq!(s.count, 1);
-        assert_eq!(s.mean, 42.0);
-        assert_eq!(s.std_dev, 0.0);
-        assert_eq!(s.min, 42.0);
-        assert_eq!(s.max, 42.0);
+    fn cell_statistics() {
+        let s = complete(&[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!((s.count, s.capped), (4, 0));
+        assert_eq!(s.mean, 2.5);
+        // Sample (n−1) std-dev: sqrt(5/3) ≈ 1.2910.
+        assert!((s.std_dev - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
+        assert_eq!((s.min, s.max), (1.0, 4.0));
+        assert_eq!(Cell::of([]), Cell::default());
+        assert_eq!(Cell::default().median, None);
+    }
+
+    #[test]
+    fn cell_quartiles_match_python_statistics_quantiles() {
+        // statistics.quantiles([1..=9], n=4) == [2.5, 5.0, 7.5]
+        let s = complete(&[9.0, 1.0, 8.0, 2.0, 7.0, 3.0, 6.0, 4.0, 5.0]);
+        assert_eq!((s.q1, s.median, s.q3), (Some(2.5), Some(5.0), Some(7.5)));
+        assert_eq!((s.count, s.min, s.max), (9, 1.0, 9.0));
+        // statistics.quantiles([1, 2, 4, 8], n=4) == [1.25, 3.0, 7.0]
+        let s = complete(&[1.0, 2.0, 4.0, 8.0]);
+        assert_eq!((s.q1, s.median, s.q3), (Some(1.25), Some(3.0), Some(7.0)));
+    }
+
+    #[test]
+    fn cell_of_single_sample_has_zero_std_dev() {
+        let s = complete(&[42.0]);
+        assert_eq!(
+            (s.count, s.mean, s.std_dev, s.min, s.max),
+            (1, 42.0, 0.0, 42.0, 42.0)
+        );
+        assert_eq!((s.q1, s.median, s.q3), (Some(42.0), Some(42.0), Some(42.0)));
+        let s = Cell::of([(42.0, true)]);
+        assert_eq!((s.capped, s.mean, s.median), (1, 42.0, None));
+    }
+
+    #[test]
+    fn censored_samples_rank_last_and_hide_the_quartiles_they_touch() {
+        // A censored 0.5 ranks above every complete sample, whatever its value:
+        // ranked 1..=8 then the censored one, so q3 (weights on the 7th and
+        // 8th) is exact and the median is 5.
+        let mut samples: Vec<(f64, bool)> = (1..=8).map(|x| (f64::from(x), false)).collect();
+        samples.insert(3, (0.5, true));
+        let s = Cell::of(samples.iter().copied());
+        assert_eq!((s.count, s.capped), (9, 1));
+        assert_eq!((s.q1, s.median, s.q3), (Some(2.5), Some(5.0), Some(7.5)));
+        // Mean, sd, min and max read the censored value in sample order.
+        let all = complete(&samples.iter().map(|s| s.0).collect::<Vec<_>>());
+        assert_eq!(
+            (s.mean, s.std_dev, s.min, s.max),
+            (all.mean, all.std_dev, 0.5, 8.0)
+        );
+        // Four samples: q3 weights the 3rd and 4th, so a censored 4th hides it.
+        let s = Cell::of([(1.0, false), (2.0, false), (9.0, true), (4.0, false)]);
+        assert_eq!((s.q1, s.median, s.q3), (Some(1.25), Some(3.0), None));
+        // All censored: no quartile, but the bounds still average.
+        let s = Cell::of([(3.0, true), (1.0, true), (2.0, true)]);
+        assert_eq!(
+            (s.count, s.capped, s.mean, s.min, s.max),
+            (3, 3, 2.0, 1.0, 3.0)
+        );
+        assert_eq!((s.q1, s.median, s.q3), (None, None, None));
     }
 }

@@ -418,7 +418,7 @@ mod tests {
     #[test]
     fn linear_message_complexity_per_decision() {
         let r = run(16, 10, 100.0, 1000.0, 300.0);
-        let per_decision = r.messages_per_decision().unwrap();
+        let per_decision = r.messages_per_decision();
         // ~2n per view, one decision per view when pipelined: allow < 4n.
         assert!(
             per_decision < 4.0 * 16.0,

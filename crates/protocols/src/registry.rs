@@ -126,19 +126,13 @@ impl ProtocolKind {
         }
     }
 
-    /// Whether the protocol pipelines decisions: the paper measures such
-    /// protocols (HotStuff+NS, LibraBFT) as the average over the first ten
-    /// decisions, and the rest over a single decision (§IV).
-    pub fn pipelined(self) -> bool {
-        matches!(self, ProtocolKind::HotStuffNs | ProtocolKind::LibraBft)
-    }
-
-    /// The number of decisions the paper measures this protocol over.
+    /// The number of decisions the paper measures this protocol over: the
+    /// pipelined protocols (HotStuff+NS, LibraBFT) average over their first
+    /// ten, the rest take a single decision (§IV).
     pub fn measured_decisions(self) -> u64 {
-        if self.pipelined() {
-            10
-        } else {
-            1
+        match self {
+            ProtocolKind::HotStuffNs | ProtocolKind::LibraBft => 10,
+            _ => 1,
         }
     }
 

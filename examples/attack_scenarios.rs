@@ -10,7 +10,7 @@
 //! cargo run --release --example attack_scenarios
 //! ```
 
-use bft_simulator::experiments::{latency_secs, paper_spec};
+use bft_simulator::experiments::paper_spec;
 use bft_simulator::prelude::*;
 
 /// The paper's default run of `kind` at n = 16, seed 7, with a 900 s cap.
@@ -19,6 +19,15 @@ fn spec(kind: ProtocolKind) -> ScenarioSpec {
         seed: 7,
         time_cap_secs: 900,
         ..paper_spec(kind, 16)
+    }
+}
+
+/// A run's latency per decision; a run the cap cut short shows its lower
+/// bound.
+fn latency(spec: &ScenarioSpec, result: &RunResult) -> String {
+    match result.latency_sample(spec.target_decisions) {
+        (secs, false) => format!("{secs:.2} s"),
+        (secs, true) => format!(">= {secs:.2} s (capped)"),
     }
 }
 
@@ -34,12 +43,7 @@ fn show(title: &str, spec: ScenarioSpec) {
         "{:?}",
         result.safety_violation
     );
-    let outcome = if result.timed_out {
-        "TIMED OUT".to_string()
-    } else {
-        format!("{:.1} s", latency_secs(&spec, &result))
-    };
-    println!("{title:<55} {outcome:>10}");
+    println!("{title:<55} {:>24}", latency(&spec, &result));
 }
 
 fn main() {
@@ -99,8 +103,8 @@ fn main() {
         };
         let result = spec.simulate(TraceLevel::Decisions).expect("spec builds");
         println!(
-            "librabft with {k} crashed nodes: {:.2} s per decision",
-            latency_secs(&spec, &result)
+            "librabft with {k} crashed nodes: {} per decision",
+            latency(&spec, &result)
         );
     }
 }

@@ -8,12 +8,12 @@
 use std::time::Instant;
 
 use bft_sim_core::ids::NodeId;
-use bft_sim_core::metrics::{RunResult, Summary};
+use bft_sim_core::metrics::{Cell, RunResult};
 use bft_sim_core::trace::TraceLevel;
 use bft_sim_protocols::registry::ProtocolKind;
 use bft_sim_simcheck::{AttackSpec, DelaySpec, PartitionSpec, ScenarioSpec};
 
-use super::{latency_secs, messages_per_decision, paper_spec, repeat};
+use super::{paper_spec, repeat};
 
 // The paper's settings: what `bft-sim fig N` runs.
 /// System size of Figs. 3–9.
@@ -50,12 +50,10 @@ pub struct Point {
     pub protocol: ProtocolKind,
     /// The x-axis label (environment, λ, fail-stop count, …).
     pub x: String,
-    /// Latency in seconds (mean ± sd over repetitions).
-    pub latency: Summary,
-    /// Honest messages per decision (mean ± sd).
-    pub messages: Summary,
-    /// Fraction of repetitions that hit the time cap without deciding.
-    pub timeout_rate: f64,
+    /// Latency (s): one [`RunResult::latency_sample`] per repetition.
+    pub latency: Cell,
+    /// Honest messages per decision (the run's total when nothing decided).
+    pub messages: Cell,
 }
 
 impl Point {
@@ -72,17 +70,18 @@ impl Point {
         if let Some(v) = results.iter().find_map(|r| r.safety_violation.as_ref()) {
             return Err(format!("safety violation: {v}"));
         }
-        let summary = |metric: &dyn Fn(&RunResult) -> f64| {
-            Summary::of(&results.iter().map(metric).collect::<Vec<_>>())
-        };
-        let timeouts = results.iter().filter(|r| r.timed_out).count();
+        let k = spec.target_decisions;
         Ok(Point {
             protocol: spec.protocol,
             x: x.into(),
-            latency: summary(&|r| latency_secs(spec, r)),
-            messages: summary(&messages_per_decision),
-            timeout_rate: timeouts as f64 / results.len().max(1) as f64,
+            latency: Cell::of(results.iter().map(|r| r.latency_sample(k))),
+            messages: Cell::of(results.iter().map(|r| (r.messages_per_decision(), false))),
         })
+    }
+
+    /// Share of repetitions the time cap cut short.
+    pub fn capped_share(&self) -> f64 {
+        self.latency.capped as f64 / self.latency.count.max(1) as f64
     }
 }
 
@@ -113,8 +112,8 @@ const PAPER_SIM_MAX_N: usize = 512;
 pub struct Fig2Row {
     /// System size.
     pub n: usize,
-    /// Wall-clock per run (ms, mean ± sd).
-    pub wall_ms: Summary,
+    /// Wall-clock per run (ms).
+    pub wall_ms: Cell,
     /// Events the run processed.
     pub events: u64,
 }
@@ -139,12 +138,12 @@ pub fn fig2(sizes: &[usize], reps: usize, base_seed: u64) -> Vec<Fig2Row> {
         for rep in 0..reps.max(1) {
             let start = Instant::now();
             let result = run(base_seed + rep as u64);
-            walls.push(start.elapsed().as_secs_f64() * 1000.0);
+            walls.push((start.elapsed().as_secs_f64() * 1000.0, false));
             assert!(result.is_clean(), "fig2 run failed at n={n}");
         }
         rows.push(Fig2Row {
             n,
-            wall_ms: Summary::of(&walls),
+            wall_ms: Cell::of(walls),
             events,
         });
     }

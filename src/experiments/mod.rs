@@ -1,5 +1,6 @@
 //! The paper's evaluation (§IV), reproducible: the paper's default run, the
-//! repetition machinery, the two reported metrics and per-figure generators.
+//! repetition machinery and per-figure generators, whose points aggregate the
+//! two reported metrics.
 //!
 //! A run is a [`ScenarioSpec`]: every figure point, `bft-sim run` and
 //! `bft-sim compare` build one and [`repeat`] it over seeds, so any of them
@@ -53,28 +54,6 @@ pub fn repeat(spec: &ScenarioSpec, reps: usize, base_seed: u64) -> Result<Vec<Ru
     .into_iter()
     .map(|r| r.unwrap_or_else(|p| panic!("{p}")))
     .collect()
-}
-
-/// The latency metric the paper reports for `spec`'s protocol, in seconds:
-/// average per decision over the spec's decisions for the pipelined
-/// protocols, time to the single decision otherwise. Timed-out runs report
-/// the full (capped) run time.
-pub fn latency_secs(spec: &ScenarioSpec, result: &RunResult) -> f64 {
-    let measured = if spec.protocol.pipelined() {
-        result.avg_latency_per_decision(spec.target_decisions as usize)
-    } else {
-        result.latency()
-    };
-    measured
-        .map(|d| d.as_secs_f64())
-        .unwrap_or_else(|| result.end_time.as_secs_f64())
-}
-
-/// The message-usage metric: honest messages per decision.
-pub fn messages_per_decision(result: &RunResult) -> f64 {
-    result
-        .messages_per_decision()
-        .unwrap_or(result.honest_messages as f64)
 }
 
 /// [`paper_spec`] as `benchmark/`, frozen until ROADMAP item 1, reads it;
@@ -150,7 +129,7 @@ mod tests {
         let point = measure(&paper_spec(ProtocolKind::Pbft, 4), 4, 100);
         assert!(point.latency.mean > 0.0 && point.latency.count == 4);
         assert!(point.messages.mean > 0.0);
-        assert_eq!(point.timeout_rate, 0.0);
+        assert_eq!(point.capped_share(), 0.0);
     }
 
     #[test]

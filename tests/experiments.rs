@@ -378,3 +378,37 @@ fn figure_runs_round_trip_as_scenario_files() {
         assert_eq!(checked.honest_messages, unchecked.honest_messages, "{text}");
     }
 }
+
+/// A capped run is a censored sample at its lower bound: Fig. 3's first
+/// capped HotStuff+NS run at N(1000,1000) (seed 61 800) decided 8 of its 10
+/// decisions before the 600 s cap, so its per-decision latency is at least
+/// 600 s / 10. Ranked above every complete run with the cell's other capped
+/// run among its first ten seeds, it leaves the median exact and hides q3.
+#[test]
+fn a_capped_run_is_a_censored_sample_ranked_last() {
+    let widest = ScenarioSpec {
+        delay: DelaySpec::Normal {
+            mean_micros: 1_000_000,
+            std_micros: 1_000_000,
+        },
+        ..paper_spec(ProtocolKind::HotStuffNs, figures::N)
+    };
+    let results = repeat(&widest, 10, figures::seed(3)).unwrap();
+    let samples: Vec<(f64, bool)> = results.iter().map(|r| r.latency_sample(10)).collect();
+    assert_eq!(figures::seed(3) + 5, 61_800);
+    assert_eq!(results[5].decisions_completed(), 8);
+    assert_eq!(samples[5], (60.0, true));
+    let capped: Vec<usize> = (0..10).filter(|&i| samples[i].1).collect();
+    assert_eq!(capped, [5, 7], "{samples:?}");
+
+    let cell = measure(&widest, 10, figures::seed(3)).latency;
+    assert_eq!((cell.count, cell.capped, cell.max), (10, 2, 60.0));
+    // Exclusive quartiles at n = 10 weight ranks 2–3, 5–6 and 8–9: the
+    // complete samples fill ranks 1–8, the censored ones 9 and 10.
+    let mut complete: Vec<f64> = samples.iter().filter(|s| !s.1).map(|s| s.0).collect();
+    complete.sort_by(f64::total_cmp);
+    let q = |lo: usize, w: f64| (complete[lo] * (4.0 - w) + complete[lo + 1] * w) / 4.0;
+    assert_eq!(cell.q1, Some(q(1, 3.0)));
+    assert_eq!(cell.median, Some(q(4, 2.0)));
+    assert_eq!(cell.q3, None);
+}

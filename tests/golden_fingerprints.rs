@@ -37,9 +37,13 @@
 //! `"figures/fig2"` … `"figures/fig9"` pin the figure path: the FNV-1a of
 //! one miniature of each figure at the paper's grids and seeds, n = 16 and
 //! two repetitions for Figs. 3–8, over every point's protocol, x label and
-//! the `f64` bits of its latency and message summaries and timeout rate.
+//! the `f64` bits of its latency and message cells' count, mean, sd and min,
+//! and of its capped share.
 //! Fig. 2's row covers its events column only (the wall column is host
-//! time); Fig. 9's covers the view timelines.
+//! time); Fig. 9's covers the view timelines. `"figures/censored"` pins
+//! every field of both cells of Fig. 3's N(1000,1000) HotStuff+NS point at
+//! its first ten seeds, one of them capped: the only row whose cell holds a
+//! censored sample.
 //!
 //! To regenerate after an *intentional* behaviour change:
 //! `BFT_SIM_BLESS=1 cargo test --test golden_fingerprints`.
@@ -88,6 +92,7 @@ fn compute_corpus() -> Vec<(String, u64)> {
 /// repetitions per point of Figs. 3–8.
 fn figure_rows() -> Vec<(String, u64)> {
     use bft_simulator::experiments::figures::{self, seed, Point, N};
+    use bft_simulator::experiments::{paper_spec, repeat};
     let points = |points: Vec<Point>| {
         let mut text = String::new();
         for p in &points {
@@ -104,12 +109,34 @@ fn figure_rows() -> Vec<(String, u64)> {
                 m.mean.to_bits(),
                 m.std_dev.to_bits(),
                 m.min.to_bits(),
-                p.timeout_rate.to_bits(),
+                p.capped_share().to_bits(),
             );
         }
         fnv1a(text.as_bytes())
     };
     let reps = 2;
+    let cell = |c: &Cell| {
+        let q = |q: Option<f64>| q.map_or("capped".into(), |q| format!("{:x}", q.to_bits()));
+        let bits = [c.mean, c.std_dev, c.min, c.max].map(|x| format!("{:x}", x.to_bits()));
+        let quartiles = [c.q1, c.median, c.q3].map(q);
+        format!(
+            "{} {} {} {}",
+            c.count,
+            c.capped,
+            bits.join(" "),
+            quartiles.join(" ")
+        )
+    };
+    let widest = ScenarioSpec {
+        delay: DelaySpec::Normal {
+            mean_micros: 1_000_000,
+            std_micros: 1_000_000,
+        },
+        ..paper_spec(ProtocolKind::HotStuffNs, N)
+    };
+    let results = repeat(&widest, 10, seed(3)).unwrap();
+    let censored = Point::of(&widest, &results, "").unwrap();
+    let censored = format!("{}\n{}", cell(&censored.latency), cell(&censored.messages));
     let events: Vec<String> = figures::fig2(&[4, 8, 16, 32], 1, seed(2))
         .iter()
         .map(|row| format!("{} {}", row.n, row.events))
@@ -150,6 +177,7 @@ fn figure_rows() -> Vec<(String, u64)> {
             points(figures::fig8(N, reps, seed(8))),
         ),
         ("figures/fig9".into(), fnv1a(views.join("\n").as_bytes())),
+        ("figures/censored".into(), fnv1a(censored.as_bytes())),
     ]
 }
 
