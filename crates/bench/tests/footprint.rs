@@ -1,8 +1,8 @@
 //! The counter gate: every deterministic counter of the perf workloads,
 //! pinned exactly, and the footprint bounds of the one-entry-per-broadcast
 //! event queue, of shared certificates, of the trace's record layout and
-//! retention, and of holding each decision once (wall time is evidence,
-//! never a gate).
+//! retention, of holding each decision once, and of a checked run that
+//! records no delivery schedule (wall time is evidence, never a gate).
 //!
 //! [`CASES`] pins, exactly, what `baseline::run_case` counts for PBFT and
 //! HotStuff+NS at n = 16 / 64 / 256 / 1024: a change that moves one is a
@@ -19,12 +19,14 @@
 
 use bft_sim_bench::alloc_counter::{self, CountingAllocator};
 use bft_sim_bench::baseline::{run_case, CaseResult};
+use bft_sim_core::buggify::FaultPreset;
 use bft_sim_core::config::RunConfig;
 use bft_sim_core::dist::Dist;
 use bft_sim_core::engine::SimulationBuilder;
 use bft_sim_core::network::SampledNetwork;
 use bft_sim_core::trace::TraceLevel;
-use bft_sim_protocols::registry::ProtocolKind::{self, HotStuffNs, Pbft};
+use bft_sim_protocols::registry::ProtocolKind::{self, HotStuffNs, LibraBft, Pbft, Tendermint};
+use bft_sim_simcheck::{ChurnSpec, NetSpec, RunMode, ScenarioSpec, TopologyKind};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -42,8 +44,9 @@ fn footprints() {
     // Same chain core, same happy path: the same events, and the same
     // allocation-free decide walk (LibraBFT's own copy of it allocated a
     // `Vec` per node per decision and regrew its block map).
-    chained_n256_shares_its_certificates(ProtocolKind::LibraBft);
+    chained_n256_shares_its_certificates(LibraBft);
     each_decision_is_held_once_in_the_trace();
+    a_checked_run_records_no_schedule();
 }
 
 /// What [`Case::counters`] holds, in order.
@@ -229,6 +232,43 @@ fn each_decision_is_held_once_in_the_trace() {
         assert!(
             per_decision <= 88.3,
             "{kind}: {per_decision} peak live bytes per replica per decision"
+        );
+    }
+}
+
+/// A checked run holds no delivery schedule: only
+/// `ScenarioSpec::run_recorded` turns the recorder on, and only the shrinker
+/// calls it. The case is the largest scenario of the benchmark's
+/// `fuzz_net_sweep` (seed 1405 under its `ring_gradient` preset: PBFT at
+/// n = 16, 90 018 events), where a 16-byte fate per honest transmission,
+/// in a doubling `Vec`, was most of the run's live heap. Release builds
+/// only, like the bounds above.
+fn a_checked_run_records_no_schedule() {
+    let protocols = [Pbft, HotStuffNs, LibraBft, Tendermint];
+    let mut spec = ScenarioSpec::generate(1405, &protocols, 500, 48, false, FaultPreset::Calm);
+    spec.net = Some(NetSpec {
+        topology: TopologyKind::RingGradient,
+        bandwidth: Some(200_000),
+        topology_seed: 0,
+        churn: Some(ChurnSpec {
+            seed: 5,
+            crashes: 2,
+            min_down_ms: 500,
+            max_down_ms: 4_000,
+        }),
+    });
+    assert_eq!((spec.protocol, spec.n), (Pbft, 16));
+    let before = alloc_counter::reset_peak_live_bytes();
+    let run = spec.run(RunMode::Generate).expect("scenario runs");
+    let peak = alloc_counter::peak_live_bytes() - before;
+    assert_eq!(run.result.events_processed, 90_018);
+    if !cfg!(debug_assertions) {
+        // 19.84 while every checked run recorded its schedule (216 030
+        // fates), 0.43 since; the bound sits halfway.
+        let per_transmission = peak as f64 / run.result.honest_messages as f64;
+        assert!(
+            per_transmission <= 10.1,
+            "{per_transmission} peak live bytes per honest transmission"
         );
     }
 }

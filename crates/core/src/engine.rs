@@ -122,7 +122,7 @@ impl SimulationBuilder {
     }
 
     /// Single backend; kept for benchmark/'s tracer, remove with its replay
-    /// follow-up (ROADMAP item 2).
+    /// follow-up (ROADMAP item 1).
     pub fn scheduler(self, _kind: SchedulerKind) -> Self {
         self
     }

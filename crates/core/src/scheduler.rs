@@ -162,7 +162,7 @@ pub trait Scheduler: core::fmt::Debug {
 
 /// Names the one event queue. Single backend; kept — with `ALL`, `Default`,
 /// `Display`, `name` and `build` — for benchmark/'s tracer, remove with its
-/// replay follow-up (ROADMAP item 2).
+/// replay follow-up (ROADMAP item 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SchedulerKind {
     /// The binary heap of keys over an event slab (`HeapScheduler`).

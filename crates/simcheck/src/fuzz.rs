@@ -32,7 +32,7 @@ pub struct FuzzOptions {
     /// seed order).
     pub threads: usize,
     /// Single backend; kept for benchmark/'s tracer, remove with its replay
-    /// follow-up (ROADMAP item 2).
+    /// follow-up (ROADMAP item 1).
     pub scheduler: SchedulerKind,
     /// Instrument every run (see [`bft_sim_core::obs`]). Everything recorded
     /// derives from simulated quantities, so switching this on changes
@@ -381,7 +381,7 @@ pub struct UnitRun {
 /// spec is a campaign-level configuration error, not a unit outcome.
 ///
 /// The `SchedulerKind` argument: single backend; kept for benchmark/'s tracer,
-/// remove with its replay follow-up (ROADMAP item 2).
+/// remove with its replay follow-up (ROADMAP item 1).
 pub fn run_unit(spec: &ScenarioSpec, _scheduler: SchedulerKind) -> Result<UnitRun, String> {
     let mut run = match catch_unwind(AssertUnwindSafe(|| {
         spec.run_observed(RunMode::Generate, TraceLevel::Decisions)

@@ -295,10 +295,10 @@ mod tests {
             assert!(!text.contains(new_key), "{new_key} leaked into {text}");
         }
 
-        let replayed = repro.spec.run(RunMode::Generate).unwrap();
-        let expected = twin.run(RunMode::Generate).unwrap();
+        let (replayed, replayed_schedule) = repro.spec.run_recorded(RunMode::Generate).unwrap();
+        let (expected, expected_schedule) = twin.run_recorded(RunMode::Generate).unwrap();
         assert_eq!(replayed.result, expected.result);
-        assert_eq!(replayed.schedule, expected.schedule);
+        assert_eq!(replayed_schedule, expected_schedule);
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //!   verbatim (the shrinker's probe mode);
 //! - [`RunMode::Replay`] — a recorded [`DeliverySchedule`] is replayed with
 //!   the adversary bypassed entirely (the engine's validator path).
+//!
+//! No run records its delivery schedule except under
+//! [`ScenarioSpec::run_recorded`], which the shrinker calls once, on a
+//! minimised failure it can turn into a schedule replay. Every other checked
+//! run (fuzz, campaign, coverage and every ddmin probe) pays nothing for it.
 
 use bft_sim_attacks::{
     AddAdaptiveRushingAttack, AddStaticAttack, FailStop, FuzzAction, FuzzBudget, PartitionAttack,
@@ -464,13 +469,12 @@ pub enum RunMode<'a> {
     Replay(&'a DeliverySchedule),
 }
 
-/// A finished, oracle-checked run.
+/// A finished, oracle-checked run. It holds no delivery schedule:
+/// [`ScenarioSpec::run_recorded`] returns one beside the run.
 #[derive(Debug)]
 pub struct CheckedRun {
     /// The engine's metrics and trace.
     pub result: RunResult,
-    /// The per-message fates of the run, in send order.
-    pub schedule: DeliverySchedule,
     /// The adversary actions that were applied (empty in replay mode).
     pub actions: Vec<FuzzAction>,
     /// The fault-catalog actions that were applied (empty in replay mode and
@@ -806,11 +810,30 @@ impl ScenarioSpec {
     /// Returns a message when the configuration is rejected by the engine or
     /// the spec needs the `testbug` feature and it is not compiled in.
     pub fn run(&self, mode: RunMode<'_>) -> Result<CheckedRun, String> {
-        self.execute(mode, false, TraceLevel::Decisions)
+        self.execute(mode, false, TraceLevel::Decisions, false)
+            .map(|(run, _)| run)
+    }
+
+    /// [`run`](ScenarioSpec::run), and the delivery schedule the run applied:
+    /// one fate per honest transmission, in send order, which
+    /// [`RunMode::Replay`] reproduces the run from (a replay records the
+    /// fates it applied, the λ-delay deliveries past a short schedule's end
+    /// included). The recorder changes nothing else, so the [`CheckedRun`]
+    /// is the one `run` returns. The shrinker is its only caller outside
+    /// tests: no other run pays 16 bytes per transmission for a schedule.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`run`](ScenarioSpec::run).
+    pub fn run_recorded(
+        &self,
+        mode: RunMode<'_>,
+    ) -> Result<(CheckedRun, DeliverySchedule), String> {
+        self.execute(mode, false, TraceLevel::Decisions, true)
     }
 
     /// [`run`](ScenarioSpec::run). Single backend; kept for benchmark/'s
-    /// tracer, remove with its replay follow-up (ROADMAP item 2).
+    /// tracer, remove with its replay follow-up (ROADMAP item 1).
     ///
     /// # Errors
     ///
@@ -833,7 +856,7 @@ impl ScenarioSpec {
     ///
     /// Same as [`run`](ScenarioSpec::run).
     pub fn run_observed(&self, mode: RunMode<'_>, trace: TraceLevel) -> Result<CheckedRun, String> {
-        self.execute(mode, true, trace)
+        self.execute(mode, true, trace, false).map(|(run, _)| run)
     }
 
     /// The last [`DEFAULT_LAST_K`] events of this spec's
@@ -852,12 +875,15 @@ impl ScenarioSpec {
         trace.events().skip(skip).collect()
     }
 
+    /// The checked run, and its delivery schedule when `record` (else an
+    /// empty one: nothing is recorded).
     fn execute(
         &self,
         mode: RunMode<'_>,
         observed: bool,
         trace: TraceLevel,
-    ) -> Result<CheckedRun, String> {
+        record: bool,
+    ) -> Result<(CheckedRun, DeliverySchedule), String> {
         let Built {
             sim,
             expect,
@@ -865,9 +891,10 @@ impl ScenarioSpec {
             actions,
             fault_log,
         } = self.build(mode, true, observed, trace)?;
-        let (result, schedule) = match mode {
-            RunMode::Replay(schedule) => (sim.run(), schedule.clone()),
-            RunMode::Generate | RunMode::Scripted { .. } => sim.run_recorded(),
+        let (result, schedule) = if record {
+            sim.run_recorded()
+        } else {
+            (sim.run(), DeliverySchedule::default())
         };
         let actions = actions();
         let violations = OracleSuite::standard().check(&OracleInput::from_result(
@@ -879,19 +906,19 @@ impl ScenarioSpec {
             Some(log) => (log.snapshot(), log.stats()),
             None => (Vec::new(), FaultStats::default()),
         };
-        Ok(CheckedRun {
+        let run = CheckedRun {
             result,
-            schedule,
             actions,
             fault_actions,
             fault_stats,
             violations,
-        })
+        };
+        Ok((run, schedule))
     }
 
     /// The [`RunMode::Generate`] run, unchecked: no oracle observer (a third
-    /// more memory at n = 1024), schedule recorder or oracle suite. Same
-    /// [`RunResult`] as [`run`](ScenarioSpec::run).
+    /// more memory at n = 1024) and no oracle suite. Same [`RunResult`] as
+    /// [`run`](ScenarioSpec::run).
     ///
     /// # Errors
     ///
@@ -1211,10 +1238,10 @@ mod tests {
     fn baseline_pbft_run_is_clean() {
         let spec = ScenarioSpec::baseline(ProtocolKind::Pbft);
         assert!(spec.is_benign());
-        let run = spec.run(RunMode::Generate).unwrap();
+        let (run, schedule) = spec.run_recorded(RunMode::Generate).unwrap();
         assert!(run.violations.is_empty(), "{:?}", run.violations);
         assert!(run.actions.is_empty());
-        assert!(!run.schedule.is_empty());
+        assert!(!schedule.is_empty());
         assert!(run.result.is_clean());
     }
 
@@ -1302,10 +1329,10 @@ mod tests {
     fn runs_are_reproducible() {
         let kinds = [ProtocolKind::Pbft, ProtocolKind::HotStuffNs];
         let spec = ScenarioSpec::generate(7, &kinds, 500, 48, false, FaultPreset::Calm);
-        let a = spec.run(RunMode::Generate).unwrap();
-        let b = spec.run(RunMode::Generate).unwrap();
+        let (a, a_schedule) = spec.run_recorded(RunMode::Generate).unwrap();
+        let (b, b_schedule) = spec.run_recorded(RunMode::Generate).unwrap();
         assert_eq!(a.result, b.result);
-        assert_eq!(a.schedule, b.schedule);
+        assert_eq!(a_schedule, b_schedule);
         assert_eq!(a.actions, b.actions);
         assert_eq!(a.violations, b.violations);
     }
@@ -1338,8 +1365,8 @@ mod tests {
             },
             ..ScenarioSpec::baseline(ProtocolKind::Pbft)
         };
-        let original = spec.run(RunMode::Generate).unwrap();
-        let replayed = spec.run(RunMode::Replay(&original.schedule)).unwrap();
+        let (original, schedule) = spec.run_recorded(RunMode::Generate).unwrap();
+        let replayed = spec.run(RunMode::Replay(&schedule)).unwrap();
         assert!(replayed.violations.is_empty(), "{:?}", replayed.violations);
         assert_eq!(replayed.result.decided, original.result.decided);
     }
@@ -1354,14 +1381,14 @@ mod tests {
             false,
             FaultPreset::Calm,
         );
-        let plain = spec.run(RunMode::Generate).unwrap();
-        let observed = spec
-            .run_observed(RunMode::Generate, TraceLevel::Decisions)
+        let (plain, plain_schedule) = spec.run_recorded(RunMode::Generate).unwrap();
+        let (observed, observed_schedule) = spec
+            .execute(RunMode::Generate, true, TraceLevel::Decisions, true)
             .unwrap();
         let mut stripped = observed.result.clone();
         stripped.observability = None;
         assert_eq!(stripped, plain.result, "instrumentation changed the run");
-        assert_eq!(observed.schedule, plain.schedule);
+        assert_eq!(observed_schedule, plain_schedule);
         assert_eq!(observed.actions, plain.actions);
         assert_eq!(observed.violations, plain.violations);
 
@@ -1396,8 +1423,8 @@ mod tests {
             },
             ..ScenarioSpec::baseline(ProtocolKind::HotStuffNs)
         };
-        let serial = spec
-            .run_observed(RunMode::Generate, TraceLevel::Decisions)
+        let (serial, serial_schedule) = spec
+            .execute(RunMode::Generate, true, TraceLevel::Decisions, true)
             .unwrap();
         let obs = serial.result.observability.as_ref().unwrap();
         assert!(
@@ -1409,11 +1436,12 @@ mod tests {
         // the instrumentation block the sweep runs don't enable).
         let mut plain = serial.result.clone();
         plain.observability = None;
-        let swept = bft_sim_core::sweep::sweep(4, 4, |_| spec.run(RunMode::Generate).unwrap());
+        let swept =
+            bft_sim_core::sweep::sweep(4, 4, |_| spec.run_recorded(RunMode::Generate).unwrap());
         for slot in swept {
-            let run = slot.expect("no sweep panic");
+            let (run, schedule) = slot.expect("no sweep panic");
             assert_eq!(plain, run.result);
-            assert_eq!(serial.schedule, run.schedule);
+            assert_eq!(serial_schedule, schedule);
         }
     }
 
@@ -1525,7 +1553,7 @@ mod tests {
     #[test]
     fn scripted_faults_reproduce_a_faulted_run() {
         let spec = chaos_spec();
-        let generated = spec.run(RunMode::Generate).unwrap();
+        let (generated, generated_schedule) = spec.run_recorded(RunMode::Generate).unwrap();
         assert!(!generated.fault_actions.is_empty());
         // Replaying the fault log verbatim (scripted mode ignores the
         // preset) must reproduce the run bit for bit — the property the
@@ -1535,14 +1563,14 @@ mod tests {
             fault_seed: 0,
             ..spec.clone()
         };
-        let scripted = calm_replayer
-            .run(RunMode::Scripted {
+        let (scripted, scripted_schedule) = calm_replayer
+            .run_recorded(RunMode::Scripted {
                 actions: &[],
                 faults: &generated.fault_actions,
             })
             .unwrap();
         assert_eq!(scripted.result, generated.result);
-        assert_eq!(scripted.schedule, generated.schedule);
+        assert_eq!(scripted_schedule, generated_schedule);
         assert_eq!(scripted.fault_stats, generated.fault_stats);
         // Scripted application can interleave kinds differently across
         // sites; compare as sets keyed by site + index.
@@ -1702,10 +1730,10 @@ mod tests {
             net: Some(full_mesh(None)),
             ..legacy.clone()
         };
-        let a = legacy.run(RunMode::Generate).unwrap();
-        let b = meshed.run(RunMode::Generate).unwrap();
+        let (a, a_schedule) = legacy.run_recorded(RunMode::Generate).unwrap();
+        let (b, b_schedule) = meshed.run_recorded(RunMode::Generate).unwrap();
         assert_eq!(a.result, b.result);
-        assert_eq!(a.schedule, b.schedule);
+        assert_eq!(a_schedule, b_schedule);
     }
 
     #[test]
@@ -1762,15 +1790,71 @@ mod tests {
             net: Some(rich_net()),
             ..ScenarioSpec::baseline(ProtocolKind::Pbft)
         };
-        let serial = spec.run(RunMode::Generate).unwrap();
+        let (serial, serial_schedule) = spec.run_recorded(RunMode::Generate).unwrap();
         for threads in [1, 4] {
             let swept = bft_sim_core::sweep::sweep(threads, threads, |_| {
-                spec.run(RunMode::Generate).unwrap()
+                spec.run_recorded(RunMode::Generate).unwrap()
             });
             for slot in swept {
-                let run = slot.expect("no sweep panic");
+                let (run, schedule) = slot.expect("no sweep panic");
                 assert_eq!(serial.result, run.result, "threads={threads}");
-                assert_eq!(serial.schedule, run.schedule, "threads={threads}");
+                assert_eq!(serial_schedule, schedule, "threads={threads}");
+            }
+        }
+    }
+
+    /// `run` and `run_recorded` agree on everything but the schedule.
+    fn assert_recording_is_inert(spec: &ScenarioSpec, mode: RunMode<'_>, what: &str) {
+        let plain = spec.run(mode).unwrap();
+        let (recorded, _) = spec.run_recorded(mode).unwrap();
+        assert_eq!(plain.result, recorded.result, "{what}");
+        assert_eq!(plain.actions, recorded.actions, "{what}");
+        assert_eq!(plain.fault_actions, recorded.fault_actions, "{what}");
+        assert_eq!(plain.fault_stats, recorded.fault_stats, "{what}");
+        assert_eq!(plain.violations, recorded.violations, "{what}");
+    }
+
+    #[test]
+    fn recording_the_schedule_is_inert() {
+        // Recording is opt-in because nothing but the shrinker reads the
+        // schedule; turning it on must change nothing else, in every mode.
+        let protocols = [
+            ProtocolKind::Pbft,
+            ProtocolKind::HotStuffNs,
+            ProtocolKind::Tendermint,
+        ];
+        for kind in protocols {
+            let busy = ScenarioSpec {
+                intensity_permille: 500,
+                max_actions: 32,
+                fault_preset: FaultPreset::Chaos,
+                fault_seed: 0xFA_17,
+                ..ScenarioSpec::baseline(kind)
+            };
+            let churned = ScenarioSpec {
+                net: Some(rich_net()),
+                ..busy.clone()
+            };
+            for (spec, shape) in [(&busy, "busy"), (&churned, "churned")] {
+                let what = format!("{kind} {shape}");
+                assert_recording_is_inert(spec, RunMode::Generate, &format!("{what} generate"));
+
+                let (generated, schedule) = spec.run_recorded(RunMode::Generate).unwrap();
+                assert!(!generated.actions.is_empty(), "{what}: no action script");
+                assert!(
+                    !generated.fault_actions.is_empty(),
+                    "{what}: no fault script"
+                );
+                let scripted = RunMode::Scripted {
+                    actions: &generated.actions,
+                    faults: &generated.fault_actions,
+                };
+                assert_recording_is_inert(spec, scripted, &format!("{what} scripted"));
+
+                let prefix = schedule.truncated(schedule.len() / 2);
+                assert!(!prefix.is_empty(), "{what}: empty schedule");
+                let replay = RunMode::Replay(&prefix);
+                assert_recording_is_inert(spec, replay, &format!("{what} replay"));
             }
         }
     }

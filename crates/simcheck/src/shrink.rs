@@ -11,9 +11,11 @@
 //! 5. shrink `n` down through the generator's scales;
 //! 6. when the residual failure is pure drop/delay (no injected payloads, no
 //!    seeded bug, no fault kinds outside the recorded fate stream), record
-//!    the final failing run's [`DeliverySchedule`] and bisect it to the
-//!    shortest violating prefix — the repro then replays through the
-//!    engine's validator path with no adversary at all.
+//!    the final failing run's [`DeliverySchedule`]
+//!    ([`ScenarioSpec::run_recorded`], the one recorded run of a shrink) and
+//!    bisect it to the shortest violating prefix — the repro then replays
+//!    through the engine's validator path with no adversary at all.
+//!    Otherwise the final run, like every probe before it, records nothing.
 
 use bft_sim_attacks::{FuzzAction, FuzzActionKind};
 use bft_sim_core::buggify::{FaultAction, FaultKind, FaultPreset};
@@ -143,19 +145,29 @@ pub(crate) fn shrink(spec: &ScenarioSpec, failing: &CheckedRun) -> Repro {
         }
     }
 
-    // 6. Re-run the minimised scenario once more for the final schedule and
-    //    violation detail, then try to turn it into a pure schedule replay.
-    let fin = still_fails(&spec, &actions, &faults, oracle)
-        .expect("minimised scenario must still fail: every kept step was re-verified");
-    let schedule = replay_eligible(&spec, &actions, &faults)
-        .then(|| {
-            bisect_prefix(&fin.schedule, |prefix| {
-                spec.run(RunMode::Replay(prefix))
-                    .map(|run| run.violates(oracle))
-                    .unwrap_or(false)
-            })
+    // 6. Re-run the minimised scenario once more for the violation detail
+    //    and, when it can replay without the adversary, its schedule; then
+    //    try to turn it into a pure schedule replay.
+    let mode = RunMode::Scripted {
+        actions: &actions,
+        faults: &faults,
+    };
+    let (fin, recorded) = if replay_eligible(&spec, &actions, &faults) {
+        spec.run_recorded(mode)
+            .map(|(run, schedule)| (run, Some(schedule)))
+    } else {
+        spec.run(mode).map(|run| (run, None))
+    }
+    .ok()
+    .filter(|(run, _)| run.violates(oracle))
+    .expect("minimised scenario must still fail: every kept step was re-verified");
+    let schedule = recorded.and_then(|recorded| {
+        bisect_prefix(&recorded, |prefix| {
+            spec.run(RunMode::Replay(prefix))
+                .map(|run| run.violates(oracle))
+                .unwrap_or(false)
         })
-        .flatten();
+    });
     let v = fin
         .violations
         .iter()

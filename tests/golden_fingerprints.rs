@@ -412,7 +412,6 @@ fn pinned_row(
     let trace = fnv1a(result.trace.to_json().dump().as_bytes());
     let run = CheckedRun {
         result,
-        schedule: Default::default(),
         actions: Vec::new(),
         fault_actions: Vec::new(),
         fault_stats: Default::default(),

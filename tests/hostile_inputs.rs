@@ -340,11 +340,11 @@ fn rich_repro() -> Repro {
     // A short prefix of a real partitioned run's schedule that holds both
     // kinds of fate.
     let schedule = {
-        let run = rich_scenario()
-            .run(RunMode::Generate)
+        let (_, recorded) = rich_scenario()
+            .run_recorded(RunMode::Generate)
             .expect("scenario runs");
-        (1..=run.schedule.len())
-            .map(|len| run.schedule.truncated(len))
+        (1..=recorded.len())
+            .map(|len| recorded.truncated(len))
             .find(|prefix| {
                 let text = prefix.to_json().dump();
                 text.contains("Drop") && text.contains("Deliver")

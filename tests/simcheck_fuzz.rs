@@ -102,7 +102,7 @@ fn replayed_schedules_reproduce_fuzzed_runs_exactly() {
             false,
             opts.fault_preset,
         );
-        let original = spec.run(RunMode::Generate).unwrap();
+        let (original, schedule) = spec.run_recorded(RunMode::Generate).unwrap();
         if original
             .actions
             .iter()
@@ -110,7 +110,7 @@ fn replayed_schedules_reproduce_fuzzed_runs_exactly() {
         {
             continue; // injected duplicates are not part of the schedule
         }
-        let replayed = spec.run(RunMode::Replay(&original.schedule)).unwrap();
+        let replayed = spec.run(RunMode::Replay(&schedule)).unwrap();
         assert_eq!(
             original.result.decided, replayed.result.decided,
             "seed {seed}: schedule replay diverged"
