@@ -1,8 +1,9 @@
 //! The counter gate: every deterministic counter of the perf workloads,
 //! pinned exactly, and the footprint bounds of the one-entry-per-broadcast
 //! event queue, of shared certificates, of the trace's record layout and
-//! retention, of holding each decision once, and of a checked run that
-//! records no delivery schedule (wall time is evidence, never a gate).
+//! retention, of holding each decision once (in an unchecked and in a
+//! checked run), and of a checked run that records no delivery schedule
+//! (wall time is evidence, never a gate).
 //!
 //! [`CASES`] pins, exactly, what `baseline::run_case` counts for PBFT and
 //! HotStuff+NS at n = 16 / 64 / 256 / 1024: a change that moves one is a
@@ -26,7 +27,7 @@ use bft_sim_core::engine::SimulationBuilder;
 use bft_sim_core::network::SampledNetwork;
 use bft_sim_core::trace::TraceLevel;
 use bft_sim_protocols::registry::ProtocolKind::{self, HotStuffNs, LibraBft, Pbft, Tendermint};
-use bft_sim_simcheck::{ChurnSpec, NetSpec, RunMode, ScenarioSpec, TopologyKind};
+use bft_sim_simcheck::{ChurnSpec, DelaySpec, NetSpec, RunMode, ScenarioSpec, TopologyKind};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -46,6 +47,7 @@ fn footprints() {
     // `Vec` per node per decision and regrew its block map).
     chained_n256_shares_its_certificates(LibraBft);
     each_decision_is_held_once_in_the_trace();
+    a_checked_run_holds_each_decision_once();
     a_checked_run_records_no_schedule();
 }
 
@@ -232,6 +234,40 @@ fn each_decision_is_held_once_in_the_trace() {
         assert!(
             per_decision <= 88.3,
             "{kind}: {per_decision} peak live bytes per replica per decision"
+        );
+    }
+}
+
+/// A checked run keeps the trace as its only decision log: the oracles read
+/// the trace in place and no step observer is installed, so the run holds
+/// each decision once, as an unchecked one does. A second log kept beside
+/// the trace (an observer's copy of every decision, or the oracle input's
+/// own) shows in the peak of live heap bytes; release builds only.
+fn a_checked_run_holds_each_decision_once() {
+    let spec = ScenarioSpec {
+        n: 256,
+        seed: 1,
+        delay: DelaySpec::Normal {
+            mean_micros: 250_000,
+            std_micros: 50_000,
+        },
+        target_decisions: 100,
+        ..ScenarioSpec::baseline(HotStuffNs)
+    };
+    let before = alloc_counter::reset_peak_live_bytes();
+    let run = spec.run(RunMode::Generate).expect("scenario runs");
+    let peak = alloc_counter::peak_live_bytes() - before;
+    assert!(run.violations.is_empty(), "{:?}", run.violations);
+    let decided: usize = run.result.decided.iter().map(<[_]>::len).sum();
+    assert!(decided >= 100 * spec.n);
+    if !cfg!(debug_assertions) {
+        // 161.5 while the checker kept an observer's log, its snapshot and
+        // the oracle input's own copy beside the trace, 80.2 since; the
+        // bound sits halfway.
+        let per_decision = peak as f64 / decided as f64;
+        assert!(
+            per_decision <= 120.9,
+            "{per_decision} peak live bytes per replica per decision"
         );
     }
 }

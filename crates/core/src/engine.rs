@@ -53,12 +53,11 @@ use crate::value::Value;
 
 /// A passive probe notified as the engine executes, step by step.
 ///
-/// Observers power external correctness checking (the oracle suite in
-/// [`crate::oracle`]): they see the clock at every event and every decision
-/// *as it is applied*, so properties like clock monotonicity and
-/// no-decision-revocation can be checked against what actually happened
-/// rather than against the engine's own summary. Observers cannot influence
-/// the run — the engine hands them values, never state.
+/// Observers see the clock at every dispatched event and every decision as
+/// it is applied. They cannot influence the run: the engine hands them
+/// values, never state. No checked run installs one (the oracles read the
+/// trace, and the clock check is the engine's own); the benchmark's tracer
+/// times an [`OracleObserver`](crate::oracle::OracleObserver) through it.
 pub trait StepObserver: Send {
     /// Called once per dispatched event, after the clock advanced to `now`.
     fn on_event(&mut self, now: crate::time::SimTime) {
@@ -360,6 +359,12 @@ impl Simulation {
                 self.clock = crate::time::SimTime::ZERO + self.cfg.time_cap;
                 return true;
             }
+            assert!(
+                ev.at >= self.clock,
+                "the scheduler popped an event at {} before the clock at {}",
+                ev.at,
+                self.clock
+            );
             self.clock = ev.at;
             // Only events that survive the skip check below are `dispatched`;
             // deliveries to excluded nodes go to `skipped_excluded_nodes` so
@@ -757,7 +762,7 @@ mod tests {
     use super::*;
     use crate::network::ConstantNetwork;
     use crate::obs::DEFAULT_LAST_K;
-    use crate::time::SimDuration;
+    use crate::time::{SimDuration, SimTime};
     use crate::trace::{TraceEvent, TraceKind, TraceLevel};
     use crate::value::Value;
 
@@ -1097,6 +1102,22 @@ mod tests {
         fn on_timer(&mut self, t: &Timer, ctx: &mut Context<'_>) {
             TalkThenDecide.on_timer(t, ctx);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "popped an event at 1.000ms before the clock at 2.000ms")]
+    fn an_event_before_the_clock_is_caught() {
+        let mut sim = SimulationBuilder::new(RunConfig::new(4))
+            .network(constant_net())
+            .protocols(|_id: NodeId| -> Box<dyn Protocol> { Box::<TimerChurn>::default() })
+            .build()
+            .unwrap();
+        sim.queue.schedule(
+            SimTime::from_millis(1),
+            EventKind::AdversaryTimer { tag: 0 },
+        );
+        sim.clock = SimTime::from_millis(2);
+        sim.drive();
     }
 
     #[test]

@@ -32,9 +32,7 @@ use bft_sim_core::message::Message;
 use bft_sim_core::metrics::RunResult;
 use bft_sim_core::network::{NetworkModel, SampledNetwork};
 use bft_sim_core::obs::{ObsConfig, DEFAULT_LAST_K};
-use bft_sim_core::oracle::{
-    Expectations, OracleInput, OracleObserver, OracleSuite, OracleViolation, OutageWindow,
-};
+use bft_sim_core::oracle::{Expectations, OracleInput, OracleSuite, OracleViolation, OutageWindow};
 use bft_sim_core::scheduler::SchedulerKind;
 use bft_sim_core::time::SimDuration;
 use bft_sim_core::trace::{TraceEvent, TraceLevel};
@@ -491,7 +489,6 @@ pub struct CheckedRun {
 struct Built {
     sim: Simulation,
     expect: Expectations,
-    probe: OracleObserver,
     /// The adversary actions applied so far (none in replay mode).
     actions: Box<dyn Fn() -> Vec<FuzzAction>>,
     fault_log: Option<FaultLog>,
@@ -865,7 +862,7 @@ impl ScenarioSpec {
     /// tail of that trace is taken, up to the panic when the run panics.
     pub(crate) fn last_events(&self) -> Vec<TraceEvent> {
         let built = self
-            .build(RunMode::Generate, true, true, TraceLevel::Messages)
+            .build(RunMode::Generate, true, TraceLevel::Messages)
             .expect("a spec that ran once builds again");
         let trace = match built.sim.run_caught() {
             Ok(result) => result.trace,
@@ -887,21 +884,17 @@ impl ScenarioSpec {
         let Built {
             sim,
             expect,
-            probe,
             actions,
             fault_log,
-        } = self.build(mode, true, observed, trace)?;
+        } = self.build(mode, observed, trace)?;
         let (result, schedule) = if record {
             sim.run_recorded()
         } else {
             (sim.run(), DeliverySchedule::default())
         };
         let actions = actions();
-        let violations = OracleSuite::standard().check(&OracleInput::from_result(
-            &result,
-            Some(probe.snapshot()),
-            expect,
-        ));
+        let violations =
+            OracleSuite::standard().check(&OracleInput::from_result(&result, None, expect));
         let (fault_actions, fault_stats) = match fault_log {
             Some(log) => (log.snapshot(), log.stats()),
             None => (Vec::new(), FaultStats::default()),
@@ -916,29 +909,18 @@ impl ScenarioSpec {
         Ok((run, schedule))
     }
 
-    /// The [`RunMode::Generate`] run, unchecked: no oracle observer (a third
-    /// more memory at n = 1024) and no oracle suite. Same [`RunResult`] as
-    /// [`run`](ScenarioSpec::run).
+    /// The [`RunMode::Generate`] run, unchecked: no oracle suite. Same
+    /// [`RunResult`] as [`run`](ScenarioSpec::run).
     ///
     /// # Errors
     ///
     /// Same as [`run`](ScenarioSpec::run).
     pub fn simulate(&self, trace: TraceLevel) -> Result<RunResult, String> {
-        Ok(self
-            .build(RunMode::Generate, false, false, trace)?
-            .sim
-            .run())
+        Ok(self.build(RunMode::Generate, false, trace)?.sim.run())
     }
 
-    /// The engine run of this spec in `mode`, built but not yet run; the
-    /// oracle observer is attached only when `checked`.
-    fn build(
-        &self,
-        mode: RunMode<'_>,
-        checked: bool,
-        observed: bool,
-        trace: TraceLevel,
-    ) -> Result<Built, String> {
+    /// The engine run of this spec in `mode`, built but not yet run.
+    fn build(&self, mode: RunMode<'_>, observed: bool, trace: TraceLevel) -> Result<Built, String> {
         let kind = self.protocol;
         let cfg = self.config().with_trace(trace);
         let benign = match mode {
@@ -969,14 +951,10 @@ impl ScenarioSpec {
             expect.outages = self.outage_windows()?;
         }
         let factory = kind.factory(&cfg, self.genesis_seed);
-        let probe = OracleObserver::new();
         let network = self.network()?;
         let mut builder = SimulationBuilder::new(cfg)
             .network(network)
             .protocols(factory);
-        if checked {
-            builder = builder.observer(probe.clone());
-        }
         if observed {
             builder = builder
                 .observability(ObsConfig::default().with_classifier(kind.phase_classifier()));
@@ -1035,7 +1013,6 @@ impl ScenarioSpec {
         Ok(Built {
             sim,
             expect,
-            probe,
             actions,
             fault_log,
         })

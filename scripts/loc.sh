@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# ROADMAP item 6's metric: lines before the first column-0 `#[cfg(test)]`
+# ROADMAP item 9's metric: lines before the first column-0 `#[cfg(test)]`
 # (the unit-test module) of every Rust file under crates/*/src and src, one
 # row per file and a total. An indented `#[cfg(test)]` (a test-only item
 # inside an `impl`) does not end the count.

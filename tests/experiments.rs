@@ -324,8 +324,9 @@ fn intro_claim_partition_attack_denies_service_while_active() {
 
 /// A figure run is a file: Fig. 7's PBFT crash = 5 cell and the first capped
 /// HotStuff+NS run of Fig. 3's N(1000,1000) cell survive `to_json` /
-/// `from_json` unchanged, and the checked run of each agrees with the
-/// unchecked one the figure measures.
+/// `from_json` unchanged, and the checked run of each has the very result
+/// of the unchecked one the figure measures. So do a generated spec under
+/// the `chaos` fault preset and one whose net block churns nodes.
 #[test]
 fn figure_runs_round_trip_as_scenario_files() {
     let crash5 = ScenarioSpec {
@@ -361,21 +362,35 @@ fn figure_runs_round_trip_as_scenario_files() {
         .find(|spec| spec.simulate(TraceLevel::Decisions).unwrap().timed_out)
         .expect("Fig. 3's N(1000,1000) cell has a capped HotStuff+NS run");
 
+    let all = ProtocolKind::all();
+    let generated = |preset, keep: fn(&ScenarioSpec) -> bool| {
+        (0..)
+            .map(|seed| ScenarioSpec::generate(seed, &all, 500, 48, false, preset))
+            .find(keep)
+            .unwrap()
+    };
+    let chaos = generated(FaultPreset::Chaos, |spec| {
+        spec.fault_preset == FaultPreset::Chaos && spec.net.is_none()
+    });
+    let churned = generated(FaultPreset::Calm, |spec| {
+        spec.net.is_some_and(|net| net.churn.is_some())
+    });
+
     for spec in [
         ScenarioSpec {
             seed: figures::seed(7),
             ..crash5
         },
         capped,
+        chaos,
+        churned,
     ] {
         let text = spec.to_json().dump_pretty();
         let back = ScenarioSpec::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, spec, "{text}");
         let unchecked = spec.simulate(TraceLevel::Decisions).unwrap();
         let checked = spec.run(RunMode::Generate).unwrap().result;
-        assert_eq!(checked.end_time, unchecked.end_time, "{text}");
-        assert_eq!(checked.decided, unchecked.decided, "{text}");
-        assert_eq!(checked.honest_messages, unchecked.honest_messages, "{text}");
+        assert!(checked == unchecked, "{text}");
     }
 }
 
