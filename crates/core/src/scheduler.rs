@@ -53,7 +53,9 @@
 //! move keys, never events. A cancel vacates the slot at once — the timer's
 //! payload is dropped then — and leaves the key behind: a key whose slot is
 //! vacant, or holds another seq by now, is *stale* and is discarded when it
-//! surfaces at the root.
+//! surfaces at the root. A cancel that leaves more stale keys than pending
+//! events (plus a slack of 64) drops every stale key at once, so the heap
+//! never grows far past the events it stands for.
 //!
 //! What the queue costs physically (stale keys, resident peak) is reported
 //! through [`SchedulerStats`], which `crates/bench/tests/footprint.rs` pins;
@@ -89,12 +91,13 @@ pub struct EventHandle {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
     /// Peak number of keys in the heap at once, *including* stale keys of
-    /// cancelled events that have not surfaced yet. A fan-out entry counts
-    /// once however many recipients it holds, so this is the physical
-    /// footprint, not the logical depth [`Scheduler::len`] reports.
+    /// cancelled events that have not surfaced or been compacted away yet.
+    /// A fan-out entry counts once however many recipients it holds, so
+    /// this is the physical footprint, not the logical depth
+    /// [`Scheduler::len`] reports.
     pub peak_resident: usize,
     /// Stale keys — of events cancelled while pending — discarded when they
-    /// surfaced at the root.
+    /// surfaced at the root. Those a compaction drops are not counted.
     pub tombstones_popped: u64,
     /// Stale keys still in the heap when the snapshot was taken.
     pub(crate) pending_tombstones: usize,
@@ -431,9 +434,15 @@ impl Slab {
     }
 }
 
+/// Stale keys the heap may hold beyond one per pending event before
+/// [`Scheduler::cancel`] drops them; keeps a small queue from rebuilding on
+/// every other cancel.
+const COMPACTION_SLACK: usize = 64;
+
 /// The event queue: a binary min-heap of [`Key`]s over `(timestamp, seq)`
-/// and the [`Slab`] that holds the events. `cancel` frees the event's slot;
-/// `pop` discards the stale key left behind when it surfaces.
+/// and the [`Slab`] that holds the events. `cancel` frees the event's slot
+/// and compacts the heap once stale keys outnumber pending events; `pop`
+/// discards a stale key left between compactions when it surfaces.
 #[derive(Debug, Default)]
 pub(crate) struct HeapScheduler {
     heap: BinaryHeap<Reverse<Key>>,
@@ -495,6 +504,14 @@ impl Scheduler for HeapScheduler {
             return false;
         }
         self.slab.vacate(handle.slot);
+        // Once stale keys outnumber pending ones by more than the slack, drop
+        // them all in one O(heap) rebuild: it removes at least `occupied + 64`
+        // keys, so it costs O(1) per cancel amortised. Keys are unique
+        // `(at, seq)`, so the order is kept.
+        if self.heap.len() > 2 * self.slab.occupied + COMPACTION_SLACK {
+            let slab = &self.slab;
+            self.heap.retain(|Reverse(k)| slab.holds(k.slot, k.seq));
+        }
         true
     }
 
@@ -618,11 +635,14 @@ mod tests {
     /// Drives a [`HeapScheduler`] and the [`Model`] with the same operations
     /// and checks, after every one, that they agree on `len()` and on the
     /// occupied slots — so a cancel frees its slot at once — and on the
-    /// `(at, seq, dst)` of everything popped.
+    /// `(at, seq, dst)` of everything popped. After a cancel the heap holds
+    /// at most 64 stale keys beyond one per pending event.
     #[derive(Default)]
     struct Checked {
         heap: HeapScheduler,
         model: Model,
+        /// Cancels that dropped stale keys other than their own.
+        compactions: usize,
     }
 
     impl Checked {
@@ -696,8 +716,18 @@ mod tests {
 
         fn cancel(&mut self, handle: EventHandle) {
             self.model.cancel(handle.seq);
+            let keys = self.heap.heap.len();
             assert!(self.heap.cancel(handle));
             self.agree();
+            if self.heap.heap.len() < keys {
+                self.compactions += 1;
+            }
+            let stale = self.heap.stats().pending_tombstones;
+            assert!(
+                stale <= self.heap.slab.occupied + COMPACTION_SLACK,
+                "{stale} stale keys over {} pending events",
+                self.heap.slab.occupied
+            );
         }
 
         fn pop(&mut self) -> Option<Pending> {
@@ -870,96 +900,165 @@ mod tests {
         assert_eq!(q.heap.stats().pending_tombstones, 0);
     }
 
+    /// What one step of a randomized workload does.
+    #[derive(Clone, Copy)]
+    enum Op {
+        Timer,
+        Message,
+        Pop,
+        Cancel,
+        Reserve,
+        SpendReserved,
+        Broadcast,
+    }
+
+    /// A workload's mix: each operation with its weight out of the total.
+    type Mix = [(Op, u32); 7];
+
+    /// Every operation the engine issues, in roughly its proportions.
+    const BALANCED: Mix = [
+        (Op::Timer, 5),
+        (Op::Message, 1),
+        (Op::Pop, 3),
+        (Op::Cancel, 2),
+        (Op::Reserve, 1),
+        (Op::SpendReserved, 2),
+        (Op::Broadcast, 2),
+    ];
+
+    /// View timers set and cancelled far faster than events fall due — the
+    /// shape of a chained protocol's pacemaker — so stale keys pile up until
+    /// a cancel compacts them.
+    const CANCEL_HEAVY: Mix = [
+        (Op::Timer, 6),
+        (Op::Message, 1),
+        (Op::Pop, 2),
+        (Op::Cancel, 6),
+        (Op::Reserve, 0),
+        (Op::SpendReserved, 0),
+        (Op::Broadcast, 1),
+    ];
+
+    /// Draws one operation of `mix`.
+    fn draw(rng: &mut SmallRng, mix: &Mix) -> Op {
+        let mut roll = rng.gen_range(0..mix.iter().map(|&(_, w)| w).sum::<u32>());
+        for &(op, weight) in mix {
+            if roll < weight {
+                return op;
+            }
+            roll -= weight;
+        }
+        unreachable!("the roll is below the total weight")
+    }
+
+    /// Runs `steps` operations drawn from `mix` at `seed` through [`Checked`]
+    /// — respecting the engine's invariants (monotone clock,
+    /// cancel-only-pending, cancel-only-timers) — then drains the queue, and
+    /// returns how many cancels compacted the heap.
+    fn randomized_workload(seed: u64, mix: &Mix, steps: u64) -> usize {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut q = Checked::default();
+        let mut clock = 0u64;
+        let mut pending_timers: Vec<EventHandle> = Vec::new();
+        let mut unspent: Vec<u64> = Vec::new();
+        let mut last = None;
+        let delay = |rng: &mut SmallRng| match rng.gen_range(0..4u32) {
+            // Near, medium or far — including zero-delay, which must
+            // still fire after everything already popped.
+            0 => rng.gen_range(0..1_000u64),
+            1 => rng.gen_range(0..500_000u64),
+            2 => rng.gen_range(0..60_000_000u64),
+            _ => rng.gen_range(0..7_200_000_000u64),
+        };
+        for step in 0..steps {
+            match draw(&mut rng, mix) {
+                Op::Timer => {
+                    let at = clock + delay(&mut rng);
+                    pending_timers.push(q.schedule(at, timer_event(step)));
+                }
+                Op::Message => {
+                    let at = clock + rng.gen_range(0..2_000_000u64);
+                    q.schedule(at, message_like_event(step));
+                }
+                Op::Pop => {
+                    if let Some((at, seq, _)) = q.pop() {
+                        assert!(Some((at, seq)) > last, "seed {seed}: pops ascend");
+                        last = Some((at, seq));
+                        clock = at.as_micros();
+                        pending_timers.retain(|h| h.seq != seq);
+                    }
+                }
+                Op::Cancel => {
+                    if !pending_timers.is_empty() {
+                        let i = rng.gen_range(0..pending_timers.len());
+                        q.cancel(pending_timers.swap_remove(i));
+                    }
+                }
+                Op::Reserve => {
+                    // Reserve a block (possibly empty): nothing becomes
+                    // pending, later plain seqs continue after it.
+                    let count = rng.gen_range(0..6u64);
+                    let first = q.reserve(count);
+                    unspent.extend(first..first + count);
+                }
+                Op::SpendReserved => {
+                    // Spend a reserved seq, in any order and long after
+                    // later seqs were scheduled — half as cancellable
+                    // timers, half as messages. Strictly after the clock:
+                    // an old seq at the current instant would sort before
+                    // the event just popped, which the engine never asks
+                    // for (a broadcast's seqs are all newer than anything
+                    // popped before it was sent).
+                    if !unspent.is_empty() {
+                        let seq = unspent.swap_remove(rng.gen_range(0..unspent.len()));
+                        let at = clock + 1 + delay(&mut rng);
+                        if rng.gen_range(0..2u32) == 0 {
+                            let h = q.schedule_reserved(at, seq, timer_event(step));
+                            pending_timers.push(h);
+                        } else {
+                            q.schedule_reserved(at, seq, message_like_event(step));
+                        }
+                    }
+                }
+                Op::Broadcast => {
+                    // A broadcast: one entry standing for up to twelve
+                    // deliveries, a third of them sharing the current
+                    // instant, the rest spread up to an hour ahead —
+                    // short of 2^32 µs, beyond which the engine schedules
+                    // a copy on its own (`schedule_reserved` above).
+                    let times: Vec<u64> = (0..rng.gen_range(0..13u64))
+                        .map(|i| clock + (i % 3) * delay(&mut rng).min((1 << 31) - 1))
+                        .collect();
+                    q.fanout(clock, &times);
+                }
+            }
+        }
+        q.drain();
+        assert_eq!(q.heap.stats().pending_tombstones, 0, "seed {seed}");
+        q.compactions
+    }
+
     /// The backbone of the order contract: a randomized workload of
     /// schedules, seq reservations spent later and out of order, broadcast
-    /// fan-outs with ties and duplicate timestamps, cancellations and pops —
-    /// respecting the engine's invariants (monotone clock,
-    /// cancel-only-pending, cancel-only-timers) — pops exactly the model's
-    /// `(at, seq, dst)` stream and reports its `len()` after every step.
+    /// fan-outs with ties and duplicate timestamps, cancellations and pops,
+    /// pops exactly the model's `(at, seq, dst)` stream and reports its
+    /// `len()` after every step.
     #[test]
     fn heap_agrees_with_the_model_on_randomized_workloads() {
         // The model pops in O(pending), so the final drain is quadratic in
         // the steps: many short runs rather than a few long ones.
         for seed in 0..12u64 {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let mut q = Checked::default();
-            let mut clock = 0u64;
-            let mut pending_timers: Vec<EventHandle> = Vec::new();
-            let mut unspent: Vec<u64> = Vec::new();
-            let mut last = None;
-            let delay = |rng: &mut SmallRng| match rng.gen_range(0..4u32) {
-                // Near, medium or far — including zero-delay, which must
-                // still fire after everything already popped.
-                0 => rng.gen_range(0..1_000u64),
-                1 => rng.gen_range(0..500_000u64),
-                2 => rng.gen_range(0..60_000_000u64),
-                _ => rng.gen_range(0..7_200_000_000u64),
-            };
-            for step in 0..2_000u64 {
-                match rng.gen_range(0..16u32) {
-                    0..=4 => {
-                        let at = clock + delay(&mut rng);
-                        pending_timers.push(q.schedule(at, timer_event(step)));
-                    }
-                    5 => {
-                        let at = clock + rng.gen_range(0..2_000_000u64);
-                        q.schedule(at, message_like_event(step));
-                    }
-                    6..=8 => {
-                        if let Some((at, seq, _)) = q.pop() {
-                            assert!(Some((at, seq)) > last, "seed {seed}: pops ascend");
-                            last = Some((at, seq));
-                            clock = at.as_micros();
-                            pending_timers.retain(|h| h.seq != seq);
-                        }
-                    }
-                    9..=10 => {
-                        if !pending_timers.is_empty() {
-                            let i = rng.gen_range(0..pending_timers.len());
-                            q.cancel(pending_timers.swap_remove(i));
-                        }
-                    }
-                    11 => {
-                        // Reserve a block (possibly empty): nothing becomes
-                        // pending, later plain seqs continue after it.
-                        let count = rng.gen_range(0..6u64);
-                        let first = q.reserve(count);
-                        unspent.extend(first..first + count);
-                    }
-                    12..=13 => {
-                        // Spend a reserved seq, in any order and long after
-                        // later seqs were scheduled — half as cancellable
-                        // timers, half as messages. Strictly after the clock:
-                        // an old seq at the current instant would sort before
-                        // the event just popped, which the engine never asks
-                        // for (a broadcast's seqs are all newer than anything
-                        // popped before it was sent).
-                        if !unspent.is_empty() {
-                            let seq = unspent.swap_remove(rng.gen_range(0..unspent.len()));
-                            let at = clock + 1 + delay(&mut rng);
-                            if rng.gen_range(0..2u32) == 0 {
-                                let h = q.schedule_reserved(at, seq, timer_event(step));
-                                pending_timers.push(h);
-                            } else {
-                                q.schedule_reserved(at, seq, message_like_event(step));
-                            }
-                        }
-                    }
-                    _ => {
-                        // A broadcast: one entry standing for up to twelve
-                        // deliveries, a third of them sharing the current
-                        // instant, the rest spread up to an hour ahead —
-                        // short of 2^32 µs, beyond which the engine schedules
-                        // a copy on its own (`schedule_reserved` above).
-                        let times: Vec<u64> = (0..rng.gen_range(0..13u64))
-                            .map(|i| clock + (i % 3) * delay(&mut rng).min((1 << 31) - 1))
-                            .collect();
-                        q.fanout(clock, &times);
-                    }
-                }
-            }
-            q.drain();
-            assert_eq!(q.heap.stats().pending_tombstones, 0, "seed {seed}");
+            randomized_workload(seed, &BALANCED, 2_000);
+        }
+    }
+
+    /// Most timers are cancelled before they fall due: compaction runs, and
+    /// neither the popped stream nor `len()` can tell.
+    #[test]
+    fn compaction_keeps_the_model_order_under_a_cancel_heavy_mix() {
+        for seed in 0..6u64 {
+            let compactions = randomized_workload(seed, &CANCEL_HEAVY, 3_000);
+            assert!(compactions > 0, "seed {seed}: no cancel compacted the heap");
         }
     }
 
