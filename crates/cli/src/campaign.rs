@@ -348,22 +348,10 @@ pub fn exec_campaign_run(spec: &CampaignRunSpec) -> Result<Option<Json>, CliErro
         });
         let mut batch = Batch::default();
         for (j, outcome) in runs.into_iter().enumerate() {
-            let run = match outcome {
-                Ok(run) => run?,
-                // run_unit already isolates engine panics; a panic at the
-                // sweep layer (spec construction) is still recorded rather
-                // than torn out of the campaign.
-                Err(panic) => UnitRun {
-                    events_processed: 0,
-                    decisions: 0,
-                    latency_micros: None,
-                    honest_messages: 0,
-                    violations: Vec::new(),
-                    repro: None,
-                    observability: None,
-                    panic: Some(panic.message),
-                },
-            };
+            // run_unit already isolates engine panics; a panic at the sweep
+            // layer (spec construction) is still recorded rather than torn
+            // out of the campaign.
+            let run = UnitRun::from_slot(outcome)?;
             let (record, histograms) = record_of(units[j], run, &spec.out_dir)?;
             if let Some((delivery, interval)) = histograms {
                 for h in &delivery {

@@ -1270,7 +1270,7 @@ fn run_fuzz(spec: &FuzzSpec) -> Result<(), CliError> {
             "fuzz: {} scenarios ({} violating, {} panicked), {} events, {:.1} ms",
             report.runs,
             report.outcomes.len(),
-            report.failures.len(),
+            report.panicked,
             report.events_processed,
             wall * 1e3,
         );
@@ -1281,8 +1281,8 @@ fn run_fuzz(spec: &FuzzSpec) -> Result<(), CliError> {
         Err(CliError::violation(format!(
             "{} of {} scenarios violated an oracle, {} panicked",
             report.outcomes.len(),
-            report.runs + report.failures.len() as u64,
-            report.failures.len()
+            report.runs + report.panicked,
+            report.panicked
         )))
     }
 }

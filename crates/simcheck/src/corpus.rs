@@ -26,7 +26,6 @@
 
 use std::collections::VecDeque;
 use std::hash::Hasher;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 
 use rand::rngs::SmallRng;
@@ -34,12 +33,10 @@ use rand::{Rng, SeedableRng};
 
 use bft_sim_core::fasthash::{FastHasher, FastSet};
 use bft_sim_core::json::{self, Json};
-use bft_sim_core::sweep::{panic_message, sweep};
-use bft_sim_core::trace::{TraceEvent, TraceLevel};
+use bft_sim_core::sweep::sweep;
 
-use crate::fuzz::{FuzzFailure, FuzzObservability, FuzzOptions, FuzzOutcome, FuzzReport};
-use crate::scenario::{CheckedRun, DelaySpec, PartitionSpec, RunMode, ScenarioSpec};
-use crate::shrink::shrink;
+use crate::fuzz::{run_job, FuzzOptions, FuzzReport, UnitRun};
+use crate::scenario::{CheckedRun, DelaySpec, PartitionSpec, ScenarioSpec};
 
 /// Scenario scales the mutator may re-draw (the generator's set).
 const SCALES: [usize; 4] = [4, 7, 10, 16];
@@ -315,6 +312,9 @@ fn mutate(parent: &ScenarioSpec, rng: &mut SmallRng, opts: &FuzzOptions) -> Scen
     spec.intensity_permille = opts.intensity_permille;
     spec.max_actions = opts.max_actions;
     spec.fault_preset = opts.fault_preset;
+    if opts.net_override.is_some() {
+        spec.net = opts.net_override;
+    }
     // Timing walks (λ, delay magnitude) are only safe for protocols whose
     // safety does not lean on a synchrony bound: a partially-synchronous or
     // asynchronous protocol must tolerate any delay, but stretching delays
@@ -453,31 +453,17 @@ fn scale_delay(delay: DelaySpec, up: bool) -> DelaySpec {
     }
 }
 
-/// What one coverage run's job produces; reassembled in submission order.
-enum CovResult {
-    Ran {
-        events_processed: u64,
-        skipped_cancelled_timers: u64,
-        skipped_excluded_nodes: u64,
-        fingerprint: u64,
-        outcome: Option<Box<FuzzOutcome>>,
-        observability: Box<bft_sim_core::obs::Observability>,
-    },
-    Panicked {
-        message: String,
-        last_events: Vec<TraceEvent>,
-    },
-}
-
 /// Runs a coverage-guided (or, with `corpus_mode` off, blind-but-accounted)
 /// fuzz search of `budget` scenarios and returns the usual [`FuzzReport`]
 /// with its `coverage` block filled in.
 ///
-/// Every run is instrumented internally — fingerprints need the
-/// observability signature — but the report's `observability` aggregate is
-/// only populated when [`FuzzOptions::observability`] asks for it, matching
-/// [`fuzz_many`](crate::fuzz::fuzz_many)'s contract. Violating runs shrink
-/// to repros exactly as in a blind sweep. `FuzzOutcome::scenario_seed`
+/// Every run is the checked job [`fuzz_many`](crate::fuzz::fuzz_many) runs,
+/// always instrumented — fingerprints need the observability signature —
+/// and its record folds into the report through the same method, so
+/// violating runs shrink to repros and panicked runs count exactly as in a
+/// blind sweep. The report's `observability` aggregate is only populated
+/// when [`FuzzOptions::observability`] asks for it; this loop keeps only the
+/// seen set, the corpus and `CoverageStats`. `FuzzOutcome::scenario_seed`
 /// holds the 1-based run index (scenarios here come from the master RNG and
 /// the corpus, not from a user-supplied seed list).
 ///
@@ -546,10 +532,7 @@ pub fn fuzz_coverage_in_dir(
         first_violation_run: None,
         curve: Vec::new(),
     };
-    let mut report = FuzzReport {
-        observability: opts.observability.then(FuzzObservability::default),
-        ..FuzzReport::default()
-    };
+    let mut report = FuzzReport::new(opts);
     let mark_every = budget.div_ceil(10).max(1);
     let mut next_mark = mark_every;
 
@@ -573,141 +556,45 @@ pub fn fuzz_coverage_in_dir(
                 let parent = (corpus.len() - half) + master.gen_range(0..half as u64) as usize;
                 mutate(&corpus[parent], &mut master, opts)
             } else {
-                let fresh_seed = master.gen_range(0..u64::MAX);
-                let mut spec = ScenarioSpec::generate(
-                    fresh_seed,
-                    &opts.protocols,
-                    opts.intensity_permille,
-                    opts.max_actions,
-                    opts.inject_bug,
-                    opts.fault_preset,
-                );
-                if let Some(n) = opts.n_override {
-                    spec.n = n;
-                }
-                spec
+                opts.generate(master.gen_range(0..u64::MAX))
             };
-            if opts.net_override.is_some() {
-                spec.net = opts.net_override;
-            }
             if opts.latent_bug {
                 spec.inject_bug = latent_window(&spec);
             }
             batch.push((spec, mutated));
         }
 
-        let results = sweep(
-            batch.len(),
-            opts.threads,
-            |i| -> Result<CovResult, String> {
-                let spec = &batch[i].0;
-                let run_index = stats.runs + 1 + i as u64;
-                let mut run = match catch_unwind(AssertUnwindSafe(|| {
-                    spec.run_observed(RunMode::Generate, TraceLevel::Decisions)
-                })) {
-                    Ok(run) => run.map_err(|e| format!("run {run_index}: {e}"))?,
-                    Err(payload) => {
-                        return Ok(CovResult::Panicked {
-                            message: panic_message(payload.as_ref()),
-                            last_events: spec.last_events(),
-                        })
-                    }
-                };
-                let fingerprint = run_fingerprint(&run);
-                let observability = Box::new(
-                    run.result
-                        .observability
-                        .take()
-                        .expect("coverage runs are always instrumented"),
-                );
-                let outcome = if run.violations.is_empty() {
-                    None
-                } else {
-                    let mut repro = shrink(spec, &run);
-                    repro.last_events = spec.last_events();
-                    Some(Box::new(FuzzOutcome {
-                        scenario_seed: run_index,
-                        violations: run.violations.iter().map(|v| v.to_string()).collect(),
-                        repro,
-                    }))
-                };
-                Ok(CovResult::Ran {
-                    events_processed: run.result.events_processed,
-                    skipped_cancelled_timers: run.result.skipped_cancelled_timers,
-                    skipped_excluded_nodes: run.result.skipped_excluded_nodes,
-                    fingerprint,
-                    outcome,
-                    observability,
-                })
-            },
-        );
+        let results = sweep(batch.len(), opts.threads, |i| {
+            let run_index = stats.runs + 1 + i as u64;
+            run_job(&batch[i].0, true).map_err(|e| format!("run {run_index}: {e}"))
+        });
 
-        for (i, slot) in results.into_iter().enumerate() {
-            let (spec, mutated) = &batch[i];
-            let run_index = stats.runs + 1;
+        for (slot, (spec, mutated)) in results.into_iter().zip(&batch) {
             stats.runs += 1;
+            let run_index = stats.runs;
             if *mutated {
                 stats.mutated_runs += 1;
             } else {
                 stats.fresh_runs += 1;
             }
-            match slot {
-                Ok(Ok(CovResult::Ran {
-                    events_processed,
-                    skipped_cancelled_timers,
-                    skipped_excluded_nodes,
-                    fingerprint,
-                    outcome,
-                    observability,
-                })) => {
-                    report.runs += 1;
-                    report.events_processed += events_processed;
-                    report.skipped_cancelled_timers += skipped_cancelled_timers;
-                    report.skipped_excluded_nodes += skipped_excluded_nodes;
-                    if seen.insert(fingerprint) {
-                        corpus.push_back(spec.clone());
-                        if corpus.len() > CORPUS_CAP {
-                            corpus.pop_front();
-                        }
-                    }
-                    if let Some(outcome) = outcome {
-                        stats.first_violation_run.get_or_insert(run_index);
-                        report.outcomes.push(*outcome);
-                    }
-                    if let Some(total) = &mut report.observability {
-                        total.absorb(&observability);
-                    }
-                }
-                Ok(Ok(CovResult::Panicked {
-                    message,
-                    last_events,
-                })) => {
-                    // A panic is novel behavior too, but a crashing scenario
-                    // never enters the corpus: mutating it would spend the
-                    // budget re-crashing.
-                    let mut h = FastHasher::default();
-                    h.write(message.as_bytes());
-                    seen.insert(h.finish());
-                    stats.first_violation_run.get_or_insert(run_index);
-                    report.failures.push(FuzzFailure {
-                        scenario_seed: run_index,
-                        message,
-                        last_events,
-                    });
-                }
-                Ok(Err(build_error)) => return Err(build_error),
-                Err(panic) => {
-                    let mut h = FastHasher::default();
-                    h.write(panic.message.as_bytes());
-                    seen.insert(h.finish());
-                    stats.first_violation_run.get_or_insert(run_index);
-                    report.failures.push(FuzzFailure {
-                        scenario_seed: run_index,
-                        message: panic.message,
-                        last_events: Vec::new(),
-                    });
+            let run = UnitRun::from_slot(slot)?;
+            if let Some(message) = &run.panic {
+                // A panic is novel behavior too, but a crashing scenario
+                // never enters the corpus: mutating it would spend the
+                // budget re-crashing.
+                let mut h = FastHasher::default();
+                h.write(message.as_bytes());
+                seen.insert(h.finish());
+            } else if seen.insert(run.fingerprint) {
+                corpus.push_back(spec.clone());
+                if corpus.len() > CORPUS_CAP {
+                    corpus.pop_front();
                 }
             }
+            if run.panic.is_some() || run.repro.is_some() {
+                stats.first_violation_run.get_or_insert(run_index);
+            }
+            report.fold(run_index, run);
         }
 
         stats.distinct_fingerprints = seen.len() as u64;
@@ -734,7 +621,9 @@ pub fn fuzz_coverage_in_dir(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::RunMode;
     use bft_sim_core::buggify::FaultPreset;
+    use bft_sim_core::trace::TraceLevel;
     use bft_sim_protocols::registry::ProtocolKind;
 
     fn chaos_opts() -> FuzzOptions {

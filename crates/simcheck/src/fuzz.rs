@@ -1,5 +1,10 @@
 //! The fuzzing driver: sweep scenario seeds, check every run against the
 //! oracle suite, shrink every violation to a [`Repro`].
+//!
+//! Every checked run — a fuzz seed, a coverage run, a campaign unit — is
+//! one job, [`run_job`]: it runs the spec, catches a panic, shrinks a
+//! violation and reduces the run to a [`UnitRun`] inside its worker. Both
+//! fuzz loops fold those records through one method, [`FuzzReport::fold`].
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -8,10 +13,11 @@ use bft_sim_core::buggify::FaultPreset;
 use bft_sim_core::json::Json;
 use bft_sim_core::obs::{Histogram, Observability};
 use bft_sim_core::scheduler::SchedulerKind;
-use bft_sim_core::sweep::{panic_message, sweep};
+use bft_sim_core::sweep::{panic_message, sweep, SweepPanic};
 use bft_sim_core::trace::{TraceEvent, TraceLevel};
 use bft_sim_protocols::registry::ProtocolKind;
 
+use crate::corpus::run_fingerprint;
 use crate::repro::Repro;
 use crate::scenario::{NetSpec, RunMode, ScenarioSpec};
 use crate::shrink::shrink;
@@ -64,7 +70,9 @@ pub struct FuzzOptions {
     /// scenarios whose drawn knobs hit a narrow conjunction window — see
     /// [`fuzz_coverage`](crate::corpus::fuzz_coverage). Measures how fast a
     /// search strategy *discovers* a rare bug rather than whether it can
-    /// shrink an omnipresent one. Ignored by [`fuzz_many`].
+    /// shrink an omnipresent one. The coverage loop applies it when it builds
+    /// a scenario, before the checked job every sweep shares runs it;
+    /// [`fuzz_many`] builds its scenarios without it, so it is ignored there.
     pub latent_bug: bool,
 }
 
@@ -176,10 +184,10 @@ pub struct FuzzReport {
     pub skipped_excluded_nodes: u64,
     /// Every violating scenario, in seed order.
     pub outcomes: Vec<FuzzOutcome>,
-    /// Number of panicked scenarios. Always equals `failures.len()` for
-    /// reports built by [`fuzz_many`]; kept as an explicit counter so
-    /// aggregation layers (bench baselines, campaign checkpoints) can carry
-    /// the tally without carrying the failures themselves.
+    /// Number of panicked scenarios. Always equals `failures.len()`: both
+    /// grow together in [`FuzzReport`]'s one fold. Kept as an explicit
+    /// counter so aggregation layers (bench baselines, campaign checkpoints)
+    /// can carry the tally without carrying the failures themselves.
     pub panicked: u64,
     /// Every panicked scenario, in seed order.
     pub failures: Vec<FuzzFailure>,
@@ -193,39 +201,82 @@ pub struct FuzzReport {
 }
 
 impl FuzzReport {
+    /// An empty report for a sweep under `opts`.
+    pub(crate) fn new(opts: &FuzzOptions) -> FuzzReport {
+        FuzzReport {
+            observability: opts.observability.then(FuzzObservability::default),
+            ..FuzzReport::default()
+        }
+    }
+
     /// Whether the sweep found no violations and no panicked runs.
     pub fn clean(&self) -> bool {
         self.outcomes.is_empty() && self.failures.is_empty()
     }
+
+    /// Folds one job's record into the report, in seed order: the one fold
+    /// behind [`fuzz_many`] and
+    /// [`fuzz_coverage`](crate::corpus::fuzz_coverage). A panicked run
+    /// counts in `panicked` and `failures` only; a completed one counts in
+    /// `runs` and the event totals, adds its outcome when it violated an
+    /// oracle, and its snapshot to the observability aggregate when the
+    /// report keeps one.
+    pub(crate) fn fold(&mut self, scenario_seed: u64, run: UnitRun) {
+        if let Some(message) = run.panic {
+            self.panicked += 1;
+            self.failures.push(FuzzFailure {
+                scenario_seed,
+                message,
+                last_events: run.panic_events,
+            });
+            return;
+        }
+        self.runs += 1;
+        self.events_processed += run.events_processed;
+        self.skipped_cancelled_timers += run.skipped_cancelled_timers;
+        self.skipped_excluded_nodes += run.skipped_excluded_nodes;
+        if let Some(repro) = run.repro {
+            self.outcomes.push(FuzzOutcome {
+                scenario_seed,
+                violations: run.violations,
+                repro: *repro,
+            });
+        }
+        if let (Some(total), Some(obs)) = (&mut self.observability, &run.observability) {
+            total.absorb(obs);
+        }
+    }
 }
 
-/// What one seed's job produces; reassembled in seed order by the sweep.
-enum SeedResult {
-    /// The run completed (cleanly or with violations).
-    Ran {
-        events_processed: u64,
-        skipped_cancelled_timers: u64,
-        skipped_excluded_nodes: u64,
-        // Both boxed: `FuzzOutcome` and `Observability` are large and
-        // the variant is short-lived.
-        outcome: Option<Box<FuzzOutcome>>,
-        observability: Option<Box<Observability>>,
-    },
-    /// The run panicked with observability on; the job caught the panic
-    /// itself so it could attach the run's last events.
-    Panicked {
-        message: String,
-        last_events: Vec<TraceEvent>,
-    },
+impl FuzzOptions {
+    /// The scenario of `seed`, with the node-count and network overrides
+    /// applied.
+    pub(crate) fn generate(&self, seed: u64) -> ScenarioSpec {
+        let mut spec = ScenarioSpec::generate(
+            seed,
+            &self.protocols,
+            self.intensity_permille,
+            self.max_actions,
+            self.inject_bug,
+            self.fault_preset,
+        );
+        if let Some(n) = self.n_override {
+            spec.n = n;
+        }
+        if self.net_override.is_some() {
+            spec.net = self.net_override;
+        }
+        spec
+    }
 }
 
-/// Runs one scenario per seed, oracle-checks it, and shrinks every failure.
-/// Seeds are sharded across `opts.threads` workers (0 = available
-/// parallelism) and the report is reassembled in seed order, so it is fully
-/// deterministic: the same seeds and options always produce the same report,
-/// byte for byte, at any thread count. A panicking run is isolated
-/// (`catch_unwind` inside the sweep engine) and reported as a
-/// `FuzzFailure` instead of aborting the sweep.
+/// Runs one scenario per seed through the checked job every sweep shares
+/// (oracle suite, panic isolation, shrinking) and folds the records in seed
+/// order. Seeds are sharded across `opts.threads` workers (0 = available
+/// parallelism), so the report is fully deterministic: the same seeds and
+/// options always produce the same report, byte for byte, at any thread
+/// count. A panicking run is isolated and reported as a `FuzzFailure`
+/// instead of aborting the sweep.
 ///
 /// # Errors
 ///
@@ -237,121 +288,23 @@ pub fn fuzz_many(
     opts: &FuzzOptions,
 ) -> Result<FuzzReport, String> {
     let seeds: Vec<u64> = seeds.into_iter().collect();
-    let per_seed = sweep(
-        seeds.len(),
-        opts.threads,
-        |i| -> Result<SeedResult, String> {
-            let seed = seeds[i];
-            let mut spec = ScenarioSpec::generate(
-                seed,
-                &opts.protocols,
-                opts.intensity_permille,
-                opts.max_actions,
-                opts.inject_bug,
-                opts.fault_preset,
-            );
-            if let Some(n) = opts.n_override {
-                spec.n = n;
-            }
-            if opts.net_override.is_some() {
-                spec.net = opts.net_override;
-            }
-            let mut run = if opts.observability {
-                // Catch the panic here (inside the sweep's own isolation)
-                // so the failure can carry the crashing run's last events.
-                match catch_unwind(AssertUnwindSafe(|| {
-                    spec.run_observed(RunMode::Generate, TraceLevel::Decisions)
-                })) {
-                    Ok(run) => run.map_err(|e| format!("seed {seed}: {e}"))?,
-                    Err(payload) => {
-                        return Ok(SeedResult::Panicked {
-                            message: panic_message(payload.as_ref()),
-                            last_events: spec.last_events(),
-                        })
-                    }
-                }
-            } else {
-                spec.run(RunMode::Generate)
-                    .map_err(|e| format!("seed {seed}: {e}"))?
-            };
-            let observability = run.result.observability.take().map(Box::new);
-            let outcome = if run.violations.is_empty() {
-                None
-            } else {
-                let mut repro = shrink(&spec, &run);
-                if opts.observability {
-                    repro.last_events = spec.last_events();
-                }
-                Some(Box::new(FuzzOutcome {
-                    scenario_seed: seed,
-                    violations: run.violations.iter().map(|v| v.to_string()).collect(),
-                    repro,
-                }))
-            };
-            Ok(SeedResult::Ran {
-                events_processed: run.result.events_processed,
-                skipped_cancelled_timers: run.result.skipped_cancelled_timers,
-                skipped_excluded_nodes: run.result.skipped_excluded_nodes,
-                outcome,
-                observability,
-            })
-        },
-    );
-
-    let mut report = FuzzReport {
-        observability: opts.observability.then(FuzzObservability::default),
-        ..FuzzReport::default()
-    };
-    for (i, slot) in per_seed.into_iter().enumerate() {
-        match slot {
-            Ok(Ok(SeedResult::Ran {
-                events_processed,
-                skipped_cancelled_timers,
-                skipped_excluded_nodes,
-                outcome,
-                observability,
-            })) => {
-                report.runs += 1;
-                report.events_processed += events_processed;
-                report.skipped_cancelled_timers += skipped_cancelled_timers;
-                report.skipped_excluded_nodes += skipped_excluded_nodes;
-                if let Some(outcome) = outcome {
-                    report.outcomes.push(*outcome);
-                }
-                if let (Some(total), Some(obs)) = (&mut report.observability, &observability) {
-                    total.absorb(obs);
-                }
-            }
-            Ok(Ok(SeedResult::Panicked {
-                message,
-                last_events,
-            })) => {
-                report.panicked += 1;
-                report.failures.push(FuzzFailure {
-                    scenario_seed: seeds[i],
-                    message,
-                    last_events,
-                });
-            }
-            Ok(Err(build_error)) => return Err(build_error),
-            Err(panic) => {
-                report.panicked += 1;
-                report.failures.push(FuzzFailure {
-                    scenario_seed: seeds[i],
-                    message: panic.message,
-                    last_events: Vec::new(),
-                });
-            }
-        }
+    let runs = sweep(seeds.len(), opts.threads, |i| {
+        let seed = seeds[i];
+        run_job(&opts.generate(seed), opts.observability).map_err(|e| format!("seed {seed}: {e}"))
+    });
+    let mut report = FuzzReport::new(opts);
+    for (slot, &seed) in runs.into_iter().zip(&seeds) {
+        report.fold(seed, UnitRun::from_slot(slot)?);
     }
     Ok(report)
 }
 
-/// The outcome of one campaign work unit: a single scenario executed with
-/// observability on, oracle-checked, panic-isolated and — on violation —
-/// shrunk to a [`Repro`]. This is the per-unit execution path behind
-/// `bft-sim campaign`; everything in it derives from simulated quantities.
-#[derive(Debug)]
+/// One checked scenario run, reduced inside its worker to what a sweep
+/// keeps: the one record of every fuzz seed ([`fuzz_many`]), coverage run
+/// ([`fuzz_coverage`](crate::corpus::fuzz_coverage)) and campaign unit
+/// ([`run_unit`]), all made by the same job. Everything in it derives from
+/// simulated quantities.
+#[derive(Debug, Default)]
 pub struct UnitRun {
     /// Engine events dispatched (0 when the run panicked).
     pub events_processed: u64,
@@ -363,17 +316,107 @@ pub struct UnitRun {
     pub honest_messages: u64,
     /// Human-readable `[oracle] detail` lines; empty for a clean run.
     pub violations: Vec<String>,
-    /// The minimised reproducer, when the run violated an oracle.
-    pub repro: Option<Repro>,
-    /// The run's observability snapshot (`None` when the run panicked).
+    /// The minimised reproducer, when the run violated an oracle. Boxed: a
+    /// sweep holds one record per seed until it folds them, and violations
+    /// are rare.
+    pub repro: Option<Box<Repro>>,
+    /// The run's observability snapshot (`None` when the run panicked or ran
+    /// unobserved).
     pub observability: Option<Box<Observability>>,
     /// The panic message, when the run panicked instead of completing.
     pub panic: Option<String>,
+    /// Timers cancelled while pending.
+    pub(crate) skipped_cancelled_timers: u64,
+    /// Events skipped because their destination was crashed or corrupted.
+    pub(crate) skipped_excluded_nodes: u64,
+    /// The panicked run's last events; empty unless it panicked observed.
+    pub(crate) panic_events: Vec<TraceEvent>,
+    /// The run's behavior fingerprint
+    /// ([`run_fingerprint`](crate::corpus::run_fingerprint)); 0 when it
+    /// panicked.
+    pub(crate) fingerprint: u64,
 }
 
-/// Executes one campaign work unit: runs `spec` in [`RunMode::Generate`]
-/// with observability on, checks the oracle suite, catches panics (a
-/// panicked unit is an *outcome*, not an abort) and shrinks any violation.
+impl UnitRun {
+    /// One sweep slot as a record. A build error passes through; a panic
+    /// the job did not catch itself (one thrown while shrinking, or while
+    /// building the scenario) is a panicked run without last events.
+    ///
+    /// # Errors
+    ///
+    /// The job's own error, unchanged.
+    pub fn from_slot<E>(slot: Result<Result<UnitRun, E>, SweepPanic>) -> Result<UnitRun, E> {
+        slot.unwrap_or_else(|panic| {
+            Ok(UnitRun {
+                panic: Some(panic.message),
+                ..UnitRun::default()
+            })
+        })
+    }
+}
+
+/// The one checked job behind every sweep: runs `spec` in
+/// [`RunMode::Generate`] (`observed`: with observability on), checks the
+/// oracle suite, catches a panic (a panicked run is an *outcome*, not an
+/// abort) and shrinks any violation to a [`Repro`]. When `observed`, a
+/// panicked run and a repro also carry the run's last events, rebuilt by
+/// running the spec again.
+///
+/// # Errors
+///
+/// Returns a message only when the scenario cannot be *built*.
+pub(crate) fn run_job(spec: &ScenarioSpec, observed: bool) -> Result<UnitRun, String> {
+    let last_events = || {
+        if observed {
+            spec.last_events()
+        } else {
+            Vec::new()
+        }
+    };
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        if observed {
+            spec.run_observed(RunMode::Generate, TraceLevel::Decisions)
+        } else {
+            spec.run(RunMode::Generate)
+        }
+    }));
+    let mut run = match run {
+        Ok(run) => run?,
+        Err(payload) => {
+            return Ok(UnitRun {
+                panic: Some(panic_message(payload.as_ref())),
+                panic_events: last_events(),
+                ..UnitRun::default()
+            })
+        }
+    };
+    let fingerprint = run_fingerprint(&run);
+    let observability = run.result.observability.take().map(Box::new);
+    let repro = (!run.violations.is_empty()).then(|| {
+        let mut repro = shrink(spec, &run);
+        repro.last_events = last_events();
+        Box::new(repro)
+    });
+    Ok(UnitRun {
+        events_processed: run.result.events_processed,
+        decisions: run.result.decisions_completed(),
+        latency_micros: run.result.latency().map(|d| d.as_micros()),
+        honest_messages: run.result.honest_messages,
+        violations: run.violations.iter().map(|v| v.to_string()).collect(),
+        repro,
+        observability,
+        skipped_cancelled_timers: run.result.skipped_cancelled_timers,
+        skipped_excluded_nodes: run.result.skipped_excluded_nodes,
+        fingerprint,
+        ..UnitRun::default()
+    })
+}
+
+/// Executes one campaign work unit: the checked job every sweep shares,
+/// with observability on. It runs `spec` in [`RunMode::Generate`], checks
+/// the oracle suite, catches a panic (a panicked unit is an *outcome*, not
+/// an abort) and shrinks any violation to a [`Repro`] carrying the run's
+/// last events.
 ///
 /// # Errors
 ///
@@ -383,44 +426,7 @@ pub struct UnitRun {
 /// The `SchedulerKind` argument: single backend; kept for benchmark/'s tracer,
 /// remove with its replay follow-up (ROADMAP item 1).
 pub fn run_unit(spec: &ScenarioSpec, _scheduler: SchedulerKind) -> Result<UnitRun, String> {
-    let mut run = match catch_unwind(AssertUnwindSafe(|| {
-        spec.run_observed(RunMode::Generate, TraceLevel::Decisions)
-    })) {
-        Ok(run) => run?,
-        Err(payload) => {
-            return Ok(UnitRun {
-                events_processed: 0,
-                decisions: 0,
-                latency_micros: None,
-                honest_messages: 0,
-                violations: Vec::new(),
-                repro: None,
-                observability: None,
-                panic: Some(panic_message(payload.as_ref())),
-            })
-        }
-    };
-    let observability = run.result.observability.take().map(Box::new);
-    let (violations, repro) = if run.violations.is_empty() {
-        (Vec::new(), None)
-    } else {
-        let mut repro = shrink(spec, &run);
-        repro.last_events = spec.last_events();
-        (
-            run.violations.iter().map(|v| v.to_string()).collect(),
-            Some(repro),
-        )
-    };
-    Ok(UnitRun {
-        events_processed: run.result.events_processed,
-        decisions: run.result.decisions_completed(),
-        latency_micros: run.result.latency().map(|d| d.as_micros()),
-        honest_messages: run.result.honest_messages,
-        violations,
-        repro,
-        observability,
-        panic: None,
-    })
+    run_job(spec, true)
 }
 
 #[cfg(test)]
@@ -443,6 +449,39 @@ mod tests {
         assert_eq!(a.decisions, b.decisions);
         assert_eq!(a.latency_micros, b.latency_micros);
         assert_eq!(a.honest_messages, b.honest_messages);
+    }
+
+    #[test]
+    fn a_panicked_run_is_one_failure_in_both_sweeps() {
+        let mut report = FuzzReport::default();
+        let clean = run_job(&ScenarioSpec::baseline(ProtocolKind::Pbft), false).unwrap();
+        report.fold(0, clean);
+        let poisoned = UnitRun {
+            panic: Some("poisoned".to_string()),
+            ..UnitRun::default()
+        };
+        report.fold(1, poisoned);
+        assert_eq!(
+            (report.runs, report.panicked, report.failures.len()),
+            (1, 1, 1)
+        );
+        // No node at all trips the engine's configuration assertion: a
+        // poisoned scenario, in a seed sweep and in a coverage search alike.
+        let opts = FuzzOptions {
+            protocols: vec![ProtocolKind::Pbft],
+            n_override: Some(0),
+            ..FuzzOptions::default()
+        };
+        let swept = fuzz_many(0..1, &opts).unwrap();
+        let searched = crate::corpus::fuzz_coverage(1, 1, true, &opts).unwrap();
+        for report in [swept, searched] {
+            assert_eq!(
+                (report.runs, report.panicked, report.failures.len()),
+                (0, 1, 1)
+            );
+            let message = &report.failures[0].message;
+            assert!(message.contains("at least one node"), "{message}");
+        }
     }
 
     #[test]
@@ -499,18 +538,9 @@ mod tests {
                 .collect::<Vec<_>>(),
             report.failures
         );
-        // And the pin is real: re-generating any swept seed with the same
-        // options yields a spec carrying exactly the override.
-        let mut spec = ScenarioSpec::generate(
-            3,
-            &opts.protocols,
-            opts.intensity_permille,
-            opts.max_actions,
-            opts.inject_bug,
-            opts.fault_preset,
-        );
-        spec.net = opts.net_override;
-        assert_eq!(spec.net, Some(net));
+        // And the pin is real: every swept seed's spec carries exactly the
+        // override.
+        assert_eq!(opts.generate(3).net, Some(net));
     }
 
     #[test]

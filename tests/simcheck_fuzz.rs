@@ -5,7 +5,7 @@
 //! minimal scenario, and replayable from its serialised repro file.
 
 use bft_sim_core::json::Json;
-use bft_simulator::simcheck::{fuzz_many, FuzzOptions, Repro, RunMode, ScenarioSpec};
+use bft_simulator::simcheck::{fuzz_many, run_unit, FuzzOptions, Repro, RunMode, ScenarioSpec};
 
 #[test]
 fn fuzzing_every_protocol_is_clean_and_deterministic() {
@@ -43,6 +43,39 @@ fn scenario_specs_round_trip_through_json() {
         let back = ScenarioSpec::from_json(&spec.to_json()).unwrap();
         assert_eq!(back, spec, "seed {seed}");
     }
+}
+
+#[test]
+fn fuzz_seeds_and_campaign_units_are_one_job() {
+    // An observed fuzz seed and a campaign unit of the same scenario must
+    // report the same violations and mint the same repro, last events and
+    // all.
+    let opts = FuzzOptions {
+        inject_bug: true,
+        observability: true,
+        ..FuzzOptions::default()
+    };
+    let seed = 1;
+    let report = fuzz_many(seed..seed + 1, &opts).unwrap();
+    let outcome = &report.outcomes[0];
+    let spec = ScenarioSpec::generate(
+        seed,
+        &opts.protocols,
+        opts.intensity_permille,
+        opts.max_actions,
+        opts.inject_bug,
+        opts.fault_preset,
+    );
+    let unit = run_unit(&spec, Default::default()).unwrap();
+    assert_eq!(unit.violations, outcome.violations);
+    let repro = unit
+        .repro
+        .expect("the seeded bug must fire in the unit too");
+    assert!(!repro.last_events.is_empty());
+    assert_eq!(
+        repro.to_json().dump_pretty(),
+        outcome.repro.to_json().dump_pretty()
+    );
 }
 
 #[test]
