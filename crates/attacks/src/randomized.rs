@@ -5,20 +5,17 @@
 //! under a probability [`FuzzBudget`], driven by its *own* seeded RNG so the
 //! attack sequence depends only on the adversary seed and the order of
 //! intercepted messages (which the run seed fixes). Every action it takes is
-//! logged as a [`FuzzAction`] against the index of the message it hit; the
-//! log can be re-run verbatim in **scripted** mode, which is what lets the
-//! `simcheck` shrinker delete actions one by one and re-test.
-
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+//! logged as a [`FuzzAction`] against the index of the message it hit, and
+//! a log re-runs verbatim in **scripted** mode: the adversary is a policy
+//! over the [`Perturber`] that the fault catalog shares.
 
 use bft_sim_core::adversary::{Adversary, AdversaryApi, Fate};
 use bft_sim_core::ids::NodeId;
-use bft_sim_core::json::{self, Fields, Json};
+use bft_sim_core::json::{self, Json};
 use bft_sim_core::message::Message;
+use bft_sim_core::perturb::{self, Action, ActionLog, Draw, Perturber};
 use bft_sim_core::time::SimDuration;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// What the adversary did to one intercepted message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,16 +38,10 @@ pub enum FuzzActionKind {
     },
 }
 
-/// One logged adversary action: `kind` applied to the `msg_index`-th honest
-/// transmission of the run (0-based, in send order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FuzzAction {
-    /// Index of the intercepted message, counting every honest transmission
-    /// the adversary saw, in order.
-    pub msg_index: u64,
-    /// What was done to it.
-    pub kind: FuzzActionKind,
-}
+/// One logged adversary action: `kind` applied to the `index`-th honest
+/// transmission the adversary saw (0-based, in send order). Repro files
+/// call the index `msg_index`.
+pub type FuzzAction = Action<FuzzActionKind>;
 
 /// Probability budget for [`RandomizedAdversary::generate`] mode.
 ///
@@ -88,55 +79,14 @@ impl FuzzBudget {
     }
 }
 
-enum Mode {
-    /// Roll fresh actions from the seeded RNG, within the budget.
-    Generate { rng: SmallRng, budget: FuzzBudget },
-    /// Apply exactly the given actions, by message index.
-    Scripted {
-        by_index: HashMap<u64, FuzzActionKind>,
-    },
-}
-
-/// Shared handle onto the adversary's action log, readable after
-/// `Simulation::run` has consumed the adversary itself.
-#[derive(Debug, Clone, Default)]
-pub struct FuzzActionLog {
-    shared: Arc<Mutex<Vec<FuzzAction>>>,
-}
-
-impl FuzzActionLog {
-    /// A copy of every action applied so far, in message-index order.
-    pub fn snapshot(&self) -> Vec<FuzzAction> {
-        self.shared.lock().expect("fuzz log lock").clone()
-    }
-
-    fn push(&self, action: FuzzAction) {
-        self.shared.lock().expect("fuzz log lock").push(action);
-    }
-}
-
-/// The randomized (or scripted) fuzzing adversary. See the module docs.
+/// The randomized (or scripted) fuzzing adversary: the budget's policy over
+/// a [`Perturber`] whose one site is the honest transmission. See the
+/// module docs.
+#[derive(Debug)]
 pub struct RandomizedAdversary {
-    mode: Mode,
-    log: FuzzActionLog,
-    next_index: u64,
-    applied: u64,
-}
-
-impl core::fmt::Debug for RandomizedAdversary {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("RandomizedAdversary")
-            .field(
-                "mode",
-                match &self.mode {
-                    Mode::Generate { .. } => &"generate",
-                    Mode::Scripted { .. } => &"scripted",
-                },
-            )
-            .field("next_index", &self.next_index)
-            .field("applied", &self.applied)
-            .finish()
-    }
+    script: Perturber<FuzzActionKind, 1>,
+    /// Generate mode's rates; unread when scripted.
+    budget: FuzzBudget,
 }
 
 impl RandomizedAdversary {
@@ -147,43 +97,39 @@ impl RandomizedAdversary {
     /// versa.
     pub fn generate(seed: u64, budget: FuzzBudget) -> Self {
         RandomizedAdversary {
-            mode: Mode::Generate {
-                rng: SmallRng::seed_from_u64(seed),
-                budget,
-            },
-            log: FuzzActionLog::default(),
-            next_index: 0,
-            applied: 0,
+            script: Perturber::generate(seed, budget.max_actions),
+            budget,
         }
     }
 
     /// Creates a scripted adversary that re-applies exactly `actions`.
     ///
-    /// Duplicate `msg_index` entries keep the last occurrence.
+    /// Duplicate `index` entries keep the last occurrence.
     pub fn scripted(actions: &[FuzzAction]) -> Self {
         RandomizedAdversary {
-            mode: Mode::Scripted {
-                by_index: actions.iter().map(|a| (a.msg_index, a.kind)).collect(),
-            },
-            log: FuzzActionLog::default(),
-            next_index: 0,
-            applied: 0,
+            script: Perturber::scripted(actions, |_| 0),
+            budget: FuzzBudget::with_intensity(0.0, 0),
         }
     }
 
     /// A shared handle onto the action log; clone it out before moving the
     /// adversary into a `SimulationBuilder`.
-    pub fn log_handle(&self) -> FuzzActionLog {
-        self.log.clone()
+    pub fn log_handle(&self) -> ActionLog<FuzzActionKind> {
+        self.script.log_handle()
     }
+}
 
-    fn decide_action(&mut self, n: usize) -> Option<FuzzActionKind> {
-        match &mut self.mode {
-            Mode::Scripted { by_index } => by_index.get(&self.next_index).copied(),
-            Mode::Generate { rng, budget } => {
-                if self.applied >= budget.max_actions {
-                    return None;
-                }
+impl Adversary for RandomizedAdversary {
+    fn attack(
+        &mut self,
+        msg: &mut Message,
+        proposed: SimDuration,
+        api: &mut AdversaryApi<'_>,
+    ) -> Fate {
+        let budget = &self.budget;
+        let kind = self.script.visit(0, |draw| match draw {
+            Draw::Script(kind) => Some(kind),
+            Draw::Roll(rng) => {
                 // One roll per capability, in a fixed order, every message —
                 // the RNG consumption pattern must not depend on earlier
                 // outcomes or the sequence loses its meaning when shrunk.
@@ -195,7 +141,7 @@ impl RandomizedAdversary {
                 } else {
                     0
                 };
-                let dst = NodeId::new(rng.gen_range(0..n as u32));
+                let dst = NodeId::new(rng.gen_range(0..api.n() as u32));
                 if drop {
                     Some(FuzzActionKind::Drop)
                 } else if delay {
@@ -211,34 +157,14 @@ impl RandomizedAdversary {
                     None
                 }
             }
-        }
-    }
-}
-
-impl Adversary for RandomizedAdversary {
-    fn attack(
-        &mut self,
-        msg: &mut Message,
-        proposed: SimDuration,
-        api: &mut AdversaryApi<'_>,
-    ) -> Fate {
-        let action = self.decide_action(api.n());
-        let index = self.next_index;
-        self.next_index += 1;
-        let Some(kind) = action else {
-            return Fate::Deliver(proposed);
-        };
-        self.applied += 1;
-        self.log.push(FuzzAction {
-            msg_index: index,
-            kind,
         });
         match kind {
-            FuzzActionKind::Drop => Fate::Drop,
-            FuzzActionKind::Delay { extra_micros } => {
+            None => Fate::Deliver(proposed),
+            Some(FuzzActionKind::Drop) => Fate::Drop,
+            Some(FuzzActionKind::Delay { extra_micros }) => {
                 Fate::Deliver(proposed + SimDuration::from_micros(extra_micros))
             }
-            FuzzActionKind::Replay { dst, delay_micros } => {
+            Some(FuzzActionKind::Replay { dst, delay_micros }) => {
                 api.inject_payload(
                     msg.src(),
                     dst,
@@ -257,28 +183,20 @@ impl Adversary for RandomizedAdversary {
 
 /// Serializes a list of actions for repro files.
 pub fn actions_to_json(actions: &[FuzzAction]) -> Json {
-    Json::Arr(
-        actions
-            .iter()
-            .map(|a| {
-                let kind = match a.kind {
-                    FuzzActionKind::Drop => Json::from("Drop"),
-                    FuzzActionKind::Delay { extra_micros } => Json::obj([(
-                        "Delay",
-                        Json::obj([("extra_micros", Json::from(extra_micros))]),
-                    )]),
-                    FuzzActionKind::Replay { dst, delay_micros } => Json::obj([(
-                        "Replay",
-                        Json::obj([
-                            ("dst", Json::from(dst.as_u32())),
-                            ("delay_micros", Json::from(delay_micros)),
-                        ]),
-                    )]),
-                };
-                Json::obj([("msg_index", Json::from(a.msg_index)), ("kind", kind)])
-            })
-            .collect(),
-    )
+    perturb::to_json(actions, "msg_index", |kind| match kind {
+        FuzzActionKind::Drop => Json::from("Drop"),
+        FuzzActionKind::Delay { extra_micros } => Json::obj([(
+            "Delay",
+            Json::obj([("extra_micros", Json::from(extra_micros))]),
+        )]),
+        FuzzActionKind::Replay { dst, delay_micros } => Json::obj([(
+            "Replay",
+            Json::obj([
+                ("dst", Json::from(dst.as_u32())),
+                ("delay_micros", Json::from(delay_micros)),
+            ]),
+        )]),
+    })
 }
 
 /// Parses the format produced by [`actions_to_json`].
@@ -288,29 +206,24 @@ pub fn actions_to_json(actions: &[FuzzAction]) -> Json {
 /// Malformed per [`bft_sim_core::json`]'s artifact parsing policy; the
 /// message names the offending entry's index.
 pub fn actions_from_json(json: &Json) -> Result<Vec<FuzzAction>, String> {
-    json::list(action_from_json)(json).map_err(|e| format!("actions: {e}"))
-}
-
-fn action_from_json(json: &Json) -> Result<FuzzAction, String> {
-    let mut f = Fields::of(json, "action")?;
-    let msg_index = f.req("msg_index", json::int)?;
-    let kind = f.req("kind", |kind| match json::variant(kind, "kind")? {
-        ("Drop", None) => Ok(FuzzActionKind::Drop),
-        ("Delay", Some(mut f)) => {
-            let extra_micros = f.req("extra_micros", json::int)?;
-            f.finish()?;
-            Ok(FuzzActionKind::Delay { extra_micros })
+    perturb::from_json(json, "msg_index", "action", |kind| {
+        match json::variant(kind, "kind")? {
+            ("Drop", None) => Ok(FuzzActionKind::Drop),
+            ("Delay", Some(mut f)) => {
+                let extra_micros = f.req("extra_micros", json::int)?;
+                f.finish()?;
+                Ok(FuzzActionKind::Delay { extra_micros })
+            }
+            ("Replay", Some(mut f)) => {
+                let dst = NodeId::new(f.req("dst", json::int)?);
+                let delay_micros = f.req("delay_micros", json::int)?;
+                f.finish()?;
+                Ok(FuzzActionKind::Replay { dst, delay_micros })
+            }
+            (tag, _) => Err(format!("unknown kind \"{tag}\"")),
         }
-        ("Replay", Some(mut f)) => {
-            let dst = NodeId::new(f.req("dst", json::int)?);
-            let delay_micros = f.req("delay_micros", json::int)?;
-            f.finish()?;
-            Ok(FuzzActionKind::Replay { dst, delay_micros })
-        }
-        (tag, _) => Err(format!("unknown kind \"{tag}\"")),
-    })?;
-    f.finish()?;
-    Ok(FuzzAction { msg_index, kind })
+    })
+    .map_err(|e| format!("actions: {e}"))
 }
 
 #[cfg(test)]
@@ -342,7 +255,7 @@ mod tests {
             .build()
             .unwrap()
             .run();
-        (result, log.snapshot())
+        (result, log.take())
     }
 
     #[test]
@@ -390,15 +303,15 @@ mod tests {
     fn actions_json_round_trip() {
         let actions = vec![
             FuzzAction {
-                msg_index: 0,
+                index: 0,
                 kind: FuzzActionKind::Drop,
             },
             FuzzAction {
-                msg_index: 17,
+                index: 17,
                 kind: FuzzActionKind::Delay { extra_micros: 250 },
             },
             FuzzAction {
-                msg_index: 99,
+                index: 99,
                 kind: FuzzActionKind::Replay {
                     dst: NodeId::new(3),
                     delay_micros: 1_000,

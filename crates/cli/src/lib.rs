@@ -2348,8 +2348,7 @@ mod tests {
         // as stale rather than silently succeeding.
         let repro = bft_sim_simcheck::Repro {
             spec: bft_sim_simcheck::ScenarioSpec::baseline(ProtocolKind::Pbft),
-            actions: Vec::new(),
-            fault_actions: Vec::new(),
+            script: Default::default(),
             schedule: None,
             oracle: "agreement".into(),
             detail: "synthetic".into(),

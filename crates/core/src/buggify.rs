@@ -6,26 +6,22 @@
 //! [`FaultInjector`] may perturb the run: skew a timer, deliver a message
 //! twice, delay a reorder burst, drop traffic aimed at one victim, or tear
 //! a node's action batch in half (a partial/torn state write). All faults
-//! are sampled from the injector's *own* seeded RNG, so the fault sequence
-//! depends only on the fault seed and the (run-seed-fixed) order of site
-//! visits; every applied fault is logged as a [`FaultAction`] against its
-//! site index, and the log can be re-run verbatim in **scripted** mode —
-//! which is what lets the `simcheck` shrinker minimise fault sequences and
-//! keep repro files replayable byte-for-byte.
+//! are sampled from the injector's *own* seeded RNG and logged as
+//! [`FaultAction`]s against their site's visit index, and a log re-runs
+//! verbatim in **scripted** mode: the injector is a policy over the
+//! [`Perturber`] that the randomized adversary shares.
 //!
 //! Fault intensity is chosen via [`FaultPreset`]: `calm` injects nothing
 //! (and is bit-identical to running without an injector), `moderate`
 //! enables timing faults (skew, duplicates, reorder bursts), and `chaos`
 //! adds targeted drops and torn writes.
 
-use std::sync::{Arc, Mutex};
-
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
-use crate::fasthash::FastMap;
 use crate::ids::NodeId;
-use crate::json::{self, Fields, Json};
+use crate::json::{self, Json};
+use crate::perturb::{self, Action, ActionLog, Draw, Perturber};
 use crate::time::SimDuration;
 
 /// Where in the engine a fault applies. Each site keeps its own 0-based
@@ -92,16 +88,11 @@ impl FaultKind {
     }
 }
 
-/// One logged fault: `kind` applied at the `index`-th visit of its site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultAction {
-    /// 0-based visit index at the fault's site (see [`FaultKind::site`]).
-    pub index: u64,
-    /// The fault that was applied.
-    pub kind: FaultKind,
-}
+/// One logged fault: `kind` applied at the `index`-th visit of its site
+/// (see [`FaultKind::site`]).
+pub type FaultAction = Action<FaultKind>;
 
-/// Per-kind counters of applied faults, for "fires iff enabled" checks.
+/// Per-kind counts of a fault log, for "fires iff enabled" checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultStats {
     /// Applied [`FaultKind::TimerSkew`] count.
@@ -117,19 +108,19 @@ pub struct FaultStats {
 }
 
 impl FaultStats {
-    /// Total applied faults across all kinds.
-    pub fn total(&self) -> u64 {
-        self.timer_skews + self.duplicates + self.reorders + self.targeted_drops + self.torn_writes
-    }
-
-    fn count(&mut self, kind: FaultKind) {
-        match kind {
-            FaultKind::TimerSkew { .. } => self.timer_skews += 1,
-            FaultKind::DuplicateDelivery { .. } => self.duplicates += 1,
-            FaultKind::ReorderDelay { .. } => self.reorders += 1,
-            FaultKind::TargetedDrop { .. } => self.targeted_drops += 1,
-            FaultKind::TornWrite { .. } => self.torn_writes += 1,
+    /// The per-kind counts of `log`.
+    pub fn of(log: &[FaultAction]) -> FaultStats {
+        let mut stats = FaultStats::default();
+        for action in log {
+            match action.kind {
+                FaultKind::TimerSkew { .. } => stats.timer_skews += 1,
+                FaultKind::DuplicateDelivery { .. } => stats.duplicates += 1,
+                FaultKind::ReorderDelay { .. } => stats.reorders += 1,
+                FaultKind::TargetedDrop { .. } => stats.targeted_drops += 1,
+                FaultKind::TornWrite { .. } => stats.torn_writes += 1,
+            }
         }
+        stats
     }
 }
 
@@ -263,92 +254,21 @@ impl FaultPreset {
     }
 }
 
-/// What the injector did to one wire transmission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WireFault {
-    /// Untouched.
-    None,
-    /// Drop the message.
-    Drop,
-    /// Add this much delay on top of the proposed fate.
-    Delay(SimDuration),
-    /// Deliver normally and schedule a second copy this long after the send.
-    Duplicate(SimDuration),
-}
-
-/// Shared handle onto the injector's fault log and stats, readable after
-/// `Simulation::run` has consumed the injector itself.
-#[derive(Debug, Clone, Default)]
-pub struct FaultLog {
-    shared: Arc<Mutex<(Vec<FaultAction>, FaultStats)>>,
-}
-
-impl FaultLog {
-    /// A copy of every applied fault so far, in application order.
-    pub fn snapshot(&self) -> Vec<FaultAction> {
-        self.shared.lock().expect("fault log lock").0.clone()
-    }
-
-    /// The per-kind counters so far.
-    pub fn stats(&self) -> FaultStats {
-        self.shared.lock().expect("fault log lock").1
-    }
-
-    fn push(&self, action: FaultAction) {
-        let mut inner = self.shared.lock().expect("fault log lock");
-        inner.0.push(action);
-        inner.1.count(action.kind);
-    }
-}
-
-enum Mode {
-    /// Roll fresh faults from the seeded RNG, within the config.
-    Generate {
-        rng: SmallRng,
-        cfg: FaultConfig,
-        /// Victim of targeted drops, fixed per injector from the fault seed.
-        target: NodeId,
-        /// Remaining messages in the current reorder burst.
-        burst_left: u32,
-    },
-    /// Apply exactly the given faults, keyed by site index.
-    Scripted {
-        wire: FastMap<u64, FaultKind>,
-        timer: FastMap<u64, FaultKind>,
-        dispatch: FastMap<u64, FaultKind>,
-    },
-}
-
-/// The deterministic fault injector. Construct with
+/// The deterministic fault injector: the catalog's policy over a
+/// [`Perturber`] with one site per [`FaultSite`]. Construct with
 /// [`generate`](FaultInjector::generate) or
 /// [`scripted`](FaultInjector::scripted), clone out the
 /// [`log_handle`](FaultInjector::log_handle), and install it via
 /// `SimulationBuilder::faults`.
+#[derive(Debug)]
 pub struct FaultInjector {
-    mode: Mode,
-    log: FaultLog,
-    wire_index: u64,
-    timer_index: u64,
-    dispatch_index: u64,
-    applied: u64,
-}
-
-impl core::fmt::Debug for FaultInjector {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("FaultInjector")
-            .field(
-                "mode",
-                match &self.mode {
-                    Mode::Generate { .. } => &"generate",
-                    Mode::Scripted { .. } => &"scripted",
-                },
-            )
-            .field("wire_index", &self.wire_index)
-            .field("timer_index", &self.timer_index)
-            .field("dispatch_index", &self.dispatch_index)
-            .field("applied", &self.applied)
-            .finish()
-    }
+    script: Perturber<FaultKind, 3>,
+    /// Generate mode's rates; calm (unread) when scripted.
+    cfg: FaultConfig,
+    /// Victim of targeted drops, fixed per injector from the fault seed.
+    target: NodeId,
+    /// Remaining messages in the current reorder burst.
+    burst_left: u32,
 }
 
 impl FaultInjector {
@@ -358,19 +278,11 @@ impl FaultInjector {
     /// the same fault pattern can be aimed at different network samples and
     /// attack sequences. `n` fixes the targeted-drop victim (`seed % n`).
     pub fn generate(seed: u64, cfg: FaultConfig, n: usize) -> Self {
-        let target = NodeId::new((seed % n.max(1) as u64) as u32);
         FaultInjector {
-            mode: Mode::Generate {
-                rng: SmallRng::seed_from_u64(seed),
-                cfg,
-                target,
-                burst_left: 0,
-            },
-            log: FaultLog::default(),
-            wire_index: 0,
-            timer_index: 0,
-            dispatch_index: 0,
-            applied: 0,
+            script: Perturber::generate(seed, cfg.max_faults),
+            cfg,
+            target: NodeId::new((seed % n.max(1) as u64) as u32),
+            burst_left: 0,
         }
     }
 
@@ -378,132 +290,84 @@ impl FaultInjector {
     ///
     /// Duplicate indices at the same site keep the last occurrence.
     pub fn scripted(actions: &[FaultAction]) -> Self {
-        let mut wire = FastMap::default();
-        let mut timer = FastMap::default();
-        let mut dispatch = FastMap::default();
-        for a in actions {
-            match a.kind.site() {
-                FaultSite::Wire => wire.insert(a.index, a.kind),
-                FaultSite::Timer => timer.insert(a.index, a.kind),
-                FaultSite::Dispatch => dispatch.insert(a.index, a.kind),
-            };
-        }
         FaultInjector {
-            mode: Mode::Scripted {
-                wire,
-                timer,
-                dispatch,
-            },
-            log: FaultLog::default(),
-            wire_index: 0,
-            timer_index: 0,
-            dispatch_index: 0,
-            applied: 0,
+            script: Perturber::scripted(actions, |kind| kind.site() as usize),
+            cfg: FaultConfig::calm(),
+            target: NodeId::new(0),
+            burst_left: 0,
         }
     }
 
     /// A shared handle onto the fault log; clone it out before moving the
     /// injector into a `SimulationBuilder`.
-    pub fn log_handle(&self) -> FaultLog {
-        self.log.clone()
-    }
-
-    fn apply(&mut self, index: u64, kind: FaultKind) {
-        self.applied += 1;
-        self.log.push(FaultAction { index, kind });
+    pub fn log_handle(&self) -> ActionLog<FaultKind> {
+        self.script.log_handle()
     }
 
     /// Visits the wire site for a message addressed to `dst` and returns
-    /// the fault to apply, if any. Called by the engine on every routed
-    /// transmission, in send order.
-    pub(crate) fn on_wire(&mut self, dst: NodeId) -> WireFault {
-        let index = self.wire_index;
-        self.wire_index += 1;
-        let kind = match &mut self.mode {
-            Mode::Scripted { wire, .. } => match wire.get(&index).copied() {
-                // A scripted drop only ever hit its recorded victim; keep
-                // that meaning when the script is replayed or shrunk.
-                Some(FaultKind::TargetedDrop { dst: victim }) if victim != dst => None,
-                other => other,
-            },
-            Mode::Generate {
-                rng,
-                cfg,
-                target,
-                burst_left,
-            } => {
-                if self.applied >= cfg.max_faults {
-                    return WireFault::None;
+    /// the fault to apply, if any: a targeted drop, a duplicate or a reorder
+    /// delay. Called by the engine on every routed transmission, in send
+    /// order.
+    pub(crate) fn on_wire(&mut self, dst: NodeId) -> Option<FaultKind> {
+        let (cfg, target, burst_left) = (&self.cfg, self.target, &mut self.burst_left);
+        self.script
+            .visit(FaultSite::Wire as usize, |draw| match draw {
+                // A scripted drop only ever hit its recorded victim; keep that
+                // meaning when the script is replayed or shrunk.
+                Draw::Script(FaultKind::TargetedDrop { dst: victim }) if victim != dst => None,
+                Draw::Script(kind) => Some(kind),
+                Draw::Roll(rng) => {
+                    // One roll per capability, in a fixed order, every message —
+                    // the RNG consumption pattern must not depend on earlier
+                    // outcomes or the fault sequence loses its meaning when
+                    // shrunk (same rule as the randomized adversary).
+                    let drop = roll(rng, cfg.drop_permille);
+                    let dup = roll(rng, cfg.duplicate_permille);
+                    let reorder = roll(rng, cfg.reorder_permille);
+                    let dup_extra = range(rng, cfg.duplicate_max_micros);
+                    let reorder_extra = range(rng, cfg.reorder_max_micros);
+                    if *burst_left > 0 {
+                        *burst_left -= 1;
+                        Some(FaultKind::ReorderDelay {
+                            extra_micros: reorder_extra,
+                        })
+                    } else if drop && dst == target {
+                        Some(FaultKind::TargetedDrop { dst })
+                    } else if dup {
+                        Some(FaultKind::DuplicateDelivery {
+                            extra_micros: dup_extra,
+                        })
+                    } else if reorder {
+                        *burst_left = cfg.reorder_burst.saturating_sub(1);
+                        Some(FaultKind::ReorderDelay {
+                            extra_micros: reorder_extra,
+                        })
+                    } else {
+                        None
+                    }
                 }
-                // One roll per capability, in a fixed order, every message —
-                // the RNG consumption pattern must not depend on earlier
-                // outcomes or the fault sequence loses its meaning when
-                // shrunk (same rule as the randomized adversary).
-                let drop = roll(rng, cfg.drop_permille);
-                let dup = roll(rng, cfg.duplicate_permille);
-                let reorder = roll(rng, cfg.reorder_permille);
-                let dup_extra = range(rng, cfg.duplicate_max_micros);
-                let reorder_extra = range(rng, cfg.reorder_max_micros);
-                if *burst_left > 0 {
-                    *burst_left -= 1;
-                    Some(FaultKind::ReorderDelay {
-                        extra_micros: reorder_extra,
-                    })
-                } else if drop && dst == *target {
-                    Some(FaultKind::TargetedDrop { dst })
-                } else if dup {
-                    Some(FaultKind::DuplicateDelivery {
-                        extra_micros: dup_extra,
-                    })
-                } else if reorder {
-                    *burst_left = cfg.reorder_burst.saturating_sub(1);
-                    Some(FaultKind::ReorderDelay {
-                        extra_micros: reorder_extra,
-                    })
-                } else {
-                    None
-                }
-            }
-        };
-        match kind {
-            Some(kind @ FaultKind::TargetedDrop { .. }) => {
-                self.apply(index, kind);
-                WireFault::Drop
-            }
-            Some(kind @ FaultKind::DuplicateDelivery { extra_micros }) => {
-                self.apply(index, kind);
-                WireFault::Duplicate(SimDuration::from_micros(extra_micros))
-            }
-            Some(kind @ FaultKind::ReorderDelay { extra_micros }) => {
-                self.apply(index, kind);
-                WireFault::Delay(SimDuration::from_micros(extra_micros))
-            }
-            _ => WireFault::None,
-        }
+            })
     }
 
     /// Visits the timer site for an armed delay and returns the (possibly
     /// skewed) delay to use. Called on every `SetTimer`, in arming order.
     pub(crate) fn on_timer(&mut self, delay: SimDuration) -> SimDuration {
-        let index = self.timer_index;
-        self.timer_index += 1;
-        let kind = match &mut self.mode {
-            Mode::Scripted { timer, .. } => timer.get(&index).copied(),
-            Mode::Generate { rng, cfg, .. } => {
-                if self.applied >= cfg.max_faults {
-                    return delay;
+        let cfg = &self.cfg;
+        let kind = self
+            .script
+            .visit(FaultSite::Timer as usize, |draw| match draw {
+                Draw::Script(kind) => Some(kind),
+                Draw::Roll(rng) => {
+                    let hit = roll(rng, cfg.timer_skew_permille);
+                    let span = cfg.skew_max_permille.saturating_sub(cfg.skew_min_permille);
+                    let factor = cfg.skew_min_permille + range(rng, span);
+                    hit.then_some(FaultKind::TimerSkew {
+                        factor_permille: factor,
+                    })
                 }
-                let hit = roll(rng, cfg.timer_skew_permille);
-                let span = cfg.skew_max_permille.saturating_sub(cfg.skew_min_permille);
-                let factor = cfg.skew_min_permille + range(rng, span);
-                hit.then_some(FaultKind::TimerSkew {
-                    factor_permille: factor,
-                })
-            }
-        };
+            });
         match kind {
-            Some(kind @ FaultKind::TimerSkew { factor_permille }) => {
-                self.apply(index, kind);
+            Some(FaultKind::TimerSkew { factor_permille }) => {
                 SimDuration::from_micros(delay.as_micros().saturating_mul(factor_permille) / 1_000)
             }
             _ => delay,
@@ -514,24 +378,19 @@ impl FaultInjector {
     /// returns how many to keep, if the batch is torn. Called after every
     /// protocol handler, in dispatch order.
     pub(crate) fn on_dispatch(&mut self, len: usize) -> Option<usize> {
-        let index = self.dispatch_index;
-        self.dispatch_index += 1;
-        let kind = match &mut self.mode {
-            Mode::Scripted { dispatch, .. } => dispatch.get(&index).copied(),
-            Mode::Generate { rng, cfg, .. } => {
-                if self.applied >= cfg.max_faults {
-                    return None;
+        let cfg = &self.cfg;
+        let kind = self
+            .script
+            .visit(FaultSite::Dispatch as usize, |draw| match draw {
+                Draw::Script(kind) => Some(kind),
+                Draw::Roll(rng) => {
+                    let hit = roll(rng, cfg.torn_permille);
+                    let keep = range(rng, len.max(1) as u64);
+                    (hit && len > 0).then_some(FaultKind::TornWrite { keep })
                 }
-                let hit = roll(rng, cfg.torn_permille);
-                let keep = range(rng, len.max(1) as u64);
-                (hit && len > 0).then_some(FaultKind::TornWrite { keep })
-            }
-        };
+            });
         match kind {
-            Some(kind @ FaultKind::TornWrite { keep }) => {
-                self.apply(index, kind);
-                Some((keep as usize).min(len))
-            }
+            Some(FaultKind::TornWrite { keep }) => Some((keep as usize).min(len)),
             _ => None,
         }
     }
@@ -553,35 +412,22 @@ fn range(rng: &mut SmallRng, max: u64) -> u64 {
 
 /// Serializes a list of fault actions for repro files.
 pub fn fault_actions_to_json(actions: &[FaultAction]) -> Json {
-    Json::Arr(
-        actions
-            .iter()
-            .map(|a| {
-                let kind = match a.kind {
-                    FaultKind::TimerSkew { factor_permille } => Json::obj([(
-                        "TimerSkew",
-                        Json::obj([("factor_permille", Json::from(factor_permille))]),
-                    )]),
-                    FaultKind::DuplicateDelivery { extra_micros } => Json::obj([(
-                        "DuplicateDelivery",
-                        Json::obj([("extra_micros", Json::from(extra_micros))]),
-                    )]),
-                    FaultKind::ReorderDelay { extra_micros } => Json::obj([(
-                        "ReorderDelay",
-                        Json::obj([("extra_micros", Json::from(extra_micros))]),
-                    )]),
-                    FaultKind::TargetedDrop { dst } => Json::obj([(
-                        "TargetedDrop",
-                        Json::obj([("dst", Json::from(dst.as_u32()))]),
-                    )]),
-                    FaultKind::TornWrite { keep } => {
-                        Json::obj([("TornWrite", Json::obj([("keep", Json::from(keep))]))])
-                    }
-                };
-                Json::obj([("index", Json::from(a.index)), ("kind", kind)])
-            })
-            .collect(),
-    )
+    perturb::to_json(actions, "index", |kind| {
+        let (tag, field, value) = match kind {
+            FaultKind::TimerSkew { factor_permille } => {
+                ("TimerSkew", "factor_permille", factor_permille)
+            }
+            FaultKind::DuplicateDelivery { extra_micros } => {
+                ("DuplicateDelivery", "extra_micros", extra_micros)
+            }
+            FaultKind::ReorderDelay { extra_micros } => {
+                ("ReorderDelay", "extra_micros", extra_micros)
+            }
+            FaultKind::TargetedDrop { dst } => ("TargetedDrop", "dst", u64::from(dst.as_u32())),
+            FaultKind::TornWrite { keep } => ("TornWrite", "keep", keep),
+        };
+        Json::obj([(tag, Json::obj([(field, Json::from(value))]))])
+    })
 }
 
 /// Parses the format produced by [`fault_actions_to_json`].
@@ -591,61 +437,63 @@ pub fn fault_actions_to_json(actions: &[FaultAction]) -> Json {
 /// Malformed per [`crate::json`]'s artifact parsing policy; the message
 /// names the offending entry's index.
 pub fn fault_actions_from_json(json: &Json) -> Result<Vec<FaultAction>, String> {
-    json::list(fault_action_from_json)(json).map_err(|e| format!("fault_actions: {e}"))
+    perturb::from_json(json, "index", "fault action", fault_kind_from_json)
+        .map_err(|e| format!("fault_actions: {e}"))
 }
 
-fn fault_action_from_json(json: &Json) -> Result<FaultAction, String> {
-    let mut f = Fields::of(json, "fault action")?;
-    let index = f.req("index", json::int)?;
-    let kind = f.req("kind", |kind| {
-        let (tag, body) = json::variant(kind, "kind")?;
-        let unknown = || format!("unknown kind \"{tag}\"");
-        let mut f = body.ok_or_else(unknown)?;
-        let kind = match tag {
-            "TimerSkew" => FaultKind::TimerSkew {
-                factor_permille: f.req("factor_permille", json::int)?,
-            },
-            "DuplicateDelivery" => FaultKind::DuplicateDelivery {
-                extra_micros: f.req("extra_micros", json::int)?,
-            },
-            "ReorderDelay" => FaultKind::ReorderDelay {
-                extra_micros: f.req("extra_micros", json::int)?,
-            },
-            "TargetedDrop" => FaultKind::TargetedDrop {
-                dst: NodeId::new(f.req("dst", json::int)?),
-            },
-            "TornWrite" => FaultKind::TornWrite {
-                keep: f.req("keep", json::int)?,
-            },
-            _ => return Err(unknown()),
-        };
-        f.finish()?;
-        Ok(kind)
-    })?;
+fn fault_kind_from_json(kind: &Json) -> Result<FaultKind, String> {
+    let (tag, body) = json::variant(kind, "kind")?;
+    let unknown = || format!("unknown kind \"{tag}\"");
+    let mut f = body.ok_or_else(unknown)?;
+    let kind = match tag {
+        "TimerSkew" => FaultKind::TimerSkew {
+            factor_permille: f.req("factor_permille", json::int)?,
+        },
+        "DuplicateDelivery" => FaultKind::DuplicateDelivery {
+            extra_micros: f.req("extra_micros", json::int)?,
+        },
+        "ReorderDelay" => FaultKind::ReorderDelay {
+            extra_micros: f.req("extra_micros", json::int)?,
+        },
+        "TargetedDrop" => FaultKind::TargetedDrop {
+            dst: NodeId::new(f.req("dst", json::int)?),
+        },
+        "TornWrite" => FaultKind::TornWrite {
+            keep: f.req("keep", json::int)?,
+        },
+        _ => return Err(unknown()),
+    };
     f.finish()?;
-    Ok(FaultAction { index, kind })
+    Ok(kind)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn drain_generate(seed: u64, cfg: FaultConfig) -> (Vec<FaultAction>, FaultStats) {
-        let mut fi = FaultInjector::generate(seed, cfg, 4);
+    /// The log of 200 visits to each site, in the engine's interleaving.
+    fn drain(mut fi: FaultInjector) -> Vec<FaultAction> {
         let log = fi.log_handle();
         for i in 0..200u32 {
             fi.on_wire(NodeId::new(i % 4));
             fi.on_timer(SimDuration::from_micros(1_000));
             fi.on_dispatch(3);
         }
-        (log.snapshot(), log.stats())
+        drop(fi);
+        log.take()
+    }
+
+    fn drain_generate(seed: u64, cfg: FaultConfig) -> (Vec<FaultAction>, FaultStats) {
+        let actions = drain(FaultInjector::generate(seed, cfg, 4));
+        let stats = FaultStats::of(&actions);
+        (actions, stats)
     }
 
     #[test]
     fn calm_config_never_fires() {
         let (actions, stats) = drain_generate(7, FaultPreset::Calm.config());
         assert!(actions.is_empty());
-        assert_eq!(stats.total(), 0);
+        assert_eq!(stats, FaultStats::default());
     }
 
     #[test]
@@ -694,14 +542,7 @@ mod tests {
     fn scripted_mode_reapplies_the_generated_log() {
         let cfg = FaultPreset::Chaos.config();
         let (a1, _) = drain_generate(9, cfg);
-        let mut fi = FaultInjector::scripted(&a1);
-        let log = fi.log_handle();
-        for i in 0..200u32 {
-            fi.on_wire(NodeId::new(i % 4));
-            fi.on_timer(SimDuration::from_micros(1_000));
-            fi.on_dispatch(3);
-        }
-        let mut a2 = log.snapshot();
+        let mut a2 = drain(FaultInjector::scripted(&a1));
         // Scripted application visits sites in engine order, which may
         // interleave kinds differently from generation order; compare as
         // sets (the pairs are unique by site + index).
@@ -721,9 +562,9 @@ mod tests {
             },
         }];
         let mut fi = FaultInjector::scripted(&script);
-        assert_eq!(fi.on_wire(NodeId::new(1)), WireFault::None);
+        assert_eq!(fi.on_wire(NodeId::new(1)), None);
         let mut fi = FaultInjector::scripted(&script);
-        assert_eq!(fi.on_wire(NodeId::new(2)), WireFault::Drop);
+        assert_eq!(fi.on_wire(NodeId::new(2)), Some(script[0].kind));
     }
 
     #[test]

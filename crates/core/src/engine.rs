@@ -32,7 +32,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::adversary::{AdvAction, Adversary, AdversaryApi, Fate, NullAdversary};
-use crate::buggify::{FaultInjector, WireFault};
+use crate::buggify::{FaultInjector, FaultKind};
 use crate::config::RunConfig;
 use crate::context::{Action, Context};
 use crate::error::SimError;
@@ -47,6 +47,7 @@ use crate::payload::Payload;
 use crate::protocol::{Protocol, ProtocolFactory, Vacant};
 use crate::scheduler::{EventHandle, HeapScheduler, Scheduler, SchedulerKind};
 use crate::spine::Sinks;
+use crate::time::SimDuration;
 use crate::trace::Trace;
 use crate::validator::DeliverySchedule;
 use crate::value::Value;
@@ -283,8 +284,8 @@ impl core::fmt::Debug for Simulation {
 /// delays, from now, after which the message and a buggify duplicate of it
 /// arrive (`None` = dropped / no duplicate).
 struct Transmission {
-    delivery: Option<crate::time::SimDuration>,
-    duplicate: Option<crate::time::SimDuration>,
+    delivery: Option<SimDuration>,
+    duplicate: Option<SimDuration>,
 }
 
 impl Simulation {
@@ -665,16 +666,18 @@ impl Simulation {
         let mut duplicate = None;
         let fate = match &mut self.faults {
             Some(fi) if self.replay.is_none() => match fi.on_wire(msg.dst()) {
-                WireFault::None => fate,
-                WireFault::Drop => Fate::Drop,
-                WireFault::Delay(extra) => match fate {
-                    Fate::Deliver(delay) => Fate::Deliver(delay + extra),
+                Some(FaultKind::TargetedDrop { .. }) => Fate::Drop,
+                Some(FaultKind::ReorderDelay { extra_micros }) => match fate {
+                    Fate::Deliver(delay) => {
+                        Fate::Deliver(delay + SimDuration::from_micros(extra_micros))
+                    }
                     Fate::Drop => Fate::Drop,
                 },
-                WireFault::Duplicate(extra) => {
-                    duplicate = Some(extra);
+                Some(FaultKind::DuplicateDelivery { extra_micros }) => {
+                    duplicate = Some(SimDuration::from_micros(extra_micros));
                     fate
                 }
+                _ => fate,
             },
             _ => fate,
         };

@@ -67,6 +67,7 @@ pub mod network;
 pub mod obs;
 pub mod oracle;
 pub mod payload;
+pub mod perturb;
 pub mod protocol;
 pub mod scheduler;
 pub mod smallstr;

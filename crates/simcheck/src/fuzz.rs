@@ -485,6 +485,34 @@ mod tests {
     }
 
     #[test]
+    fn node_counts_below_four_are_build_errors() {
+        // At f = 0 a leader's own vote is a quorum: PBFT's propose → commit
+        // → next-slot propose recursed inside one handler until the stack
+        // overflowed and took the process down. Every run checks the rule.
+        for n in 1..=3 {
+            let rule = format!("{n} nodes is below the minimum of 4");
+            let opts = FuzzOptions {
+                n_override: Some(n),
+                ..FuzzOptions::default()
+            };
+            let err = fuzz_many(0..4, &opts).unwrap_err();
+            assert!(err.contains(&rule), "{err}");
+            let err = crate::corpus::fuzz_coverage(1, 4, true, &opts).unwrap_err();
+            assert!(err.contains(&rule), "{err}");
+            for kind in ProtocolKind::extended() {
+                let spec = ScenarioSpec {
+                    n,
+                    ..ScenarioSpec::baseline(kind)
+                };
+                let err = run_unit(&spec, SchedulerKind::Heap).unwrap_err();
+                assert!(err.contains(&rule), "{kind}: {err}");
+                let err = spec.simulate(TraceLevel::Decisions).unwrap_err();
+                assert!(err.contains(&rule), "{kind}: {err}");
+            }
+        }
+    }
+
+    #[test]
     fn honest_protocols_survive_a_sweep() {
         let opts = FuzzOptions {
             protocols: vec![ProtocolKind::Pbft, ProtocolKind::HotStuffNs],

@@ -37,5 +37,5 @@ pub use fuzz::{fuzz_many, run_unit, FuzzOptions, FuzzReport, UnitRun};
 pub use repro::Repro;
 pub use scenario::{
     check_node_count, AttackSpec, CheckedRun, ChurnSpec, DelaySpec, NetSpec, PartitionSpec,
-    RunMode, ScenarioSpec, TopologyKind,
+    RunMode, ScenarioSpec, Script, TopologyKind,
 };

@@ -7,14 +7,14 @@
 //! a committed repro file into `tests/` turns a fuzzer catch into a
 //! permanent regression test.
 
-use bft_sim_attacks::{actions_from_json, actions_to_json, FuzzAction, FuzzActionKind};
-use bft_sim_core::buggify::{fault_actions_from_json, fault_actions_to_json, FaultAction};
+use bft_sim_attacks::{actions_from_json, actions_to_json, FuzzActionKind};
+use bft_sim_core::buggify::{fault_actions_from_json, fault_actions_to_json};
 use bft_sim_core::json::{self, Fields, Json};
 use bft_sim_core::oracle::OracleViolation;
 use bft_sim_core::trace::TraceEvent;
 use bft_sim_core::validator::DeliverySchedule;
 
-use crate::scenario::{RunMode, ScenarioSpec};
+use crate::scenario::{RunMode, ScenarioSpec, Script};
 
 /// The format tag every repro file carries.
 pub(crate) const FORMAT: &str = "bft-sim-repro-v1";
@@ -24,14 +24,10 @@ pub(crate) const FORMAT: &str = "bft-sim-repro-v1";
 pub struct Repro {
     /// The (shrunk) scenario.
     pub spec: ScenarioSpec,
-    /// The residual adversary script, applied in [`RunMode::Scripted`].
-    pub actions: Vec<FuzzAction>,
-    /// The residual fault-catalog script (buggify actions), replayed by a
-    /// scripted [`bft_sim_core::buggify::FaultInjector`]. Empty for repros
-    /// minted before the fault catalog existed, or when the violation does
-    /// not depend on injected faults; omitted from the JSON form then, so
-    /// older `bft-sim-repro-v1` files parse unchanged.
-    pub fault_actions: Vec<FaultAction>,
+    /// The residual script, applied in [`RunMode::Scripted`]. Its JSON form
+    /// is two arrays, `actions` and `fault_actions`, each omitted when empty
+    /// (so repros minted before the fault catalog existed parse unchanged).
+    pub script: Script,
     /// When present, the violation reproduces through a pure schedule
     /// replay ([`RunMode::Replay`]) — no adversary involved at all.
     pub schedule: Option<DeliverySchedule>,
@@ -58,10 +54,7 @@ impl Repro {
     pub fn check(&self) -> Result<OracleViolation, String> {
         let run = match &self.schedule {
             Some(schedule) => self.spec.run(RunMode::Replay(schedule))?,
-            None => self.spec.run(RunMode::Scripted {
-                actions: &self.actions,
-                faults: &self.fault_actions,
-            })?,
+            None => self.spec.run(RunMode::Scripted(&self.script))?,
         };
         run.violations
             .into_iter()
@@ -82,14 +75,13 @@ impl Repro {
             ("detail".to_string(), Json::from(self.detail.as_str())),
             ("scenario".to_string(), self.spec.to_json()),
         ];
-        if !self.actions.is_empty() {
-            pairs.push(("actions".to_string(), actions_to_json(&self.actions)));
+        if !self.script.actions.is_empty() {
+            let actions = actions_to_json(&self.script.actions);
+            pairs.push(("actions".to_string(), actions));
         }
-        if !self.fault_actions.is_empty() {
-            pairs.push((
-                "fault_actions".to_string(),
-                fault_actions_to_json(&self.fault_actions),
-            ));
+        if !self.script.faults.is_empty() {
+            let faults = fault_actions_to_json(&self.script.faults);
+            pairs.push(("fault_actions".to_string(), faults));
         }
         if let Some(schedule) = &self.schedule {
             pairs.push(("schedule".to_string(), schedule.to_json()));
@@ -122,15 +114,17 @@ impl Repro {
             oracle: f.req("oracle", json::string)?,
             detail: f.req("detail", json::string)?,
             spec: f.req("scenario", ScenarioSpec::from_json)?,
-            actions: f.opt_or("actions", Vec::new(), actions_from_json)?,
-            fault_actions: f.opt_or("fault_actions", Vec::new(), fault_actions_from_json)?,
+            script: Script {
+                actions: f.opt_or("actions", Vec::new(), actions_from_json)?,
+                faults: f.opt_or("fault_actions", Vec::new(), fault_actions_from_json)?,
+            },
             schedule: f.opt("schedule", DeliverySchedule::from_json)?,
             last_events: f.opt_or("last_events", Vec::new(), json::list(TraceEvent::from_json))?,
         };
         f.finish()?;
         // A replay injects a delivery: a destination the scenario does not
         // have would index past the engine's per-node tables.
-        for (i, action) in repro.actions.iter().enumerate() {
+        for (i, action) in repro.script.actions.iter().enumerate() {
             if let FuzzActionKind::Replay { dst, .. } = action.kind {
                 if dst.index() >= repro.spec.n {
                     return Err(format!(
@@ -148,26 +142,29 @@ impl Repro {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bft_sim_attacks::FuzzAction;
     use bft_sim_core::ids::NodeId;
     use bft_sim_protocols::registry::ProtocolKind;
 
     fn sample() -> Repro {
         Repro {
             spec: ScenarioSpec::baseline(ProtocolKind::HotStuffNs),
-            actions: vec![
-                FuzzAction {
-                    msg_index: 3,
-                    kind: FuzzActionKind::Drop,
-                },
-                FuzzAction {
-                    msg_index: 9,
-                    kind: FuzzActionKind::Replay {
-                        dst: NodeId::new(2),
-                        delay_micros: 500,
+            script: Script {
+                actions: vec![
+                    FuzzAction {
+                        index: 3,
+                        kind: FuzzActionKind::Drop,
                     },
-                },
-            ],
-            fault_actions: Vec::new(),
+                    FuzzAction {
+                        index: 9,
+                        kind: FuzzActionKind::Replay {
+                            dst: NodeId::new(2),
+                            delay_micros: 500,
+                        },
+                    },
+                ],
+                faults: Vec::new(),
+            },
             schedule: None,
             oracle: "agreement".to_string(),
             detail: "slot 0: n1 decided v0x1 but n2 decided v0x2".to_string(),
@@ -196,22 +193,26 @@ mod tests {
     fn json_round_trips_with_fault_actions() {
         use bft_sim_core::buggify::{FaultAction, FaultKind};
 
+        let base = sample();
         let repro = Repro {
-            fault_actions: vec![
-                FaultAction {
-                    index: 4,
-                    kind: FaultKind::TargetedDrop {
-                        dst: NodeId::new(3),
+            script: Script {
+                faults: vec![
+                    FaultAction {
+                        index: 4,
+                        kind: FaultKind::TargetedDrop {
+                            dst: NodeId::new(3),
+                        },
                     },
-                },
-                FaultAction {
-                    index: 9,
-                    kind: FaultKind::TimerSkew {
-                        factor_permille: 2_500,
+                    FaultAction {
+                        index: 9,
+                        kind: FaultKind::TimerSkew {
+                            factor_permille: 2_500,
+                        },
                     },
-                },
-            ],
-            ..sample()
+                ],
+                ..base.script.clone()
+            },
+            ..base
         };
         let text = repro.to_json().dump_pretty();
         assert!(text.contains("fault_actions"), "{text}");
@@ -331,7 +332,7 @@ mod tests {
         // A clean baseline run cannot fire the agreement oracle, so checking
         // a repro that claims it must fire has to fail loudly.
         let repro = Repro {
-            actions: Vec::new(),
+            script: Script::default(),
             ..sample()
         };
         let err = repro.check().unwrap_err();

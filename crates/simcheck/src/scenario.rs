@@ -6,9 +6,9 @@
 //! [`ScenarioSpec::generate`] and executed (and oracle-checked) by
 //! [`ScenarioSpec::run`] in one of three modes:
 //!
-//! - [`RunMode::Generate`] — the adversary rolls fresh actions within its
-//!   budget and logs them;
-//! - [`RunMode::Scripted`] — a previously logged action list is re-applied
+//! - [`RunMode::Generate`] — the adversary and the fault catalog roll fresh
+//!   actions within the budget and preset and log them as a [`Script`];
+//! - [`RunMode::Scripted`] — a previously logged [`Script`] is re-applied
 //!   verbatim (the shrinker's probe mode);
 //! - [`RunMode::Replay`] — a recorded [`DeliverySchedule`] is replayed with
 //!   the adversary bypassed entirely (the engine's validator path).
@@ -19,11 +19,11 @@
 //! run (fuzz, campaign, coverage and every ddmin probe) pays nothing for it.
 
 use bft_sim_attacks::{
-    AddAdaptiveRushingAttack, AddStaticAttack, FailStop, FuzzAction, FuzzBudget, PartitionAttack,
-    RandomizedAdversary,
+    AddAdaptiveRushingAttack, AddStaticAttack, FailStop, FuzzAction, FuzzActionKind, FuzzBudget,
+    PartitionAttack, RandomizedAdversary,
 };
 use bft_sim_core::adversary::{Adversary, AdversaryApi, Fate};
-use bft_sim_core::buggify::{FaultAction, FaultInjector, FaultLog, FaultPreset, FaultStats};
+use bft_sim_core::buggify::{FaultAction, FaultInjector, FaultKind, FaultPreset};
 use bft_sim_core::config::RunConfig;
 use bft_sim_core::dist::Dist;
 use bft_sim_core::engine::{Simulation, SimulationBuilder};
@@ -33,6 +33,7 @@ use bft_sim_core::metrics::RunResult;
 use bft_sim_core::network::{NetworkModel, SampledNetwork};
 use bft_sim_core::obs::{ObsConfig, DEFAULT_LAST_K};
 use bft_sim_core::oracle::{Expectations, OracleInput, OracleSuite, OracleViolation, OutageWindow};
+use bft_sim_core::perturb::ActionLog;
 use bft_sim_core::scheduler::SchedulerKind;
 use bft_sim_core::time::SimDuration;
 use bft_sim_core::trace::{TraceEvent, TraceLevel};
@@ -448,20 +449,34 @@ pub struct ScenarioSpec {
     pub fault_seed: u64,
 }
 
+/// A run's perturbations: what the randomized adversary and the fault
+/// catalog applied, each logged against its own sites
+/// ([`bft_sim_core::perturb`]). A generated run logs one;
+/// [`RunMode::Scripted`] re-applies one verbatim.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Script {
+    /// The adversary actions, by honest-transmission index.
+    pub actions: Vec<FuzzAction>,
+    /// The fault-catalog actions, by site index.
+    pub faults: Vec<FaultAction>,
+}
+
+impl Script {
+    /// Whether the script perturbs nothing.
+    pub fn is_empty(&self) -> bool {
+        self.actions.is_empty() && self.faults.is_empty()
+    }
+}
+
 /// How [`ScenarioSpec::run`] drives the adversary.
 #[derive(Debug, Clone, Copy)]
 pub enum RunMode<'a> {
     /// Roll fresh adversary actions and fault-catalog faults from the
     /// scenario's budget and preset, logging both.
     Generate,
-    /// Re-apply exactly these previously logged adversary actions and fault
-    /// actions.
-    Scripted {
-        /// The adversary actions to re-apply, by message index.
-        actions: &'a [FuzzAction],
-        /// The fault-catalog actions to re-apply, by site index.
-        faults: &'a [FaultAction],
-    },
+    /// Re-apply exactly this previously logged script; it replaces the
+    /// scenario's budget and preset.
+    Scripted(&'a Script),
     /// Replay a recorded delivery schedule; the adversary and the fault
     /// injector are bypassed (the recorded fates already embody wire faults).
     Replay(&'a DeliverySchedule),
@@ -473,13 +488,9 @@ pub enum RunMode<'a> {
 pub struct CheckedRun {
     /// The engine's metrics and trace.
     pub result: RunResult,
-    /// The adversary actions that were applied (empty in replay mode).
-    pub actions: Vec<FuzzAction>,
-    /// The fault-catalog actions that were applied (empty in replay mode and
+    /// The perturbations that were applied (empty in replay mode; no faults
     /// under [`FaultPreset::Calm`]).
-    pub fault_actions: Vec<FaultAction>,
-    /// Per-kind counters of the applied fault-catalog actions.
-    pub fault_stats: FaultStats,
+    pub script: Script,
     /// Every oracle violation the suite found (empty = clean).
     pub violations: Vec<OracleViolation>,
 }
@@ -489,9 +500,10 @@ pub struct CheckedRun {
 struct Built {
     sim: Simulation,
     expect: Expectations,
-    /// The adversary actions applied so far (none in replay mode).
-    actions: Box<dyn Fn() -> Vec<FuzzAction>>,
-    fault_log: Option<FaultLog>,
+    /// Where the run's perturbers publish their logs; never written in
+    /// replay mode, nor for faults under [`FaultPreset::Calm`].
+    actions: ActionLog<FuzzActionKind>,
+    faults: ActionLog<FaultKind>,
 }
 
 impl CheckedRun {
@@ -805,7 +817,8 @@ impl ScenarioSpec {
     /// # Errors
     ///
     /// Returns a message when the configuration is rejected by the engine or
-    /// the spec needs the `testbug` feature and it is not compiled in.
+    /// by [`check_node_count`], or the spec needs the `testbug` feature and it
+    /// is not compiled in.
     pub fn run(&self, mode: RunMode<'_>) -> Result<CheckedRun, String> {
         self.execute(mode, false, TraceLevel::Decisions, false)
             .map(|(run, _)| run)
@@ -885,25 +898,22 @@ impl ScenarioSpec {
             sim,
             expect,
             actions,
-            fault_log,
+            faults,
         } = self.build(mode, observed, trace)?;
         let (result, schedule) = if record {
             sim.run_recorded()
         } else {
             (sim.run(), DeliverySchedule::default())
         };
-        let actions = actions();
         let violations =
             OracleSuite::standard().check(&OracleInput::from_result(&result, None, expect));
-        let (fault_actions, fault_stats) = match fault_log {
-            Some(log) => (log.snapshot(), log.stats()),
-            None => (Vec::new(), FaultStats::default()),
+        let script = Script {
+            actions: actions.take(),
+            faults: faults.take(),
         };
         let run = CheckedRun {
             result,
-            actions,
-            fault_actions,
-            fault_stats,
+            script,
             violations,
         };
         Ok((run, schedule))
@@ -923,98 +933,84 @@ impl ScenarioSpec {
     fn build(&self, mode: RunMode<'_>, observed: bool, trace: TraceLevel) -> Result<Built, String> {
         let kind = self.protocol;
         let cfg = self.config().with_trace(trace);
-        let benign = match mode {
-            RunMode::Generate => self.is_benign(),
-            // A script replaces the budget and the preset.
-            RunMode::Scripted { actions, faults } => {
-                let unscripted = ScenarioSpec {
-                    max_actions: 0,
-                    fault_preset: FaultPreset::Calm,
-                    ..self.clone()
-                };
-                actions.is_empty() && faults.is_empty() && unscripted.is_benign()
-            }
-            // A replayed schedule may embody drops; liveness is never owed.
-            RunMode::Replay(_) => false,
-        };
-        // Churn-only specs owe termination too, with decision debt suspended
-        // across the scheduled down-windows.
-        let churn_owed = match mode {
-            RunMode::Generate => self.churn_only(),
-            RunMode::Scripted { actions, faults } => {
-                actions.is_empty() && faults.is_empty() && self.churn_only()
-            }
-            RunMode::Replay(_) => false,
-        };
-        let mut expect = kind.expectations(&cfg, benign || churn_owed);
-        if churn_owed {
-            expect.outages = self.outage_windows()?;
-        }
+        // `RunConfig::new` has refused n = 0 by now; n = 1..=3 would recurse
+        // without bound inside one handler and overflow the stack.
+        check_node_count(self.n)?;
         let factory = kind.factory(&cfg, self.genesis_seed);
-        let network = self.network()?;
-        let mut builder = SimulationBuilder::new(cfg)
-            .network(network)
+        let mut builder = SimulationBuilder::new(cfg.clone())
+            .network(self.network()?)
             .protocols(factory);
         if observed {
             builder = builder
                 .observability(ObsConfig::default().with_classifier(kind.phase_classifier()));
         }
-
-        let (sim, actions, fault_log) = match mode {
+        // What perturbs the run, and whether the run stays inside the
+        // protocol's model: benign, or churn-only, which owes termination
+        // with decision debt suspended across the scheduled down-windows.
+        let (perturbers, benign, churn_owed) = match mode {
+            RunMode::Generate => {
+                let budget = FuzzBudget::with_intensity(
+                    self.intensity_permille as f64 / 1000.0,
+                    self.max_actions,
+                );
+                let fuzz = RandomizedAdversary::generate(self.adversary_seed, budget);
+                let injector = (self.fault_preset != FaultPreset::Calm).then(|| {
+                    FaultInjector::generate(self.fault_seed, self.fault_preset.config(), self.n)
+                });
+                (Some((fuzz, injector)), self.is_benign(), self.churn_only())
+            }
+            // A script replaces the budget and the preset.
+            RunMode::Scripted(script) => {
+                let fuzz = RandomizedAdversary::scripted(&script.actions);
+                let injector =
+                    (!script.faults.is_empty()).then(|| FaultInjector::scripted(&script.faults));
+                let unscripted = ScenarioSpec {
+                    max_actions: 0,
+                    fault_preset: FaultPreset::Calm,
+                    ..self.clone()
+                };
+                let empty = script.is_empty();
+                let benign = empty && unscripted.is_benign();
+                (Some((fuzz, injector)), benign, empty && self.churn_only())
+            }
+            // The recorded fates already embody the adversary's and the wire
+            // faults' drops and delays, so both are bypassed; liveness is
+            // never owed.
             RunMode::Replay(schedule) => {
                 let mut replay = schedule.clone();
                 replay.rewind();
-                let sim = builder
-                    .replay_schedule(replay)
-                    .build()
-                    .map_err(|e| format!("replay build failed: {e}"))?;
-                (sim, Box::new(Vec::new) as Box<_>, None)
-            }
-            RunMode::Generate | RunMode::Scripted { .. } => {
-                let fuzz = match mode {
-                    RunMode::Generate => RandomizedAdversary::generate(
-                        self.adversary_seed,
-                        FuzzBudget::with_intensity(
-                            self.intensity_permille as f64 / 1000.0,
-                            self.max_actions,
-                        ),
-                    ),
-                    RunMode::Scripted { actions, .. } => RandomizedAdversary::scripted(actions),
-                    RunMode::Replay(_) => unreachable!("handled above"),
-                };
-                let injector = match mode {
-                    RunMode::Generate => (self.fault_preset != FaultPreset::Calm).then(|| {
-                        FaultInjector::generate(self.fault_seed, self.fault_preset.config(), self.n)
-                    }),
-                    RunMode::Scripted { faults, .. } => {
-                        (!faults.is_empty()).then(|| FaultInjector::scripted(faults))
-                    }
-                    RunMode::Replay(_) => unreachable!("handled above"),
-                };
-                let log = fuzz.log_handle();
-                let fault_log: Option<FaultLog> = injector.as_ref().map(FaultInjector::log_handle);
-                let partition = self.partition.map(|p| {
-                    let attack = PartitionAttack::halves(self.n, p.start_ms, p.end_ms, p.drop)?;
-                    Ok::<_, String>(Box::new(attack) as Box<dyn Adversary>)
-                });
-                let layers = partition.transpose()?.into_iter();
-                builder = builder.adversary(Stack {
-                    layers: layers.chain(self.attack.map(|a| a.build(self.n))).collect(),
-                    fuzz,
-                    extra: self.extra_adversary()?,
-                });
-                if let Some(injector) = injector {
-                    builder = builder.faults(injector);
-                }
-                let sim = builder.build().map_err(|e| format!("build failed: {e}"))?;
-                (sim, Box::new(move || log.snapshot()) as Box<_>, fault_log)
+                builder = builder.replay_schedule(replay);
+                (None, false, false)
             }
         };
+        let mut expect = kind.expectations(&cfg, benign || churn_owed);
+        if churn_owed {
+            expect.outages = self.outage_windows()?;
+        }
+        let (mut actions, mut faults) = (ActionLog::default(), ActionLog::default());
+        if let Some((fuzz, injector)) = perturbers {
+            actions = fuzz.log_handle();
+            let partition = self.partition.map(|p| {
+                let attack = PartitionAttack::halves(self.n, p.start_ms, p.end_ms, p.drop)?;
+                Ok::<_, String>(Box::new(attack) as Box<dyn Adversary>)
+            });
+            let layers = partition.transpose()?.into_iter();
+            builder = builder.adversary(Stack {
+                layers: layers.chain(self.attack.map(|a| a.build(self.n))).collect(),
+                fuzz,
+                extra: self.extra_adversary()?,
+            });
+            if let Some(injector) = injector {
+                faults = injector.log_handle();
+                builder = builder.faults(injector);
+            }
+        }
+        let sim = builder.build().map_err(|e| format!("build failed: {e}"))?;
         Ok(Built {
             sim,
             expect,
             actions,
-            fault_log,
+            faults,
         })
     }
 
@@ -1139,7 +1135,9 @@ impl ScenarioSpec {
 /// node's own vote is a quorum, a slot completes inside the handler that
 /// proposed it and the protocols recurse without bound), and node ids are
 /// 32-bit. The one statement of the rule: CLI flags, scenario files and
-/// campaign manifests all come through here, and get `n` back.
+/// campaign manifests all come through here, and get `n` back, and every
+/// run of a spec checks it again, so a library caller's `n` is held to it
+/// too.
 ///
 /// # Errors
 ///
@@ -1217,7 +1215,7 @@ mod tests {
         assert!(spec.is_benign());
         let (run, schedule) = spec.run_recorded(RunMode::Generate).unwrap();
         assert!(run.violations.is_empty(), "{:?}", run.violations);
-        assert!(run.actions.is_empty());
+        assert!(run.script.is_empty());
         assert!(!schedule.is_empty());
         assert!(run.result.is_clean());
     }
@@ -1310,7 +1308,7 @@ mod tests {
         let (b, b_schedule) = spec.run_recorded(RunMode::Generate).unwrap();
         assert_eq!(a.result, b.result);
         assert_eq!(a_schedule, b_schedule);
-        assert_eq!(a.actions, b.actions);
+        assert_eq!(a.script, b.script);
         assert_eq!(a.violations, b.violations);
     }
 
@@ -1322,15 +1320,13 @@ mod tests {
             ..ScenarioSpec::baseline(ProtocolKind::Pbft)
         };
         let generated = spec.run(RunMode::Generate).unwrap();
-        assert!(!generated.actions.is_empty(), "budget must act on PBFT");
-        let scripted = spec
-            .run(RunMode::Scripted {
-                actions: &generated.actions,
-                faults: &[],
-            })
-            .unwrap();
+        assert!(
+            !generated.script.actions.is_empty(),
+            "budget must act on PBFT"
+        );
+        let scripted = spec.run(RunMode::Scripted(&generated.script)).unwrap();
         assert_eq!(scripted.result, generated.result);
-        assert_eq!(scripted.actions, generated.actions);
+        assert_eq!(scripted.script, generated.script);
     }
 
     #[test]
@@ -1366,7 +1362,7 @@ mod tests {
         stripped.observability = None;
         assert_eq!(stripped, plain.result, "instrumentation changed the run");
         assert_eq!(observed_schedule, plain_schedule);
-        assert_eq!(observed.actions, plain.actions);
+        assert_eq!(observed.script, plain.script);
         assert_eq!(observed.violations, plain.violations);
 
         let obs = observed.result.observability.unwrap();
@@ -1511,19 +1507,13 @@ mod tests {
         assert!(!spec.is_benign(), "an armed catalog ends the liveness debt");
         let first = spec.run(RunMode::Generate).unwrap();
         assert!(
-            first.fault_stats.total() > 0,
-            "chaos must fire on a full PBFT run: {:?}",
-            first.fault_stats
-        );
-        assert_eq!(
-            first.fault_stats.total() as usize,
-            first.fault_actions.len()
+            !first.script.faults.is_empty(),
+            "chaos must fire on a full PBFT run"
         );
         assert!(first.violations.is_empty(), "{:?}", first.violations);
         let second = spec.run(RunMode::Generate).unwrap();
         assert_eq!(first.result, second.result);
-        assert_eq!(first.fault_actions, second.fault_actions);
-        assert_eq!(first.fault_stats, second.fault_stats);
+        assert_eq!(first.script, second.script);
         assert_eq!(first.violations, second.violations);
     }
 
@@ -1531,7 +1521,7 @@ mod tests {
     fn scripted_faults_reproduce_a_faulted_run() {
         let spec = chaos_spec();
         let (generated, generated_schedule) = spec.run_recorded(RunMode::Generate).unwrap();
-        assert!(!generated.fault_actions.is_empty());
+        assert!(!generated.script.faults.is_empty());
         // Replaying the fault log verbatim (scripted mode ignores the
         // preset) must reproduce the run bit for bit — the property the
         // shrinker's fault ddmin rests on.
@@ -1541,22 +1531,51 @@ mod tests {
             ..spec.clone()
         };
         let (scripted, scripted_schedule) = calm_replayer
-            .run_recorded(RunMode::Scripted {
-                actions: &[],
-                faults: &generated.fault_actions,
-            })
+            .run_recorded(RunMode::Scripted(&generated.script))
             .unwrap();
         assert_eq!(scripted.result, generated.result);
         assert_eq!(scripted_schedule, generated_schedule);
-        assert_eq!(scripted.fault_stats, generated.fault_stats);
-        // Scripted application can interleave kinds differently across
-        // sites; compare as sets keyed by site + index.
-        let key = |a: &bft_sim_core::buggify::FaultAction| (a.kind.site() as u8, a.index);
-        let mut a = generated.fault_actions.clone();
-        let mut b = scripted.fault_actions.clone();
-        a.sort_by_key(key);
-        b.sort_by_key(key);
-        assert_eq!(a, b);
+        assert_eq!(by_site(&scripted.script), by_site(&generated.script));
+    }
+
+    /// The script with its faults keyed by site and index: scripted
+    /// application can interleave kinds differently across sites.
+    fn by_site(script: &Script) -> Script {
+        let mut sorted = script.clone();
+        sorted
+            .faults
+            .sort_by_key(|a| (a.kind.site() as u8, a.index));
+        sorted
+    }
+
+    #[test]
+    fn both_scripts_replay_together_on_every_protocol() {
+        // An adversary budget and the chaos catalog in one run: the
+        // generated script, both lists at once, must reproduce the run bit
+        // for bit on every protocol, and log itself again.
+        for kind in ProtocolKind::extended() {
+            let spec = ScenarioSpec {
+                intensity_permille: 500,
+                max_actions: 32,
+                ..chaos_spec()
+            };
+            let spec = ScenarioSpec {
+                protocol: kind,
+                target_decisions: kind.measured_decisions(),
+                ..spec
+            };
+            let generated = spec.run(RunMode::Generate).unwrap();
+            assert!(!generated.script.actions.is_empty(), "{kind}: no actions");
+            assert!(!generated.script.faults.is_empty(), "{kind}: no faults");
+            let scripted = spec.run(RunMode::Scripted(&generated.script)).unwrap();
+            assert_eq!(scripted.result, generated.result, "{kind}");
+            assert_eq!(
+                by_site(&scripted.script),
+                by_site(&generated.script),
+                "{kind}"
+            );
+            assert_eq!(scripted.violations, generated.violations, "{kind}");
+        }
     }
 
     #[test]
@@ -1570,8 +1589,7 @@ mod tests {
         let a = plain.run(RunMode::Generate).unwrap();
         let b = calm.run(RunMode::Generate).unwrap();
         assert_eq!(a.result, b.result);
-        assert_eq!(b.fault_stats.total(), 0);
-        assert!(b.fault_actions.is_empty());
+        assert!(b.script.faults.is_empty());
     }
 
     #[test]
@@ -1785,9 +1803,7 @@ mod tests {
         let plain = spec.run(mode).unwrap();
         let (recorded, _) = spec.run_recorded(mode).unwrap();
         assert_eq!(plain.result, recorded.result, "{what}");
-        assert_eq!(plain.actions, recorded.actions, "{what}");
-        assert_eq!(plain.fault_actions, recorded.fault_actions, "{what}");
-        assert_eq!(plain.fault_stats, recorded.fault_stats, "{what}");
+        assert_eq!(plain.script, recorded.script, "{what}");
         assert_eq!(plain.violations, recorded.violations, "{what}");
     }
 
@@ -1817,15 +1833,15 @@ mod tests {
                 assert_recording_is_inert(spec, RunMode::Generate, &format!("{what} generate"));
 
                 let (generated, schedule) = spec.run_recorded(RunMode::Generate).unwrap();
-                assert!(!generated.actions.is_empty(), "{what}: no action script");
                 assert!(
-                    !generated.fault_actions.is_empty(),
+                    !generated.script.actions.is_empty(),
+                    "{what}: no action script"
+                );
+                assert!(
+                    !generated.script.faults.is_empty(),
                     "{what}: no fault script"
                 );
-                let scripted = RunMode::Scripted {
-                    actions: &generated.actions,
-                    faults: &generated.fault_actions,
-                };
+                let scripted = RunMode::Scripted(&generated.script);
                 assert_recording_is_inert(spec, scripted, &format!("{what} scripted"));
 
                 let prefix = schedule.truncated(schedule.len() / 2);

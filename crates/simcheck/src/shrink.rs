@@ -17,25 +17,20 @@
 //!    through the engine's validator path with no adversary at all.
 //!    Otherwise the final run, like every probe before it, records nothing.
 
-use bft_sim_attacks::{FuzzAction, FuzzActionKind};
-use bft_sim_core::buggify::{FaultAction, FaultKind, FaultPreset};
+use bft_sim_attacks::FuzzActionKind;
+use bft_sim_core::buggify::{FaultKind, FaultPreset};
 use bft_sim_core::validator::DeliverySchedule;
 
 use crate::repro::Repro;
-use crate::scenario::{CheckedRun, RunMode, ScenarioSpec};
+use crate::scenario::{CheckedRun, RunMode, ScenarioSpec, Script};
 
 /// The scales [`shrink`] tries, smallest first.
 const SCALES_ASCENDING: [usize; 3] = [4, 7, 10];
 
-/// Probes whether `spec` + `actions` + `faults` still violate `oracle`;
-/// returns the run when it does.
-fn still_fails(
-    spec: &ScenarioSpec,
-    actions: &[FuzzAction],
-    faults: &[FaultAction],
-    oracle: &str,
-) -> Option<CheckedRun> {
-    spec.run(RunMode::Scripted { actions, faults })
+/// Probes whether `spec` + `script` still violate `oracle`; returns the run
+/// when it does.
+fn still_fails(spec: &ScenarioSpec, script: &Script, oracle: &str) -> Option<CheckedRun> {
+    spec.run(RunMode::Scripted(script))
         .ok()
         .filter(|run| run.violates(oracle))
 }
@@ -50,8 +45,7 @@ pub(crate) fn shrink(spec: &ScenarioSpec, failing: &CheckedRun) -> Repro {
         .expect("shrink needs a violating run")
         .oracle;
     let mut spec = spec.clone();
-    let mut actions = failing.actions.clone();
-    let mut faults = failing.fault_actions.clone();
+    let mut script = failing.script.clone();
 
     // Every probe replays the fault log as a *script*, so the generated
     // preset/seed pair is no longer what reproduces the faults — the
@@ -63,12 +57,11 @@ pub(crate) fn shrink(spec: &ScenarioSpec, failing: &CheckedRun) -> Repro {
     // The generated run and its scripted replay must agree before any
     // minimisation is meaningful; if they somehow don't, ship the original
     // scenario un-shrunk rather than a broken reproducer.
-    if still_fails(&spec, &actions, &faults, oracle).is_none() {
+    if still_fails(&spec, &script, oracle).is_none() {
         let v = &failing.violations[0];
         return Repro {
             spec,
-            actions,
-            fault_actions: faults,
+            script,
             schedule: None,
             oracle: v.oracle.to_string(),
             detail: v.detail.clone(),
@@ -83,7 +76,7 @@ pub(crate) fn shrink(spec: &ScenarioSpec, failing: &CheckedRun) -> Repro {
             target_decisions: 1,
             ..spec.clone()
         };
-        if still_fails(&candidate, &actions, &faults, oracle).is_some() {
+        if still_fails(&candidate, &script, oracle).is_some() {
             spec = candidate;
         }
     }
@@ -94,7 +87,7 @@ pub(crate) fn shrink(spec: &ScenarioSpec, failing: &CheckedRun) -> Repro {
             partition: None,
             ..spec.clone()
         };
-        if still_fails(&candidate, &actions, &faults, oracle).is_some() {
+        if still_fails(&candidate, &script, oracle).is_some() {
             spec = candidate;
         }
     }
@@ -107,7 +100,7 @@ pub(crate) fn shrink(spec: &ScenarioSpec, failing: &CheckedRun) -> Repro {
             net: None,
             ..spec.clone()
         };
-        if still_fails(&candidate, &actions, &faults, oracle).is_some() {
+        if still_fails(&candidate, &script, oracle).is_some() {
             spec = candidate;
         }
     }
@@ -116,21 +109,29 @@ pub(crate) fn shrink(spec: &ScenarioSpec, failing: &CheckedRun) -> Repro {
             net: Some(crate::scenario::NetSpec { churn: None, ..net }),
             ..spec.clone()
         };
-        if still_fails(&candidate, &actions, &faults, oracle).is_some() {
+        if still_fails(&candidate, &script, oracle).is_some() {
             spec = candidate;
         }
     }
 
     // 3. Delta-debug the adversary action list.
-    actions = ddmin(actions, |candidate| {
-        still_fails(&spec, candidate, &faults, oracle).is_some()
+    script.actions = ddmin(script.actions.clone(), |actions| {
+        let probe = Script {
+            actions: actions.to_vec(),
+            ..script.clone()
+        };
+        still_fails(&spec, &probe, oracle).is_some()
     });
 
     // 4. Delta-debug the fault-catalog action list the same way: faults that
     //    do not contribute to the violation are dropped, the rest kept
     //    verbatim so the repro stays replayable.
-    faults = ddmin(faults, |candidate| {
-        still_fails(&spec, &actions, candidate, oracle).is_some()
+    script.faults = ddmin(script.faults.clone(), |faults| {
+        let probe = Script {
+            faults: faults.to_vec(),
+            ..script.clone()
+        };
+        still_fails(&spec, &probe, oracle).is_some()
     });
 
     // 5. Fewer nodes, smallest first.
@@ -139,7 +140,7 @@ pub(crate) fn shrink(spec: &ScenarioSpec, failing: &CheckedRun) -> Repro {
             break;
         }
         let candidate = ScenarioSpec { n, ..spec.clone() };
-        if still_fails(&candidate, &actions, &faults, oracle).is_some() {
+        if still_fails(&candidate, &script, oracle).is_some() {
             spec = candidate;
             break;
         }
@@ -148,11 +149,8 @@ pub(crate) fn shrink(spec: &ScenarioSpec, failing: &CheckedRun) -> Repro {
     // 6. Re-run the minimised scenario once more for the violation detail
     //    and, when it can replay without the adversary, its schedule; then
     //    try to turn it into a pure schedule replay.
-    let mode = RunMode::Scripted {
-        actions: &actions,
-        faults: &faults,
-    };
-    let (fin, recorded) = if replay_eligible(&spec, &actions, &faults) {
+    let mode = RunMode::Scripted(&script);
+    let (fin, recorded) = if replay_eligible(&spec, &script) {
         spec.run_recorded(mode)
             .map(|(run, schedule)| (run, Some(schedule)))
     } else {
@@ -175,8 +173,7 @@ pub(crate) fn shrink(spec: &ScenarioSpec, failing: &CheckedRun) -> Repro {
         .expect("still_fails guarantees the oracle fired");
     Repro {
         spec,
-        actions,
-        fault_actions: faults,
+        script,
         schedule,
         oracle: v.oracle.to_string(),
         detail: v.detail.clone(),
@@ -190,12 +187,13 @@ pub(crate) fn shrink(spec: &ScenarioSpec, failing: &CheckedRun) -> Repro {
 /// actions are fine only when their effect lands in the recorded fate
 /// stream — targeted drops and reorder delays do; timer skew, duplicate
 /// deliveries and torn writes act outside it.
-fn replay_eligible(spec: &ScenarioSpec, actions: &[FuzzAction], faults: &[FaultAction]) -> bool {
+fn replay_eligible(spec: &ScenarioSpec, script: &Script) -> bool {
     !spec.inject_bug
-        && !actions
+        && !script
+            .actions
             .iter()
             .any(|a| matches!(a.kind, FuzzActionKind::Replay { .. }))
-        && faults.iter().all(|f| {
+        && script.faults.iter().all(|f| {
             matches!(
                 f.kind,
                 FaultKind::TargetedDrop { .. } | FaultKind::ReorderDelay { .. }
@@ -311,6 +309,7 @@ mod tests {
 mod testbug_tests {
     use super::*;
     use crate::scenario::{PartitionSpec, RunMode, ScenarioSpec};
+    use bft_sim_core::buggify::FaultAction;
     use bft_sim_protocols::registry::ProtocolKind;
 
     #[test]
@@ -328,12 +327,7 @@ mod testbug_tests {
         let victim = crate::testbug::QuorumForgeAdversary::victim(spec.n);
 
         // Without faults the late forge must be inert.
-        let clean = spec
-            .run(RunMode::Scripted {
-                actions: &[],
-                faults: &[],
-            })
-            .unwrap();
+        let clean = spec.run(RunMode::Scripted(&Script::default())).unwrap();
         assert!(
             !clean.violates("agreement"),
             "late forge fired without faults: {:?}",
@@ -343,38 +337,37 @@ mod testbug_tests {
         // Blanket-drop every victim-bound wire transmission early in the
         // run; only the ones that actually hit the victim are applied (and
         // logged), which is the fault script the shrinker starts from.
-        let blanket: Vec<FaultAction> = (0..2_000)
-            .map(|index| FaultAction {
-                index,
-                kind: FaultKind::TargetedDrop { dst: victim },
-            })
-            .collect();
-        let failing = spec
-            .run(RunMode::Scripted {
-                actions: &[],
-                faults: &blanket,
-            })
-            .unwrap();
+        let blanket = Script {
+            faults: (0..2_000)
+                .map(|index| FaultAction {
+                    index,
+                    kind: FaultKind::TargetedDrop { dst: victim },
+                })
+                .collect(),
+            ..Script::default()
+        };
+        let failing = spec.run(RunMode::Scripted(&blanket)).unwrap();
         assert!(
             failing.violates("agreement"),
             "stalled victim must decide the forged digest: {:?}",
             failing.violations
         );
-        assert!(!failing.fault_actions.is_empty());
+        assert!(!failing.script.faults.is_empty());
 
         let repro = shrink(&spec, &failing);
         assert_eq!(repro.oracle, "agreement");
         assert!(
-            !repro.fault_actions.is_empty(),
+            !repro.script.faults.is_empty(),
             "the violation depends on the drops; ddmin must not discard them all"
         );
         assert!(
-            repro.fault_actions.len() < failing.fault_actions.len(),
+            repro.script.faults.len() < failing.script.faults.len(),
             "ddmin must remove at least the post-forge drops: kept {:?}",
-            repro.fault_actions
+            repro.script.faults
         );
         assert!(repro
-            .fault_actions
+            .script
+            .faults
             .iter()
             .all(|f| matches!(f.kind, FaultKind::TargetedDrop { dst } if dst == victim)));
         assert!(
@@ -418,9 +411,9 @@ mod testbug_tests {
         assert_eq!(repro.spec.n, 4, "scale must shrink to the minimum");
         assert!(repro.spec.partition.is_none(), "partition must be dropped");
         assert!(
-            repro.actions.is_empty(),
+            repro.script.actions.is_empty(),
             "fuzz actions are irrelevant to the seeded bug: {:?}",
-            repro.actions
+            repro.script.actions
         );
         assert!(
             repro.schedule.is_none(),

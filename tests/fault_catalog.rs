@@ -1,8 +1,8 @@
 //! Property tests for the buggify fault catalog, across every protocol in
 //! the registry: a fault kind is applied iff its preset enables it.
 //!
-//! The injector's per-run [`FaultStats`] make the property checkable
-//! directly — `calm` must never fire anything, `moderate` must fire only
+//! The per-kind counts of a run's fault log ([`FaultStats::of`]) make the
+//! property checkable directly — `calm` must never fire anything, `moderate` must fire only
 //! timing faults (skew, duplicates, reorders), and `chaos` must, in
 //! aggregate, exercise all five kinds including targeted drops and torn
 //! writes. Every run here is a deterministic function of its spec, so these
@@ -36,19 +36,14 @@ fn run_with_preset(kind: ProtocolKind, preset: FaultPreset, fault_seed: u64) -> 
         ..ScenarioSpec::baseline(kind)
     };
     let run = spec.run(RunMode::Generate).expect("baseline run");
-    assert_eq!(
-        run.fault_stats.total() as usize,
-        run.fault_actions.len(),
-        "{kind:?}: stats must count exactly the logged actions"
-    );
-    for action in &run.fault_actions {
+    for action in &run.script.faults {
         assert!(
             preset.enables(action.kind),
             "{kind:?}: {preset:?} applied a kind it does not enable: {:?}",
             action.kind
         );
     }
-    run.fault_stats
+    FaultStats::of(&run.script.faults)
 }
 
 #[test]

@@ -412,9 +412,7 @@ fn pinned_row(
     let trace = fnv1a(result.trace.to_json().dump().as_bytes());
     let run = CheckedRun {
         result,
-        actions: Vec::new(),
-        fault_actions: Vec::new(),
-        fault_stats: Default::default(),
+        script: Default::default(),
         violations: Vec::new(),
     };
     [

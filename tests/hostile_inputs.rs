@@ -26,7 +26,8 @@ use bft_sim_core::smallstr::SmallStr;
 use bft_sim_core::trace::{TraceEvent, TraceKind};
 use bft_sim_core::validator::DeliverySchedule;
 use bft_sim_simcheck::{
-    AttackSpec, ChurnSpec, NetSpec, PartitionSpec, Repro, RunMode, ScenarioSpec, TopologyKind,
+    AttackSpec, ChurnSpec, NetSpec, PartitionSpec, Repro, RunMode, ScenarioSpec, Script,
+    TopologyKind,
 };
 use bft_simulator::prelude::*;
 use rand::rngs::SmallRng;
@@ -353,51 +354,53 @@ fn rich_repro() -> Repro {
     };
     Repro {
         spec: rich_scenario(),
-        actions: vec![
-            FuzzAction {
-                msg_index: 3,
-                kind: FuzzActionKind::Drop,
-            },
-            FuzzAction {
-                msg_index: 5,
-                kind: FuzzActionKind::Delay {
-                    extra_micros: 1_500,
+        script: Script {
+            actions: vec![
+                FuzzAction {
+                    index: 3,
+                    kind: FuzzActionKind::Drop,
                 },
-            },
-            FuzzAction {
-                msg_index: 9,
-                kind: FuzzActionKind::Replay {
-                    dst: NodeId::new(2),
-                    delay_micros: 700,
+                FuzzAction {
+                    index: 5,
+                    kind: FuzzActionKind::Delay {
+                        extra_micros: 1_500,
+                    },
                 },
-            },
-        ],
-        fault_actions: vec![
-            FaultAction {
-                index: 1,
-                kind: FaultKind::TimerSkew {
-                    factor_permille: 1_500,
+                FuzzAction {
+                    index: 9,
+                    kind: FuzzActionKind::Replay {
+                        dst: NodeId::new(2),
+                        delay_micros: 700,
+                    },
                 },
-            },
-            FaultAction {
-                index: 2,
-                kind: FaultKind::DuplicateDelivery { extra_micros: 40 },
-            },
-            FaultAction {
-                index: 4,
-                kind: FaultKind::ReorderDelay { extra_micros: 90 },
-            },
-            FaultAction {
-                index: 6,
-                kind: FaultKind::TargetedDrop {
-                    dst: NodeId::new(3),
+            ],
+            faults: vec![
+                FaultAction {
+                    index: 1,
+                    kind: FaultKind::TimerSkew {
+                        factor_permille: 1_500,
+                    },
                 },
-            },
-            FaultAction {
-                index: 8,
-                kind: FaultKind::TornWrite { keep: 1 },
-            },
-        ],
+                FaultAction {
+                    index: 2,
+                    kind: FaultKind::DuplicateDelivery { extra_micros: 40 },
+                },
+                FaultAction {
+                    index: 4,
+                    kind: FaultKind::ReorderDelay { extra_micros: 90 },
+                },
+                FaultAction {
+                    index: 6,
+                    kind: FaultKind::TargetedDrop {
+                        dst: NodeId::new(3),
+                    },
+                },
+                FaultAction {
+                    index: 8,
+                    kind: FaultKind::TornWrite { keep: 1 },
+                },
+            ],
+        },
         schedule: Some(schedule),
         oracle: "agreement".into(),
         detail: "slot 0: n1 decided 2 but n0 decided 1".into(),
