@@ -45,9 +45,10 @@ pub enum FaultKind {
         factor_permille: u64,
     },
     /// The message is delivered normally *and* a second copy arrives
-    /// `extra_micros` after the send.
+    /// `extra_micros` after it; a dropped message has no copy.
     DuplicateDelivery {
-        /// Delay of the duplicate copy, measured from the send instant.
+        /// Delay of the duplicate copy, measured from the original's
+        /// delivery.
         extra_micros: u64,
     },
     /// The message is delayed by `extra_micros` on top of its proposed

@@ -533,14 +533,14 @@ impl Simulation {
     /// Sends one honest point-to-point message and schedules its delivery.
     fn route(&mut self, mut msg: Message) {
         let wire = self.transmit(&mut msg);
-        let copy = wire.duplicate.map(|extra| (msg.clone(), extra));
+        let copy = wire.duplicate.map(|delay| (msg.clone(), delay));
         if let Some(delay) = wire.delivery {
             self.queue
                 .schedule(self.clock + delay, EventKind::Deliver(msg));
         }
-        if let Some((copy, extra)) = copy {
+        if let Some((copy, delay)) = copy {
             self.queue
-                .schedule(self.clock + extra, EventKind::Deliver(copy));
+                .schedule(self.clock + delay, EventKind::Deliver(copy));
         }
     }
 
@@ -673,8 +673,13 @@ impl Simulation {
                     }
                     Fate::Drop => Fate::Drop,
                 },
+                // The copy follows the original's fate: none for a dropped
+                // original, and the original's delay plus the extra for a
+                // delivered one, so what holds the original holds the copy.
                 Some(FaultKind::DuplicateDelivery { extra_micros }) => {
-                    duplicate = Some(SimDuration::from_micros(extra_micros));
+                    if let Fate::Deliver(delay) = fate {
+                        duplicate = Some(delay + SimDuration::from_micros(extra_micros));
+                    }
                     fate
                 }
                 _ => fate,

@@ -37,6 +37,11 @@ impl DownWindow {
     }
 }
 
+/// The most down-windows one [`ChurnPlan::staggered`] plan may hold. Every
+/// link decision scans the plan, and the generator draws at most three, so
+/// a larger count is a malformed input rather than a schedule.
+pub const MAX_CRASHES: usize = 4_096;
+
 /// A schedule of node-offline windows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChurnPlan {
@@ -62,7 +67,8 @@ impl ChurnPlan {
     /// from a dedicated RNG seeded with `seed`: each crash picks a node, a
     /// start time within the horizon, and a down time in
     /// `[min_down_ms, max_down_ms)`. The same seed always yields the same
-    /// schedule.
+    /// schedule. More than [`MAX_CRASHES`] crashes is
+    /// [`SimError::InvalidConfig`], refused before anything is allocated.
     pub fn staggered(
         n: usize,
         seed: u64,
@@ -75,6 +81,11 @@ impl ChurnPlan {
             return Err(SimError::InvalidConfig(
                 "churn plan needs at least one node".into(),
             ));
+        }
+        if crashes > MAX_CRASHES {
+            return Err(SimError::InvalidConfig(format!(
+                "churn crash count {crashes} exceeds the maximum of {MAX_CRASHES}"
+            )));
         }
         if min_down_ms >= max_down_ms {
             return Err(SimError::InvalidConfig(format!(
