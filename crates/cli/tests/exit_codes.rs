@@ -66,10 +66,12 @@ fn usage_errors_exit_two() {
         // before anything is allocated or spawned.
         &["fuzz", "--seeds", "0..18446744073709551615"],
         &["fuzz", "--seeds", "18446744073709551615"],
-        &["fuzz", "--coverage", "--seeds", "0..1000001"],
+        &["fuzz", "--seeds", "0..1000001"],
         &["fuzz", "--threads", "257"],
         &["fuzz", "--threads", "18446744073709551615"],
         &["campaign", "run", "m.json", "--threads", "257"],
+        // The coverage search and its blind mode are gone.
+        &["fuzz", "--coverage", "--blind"],
         // Trailing arguments.
         &["fig", "2", "extra"],
         &["table", "1", "junk"],

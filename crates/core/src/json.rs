@@ -12,7 +12,7 @@
 //! # Artifact parsing policy
 //!
 //! Every artifact parser in the workspace (scenario, repro, manifest,
-//! checkpoint, corpus, trace, delivery schedule, `--config`) reads its
+//! checkpoint, trace, delivery schedule, `--config`) reads its
 //! objects through [`Fields`], its tagged enums through [`variant`] and its
 //! file through [`load`], so what happens to a malformed field is decided
 //! here, once:
