@@ -11,7 +11,6 @@
 //! | ADD+ adaptive attack | rushing + adaptive corruption | `add_attacks` |
 //! | Equivocation (extension) | corruption + injection | `equivocation` |
 //! | Slow primary (extension) | targeted delay | `slow_primary` |
-//! | Synchrony violation (extension) | corruption + injection + delay | `sync_violation` |
 //! | Randomized fuzzing (extension) | seeded drop + delay + replay | `randomized` |
 //!
 //! Because every message traverses the attacker module before delivery, all
@@ -24,7 +23,6 @@ pub(crate) mod fail_stop;
 pub(crate) mod partition;
 pub(crate) mod randomized;
 pub(crate) mod slow_primary;
-pub(crate) mod sync_violation;
 
 pub use add_attacks::{AddAdaptiveRushingAttack, AddStaticAttack};
 pub use equivocation::EquivocationAttack;
@@ -34,4 +32,3 @@ pub use randomized::{
     actions_from_json, actions_to_json, FuzzAction, FuzzActionKind, FuzzBudget, RandomizedAdversary,
 };
 pub use slow_primary::SlowPrimary;
-pub use sync_violation::SyncViolationAttack;

@@ -107,9 +107,6 @@ pub struct RunSpec {
     pub(crate) attack: String,
     /// Emit JSON instead of a table.
     pub(crate) json: bool,
-    /// Computation-cost model for throughput estimation:
-    /// `none`, `ed25519`, `rsa2048` or `mac`.
-    pub(crate) cost: String,
 }
 
 impl RunSpec {
@@ -133,7 +130,6 @@ impl RunSpec {
             seed: f.opt_or("seed", base.seed, json::int)?,
             attack: f.opt_or("attack", base.attack, json::string)?,
             json: f.opt_or("json", base.json, json::boolean)?,
-            cost: f.opt_or("cost", base.cost, json::string)?,
         };
         f.finish()?;
         Ok(spec)
@@ -152,7 +148,6 @@ impl RunSpec {
             ("seed", Json::from(self.seed)),
             ("attack", Json::from(self.attack.as_str())),
             ("json", Json::from(self.json)),
-            ("cost", Json::from(self.cost.as_str())),
         ])
     }
 }
@@ -250,7 +245,6 @@ impl Default for RunSpec {
             seed: 0,
             attack: "none".into(),
             json: false,
-            cost: "none".into(),
         }
     }
 }
@@ -457,9 +451,6 @@ const RUN_ARGS: &[Arg] = &[
     }),
     arg("--attack", Some("SPEC"), |s, v| {
         set(&mut s.run.attack, Ok(v.into()))
-    }),
-    arg("--cost", Some("none|ed25519|rsa2048|mac"), |s, v| {
-        set(&mut s.run.cost, Ok(v.into()))
     }),
     arg("--json", None, |s, _| set(&mut s.run.json, Ok(true))),
 ];
@@ -920,6 +911,8 @@ pub(crate) fn parse_net_preset(s: &str) -> Result<bft_sim_simcheck::NetSpec, Cli
             }
         }
     }
+    net.check()
+        .map_err(|e| CliError::usage(format!("bad --net-preset: {e}")))?;
     Ok(net)
 }
 
@@ -957,31 +950,16 @@ fn scenario(kind: ProtocolKind, spec: &RunSpec) -> Result<ScenarioSpec, CliError
     })
 }
 
-/// Runs `scenario` per the spec's repetitions: its point and, under the
-/// spec's cost model, the estimated sustainable decisions per second.
+/// Runs `scenario` per the spec's repetitions: one protocol's row of `run`
+/// / `compare`.
 ///
 /// # Errors
 ///
-/// Returns [`CliError`] for an unknown cost model or if any repetition
-/// reports a safety violation.
-fn run_one(scenario: &ScenarioSpec, spec: &RunSpec) -> Result<Report, CliError> {
-    use bft_simulator::experiments::cost::CostModel;
-    let cost_model = match spec.cost.as_str() {
-        "none" => None,
-        "ed25519" => Some(CostModel::ed25519()),
-        "rsa2048" => Some(CostModel::rsa2048()),
-        "mac" => Some(CostModel::mac()),
-        other => return Err(CliError::usage(format!("unknown cost model '{other}'"))),
-    };
+/// Returns [`CliError`] if any repetition reports a safety violation.
+fn run_one(scenario: &ScenarioSpec, spec: &RunSpec) -> Result<figures::Point, CliError> {
     let results = experiments::repeat(scenario, spec.reps, spec.seed).map_err(CliError::runtime)?;
-    let point = figures::Point::of(scenario, &results, "").map_err(CliError::runtime)?;
-    // The estimate reads the first repetition.
-    let estimate = cost_model.map(|model| model.estimate(&results[0]).max_decisions_per_sec);
-    Ok((point, estimate))
+    figures::Point::of(scenario, &results, "").map_err(CliError::runtime)
 }
-
-/// One protocol's row of `run` / `compare`: [`run_one`]'s result.
-type Report = (figures::Point, Option<f64>);
 
 /// Executes a parsed command, writing human or JSON output to stdout.
 ///
@@ -1400,13 +1378,13 @@ fn run_trace(spec: &TraceSpec) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Prints the rows as a table or as JSON, where an absent estimate is
-/// omitted and a quartile that reads a capped run is `null`.
-fn emit(reports: &[Report], json: bool) {
+/// Prints the rows as a table or as JSON, where a quartile that reads a
+/// capped run is `null`.
+fn emit(reports: &[figures::Point], json: bool) {
     if json {
-        let rows = reports.iter().map(|(p, estimate)| {
+        let rows = reports.iter().map(|p| {
             let quartile = |q: Option<f64>| q.map_or(Json::Null, Json::from);
-            let mut pairs = vec![
+            Json::obj([
                 ("protocol", Json::from(p.protocol.name())),
                 ("latency_mean_s", Json::from(p.latency.mean)),
                 ("latency_sd_s", Json::from(p.latency.std_dev)),
@@ -1417,19 +1395,15 @@ fn emit(reports: &[Report], json: bool) {
                 ("messages_sd", Json::from(p.messages.std_dev)),
                 ("timeout_rate", Json::from(p.capped_share())),
                 ("reps", Json::from(p.latency.count)),
-            ];
-            pairs.extend(estimate.map(|t| ("est_max_decisions_per_sec", Json::from(t))));
-            Json::obj(pairs)
+            ])
         });
         println!("{}", Json::Arr(rows.collect()).dump_pretty());
         return;
     }
     let header = point_row(None);
-    println!("{:<14} {header} {:>14}", "protocol", "est. dec/s");
-    for (p, estimate) in reports {
-        let throughput = estimate.map_or_else(|| "-".into(), |t| format!("{t:.1}"));
-        let (name, row) = (p.protocol.name(), point_row(Some(p)));
-        println!("{name:<14} {row} {throughput:>14}");
+    println!("{:<14} {header}", "protocol");
+    for p in reports {
+        println!("{:<14} {}", p.protocol.name(), point_row(Some(p)));
     }
 }
 
@@ -1872,7 +1846,7 @@ mod tests {
             reps: 2,
             ..RunSpec::default()
         };
-        let (point, _) = run_one(&scenario(ProtocolKind::Pbft, &spec).unwrap(), &spec).unwrap();
+        let point = run_one(&scenario(ProtocolKind::Pbft, &spec).unwrap(), &spec).unwrap();
         assert_eq!(point.protocol, ProtocolKind::Pbft);
         assert!(point.latency.mean > 0.0);
         assert_eq!(point.capped_share(), 0.0);
@@ -2120,7 +2094,7 @@ mod tests {
             .iter()
             .map(|cmd| cmd.args.iter().filter(|row| row.is_flag()).count())
             .sum();
-        assert_eq!(flags, 37 + RUN_ARGS.len(), "`compare` shares `run`'s rows");
+        assert_eq!(flags, 36 + RUN_ARGS.len(), "`compare` shares `run`'s rows");
     }
 
     #[test]

@@ -142,7 +142,13 @@ fn usage_errors_exit_two() {
         // accepted.
         &["run", "--protocol", "pbft", "--delay-mu", "-5"],
         &["run", "--protocol", "pbft", "--lambda", "0.0001"],
-        &["run", "--protocol", "pbft", "--cost", "bogus"],
+        // A net block that cannot build failed each run (exit 1).
+        &["fuzz", "--net-preset", "full_mesh:bw=0"],
+        &[
+            "fuzz",
+            "--net-preset",
+            "full_mesh:churn=1,1099511627776,1,2",
+        ],
     ];
     for args in cases {
         let out = bft_sim(args);
@@ -201,34 +207,32 @@ fn flags_override_the_config_file_in_either_order() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `run --cost` reaches `experiments::cost`: a cost model adds a positive
-/// throughput estimate to the JSON report, `none` leaves the field out.
+/// Sync HotStuff, its synchrony-violation attack and the crypto-cost
+/// estimator are gone, with no flag, name or config key left to reach them.
 #[test]
-fn run_cost_estimates_throughput() {
-    let report = |cost: &str| {
-        let out = bft_sim(&[
-            "run",
-            "--protocol",
-            "pbft",
-            "--nodes",
-            "4",
-            "--reps",
-            "1",
-            "--cost",
-            cost,
-            "--json",
-        ]);
-        assert_eq!(out.status.code(), Some(0), "--cost {cost}");
-        let json = bft_sim_core::json::Json::parse(&String::from_utf8_lossy(&out.stdout))
-            .expect("report is valid JSON");
-        json.as_arr().expect("one report per protocol")[0].clone()
-    };
-    let estimate = report("ed25519")
-        .get("est_max_decisions_per_sec")
-        .and_then(|t| t.as_f64())
-        .expect("--cost ed25519 reports an estimate");
-    assert!(estimate > 0.0, "{estimate}");
-    assert!(report("none").get("est_max_decisions_per_sec").is_none());
+fn sync_hotstuff_and_the_cost_estimator_are_gone() {
+    let dir = scratch("gone");
+    let config = dir.join("c.json");
+    std::fs::write(&config, r#"{"cost": "ed25519"}"#).expect("write config");
+    let config = config.to_str().unwrap();
+    for (args, message) in [
+        (&["run", "--cost", "ed25519"][..], "unknown flag '--cost'"),
+        (
+            &["run", "--protocol", "sync-hotstuff"][..],
+            "unknown protocol 'sync-hotstuff'",
+        ),
+        (&["run", "--config", config][..], "unknown field \"cost\""),
+    ] {
+        let out = bft_sim(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "bft-sim {args:?}: {stderr}");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(
+            first.starts_with("error: ") && first.ends_with(message),
+            "bft-sim {args:?}: {first}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -467,6 +471,44 @@ fn hostile_artifacts_exit_with_their_loaders_code() {
             ],
             4,
             "partition resolves at 5 ms, before it starts at 10 ms",
+        ),
+        // A net block that cannot build was a run error (exit 1).
+        (
+            vec![
+                "trace".into(),
+                file(
+                    "crashes.json",
+                    r#"{"protocol": "pbft", "net": {"topology": "full_mesh", "churn":
+                      {"seed": 1, "crashes": 1099511627776, "min_down_ms": 1, "max_down_ms": 2}}}"#,
+                ),
+            ],
+            2,
+            "churn crash count 1099511627776 exceeds the maximum of 4096",
+        ),
+        (
+            vec![
+                "repro".into(),
+                file(
+                    "bw0-repro.json",
+                    r#"{"format": "bft-sim-repro-v1", "oracle": "termination", "detail": "x",
+                      "scenario": {"protocol": "pbft", "n": 4,
+                        "net": {"topology": "ring", "bandwidth": 0}}}"#,
+                ),
+            ],
+            4,
+            "bandwidth must be positive",
+        ),
+        (
+            vec![
+                "campaign".into(),
+                "run".into(),
+                file(
+                    "empty-down.json",
+                    &manifest("[4]", "").replace(r#"["none"]"#, r#"["full_mesh:churn=1,2,5,5"]"#),
+                ),
+            ],
+            4,
+            "churn down-time range is empty",
         ),
     ];
     for (args, code, needle) in cases {

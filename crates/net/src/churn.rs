@@ -63,6 +63,22 @@ impl ChurnPlan {
         Ok(ChurnPlan { windows })
     }
 
+    /// The rules [`ChurnPlan::staggered`] checks before it allocates: at
+    /// most [`MAX_CRASHES`] crashes and a non-empty down-time range.
+    pub fn check(crashes: usize, min_down_ms: u64, max_down_ms: u64) -> Result<(), SimError> {
+        if crashes > MAX_CRASHES {
+            return Err(SimError::InvalidConfig(format!(
+                "churn crash count {crashes} exceeds the maximum of {MAX_CRASHES}"
+            )));
+        }
+        if min_down_ms >= max_down_ms {
+            return Err(SimError::InvalidConfig(format!(
+                "churn down-time range is empty: [{min_down_ms}, {max_down_ms}) ms"
+            )));
+        }
+        Ok(())
+    }
+
     /// Generates `crashes` staggered down-windows over `[0, horizon_ms)`
     /// from a dedicated RNG seeded with `seed`: each crash picks a node, a
     /// start time within the horizon, and a down time in
@@ -82,16 +98,7 @@ impl ChurnPlan {
                 "churn plan needs at least one node".into(),
             ));
         }
-        if crashes > MAX_CRASHES {
-            return Err(SimError::InvalidConfig(format!(
-                "churn crash count {crashes} exceeds the maximum of {MAX_CRASHES}"
-            )));
-        }
-        if min_down_ms >= max_down_ms {
-            return Err(SimError::InvalidConfig(format!(
-                "churn down-time range is empty: [{min_down_ms}, {max_down_ms}) ms"
-            )));
-        }
+        Self::check(crashes, min_down_ms, max_down_ms)?;
         if horizon_ms == 0 {
             return Err(SimError::InvalidConfig(
                 "churn horizon must be positive".into(),

@@ -14,7 +14,8 @@
 //! | HotStuff+NS | Partially synchronous | `hotstuff` |
 //! | LibraBFT | Partially synchronous | `librabft` |
 //!
-//! [`registry::ProtocolKind`] enumerates all eight and builds engine-ready
+//! Tendermint (`tendermint`, partially synchronous) is the one extension.
+//! [`registry::ProtocolKind`] enumerates all nine and builds engine-ready
 //! factories, which is what the CLI, benchmarks and experiments use.
 
 pub mod add;
@@ -26,7 +27,6 @@ pub(crate) mod hotstuff;
 pub(crate) mod librabft;
 pub mod pbft;
 pub mod registry;
-pub mod sync_hotstuff;
 pub(crate) mod tendermint;
 
 pub use common::ProtocolParams;

@@ -1,5 +1,5 @@
 //! A registry of the implemented protocols — the paper's eight (Table I)
-//! plus extensions — used by the CLI, benchmarks and experiment harnesses.
+//! plus Tendermint — used by the CLI, benchmarks and experiment harnesses.
 
 use bft_sim_core::config::RunConfig;
 use bft_sim_core::ids::NodeId;
@@ -31,8 +31,8 @@ impl core::fmt::Display for NetworkAssumption {
     }
 }
 
-/// One of the ten implemented BFT protocols: the paper's eight
-/// ([`ProtocolKind::all`]) and two extensions ([`ProtocolKind::extended`]).
+/// One of the nine implemented BFT protocols: the paper's eight
+/// ([`ProtocolKind::all`]) and Tendermint ([`ProtocolKind::extended`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProtocolKind {
     /// ADD+ BA v1 (round-robin leaders).
@@ -53,9 +53,6 @@ pub enum ProtocolKind {
     LibraBft,
     /// Tendermint (extension beyond the paper's Table I).
     Tendermint,
-    /// Sync HotStuff, simplified steady state (extension; pairs with the
-    /// synchrony-violation attack).
-    SyncHotStuff,
 }
 
 impl ProtocolKind {
@@ -73,8 +70,8 @@ impl ProtocolKind {
         ]
     }
 
-    /// All implemented protocols, including extensions beyond Table I.
-    pub fn extended() -> [ProtocolKind; 10] {
+    /// All nine implemented protocols: Table I's eight, then Tendermint.
+    pub fn extended() -> [ProtocolKind; 9] {
         [
             ProtocolKind::AddV1,
             ProtocolKind::AddV2,
@@ -85,7 +82,6 @@ impl ProtocolKind {
             ProtocolKind::HotStuffNs,
             ProtocolKind::LibraBft,
             ProtocolKind::Tendermint,
-            ProtocolKind::SyncHotStuff,
         ]
     }
 
@@ -93,7 +89,6 @@ impl ProtocolKind {
     pub fn name(self) -> &'static str {
         match self {
             ProtocolKind::Tendermint => "tendermint",
-            ProtocolKind::SyncHotStuff => "sync-hotstuff",
             ProtocolKind::AddV1 => "add-v1",
             ProtocolKind::AddV2 => "add-v2",
             ProtocolKind::AddV3 => "add-v3",
@@ -116,8 +111,7 @@ impl ProtocolKind {
             ProtocolKind::AddV1
             | ProtocolKind::AddV2
             | ProtocolKind::AddV3
-            | ProtocolKind::Algorand
-            | ProtocolKind::SyncHotStuff => NetworkAssumption::Synchronous,
+            | ProtocolKind::Algorand => NetworkAssumption::Synchronous,
             ProtocolKind::AsyncBa => NetworkAssumption::Asynchronous,
             ProtocolKind::Pbft
             | ProtocolKind::HotStuffNs
@@ -153,10 +147,7 @@ impl ProtocolKind {
     /// synchronous ADD+ family (optimal resilience), `⌊(n−1)/3⌋` otherwise.
     pub fn default_f(self, n: usize) -> usize {
         match self {
-            ProtocolKind::AddV1
-            | ProtocolKind::AddV2
-            | ProtocolKind::AddV3
-            | ProtocolKind::SyncHotStuff => (n - 1) / 2,
+            ProtocolKind::AddV1 | ProtocolKind::AddV2 | ProtocolKind::AddV3 => (n - 1) / 2,
             _ => (n - 1) / 3,
         }
     }
@@ -222,9 +213,6 @@ impl ProtocolKind {
             ProtocolKind::Tendermint => {
                 PhaseClassifier::new(crate::tendermint::PHASES, crate::tendermint::phase_of)
             }
-            ProtocolKind::SyncHotStuff => {
-                PhaseClassifier::new(crate::sync_hotstuff::PHASES, crate::sync_hotstuff::phase_of)
-            }
         }
     }
 
@@ -241,7 +229,6 @@ impl ProtocolKind {
             ProtocolKind::HotStuffNs => boxed(crate::hotstuff::factory(params)),
             ProtocolKind::LibraBft => boxed(crate::librabft::factory(params)),
             ProtocolKind::Tendermint => boxed(crate::tendermint::factory(params)),
-            ProtocolKind::SyncHotStuff => boxed(crate::sync_hotstuff::factory(params)),
         }
     }
 }

@@ -453,13 +453,36 @@ mod tests {
     }
 
     #[test]
+    fn the_shrinker_skips_a_scale_its_script_does_not_fit() {
+        // Chaos seed 1402 is Algorand at n = 7 whose script replays a
+        // message to n4. Re-running that script at n = 4 indexed past the
+        // per-node tables, and the seed came out panicked, its violation
+        // and repro lost.
+        let opts = FuzzOptions {
+            protocols: vec![ProtocolKind::Algorand],
+            fault_preset: FaultPreset::Chaos,
+            ..FuzzOptions::default()
+        };
+        let report = fuzz_many(1402..1403, &opts).unwrap();
+        assert_eq!(report.panicked, 0, "{:?}", report.failures);
+        for outcome in &report.outcomes {
+            outcome.repro.check().expect("shrunk repro must replay");
+        }
+    }
+
+    #[test]
     fn chaos_sweep_stays_clean_on_honest_protocols() {
         // The catalog's faults all stay inside (or adjacent to) the
         // protocols' fault model, and non-calm presets suspend the liveness
         // debt — so honest protocols must survive a chaos sweep with no
         // violations. (This is also what keeps CI's chaos sweep at exit 0.)
         let opts = FuzzOptions {
-            protocols: vec![ProtocolKind::Pbft, ProtocolKind::HotStuffNs],
+            protocols: vec![
+                ProtocolKind::Pbft,
+                ProtocolKind::HotStuffNs,
+                ProtocolKind::LibraBft,
+                ProtocolKind::Tendermint,
+            ],
             fault_preset: FaultPreset::Chaos,
             ..FuzzOptions::default()
         };

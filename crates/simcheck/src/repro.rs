@@ -7,7 +7,7 @@
 //! a committed repro file into `tests/` turns a fuzzer catch into a
 //! permanent regression test.
 
-use bft_sim_attacks::{actions_from_json, actions_to_json, FuzzActionKind};
+use bft_sim_attacks::{actions_from_json, actions_to_json};
 use bft_sim_core::buggify::{fault_actions_from_json, fault_actions_to_json};
 use bft_sim_core::json::{self, Fields, Json};
 use bft_sim_core::oracle::OracleViolation;
@@ -122,19 +122,7 @@ impl Repro {
             last_events: f.opt_or("last_events", Vec::new(), json::list(TraceEvent::from_json))?,
         };
         f.finish()?;
-        // A replay injects a delivery: a destination the scenario does not
-        // have would index past the engine's per-node tables.
-        for (i, action) in repro.script.actions.iter().enumerate() {
-            if let FuzzActionKind::Replay { dst, .. } = action.kind {
-                if dst.index() >= repro.spec.n {
-                    return Err(format!(
-                        "actions: entry #{i}: replay \"dst\" {} is not a node of the n = {} scenario",
-                        dst.as_u32(),
-                        repro.spec.n
-                    ));
-                }
-            }
-        }
+        repro.script.check_nodes(repro.spec.n)?;
         Ok(repro)
     }
 }
@@ -142,7 +130,7 @@ impl Repro {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bft_sim_attacks::FuzzAction;
+    use bft_sim_attacks::{FuzzAction, FuzzActionKind};
     use bft_sim_core::ids::NodeId;
     use bft_sim_protocols::registry::ProtocolKind;
 

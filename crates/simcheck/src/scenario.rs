@@ -381,13 +381,28 @@ impl NetSpec {
         Json::Obj(pairs)
     }
 
+    /// Checks the rules a block must meet to build: a positive bandwidth
+    /// and a churn schedule [`ChurnPlan::check`] accepts.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first rule the block breaks.
+    pub fn check(&self) -> Result<(), String> {
+        if self.bandwidth == Some(0) {
+            return Err("bandwidth must be positive (got 0 bytes/sec)".into());
+        }
+        let Some(c) = self.churn else { return Ok(()) };
+        let crashes = usize::try_from(c.crashes).unwrap_or(usize::MAX);
+        ChurnPlan::check(crashes, c.min_down_ms, c.max_down_ms).map_err(|e| e.to_string())
+    }
+
     /// Parses the format produced by [`NetSpec::to_json`]: `"topology"` is
     /// required, the options `to_json` omits when unset may be absent.
     ///
     /// # Errors
     ///
-    /// Malformed per [`bft_sim_core::json`]'s artifact parsing policy, or an
-    /// unknown topology name.
+    /// Malformed per [`bft_sim_core::json`]'s artifact parsing policy, an
+    /// unknown topology name, or a block [`NetSpec::check`] refuses.
     pub(crate) fn from_json(json: &Json) -> Result<NetSpec, String> {
         let mut f = Fields::of(json, "net")?;
         let spec = NetSpec {
@@ -400,6 +415,7 @@ impl NetSpec {
             churn: f.opt("churn", ChurnSpec::from_json)?,
         };
         f.finish()?;
+        spec.check()?;
         Ok(spec)
     }
 }
@@ -465,6 +481,23 @@ impl Script {
     /// Whether the script perturbs nothing.
     pub fn is_empty(&self) -> bool {
         self.actions.is_empty() && self.faults.is_empty()
+    }
+
+    /// Checks that every replay destination is a node of an `n`-node
+    /// scenario: a replay injects a delivery, and a destination the scenario
+    /// does not have would index past the engine's per-node tables.
+    pub(crate) fn check_nodes(&self, n: usize) -> Result<(), String> {
+        for (i, action) in self.actions.iter().enumerate() {
+            if let FuzzActionKind::Replay { dst, .. } = action.kind {
+                if dst.index() >= n {
+                    return Err(format!(
+                        "actions: entry #{i}: replay \"dst\" {} is not a node of the n = {n} scenario",
+                        dst.as_u32()
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 }
 

@@ -134,10 +134,14 @@ pub(crate) fn shrink(spec: &ScenarioSpec, failing: &CheckedRun) -> Repro {
         still_fails(&spec, &probe, oracle).is_some()
     });
 
-    // 5. Fewer nodes, smallest first.
+    // 5. Fewer nodes, smallest first, skipping a scale that lacks a node
+    //    the script replays to.
     for n in SCALES_ASCENDING {
         if n >= spec.n {
             break;
+        }
+        if script.check_nodes(n).is_err() {
+            continue;
         }
         let candidate = ScenarioSpec { n, ..spec.clone() };
         if still_fails(&candidate, &script, oracle).is_some() {

@@ -9,7 +9,6 @@
 //! [`loc`]; `bft-sim fig N` and `bft-sim table N` print them at the paper's
 //! settings, and miniature versions run inside the integration test-suite.
 
-pub mod cost;
 pub mod figures;
 pub mod loc;
 

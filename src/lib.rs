@@ -36,7 +36,7 @@
 //! | `bft-sim-core` | event queue, controller, protocol/adversary interfaces, metrics, validator |
 //! | `bft-sim-net` | network models: bounded, GST, link matrices, partitions |
 //! | `bft-sim-crypto` | simulated hashing, signatures, VRFs, quorum certificates |
-//! | `bft-sim-protocols` | the eight BFT protocols of Table I |
+//! | `bft-sim-protocols` | the eight BFT protocols of Table I, plus Tendermint |
 //! | `bft-sim-attacks` | fail-stop, partition, ADD+ static & rushing-adaptive attacks |
 //! | `bft-sim-simcheck` | deterministic fuzzing harness, correctness oracles, failing-case shrinking |
 
@@ -53,7 +53,7 @@ pub mod experiments;
 pub mod prelude {
     pub use bft_sim_attacks::{
         AddAdaptiveRushingAttack, AddStaticAttack, EquivocationAttack, FailStop, PartitionAttack,
-        SlowPrimary, SyncViolationAttack,
+        SlowPrimary,
     };
     pub use bft_sim_core::network::{ConstantNetwork, SampledNetwork};
     pub use bft_sim_core::prelude::*;

@@ -7,7 +7,7 @@
 //!
 //! The committed files are *not* byte pins: `Validator::check_against_trace`
 //! compares decided values only, and a fresh run reproduces just three of
-//! the ten files byte for byte (add-v1..v3); the other seven differ in event
+//! the nine files byte for byte (add-v1..v3); the other six differ in event
 //! times and node order, from engine changes that kept every decision. The
 //! byte pins for this configuration are the `"<protocol>/golden#trace"` rows
 //! of `tests/golden/fingerprints.json` (`tests/golden_fingerprints.rs`),

@@ -23,7 +23,7 @@ use bft_sim_core::campaign::{
 };
 use bft_sim_core::json::{self, Json};
 use bft_sim_core::smallstr::SmallStr;
-use bft_sim_core::trace::{TraceEvent, TraceKind, TraceLevel};
+use bft_sim_core::trace::{TraceEvent, TraceKind};
 use bft_sim_core::validator::DeliverySchedule;
 use bft_sim_simcheck::{
     AttackSpec, ChurnSpec, NetSpec, PartitionSpec, Repro, RunMode, ScenarioSpec, Script,
@@ -754,7 +754,8 @@ fn the_policy_in_five_lines() {
 fn a_churn_crash_count_past_the_cap_is_refused_before_allocation() {
     // The count used to size the plan's window list before any check:
     // u64::MAX overflowed the capacity (a panic, exit 101) and 2^40 asked
-    // for 24 TiB. Both now meet the rule a degenerate net block meets.
+    // for 24 TiB. A spec built in code meets the rule when it runs, a file
+    // when it is parsed.
     for crashes in [u64::MAX, 1 << 40] {
         let spec = ScenarioSpec {
             net: Some(NetSpec {
@@ -776,8 +777,62 @@ fn a_churn_crash_count_past_the_cap_is_refused_before_allocation() {
             err.starts_with("scenario churn: ") && err.contains(&expected),
             "{err}"
         );
-        let loaded = ScenarioSpec::from_json(&spec.to_json()).unwrap();
-        let err = loaded.simulate(TraceLevel::Decisions).unwrap_err();
+        let err = ScenarioSpec::from_json(&spec.to_json()).unwrap_err();
         assert!(err.contains(&expected), "{err}");
+    }
+}
+
+/// A net block that cannot build is refused where it is parsed, in a
+/// scenario file and in a repro alike: a zero bandwidth, an empty down-time
+/// range and a crash count past the cap (`NetSpec::check`).
+#[test]
+fn degenerate_net_blocks_are_refused_at_parse_time() {
+    let net = rich_scenario().net.unwrap();
+    let churn = net.churn.unwrap();
+    for (bad, expected) in [
+        (
+            NetSpec {
+                bandwidth: Some(0),
+                ..net
+            },
+            "bandwidth must be positive",
+        ),
+        (
+            NetSpec {
+                churn: Some(ChurnSpec {
+                    max_down_ms: churn.min_down_ms,
+                    ..churn
+                }),
+                ..net
+            },
+            "churn down-time range is empty",
+        ),
+        (
+            NetSpec {
+                churn: Some(ChurnSpec {
+                    crashes: 4_097,
+                    ..churn
+                }),
+                ..net
+            },
+            "churn crash count 4097 exceeds the maximum of 4096",
+        ),
+    ] {
+        assert!(bad.check().unwrap_err().contains(expected));
+        let scenario = ScenarioSpec {
+            net: Some(bad),
+            ..rich_scenario()
+        };
+        let err = ScenarioSpec::from_json(&scenario.to_json()).unwrap_err();
+        assert!(
+            err.contains("bad \"net\"") && err.contains(expected),
+            "{err}"
+        );
+        let repro = Repro {
+            spec: scenario,
+            ..rich_repro()
+        };
+        let err = Repro::from_json(&repro.to_json()).unwrap_err();
+        assert!(err.contains(expected), "{err}");
     }
 }

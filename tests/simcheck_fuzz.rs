@@ -9,7 +9,7 @@ use bft_simulator::simcheck::{fuzz_many, run_unit, FuzzOptions, Repro, RunMode, 
 
 #[test]
 fn fuzzing_every_protocol_is_clean_and_deterministic() {
-    let opts = FuzzOptions::default(); // all ten protocols, default budget
+    let opts = FuzzOptions::default(); // all nine protocols, default budget
     let first = fuzz_many(0..16, &opts).unwrap();
     assert_eq!(first.runs, 16);
     assert!(
