@@ -56,6 +56,9 @@ pub struct CaseResult {
     /// tripwire for the zero-clone hot path. `None` without the counting
     /// allocator (see [`crate::alloc_counter`]).
     pub allocs_per_broadcast: Option<f64>,
+    /// Global allocations during the run; `None` without the counting
+    /// allocator.
+    pub allocs: Option<u64>,
 }
 
 /// Runs one case: `decisions` consensus decisions under the paper's default
@@ -99,6 +102,7 @@ pub fn run_case(
         trace_bytes: result.trace.heap_bytes(),
         allocs_per_broadcast: (alloc_counter::is_counting() && result.broadcasts > 0)
             .then(|| allocs as f64 / result.broadcasts as f64),
+        allocs: alloc_counter::is_counting().then_some(allocs),
     }
 }
 
@@ -117,5 +121,6 @@ mod tests {
         assert!(a.broadcasts > 0);
         // A unit test installs no counting allocator.
         assert_eq!(a.allocs_per_broadcast, None);
+        assert_eq!(a.allocs, None);
     }
 }

@@ -49,6 +49,7 @@ fn footprints() {
     each_decision_is_held_once_in_the_trace();
     a_checked_run_holds_each_decision_once();
     a_checked_run_records_no_schedule();
+    allocations_are_pinned();
 }
 
 /// What [`Case::counters`] holds, in order.
@@ -212,6 +213,21 @@ fn chained_n256_shares_its_certificates(kind: ProtocolKind) {
         );
     }
 }
+/// Every allocation of ten decisions at n = 16 (seed 1, the default trace
+/// level), pinned exactly for the three protocols whose handlers the perf
+/// work touches: a change to a handler may lower a count, and must then
+/// lower its pin here; one that raises a count fails. Release builds only:
+/// debug builds allocate for checks of their own.
+fn allocations_are_pinned() {
+    for (kind, pinned) in [(Pbft, 379), (HotStuffNs, 66), (LibraBft, 66)] {
+        let run = run_case(kind, 16, 1, 10, TraceLevel::Decisions);
+        assert_eq!(run.decisions, 10, "{kind}");
+        if !cfg!(debug_assertions) {
+            assert_eq!(run.allocs, Some(pinned), "{kind} n=16: allocations");
+        }
+    }
+}
+
 /// A run that asks for nothing more keeps one record per decision: no view,
 /// no protocol report, no message. That record is the decision's only copy
 /// while the run goes: the collector keeps a count per node and an agreed

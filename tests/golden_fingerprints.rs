@@ -338,6 +338,25 @@ fn assert_retention_is_inert(
     full: &RunResult,
     cfg: &RunConfig,
 ) {
+    assert_same_but_trace(kind, level, kept, full);
+    let verdicts = |r: &RunResult| {
+        OracleSuite::standard().check(&OracleInput::from_result(
+            r,
+            None,
+            kind.expectations(cfg, true),
+        ))
+    };
+    assert_eq!(verdicts(kept), verdicts(full), "{kind} at {level:?}");
+}
+
+/// Every field of `kept` but the trace equal to `full`'s, and the same
+/// decisions and exclusions in the trace.
+fn assert_same_but_trace(
+    kind: ProtocolKind,
+    level: TraceLevel,
+    kept: &RunResult,
+    full: &RunResult,
+) {
     let untraced = |r: &RunResult| RunResult {
         trace: Trace::default(),
         ..r.clone()
@@ -355,14 +374,66 @@ fn assert_retention_is_inert(
             .collect()
     };
     assert_eq!(excluded(kept), excluded(full), "{kind} at {level:?}");
-    let verdicts = |r: &RunResult| {
-        OracleSuite::standard().check(&OracleInput::from_result(
-            r,
-            None,
-            kind.expectations(cfg, true),
-        ))
-    };
-    assert_eq!(verdicts(kept), verdicts(full), "{kind} at {level:?}");
+}
+
+/// The retention check again under the chaos fault preset, torn writes
+/// armed. A torn write draws how much of a dispatch's output survives from
+/// the length of that output, protocol reports included, so a level that
+/// dropped a report instead of keeping its slot would tear other writes and
+/// run another run. At every level the checked run must be the same: the
+/// result but its trace, the perturbations applied and the oracle verdicts.
+#[test]
+fn retention_is_inert_under_chaos() {
+    use bft_sim_core::buggify::FaultKind;
+    for kind in [
+        ProtocolKind::Pbft,
+        ProtocolKind::HotStuffNs,
+        ProtocolKind::LibraBft,
+        ProtocolKind::Tendermint,
+    ] {
+        let mut torn = 0;
+        for fault_seed in 0..8 {
+            let spec = ScenarioSpec {
+                n: 7,
+                seed: 5,
+                delay: DelaySpec::Uniform {
+                    lo_micros: 50_000,
+                    hi_micros: 400_000,
+                },
+                target_decisions: 20,
+                fault_preset: FaultPreset::Chaos,
+                fault_seed,
+                ..ScenarioSpec::baseline(kind)
+            };
+            let [decisions, events, messages] = [
+                TraceLevel::Decisions,
+                TraceLevel::Events,
+                TraceLevel::Messages,
+            ]
+            .map(|level| {
+                spec.run_observed(RunMode::Generate, level)
+                    .expect("scenario runs")
+            });
+            torn += messages
+                .script
+                .faults
+                .iter()
+                .filter(|f| matches!(f.kind, FaultKind::TornWrite { .. }))
+                .count();
+            for (level, kept) in [
+                (TraceLevel::Decisions, &decisions),
+                (TraceLevel::Events, &events),
+            ] {
+                assert_same_but_trace(kind, level, &kept.result, &messages.result);
+                assert_eq!(kept.script, messages.script, "{kind} at {level:?}: script");
+                assert_eq!(
+                    kept.violations, messages.violations,
+                    "{kind} at {level:?}: verdicts"
+                );
+            }
+        }
+        assert!(torn > 0, "{kind}: no torn write to guard");
+    }
 }
 
 /// One chained-protocol run at n = 16 (seed 3, genesis 7).
