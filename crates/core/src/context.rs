@@ -5,10 +5,12 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
+use crate::config::RunConfig;
 use crate::ids::{NodeId, TimerId};
 use crate::payload::{Payload, PayloadCell};
 use crate::smallstr::SmallStr;
 use crate::time::{SimDuration, SimTime};
+use crate::trace::TraceLevel;
 use crate::value::Value;
 
 /// Buffered effects of one protocol callback; the engine applies them after
@@ -57,6 +59,8 @@ pub struct Context<'a> {
     n: usize,
     f: usize,
     lambda: SimDuration,
+    /// Whether the run's trace keeps report details (`Custom` events).
+    keeps_details: bool,
     actions: &'a mut Vec<Action>,
     next_timer_id: &'a mut u64,
 }
@@ -65,18 +69,17 @@ impl<'a> Context<'a> {
     pub(crate) fn new(
         node: NodeId,
         now: SimTime,
-        n: usize,
-        f: usize,
-        lambda: SimDuration,
+        cfg: &RunConfig,
         actions: &'a mut Vec<Action>,
         next_timer_id: &'a mut u64,
     ) -> Self {
         Context {
             node,
             now,
-            n,
-            f,
-            lambda,
+            n: cfg.n,
+            f: cfg.f,
+            lambda: cfg.lambda,
+            keeps_details: cfg.trace >= TraceLevel::Events,
             actions,
             next_timer_id,
         }
@@ -209,11 +212,21 @@ impl<'a> Context<'a> {
     /// ```
     ///
     /// Equivalent to `report(label, format!(…))` but allocation-free for
-    /// details of up to `SmallStr::INLINE_CAP` bytes.
+    /// details of up to `SmallStr::INLINE_CAP` bytes, and free of formatting
+    /// when the run's trace does not keep reports (below
+    /// [`TraceLevel::Events`]): the report is then buffered with an empty
+    /// detail. It is still buffered, because a torn write
+    /// ([`crate::buggify`]) draws its cut from the length of a callback's
+    /// output, reports included.
     pub fn report_fmt(&mut self, label: &'static str, args: core::fmt::Arguments<'_>) {
+        let detail = if self.keeps_details {
+            SmallStr::format(args)
+        } else {
+            SmallStr::default()
+        };
         self.actions.push(Action::Custom {
             label: Cow::Borrowed(label),
-            detail: SmallStr::format(args),
+            detail,
         });
     }
 }
@@ -231,9 +244,7 @@ mod tests {
         let mut ctx = Context::new(
             NodeId::new(2),
             SimTime::from_millis(7),
-            16,
-            5,
-            SimDuration::from_millis(1000.0),
+            &RunConfig::new(16),
             &mut actions,
             &mut next_timer,
         );

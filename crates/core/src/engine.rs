@@ -11,8 +11,9 @@
 //! queued, fate) once, to `crate::spine`; which of counters, trace, obs,
 //! step observer and schedule recorder hear it is that module's business.
 //!
-//! The event queue sits behind the [`Scheduler`] trait and dispatches in one
-//! `(timestamp, insertion seq)` total order (see [`crate::scheduler`]).
+//! The event queue is a `HeapScheduler`, held by value so its calls are
+//! direct, and dispatches in one `(timestamp, insertion seq)` total order
+//! (see [`crate::scheduler`] and its [`Scheduler`] contract).
 //! Timer cancellation is the scheduler's job: the engine keeps a plain
 //! `TimerId -> handle` map and hands cancellations straight to the queue.
 //!
@@ -202,7 +203,7 @@ impl SimulationBuilder {
             .collect();
         Ok(Simulation {
             rng: SmallRng::seed_from_u64(self.cfg.seed),
-            queue: Box::new(HeapScheduler::new()),
+            queue: HeapScheduler::new(),
             clock: crate::time::SimTime::ZERO,
             nodes,
             network,
@@ -239,7 +240,7 @@ impl core::fmt::Debug for SimulationBuilder {
 pub struct Simulation {
     cfg: RunConfig,
     rng: SmallRng,
-    queue: Box<dyn Scheduler>,
+    queue: HeapScheduler,
     clock: crate::time::SimTime,
     nodes: Vec<Box<dyn Protocol>>,
     network: Box<dyn NetworkModel>,
@@ -446,9 +447,7 @@ impl Simulation {
             let mut ctx = Context::new(
                 id,
                 self.clock,
-                self.cfg.n,
-                self.cfg.f,
-                self.cfg.lambda,
+                &self.cfg,
                 &mut actions,
                 &mut self.next_timer_id,
             );
@@ -727,6 +726,9 @@ impl Simulation {
     }
 
     fn apply_adv_actions(&mut self) {
+        if self.adv_actions.is_empty() {
+            return;
+        }
         let mut actions = mem::take(&mut self.adv_actions);
         for action in actions.drain(..) {
             match action {

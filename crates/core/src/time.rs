@@ -89,7 +89,7 @@ impl SimDuration {
         if !millis.is_finite() || millis <= 0.0 {
             return SimDuration(0);
         }
-        SimDuration((millis * 1_000.0).round() as u64)
+        SimDuration(round_positive(millis * 1_000.0))
     }
 
     /// Creates a duration from fractional seconds, clamping negatives to zero.
@@ -186,9 +186,79 @@ impl fmt::Display for SimDuration {
     }
 }
 
+/// `x.round() as u64` for a positive `x` (infinity included), without
+/// libm's `round`: below 2^52 the truncation and the fraction it drops are
+/// exact, and from 2^52 on every `f64` is an integer already, so the cast
+/// alone is the rounded value (saturating at `u64::MAX` as before).
+#[inline]
+fn round_positive(x: f64) -> u64 {
+    const INTEGRAL_FROM: f64 = (1u64 << 52) as f64;
+    let t = x as u64;
+    if x < INTEGRAL_FROM && x - t as f64 >= 0.5 {
+        t + 1
+    } else {
+        t
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Against `f64::round` on positive values of every kind: random bit
+    /// patterns (mostly huge), values below 2^53 with random fractions,
+    /// exact halves and their neighbours either side. 2^18 cases in debug
+    /// builds, ten million in release (CI's counter gate step).
+    #[test]
+    fn rounding_matches_f64_round() {
+        let cases = if cfg!(debug_assertions) {
+            1 << 18
+        } else {
+            10_000_000
+        };
+        let check = |x: f64| {
+            if x > 0.0 {
+                assert_eq!(
+                    round_positive(x),
+                    x.round() as u64,
+                    "{x:e} ({:#x})",
+                    x.to_bits()
+                );
+            }
+        };
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..cases / 5 {
+            let r = next();
+            check(f64::from_bits(r >> 1));
+            let below = (r >> (11 + r % 53)) as f64 + (next() >> 11) as f64 / (1u64 << 53) as f64;
+            check(below);
+            let half = (next() >> (12 + r % 52)) as f64 + 0.5;
+            check(half);
+            check(half.next_up());
+            check(half.next_down());
+        }
+        for x in [
+            f64::MIN_POSITIVE,
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            4_503_599_627_370_495.5,
+            4_503_599_627_370_496.0,
+            9_007_199_254_740_993.0,
+            1.8446744073709552e19,
+            f64::MAX,
+            f64::INFINITY,
+        ] {
+            check(x);
+        }
+    }
 
     #[test]
     fn time_arithmetic_round_trips() {

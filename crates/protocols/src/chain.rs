@@ -12,6 +12,8 @@
 //! caller says at construction how its wire enum spells it, and gives the
 //! two domain tags that keep its block digests and vote signatures its own.
 
+use std::collections::hash_map::Entry;
+
 use bft_sim_core::context::Context;
 use bft_sim_core::fasthash::{FastMap, FastSet};
 use bft_sim_core::ids::NodeId;
@@ -21,7 +23,7 @@ use bft_sim_crypto::hash::Digest;
 use bft_sim_crypto::quorum::{QuorumCert, VoteTracker};
 use bft_sim_crypto::signature::{sign, Signature};
 
-use crate::common::vote_digest;
+use crate::common::VoteDigestMemo;
 
 /// Block metadata kept in every node's store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,9 +88,10 @@ impl BlockStore {
         }
     }
 
-    /// The prefix's block at `height` if its view is `view` (genesis for 0).
-    fn rebuild(&self, height: usize, view: u64) -> BlockInfo {
-        let (parent, parent_view) = self.committed[height.saturating_sub(1)];
+    /// The block of prefix `committed` at `height` if its view is `view`
+    /// (genesis for 0).
+    fn rebuild(committed: &[(Digest, u64)], height: usize, view: u64) -> BlockInfo {
+        let (parent, parent_view) = committed[height.saturating_sub(1)];
         BlockInfo {
             view,
             parent,
@@ -103,30 +106,40 @@ impl BlockStore {
             return Some(info);
         }
         let height = self.committed.iter().rposition(|&(d, _)| d == digest)?;
-        Some(self.rebuild(height, self.committed[height].1))
+        Some(Self::rebuild(
+            &self.committed,
+            height,
+            self.committed[height].1,
+        ))
     }
 
-    /// Stores `info` unless `digest` is stored already. A digest hashes its
-    /// height, so a committed one is found at `info.height` without a scan.
-    fn insert(&mut self, digest: Digest, info: BlockInfo) {
+    /// Stores `info` unless `digest` is stored already, and returns what
+    /// [`Self::get`] now answers for `digest`. A digest hashes its height,
+    /// so a committed one is found at `info.height` without a scan.
+    fn insert(&mut self, digest: Digest, info: BlockInfo) -> BlockInfo {
         let at_height = usize::try_from(info.height)
             .ok()
             .and_then(|h| self.committed.get(h));
-        if at_height.map(|&(d, _)| d) != Some(digest) {
-            self.live.entry(digest).or_insert(info);
+        if at_height.map(|&(d, _)| d) == Some(digest) {
+            return self.get(digest).expect("a committed digest is stored");
         }
+        *self.live.entry(digest).or_insert(info)
     }
 
     /// Moves a just-decided block onto the prefix if the prefix rebuilds it
-    /// exactly (which also means it extends the prefix's top).
-    fn commit(&mut self, digest: Digest) {
-        let Some(&info) = self.live.get(&digest) else {
-            return;
-        };
-        if info == self.rebuild(self.committed.len(), info.view) {
-            self.live.remove(&digest);
-            self.committed.push((digest, info.view));
+    /// exactly (which also means it extends the prefix's top), and returns
+    /// the view of the block stored under `digest`. One probe of `live` for
+    /// a block the decide walk found there, which is every block it decides.
+    fn commit(&mut self, digest: Digest) -> Option<u64> {
+        if let Entry::Occupied(stored) = self.live.entry(digest) {
+            let info = *stored.get();
+            if info == Self::rebuild(&self.committed, self.committed.len(), info.view) {
+                stored.remove();
+                self.committed.push((digest, info.view));
+            }
+            return Some(info.view);
         }
+        self.get(digest).map(|info| info.view)
     }
 }
 
@@ -144,6 +157,9 @@ pub(crate) struct Chain<M> {
     locked_digest: Digest,
     last_voted_view: u64,
     votes: VoteTracker,
+    /// The signed digest of a block vote, hashed once per block rather than
+    /// once per vote counted.
+    vote_digests: VoteDigestMemo,
     decided_height: u64,
     /// View of the newest committed block (the pacemakers' timers back off
     /// with the distance from it).
@@ -185,6 +201,7 @@ impl<M: Payload + Clone + 'static> Chain<M> {
             locked_digest: genesis_digest(),
             last_voted_view: 0,
             votes: VoteTracker::new(quorum),
+            vote_digests: VoteDigestMemo::default(),
             decided_height: 0,
             last_committed_view: 0,
             parked: Vec::new(),
@@ -257,39 +274,46 @@ impl<M: Payload + Clone + 'static> Chain<M> {
     }
 
     /// Stores a proposed block if its justify is a valid QC for a block we
-    /// hold. When that block is missing the proposal is parked and the block
-    /// requested from `src`: the lock update reads its justify pointer, and
-    /// voting blind would bypass the lock rule that makes commits safe.
+    /// hold, absorbs that justify as [`Self::absorb_qc`] would, and returns
+    /// the block as stored, for [`Self::vote`]; neither reads the store for
+    /// what this read. When the justify's block is missing the proposal is
+    /// parked and the block requested from `src`: the lock update reads its
+    /// justify pointer, and voting blind would bypass the lock rule that
+    /// makes commits safe.
     pub(crate) fn admit(
         &mut self,
         src: NodeId,
         block: ProposalBlock,
         justify: &QuorumCert,
         ctx: &mut Context<'_>,
-    ) -> bool {
+    ) -> Option<BlockInfo> {
         if !self.qc_valid(justify) {
-            return false;
+            return None;
         }
-        if justify.view > 0 && self.blocks.get(justify.digest).is_none() {
+        let justified = self.blocks.get(justify.digest);
+        if justify.view > 0 && justified.is_none() {
             self.fetch(justify.digest, Some(src), ctx);
             self.parked.push((src, block, justify.clone()));
-            return false;
+            return None;
         }
-        self.store_block(block, justify.view, justify.digest);
-        true
-    }
-
-    fn store_block(&mut self, block: ProposalBlock, justify_view: u64, justify_digest: Digest) {
-        self.blocks.insert(
+        let stored = self.blocks.insert(
             block.digest,
             BlockInfo {
                 view: block.view,
                 parent: block.parent,
-                justify_view,
-                justify_digest,
+                justify_view: justify.view,
+                justify_digest: justify.digest,
                 height: block.height,
             },
         );
+        // Storing touched only the proposal's own digest.
+        let justified = if justify.digest == block.digest {
+            Some(stored)
+        } else {
+            justified
+        };
+        self.absorb_valid(justify, justified, src, ctx);
+        Some(stored)
     }
 
     /// Applies a QC to `high_qc`, lock and commit height; `false` if invalid.
@@ -303,23 +327,34 @@ impl<M: Payload + Clone + 'static> Chain<M> {
         if !self.qc_valid(qc) {
             return false;
         }
-        if qc.view > self.high_qc.view {
-            self.high_qc = qc.clone();
-        }
-        self.apply_chain_rules(qc.digest, src, ctx);
+        let certified = self.blocks.get(qc.digest);
+        self.absorb_valid(qc, certified, src, ctx);
         true
     }
 
+    /// A valid QC, with the block it certifies as the store holds it.
+    fn absorb_valid(
+        &mut self,
+        qc: &QuorumCert,
+        certified: Option<BlockInfo>,
+        src: NodeId,
+        ctx: &mut Context<'_>,
+    ) {
+        if qc.view > self.high_qc.view {
+            self.high_qc = qc.clone();
+        }
+        if let Some(b2) = certified {
+            self.apply_chain_rules(b2, src, ctx);
+        }
+    }
+
     /// Lock and commit rules over the chain ending at the certified block
-    /// `b''` (`tip`). Following chained HotStuff exactly: the lock update
+    /// `b''` (`b2`). Following chained HotStuff exactly: the lock update
     /// is **unconditional** — `lockedQC ← b''.justify` whenever it is newer
     /// (requiring a direct chain here would under-lock and break safety) —
     /// while DECIDE requires the full direct three-chain with consecutive
     /// views `b ← b' ← b''`.
-    fn apply_chain_rules(&mut self, tip: Digest, src: NodeId, ctx: &mut Context<'_>) {
-        let Some(b2) = self.block(tip) else {
-            return;
-        };
+    fn apply_chain_rules(&mut self, b2: BlockInfo, src: NodeId, ctx: &mut Context<'_>) {
         // Lock on b2's justify — the block it certifies is b1, whose view
         // is recorded in b2's justify pointer (b1 itself need not be local).
         if b2.justify_view > self.locked_view {
@@ -338,13 +373,20 @@ impl<M: Payload + Clone + 'static> Chain<M> {
             && b1.view == b0.view + 1
         {
             // Direct, consecutive three-chain: commit b0 and its ancestors.
-            self.try_decide_chain(b1.parent, src, ctx);
+            self.try_decide_chain(b1.parent, Some(b0), src, ctx);
         }
     }
 
     /// Decides every undecided ancestor of `tip` (inclusive), fetching
-    /// missing blocks from `src` when the local store has gaps.
-    fn try_decide_chain(&mut self, tip: Digest, src: NodeId, ctx: &mut Context<'_>) {
+    /// missing blocks from `src` when the local store has gaps. `known` is
+    /// `tip`'s block when the caller has read it already.
+    fn try_decide_chain(
+        &mut self,
+        tip: Digest,
+        mut known: Option<BlockInfo>,
+        src: NodeId,
+        ctx: &mut Context<'_>,
+    ) {
         // Once per view on every node: a fresh Vec here would dominate the
         // steady-state allocation count.
         let mut path = std::mem::take(&mut self.decide_scratch);
@@ -352,7 +394,7 @@ impl<M: Payload + Clone + 'static> Chain<M> {
         let mut cursor = tip;
         let mut complete = true;
         loop {
-            let Some(info) = self.block(cursor) else {
+            let Some(info) = known.take().or_else(|| self.block(cursor)) else {
                 // Gap: ask the peer that showed us this chain, retry later.
                 self.fetch(cursor, (src != ctx.id()).then_some(src), ctx);
                 if !self.pending_decides.contains(&tip) {
@@ -374,10 +416,9 @@ impl<M: Payload + Clone + 'static> Chain<M> {
                 // already-decided heights, which the check above filtered.
                 debug_assert_eq!(height, self.decided_height + 1);
                 self.decided_height = height;
-                if let Some(info) = self.blocks.get(digest) {
-                    self.last_committed_view = self.last_committed_view.max(info.view);
+                if let Some(view) = self.blocks.commit(digest) {
+                    self.last_committed_view = self.last_committed_view.max(view);
                 }
-                self.blocks.commit(digest);
                 ctx.report_fmt("commit", format_args!("height={height}"));
                 ctx.decide(Value::new(digest.as_u64()));
             }
@@ -390,26 +431,30 @@ impl<M: Payload + Clone + 'static> Chain<M> {
     pub(crate) fn retry_pending_decides(&mut self, src: NodeId, ctx: &mut Context<'_>) {
         let tips = std::mem::take(&mut self.pending_decides);
         for tip in tips {
-            self.try_decide_chain(tip, src, ctx);
+            self.try_decide_chain(tip, None, src, ctx);
         }
     }
 
-    /// Our vote for `block`, if the voting rule allows one — at most once per
-    /// view, for a proposal that extends the locked block (safety) or whose
-    /// justify is newer than our lock (liveness).
+    /// Our vote for `block`, stored as `stored` ([`Self::admit`]), if the
+    /// voting rule allows one — at most once per view, for a proposal that
+    /// extends the locked block (safety) or whose justify is newer than our
+    /// lock (liveness).
     pub(crate) fn vote(
         &mut self,
         block: &ProposalBlock,
+        stored: BlockInfo,
         justify: &QuorumCert,
         ctx: &Context<'_>,
     ) -> Option<Signature> {
         if block.view <= self.last_voted_view
-            || !(self.extends_locked(block.digest) || justify.view > self.locked_view)
+            || !(self.extends_locked(block.digest, stored) || justify.view > self.locked_view)
         {
             return None;
         }
         self.last_voted_view = block.view;
-        let signed = vote_digest(self.vote_phase, block.view, 0, block.digest);
+        let signed = self
+            .vote_digests
+            .digest(self.vote_phase, block.view, 0, block.digest);
         Some(sign(ctx.id(), signed))
     }
 
@@ -421,7 +466,7 @@ impl<M: Payload + Clone + 'static> Chain<M> {
         digest: Digest,
         sig: Signature,
     ) -> Option<QuorumCert> {
-        let signed = vote_digest(self.vote_phase, view, 0, digest);
+        let signed = self.vote_digests.digest(self.vote_phase, view, 0, digest);
         let qc = self.votes.add(view, signed, sig)?;
         Some(QuorumCert {
             view,
@@ -430,13 +475,16 @@ impl<M: Payload + Clone + 'static> Chain<M> {
         })
     }
 
-    fn extends_locked(&self, mut digest: Digest) -> bool {
+    /// Whether the block stored under `digest` as `stored` descends from
+    /// the locked block.
+    fn extends_locked(&self, mut digest: Digest, stored: BlockInfo) -> bool {
         // Walk parents until we hit the locked block, genesis, or a gap.
+        let mut known = Some(stored);
         for _ in 0..1024 {
             if digest == self.locked_digest {
                 return true;
             }
-            match self.blocks.get(digest) {
+            match known.take().or_else(|| self.blocks.get(digest)) {
                 Some(info) if info.height == 0 => return self.locked_digest == genesis_digest(),
                 Some(info) => digest = info.parent,
                 None => return false,
@@ -493,7 +541,8 @@ mod tests {
     /// Drives the store and a plain map through the same inserts, commits
     /// and lookups: forks, re-inserts of stored digests, unknown digests,
     /// commits of blocks that do not extend the prefix, and one block whose
-    /// justify skips its parent. Every lookup must agree.
+    /// justify skips its parent. Every lookup, and what every insert says
+    /// it stored, must agree.
     #[test]
     fn block_store_answers_every_lookup_as_a_plain_map_would() {
         let mut moved = 0;
@@ -525,8 +574,8 @@ mod tests {
                             info.justify_digest = plain[&parent].parent;
                             info.justify_view = plain[&info.justify_digest].view;
                         }
-                        store.insert(fresh, info);
-                        plain.entry(fresh).or_insert(info);
+                        let stored = store.insert(fresh, info);
+                        assert_eq!(stored, *plain.entry(fresh).or_insert(info));
                         known.push(fresh);
                     }
                     // Re-insert a stored digest at its height with other fields.
@@ -537,8 +586,8 @@ mod tests {
                             justify_view: step,
                             ..plain[&digest]
                         };
-                        store.insert(digest, info);
-                        plain.entry(digest).or_insert(info);
+                        let stored = store.insert(digest, info);
+                        assert_eq!(stored, *plain.entry(digest).or_insert(info));
                     }
                     // Decide the next height towards the newest block.
                     5..=6 => {
@@ -551,11 +600,14 @@ mod tests {
                             && plain[&digest].parent == top
                         {
                             decided.push(digest);
-                            store.commit(digest);
+                            assert_eq!(store.commit(digest), Some(plain[&digest].view));
                         }
                     }
                     // A commit the decide walk never makes: any stored block.
-                    7 => store.commit(known[rng.gen_range(0..known.len())]),
+                    7 => {
+                        let digest = known[rng.gen_range(0..known.len())];
+                        assert_eq!(store.commit(digest), Some(plain[&digest].view));
+                    }
                     _ => {
                         let digest = if rng.gen_bool(0.2) {
                             fresh
@@ -590,7 +642,7 @@ mod tests {
         for view in 1..=200 {
             let info = block_on(tip, store.get(tip).expect("tip"), view);
             tip = Digest::of_words(&[view]);
-            store.insert(tip, info);
+            assert_eq!(store.insert(tip, info), info);
             store.commit(tip);
             blocks.push((tip, info));
         }

@@ -64,6 +64,42 @@ pub fn vote_digest(phase: u8, view: u64, slot: u64, digest: Digest) -> Digest {
     Digest::of_words(&[0x564f5445, phase as u64, view, slot, digest.as_u64()]) // "VOTE"
 }
 
+/// One replica's memo of the last [`vote_digest`] of one vote phase, keyed
+/// by all four inputs. A quorum's votes on one candidate arrive one after
+/// another, and a replica signs the candidate it then counts; each would
+/// otherwise hash the same inputs again. One entry per phase, held by the
+/// replica, so phases and replicas never evict each other's entry.
+#[derive(Debug)]
+pub(crate) struct VoteDigestMemo {
+    inputs: (u8, u64, u64, Digest),
+    signed: Digest,
+}
+
+impl Default for VoteDigestMemo {
+    /// A memo holding the digest of all-zero inputs: a true entry, so no
+    /// `Option` widens the memo of every replica.
+    fn default() -> Self {
+        let inputs = (0, 0, 0, Digest::default());
+        VoteDigestMemo {
+            inputs,
+            signed: vote_digest(inputs.0, inputs.1, inputs.2, inputs.3),
+        }
+    }
+}
+
+impl VoteDigestMemo {
+    /// `vote_digest(phase, view, slot, digest)`, hashed only when the inputs
+    /// differ from the previous call's.
+    pub(crate) fn digest(&mut self, phase: u8, view: u64, slot: u64, digest: Digest) -> Digest {
+        let inputs = (phase, view, slot, digest);
+        if inputs != self.inputs {
+            self.inputs = inputs;
+            self.signed = vote_digest(phase, view, slot, digest);
+        }
+        self.signed
+    }
+}
+
 /// A deterministic common coin for round `r`, keyed by the genesis seed —
 /// models a perfect shared-coin setup (e.g. threshold signatures over `r`).
 pub(crate) fn common_coin(genesis_seed: u64, round: u64) -> bool {
@@ -107,6 +143,29 @@ mod tests {
     fn vote_digests_separate_phases() {
         let d = proposal_digest(0, 0);
         assert_ne!(vote_digest(1, 0, 0, d), vote_digest(2, 0, 0, d));
+    }
+
+    #[test]
+    fn the_memo_answers_what_vote_digest_does() {
+        let mut memo = VoteDigestMemo::default();
+        let d = proposal_digest(3, 1);
+        let calls = [
+            (0, 0, 0, Digest::default()),
+            (1, 3, 1, d),
+            (1, 3, 1, d),
+            (2, 3, 1, d),
+            (2, 3, 1, d),
+            (2, 4, 1, d),
+            (2, 4, 2, d),
+            (2, 4, 2, Digest::default()),
+            (1, 3, 1, d),
+        ];
+        for (phase, view, slot, digest) in calls {
+            assert_eq!(
+                memo.digest(phase, view, slot, digest),
+                vote_digest(phase, view, slot, digest)
+            );
+        }
     }
 
     #[test]

@@ -164,7 +164,7 @@ impl HotStuffNs {
             }
         }
         for (src, block, justify) in self.chain.take_parked() {
-            self.handle_proposal(src, block, justify, ctx);
+            self.handle_proposal(src, block, &justify, ctx);
         }
     }
 
@@ -182,35 +182,35 @@ impl HotStuffNs {
             justify: justify.clone(),
         });
         let me = ctx.id();
-        self.handle_proposal(me, block, justify, ctx);
+        self.handle_proposal(me, block, &justify, ctx);
     }
 
     fn handle_proposal(
         &mut self,
         src: NodeId,
         block: ProposalBlock,
-        justify: QuorumCert,
+        justify: &QuorumCert,
         ctx: &mut Context<'_>,
     ) {
         // The naive node processes proposals for its *current view only* —
         // future proposals are dropped, not buffered, and stale ones are
         // ignored. This strictness is what makes the view-synchronisation
         // problem bite (§IV-D of the paper).
-        if block.view != self.view
-            || src != self.leader(block.view)
-            || !self.chain.admit(src, block, &justify, ctx)
-        {
+        if block.view != self.view || src != self.leader(block.view) {
             return;
         }
-        // Absorbing the justify triggers no view change: this *naive* node
-        // advances only through its own timer, its own vote, or forming a
-        // QC itself. There is deliberately no catch-up from observed
-        // certificates (that is exactly what LibraBFT adds).
-        self.chain.absorb_qc(&justify, src, ctx);
+        // Absorbing the justify (which admitting does) triggers no view
+        // change: this *naive* node advances only through its own timer, its
+        // own vote, or forming a QC itself. There is deliberately no
+        // catch-up from observed certificates (that is exactly what LibraBFT
+        // adds).
+        let Some(stored) = self.chain.admit(src, block, justify, ctx) else {
+            return;
+        };
 
         // After voting the replica moves to the next view (the
         // chained-HotStuff view increment).
-        if let Some(sig) = self.chain.vote(&block, &justify, ctx) {
+        if let Some(sig) = self.chain.vote(&block, stored, justify, ctx) {
             let next_leader = self.leader(block.view + 1);
             if next_leader == ctx.id() {
                 self.handle_vote(block.view, block.digest, sig, ctx);
@@ -261,28 +261,28 @@ impl Protocol for HotStuffNs {
         let Some(m) = msg.downcast_ref::<HsMsg>() else {
             return;
         };
-        match m.clone() {
+        match m {
             HsMsg::Proposal { block, justify } => {
-                self.handle_proposal(msg.src(), block, justify, ctx);
+                self.handle_proposal(msg.src(), *block, justify, ctx);
             }
-            HsMsg::Vote { view, digest, sig } => {
+            &HsMsg::Vote { view, digest, sig } => {
                 self.handle_vote(view, digest, sig, ctx);
             }
             HsMsg::NewView { view: _, high_qc } => {
                 // The naive synchronizer only uses this to learn a fresher
                 // QC; it triggers no view change and no proposal.
-                self.chain.absorb_qc(&high_qc, msg.src(), ctx);
+                self.chain.absorb_qc(high_qc, msg.src(), ctx);
             }
-            HsMsg::SyncReq { digest } => {
+            &HsMsg::SyncReq { digest } => {
                 if let Some(info) = self.chain.block(digest) {
                     ctx.send(msg.src(), HsMsg::SyncResp { digest, info });
                 }
             }
-            HsMsg::SyncResp { digest, info } => {
+            &HsMsg::SyncResp { digest, info } => {
                 // Proposals that were waiting on this block can now be
                 // evaluated; a deferred own-proposal may also fire.
                 for (src, block, justify) in self.chain.on_sync_resp(digest, info, msg.src(), ctx) {
-                    self.handle_proposal(src, block, justify, ctx);
+                    self.handle_proposal(src, block, &justify, ctx);
                 }
                 if self.chain.wants_to_propose(self.view) {
                     self.propose(ctx);

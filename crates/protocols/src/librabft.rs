@@ -26,7 +26,7 @@ use bft_sim_crypto::quorum::{QuorumCert, VoteTracker};
 use bft_sim_crypto::signature::{sign, Signature};
 
 use crate::chain::{BlockInfo, Chain, Parked, ProposalBlock};
-use crate::common::{round_robin_leader, vote_digest, ProtocolParams};
+use crate::common::{round_robin_leader, ProtocolParams, VoteDigestMemo};
 
 const BLOCK_TAG: u64 = 0x4c425f424c4f434b; // "LB_BLOCK"
 const PHASE_LIBRA_VOTE: u8 = 20;
@@ -91,6 +91,9 @@ pub(crate) struct LibraBft {
     /// Proposals from rounds ahead of ours, by round.
     pending: FastMap<u64, Vec<Parked>>,
     timer: Option<TimerId>,
+    /// The signed digest of a timeout vote, hashed once per round rather
+    /// than once per vote counted.
+    timeout_digests: VoteDigestMemo,
 }
 
 impl LibraBft {
@@ -106,6 +109,7 @@ impl LibraBft {
             timeout_voted: FastSet::default(),
             pending: FastMap::default(),
             timer: None,
+            timeout_digests: VoteDigestMemo::default(),
         }
     }
 
@@ -145,7 +149,7 @@ impl LibraBft {
         }
         self.drain_pending(ctx);
         for (src, block, justify) in self.chain.take_parked() {
-            self.handle_proposal(src, block, justify, ctx);
+            self.handle_proposal(src, block, &justify, ctx);
         }
     }
 
@@ -159,7 +163,7 @@ impl LibraBft {
         for r in ready {
             if let Some(list) = self.pending.remove(&r) {
                 for (src, block, justify) in list {
-                    self.handle_proposal(src, block, justify, ctx);
+                    self.handle_proposal(src, block, &justify, ctx);
                 }
             }
         }
@@ -179,14 +183,20 @@ impl LibraBft {
             justify: justify.clone(),
         });
         let me = ctx.id();
-        self.handle_proposal(me, block, justify, ctx);
+        self.handle_proposal(me, block, &justify, ctx);
+    }
+
+    fn process_qc(&mut self, qc: &QuorumCert, src: NodeId, ctx: &mut Context<'_>) {
+        if self.chain.absorb_qc(qc, src, ctx) {
+            self.catch_up(qc.view, ctx);
+        }
     }
 
     /// A valid QC for this round or later moves us past it — the catch-up
     /// from observed certificates that HotStuff+NS lacks.
-    fn process_qc(&mut self, qc: &QuorumCert, src: NodeId, ctx: &mut Context<'_>) {
-        if self.chain.absorb_qc(qc, src, ctx) && qc.view >= self.round {
-            self.enter_round(qc.view + 1, ctx);
+    fn catch_up(&mut self, qc_view: u64, ctx: &mut Context<'_>) {
+        if qc_view >= self.round {
+            self.enter_round(qc_view + 1, ctx);
         }
     }
 
@@ -194,27 +204,30 @@ impl LibraBft {
         &mut self,
         src: NodeId,
         block: ProposalBlock,
-        justify: QuorumCert,
+        justify: &QuorumCert,
         ctx: &mut Context<'_>,
     ) {
-        if src != self.leader(block.view) || !self.chain.admit(src, block, &justify, ctx) {
+        if src != self.leader(block.view) {
             return;
         }
-        // Process the justify first: in the happy path it certifies round
-        // r−1 and advances us into the proposal's round r.
-        self.process_qc(&justify, src, ctx);
+        // Admitting absorbs the justify first: in the happy path it certifies
+        // round r−1 and advances us into the proposal's round r.
+        let Some(stored) = self.chain.admit(src, block, justify, ctx) else {
+            return;
+        };
+        self.catch_up(justify.view, ctx);
         if block.view > self.round {
             // Leader advanced through timeouts we have not observed yet;
             // buffer until a TC or our own timer catches us up.
             self.pending
                 .entry(block.view)
                 .or_default()
-                .push((src, block, justify));
+                .push((src, block, justify.clone()));
             return;
         }
 
         if block.view == self.round {
-            if let Some(sig) = self.chain.vote(&block, &justify, ctx) {
+            if let Some(sig) = self.chain.vote(&block, stored, justify, ctx) {
                 let next_leader = self.leader(block.view + 1);
                 if next_leader == ctx.id() {
                     self.handle_vote(block.view, block.digest, sig, ctx);
@@ -251,7 +264,9 @@ impl LibraBft {
             return;
         }
         ctx.report_fmt("timeout-vote", format_args!("round={round}"));
-        let vd = vote_digest(PHASE_LIBRA_TIMEOUT, round, 0, Digest::default());
+        let vd = self
+            .timeout_digests
+            .digest(PHASE_LIBRA_TIMEOUT, round, 0, Digest::default());
         let sig = sign(ctx.id(), vd);
         ctx.broadcast(LibraMsg::TimeoutVote {
             round,
@@ -275,7 +290,9 @@ impl LibraBft {
         if round < self.round {
             return; // stale
         }
-        let vd = vote_digest(PHASE_LIBRA_TIMEOUT, round, 0, Digest::default());
+        let vd = self
+            .timeout_digests
+            .digest(PHASE_LIBRA_TIMEOUT, round, 0, Digest::default());
         let tc_formed = self.timeout_votes.add(round, vd, sig).is_some();
 
         // Amplification: join a timeout once f + 1 nodes report it.
@@ -304,11 +321,11 @@ impl Protocol for LibraBft {
         let Some(m) = msg.downcast_ref::<LibraMsg>() else {
             return;
         };
-        match m.clone() {
+        match m {
             LibraMsg::Proposal { block, justify } => {
-                self.handle_proposal(msg.src(), block, justify, ctx);
+                self.handle_proposal(msg.src(), *block, justify, ctx);
             }
-            LibraMsg::Vote { round, digest, sig } => {
+            &LibraMsg::Vote { round, digest, sig } => {
                 self.handle_vote(round, digest, sig, ctx);
             }
             LibraMsg::TimeoutVote {
@@ -316,16 +333,16 @@ impl Protocol for LibraBft {
                 high_qc,
                 sig,
             } => {
-                self.handle_timeout_vote(round, Some(&high_qc), sig, ctx);
+                self.handle_timeout_vote(*round, Some(high_qc), *sig, ctx);
             }
-            LibraMsg::SyncReq { digest } => {
+            &LibraMsg::SyncReq { digest } => {
                 if let Some(info) = self.chain.block(digest) {
                     ctx.send(msg.src(), LibraMsg::SyncResp { digest, info });
                 }
             }
-            LibraMsg::SyncResp { digest, info } => {
+            &LibraMsg::SyncResp { digest, info } => {
                 for (src, block, justify) in self.chain.on_sync_resp(digest, info, msg.src(), ctx) {
-                    self.handle_proposal(src, block, justify, ctx);
+                    self.handle_proposal(src, block, &justify, ctx);
                 }
                 if self.chain.wants_to_propose(self.round) {
                     self.propose(ctx);

@@ -24,7 +24,7 @@ use bft_sim_crypto::hash::Digest;
 use bft_sim_crypto::quorum::VoteTracker;
 use bft_sim_crypto::signature::{sign, Signature};
 
-use crate::common::{proposal_digest, round_robin_leader, vote_digest, ProtocolParams};
+use crate::common::{proposal_digest, round_robin_leader, ProtocolParams, VoteDigestMemo};
 
 /// Phase tag mixed into prepare-vote digests (see [`crate::common::vote_digest`]).
 pub(crate) const PHASE_PREPARE: u8 = 1;
@@ -144,6 +144,11 @@ pub(crate) struct Pbft {
     timer: Option<TimerId>,
     /// Consecutive view changes without progress; timeout is `λ · 2^exp`.
     timeout_exp: u32,
+    /// The signed digest of each vote phase, hashed once per candidate
+    /// rather than once per vote counted.
+    prepare_digests: VoteDigestMemo,
+    commit_digests: VoteDigestMemo,
+    view_change_digests: VoteDigestMemo,
 }
 
 impl Pbft {
@@ -167,6 +172,9 @@ impl Pbft {
             vc_voted: FastMap::default(),
             timer: None,
             timeout_exp: 0,
+            prepare_digests: VoteDigestMemo::default(),
+            commit_digests: VoteDigestMemo::default(),
+            view_change_digests: VoteDigestMemo::default(),
         }
     }
 
@@ -217,7 +225,9 @@ impl Pbft {
         // timer (Castro–Liskov timers measure time since progress on the
         // current request, not total request latency).
         self.restart_timer(ctx);
-        let vd = vote_digest(PHASE_PREPARE, self.view, self.slot, digest);
+        let vd = self
+            .prepare_digests
+            .digest(PHASE_PREPARE, self.view, self.slot, digest);
         let sig = sign(ctx.id(), vd);
         ctx.broadcast(PbftMsg::Prepare {
             view: self.view,
@@ -239,14 +249,16 @@ impl Pbft {
         if view != self.view || slot != self.slot {
             return;
         }
-        let vd = vote_digest(PHASE_PREPARE, view, slot, digest);
+        let vd = self
+            .prepare_digests
+            .digest(PHASE_PREPARE, view, slot, digest);
         if self.prepares.add(view, vd, sig).is_some() && !self.sent_commit {
             // Prepared: record the certificate and vote to commit.
             self.prepared_cert = Some(PreparedCert { view, slot, digest });
             self.sent_commit = true;
             self.restart_timer(ctx); // phase progress
             ctx.report_fmt("prepared", format_args!("view={view} slot={slot}"));
-            let cd = vote_digest(PHASE_COMMIT, view, slot, digest);
+            let cd = self.commit_digests.digest(PHASE_COMMIT, view, slot, digest);
             let csig = sign(ctx.id(), cd);
             ctx.broadcast(PbftMsg::Commit {
                 view,
@@ -269,7 +281,7 @@ impl Pbft {
         if slot < self.slot {
             return; // already decided
         }
-        let cd = vote_digest(PHASE_COMMIT, view, slot, digest);
+        let cd = self.commit_digests.digest(PHASE_COMMIT, view, slot, digest);
         if !sig.verify(cd) {
             return;
         }
@@ -328,13 +340,17 @@ impl Pbft {
         ctx.report_fmt("view-change", format_args!("target={target}"));
         self.broadcast_view_change(target, ctx);
         ctx.set_timer(ctx.lambda(), RetransmitVc { target });
-        let vd = vote_digest(PHASE_VIEW_CHANGE, target, 0, Digest::default());
+        let vd = self
+            .view_change_digests
+            .digest(PHASE_VIEW_CHANGE, target, 0, Digest::default());
         let sig = sign(ctx.id(), vd);
         self.on_view_change_vote(target, self.prepared_cert, sig, ctx);
     }
 
     fn broadcast_view_change(&mut self, target: u64, ctx: &mut Context<'_>) {
-        let vd = vote_digest(PHASE_VIEW_CHANGE, target, 0, Digest::default());
+        let vd = self
+            .view_change_digests
+            .digest(PHASE_VIEW_CHANGE, target, 0, Digest::default());
         let sig = sign(ctx.id(), vd);
         ctx.broadcast(PbftMsg::ViewChange {
             new_view: target,
@@ -365,7 +381,9 @@ impl Pbft {
                 }
             }
         }
-        let vd = vote_digest(PHASE_VIEW_CHANGE, target, 0, Digest::default());
+        let vd = self
+            .view_change_digests
+            .digest(PHASE_VIEW_CHANGE, target, 0, Digest::default());
         let quorum_formed = self.view_changes.add(target, vd, sig).is_some();
 
         // Liveness amplification: join a view change once f + 1 nodes ask.
