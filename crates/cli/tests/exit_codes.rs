@@ -300,6 +300,31 @@ fn hostile_artifacts_exit_with_their_loaders_code() {
               "scenario": {{"protocol": "pbft", "n": 4}}{extra}}}"#
         )
     };
+    // A repro the fuzzer minted (n = 7), with a targeted drop aimed at node
+    // 99 appended to its fault actions: it used to load and replay with
+    // exit 0, the drop never firing.
+    let minted = dir.join("minted");
+    let out = bft_sim(&[
+        "fuzz",
+        "--preset",
+        "chaos",
+        "--protocols",
+        "algorand",
+        "--seeds",
+        "1402..1403",
+        "--out",
+        minted.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(3), "the seed violates agreement");
+    let text = std::fs::read_to_string(minted.join("repro-seed1402-agreement.json"))
+        .expect("the violation is written as a repro");
+    let end = text.rfind("\n  ]").expect("fault actions close the repro");
+    let dropped_past_n = format!(
+        r#"{},
+    {{"index": 0, "kind": {{"TargetedDrop": {{"dst": 99}}}}}}{}"#,
+        &text[..end],
+        &text[end..]
+    );
     let good_manifest = file("good-manifest.json", &manifest("[4]", ""));
     let journal = file(
         "wide-shard.json",
@@ -439,6 +464,11 @@ fn hostile_artifacts_exit_with_their_loaders_code() {
             vec!["campaign".into(), "merge".into(), good_manifest, journal],
             4,
             "line 1: journal header: bad \"shard.index\": 4294967296 exceeds the u32 range",
+        ),
+        (
+            vec!["repro".into(), file("drop-past-n.json", &dropped_past_n)],
+            4,
+            "fault_actions: entry #2: targeted drop \"dst\" 99 is not a node of the n = 7 scenario",
         ),
         (
             vec!["repro".into(), file("deep.json", &"[".repeat(200_000))],

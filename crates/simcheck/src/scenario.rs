@@ -483,9 +483,11 @@ impl Script {
         self.actions.is_empty() && self.faults.is_empty()
     }
 
-    /// Checks that every replay destination is a node of an `n`-node
-    /// scenario: a replay injects a delivery, and a destination the scenario
-    /// does not have would index past the engine's per-node tables.
+    /// Checks that every replay destination and every targeted-drop victim
+    /// is a node of an `n`-node scenario: a replay injects a delivery, and a
+    /// destination the scenario does not have would index past the engine's
+    /// per-node tables; a drop aimed at one never fires, so a script that
+    /// carries it records a fault that did not happen.
     pub(crate) fn check_nodes(&self, n: usize) -> Result<(), String> {
         for (i, action) in self.actions.iter().enumerate() {
             if let FuzzActionKind::Replay { dst, .. } = action.kind {
@@ -497,7 +499,32 @@ impl Script {
                 }
             }
         }
+        for (i, fault) in self.faults.iter().enumerate() {
+            if let FaultKind::TargetedDrop { dst } = fault.kind {
+                if dst.index() >= n {
+                    return Err(format!(
+                        "fault_actions: entry #{i}: targeted drop \"dst\" {} is not a node of the n = {n} scenario",
+                        dst.as_u32()
+                    ));
+                }
+            }
+        }
         Ok(())
+    }
+
+    /// The script without its targeted drops aimed at nodes an `n`-node
+    /// scenario lacks. Such a drop never fires there, so an `n`-node run of
+    /// either script is the same run.
+    pub(crate) fn without_drops_beyond(&self, n: usize) -> Script {
+        Script {
+            actions: self.actions.clone(),
+            faults: self
+                .faults
+                .iter()
+                .filter(|f| !matches!(f.kind, FaultKind::TargetedDrop { dst } if dst.index() >= n))
+                .copied()
+                .collect(),
+        }
     }
 }
 

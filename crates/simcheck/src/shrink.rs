@@ -134,21 +134,10 @@ pub(crate) fn shrink(spec: &ScenarioSpec, failing: &CheckedRun) -> Repro {
         still_fails(&spec, &probe, oracle).is_some()
     });
 
-    // 5. Fewer nodes, smallest first, skipping a scale that lacks a node
-    //    the script replays to.
-    for n in SCALES_ASCENDING {
-        if n >= spec.n {
-            break;
-        }
-        if script.check_nodes(n).is_err() {
-            continue;
-        }
-        let candidate = ScenarioSpec { n, ..spec.clone() };
-        if still_fails(&candidate, &script, oracle).is_some() {
-            spec = candidate;
-            break;
-        }
-    }
+    // 5. Fewer nodes.
+    fewer_nodes(&mut spec, &mut script, |candidate, script| {
+        still_fails(candidate, script, oracle).is_some()
+    });
 
     // 6. Re-run the minimised scenario once more for the violation detail
     //    and, when it can replay without the adversary, its schedule; then
@@ -182,6 +171,33 @@ pub(crate) fn shrink(spec: &ScenarioSpec, failing: &CheckedRun) -> Repro {
         oracle: v.oracle.to_string(),
         detail: v.detail.clone(),
         last_events: Vec::new(),
+    }
+}
+
+/// Shrink step 5: the smallest scale below `spec.n` at which `fails`
+/// holds, skipping a scale that lacks a node the script replays to. A
+/// targeted drop aimed at a node the candidate lacks never fires there, so
+/// the candidate is probed, and kept, without it: the run is the same, and
+/// the repro carries no fault that does not happen.
+fn fewer_nodes(
+    spec: &mut ScenarioSpec,
+    script: &mut Script,
+    mut fails: impl FnMut(&ScenarioSpec, &Script) -> bool,
+) {
+    for n in SCALES_ASCENDING {
+        if n >= spec.n {
+            break;
+        }
+        let stripped = script.without_drops_beyond(n);
+        if stripped.check_nodes(n).is_err() {
+            continue;
+        }
+        let candidate = ScenarioSpec { n, ..spec.clone() };
+        if fails(&candidate, &stripped) {
+            *spec = candidate;
+            *script = stripped;
+            break;
+        }
     }
 }
 
@@ -277,6 +293,71 @@ mod tests {
             .collect();
         let text = format!("{{\"fates\": [{}]}}", fates.join(", "));
         DeliverySchedule::from_json(&Json::parse(&text).unwrap()).unwrap()
+    }
+
+    /// Step 5 strips the drops a smaller scale lacks the victim of, probes
+    /// and keeps the stripped script, and still skips a scale that lacks a
+    /// replay's destination.
+    #[test]
+    fn fewer_nodes_strips_drops_aimed_past_the_candidate() {
+        use bft_sim_attacks::FuzzAction;
+        use bft_sim_core::buggify::FaultAction;
+        use bft_sim_core::ids::NodeId;
+        use bft_sim_protocols::registry::ProtocolKind;
+
+        let drop = |index, dst| FaultAction {
+            index,
+            kind: FaultKind::TargetedDrop {
+                dst: NodeId::new(dst),
+            },
+        };
+        let skew = FaultAction {
+            index: 3,
+            kind: FaultKind::TimerSkew {
+                factor_permille: 2_000,
+            },
+        };
+        let ten = ScenarioSpec {
+            n: 10,
+            ..ScenarioSpec::baseline(ProtocolKind::Pbft)
+        };
+        let faults = vec![drop(0, 2), drop(1, 8), skew, drop(2, 5)];
+
+        let mut spec = ten.clone();
+        let mut script = Script {
+            actions: Vec::new(),
+            faults: faults.clone(),
+        };
+        let mut probed = Vec::new();
+        fewer_nodes(&mut spec, &mut script, |candidate, script| {
+            script.check_nodes(candidate.n).expect("probed script fits");
+            probed.push((candidate.n, script.faults.len()));
+            true
+        });
+        assert_eq!(spec.n, 4);
+        assert_eq!(script.faults, vec![drop(0, 2), skew]);
+        assert_eq!(probed, vec![(4, 2)]);
+
+        // A replay to node 5 rules out n = 4; n = 7 keeps the drop at 5.
+        let mut spec = ten.clone();
+        let mut script = Script {
+            actions: vec![FuzzAction {
+                index: 0,
+                kind: FuzzActionKind::Replay {
+                    dst: NodeId::new(5),
+                    delay_micros: 1_000,
+                },
+            }],
+            faults,
+        };
+        fewer_nodes(&mut spec, &mut script, |_, _| true);
+        assert_eq!(spec.n, 7);
+        assert_eq!(script.faults, vec![drop(0, 2), skew, drop(2, 5)]);
+
+        // A scale that does not fail leaves spec and script alone.
+        let (mut spec, mut kept) = (ten.clone(), script.clone());
+        fewer_nodes(&mut spec, &mut kept, |_, _| false);
+        assert_eq!((spec.n, kept), (10, script));
     }
 
     #[test]
