@@ -2,15 +2,14 @@
 //! messages, registering time events, and reporting results (the paper's
 //! `reportToSystem`).
 
-use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::config::RunConfig;
 use crate::ids::{NodeId, TimerId};
 use crate::payload::{Payload, PayloadCell};
-use crate::smallstr::SmallStr;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::TraceLevel;
+use crate::trace::write_detail;
 use crate::value::Value;
 
 /// Buffered effects of one protocol callback; the engine applies them after
@@ -41,9 +40,10 @@ pub(crate) enum Action {
     CancelTimer(TimerId),
     Decide(Value),
     EnterView(u64),
+    /// A report; its detail is already in the trace's detail table.
     Custom {
-        label: Cow<'static, str>,
-        detail: SmallStr,
+        label: &'static str,
+        detail: Range<usize>,
     },
 }
 
@@ -59,10 +59,12 @@ pub struct Context<'a> {
     n: usize,
     f: usize,
     lambda: SimDuration,
-    /// Whether the run's trace keeps report details (`Custom` events).
-    keeps_details: bool,
     actions: &'a mut Vec<Action>,
     next_timer_id: &'a mut u64,
+    /// The trace's detail table, when the run keeps reports.
+    details: Option<&'a mut String>,
+    /// Reports made while the trace keeps none: counted, not buffered.
+    pub(crate) skipped_reports: usize,
 }
 
 impl<'a> Context<'a> {
@@ -72,6 +74,7 @@ impl<'a> Context<'a> {
         cfg: &RunConfig,
         actions: &'a mut Vec<Action>,
         next_timer_id: &'a mut u64,
+        details: Option<&'a mut String>,
     ) -> Self {
         Context {
             node,
@@ -79,9 +82,10 @@ impl<'a> Context<'a> {
             n: cfg.n,
             f: cfg.f,
             lambda: cfg.lambda,
-            keeps_details: cfg.trace >= TraceLevel::Events,
             actions,
             next_timer_id,
+            details,
+            skipped_reports: 0,
         }
     }
 
@@ -188,46 +192,31 @@ impl<'a> Context<'a> {
         self.actions.push(Action::EnterView(view));
     }
 
-    /// Records a protocol-defined trace event (e.g. `"pre-prepare"`), the
-    /// hook used for cross-validation against ground-truth traces.
-    ///
-    /// Labels are almost always `&'static str` and details short — both are
-    /// stored without allocating in that case. Labels name a fixed set: a
-    /// trace holds at most 4 096 distinct labels and payload types, and a
-    /// detail under 16 MiB (the run panics past either). For formatted
-    /// details prefer [`report_fmt`](Context::report_fmt), which skips the
-    /// intermediate `String` entirely.
-    pub fn report(&mut self, label: impl Into<Cow<'static, str>>, detail: impl Into<SmallStr>) {
-        self.actions.push(Action::Custom {
-            label: label.into(),
-            detail: detail.into(),
-        });
-    }
-
-    /// Records a protocol-defined trace event with a formatted detail,
-    /// writing the format arguments straight into inline storage:
+    /// Records a protocol-defined trace event (e.g. `"pre-prepare"`) with a
+    /// formatted detail — the hook used for cross-validation against
+    /// ground-truth traces:
     ///
     /// ```ignore
     /// ctx.report_fmt("commit", format_args!("view={view}"));
     /// ```
     ///
-    /// Equivalent to `report(label, format!(…))` but allocation-free for
-    /// details of up to `SmallStr::INLINE_CAP` bytes, and free of formatting
-    /// when the run's trace does not keep reports (below
-    /// [`TraceLevel::Events`]): the report is then buffered with an empty
-    /// detail. It is still buffered, because a torn write
+    /// When the run's trace keeps reports ([`TraceLevel::Events`] and above)
+    /// the detail is formatted straight onto the end of the trace's detail
+    /// table. Below that the report is only counted: a torn write
     /// ([`crate::buggify`]) draws its cut from the length of a callback's
-    /// output, reports included.
+    /// output, reports included. Labels name a fixed set: a trace holds at
+    /// most 4 096 distinct labels and payload types, and a detail under
+    /// 16 MiB (the run panics past either).
+    ///
+    /// [`TraceLevel::Events`]: crate::trace::TraceLevel::Events
     pub fn report_fmt(&mut self, label: &'static str, args: core::fmt::Arguments<'_>) {
-        let detail = if self.keeps_details {
-            SmallStr::format(args)
-        } else {
-            SmallStr::default()
-        };
-        self.actions.push(Action::Custom {
-            label: Cow::Borrowed(label),
-            detail,
-        });
+        match &mut self.details {
+            Some(details) => self.actions.push(Action::Custom {
+                label,
+                detail: write_detail(details, args),
+            }),
+            None => self.skipped_reports += 1,
+        }
     }
 }
 
@@ -247,6 +236,7 @@ mod tests {
             &RunConfig::new(16),
             &mut actions,
             &mut next_timer,
+            None,
         );
         let r = f(&mut ctx);
         (r, actions)
@@ -294,5 +284,49 @@ mod tests {
         });
         assert_ne!(a, b);
         assert!(matches!(actions[2], Action::CancelTimer(id) if id == a));
+    }
+
+    #[test]
+    fn below_events_a_report_is_counted_not_buffered() {
+        let (skipped, actions) = with_ctx(|ctx| {
+            ctx.report_fmt("commit", format_args!("view={}", 3));
+            ctx.decide(Value::ONE);
+            ctx.skipped_reports
+        });
+        assert_eq!(skipped, 1);
+        assert_eq!(actions.len(), 1);
+        assert!(matches!(actions[0], Action::Decide(Value::ONE)));
+    }
+
+    #[test]
+    fn at_events_each_report_is_formatted_into_the_detail_table() {
+        let (mut actions, mut next_timer) = (Vec::new(), 0);
+        let mut details = String::from("earlier");
+        let mut ctx = Context::new(
+            NodeId::new(2),
+            SimTime::from_millis(7),
+            &RunConfig::new(16),
+            &mut actions,
+            &mut next_timer,
+            Some(&mut details),
+        );
+        ctx.report_fmt("commit", format_args!("view={}", 3));
+        ctx.report_fmt("qc", format_args!("round={}", 41));
+        assert_eq!(ctx.skipped_reports, 0);
+        let [Action::Custom {
+            label: first,
+            detail: a,
+        }, Action::Custom {
+            label: second,
+            detail: b,
+        }] = &actions[..]
+        else {
+            panic!("expected two reports, got {actions:?}");
+        };
+        assert_eq!((*first, *second), ("commit", "qc"));
+        assert_eq!(&details[a.clone()], "view=3");
+        assert_eq!(&details[b.clone()], "round=41");
+        assert_eq!((a.start, a.end), ("earlier".len(), b.start));
+        assert_eq!(b.end, details.len());
     }
 }

@@ -13,14 +13,14 @@
 //!
 //! The event queue is a `HeapScheduler`, held by value so its calls are
 //! direct, and dispatches in one `(timestamp, insertion seq)` total order
-//! (see [`crate::scheduler`] and its [`Scheduler`] contract).
+//! (see [`crate::scheduler`] for the contract).
 //! Timer cancellation is the scheduler's job: the engine keeps a plain
 //! `TimerId -> handle` map and hands cancellations straight to the queue.
 //!
 //! A broadcast occupies one queue entry, not n − 1: every send-time decision
 //! is still taken per destination, but the deliveries that share the payload
 //! are handed to the scheduler as one entry
-//! ([`Scheduler::schedule_fanout`]) that it moves to each recipient's
+//! (`HeapScheduler::schedule_fanout`) that it moves to each recipient's
 //! reserved `(timestamp, seq)` in turn. All-to-all phases therefore keep n²
 //! 12-byte recipients resident instead of n² full events (a copy delayed by
 //! 2³² µs or more is scheduled as an event of its own).
@@ -46,7 +46,7 @@ use crate::network::{LinkDecision, NetworkModel};
 use crate::obs::ObsConfig;
 use crate::payload::Payload;
 use crate::protocol::{Protocol, ProtocolFactory, Vacant};
-use crate::scheduler::{EventHandle, HeapScheduler, Scheduler, SchedulerKind};
+use crate::scheduler::{EventHandle, HeapScheduler, SchedulerKind};
 use crate::spine::Sinks;
 use crate::time::SimDuration;
 use crate::trace::Trace;
@@ -443,16 +443,18 @@ impl Simulation {
     {
         let mut node = mem::replace(&mut self.nodes[id.index()], Box::new(Vacant));
         let mut actions = mem::take(&mut self.node_actions);
-        {
+        let skipped_reports = {
             let mut ctx = Context::new(
                 id,
                 self.clock,
                 &self.cfg,
                 &mut actions,
                 &mut self.next_timer_id,
+                self.sinks.details(),
             );
             f(&mut node, &mut ctx);
-        }
+            ctx.skipped_reports
+        };
         self.nodes[id.index()] = node;
         // Torn-write injection: the node's state already advanced inside
         // `f`, but only a prefix of its buffered output is applied — the
@@ -460,9 +462,11 @@ impl Simulation {
         // (messages and timer ops) are tearable: Decide / EnterView /
         // Custom are oracle reports of state the node already committed
         // internally, and tearing them would blind the safety checker with
-        // false disagreements rather than perturb the protocol.
+        // false disagreements rather than perturb the protocol. Reports a
+        // trace below `Events` does not keep were counted, not buffered; the
+        // cut is drawn from the length with them.
         if let Some(fi) = &mut self.faults {
-            if let Some(keep) = fi.on_dispatch(actions.len()) {
+            if let Some(keep) = fi.on_dispatch(actions.len() + skipped_reports) {
                 let mut seen = 0usize;
                 actions.retain(|action| match action {
                     Action::Decide(_) | Action::EnterView(_) | Action::Custom { .. } => true,

@@ -10,9 +10,8 @@
 //!
 //! Events with equal timestamps are ordered by a global insertion sequence
 //! number, which makes the execution order total and runs reproducible. The
-//! queue itself lives behind the [`Scheduler`](crate::scheduler::Scheduler)
-//! trait in [`crate::scheduler`]; this module defines the event types it
-//! carries.
+//! queue itself is [`HeapScheduler`](crate::scheduler::HeapScheduler) in
+//! [`crate::scheduler`]; this module defines the event types it carries.
 
 use std::sync::Arc;
 
@@ -74,7 +73,7 @@ impl Recipient {
 /// allocation, held as a single queue entry.
 ///
 /// Created and consumed inside the scheduler (see
-/// [`Scheduler::schedule_fanout`](crate::scheduler::Scheduler::schedule_fanout)):
+/// `HeapScheduler::schedule_fanout`):
 /// the record sits in the queue at its earliest recipient's
 /// `(sent_at + after, first_seq + seq_offset)`, each pop splits that
 /// recipient off as an ordinary [`EventKind::Deliver`] and moves the record
@@ -123,7 +122,7 @@ pub enum EventKind {
 /// An event stamped with its dispatch time and insertion sequence number.
 ///
 /// The pair `(at, seq)` is the *total* dispatch order a
-/// [`Scheduler`](crate::scheduler::Scheduler) must honour.
+/// [`HeapScheduler`](crate::scheduler::HeapScheduler) honours.
 #[derive(Debug)]
 pub struct ScheduledEvent {
     /// Absolute dispatch time.

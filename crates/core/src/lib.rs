@@ -70,7 +70,6 @@ pub mod payload;
 pub mod perturb;
 pub mod protocol;
 pub mod scheduler;
-pub mod smallstr;
 mod spine;
 pub mod sweep;
 pub mod time;
@@ -97,7 +96,7 @@ pub mod prelude {
         Expectations, Oracle, OracleInput, OracleSuite, OracleViolation, OutageWindow, ValueDomain,
     };
     pub use crate::protocol::{Protocol, ProtocolFactory};
-    pub use crate::scheduler::{Scheduler, SchedulerKind, SchedulerStats};
+    pub use crate::scheduler::{SchedulerKind, SchedulerStats};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::trace::{Trace, TraceEvent, TraceKind, TraceLevel};
     pub use crate::validator::{DeliverySchedule, Validator};

@@ -36,9 +36,6 @@ pub trait Payload: fmt::Debug + Send + Sync {
     /// Mutable upcast, used by attackers that modify messages in flight.
     fn as_any_mut(&mut self) -> &mut dyn Any;
 
-    /// Clones the payload behind the trait object into a fresh box.
-    fn clone_box(&self) -> Box<dyn Payload>;
-
     /// Clones the payload behind the trait object into a fresh shared
     /// allocation. This is a *deep* clone; use `Arc::clone` on an existing
     /// `Arc<dyn Payload>` for the O(1) refcount bump.
@@ -67,10 +64,6 @@ where
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
-    }
-
-    fn clone_box(&self) -> Box<dyn Payload> {
-        Box::new(self.clone())
     }
 
     fn clone_arc(&self) -> Arc<dyn Payload> {
@@ -358,13 +351,6 @@ mod tests {
         let b = boxed(Dummy(5));
         assert_eq!(b.as_any().downcast_ref::<Dummy>(), Some(&Dummy(5)));
         assert!(b.as_any().downcast_ref::<String>().is_none());
-    }
-
-    #[test]
-    fn clone_preserves_value() {
-        let b = boxed(Dummy(9));
-        let c = b.clone_box();
-        assert_eq!(c.as_any().downcast_ref::<Dummy>(), Some(&Dummy(9)));
     }
 
     #[test]

@@ -16,12 +16,11 @@ use crate::message::Message;
 use crate::metrics::{MetricsCollector, RunResult};
 use crate::obs::{ObsConfig, ObsRecorder};
 use crate::scheduler::SchedulerStats;
-use crate::smallstr::SmallStr;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Trace, TraceKind, TraceLevel};
 use crate::validator::DeliverySchedule;
 use crate::value::Value;
-use std::borrow::Cow;
+use std::ops::Range;
 
 /// Every consumer of run facts, owned in one place.
 pub(crate) struct Sinks {
@@ -142,19 +141,25 @@ impl Sinks {
         self.log(TraceLevel::Events, now, node, || TraceKind::View { view });
     }
 
-    /// `node` reported a protocol-defined event.
+    /// The trace's detail table when the run keeps protocol reports (see
+    /// [`Sinks::custom`]), else `None`.
+    #[inline]
+    pub(crate) fn details(&mut self) -> Option<&mut String> {
+        self.trace.details_mut()
+    }
+
+    /// `node` reported a protocol-defined event, whose detail it wrote at
+    /// `detail` in the table [`Sinks::details`] lent it. Below
+    /// [`TraceLevel::Events`] a report reaches no sink.
     #[inline]
     pub(crate) fn custom(
         &mut self,
         now: SimTime,
         node: NodeId,
-        label: Cow<'static, str>,
-        detail: SmallStr,
+        label: &'static str,
+        detail: Range<usize>,
     ) {
-        self.log(TraceLevel::Events, now, node, || TraceKind::Custom {
-            label,
-            detail,
-        });
+        self.trace.record_custom(now, node, label, detail);
     }
 
     /// The adversary corrupted (or else crashed) `node`, which `excluded`

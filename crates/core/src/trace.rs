@@ -16,10 +16,10 @@
 
 use std::borrow::Cow;
 use std::fmt;
+use std::ops::Range;
 
 use crate::ids::NodeId;
 use crate::json::{self, Fields, Json};
-use crate::smallstr::SmallStr;
 use crate::time::SimTime;
 use crate::value::Value;
 
@@ -90,9 +90,8 @@ pub enum TraceKind {
         /// recorded live — the hot path allocates nothing — and owned when
         /// parsed from JSON.
         label: Cow<'static, str>,
-        /// Free-form detail; short details (`"view=3"` and friends) are
-        /// stored inline without allocating.
-        detail: SmallStr,
+        /// Free-form detail, e.g. `"view=3"`.
+        detail: String,
     },
 }
 
@@ -179,6 +178,20 @@ fn detail_word(offset: usize, len: usize) -> Result<u64, String> {
     Ok((offset as u64) << LEN_BITS | len as u64)
 }
 
+/// Formats one `Custom` detail onto the end of a trace's detail table (see
+/// [`Trace::details_mut`]) and returns its place there.
+pub(crate) fn write_detail(details: &mut String, args: fmt::Arguments<'_>) -> Range<usize> {
+    use fmt::Write as _;
+    if details.capacity() == 0 {
+        details.reserve(FIRST_DETAILS);
+    }
+    let start = details.len();
+    details
+        .write_fmt(args)
+        .expect("writing to a String never fails");
+    start..details.len()
+}
+
 /// A time-ordered sequence of [`TraceEvent`]s.
 ///
 /// The tables are a pure function of the events pushed, in order, so two
@@ -232,8 +245,39 @@ impl Trace {
     /// tables past what a `u32` record can index.
     pub(crate) fn record(&mut self, time: SimTime, node: NodeId, kind: &TraceKind) {
         if let Err(e) = self.push(time, node, kind) {
-            panic!("trace cannot record an event at {time} on {node}: {e}");
+            Self::refuse(time, node, e);
         }
+    }
+
+    /// Records a live run's `Custom` event, whose detail the reporting node
+    /// already wrote at `detail` in [`Trace::details_mut`]'s table.
+    ///
+    /// # Panics
+    ///
+    /// As [`Trace::record`].
+    pub(crate) fn record_custom(
+        &mut self,
+        time: SimTime,
+        node: NodeId,
+        label: &'static str,
+        detail: Range<usize>,
+    ) {
+        match self.custom_word(&Cow::Borrowed(label), detail) {
+            Ok((tag, word)) => self.push_record(time, node, tag, word),
+            Err(e) => Self::refuse(time, node, e),
+        }
+    }
+
+    fn refuse(time: SimTime, node: NodeId, e: String) -> ! {
+        panic!("trace cannot record an event at {time} on {node}: {e}");
+    }
+
+    /// The detail table, for a run whose trace keeps `Custom` events
+    /// ([`TraceLevel::Events`] and above): a report writes its detail onto
+    /// the end with [`write_detail`], and [`Trace::record_custom`] records
+    /// where. `None` below `Events`.
+    pub(crate) fn details_mut(&mut self) -> Option<&mut String> {
+        self.keeps(TraceLevel::Events).then_some(&mut self.details)
     }
 
     fn push(&mut self, time: SimTime, node: NodeId, kind: &TraceKind) -> Result<(), String> {
@@ -253,15 +297,27 @@ impl Trace {
             TraceKind::Corrupted => (CORRUPTED, 0),
             TraceKind::Crashed => (CRASHED, 0),
             TraceKind::Custom { label, detail } => {
-                let word = detail_word(self.details.len(), detail.len())?;
-                let tag = tag_word(CUSTOM, self.name_id(label)?)?;
-                if self.details.capacity() == 0 {
-                    self.details.reserve(FIRST_DETAILS);
-                }
-                self.details.push_str(detail);
-                (tag, word)
+                let place = write_detail(&mut self.details, format_args!("{detail}"));
+                self.custom_word(label, place)?
             }
         };
+        self.push_record(time, node, tag, word);
+        Ok(())
+    }
+
+    /// A `Custom` record's tag and word.
+    // The `Cow` is what gets stored: a borrowed name stays borrowed.
+    #[allow(clippy::ptr_arg)]
+    fn custom_word(
+        &mut self,
+        label: &Cow<'static, str>,
+        detail: Range<usize>,
+    ) -> Result<(u32, u64), String> {
+        let word = detail_word(detail.start, detail.len())?;
+        Ok((tag_word(CUSTOM, self.name_id(label)?)?, word))
+    }
+
+    fn push_record(&mut self, time: SimTime, node: NodeId, tag: u32, word: u64) {
         if self.records.capacity() == 0 {
             self.records.reserve(FIRST_RECORDS);
         }
@@ -271,7 +327,6 @@ impl Trace {
             tag,
             word,
         });
-        Ok(())
     }
 
     /// The names-table index of `name`, interning it on first use. Live
@@ -332,7 +387,7 @@ impl Trace {
             CRASHED => TraceKind::Crashed,
             _ => TraceKind::Custom {
                 label: self.names[r.id()].clone(),
-                detail: SmallStr::from(self.detail(r.word)),
+                detail: self.detail(r.word).to_string(),
             },
         };
         TraceEvent {
@@ -566,7 +621,7 @@ impl TraceKind {
                     },
                     "Custom" => TraceKind::Custom {
                         label: f.req("label", text)?,
-                        detail: SmallStr::from(f.req("detail", json::string)?),
+                        detail: f.req("detail", json::string)?,
                     },
                     other => return unknown(other),
                 };
@@ -717,7 +772,7 @@ mod tests {
                 NodeId::new(i as u32),
                 &TraceKind::Custom {
                     label: s.clone().into(),
-                    detail: nasty_strings[(i + 1) % nasty_strings.len()].clone().into(),
+                    detail: nasty_strings[(i + 1) % nasty_strings.len()].clone(),
                 },
             );
         }

@@ -378,7 +378,7 @@ fn every_sink_hears_each_fact_exactly_once() {
     impl Protocol for Chatter {
         fn init(&mut self, ctx: &mut Context<'_>) {
             ctx.enter_view(1);
-            ctx.report("hello", "view=1");
+            ctx.report_fmt("hello", format_args!("view=1"));
             ctx.broadcast_all(QMsg::Vote(1));
             ctx.send_self(QMsg::Propose(1));
             let me = ctx.id();

@@ -131,64 +131,6 @@ impl NetworkModel for GstNetwork {
     }
 }
 
-/// Per-link delay matrix: every ordered `(src, dst)` pair has its own
-/// distribution, enabling heterogeneous topologies (e.g. two fast LANs
-/// joined by a slow WAN link).
-#[derive(Debug, Clone)]
-pub struct LinkMatrixNetwork {
-    n: usize,
-    /// Row-major `n × n` matrix; entry `src * n + dst`.
-    links: Vec<Dist>,
-}
-
-impl LinkMatrixNetwork {
-    /// Creates a matrix where every link uses `default` initially.
-    pub fn uniform(n: usize, default: Dist) -> Self {
-        LinkMatrixNetwork {
-            n,
-            links: vec![default; n * n],
-        }
-    }
-
-    /// Overrides the delay distribution of the directed link `src → dst`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` or `dst` is out of range.
-    pub(crate) fn set_link(&mut self, src: NodeId, dst: NodeId, dist: Dist) -> &mut Self {
-        assert!(
-            src.index() < self.n && dst.index() < self.n,
-            "link out of range"
-        );
-        self.links[src.index() * self.n + dst.index()] = dist;
-        self
-    }
-
-    /// Overrides both directions between `a` and `b`.
-    pub fn set_bidi(&mut self, a: NodeId, b: NodeId, dist: Dist) -> &mut Self {
-        self.set_link(a, b, dist);
-        self.set_link(b, a, dist);
-        self
-    }
-}
-
-impl NetworkModel for LinkMatrixNetwork {
-    fn decide(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        _now: SimTime,
-        _wire_bytes: u64,
-        rng: &mut SmallRng,
-    ) -> LinkDecision {
-        LinkDecision::deliver(self.links[src.index() * self.n + dst.index()].sample_delay(rng))
-    }
-
-    fn name(&self) -> &'static str {
-        "link-matrix"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,34 +184,5 @@ mod tests {
         let mut rng = rng();
         let d = sample(&mut net, 0, 1, SimTime::from_millis(5), &mut rng);
         assert_eq!(d.as_millis_f64(), 250.0);
-    }
-
-    #[test]
-    fn link_matrix_routes_per_link() {
-        let mut net = LinkMatrixNetwork::uniform(3, Dist::constant(10.0));
-        net.set_link(NodeId::new(0), NodeId::new(2), Dist::constant(99.0));
-        let mut rng = rng();
-        let fast = sample(&mut net, 0, 1, SimTime::ZERO, &mut rng);
-        let slow = sample(&mut net, 0, 2, SimTime::ZERO, &mut rng);
-        let back = sample(&mut net, 2, 0, SimTime::ZERO, &mut rng);
-        assert_eq!(fast.as_millis_f64(), 10.0);
-        assert_eq!(slow.as_millis_f64(), 99.0);
-        assert_eq!(back.as_millis_f64(), 10.0, "override is directional");
-    }
-
-    #[test]
-    fn link_matrix_bidi_override() {
-        let mut net = LinkMatrixNetwork::uniform(2, Dist::constant(1.0));
-        net.set_bidi(NodeId::new(0), NodeId::new(1), Dist::constant(7.0));
-        // Row-major: 0 → 1 is index 1, 1 → 0 is index 2.
-        assert_eq!(net.links[1], Dist::constant(7.0));
-        assert_eq!(net.links[2], Dist::constant(7.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn link_matrix_bounds_checked() {
-        let mut net = LinkMatrixNetwork::uniform(2, Dist::constant(1.0));
-        net.set_link(NodeId::new(0), NodeId::new(5), Dist::constant(7.0));
     }
 }

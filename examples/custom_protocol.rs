@@ -60,7 +60,7 @@ impl Protocol for EchoConsensus {
                 self.echoed = true;
                 self.echoes.insert(ctx.id());
                 ctx.broadcast(EchoMsg::Echo(v));
-                ctx.report("echo", format!("value={v}"));
+                ctx.report_fmt("echo", format_args!("value={v}"));
             }
             Some(&EchoMsg::Echo(v)) => {
                 self.echoes.insert(msg.src());

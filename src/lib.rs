@@ -58,7 +58,7 @@ pub mod prelude {
     pub use bft_sim_core::network::{ConstantNetwork, SampledNetwork};
     pub use bft_sim_core::prelude::*;
     pub use bft_sim_net::churn::{ChurnPlan, ChurnedNetwork, DownWindow};
-    pub use bft_sim_net::models::{BoundedNetwork, GstNetwork, LinkMatrixNetwork};
+    pub use bft_sim_net::models::{BoundedNetwork, GstNetwork};
     pub use bft_sim_net::partition::{CrossTraffic, PartitionPlan};
     pub use bft_sim_net::topology::{BandwidthNetwork, LinkProfile, LinkTopology};
     pub use bft_sim_protocols::registry::{NetworkAssumption, ProtocolKind};

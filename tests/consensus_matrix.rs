@@ -103,20 +103,17 @@ fn partially_synchronous_protocols_cross_gst() {
 
 #[test]
 fn heterogeneous_link_matrix() {
-    // Two fast LANs joined by one slow WAN pair of links.
+    // Two fast 4-node LANs joined by slow WAN links. With no bandwidth cap
+    // the network draws one latency per message and never queues.
     for kind in [
         ProtocolKind::Pbft,
         ProtocolKind::LibraBft,
         ProtocolKind::AsyncBa,
     ] {
-        let mut net = LinkMatrixNetwork::uniform(8, Dist::normal(50.0, 10.0));
-        for a in 0..4u32 {
-            for b in 4..8u32 {
-                net.set_bidi(NodeId::new(a), NodeId::new(b), Dist::normal(400.0, 80.0));
-            }
-        }
-        let r = run_with_network(kind, 8, 6, net);
-        assert_clean(kind, &r, "link-matrix");
+        let (lan, wan) = (Dist::normal(50.0, 10.0), Dist::normal(400.0, 80.0));
+        let topo = LinkTopology::clustered(8, lan, None, wan, None).unwrap();
+        let r = run_with_network(kind, 8, 6, BandwidthNetwork::new(topo));
+        assert_clean(kind, &r, "clustered");
     }
 }
 

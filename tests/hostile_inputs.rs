@@ -22,7 +22,6 @@ use bft_sim_core::campaign::{
     Batch, Journal, JournalHeader, JournalWriter, Manifest, UnitOutcome, UnitRecord,
 };
 use bft_sim_core::json::{self, Json};
-use bft_sim_core::smallstr::SmallStr;
 use bft_sim_core::trace::{TraceEvent, TraceKind};
 use bft_sim_core::validator::DeliverySchedule;
 use bft_sim_simcheck::{
@@ -427,7 +426,7 @@ fn rich_repro() -> Repro {
                 1,
                 TraceKind::Custom {
                     label: "commit".into(),
-                    detail: SmallStr::from("view=2 slot=0".to_string()),
+                    detail: "view=2 slot=0".to_string(),
                 },
             ),
             event(
