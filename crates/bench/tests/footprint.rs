@@ -305,8 +305,8 @@ fn a_checked_run_holds_each_decision_once() {
 }
 
 /// A checked run holds no delivery schedule: only
-/// `ScenarioSpec::run_recorded` turns the recorder on, and only the shrinker
-/// calls it. The case is the largest scenario of the benchmark's
+/// `ScenarioSpec::run_recorded` turns the recorder on, and it has no caller
+/// outside tests. The case is the largest scenario of the benchmark's
 /// `fuzz_net_sweep` (seed 1405 under its `ring_gradient` preset: PBFT at
 /// n = 16, 90 018 events), where a 16-byte fate per honest transmission,
 /// in a doubling `Vec`, was most of the run's live heap. Release builds

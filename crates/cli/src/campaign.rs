@@ -22,6 +22,7 @@ use bft_sim_core::campaign::{
 use bft_sim_core::json::{self, Json};
 use bft_sim_core::sweep::sweep;
 use bft_sim_simcheck::{check_node_count, run_unit, DelaySpec, ScenarioSpec, UnitRun};
+use bft_simulator::net::topology::check_link_nodes;
 use bft_simulator::prelude::ProtocolKind;
 
 use crate::{parse_net_preset, CliError};
@@ -126,6 +127,9 @@ pub fn load_manifest(path: &str) -> Result<Manifest, CliError> {
         }
         for net in manifest.nets.iter().filter(|net| *net != "none") {
             parse_net_preset(net).map_err(|e| format!("net \"{net}\": {e}"))?;
+            for &n in &manifest.nodes {
+                check_link_nodes(n).map_err(|e| format!("manifest: net \"{net}\": {e}"))?;
+            }
         }
         Ok(manifest)
     };

@@ -47,6 +47,7 @@ use bft_sim_core::json::{self, Fields, Json};
 use bft_sim_core::metrics::Cell;
 use bft_sim_simcheck::{check_node_count, AttackSpec, DelaySpec, PartitionSpec, ScenarioSpec};
 use bft_simulator::experiments::{self, figures, loc};
+use bft_simulator::net::topology::check_link_nodes;
 use bft_simulator::prelude::{PartitionAttack, ProtocolKind};
 use std::ops::RangeInclusive;
 
@@ -481,8 +482,11 @@ const FUZZ_ARGS: &[Arg] = &[
     arg("--threads", Some("N"), |s, v| {
         set(&mut s.fuzz.threads, threads(v))
     }),
+    // Any generated seed may draw a link-level net, so `--n` meets its bound.
     arg("--n", Some("NODES"), |s, v| {
-        let n = num("--n (node count)", v).and_then(|n| node_count("--n", n));
+        let n = num("--n (node count)", v)
+            .and_then(|n| node_count("--n", n))
+            .and_then(|n| check_link_nodes(n).map_err(|e| CliError::usage(format!("--n: {e}"))));
         set(&mut s.fuzz.n_override, n.map(Some))
     }),
     arg("--preset", Some("calm|moderate|chaos"), |s, v| {
@@ -2245,7 +2249,6 @@ mod tests {
         let repro = bft_sim_simcheck::Repro {
             spec: bft_sim_simcheck::ScenarioSpec::baseline(ProtocolKind::Pbft),
             script: Default::default(),
-            schedule: None,
             oracle: "agreement".into(),
             detail: "synthetic".into(),
             last_events: Vec::new(),

@@ -325,6 +325,27 @@ fn hostile_artifacts_exit_with_their_loaders_code() {
         &text[..end],
         &text[end..]
     );
+    // An honest protocol's drop/delay-only violation (Algorand, chaos seed
+    // 164: n = 4, one adversary drop, two reorder delays) minted a repro
+    // that also carried a 41-fate delivery schedule. Its script is now the
+    // one way it reproduces.
+    let algorand = dir.join("algorand");
+    let out = bft_sim(&[
+        "fuzz",
+        "--preset",
+        "chaos",
+        "--protocols",
+        "algorand",
+        "--seeds",
+        "164..165",
+        "--out",
+        algorand.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(3), "the seed violates agreement");
+    let seed164 = algorand.join("repro-seed164-agreement.json");
+    let text = std::fs::read_to_string(&seed164).expect("the violation is written as a repro");
+    assert!(!text.contains("\"schedule\""), "{text}");
+    assert_code(&["repro", seed164.to_str().unwrap()], 0);
     let good_manifest = file("good-manifest.json", &manifest("[4]", ""));
     let journal = file(
         "wide-shard.json",
@@ -471,6 +492,17 @@ fn hostile_artifacts_exit_with_their_loaders_code() {
             "fault_actions: entry #2: targeted drop \"dst\" 99 is not a node of the n = 7 scenario",
         ),
         (
+            vec![
+                "repro".into(),
+                file(
+                    "schedule.json",
+                    &repro(r#", "schedule": {"fates": ["Drop"]}"#),
+                ),
+            ],
+            4,
+            "repro: unknown field \"schedule\"",
+        ),
+        (
             vec!["repro".into(), file("deep.json", &"[".repeat(200_000))],
             4,
             "nesting deeper than 128",
@@ -539,6 +571,55 @@ fn hostile_artifacts_exit_with_their_loaders_code() {
             ],
             4,
             "churn down-time range is empty",
+        ),
+        // A link-level net at 10⁵ nodes asked for two n × n link tables
+        // (480 GB) and aborted (134), at each door a node count comes in by.
+        (
+            vec![
+                "trace".into(),
+                file(
+                    "big.json",
+                    r#"{"protocol": "hotstuff-ns", "n": 100000, "net": {"topology": "full_mesh"}}"#,
+                ),
+            ],
+            2,
+            "a link-level net holds at most 2048 nodes, got 100000",
+        ),
+        (
+            ["fuzz", "--seeds", "0..1", "--n", "100000", "--protocols", "hotstuff-ns"]
+                .map(String::from)
+                .to_vec(),
+            2,
+            "--n: invalid configuration: a link-level net holds at most 2048 nodes",
+        ),
+        (
+            [
+                "fuzz",
+                "--seeds",
+                "0..1",
+                "--n",
+                "100000",
+                "--protocols",
+                "hotstuff-ns",
+                "--net-preset",
+                "full_mesh",
+            ]
+            .map(String::from)
+            .to_vec(),
+            2,
+            "--n: invalid configuration: a link-level net holds at most 2048 nodes",
+        ),
+        (
+            vec![
+                "campaign".into(),
+                "run".into(),
+                file(
+                    "big-manifest.json",
+                    &manifest("[100000]", "").replace(r#"["none"]"#, r#"["full_mesh"]"#),
+                ),
+            ],
+            4,
+            "manifest: net \"full_mesh\": invalid configuration: a link-level net holds at most 2048 nodes, got 100000",
         ),
     ];
     for (args, code, needle) in cases {

@@ -47,14 +47,6 @@ pub enum Dist {
         /// Standard deviation (ms).
         sigma: f64,
     },
-    /// Log-normal: `exp(N(mu_log, sigma_log))`, a common heavy-tailed model of
-    /// Internet round-trip times.
-    LogNormal {
-        /// Mean of the underlying normal (log-ms).
-        mu_log: f64,
-        /// Standard deviation of the underlying normal.
-        sigma_log: f64,
-    },
     /// Exponential with the given mean (ms); memoryless delays.
     Exponential {
         /// Mean (ms). The rate is `1 / mean`.
@@ -84,11 +76,6 @@ impl Dist {
         Dist::Normal { mu, sigma }
     }
 
-    /// Log-normal with the given log-space parameters.
-    pub fn log_normal(mu_log: f64, sigma_log: f64) -> Dist {
-        Dist::LogNormal { mu_log, sigma_log }
-    }
-
     /// Exponential with the given mean.
     pub fn exponential(mean: f64) -> Dist {
         Dist::Exponential { mean }
@@ -115,9 +102,6 @@ impl Dist {
                 }
             }
             Dist::Normal { mu, sigma } => mu + sigma * standard_normal(rng),
-            Dist::LogNormal { mu_log, sigma_log } => {
-                (mu_log + sigma_log * standard_normal(rng)).exp()
-            }
             Dist::Exponential { mean } => {
                 // The NaN check matters: a NaN mean would otherwise poison
                 // the whole sample.
@@ -145,7 +129,6 @@ impl Dist {
             Dist::Constant { value } => value,
             Dist::Uniform { lo, hi } => (lo + hi) / 2.0,
             Dist::Normal { mu, .. } => mu,
-            Dist::LogNormal { mu_log, sigma_log } => (mu_log + sigma_log * sigma_log / 2.0).exp(),
             Dist::Exponential { mean } => mean,
             Dist::Poisson { mean } => mean,
         }
@@ -262,15 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn log_normal_is_positive() {
-        let mut rng = SmallRng::seed_from_u64(9);
-        let dist = Dist::log_normal(3.0, 1.0);
-        for _ in 0..1_000 {
-            assert!(dist.sample(&mut rng) > 0.0);
-        }
-    }
-
-    #[test]
     fn sample_delay_clamps_negatives() {
         // N(0, 1000) produces many negatives; delays must not.
         let mut rng = SmallRng::seed_from_u64(10);
@@ -320,7 +294,6 @@ mod tests {
                     Dist::constant(a),
                     Dist::uniform(a, b),
                     Dist::normal(a, b),
-                    Dist::log_normal(a, b),
                     Dist::exponential(a),
                     Dist::poisson(a),
                 ];
@@ -400,7 +373,6 @@ mod tests {
             Dist::constant(250.0),
             Dist::uniform(10.0, 20.0),
             Dist::normal(250.0, 50.0),
-            Dist::log_normal(3.0, 0.5),
             Dist::exponential(100.0),
             Dist::poisson(100.0),
         ];

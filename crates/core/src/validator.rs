@@ -82,18 +82,6 @@ impl DeliverySchedule {
         self.cursor = 0;
     }
 
-    /// Returns a copy holding only the first `len` fates (all of them when
-    /// `len` exceeds the schedule), with the cursor rewound. Shrinkers use
-    /// this to bisect a failing schedule down to its shortest violating
-    /// prefix; a replay past the prefix falls back to λ-delay delivery and is
-    /// flagged as diverged by the engine.
-    pub fn truncated(&self, len: usize) -> DeliverySchedule {
-        DeliverySchedule {
-            fates: self.fates[..len.min(self.fates.len())].to_vec(),
-            cursor: 0,
-        }
-    }
-
     /// Converts the schedule to JSON (externally-tagged fates, matching the
     /// derive format the schedule was originally serialised with).
     pub fn to_json(&self) -> Json {
@@ -257,31 +245,6 @@ mod tests {
         assert_eq!(s.next_fate(), None, "exhausted schedule signals divergence");
         s.rewind();
         assert!(s.next_fate().is_some());
-    }
-
-    #[test]
-    fn truncated_keeps_a_rewound_prefix() {
-        let mut s = DeliverySchedule::new();
-        s.push(Fate::Deliver(SimDuration::from_millis(1.0)));
-        s.push(Fate::Drop);
-        s.push(Fate::Deliver(SimDuration::from_millis(2.0)));
-        s.next_fate();
-
-        let mut p = s.truncated(2);
-        assert_eq!(p.len(), 2);
-        assert_eq!(
-            p.next_fate(),
-            Some(Fate::Deliver(SimDuration::from_millis(1.0))),
-            "prefix cursor starts rewound"
-        );
-        assert_eq!(p.next_fate(), Some(Fate::Drop));
-        assert_eq!(p.next_fate(), None);
-        assert_eq!(
-            s.truncated(99).len(),
-            3,
-            "over-long prefix is the whole schedule"
-        );
-        assert_eq!(s.truncated(0).len(), 0);
     }
 
     #[test]

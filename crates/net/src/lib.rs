@@ -1,9 +1,9 @@
 //! # bft-sim-net
 //!
 //! Network models for the BFT simulator: bounded (synchronous /
-//! partially-synchronous), GST-based partially-synchronous, per-link
-//! matrices, timed partitions, link-level topologies with bandwidth/FIFO
-//! queueing, and node churn — the network module of §III-A4, factored into
+//! partially-synchronous), GST-based partially-synchronous, timed
+//! partitions, link-level topologies with bandwidth/FIFO queueing, and node
+//! churn — the network module of §III-A4, factored into
 //! its own crate.
 //!
 //! ```

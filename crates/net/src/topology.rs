@@ -5,8 +5,9 @@
 //! capacity in bytes per second. Generators build the classic shapes (full
 //! mesh, ring, ring-gradient partial connectivity, clustered LAN/WAN) and
 //! validate every profile up front, rejecting degenerate configurations
-//! (zero bandwidth, non-finite latency, empty matrices) with
-//! [`SimError::InvalidConfig`] instead of silently misbehaving mid-run.
+//! (zero bandwidth, non-finite latency, empty matrices, more than
+//! [`MAX_LINK_NODES`] nodes) with [`SimError::InvalidConfig`] instead of
+//! silently misbehaving mid-run.
 //!
 //! [`BandwidthNetwork`] turns a topology into a [`NetworkModel`]: each
 //! message pays a serialization delay of `wire_bytes / bandwidth` and queues
@@ -69,9 +70,36 @@ fn dist_params_finite(d: &Dist) -> bool {
         Dist::Constant { value } => value.is_finite(),
         Dist::Uniform { lo, hi } => lo.is_finite() && hi.is_finite(),
         Dist::Normal { mu, sigma } => mu.is_finite() && sigma.is_finite(),
-        Dist::LogNormal { mu_log, sigma_log } => mu_log.is_finite() && sigma_log.is_finite(),
         Dist::Exponential { mean } => mean.is_finite(),
         Dist::Poisson { mean } => mean.is_finite(),
+    }
+}
+
+/// The most nodes a link-level net may have. A [`LinkTopology`] and its
+/// [`BandwidthNetwork`] keep one entry per directed link (64 bytes between
+/// them), so this bound holds both tables to 256 MiB; figures, fuzz scales
+/// and campaign grids use at most 256 nodes.
+pub const MAX_LINK_NODES: usize = 2_048;
+
+/// The node counts a link-level net may have, 1 to [`MAX_LINK_NODES`];
+/// returns `n`. Every [`LinkTopology`] constructor checks it before it
+/// allocates, and scenario files, `fuzz --n` and campaign manifests check it
+/// where they are parsed.
+///
+/// # Errors
+///
+/// [`SimError::InvalidConfig`] for 0 or more than [`MAX_LINK_NODES`] nodes.
+pub fn check_link_nodes(n: usize) -> Result<usize, SimError> {
+    if n == 0 {
+        Err(SimError::InvalidConfig(
+            "topology needs at least one node".into(),
+        ))
+    } else if n > MAX_LINK_NODES {
+        Err(SimError::InvalidConfig(format!(
+            "a link-level net holds at most {MAX_LINK_NODES} nodes, got {n}"
+        )))
+    } else {
+        Ok(n)
     }
 }
 
@@ -91,11 +119,7 @@ pub struct LinkTopology {
 impl LinkTopology {
     /// Builds a topology from an explicit row-major matrix.
     pub(crate) fn from_links(n: usize, links: Vec<LinkProfile>) -> Result<Self, SimError> {
-        if n == 0 {
-            return Err(SimError::InvalidConfig(
-                "topology needs at least one node".into(),
-            ));
-        }
+        check_link_nodes(n)?;
         if links.len() != n * n {
             return Err(SimError::InvalidConfig(format!(
                 "topology matrix for n={n} needs {} entries, got {}",
@@ -112,18 +136,20 @@ impl LinkTopology {
     /// Every ordered pair connected with the same latency and bandwidth —
     /// the delay-only model plus capacity.
     pub fn full_mesh(n: usize, latency: Dist, bandwidth: Option<u64>) -> Result<Self, SimError> {
+        check_link_nodes(n)?;
         let profile = LinkProfile {
             connected: true,
             latency,
             bandwidth,
         };
-        Self::from_links(n, vec![profile; n.checked_mul(n).unwrap_or(0)])
+        Self::from_links(n, vec![profile; n * n])
     }
 
     /// A fully-connected ring embedding: latency between two nodes scales
     /// with their ring distance (`hop_ms` per hop), modelling nodes laid out
     /// on a circle where far-apart peers pay more propagation time.
     pub fn ring(n: usize, hop_ms: f64, bandwidth: Option<u64>) -> Result<Self, SimError> {
+        check_link_nodes(n)?;
         if !hop_ms.is_finite() || hop_ms < 0.0 {
             return Err(SimError::InvalidConfig(format!(
                 "ring hop latency must be finite and non-negative, got {hop_ms}"
@@ -181,6 +207,7 @@ impl LinkTopology {
         wan_latency: Dist,
         wan_bandwidth: Option<u64>,
     ) -> Result<Self, SimError> {
+        check_link_nodes(n)?;
         let mut links = Vec::with_capacity(n * n);
         let half = n / 2;
         for src in 0..n {
@@ -350,6 +377,21 @@ mod tests {
             Dist::constant(1.0),
             None
         )));
+    }
+
+    /// Every shape refuses a node count past the bound before it builds
+    /// its `n × n` table (the bound itself would take 192 MiB to build).
+    #[test]
+    fn rejects_more_than_max_link_nodes() {
+        let over = MAX_LINK_NODES + 1;
+        let lan = Dist::constant(1.0);
+        assert!(invalid(LinkTopology::full_mesh(over, lan, None)));
+        assert!(invalid(LinkTopology::full_mesh(usize::MAX, lan, None)));
+        assert!(invalid(LinkTopology::ring(over, 1.0, None)));
+        assert!(invalid(LinkTopology::ring_gradient(over, 1.0, None, 7)));
+        assert!(invalid(LinkTopology::clustered(over, lan, None, lan, None)));
+        assert!(invalid(LinkTopology::from_links(over, Vec::new())));
+        assert!(check_link_nodes(MAX_LINK_NODES).is_ok());
     }
 
     #[test]

@@ -5,13 +5,13 @@
 //!
 //! - `scenario` — seeded scenario generation ([`ScenarioSpec::generate`])
 //!   and oracle-checked execution ([`ScenarioSpec::run`]) in generate /
-//!   scripted / schedule-replay modes;
+//!   scripted modes, plus the validator's schedule-replay mode;
 //! - `fuzz` — the sweep driver ([`fuzz_many`]): one scenario per seed,
 //!   every violation shrunk to a reproducer;
 //! - `fingerprint` — a run's coarse behavior hash ([`run_fingerprint`]),
 //!   which the golden corpus pins;
-//! - `shrink` — minimisation: decision target, partition, ddmin over the
-//!   adversary action list, node count, then delivery-schedule bisection;
+//! - `shrink` — minimisation: decision target, partition and net block,
+//!   ddmin over the adversary and fault action lists, then node count;
 //! - `repro` — the `bft-sim-repro-v1` JSON format written by
 //!   `bft-sim fuzz` and replayed by `bft-sim repro`;
 //! - `testbug` (feature `testbug`) — an intentionally buggy adversary that

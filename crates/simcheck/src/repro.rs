@@ -1,18 +1,17 @@
 //! Self-contained failure reproducers.
 //!
 //! A [`Repro`] is what the fuzzer hands back for every violation it finds
-//! (after shrinking): the minimal scenario, the residual adversary script,
-//! optionally a delivery-schedule prefix, and the oracle it trips. Its JSON
-//! form is what `bft-sim fuzz` writes and `bft-sim repro` replays; checking
-//! a committed repro file into `tests/` turns a fuzzer catch into a
-//! permanent regression test.
+//! (after shrinking): the minimal scenario, the residual perturbation
+//! script that reproduces it, and the oracle it trips. Its JSON form is
+//! what `bft-sim fuzz` writes and `bft-sim repro` replays; checking a
+//! committed repro file into `tests/` turns a fuzzer catch into a permanent
+//! regression test.
 
 use bft_sim_attacks::{actions_from_json, actions_to_json};
 use bft_sim_core::buggify::{fault_actions_from_json, fault_actions_to_json};
 use bft_sim_core::json::{self, Fields, Json};
 use bft_sim_core::oracle::OracleViolation;
 use bft_sim_core::trace::TraceEvent;
-use bft_sim_core::validator::DeliverySchedule;
 
 use crate::scenario::{RunMode, ScenarioSpec, Script};
 
@@ -28,9 +27,6 @@ pub struct Repro {
     /// is two arrays, `actions` and `fault_actions`, each omitted when empty
     /// (so repros minted before the fault catalog existed parse unchanged).
     pub script: Script,
-    /// When present, the violation reproduces through a pure schedule
-    /// replay ([`RunMode::Replay`]) — no adversary involved at all.
-    pub schedule: Option<DeliverySchedule>,
     /// The oracle that must fire ([`OracleViolation::oracle`]).
     pub oracle: String,
     /// The violation detail observed when the repro was minted.
@@ -52,10 +48,7 @@ impl Repro {
     /// the `testbug` feature) or when the oracle no longer fires — meaning
     /// either the bug is fixed or the repro went stale.
     pub fn check(&self) -> Result<OracleViolation, String> {
-        let run = match &self.schedule {
-            Some(schedule) => self.spec.run(RunMode::Replay(schedule))?,
-            None => self.spec.run(RunMode::Scripted(&self.script))?,
-        };
+        let run = self.spec.run(RunMode::Scripted(&self.script))?;
         run.violations
             .into_iter()
             .find(|v| v.oracle == self.oracle)
@@ -83,9 +76,6 @@ impl Repro {
             let faults = fault_actions_to_json(&self.script.faults);
             pairs.push(("fault_actions".to_string(), faults));
         }
-        if let Some(schedule) = &self.schedule {
-            pairs.push(("schedule".to_string(), schedule.to_json()));
-        }
         if !self.last_events.is_empty() {
             pairs.push((
                 "last_events".to_string(),
@@ -96,8 +86,8 @@ impl Repro {
     }
 
     /// Parses the format produced by [`Repro::to_json`]; the blocks it omits
-    /// when empty (`actions`, `fault_actions`, `schedule`, `last_events`)
-    /// may be absent.
+    /// when empty (`actions`, `fault_actions`, `last_events`) may be absent;
+    /// any other key, a `schedule` included, is refused.
     ///
     /// # Errors
     ///
@@ -118,7 +108,6 @@ impl Repro {
                 actions: f.opt_or("actions", Vec::new(), actions_from_json)?,
                 faults: f.opt_or("fault_actions", Vec::new(), fault_actions_from_json)?,
             },
-            schedule: f.opt("schedule", DeliverySchedule::from_json)?,
             last_events: f.opt_or("last_events", Vec::new(), json::list(TraceEvent::from_json))?,
         };
         f.finish()?;
@@ -153,7 +142,6 @@ mod tests {
                 ],
                 faults: Vec::new(),
             },
-            schedule: None,
             oracle: "agreement".to_string(),
             detail: "slot 0: n1 decided v0x1 but n2 decided v0x2".to_string(),
             last_events: Vec::new(),

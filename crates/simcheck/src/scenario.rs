@@ -14,9 +14,9 @@
 //!   the adversary bypassed entirely (the engine's validator path).
 //!
 //! No run records its delivery schedule except under
-//! [`ScenarioSpec::run_recorded`], which the shrinker calls once, on a
-//! minimised failure it can turn into a schedule replay. Every other checked
-//! run (fuzz, campaign and every ddmin probe) pays nothing for it.
+//! [`ScenarioSpec::run_recorded`], which nothing calls outside tests: every
+//! checked run (fuzz, campaign, every shrink probe and repro replay) pays
+//! nothing for it.
 
 use bft_sim_attacks::{
     AddAdaptiveRushingAttack, AddStaticAttack, FailStop, FuzzAction, FuzzActionKind, FuzzBudget,
@@ -39,7 +39,7 @@ use bft_sim_core::time::SimDuration;
 use bft_sim_core::trace::{TraceEvent, TraceLevel};
 use bft_sim_core::validator::DeliverySchedule;
 use bft_sim_net::churn::{ChurnPlan, ChurnedNetwork};
-use bft_sim_net::topology::{BandwidthNetwork, LinkTopology};
+use bft_sim_net::topology::{check_link_nodes, BandwidthNetwork, LinkTopology};
 use bft_sim_protocols::registry::ProtocolKind;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -889,8 +889,8 @@ impl ScenarioSpec {
     /// [`RunMode::Replay`] reproduces the run from (a replay records the
     /// fates it applied, the λ-delay deliveries past a short schedule's end
     /// included). The recorder changes nothing else, so the [`CheckedRun`]
-    /// is the one `run` returns. The shrinker is its only caller outside
-    /// tests: no other run pays 16 bytes per transmission for a schedule.
+    /// is the one `run` returns. Nothing calls it outside tests, so no
+    /// checked run pays 16 bytes per transmission for a schedule.
     ///
     /// # Errors
     ///
@@ -1141,7 +1141,8 @@ impl ScenarioSpec {
     ///
     /// Malformed per [`bft_sim_core::json`]'s artifact parsing policy, an
     /// unknown protocol or fault preset, an `n` that [`check_node_count`]
-    /// rejects, a zero `lambda_micros`, or an attack beyond the fault budget
+    /// rejects (or, beside a net block, [`check_link_nodes`]), a zero
+    /// `lambda_micros`, or an attack beyond the fault budget
     /// ([`AttackSpec::check_budget`]).
     pub fn from_json(json: &Json) -> Result<ScenarioSpec, String> {
         let mut f = Fields::of(json, "scenario")?;
@@ -1184,6 +1185,9 @@ impl ScenarioSpec {
         };
         faults.finish()?;
         f.finish()?;
+        if spec.net.is_some() {
+            check_link_nodes(spec.n).map_err(|e| format!("scenario net: {e}"))?;
+        }
         if let Some(attack) = spec.attack {
             attack.check_budget(protocol, spec.n)?;
         }
@@ -1869,7 +1873,7 @@ mod tests {
 
     #[test]
     fn recording_the_schedule_is_inert() {
-        // Recording is opt-in because nothing but the shrinker reads the
+        // Recording is opt-in because nothing outside tests reads the
         // schedule; turning it on must change nothing else, in every mode.
         let protocols = [
             ProtocolKind::Pbft,
@@ -1904,9 +1908,8 @@ mod tests {
                 let scripted = RunMode::Scripted(&generated.script);
                 assert_recording_is_inert(spec, scripted, &format!("{what} scripted"));
 
-                let prefix = schedule.truncated(schedule.len() / 2);
-                assert!(!prefix.is_empty(), "{what}: empty schedule");
-                let replay = RunMode::Replay(&prefix);
+                assert!(!schedule.is_empty(), "{what}: empty schedule");
+                let replay = RunMode::Replay(&schedule);
                 assert_recording_is_inert(spec, replay, &format!("{what} replay"));
             }
         }

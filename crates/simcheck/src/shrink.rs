@@ -9,17 +9,12 @@
 //! 3. delta-debug the adversary action list (remove chunks, then singles);
 //! 4. delta-debug the fault-catalog action list the same way;
 //! 5. shrink `n` down through the generator's scales;
-//! 6. when the residual failure is pure drop/delay (no injected payloads, no
-//!    seeded bug, no fault kinds outside the recorded fate stream), record
-//!    the final failing run's [`DeliverySchedule`]
-//!    ([`ScenarioSpec::run_recorded`], the one recorded run of a shrink) and
-//!    bisect it to the shortest violating prefix — the repro then replays
-//!    through the engine's validator path with no adversary at all.
-//!    Otherwise the final run, like every probe before it, records nothing.
+//! 6. re-run the minimised scenario once for the violation detail.
+//!
+//! No run of a shrink records a delivery schedule: the minimised script,
+//! which every kept step re-verified, is the repro's one way to reproduce.
 
-use bft_sim_attacks::FuzzActionKind;
-use bft_sim_core::buggify::{FaultKind, FaultPreset};
-use bft_sim_core::validator::DeliverySchedule;
+use bft_sim_core::buggify::FaultPreset;
 
 use crate::repro::Repro;
 use crate::scenario::{CheckedRun, RunMode, ScenarioSpec, Script};
@@ -62,7 +57,6 @@ pub(crate) fn shrink(spec: &ScenarioSpec, failing: &CheckedRun) -> Repro {
         return Repro {
             spec,
             script,
-            schedule: None,
             oracle: v.oracle.to_string(),
             detail: v.detail.clone(),
             last_events: Vec::new(),
@@ -139,26 +133,9 @@ pub(crate) fn shrink(spec: &ScenarioSpec, failing: &CheckedRun) -> Repro {
         still_fails(candidate, script, oracle).is_some()
     });
 
-    // 6. Re-run the minimised scenario once more for the violation detail
-    //    and, when it can replay without the adversary, its schedule; then
-    //    try to turn it into a pure schedule replay.
-    let mode = RunMode::Scripted(&script);
-    let (fin, recorded) = if replay_eligible(&spec, &script) {
-        spec.run_recorded(mode)
-            .map(|(run, schedule)| (run, Some(schedule)))
-    } else {
-        spec.run(mode).map(|run| (run, None))
-    }
-    .ok()
-    .filter(|(run, _)| run.violates(oracle))
-    .expect("minimised scenario must still fail: every kept step was re-verified");
-    let schedule = recorded.and_then(|recorded| {
-        bisect_prefix(&recorded, |prefix| {
-            spec.run(RunMode::Replay(prefix))
-                .map(|run| run.violates(oracle))
-                .unwrap_or(false)
-        })
-    });
+    // 6. Re-run the minimised scenario once more for the violation detail.
+    let fin = still_fails(&spec, &script, oracle)
+        .expect("minimised scenario must still fail: every kept step was re-verified");
     let v = fin
         .violations
         .iter()
@@ -167,7 +144,6 @@ pub(crate) fn shrink(spec: &ScenarioSpec, failing: &CheckedRun) -> Repro {
     Repro {
         spec,
         script,
-        schedule,
         oracle: v.oracle.to_string(),
         detail: v.detail.clone(),
         last_events: Vec::new(),
@@ -199,26 +175,6 @@ fn fewer_nodes(
             break;
         }
     }
-}
-
-/// Whether a recorded schedule can reproduce the failure on its own: replay
-/// mode skips the adversary and the fault injector, so injected payloads
-/// (replays, the seeded bug) are not captured and must stay scripted. Fault
-/// actions are fine only when their effect lands in the recorded fate
-/// stream — targeted drops and reorder delays do; timer skew, duplicate
-/// deliveries and torn writes act outside it.
-fn replay_eligible(spec: &ScenarioSpec, script: &Script) -> bool {
-    !spec.inject_bug
-        && !script
-            .actions
-            .iter()
-            .any(|a| matches!(a.kind, FuzzActionKind::Replay { .. }))
-        && script.faults.iter().all(|f| {
-            matches!(
-                f.kind,
-                FaultKind::TargetedDrop { .. } | FaultKind::ReorderDelay { .. }
-            )
-        })
 }
 
 /// One pass of ddmin-style chunk removal: repeatedly try deleting chunks of
@@ -254,54 +210,16 @@ fn ddmin<T: Clone>(mut items: Vec<T>, mut keeps_failing: impl FnMut(&[T]) -> boo
     }
 }
 
-/// Binary-searches the shortest schedule prefix for which `fails` holds,
-/// assuming (as ddmin does) rough monotonicity: if no prefix — including the
-/// full schedule — fails, returns `None`. The returned prefix is re-verified
-/// by construction (the search only narrows onto probed-failing lengths).
-pub(crate) fn bisect_prefix(
-    schedule: &DeliverySchedule,
-    mut fails: impl FnMut(&DeliverySchedule) -> bool,
-) -> Option<DeliverySchedule> {
-    if !fails(schedule) {
-        return None;
-    }
-    // Invariant: a prefix of length `hi` fails; prefixes of length `lo - 1`
-    // (and below the last probed failure) are not known to fail.
-    let mut lo = 0usize;
-    let mut hi = schedule.len();
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if fails(&schedule.truncated(mid)) {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    Some(schedule.truncated(hi))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bft_sim_core::json::Json;
-
-    /// Builds a schedule of `n` Deliver fates via the JSON door (the only
-    /// public constructor).
-    fn schedule_of(n: usize) -> DeliverySchedule {
-        let fates: Vec<String> = (0..n)
-            .map(|i| format!("{{\"Deliver\": {{\"delay_micros\": {i}}}}}"))
-            .collect();
-        let text = format!("{{\"fates\": [{}]}}", fates.join(", "));
-        DeliverySchedule::from_json(&Json::parse(&text).unwrap()).unwrap()
-    }
-
     /// Step 5 strips the drops a smaller scale lacks the victim of, probes
     /// and keeps the stripped script, and still skips a scale that lacks a
     /// replay's destination.
     #[test]
     fn fewer_nodes_strips_drops_aimed_past_the_candidate() {
-        use bft_sim_attacks::FuzzAction;
-        use bft_sim_core::buggify::FaultAction;
+        use bft_sim_attacks::{FuzzAction, FuzzActionKind};
+        use bft_sim_core::buggify::{FaultAction, FaultKind};
         use bft_sim_core::ids::NodeId;
         use bft_sim_protocols::registry::ProtocolKind;
 
@@ -359,42 +277,13 @@ mod tests {
         fewer_nodes(&mut spec, &mut kept, |_, _| false);
         assert_eq!((spec.n, kept), (10, script));
     }
-
-    #[test]
-    fn bisect_finds_the_shortest_failing_prefix() {
-        let schedule = schedule_of(100);
-        let mut probes = 0;
-        let prefix = bisect_prefix(&schedule, |p| {
-            probes += 1;
-            p.len() >= 37
-        })
-        .unwrap();
-        assert_eq!(prefix.len(), 37);
-        assert!(probes <= 9, "binary search, not a scan: {probes} probes");
-    }
-
-    #[test]
-    fn bisect_handles_edge_cases() {
-        let schedule = schedule_of(10);
-        assert!(bisect_prefix(&schedule, |_| false).is_none(), "never fails");
-        assert_eq!(
-            bisect_prefix(&schedule, |_| true).unwrap().len(),
-            0,
-            "always fails shrinks to the empty schedule"
-        );
-        assert_eq!(
-            bisect_prefix(&schedule, |p| p.len() >= 10).unwrap().len(),
-            10,
-            "only the full schedule fails"
-        );
-    }
 }
 
 #[cfg(all(test, feature = "testbug"))]
 mod testbug_tests {
     use super::*;
     use crate::scenario::{PartitionSpec, RunMode, ScenarioSpec};
-    use bft_sim_core::buggify::FaultAction;
+    use bft_sim_core::buggify::{FaultAction, FaultKind};
     use bft_sim_protocols::registry::ProtocolKind;
 
     #[test]
@@ -455,10 +344,6 @@ mod testbug_tests {
             .faults
             .iter()
             .all(|f| matches!(f.kind, FaultKind::TargetedDrop { dst } if dst == victim)));
-        assert!(
-            repro.schedule.is_none(),
-            "injected payloads cannot replay through a schedule"
-        );
 
         // The minimised repro reproduces.
         let v = repro.check().unwrap();
@@ -499,10 +384,6 @@ mod testbug_tests {
             repro.script.actions.is_empty(),
             "fuzz actions are irrelevant to the seeded bug: {:?}",
             repro.script.actions
-        );
-        assert!(
-            repro.schedule.is_none(),
-            "injected payloads cannot replay through a schedule"
         );
         assert!(repro.spec.inject_bug);
 

@@ -34,7 +34,7 @@
 //! | Crate | Contents |
 //! |---|---|
 //! | `bft-sim-core` | event queue, controller, protocol/adversary interfaces, metrics, validator |
-//! | `bft-sim-net` | network models: bounded, GST, link matrices, partitions |
+//! | `bft-sim-net` | network models: bounded, GST, link-level topologies with bandwidth queueing, churn, partition plans |
 //! | `bft-sim-crypto` | simulated hashing, signatures, VRFs, quorum certificates |
 //! | `bft-sim-protocols` | the eight BFT protocols of Table I, plus Tendermint |
 //! | `bft-sim-attacks` | fail-stop, partition, ADD+ static & rushing-adaptive attacks |

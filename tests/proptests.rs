@@ -59,7 +59,6 @@ fn arbitrary_dists(gen: &mut SmallRng) -> Vec<Dist> {
         Dist::constant(gen.gen_range(0.0..5000.0)),
         Dist::uniform(gen.gen_range(0.0..2000.0), gen.gen_range(2000.0..6000.0)),
         Dist::normal(gen.gen_range(-1000.0..4000.0), gen.gen_range(0.0..2000.0)),
-        Dist::log_normal(gen.gen_range(0.0..8.0), gen.gen_range(0.0..2.0)),
         Dist::exponential(gen.gen_range(0.1..3000.0)),
         Dist::poisson(gen.gen_range(0.1..1000.0)),
     ]

@@ -119,10 +119,9 @@ fn seeded_safety_bug_is_caught_shrunk_and_replayable_from_disk() {
 #[test]
 fn replayed_schedules_reproduce_fuzzed_runs_exactly() {
     // For a scenario the fuzzer generated, the recorded delivery schedule
-    // alone must replay to identical decisions — the engine-level guarantee
-    // the shrinker's schedule bisection rests on. Replay mode skips the
-    // adversary, so only runs without injected duplicates qualify (the same
-    // eligibility rule the shrinker applies).
+    // alone must replay to identical decisions: the validator path (the
+    // paper's §III-A6 replay) over fuzzed specs. Replay mode skips the
+    // adversary, so only runs without injected replays qualify.
     use bft_simulator::attacks::FuzzActionKind;
     let opts = FuzzOptions::default();
     let mut replayed_some = false;
