@@ -333,8 +333,8 @@ pub fn exec_campaign_run(spec: &CampaignRunSpec) -> Result<Option<Json>, CliErro
     let mut cursor = checkpoint.records.len();
     while cursor < assigned.len() {
         if spec.max_units.is_some_and(|cap| completed_now >= cap) {
-            eprintln!(
-                "campaign: pausing after {completed_now} units this invocation \
+            out!(
+                stderr: "campaign: pausing after {completed_now} units this invocation \
                  ({}/{} total); resume with --resume",
                 checkpoint.records.len(),
                 assigned.len()
@@ -371,8 +371,8 @@ pub fn exec_campaign_run(spec: &CampaignRunSpec) -> Result<Option<Json>, CliErro
         checkpoint.apply(batch).map_err(CliError::runtime)?;
         completed_now += batch_end - cursor;
         cursor = batch_end;
-        eprintln!(
-            "campaign: {}/{} units checkpointed to {}",
+        out!(
+            stderr: "campaign: {}/{} units checkpointed to {}",
             checkpoint.records.len(),
             assigned.len(),
             checkpoint_path.display()
@@ -380,8 +380,8 @@ pub fn exec_campaign_run(spec: &CampaignRunSpec) -> Result<Option<Json>, CliErro
     }
 
     if spec.shard.1 > 1 {
-        eprintln!(
-            "campaign: shard {}/{} complete ({} units); merge every shard's \
+        out!(
+            stderr: "campaign: shard {}/{} complete ({} units); merge every shard's \
              checkpoint with `bft-sim campaign merge`",
             spec.shard.0,
             spec.shard.1,
@@ -454,7 +454,7 @@ pub fn exec_campaign_status(path: &str) -> Result<Json, CliError> {
 /// Prints a status ([`exec_campaign_status`]) as JSON or as one line.
 pub(crate) fn emit_status(status: &Json, json: bool) {
     if json {
-        println!("{}", status.dump_pretty());
+        out!("{}", status.dump_pretty());
         return;
     }
     let torn = match status.get("torn_tail").and_then(Json::as_bool) {
@@ -462,11 +462,11 @@ pub(crate) fn emit_status(status: &Json, json: bool) {
         _ => "",
     };
     let Some(assigned) = status.get("assigned").and_then(Json::as_u64) else {
-        println!("campaign: no complete header line, nothing recorded{torn}");
+        out!("campaign: no complete header line, nothing recorded{torn}");
         return;
     };
     let count = |key: &str| status.get(key).and_then(Json::as_u64).unwrap_or_default();
-    println!(
+    out!(
         "campaign: {}/{assigned} units done — {} clean, {} violated, {} panicked \
          ({} journal lines{torn})",
         count("done"),
@@ -497,21 +497,19 @@ pub(crate) fn emit_report(
         count("panicked"),
     );
     if json {
-        println!("{text}");
+        out!("{text}");
     } else {
-        println!(
-            "campaign: {units} units — {clean} clean, {violated} violated, {panicked} panicked"
-        );
+        out!("campaign: {units} units — {clean} clean, {violated} violated, {panicked} panicked");
         if let Some(tally) = report.get("violations").and_then(|v| match v {
             Json::Obj(pairs) if !pairs.is_empty() => Some(pairs),
             _ => None,
         }) {
             for (oracle, n) in tally {
-                println!("  {oracle}: {} units", n.as_u64().unwrap_or_default());
+                out!("  {oracle}: {} units", n.as_u64().unwrap_or_default());
             }
         }
         if let Some(first) = report.get("first_panic") {
-            println!(
+            out!(
                 "  first panic: unit {}: {}",
                 first.get("unit").and_then(Json::as_u64).unwrap_or_default(),
                 first
@@ -521,7 +519,7 @@ pub(crate) fn emit_report(
             );
         }
         if let Some(path) = report_path {
-            println!("report -> {path}");
+            out!("report -> {path}");
         }
     }
     if violated + panicked > 0 {

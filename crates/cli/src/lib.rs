@@ -2,13 +2,14 @@
 //!
 //! Command-line front end for the BFT simulator. The paper's workflow —
 //! "write a configuration specifying the network model and parameters, the
-//! BFT protocol, and optionally the attack scenario" — maps to flags or a
-//! JSON config file:
+//! BFT protocol, and optionally the attack scenario" — maps to a scenario
+//! file (the JSON that `trace` runs and every repro embeds), to flags that
+//! each edit one field of the paper's default scenario, or to both:
 //!
 //! ```text
 //! bft-sim run --protocol pbft --nodes 16 --lambda 1000 \
 //!             --delay-mu 250 --delay-sigma 50 --reps 100
-//! bft-sim run --config experiment.json
+//! bft-sim run --config scenario.json --reps 100
 //! bft-sim compare --nodes 16 --reps 20
 //! bft-sim fig 5
 //! bft-sim table 1
@@ -29,10 +30,24 @@
 //! |-----:|---------|
 //! | 0    | success (for `fuzz`: clean sweep; for `repro`: the oracle fired) |
 //! | 1    | runtime failure — simulation error, I/O error |
-//! | 2    | usage or parse error — bad flags, malformed config file |
+//! | 2    | usage or parse error — bad flags, malformed scenario or `--config` file |
 //! | 3    | `fuzz` / `campaign` found oracle violations or panicked runs |
 //! | 4    | artifact error — an unreadable or malformed repro, manifest, or checkpoint file, or a repro that no longer reproduces |
 //! | 101  | the process itself panicked (Rust's default panic exit) |
+
+/// `println!`, or `eprintln!` as `out!(stderr: ..)`, that drops write
+/// errors: what a closed pipe refuses (`bft-sim trace pbft | head -1`) is
+/// lost instead of panicking, so the command still exits with its own code.
+macro_rules! out {
+    (stderr: $($fmt:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stderr(), $($fmt)*);
+    }};
+    ($($fmt:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stdout(), $($fmt)*);
+    }};
+}
 
 pub mod campaign;
 
@@ -43,7 +58,7 @@ pub use campaign::{
 };
 
 use bft_sim_core::buggify::FaultPreset;
-use bft_sim_core::json::{self, Fields, Json};
+use bft_sim_core::json::{self, Json};
 use bft_sim_core::metrics::Cell;
 use bft_sim_simcheck::{check_node_count, AttackSpec, DelaySpec, PartitionSpec, ScenarioSpec};
 use bft_simulator::experiments::{self, figures, loc};
@@ -85,72 +100,17 @@ pub enum Command {
     Help,
 }
 
-/// Scenario parameters shared by `run` and `compare` (JSON-compatible, so
-/// `--config file.json` loads the same structure).
+/// What `run` and `compare` execute: a scenario, as a `--config` scenario
+/// file states it and each scenario flag edits one field of it, repeated
+/// `reps` times from its seed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSpec {
-    /// Protocol short name (ignored by `compare`).
-    pub(crate) protocol: String,
-    /// Number of nodes.
-    pub(crate) nodes: usize,
-    /// Timeout parameter λ in ms.
-    pub(crate) lambda_ms: f64,
-    /// Mean network delay (ms).
-    pub(crate) delay_mu: f64,
-    /// Network delay standard deviation (ms).
-    pub(crate) delay_sigma: f64,
+    /// The scenario (`compare` swaps in each protocol in turn).
+    pub(crate) scenario: ScenarioSpec,
     /// Repetitions.
     pub(crate) reps: usize,
-    /// Base RNG seed.
-    pub(crate) seed: u64,
-    /// Attack: `none`, `failstop:K`, `partition:START_MS:END_MS`,
-    /// `add-static:K`, `add-adaptive`.
-    pub(crate) attack: String,
     /// Emit JSON instead of a table.
     pub(crate) json: bool,
-}
-
-impl RunSpec {
-    /// Parses a spec from a JSON config object; absent fields keep their
-    /// [`RunSpec::default`] values.
-    ///
-    /// # Errors
-    ///
-    /// Malformed per [`bft_sim_core::json`]'s artifact parsing policy (so a
-    /// typo in a config file surfaces as an unknown field).
-    pub fn from_json(json: &Json) -> Result<RunSpec, String> {
-        let mut f = Fields::of(json, "config")?;
-        let base = RunSpec::default();
-        let spec = RunSpec {
-            protocol: f.opt_or("protocol", base.protocol, json::string)?,
-            nodes: f.opt_or("nodes", base.nodes, json::int)?,
-            lambda_ms: f.opt_or("lambda_ms", base.lambda_ms, json::float)?,
-            delay_mu: f.opt_or("delay_mu", base.delay_mu, json::float)?,
-            delay_sigma: f.opt_or("delay_sigma", base.delay_sigma, json::float)?,
-            reps: f.opt_or("reps", base.reps, json::int)?,
-            seed: f.opt_or("seed", base.seed, json::int)?,
-            attack: f.opt_or("attack", base.attack, json::string)?,
-            json: f.opt_or("json", base.json, json::boolean)?,
-        };
-        f.finish()?;
-        Ok(spec)
-    }
-
-    /// Serialises the spec as a JSON config object (the format
-    /// [`RunSpec::from_json`] reads back).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("protocol", Json::from(self.protocol.as_str())),
-            ("nodes", Json::from(self.nodes)),
-            ("lambda_ms", Json::from(self.lambda_ms)),
-            ("delay_mu", Json::from(self.delay_mu)),
-            ("delay_sigma", Json::from(self.delay_sigma)),
-            ("reps", Json::from(self.reps)),
-            ("seed", Json::from(self.seed)),
-            ("attack", Json::from(self.attack.as_str())),
-            ("json", Json::from(self.json)),
-        ])
-    }
 }
 
 /// Parameters of a `bft-sim fuzz` sweep.
@@ -237,14 +197,8 @@ impl Default for TraceSpec {
 impl Default for RunSpec {
     fn default() -> Self {
         RunSpec {
-            protocol: "pbft".into(),
-            nodes: 16,
-            lambda_ms: 1000.0,
-            delay_mu: 250.0,
-            delay_sigma: 50.0,
+            scenario: experiments::paper_spec(ProtocolKind::Pbft, 16),
             reps: 10,
-            seed: 0,
-            attack: "none".into(),
             json: false,
         }
     }
@@ -424,34 +378,43 @@ const INTENSITY: &str = "--intensity (permille, 0..=1000)";
 /// The flag whose file is the base the other flags override.
 const CONFIG: &str = "--config";
 
+/// Each scenario flag edits one field of the `--config` scenario, or of
+/// [`RunSpec::default`]'s.
 const RUN_ARGS: &[Arg] = &[
     arg(CONFIG, Some("FILE.json"), |s, v| {
-        let loaded = json::load(v, "config", RunSpec::from_json);
-        set(&mut s.run, loaded.map_err(CliError::usage))
+        let loaded = json::load(v, "config", ScenarioSpec::from_json);
+        set(&mut s.run.scenario, loaded.map_err(CliError::usage))
     }),
     arg("--protocol", Some("NAME"), |s, v| {
-        set(&mut s.run.protocol, Ok(v.into()))
+        let kind = ProtocolKind::parse(v)
+            .ok_or_else(|| CliError::usage(format!("unknown protocol '{v}'")))?;
+        retarget(&mut s.run.scenario, kind);
+        Ok(())
     }),
     arg("--nodes", Some("N"), |s, v| {
-        set(&mut s.run.nodes, num("--nodes", v))
+        set(&mut s.run.scenario.n, num("--nodes", v))
     }),
     arg("--lambda", Some("MS"), |s, v| {
-        set(&mut s.run.lambda_ms, num("--lambda", v))
+        set(&mut s.run.scenario.lambda_micros, micros("--lambda", v))
     }),
     arg("--delay-mu", Some("MS"), |s, v| {
-        set(&mut s.run.delay_mu, num("--delay-mu", v))
+        set(normal_delay(&mut s.run.scenario).0, micros("--delay-mu", v))
     }),
     arg("--delay-sigma", Some("MS"), |s, v| {
-        set(&mut s.run.delay_sigma, num("--delay-sigma", v))
+        set(
+            normal_delay(&mut s.run.scenario).1,
+            micros("--delay-sigma", v),
+        )
     }),
     arg("--reps", Some("K"), |s, v| {
         set(&mut s.run.reps, num("--reps", v))
     }),
     arg("--seed", Some("S"), |s, v| {
-        set(&mut s.run.seed, num("--seed", v))
+        set(&mut s.run.scenario.seed, num("--seed", v))
     }),
     arg("--attack", Some("SPEC"), |s, v| {
-        set(&mut s.run.attack, Ok(v.into()))
+        (s.run.scenario.attack, s.run.scenario.partition) = parse_attack(v)?;
+        Ok(())
     }),
     arg("--json", None, |s, _| set(&mut s.run.json, Ok(true))),
 ];
@@ -572,7 +535,8 @@ static COMMANDS: &[Cmd] = &[
         path: &["run"],
         args: RUN_ARGS,
         about: "run one protocol's scenario --reps times and print its metrics; the \
-                --config file is the base, every other flag overrides it in any order",
+                --config scenario file (as trace runs it) is the base, and every other \
+                flag edits one field of it, in any order",
         finish: |s| check_run(s.run).map(Command::Run),
     },
     Cmd {
@@ -769,40 +733,58 @@ fn threads(text: &str) -> Result<usize, CliError> {
     Ok(n)
 }
 
-/// λ, μ and σ must be what a [`ScenarioSpec`] can hold ([`timing`]). The
-/// results of all repetitions are held at once, so zero repetitions report
-/// nothing and a count beyond `MAX_REPS` is a typo.
+/// The flags' n must be one a scenario may have (a `--config` file's
+/// already is), and λ positive. The results of all repetitions are held at
+/// once, so zero repetitions report nothing and a count beyond `MAX_REPS`
+/// is a typo.
 fn check_run(spec: RunSpec) -> Result<RunSpec, CliError> {
-    node_count("--nodes", spec.nodes)?;
+    let n = node_count("--nodes", spec.scenario.n)?;
+    if spec.scenario.net.is_some() {
+        check_link_nodes(n).map_err(|e| CliError::usage(format!("--nodes: {e}")))?;
+    }
     if !(1..=MAX_REPS).contains(&spec.reps) {
         return Err(CliError::usage(format!(
             "--reps must be between 1 and {MAX_REPS}"
         )));
     }
-    timing(&spec)?;
+    if spec.scenario.lambda_micros == 0 {
+        return Err(CliError::usage("--lambda must be positive"));
+    }
     Ok(spec)
 }
 
-/// λ and the delays in the whole microseconds a [`ScenarioSpec`] holds,
-/// exactly: it turns them back into the same `f64` milliseconds. The engine
-/// rejects a λ that is not positive.
-fn timing(spec: &RunSpec) -> Result<(u64, DelaySpec), CliError> {
-    let micros = |flag: &str, ms: f64| {
-        let micros = (ms * 1000.0).round();
-        // Below 2^64 the cast is exact.
-        let exact = ms >= 0.0 && micros < 2f64.powi(64) && micros / 1000.0 == ms;
-        let usage = format!("{flag} must be a whole number of microseconds, 0 to 2^64");
-        exact.then_some(micros as u64).ok_or(CliError::usage(usage))
-    };
-    let lambda = micros("--lambda", spec.lambda_ms)?;
-    if lambda == 0 {
-        return Err(CliError::usage("--lambda must be positive"));
+/// A flag's milliseconds in the whole microseconds a [`ScenarioSpec`]
+/// holds, exactly: it turns them back into the same `f64` milliseconds.
+fn micros(flag: &str, text: &str) -> Result<u64, CliError> {
+    let ms: f64 = num(flag, text)?;
+    let micros = (ms * 1000.0).round();
+    // Below 2^64 the cast is exact.
+    let exact = ms >= 0.0 && micros < 2f64.powi(64) && micros / 1000.0 == ms;
+    let usage = format!("{flag} must be a whole number of microseconds, 0 to 2^64");
+    exact.then_some(micros as u64).ok_or(CliError::usage(usage))
+}
+
+/// The mean and σ of `scenario`'s normal delay, for `--delay-mu` and
+/// `--delay-sigma` to edit; a delay that is not normal first becomes the
+/// paper's N(250, 50).
+fn normal_delay(scenario: &mut ScenarioSpec) -> (&mut u64, &mut u64) {
+    if !matches!(scenario.delay, DelaySpec::Normal { .. }) {
+        scenario.delay = RunSpec::default().scenario.delay;
     }
-    let delay = DelaySpec::Normal {
-        mean_micros: micros("--delay-mu", spec.delay_mu)?,
-        std_micros: micros("--delay-sigma", spec.delay_sigma)?,
-    };
-    Ok((lambda, delay))
+    match &mut scenario.delay {
+        DelaySpec::Normal {
+            mean_micros,
+            std_micros,
+        } => (mean_micros, std_micros),
+        _ => unreachable!("the delay was made normal above"),
+    }
+}
+
+/// Runs `scenario` under `kind`, for its measured decisions: what `--protocol`
+/// does, and `compare` for each protocol.
+fn retarget(scenario: &mut ScenarioSpec, kind: ProtocolKind) {
+    scenario.protocol = kind;
+    scenario.target_decisions = kind.measured_decisions();
 }
 
 /// `FuzzBudget` would clamp an intensity above 1000‰ while the scenario and
@@ -934,34 +916,33 @@ fn parse_protocol_list(s: &str) -> Result<Vec<ProtocolKind>, CliError> {
         .collect()
 }
 
-/// The scenario `run` and `compare` execute for `kind`: the paper's
-/// defaults with the spec's size, timing and attack, which must be within
-/// `kind`'s fault budget ([`AttackSpec::check_budget`]).
-fn scenario(kind: ProtocolKind, spec: &RunSpec) -> Result<ScenarioSpec, CliError> {
-    let (attack, partition) = parse_attack(&spec.attack)?;
-    if let Some(attack) = attack {
-        attack
-            .check_budget(kind, spec.nodes)
-            .map_err(|e| CliError::usage(format!("--attack {}: {e}", spec.attack)))?;
-    }
-    let (lambda_micros, delay) = timing(spec)?;
-    Ok(ScenarioSpec {
-        lambda_micros,
-        delay,
-        attack,
-        partition,
-        ..experiments::paper_spec(kind, spec.nodes)
-    })
+/// `scenario` under `kind` ([`retarget`]), its attack within `kind`'s
+/// fault budget ([`AttackSpec::check_budget`]).
+fn with_protocol(scenario: &ScenarioSpec, kind: ProtocolKind) -> Result<ScenarioSpec, CliError> {
+    let mut scenario = scenario.clone();
+    retarget(&mut scenario, kind);
+    check_budget(&scenario)?;
+    Ok(scenario)
 }
 
-/// Runs `scenario` per the spec's repetitions: one protocol's row of `run`
-/// / `compare`.
+/// The flags may have moved `n` or the attack since the file was checked.
+fn check_budget(scenario: &ScenarioSpec) -> Result<(), CliError> {
+    let Some(attack) = scenario.attack else {
+        return Ok(());
+    };
+    attack
+        .check_budget(scenario.protocol, scenario.n)
+        .map_err(CliError::usage)
+}
+
+/// Runs `scenario` per the spec's repetitions, from the scenario's seed:
+/// one protocol's row of `run` / `compare`.
 ///
 /// # Errors
 ///
 /// Returns [`CliError`] if any repetition reports a safety violation.
-fn run_one(scenario: &ScenarioSpec, spec: &RunSpec) -> Result<figures::Point, CliError> {
-    let results = experiments::repeat(scenario, spec.reps, spec.seed).map_err(CliError::runtime)?;
+fn run_one(scenario: &ScenarioSpec, reps: usize) -> Result<figures::Point, CliError> {
+    let results = experiments::repeat(scenario, reps, scenario.seed).map_err(CliError::runtime)?;
     figures::Point::of(scenario, &results, "").map_err(CliError::runtime)
 }
 
@@ -974,15 +955,17 @@ fn run_one(scenario: &ScenarioSpec, spec: &RunSpec) -> Result<figures::Point, Cl
 pub fn execute(cmd: Command) -> Result<(), CliError> {
     match cmd {
         Command::Help => {
-            println!("{}", usage());
+            out!("{}", usage());
         }
         Command::List => {
-            println!(
+            out!(
                 "{:<14} {:<24} {:<10} responsive",
-                "protocol", "network model", "measured"
+                "protocol",
+                "network model",
+                "measured"
             );
             for kind in ProtocolKind::extended() {
-                println!(
+                out!(
                     "{:<14} {:<24} {:<10} {}",
                     kind.name(),
                     kind.network_assumption().to_string(),
@@ -992,16 +975,14 @@ pub fn execute(cmd: Command) -> Result<(), CliError> {
             }
         }
         Command::Run(spec) => {
-            let kind = ProtocolKind::parse(&spec.protocol)
-                .ok_or_else(|| CliError::usage(format!("unknown protocol '{}'", spec.protocol)))?;
-            let report = run_one(&scenario(kind, &spec)?, &spec)?;
-            emit(&[report], spec.json);
+            check_budget(&spec.scenario)?;
+            emit(&[run_one(&spec.scenario, spec.reps)?], spec.json);
         }
         Command::Compare(spec) => {
-            let scenarios = ProtocolKind::all().map(|kind| scenario(kind, &spec));
+            let scenarios = ProtocolKind::all().map(|kind| with_protocol(&spec.scenario, kind));
             let mut reports = Vec::new();
             for scenario in scenarios.into_iter().collect::<Result<Vec<_>, _>>()? {
-                reports.push(run_one(&scenario, &spec)?);
+                reports.push(run_one(&scenario, spec.reps)?);
             }
             emit(&reports, spec.json);
         }
@@ -1155,25 +1136,26 @@ fn run_fuzz(spec: &FuzzSpec) -> Result<(), CliError> {
         repro_paths.push(path.display().to_string());
     }
     if spec.json {
-        println!(
+        out!(
             "{}",
             fuzz_report_json(spec, &report, &repro_paths).dump_pretty()
         );
     } else {
         for (outcome, path) in report.outcomes.iter().zip(&repro_paths) {
-            println!("seed {}:", outcome.scenario_seed);
+            out!("seed {}:", outcome.scenario_seed);
             for v in &outcome.violations {
-                println!("  {v}");
+                out!("  {v}");
             }
-            println!("  shrunk repro -> {path}");
+            out!("  shrunk repro -> {path}");
         }
         for failure in &report.failures {
-            println!(
+            out!(
                 "seed {}: PANICKED: {}",
-                failure.scenario_seed, failure.message
+                failure.scenario_seed,
+                failure.message
             );
         }
-        println!(
+        out!(
             "fuzz: {} scenarios ({} violating, {} panicked), {} events, {:.1} ms",
             report.runs,
             report.outcomes.len(),
@@ -1201,7 +1183,7 @@ fn run_repro(path: &str) -> Result<(), CliError> {
     let violation = repro
         .check()
         .map_err(|e| CliError::repro(format!("{path}: {e}")))?;
-    println!("reproduced: {violation}");
+    out!("reproduced: {violation}");
     Ok(())
 }
 
@@ -1249,11 +1231,11 @@ fn run_trace(spec: &TraceSpec) -> Result<(), CliError> {
             ),
             ("observability", obs.to_json(spec.last_k, &recent)),
         ]);
-        println!("{}", doc.dump_pretty());
+        out!("{}", doc.dump_pretty());
         return Ok(());
     }
 
-    println!(
+    out!(
         "scenario: {} n={} seed={} ({} events, {} decisions{})",
         scenario.protocol.name(),
         scenario.n,
@@ -1266,17 +1248,21 @@ fn run_trace(spec: &TraceSpec) -> Result<(), CliError> {
             format!(", {} violations", run.violations.len())
         },
     );
-    println!();
-    println!("delivery latency (µs):");
-    println!(
+    out!();
+    out!("delivery latency (µs):");
+    out!(
         "{:<6} {:>8} {:>10} {:>10} {:>10}",
-        "node", "count", "mean", "min", "max"
+        "node",
+        "count",
+        "mean",
+        "min",
+        "max"
     );
     for (node, h) in obs.delivery_latency.iter().enumerate() {
         if h.is_empty() {
             continue;
         }
-        println!(
+        out!(
             "n{:<5} {:>8} {:>10.1} {:>10} {:>10}",
             node,
             h.count(),
@@ -1285,17 +1271,21 @@ fn run_trace(spec: &TraceSpec) -> Result<(), CliError> {
             h.max_micros()
         );
     }
-    println!();
-    println!("decision intervals (µs):");
-    println!(
+    out!();
+    out!("decision intervals (µs):");
+    out!(
         "{:<6} {:>8} {:>10} {:>10} {:>10}",
-        "node", "count", "mean", "min", "max"
+        "node",
+        "count",
+        "mean",
+        "min",
+        "max"
     );
     for (node, h) in obs.decision_interval.iter().enumerate() {
         if h.is_empty() {
             continue;
         }
-        println!(
+        out!(
             "n{:<5} {:>8} {:>10.1} {:>10} {:>10}",
             node,
             h.count(),
@@ -1305,11 +1295,15 @@ fn run_trace(spec: &TraceSpec) -> Result<(), CliError> {
         );
     }
     if !obs.link_queues.is_empty() {
-        println!();
-        println!("link queueing (µs) — hottest links first:");
-        println!(
+        out!();
+        out!("link queueing (µs) — hottest links first:");
+        out!(
             "{:<12} {:>8} {:>10} {:>10} {:>10}",
-            "link", "waits", "mean wait", "max wait", "peak depth"
+            "link",
+            "waits",
+            "mean wait",
+            "max wait",
+            "peak depth"
         );
         let mut links: Vec<_> = obs.link_queues.iter().collect();
         // Hottest first: total time spent waiting on the link, then the
@@ -1321,7 +1315,7 @@ fn run_trace(spec: &TraceSpec) -> Result<(), CliError> {
                 .then((a.src, a.dst).cmp(&(b.src, b.dst)))
         });
         for l in links {
-            println!(
+            out!(
                 "n{} -> n{:<5} {:>8} {:>10.1} {:>10} {:>10}",
                 l.src,
                 l.dst,
@@ -1331,16 +1325,16 @@ fn run_trace(spec: &TraceSpec) -> Result<(), CliError> {
                 l.peak_depth
             );
         }
-        println!(
+        out!(
             "  total: {} waits, mean {:.1} µs",
             obs.link_queue_delay.count(),
             obs.link_queue_delay.mean_micros()
         );
     }
-    println!();
-    println!("message flows (src rows × dst columns):");
+    out!();
+    out!("message flows (src rows × dst columns):");
     for flow in &obs.flows {
-        println!(
+        out!(
             "  phase {} ({} messages):",
             flow.phase,
             obs.phase_total(&flow.phase)
@@ -1349,18 +1343,21 @@ fn run_trace(spec: &TraceSpec) -> Result<(), CliError> {
             let row: Vec<String> = (0..obs.nodes)
                 .map(|dst| format!("{:>6}", flow.get(src, dst)))
                 .collect();
-            println!("    n{src}: {}", row.join(" "));
+            out!("    n{src}: {}", row.join(" "));
         }
     }
     if !obs.views.is_empty() {
-        println!();
-        println!("view timings (µs):");
-        println!(
+        out!();
+        out!("view timings (µs):");
+        out!(
             "{:<6} {:>12} {:>12} {:>8}",
-            "view", "first entry", "last entry", "entries"
+            "view",
+            "first entry",
+            "last entry",
+            "entries"
         );
         for v in &obs.views {
-            println!(
+            out!(
                 "{:<6} {:>12} {:>12} {:>8}",
                 v.view,
                 v.first_entry.as_micros(),
@@ -1369,10 +1366,10 @@ fn run_trace(spec: &TraceSpec) -> Result<(), CliError> {
             );
         }
     }
-    println!();
-    println!("last {} events:", recent.len());
+    out!();
+    out!("last {} events:", recent.len());
     for e in &recent {
-        println!(
+        out!(
             "  t={:<10} n{:<3} {:?}",
             e.time.as_micros(),
             e.node.as_u32(),
@@ -1401,13 +1398,13 @@ fn emit(reports: &[figures::Point], json: bool) {
                 ("reps", Json::from(p.latency.count)),
             ])
         });
-        println!("{}", Json::Arr(rows.collect()).dump_pretty());
+        out!("{}", Json::Arr(rows.collect()).dump_pretty());
         return;
     }
     let header = point_row(None);
-    println!("{:<14} {header}", "protocol");
+    out!("{:<14} {header}", "protocol");
     for p in reports {
-        println!("{:<14} {}", p.protocol.name(), point_row(Some(p)));
+        out!("{:<14} {}", p.protocol.name(), point_row(Some(p)));
     }
 }
 
@@ -1419,14 +1416,14 @@ fn run_figure(which: u8) {
     let (seed, resolve_s) = (figures::seed(which), figures::FIG6_RESOLVE_S);
     let (title, setting, points) = match which {
         2 => {
-            println!("\n=== Fig. 2 — simulation speed & scale ===");
-            println!("PBFT, lambda = 1000 ms, delays N(250, 50); wall-clock per run\n");
+            out!("\n=== Fig. 2 — simulation speed & scale ===");
+            out!("PBFT, lambda = 1000 ms, delays N(250, 50); wall-clock per run\n");
             let header = format!("{:>24} {:>26}", "ours (wall)", "median [q1, q3]");
-            println!("{:<6} {header} {:>12}   paper", "n", "events");
+            out!("{:<6} {header} {:>12}   paper", "n", "events");
             for row in figures::fig2(&figures::FIG2_SIZES, figures::FIG2_REPS, seed) {
                 let [wall, quartiles] = fmt_cell(&row.wall_ms, "ms");
                 let (n, events, paper) = (row.n, row.events, figures::fig2_paper_column(row.n));
-                println!("{n:<6} {wall:>24} {quartiles:>26} {events:>12}   {paper}");
+                out!("{n:<6} {wall:>24} {quartiles:>26} {events:>12}   {paper}");
             }
             return;
         }
@@ -1462,11 +1459,11 @@ fn run_figure(which: u8) {
         ),
         _ => return print_fig9(),
     };
-    println!("\n=== Fig. {which} — {title} ===\n{setting}, {REPS} repetitions\n");
-    println!("{:<12} {:<16} {}", "protocol", "x", point_row(None));
+    out!("\n=== Fig. {which} — {title} ===\n{setting}, {REPS} repetitions\n");
+    out!("{:<12} {:<16} {}", "protocol", "x", point_row(None));
     for p in &points {
         let row = point_row(Some(p));
-        println!("{:<12} {:<16} {row}", p.protocol.name(), p.x);
+        out!("{:<12} {:<16} {row}", p.protocol.name(), p.x);
     }
     let at = |name: &str, x: &str| {
         let is = |p: &&figures::Point| p.protocol.name() == name && p.x == x;
@@ -1475,40 +1472,40 @@ fn run_figure(which: u8) {
     let lat = |name: &str, x: &str| at(name, x).latency.mean;
     match which {
         3 => {
-            println!();
+            out!();
             for x in ["N(250,50)", "N(1000,1000)"] {
                 let line = versus(at("hotstuff-ns", x), at("pbft", x));
-                println!("HotStuff+NS vs PBFT under {x}: {line}");
+                out!("HotStuff+NS vs PBFT under {x}: {line}");
             }
         }
         4 => {
             let expected = ["timer-paced: expected ~3x", "responsive: expected ~1x"];
-            println!();
+            out!();
             for kind in ProtocolKind::all() {
                 let name = kind.name();
                 let growth = lat(name, "λ=3000") / lat(name, "λ=1000").max(1e-9);
                 let expected = expected[usize::from(kind.responsive())];
-                println!("{name:<12} latency growth 1000->3000 ms: {growth:5.2}x ({expected})");
+                out!("{name:<12} latency growth 1000->3000 ms: {growth:5.2}x ({expected})");
             }
         }
         5 => {
             let line = versus(at("hotstuff-ns", "λ=150"), at("hotstuff-ns", "λ=1000"));
-            println!("\nHotStuff+NS at λ=150 vs λ=1000: {line} (paper: 5.3x degradation, up to ~80 s worst case)");
+            out!("\nHotStuff+NS at λ=150 vs λ=1000: {line} (paper: 5.3x degradation, up to ~80 s worst case)");
             let line = versus(at("librabft", "λ=150"), at("librabft", "λ=1000"));
-            println!("LibraBFT    at λ=150 vs λ=1000: {line} (paper: flat)");
+            out!("LibraBFT    at λ=150 vs λ=1000: {line} (paper: flat)");
         }
         6 => {
-            println!();
+            out!();
             for p in &points {
                 let (name, extra) = (p.protocol.name(), p.latency.mean - resolve_s as f64);
-                println!("{name:<12} terminates {extra:7.1} s after the partition resolves");
+                out!("{name:<12} terminates {extra:7.1} s after the partition resolves");
             }
         }
         8 => {
             let [s1, s2, s3] = ["add-v1", "add-v2", "add-v3"].map(|v| lat(v, "static"));
             let [a1, a2, a3] = ["add-v1", "add-v2", "add-v3"].map(|v| lat(v, "adaptive"));
-            println!("\nstatic:   v1 {s1:.1}s  v2 {s2:.1}s  v3 {s3:.1}s   (paper: v1 grows ~f iterations, v2/v3 flat)");
-            println!("adaptive: v1 {a1:.1}s  v2 {a2:.1}s  v3 {a3:.1}s   (paper: v2 grows ~f iterations, v3 flat)");
+            out!("\nstatic:   v1 {s1:.1}s  v2 {s2:.1}s  v3 {s3:.1}s   (paper: v1 grows ~f iterations, v2/v3 flat)");
+            out!("adaptive: v1 {a1:.1}s  v2 {a2:.1}s  v3 {a3:.1}s   (paper: v2 grows ~f iterations, v3 flat)");
         }
         _ => {} // Fig. 7 is its table
     }
@@ -1519,17 +1516,17 @@ fn run_figure(which: u8) {
 fn print_fig9() {
     use std::collections::HashSet;
     let (n, seed) = (figures::N, figures::FIG9_SEED);
-    println!("\n=== Fig. 9 — per-node views during HotStuff+NS execution ===");
-    println!("n = {n}, lambda = 150 ms, delays N(250, 50), seed {seed}\n");
+    out!("\n=== Fig. 9 — per-node views during HotStuff+NS execution ===");
+    out!("n = {n}, lambda = 150 ms, delays N(250, 50), seed {seed}\n");
     let timelines = figures::fig9(n, seed);
     let last_entries = timelines.iter().flat_map(|(_, t)| t.last());
     let end = last_entries.fold(0.0f64, |end, &(t, _)| end.max(t));
-    println!("run spanned {end:.1} s of simulated time\n");
+    out!("run spanned {end:.1} s of simulated time\n");
     for (node, timeline) in &timelines {
         let entries = timeline.iter().map(|(t, v)| format!("{t:.1}s->v{v}"));
-        println!("{node}: {}", entries.collect::<Vec<_>>().join(" "));
+        out!("{node}: {}", entries.collect::<Vec<_>>().join(" "));
     }
-    println!("\nview divergence per second (1 = synchronized):");
+    out!("\nview divergence per second (1 = synchronized):");
     let mut strip = String::new();
     for sec in 0..end.ceil() as u64 + 1 {
         // The view a node holds at `sec`: its timeline is in time order.
@@ -1541,30 +1538,32 @@ fn print_fig9() {
             strip.push('\n');
         }
     }
-    println!("{strip}");
+    out!("{strip}");
 }
 
 /// `bft-sim table N`: our implementation line counts, then the paper's.
 fn run_table(which: u8) {
     let detail = "implementation LoC (non-blank, non-comment, excluding unit tests)";
     if which == 1 {
-        println!("\n=== Table I — implemented BFT protocols ===\n{detail}\n");
-        println!("{:<14} {:<24} {:>6}", "protocol", "network model", "LoC");
+        out!("\n=== Table I — implemented BFT protocols ===\n{detail}\n");
+        out!("{:<14} {:<24} {:>6}", "protocol", "network model", "LoC");
         for row in loc::table1() {
-            println!("{:<14} {:<24} {:>6}", row.name, row.network, row.loc);
+            out!("{:<14} {:<24} {:>6}", row.name, row.network, row.loc);
         }
-        println!("\npaper (JavaScript): ADD+ 304/307/376, Algorand 387, async BA 265,");
-        println!("                    PBFT 606, HotStuff+NS 502, LibraBFT 568");
+        out!("\npaper (JavaScript): ADD+ 304/307/376, Algorand 387, async BA 265,");
+        out!("                    PBFT 606, HotStuff+NS 502, LibraBFT 568");
     } else {
-        println!("\n=== Table II — implemented attacks ===\n{detail}\n");
-        println!(
+        out!("\n=== Table II — implemented attacks ===\n{detail}\n");
+        out!(
             "{:<20} {:<22} {:>6}",
-            "attack", "attacker capability", "LoC"
+            "attack",
+            "attacker capability",
+            "LoC"
         );
         for row in loc::table2() {
-            println!("{:<20} {:<22} {:>6}", row.name, row.capability, row.loc);
+            out!("{:<20} {:<22} {:>6}", row.name, row.capability, row.loc);
         }
-        println!("\npaper (JavaScript): partition 86, ADD+ static 86, ADD+ adaptive 117");
+        out!("\npaper (JavaScript): partition 86, ADD+ static 86, ADD+ adaptive 117");
     }
 }
 
@@ -1769,15 +1768,18 @@ mod tests {
         let Command::Run(spec) = cmd else {
             panic!("expected run");
         };
-        assert_eq!(spec.protocol, "librabft");
-        assert_eq!(spec.nodes, 7);
-        assert_eq!(spec.lambda_ms, 500.0);
+        let scenario = &spec.scenario;
+        assert_eq!(scenario.protocol, ProtocolKind::LibraBft);
+        assert_eq!(
+            scenario.target_decisions, 10,
+            "librabft's measured decisions"
+        );
+        assert_eq!(scenario.n, 7);
+        assert_eq!(scenario.lambda_micros, 500_000);
         assert_eq!(spec.reps, 3);
         assert!(spec.json);
-        assert_eq!(
-            parse_attack(&spec.attack).unwrap(),
-            (Some(AttackSpec::FailStopLast { k: 2 }), None)
-        );
+        assert_eq!(scenario.attack, Some(AttackSpec::FailStopLast { k: 2 }));
+        assert_eq!(scenario.partition, None);
     }
 
     #[test]
@@ -1802,18 +1804,20 @@ mod tests {
 
     #[test]
     fn attacks_beyond_the_fault_budget_are_usage_errors() {
-        let spec = |attack: &str| RunSpec {
-            attack: attack.into(),
-            ..RunSpec::default()
+        let spec = |attack: &str| {
+            let mut spec = RunSpec::default();
+            let scenario = &mut spec.scenario;
+            (scenario.attack, scenario.partition) = parse_attack(attack).unwrap();
+            spec
         };
         for attack in ["failstop:6", "failstop:99", "add-static:6"] {
-            let err = scenario(ProtocolKind::Pbft, &spec(attack)).unwrap_err();
+            let err = execute(Command::Run(spec(attack))).unwrap_err();
             assert_eq!(err.code, 2, "{attack}");
             assert!(err.message.contains("pbft's fault budget f = 5"), "{err}");
         }
         // ADD+ tolerates ⌊(n−1)/2⌋ = 7 at n = 16. `compare` fails whole,
         // naming the first protocol whose budget is exceeded.
-        assert!(scenario(ProtocolKind::AddV1, &spec("failstop:7")).is_ok());
+        assert!(with_protocol(&spec("failstop:7").scenario, ProtocolKind::AddV1).is_ok());
         let err = execute(Command::Compare(spec("failstop:6"))).unwrap_err();
         assert_eq!(err.code, 2);
         assert!(err.message.contains("algorand's fault budget"), "{err}");
@@ -1821,36 +1825,42 @@ mod tests {
 
     #[test]
     fn timings_must_be_whole_microseconds() {
-        let spec = |lambda_ms, delay_mu| RunSpec {
-            lambda_ms,
-            delay_mu,
-            ..RunSpec::default()
+        assert_eq!(micros("--lambda", "0.5").unwrap(), 500);
+        let Command::Run(spec) = parse_args(&args(&["run", "--delay-mu", "1.1"])).unwrap() else {
+            panic!("expected run");
         };
-        let (lambda, delay) = timing(&spec(0.5, 1.1)).unwrap();
-        assert_eq!(lambda, 500);
-        assert_eq!(delay.to_dist(), bft_sim_core::dist::Dist::normal(1.1, 50.0));
-        for (lambda, mu) in [
-            (0.0001, 250.0),
-            (1000.0, -5.0),
-            (1000.0, 0.0005),
-            (1e17, 250.0),
+        let delay = spec.scenario.delay.to_dist();
+        assert_eq!(delay, bft_sim_core::dist::Dist::normal(1.1, 50.0));
+        for (flag, ms) in [
+            ("--lambda", "0.0001"),
+            ("--delay-mu", "-5"),
+            ("--delay-mu", "0.0005"),
+            ("--lambda", "1e17"),
         ] {
+            let err = micros(flag, ms).unwrap_err();
+            assert_eq!(err.code, 2, "{flag} {ms}");
             assert_eq!(
-                timing(&spec(lambda, mu)).unwrap_err().code,
-                2,
-                "{lambda} {mu}"
+                err.message,
+                format!("{flag} must be a whole number of microseconds, 0 to 2^64")
             );
         }
+        // A delay that is not normal becomes the paper's N(250, 50) first.
+        let mut scenario = ScenarioSpec::baseline(ProtocolKind::Pbft);
+        *normal_delay(&mut scenario).1 = 20_000;
+        let delay = DelaySpec::Normal {
+            mean_micros: 250_000,
+            std_micros: 20_000,
+        };
+        assert_eq!(scenario.delay, delay);
     }
 
     #[test]
     fn run_one_produces_a_report() {
-        let spec = RunSpec {
-            nodes: 4,
-            reps: 2,
-            ..RunSpec::default()
+        let scenario = ScenarioSpec {
+            n: 4,
+            ..RunSpec::default().scenario
         };
-        let point = run_one(&scenario(ProtocolKind::Pbft, &spec).unwrap(), &spec).unwrap();
+        let point = run_one(&scenario, 2).unwrap();
         assert_eq!(point.protocol, ProtocolKind::Pbft);
         assert!(point.latency.mean > 0.0);
         assert_eq!(point.capped_share(), 0.0);
@@ -1858,11 +1868,11 @@ mod tests {
 
     #[test]
     fn unknown_protocol_is_an_error() {
-        let spec = RunSpec {
-            protocol: "raft".into(),
-            ..RunSpec::default()
-        };
-        assert!(execute(Command::Run(spec)).is_err());
+        for cmd in ["run", "compare"] {
+            let err = parse_args(&args(&[cmd, "--protocol", "raft"])).unwrap_err();
+            assert_eq!(err.code, 2, "{cmd}");
+            assert_eq!(err.message, "unknown protocol 'raft'");
+        }
     }
 
     #[test]
@@ -2104,31 +2114,34 @@ mod tests {
     #[test]
     fn the_config_file_is_the_base_wherever_it_stands() {
         let path = std::env::temp_dir().join("bft_sim_cli_test_config_order.json");
-        std::fs::write(&path, r#"{"nodes": 4, "reps": 2}"#).unwrap();
+        std::fs::write(&path, r#"{"protocol": "pbft", "n": 4, "seed": 5}"#).unwrap();
         let path = path.to_str().unwrap();
         let flags = ["--protocol", "hotstuff-ns", "--reps", "3", "--json"];
         let left = [&["run", "--config", path][..], &flags].concat();
         let right = [&["run"][..], &flags, &["--config", path]].concat();
         let expected = Command::Run(RunSpec {
-            protocol: "hotstuff-ns".into(),
-            nodes: 4,
+            scenario: ScenarioSpec {
+                n: 4,
+                seed: 5,
+                ..ScenarioSpec::baseline(ProtocolKind::HotStuffNs)
+            },
             reps: 3,
             json: true,
-            ..RunSpec::default()
         });
         assert_eq!(parse_args(&args(&left)).unwrap(), expected);
         assert_eq!(parse_args(&args(&right)).unwrap(), expected);
-        // One base: a second file is refused, and a file's values still meet
-        // the range checks.
+        // One base: a second file is refused, and a file's values meet the
+        // scenario file's own checks.
         let twice = ["run", "--config", path, "--config", path];
         let err = parse_args(&args(&twice)).unwrap_err();
         assert_eq!(
             (err.code, err.message.as_str()),
             (2, "--config given twice")
         );
-        std::fs::write(path, r#"{"reps": 0}"#).unwrap();
+        std::fs::write(path, r#"{"protocol": "pbft", "n": 3}"#).unwrap();
         let err = parse_args(&args(&["run", "--config", path])).unwrap_err();
-        assert_eq!(err.message, "--reps must be between 1 and 1000000");
+        assert_eq!(err.code, 2);
+        assert!(err.message.contains("n = 3f + 1"), "{err}");
         let _ = std::fs::remove_file(path);
     }
 
@@ -2266,19 +2279,23 @@ mod tests {
 
     #[test]
     fn config_file_round_trip() {
-        let spec = RunSpec {
-            protocol: "algorand".into(),
-            nodes: 10,
+        let scenario = ScenarioSpec {
+            n: 10,
+            seed: 3,
+            delay: DelaySpec::Uniform {
+                lo_micros: 50_000,
+                hi_micros: 300_000,
+            },
+            ..ScenarioSpec::baseline(ProtocolKind::Algorand)
+        };
+        let path = std::env::temp_dir().join("bft_sim_cli_test_config.json");
+        std::fs::write(&path, scenario.to_json().dump_pretty()).unwrap();
+        let cmd = parse_args(&args(&["run", "--config", path.to_str().unwrap()])).unwrap();
+        let expected = RunSpec {
+            scenario,
             ..RunSpec::default()
         };
-        let json = spec.to_json().dump_pretty();
-        let path = std::env::temp_dir().join("bft_sim_cli_test_config.json");
-        std::fs::write(&path, &json).unwrap();
-        let cmd = parse_args(&args(&["run", "--config", path.to_str().unwrap()])).unwrap();
-        let Command::Run(loaded) = cmd else {
-            panic!("expected run");
-        };
-        assert_eq!(loaded, spec);
+        assert_eq!(cmd, Command::Run(expected));
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -186,14 +186,13 @@ fn help_after_a_command_exits_zero() {
     }
 }
 
-/// The `--config` file is the base and flags override it wherever they
-/// stand: flags to the left of `--config` used to be discarded silently
-/// (this argv ran PBFT, 2 reps, table output).
+/// The `--config` scenario file is the base and flags override it wherever
+/// they stand: flags to the left of `--config` used to be discarded silently.
 #[test]
 fn flags_override_the_config_file_in_either_order() {
     let dir = scratch("config-order");
     let config = dir.join("c.json");
-    std::fs::write(&config, r#"{"nodes": 4, "reps": 2}"#).expect("write config");
+    std::fs::write(&config, r#"{"protocol": "pbft", "n": 4}"#).expect("write config");
     let config = config.to_str().unwrap();
     let flags = ["--protocol", "hotstuff-ns", "--reps", "3", "--json"];
     let left = bft_sim(&[&["run"][..], &flags, &["--config", config]].concat());
@@ -213,7 +212,7 @@ fn flags_override_the_config_file_in_either_order() {
 fn sync_hotstuff_and_the_cost_estimator_are_gone() {
     let dir = scratch("gone");
     let config = dir.join("c.json");
-    std::fs::write(&config, r#"{"cost": "ed25519"}"#).expect("write config");
+    std::fs::write(&config, r#"{"protocol": "pbft", "cost": "ed25519"}"#).expect("write config");
     let config = config.to_str().unwrap();
     for (args, message) in [
         (&["run", "--cost", "ed25519"][..], "unknown flag '--cost'"),
@@ -347,6 +346,10 @@ fn hostile_artifacts_exit_with_their_loaders_code() {
     assert!(!text.contains("\"schedule\""), "{text}");
     assert_code(&["repro", seed164.to_str().unwrap()], 0);
     let good_manifest = file("good-manifest.json", &manifest("[4]", ""));
+    let ceiling_scenario = r#"{"protocol": "pbft", "n": 4, "lambda_micros": 9223372036854775807,
+        "time_cap_secs": 18446744073709551615,
+        "partition": {"start_ms": 0, "end_ms": 18446744073709551615, "drop": true}}"#;
+    let ceiling = file("ceiling.json", ceiling_scenario);
     let journal = file(
         "wide-shard.json",
         concat!(
@@ -449,10 +452,36 @@ fn hostile_artifacts_exit_with_their_loaders_code() {
             vec![
                 "run".into(),
                 "--config".into(),
-                file("config.json", r#"{"nodes": 16.5}"#),
+                file("config.json", r#"{"protocol": "pbft", "n": 16.5}"#),
             ],
             2,
-            "bad \"nodes\"",
+            "bad \"n\"",
+        ),
+        // A cap at the clock's ceiling was never passed: event times
+        // saturate there, and each of these ran forever.
+        (
+            vec!["trace".into(), ceiling.clone()],
+            2,
+            "bad \"time_cap_secs\": 18446744073709551615 s reaches the clock's ceiling",
+        ),
+        (
+            vec!["run".into(), "--config".into(), ceiling.clone()],
+            2,
+            "bad \"time_cap_secs\": 18446744073709551615 s reaches the clock's ceiling",
+        ),
+        (
+            vec![
+                "repro".into(),
+                file(
+                    "ceiling-repro.json",
+                    &format!(
+                        r#"{{"format": "bft-sim-repro-v1", "oracle": "termination",
+                          "detail": "x", "scenario": {ceiling_scenario}}}"#
+                    ),
+                ),
+            ],
+            4,
+            "bad \"time_cap_secs\": 18446744073709551615 s reaches the clock's ceiling",
         ),
         (
             vec![
@@ -751,7 +780,9 @@ fn oracle_violations_exit_three() {
 }
 
 /// A figure run is a file: Fig. 7's PBFT crash = 5 cell, written by
-/// `ScenarioSpec::to_json`, opens with `bft-sim trace`.
+/// `ScenarioSpec::to_json`, opens with `bft-sim trace`, and reruns with
+/// `run --config`, whose file is a scenario file, to the figure's own mean
+/// latency; `compare` runs it under every protocol.
 #[test]
 fn a_figure_run_traces_from_its_file() {
     use bft_simulator::experiments::{figures, paper_spec};
@@ -770,7 +801,8 @@ fn a_figure_run_traces_from_its_file() {
     let dir = scratch("figure-run");
     let path = dir.join("fig7-pbft-crash5.json");
     std::fs::write(&path, spec.to_json().dump_pretty()).expect("write spec");
-    let out = bft_sim(&["trace", path.to_str().unwrap(), "--json"]);
+    let path = path.to_str().unwrap();
+    let out = bft_sim(&["trace", path, "--json"]);
     assert_eq!(
         out.status.code(),
         Some(0),
@@ -779,5 +811,48 @@ fn a_figure_run_traces_from_its_file() {
     );
     let doc = String::from_utf8_lossy(&out.stdout);
     assert!(doc.contains(r#""FailStopLast""#), "{doc}");
+
+    let out = bft_sim(&["run", "--config", path, "--reps", "3", "--json"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let points = figures::fig7(figures::N, 3, figures::seed(7), &[5]);
+    let pbft = points
+        .iter()
+        .find(|p| p.protocol == ProtocolKind::Pbft)
+        .expect("the figure has PBFT's point");
+    let mean = bft_sim_core::json::Json::from(pbft.latency.mean).dump();
+    let report = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        report.contains(&format!(r#""latency_mean_s": {mean},"#)),
+        "{mean}: {report}"
+    );
+    assert_code(&["compare", "--config", path, "--reps", "1"], 0);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Output that a closed pipe refuses is dropped, not a panic: with its
+/// reader gone before it writes, each command exits with its own code (both
+/// exited 101).
+#[test]
+fn a_closed_pipe_keeps_the_exit_code() {
+    use std::process::{Command, Stdio};
+
+    let spawn = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_bft-sim"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("bft-sim binary spawns")
+    };
+    let mut trace = spawn(&["trace", "pbft"]);
+    drop(trace.stdout.take());
+    let out = trace.wait_with_output().expect("trace runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!((out.status.code(), stderr.as_ref()), (Some(0), ""));
+
+    let mut fuzz = spawn(&["fuzz", "--n", "3"]);
+    drop(fuzz.stderr.take());
+    let out = fuzz.wait_with_output().expect("fuzz runs");
+    assert_eq!(out.status.code(), Some(2));
 }

@@ -40,7 +40,10 @@ pub struct RunConfig {
     pub target_decisions: u64,
     /// Hard cap on simulated time; a run that reaches it is reported as a
     /// liveness timeout rather than looping forever. Defaults to 1 hour of
-    /// simulated time.
+    /// simulated time. It must lie below the clock's ceiling,
+    /// [`SimDuration::MAX`]: event times saturate there, so a timer re-armed
+    /// at the ceiling lands at the same instant and a run would never pass
+    /// a cap set at it.
     pub time_cap: SimDuration,
     /// What the run's trace keeps. Defaults to [`TraceLevel::Decisions`],
     /// all the oracles and the validator read; Fig. 9 and the protocol
@@ -116,7 +119,7 @@ impl RunConfig {
     ///
     /// Returns [`SimError::InvalidConfig`] if `n` is zero or not
     /// representable as a `u32` node id, `f >= n`, no decisions are
-    /// requested, or λ is zero.
+    /// requested, λ is zero, or the time cap is the clock's ceiling.
     pub(crate) fn validate(&self) -> Result<(), SimError> {
         if self.n == 0 {
             return Err(SimError::invalid_config("n must be positive"));
@@ -141,6 +144,11 @@ impl RunConfig {
         }
         if self.lambda == SimDuration::ZERO {
             return Err(SimError::invalid_config("lambda must be positive"));
+        }
+        if self.time_cap == SimDuration::MAX {
+            return Err(SimError::invalid_config(
+                "time_cap must lie below the clock's ceiling",
+            ));
         }
         Ok(())
     }
@@ -179,6 +187,18 @@ mod tests {
             .with_lambda(SimDuration::ZERO)
             .validate()
             .is_err());
+    }
+
+    /// Event times saturate at the clock's ceiling, so a run capped there
+    /// would never pass its cap; one microsecond below it is a cap.
+    #[test]
+    fn the_time_cap_lies_below_the_clocks_ceiling() {
+        let capped = |cap| RunConfig::new(4).with_time_cap(cap).validate();
+        assert!(matches!(
+            capped(SimDuration::MAX),
+            Err(SimError::InvalidConfig(_))
+        ));
+        assert!(capped(SimDuration::from_micros(u64::MAX - 1)).is_ok());
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //! 3. a required key that is absent is an error (`missing`); an optional one
 //!    takes the default its parser documents;
 //! 4. an integer must be integral, non-negative and in range of the type it
-//!    is stored in ([`int`] — nothing is rounded or truncated), a float must
-//!    be finite ([`float`]);
+//!    is stored in ([`int`] — nothing is rounded or truncated); no artifact
+//!    holds a float;
 //! 5. every message starts with the object's name and quotes the key —
 //!    `scenario: bad "n": …`, `manifest: missing "seeds.lo"` — and a nested
 //!    parser's message is wrapped by its parent's, so the full path is read
@@ -400,17 +400,6 @@ pub fn int<T: TryFrom<u64>>(json: &Json) -> Result<T, String> {
         let target = core::any::type_name::<T>();
         format!("{value} exceeds the {target} range")
     })
-}
-
-/// Reads a finite number.
-///
-/// # Errors
-///
-/// Not a number, or an overflowed literal such as `1e999`.
-pub fn float(json: &Json) -> Result<f64, String> {
-    json.as_f64()
-        .filter(|n| n.is_finite())
-        .ok_or_else(|| "expected a finite number".into())
 }
 
 /// Reads `true` or `false`.
@@ -884,9 +873,6 @@ mod tests {
         for bad in ["4.6", "-1", "1e30", "18446744073709551616", "\"4\"", "null"] {
             assert!(int::<u64>(&num(bad)).is_err(), "{bad}");
         }
-        assert_eq!(float(&num("2.5")), Ok(2.5));
-        assert_eq!(float(&num("7")), Ok(7.0));
-        assert!(float(&num("1e999")).is_err(), "an overflowed literal");
     }
 
     #[test]

@@ -93,7 +93,7 @@ pub mod prelude {
     pub use crate::network::{Delivery, LinkDecision, NetworkModel};
     pub use crate::obs::{Histogram, ObsConfig, Observability, PhaseClassifier};
     pub use crate::oracle::{
-        Expectations, Oracle, OracleInput, OracleSuite, OracleViolation, OutageWindow, ValueDomain,
+        Expectations, OracleInput, OracleSuite, OracleViolation, OutageWindow, ValueDomain,
     };
     pub use crate::protocol::{Protocol, ProtocolFactory};
     pub use crate::scheduler::{SchedulerKind, SchedulerStats};

@@ -23,6 +23,11 @@
 //! scheduler never pops an event before the clock is the engine's own
 //! assertion, not an oracle's.
 //!
+//! Each oracle is a plain function, `Err` carrying the violation's detail,
+//! and the five sit in one table in the order listed above;
+//! [`OracleSuite::check`] runs them in that order and names each violation
+//! from the table.
+//!
 //! [`OracleObserver`] counts dispatched events for metrics sanity to compare
 //! with [`RunResult::events_processed`]; no checked run installs it, and it
 //! is kept for the benchmark's tracer.
@@ -40,7 +45,7 @@ use crate::value::Value;
 /// One oracle's verdict on one run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OracleViolation {
-    /// The oracle that fired (its [`Oracle::name`]).
+    /// The oracle that fired: its name in the standard battery.
     pub oracle: &'static str,
     /// Human-readable description naming the offending nodes/slots/values.
     pub detail: String,
@@ -207,102 +212,67 @@ impl<'a> OracleInput<'a> {
     }
 }
 
-/// A correctness property checked after (or across) a run.
-pub trait Oracle: Send + Sync {
-    /// Short name, used in reports and repro files.
-    fn name(&self) -> &'static str;
+/// One oracle: `Err` carries the violation's detail, naming the offending
+/// nodes, slots and values.
+type Check = fn(&OracleInput<'_>) -> Result<(), String>;
 
-    /// Checks the property.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`OracleViolation`] found.
-    fn check(&self, input: &OracleInput<'_>) -> Result<(), OracleViolation>;
-}
+/// The standard oracles by name, in severity order: the order
+/// [`OracleSuite::check`] reports them in.
+const ORACLES: [(&str, Check); 5] = [
+    ("agreement", agreement),
+    ("validity", validity),
+    ("no-revocation", no_revocation),
+    ("termination", termination),
+    ("metrics-sanity", metrics_sanity),
+];
 
 /// Agreement: no two correct nodes decide different values for one slot.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct AgreementOracle;
-
-impl Oracle for AgreementOracle {
-    fn name(&self) -> &'static str {
-        "agreement"
-    }
-
-    fn check(&self, input: &OracleInput<'_>) -> Result<(), OracleViolation> {
-        let mut first: HashMap<u64, (NodeId, Value)> = HashMap::new();
-        for (_, node, slot, value) in input.correct_decisions() {
-            match first.get(&slot) {
-                None => {
-                    first.insert(slot, (node, value));
-                }
-                Some(&(other, other_value)) if other_value != value => {
-                    return Err(OracleViolation {
-                        oracle: self.name(),
-                        detail: format!(
-                            "slot {slot}: {node} decided {value} but {other} decided {other_value}"
-                        ),
-                    });
-                }
-                Some(_) => {}
+fn agreement(input: &OracleInput<'_>) -> Result<(), String> {
+    let mut first: HashMap<u64, (NodeId, Value)> = HashMap::new();
+    for (_, node, slot, value) in input.correct_decisions() {
+        match first.get(&slot) {
+            None => {
+                first.insert(slot, (node, value));
             }
+            Some(&(other, other_value)) if other_value != value => {
+                return Err(format!(
+                    "slot {slot}: {node} decided {value} but {other} decided {other_value}"
+                ));
+            }
+            Some(_) => {}
         }
-        Ok(())
     }
+    Ok(())
 }
 
 /// Validity: decided values lie in the protocol's declared domain.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ValidityOracle;
-
-impl Oracle for ValidityOracle {
-    fn name(&self) -> &'static str {
-        "validity"
-    }
-
-    fn check(&self, input: &OracleInput<'_>) -> Result<(), OracleViolation> {
-        let domain = input.expect.value_domain;
-        for (_, node, slot, value) in input.correct_decisions() {
-            if !domain.contains(value) {
-                return Err(OracleViolation {
-                    oracle: self.name(),
-                    detail: format!(
-                        "{node} slot {slot}: decided {value}, outside the {domain:?} domain"
-                    ),
-                });
-            }
+fn validity(input: &OracleInput<'_>) -> Result<(), String> {
+    let domain = input.expect.value_domain;
+    for (_, node, slot, value) in input.correct_decisions() {
+        if !domain.contains(value) {
+            return Err(format!(
+                "{node} slot {slot}: decided {value}, outside the {domain:?} domain"
+            ));
         }
-        Ok(())
     }
+    Ok(())
 }
 
 /// No revocation: per-node decision logs are append-only — slots appear
 /// exactly once and in order.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct NoRevocationOracle;
-
-impl Oracle for NoRevocationOracle {
-    fn name(&self) -> &'static str {
-        "no-revocation"
-    }
-
-    fn check(&self, input: &OracleInput<'_>) -> Result<(), OracleViolation> {
-        // Slot sequences must be 0, 1, 2, … per node — no gap, dup or reorder.
-        let mut next_slot: HashMap<NodeId, u64> = HashMap::new();
-        for (_, node, slot, _) in input.trace.decisions() {
-            let expected = next_slot.entry(node).or_insert(0);
-            if slot != *expected {
-                return Err(OracleViolation {
-                    oracle: self.name(),
-                    detail: format!(
-                        "{node}: decided slot {slot} out of order (expected slot {expected})"
-                    ),
-                });
-            }
-            *expected += 1;
+fn no_revocation(input: &OracleInput<'_>) -> Result<(), String> {
+    // Slot sequences must be 0, 1, 2, … per node — no gap, dup or reorder.
+    let mut next_slot: HashMap<NodeId, u64> = HashMap::new();
+    for (_, node, slot, _) in input.trace.decisions() {
+        let expected = next_slot.entry(node).or_insert(0);
+        if slot != *expected {
+            return Err(format!(
+                "{node}: decided slot {slot} out of order (expected slot {expected})"
+            ));
         }
-        Ok(())
+        *expected += 1;
     }
+    Ok(())
 }
 
 /// Termination: when the scenario obliges the protocol to finish, it did.
@@ -317,199 +287,135 @@ impl Oracle for NoRevocationOracle {
 /// round would report a false liveness violation. Nodes with no scheduled
 /// downtime keep the full obligation: a shortfall on them is a real
 /// violation even in a churn scenario.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct TerminationOracle;
-
-impl Oracle for TerminationOracle {
-    fn name(&self) -> &'static str {
-        "termination"
+fn termination(input: &OracleInput<'_>) -> Result<(), String> {
+    if !input.expect.must_terminate {
+        return Ok(());
     }
-
-    fn check(&self, input: &OracleInput<'_>) -> Result<(), OracleViolation> {
-        if !input.expect.must_terminate {
+    let target = input.expect.target_decisions;
+    let churned: HashSet<u32> = input.expect.outages.iter().map(|w| w.node).collect();
+    if let Some(result) = input.result {
+        let stalled = result.timed_out || result.decisions_completed() < target;
+        if !stalled {
             return Ok(());
         }
-        let target = input.expect.target_decisions;
-        let churned: HashSet<u32> = input.expect.outages.iter().map(|w| w.node).collect();
-        if let Some(result) = input.result {
-            let stalled = result.timed_out || result.decisions_completed() < target;
-            if !stalled {
-                return Ok(());
+        if churned.is_empty() {
+            if result.timed_out {
+                return Err(format!(
+                    "benign run timed out at {} with {}/{target} decisions completed",
+                    result.end_time,
+                    result.decisions_completed()
+                ));
             }
-            if churned.is_empty() {
-                if result.timed_out {
-                    return Err(OracleViolation {
-                        oracle: self.name(),
-                        detail: format!(
-                            "benign run timed out at {} with {}/{target} decisions completed",
-                            result.end_time,
-                            result.decisions_completed()
-                        ),
-                    });
-                }
-                return Err(OracleViolation {
-                    oracle: self.name(),
-                    detail: format!(
-                        "run stopped with only {}/{target} decisions completed",
-                        result.decisions_completed()
-                    ),
-                });
+            return Err(format!(
+                "run stopped with only {}/{target} decisions completed",
+                result.decisions_completed()
+            ));
+        }
+        // Churn-aware: the stall is excused iff every correct node that
+        // fell short of the target has scheduled downtime to blame.
+        for (index, seq) in result.decided.iter().enumerate() {
+            let node = NodeId::new(index as u32);
+            let count = seq.len() as u64;
+            if count >= target || input.excluded.contains(&node) || churned.contains(&node.as_u32())
+            {
+                continue;
             }
-            // Churn-aware: the stall is excused iff every correct node that
-            // fell short of the target has scheduled downtime to blame.
-            for (index, seq) in result.decided.iter().enumerate() {
-                let node = NodeId::new(index as u32);
-                let count = seq.len() as u64;
-                if count >= target
-                    || input.excluded.contains(&node)
-                    || churned.contains(&node.as_u32())
-                {
-                    continue;
-                }
-                return Err(OracleViolation {
-                    oracle: self.name(),
-                    detail: format!(
-                        "{node} decided only {count}/{target} slots with no scheduled \
-                         downtime to excuse it"
-                    ),
-                });
-            }
-            return Ok(());
+            return Err(format!(
+                "{node} decided only {count}/{target} slots with no scheduled \
+                 downtime to excuse it"
+            ));
         }
-        // Trace-only: every correct node must have decided `target` slots,
-        // except nodes whose shortfall is covered by scheduled downtime.
-        let mut per_node: HashMap<NodeId, u64> = HashMap::new();
-        for (_, node, _, _) in input.correct_decisions() {
-            *per_node.entry(node).or_insert(0) += 1;
-        }
-        if per_node.is_empty() {
-            return Err(OracleViolation {
-                oracle: self.name(),
-                detail: "no correct node decided anything".into(),
-            });
-        }
-        let mut short: Vec<(NodeId, u64)> = per_node
-            .into_iter()
-            .filter(|(node, count)| *count < target && !churned.contains(&node.as_u32()))
-            .collect();
-        short.sort_by_key(|&(node, _)| node.as_u32());
-        if let Some(&(node, count)) = short.first() {
-            return Err(OracleViolation {
-                oracle: self.name(),
-                detail: format!("{node} decided only {count}/{target} slots"),
-            });
-        }
-        Ok(())
+        return Ok(());
     }
+    // Trace-only: every correct node must have decided `target` slots,
+    // except nodes whose shortfall is covered by scheduled downtime.
+    let mut per_node: HashMap<NodeId, u64> = HashMap::new();
+    for (_, node, _, _) in input.correct_decisions() {
+        *per_node.entry(node).or_insert(0) += 1;
+    }
+    if per_node.is_empty() {
+        return Err("no correct node decided anything".into());
+    }
+    let mut short: Vec<(NodeId, u64)> = per_node
+        .into_iter()
+        .filter(|(node, count)| *count < target && !churned.contains(&node.as_u32()))
+        .collect();
+    short.sort_by_key(|&(node, _)| node.as_u32());
+    if let Some(&(node, count)) = short.first() {
+        return Err(format!("{node} decided only {count}/{target} slots"));
+    }
+    Ok(())
 }
 
 /// Metrics sanity: the engine's own accounting must be internally
 /// consistent — deliveries never exceed transmissions, drops never exceed
 /// honest sends, decision times never exceed the end time, and (when
 /// observed) the event counts agree.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct MetricsSanityOracle;
-
-impl Oracle for MetricsSanityOracle {
-    fn name(&self) -> &'static str {
-        "metrics-sanity"
+fn metrics_sanity(input: &OracleInput<'_>) -> Result<(), String> {
+    // Trace times must be non-decreasing even without a RunResult.
+    let mut prev = SimTime::ZERO;
+    for (time, node, slot, _) in input.trace.decisions() {
+        if time < prev {
+            return Err(format!(
+                "decision clock ran backwards at {node} slot {slot}: {time} < {prev}"
+            ));
+        }
+        prev = time;
     }
-
-    fn check(&self, input: &OracleInput<'_>) -> Result<(), OracleViolation> {
-        let fail = |detail: String| OracleViolation {
-            oracle: "metrics-sanity",
-            detail,
-        };
-        // Trace times must be non-decreasing even without a RunResult.
-        let mut prev = SimTime::ZERO;
-        for (time, node, slot, _) in input.trace.decisions() {
-            if time < prev {
-                return Err(fail(format!(
-                    "decision clock ran backwards at {node} slot {slot}: {time} < {prev}"
-                )));
-            }
-            prev = time;
-        }
-        let Some(result) = input.result else {
-            return Ok(());
-        };
-        let delivered: u64 = result.delivered_per_node.iter().sum();
-        let sent = result.honest_messages + result.adversary_messages;
-        if delivered > sent {
-            return Err(fail(format!(
-                "delivered {delivered} messages but only {sent} were sent"
-            )));
-        }
-        if result.dropped_messages > result.honest_messages {
-            return Err(fail(format!(
-                "dropped {} messages out of {} honest transmissions",
-                result.dropped_messages, result.honest_messages
-            )));
-        }
-        for (time, node, slot, _) in input.trace.decisions() {
-            if time > result.end_time {
-                return Err(fail(format!(
-                    "{node} slot {slot} decided at {time}, after the run ended at {}",
-                    result.end_time
-                )));
-            }
-        }
-        if let Some(obs) = &input.observed {
-            if obs.events != result.events_processed {
-                return Err(fail(format!(
-                    "observer saw {} events but the engine reports {}",
-                    obs.events, result.events_processed
-                )));
-            }
-        }
-        Ok(())
+    let Some(result) = input.result else {
+        return Ok(());
+    };
+    let delivered: u64 = result.delivered_per_node.iter().sum();
+    let sent = result.honest_messages + result.adversary_messages;
+    if delivered > sent {
+        return Err(format!(
+            "delivered {delivered} messages but only {sent} were sent"
+        ));
     }
+    if result.dropped_messages > result.honest_messages {
+        return Err(format!(
+            "dropped {} messages out of {} honest transmissions",
+            result.dropped_messages, result.honest_messages
+        ));
+    }
+    for (time, node, slot, _) in input.trace.decisions() {
+        if time > result.end_time {
+            return Err(format!(
+                "{node} slot {slot} decided at {time}, after the run ended at {}",
+                result.end_time
+            ));
+        }
+    }
+    if let Some(obs) = &input.observed {
+        if obs.events != result.events_processed {
+            return Err(format!(
+                "observer saw {} events but the engine reports {}",
+                obs.events, result.events_processed
+            ));
+        }
+    }
+    Ok(())
 }
 
-/// The standard oracle battery, checked in severity order.
-pub struct OracleSuite {
-    oracles: Vec<Box<dyn Oracle>>,
-}
-
-impl core::fmt::Debug for OracleSuite {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("OracleSuite")
-            .field("oracles", &self.names())
-            .finish()
-    }
-}
-
-impl Default for OracleSuite {
-    fn default() -> Self {
-        Self::standard()
-    }
-}
+/// The standard oracle battery: agreement, validity, no-revocation,
+/// termination, metrics sanity, checked in that (severity) order.
+#[derive(Debug)]
+pub struct OracleSuite;
 
 impl OracleSuite {
-    /// All five standard oracles: agreement, validity, no-revocation,
-    /// termination, metrics sanity.
+    /// All five standard oracles.
     pub fn standard() -> Self {
-        OracleSuite {
-            oracles: vec![
-                Box::new(AgreementOracle),
-                Box::new(ValidityOracle),
-                Box::new(NoRevocationOracle),
-                Box::new(TerminationOracle),
-                Box::new(MetricsSanityOracle),
-            ],
-        }
-    }
-
-    /// The oracles' names, in check order.
-    pub(crate) fn names(&self) -> Vec<&'static str> {
-        self.oracles.iter().map(|o| o.name()).collect()
+        OracleSuite
     }
 
     /// Runs every oracle; returns all violations (empty = clean run).
     pub fn check(&self, input: &OracleInput<'_>) -> Vec<OracleViolation> {
-        self.oracles
+        ORACLES
             .iter()
-            .filter_map(|o| o.check(input).err())
+            .filter_map(|&(oracle, check)| {
+                let detail = check(input).err()?;
+                Some(OracleViolation { oracle, detail })
+            })
             .collect()
     }
 }
@@ -560,33 +466,32 @@ mod tests {
     #[test]
     fn agreement_flags_conflicting_slots() {
         let ok = trace(&[decision(1, 0, 0, 7), decision(2, 1, 0, 7)]);
-        assert!(AgreementOracle.check(&input(&ok)).is_ok());
+        assert!(agreement(&input(&ok)).is_ok());
 
         let bad = trace(&[decision(1, 0, 0, 7), decision(2, 1, 0, 8)]);
-        let v = AgreementOracle.check(&input(&bad)).unwrap_err();
-        assert_eq!(v.oracle, "agreement");
-        assert!(v.detail.contains("slot 0"), "{}", v.detail);
-        assert!(v.detail.contains("n1"), "{}", v.detail);
+        let v = agreement(&input(&bad)).unwrap_err();
+        assert!(v.contains("slot 0"), "{v}");
+        assert!(v.contains("n1"), "{v}");
     }
 
     #[test]
     fn agreement_exempts_excluded_nodes() {
         let bad = corrupting(trace(&[decision(1, 0, 0, 7), decision(2, 1, 0, 8)]), 1);
-        assert!(AgreementOracle.check(&input(&bad)).is_ok());
+        assert!(agreement(&input(&bad)).is_ok());
     }
 
     #[test]
     fn validity_enforces_domains() {
         let two = trace(&[decision(1, 0, 0, 2)]);
         let mut i = input(&two);
-        assert!(ValidityOracle.check(&i).is_ok());
+        assert!(validity(&i).is_ok());
         i.expect.value_domain = ValueDomain::Binary;
-        assert!(ValidityOracle.check(&i).is_err());
+        assert!(validity(&i).is_err());
         let zero = trace(&[decision(1, 0, 0, 0)]);
         let mut i = input(&zero);
         i.expect.value_domain = ValueDomain::NonZero;
-        let v = ValidityOracle.check(&i).unwrap_err();
-        assert!(v.detail.contains("NonZero"), "{}", v.detail);
+        let v = validity(&i).unwrap_err();
+        assert!(v.contains("NonZero"), "{v}");
     }
 
     #[test]
@@ -596,36 +501,32 @@ mod tests {
             decision(2, 0, 1, 8),
             decision(2, 1, 0, 7),
         ]);
-        assert!(NoRevocationOracle.check(&input(&ok)).is_ok());
+        assert!(no_revocation(&input(&ok)).is_ok());
 
         let dup = trace(&[decision(1, 0, 0, 7), decision(2, 0, 0, 7)]);
-        assert!(NoRevocationOracle.check(&input(&dup)).is_err());
+        assert!(no_revocation(&input(&dup)).is_err());
 
         let gap = trace(&[decision(1, 0, 0, 7), decision(2, 0, 2, 8)]);
-        let v = NoRevocationOracle.check(&input(&gap)).unwrap_err();
-        assert!(v.detail.contains("slot 2"), "{}", v.detail);
-        assert!(v.detail.contains("expected slot 1"), "{}", v.detail);
+        let v = no_revocation(&input(&gap)).unwrap_err();
+        assert!(v.contains("slot 2"), "{v}");
+        assert!(v.contains("expected slot 1"), "{v}");
     }
 
     #[test]
     fn termination_only_fires_when_owed() {
         let empty = Trace::default();
-        assert!(
-            TerminationOracle.check(&input(&empty)).is_ok(),
-            "not owed: ok"
-        );
+        assert!(termination(&input(&empty)).is_ok(), "not owed: ok");
 
         let mut owed = input(&empty);
         owed.expect.must_terminate = true;
-        let v = TerminationOracle.check(&owed).unwrap_err();
-        assert_eq!(v.oracle, "termination");
+        assert!(termination(&owed).is_err());
 
         let one = trace(&[decision(1, 0, 0, 7)]);
         let mut partial = input(&one);
         partial.expect.must_terminate = true;
         partial.expect.target_decisions = 2;
-        let v = TerminationOracle.check(&partial).unwrap_err();
-        assert!(v.detail.contains("1/2"), "{}", v.detail);
+        let v = termination(&partial).unwrap_err();
+        assert!(v.contains("1/2"), "{v}");
     }
 
     /// A minimal timed-out [`RunResult`] whose per-node decision counts are
@@ -680,23 +581,23 @@ mod tests {
         owed.expect.target_decisions = 2;
 
         // Churn-blind reading: a false liveness violation.
-        let v = TerminationOracle.check(&owed).unwrap_err();
-        assert!(v.detail.contains("timed out"), "{}", v.detail);
+        let v = termination(&owed).unwrap_err();
+        assert!(v.contains("timed out"), "{v}");
 
         // The straddling window excuses exactly that node's debt.
         owed.expect.outages = vec![window(2, 1, 5_000)];
         assert!(
-            TerminationOracle.check(&owed).is_ok(),
+            termination(&owed).is_ok(),
             "churned node's shortfall must be excused"
         );
 
         // A window on some *other* node excuses nothing: node 2 still owes
         // its decisions and the violation names it.
         owed.expect.outages = vec![window(1, 1, 5_000)];
-        let v = TerminationOracle.check(&owed).unwrap_err();
-        assert!(v.detail.contains("n2"), "{}", v.detail);
-        assert!(v.detail.contains("1/2"), "{}", v.detail);
-        assert!(v.detail.contains("no scheduled downtime"), "{}", v.detail);
+        let v = termination(&owed).unwrap_err();
+        assert!(v.contains("n2"), "{v}");
+        assert!(v.contains("1/2"), "{v}");
+        assert!(v.contains("no scheduled downtime"), "{v}");
 
         // Excluded (crashed/corrupted) nodes stay exempt as before.
         let corrupted = RunResult {
@@ -707,7 +608,7 @@ mod tests {
             expect: owed.expect.clone(),
             ..OracleInput::from_result(&corrupted, None, lenient())
         };
-        assert!(TerminationOracle.check(&exempt).is_ok());
+        assert!(termination(&exempt).is_ok());
     }
 
     #[test]
@@ -720,35 +621,34 @@ mod tests {
         let mut short = input(&decided);
         short.expect.must_terminate = true;
         short.expect.target_decisions = 2;
-        let v = TerminationOracle.check(&short).unwrap_err();
-        assert!(v.detail.contains("n1"), "{}", v.detail);
+        let v = termination(&short).unwrap_err();
+        assert!(v.contains("n1"), "{v}");
 
         short.expect.outages = vec![window(1, 1, 10)];
-        assert!(TerminationOracle.check(&short).is_ok());
+        assert!(termination(&short).is_ok());
 
         // Outages never excuse a trace where nothing was decided at all.
         let empty = Trace::default();
         let mut nothing = input(&empty);
         nothing.expect.must_terminate = true;
         nothing.expect.outages = vec![window(0, 1, 10)];
-        assert!(TerminationOracle.check(&nothing).is_err());
+        assert!(termination(&nothing).is_err());
     }
 
     #[test]
     fn metrics_sanity_checks_decision_clock() {
         let ok = trace(&[decision(1, 0, 0, 7), decision(2, 1, 0, 7)]);
-        assert!(MetricsSanityOracle.check(&input(&ok)).is_ok());
+        assert!(metrics_sanity(&input(&ok)).is_ok());
         let bad = trace(&[decision(5, 0, 0, 7), decision(2, 1, 0, 7)]);
-        let v = MetricsSanityOracle.check(&input(&bad)).unwrap_err();
-        assert!(v.detail.contains("backwards"), "{}", v.detail);
+        let v = metrics_sanity(&input(&bad)).unwrap_err();
+        assert!(v.contains("backwards"), "{v}");
     }
 
     #[test]
     fn suite_collects_all_violations() {
-        let suite = OracleSuite::standard();
         assert_eq!(
-            suite.names(),
-            vec![
+            ORACLES.map(|(name, _)| name),
+            [
                 "agreement",
                 "validity",
                 "no-revocation",
@@ -760,7 +660,7 @@ mod tests {
         let mut bad = input(&conflicting);
         bad.expect.must_terminate = true;
         bad.expect.target_decisions = 5;
-        let violations = suite.check(&bad);
+        let violations = OracleSuite::standard().check(&bad);
         let names: Vec<_> = violations.iter().map(|v| v.oracle).collect();
         assert!(names.contains(&"agreement"), "{names:?}");
         assert!(names.contains(&"termination"), "{names:?}");

@@ -450,7 +450,8 @@ pub struct ScenarioSpec {
     pub max_actions: u64,
     /// Decisions every correct node must reach.
     pub target_decisions: u64,
-    /// Simulated-time cap in seconds.
+    /// Simulated-time cap in seconds; in microseconds it lies below the
+    /// clock's ceiling, as `RunConfig::time_cap` must.
     pub time_cap_secs: u64,
     /// Arms the feature-gated seeded safety bug (`testbug`).
     pub inject_bug: bool,
@@ -1175,7 +1176,17 @@ impl ScenarioSpec {
             )?,
             max_actions: f.opt_or("max_actions", base.max_actions, json::int)?,
             target_decisions: f.opt_or("target_decisions", base.target_decisions, json::int)?,
-            time_cap_secs: f.opt_or("time_cap_secs", base.time_cap_secs, json::int)?,
+            time_cap_secs: f.opt_or("time_cap_secs", base.time_cap_secs, |v| {
+                // `RunConfig::time_cap`'s rule: the cap lies below the clock's ceiling.
+                let secs: u64 = json::int(v)?;
+                match secs.checked_mul(1_000_000) {
+                    Some(micros) if micros < u64::MAX => Ok(secs),
+                    _ => Err(format!(
+                        "{secs} s reaches the clock's ceiling of {} µs",
+                        u64::MAX
+                    )),
+                }
+            })?,
             inject_bug: f.opt_or("inject_bug", base.inject_bug, json::boolean)?,
             bug_delay_micros: f.opt_or("bug_delay_micros", base.bug_delay_micros, json::int)?,
             fault_preset: faults.opt_or("preset", base.fault_preset, |v| {

@@ -1,7 +1,8 @@
 //! Hostile inputs, one table: every JSON artifact the simulator reads
-//! (scenario, repro, manifest, the two kinds of journal line, golden trace,
-//! delivery schedule, `--config`) either loads to exactly what the file says or is
-//! refused with a message — never a panic, never a silently adjusted value.
+//! (scenario — a `--config` file is one — repro, manifest, the two kinds of
+//! journal line, golden trace, delivery schedule) either loads to exactly what
+//! the file says or is refused with a message — never a panic, never a
+//! silently adjusted value.
 //!
 //! Each row starts from a document its type's own `to_json` produced. The
 //! document must round-trip; then, for every key of every object at every
@@ -16,7 +17,6 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use bft_sim_attacks::{FuzzAction, FuzzActionKind};
-use bft_sim_cli::RunSpec;
 use bft_sim_core::buggify::{FaultAction, FaultKind, FaultPreset};
 use bft_sim_core::campaign::{
     Batch, Journal, JournalHeader, JournalWriter, Manifest, UnitOutcome, UnitRecord,
@@ -45,9 +45,6 @@ struct Row {
     /// `Some(v)` — the parser documents the default `v`; `None` — `to_json`
     /// itself omits the key, so the document without it round-trips as is.
     optional: Vec<(String, Option<Json>)>,
-    /// Keys holding floats: a fraction, a huge or a negative value is a
-    /// legal float, so only the type-changing retypes apply.
-    floats: &'static [&'static str],
 }
 
 /// The fields of one object, as `Json::Obj` holds them.
@@ -134,10 +131,9 @@ fn assert_rejected(row: &Row, doc: &Json, label: &str) -> String {
 
 /// What each kind of value is replaced with: always another JSON type, and
 /// for integers also the three numbers an integer reader must refuse.
-fn retypes(value: &Json, is_float: bool) -> Vec<Json> {
+fn retypes(value: &Json) -> Vec<Json> {
     let array = Json::Arr(vec![Json::from(1u64)]);
     match value {
-        Json::UInt(_) | Json::Num(_) if is_float => vec![Json::from("7"), array],
         Json::UInt(_) | Json::Num(_) => vec![
             Json::from("7"),
             Json::Num(2.5),
@@ -198,7 +194,7 @@ fn check_row(row: &Row) {
             }
 
             // (c) retyped
-            for other in retypes(value, row.floats.contains(&path.as_str())) {
+            for other in retypes(value) {
                 let retyped = mutate(&|pairs| pairs[i].1 = other.clone());
                 let label = format!("{path} retyped to {}", other.dump());
                 let err = assert_rejected(row, &retyped, &label);
@@ -516,10 +512,6 @@ fn text_form(json: Json) -> Json {
 fn rows() -> Vec<Row> {
     let scenario = rich_scenario();
     let repro = rich_repro();
-    let config = text_form(RunSpec::default().to_json());
-    let Json::Obj(config_defaults) = config.clone() else {
-        unreachable!("a config serialises as an object");
-    };
     let mut repro_optional = scenario_optionals("scenario.", &repro.spec);
     for omitted in ["actions", "fault_actions", "last_events"] {
         repro_optional.push((omitted.into(), None));
@@ -530,28 +522,24 @@ fn rows() -> Vec<Row> {
             doc: scenario.to_json(),
             parse: |json| ScenarioSpec::from_json(json).map(|spec| spec.to_json()),
             optional: scenario_optionals("", &scenario),
-            floats: &[],
         },
         Row {
             name: "repro",
             doc: repro.to_json(),
             parse: |json| Repro::from_json(json).map(|repro| repro.to_json()),
             optional: repro_optional,
-            floats: &[],
         },
         Row {
             name: "manifest",
             doc: manifest().to_json(),
             parse: |json| Manifest::from_json(json).map(|manifest| manifest.to_json()),
             optional: Vec::new(),
-            floats: &[],
         },
         Row {
             name: "journal header",
             doc: journal_header().to_json(),
             parse: |json| JournalHeader::from_json(json).map(|header| header.to_json()),
             optional: Vec::new(),
-            floats: &[],
         },
         Row {
             name: "journal batch",
@@ -561,14 +549,12 @@ fn rows() -> Vec<Row> {
                 ("records.latency_micros".into(), None),
                 ("records.repro".into(), None),
             ],
-            floats: &[],
         },
         Row {
             name: "golden trace",
             doc: golden_trace(),
             parse: |json| Trace::from_json(json).map(|trace| trace.to_json()),
             optional: Vec::new(),
-            floats: &[],
         },
         Row {
             name: "delivery schedule",
@@ -576,17 +562,6 @@ fn rows() -> Vec<Row> {
                 .expect("a two-fate schedule"),
             parse: |json| DeliverySchedule::from_json(json).map(|schedule| schedule.to_json()),
             optional: Vec::new(),
-            floats: &[],
-        },
-        Row {
-            name: "--config",
-            doc: config,
-            parse: |json| RunSpec::from_json(json).map(|spec| spec.to_json()),
-            optional: config_defaults
-                .into_iter()
-                .map(|(key, value)| (key, Some(value)))
-                .collect(),
-            floats: &["lambda_ms", "delay_mu", "delay_sigma"],
         },
     ];
     rows.into_iter()
