@@ -27,7 +27,7 @@ pub(crate) mod slow_primary;
 pub use add_attacks::{AddAdaptiveRushingAttack, AddStaticAttack};
 pub use equivocation::EquivocationAttack;
 pub use fail_stop::FailStop;
-pub use partition::PartitionAttack;
+pub use partition::{CrossTraffic, PartitionAttack};
 pub use randomized::{
     actions_from_json, actions_to_json, FuzzAction, FuzzActionKind, FuzzBudget, RandomizedAdversary,
 };

@@ -3,80 +3,111 @@
 //! All messages pass through the attacker module, so a partition is a set of
 //! between-node packet-filter rules: while the partition is active, the
 //! attacker drops (or delays until resolution) every message that crosses a
-//! subnet boundary. The plan itself is shared with the network-level variant
-//! in `bft_sim_net::partition`.
+//! subnet boundary.
 
 use bft_sim_core::adversary::{Adversary, AdversaryApi, Fate};
+use bft_sim_core::ids::NodeId;
 use bft_sim_core::message::Message;
 use bft_sim_core::time::{SimDuration, SimTime};
-use bft_sim_net::partition::{CrossTraffic, PartitionPlan};
+
+/// What happens to messages that cross subnet boundaries while the
+/// partition is active.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CrossTraffic {
+    /// Cross-partition messages are silently dropped.
+    Drop,
+    /// Cross-partition messages are held and delivered shortly after the
+    /// partition resolves (plus their normal network delay).
+    HoldUntilResolve,
+}
 
 /// Drops or delays cross-subnet traffic during the partition window.
 ///
 /// # Examples
 ///
 /// ```
-/// use bft_sim_attacks::PartitionAttack;
-/// use bft_sim_net::partition::{CrossTraffic, PartitionPlan};
+/// use bft_sim_attacks::{CrossTraffic, PartitionAttack};
 /// use bft_sim_core::time::SimTime;
 ///
-/// // Split 16 nodes in half from t = 0 to t = 20 s, dropping cross traffic.
-/// let plan = PartitionPlan::halves(
-///     16,
-///     SimTime::ZERO,
-///     SimTime::from_millis(20_000),
-///     CrossTraffic::Drop,
-/// );
-/// let attack = PartitionAttack::new(plan);
-/// assert!(attack.plan().is_active(SimTime::from_millis(5_000)));
+/// // Split 4 nodes 3/1 from t = 0 to t = 20 s, dropping cross traffic.
+/// let attack = PartitionAttack::new(vec![0, 0, 0, 1], 0, 20_000, CrossTraffic::Drop).unwrap();
+/// assert!(attack.is_active(SimTime::from_millis(5_000)));
 /// ```
 #[derive(Debug, Clone)]
 pub struct PartitionAttack {
-    plan: PartitionPlan,
+    /// `groups[i]` is the subnet of node `i`; nodes beyond it are in subnet 0.
+    groups: Vec<u32>,
+    /// The partition is active in `[start, end)`.
+    start: SimTime,
+    end: SimTime,
+    cross: CrossTraffic,
 }
 
 impl PartitionAttack {
-    /// Creates the attack from a partition plan.
-    pub fn new(plan: PartitionPlan) -> Self {
-        PartitionAttack { plan }
-    }
-
-    /// The half/half split between `start_ms` and `end_ms`, as a scenario
-    /// file, a repro or `--attack partition:S:E` spells it: `drop` discards
-    /// cross traffic, otherwise it is held until the partition resolves.
-    ///
-    /// # Errors
-    ///
-    /// The window is inverted ([`PartitionAttack::check_window`]).
-    pub fn halves(n: usize, start_ms: u64, end_ms: u64, drop: bool) -> Result<Self, String> {
-        Self::check_window(start_ms, end_ms)?;
-        let cross = if drop {
-            CrossTraffic::Drop
-        } else {
-            CrossTraffic::HoldUntilResolve
-        };
-        let (start, end) = (SimTime::from_millis(start_ms), SimTime::from_millis(end_ms));
-        Ok(Self::new(PartitionPlan::halves(n, start, end, cross)))
-    }
-
-    /// The one statement of the rule for a window read from outside the
-    /// program: a partition cannot resolve before it starts.
+    /// Divides the nodes into the subnets `groups` names from `start_ms` to
+    /// `end_ms`. This is the one statement of the window rule: a partition
+    /// cannot resolve before it starts.
     ///
     /// # Errors
     ///
     /// `end_ms < start_ms`.
-    pub fn check_window(start_ms: u64, end_ms: u64) -> Result<(), String> {
+    pub fn new(
+        groups: Vec<u32>,
+        start_ms: u64,
+        end_ms: u64,
+        cross: CrossTraffic,
+    ) -> Result<Self, String> {
         if end_ms < start_ms {
             return Err(format!(
                 "partition resolves at {end_ms} ms, before it starts at {start_ms} ms"
             ));
         }
-        Ok(())
+        Ok(PartitionAttack {
+            groups,
+            start: SimTime::from_millis(start_ms),
+            end: SimTime::from_millis(end_ms),
+            cross,
+        })
     }
 
-    /// The underlying plan.
-    pub fn plan(&self) -> &PartitionPlan {
-        &self.plan
+    /// The half/half split (`0..n/2` vs `n/2..n`) between `start_ms` and
+    /// `end_ms`, as a scenario file, a repro or `--attack partition:S:E`
+    /// spells it: `drop` discards cross traffic, otherwise it is held until
+    /// the partition resolves.
+    ///
+    /// # Errors
+    ///
+    /// The window is inverted ([`PartitionAttack::new`]).
+    pub fn halves(n: usize, start_ms: u64, end_ms: u64, drop: bool) -> Result<Self, String> {
+        let groups = (0..n).map(|i| u32::from(i >= n / 2)).collect();
+        let cross = if drop {
+            CrossTraffic::Drop
+        } else {
+            CrossTraffic::HoldUntilResolve
+        };
+        Self::new(groups, start_ms, end_ms, cross)
+    }
+
+    /// Checks a window read from outside the program against
+    /// [`PartitionAttack::new`]'s rule.
+    ///
+    /// # Errors
+    ///
+    /// `end_ms < start_ms`.
+    pub fn check_window(start_ms: u64, end_ms: u64) -> Result<(), String> {
+        Self::new(Vec::new(), start_ms, end_ms, CrossTraffic::Drop).map(drop)
+    }
+
+    /// Whether the partition is active at `now`.
+    pub fn is_active(&self, now: SimTime) -> bool {
+        now >= self.start && now < self.end
+    }
+
+    /// Whether a message from `src` to `dst` at `now` crosses an active
+    /// partition boundary.
+    fn severs(&self, src: NodeId, dst: NodeId, now: SimTime) -> bool {
+        let group = |node: NodeId| self.groups.get(node.index()).copied().unwrap_or(0);
+        self.is_active(now) && group(src) != group(dst)
     }
 }
 
@@ -87,14 +118,12 @@ impl Adversary for PartitionAttack {
         proposed: SimDuration,
         api: &mut AdversaryApi<'_>,
     ) -> Fate {
-        if !self.plan.severs(msg.src(), msg.dst(), api.now()) {
+        if !self.severs(msg.src(), msg.dst(), api.now()) {
             return Fate::Deliver(proposed);
         }
-        match self.plan.cross_traffic() {
+        match self.cross {
             CrossTraffic::Drop => Fate::Drop,
-            CrossTraffic::HoldUntilResolve => {
-                Fate::Deliver((self.plan.end() - api.now()) + proposed)
-            }
+            CrossTraffic::HoldUntilResolve => Fate::Deliver((self.end - api.now()) + proposed),
         }
     }
 
@@ -108,7 +137,6 @@ mod tests {
     use super::*;
     use bft_sim_core::config::RunConfig;
     use bft_sim_core::engine::SimulationBuilder;
-    use bft_sim_core::ids::NodeId;
     use bft_sim_core::network::ConstantNetwork;
     use bft_sim_protocols::registry::ProtocolKind;
 
@@ -124,11 +152,12 @@ mod tests {
                 .with_lambda_ms(1000.0)
                 .with_time_cap(SimDuration::from_secs(cap_s)),
         );
-        let plan = PartitionPlan::halves(8, SimTime::ZERO, SimTime::from_millis(end_ms), cross);
+        let groups = vec![0, 0, 0, 0, 1, 1, 1, 1];
+        let attack = PartitionAttack::new(groups, 0, end_ms, cross).unwrap();
         let factory = kind.factory(&cfg, 7);
         SimulationBuilder::new(cfg)
             .network(ConstantNetwork::new(SimDuration::from_millis(100.0)))
-            .adversary(PartitionAttack::new(plan))
+            .adversary(attack)
             .protocols(factory)
             .build()
             .unwrap()
@@ -174,33 +203,27 @@ mod tests {
 
     #[test]
     fn an_inverted_window_is_an_error_not_a_panic() {
-        let err = PartitionAttack::halves(4, 10, 5, true).unwrap_err();
-        assert!(err.contains("before it starts"), "{err}");
+        let err = PartitionAttack::new(vec![0, 1], 10, 5, CrossTraffic::Drop).unwrap_err();
+        assert_eq!(err, "partition resolves at 5 ms, before it starts at 10 ms");
+        assert_eq!(PartitionAttack::halves(4, 10, 5, true).unwrap_err(), err);
+        assert_eq!(PartitionAttack::check_window(10, 5).unwrap_err(), err);
         let attack = PartitionAttack::halves(4, 5, 5, false).unwrap();
-        assert!(!attack.plan().is_active(SimTime::from_millis(5)));
+        assert!(!attack.is_active(SimTime::from_millis(5)));
     }
 
     #[test]
-    fn same_subnet_traffic_is_untouched() {
-        let plan = PartitionPlan::halves(
-            4,
-            SimTime::ZERO,
-            SimTime::from_millis(1000),
-            CrossTraffic::Drop,
-        );
-        let attack = PartitionAttack::new(plan);
-        // Node 0 and 1 share a subnet: message must pass.
-        let msg = Message::new(
-            NodeId::new(0),
-            NodeId::new(1),
-            SimTime::from_millis(500),
-            bft_sim_core::payload::boxed(1u8),
-        );
-        // Build a minimal api through a real simulation is overkill; use the
-        // plan directly.
-        assert!(!attack.plan().severs(msg.src(), msg.dst(), msg.sent_at()));
-        assert!(attack
-            .plan()
-            .severs(NodeId::new(0), NodeId::new(2), SimTime::from_millis(500)));
+    fn severs_only_cross_traffic_during_window() {
+        let p = PartitionAttack::halves(4, 100, 500, true).unwrap();
+        let [a, b, c, d] = [0, 1, 2, 3].map(NodeId::new);
+        let during = SimTime::from_millis(200);
+        assert!(!p.severs(a, b, during), "same subnet unaffected");
+        assert!(!p.severs(c, d, during), "same subnet unaffected");
+        assert!(p.severs(a, c, during) && p.severs(d, b, during));
+        assert!(!p.severs(a, c, SimTime::from_millis(50)), "before start");
+        assert!(p.severs(a, c, SimTime::from_millis(100)), "at start");
+        assert!(!p.severs(a, c, SimTime::from_millis(500)), "at resolve");
+        // A node beyond the groups falls into subnet 0.
+        assert!(!p.severs(a, NodeId::new(9), during));
+        assert!(p.severs(c, NodeId::new(9), during));
     }
 }

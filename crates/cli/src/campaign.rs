@@ -57,8 +57,6 @@ pub struct CampaignRunSpec {
     pub out_dir: String,
     /// Print the final report as JSON instead of a text summary.
     pub json: bool,
-    /// Also write the final report to this file.
-    pub report: Option<String>,
     /// Stop (at a batch boundary) after completing this many units in this
     /// invocation — the deterministic stand-in for a mid-flight kill, used
     /// by the resume tests and handy for time-boxed CI slices.
@@ -75,7 +73,6 @@ impl Default for CampaignRunSpec {
             threads: 0,
             out_dir: ".".into(),
             json: false,
-            report: None,
             max_units: None,
         }
     }
@@ -99,8 +96,6 @@ pub struct CampaignMergeSpec {
     pub checkpoints: Vec<String>,
     /// Print the final report as JSON instead of a text summary.
     pub json: bool,
-    /// Also write the final report to this file.
-    pub report: Option<String>,
 }
 
 /// Loads and validates a campaign manifest: the JSON must parse, the
@@ -119,11 +114,7 @@ pub fn load_manifest(path: &str) -> Result<Manifest, CliError> {
             }
         }
         for delay in &manifest.delays {
-            if !matches!(delay.as_str(), "constant" | "uniform" | "normal") {
-                return Err(format!(
-                    "unknown delay \"{delay}\" (use constant, uniform or normal)"
-                ));
-            }
+            DelaySpec::named(delay)?;
         }
         for net in manifest.nets.iter().filter(|net| *net != "none") {
             parse_net_preset(net).map_err(|e| format!("net \"{net}\": {e}"))?;
@@ -148,20 +139,7 @@ fn unit_scenario(manifest: &Manifest, unit: &Unit<'_>) -> Result<ScenarioSpec, C
     spec.seed = mix_seed(unit.seed, 0);
     spec.genesis_seed = mix_seed(unit.seed, 1);
     spec.adversary_seed = mix_seed(unit.seed, 2);
-    spec.delay = match unit.delay {
-        "constant" => DelaySpec::Constant { micros: 100_000 },
-        "uniform" => DelaySpec::Uniform {
-            lo_micros: 50_000,
-            hi_micros: 300_000,
-        },
-        "normal" => DelaySpec::Normal {
-            mean_micros: 250_000,
-            std_micros: 50_000,
-        },
-        other => {
-            return Err(CliError::repro(format!("unknown delay \"{other}\"")));
-        }
-    };
+    spec.delay = DelaySpec::named(unit.delay).map_err(CliError::repro)?;
     if unit.net != "none" {
         spec.net = Some(parse_net_preset(unit.net)?);
     }
@@ -477,18 +455,9 @@ pub(crate) fn emit_status(status: &Json, json: bool) {
     );
 }
 
-/// Prints a final report (JSON or text summary), optionally writes it to a
-/// file, and maps violated/panicked units to the violation exit code.
-pub(crate) fn emit_report(
-    report: &Json,
-    json: bool,
-    report_path: Option<&str>,
-) -> Result<(), CliError> {
-    let text = report.dump_pretty();
-    if let Some(path) = report_path {
-        std::fs::write(path, &text)
-            .map_err(|e| CliError::runtime(format!("cannot write {path}: {e}")))?;
-    }
+/// Prints a final report (JSON or text summary) and maps violated/panicked
+/// units to the violation exit code.
+pub(crate) fn emit_report(report: &Json, json: bool) -> Result<(), CliError> {
     let count = |key: &str| report.get(key).and_then(Json::as_u64).unwrap_or_default();
     let (units, clean, violated, panicked) = (
         count("units"),
@@ -497,7 +466,7 @@ pub(crate) fn emit_report(
         count("panicked"),
     );
     if json {
-        out!("{text}");
+        out!("{}", report.dump_pretty());
     } else {
         out!("campaign: {units} units — {clean} clean, {violated} violated, {panicked} panicked");
         if let Some(tally) = report.get("violations").and_then(|v| match v {
@@ -517,9 +486,6 @@ pub(crate) fn emit_report(
                     .and_then(Json::as_str)
                     .unwrap_or_default()
             );
-        }
-        if let Some(path) = report_path {
-            out!("report -> {path}");
         }
     }
     if violated + panicked > 0 {

@@ -500,9 +500,6 @@ const CAMPAIGN_RUN_ARGS: &[Arg] = &[
     arg("--json", None, |s, _| {
         set(&mut s.campaign_run.json, Ok(true))
     }),
-    arg("--report", Some("FILE"), |s, v| {
-        set(&mut s.campaign_run.report, Ok(Some(v.into())))
-    }),
     arg("--max-units", Some("K"), |s, v| {
         set(
             &mut s.campaign_run.max_units,
@@ -521,9 +518,6 @@ const CAMPAIGN_MERGE_ARGS: &[Arg] = &[
     }),
     arg("--json", None, |s, _| {
         set(&mut s.campaign_merge.json, Ok(true))
-    }),
-    arg("--report", Some("FILE"), |s, v| {
-        set(&mut s.campaign_merge.report, Ok(Some(v.into())))
     }),
 ];
 
@@ -991,12 +985,12 @@ pub fn execute(cmd: Command) -> Result<(), CliError> {
         Command::Trace(spec) => run_trace(&spec)?,
         Command::CampaignRun(spec) => {
             if let Some(report) = exec_campaign_run(&spec)? {
-                emit_report(&report, spec.json, spec.report.as_deref())?;
+                emit_report(&report, spec.json)?;
             }
         }
         Command::CampaignMerge(spec) => {
             let report = exec_campaign_merge(&spec)?;
-            emit_report(&report, spec.json, spec.report.as_deref())?;
+            emit_report(&report, spec.json)?;
         }
         Command::CampaignStatus(spec) => {
             emit_status(&exec_campaign_status(&spec.journal)?, spec.json);
@@ -1248,51 +1242,30 @@ fn run_trace(spec: &TraceSpec) -> Result<(), CliError> {
             format!(", {} violations", run.violations.len())
         },
     );
-    out!();
-    out!("delivery latency (µs):");
-    out!(
-        "{:<6} {:>8} {:>10} {:>10} {:>10}",
-        "node",
-        "count",
-        "mean",
-        "min",
-        "max"
-    );
-    for (node, h) in obs.delivery_latency.iter().enumerate() {
-        if h.is_empty() {
-            continue;
-        }
+    for (title, hists) in [
+        ("delivery latency", &obs.delivery_latency),
+        ("decision intervals", &obs.decision_interval),
+    ] {
+        out!();
+        out!("{title} (µs):");
         out!(
-            "n{:<5} {:>8} {:>10.1} {:>10} {:>10}",
-            node,
-            h.count(),
-            h.mean_micros(),
-            h.min_micros(),
-            h.max_micros()
+            "{:<6} {:>8} {:>10} {:>10} {:>10}",
+            "node",
+            "count",
+            "mean",
+            "min",
+            "max"
         );
-    }
-    out!();
-    out!("decision intervals (µs):");
-    out!(
-        "{:<6} {:>8} {:>10} {:>10} {:>10}",
-        "node",
-        "count",
-        "mean",
-        "min",
-        "max"
-    );
-    for (node, h) in obs.decision_interval.iter().enumerate() {
-        if h.is_empty() {
-            continue;
+        for (node, h) in hists.iter().enumerate().filter(|(_, h)| !h.is_empty()) {
+            out!(
+                "n{:<5} {:>8} {:>10.1} {:>10} {:>10}",
+                node,
+                h.count(),
+                h.mean_micros(),
+                h.min_micros(),
+                h.max_micros()
+            );
         }
-        out!(
-            "n{:<5} {:>8} {:>10.1} {:>10} {:>10}",
-            node,
-            h.count(),
-            h.mean_micros(),
-            h.min_micros(),
-            h.max_micros()
-        );
     }
     if !obs.link_queues.is_empty() {
         out!();
@@ -2108,7 +2081,7 @@ mod tests {
             .iter()
             .map(|cmd| cmd.args.iter().filter(|row| row.is_flag()).count())
             .sum();
-        assert_eq!(flags, 36 + RUN_ARGS.len(), "`compare` shares `run`'s rows");
+        assert_eq!(flags, 34 + RUN_ARGS.len(), "`compare` shares `run`'s rows");
     }
 
     #[test]

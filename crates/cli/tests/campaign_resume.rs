@@ -112,7 +112,6 @@ fn reports_are_byte_identical_across_resume_and_shard() {
             .map(|s| dir.join(format!("shard{s}.ck.json")).display().to_string())
             .collect(),
         json: false,
-        report: None,
     })
     .unwrap()
     .dump_pretty();

@@ -104,8 +104,8 @@ fn usage_errors_exit_two() {
         &["compare", "--reps", "18446744073709551615"],
         &["run", "--protocol", "pbft", "--nodes", "4294967297"],
         &["compare", "--nodes", "4294967297"],
-        // A partition that resolves before it starts died in
-        // `PartitionPlan::new`'s assert (101).
+        // A partition that resolves before it starts died in the partition
+        // plan's assert (101).
         &["run", "--protocol", "pbft", "--attack", "partition:10:5"],
         // An attack count above the fault budget (f = 5 at n = 16) was
         // rewritten: `failstop:6` crashed nodes 10-14, `failstop:99` the
@@ -509,6 +509,18 @@ fn hostile_artifacts_exit_with_their_loaders_code() {
             ],
             4,
             "bad \"nodes\": entry #0: expected an unsigned integer",
+        ),
+        (
+            vec![
+                "campaign".into(),
+                "run".into(),
+                file(
+                    "gaussian.json",
+                    &manifest("[4]", "").replace(r#"["constant"]"#, r#"["gaussian"]"#),
+                ),
+            ],
+            4,
+            "unknown delay \"gaussian\" (use constant, uniform or normal)",
         ),
         (
             vec!["campaign".into(), "merge".into(), good_manifest, journal],

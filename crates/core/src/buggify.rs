@@ -126,8 +126,9 @@ impl FaultStats {
 }
 
 /// Per-site probabilities and magnitudes for generate mode. Probabilities
-/// are in permille (0..=1000) so configs hash and compare exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// are in permille (0..=1000) so configs hash and compare exactly. The
+/// default is all zeros: no site ever fires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultConfig {
     /// Permille chance an armed timer is skewed.
     pub(crate) timer_skew_permille: u32,
@@ -151,25 +152,6 @@ pub struct FaultConfig {
     pub(crate) torn_permille: u32,
     /// Hard cap on applied faults per run; 0 disables the catalog.
     pub(crate) max_faults: u64,
-}
-
-impl FaultConfig {
-    /// The all-zero config: no site ever fires.
-    pub(crate) fn calm() -> Self {
-        FaultConfig {
-            timer_skew_permille: 0,
-            skew_min_permille: 0,
-            skew_max_permille: 0,
-            duplicate_permille: 0,
-            duplicate_max_micros: 0,
-            reorder_permille: 0,
-            reorder_burst: 0,
-            reorder_max_micros: 0,
-            drop_permille: 0,
-            torn_permille: 0,
-            max_faults: 0,
-        }
-    }
 }
 
 /// Named fault-catalog intensity, selectable per scenario and recorded in
@@ -212,7 +194,7 @@ impl FaultPreset {
     /// The generate-mode config this preset stands for.
     pub fn config(self) -> FaultConfig {
         match self {
-            FaultPreset::Calm => FaultConfig::calm(),
+            FaultPreset::Calm => FaultConfig::default(),
             FaultPreset::Moderate => FaultConfig {
                 timer_skew_permille: 40,
                 skew_min_permille: 500,
@@ -293,7 +275,7 @@ impl FaultInjector {
     pub fn scripted(actions: &[FaultAction]) -> Self {
         FaultInjector {
             script: Perturber::scripted(actions, |kind| kind.site() as usize),
-            cfg: FaultConfig::calm(),
+            cfg: FaultConfig::default(),
             target: NodeId::new(0),
             burst_left: 0,
         }

@@ -9,6 +9,7 @@
 //!   the metrics layer's accounting convention),
 //! * per-node **decision-interval histograms** (gap between consecutive
 //!   decisions on the same node; the first decision is measured from t=0),
+//!   derived when the run ends from the decisions its trace keeps,
 //! * an **n×n message-flow matrix per protocol phase**, where the phase label
 //!   comes from a protocol-supplied [`PhaseClassifier`],
 //! * **per-view timing breakdowns** (first/last entry time and entry count
@@ -39,7 +40,7 @@ use crate::json::{self, Fields, Json};
 use crate::message::Message;
 use crate::payload::Payload;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::TraceEvent;
+use crate::trace::{Trace, TraceEvent};
 
 /// Maps message payloads to protocol phases.
 ///
@@ -683,8 +684,6 @@ pub(crate) struct ObsRecorder {
     n: usize,
     classifier: Option<PhaseClassifier>,
     delivery: Vec<Histogram>,
-    decision: Vec<Histogram>,
-    last_decision: Vec<Option<SimTime>>,
     /// Per-phase flow accumulators, indexed by the classifier's phase id;
     /// the extra last slot collects unclassified deliveries. Recording is a
     /// direct index — no per-message label scan.
@@ -734,8 +733,6 @@ impl ObsRecorder {
             n,
             classifier: cfg.classifier,
             delivery: vec![Histogram::new(); n],
-            decision: vec![Histogram::new(); n],
-            last_decision: vec![None; n],
             flow_totals: vec![0; phase_slots],
             flows,
             views: Vec::new(),
@@ -760,16 +757,6 @@ impl ObsRecorder {
         let src = msg.src().index();
         self.flows[id].record(self.n, src, dst);
         self.flow_totals[id] += 1;
-    }
-
-    /// `node` decided at `now`.
-    pub(crate) fn on_decided(&mut self, now: SimTime, node: NodeId) {
-        let idx = node.index();
-        if let Some(h) = self.decision.get_mut(idx) {
-            let since = self.last_decision[idx].unwrap_or(SimTime::ZERO);
-            h.record(now.saturating_since(since));
-            self.last_decision[idx] = Some(now);
-        }
     }
 
     /// A message queued for `queued` behind `depth` earlier transmissions on
@@ -817,8 +804,17 @@ impl ObsRecorder {
         }
     }
 
-    /// Freeze the recorder into its final snapshot.
-    pub(crate) fn finish(self) -> Observability {
+    /// Freeze the recorder into its final snapshot. The decision intervals
+    /// come from the run's `trace`, which keeps every decision at every
+    /// level.
+    pub(crate) fn finish(self, trace: &Trace) -> Observability {
+        let mut decision = vec![Histogram::new(); self.n];
+        let mut last = vec![SimTime::ZERO; self.n];
+        for (now, node, _, _) in trace.decisions() {
+            let i = node.index();
+            decision[i].record(now.saturating_since(last[i]));
+            last[i] = now;
+        }
         let phase_name = |id: usize| -> &'static str {
             match self.classifier {
                 Some(c) if id < c.phases().len() => c.phases()[id],
@@ -851,7 +847,7 @@ impl ObsRecorder {
         Observability {
             nodes: self.n,
             delivery_latency: self.delivery,
-            decision_interval: self.decision,
+            decision_interval: decision,
             flows,
             views: self.views,
             link_queue_delay: self.link_queue_delay,
@@ -863,7 +859,7 @@ impl ObsRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceKind;
+    use crate::trace::{TraceKind, TraceLevel};
     use crate::value::Value;
     use std::sync::Arc;
 
@@ -1086,11 +1082,14 @@ mod tests {
 
     #[test]
     fn recorder_decision_intervals_measure_gaps_per_node() {
-        let mut rec = ObsRecorder::new(2, ObsConfig::default()).unwrap();
-        rec.on_decided(SimTime::from_micros(100), NodeId::new(0));
-        rec.on_decided(SimTime::from_micros(250), NodeId::new(0));
-        rec.on_decided(SimTime::from_micros(400), NodeId::new(1));
-        let obs = rec.finish();
+        let rec = ObsRecorder::new(2, ObsConfig::default()).unwrap();
+        let mut trace = Trace::at(TraceLevel::Decisions);
+        for (micros, node, slot) in [(100, 0, 0), (250, 0, 1), (400, 1, 0)] {
+            let value = Value::new(9);
+            let kind = TraceKind::Decided { slot, value };
+            trace.record(SimTime::from_micros(micros), NodeId::new(node), &kind);
+        }
+        let obs = rec.finish(&trace);
         let h0 = &obs.decision_interval[0];
         assert_eq!(h0.count(), 2);
         assert_eq!(h0.min_micros(), 100); // first decision measured from t=0
@@ -1107,7 +1106,7 @@ mod tests {
         rec.on_view(SimTime::from_micros(10), 3);
         rec.on_view(SimTime::from_micros(99), 3);
         rec.on_view(SimTime::from_micros(5), 1);
-        let obs = rec.finish();
+        let obs = rec.finish(&Trace::default());
         assert_eq!(obs.views.len(), 2);
         assert_eq!(obs.views[0].view, 1);
         assert_eq!(obs.views[1].view, 3);
@@ -1141,7 +1140,7 @@ mod tests {
         rec.on_delivered(SimTime::from_micros(30), &vote);
         rec.on_delivered(SimTime::from_micros(30), &vote);
         rec.on_delivered(SimTime::from_micros(45), &other);
-        let obs = rec.finish();
+        let obs = rec.finish(&Trace::default());
         // Sorted by phase label.
         assert_eq!(obs.flows.len(), 2);
         assert_eq!(obs.flows[0].phase, UNCLASSIFIED_PHASE);
@@ -1176,7 +1175,7 @@ mod tests {
             );
             rec.on_delivered(SimTime::from_micros(30), &m);
         }
-        let obs = rec.finish();
+        let obs = rec.finish(&Trace::default());
         assert_eq!(obs.flows.len(), 1, "only the vote phase saw traffic");
         let flow = &obs.flows[0];
         let FlowRepr::Sparse(cells) = &flow.repr else {
@@ -1223,7 +1222,7 @@ mod tests {
             Arc::new(7u32) as Arc<dyn Payload>,
         );
         rec.on_delivered(SimTime::from_micros(30), &m);
-        let obs = rec.finish();
+        let obs = rec.finish(&Trace::default());
         assert_eq!(obs.flows.len(), 1);
         assert_eq!(obs.flows[0].phase, UNCLASSIFIED_PHASE);
     }
@@ -1240,9 +1239,7 @@ mod tests {
     #[test]
     fn observability_json_shape_is_stable() {
         let mut rec = ObsRecorder::new(1, ObsConfig::default()).unwrap();
-        rec.on_decided(SimTime::from_micros(7), NodeId::new(0));
         rec.on_view(SimTime::from_micros(3), 1);
-        let obs = rec.finish();
         let decided = TraceEvent {
             time: SimTime::from_micros(7),
             node: NodeId::new(0),
@@ -1251,6 +1248,9 @@ mod tests {
                 value: Value::new(9),
             },
         };
+        let mut trace = Trace::at(TraceLevel::Decisions);
+        trace.record(decided.time, decided.node, &decided.kind);
+        let obs = rec.finish(&trace);
         let json = obs.to_json(2, std::slice::from_ref(&decided)).dump_pretty();
         for key in [
             "\"nodes\"",
@@ -1276,7 +1276,7 @@ mod tests {
         rec.on_link_queued(a, b, SimDuration::from_micros(100), 1);
         rec.on_link_queued(a, b, SimDuration::from_micros(300), 2);
         rec.on_link_queued(c, b, SimDuration::from_micros(50), 1);
-        let obs = rec.finish();
+        let obs = rec.finish(&Trace::default());
         assert_eq!(obs.link_queue_delay.count(), 3);
         assert_eq!(obs.link_queue_delay.sum_micros(), 450);
         // Sorted by (src, dst); only links that queued appear.

@@ -80,13 +80,9 @@ impl ValueDomain {
     }
 }
 
-/// One scheduled node-offline interval, as the oracles see it: `node` is
-/// offline (its links drop traffic) during `[start, end)`.
-///
-/// This mirrors the network layer's churn `DownWindow` but lives in core so
-/// [`Expectations`] can carry a churn schedule without core depending on the
-/// network crate. The harness that builds the churned network converts its
-/// plan into these windows.
+/// One scheduled node-offline interval: `node` is offline (its links drop
+/// traffic) during `[start, end)`. The network crate's churn plan is a list
+/// of these, and [`Expectations`] carries the same list to the oracles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OutageWindow {
     /// The node that goes offline.
@@ -95,6 +91,13 @@ pub struct OutageWindow {
     pub start: SimTime,
     /// When it comes back (exclusive).
     pub end: SimTime,
+}
+
+impl OutageWindow {
+    /// Whether this window covers `node` at `now`.
+    pub fn covers(&self, node: NodeId, now: SimTime) -> bool {
+        self.node == node.as_u32() && now >= self.start && now < self.end
+    }
 }
 
 /// What a particular scenario entitles the oracles to assume.

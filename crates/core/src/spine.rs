@@ -122,9 +122,6 @@ impl Sinks {
         if let Some(observer) = &mut self.observer {
             observer.on_decision(now, node, slot, value);
         }
-        if let Some(obs) = &mut self.obs {
-            obs.on_decided(now, node);
-        }
         self.log(TraceLevel::Decisions, now, node, || TraceKind::Decided {
             slot,
             value,
@@ -221,13 +218,14 @@ impl Sinks {
         queue_high_water: usize,
         scheduler: SchedulerStats,
     ) -> (RunResult, DeliverySchedule) {
+        let observability = self.obs.map(|obs| obs.finish(&self.trace));
         let result = self.metrics.into_result(
             end_time,
             timed_out,
             self.trace,
             queue_high_water,
             scheduler,
-            self.obs.map(ObsRecorder::finish),
+            observability,
         );
         (result, self.recorder.unwrap_or_default())
     }

@@ -28,15 +28,8 @@ use crate::time::SimDuration;
 /// The recorded fate of every honest transmission of a run, in send order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeliverySchedule {
-    fates: Vec<RecordedFate>,
+    fates: Vec<Fate>,
     cursor: usize,
-}
-
-/// Serializable mirror of [`Fate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RecordedFate {
-    Deliver { delay_micros: u64 },
-    Drop,
 }
 
 impl DeliverySchedule {
@@ -56,25 +49,15 @@ impl DeliverySchedule {
     }
 
     pub(crate) fn push(&mut self, fate: Fate) {
-        self.fates.push(match fate {
-            Fate::Deliver(d) => RecordedFate::Deliver {
-                delay_micros: d.as_micros(),
-            },
-            Fate::Drop => RecordedFate::Drop,
-        });
+        self.fates.push(fate);
     }
 
     /// Consumes the next recorded fate, or `None` when the replayed run sends
     /// more messages than the recorded one (a divergence).
     pub(crate) fn next_fate(&mut self) -> Option<Fate> {
-        let fate = self.fates.get(self.cursor)?;
+        let fate = *self.fates.get(self.cursor)?;
         self.cursor += 1;
-        Some(match *fate {
-            RecordedFate::Deliver { delay_micros } => {
-                Fate::Deliver(SimDuration::from_micros(delay_micros))
-            }
-            RecordedFate::Drop => Fate::Drop,
-        })
+        Some(fate)
     }
 
     /// Resets the replay cursor to the beginning.
@@ -89,11 +72,11 @@ impl DeliverySchedule {
             .fates
             .iter()
             .map(|f| match f {
-                RecordedFate::Deliver { delay_micros } => Json::obj([(
+                Fate::Deliver(d) => Json::obj([(
                     "Deliver",
-                    Json::obj([("delay_micros", Json::from(*delay_micros))]),
+                    Json::obj([("delay_micros", Json::from(d.as_micros()))]),
                 )]),
-                RecordedFate::Drop => Json::from("Drop"),
+                Fate::Drop => Json::from("Drop"),
             })
             .collect();
         Json::obj([("fates", Json::Arr(fates))])
@@ -117,13 +100,13 @@ impl DeliverySchedule {
         Ok(DeliverySchedule { fates, cursor: 0 })
     }
 
-    fn fate_from_json(json: &Json) -> Result<RecordedFate, String> {
+    fn fate_from_json(json: &Json) -> Result<Fate, String> {
         match json::variant(json, "fate")? {
-            ("Drop", None) => Ok(RecordedFate::Drop),
+            ("Drop", None) => Ok(Fate::Drop),
             ("Deliver", Some(mut f)) => {
                 let delay_micros = f.req("delay_micros", json::int)?;
                 f.finish()?;
-                Ok(RecordedFate::Deliver { delay_micros })
+                Ok(Fate::Deliver(SimDuration::from_micros(delay_micros)))
             }
             (tag, _) => Err(format!("unknown fate variant \"{tag}\"")),
         }

@@ -1,12 +1,13 @@
 //! Node churn: timed crash/recovery windows at the network layer.
 //!
-//! A [`ChurnPlan`] lists [`DownWindow`]s — intervals during which a node is
-//! offline. [`ChurnedNetwork`] layers the plan over any inner
-//! [`NetworkModel`]: while either endpoint of a link is down, messages on it
-//! are dropped at the network layer. The node itself keeps executing (its
-//! timers still fire), which models a process whose NIC or VM is gone but
-//! whose protocol state survives — on recovery it rejoins with whatever it
-//! knew, the classic crash-recovery churn of the BFT literature.
+//! A [`ChurnPlan`] lists [`OutageWindow`]s — intervals during which a node
+//! is offline, the same windows the termination oracle is given.
+//! [`ChurnedNetwork`] layers the plan over any inner [`NetworkModel`]: while
+//! either endpoint of a link is down, messages on it are dropped at the
+//! network layer. The node itself keeps executing (its timers still fire),
+//! which models a process whose NIC or VM is gone but whose protocol state
+//! survives — on recovery it rejoins with whatever it knew, the classic
+//! crash-recovery churn of the BFT literature.
 //!
 //! Plans are either explicit (`ChurnPlan::new`) or generated from a seed
 //! ([`ChurnPlan::staggered`]), so fuzzing can explore churn schedules
@@ -15,27 +16,10 @@
 use bft_sim_core::error::SimError;
 use bft_sim_core::ids::NodeId;
 use bft_sim_core::network::{LinkDecision, NetworkModel};
+use bft_sim_core::oracle::OutageWindow;
 use bft_sim_core::time::SimTime;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-/// One node-offline interval: the node is down in `[start, end)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DownWindow {
-    /// The node that goes offline.
-    pub node: u32,
-    /// When it goes down (inclusive).
-    pub start: SimTime,
-    /// When it comes back (exclusive).
-    pub end: SimTime,
-}
-
-impl DownWindow {
-    /// Whether this window covers `node` at `now`.
-    fn covers(&self, node: NodeId, now: SimTime) -> bool {
-        self.node == node.as_u32() && now >= self.start && now < self.end
-    }
-}
 
 /// The most down-windows one [`ChurnPlan::staggered`] plan may hold. Every
 /// link decision scans the plan, and the generator draws at most three, so
@@ -45,13 +29,13 @@ pub const MAX_CRASHES: usize = 4_096;
 /// A schedule of node-offline windows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChurnPlan {
-    windows: Vec<DownWindow>,
+    windows: Vec<OutageWindow>,
 }
 
 impl ChurnPlan {
     /// Creates a plan from explicit windows. Rejects windows that end before
     /// they start with [`SimError::InvalidConfig`].
-    pub(crate) fn new(windows: Vec<DownWindow>) -> Result<Self, SimError> {
+    pub(crate) fn new(windows: Vec<OutageWindow>) -> Result<Self, SimError> {
         for w in &windows {
             if w.end < w.start {
                 return Err(SimError::InvalidConfig(format!(
@@ -110,7 +94,7 @@ impl ChurnPlan {
             let node = rng.gen_range(0..n as u64) as u32;
             let start_ms = rng.gen_range(0..horizon_ms);
             let down_ms = rng.gen_range(min_down_ms..max_down_ms);
-            windows.push(DownWindow {
+            windows.push(OutageWindow {
                 node,
                 start: SimTime::from_millis(start_ms),
                 end: SimTime::from_millis(start_ms.saturating_add(down_ms)),
@@ -125,7 +109,7 @@ impl ChurnPlan {
     }
 
     /// The scheduled windows.
-    pub fn windows(&self) -> &[DownWindow] {
+    pub fn windows(&self) -> &[OutageWindow] {
         &self.windows
     }
 }
@@ -174,8 +158,8 @@ mod tests {
     use bft_sim_core::network::ConstantNetwork;
     use bft_sim_core::time::SimDuration;
 
-    fn window(node: u32, start_ms: u64, end_ms: u64) -> DownWindow {
-        DownWindow {
+    fn window(node: u32, start_ms: u64, end_ms: u64) -> OutageWindow {
+        OutageWindow {
             node,
             start: SimTime::from_millis(start_ms),
             end: SimTime::from_millis(end_ms),

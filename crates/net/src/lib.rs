@@ -1,10 +1,11 @@
 //! # bft-sim-net
 //!
 //! Network models for the BFT simulator: bounded (synchronous /
-//! partially-synchronous), GST-based partially-synchronous, timed
-//! partitions, link-level topologies with bandwidth/FIFO queueing, and node
-//! churn — the network module of §III-A4, factored into
-//! its own crate.
+//! partially-synchronous), GST-based partially-synchronous, link-level
+//! topologies with bandwidth/FIFO queueing, and node churn — the network
+//! module of §III-A4, factored into its own crate. A partition is not a
+//! network model: it is the attacker's packet filter (§III-C),
+//! `bft_sim_attacks::PartitionAttack`.
 //!
 //! ```
 //! use bft_sim_net::models::BoundedNetwork;
@@ -17,5 +18,4 @@
 
 pub mod churn;
 pub mod models;
-pub mod partition;
 pub mod topology;

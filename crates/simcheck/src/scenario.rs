@@ -32,7 +32,7 @@ use bft_sim_core::message::Message;
 use bft_sim_core::metrics::RunResult;
 use bft_sim_core::network::{NetworkModel, SampledNetwork};
 use bft_sim_core::obs::{ObsConfig, DEFAULT_LAST_K};
-use bft_sim_core::oracle::{Expectations, OracleInput, OracleSuite, OracleViolation, OutageWindow};
+use bft_sim_core::oracle::{Expectations, OracleInput, OracleSuite, OracleViolation};
 use bft_sim_core::perturb::ActionLog;
 use bft_sim_core::scheduler::SchedulerKind;
 use bft_sim_core::time::SimDuration;
@@ -70,6 +70,39 @@ pub enum DelaySpec {
 }
 
 impl DelaySpec {
+    /// The named delay shapes: a campaign manifest's `delays` axis names
+    /// them, and [`ScenarioSpec::generate`] draws one.
+    pub const NAMED: [(&'static str, DelaySpec); 3] = [
+        ("constant", DelaySpec::Constant { micros: 100_000 }),
+        (
+            "uniform",
+            DelaySpec::Uniform {
+                lo_micros: 50_000,
+                hi_micros: 300_000,
+            },
+        ),
+        (
+            "normal",
+            DelaySpec::Normal {
+                mean_micros: 250_000,
+                std_micros: 50_000,
+            },
+        ),
+    ];
+
+    /// The shape [`DelaySpec::NAMED`] calls `name`.
+    ///
+    /// # Errors
+    ///
+    /// `name` is not in the table; the message lists the names that are.
+    pub fn named(name: &str) -> Result<DelaySpec, String> {
+        let known = Self::NAMED.iter().find(|(known, _)| *known == name);
+        known.map(|&(_, delay)| delay).ok_or_else(|| {
+            let [a, b, c] = Self::NAMED.map(|(known, _)| known);
+            format!("unknown delay \"{name}\" (use {a}, {b} or {c})")
+        })
+    }
+
     /// The engine-facing distribution (milliseconds, as [`Dist`] expects).
     pub fn to_dist(self) -> Dist {
         let ms = |micros: u64| micros as f64 / 1000.0;
@@ -634,17 +667,7 @@ impl ScenarioSpec {
         let seed = rng.gen_range(0..u64::MAX);
         let adversary_seed = rng.gen_range(0..u64::MAX);
         let genesis_seed = rng.gen_range(1..u64::MAX);
-        let delay = match rng.gen_range(0..3u64) {
-            0 => DelaySpec::Constant { micros: 100_000 },
-            1 => DelaySpec::Uniform {
-                lo_micros: 50_000,
-                hi_micros: 300_000,
-            },
-            _ => DelaySpec::Normal {
-                mean_micros: 250_000,
-                std_micros: 50_000,
-            },
-        };
+        let (_, delay) = DelaySpec::NAMED[rng.gen_range(0..DelaySpec::NAMED.len() as u64) as usize];
         let benign = rng.gen_bool(0.3) && !inject_bug;
         let partitioned = rng.gen_bool(0.25) && !benign;
         let partition = partitioned.then(|| {
@@ -758,20 +781,21 @@ impl ScenarioSpec {
             .is_benign()
     }
 
-    /// The scheduled churn windows of this spec as oracle-facing
-    /// [`OutageWindow`]s (empty without a churn block). Rebuilt
-    /// deterministically from the same seed and horizon the network stack
-    /// uses, so the oracle sees exactly the schedule the run executed.
+    /// The churn plan of this spec (none without a churn block), drawn from
+    /// the churn seed over the time cap. [`ScenarioSpec::build`] derives it
+    /// once and gives it to the network stack and, as
+    /// [`Expectations::outages`], to the oracles, so both see the schedule
+    /// the run executed.
     ///
     /// # Errors
     ///
     /// Returns a message when the churn block is degenerate (same conditions
     /// as [`ChurnPlan::staggered`]).
-    pub(crate) fn outage_windows(&self) -> Result<Vec<OutageWindow>, String> {
+    fn churn_plan(&self) -> Result<Option<ChurnPlan>, String> {
         let Some(c) = self.net.and_then(|n| n.churn) else {
-            return Ok(Vec::new());
+            return Ok(None);
         };
-        let plan = ChurnPlan::staggered(
+        ChurnPlan::staggered(
             self.n,
             c.seed,
             c.crashes as usize,
@@ -779,16 +803,8 @@ impl ScenarioSpec {
             c.max_down_ms,
             self.time_cap_secs.saturating_mul(1_000),
         )
-        .map_err(|e| format!("scenario churn: {e}"))?;
-        Ok(plan
-            .windows()
-            .iter()
-            .map(|w| OutageWindow {
-                node: w.node,
-                start: w.start,
-                end: w.end,
-            })
-            .collect())
+        .map(Some)
+        .map_err(|e| format!("scenario churn: {e}"))
     }
 
     fn config(&self) -> RunConfig {
@@ -804,16 +820,17 @@ impl ScenarioSpec {
 
     /// The engine-facing network stack: the legacy delay-only sampled
     /// network when no [`NetSpec`] block is present, otherwise a
-    /// bandwidth/topology stack with optional churn layered on top. Ring
+    /// bandwidth/topology stack with `churn` (the spec's
+    /// [`churn_plan`](ScenarioSpec::churn_plan)) layered on top. Ring
     /// shapes use the delay mean as the per-hop latency; the clustered shape
     /// uses the delay distribution on LAN links and 4× the mean (with the
     /// bandwidth cap) on WAN links.
     ///
     /// # Errors
     ///
-    /// Returns a message when the block describes a degenerate topology or
-    /// churn schedule ([`bft_sim_core::error::SimError::InvalidConfig`]).
-    fn network(&self) -> Result<Box<dyn NetworkModel>, String> {
+    /// Returns a message when the block describes a degenerate topology
+    /// ([`bft_sim_core::error::SimError::InvalidConfig`]).
+    fn network(&self, churn: Option<ChurnPlan>) -> Result<Box<dyn NetworkModel>, String> {
         let Some(net) = self.net else {
             return Ok(Box::new(SampledNetwork::new(self.delay.to_dist())));
         };
@@ -836,21 +853,10 @@ impl ScenarioSpec {
         }
         .map_err(|e| format!("scenario net: {e}"))?;
         let base = BandwidthNetwork::new(topo);
-        match net.churn {
-            None => Ok(Box::new(base)),
-            Some(c) => {
-                let plan = ChurnPlan::staggered(
-                    self.n,
-                    c.seed,
-                    c.crashes as usize,
-                    c.min_down_ms,
-                    c.max_down_ms,
-                    self.time_cap_secs.saturating_mul(1_000),
-                )
-                .map_err(|e| format!("scenario churn: {e}"))?;
-                Ok(Box::new(ChurnedNetwork::new(base, plan)))
-            }
-        }
+        Ok(match churn {
+            None => Box::new(base),
+            Some(plan) => Box::new(ChurnedNetwork::new(base, plan)),
+        })
     }
 
     #[cfg(feature = "testbug")]
@@ -998,8 +1004,12 @@ impl ScenarioSpec {
         // without bound inside one handler and overflow the stack.
         check_node_count(self.n)?;
         let factory = kind.factory(&cfg, self.genesis_seed);
+        let churn = self.churn_plan()?;
+        let outages = churn
+            .as_ref()
+            .map_or_else(Vec::new, |p| p.windows().to_vec());
         let mut builder = SimulationBuilder::new(cfg.clone())
-            .network(self.network()?)
+            .network(self.network(churn)?)
             .protocols(factory);
         if observed {
             builder = builder
@@ -1046,7 +1056,7 @@ impl ScenarioSpec {
         };
         let mut expect = kind.expectations(&cfg, benign || churn_owed);
         if churn_owed {
-            expect.outages = self.outage_windows()?;
+            expect.outages = outages;
         }
         let (mut actions, mut faults) = (ActionLog::default(), ActionLog::default());
         if let Some((fuzz, injector)) = perturbers {
@@ -1363,15 +1373,16 @@ mod tests {
         let b = ScenarioSpec::generate(42, &kinds, 500, 48, false, FaultPreset::Calm);
         assert_eq!(a, b, "same seed must draw the same scenario");
 
-        let scales: std::collections::HashSet<usize> = (0..64)
-            .map(|s| ScenarioSpec::generate(s, &kinds, 500, 48, false, FaultPreset::Calm).n)
+        let specs: Vec<ScenarioSpec> = (0..64)
+            .map(|s| ScenarioSpec::generate(s, &kinds, 500, 48, false, FaultPreset::Calm))
             .collect();
+        let scales: std::collections::HashSet<usize> = specs.iter().map(|s| s.n).collect();
         assert!(scales.len() > 1, "64 seeds must cover several scales");
-        let benign = (0..64)
-            .filter(|&s| {
-                ScenarioSpec::generate(s, &kinds, 500, 48, false, FaultPreset::Calm).is_benign()
-            })
-            .count();
+        for (name, delay) in DelaySpec::NAMED {
+            let drawn = specs.iter().any(|s| s.delay == delay);
+            assert!(drawn, "64 seeds must draw the {name} delay");
+        }
+        let benign = specs.iter().filter(|s| s.is_benign()).count();
         assert!((5..60).contains(&benign), "benign mix off: {benign}/64");
     }
 

@@ -34,7 +34,7 @@
 //! | Crate | Contents |
 //! |---|---|
 //! | `bft-sim-core` | event queue, controller, protocol/adversary interfaces, metrics, validator |
-//! | `bft-sim-net` | network models: bounded, GST, link-level topologies with bandwidth queueing, churn, partition plans |
+//! | `bft-sim-net` | network models: bounded, GST, link-level topologies with bandwidth queueing, churn |
 //! | `bft-sim-crypto` | simulated hashing, signatures, VRFs, quorum certificates |
 //! | `bft-sim-protocols` | the eight BFT protocols of Table I, plus Tendermint |
 //! | `bft-sim-attacks` | fail-stop, partition, ADD+ static & rushing-adaptive attacks |
@@ -52,14 +52,13 @@ pub mod experiments;
 /// Everything most users need, in one import.
 pub mod prelude {
     pub use bft_sim_attacks::{
-        AddAdaptiveRushingAttack, AddStaticAttack, EquivocationAttack, FailStop, PartitionAttack,
-        SlowPrimary,
+        AddAdaptiveRushingAttack, AddStaticAttack, CrossTraffic, EquivocationAttack, FailStop,
+        PartitionAttack, SlowPrimary,
     };
     pub use bft_sim_core::network::{ConstantNetwork, SampledNetwork};
     pub use bft_sim_core::prelude::*;
-    pub use bft_sim_net::churn::{ChurnPlan, ChurnedNetwork, DownWindow};
+    pub use bft_sim_net::churn::{ChurnPlan, ChurnedNetwork};
     pub use bft_sim_net::models::{BoundedNetwork, GstNetwork};
-    pub use bft_sim_net::partition::{CrossTraffic, PartitionPlan};
     pub use bft_sim_net::topology::{BandwidthNetwork, LinkProfile, LinkTopology};
     pub use bft_sim_protocols::registry::{NetworkAssumption, ProtocolKind};
     pub use bft_sim_protocols::ProtocolParams;

@@ -500,12 +500,8 @@ fn chained_rows() -> Vec<(String, u64)> {
         // Half/half: neither side has a quorum (Fig. 6). 12/4: the majority
         // commits on, and the minority must fetch what it missed.
         let split = |majority: usize, cross| {
-            PartitionAttack::new(PartitionPlan::new(
-                (0..16).map(|i| (i >= majority) as u32).collect(),
-                SimTime::ZERO,
-                SimTime::from_millis(20_000),
-                cross,
-            ))
+            let groups = (0..16).map(|i| (i >= majority) as u32).collect();
+            PartitionAttack::new(groups, 0, 20_000, cross).expect("the window is ordered")
         };
         rows.extend(chained_row(
             key("thrash"),

@@ -644,9 +644,9 @@ fn the_policy_in_five_lines() {
     assert!(err.contains("bad \"time_cap_secs\""), "{err}");
     let err = scenario("{\"protocol\":\"pbft\",\"n\":4,\"seed\":1,\"seed\":2,\"n\":7}");
     assert!(err.contains("duplicate field \"seed\""), "{err}");
-    // An inverted partition window used to reach `PartitionPlan::new`'s
+    // An inverted partition window used to reach the partition plan's
     // assert; a scenario file, a repro and a spec built in code all meet the
-    // one rule instead.
+    // one rule, `PartitionAttack::new`, instead.
     let inverted = "{\"start_ms\": 10, \"end_ms\": 5, \"drop\": true}";
     let err = scenario(&format!(
         "{{\"protocol\": \"pbft\", \"partition\": {inverted}}}"
